@@ -7,7 +7,8 @@
 //! * `gc/*` — whole minor/major collections over a linked graph (the
 //!   allocation-free tracing, forwarding-table and stash-arena paths);
 //! * `h1_cards/*` — H1 dirty-card indexing: sparse scan and barrier mark;
-//! * `mmap/*` — page-cache touch on the last-page TLB fast path;
+//! * `mmap/*` — page-cache touch: a resident hit, and fault + eviction
+//!   with the working set far past the budget;
 //! * `h2_cards/*` — H2 card-table scanning at several segment sizes;
 //! * `regions/*` — region allocation and bulk reclamation;
 //! * `serde/*` — kryo-sim serialize/deserialize round trips;
@@ -111,12 +112,30 @@ fn bench_mmap(bench: &mut Bench) {
     use std::sync::Arc;
     use teraheap_storage::{Category, MmapSim, SimClock};
     let mut group = bench.group("mmap");
-    // Word-at-a-time run over one resident page: the last-page TLB path.
+    // Word-at-a-time run over one resident page: the hit path.
     group.bench_function("touch_same_page", |b| {
         let clock = Arc::new(SimClock::new());
         let mut map = MmapSim::new(DeviceSpec::nvme_ssd(), 1 << 20, 1 << 20, 4096, clock);
         map.touch_read(0, 8, Category::Mutator);
         b.iter(|| map.touch_read(black_box(64), 8, Category::Mutator));
+    });
+    // Working set 64x the budget, strided so no touch rides readahead:
+    // every touch faults and evicts, and every third page leaves dirty.
+    group.bench_function("fault_evict_mixed", |b| {
+        const PAGES: usize = 2048;
+        let clock = Arc::new(SimClock::new());
+        let mut map =
+            MmapSim::new(DeviceSpec::nvme_ssd(), PAGES * 4096, 32 * 4096, 4096, clock);
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 331) % PAGES;
+            let offset = black_box(i * 4096);
+            if i.is_multiple_of(3) {
+                map.touch_write(offset, 8, Category::Mutator);
+            } else {
+                map.touch_read(offset, 8, Category::Mutator);
+            }
+        });
     });
     group.finish();
 }

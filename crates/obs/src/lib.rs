@@ -287,7 +287,7 @@ impl WorkUnitKind {
 }
 
 /// The typed event taxonomy. Every variant is a coarse operation — there are
-/// deliberately no per-word or per-TLB-hit events, so a full trace of a
+/// deliberately no per-word or per-page-hit events, so a full trace of a
 /// figure run stays in the tens of thousands of entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {

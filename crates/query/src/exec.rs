@@ -104,10 +104,10 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
             matched.push((row, v));
         }
     } else {
-        let mut fbuf = vec![0u64; cr];
-        let mut pbuf = vec![0u64; cr];
+        let mut scratch = std::mem::take(&mut table.scratch);
+        let (fbuf, pbuf) = scratch.split_at_mut(cr);
         for k in 0..table.sealed_chunks() {
-            table.read_col_chunk(heap, q.filter.col, k, &mut fbuf);
+            table.read_col_chunk(heap, q.filter.col, k, fbuf);
             scanned += cr as u64;
             let any = (0..cr)
                 .any(|i| q.filter.matches(fbuf[i]) && !table.is_deleted(k * cr + i));
@@ -115,10 +115,10 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
                 continue;
             }
             let proj: &[u64] = if q.project == q.filter.col {
-                &fbuf
+                fbuf
             } else {
-                table.read_col_chunk(heap, q.project, k, &mut pbuf);
-                &pbuf
+                table.read_col_chunk(heap, q.project, k, pbuf);
+                pbuf
             };
             for i in 0..cr {
                 let row = k * cr + i;
@@ -127,6 +127,7 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
                 }
             }
         }
+        table.scratch = scratch;
     }
 
     // The open chunk's staging rows — identical in both plans.

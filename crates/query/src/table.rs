@@ -96,6 +96,10 @@ pub struct Table {
     index: SortedRunIndex,
     tombstones: Vec<u64>,
     dead_rows: usize,
+    /// Two chunks' worth of read buffer, reused by every query instead of
+    /// allocating per operation. A reader `std::mem::take`s it for the
+    /// duration (chunk reads borrow the table mutably) and puts it back.
+    pub(crate) scratch: Vec<u64>,
 }
 
 impl Table {
@@ -123,6 +127,7 @@ impl Table {
             index: SortedRunIndex::new(),
             tombstones: Vec::new(),
             dead_rows: 0,
+            scratch: vec![0; 2 * cfg.chunk_rows],
         }
     }
 
@@ -281,23 +286,25 @@ impl Table {
         let rdd = self.index_rdd();
         let mut hits: Vec<usize> = Vec::new();
         let mut probed = 0u32;
-        let mut keys = vec![0u64; cr];
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let (keys, ids) = scratch.split_at_mut(cr);
         for k in 0..self.index.runs().len() {
             if !self.index.runs()[k].overlaps(lo, hi) {
                 continue;
             }
             probed += 1;
             let h = self.chunk_handle(heap, rdd, k);
-            heap.read_prims(h, 0, &mut keys);
+            heap.read_prims(h, 0, keys);
             let a = keys.partition_point(|&key| key < lo);
             let b = keys.partition_point(|&key| key <= hi);
             if b > a {
-                let mut ids = vec![0u64; b - a];
-                heap.read_prims(h, cr + a, &mut ids);
+                let ids = &mut ids[..b - a];
+                heap.read_prims(h, cr + a, ids);
                 hits.extend(ids.iter().map(|&r| r as usize));
             }
             heap.release(h);
         }
+        self.scratch = scratch;
         heap.clock().emit(EventKind::IndexProbe { runs: probed, hits: hits.len() as u64 });
         hits.sort_unstable();
         hits

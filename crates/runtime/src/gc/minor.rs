@@ -336,8 +336,8 @@ fn scan_h2_cards(heap: &mut Heap, sched: &mut Scheduler, worklist: &mut Vec<Addr
                         let mut s = first_slot;
                         while s < end_slot {
                             // One bulk read per page chunk; slot write-backs land
-                            // as TLB hits on the same page, so the per-page touch
-                            // multiset matches the word-at-a-time loop.
+                            // as hits on the same resident page, so the per-page
+                            // touch multiset matches the word-at-a-time loop.
                             let off = Addr::new(s).h2_offset();
                             let run = (page_words - off % page_words).min(end_slot - s) as usize;
                             slot_buf.resize(run, 0);

@@ -1,6 +1,6 @@
 //! Golden-equivalence suite: the performance work on the GC and H2 hot
 //! paths (allocation-free tracing, the sorted forwarding table, indexed
-//! card tables, the page-cache TLB) must not change *simulated* behaviour
+//! card tables, the list page cache) must not change *simulated* behaviour
 //! by a single nanosecond. This test runs a mixed minor/major/H2 workload
 //! and asserts the object-graph checksum, the `GcStats` counters and phase
 //! breakdowns, and the total `SimClock` time against golden values captured

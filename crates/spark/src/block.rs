@@ -246,15 +246,15 @@ impl BlockManager {
     ///
     /// Returns [`OomError`] if deserialization exhausts the heap.
     pub fn get(&mut self, heap: &mut Heap, id: BlockId) -> Result<Option<Handle>, OomError> {
-        if self.slots.contains_key(&id) {
-            if let CacheMode::Adaptive { model, .. } = &mut self.mode {
-                model.note_get(id.rdd);
-            }
+        let Some(slot) = self.slots.get(&id) else {
+            return Ok(None);
+        };
+        if let CacheMode::Adaptive { model, .. } = &mut self.mode {
+            model.note_get(id.rdd);
         }
-        match self.slots.get(&id) {
-            None => Ok(None),
-            Some(Slot::OnHeap(h)) => Ok(Some(heap.dup(*h))),
-            Some(&Slot::OffHeap { offset, len }) => {
+        match *slot {
+            Slot::OnHeap(h) => Ok(Some(heap.dup(h))),
+            Slot::OffHeap { offset, len } => {
                 let device = match &self.mode {
                     CacheMode::SerializedOverflow { device, .. }
                     | CacheMode::Adaptive { device, .. } => device,

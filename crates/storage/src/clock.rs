@@ -12,6 +12,8 @@
 //! with the current simulated instant. Events *observe* the clock — they
 //! never charge it — so tracing cannot change simulated time.
 
+#[cfg(debug_assertions)]
+use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -24,12 +26,35 @@ pub use teraheap_obs::Category;
 
 /// Deterministic simulated clock.
 ///
-/// Thread-safe (atomic counters) so it can be shared behind an `Arc` between
-/// the heap, devices and frameworks. All times are simulated nanoseconds.
+/// Shared behind an `Arc` between the heap, devices and frameworks of one
+/// simulation. All times are simulated nanoseconds.
+///
+/// **Single writer.** One clock is charged by one thread at a time: a
+/// simulation is sequential, and everything that fans simulations out over
+/// host threads (the bench driver's `run_parallel`, the server's tenants)
+/// gives each its own clock. Charging is therefore a relaxed load + store
+/// on the atomics, not a locked read-modify-write — two threads charging
+/// one clock concurrently would lose nanoseconds, so debug builds assert
+/// they never do. A clock may move between threads, and any thread may
+/// read it at any time.
 #[derive(Debug, Default)]
 pub struct SimClock {
     nanos: [AtomicU64; Category::COUNT],
     tracer: Tracer,
+    /// Set while a charge is in flight (single-writer assertion).
+    #[cfg(debug_assertions)]
+    charging: AtomicBool,
+}
+
+/// Holds a clock's single-writer flag for the duration of one charge.
+#[cfg(debug_assertions)]
+struct ChargeGuard<'a>(&'a AtomicBool);
+
+#[cfg(debug_assertions)]
+impl Drop for ChargeGuard<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
 }
 
 impl SimClock {
@@ -44,19 +69,40 @@ impl SimClock {
     /// Charging routes through the tracer's per-category charge counter (a
     /// relaxed add, no ring traffic) so the recorder can attribute *how
     /// often* each category is charged without perturbing *what* is charged.
+    #[inline]
     pub fn charge(&self, cat: Category, ns: u64) {
         self.tracer.note_charge(cat);
-        self.nanos[cat.index()].fetch_add(ns, Ordering::Relaxed);
+        self.advance(cat, ns);
     }
 
-    /// Charges the sum of `charges` individual charge calls in one atomic
+    /// Charges the sum of `charges` individual charge calls in one
     /// update: `ns` is the exact total the per-call loop would have added,
     /// and the tracer's per-category charge counter advances by `charges`.
     /// This is the clock half of the bulk access plane — callers batch the
     /// arithmetic, the accounting stays call-for-call identical.
+    #[inline]
     pub fn charge_batched(&self, cat: Category, ns: u64, charges: u64) {
         self.tracer.note_charges(cat, charges);
-        self.nanos[cat.index()].fetch_add(ns, Ordering::Relaxed);
+        self.advance(cat, ns);
+    }
+
+    /// The single-writer update both charge forms share.
+    #[inline]
+    fn advance(&self, cat: Category, ns: u64) {
+        #[cfg(debug_assertions)]
+        let _writer = self.begin_charge();
+        let n = &self.nanos[cat.index()];
+        n.store(n.load(Ordering::Relaxed) + ns, Ordering::Relaxed);
+    }
+
+    /// Claims the single-writer flag, panicking if another thread holds it.
+    #[cfg(debug_assertions)]
+    fn begin_charge(&self) -> ChargeGuard<'_> {
+        assert!(
+            !self.charging.swap(true, Ordering::Acquire),
+            "SimClock charged by two threads at once: give each simulation its own clock"
+        );
+        ChargeGuard(&self.charging)
     }
 
     /// Returns the nanoseconds accumulated in `cat`.
@@ -473,6 +519,22 @@ mod tests {
         batched.charge_batched(Category::Io, 35, 5);
         assert_eq!(looped.category_ns(Category::Io), batched.category_ns(Category::Io));
         assert_eq!(looped.tracer().charge_counts(), batched.tracer().charge_counts());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn second_thread_charging_trips_the_single_writer_assert() {
+        let clock = SimClock::new();
+        // This thread is mid-charge (it holds the writer flag) when another
+        // thread charges the same clock.
+        let _mid_charge = clock.begin_charge();
+        let second = std::thread::scope(|s| {
+            s.spawn(|| clock.charge(Category::Mutator, 1)).join()
+        });
+        let panic = second.expect_err("concurrent charge must be refused");
+        let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(message.contains("charged by two threads at once"), "{message}");
+        assert_eq!(clock.total_ns(), 0, "the refused charge landed nothing");
     }
 
     #[test]

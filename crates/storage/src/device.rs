@@ -225,10 +225,11 @@ impl SimDevice {
             return Err(DeviceError::OutOfSpace);
         }
         let data = self.data.lock();
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = data.get(offset + i).copied().unwrap_or(0);
-        }
+        // The written prefix in one copy; the never-written tail reads zero.
+        let written = data.len().clamp(offset, end) - offset;
+        buf[..written].copy_from_slice(&data[offset..offset + written]);
         drop(data);
+        buf[written..].fill(0);
         if let Some(plane) = self.plane.as_deref() {
             let mult = plane.spike_multiplier();
             self.clock
@@ -316,6 +317,16 @@ mod tests {
         let mut buf = [7u8; 16];
         dev.read(0, &mut buf, Category::Io).unwrap();
         assert!(buf.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn read_straddling_the_written_prefix_zero_fills_the_tail() {
+        let clock = Arc::new(SimClock::new());
+        let dev = SimDevice::new(DeviceSpec::dram(), 1024, clock);
+        dev.write(100, b"hello", Category::Io).unwrap();
+        let mut buf = [7u8; 10];
+        dev.read(102, &mut buf, Category::Io).unwrap();
+        assert_eq!(&buf, b"llo\0\0\0\0\0\0\0");
     }
 
     #[test]

@@ -22,16 +22,21 @@ use crate::fault::{self, FaultPlane};
 use crate::shared::DeviceLease;
 use crate::stats::IoStats;
 use teraheap_obs::EventKind;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 /// Word size the bulk access plane batches at.
 const WORD: usize = 8;
 
+/// Slab slot of the list sentinel. No page ever lives there, so it doubles
+/// as the page table's "not resident" value and the free chain's end.
+const NIL: u32 = 0;
+
+/// One resident page: a node of the intrusive recency list.
 #[derive(Debug, Clone, Copy)]
-struct PageEntry {
-    stamp: u64,
+struct Node {
+    page: u64,
+    prev: u32,
+    next: u32,
     dirty: bool,
 }
 
@@ -47,26 +52,29 @@ const READAHEAD_PAGES: u64 = 32;
 /// page cache with faults and dirty write-back. In *DAX* mode
 /// (byte-addressable devices) every touch pays the device's access cost
 /// directly and there is no resident set.
+///
+/// Every range touched or discarded must lie inside the mapping; one that
+/// does not is a caller bug and panics, in release builds too.
 #[derive(Debug)]
 pub struct MmapSim {
     spec: DeviceSpec,
     len: usize,
     page_size: usize,
+    /// `log2(page_size)`, kept so the hit path shifts instead of dividing.
+    page_shift: u32,
     budget_pages: usize,
-    resident: HashMap<u64, PageEntry>,
-    lru: BinaryHeap<Reverse<(u64, u64)>>,
-    next_stamp: u64,
-    /// Last-touched-page "TLB": the authoritative `(stamp, dirty)` for the
-    /// most recently touched page, held out of `resident` so that runs of
-    /// touches to one page (the common case for word-at-a-time H2 object
-    /// scans) skip the hash lookup and the per-touch LRU push. The map
-    /// keeps a possibly stale entry for this page (so `resident.len()` and
-    /// the budget check are unaffected); [`MmapSim::tlb_sync`] re-attaches
-    /// the authoritative entry before anything inspects the map or heap —
-    /// a miss, an eviction, a flush or a discard. Equivalent to the
-    /// un-cached model because only a run's *final* stamp can ever win the
-    /// lazy-deletion eviction scan; intermediate stamps were always stale.
-    tlb: Option<(u64, PageEntry)>,
+    /// Dense page table: page index → slab slot of the page's node, `NIL`
+    /// when the page is not resident. Zero-allocated (the allocator hands
+    /// back untouched zero pages, so a large sparse mapping costs no
+    /// memory until its pages are touched); empty in DAX mode.
+    table: Vec<u32>,
+    /// Slab of list nodes. `nodes[NIL]` is the sentinel of a circular
+    /// doubly-linked list in exact recency order: `nodes[NIL].next` is the
+    /// most recently touched page, `nodes[NIL].prev` the eviction victim.
+    nodes: Vec<Node>,
+    /// Head of the chain of vacated slab slots (threaded through `next`).
+    free: u32,
+    resident: usize,
     /// Recent sequential-stream heads (the kernel tracks one readahead
     /// window per access stream; a handful suffices for interleaved object
     /// and array scans).
@@ -108,15 +116,17 @@ impl MmapSim {
     ) -> Self {
         assert!(page_size.is_power_of_two(), "page size must be a power of two");
         let budget_pages = (resident_budget / page_size).max(1);
+        let table_pages = if spec.byte_addressable { 0 } else { len.div_ceil(page_size) };
         MmapSim {
             spec,
             len,
             page_size,
+            page_shift: page_size.trailing_zeros(),
             budget_pages,
-            resident: HashMap::new(),
-            lru: BinaryHeap::new(),
-            next_stamp: 0,
-            tlb: None,
+            table: vec![NIL; table_pages],
+            nodes: vec![Node { page: 0, prev: NIL, next: NIL, dirty: false }],
+            free: NIL,
+            resident: 0,
             readahead_heads: [u64::MAX - 1; 4],
             readahead_next: 0,
             stats: Arc::new(IoStats::default()),
@@ -218,7 +228,7 @@ impl MmapSim {
 
     /// Number of currently resident pages (always zero in DAX mode).
     pub fn resident_pages(&self) -> usize {
-        self.resident.len()
+        self.resident
     }
 
     /// Page-cache statistics for the mapping.
@@ -250,11 +260,12 @@ impl MmapSim {
         self.touch(offset, bytes, true, cat);
     }
 
-    /// Asserts `[offset, offset + bytes)` lies inside the mapping, with
-    /// checked arithmetic so an adversarial `offset + bytes` cannot wrap
-    /// around and slip past the bound.
+    /// Panics unless `[offset, offset + bytes)` lies inside the mapping,
+    /// with checked arithmetic so an adversarial `offset + bytes` cannot
+    /// wrap around and slip past the bound. Always on: the page table is
+    /// indexed by what passes here.
     fn check_range(&self, offset: usize, bytes: usize) {
-        debug_assert!(
+        assert!(
             offset.checked_add(bytes).is_some_and(|end| end <= self.len),
             "touch past end of mapping: {}+{} > {}",
             offset,
@@ -281,6 +292,21 @@ impl MmapSim {
         cost.max(1)
     }
 
+    /// Index of the page holding byte `offset` (page sizes are powers of two).
+    #[inline]
+    fn page_of(&self, offset: usize) -> usize {
+        offset >> self.page_shift
+    }
+
+    /// `base_ns` of device service, stretched by the armed fault plane's
+    /// latency-spike multiplier if there is one.
+    fn spiked(&self, base_ns: u64) -> u64 {
+        match self.plane.as_deref() {
+            None => base_ns,
+            Some(plane) => base_ns.saturating_mul(plane.spike_multiplier()),
+        }
+    }
+
     fn touch(&mut self, offset: usize, bytes: usize, write: bool, cat: Category) {
         if bytes == 0 {
             return;
@@ -298,23 +324,17 @@ impl MmapSim {
             self.clock.charge(cat, cost);
             return;
         }
-        let first = (offset / self.page_size) as u64;
-        let last = ((offset + bytes - 1) / self.page_size) as u64;
-        let mut scope = ChargeScope::new(cat);
-        for page in first..=last {
-            self.touch_page_run(page, 1, write, &mut scope);
-        }
-        scope.flush(&self.clock);
+        self.touch_pages(offset, bytes, write, cat);
     }
 
     /// Touches `[offset, offset + bytes)` — a word-aligned run — charging
     /// exactly what the per-word loop
     /// `for w in 0..bytes/8 { touch(offset + 8*w, 8, write, cat) }`
     /// would charge, with closed-form arithmetic instead of per-word
-    /// bookkeeping: one resident/TLB decision per page run, one batched
-    /// clock charge per scope, one `IoStats` update per run.
+    /// bookkeeping: one resident-set decision per page, one batched clock
+    /// charge per scope, one `IoStats` update per run.
     ///
-    /// The equivalence (readahead-head evolution, LRU stamp order,
+    /// The equivalence (readahead-head evolution, recency order,
     /// fault/eviction interleaving, emitted events — all bit-identical) is
     /// argued in DESIGN.md §9 and pinned by the `bulk_equivalence` property
     /// suite.
@@ -346,57 +366,90 @@ impl MmapSim {
             return;
         }
         debug_assert!(self.page_size >= WORD, "words must not span pages");
-        let end = offset + bytes;
-        let first = (offset / self.page_size) as u64;
-        let last = ((end - 1) / self.page_size) as u64;
+        self.touch_pages(offset, bytes, write, cat);
+    }
+
+    /// The paged half of a touch: every page overlapping the checked range,
+    /// in address order, under one charge scope. Repeat touches of a page
+    /// change nothing after the first (it is already dirty enough and
+    /// already at the front), so a per-word loop and a whole run agree.
+    fn touch_pages(&mut self, offset: usize, bytes: usize, write: bool, cat: Category) {
         let mut scope = ChargeScope::new(cat);
-        for page in first..=last {
-            let lo = (page as usize * self.page_size).max(offset);
-            let hi = ((page as usize + 1) * self.page_size).min(end);
-            self.touch_page_run(page, ((hi - lo) / WORD) as u64, write, &mut scope);
+        for page in self.page_of(offset)..=self.page_of(offset + bytes - 1) {
+            self.touch_page(page, write, &mut scope);
         }
         scope.flush(&self.clock);
     }
 
-    /// `touches` consecutive touches of one page, replayed in O(1): only the
-    /// first touch of a run can miss the TLB (and only that one can fault);
-    /// the rest are TLB hits whose sole effect is advancing the stamp. So
-    /// the batched form runs the miss logic once at the first touch's stamp
-    /// and then jumps the stamp to the run's final value — the exact state
-    /// the per-touch loop leaves behind.
-    fn touch_page_run(&mut self, page: u64, touches: u64, write: bool, scope: &mut ChargeScope) {
-        debug_assert!(touches > 0);
-        // Fast path: repeat touch of the TLB page — advance its
-        // authoritative stamp; no hash lookup, no LRU traffic.
-        if let Some((tlb_page, entry)) = &mut self.tlb {
-            if *tlb_page == page {
-                self.next_stamp += touches;
-                entry.stamp = self.next_stamp;
-                entry.dirty |= write;
-                return;
+    /// Detaches `slot` from the recency list.
+    #[inline]
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = self.nodes[slot as usize];
+        self.nodes[prev as usize].next = next;
+        self.nodes[next as usize].prev = prev;
+    }
+
+    /// Makes the detached `slot` the most recently touched page.
+    #[inline]
+    fn push_front(&mut self, slot: u32) {
+        let head = self.nodes[NIL as usize].next;
+        self.nodes[slot as usize].prev = NIL;
+        self.nodes[slot as usize].next = head;
+        self.nodes[head as usize].prev = slot;
+        self.nodes[NIL as usize].next = slot;
+    }
+
+    /// Drops the resident page at `slot`: off the list, out of the table,
+    /// slot onto the free chain.
+    fn remove(&mut self, slot: u32) {
+        self.unlink(slot);
+        self.table[self.nodes[slot as usize].page as usize] = NIL;
+        self.nodes[slot as usize].next = self.free;
+        self.free = slot;
+        self.resident -= 1;
+    }
+
+    /// One touch of `page`: a hit is "set dirty, move to front"; a miss is
+    /// a page fault — transfer the page, push it on the front, evict from
+    /// the tail while over budget.
+    fn touch_page(&mut self, page: usize, write: bool, scope: &mut ChargeScope) {
+        let slot = self.table[page];
+        if slot != NIL {
+            self.nodes[slot as usize].dirty |= write;
+            if self.nodes[NIL as usize].next != slot {
+                self.unlink(slot);
+                self.push_front(slot);
             }
-        }
-        self.next_stamp += 1;
-        let stamp = self.next_stamp;
-        self.tlb_sync();
-        if let Some(&entry) = self.resident.get(&page) {
-            // The map entry is authoritative here (the TLB was just
-            // synced), so it can seed the new TLB run directly. The LRU
-            // push is deferred to the next sync; only the run's final stamp
-            // matters because intermediate stamps are never observable.
-            self.next_stamp += touches - 1;
-            self.tlb = Some((
-                page,
-                PageEntry {
-                    stamp: self.next_stamp,
-                    dirty: entry.dirty | write,
-                },
-            ));
             return;
         }
-        // Page fault: transfer the page from the device. Sequential faults
-        // ride the readahead window, paying only 1/READAHEAD_PAGES of the
-        // per-command latency; random faults pay it in full.
+        self.page_in(page as u64, scope);
+        let node = Node { page: page as u64, prev: NIL, next: NIL, dirty: write };
+        let slot = if self.free != NIL {
+            let slot = self.free;
+            self.free = self.nodes[slot as usize].next;
+            self.nodes[slot as usize] = node;
+            slot
+        } else {
+            let slot = u32::try_from(self.nodes.len()).expect("resident set fits u32 slots");
+            self.nodes.push(node);
+            slot
+        };
+        self.table[page] = slot;
+        self.push_front(slot);
+        self.resident += 1;
+        while self.resident > self.budget_pages {
+            let slot = self.nodes[NIL as usize].prev;
+            let Node { page, dirty, .. } = self.nodes[slot as usize];
+            self.remove(slot);
+            self.page_out(page, dirty, scope);
+        }
+    }
+
+    /// Accounts one page fault: transfer the page from the device.
+    /// Sequential faults ride the readahead window, paying only
+    /// 1/READAHEAD_PAGES of the per-command latency; random faults pay it
+    /// in full.
+    fn page_in(&mut self, page: u64, scope: &mut ChargeScope) {
         self.stats.record_fault();
         self.stats.record_read(self.page_size as u64);
         let sequential = self
@@ -421,144 +474,80 @@ impl MmapSim {
         } else {
             self.spec.read_lat_ns
         };
-        match self.plane.as_deref() {
-            None => {
-                let service = transfer_ns + latency_ns;
-                self.arbitrate_scoped(service, scope);
-                scope.add(service);
-                scope.emit(&self.clock, EventKind::PageFault { sequential });
-            }
-            Some(plane) => {
-                // Armed plane: the page-in pays the spike multiplier and may
-                // roll a transient read error, retried with backoff charged
-                // to the touching category. Reads always eventually succeed
-                // (the kernel's own page-I/O retry loop), so the fault path
-                // stays total.
-                let mult = plane.spike_multiplier();
-                let service = (transfer_ns + latency_ns).saturating_mul(mult);
-                self.arbitrate_scoped(service, scope);
-                scope.add(service);
-                scope.emit(&self.clock, EventKind::PageFault { sequential });
-                let out = fault::inject_scoped(plane, &self.clock, scope, false);
+        let service = self.spiked(transfer_ns + latency_ns);
+        self.arbitrate_scoped(service, scope);
+        scope.add(service);
+        scope.emit(&self.clock, EventKind::PageFault { sequential });
+        if let Some(plane) = self.plane.as_deref() {
+            // Armed plane: the page-in may roll a transient read error,
+            // retried with backoff charged to the touching category. Reads
+            // always eventually succeed (the kernel's own page-I/O retry
+            // loop), so the fault path stays total.
+            let out = fault::inject_scoped(plane, &self.clock, scope, false);
+            self.stats.record_retries(out.retries as u64);
+        }
+    }
+
+    /// Accounts the eviction of `page`, writing it back if dirty.
+    fn page_out(&mut self, page: u64, dirty: bool, scope: &mut ChargeScope) {
+        self.stats.record_eviction();
+        if dirty {
+            self.stats.record_write(self.page_size as u64);
+            let service = self.spiked(self.spec.write_cost_ns(self.page_size));
+            self.arbitrate_scoped(service, scope);
+            scope.add(service);
+            if let Some(plane) = self.plane.as_deref() {
+                // Transient write error on the eviction write-back: the
+                // kernel keeps the page and retries until it lands, so only
+                // the backoff cost is observable here.
+                let out = fault::inject_scoped(plane, &self.clock, scope, true);
                 self.stats.record_retries(out.retries as u64);
             }
-        }
-        self.resident.insert(page, PageEntry { stamp, dirty: write });
-        self.lru.push(Reverse((stamp, page)));
-        while self.resident.len() > self.budget_pages {
-            self.evict_one(scope);
-        }
-        self.maybe_compact_lru();
-        // The just-faulted page (highest stamp, so never the eviction
-        // victim above) starts a new TLB run at the run's final stamp.
-        self.next_stamp += touches - 1;
-        self.tlb = Some((page, PageEntry { stamp: self.next_stamp, dirty: write }));
-    }
-
-    /// Re-attaches the TLB's authoritative entry to the resident map and
-    /// the LRU heap. Must run before any code inspects or mutates the map:
-    /// a fault (miss path), `flush`, or `discard`.
-    fn tlb_sync(&mut self) {
-        if let Some((page, entry)) = self.tlb.take() {
-            self.resident.insert(page, entry);
-            self.lru.push(Reverse((entry.stamp, page)));
-        }
-    }
-
-    fn evict_one(&mut self, scope: &mut ChargeScope) {
-        while let Some(Reverse((stamp, page))) = self.lru.pop() {
-            match self.resident.get(&page) {
-                Some(entry) if entry.stamp == stamp => {
-                    let dirty = entry.dirty;
-                    self.resident.remove(&page);
-                    self.stats.record_eviction();
-                    if dirty {
-                        self.stats.record_write(self.page_size as u64);
-                        match self.plane.as_deref() {
-                            None => {
-                                let service = self.spec.write_cost_ns(self.page_size);
-                                self.arbitrate_scoped(service, scope);
-                                scope.add(service);
-                            }
-                            Some(plane) => {
-                                let mult = plane.spike_multiplier();
-                                let service = self
-                                    .spec
-                                    .write_cost_ns(self.page_size)
-                                    .saturating_mul(mult);
-                                self.arbitrate_scoped(service, scope);
-                                scope.add(service);
-                                // Transient write error on the eviction
-                                // write-back: the kernel keeps the page and
-                                // retries until it lands, so only the
-                                // backoff cost is observable here.
-                                let out =
-                                    fault::inject_scoped(plane, &self.clock, scope, true);
-                                self.stats.record_retries(out.retries as u64);
-                            }
-                        }
-                        if let Some(log) = &mut self.writeback_log {
-                            log.push(page);
-                        }
-                    }
-                    scope.emit(&self.clock, EventKind::PageEvict { writeback: dirty });
-                    return;
-                }
-                _ => continue, // stale heap entry
+            if let Some(log) = &mut self.writeback_log {
+                log.push(page);
             }
         }
-    }
-
-    fn maybe_compact_lru(&mut self) {
-        if self.lru.len() > 4 * self.resident.len() + 64 {
-            let mut fresh = BinaryHeap::with_capacity(self.resident.len());
-            for (&page, entry) in &self.resident {
-                fresh.push(Reverse((entry.stamp, page)));
-            }
-            self.lru = fresh;
-        }
+        scope.emit(&self.clock, EventKind::PageEvict { writeback: dirty });
     }
 
     /// Writes back every dirty resident page (like `msync`), charging `cat`.
     pub fn flush(&mut self, cat: Category) {
-        self.tlb_sync();
-        let mut dirty_pages = 0u64;
         let mut flushed: Vec<u64> = Vec::new();
-        for (&page, entry) in self.resident.iter_mut() {
-            if entry.dirty {
-                entry.dirty = false;
-                dirty_pages += 1;
-                if self.writeback_log.is_some() {
-                    flushed.push(page);
-                }
+        let mut slot = self.nodes[NIL as usize].next;
+        while slot != NIL {
+            let node = &mut self.nodes[slot as usize];
+            if node.dirty {
+                node.dirty = false;
+                flushed.push(node.page);
             }
+            slot = node.next;
         }
-        if dirty_pages > 0 {
-            let bytes = dirty_pages * self.page_size as u64;
-            self.stats.record_write(bytes);
-            let service = match self.plane.as_deref() {
-                None => self.spec.write_cost_ns(bytes as usize),
-                Some(plane) => self
-                    .spec
-                    .write_cost_ns(bytes as usize)
-                    .saturating_mul(plane.spike_multiplier()),
-            };
-            self.arbitrate_direct(service, cat);
-            self.clock.charge(cat, service);
-            self.clock.emit(EventKind::WriteBack { bytes });
-            if let Some(plane) = self.plane.as_deref() {
-                // An msync the kernel retries to completion: only the
-                // backoff cost is observable.
-                let out = fault::inject(plane, &self.clock, cat, true);
-                self.stats.record_retries(out.retries as u64);
-            }
-            if let Some(log) = &mut self.writeback_log {
-                // HashMap iteration order is not deterministic across runs;
-                // the durable mirror (and crash tearing) must be, so the
-                // logged set is sorted.
-                flushed.sort_unstable();
-                log.extend_from_slice(&flushed);
-            }
+        self.msync(flushed, cat);
+    }
+
+    /// Accounts one write-back of the `flushed` pages, if any.
+    fn msync(&mut self, mut flushed: Vec<u64>, cat: Category) {
+        if flushed.is_empty() {
+            return;
+        }
+        let bytes = flushed.len() as u64 * self.page_size as u64;
+        self.stats.record_write(bytes);
+        let service = self.spiked(self.spec.write_cost_ns(bytes as usize));
+        self.arbitrate_direct(service, cat);
+        self.clock.charge(cat, service);
+        self.clock.emit(EventKind::WriteBack { bytes });
+        if let Some(plane) = self.plane.as_deref() {
+            // An msync the kernel retries to completion: only the
+            // backoff cost is observable.
+            let out = fault::inject(plane, &self.clock, cat, true);
+            self.stats.record_retries(out.retries as u64);
+        }
+        if let Some(log) = &mut self.writeback_log {
+            // One msync lands its pages in address order, whatever order
+            // they were last touched in; the durable mirror (and crash
+            // tearing) replays the log, so it is sorted.
+            flushed.sort_unstable();
+            log.extend_from_slice(&flushed);
         }
     }
 
@@ -568,28 +557,34 @@ impl MmapSim {
     /// TeraHeap uses this when reclaiming a dead H2 region: its contents are
     /// garbage, so write-back would be wasted I/O.
     pub fn discard(&mut self, offset: usize, bytes: usize) {
-        if bytes == 0 || self.is_dax() {
+        if bytes == 0 {
             return;
         }
-        // Sync first so a TLB run over a discarded page can't resurrect it;
-        // the orphaned LRU entry is skipped by the lazy-deletion scan.
-        self.tlb_sync();
-        let first = (offset / self.page_size) as u64;
-        let last = ((offset + bytes - 1) / self.page_size) as u64;
+        self.check_range(offset, bytes);
+        if self.is_dax() {
+            return;
+        }
+        let (first, last) = (self.page_of(offset), self.page_of(offset + bytes - 1));
         for page in first..=last {
-            self.resident.remove(&page);
+            let slot = self.table[page];
+            if slot != NIL {
+                self.remove(slot);
+            }
         }
         // A discarded page is gone from the device's perspective; a later
         // touch of `head + 1` is a fresh fault, not a readahead
         // continuation, so stale heads inside the range must not classify
         // it as sequential.
         for head in &mut self.readahead_heads {
-            if (first..=last).contains(head) {
+            if (first as u64..=last as u64).contains(head) {
                 *head = u64::MAX - 1;
             }
         }
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -723,12 +718,17 @@ mod tests {
     }
 
     #[test]
-    fn lru_heap_is_compacted() {
+    fn cycling_past_the_budget_always_evicts_the_oldest() {
+        // Three pages cycled through a two-page budget: the victim is always
+        // the page about to be touched next, so every touch after the first
+        // two faults and evicts, for as long as the cycle runs.
         let (mut map, _clock) = nvme_map(1 << 20, 2 * 4096);
         for i in 0..10_000 {
             map.touch_read((i % 3) * 4096, 1, Category::Mutator);
         }
-        assert!(map.lru.len() <= 4 * map.resident.len() + 64);
+        assert_eq!(map.stats().page_faults(), 10_000);
+        assert_eq!(map.stats().evictions(), 10_000 - 2);
+        assert_eq!(map.resident_pages(), 2);
     }
 
     #[test]
@@ -751,7 +751,6 @@ mod tests {
         );
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "touch past end of mapping")]
     fn overflowing_range_is_caught() {
@@ -759,6 +758,39 @@ mod tests {
         // offset + bytes wraps usize; the unchecked `offset + bytes <=
         // len` comparison would have accepted it.
         map.touch_read(usize::MAX - 8, 16, Category::Mutator);
+    }
+
+    #[test]
+    fn last_partial_page_is_mapped_and_discardable() {
+        // Three whole pages plus 100 bytes: the tail lives on a fourth page.
+        let len = 3 * 4096 + 100;
+        let (mut map, _clock) = nvme_map(len, 1 << 20);
+        map.touch_write(len - 8, 8, Category::Mutator);
+        map.touch_run(3 * 4096, 96, false, Category::Mutator);
+        assert_eq!(map.stats().page_faults(), 1, "one fault for the partial page");
+        assert_eq!(map.resident_pages(), 1);
+        // A discard reaching the end of the mapping drops it, unwritten.
+        map.touch_read(2 * 4096, 8, Category::Mutator);
+        map.discard(2 * 4096, len - 2 * 4096);
+        assert_eq!(map.resident_pages(), 0);
+        assert_eq!(map.stats().write_bytes(), 0);
+        map.touch_read(len - 1, 1, Category::Mutator);
+        assert_eq!(map.stats().page_faults(), 3, "discarded tail page re-faults");
+    }
+
+    #[test]
+    #[should_panic(expected = "touch past end of mapping")]
+    fn touch_past_the_partial_page_is_caught() {
+        let (mut map, _clock) = nvme_map(3 * 4096 + 100, 1 << 20);
+        // Inside the last page's frame, but past the mapping's length.
+        map.touch_read(3 * 4096 + 96, 8, Category::Mutator);
+    }
+
+    #[test]
+    #[should_panic(expected = "touch past end of mapping")]
+    fn discard_past_the_end_is_caught() {
+        let (mut map, _clock) = nvme_map(1 << 20, 1 << 20);
+        map.discard((1 << 20) - 4096, 2 * 4096);
     }
 
     #[test]
@@ -780,7 +812,18 @@ mod tests {
         assert_eq!(looped.stats().seq_faults(), bulk.stats().seq_faults());
         assert_eq!(looped.stats().evictions(), bulk.stats().evictions());
         assert_eq!(looped.stats().read_bytes(), bulk.stats().read_bytes());
-        assert_eq!(looped.next_stamp, bulk.next_stamp);
+        // Same recency order left behind: refilling the cache evicts the
+        // same dirty pages from both, so the write-back traffic agrees.
+        for map in [&mut looped, &mut bulk] {
+            for page in 5..8 {
+                map.touch_read(page * 4096, 8, Category::MajorGc);
+            }
+        }
+        assert_eq!(looped.stats().write_bytes(), bulk.stats().write_bytes());
+        assert_eq!(
+            clock_l.category_ns(Category::MajorGc),
+            clock_b.category_ns(Category::MajorGc)
+        );
     }
 
     #[test]

@@ -7,6 +7,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// The paper reports device traffic repeatedly (e.g. §7.2's "increases
 /// device traffic by up to 98% (writes)", §7.5's NVM read/write operation
 /// counts), so every simulated component keeps these counters.
+///
+/// Single writer, like the [`SimClock`](crate::SimClock) its owner charges:
+/// one mapping or device updates a set of counters, on the one thread its
+/// simulation runs on, so an update is a relaxed load + store. Any thread
+/// may read.
 #[derive(Debug, Default)]
 pub struct IoStats {
     read_bytes: AtomicU64,
@@ -19,6 +24,12 @@ pub struct IoStats {
     io_retries: AtomicU64,
 }
 
+/// Single-writer counter update (see [`IoStats`]).
+#[inline]
+fn bump(counter: &AtomicU64, n: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+}
+
 impl IoStats {
     /// Creates zeroed counters.
     pub fn new() -> Self {
@@ -26,40 +37,46 @@ impl IoStats {
     }
 
     /// Records one read operation of `bytes` transferred.
+    #[inline]
     pub fn record_read(&self, bytes: u64) {
-        self.read_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.read_ops.fetch_add(1, Ordering::Relaxed);
+        bump(&self.read_bytes, bytes);
+        bump(&self.read_ops, 1);
     }
 
     /// Records one write operation of `bytes` transferred.
+    #[inline]
     pub fn record_write(&self, bytes: u64) {
-        self.write_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.write_ops.fetch_add(1, Ordering::Relaxed);
+        bump(&self.write_bytes, bytes);
+        bump(&self.write_ops, 1);
     }
 
     /// Records `ops` read operations totalling `bytes` in two counter
     /// updates — the bulk access plane's equivalent of `ops` calls to
     /// [`IoStats::record_read`].
+    #[inline]
     pub fn record_reads(&self, bytes: u64, ops: u64) {
-        self.read_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.read_ops.fetch_add(ops, Ordering::Relaxed);
+        bump(&self.read_bytes, bytes);
+        bump(&self.read_ops, ops);
     }
 
     /// Records `ops` write operations totalling `bytes`, like
     /// [`IoStats::record_reads`].
+    #[inline]
     pub fn record_writes(&self, bytes: u64, ops: u64) {
-        self.write_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.write_ops.fetch_add(ops, Ordering::Relaxed);
+        bump(&self.write_bytes, bytes);
+        bump(&self.write_ops, ops);
     }
 
     /// Records one page fault.
+    #[inline]
     pub fn record_fault(&self) {
-        self.page_faults.fetch_add(1, Ordering::Relaxed);
+        bump(&self.page_faults, 1);
     }
 
     /// Records one sequential (readahead-amortized) page fault.
+    #[inline]
     pub fn record_seq_fault(&self) {
-        self.seq_faults.fetch_add(1, Ordering::Relaxed);
+        bump(&self.seq_faults, 1);
     }
 
     /// Number of sequential page faults.
@@ -68,15 +85,17 @@ impl IoStats {
     }
 
     /// Records one page eviction.
+    #[inline]
     pub fn record_eviction(&self) {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
+        bump(&self.evictions, 1);
     }
 
     /// Records `n` fault-injected I/O retry attempts (no-op for `n == 0`,
     /// the universal fault-free case).
+    #[inline]
     pub fn record_retries(&self, n: u64) {
         if n > 0 {
-            self.io_retries.fetch_add(n, Ordering::Relaxed);
+            bump(&self.io_retries, n);
         }
     }
 

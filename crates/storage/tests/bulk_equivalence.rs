@@ -139,8 +139,8 @@ fn touch_run_equivalent_dax() {
     );
 }
 
-/// Huge-page (2 MB) mapping: long runs stay within one page, so the TLB
-/// stamp-jump path carries nearly all of the batching.
+/// Huge-page (2 MB) mapping: long runs stay within one page, so one
+/// resident-set decision stands for hundreds of words.
 #[test]
 fn touch_run_equivalent_huge_pages() {
     let map_words = (8 << 20) / WORD;

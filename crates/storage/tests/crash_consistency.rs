@@ -18,7 +18,7 @@
 //! The `MmapSim` regressions at the bottom pin the page-cache state machine
 //! around `discard` — the call the runtime uses to drop a rolled-back
 //! region's pages after a crash — which previously had no coverage for
-//! readahead-head and TLB invalidation.
+//! readahead-head and most-recent-page invalidation.
 
 use std::sync::Arc;
 
@@ -292,16 +292,16 @@ fn discard_after_rollback_invalidates_readahead_heads() {
 }
 
 #[test]
-fn discard_under_tlb_run_does_not_resurrect_the_page() {
+fn discard_after_a_touch_run_does_not_resurrect_the_page() {
     let (mut map, _clock, _plane) = armed_map(FaultPlan::zero_rate(4));
-    // A run of touches keeps page 0 in the TLB (held out of the resident
-    // map); the discard must sync it back first, then drop it.
+    // A run of touches leaves page 0 at the front of the recency list; the
+    // discard must drop it all the same.
     for _ in 0..16 {
         map.touch_write(0, 8, Category::Mutator);
     }
     assert_eq!(map.resident_pages(), 1);
     map.discard(0, 4096);
-    assert_eq!(map.resident_pages(), 0, "the TLB entry must not survive discard");
+    assert_eq!(map.resident_pages(), 0, "the most recent page must not survive discard");
     // And the page is really gone: the next touch re-faults and re-charges.
     let faults = map.stats().page_faults();
     map.touch_read(0, 8, Category::Mutator);

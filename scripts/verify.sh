@@ -47,6 +47,14 @@ echo "== lints: clippy -D warnings =="
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 echo "ok"
 
+# The repo benchmark is its own workspace (benchmark/), so the builds above
+# never compile it. Its quarter-size run is the API-drift check: it fails if
+# a crate entry point the harness drives was renamed or an output check
+# (checksum parity, rep determinism) no longer holds.
+echo "== benchmark smoke: harness still builds and its checks pass =="
+benchmark/run.sh --smoke >/dev/null
+echo "ok"
+
 # Flight-recorder invariant (DESIGN.md §8): tracing observes the clock and
 # never advances it. Run the suite explicitly even though the workspace
 # test pass above includes it, so a skipped/filtered test run cannot hide
@@ -78,6 +86,13 @@ echo "ok"
 # property suite explicitly for the same reason as above.
 echo "== bulk equivalence: batched touches match the per-word loop =="
 cargo test -q --offline -p teraheap-storage --test bulk_equivalence
+echo "ok"
+
+# Page-cache invariant (DESIGN.md §7): the page table + intrusive list is an
+# exact LRU — random programs leave it and the recency-vector reference with
+# the same statistics, ns, events and write-back log.
+echo "== page cache: list cache matches the reference cache =="
+cargo test -q --offline -p teraheap-storage --lib mmap::reference
 echo "ok"
 
 # Fault-plane invariants (DESIGN.md §10): the crash-consistency sweep must
