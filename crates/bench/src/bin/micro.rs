@@ -12,7 +12,10 @@
 //! * `h2_cards/*` — H2 card-table scanning at several segment sizes;
 //! * `regions/*` — region allocation and bulk reclamation;
 //! * `serde/*` — kryo-sim serialize/deserialize round trips;
-//! * `promo/*` — promotion-buffer staging.
+//! * `promo/*` — promotion-buffer staging;
+//! * `query/*` — one point lookup, one 48-row index range scan and one
+//!   full-scan aggregate against a hot (H1) and a cold (H2, 6x the page
+//!   cache) copy of a 32768-row table.
 //!
 //! Runs on the in-repo harness (`teraheap_util::microbench`) as a plain
 //! binary: `cargo run --release -p teraheap-bench --bin micro`. Results
@@ -249,6 +252,56 @@ fn bench_promo(bench: &mut Bench) {
     group.finish();
 }
 
+fn bench_query(bench: &mut Bench) {
+    use teraheap_query::{
+        gen_rows, run_query, Agg, Predicate, Query, Table, TableConfig, TablePlacement, COLS,
+    };
+    const ROWS: usize = 32768;
+    // The repo benchmark's query shape: 768 KiB of column chunks per copy
+    // against a 128 KiB page cache.
+    let h2 = teraheap_core::H2Config::builder()
+        .region_words(8 << 10)
+        .n_regions(64)
+        .card_seg_words(512)
+        .resident_budget_bytes(128 << 10)
+        .page_size(4096)
+        .promo_buffer_bytes(16 << 10)
+        .build()
+        .expect("valid H2 config");
+    let rows = gen_rows(ROWS, 42);
+    let mut group = bench.group("query");
+    for (tier, placement) in [("hot", TablePlacement::Hot), ("cold", TablePlacement::Cold)] {
+        let mut heap = Heap::new(HeapConfig::with_words(32 << 10, 512 << 10));
+        let dev =
+            SharedDevice::new(DeviceSpec::nvme_ssd(), h2.footprint_bytes(), heap.clock().clone());
+        heap.attach_h2(h2, &dev).unwrap();
+        let mut table =
+            Table::new(TableConfig { table_id: 1, cols: COLS, chunk_rows: 256, key_col: 0, placement });
+        for row in &rows {
+            table.append_row(&mut heap, row).unwrap();
+        }
+        heap.gc_major().unwrap();
+        // (name, key span, projected column, aggregate, index plan)
+        let ops = [
+            ("point_lookup", 0, 1, None, true),
+            ("range_scan_48", 48 * 8, 1, None, true),
+            ("agg_full_scan", 4 * 48 * 8, 2, Some(Agg::Sum), false),
+        ];
+        for (name, span, project, agg, use_index) in ops {
+            let mut next = 0usize;
+            group.bench_function(&format!("{name}_{tier}"), |b| {
+                b.iter(|| {
+                    next = (next + 331) % (ROWS / 2);
+                    let lo = rows[next][0];
+                    let q = Query { filter: Predicate { col: 0, lo, hi: lo + span }, project, agg };
+                    black_box(run_query(&mut heap, &mut table, &q, use_index).checksum)
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
 fn main() {
     let mut bench = Bench::new();
     bench_barrier(&mut bench);
@@ -259,6 +312,7 @@ fn main() {
     bench_regions(&mut bench);
     bench_serde(&mut bench);
     bench_promo(&mut bench);
+    bench_query(&mut bench);
     bench.print_summary();
     let path = std::path::Path::new("results/microbench.csv");
     bench.write_csv_file(path).expect("write results/microbench.csv");

@@ -477,21 +477,29 @@ impl H2 {
         self.sync_durable();
     }
 
-    /// Reads `out.len()` consecutive words starting at `addr` through the
-    /// bulk access plane: one [`MmapSim::touch_run`] for the whole range
-    /// (bit-identical cost to the per-word loop, per DESIGN.md §9) and one
-    /// slice copy.
+    /// Charges a read of the `n` consecutive words starting at `addr`
+    /// through the bulk access plane — one [`MmapSim::touch_run`] for the
+    /// whole range, bit-identical in cost to the per-word loop (DESIGN.md
+    /// §9) — and returns the words in place: H2 objects are read with
+    /// loads, not copied out first. This is the one implementation of bulk
+    /// read charging; [`H2::read_words`] is this plus a copy.
     ///
     /// [`MmapSim::touch_run`]: teraheap_storage::MmapSim::touch_run
-    pub fn read_words(&mut self, addr: Addr, out: &mut [u64], cat: Category) {
-        if out.is_empty() {
-            return;
+    pub fn view_words(&mut self, addr: Addr, n: usize, cat: Category) -> &[u64] {
+        if n == 0 {
+            return &[];
         }
         self.mmap
-            .touch_run(addr.h2_byte_offset(), out.len() * WORD_BYTES, false, cat);
+            .touch_run(addr.h2_byte_offset(), n * WORD_BYTES, false, cat);
         self.sync_durable();
         let base = addr.h2_offset() as usize;
-        out.copy_from_slice(&self.data[base..base + out.len()]);
+        &self.data[base..base + n]
+    }
+
+    /// [`H2::view_words`] copied into `out`, for callers that need the
+    /// words to outlive the borrow.
+    pub fn read_words(&mut self, addr: Addr, out: &mut [u64], cat: Category) {
+        out.copy_from_slice(self.view_words(addr, out.len(), cat));
     }
 
     /// Writes `vals` to consecutive words starting at `addr` through the

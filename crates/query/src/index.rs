@@ -6,7 +6,7 @@
 //! allocated as part of the index's labeled object group, so runs live
 //! (and move to H2) with the column they index. Only run *metadata*
 //! (min/max key, length) stays in DRAM; a probe binary-searches each
-//! overlapping run by reading the key half through `Heap::read_prims`, so
+//! overlapping run's key half in place through `Heap::view_prims`, so
 //! H2-resident runs pay the real fault/arbitration path.
 
 /// DRAM-side metadata for one frozen run.
@@ -28,8 +28,8 @@ impl RunMeta {
 }
 
 /// The sorted-run index skeleton: run metadata in registration (chunk)
-/// order. The runs' payloads are heap objects owned by the table's block
-/// manager; probing lives on [`crate::table::Table::probe_index`] where
+/// order. The runs' payloads are heap objects rooted in the table's chunk
+/// directory; probing lives on [`crate::table::Table::probe_index`] where
 /// both are in scope.
 #[derive(Debug, Clone, Default)]
 pub struct SortedRunIndex {

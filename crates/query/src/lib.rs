@@ -6,12 +6,14 @@
 //! * [`table`] — columnar tables whose column chunks are *labeled object
 //!   groups* on the managed heap: one label per (table, column), so whole
 //!   columns pretenure / promote together into contiguous H2 regions and
-//!   are reclaimed together at region granularity.
+//!   are reclaimed together at region granularity. The table roots its
+//!   chunks in a dense `(stream, chunk)` directory.
 //! * [`index`] — secondary indexes as sorted-key chunk runs, frozen
 //!   incrementally as chunks seal.
-//! * [`exec`] — a filter/project/aggregate executor whose scans read
-//!   through `Heap::read_prims`, so H2-resident chunks pay the real
-//!   page-fault and shared-device arbitration path.
+//! * [`exec`] — a filter/project/aggregate executor whose scans look at
+//!   chunks in place through `Heap::view_prims` — a charged borrow, so
+//!   H2-resident chunks pay the real page-fault and shared-device
+//!   arbitration path and nothing is copied out first.
 //! * [`session`] — a deterministic session driver: N concurrent
 //!   closed-loop client sessions multiplexed over multi-tenant heaps on
 //!   one `SharedDevice`, replaying a point-lookup / range-scan / aggregate

@@ -332,8 +332,8 @@ pub fn run_query_plane(cfg: &QueryPlaneConfig) -> Result<QueryReport, OomError> 
         .map(|&id| device.tenant_io(id).map(|io| io.queued_ns).unwrap_or(0))
         .sum();
     let h2_chunks = tenants
-        .iter_mut()
-        .map(|t| t.cold.h2_resident_chunks(&mut t.heap) + t.hot.h2_resident_chunks(&mut t.heap))
+        .iter()
+        .map(|t| t.cold.h2_resident_chunks(&t.heap) + t.hot.h2_resident_chunks(&t.heap))
         .sum();
     Ok(QueryReport {
         sessions: cfg.sessions,

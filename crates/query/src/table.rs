@@ -3,10 +3,12 @@
 //! A table is a set of fixed-width `u64` columns stored in chunks of
 //! `chunk_rows` values. Each column chunk is one primitive array allocated
 //! through [`Heap::alloc_prim_array_labeled`] with a *per-(table, column)*
-//! label and cached in a `mini_spark::BlockManager` under that label
-//! ([`BlockManager::put_labeled`]), so whole columns pretenure / promote
-//! together into contiguous same-label H2 regions (`RegionGroups`) and die
-//! together at region granularity when the table is dropped.
+//! label, so whole columns pretenure / promote together into contiguous
+//! same-label H2 regions (`RegionGroups`) and die together at region
+//! granularity when the table is dropped. The table roots its sealed
+//! chunks itself, in a dense directory indexed by `(stream, chunk)`; a cold
+//! table tags and advises each chunk as it seals, the way Spark's block
+//! manager does per cached partition (§5).
 //!
 //! Rows accumulate in a DRAM staging buffer (the promotion-buffer idiom)
 //! until a chunk fills; sealing a chunk writes it through
@@ -14,17 +16,17 @@
 //! incrementally freezes a sorted index run over the key column
 //! ([`crate::index::SortedRunIndex`]). Deletes are tombstones; updates
 //! rewrite value columns in place through the chunk handle, H2-resident or
-//! not.
+//! not. Reads are charged borrowed views ([`Heap::view_prims`]): a chunk is
+//! looked at where it lives, never copied out first.
 
+use crate::exec::ExecBuffers;
 use crate::index::SortedRunIndex;
-use mini_spark::{BlockId, BlockManager, CacheMode};
 use teraheap_core::Label;
 use teraheap_runtime::obs::EventKind;
 use teraheap_runtime::{Handle, Heap, OomError};
 
-/// Columns per table-id slot of the block/label namespace; a table may
-/// have at most half this many columns (the upper half addresses index
-/// runs).
+/// Columns per table-id slot of the label namespace; a table may have at
+/// most half this many columns (the upper half addresses index runs).
 pub const COLS_PER_TABLE: u64 = 64;
 
 /// Where a table's sealed chunks live.
@@ -41,8 +43,8 @@ pub enum TablePlacement {
 /// Static shape of a [`Table`].
 #[derive(Debug, Clone, Copy)]
 pub struct TableConfig {
-    /// Namespaces the table's block ids and placement labels; two live
-    /// tables on one heap must not share an id.
+    /// Namespaces the table's placement labels; two live tables on one heap
+    /// must not share an id.
     pub table_id: u64,
     /// Number of `u64` columns (at most `COLS_PER_TABLE / 2`).
     pub cols: usize,
@@ -89,17 +91,18 @@ impl TableMemoryUsage {
 #[derive(Debug)]
 pub struct Table {
     cfg: TableConfig,
-    bm: BlockManager,
+    /// The sealed-chunk directory: `chunks[s][k]` roots chunk `k` of
+    /// stream `s`. Streams `0..cols` are the columns, stream `cols` is the
+    /// index runs; a chunk is sealed once its index run is in.
+    chunks: Vec<Vec<Handle>>,
     rows: usize,
-    sealed: usize,
     staging: Vec<Vec<u64>>,
     index: SortedRunIndex,
     tombstones: Vec<u64>,
     dead_rows: usize,
-    /// Two chunks' worth of read buffer, reused by every query instead of
-    /// allocating per operation. A reader `std::mem::take`s it for the
-    /// duration (chunk reads borrow the table mutably) and puts it back.
-    pub(crate) scratch: Vec<u64>,
+    /// The executor's match list, candidate list and selection bitmap,
+    /// reused by every query instead of allocating per operation.
+    pub(crate) exec: ExecBuffers,
 }
 
 impl Table {
@@ -114,31 +117,27 @@ impl Table {
         assert!(cfg.cols > 0 && cfg.cols as u64 <= COLS_PER_TABLE / 2, "bad column count");
         assert!(cfg.chunk_rows > 0, "zero chunk size");
         assert!(cfg.key_col < cfg.cols, "key column out of range");
-        let mode = match cfg.placement {
-            TablePlacement::Hot => CacheMode::OnHeapOnly,
-            TablePlacement::Cold => CacheMode::TeraHeap,
-        };
         Table {
             cfg,
-            bm: BlockManager::new(mode),
+            chunks: vec![Vec::new(); cfg.cols + 1],
             rows: 0,
-            sealed: 0,
             staging: vec![Vec::new(); cfg.cols],
             index: SortedRunIndex::new(),
             tombstones: Vec::new(),
             dead_rows: 0,
-            scratch: vec![0; 2 * cfg.chunk_rows],
+            exec: ExecBuffers::default(),
         }
     }
 
-    /// Block/label id of column `col`'s chunk stream.
-    fn col_rdd(&self, col: usize) -> u64 {
-        self.cfg.table_id * COLS_PER_TABLE + col as u64
-    }
-
-    /// Block/label id of the key column's index-run stream.
-    fn index_rdd(&self) -> u64 {
-        self.cfg.table_id * COLS_PER_TABLE + COLS_PER_TABLE / 2 + self.cfg.key_col as u64
+    /// Placement label of stream `s`: the column's slot, or the key
+    /// column's slot in the upper (index-run) half of the namespace.
+    fn stream_label(&self, s: usize) -> Label {
+        let slot = if s < self.cfg.cols {
+            s as u64
+        } else {
+            COLS_PER_TABLE / 2 + self.cfg.key_col as u64
+        };
+        Label::new(self.cfg.table_id * COLS_PER_TABLE + slot)
     }
 
     /// Rows per sealed chunk.
@@ -168,7 +167,7 @@ impl Table {
 
     /// Sealed (immutable, indexed) chunks.
     pub fn sealed_chunks(&self) -> usize {
-        self.sealed
+        self.chunks[self.cfg.cols].len()
     }
 
     /// Rows still in the open chunk's DRAM staging.
@@ -176,9 +175,9 @@ impl Table {
         self.staging[0].len()
     }
 
-    /// A staged value (row `i` of the open chunk).
-    pub fn staging_val(&self, col: usize, i: usize) -> u64 {
-        self.staging[col][i]
+    /// The open chunk's staged values of `col`.
+    pub fn staging_col(&self, col: usize) -> &[u64] {
+        &self.staging[col]
     }
 
     /// The index's run metadata.
@@ -212,21 +211,17 @@ impl Table {
         Ok(())
     }
 
-    /// Freezes the full staging buffer as sealed chunk `self.sealed`: one
+    /// Freezes the full staging buffer as the next sealed chunk: one
     /// labeled primitive array per column, plus the sorted index run over
     /// the key column.
     fn seal_chunk(&mut self, heap: &mut Heap) -> Result<(), OomError> {
-        let k = self.sealed as u32;
         let cr = self.cfg.chunk_rows;
         for c in 0..self.cfg.cols {
-            let label = Label::new(self.col_rdd(c));
-            let h = heap.alloc_prim_array_labeled(cr, label)?;
-            heap.write_prims(h, 0, &self.staging[c]);
-            self.bm
-                .put_labeled(heap, BlockId { rdd: self.col_rdd(c), partition: k }, h, label)?;
+            let h = seal(heap, self.cfg.placement, self.stream_label(c), &self.staging[c])?;
+            self.chunks[c].push(h);
         }
         // Index run: [sorted keys… | row ids in key order…].
-        let base_row = (self.sealed * cr) as u64;
+        let base_row = (self.sealed_chunks() * cr) as u64;
         let mut pairs: Vec<(u64, u64)> = self.staging[self.cfg.key_col]
             .iter()
             .enumerate()
@@ -236,78 +231,67 @@ impl Table {
         let mut run = Vec::with_capacity(2 * cr);
         run.extend(pairs.iter().map(|p| p.0));
         run.extend(pairs.iter().map(|p| p.1));
-        let label = Label::new(self.index_rdd());
-        let h = heap.alloc_prim_array_labeled(run.len(), label)?;
-        heap.write_prims(h, 0, &run);
-        self.bm
-            .put_labeled(heap, BlockId { rdd: self.index_rdd(), partition: k }, h, label)?;
+        let h = seal(heap, self.cfg.placement, self.stream_label(self.cfg.cols), &run)?;
+        self.chunks[self.cfg.cols].push(h);
         self.index.push_run(pairs[0].0, pairs[cr - 1].0, cr);
         for col in &mut self.staging {
             col.clear();
         }
-        self.sealed += 1;
         Ok(())
     }
 
-    /// Fetches the sealed-chunk handle for `(rdd, k)` — a caller-released
-    /// duplicate.
-    fn chunk_handle(&mut self, heap: &mut Heap, rdd: u64, k: usize) -> Handle {
-        self.bm
-            .get(heap, BlockId { rdd, partition: k as u32 })
-            .expect("on-heap/H2 chunk gets cannot OOM")
-            .expect("sealed chunk present")
-    }
-
-    /// Reads sealed chunk `k` of `col` into `out` (length `chunk_rows`)
-    /// through the bulk path — H2-resident chunks pay the real fault /
-    /// arbitration cost here.
-    pub fn read_col_chunk(&mut self, heap: &mut Heap, col: usize, k: usize, out: &mut [u64]) {
-        let h = self.chunk_handle(heap, self.col_rdd(col), k);
-        heap.read_prims(h, 0, out);
+    /// Charges a read of sealed chunk `k` of `col` through the bulk path —
+    /// H2-resident chunks pay the real fault / arbitration cost here — and
+    /// hands its `chunk_rows` values to `f` in place, under a temporary
+    /// root of their own like any other reader of the chunk.
+    pub fn view_col_chunk<R>(
+        &self,
+        heap: &mut Heap,
+        col: usize,
+        k: usize,
+        f: impl FnOnce(&[u64]) -> R,
+    ) -> R {
+        let h = heap.dup(self.chunks[col][k]);
+        let r = f(heap.view_prims(h, 0, self.cfg.chunk_rows));
         heap.release(h);
+        r
     }
 
     /// Reads the single element `i` of sealed chunk `k` of `col`.
-    pub fn read_col_at(&mut self, heap: &mut Heap, col: usize, k: usize, i: usize) -> u64 {
-        let h = self.chunk_handle(heap, self.col_rdd(col), k);
-        let mut v = [0u64];
-        heap.read_prims(h, i, &mut v);
+    pub fn read_col_at(&self, heap: &mut Heap, col: usize, k: usize, i: usize) -> u64 {
+        let h = heap.dup(self.chunks[col][k]);
+        let v = heap.view_prims(h, i, 1)[0];
         heap.release(h);
-        v[0]
+        v
     }
 
     /// Probes the sorted-run index for key range `[lo, hi]` (inclusive):
     /// binary search in every overlapping frozen run plus nothing else —
-    /// the open chunk is the executor's job. Returns candidate row ids
-    /// ascending (tombstones *not* filtered) and emits an `IndexProbe`
-    /// event.
-    pub fn probe_index(&mut self, heap: &mut Heap, lo: u64, hi: u64) -> Vec<usize> {
+    /// the open chunk is the executor's job. Replaces `hits` with the
+    /// candidate row ids ascending (tombstones *not* filtered) and emits an
+    /// `IndexProbe` event. A probed run pays for its whole key half (the
+    /// search is in place, but the charge is the plane's contract) and for
+    /// exactly the matching slice of its id half.
+    pub fn probe_index(&self, heap: &mut Heap, lo: u64, hi: u64, hits: &mut Vec<usize>) {
         let cr = self.cfg.chunk_rows;
-        let rdd = self.index_rdd();
-        let mut hits: Vec<usize> = Vec::new();
+        hits.clear();
         let mut probed = 0u32;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let (keys, ids) = scratch.split_at_mut(cr);
-        for k in 0..self.index.runs().len() {
-            if !self.index.runs()[k].overlaps(lo, hi) {
+        for (run, &root) in self.index.runs().iter().zip(&self.chunks[self.cfg.cols]) {
+            if !run.overlaps(lo, hi) {
                 continue;
             }
             probed += 1;
-            let h = self.chunk_handle(heap, rdd, k);
-            heap.read_prims(h, 0, keys);
+            let h = heap.dup(root);
+            let keys = heap.view_prims(h, 0, cr);
             let a = keys.partition_point(|&key| key < lo);
-            let b = keys.partition_point(|&key| key <= hi);
-            if b > a {
-                let ids = &mut ids[..b - a];
-                heap.read_prims(h, cr + a, ids);
-                hits.extend(ids.iter().map(|&r| r as usize));
+            let n = keys[a..].iter().take_while(|&&key| key <= hi).count();
+            if n > 0 {
+                hits.extend(heap.view_prims(h, cr + a, n).iter().map(|&r| r as usize));
             }
             heap.release(h);
         }
-        self.scratch = scratch;
         heap.clock().emit(EventKind::IndexProbe { runs: probed, hits: hits.len() as u64 });
         hits.sort_unstable();
-        hits
     }
 
     /// Rewrites a value column in place (sealed chunks through the chunk
@@ -323,8 +307,8 @@ impl Table {
         assert!(!self.is_deleted(row), "update of tombstoned row");
         let cr = self.cfg.chunk_rows;
         let k = row / cr;
-        if k < self.sealed {
-            let h = self.chunk_handle(heap, self.col_rdd(col), k);
+        if k < self.sealed_chunks() {
+            let h = heap.dup(self.chunks[col][k]);
             heap.write_prims(h, row % cr, &[val]);
             heap.release(h);
         } else {
@@ -351,19 +335,31 @@ impl Table {
         self.tombstones[row / 64] >> (row % 64) & 1 == 1
     }
 
-    /// Releases every chunk, index run and staging buffer. The objects
-    /// become garbage immediately; their H2 regions are reclaimed in bulk
-    /// by the next major collection's region sweep.
-    pub fn drop_storage(&mut self, heap: &mut Heap) {
-        for c in 0..self.cfg.cols {
-            self.bm.unpersist(heap, self.col_rdd(c));
+    /// The tombstone bits of rows `[row, row + 64)`, bit `i` for row
+    /// `row + i`; rows past the end read as live.
+    pub(crate) fn deleted_bits(&self, row: usize) -> u64 {
+        let (w, b) = (row / 64, row % 64);
+        let word = |w: usize| self.tombstones.get(w).copied().unwrap_or(0);
+        if b == 0 {
+            word(w)
+        } else {
+            word(w) >> b | word(w + 1) << (64 - b)
         }
-        self.bm.unpersist(heap, self.index_rdd());
+    }
+
+    /// Releases every chunk, index run and staging buffer, in directory
+    /// order (so the root slots they free are reused in the same order on
+    /// every run). The objects become garbage immediately; their H2
+    /// regions are reclaimed in bulk by the next major collection's region
+    /// sweep.
+    pub fn drop_storage(&mut self, heap: &mut Heap) {
+        for stream in &mut self.chunks {
+            stream.drain(..).for_each(|h| heap.release(h));
+        }
         for col in &mut self.staging {
             col.clear();
         }
         self.index.clear();
-        self.sealed = 0;
         self.rows = 0;
         self.dead_rows = 0;
         self.tombstones.clear();
@@ -372,44 +368,52 @@ impl Table {
     /// Where every word of the table lives right now (retriever-style
     /// `memory_usage` reporting; the endurance harness asserts this stays
     /// bounded under churn).
-    pub fn memory_usage(&mut self, heap: &mut Heap) -> TableMemoryUsage {
+    pub fn memory_usage(&self, heap: &Heap) -> TableMemoryUsage {
         let cr = self.cfg.chunk_rows;
-        let mut u = TableMemoryUsage {
-            rows: self.rows,
-            live_rows: self.live_rows(),
+        let col_chunks = self.cfg.cols * self.sealed_chunks();
+        let h2_chunks = self.h2_resident_chunks(heap);
+        TableMemoryUsage {
+            h1_chunk_words: (col_chunks - h2_chunks) * cr,
+            h2_chunk_words: h2_chunks * cr,
+            index_words: self.sealed_chunks() * 2 * cr,
             staging_words: self.staging.iter().map(Vec::len).sum(),
             meta_words: self.index.metadata_words() + self.tombstones.len(),
-            ..TableMemoryUsage::default()
-        };
-        for k in 0..self.sealed {
-            for c in 0..self.cfg.cols {
-                let h = self.chunk_handle(heap, self.col_rdd(c), k);
-                if heap.is_in_h2(h) {
-                    u.h2_chunk_words += cr;
-                } else {
-                    u.h1_chunk_words += cr;
-                }
-                heap.release(h);
-            }
-            let h = self.chunk_handle(heap, self.index_rdd(), k);
-            u.index_words += 2 * cr;
-            heap.release(h);
+            rows: self.rows,
+            live_rows: self.live_rows(),
         }
-        u
     }
 
     /// Sealed column chunks currently resident in H2.
-    pub fn h2_resident_chunks(&mut self, heap: &mut Heap) -> usize {
-        let mut n = 0;
-        for k in 0..self.sealed {
-            for c in 0..self.cfg.cols {
-                let h = self.chunk_handle(heap, self.col_rdd(c), k);
-                if heap.is_in_h2(h) {
-                    n += 1;
-                }
-                heap.release(h);
-            }
-        }
-        n
+    pub fn h2_resident_chunks(&self, heap: &Heap) -> usize {
+        // A seal that ran out of memory half-way leaves column streams one
+        // root longer than the index stream; those are not sealed chunks.
+        let sealed = self.sealed_chunks();
+        self.chunks[..self.cfg.cols]
+            .iter()
+            .flat_map(|stream| &stream[..sealed])
+            .filter(|&&h| heap.is_in_h2(h))
+            .count()
     }
+}
+
+/// Allocates and fills one chunk under `label` and returns its root. A
+/// cold table tags the chunk as a root key-object and advises the move, as
+/// Spark's block manager does per cached partition (§5); an already
+/// H2-resident chunk (group-labeled allocation pretenured it) carries its
+/// label, and re-tagging would touch the device for nothing.
+fn seal(
+    heap: &mut Heap,
+    placement: TablePlacement,
+    label: Label,
+    words: &[u64],
+) -> Result<Handle, OomError> {
+    let h = heap.alloc_prim_array_labeled(words.len(), label)?;
+    heap.write_prims(h, 0, words);
+    if placement == TablePlacement::Cold {
+        if !heap.is_in_h2(h) {
+            heap.h2_tag_root(h, label);
+        }
+        heap.h2_move(label);
+    }
+    Ok(h)
 }

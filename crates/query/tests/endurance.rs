@@ -50,6 +50,19 @@ fn endurance_h2() -> H2Config {
         .expect("valid H2 config")
 }
 
+/// The soak heap, checker armed: every collection sweeps the dual heap too.
+fn endurance_heap() -> Heap {
+    let config = HeapConfig::builder(16 << 10, 96 << 10)
+        .heap_check(true)
+        .build()
+        .expect("valid heap config");
+    let mut heap = Heap::new(config);
+    let h2 = endurance_h2();
+    let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2.footprint_bytes(), heap.clock().clone());
+    heap.attach_h2(h2, &dev).unwrap();
+    heap
+}
+
 /// Host-side truth for one table slot: enough to predict live-row counts.
 struct SlotMirror {
     rows: usize,
@@ -121,15 +134,7 @@ fn churn_rounds_stay_leak_free_and_bounded() {
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(DEFAULT_ROUNDS);
 
-    // Armed checker: every collection sweeps the dual heap too.
-    let config = HeapConfig::builder(16 << 10, 96 << 10)
-        .heap_check(true)
-        .build()
-        .expect("valid heap config");
-    let mut heap = Heap::new(config);
-    let h2 = endurance_h2();
-    let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2.footprint_bytes(), heap.clock().clone());
-    heap.attach_h2(h2, &dev).unwrap();
+    let mut heap = endurance_heap();
 
     let mut rng = Rng::seed_from_u64(0xe4d0_a11c);
     let mut next_key = 0u64;
@@ -199,8 +204,8 @@ fn churn_rounds_stay_leak_free_and_bounded() {
             let h2r = heap.h2().expect("H2 attached").regions();
             let h2_live = h2r.region_count() - h2r.free_count();
             let table_words: usize = slots
-                .iter_mut()
-                .map(|s| s.table.memory_usage(&mut heap).total_words())
+                .iter()
+                .map(|s| s.table.memory_usage(&heap).total_words())
                 .sum();
 
             if round >= WARMUP_ROUNDS {
@@ -230,4 +235,21 @@ fn churn_rounds_stay_leak_free_and_bounded() {
         checks,
         "every audit must be an on-demand sweep"
     );
+}
+
+#[test]
+fn dropped_storage_frees_root_slots_in_the_same_order_every_run() {
+    // Released root slots are reused last-in first-out, so the order a
+    // table releases its chunks in decides which handles the next
+    // allocations get. Two fresh builds stand for two processes.
+    let reused_after_drop = || {
+        let mut heap = endurance_heap();
+        let mut rng = Rng::seed_from_u64(7);
+        let mut slot = fresh_slot(&mut heap, 0, &mut 0, &mut rng);
+        let roots = heap.live_roots();
+        slot.table.drop_storage(&mut heap);
+        assert_eq!(heap.live_roots(), 0, "{roots} chunk roots must all be released");
+        (0..roots).map(|_| heap.alloc_prim_array(1).unwrap()).collect::<Vec<_>>()
+    };
+    assert_eq!(reused_after_drop(), reused_after_drop());
 }

@@ -3,6 +3,9 @@
 //! * Random tables + mutation churn + random queries: the executor (both
 //!   physical plans) must match a naive host-side full-scan oracle.
 //! * The index-probe plan must be answer-bit-equal to the full-scan plan.
+//! * The full-scan plan must charge exactly what the two-pass reference
+//!   plan charges: every filter chunk, and a projected chunk only when a
+//!   live match survives in it.
 //! * Answers must be invariant across device models, `gc_threads` and
 //!   `pause_budget_ns` — runtime knobs move simulated time, never results.
 //! * A fixed seed must replay the whole plane bit-identically, latencies
@@ -102,17 +105,20 @@ fn churn_strategy() -> impl Strategy<Value = ChurnOp> {
     ]
 }
 
-type QuerySpecTuple = ((usize, u64, u64), (usize, usize));
+/// ((filter col, lo, span), (project col, agg selector), predicate shape).
+type QuerySpecTuple = ((usize, u64, u64), (usize, usize), usize);
 
 fn query_strategy() -> impl Strategy<Value = QuerySpecTuple> {
-    // ((filter col, lo, span), (project col, agg selector))
     (
         (range_usize(0..COLS), range_u64(0..600), range_u64(0..250)),
         (range_usize(0..COLS), range_usize(0..5)),
+        range_usize(0..8),
     )
 }
 
-fn build_query(((col, lo, span), (project, agg)): QuerySpecTuple) -> Query {
+/// The query of a spec, and whether its matches in every other chunk are
+/// tombstoned before it runs (so some chunks' only matches are dead).
+fn build_query(((col, lo, span), (project, agg), shape): QuerySpecTuple) -> (Query, bool) {
     let agg = match agg {
         0 => None,
         1 => Some(Agg::Count),
@@ -120,7 +126,82 @@ fn build_query(((col, lo, span), (project, agg)): QuerySpecTuple) -> Query {
         3 => Some(Agg::Min),
         _ => Some(Agg::Max),
     };
-    Query { filter: Predicate { col, lo, hi: lo.saturating_add(span) }, project, agg }
+    let (lo, hi, kill) = match shape {
+        // Inverted: matches nothing, whatever the values.
+        0 => (lo + span + 1, lo, false),
+        1 => (0, lo, false),
+        2 => (lo, u64::MAX, false),
+        3 | 4 => (lo, lo + span, true),
+        _ => (lo, lo + span, false),
+    };
+    (Query { filter: Predicate { col, lo, hi }, project, agg }, kill)
+}
+
+/// A cold table of `rows` seeded rows after `churn`, with its mirror. Cold
+/// placement and several sealed chunks: most reads go through H2 after the
+/// first major GC.
+fn churned_table(
+    chunk_rows: usize,
+    rows: usize,
+    seed: u64,
+    churn: &[ChurnOp],
+) -> (Heap, Table, Mirror) {
+    let mut heap = test_heap();
+    let mut table = Table::new(TableConfig {
+        table_id: 1,
+        cols: COLS,
+        chunk_rows,
+        key_col: 0,
+        placement: TablePlacement::Cold,
+    });
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut mirror = Mirror { rows: Vec::new(), deleted: Vec::new() };
+    for _ in 0..rows {
+        let row = [rng.gen_range(0..600u64), rng.gen_range(0..600u64), rng.gen_range(0..600u64)];
+        table.append_row(&mut heap, &row).unwrap();
+        mirror.rows.push(row);
+        mirror.deleted.push(false);
+    }
+    heap.gc_major().unwrap();
+    for op in churn {
+        match *op {
+            ChurnOp::Update(r, c, v) => {
+                let r = r % rows;
+                if !mirror.deleted[r] {
+                    table.update_value(&mut heap, r, c, v);
+                    mirror.rows[r][c] = v;
+                }
+            }
+            ChurnOp::Delete(r) => {
+                let r = r % rows;
+                if !mirror.deleted[r] {
+                    assert!(table.delete_row(&mut heap, r));
+                    mirror.deleted[r] = true;
+                }
+            }
+            ChurnOp::MinorGc => heap.gc_minor().unwrap(),
+            ChurnOp::MajorGc => heap.gc_major().unwrap(),
+        }
+    }
+    (heap, table, mirror)
+}
+
+/// The charges of the full-scan plan by the two-pass rule it replaced:
+/// read every sealed filter chunk; read the projected chunk only if some
+/// row of the chunk matches and is not tombstoned; one op per staged row.
+fn reference_scan_charges(heap: &mut Heap, table: &Table, q: &Query) {
+    let cr = table.chunk_rows();
+    for k in 0..table.sealed_chunks() {
+        let any = table.view_col_chunk(heap, q.filter.col, k, |vals| {
+            (0..cr).any(|i| {
+                q.filter.lo <= vals[i] && vals[i] <= q.filter.hi && !table.is_deleted(k * cr + i)
+            })
+        });
+        if any && q.project != q.filter.col {
+            table.view_col_chunk(heap, q.project, k, |_| ());
+        }
+    }
+    heap.charge_ops(table.staging_rows() as u64);
 }
 
 #[test]
@@ -128,58 +209,56 @@ fn executor_matches_naive_oracle_and_index_equals_scan() {
     check(
         "executor_matches_naive_oracle_and_index_equals_scan",
         &(
-            (range_usize(1..200), range_u64(0..u64::MAX)),
+            (
+                prop_oneof![
+                    1 => Just(10usize),
+                    1 => Just(32usize),
+                    1 => Just(64usize),
+                    1 => Just(100usize),
+                    1 => Just(256usize),
+                ],
+                range_usize(1..600),
+                range_u64(0..u64::MAX),
+            ),
             vec_of(churn_strategy(), 0..24),
             vec_of(query_strategy(), 1..8),
         ),
         &Config::with_cases(48),
-        |((rows, seed), churn, queries): ((usize, u64), Vec<ChurnOp>, Vec<QuerySpecTuple>)| {
-            let mut heap = test_heap();
-            // Cold placement + a chunk size that seals several chunks:
-            // most reads go through H2 after the first major GC.
-            let mut table = Table::new(TableConfig {
-                table_id: 1,
-                cols: COLS,
-                chunk_rows: 32,
-                key_col: 0,
-                placement: TablePlacement::Cold,
-            });
-            let mut rng = Rng::seed_from_u64(seed);
-            let mut mirror = Mirror { rows: Vec::new(), deleted: Vec::new() };
-            for _ in 0..rows {
-                let row =
-                    [rng.gen_range(0..600u64), rng.gen_range(0..600u64), rng.gen_range(0..600u64)];
-                table.append_row(&mut heap, &row).unwrap();
-                mirror.rows.push(row);
-                mirror.deleted.push(false);
-            }
-            heap.gc_major().unwrap();
+        |((chunk_rows, rows, seed), churn, queries): (
+            (usize, usize, u64),
+            Vec<ChurnOp>,
+            Vec<QuerySpecTuple>,
+        )| {
+            // Twins: one runs the executor, the other the reference plan's
+            // charges; they see the same op sequence otherwise, so their
+            // page caches stay in lockstep.
+            let (mut heap, mut table, mut mirror) = churned_table(chunk_rows, rows, seed, &churn);
+            let (mut ref_heap, mut ref_table, _) = churned_table(chunk_rows, rows, seed, &churn);
 
-            for op in churn {
-                match op {
-                    ChurnOp::Update(r, c, v) => {
-                        let r = r % rows;
-                        if !mirror.deleted[r] {
-                            table.update_value(&mut heap, r, c, v);
-                            mirror.rows[r][c] = v;
-                        }
-                    }
-                    ChurnOp::Delete(r) => {
-                        let r = r % rows;
-                        if !mirror.deleted[r] {
+            for spec in queries {
+                let (q, kill) = build_query(spec);
+                if kill {
+                    for r in 0..rows {
+                        let f = mirror.rows[r][q.filter.col];
+                        let matches = q.filter.lo <= f && f <= q.filter.hi;
+                        if matches && (r / chunk_rows) % 2 == 0 && !mirror.deleted[r] {
                             prop_assert!(table.delete_row(&mut heap, r));
+                            prop_assert!(ref_table.delete_row(&mut ref_heap, r));
                             mirror.deleted[r] = true;
                         }
                     }
-                    ChurnOp::MinorGc => heap.gc_minor().unwrap(),
-                    ChurnOp::MajorGc => heap.gc_major().unwrap(),
                 }
-            }
-
-            for spec in queries {
-                let q = build_query(spec);
+                let (before, ref_before) =
+                    (heap.clock().total_ns(), ref_heap.clock().total_ns());
                 let scan = run_query(&mut heap, &mut table, &q, false);
+                reference_scan_charges(&mut ref_heap, &ref_table, &q);
+                prop_assert_eq!(
+                    heap.clock().total_ns() - before,
+                    ref_heap.clock().total_ns() - ref_before,
+                    "full scan charged differently from the two-pass reference"
+                );
                 let probe = run_query(&mut heap, &mut table, &q, true);
+                let ref_probe = run_query(&mut ref_heap, &mut ref_table, &q, true);
                 prop_assert_eq!(
                     scan.answer(),
                     mirror.oracle(&q),
@@ -190,6 +269,8 @@ fn executor_matches_naive_oracle_and_index_equals_scan() {
                     scan.answer(),
                     "index plan disagrees with the scan plan"
                 );
+                prop_assert_eq!(probe, ref_probe, "twins diverged");
+                prop_assert_eq!(heap.clock().total_ns(), ref_heap.clock().total_ns());
             }
             CaseResult::Pass
         },

@@ -931,29 +931,37 @@ impl Heap {
         self.store(slot, val, Category::Mutator);
     }
 
-    /// Bulk [`Heap::read_prim`]: reads the `out.len()` consecutive primitive
-    /// fields/elements starting at `start` into `out`. Charges exactly what
-    /// the equivalent per-element loop would — the layout lookup and bounds
-    /// check happen once and the H1 copy is a single memcpy, which is what
-    /// makes the streaming scans in the frameworks cheap in *real* time.
-    pub fn read_prims(&mut self, h: Handle, start: usize, out: &mut [u64]) {
-        if out.is_empty() {
-            return;
+    /// Bulk [`Heap::read_prim`] without the copy: charges a read of the `n`
+    /// consecutive primitive fields/elements starting at `start` — exactly
+    /// what the equivalent per-element loop would, with the layout lookup
+    /// and bounds check done once — and returns them in place, on either
+    /// heap. The borrow ends before the next heap call, so a view never
+    /// outlives a collection. This is the one implementation of bulk read
+    /// charging; [`Heap::read_prims`] is this plus a copy.
+    pub fn view_prims(&mut self, h: Handle, start: usize, n: usize) -> &[u64] {
+        if n == 0 {
+            return &[];
         }
         let (obj, _) = self.mutator_view(self.root_of(h));
-        let base = self.prim_range_slot(obj, start, out.len());
+        let base = self.prim_range_slot(obj, start, n);
         if base.is_h2() {
             // Device-resident object: one touch_run over the range charges
             // exactly what the per-word loop did (DESIGN.md §9).
-            self.h2
+            return self
+                .h2
                 .as_mut()
                 .expect("H2 address without H2")
-                .read_words(base, out, Category::Mutator);
-            return;
+                .view_words(base, n, Category::Mutator);
         }
-        self.charge_h1_words(base, out.len() as u64, Category::Mutator);
+        self.charge_h1_words(base, n as u64, Category::Mutator);
         let s = base.raw() as usize;
-        out.copy_from_slice(&self.mem[s..s + out.len()]);
+        &self.mem[s..s + n]
+    }
+
+    /// [`Heap::view_prims`] copied into `out`, for callers that need the
+    /// values to outlive the borrow.
+    pub fn read_prims(&mut self, h: Handle, start: usize, out: &mut [u64]) {
+        out.copy_from_slice(self.view_prims(h, start, out.len()));
     }
 
     /// Bulk [`Heap::write_prim`]: writes `vals` into the consecutive

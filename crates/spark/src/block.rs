@@ -282,10 +282,15 @@ impl BlockManager {
         matches!(self.slots.get(&id), Some(Slot::OnHeap(_)))
     }
 
-    /// Removes an entire RDD from the cache, releasing on-heap handles
-    /// (H2 regions become reclaimable at the next major GC).
+    /// Removes an entire RDD from the cache, releasing on-heap handles in
+    /// partition order (H2 regions become reclaimable at the next major
+    /// GC). The order matters: released root slots are reused last-in
+    /// first-out, and `HashMap` iteration order differs from process to
+    /// process.
     pub fn unpersist(&mut self, heap: &mut Heap, rdd: u64) {
-        let ids: Vec<BlockId> = self.slots.keys().copied().filter(|b| b.rdd == rdd).collect();
+        let mut ids: Vec<BlockId> =
+            self.slots.keys().copied().filter(|b| b.rdd == rdd).collect();
+        ids.sort_unstable();
         for id in ids {
             if let Some(Slot::OnHeap(h)) = self.slots.remove(&id) {
                 heap.release(h);
@@ -384,5 +389,27 @@ mod tests {
         bm.unpersist(&mut heap, 7);
         assert_eq!(heap.live_roots(), roots_before - 1);
         assert!(bm.get(&mut heap, BlockId { rdd: 7, partition: 0 }).unwrap().is_none());
+    }
+
+    #[test]
+    fn unpersist_frees_root_slots_in_partition_order() {
+        // Every `HashMap` hashes with its own random keys, so two block
+        // managers stand for two processes. Slots freed in partition order
+        // come back last-in first-out: the same handles, reversed.
+        for _process in 0..2 {
+            let mut heap = Heap::new(HeapConfig::small());
+            let mut bm = BlockManager::new(CacheMode::OnHeapOnly);
+            let put: Vec<Handle> = (0..32)
+                .map(|partition| {
+                    let p = mk_partition(&mut heap, 4, 0);
+                    bm.put(&mut heap, BlockId { rdd: 7, partition }, p).unwrap();
+                    p
+                })
+                .collect();
+            bm.unpersist(&mut heap, 7);
+            let reused: Vec<Handle> =
+                (0..32).map(|_| heap.alloc_prim_array(1).unwrap()).collect();
+            assert_eq!(reused, put.into_iter().rev().collect::<Vec<_>>());
+        }
     }
 }

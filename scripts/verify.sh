@@ -86,6 +86,10 @@ echo "ok"
 # property suite explicitly for the same reason as above.
 echo "== bulk equivalence: batched touches match the per-word loop =="
 cargo test -q --offline -p teraheap-storage --test bulk_equivalence
+# The same invariant one layer up: Heap::view_prims (borrowed), read_prims
+# (copied) and the read_prim loop observe and charge the same, on H1, paged
+# and DAX H2, and across the Panthera NVM boundary.
+cargo test -q --offline -p teraheap-runtime --test bulk_equivalence
 echo "ok"
 
 # Page-cache invariant (DESIGN.md §7): the page table + intrusive list is an
@@ -135,8 +139,10 @@ echo "ok"
 # loop must stay leak-free with the heap checker armed; and with the query
 # crate linked but idle the runtime golden must reproduce bit-identically
 # (the events, labeled entry points and server variant cost nothing
-# unused). Run the three suites explicitly.
-echo "== query plane: oracle properties, endurance churn, linked-idle golden =="
+# unused). The read path's simulated charges are pinned to constants
+# captured before it went zero-copy. Run the four suites explicitly.
+echo "== query plane: oracle properties, endurance churn, linked-idle golden, charge pin =="
+cargo test -q --offline -p teraheap-query --test charge_pin
 cargo test -q --offline -p teraheap-query --test query_properties
 cargo test -q --offline -p teraheap-query --test endurance
 cargo test -q --offline -p teraheap-query --test gc_equivalence
