@@ -11,11 +11,6 @@
 //!
 //! The sweep itself runs on host worker threads (`run_parallel`); simulated
 //! numbers are host-independent, so this is a pure wall-clock win.
-//!
-//! `TERAHEAP_GC_THREADS=<n>` restricts the sweep to one thread count and
-//! skips the CSV/assertions — `scripts/bench.sh gc_par` uses this to time
-//! the scheduler's host overhead at different lane counts over identical
-//! work.
 
 use mini_spark::{run_workload, DatasetScale, ExecMode, RunReport, SparkConfig, Workload};
 use teraheap_bench::harness::{run_parallel, write_csv};
@@ -59,18 +54,10 @@ fn mean_pause(total_ns: u64, count: u64) -> u64 {
 }
 
 fn main() {
-    let only: Option<usize> = std::env::var("TERAHEAP_GC_THREADS")
-        .ok()
-        .map(|v| v.parse().expect("TERAHEAP_GC_THREADS must be a thread count"));
-    let threads: Vec<usize> = match only {
-        Some(t) => vec![t],
-        None => THREADS.to_vec(),
-    };
-
     println!("=== GC pause time vs gc_threads vs device (work-unit scheduler) ===\n");
     let jobs: Vec<_> = DEVICES
         .iter()
-        .flat_map(|&(name, dev)| threads.iter().map(move |&t| (name, dev, t)))
+        .flat_map(|&(name, dev)| THREADS.iter().map(move |&t| (name, dev, t)))
         .map(|(name, dev, t)| move || (name, t, run_at(t, dev())))
         .collect();
     let runs = run_parallel(jobs);
@@ -100,11 +87,6 @@ fn main() {
         if device == "nvme" && t <= 8 {
             nvme_major_pause.push((t, major_pause));
         }
-    }
-
-    if only.is_some() {
-        println!("\nTERAHEAP_GC_THREADS set: single-point run, skipping CSV and assertions");
-        return;
     }
 
     // The acceptance shape: monotone modeled pause reduction 1 → 8 threads.

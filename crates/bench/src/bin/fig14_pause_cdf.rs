@@ -1,6 +1,6 @@
 //! Figure 14 (extension): major-GC pause distribution, stop-world
 //! ParallelScavenge vs pause-budgeted incremental collection (DESIGN.md
-//! §12), across H2 devices and with H2 disabled.
+//! §11), across H2 devices and with H2 disabled.
 //!
 //! Every configuration runs the memory-pressured PageRank job from the
 //! Figure 13 sweep once, traced at full observability, and the pause
@@ -21,10 +21,6 @@
 //! cost — the SATB barrier, redirection, floating garbage, and the
 //! fragmented per-slice promotion flush cost up to ~20% of total time on
 //! the slow devices, printed and recorded per run.
-//!
-//! `TERAHEAP_PAUSE_BUDGET=<ns>` restricts the sweep to one budget on NVMe
-//! with H2 on and skips the CSV/assertions — `scripts/bench.sh gc_incr`
-//! uses this to time the host overhead of the armed barrier.
 
 use mini_spark::{run_workload_traced, DatasetScale, ExecMode, RunReport, SparkConfig, Workload};
 use teraheap_bench::harness::{run_parallel, write_csv};
@@ -128,22 +124,15 @@ fn dist(mut sample: Vec<u64>) -> Dist {
 }
 
 fn main() {
-    let only: Option<u64> = std::env::var("TERAHEAP_PAUSE_BUDGET")
-        .ok()
-        .map(|v| v.parse().expect("TERAHEAP_PAUSE_BUDGET must be nanoseconds"));
-
     println!("=== Major-GC pause distribution: stop-world PS vs incremental (pause budget) ===\n");
 
     // (device label, h2 on, budget label, budget). H2-off rows are
     // device-independent (no H2 traffic), so they run once per budget.
-    let matrix: Vec<(&str, bool, &str, u64)> = match only {
-        Some(b) => vec![("nvme", true, "single", b)],
-        None => DEVICES
-            .iter()
-            .flat_map(|&(dev, _)| BUDGETS.iter().map(move |&(label, b)| (dev, true, label, b)))
-            .chain(BUDGETS.iter().map(|&(label, b)| ("none", false, label, b)))
-            .collect(),
-    };
+    let matrix: Vec<(&str, bool, &str, u64)> = DEVICES
+        .iter()
+        .flat_map(|&(dev, _)| BUDGETS.iter().map(move |&(label, b)| (dev, true, label, b)))
+        .chain(BUDGETS.iter().map(|&(label, b)| ("none", false, label, b)))
+        .collect();
     let jobs: Vec<_> = matrix
         .iter()
         .map(|&(dev, with_h2, label, budget)| {
@@ -199,11 +188,6 @@ fn main() {
         } else if *label == "incr50us" {
             at_default.push((dev, *with_h2, ma.p99, total_ns));
         }
-    }
-
-    if only.is_some() {
-        println!("\nTERAHEAP_PAUSE_BUDGET set: single-point run, skipping CSV and assertions");
-        return;
     }
 
     // Acceptance: at the default budget the major-pause p99 collapses by at

@@ -325,7 +325,7 @@ impl H2 {
     }
 
     /// Creates a second heap attached to a tenant partition of a
-    /// [`SharedDevice`] — the server-plane constructor (DESIGN.md §13).
+    /// [`SharedDevice`] — the server-plane constructor (DESIGN.md §12).
     ///
     /// The tenant is identified by `clock` (`Arc::ptr_eq` with the clock it
     /// registered with), the config's [`H2Config::footprint_bytes`] is

@@ -366,7 +366,7 @@ pub enum EventKind {
     /// distinguishes a released GC root from an object-field overwrite.
     WriteBarrierRemember { root: bool },
     /// A device request queued behind other tenants of a shared device
-    /// (server plane, DESIGN.md §13): the arbiter delayed it `wait_ns`
+    /// (server plane, DESIGN.md §12): the arbiter delayed it `wait_ns`
     /// before service, charged to the waiting tenant.
     DeviceQueued { wait_ns: u64 },
     /// A server scheduling decision for tenant `tenant`: `admitted` is

@@ -24,7 +24,7 @@
 //! Determinism contract: simulated time is charged only through the heap's
 //! existing cost paths; the driver's scheduling is a pure function of the
 //!  config, so every run — and the canonical answer checksum across *all*
-//! sweep arms — is exactly reproducible. See `DESIGN.md` §15.
+//! sweep arms — is exactly reproducible. See `DESIGN.md` §14.
 
 pub mod exec;
 pub mod index;

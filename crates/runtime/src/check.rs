@@ -139,7 +139,7 @@ impl Heap {
     /// Returns the first violated invariant as a [`CheckError`].
     pub fn heap_check(&self) -> Result<CheckReport, CheckError> {
         debug_assert!(!self.in_gc, "heap_check inside a collection");
-        match self.incr.as_deref() {
+        match self.cycle.as_deref() {
             Some(cyc) if !cyc.pre_flip() => return self.heap_check_relocating(),
             Some(_) => return self.heap_check_walk(true),
             None => {}
@@ -174,7 +174,7 @@ impl Heap {
     /// The relocation-window check: every live root must resolve — through
     /// the cycle's destination index — to a well-formed object header.
     fn heap_check_relocating(&self) -> Result<CheckReport, CheckError> {
-        let cyc = self.incr.as_deref().expect("relocating check without a cycle");
+        let cyc = self.cycle.as_deref().expect("relocating check without a cycle");
         let mut report = CheckReport::default();
         for (i, &a) in self.roots.iter().enumerate() {
             if a.is_null() {

@@ -83,16 +83,15 @@ pub struct HeapConfig {
     /// built on; thread-scaling scenarios (the paper's machine runs 16 GC
     /// threads) set it explicitly, e.g. the `fig13_gc_threads` sweep.
     pub gc_threads: usize,
-    /// Per-slice pause budget for incremental major collection, in simulated
-    /// nanoseconds (DESIGN.md §12). `0` (the default) disables incremental
-    /// collection: major GCs run stop-world, reproducing the committed
-    /// figures bit-identically. A finite non-zero budget makes major
-    /// collections run as bounded work-unit slices interleaved with the
-    /// mutator; it requires the ParallelScavenge variant. `u64::MAX` arms
-    /// the incremental machinery (write barrier, slice plumbing) but lets
-    /// every cycle complete in a single unbounded slice — by construction
-    /// equivalent to the stop-world collector, which `gc_equivalence.rs`
-    /// pins bit-for-bit.
+    /// Per-slice pause budget for the major cycle, in simulated nanoseconds
+    /// (DESIGN.md §11). `0` (the default) never slices: every major GC is a
+    /// cycle run whole in one unbounded slice — stop-world, what the
+    /// committed figures are built on. A finite non-zero budget starts
+    /// cycles proactively and runs them as bounded work-unit slices
+    /// interleaved with the mutator; it requires the ParallelScavenge
+    /// variant. `u64::MAX` arms the slicing hooks (write barrier, poll) but
+    /// never starts a proactive cycle, so every major still runs whole —
+    /// `gc_equivalence.rs` pins it bit-identical to `0`.
     pub pause_budget_ns: u64,
     /// Mutator (executor) threads; frameworks divide their compute and S/D
     /// time by this (paper: 8, swept 4/8/16 in Figure 13a).
@@ -206,11 +205,11 @@ impl HeapConfig {
                 return Err(ConfigError::MissPercent { miss_percent: mm.miss_percent });
             }
         }
-        // A finite slice budget needs the incremental engine, which is only
-        // implemented for the ParallelScavenge cost model (G1 already models
-        // concurrent marking through its discount; Panthera's split old gen
-        // is out of scope). `u64::MAX` runs single-slice cycles and is
-        // likewise PS-only. `0` (stop-world) is valid for every variant.
+        // A mutator interleaving with the major cycle is only modelled for
+        // the ParallelScavenge cost model (G1 already models concurrent
+        // marking through its discount; Panthera's split old gen is out of
+        // scope). `u64::MAX` arms the same hooks and is likewise PS-only.
+        // `0` (never sliced) is valid for every variant.
         if self.pause_budget_ns != 0 && self.variant != GcVariant::ParallelScavenge {
             return Err(ConfigError::IncrementalNeedsPs { pause_budget_ns: self.pause_budget_ns });
         }

@@ -1,34 +1,64 @@
-//! Major (full-heap) collection: the PS four-phase mark–compact, extended
-//! with TeraHeap's integration (§4):
+//! Major (full-heap) collection: one cycle, one state machine
+//! (DESIGN.md §11).
 //!
-//! * **marking** additionally (1) resets H2 region live bits, (2) marks H1
-//!   objects referenced from H2 as live (via the H2 card table), (3) fences
-//!   scans at H1→H2 references while setting region live bits, (4) computes
-//!   the transitive closures of tagged root key-objects, and (5) frees dead
-//!   H2 regions;
+//! The collector is the PS four-phase mark–compact extended with
+//! TeraHeap's integration (§4):
+//!
+//! * **marking** resets H2 region live bits, marks H1 objects referenced
+//!   from H2 as live (via the H2 card table), fences scans at H1→H2
+//!   references while setting region live bits, computes the transitive
+//!   closures of tagged root key-objects, and frees dead H2 regions;
 //! * **pre-compaction** assigns H2 addresses (by label, region-grouped) to
-//!   the move candidates;
-//! * **pointer adjustment** additionally rewrites backward references,
-//!   records new cross-region dependencies and dirties H2 cards for newly
-//!   created backward references;
-//! * **compaction** moves candidates to H2 through 2 MB promotion buffers.
+//!   the move candidates and old-generation addresses to everything else;
+//! * **pointer adjustment** rewrites references — backward references
+//!   through the device — records new cross-region dependencies and dirties
+//!   H2 cards for newly created backward references;
+//! * **compaction** slides H1 objects and moves candidates to H2 through
+//!   the promotion buffers.
 //!
-//! The G1 variant runs the same semantics but charges a concurrent-marking
-//! discount and garbage-first mixed-collection costs; the Panthera variant
-//! charges NVM penalties for the NVM-resident part of the old generation.
+//! Every phase is a run of schedulable work units whose bodies live in
+//! [`super::units`]. A [`MajorCycle`] carries all state between units and
+//! [`run_slice`] is the only loop that executes them: it drains units until
+//! the projected pause would exceed its budget, fires one scheduler barrier
+//! and returns. The two ways to collect are two ways to drive that loop:
 //!
-//! Each phase is decomposed into schedulable work units (DESIGN.md §11) —
-//! root strips, H2 card chunks, gray packets, per-object-chunk
-//! plan/adjust/compact units — dispatched across `gc_threads` accounting
-//! lanes with one barrier per phase. Execution order is the exact serial
-//! order of the monolithic phases; only the CPU accounting is laned. The
-//! G1 marking discount and mixed-collection fraction apply per lane at the
-//! barrier (`LaneSet` milli scaling), so `gc_threads = 1` reproduces the
-//! serial `floor(total * fraction)` charges bit-identically.
+//! * [`major_gc`] starts a cycle and runs it to completion in **one
+//!   unbounded slice** — the stop-world collection;
+//! * [`maybe_start`] starts a cycle after a minor GC once old free space
+//!   drops below twice the young generation, and `Heap::incr_poll` resumes
+//!   it in slices of `pause_budget_ns` with the mutator running in between.
+//!   Any demand collection (eden full, explicit GC, large allocation) first
+//!   finishes the in-flight cycle with [`finish`]; the proactive trigger's
+//!   margin guarantees no promotion-guarantee major can be needed while a
+//!   cycle is active.
+//!
+//! What differs between the two is not code but the [`Shape`] a cycle is
+//! constructed with; see there. The G1 variant runs the same cycle with a
+//! concurrent-marking discount and garbage-first mixed-collection costs
+//! applied per lane at the barriers (`LaneSet` milli scaling); the Panthera
+//! variant charges NVM penalties for the NVM-resident part of the old
+//! generation.
+//!
+//! # When a mutator interleaves
+//!
+//! Marking is snapshot-at-the-beginning: the write barrier
+//! (`Heap::write_ref_at`) remembers overwritten H1 values and
+//! `Heap::release` remembers released roots, each gray packet re-grays
+//! them, and objects allocated during marking are allocated black — so
+//! nothing reachable at cycle start can be hidden between slices. H1→H2
+//! stores fence the target region live and H2→H2 stores record the
+//! dependency the (possibly already passed) card scan could not have seen.
+//! The live set freezes at mark termination; objects allocated while it is
+//! planned stay where they are and only have their slots adjusted at the
+//! flip. From the **flip** on the mutator holds *logical*
+//! (post-compaction) addresses and its accessors translate through
+//! [`MajorCycle::view`] while objects physically move, chunk by chunk.
+//! Minor GCs never run mid-cycle.
 
 use super::schedule::{
     Scheduler, DOM_H2_CARD, DOM_OBJECT, GRAY_PACKET, H2_CARD_CHUNK, OBJECT_CHUNK, ROOT_STRIP,
 };
+use super::units::{self, ForwardTable, SelState, Stash};
 use super::Work;
 use crate::config::{GcVariant, OomError};
 use crate::heap::Heap;
@@ -38,946 +68,830 @@ use teraheap_core::{Addr, CardState, Label};
 use teraheap_storage::obs::{CardTableKind, EventKind, GcCause, GcKind, GcPhase, WorkUnitKind};
 use teraheap_storage::Category;
 
-/// Runs a full collection.
+/// Mutator nanoseconds between slices = `pause_budget_ns / PACE_DIVISOR`.
+/// At 8, a cycle of total GC work `W` completes after about `W / 8` mutator
+/// ns — well inside one eden refill window at the default budget — so
+/// finishing a cycle on demand (which would blow the pause target) stays a
+/// safety net.
+pub(crate) const PACE_DIVISOR: u64 = 8;
+
+/// Objects per chunk of a cycle a mutator interleaves with — tagged per
+/// `CandidateSelect`, assigned per `H2Assign`, adjusted and copied per
+/// `CompactChunk`: one unit must fit comfortably inside the default pause
+/// budget, and a fused adjust+copy unit is the costliest kind.
+const SLICED_CHUNK: usize = 64;
+
+/// The values a cycle is constructed with. Every cycle runs the same unit
+/// bodies in the same phase order; whether a mutator may run between its
+/// units decides only what is listed here, and only the constructor, the
+/// drive loop and the phase transitions read it — a unit body never does.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    /// Objects per unit of a serial chain: tagged per `CandidateSelect`,
+    /// assigned per `H2Assign` (the fault-plane transaction is always whole).
+    chain_chunk: usize,
+    /// Objects per `AdjustChunk`/`CompactChunk` unit.
+    tail_chunk: usize,
+    /// A mutator runs between units:
+    /// * the serial chains (selection, H2 assignment) are chunked, and a
+    ///   chunked chain stays on lane 0 so it is never credited with
+    ///   cross-lane parallelism its execution order forbids, whereas a chain
+    ///   run whole is one ordinary unit on the least-loaded lane — emitted
+    ///   even when selection finds nothing tagged;
+    /// * the tail is fused — each chunk is adjusted, then copied, behind the
+    ///   flip — instead of adjusting every object, a barrier, then copying
+    ///   every object (which the G1 mixed-collection scaling and the
+    ///   deferred humongous copies need);
+    /// * retiring keeps eden (allocations made during the cycle live above
+    ///   `flip_top`) and nulls the dead prefix's slots instead of resetting
+    ///   it;
+    /// * slices are recorded (`SliceBegin`/`SliceEnd`, `incr_slices`);
+    /// * the exactly-once coverage audit stays off, since a slice barrier
+    ///   fires with its phase's domain half claimed.
+    interleaved: bool,
+}
+
+impl Shape {
+    fn new(interleaved: bool) -> Shape {
+        let (chain_chunk, tail_chunk) =
+            if interleaved { (SLICED_CHUNK, SLICED_CHUNK) } else { (usize::MAX, OBJECT_CHUNK) };
+        Shape { chain_chunk, tail_chunk, interleaved }
+    }
+}
+
+/// Where the cycle resumes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Phase {
+    #[default]
+    MarkRoots,
+    MarkCards,
+    MarkDrain,
+    Select,
+    Plan,
+    Relocate,
+}
+
+/// Marking state.
+#[derive(Default)]
+pub(super) struct MarkState {
+    /// Root-table length at cycle start; roots created later hold values
+    /// already covered by SATB and need no strip.
+    roots_len: usize,
+    roots_cursor: usize,
+    pub(super) cards: Vec<usize>,
+    cards_cursor: usize,
+    cards_snapped: bool,
+    pub(super) stack: Vec<Addr>,
+    pub(super) live: Vec<u64>,
+    pub(super) live_words: u64,
+    /// H2 slots holding backward references, for the backward fix.
+    pub(super) backward_slots: Vec<Addr>,
+    /// `(card, whether it held a backward reference)` for the flip's card
+    /// state re-derivation.
+    pub(super) scanned_cards: Vec<(usize, bool)>,
+    pub(super) slot_buf: Vec<u64>,
+}
+
+/// What the mutator's barriers and allocations append between units. Stays
+/// empty when no mutator interleaves.
+#[derive(Default)]
+pub(crate) struct MutatorLog {
+    /// SATB remembered set: H1 addresses overwritten or released between
+    /// slices, re-grayed by the next gray packet.
+    pub(crate) remembered: Vec<u64>,
+    /// H2 slots that received an H1 value mid-cycle; the backward fix covers
+    /// them in addition to the scanned set.
+    pub(crate) extra_backward: Vec<Addr>,
+    /// Every H2 slot ref-written pre-flip: re-marked dirty after the flip
+    /// re-derives scanned card states, so mutation between slices cannot be
+    /// erased by the re-derivation.
+    pub(crate) h2_dirty: Vec<Addr>,
+    /// Objects allocated while the frozen live set was being planned (in
+    /// eden, at or above `flip_top`): their slots may hold pre-compaction
+    /// addresses and are adjusted at the flip.
+    pub(crate) plan_late: Vec<u64>,
+}
+
+/// Pre-compaction state: the frozen live set and its forwarding addresses.
+#[derive(Default)]
+pub(super) struct PlanState {
+    pub(super) old_base: u64,
+    /// The relocation enumeration: old then young, each address-sorted.
+    pub(super) old_live: Vec<u64>,
+    pub(super) young_live: Vec<u64>,
+    /// H2 candidates in closure-discovery order (= H2 placement order).
+    pub(super) move_order: Vec<u64>,
+    sel: Option<SelState>,
+    /// `h2_move` requests visible when selection began: the only ones this
+    /// cycle may clear at retirement (later hints target the next GC).
+    req_snapshot: Vec<Label>,
+    /// `move_order[..assign_idx]` hold their H2 addresses.
+    assign_idx: usize,
+    plan_idx: usize,
+    pub(super) forwarding: ForwardTable,
+    pub(super) new_top: u64,
+    pub(super) new_old_starts: Vec<u64>,
+    /// Live words per old-generation G1 region (mixed-collection model).
+    pub(super) g1_region_live: HashMap<u64, u64>,
+    /// Eden top at mark termination: everything below relocates, everything
+    /// at or above stays.
+    flip_top: u64,
+}
+
+/// Compaction state.
+#[derive(Default)]
+pub(super) struct RelocState {
+    /// `(dest, src)` sorted by dest — the logical→physical index mutator
+    /// accessors search while objects move.
+    dest_index: Vec<(u64, u64)>,
+    /// Enumeration ranks below this have moved.
+    idx: usize,
+    pub(super) promoted_regions: Vec<u32>,
+    /// Words staged in the promotion buffer since the last flush; bounds the
+    /// end-of-slice flush cost in the pause projection.
+    pub(super) staged_words: u64,
+    pub(super) stash: Stash,
+}
+
+/// All state a major cycle carries between work units.
+pub(crate) struct MajorCycle {
+    shape: Shape,
+    pub(super) sched: Scheduler,
+    phase: Phase,
+    cur_gc_phase: GcPhase,
+    h2_words_before: u64,
+    /// Sum of slice durations so far (becomes `stats.major_ns`).
+    gc_ns: u64,
+    /// Clock ns at the start of the current phase segment (slice-local).
+    seg_start_ns: u64,
+    /// Clock ns when the last slice ended; paces the next slice.
+    pub(crate) last_slice_end_ns: u64,
+    pub(super) mark: MarkState,
+    pub(crate) mutator: MutatorLog,
+    pub(super) plan: PlanState,
+    pub(super) reloc: RelocState,
+    done: bool,
+    aborted: bool,
+}
+
+impl std::fmt::Debug for MajorCycle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MajorCycle")
+            .field("shape", &self.shape)
+            .field("phase", &self.phase)
+            .field("live", &self.mark.live.len())
+            .field("reloc_idx", &self.reloc.idx)
+            .finish_non_exhaustive()
+    }
+}
+
+impl MajorCycle {
+    /// Whether marking is still running (SATB barrier armed).
+    pub(crate) fn marking(&self) -> bool {
+        matches!(self.phase, Phase::MarkRoots | Phase::MarkCards | Phase::MarkDrain)
+    }
+
+    /// Whether the flip has not happened yet (mutator addresses are still
+    /// physical; H2 card re-derivation is still pending).
+    pub(crate) fn pre_flip(&self) -> bool {
+        self.phase != Phase::Relocate
+    }
+
+    fn live_count(&self) -> usize {
+        self.plan.old_live.len() + self.plan.young_live.len()
+    }
+
+    /// The object at rank `idx` of the relocation enumeration.
+    pub(super) fn enum_at(&self, idx: usize) -> u64 {
+        match idx.checked_sub(self.plan.old_live.len()) {
+            None => self.plan.old_live[idx],
+            Some(young) => self.plan.young_live[young],
+        }
+    }
+
+    /// The object's rank in the relocation enumeration.
+    fn enum_rank(&self, src: u64) -> usize {
+        if src >= self.plan.old_base {
+            self.plan.old_live.partition_point(|&s| s < src)
+        } else {
+            self.plan.old_live.len() + self.plan.young_live.partition_point(|&s| s < src)
+        }
+    }
+
+    /// Declares every live object part of the next barrier's coverage
+    /// domain: each is planned, adjusted and copied by exactly one unit.
+    fn expect_live(&mut self) {
+        for &src in self.plan.old_live.iter().chain(&self.plan.young_live) {
+            self.sched.expect(DOM_OBJECT | src);
+        }
+    }
+
+    /// Resolves a mutator-held (logical) object address to `(physical,
+    /// raw_slots)`. `raw_slots` is true when the object has not been
+    /// relocated yet, so its reference slots still hold pre-adjustment
+    /// (physical) values: reads must canonicalize through the forwarding
+    /// table and writes must de-canonicalize through the destination index.
+    pub(crate) fn view(&self, a: Addr) -> (Addr, bool) {
+        if self.pre_flip() {
+            return (a, false);
+        }
+        match self.reloc.dest_index.binary_search_by_key(&a.raw(), |&(d, _)| d) {
+            Ok(i) if self.enum_rank(self.reloc.dest_index[i].1) >= self.reloc.idx => {
+                (Addr::new(self.reloc.dest_index[i].1), true)
+            }
+            _ => (a, false),
+        }
+    }
+
+    /// Raw slot value → logical address (reads from un-moved objects).
+    pub(crate) fn canon(&self, v: u64) -> u64 {
+        self.plan.forwarding.get(v).unwrap_or(v)
+    }
+
+    /// Logical address → raw slot value (writes into un-moved objects,
+    /// whose slots must keep holding physical values until their chunk is
+    /// adjusted).
+    pub(crate) fn decanon(&self, v: u64) -> u64 {
+        match self.reloc.dest_index.binary_search_by_key(&v, |&(d, _)| d) {
+            Ok(i) => self.reloc.dest_index[i].1,
+            Err(_) => v,
+        }
+    }
+
+    /// Allocation hook: allocate-black while marking or selecting (fields
+    /// are null at birth; SATB covers later stores; the words count so the
+    /// pressure heuristic sees them), and log allocations made while the
+    /// frozen live set is planned for the flip's slot adjustment.
+    pub(crate) fn note_alloc(&mut self, addr: Addr, words: usize, mem: &mut [u64]) {
+        match self.phase {
+            Phase::Plan => self.mutator.plan_late.push(addr.raw()),
+            Phase::Relocate => {}
+            _ => {
+                let i = addr.raw() as usize;
+                mem[i] = object::with_mark(mem[i]);
+                self.mark.live.push(addr.raw());
+                self.mark.live_words += words as u64;
+            }
+        }
+    }
+
+    /// The cost of flushing the currently staged promotion-buffer bytes —
+    /// added to the pause projection so the end-of-slice flush cannot push a
+    /// slice past its budget.
+    fn flush_estimate_ns(&self, heap: &Heap) -> u64 {
+        match heap.h2.as_ref() {
+            Some(h2) if self.reloc.staged_words > 0 => {
+                h2.device_spec().write_cost_ns(self.reloc.staged_words as usize * 8)
+            }
+            _ => 0,
+        }
+    }
+}
+
+// ----- entry points ----------------------------------------------------------
+
+/// Runs a full collection: starts a cycle and runs it to completion in one
+/// unbounded slice.
 ///
 /// # Errors
 ///
 /// Returns [`OomError`] when live data does not fit the old generation.
 /// The heap must not be used further after an error.
 pub(crate) fn major_gc(heap: &mut Heap, cause: GcCause) -> Result<(), OomError> {
+    debug_assert!(heap.cycle.is_none(), "major GC over an in-flight cycle");
+    start(heap, cause, false);
+    finish(heap)
+}
+
+/// Starts a cycle after a minor GC if slicing is armed (`0 <
+/// pause_budget_ns < u64::MAX`) and old free space has dropped below twice
+/// the young generation. The margin guarantees a `PromotionGuarantee` major
+/// can never be needed while a cycle is active: with no cycle running free
+/// >= 2·young, and one minor promotes at most `young` words.
+pub(crate) fn maybe_start(heap: &mut Heap) {
+    let budget = heap.config.pause_budget_ns;
+    if budget == 0 || budget == u64::MAX || heap.cycle.is_some() || heap.pending_oom.is_some() {
+        return;
+    }
+    if heap.old.free_words() >= 2 * heap.config.young_words {
+        return;
+    }
+    start(heap, GcCause::Incremental, true);
+    run_slice(heap, budget);
+}
+
+/// Runs the in-flight cycle, if any, to completion in one unbounded slice
+/// (demand collections and large allocations cannot proceed mid-cycle),
+/// then surfaces any OOM a cycle hit.
+///
+/// # Errors
+///
+/// Returns the pending [`OomError`] if a cycle (now or earlier) aborted at a
+/// planning overflow.
+pub(crate) fn finish(heap: &mut Heap) -> Result<(), OomError> {
+    run_slice(heap, u64::MAX);
+    debug_assert!(heap.cycle.is_none(), "unbounded slice did not retire the cycle");
+    heap.pending_oom.take().map_or(Ok(()), Err)
+}
+
+fn start(heap: &mut Heap, cause: GcCause, interleaved: bool) {
     debug_assert!(!heap.in_gc, "re-entrant GC");
-    heap.in_gc = true;
-    let start_ns = heap.clock.total_ns();
-    let old_before = heap.old.used_words();
-    let h2_words_before = heap.h2.as_ref().map(|h| h.words_promoted()).unwrap_or(0);
     heap.clock.emit(EventKind::GcBegin {
         gc: GcKind::Major,
         cause,
-        old_used_words: old_before as u64,
+        old_used_words: heap.old.used_words() as u64,
     });
-    let clock = heap.clock.clone();
-    let mut sched = Scheduler::new(
-        heap.config.gc_threads,
-        heap.config.cost.gc_barrier_sync_ns,
-        heap.check_enabled,
-    );
-
-    // ---------------- Phase 1: marking ------------------------------------
-    let phase_start = heap.clock.total_ns();
     heap.clock.emit(EventKind::PhaseBegin { phase: GcPhase::Mark });
-    // G1 marks concurrently with the mutator; only a quarter of the traced
-    // CPU shows up as pause/GC time. Applied per lane at the barrier.
-    sched.set_milli(match heap.config.variant {
-        GcVariant::G1 { .. } => 250,
-        _ => 1000,
-    });
     if let Some(h2) = heap.h2.as_mut() {
         h2.begin_major_marking();
     }
-    let mut live: Vec<u64> = Vec::new();
-    let mut stack: Vec<Addr> = Vec::new();
-    // (H2 slot, whether its card had any backward reference) collected for
-    // the adjustment phase.
-    let mut backward_slots: Vec<Addr> = Vec::new();
-    let mut scanned_cards: Vec<(usize, bool)> = Vec::new();
+    let mut sched = Scheduler::new(
+        heap.config.gc_threads,
+        heap.config.cost.gc_barrier_sync_ns,
+        heap.check_enabled && !interleaved,
+    );
+    // G1 marks concurrently with the mutator; only a quarter of the traced
+    // CPU shows up as pause/GC time. Applied per lane at the barrier.
+    sched.set_milli(if matches!(heap.config.variant, GcVariant::G1 { .. }) { 250 } else { 1000 });
+    heap.cycle = Some(Box::new(MajorCycle {
+        shape: Shape::new(interleaved),
+        sched,
+        phase: Phase::MarkRoots,
+        cur_gc_phase: GcPhase::Mark,
+        h2_words_before: heap.h2.as_ref().map_or(0, |h| h.words_promoted()),
+        gc_ns: 0,
+        seg_start_ns: 0,
+        last_slice_end_ns: heap.clock.total_ns(),
+        mark: MarkState { roots_len: heap.roots.len(), ..MarkState::default() },
+        mutator: MutatorLog::default(),
+        plan: PlanState { old_base: heap.old.base().raw(), ..PlanState::default() },
+        reloc: RelocState::default(),
+        done: false,
+        aborted: false,
+    }));
+}
 
-    for strip_base in (0..heap.roots.len()).step_by(ROOT_STRIP) {
-        let lane = sched.begin_unit(&clock, WorkUnitKind::RootStrip);
-        let mut uw = Work::default();
-        let strip_end = (strip_base + ROOT_STRIP).min(heap.roots.len());
-        for i in strip_base..strip_end {
-            let a = heap.roots[i];
-            if a.is_h1() {
-                mark_push(heap, a, &mut stack, &mut live, &mut uw);
-            } else if a.is_h2() {
-                // A handle (thread-stack root) referencing H2 directly keeps the
-                // region alive, exactly like an H1→H2 forward reference.
-                heap.h2.as_mut().expect("H2 root without H2").note_forward_ref(a);
-            }
-        }
-        let cost = uw.cpu_ns(&heap.config.cost);
-        sched.end_unit(&clock, lane, WorkUnitKind::RootStrip, cost, uw.extra_ns);
-    }
-    scan_h2_cards_major(heap, &mut sched, &mut stack, &mut live, &mut backward_slots, &mut scanned_cards);
-    let mut live_words: u64 = 0;
-    while !stack.is_empty() {
-        let lane = sched.begin_unit(&clock, WorkUnitKind::GrayPacket);
-        let mut uw = Work::default();
-        for _ in 0..GRAY_PACKET {
-            let Some(obj) = stack.pop() else { break };
-            live_words += heap.object_size(obj) as u64;
-            let (first_slot, end_slot) = heap.ref_slot_range(obj);
-            for s in first_slot..end_slot {
-                uw.refs += 1;
-                let val = heap.mem[s as usize];
-                if val == 0 {
-                    continue;
-                }
-                let target = Addr::new(val);
-                if target.is_h2() {
-                    // Fence: set the region live bit instead of following (§4).
-                    heap.h2.as_mut().expect("H2 ref without H2").note_forward_ref(target);
-                    heap.stats.forward_refs_fenced += 1;
-                    continue;
-                }
-                mark_push(heap, target, &mut stack, &mut live, &mut uw);
-            }
-        }
-        let cost = uw.cpu_ns(&heap.config.cost);
-        sched.end_unit(&clock, lane, WorkUnitKind::GrayPacket, cost, uw.extra_ns);
-    }
-
-    // Task 4: transitive closures of tagged roots become H2 candidates.
-    // The discovery order doubles as the H2 placement order, keeping each
-    // closure contiguous in its label's regions (key-object locality).
-    // Besides the end-of-previous-GC pressure flag (§3.2), the pressure
-    // path also arms when the live data *measured by this marking* already
-    // exceeds the high threshold — the same occupancy test the paper
-    // applies at GC end, evaluated one GC earlier so the move cannot arrive
-    // after the heap has overflowed.
-    let live_pressure = {
-        let high = heap.h2.as_ref().map(|h| h.policy().high()).unwrap_or(1.0);
-        live_words as f64 > high * heap.old.capacity_words() as f64
+/// The drive loop: runs one pause slice of the in-flight cycle. Drains work
+/// units while the projected pause — elapsed + unsettled lane charges + the
+/// costliest unit seen this slice + the pending promotion flush — stays
+/// within `budget_ns`, then flushes, fires the slice barrier and returns
+/// control to the mutator.
+pub(crate) fn run_slice(heap: &mut Heap, budget_ns: u64) {
+    let Some(mut cyc) = heap.cycle.take() else {
+        return;
     };
-    let move_order = if heap.h2.is_some() {
-        let lane = sched.begin_unit(&clock, WorkUnitKind::CandidateSelect);
-        let mut uw = Work::default();
-        let order = select_candidates(heap, &live, live_words, live_pressure, &mut uw);
-        let cost = uw.cpu_ns(&heap.config.cost);
-        sched.end_unit(&clock, lane, WorkUnitKind::CandidateSelect, cost, uw.extra_ns);
-        order
+    debug_assert!(!heap.in_gc, "GC slice inside a collection");
+    heap.in_gc = true;
+    let clock = heap.clock.clone();
+    let slice_start = clock.total_ns();
+    if cyc.shape.interleaved {
+        clock.emit(EventKind::SliceBegin { phase: cyc.cur_gc_phase });
+    }
+    cyc.seg_start_ns = slice_start;
+    // Aim slightly inside the budget: a phase-transition step can chain a
+    // second unit and the flush estimate is a lower bound, so slices stop at
+    // 7/8 of the budget to keep the overshoot tail within it.
+    let target_ns = budget_ns - budget_ns / 8;
+    let mut units: u64 = 0;
+    let mut max_unit_ns: u64 = 0;
+    while !cyc.done && !cyc.aborted {
+        if units > 0 {
+            let projected = (clock.total_ns() - slice_start)
+                .saturating_add(cyc.sched.pending_ns())
+                .saturating_add(max_unit_ns)
+                .saturating_add(cyc.flush_estimate_ns(heap));
+            if projected > target_ns {
+                break;
+            }
+        }
+        let before = clock.total_ns() + cyc.sched.pending_ns();
+        step(heap, &mut cyc);
+        units += 1;
+        let after = clock.total_ns() + cyc.sched.pending_ns();
+        max_unit_ns = max_unit_ns.max(after.saturating_sub(before));
+    }
+    if !cyc.aborted {
+        // The end of a cycle is a promotion durability point whatever this
+        // slice staged (pretenured allocations share the buffers).
+        if cyc.reloc.staged_words > 0 || cyc.done {
+            if let Some(h2) = heap.h2.as_mut() {
+                h2.finish_promotion(Category::MajorGc);
+            }
+            cyc.reloc.staged_words = 0;
+        }
+        heap.stats.lane_stall_ns += cyc.sched.barrier(&clock, Category::MajorGc, "major:slice");
+        add_phase_ns(heap, cyc.cur_gc_phase, clock.total_ns() - cyc.seg_start_ns);
+    }
+    cyc.gc_ns += clock.total_ns() - slice_start;
+    if cyc.done {
+        clock.emit(EventKind::PhaseEnd { phase: GcPhase::Compact });
+        heap.stats.major_count += 1;
+        heap.stats.major_ns += cyc.gc_ns;
+        let h2_words_after = heap.h2.as_ref().map_or(0, |h| h.words_promoted());
+        clock.emit(EventKind::GcEnd {
+            gc: GcKind::Major,
+            old_used_words: heap.old.used_words() as u64,
+            old_capacity_words: heap.old.capacity_words() as u64,
+            promoted_h2_words: h2_words_after - cyc.h2_words_before,
+        });
+    }
+    if cyc.shape.interleaved {
+        heap.stats.incr_slices += 1;
+        clock.emit(EventKind::SliceEnd { phase: cyc.cur_gc_phase, units });
+    }
+    heap.in_gc = false;
+    if cyc.aborted {
+        // Mark bits are still set: the heap is not checkable (nor usable).
+        return;
+    }
+    if !cyc.done {
+        cyc.last_slice_end_ns = clock.total_ns();
+        heap.cycle = Some(cyc);
+    }
+    heap.maybe_heap_check("after major GC slice");
+}
+
+/// Executes one work unit (or a zero-cost phase transition followed by its
+/// first unit) of the cycle.
+fn step(heap: &mut Heap, cyc: &mut MajorCycle) {
+    match cyc.phase {
+        Phase::MarkRoots => step_mark_roots(heap, cyc),
+        Phase::MarkCards => step_mark_cards(heap, cyc),
+        Phase::MarkDrain => step_mark_drain(heap, cyc),
+        Phase::Select => step_select(heap, cyc),
+        Phase::Plan => step_plan(heap, cyc),
+        Phase::Relocate => step_relocate(heap, cyc),
+    }
+}
+
+/// Dispatches one unit of `kind`, runs `body` with its work counters and
+/// retires it at the counters' CPU cost plus their flat extra ns. Units go
+/// to the least-loaded lane, except that a unit of a serial dependency
+/// `chain` stays on lane 0 when the chain is chunked.
+fn run_unit<R>(
+    heap: &mut Heap,
+    cyc: &mut MajorCycle,
+    kind: WorkUnitKind,
+    chain: bool,
+    body: impl FnOnce(&mut Heap, &mut MajorCycle, &mut Work) -> R,
+) -> R {
+    let clock = heap.clock.clone();
+    let lane = if chain && cyc.shape.interleaved {
+        cyc.sched.begin_serial_unit(&clock, kind)
     } else {
-        Vec::new()
+        cyc.sched.begin_unit(&clock, kind)
     };
+    let mut uw = Work::default();
+    let out = body(heap, cyc, &mut uw);
+    cyc.sched.end_unit(&clock, lane, kind, uw.cpu_ns(&heap.config.cost), uw.extra_ns);
+    out
+}
 
-    // Optional uncharged statistics pass for Figure 10 (live objects per
-    // H2 region), before dead regions are swept.
-    if heap.track_h2_liveness && heap.h2.is_some() {
-        record_h2_liveness(heap);
+/// Closes the current phase segment: settles the phase ns, emits the
+/// `PhaseEnd`/`PhaseBegin` pair and restarts segment accounting. Callers
+/// fire the scheduler barrier first so pending lane charges land in the
+/// outgoing phase.
+fn roll_to(heap: &mut Heap, cyc: &mut MajorCycle, next: GcPhase) {
+    let now = heap.clock.total_ns();
+    add_phase_ns(heap, cyc.cur_gc_phase, now - cyc.seg_start_ns);
+    heap.clock.emit(EventKind::PhaseEnd { phase: cyc.cur_gc_phase });
+    heap.clock.emit(EventKind::PhaseBegin { phase: next });
+    cyc.cur_gc_phase = next;
+    cyc.seg_start_ns = now;
+}
+
+fn add_phase_ns(heap: &mut Heap, phase: GcPhase, ns: u64) {
+    let phases = &mut heap.stats.phases;
+    match phase {
+        GcPhase::Mark => phases.marking_ns += ns,
+        GcPhase::Precompact => phases.precompact_ns += ns,
+        GcPhase::Adjust => phases.adjust_ns += ns,
+        GcPhase::Compact => phases.compact_ns += ns,
     }
+}
 
-    // Task 5: free dead H2 regions (lazy bulk reclamation).
+// ----- marking -----------------------------------------------------------------
+
+fn step_mark_roots(heap: &mut Heap, cyc: &mut MajorCycle) {
+    let from = cyc.mark.roots_cursor;
+    if from >= cyc.mark.roots_len {
+        cyc.phase = Phase::MarkCards;
+        return step_mark_cards(heap, cyc);
+    }
+    let to = (from + ROOT_STRIP).min(cyc.mark.roots_len);
+    run_unit(heap, cyc, WorkUnitKind::RootStrip, false, |heap, cyc, uw| {
+        units::root_strip(heap, cyc, from..to, uw)
+    });
+    cyc.mark.roots_cursor = to;
+    if to >= cyc.mark.roots_len {
+        cyc.phase = Phase::MarkCards;
+    }
+}
+
+fn step_mark_cards(heap: &mut Heap, cyc: &mut MajorCycle) {
+    if !cyc.mark.cards_snapped {
+        cyc.mark.cards_snapped = true;
+        if let Some(h2) = heap.h2.as_mut() {
+            cyc.mark.cards = h2.cards_mut().major_scan_cards();
+            let cards = cyc.mark.cards.len() as u64;
+            heap.clock.emit(EventKind::CardScan { table: CardTableKind::H2Major, cards });
+            for &card in &cyc.mark.cards {
+                cyc.sched.expect(DOM_H2_CARD | card as u64);
+            }
+        }
+    }
+    let from = cyc.mark.cards_cursor;
+    if from >= cyc.mark.cards.len() {
+        cyc.phase = Phase::MarkDrain;
+        return step_mark_drain(heap, cyc);
+    }
+    let to = (from + H2_CARD_CHUNK).min(cyc.mark.cards.len());
+    run_unit(heap, cyc, WorkUnitKind::H2CardChunk, false, |heap, cyc, uw| {
+        units::h2_card_chunk(heap, cyc, from..to, uw)
+    });
+    cyc.mark.cards_cursor = to;
+    if to >= cyc.mark.cards.len() {
+        cyc.phase = Phase::MarkDrain;
+    }
+}
+
+fn step_mark_drain(heap: &mut Heap, cyc: &mut MajorCycle) {
+    if cyc.mark.stack.is_empty() && cyc.mutator.remembered.is_empty() {
+        return mark_terminate(heap, cyc);
+    }
+    run_unit(heap, cyc, WorkUnitKind::GrayPacket, false, units::gray_packet);
+}
+
+/// Mark termination: the SATB closure is complete (gray stack and
+/// remembered set both empty with no mutator in between), so candidate
+/// selection can begin.
+fn mark_terminate(heap: &mut Heap, cyc: &mut MajorCycle) {
+    cyc.phase = Phase::Select;
+    // A hint landing after this point applies to a later GC, so retirement
+    // clears only the requests selection could see.
+    if let Some(h2) = heap.h2.as_ref() {
+        cyc.plan.req_snapshot.extend(h2.policy().requested_labels());
+    }
+    // A chain run whole is charged as one unit even when nothing is tagged.
+    let whole = !cyc.shape.interleaved;
+    cyc.plan.sel = units::begin_select(heap, cyc.mark.live_words, &cyc.mark.live)
+        .filter(|sel| whole || !sel.is_idle());
+    step_select(heap, cyc)
+}
+
+/// Marking task 4: the transitive closures of tagged roots become H2
+/// candidates, [`Shape::chain_chunk`] objects per unit.
+fn step_select(heap: &mut Heap, cyc: &mut MajorCycle) {
+    let Some(mut sel) = cyc.plan.sel.take() else {
+        return finish_select(heap, cyc);
+    };
+    let chunk = cyc.shape.chain_chunk;
+    let exhausted = run_unit(heap, cyc, WorkUnitKind::CandidateSelect, true, |heap, cyc, uw| {
+        units::select_chunk(heap, &mut sel, &mut cyc.plan.move_order, chunk, uw)
+    });
+    if !exhausted {
+        cyc.plan.sel = Some(sel);
+    }
+}
+
+/// The end of marking, once selection has drained: the Figure 10 liveness
+/// statistics, marking task 5 (free dead H2 regions — lazy bulk
+/// reclamation), the mark barrier, and freezing the live set into the
+/// relocation enumeration.
+fn finish_select(heap: &mut Heap, cyc: &mut MajorCycle) {
     if heap.h2.is_some() {
+        if heap.track_h2_liveness {
+            units::record_h2_liveness(heap);
+        }
         heap.propagate_site_groups();
         let freed = heap.h2.as_mut().unwrap().propagate_and_sweep();
         for rid in &freed {
             heap.h2_starts.remove(&rid.0);
-            clear_region_cards(heap, rid.0);
+            units::clear_region_cards(heap, rid.0);
         }
     }
-
-    heap.stats.lane_stall_ns += sched.barrier(&clock, Category::MajorGc, "major:mark");
-    heap.stats.phases.marking_ns += heap.clock.total_ns() - phase_start;
-    heap.clock.emit(EventKind::PhaseEnd { phase: GcPhase::Mark });
-
-    // ---------------- Phase 2: pre-compaction -----------------------------
-    let phase_start = heap.clock.total_ns();
-    heap.clock.emit(EventKind::PhaseBegin { phase: GcPhase::Precompact });
-    sched.set_milli(1000);
-    let old_base = heap.old.base().raw();
-    let mut old_live: Vec<u64> = live.iter().copied().filter(|&a| a >= old_base).collect();
-    let mut young_live: Vec<u64> = live.iter().copied().filter(|&a| a < old_base).collect();
-    old_live.sort_unstable();
-    young_live.sort_unstable();
-    // Coverage domain for this phase and the two that follow: every live
-    // object is planned, adjusted, and compacted by exactly one unit. The
-    // barrier clears the audit state, so each phase re-declares it.
-    for &src in old_live.iter().chain(young_live.iter()) {
-        sched.expect(DOM_OBJECT | src);
-    }
-
-    let mut forwarding =
+    let clock = heap.clock.clone();
+    heap.stats.lane_stall_ns += cyc.sched.barrier(&clock, Category::MajorGc, "major:mark");
+    roll_to(heap, cyc, GcPhase::Precompact);
+    cyc.sched.set_milli(1000);
+    // The enumeration order (old-then-young, sorted) is both the planning
+    // and the relocation order, and the flip point pins which eden
+    // allocations stay put.
+    let (plan, live) = (&mut cyc.plan, &cyc.mark.live);
+    plan.old_live = live.iter().copied().filter(|&a| a >= plan.old_base).collect();
+    plan.young_live = live.iter().copied().filter(|&a| a < plan.old_base).collect();
+    plan.old_live.sort_unstable();
+    plan.young_live.sort_unstable();
+    plan.flip_top = heap.eden.top().raw();
+    plan.forwarding =
         ForwardTable::recycled(std::mem::take(&mut heap.fwd_scratch), heap.mem.len(), live.len());
-    let mut new_top = old_base;
-    let mut new_old_starts: Vec<u64> = Vec::new();
-    // Per-G1-region live words in the old generation, for the mixed-
-    // collection cost model.
-    let mut g1_region_live: HashMap<u64, u64> = HashMap::new();
+    plan.new_top = plan.old_base;
+    cyc.expect_live();
+    cyc.phase = Phase::Plan;
+}
 
-    // H2 address assignment in closure-discovery order: each root
-    // key-object's transitive closure lands contiguously in its label's
-    // regions, preserving the framework's access locality on the device.
-    // One serial unit: the assignment order is a cross-object dependency
-    // chain (region bump allocation), so it cannot be striped.
-    let fault_txn = heap
-        .h2
-        .as_ref()
-        .is_some_and(|h| h.fault_plane().is_some() && !move_order.is_empty());
-    if !move_order.is_empty() {
-        let lane = sched.begin_unit(&clock, WorkUnitKind::H2Assign);
-        let mut uw = Work::default();
-        if fault_txn {
-            // With a fault plane armed, an alloc can fail mid-cycle (injected
-            // ENOSPC). Promotion is then a transaction: stage every assignment
-            // first, and on any failure restore the region allocator and keep
-            // the whole candidate set in H1 — a half-promoted closure would
-            // split a key-object group across heaps with its region accounting
-            // already advanced.
-            let snap = heap.h2.as_ref().unwrap().regions().snapshot();
-            let mut staged: Vec<(u64, u64)> = Vec::with_capacity(move_order.len());
-            let mut failed = false;
-            for &src in &move_order {
-                let header = heap.mem[src as usize];
-                if !object::is_candidate(header) {
-                    continue;
-                }
-                let size = object::size_of(header);
-                let label = Label::new(heap.mem[src as usize + 1]);
-                uw.objects += 1;
-                match heap.h2.as_mut().unwrap().alloc(label, size) {
-                    Ok(dest) => staged.push((src, dest.raw())),
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            if failed {
-                heap.h2.as_mut().unwrap().regions_mut().restore(snap);
-                for &src in &move_order {
-                    let header = heap.mem[src as usize];
-                    heap.mem[src as usize] = object::without_candidate(header);
-                }
-            } else {
-                for (src, dest) in staged {
-                    forwarding.push(src, dest);
-                }
-            }
-        } else {
-            for &src in &move_order {
-                let header = heap.mem[src as usize];
-                if !object::is_candidate(header) {
-                    continue;
-                }
-                let size = object::size_of(header);
-                let label = Label::new(heap.mem[src as usize + 1]);
-                uw.objects += 1;
-                match heap.h2.as_mut().expect("candidate without H2").alloc(label, size) {
-                    Ok(dest) => {
-                        forwarding.push(src, dest.raw());
-                    }
-                    Err(_) => {
-                        // H2 full: the object stays in H1 this cycle.
-                        heap.mem[src as usize] = object::without_candidate(header);
-                    }
-                }
-            }
+// ----- pre-compaction ----------------------------------------------------------
+
+fn step_plan(heap: &mut Heap, cyc: &mut MajorCycle) {
+    let (from, len) = (cyc.plan.assign_idx, cyc.plan.move_order.len());
+    if from < len {
+        if heap.h2.as_ref().is_some_and(|h| h.fault_plane().is_some()) {
+            cyc.plan.assign_idx = len;
+            return run_unit(heap, cyc, WorkUnitKind::H2Assign, true, units::h2_assign_txn);
         }
-        // Pre-compaction historically charges CPU only (no extra_ns).
-        let cost = uw.cpu_ns(&heap.config.cost);
-        sched.end_unit(&clock, lane, WorkUnitKind::H2Assign, cost, 0);
+        let to = from.saturating_add(cyc.shape.chain_chunk).min(len);
+        cyc.plan.assign_idx = to;
+        return run_unit(heap, cyc, WorkUnitKind::H2Assign, true, |heap, cyc, uw| {
+            units::h2_assign_chunk(heap, cyc, from..to, uw)
+        });
     }
-    let total_live = old_live.len() + young_live.len();
-    let mut lane = 0;
+    let from = cyc.plan.plan_idx;
+    if from >= cyc.live_count() {
+        return flip(heap, cyc);
+    }
+    let to = (from + OBJECT_CHUNK).min(cyc.live_count());
+    let clock = heap.clock.clone();
+    let lane = cyc.sched.begin_unit(&clock, WorkUnitKind::PlanChunk);
     let mut uw = Work::default();
-    for (idx, &src) in old_live.iter().chain(young_live.iter()).enumerate() {
-        if idx % OBJECT_CHUNK == 0 {
-            lane = sched.begin_unit(&clock, WorkUnitKind::PlanChunk);
-            uw = Work::default();
-        }
-        sched.claim(DOM_OBJECT | src);
-        let addr = Addr::new(src);
-        let header = heap.mem[src as usize];
-        // Candidates were already assigned to H2 above (an H2-alloc failure
-        // would have cleared the candidate bit).
-        if !object::is_candidate(header) {
-            let size = object::size_of(header);
-            uw.objects += 1;
-            if let GcVariant::G1 { region_words } = heap.config.variant {
-                if addr.raw() >= old_base {
-                    *g1_region_live
-                        .entry((src - old_base) / region_words as u64)
-                        .or_insert(0) += size as u64;
-                }
-            }
-            let footprint = heap.g1_footprint(size);
-            if new_top + footprint as u64 > heap.old.limit().raw() {
-                heap.in_gc = false;
-                let placed = new_top - old_base;
-                // The aborted phase charges nothing, exactly like the
-                // monolithic code which returned before its phase charge.
-                sched.abandon();
-                heap.clock.emit(EventKind::PhaseEnd { phase: GcPhase::Precompact });
-                return Err(heap.note_oom(OomError {
-                    requested_words: size,
-                    context: format!(
-                        "live data exceeds the old generation: {} live objects, \
-                         {placed} words placed of {} capacity (old live {}, young live {})",
-                        total_live,
-                        heap.old.capacity_words(),
-                        old_live.len(),
-                        young_live.len()
-                    ),
-                }));
-            }
-            if footprint > size {
-                heap.stats.g1_humongous_waste_words += (footprint - size) as u64;
-            }
-            forwarding.push(src, new_top);
-            new_old_starts.push(new_top);
-            new_top += footprint as u64;
-        }
-        if idx % OBJECT_CHUNK == OBJECT_CHUNK - 1 || idx == total_live - 1 {
-            let cost = uw.cpu_ns(&heap.config.cost);
-            sched.end_unit(&clock, lane, WorkUnitKind::PlanChunk, cost, 0);
-        }
+    if let Err(e) = units::plan_chunk(heap, cyc, from..to, &mut uw) {
+        // The aborted phase charges nothing.
+        cyc.sched.abandon();
+        clock.emit(EventKind::PhaseEnd { phase: GcPhase::Precompact });
+        heap.pending_oom = Some(heap.note_oom(e));
+        cyc.aborted = true;
+        return;
     }
-    // The G1 mixed-collection fraction: live data in the regions a
-    // garbage-first policy would actually collect, over total live data.
-    let g1_fraction_milli = g1_moved_fraction_milli(heap, &g1_region_live, new_top - old_base);
-    heap.stats.lane_stall_ns += sched.barrier(&clock, Category::MajorGc, "major:precompact");
-    heap.stats.phases.precompact_ns += heap.clock.total_ns() - phase_start;
-    heap.clock.emit(EventKind::PhaseEnd { phase: GcPhase::Precompact });
+    cyc.plan.plan_idx = to;
+    cyc.sched.end_unit(&clock, lane, WorkUnitKind::PlanChunk, uw.cpu_ns(&heap.config.cost), 0);
+}
 
-    // ---------------- Phase 3: pointer adjustment -------------------------
-    let phase_start = heap.clock.total_ns();
-    heap.clock.emit(EventKind::PhaseBegin { phase: GcPhase::Adjust });
-    // Mixed-collection discount: G1 only adjusts the regions it moves.
-    sched.set_milli(g1_fraction_milli);
-    for &src in old_live.iter().chain(young_live.iter()) {
-        sched.expect(DOM_OBJECT | src);
-    }
+// ----- pointer adjustment and compaction ---------------------------------------
 
-    // Re-derive the states of the H2 cards scanned during marking: after
-    // this GC every H1 object is in the old generation.
-    for &(card, has_backward) in &scanned_cards {
-        let state = if has_backward { CardState::OldGen } else { CardState::Clean };
-        heap.h2.as_mut().unwrap().cards_mut().set_state(card, state);
-    }
-
-    let mut lane = 0;
+/// One unit of the tail over enumeration ranks `from..to`: pointer
+/// adjustment, the copy, or both fused. H1 copies and slot rewrites carry
+/// the phase's mixed-collection discount (scaled); H2 promotion copies and
+/// NVM penalties are always paid in full (flat).
+fn tail_unit(
+    heap: &mut Heap,
+    cyc: &mut MajorCycle,
+    kind: WorkUnitKind,
+    from: usize,
+    to: usize,
+    adjust: bool,
+    copy: bool,
+) {
+    let clock = heap.clock.clone();
+    let lane = cyc.sched.begin_unit(&clock, kind);
     let mut uw = Work::default();
-    for (idx, &src) in old_live.iter().chain(young_live.iter()).enumerate() {
-        if idx % OBJECT_CHUNK == 0 {
-            lane = sched.begin_unit(&clock, WorkUnitKind::AdjustChunk);
-            uw = Work::default();
+    let mut h1_words: u64 = 0;
+    for idx in from..to {
+        let src = cyc.enum_at(idx);
+        cyc.sched.claim(DOM_OBJECT | src);
+        let dest = cyc.plan.forwarding.at(src);
+        if adjust {
+            units::adjust_object(heap, cyc, src, dest, &mut uw);
         }
-        sched.claim(DOM_OBJECT | src);
-        let dest = forwarding.at(src);
-        let dest_addr = Addr::new(dest);
-        let dest_is_h2 = dest_addr.is_h2();
-        let (first_slot, end_slot) = heap.ref_slot_range(Addr::new(src));
-        for s in first_slot..end_slot {
-            let slot = Addr::new(s);
-            let val = heap.mem[slot.raw() as usize];
-            if val == 0 {
-                continue;
-            }
-            uw.adjusted_refs += 1;
-            uw.extra_ns += heap.h1_word_extra_ns(slot);
-            let new_val = if Addr::new(val).is_h2() {
-                val // H2 objects never move
-            } else {
-                forwarding.get(val).unwrap_or(val)
-            };
-            heap.mem[slot.raw() as usize] = new_val;
-            if dest_is_h2 {
-                let new_target = Addr::new(new_val);
-                let slot_off = slot.raw() - src;
-                if new_target.is_h1() {
-                    // Newly created backward reference: dirty the H2 card of
-                    // the object's future location (§4).
-                    let h2 = heap.h2.as_mut().unwrap();
-                    h2.cards_mut().mark_dirty(Addr::new(dest + slot_off));
-                } else if new_target.is_h2() {
-                    // Newly created cross-region reference: record the
-                    // directional dependency (§4).
-                    let h2 = heap.h2.as_mut().unwrap();
-                    let from = h2.regions().region_of(dest_addr);
-                    let to = h2.regions().region_of(new_target);
-                    if from != to {
-                        h2.regions_mut().add_dependency(from, to);
-                    }
-                }
-            }
-        }
-        if idx % OBJECT_CHUNK == OBJECT_CHUNK - 1 || idx == total_live - 1 {
-            let cost = uw.cpu_ns(&heap.config.cost);
-            sched.end_unit(&clock, lane, WorkUnitKind::AdjustChunk, cost, uw.extra_ns);
+        if copy {
+            units::move_object(heap, cyc, src, dest, &mut uw, &mut h1_words);
         }
     }
-    // Roots (uncosted in the phase model: a handful of slot rewrites).
-    for i in 0..heap.roots.len() {
-        let a = heap.roots[i];
-        if a.is_h1() {
-            if let Some(d) = forwarding.get(a.raw()) {
-                heap.roots[i] = Addr::new(d);
-            }
-        }
-    }
-    // Backward references found during marking: point them at the new H1
-    // locations (device writes, charged to major GC).
-    for chunk in backward_slots.chunks(GRAY_PACKET) {
-        let lane = sched.begin_unit(&clock, WorkUnitKind::BackwardFix);
-        let mut uw = Work::default();
-        for &slot in chunk {
-            let val = heap.h2.as_ref().unwrap().read_word_free(slot);
-            if val == 0 || Addr::new(val).is_h2() {
-                continue;
-            }
-            let new_val = forwarding.get(val).unwrap_or(val);
-            if new_val != val {
-                heap.h2.as_mut().unwrap().write_word(slot, new_val, Category::MajorGc);
-            }
-            uw.adjusted_refs += 1;
-        }
-        let cost = uw.cpu_ns(&heap.config.cost);
-        sched.end_unit(&clock, lane, WorkUnitKind::BackwardFix, cost, uw.extra_ns);
-    }
-    heap.stats.lane_stall_ns += sched.barrier(&clock, Category::MajorGc, "major:adjust");
-    heap.stats.phases.adjust_ns += heap.clock.total_ns() - phase_start;
-    heap.clock.emit(EventKind::PhaseEnd { phase: GcPhase::Adjust });
+    let cost = &heap.config.cost;
+    let scaled = h1_words * cost.gc_copy_word_ns + uw.adjusted_refs * cost.gc_adjust_ref_ns;
+    let flat = (uw.copied_words - h1_words) * cost.gc_copy_word_ns + uw.extra_ns;
+    cyc.sched.end_unit(&clock, lane, kind, scaled, flat);
+}
 
-    // ---------------- Phase 4: compaction ---------------------------------
-    let phase_start = heap.clock.total_ns();
-    heap.clock.emit(EventKind::PhaseBegin { phase: GcPhase::Compact });
-    // H1 copies carry the mixed-collection discount (scaled); H2 promotion
-    // copies are always paid in full (flat).
-    sched.set_milli(g1_fraction_milli);
-    for &src in old_live.iter().chain(young_live.iter()) {
-        sched.expect(DOM_OBJECT | src);
-    }
-    // Deferred-copy arena: one growable buffer instead of a `Vec<u64>`
-    // allocation per stashed object.
-    let mut stash_words: Vec<u64> = Vec::new();
-    let mut stash_meta: Vec<(u64, usize, usize)> = Vec::new(); // (dest, offset, len)
-    let mut promoted_regions: Vec<u32> = Vec::new();
-    let mut lane = 0;
-    let mut uw = Work::default();
-    let mut unit_h1_words: u64 = 0;
-    for (idx, &src) in old_live.iter().chain(young_live.iter()).enumerate() {
-        if idx % OBJECT_CHUNK == 0 {
-            lane = sched.begin_unit(&clock, WorkUnitKind::CompactChunk);
-            uw = Work::default();
-            unit_h1_words = 0;
+/// The flip: one atomic step between planning and relocation (it may exceed
+/// the budget; with a fused tail it is a few backward-fix chunks). After it
+/// every mutator-held address is logical and all card state is consistent
+/// with the post-compaction world, except for objects a fused tail has yet
+/// to adjust and move.
+fn flip(heap: &mut Heap, cyc: &mut MajorCycle) {
+    let clock = heap.clock.clone();
+    heap.stats.lane_stall_ns += cyc.sched.barrier(&clock, Category::MajorGc, "major:precompact");
+    roll_to(heap, cyc, GcPhase::Adjust);
+    // Mixed-collection discount: G1 only adjusts and copies the regions it
+    // collects.
+    let placed = cyc.plan.new_top - cyc.plan.old_base;
+    cyc.sched.set_milli(units::g1_moved_fraction_milli(heap, &cyc.plan.g1_region_live, placed));
+    // Re-derive the states of the H2 cards scanned during marking (after
+    // this GC every H1 survivor is in the old generation), then re-mark
+    // everything the mutator dirtied mid-cycle on top.
+    if let Some(h2) = heap.h2.as_mut() {
+        for &(card, has_backward) in &cyc.mark.scanned_cards {
+            let state = if has_backward { CardState::OldGen } else { CardState::Clean };
+            h2.cards_mut().set_state(card, state);
         }
-        sched.claim(DOM_OBJECT | src);
-        let dest = forwarding.at(src);
-        let size = object::size_of(heap.mem[src as usize]);
-        // Clear GC bits in the header before the object reaches its new home.
-        heap.mem[src as usize] =
-            object::without_candidate(object::without_mark(heap.mem[src as usize]));
-        uw.copied_words += size as u64;
-        let (src_i, src_end) = (src as usize, src as usize + size);
-        if Addr::new(dest).is_h2() {
-            // Split-field borrow: stream the object out of `mem` straight
-            // into the promotion buffer, no intermediate copy.
-            let region = {
-                let Heap { mem, h2, .. } = &mut *heap;
-                let h2 = h2.as_mut().unwrap();
-                h2.write_promoted(Addr::new(dest), &mem[src_i..src_end], Category::MajorGc);
-                h2.regions().region_of(Addr::new(dest))
-            };
-            heap.h2_starts.entry(region.0).or_default().push(dest);
-            if promoted_regions.last() != Some(&region.0) {
-                promoted_regions.push(region.0);
+        for &slot in &cyc.mutator.h2_dirty {
+            h2.cards_mut().mark_dirty(slot);
+        }
+    }
+    let total = cyc.live_count();
+    if !cyc.shape.interleaved {
+        cyc.expect_live();
+        for from in (0..total).step_by(cyc.shape.tail_chunk) {
+            let to = (from + cyc.shape.tail_chunk).min(total);
+            tail_unit(heap, cyc, WorkUnitKind::AdjustChunk, from, to, true, false);
+        }
+    }
+    // Backward fixes over the scanned slots plus the mutator's additions.
+    // Dedup: a slot both scanned and re-written must be adjusted exactly
+    // once (a second pass could misread an already-forwarded value as a
+    // source address).
+    let (scanned, extra) = (&cyc.mark.backward_slots, &cyc.mutator.extra_backward);
+    let mut slots: Vec<u64> = scanned.iter().chain(extra).map(|a| a.raw()).collect();
+    slots.sort_unstable();
+    slots.dedup();
+    for chunk in slots.chunks(GRAY_PACKET) {
+        run_unit(heap, cyc, WorkUnitKind::BackwardFix, false, |heap, cyc, uw| {
+            units::backward_fix(heap, cyc, chunk, uw)
+        });
+    }
+    // Roots — including handles created mid-cycle — become logical
+    // (uncosted: a handful of slot rewrites).
+    for root in heap.roots.iter_mut().filter(|a| a.is_h1()) {
+        if let Some(d) = cyc.plan.forwarding.get(root.raw()) {
+            *root = Addr::new(d);
+        }
+    }
+    // Plan-window allocations stay put but may hold pre-compaction values.
+    if !cyc.mutator.plan_late.is_empty() {
+        run_unit(heap, cyc, WorkUnitKind::AdjustChunk, false, |heap, cyc, uw| {
+            for &obj in &cyc.mutator.plan_late {
+                units::adjust_object(heap, cyc, obj, obj, uw);
             }
-            heap.stats.objects_promoted_h2 += 1;
-            if heap.lifetimes.is_enabled() {
-                let label_word = heap.mem[src_i + 1];
-                if label_word != 0 {
-                    let label = teraheap_core::Label::new(label_word);
-                    heap.lifetimes.record_promotion(label, size as u64);
-                    heap.note_site_region(label, region.0);
-                }
-            }
-        } else if dest <= src {
-            heap.mem.copy_within(src_i..src_end, dest as usize);
-            unit_h1_words += size as u64;
-            uw.extra_ns += heap.h1_word_extra_ns(Addr::new(dest)) * size as u64;
-        } else {
-            // G1 humongous rounding can push a destination past its source;
-            // buffer such copies until every source has been read.
-            let off = stash_words.len();
-            stash_words.extend_from_slice(&heap.mem[src_i..src_end]);
-            stash_meta.push((dest, off, size));
-            unit_h1_words += size as u64;
-        }
-        if idx % OBJECT_CHUNK == OBJECT_CHUNK - 1 || idx == total_live - 1 {
-            let copy_ns = heap.config.cost.gc_copy_word_ns;
-            let h1_cpu = unit_h1_words * copy_ns;
-            let h2_cpu = (uw.copied_words - unit_h1_words) * copy_ns;
-            sched.end_unit(&clock, lane, WorkUnitKind::CompactChunk, h1_cpu, h2_cpu + uw.extra_ns);
-        }
+        });
     }
-    for (dest, off, len) in stash_meta {
-        heap.mem[dest as usize..dest as usize + len]
-            .copy_from_slice(&stash_words[off..off + len]);
+    // H1 cards restart from empty: a fused tail re-derives old→young (young
+    // = eden allocated since the live set froze) cards at each destination,
+    // and the mutator barrier keeps marking physically during relocation.
+    heap.h1_cards.clear_all();
+    if cyc.shape.interleaved {
+        cyc.reloc.dest_index = (0..total)
+            .map(|i| cyc.enum_at(i))
+            .map(|src| (cyc.plan.forwarding.at(src), src))
+            .collect();
+        cyc.reloc.dest_index.sort_unstable();
     }
-    heap.fwd_scratch = forwarding.reset();
-    // The compaction loop above visits sources in H1 address order, but H2
-    // destinations were assigned in closure-discovery order (phase 2), so the
-    // per-region start lists are appended out of address order. Card scans
-    // binary-search these lists (`first_overlapping`), which silently misses
-    // objects on unsorted input — restore the sort invariant here.
-    promoted_regions.sort_unstable();
-    promoted_regions.dedup();
-    for rid in promoted_regions {
-        if let Some(starts) = heap.h2_starts.get_mut(&rid) {
+    heap.stats.lane_stall_ns += cyc.sched.barrier(&clock, Category::MajorGc, "major:adjust");
+    roll_to(heap, cyc, GcPhase::Compact);
+    cyc.expect_live();
+    cyc.phase = Phase::Relocate;
+}
+
+fn step_relocate(heap: &mut Heap, cyc: &mut MajorCycle) {
+    let from = cyc.reloc.idx;
+    if from >= cyc.live_count() {
+        return retire(heap, cyc);
+    }
+    let to = (from + cyc.shape.tail_chunk).min(cyc.live_count());
+    tail_unit(heap, cyc, WorkUnitKind::CompactChunk, from, to, cyc.shape.interleaved, true);
+    cyc.reloc.idx = to;
+}
+
+/// Retires the cycle: restore the start indexes, reset spaces, update the
+/// transfer policy's pressure state from what is left in H1 (§3.2). The
+/// final promotion flush, barrier and `GcEnd` happen in the [`run_slice`]
+/// epilogue.
+fn retire(heap: &mut Heap, cyc: &mut MajorCycle) {
+    cyc.reloc.stash.flush(&mut heap.mem);
+    // Sources are visited in H1 address order, but H2 destinations were
+    // assigned in closure-discovery order, so the per-region start lists
+    // were appended out of address order. Card scans binary-search these
+    // lists, which silently misses objects on unsorted input — restore the
+    // sort invariant here.
+    cyc.reloc.promoted_regions.sort_unstable();
+    cyc.reloc.promoted_regions.dedup();
+    for rid in &cyc.reloc.promoted_regions {
+        if let Some(starts) = heap.h2_starts.get_mut(rid) {
             starts.sort_unstable();
         }
     }
-    if let Some(h2) = heap.h2.as_mut() {
-        h2.finish_promotion(Category::MajorGc);
+    heap.fwd_scratch = std::mem::take(&mut cyc.plan.forwarding).reset();
+    heap.old.set_top(Addr::new(cyc.plan.new_top));
+    heap.old_starts = std::mem::take(&mut cyc.plan.new_old_starts);
+    if cyc.shape.interleaved {
+        // Deadwood: objects in the relocated prefix keep their headers — the
+        // linear eden walk stays parsable — but their reference slots are
+        // nulled: dead objects' slots still hold pre-compaction addresses,
+        // and copied-out sources are garbage.
+        let mut a = heap.eden.base().raw();
+        while a < cyc.plan.flip_top {
+            let (first, end) = heap.ref_slot_range(Addr::new(a));
+            a += object::size_of(heap.mem[a as usize]) as u64;
+            heap.mem[first as usize..end as usize].fill(0);
+        }
+    } else {
+        heap.eden.reset();
     }
-    heap.old.set_top(Addr::new(new_top));
-    heap.eden.reset();
     heap.from.reset();
     heap.to.reset();
-    heap.old_starts = new_old_starts;
-    heap.h1_cards.clear_all();
-
-    heap.stats.lane_stall_ns += sched.barrier(&clock, Category::MajorGc, "major:compact");
-    heap.stats.phases.compact_ns += heap.clock.total_ns() - phase_start;
-    heap.clock.emit(EventKind::PhaseEnd { phase: GcPhase::Compact });
-
-    // End-of-GC: update the transfer policy's pressure state from what is
-    // left in H1 (§3.2).
-    let live_h1_after = (new_top - old_base) as usize;
     if let Some(h2) = heap.h2.as_mut() {
-        h2.policy_mut()
-            .note_major_gc_end(live_h1_after as u64, heap.old.capacity_words() as u64);
+        h2.policy_mut().note_major_gc_end_satisfying(
+            cyc.plan.new_top - cyc.plan.old_base,
+            heap.old.capacity_words() as u64,
+            &cyc.plan.req_snapshot,
+        );
     }
-
-    let duration = heap.clock.total_ns() - start_ns;
-    heap.stats.major_count += 1;
-    heap.stats.major_ns += duration;
-    let h2_words_after = heap.h2.as_ref().map(|h| h.words_promoted()).unwrap_or(0);
-    heap.clock.emit(EventKind::GcEnd {
-        gc: GcKind::Major,
-        old_used_words: heap.old.used_words() as u64,
-        old_capacity_words: heap.old.capacity_words() as u64,
-        promoted_h2_words: h2_words_after - h2_words_before,
-    });
-    heap.in_gc = false;
-    heap.maybe_heap_check("after major GC");
-    Ok(())
-}
-
-/// The compaction forwarding table: `src → dest` for every live object.
-///
-/// Hit once per reference slot during pointer adjustment and once per object
-/// during compaction, this went `HashMap<u64, u64>` → sorted vec + binary
-/// search → (now) a dense direct-mapped array indexed by the H1 source
-/// address: one bounds-checked load per lookup, no hashing and no
-/// `log(live)` probe. The array spans the whole H1 word range, so it is
-/// recycled across collections through `Heap::fwd_scratch` (zeroed lazily by
-/// [`ForwardTable::reset`], which only touches the entries this GC set)
-/// instead of being reallocated and memset every major GC. Entries store
-/// `dest + 1` so 0 means "not forwarded"; H2 destinations (`1 << 40` and up)
-/// cannot overflow the +1.
-pub(super) struct ForwardTable {
-    dense: Vec<u64>,
-    srcs: Vec<u64>,
-}
-
-impl ForwardTable {
-    /// Builds the table over `heap_words` of H1, reusing `recycled` (the
-    /// previous GC's array, already reset to all-zero) when it is the right
-    /// size.
-    pub(super) fn recycled(recycled: Vec<u64>, heap_words: usize, live: usize) -> Self {
-        let mut dense = recycled;
-        dense.resize(heap_words, 0);
-        ForwardTable { dense, srcs: Vec::with_capacity(live) }
-    }
-
-    /// Records `src → dest`. Sources must be unique (every live object has
-    /// exactly one destination).
-    pub(super) fn push(&mut self, src: u64, dest: u64) {
-        debug_assert_eq!(self.dense[src as usize], 0, "duplicate forwarding source");
-        self.dense[src as usize] = dest + 1;
-        self.srcs.push(src);
-    }
-
-    pub(super) fn get(&self, src: u64) -> Option<u64> {
-        match self.dense.get(src as usize) {
-            Some(&v) if v != 0 => Some(v - 1),
-            _ => None,
-        }
-    }
-
-    /// Lookup that must succeed (the table covers every live object).
-    pub(super) fn at(&self, src: u64) -> u64 {
-        self.get(src).expect("live object missing from the forwarding table")
-    }
-
-    /// Clears the entries this GC set and hands the all-zero array back for
-    /// the next collection.
-    pub(super) fn reset(mut self) -> Vec<u64> {
-        for src in self.srcs {
-            self.dense[src as usize] = 0;
-        }
-        self.dense
-    }
-}
-
-pub(super) fn mark_push(
-    heap: &mut Heap,
-    addr: Addr,
-    stack: &mut Vec<Addr>,
-    live: &mut Vec<u64>,
-    work: &mut Work,
-) {
-    debug_assert!(addr.is_h1());
-    let header = heap.mem[addr.raw() as usize];
-    work.objects += 1;
-    work.extra_ns += heap.h1_word_extra_ns(addr);
-    if object::is_marked(header) {
-        return;
-    }
-    heap.mem[addr.raw() as usize] = object::with_mark(header);
-    live.push(addr.raw());
-    stack.push(addr);
-}
-
-/// Scans every non-clean H2 card for backward references: their H1 targets
-/// are GC roots (must stay live), and the slots are collected for the
-/// adjustment phase. Cards are processed in chunks of [`H2_CARD_CHUNK`],
-/// each chunk one schedulable unit.
-fn scan_h2_cards_major(
-    heap: &mut Heap,
-    sched: &mut Scheduler,
-    stack: &mut Vec<Addr>,
-    live: &mut Vec<u64>,
-    backward_slots: &mut Vec<Addr>,
-    scanned_cards: &mut Vec<(usize, bool)>,
-) {
-    if heap.h2.is_none() {
-        return;
-    }
-    let clock = heap.clock.clone();
-    let cards = heap.h2.as_mut().unwrap().cards_mut().major_scan_cards();
-    heap.clock.emit(EventKind::CardScan {
-        table: CardTableKind::H2Major,
-        cards: cards.len() as u64,
-    });
-    for &card in &cards {
-        sched.expect(DOM_H2_CARD | card as u64);
-    }
-    let seg_words = heap.h2.as_ref().unwrap().cards().seg_words() as u64;
-    let region_words = heap.h2.as_ref().unwrap().regions().region_words() as u64;
-    // Take/put-back the region's start index instead of cloning it per card
-    // (consecutive cards usually share a region).
-    let mut cached: Option<(u32, Vec<u64>)> = None;
-    // The slot walk never writes the mapping (mark_push touches H1 memory
-    // only), so each object's slot range is one bulk read — touch_run's
-    // internal page decomposition reproduces the per-word touch order.
-    let mut slot_buf: Vec<u64> = Vec::new();
-    for chunk in cards.chunks(H2_CARD_CHUNK) {
-        let lane = sched.begin_unit(&clock, WorkUnitKind::H2CardChunk);
-        let mut uw = Work::default();
-        for &card in chunk {
-            sched.claim(DOM_H2_CARD | card as u64);
-            uw.cards += 1;
-            let base = heap.h2.as_ref().unwrap().cards().card_base(card);
-            let region = (base.h2_offset() / region_words) as u32;
-            let lo = base.raw();
-            let hi = lo + seg_words;
-            if cached.as_ref().map(|&(r, _)| r) != Some(region) {
-                if let Some((r, v)) = cached.take() {
-                    heap.h2_starts.insert(r, v);
-                }
-                cached = heap.h2_starts.remove(&region).map(|v| (region, v));
-            }
-            let starts = match &cached {
-                Some((_, s)) => s,
-                None => {
-                    scanned_cards.push((card, false));
-                    continue;
-                }
-            };
-            let mut has_backward = false;
-            if !starts.is_empty() {
-                let mut i = starts.partition_point(|&s| s <= lo).saturating_sub(1);
-                while i < starts.len() && starts[i] < hi {
-                    let obj = Addr::new(starts[i]);
-                    let header = heap.h2.as_mut().unwrap().read_word(obj, Category::MajorGc);
-                    let size = object::size_of(header) as u64;
-                    uw.objects += 1;
-                    if obj.raw() + size > lo {
-                        let (first_slot, end_slot) = heap.ref_slot_range_in(obj, lo, hi);
-                        // The clamped range can be empty (inverted) for objects
-                        // whose ref slots all fall outside the card.
-                        slot_buf.resize(end_slot.saturating_sub(first_slot) as usize, 0);
-                        heap.h2.as_mut().unwrap().read_words(
-                            Addr::new(first_slot),
-                            &mut slot_buf,
-                            Category::MajorGc,
-                        );
-                        for (j, &val) in slot_buf.iter().enumerate() {
-                            let slot = Addr::new(first_slot + j as u64);
-                            uw.refs += 1;
-                            if val == 0 {
-                                continue;
-                            }
-                            if Addr::new(val).is_h2() {
-                                // A mutator update created an H2→H2 reference
-                                // after the move: record the cross-region
-                                // dependency the allocator could not have seen.
-                                let h2 = heap.h2.as_mut().unwrap();
-                                let from = h2.regions().region_of(obj);
-                                let to = h2.regions().region_of(Addr::new(val));
-                                if from != to {
-                                    h2.regions_mut().add_dependency(from, to);
-                                }
-                                continue;
-                            }
-                            has_backward = true;
-                            heap.stats.backward_refs_seen += 1;
-                            backward_slots.push(slot);
-                            mark_push(heap, Addr::new(val), stack, live, &mut uw);
-                        }
-                    }
-                    i += 1;
-                }
-            }
-            scanned_cards.push((card, has_backward));
-        }
-        let cost = uw.cpu_ns(&heap.config.cost);
-        sched.end_unit(&clock, lane, WorkUnitKind::H2CardChunk, cost, uw.extra_ns);
-    }
-    if let Some((r, v)) = cached.take() {
-        heap.h2_starts.insert(r, v);
-    }
-}
-
-/// Marking-phase task 4: find live tagged root key-objects, decide which
-/// labels move (hint or pressure, §3.2) and tag their transitive closures as
-/// candidates, honouring the low-threshold budget.
-pub(super) fn select_candidates(
-    heap: &mut Heap,
-    live: &[u64],
-    live_words: u64,
-    start_pressure: bool,
-    work: &mut Work,
-) -> Vec<u64> {
-    let mut move_order: Vec<u64> = Vec::new();
-    if heap.h2.is_none() {
-        return move_order;
-    }
-    // Degraded H2 (injected ENOSPC or a write-retry budget exhausted):
-    // promotions park in the old generation — the paper's no-H2 baseline —
-    // until the device recovers.
-    if heap.h2.as_ref().unwrap().is_degraded() {
-        return move_order;
-    }
-    let policy = heap.h2.as_ref().unwrap().policy().clone();
-    let mut tagged: Vec<(u64, u64)> = live
-        .iter()
-        .filter(|&&a| heap.mem[a as usize + 1] != 0)
-        .map(|&a| (heap.mem[a as usize + 1], a))
-        .collect();
-    if tagged.is_empty() {
-        return move_order;
-    }
-    // Oldest labels first, so the low threshold moves the oldest (most
-    // likely immutable) groups and leaves recently tagged ones in H1.
-    tagged.sort_unstable();
-    let pressure = policy.under_pressure() || start_pressure;
-    // With hints enabled, the newest tagged group has most likely not seen
-    // its h2_move yet (it is still mutable — e.g. Giraph's current message
-    // store); the pressure path defers it *unless moving every older group
-    // still leaves the heap overflowing* (§3.2: the hint exists precisely
-    // to avoid device read-modify-writes on groups moved while mutable).
-    // Without hints (NH) everything marked moves, mutable or not.
-    let newest_label = tagged.last().map(|&(l, _)| l).unwrap_or(0);
-    let mut pressure_budget = if pressure {
-        policy.pressure_budget_words(live_words, heap.old.capacity_words() as u64)
-    } else {
-        None
-    };
-    let mut moved_words: u64 = 0;
-    let mut deferred: Vec<(u64, u64)> = Vec::new();
-    for (label_id, root) in tagged {
-        let label = Label::new(label_id);
-        let requested = policy.is_requested(label);
-        if !requested && !pressure {
-            continue;
-        }
-        if !requested && policy.hints_enabled() && label_id == newest_label {
-            deferred.push((label_id, root));
-            continue;
-        }
-        if !requested {
-            if let Some(b) = pressure_budget {
-                if b == 0 {
-                    continue;
-                }
-            }
-        }
-        let words = tag_closure(heap, Addr::new(root), label, work, &mut move_order);
-        moved_words += words;
-        if !requested {
-            if let Some(b) = &mut pressure_budget {
-                *b = b.saturating_sub(words);
-            }
-        }
-    }
-    // Take the deferred (mutable) group only when survival demands it.
-    let remaining = live_words.saturating_sub(moved_words);
-    if remaining as f64 > 0.95 * heap.old.capacity_words() as f64 {
-        for (label_id, root) in deferred {
-            tag_closure(heap, Addr::new(root), Label::new(label_id), work, &mut move_order);
-        }
-    }
-    move_order
-}
-
-/// Tags the transitive closure of `root` with `label` and the candidate bit,
-/// excluding JVM-metadata and `Reference`-kind objects (§3.2). Returns the
-/// words tagged.
-fn tag_closure(
-    heap: &mut Heap,
-    root: Addr,
-    label: Label,
-    work: &mut Work,
-    move_order: &mut Vec<u64>,
-) -> u64 {
-    let mut stack = vec![root];
-    tag_closure_step(heap, &mut stack, label, work, move_order, usize::MAX)
-}
-
-/// One bounded step of a closure tagging: pops from `stack` until `limit`
-/// objects were tagged or the stack drains, returning the words tagged. The
-/// incremental selector resumes the same stack across pause slices; the
-/// stop-world path runs it once with an unbounded limit.
-pub(super) fn tag_closure_step(
-    heap: &mut Heap,
-    stack: &mut Vec<Addr>,
-    label: Label,
-    work: &mut Work,
-    move_order: &mut Vec<u64>,
-    limit: usize,
-) -> u64 {
-    let mut words = 0u64;
-    let mut tagged = 0usize;
-    while tagged < limit {
-        let Some(obj) = stack.pop() else { break };
-        if !obj.is_h1() {
-            continue;
-        }
-        let header = heap.mem[obj.raw() as usize];
-        if object::is_candidate(header) {
-            continue;
-        }
-        // Only marked (SATB-live) objects join the closure. Stop-world
-        // marking leaves no reachable object unmarked, so this never skips
-        // there; the incremental selector interleaves with the mutator,
-        // which can link objects allocated *after* mark termination into a
-        // tagged group — those are outside the frozen relocation
-        // enumeration and must not be assigned H2 addresses this cycle.
-        if !object::is_marked(header) {
-            continue;
-        }
-        let desc = heap.classes.get(object::class_of(header));
-        if desc.is_reference_kind || desc.is_metadata {
-            continue;
-        }
-        heap.mem[obj.raw() as usize] = object::with_candidate(header);
-        heap.mem[obj.raw() as usize + 1] = label.id();
-        move_order.push(obj.raw());
-        words += object::size_of(header) as u64;
-        work.objects += 1;
-        tagged += 1;
-        // Push in reverse so the LIFO pops children in field/element order:
-        // the placement order then matches the mutator's forward traversal,
-        // which is what makes H2 scans sequential on the device.
-        let (first_slot, end_slot) = heap.ref_slot_range(obj);
-        // Slice iteration instead of indexed loads: one bounds check for the
-        // whole slot run of this (often large) transitive-move object.
-        for &val in heap.mem[first_slot as usize..end_slot as usize].iter().rev() {
-            if val != 0 && Addr::new(val).is_h1() {
-                stack.push(Addr::new(val));
-            }
-        }
-    }
-    words
-}
-
-/// Sets every card of a freed H2 region back to clean.
-pub(super) fn clear_region_cards(heap: &mut Heap, region: u32) {
-    let h2 = heap.h2.as_mut().unwrap();
-    let region_words = h2.regions().region_words();
-    let seg_words = h2.cards().seg_words();
-    let first_card = region as usize * region_words / seg_words;
-    let cards_per_region = region_words / seg_words;
-    for card in first_card..first_card + cards_per_region {
-        h2.cards_mut().set_state(card, CardState::Clean);
-    }
-}
-
-/// The G1 mixed-collection moved-live fraction, in thousandths. Non-G1
-/// variants return 1000 (full compaction cost).
-fn g1_moved_fraction_milli(heap: &Heap, region_live: &HashMap<u64, u64>, total_live: u64) -> u64 {
-    let GcVariant::G1 { region_words } = heap.config.variant else {
-        return 1000;
-    };
-    if total_live == 0 || region_live.is_empty() {
-        return 1000;
-    }
-    // Garbage per old region = capacity - live; collect the most-garbage
-    // regions first until 90% of the garbage is reclaimed.
-    // (garbage, live) pairs per old-generation G1 region.
-    let mut per_region: Vec<(u64, u64)> = region_live
-        .values()
-        .map(|&l| ((region_words as u64).saturating_sub(l), l))
-        .collect();
-    per_region.sort_unstable_by_key(|r| std::cmp::Reverse(r.0));
-    let total_garbage: u64 = per_region.iter().map(|(g, _)| g).sum();
-    if total_garbage == 0 {
-        return 1000;
-    }
-    let target = total_garbage * 9 / 10;
-    let mut got = 0u64;
-    let mut moved_live = 0u64;
-    for (g, l) in per_region {
-        if got >= target {
-            break;
-        }
-        got += g;
-        moved_live += l;
-    }
-    (moved_live * 1000 / total_live).clamp(1, 1000)
-}
-
-/// Uncharged full trace through both heaps recording per-H2-region live
-/// object counts and words — the instrumentation behind Figure 10.
-pub(super) fn record_h2_liveness(heap: &mut Heap) {
-    let mut visited: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut stack: Vec<Addr> = heap
-        .roots
-        .iter()
-        .copied()
-        .filter(|a| !a.is_null())
-        .collect();
-    while let Some(obj) = stack.pop() {
-        if !visited.insert(obj.raw()) {
-            continue;
-        }
-        if obj.is_h2() {
-            let size = {
-                let h2 = heap.h2.as_ref().unwrap();
-                object::size_of(h2.read_word_free(obj))
-            };
-            let h2 = heap.h2.as_mut().unwrap();
-            h2.regions_mut().record_live_object(obj, size);
-            // `ref_slot_range` reads H2 headers through the uncharged path,
-            // matching this statistics pass.
-            let (first_slot, end_slot) = heap.ref_slot_range(obj);
-            for s in first_slot..end_slot {
-                let val = heap.h2.as_ref().unwrap().read_word_free(Addr::new(s));
-                if val != 0 {
-                    stack.push(Addr::new(val));
-                }
-            }
-        } else {
-            let (first_slot, end_slot) = heap.ref_slot_range(obj);
-            for s in first_slot..end_slot {
-                let val = heap.mem[s as usize];
-                if val != 0 {
-                    stack.push(Addr::new(val));
-                }
-            }
-        }
-    }
+    cyc.done = true;
 }

@@ -8,8 +8,8 @@
 //! across three phase barriers: root strips + dirty H1 card stripes, the H2
 //! backward-reference scan (its own barrier so Figure 11a's
 //! `h2_minor_scan_ns` window captures exactly that phase), and the
-//! transitive-copy packet drain. Units run in the exact serial order the
-//! monolithic scavenge used; only the CPU accounting is laned.
+//! transitive-copy packet drain. Units run in one fixed serial order; only
+//! the CPU accounting is laned.
 
 use super::schedule::{
     Scheduler, DOM_H1_CARD, DOM_H2_CARD, GRAY_PACKET, H1_CARD_STRIPE, H2_CARD_CHUNK,

@@ -1,14 +1,20 @@
 //! Garbage collectors: the PS-style minor scavenge and four-phase major
 //! mark–compact, extended with TeraHeap's integration points (§4).
+//!
+//! * [`schedule`] — the work-unit scheduler both collectors charge through:
+//!   units, accounting lanes, barriers, the coverage audit.
+//! * [`minor`] — the scavenge, one function.
+//! * [`major`] — the major cycle: one state machine whose drive loop serves
+//!   both the stop-world collection (one unbounded slice) and pause-budgeted
+//!   slicing; `units` holds the body of each of its work units, once.
 
-pub mod incremental;
 pub mod major;
 pub mod minor;
 pub mod schedule;
+mod units;
 
-/// CPU-work counters accumulated during a GC and charged in bulk at phase
-/// boundaries, modelling parallel GC threads by dividing parallelizable work
-/// by the thread count.
+/// CPU-work counters accumulated by one work unit and charged to its lane
+/// when the unit ends.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct Work {
     /// Objects visited (header decode, mark test).

@@ -1,21 +1,20 @@
 //! Deterministic work-unit scheduler for the GC (DESIGN.md §11).
 //!
-//! Minor and major collections no longer charge one monolithic sum per
-//! phase: they enumerate **work units** (root strips, card stripes/chunks,
-//! gray packets, per-object-chunk plan/adjust/compact units) and dispatch
-//! each to the least-loaded of `gc_threads` accounting lanes. Units still
-//! *execute* in the exact serial order the monolithic code used — the
-//! simulation is sequential, so heap mutations, placement and checksums are
-//! untouched — but their CPU cost accumulates per lane, and at each phase
+//! Minor and major collections enumerate **work units** (root strips, card
+//! stripes/chunks, gray packets, per-object-chunk plan/adjust/compact units)
+//! and dispatch each to the least-loaded of `gc_threads` accounting lanes.
+//! Units *execute* in one fixed serial order — the simulation is
+//! sequential, so heap mutations, placement and checksums do not depend on
+//! the lane count — but their CPU cost accumulates per lane, and at each
 //! barrier the clock advances by the critical path
 //! `max(lane) + (lanes - 1) * gc_barrier_sync_ns`.
 //!
 //! Lane picks depend only on previously accumulated unit costs (pure integer
 //! arithmetic over the work counters), never on the tracer, the host, or
 //! wall-clock state — so simulated time is bit-identical across runs and
-//! hosts for any `gc_threads`, and `gc_threads = 1` reproduces the
-//! pre-refactor serial charges exactly (`floor(x/1)` is the identity and a
-//! single-lane barrier adds no sync cost).
+//! hosts for any `gc_threads`, and `gc_threads = 1` charges the plain serial
+//! sum (`floor(x/1)` is the identity and a single-lane barrier adds no sync
+//! cost).
 //!
 //! When the heap checker is armed the scheduler also audits **coverage**:
 //! phases declare their work domain (dirty cards, live objects) with
@@ -45,8 +44,9 @@ pub(crate) const DOM_H2_CARD: u64 = 2 << 56;
 pub(crate) const DOM_OBJECT: u64 = 3 << 56;
 
 /// Per-collection work-unit scheduler: lane accounting plus (optional)
-/// coverage auditing. One `Scheduler` lives for the duration of a minor or
-/// major collection and is driven through one barrier per phase.
+/// coverage auditing. One `Scheduler` lives for the duration of a minor
+/// collection or a major cycle and fires a barrier per phase (and, for a
+/// sliced cycle, per slice).
 pub(crate) struct Scheduler {
     lanes: LaneSet,
     coverage: Option<Coverage>,
@@ -84,10 +84,10 @@ impl Scheduler {
         lane
     }
 
-    /// Dispatches a unit of a serial dependency chain: always lane 0, so
-    /// chunked serial work (incremental candidate selection, H2 address
-    /// assignment) is never credited with cross-lane parallelism its
-    /// execution order forbids.
+    /// Dispatches a chunk of a serial dependency chain: always lane 0, so
+    /// chunked serial work (candidate selection, H2 address assignment) is
+    /// never credited with cross-lane parallelism its execution order
+    /// forbids.
     pub(crate) fn begin_serial_unit(&mut self, clock: &SimClock, kind: WorkUnitKind) -> usize {
         clock.emit(EventKind::UnitBegin { lane: 0, kind });
         0
@@ -113,9 +113,9 @@ impl Scheduler {
     }
 
     /// The ns the next barrier would advance the clock by for the units
-    /// charged so far (critical path + sync), without firing it. The
-    /// incremental collector polls this after every unit to bound a slice's
-    /// pause at `pause_budget_ns`.
+    /// charged so far (critical path + sync), without firing it. The major
+    /// cycle's drive loop polls this after every unit to bound a slice's
+    /// pause at its budget.
     pub(crate) fn pending_ns(&self) -> u64 {
         self.lanes.pending_advance_ns()
     }
@@ -169,8 +169,8 @@ impl Scheduler {
     }
 
     /// Discards all pending lane charges and coverage without advancing the
-    /// clock — for collections aborted mid-phase (promotion OOM), which
-    /// historically charged nothing for the aborted phase.
+    /// clock — for collections aborted mid-phase (planning overflow), which
+    /// charge nothing for the aborted phase.
     pub(crate) fn abandon(&mut self) {
         self.lanes.abandon();
         if let Some(cov) = &mut self.coverage {

@@ -14,7 +14,7 @@ use crate::stats::GcStats;
 use std::sync::Arc;
 use teraheap_core::{Addr, H2Config, Label, LifetimeProfiles, RegionGroups, RegionId, H2, NULL};
 use teraheap_storage::obs::{EventKind, GcCause, SpanKind};
-use teraheap_storage::{AttachError, Category, DeviceSpec, SharedDevice, SimClock, TraceSpan};
+use teraheap_storage::{AttachError, Category, SharedDevice, SimClock, TraceSpan};
 
 /// Reserved low words so that address 0 stays the null reference.
 const RESERVED_WORDS: usize = 16;
@@ -66,13 +66,13 @@ pub struct Heap {
     /// Recycled dense forwarding array for major GC (all-zero between
     /// collections); avoids an alloc+memset of the full H1 word range per GC.
     pub(crate) fwd_scratch: Vec<u64>,
-    /// The in-flight incremental major cycle, if one is active between
-    /// pause slices (DESIGN.md §12). Boxed: the cycle state is large and
-    /// absent in the common (stop-world) configuration.
-    pub(crate) incr: Option<Box<gc::incremental::IncrCycle>>,
-    /// OOM hit inside an incremental slice running under an infallible
-    /// charge path; surfaced at the next fallible call (allocation or
-    /// explicit GC).
+    /// The in-flight major cycle, if one is parked between pause slices
+    /// (DESIGN.md §11). Boxed: the cycle state is large and only ever
+    /// outlives a collection when slicing is armed.
+    pub(crate) cycle: Option<Box<gc::major::MajorCycle>>,
+    /// OOM hit by a major cycle, possibly inside a slice running under an
+    /// infallible charge path; surfaced at the next fallible call
+    /// (allocation or explicit GC).
     pub(crate) pending_oom: Option<OomError>,
     /// Run [`Heap::heap_check`] at every GC boundary (config flag or
     /// `TERAHEAP_HEAP_CHECK=1`), panicking on the first violated invariant.
@@ -150,7 +150,7 @@ impl Heap {
             h2_starts: std::collections::HashMap::new(),
             in_gc: false,
             fwd_scratch: Vec::new(),
-            incr: None,
+            cycle: None,
             pending_oom: None,
             check_enabled: config.heap_check
                 || std::env::var("TERAHEAP_HEAP_CHECK").is_ok_and(|v| v == "1"),
@@ -178,19 +178,6 @@ impl Heap {
         let h2 = H2::attach(h2_config, device, self.clock.clone())?;
         self.h2 = Some(h2);
         Ok(())
-    }
-
-    /// Attaches a TeraHeap second heap over a freshly-created private device.
-    ///
-    /// Deprecated shim over the shared-device attachment API: builds a
-    /// one-tenant [`SharedDevice`] sized exactly to the configured H2
-    /// footprint and attaches to it, so even legacy callers exercise the
-    /// arbitrated path (where a sole tenant provably never queues).
-    #[deprecated(note = "use `attach_h2` with a `SharedDevice`")]
-    pub fn enable_teraheap(&mut self, h2_config: H2Config, spec: DeviceSpec) {
-        let device = SharedDevice::new(spec, h2_config.footprint_bytes(), self.clock.clone());
-        self.attach_h2(h2_config, &device)
-            .expect("one-tenant SharedDevice attach cannot fail");
     }
 
     /// Whether TeraHeap is enabled.
@@ -293,12 +280,12 @@ impl Heap {
         self.roots[h.0 as usize] = NULL;
         self.free_roots.push(h.0);
         // SATB: a root released mid-marking was reachable at cycle start.
-        if let Some(cyc) = self.incr.as_deref_mut() {
+        if let Some(cyc) = self.cycle.as_deref_mut() {
             if cyc.marking() && !a.is_null() {
                 if a.is_h2() {
                     self.h2.as_mut().expect("H2 root without H2").note_forward_ref(a);
                 } else {
-                    cyc.remembered.push(a.raw());
+                    cyc.mutator.remembered.push(a.raw());
                 }
                 self.clock.emit(EventKind::WriteBarrierRemember { root: true });
                 self.stats.write_barrier_remembered += 1;
@@ -423,7 +410,7 @@ impl Heap {
         if class == OBJ_ARRAY_CLASS || class == PRIM_ARRAY_CLASS {
             self.mem[i + object::HEADER_WORDS] = array_len;
         }
-        if let Some(cyc) = self.incr.as_deref_mut() {
+        if let Some(cyc) = self.cycle.as_deref_mut() {
             cyc.note_alloc(addr, words, &mut self.mem);
         }
         Ok(addr)
@@ -437,7 +424,7 @@ impl Heap {
                 && words > self.eden.capacity_words() / 16);
         if big {
             // Old-gen placement must not race the in-flight cycle's plan.
-            gc::incremental::force_finish(self)?;
+            gc::major::finish(self)?;
             if let Some(a) = self.alloc_old(words) {
                 return Ok(a);
             }
@@ -581,10 +568,10 @@ impl Heap {
 
     fn collect_for(&mut self, words: usize) -> Result<(), OomError> {
         // A minor GC would evacuate objects out from under the in-flight
-        // incremental cycle's mark stack and live set: finish it first
+        // major cycle's mark stack and live set: finish it first
         // (normally already done — the cycle completes well within one
         // eden refill at the default pacing).
-        gc::incremental::force_finish(self)?;
+        gc::major::finish(self)?;
         // Promotion guarantee: a minor GC may promote everything in the
         // young generation, so fall back to a full GC when the old
         // generation cannot absorb that worst case.
@@ -593,10 +580,10 @@ impl Heap {
             gc::major::major_gc(self, GcCause::PromotionGuarantee)?;
         } else {
             gc::minor::minor_gc(self, GcCause::AllocFailure);
-            gc::incremental::maybe_start(self);
+            gc::major::maybe_start(self);
         }
         if self.eden.free_words() < words {
-            gc::incremental::force_finish(self)?;
+            gc::major::finish(self)?;
             gc::major::major_gc(self, GcCause::EdenFullAfterGc)?;
         }
         Ok(())
@@ -604,37 +591,37 @@ impl Heap {
 
     /// Runs a minor (young-generation) collection now.
     pub fn gc_minor(&mut self) -> Result<(), OomError> {
-        gc::incremental::force_finish(self)?;
+        gc::major::finish(self)?;
         let worst_promo = self.worst_case_promotion();
         if self.old.free_words() < worst_promo {
             gc::major::major_gc(self, GcCause::PromotionGuarantee)
         } else {
             gc::minor::minor_gc(self, GcCause::Explicit);
-            gc::incremental::maybe_start(self);
+            gc::major::maybe_start(self);
             Ok(())
         }
     }
 
     /// Runs a major (full) collection now.
     ///
-    /// With an incremental cycle in flight, running it to completion *is*
-    /// the requested major collection; otherwise a stop-world major runs.
+    /// With a sliced cycle in flight, running it to completion *is* the
+    /// requested major collection; otherwise a fresh cycle runs whole.
     ///
     /// # Errors
     ///
     /// Returns [`OomError`] if live data exceeds the old generation.
     pub fn gc_major(&mut self) -> Result<(), OomError> {
-        let had_cycle = self.incr.is_some();
-        gc::incremental::force_finish(self)?;
+        let had_cycle = self.cycle.is_some();
+        gc::major::finish(self)?;
         if had_cycle {
             return Ok(());
         }
         gc::major::major_gc(self, GcCause::Explicit)
     }
 
-    // ----- incremental major collection hooks ------------------------------
+    // ----- sliced major cycle hooks ----------------------------------------
 
-    /// Runs the next pause slice of the in-flight incremental cycle once
+    /// Runs the next pause slice of the in-flight major cycle once
     /// enough mutator time has elapsed since the last one
     /// (`pause_budget_ns / PACE_DIVISOR` — the clock delta captures every
     /// mutator charge, including accessor costs).
@@ -642,27 +629,28 @@ impl Heap {
         if self.in_gc {
             return;
         }
-        let Some(cyc) = self.incr.as_deref() else { return };
-        let pace = (self.config.pause_budget_ns / gc::incremental::PACE_DIVISOR).max(1);
+        let Some(cyc) = self.cycle.as_deref() else { return };
+        let pace = (self.config.pause_budget_ns / gc::major::PACE_DIVISOR).max(1);
         if self.clock.total_ns() - cyc.last_slice_end_ns >= pace {
-            gc::incremental::run_slice(self, self.config.pause_budget_ns);
+            gc::major::run_slice(self, self.config.pause_budget_ns);
         }
     }
 
     /// Resolves a mutator-held object address against the in-flight cycle:
-    /// `(physical address, raw_slots)`. See [`gc::incremental::IncrCycle::view`].
+    /// `(physical address, raw_slots)`. See [`gc::major::MajorCycle::view`].
     pub(crate) fn mutator_view(&self, a: Addr) -> (Addr, bool) {
-        match self.incr.as_deref() {
+        match self.cycle.as_deref() {
             Some(cyc) => cyc.view(a),
             None => (a, false),
         }
     }
 
-    /// The pre-store half of the incremental write barrier: SATB-remember
-    /// the overwritten value during marking, fence H2 targets live, and
-    /// track mutator-dirtied H2 slots for the flip's card re-derivation.
+    /// The pre-store half of the write barrier while a major cycle is in
+    /// flight: SATB-remember the overwritten value during marking, fence H2
+    /// targets live, and track mutator-dirtied H2 slots for the flip's card
+    /// re-derivation.
     fn incr_ref_write_hook(&mut self, slot: Addr, val: Addr) {
-        let Some(mut cyc) = self.incr.take() else { return };
+        let Some(mut cyc) = self.cycle.take() else { return };
         if cyc.pre_flip() {
             if cyc.marking() {
                 // Deletion barrier: read (charged) and remember the value
@@ -681,7 +669,7 @@ impl Heap {
                     if old_addr.is_h2() {
                         self.h2.as_mut().expect("H2 ref without H2").note_forward_ref(old_addr);
                     } else {
-                        cyc.remembered.push(old);
+                        cyc.mutator.remembered.push(old);
                     }
                     self.clock.emit(EventKind::WriteBarrierRemember { root: false });
                     self.stats.write_barrier_remembered += 1;
@@ -696,20 +684,25 @@ impl Heap {
                 // The incremental card scan may already have passed this
                 // card; replay the dirt after the flip re-derives states,
                 // and record what the scan can no longer discover.
-                cyc.mutator_h2_dirty.push(slot);
+                cyc.mutator.h2_dirty.push(slot);
                 if val.is_h1() {
-                    cyc.extra_backward.push(slot);
+                    cyc.mutator.extra_backward.push(slot);
                 } else if val.is_h2() {
-                    let h2 = self.h2.as_mut().expect("H2 slot without H2");
-                    let from = h2.regions().region_of(slot);
-                    let to = h2.regions().region_of(val);
-                    if from != to {
-                        h2.regions_mut().add_dependency(from, to);
-                    }
+                    self.note_h2_dependency(slot, val);
                 }
             }
         }
-        self.incr = Some(cyc);
+        self.cycle = Some(cyc);
+    }
+
+    /// Records the directional cross-region dependency of an H2→H2
+    /// reference from `from` to `to` (§4).
+    pub(crate) fn note_h2_dependency(&mut self, from: Addr, to: Addr) {
+        let h2 = self.h2.as_mut().expect("H2 reference without H2");
+        let (from, to) = (h2.regions().region_of(from), h2.regions().region_of(to));
+        if from != to {
+            h2.regions_mut().add_dependency(from, to);
+        }
     }
 
     // ----- memory access ---------------------------------------------------
@@ -854,7 +847,7 @@ impl Heap {
         if raw_slots && val != 0 {
             // Un-relocated object: the slot still holds a pre-compaction
             // address; canonicalize before rooting.
-            val = self.incr.as_deref().expect("raw view without cycle").canon(val);
+            val = self.cycle.as_deref().expect("raw view without cycle").canon(val);
         }
         if val == 0 {
             None
@@ -879,7 +872,7 @@ impl Heap {
         let v = if raw_slots {
             // Un-relocated object: keep the slot in pre-compaction terms so
             // the fused adjust pass rewrites it exactly once.
-            Addr::new(self.incr.as_deref().expect("raw view without cycle").decanon(v.raw()))
+            Addr::new(self.cycle.as_deref().expect("raw view without cycle").decanon(v.raw()))
         } else {
             v
         };
@@ -894,7 +887,7 @@ impl Heap {
     }
 
     pub(crate) fn write_ref_at(&mut self, obj: Addr, slot: Addr, val: Addr) {
-        if self.incr.is_some() {
+        if self.cycle.is_some() {
             self.incr_ref_write_hook(slot, val);
         }
         self.store(slot, val.raw(), Category::Mutator);

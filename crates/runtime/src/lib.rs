@@ -19,7 +19,8 @@
 //!   (marking, pre-compaction, pointer adjustment, compaction), extended
 //!   with the paper's five marking-phase tasks, H2 address assignment in
 //!   pre-compaction, backward/cross-region bookkeeping in adjustment and
-//!   promotion-buffered H2 moves in compaction;
+//!   promotion-buffered H2 moves in compaction — one cycle state machine,
+//!   run whole (stop-world) or in pause-budgeted slices;
 //! * **baseline collectors** for the evaluation: a G1-style cost model with
 //!   humongous-object fragmentation, a Panthera-style DRAM/NVM split old
 //!   generation, and an NVM "Memory mode" access model — all selected via

@@ -1,19 +1,20 @@
-//! Golden-equivalence suite: the performance work on the GC and H2 hot
-//! paths (allocation-free tracing, the sorted forwarding table, indexed
-//! card tables, the list page cache) must not change *simulated* behaviour
-//! by a single nanosecond. This test runs a mixed minor/major/H2 workload
-//! and asserts the object-graph checksum, the `GcStats` counters and phase
-//! breakdowns, and the total `SimClock` time against golden values captured
-//! from the pre-optimization implementation.
+//! Golden-equivalence suite: work on the GC and H2 hot paths must not
+//! change *simulated* behaviour by a single nanosecond. One table-driven
+//! test runs a mixed minor/major/H2 workload over the collector's
+//! configuration product — variant x `gc_threads` x pause budget x armed
+//! fault plane, see [`ARMS`] — and asserts the object-graph checksum, the
+//! `GcStats` counters and phase breakdowns, and the `SimClock` totals of
+//! every arm against golden values.
 //!
 //! If a change legitimately alters the cost model (new feature, new
-//! charge), re-capture the goldens with
+//! charge), re-capture the table with
 //! `TERAHEAP_GOLDEN_PRINT=1 cargo test -p teraheap-runtime --test gc_equivalence -- --nocapture`
-//! and say so in the PR; an *optimization* PR must reproduce them exactly.
+//! and say so in the PR; an *optimization* or *refactoring* PR must
+//! reproduce it exactly.
 
 use teraheap_core::{H2Config, Label};
-use teraheap_runtime::{Handle, Heap, HeapConfig};
-use teraheap_storage::{Category, DeviceSpec, SharedDevice};
+use teraheap_runtime::{GcVariant, Handle, Heap, HeapConfig};
+use teraheap_storage::{Category, DeviceSpec, FaultPlan, SharedDevice};
 
 /// FNV-1a over a stream of u64s — deterministic, dependency-free.
 struct Fnv(u64);
@@ -93,16 +94,12 @@ fn graph_checksum(heap: &mut Heap, roots: &[Handle]) -> u64 {
 /// The mixed workload: generational churn, H1 card traffic, hint-driven H2
 /// promotion, mutator H2 updates (backward references), region death, and
 /// enough pressure for several minor and major collections.
-fn run_mixed_workload() -> (Heap, Vec<Handle>) {
-    run_mixed_workload_with(HeapConfig::with_words(24 << 10, 96 << 10))
-}
-
 fn run_mixed_workload_with(config: HeapConfig) -> (Heap, Vec<Handle>) {
-    let (heap, keep, _dev) = run_mixed_workload_shared(config);
+    let (heap, keep, _dev) = run_mixed_workload_shared(config, FaultPlan::none());
     (heap, keep)
 }
 
-fn workload_h2_config() -> H2Config {
+fn workload_h2_config(faults: FaultPlan) -> H2Config {
     H2Config::builder()
         .region_words(8 << 10)
         .n_regions(48)
@@ -110,29 +107,24 @@ fn workload_h2_config() -> H2Config {
         .resident_budget_bytes(96 << 10)
         .page_size(4096)
         .promo_buffer_bytes(16 << 10)
+        .faults(faults)
         .build()
         .expect("valid H2 config")
 }
 
-/// The same workload attached through the explicit [`SharedDevice`] path,
-/// returning the device handle so tests can inspect arbitration counters.
-fn run_mixed_workload_shared(config: HeapConfig) -> (Heap, Vec<Handle>, SharedDevice) {
+/// The workload attached to a one-tenant [`SharedDevice`], returning the
+/// device handle so tests can inspect arbitration counters.
+fn run_mixed_workload_shared(
+    config: HeapConfig,
+    faults: FaultPlan,
+) -> (Heap, Vec<Handle>, SharedDevice) {
     let mut heap = Heap::new(config);
-    let h2cfg = workload_h2_config();
-    let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
+    let h2cfg = workload_h2_config(faults);
+    let dev =
+        SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
     heap.attach_h2(h2cfg, &dev).unwrap();
     let keep = mixed_workload_body(&mut heap);
     (heap, keep, dev)
-}
-
-/// The same workload attached through the deprecated `enable_teraheap`
-/// shim — the pre-redesign API surface, which must stay bit-identical.
-fn run_mixed_workload_shim(config: HeapConfig) -> (Heap, Vec<Handle>) {
-    let mut heap = Heap::new(config);
-    #[allow(deprecated)]
-    heap.enable_teraheap(workload_h2_config(), DeviceSpec::nvme_ssd());
-    let keep = mixed_workload_body(&mut heap);
-    (heap, keep)
 }
 
 fn mixed_workload_body(heap: &mut Heap) -> Vec<Handle> {
@@ -221,7 +213,7 @@ fn mixed_workload_body(heap: &mut Heap) -> Vec<Handle> {
     keep
 }
 
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Snapshot {
     checksum: u64,
     total_ns: u64,
@@ -242,24 +234,7 @@ struct Snapshot {
     h2_read_bytes: u64,
     h2_write_bytes: u64,
     h2_evictions: u64,
-}
-
-fn capture() -> Snapshot {
-    capture_with(HeapConfig::with_words(24 << 10, 96 << 10))
-}
-
-/// The workload at one modeled GC thread: the serial baseline whose numbers
-/// predate the work-unit scheduler and must survive it bit-identically.
-fn serial_config() -> HeapConfig {
-    HeapConfig::builder(24 << 10, 96 << 10)
-        .gc_threads(1)
-        .build()
-        .expect("serial config is valid")
-}
-
-fn capture_with(config: HeapConfig) -> Snapshot {
-    let (heap, keep) = run_mixed_workload_with(config);
-    capture_from(heap, keep)
+    incr_slices: u64,
 }
 
 fn capture_from(mut heap: Heap, keep: Vec<Handle>) -> Snapshot {
@@ -294,88 +269,170 @@ fn capture_from(mut heap: Heap, keep: Vec<Handle>) -> Snapshot {
         h2_read_bytes: io.1,
         h2_write_bytes: io.2,
         h2_evictions: io.3,
+        incr_slices: stats.incr_slices,
     }
 }
 
-/// Golden values for the default configuration. Since the work-unit
-/// scheduler unified the GC thread knobs at a serial default
-/// (`gc_threads = 1`), these coincide with [`serial_golden`] — the same
-/// numbers pinned through two different guarantees: this one says the
-/// *default* is stable, the serial one says lane accounting at one lane is
-/// exact. See the module docs for the re-capture procedure.
+/// The collector personalities the table covers. G1 regions are small
+/// enough that the workload's spine arrays are humongous (footprint
+/// rounding, mixed-collection fraction); Panthera's DRAM share is small
+/// enough that most of the old generation pays the NVM premium.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Variant {
+    Ps,
+    G1,
+    Panthera,
+}
+
+/// One arm of the configuration product.
+#[derive(Debug, Clone, Copy)]
+struct Arm {
+    variant: Variant,
+    gc_threads: usize,
+    /// `0` = stop-world majors; a finite budget slices them. Sliced arms run
+    /// a 40 Ki-word old generation, below the proactive trigger's
+    /// `2 * young` free-space margin, so every minor GC starts a cycle.
+    pause_budget_ns: u64,
+    /// Arms a zero-rate fault plane: nothing ever fires, but H2 address
+    /// assignment runs as the snapshot/stage/commit transaction.
+    fault_plane: bool,
+    golden: Snapshot,
+}
+
+impl Arm {
+    fn config(&self, heap_check: bool) -> HeapConfig {
+        let old_words = if self.pause_budget_ns == 0 { 96 << 10 } else { 40 << 10 };
+        let variant = match self.variant {
+            Variant::Ps => GcVariant::ParallelScavenge,
+            Variant::G1 => GcVariant::G1 { region_words: 128 },
+            Variant::Panthera => {
+                GcVariant::Panthera { old_dram_words: 1 << 10, nvm: DeviceSpec::optane_nvm() }
+            }
+        };
+        HeapConfig::builder(24 << 10, old_words)
+            .variant(variant)
+            .gc_threads(self.gc_threads)
+            .pause_budget_ns(self.pause_budget_ns)
+            .heap_check(heap_check)
+            .build()
+            .expect("golden arm config is valid")
+    }
+
+    fn capture(&self, heap_check: bool) -> Snapshot {
+        let faults =
+            if self.fault_plane { FaultPlan::zero_rate(20260927) } else { FaultPlan::none() };
+        let (heap, keep, _dev) = run_mixed_workload_shared(self.config(heap_check), faults);
+        assert_eq!(heap.h2().unwrap().fault_plane().is_some(), self.fault_plane);
+        capture_from(heap, keep)
+    }
+}
+
+const fn arm(
+    variant: Variant,
+    gc_threads: usize,
+    pause_budget_ns: u64,
+    fault_plane: bool,
+    g: [u64; 20],
+) -> Arm {
+    let golden = Snapshot {
+        checksum: g[0],
+        total_ns: g[1],
+        mutator_ns: g[2],
+        minor_gc_ns: g[3],
+        major_gc_ns: g[4],
+        minor_count: g[5],
+        major_count: g[6],
+        marking_ns: g[7],
+        precompact_ns: g[8],
+        adjust_ns: g[9],
+        compact_ns: g[10],
+        h2_minor_scan_ns: g[11],
+        backward_refs_seen: g[12],
+        forward_refs_fenced: g[13],
+        objects_promoted_h2: g[14],
+        h2_page_faults: g[15],
+        h2_read_bytes: g[16],
+        h2_write_bytes: g[17],
+        h2_evictions: g[18],
+        incr_slices: g[19],
+    };
+    Arm { variant, gc_threads, pause_budget_ns, fault_plane, golden }
+}
+
+/// The golden table: variant x `gc_threads` x pause budget x fault plane,
+/// each row's numbers in [`Snapshot`] field order. The first row is the
+/// default configuration — the values every other golden in the repo
+/// (`crates/query/tests/gc_equivalence.rs`) repeats.
+#[rustfmt::skip]
+const ARMS: &[Arm] = &[
+    arm(Variant::Ps, 1, 0, false, [17052372585936982735, 351855, 197628, 81493, 72734, 9, 2, 22524, 7200, 4180, 38830, 48432, 50, 0, 258, 2, 8192, 0, 0, 0]),
+    arm(Variant::Ps, 1, 0, true, [17052372585936982735, 351855, 197628, 81493, 72734, 9, 2, 22524, 7200, 4180, 38830, 48432, 50, 0, 258, 2, 8192, 0, 0, 0]),
+    arm(Variant::Ps, 1, 50000, false, [17052372585936982735, 518221, 197628, 66893, 253700, 9, 11, 109194, 43644, 4380, 96482, 46112, 80, 0, 258, 2, 8192, 0, 0, 9]),
+    arm(Variant::Ps, 1, 50000, true, [17052372585936982735, 518221, 197628, 66893, 253700, 9, 11, 109194, 43644, 4380, 96482, 46112, 80, 0, 258, 2, 8192, 0, 0, 9]),
+    arm(Variant::Ps, 1, 5000, false, [17052372585936982735, 512507, 197818, 64127, 250562, 9, 8, 103458, 48732, 200, 98172, 45892, 70, 0, 258, 2, 8192, 0, 0, 48]),
+    arm(Variant::Ps, 1, 5000, true, [17052372585936982735, 512507, 197818, 64127, 250562, 9, 8, 103458, 48732, 200, 98172, 45892, 70, 0, 258, 2, 8192, 0, 0, 48]),
+    arm(Variant::Ps, 4, 0, false, [17052372585936982735, 300259, 197628, 46368, 56263, 9, 2, 9978, 5418, 3645, 37222, 29891, 50, 0, 258, 2, 8192, 0, 0, 0]),
+    arm(Variant::Ps, 4, 0, true, [17052372585936982735, 300259, 197628, 46368, 56263, 9, 2, 9978, 5418, 3645, 37222, 29891, 50, 0, 258, 2, 8192, 0, 0, 0]),
+    arm(Variant::Ps, 4, 50000, false, [17052372585936982735, 374562, 197628, 41388, 135546, 9, 11, 40227, 30801, 4070, 60448, 28323, 80, 0, 258, 2, 8192, 0, 0, 9]),
+    arm(Variant::Ps, 4, 50000, true, [17052372585936982735, 374562, 197628, 41388, 135546, 9, 11, 40227, 30801, 4070, 60448, 28323, 80, 0, 258, 2, 8192, 0, 0, 9]),
+    arm(Variant::Ps, 4, 5000, false, [17052372585936982735, 392398, 197728, 39931, 154739, 9, 8, 52380, 40890, 725, 60744, 28323, 70, 0, 258, 2, 8192, 0, 0, 37]),
+    arm(Variant::Ps, 4, 5000, true, [17052372585936982735, 392398, 197728, 39931, 154739, 9, 8, 52380, 40890, 725, 60744, 28323, 70, 0, 258, 2, 8192, 0, 0, 37]),
+    arm(Variant::G1, 1, 0, false, [17052372585936982735, 326627, 197628, 80263, 48736, 9, 2, 5631, 7200, 600, 35305, 48432, 50, 0, 258, 2, 8192, 0, 0, 0]),
+    arm(Variant::G1, 1, 0, true, [17052372585936982735, 326627, 197628, 80263, 48736, 9, 2, 5631, 7200, 600, 35305, 48432, 50, 0, 258, 2, 8192, 0, 0, 0]),
+    arm(Variant::G1, 4, 0, false, [17052372585936982735, 285390, 197628, 45138, 42624, 9, 2, 2607, 5418, 642, 33957, 29891, 50, 0, 258, 2, 8192, 0, 0, 0]),
+    arm(Variant::G1, 4, 0, true, [17052372585936982735, 285390, 197628, 45138, 42624, 9, 2, 2607, 5418, 642, 33957, 29891, 50, 0, 258, 2, 8192, 0, 0, 0]),
+    arm(Variant::Panthera, 1, 0, false, [17052372585936982735, 422969, 197628, 130370, 94971, 9, 2, 35844, 7200, 13097, 38830, 48432, 50, 0, 258, 2, 8192, 0, 0, 0]),
+    arm(Variant::Panthera, 1, 0, true, [17052372585936982735, 422969, 197628, 130370, 94971, 9, 2, 35844, 7200, 13097, 38830, 48432, 50, 0, 258, 2, 8192, 0, 0, 0]),
+    arm(Variant::Panthera, 4, 0, false, [17052372585936982735, 327430, 197628, 66496, 63306, 9, 2, 12803, 5418, 7863, 37222, 29891, 50, 0, 258, 2, 8192, 0, 0, 0]),
+    arm(Variant::Panthera, 4, 0, true, [17052372585936982735, 327430, 197628, 66496, 63306, 9, 2, 12803, 5418, 7863, 37222, 29891, 50, 0, 258, 2, 8192, 0, 0, 0]),
+];
+
+/// The default-configuration golden (first table row).
 fn golden() -> Snapshot {
-    Snapshot {
-        checksum: 17052372585936982735,
-        total_ns: 351855,
-        mutator_ns: 197628,
-        minor_gc_ns: 81493,
-        major_gc_ns: 72734,
-        minor_count: 9,
-        major_count: 2,
-        marking_ns: 22524,
-        precompact_ns: 7200,
-        adjust_ns: 4180,
-        compact_ns: 38830,
-        h2_minor_scan_ns: 48432,
-        backward_refs_seen: 50,
-        forward_refs_fenced: 0,
-        objects_promoted_h2: 258,
-        h2_page_faults: 2,
-        h2_read_bytes: 8192,
-        h2_write_bytes: 0,
-        h2_evictions: 0,
-    }
-}
-
-/// Golden values for the workload at `gc_threads = 1`, captured from the
-/// pre-work-unit-scheduler serial implementation (PR 5 tree). The scheduled
-/// single-lane path must reproduce these bit-identically, forever.
-fn serial_golden() -> Snapshot {
-    Snapshot {
-        checksum: 17052372585936982735,
-        total_ns: 351855,
-        mutator_ns: 197628,
-        minor_gc_ns: 81493,
-        major_gc_ns: 72734,
-        minor_count: 9,
-        major_count: 2,
-        marking_ns: 22524,
-        precompact_ns: 7200,
-        adjust_ns: 4180,
-        compact_ns: 38830,
-        h2_minor_scan_ns: 48432,
-        backward_refs_seen: 50,
-        forward_refs_fenced: 0,
-        objects_promoted_h2: 258,
-        h2_page_faults: 2,
-        h2_read_bytes: 8192,
-        h2_write_bytes: 0,
-        h2_evictions: 0,
-    }
+    let first = &ARMS[0];
+    assert!(
+        first.variant == Variant::Ps
+            && first.gc_threads == 1
+            && first.pause_budget_ns == 0
+            && !first.fault_plane
+    );
+    first.golden
 }
 
 #[test]
-fn single_lane_matches_pre_refactor_serial_golden() {
-    let got = capture_with(serial_config());
-    if std::env::var("TERAHEAP_GOLDEN_PRINT").is_ok() {
-        println!("serial_golden() -> Snapshot {got:#?}");
+fn every_arm_matches_its_golden_snapshot() {
+    let print = std::env::var("TERAHEAP_GOLDEN_PRINT").is_ok();
+    for a in ARMS {
+        let got = a.capture(false);
+        if print {
+            let s = got;
+            println!(
+                "    arm(Variant::{:?}, {}, {}, {}, [{}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}]),",
+                a.variant, a.gc_threads, a.pause_budget_ns, a.fault_plane,
+                s.checksum, s.total_ns, s.mutator_ns, s.minor_gc_ns, s.major_gc_ns,
+                s.minor_count, s.major_count, s.marking_ns, s.precompact_ns, s.adjust_ns,
+                s.compact_ns, s.h2_minor_scan_ns, s.backward_refs_seen, s.forward_refs_fenced,
+                s.objects_promoted_h2, s.h2_page_faults, s.h2_read_bytes, s.h2_write_bytes,
+                s.h2_evictions, s.incr_slices,
+            );
+            continue;
+        }
+        assert_eq!(got, a.golden, "arm {a:?} diverged from its golden");
+        assert_eq!(
+            got.incr_slices > 0,
+            a.pause_budget_ns != 0,
+            "arm {a:?}: a sliced arm must slice and a stop-world arm must not"
+        );
+        // The heap checker and the scheduler's coverage audit it arms are
+        // instrumentation: exercising them on every arm must cost nothing.
+        assert_eq!(a.capture(true), a.golden, "arm {a:?} diverged with the checker armed");
     }
-    assert_eq!(got, serial_golden());
-}
-
-#[test]
-fn mixed_workload_matches_golden_snapshot() {
-    let got = capture();
-    if std::env::var("TERAHEAP_GOLDEN_PRINT").is_ok() {
-        println!("golden() -> Snapshot {got:#?}");
-    }
-    assert_eq!(got, golden());
 }
 
 /// `pause_budget_ns = u64::MAX` *arms* incremental mode but the proactive
 /// trigger never starts a cycle (an infinite budget means a demand major
-/// can always run whole), so every demand collection dispatches stop-world
-/// and the armed configuration must reproduce the unarmed golden
+/// can always run whole), so every demand collection runs as one unbounded
+/// slice and the armed configuration must reproduce the unarmed golden
 /// bit-identically — the armed-idle write barrier and slice plumbing cost
 /// nothing in the simulated clock.
 fn armed_idle_config() -> HeapConfig {
@@ -387,8 +444,8 @@ fn armed_idle_config() -> HeapConfig {
 
 #[test]
 fn armed_infinite_budget_matches_golden() {
-    let got = capture_with(armed_idle_config());
-    assert_eq!(got, golden());
+    let (heap, keep) = run_mixed_workload_with(armed_idle_config());
+    assert_eq!(capture_from(heap, keep), golden());
 }
 
 #[test]
@@ -407,7 +464,9 @@ fn workload_is_self_deterministic() {
     // Two fresh runs in the same process must agree exactly — guards the
     // suite itself against nondeterminism (hash-order dependence, ambient
     // time or randomness), which would make the golden comparison moot.
-    assert_eq!(capture(), capture());
+    for a in ARMS {
+        assert_eq!(a.capture(false), a.capture(false), "arm {a:?} is not self-deterministic");
+    }
 }
 
 #[test]
@@ -415,7 +474,7 @@ fn release_recycles_slots_under_churn() {
     // The root-table free list must keep the root set bounded under
     // long-running alloc/release churn (leaked slots would grow every root
     // scan forever).
-    let (mut heap, _keep) = run_mixed_workload();
+    let (mut heap, _keep) = run_mixed_workload_with(HeapConfig::with_words(24 << 10, 96 << 10));
     let baseline = heap.root_table_len();
     let leaf = heap.register_class("ChurnLeaf", 0, 1);
     for i in 0..10_000u64 {
@@ -431,23 +490,16 @@ fn release_recycles_slots_under_churn() {
     );
 }
 
-/// The deprecated `enable_teraheap` shim routes through a one-tenant
-/// [`SharedDevice`]; it must reproduce the golden — and hence the explicit
-/// `attach_h2` path — bit for bit. This pins the API redesign: the
-/// arbitration layer a sole tenant passes through costs zero simulated ns.
-#[test]
-fn deprecated_shim_matches_golden() {
-    let (heap, keep) = run_mixed_workload_shim(HeapConfig::with_words(24 << 10, 96 << 10));
-    assert_eq!(capture_from(heap, keep), golden());
-}
-
 /// A sole tenant at full weight must never queue: with one tenant the
 /// virtual-time fair queue degenerates to FIFO against an idle device, so
 /// every submission starts at its arrival (`wait = 0` for all ops) even
-/// though real service time flows through the arbiter.
+/// though real service time flows through the arbiter — the arbitration
+/// layer a sole tenant passes through costs zero simulated ns, which is why
+/// the goldens above (all attached through `attach_h2`) predate it.
 #[test]
 fn sole_tenant_arbitration_is_queueless() {
-    let (heap, _keep, dev) = run_mixed_workload_shared(HeapConfig::with_words(24 << 10, 96 << 10));
+    let (heap, _keep, dev) =
+        run_mixed_workload_shared(HeapConfig::with_words(24 << 10, 96 << 10), FaultPlan::none());
     let id = dev.tenant_of(heap.clock()).expect("heap's clock is registered");
     let io = dev.tenant_io(id).expect("registered tenant has counters");
     assert_eq!(io.queued_ns, 0, "a sole tenant must never wait");

@@ -1,5 +1,5 @@
 //! Randomized equivalence suite for the incremental major collector
-//! (DESIGN.md §12).
+//! (DESIGN.md §11).
 //!
 //! Each test runs the *same* deterministic random mutator program — driven
 //! by a hand-rolled LCG, no external randomness — under the stop-world
@@ -17,7 +17,7 @@
 //! flight for most of the program: mutation, allocation, root churn and H2
 //! backward-reference writes all land *between* marking/relocation slices,
 //! exercising the SATB write barrier, allocate-black, the logical→physical
-//! redirection of every accessor, and the force-finish paths.
+//! redirection of every accessor, and the finish-on-demand paths.
 
 use teraheap_core::{H2Config, Label};
 use teraheap_runtime::{Handle, Heap, HeapConfig, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};

@@ -4,7 +4,7 @@
 //! colocate many: this crate runs N independent [`teraheap_runtime::Heap`]
 //! tenants — mixed mini-Spark and mini-Giraph workloads — against **one**
 //! shared simulated H2 device ([`teraheap_storage::SharedDevice`]), and
-//! makes the contention measurable (DESIGN.md §13):
+//! makes the contention measurable (DESIGN.md §12):
 //!
 //! * [`ServerConfig`] / [`TenantSpec`] — builder-validated tenant layout:
 //!   per-tenant H2 partitions and quotas carved from one capacity pool,

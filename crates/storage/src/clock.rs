@@ -205,7 +205,7 @@ impl ChargeScope {
     /// The shared-device arbiter needs the *true* simulated instant of a
     /// request — `clock.total_ns()` plus whatever this scope is still
     /// holding — so batched hot loops submit arrivals that match the
-    /// per-word loop exactly (DESIGN.md §13).
+    /// per-word loop exactly (DESIGN.md §12).
     #[inline]
     pub fn pending_ns(&self) -> u64 {
         self.pending_ns
@@ -373,7 +373,7 @@ impl LaneSet {
     }
 
     /// Discards pending charges without advancing the clock — for phases
-    /// aborted mid-flight (e.g. promotion OOM), which historically charged
+    /// aborted mid-flight (e.g. a major GC's planning overflow), which charge
     /// nothing.
     pub fn abandon(&mut self) {
         self.reset();

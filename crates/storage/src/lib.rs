@@ -15,7 +15,7 @@
 //! * [`SharedDevice`] — one H2 device shared by N tenant heaps: per-tenant
 //!   partitions/quotas carved from a single capacity pool and deterministic
 //!   virtual-time fair queueing, so colocated tenants' I/O charges reflect
-//!   contention (the server plane, DESIGN.md §13).
+//!   contention (the server plane, DESIGN.md §12).
 //! * [`SimClock`] — a deterministic simulated clock that attributes
 //!   nanoseconds to the paper's execution-time breakdown categories
 //!   (other, S/D + I/O, minor GC, major GC).

@@ -93,7 +93,7 @@ pub struct MmapSim {
     /// Shared-device lease: when present, every device service (fault
     /// transfer, write-back, msync, DAX run) is submitted to the device
     /// arbiter before its cost lands, and any queueing delay is charged to
-    /// the touching category (DESIGN.md §13). `None` — and a sole tenant —
+    /// the touching category (DESIGN.md §12). `None` — and a sole tenant —
     /// keep every path bit-identical to the private-device code.
     lease: Option<DeviceLease>,
 }

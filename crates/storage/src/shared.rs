@@ -1,7 +1,7 @@
 //! Shared H2 device: one capacity pool, many tenant heaps.
 //!
 //! The paper evaluates one framework instance per device; the server plane
-//! (DESIGN.md §13) colocates N independent heaps on one device, so the
+//! (DESIGN.md §12) colocates N independent heaps on one device, so the
 //! device must become a first-class shareable object instead of a
 //! `Heap`-private field. [`SharedDevice`] is that object:
 //!

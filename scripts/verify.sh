@@ -63,20 +63,19 @@ echo "== trace equivalence: tracing never perturbs simulated time =="
 cargo test -q --offline -p teraheap-runtime --test trace_equivalence
 echo "ok"
 
-# Work-unit scheduler invariants (DESIGN.md §11): gc_threads=1 must
-# reproduce the pre-refactor serial collector bit-identically, and lane
-# accounting must be deterministic across runs, thread counts, and host
+# Collector invariants (DESIGN.md §11). The golden table pins simulated ns,
+# phase breakdowns and the graph checksum over variant x gc_threads x pause
+# budget x armed fault plane (plus the armed-idle and sole-tenant goldens);
+# lane accounting must be deterministic across runs, thread counts, and host
 # parallelism. Run both suites explicitly.
-echo "== lane equivalence: serial golden + lane determinism =="
+echo "== collector goldens: configuration-product table + lane determinism =="
 cargo test -q --offline -p teraheap-runtime --test gc_equivalence
 cargo test -q --offline -p teraheap-runtime --test lane_determinism
 echo "ok"
 
-# Incremental-collection invariants (DESIGN.md §12): a pause-budgeted run
-# must converge to the same logical heap as the stop-world collector at any
-# budget and lane count, slices must replay bit-identically, and the armed
-# but idle barrier (pause_budget_ns = u64::MAX) must reproduce the
-# stop-world golden. Run the suite explicitly.
+# Sliced-cycle invariants (DESIGN.md §11): a pause-budgeted run must
+# converge to the same logical heap as one run whole at any budget and lane
+# count, and slices must replay bit-identically. Run the suite explicitly.
 echo "== incremental equivalence: sliced majors converge to stop-world =="
 cargo test -q --offline -p teraheap-runtime --test incremental_marking
 echo "ok"
@@ -110,20 +109,17 @@ cargo test -q --offline -p teraheap-runtime --test fault_recovery
 cargo test -q --offline -p teraheap-runtime --test fault_equivalence
 echo "ok"
 
-# Shared-device invariants (DESIGN.md §13): the one-tenant arbitrated path
-# must reproduce the pre-redesign private-device goldens bit-identically
-# (both through attach_h2 and the deprecated shim), N-tenant server runs
-# must be deterministic with typed config rejection, and one tenant's
-# injected crash must leave its neighbours' simulated time, heap census and
-# arbitration counters untouched. Run the three suites explicitly.
-echo "== shared device: tenant equivalence, server plane, fault isolation =="
-cargo test -q --offline -p teraheap-runtime --test gc_equivalence -- \
-    deprecated_shim_matches_golden sole_tenant_arbitration_is_queueless
+# Shared-device invariants (DESIGN.md §12): N-tenant server runs must be
+# deterministic with typed config rejection, and one tenant's injected crash
+# must leave its neighbours' simulated time, heap census and arbitration
+# counters untouched. (That a sole tenant never queues is part of the
+# gc_equivalence stage above.) Run both suites explicitly.
+echo "== shared device: server plane, fault isolation =="
 cargo test -q --offline -p teraheap-server
 cargo test -q --offline -p teraheap-runtime --test fault_isolation
 echo "ok"
 
-# Adaptive-placement invariants (DESIGN.md §14): the lifetime profiler must
+# Adaptive-placement invariants (DESIGN.md §13): the lifetime profiler must
 # replay bit-identically and never retract a pretenure decision, region
 # group liveness must be merge-order invariant, and the placement cost
 # model must be deterministic and monotone in device latency and S/D cost.
@@ -133,14 +129,14 @@ cargo test -q --offline -p teraheap-core --test properties
 cargo test -q --offline -p mini-spark --test placement_properties
 echo "ok"
 
-# Query-plane invariants (DESIGN.md §15): the executor must match its
+# Query-plane invariants (DESIGN.md §14): the executor must match its
 # naive oracle with the index plan answer-bit-equal to the full scan and
 # answers invariant across runtime knobs; the retriever-style endurance
 # loop must stay leak-free with the heap checker armed; and with the query
 # crate linked but idle the runtime golden must reproduce bit-identically
 # (the events, labeled entry points and server variant cost nothing
-# unused). The read path's simulated charges are pinned to constants
-# captured before it went zero-copy. Run the four suites explicitly.
+# unused). The read path's simulated charges are pinned to constants. Run
+# the four suites explicitly.
 echo "== query plane: oracle properties, endurance churn, linked-idle golden, charge pin =="
 cargo test -q --offline -p teraheap-query --test charge_pin
 cargo test -q --offline -p teraheap-query --test query_properties
