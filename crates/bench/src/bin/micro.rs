@@ -5,7 +5,9 @@
 //! * `barrier/*` — post-write barrier with and without the TeraHeap
 //!   reference range check (the §4 DaCapo ≤3% overhead claim);
 //! * `gc/*` — whole minor/major collections over a linked graph (the
-//!   allocation-free tracing, forwarding-table and stash-arena paths);
+//!   allocation-free tracing, forwarding-table and stash-arena paths), a
+//!   major over many small half-dead objects (the mark bitmap's scan and
+//!   rank) and one dominated by forwarding lookups;
 //! * `h1_cards/*` — H1 dirty-card indexing: sparse scan and barrier mark;
 //! * `mmap/*` — page-cache touch: a resident hit, and fault + eviction
 //!   with the working set far past the budget;
@@ -47,6 +49,61 @@ fn traced_heap() -> (Heap, teraheap_runtime::Handle) {
     (heap, spine)
 }
 
+/// The Spark-SD shape: 100k 4-word records, each owning a 4-word primitive
+/// array, half of them unreachable — a quarter of the pairs dead in the old
+/// generation (so survivors slide), a quarter dead in eden.
+fn small_object_heap() -> (Heap, teraheap_runtime::Handle) {
+    const PAIRS: usize = 100_000;
+    let mut heap = Heap::new(HeapConfig::with_words(640 << 10, 1 << 20));
+    let rec = heap.register_class("Rec", 1, 1);
+    let spine = heap.alloc_ref_array(PAIRS / 2).unwrap();
+    let fill = |heap: &mut Heap, keep_every: usize| {
+        for i in 0..PAIRS / 2 {
+            let r = heap.alloc(rec).unwrap();
+            let payload = heap.alloc_prim_array(1).unwrap();
+            heap.write_ref(r, 0, payload);
+            heap.release(payload);
+            if i % keep_every == 0 {
+                heap.write_ref(spine, i, r);
+            }
+            heap.release(r);
+        }
+    };
+    fill(&mut heap, 1);
+    heap.gc_major().unwrap();
+    // Every second young record survives, and kills the old one whose slot
+    // it takes.
+    fill(&mut heap, 2);
+    (heap, spine)
+}
+
+/// 256k reference slots over 16k small objects, all live and already
+/// compacted: marking, planning and copying are cheap, so the major GC is
+/// one forwarding lookup per slot.
+fn lookup_heap() -> (Heap, Vec<teraheap_runtime::Handle>) {
+    const TARGETS: usize = 16 << 10;
+    let mut heap = Heap::new(HeapConfig::with_words(512 << 10, 1 << 20));
+    let class = heap.register_class("T", 0, 2);
+    let targets = heap.alloc_ref_array(TARGETS).unwrap();
+    for i in 0..TARGETS {
+        let t = heap.alloc(class).unwrap();
+        heap.write_ref(targets, i, t);
+        heap.release(t);
+    }
+    let mut roots = vec![targets];
+    for a in 0..8 {
+        let arr = heap.alloc_ref_array(32 << 10).unwrap();
+        for i in 0..32 << 10 {
+            let t = heap.read_ref(targets, (a + i * 7919) % TARGETS).unwrap();
+            heap.write_ref(arr, i, t);
+            heap.release(t);
+        }
+        roots.push(arr);
+    }
+    heap.gc_major().unwrap();
+    (heap, roots)
+}
+
 fn bench_barrier(bench: &mut Bench) {
     let mut group = bench.group("barrier");
     for (name, enable) in [("vanilla", false), ("teraheap", true)] {
@@ -78,10 +135,22 @@ fn bench_gc(bench: &mut Bench) {
             black_box(heap.stats().minor_count);
         });
     });
-    // Full major GC: marking, the sorted-vec forwarding table, adjust and
-    // compact with the stash arena.
+    // Full major GC: marking, the forwarding table, adjust and compact with
+    // the stash arena.
     group.bench_function("major_compact", |b| {
         b.iter_with_setup(traced_heap, |(mut heap, _spine)| {
+            heap.gc_major().unwrap();
+            black_box(heap.stats().major_count);
+        });
+    });
+    group.bench_function("major_small_objects", |b| {
+        b.iter_with_setup(small_object_heap, |(mut heap, _spine)| {
+            heap.gc_major().unwrap();
+            black_box(heap.stats().major_count);
+        });
+    });
+    group.bench_function("forward_lookup", |b| {
+        b.iter_with_setup(lookup_heap, |(mut heap, _roots)| {
             heap.gc_major().unwrap();
             black_box(heap.stats().major_count);
         });

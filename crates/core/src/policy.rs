@@ -193,17 +193,10 @@ impl TransferPolicy {
     }
 
     /// Updates the pressure flag from end-of-major-GC occupancy and clears
-    /// satisfied `h2_move` requests (they applied to the GC that just ran).
-    pub fn note_major_gc_end(&mut self, live_words: u64, capacity_words: u64) {
-        self.requested.clear();
-        self.note_major_gc_end_satisfying(live_words, capacity_words, &[]);
-    }
-
-    /// Like [`TransferPolicy::note_major_gc_end`], but clears only the
-    /// `satisfied` requests — the ones the finishing collection actually
-    /// considered. An incremental cycle snapshots its requests when candidate
-    /// selection begins; a hint arriving after that point applied to a
-    /// *later* GC and must survive the cycle's retirement.
+    /// the `satisfied` `h2_move` requests — the ones the finishing
+    /// collection actually considered. A cycle snapshots its requests when
+    /// candidate selection begins; a hint arriving after that point applies
+    /// to a *later* GC and must survive the cycle's retirement.
     pub fn note_major_gc_end_satisfying(
         &mut self,
         live_words: u64,
@@ -258,16 +251,19 @@ mod tests {
     fn requests_clear_after_major_gc() {
         let mut p = TransferPolicy::new();
         p.request_move(Label::new(1));
-        p.note_major_gc_end(0, 100);
+        let seen: Vec<Label> = p.requested_labels().collect();
+        p.request_move(Label::new(2));
+        p.note_major_gc_end_satisfying(0, 100, &seen);
         assert!(!p.should_move(Label::new(1)));
+        assert!(p.should_move(Label::new(2)), "a hint the GC never saw survives it");
     }
 
     #[test]
     fn pressure_triggers_at_high_threshold() {
         let mut p = TransferPolicy::new();
-        p.note_major_gc_end(84, 100);
+        p.note_major_gc_end_satisfying(84, 100, &[]);
         assert!(!p.under_pressure());
-        p.note_major_gc_end(86, 100);
+        p.note_major_gc_end_satisfying(86, 100, &[]);
         assert!(p.under_pressure());
         // Under pressure, every label moves even without a hint.
         assert!(p.should_move(Label::new(42)));
@@ -292,7 +288,7 @@ mod tests {
         p.request_move(Label::new(1));
         assert!(!p.should_move(Label::new(1)), "NH config ignores h2_move");
         // The pressure mechanism still works.
-        p.note_major_gc_end(90, 100);
+        p.note_major_gc_end_satisfying(90, 100, &[]);
         assert!(p.should_move(Label::new(1)));
     }
 
@@ -307,8 +303,8 @@ mod tests {
         let mut p = TransferPolicy::new().with_adaptive();
         assert!(p.is_adaptive());
         let h0 = p.high();
-        p.note_major_gc_end(90, 100);
-        p.note_major_gc_end(90, 100);
+        p.note_major_gc_end_satisfying(90, 100, &[]);
+        p.note_major_gc_end_satisfying(90, 100, &[]);
         assert!(p.high() < h0, "two pressured GCs lower the threshold");
     }
 
@@ -316,12 +312,12 @@ mod tests {
     fn adaptive_recovers_when_calm() {
         let mut p = TransferPolicy::new().with_adaptive();
         for _ in 0..4 {
-            p.note_major_gc_end(95, 100);
+            p.note_major_gc_end_satisfying(95, 100, &[]);
         }
         let lowered = p.high();
         assert!(lowered < TransferPolicy::DEFAULT_HIGH);
         for _ in 0..16 {
-            p.note_major_gc_end(10, 100);
+            p.note_major_gc_end_satisfying(10, 100, &[]);
         }
         assert!(p.high() > lowered, "calm GCs raise the threshold back");
         assert!(p.high() <= TransferPolicy::DEFAULT_HIGH);
@@ -331,7 +327,7 @@ mod tests {
     fn adaptive_threshold_stays_bounded() {
         let mut p = TransferPolicy::new().with_adaptive();
         for _ in 0..100 {
-            p.note_major_gc_end(99, 100);
+            p.note_major_gc_end_satisfying(99, 100, &[]);
         }
         assert!(p.high() >= 0.55, "floor holds: {}", p.high());
     }

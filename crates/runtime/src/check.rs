@@ -9,8 +9,9 @@
 //!
 //! * every object in eden, the active survivor space, the old generation
 //!   and every in-use H2 region has a well-formed header (registered class,
-//!   in-bounds size) with no mark / candidate / forwarding bits left over
-//!   from a collection;
+//!   in-bounds size) with no candidate / forwarding bits left over from a
+//!   collection, and the major cycle's mark bitmap is all-zero outside a
+//!   cycle;
 //! * every non-null reference slot — H1 or H2 resident — targets a valid
 //!   object start in H1 or H2 (no dangling references);
 //! * the H1 card table covers every old→young reference, and the H2 card
@@ -27,7 +28,7 @@
 
 use crate::heap::Heap;
 use crate::object;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use teraheap_core::{Addr, CardState, RecoveryReport, RegionId, NULL};
 
 /// Counters from a successful [`Heap::heap_check`] pass.
@@ -127,11 +128,12 @@ impl Heap {
     /// Verifies the full-heap invariants listed in the [module docs](self).
     ///
     /// Intended for quiescent points (GC boundaries, end of a workload);
-    /// must not be called from inside a collection, where mark / forwarding
-    /// bits are legitimately set. Between the slices of an incremental
-    /// major cycle the check adapts: before the flip the full walk runs
-    /// with mark/candidate bits allowed (SATB marking legitimately leaves
-    /// them set between slices); during relocation only root resolution is
+    /// must not be called from inside a collection, where forwarding bits
+    /// are legitimately set. Between the slices of an incremental major
+    /// cycle the check adapts: before the flip the full walk runs with
+    /// candidate bits allowed (selection legitimately leaves them set
+    /// between slices; the marks live in the cycle's own bitmap); during
+    /// relocation only root resolution is
     /// checked (objects are mid-motion and H2 promotion is mid-flight).
     ///
     /// # Errors
@@ -143,6 +145,12 @@ impl Heap {
             Some(cyc) if !cyc.pre_flip() => return self.heap_check_relocating(),
             Some(_) => return self.heap_check_walk(true),
             None => {}
+        }
+        if let Some(addr) = self.mark_scratch.sources().next() {
+            return Err(CheckError::StaleGcBits {
+                addr,
+                detail: "mark bitmap bit outside a cycle",
+            });
         }
         self.heap_check_walk(false)
     }
@@ -236,11 +244,11 @@ impl Heap {
         }
 
         let mut h2set: HashSet<u64> = HashSet::new();
-        let mut rids: Vec<u32> = self.h2_starts.keys().copied().collect();
-        rids.sort_unstable();
         if let Some(h2) = self.h2.as_ref() {
-            for &rid in &rids {
-                let starts = &self.h2_starts[&rid];
+            // An in-use region the index does not cover fails the tiling
+            // check too: card scans would silently skip its objects.
+            for (rid, starts) in self.h2_starts.iter().enumerate() {
+                let rid = rid as u32;
                 let base = h2.regions().region_base(RegionId(rid)).raw();
                 let used = h2.regions().used_words(RegionId(rid));
                 // Region allocation is a pure bump: the indexed objects must
@@ -260,14 +268,6 @@ impl Heap {
                 let walked = (expect - base) as usize;
                 if walked != used {
                     return Err(CheckError::RegionAccounting { region: rid, walked, recorded: used });
-                }
-            }
-            // Every in-use region must be covered by the start index, or
-            // card scans would silently skip its objects.
-            for rid in 0..h2.regions().region_count() as u32 {
-                let used = h2.regions().used_words(RegionId(rid));
-                if used > 0 && !self.h2_starts.contains_key(&rid) {
-                    return Err(CheckError::RegionAccounting { region: rid, walked: 0, recorded: used });
                 }
             }
         }
@@ -399,19 +399,11 @@ impl Heap {
                 detail: "forwarding header outside a collection",
             });
         }
-        if !allow_gc_bits {
-            if object::is_marked(header) {
-                return Err(CheckError::StaleGcBits {
-                    addr,
-                    detail: "mark bit outside a collection",
-                });
-            }
-            if object::is_candidate(header) {
-                return Err(CheckError::StaleGcBits {
-                    addr,
-                    detail: "candidate bit outside a collection",
-                });
-            }
+        if !allow_gc_bits && object::is_candidate(header) {
+            return Err(CheckError::StaleGcBits {
+                addr,
+                detail: "candidate bit outside a collection",
+            });
         }
         let size = object::size_of(header);
         if size < object::HEADER_WORDS || size > max_words {
@@ -456,15 +448,11 @@ impl Heap {
 
         // ---- 1. rebuild the per-region object-start index --------------
         let region_count = self.h2.as_ref().unwrap().regions().region_count() as u32;
-        let mut starts_map: HashMap<u32, Vec<u64>> = HashMap::new();
         for rid in 0..region_count {
             let (base, used) = {
                 let regions = self.h2.as_ref().unwrap().regions();
                 (regions.region_base(RegionId(rid)).raw(), regions.used_words(RegionId(rid)))
             };
-            if used == 0 {
-                continue;
-            }
             let mut starts: Vec<u64> = Vec::new();
             let mut off = 0usize;
             while off < used {
@@ -483,12 +471,9 @@ impl Heap {
                 starts.push(base + off as u64);
                 off += size;
             }
-            if !starts.is_empty() {
-                starts_map.insert(rid, starts);
-            }
+            self.h2_starts[rid as usize] = starts;
         }
-        out.h2_objects = starts_map.values().map(|v| v.len() as u64).sum();
-        self.h2_starts = starts_map;
+        out.h2_objects = self.h2_starts.iter().map(|v| v.len() as u64).sum();
 
         // ---- 2. valid-object sets --------------------------------------
         // H1 survived the (simulated) crash untouched: the walk must succeed.
@@ -502,14 +487,11 @@ impl Heap {
             h1.insert(s);
         }
         let h2set: HashSet<u64> =
-            self.h2_starts.values().flat_map(|v| v.iter().copied()).collect();
+            self.h2_starts.iter().flat_map(|v| v.iter().copied()).collect();
 
         // ---- 3. repair H2-resident slots, rebuild cards + deps ---------
-        let mut rids: Vec<u32> = self.h2_starts.keys().copied().collect();
-        rids.sort_unstable();
-        for rid in rids {
-            let starts = self.h2_starts[&rid].clone();
-            for a in starts {
+        for rid in 0..self.h2_starts.len() {
+            for a in self.h2_starts[rid].clone() {
                 let obj = Addr::new(a);
                 let (first_slot, end_slot) = self.ref_slot_range(obj);
                 for s in first_slot..end_slot {
@@ -709,6 +691,21 @@ mod on_demand_tests {
         assert_eq!(heap.clock().total_ns(), ns_before, "checking charges nothing");
         heap.heap_check_now().expect("still clean");
         assert_eq!(heap.stats().heap_checks_on_demand, 2);
+    }
+
+    #[test]
+    fn mark_bitmap_bit_outside_a_cycle_is_reported() {
+        let mut heap = h2_heap();
+        let arr = heap.alloc_prim_array(8).unwrap();
+        // The cycle sizes the recycled bitmap and must hand it back all-zero.
+        heap.gc_major().unwrap();
+        heap.heap_check_now().expect("bitmap clear after the cycle");
+        let addr = heap.handle_addr(arr).raw();
+        assert!(heap.mark_scratch.mark(addr));
+        assert_eq!(
+            heap.heap_check_now(),
+            Err(CheckError::StaleGcBits { addr, detail: "mark bitmap bit outside a cycle" })
+        );
     }
 
     #[test]

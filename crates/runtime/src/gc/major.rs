@@ -58,7 +58,7 @@
 use super::schedule::{
     Scheduler, DOM_H2_CARD, DOM_OBJECT, GRAY_PACKET, H2_CARD_CHUNK, OBJECT_CHUNK, ROOT_STRIP,
 };
-use super::units::{self, ForwardTable, SelState, Stash};
+use super::units::{self, LiveMap, SelState, Stash};
 use super::Work;
 use crate::config::{GcVariant, OomError};
 use crate::heap::Heap;
@@ -142,7 +142,6 @@ pub(super) struct MarkState {
     cards_cursor: usize,
     cards_snapped: bool,
     pub(super) stack: Vec<Addr>,
-    pub(super) live: Vec<u64>,
     pub(super) live_words: u64,
     /// H2 slots holding backward references, for the backward fix.
     pub(super) backward_slots: Vec<Addr>,
@@ -172,13 +171,10 @@ pub(crate) struct MutatorLog {
     pub(crate) plan_late: Vec<u64>,
 }
 
-/// Pre-compaction state: the frozen live set and its forwarding addresses.
+/// Pre-compaction state: what the frozen live set is planned into.
 #[derive(Default)]
 pub(super) struct PlanState {
     pub(super) old_base: u64,
-    /// The relocation enumeration: old then young, each address-sorted.
-    pub(super) old_live: Vec<u64>,
-    pub(super) young_live: Vec<u64>,
     /// H2 candidates in closure-discovery order (= H2 placement order).
     pub(super) move_order: Vec<u64>,
     sel: Option<SelState>,
@@ -188,7 +184,6 @@ pub(super) struct PlanState {
     /// `move_order[..assign_idx]` hold their H2 addresses.
     assign_idx: usize,
     plan_idx: usize,
-    pub(super) forwarding: ForwardTable,
     pub(super) new_top: u64,
     pub(super) new_old_starts: Vec<u64>,
     /// Live words per old-generation G1 region (mixed-collection model).
@@ -226,6 +221,10 @@ pub(crate) struct MajorCycle {
     seg_start_ns: u64,
     /// Clock ns when the last slice ended; paces the next slice.
     pub(crate) last_slice_end_ns: u64,
+    /// The mark bitmap: the live set while marking, and from mark
+    /// termination on the frozen relocation enumeration (old then young,
+    /// each in address order) and its forwarding addresses.
+    pub(super) live: LiveMap,
     pub(super) mark: MarkState,
     pub(crate) mutator: MutatorLog,
     pub(super) plan: PlanState,
@@ -239,7 +238,7 @@ impl std::fmt::Debug for MajorCycle {
         f.debug_struct("MajorCycle")
             .field("shape", &self.shape)
             .field("phase", &self.phase)
-            .field("live", &self.mark.live.len())
+            .field("live", &self.live.len())
             .field("reloc_idx", &self.reloc.idx)
             .finish_non_exhaustive()
     }
@@ -257,31 +256,10 @@ impl MajorCycle {
         self.phase != Phase::Relocate
     }
 
-    fn live_count(&self) -> usize {
-        self.plan.old_live.len() + self.plan.young_live.len()
-    }
-
-    /// The object at rank `idx` of the relocation enumeration.
-    pub(super) fn enum_at(&self, idx: usize) -> u64 {
-        match idx.checked_sub(self.plan.old_live.len()) {
-            None => self.plan.old_live[idx],
-            Some(young) => self.plan.young_live[young],
-        }
-    }
-
-    /// The object's rank in the relocation enumeration.
-    fn enum_rank(&self, src: u64) -> usize {
-        if src >= self.plan.old_base {
-            self.plan.old_live.partition_point(|&s| s < src)
-        } else {
-            self.plan.old_live.len() + self.plan.young_live.partition_point(|&s| s < src)
-        }
-    }
-
     /// Declares every live object part of the next barrier's coverage
     /// domain: each is planned, adjusted and copied by exactly one unit.
     fn expect_live(&mut self) {
-        for &src in self.plan.old_live.iter().chain(&self.plan.young_live) {
+        for src in self.live.sources() {
             self.sched.expect(DOM_OBJECT | src);
         }
     }
@@ -296,7 +274,7 @@ impl MajorCycle {
             return (a, false);
         }
         match self.reloc.dest_index.binary_search_by_key(&a.raw(), |&(d, _)| d) {
-            Ok(i) if self.enum_rank(self.reloc.dest_index[i].1) >= self.reloc.idx => {
+            Ok(i) if self.live.rank(self.reloc.dest_index[i].1) >= self.reloc.idx => {
                 (Addr::new(self.reloc.dest_index[i].1), true)
             }
             _ => (a, false),
@@ -305,7 +283,7 @@ impl MajorCycle {
 
     /// Raw slot value → logical address (reads from un-moved objects).
     pub(crate) fn canon(&self, v: u64) -> u64 {
-        self.plan.forwarding.get(v).unwrap_or(v)
+        self.live.get(v).unwrap_or(v)
     }
 
     /// Logical address → raw slot value (writes into un-moved objects,
@@ -322,14 +300,12 @@ impl MajorCycle {
     /// are null at birth; SATB covers later stores; the words count so the
     /// pressure heuristic sees them), and log allocations made while the
     /// frozen live set is planned for the flip's slot adjustment.
-    pub(crate) fn note_alloc(&mut self, addr: Addr, words: usize, mem: &mut [u64]) {
+    pub(crate) fn note_alloc(&mut self, addr: Addr, words: usize) {
         match self.phase {
             Phase::Plan => self.mutator.plan_late.push(addr.raw()),
             Phase::Relocate => {}
             _ => {
-                let i = addr.raw() as usize;
-                mem[i] = object::with_mark(mem[i]);
-                self.mark.live.push(addr.raw());
+                self.live.mark(addr.raw());
                 self.mark.live_words += words as u64;
             }
         }
@@ -422,6 +398,8 @@ fn start(heap: &mut Heap, cause: GcCause, interleaved: bool) {
         gc_ns: 0,
         seg_start_ns: 0,
         last_slice_end_ns: heap.clock.total_ns(),
+        live: std::mem::take(&mut heap.mark_scratch)
+            .recycled(heap.old.base().raw(), heap.mem.len()),
         mark: MarkState { roots_len: heap.roots.len(), ..MarkState::default() },
         mutator: MutatorLog::default(),
         plan: PlanState { old_base: heap.old.base().raw(), ..PlanState::default() },
@@ -501,7 +479,7 @@ pub(crate) fn run_slice(heap: &mut Heap, budget_ns: u64) {
     }
     heap.in_gc = false;
     if cyc.aborted {
-        // Mark bits are still set: the heap is not checkable (nor usable).
+        // Candidate bits are still set: the heap is not checkable (nor usable).
         return;
     }
     if !cyc.done {
@@ -634,7 +612,7 @@ fn mark_terminate(heap: &mut Heap, cyc: &mut MajorCycle) {
     }
     // A chain run whole is charged as one unit even when nothing is tagged.
     let whole = !cyc.shape.interleaved;
-    cyc.plan.sel = units::begin_select(heap, cyc.mark.live_words, &cyc.mark.live)
+    cyc.plan.sel = units::begin_select(heap, cyc.mark.live_words, &cyc.live)
         .filter(|sel| whole || !sel.is_idle());
     step_select(heap, cyc)
 }
@@ -647,7 +625,7 @@ fn step_select(heap: &mut Heap, cyc: &mut MajorCycle) {
     };
     let chunk = cyc.shape.chain_chunk;
     let exhausted = run_unit(heap, cyc, WorkUnitKind::CandidateSelect, true, |heap, cyc, uw| {
-        units::select_chunk(heap, &mut sel, &mut cyc.plan.move_order, chunk, uw)
+        units::select_chunk(heap, &mut sel, &cyc.live, &mut cyc.plan.move_order, chunk, uw)
     });
     if !exhausted {
         cyc.plan.sel = Some(sel);
@@ -666,7 +644,7 @@ fn finish_select(heap: &mut Heap, cyc: &mut MajorCycle) {
         heap.propagate_site_groups();
         let freed = heap.h2.as_mut().unwrap().propagate_and_sweep();
         for rid in &freed {
-            heap.h2_starts.remove(&rid.0);
+            heap.h2_starts[rid.0 as usize] = Vec::new();
             units::clear_region_cards(heap, rid.0);
         }
     }
@@ -674,17 +652,12 @@ fn finish_select(heap: &mut Heap, cyc: &mut MajorCycle) {
     heap.stats.lane_stall_ns += cyc.sched.barrier(&clock, Category::MajorGc, "major:mark");
     roll_to(heap, cyc, GcPhase::Precompact);
     cyc.sched.set_milli(1000);
-    // The enumeration order (old-then-young, sorted) is both the planning
-    // and the relocation order, and the flip point pins which eden
+    // The bitmap's scan order (old then young, each ascending) is both the
+    // planning and the relocation order, and the flip point pins which eden
     // allocations stay put.
-    let (plan, live) = (&mut cyc.plan, &cyc.mark.live);
-    plan.old_live = live.iter().copied().filter(|&a| a >= plan.old_base).collect();
-    plan.young_live = live.iter().copied().filter(|&a| a < plan.old_base).collect();
-    plan.old_live.sort_unstable();
-    plan.young_live.sort_unstable();
+    let plan = &mut cyc.plan;
+    plan.new_old_starts.reserve_exact(cyc.live.freeze());
     plan.flip_top = heap.eden.top().raw();
-    plan.forwarding =
-        ForwardTable::recycled(std::mem::take(&mut heap.fwd_scratch), heap.mem.len(), live.len());
     plan.new_top = plan.old_base;
     cyc.expect_live();
     cyc.phase = Phase::Plan;
@@ -706,10 +679,10 @@ fn step_plan(heap: &mut Heap, cyc: &mut MajorCycle) {
         });
     }
     let from = cyc.plan.plan_idx;
-    if from >= cyc.live_count() {
+    if from >= cyc.live.len() {
         return flip(heap, cyc);
     }
-    let to = (from + OBJECT_CHUNK).min(cyc.live_count());
+    let to = (from + OBJECT_CHUNK).min(cyc.live.len());
     let clock = heap.clock.clone();
     let lane = cyc.sched.begin_unit(&clock, WorkUnitKind::PlanChunk);
     let mut uw = Work::default();
@@ -744,10 +717,11 @@ fn tail_unit(
     let lane = cyc.sched.begin_unit(&clock, kind);
     let mut uw = Work::default();
     let mut h1_words: u64 = 0;
+    let mut cur = cyc.live.cursor(from);
     for idx in from..to {
-        let src = cyc.enum_at(idx);
+        let src = cyc.live.next(&mut cur).expect("rank below the live count");
         cyc.sched.claim(DOM_OBJECT | src);
-        let dest = cyc.plan.forwarding.at(src);
+        let dest = cyc.live.dest(idx);
         if adjust {
             units::adjust_object(heap, cyc, src, dest, &mut uw);
         }
@@ -786,7 +760,7 @@ fn flip(heap: &mut Heap, cyc: &mut MajorCycle) {
             h2.cards_mut().mark_dirty(slot);
         }
     }
-    let total = cyc.live_count();
+    let total = cyc.live.len();
     if !cyc.shape.interleaved {
         cyc.expect_live();
         for from in (0..total).step_by(cyc.shape.tail_chunk) {
@@ -810,7 +784,7 @@ fn flip(heap: &mut Heap, cyc: &mut MajorCycle) {
     // Roots — including handles created mid-cycle — become logical
     // (uncosted: a handful of slot rewrites).
     for root in heap.roots.iter_mut().filter(|a| a.is_h1()) {
-        if let Some(d) = cyc.plan.forwarding.get(root.raw()) {
+        if let Some(d) = cyc.live.get(root.raw()) {
             *root = Addr::new(d);
         }
     }
@@ -827,10 +801,8 @@ fn flip(heap: &mut Heap, cyc: &mut MajorCycle) {
     // and the mutator barrier keeps marking physically during relocation.
     heap.h1_cards.clear_all();
     if cyc.shape.interleaved {
-        cyc.reloc.dest_index = (0..total)
-            .map(|i| cyc.enum_at(i))
-            .map(|src| (cyc.plan.forwarding.at(src), src))
-            .collect();
+        cyc.reloc.dest_index =
+            cyc.live.sources().enumerate().map(|(i, src)| (cyc.live.dest(i), src)).collect();
         cyc.reloc.dest_index.sort_unstable();
     }
     heap.stats.lane_stall_ns += cyc.sched.barrier(&clock, Category::MajorGc, "major:adjust");
@@ -841,10 +813,10 @@ fn flip(heap: &mut Heap, cyc: &mut MajorCycle) {
 
 fn step_relocate(heap: &mut Heap, cyc: &mut MajorCycle) {
     let from = cyc.reloc.idx;
-    if from >= cyc.live_count() {
+    if from >= cyc.live.len() {
         return retire(heap, cyc);
     }
-    let to = (from + cyc.shape.tail_chunk).min(cyc.live_count());
+    let to = (from + cyc.shape.tail_chunk).min(cyc.live.len());
     tail_unit(heap, cyc, WorkUnitKind::CompactChunk, from, to, cyc.shape.interleaved, true);
     cyc.reloc.idx = to;
 }
@@ -862,12 +834,10 @@ fn retire(heap: &mut Heap, cyc: &mut MajorCycle) {
     // sort invariant here.
     cyc.reloc.promoted_regions.sort_unstable();
     cyc.reloc.promoted_regions.dedup();
-    for rid in &cyc.reloc.promoted_regions {
-        if let Some(starts) = heap.h2_starts.get_mut(rid) {
-            starts.sort_unstable();
-        }
+    for &rid in &cyc.reloc.promoted_regions {
+        heap.h2_starts[rid as usize].sort_unstable();
     }
-    heap.fwd_scratch = std::mem::take(&mut cyc.plan.forwarding).reset();
+    heap.mark_scratch = std::mem::take(&mut cyc.live).reset();
     heap.old.set_top(Addr::new(cyc.plan.new_top));
     heap.old_starts = std::mem::take(&mut cyc.plan.new_old_starts);
     if cyc.shape.interleaved {

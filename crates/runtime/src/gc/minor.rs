@@ -289,9 +289,6 @@ fn scan_h2_cards(heap: &mut Heap, sched: &mut Scheduler, worklist: &mut Vec<Addr
     }
     let seg_words = heap.h2.as_ref().unwrap().cards().seg_words() as u64;
     let region_words = heap.h2.as_ref().unwrap().regions().region_words() as u64;
-    // Consecutive cards usually share a region; hold the region's start
-    // index out of the map (take/put-back) instead of cloning it per card.
-    let mut cached: Option<(u32, Vec<u64>)> = None;
     // Bulk access plane: slot runs are read page-chunk-wise through one
     // touch_run each (bit-identical to the per-word loop because the scan
     // never returns to an earlier page — DESIGN.md §9). The scratch buffer
@@ -304,27 +301,16 @@ fn scan_h2_cards(heap: &mut Heap, sched: &mut Scheduler, worklist: &mut Vec<Addr
         for &card in chunk {
             sched.claim(DOM_H2_CARD | card as u64);
             let base = heap.h2.as_ref().unwrap().cards().card_base(card);
-            let region = (base.h2_offset() / region_words) as u32;
+            let region = (base.h2_offset() / region_words) as usize;
             let lo = base.raw();
             let hi = lo + seg_words;
-            if cached.as_ref().map(|&(r, _)| r) != Some(region) {
-                if let Some((r, v)) = cached.take() {
-                    heap.h2_starts.insert(r, v);
-                }
-                cached = heap.h2_starts.remove(&region).map(|v| (region, v));
-            }
-            let starts = match &cached {
-                Some((_, s)) => s,
-                None => {
-                    // Region freed since the card was dirtied.
-                    heap.h2.as_mut().unwrap().cards_mut().set_state(card, CardState::Clean);
-                    continue;
-                }
-            };
+            // Held out of the heap while the walk borrows it mutably; empty
+            // (so the card goes clean) for a region freed since it was dirtied.
+            let starts = std::mem::take(&mut heap.h2_starts[region]);
             let mut has_young = false;
             let mut has_old = false;
             if !starts.is_empty() {
-                let mut i = first_overlapping(starts, lo);
+                let mut i = first_overlapping(&starts, lo);
                 while i < starts.len() && starts[i] < hi {
                     let obj = Addr::new(starts[i]);
                     // Reading the header from the device-backed heap.
@@ -388,11 +374,9 @@ fn scan_h2_cards(heap: &mut Heap, sched: &mut Scheduler, worklist: &mut Vec<Addr
                 CardState::Clean
             };
             heap.h2.as_mut().unwrap().cards_mut().set_state(card, state);
+            heap.h2_starts[region] = starts;
         }
         let cost = uw.cpu_ns(&heap.config.cost);
         sched.end_unit(&clock, lane, WorkUnitKind::H2CardChunk, cost, uw.extra_ns);
-    }
-    if let Some((r, v)) = cached.take() {
-        heap.h2_starts.insert(r, v);
     }
 }

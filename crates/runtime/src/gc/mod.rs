@@ -13,6 +13,8 @@ pub mod minor;
 pub mod schedule;
 mod units;
 
+pub(crate) use units::LiveMap;
+
 /// CPU-work counters accumulated by one work unit and charged to its lane
 /// when the unit ends.
 #[derive(Debug, Default, Clone, Copy)]

@@ -24,80 +24,167 @@ use std::ops::Range;
 use teraheap_core::{Addr, CardState, Label};
 use teraheap_storage::Category;
 
-/// The compaction forwarding table: `src → dest` for every live object.
+/// The major cycle's side table (DESIGN.md §7): one mark bit per H1 word,
+/// which is at once the live set, its relocation order and the index of the
+/// forwarding table.
 ///
-/// Hit once per reference slot during pointer adjustment and once per object
-/// during compaction: a dense direct-mapped array indexed by the H1 source
-/// address — one bounds-checked load per lookup, no hashing and no
-/// `log(live)` probe. The array spans the whole H1 word range, so it is
-/// recycled across collections through `Heap::fwd_scratch` (zeroed lazily by
-/// [`ForwardTable::reset`], which only touches the entries this GC set)
-/// instead of being reallocated and memset every major GC. Entries store
-/// `dest + 1` so 0 means "not forwarded"; H2 destinations (`1 << 40` and up)
-/// cannot overflow the +1.
-#[derive(Default)]
-pub(super) struct ForwardTable {
-    dense: Vec<u64>,
-    srcs: Vec<u64>,
+/// Bit positions are *enumeration positions* — the old generation's words
+/// first, then the young spaces' — so an ascending scan yields the relocation
+/// enumeration (old then young, each in address order) with nothing sorted.
+/// [`LiveMap::freeze`] counts the marks before every 64-bit block; from then
+/// on `rank(src) = block_rank + popcount(bits below)` indexes `dests`, one
+/// destination (H1, or H2 at `1 << 40` and up) per live object. 12 bytes per
+/// 64 heap words plus 8 per live object, recycled across collections through
+/// `Heap::mark_scratch` and all-zero between cycles.
+#[derive(Debug, Default)]
+pub(crate) struct LiveMap {
+    old_base: u64,
+    /// Words in the old generation = the position of the first young word.
+    old_len: u64,
+    bits: Vec<u64>,
+    block_rank: Vec<u32>,
+    dests: Vec<u64>,
 }
 
-impl ForwardTable {
-    /// Builds the table over `heap_words` of H1, reusing `recycled` (the
-    /// previous GC's array, already reset to all-zero) when it is the right
-    /// size.
-    pub(super) fn recycled(recycled: Vec<u64>, heap_words: usize, live: usize) -> Self {
-        let mut dense = recycled;
-        dense.resize(heap_words, 0);
-        ForwardTable { dense, srcs: Vec::with_capacity(live) }
+/// A resumable ascending scan over a [`LiveMap`]'s marks.
+pub(super) struct Cursor {
+    block: usize,
+    /// The block's marks not yet yielded.
+    rest: u64,
+}
+
+impl LiveMap {
+    /// Sizes a recycled (all-zero) map for `words` of H1 whose old
+    /// generation starts at `old_base`.
+    pub(super) fn recycled(mut self, old_base: u64, words: usize) -> Self {
+        (self.old_base, self.old_len) = (old_base, words as u64 - old_base);
+        self.bits.resize(words.div_ceil(64), 0);
+        self
     }
 
-    /// Records `src → dest`. Sources must be unique (every live object has
-    /// exactly one destination).
-    pub(super) fn push(&mut self, src: u64, dest: u64) {
-        debug_assert_eq!(self.dense[src as usize], 0, "duplicate forwarding source");
-        self.dense[src as usize] = dest + 1;
-        self.srcs.push(src);
+    #[inline]
+    fn pos(&self, addr: u64) -> u64 {
+        if addr >= self.old_base {
+            addr - self.old_base
+        } else {
+            addr + self.old_len
+        }
     }
 
+    /// Marks the object at `addr`; false if it already was.
+    pub(crate) fn mark(&mut self, addr: u64) -> bool {
+        let pos = self.pos(addr);
+        let (word, bit) = (&mut self.bits[(pos >> 6) as usize], 1 << (pos & 63));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+
+    /// Whether `addr` is a marked object start (false outside H1).
+    #[inline]
+    pub(super) fn is_marked(&self, addr: u64) -> bool {
+        let pos = self.pos(addr);
+        addr < self.old_base + self.old_len && self.bits[(pos >> 6) as usize] >> (pos & 63) & 1 != 0
+    }
+
+    /// Freezes the live set: ranks every block and sizes `dests`. Returns
+    /// the number of live objects.
+    pub(super) fn freeze(&mut self) -> usize {
+        let mut live = 0;
+        self.block_rank.clear();
+        self.block_rank.extend(self.bits.iter().map(|w| {
+            let before = live;
+            live += w.count_ones();
+            before
+        }));
+        self.dests.resize(live as usize, 0);
+        live as usize
+    }
+
+    /// Live objects in the frozen set (0 until frozen).
+    pub(super) fn len(&self) -> usize {
+        self.dests.len()
+    }
+
+    /// Marks below position `pos`.
+    #[inline]
+    fn marks_below(&self, pos: u64) -> usize {
+        let block = (pos >> 6) as usize;
+        let below = self.bits[block] & !(!0 << (pos & 63));
+        self.block_rank[block] as usize + below.count_ones() as usize
+    }
+
+    /// Frozen live objects in the old generation (the rest are young).
+    pub(super) fn old_live(&self) -> usize {
+        self.marks_below(self.old_len)
+    }
+
+    /// The enumeration rank of the live object at `src`.
+    pub(super) fn rank(&self, src: u64) -> usize {
+        self.marks_below(self.pos(src))
+    }
+
+    /// Where the object at `src` goes; `None` unless `src` is live.
+    #[inline]
     pub(super) fn get(&self, src: u64) -> Option<u64> {
-        match self.dense.get(src as usize) {
-            Some(&v) if v != 0 => Some(v - 1),
-            _ => None,
-        }
+        self.is_marked(src).then(|| self.dests[self.rank(src)])
     }
 
-    /// Lookup that must succeed (the table covers every live object).
-    pub(super) fn at(&self, src: u64) -> u64 {
-        self.get(src).expect("live object missing from the forwarding table")
+    /// The destination of the live object at enumeration rank `rank`.
+    pub(super) fn dest(&self, rank: usize) -> u64 {
+        debug_assert_ne!(self.dests[rank], 0, "live object without a destination");
+        self.dests[rank]
     }
 
-    /// Clears the entries this GC set and hands the all-zero array back for
-    /// the next collection.
-    pub(super) fn reset(mut self) -> Vec<u64> {
-        for src in self.srcs {
-            self.dense[src as usize] = 0;
+    /// Sets it; every live object's destination is set exactly once.
+    pub(super) fn set_dest(&mut self, rank: usize, dest: u64) {
+        debug_assert_eq!(self.dests[rank], 0, "duplicate forwarding source");
+        self.dests[rank] = dest;
+    }
+
+    /// A scan whose first [`LiveMap::next`] is the live object at `rank`
+    /// (frozen, `rank < len()`).
+    pub(super) fn cursor(&self, rank: usize) -> Cursor {
+        let block = self.block_rank.partition_point(|&r| r as usize <= rank) - 1;
+        let mut rest = self.bits[block];
+        for _ in self.block_rank[block] as usize..rank {
+            rest &= rest - 1;
         }
-        self.dense
+        Cursor { block, rest }
+    }
+
+    /// The next marked address in enumeration order, `None` past the last.
+    pub(super) fn next(&self, cur: &mut Cursor) -> Option<u64> {
+        while cur.rest == 0 {
+            cur.block += 1;
+            cur.rest = *self.bits.get(cur.block)?;
+        }
+        let pos = (cur.block as u64) << 6 | cur.rest.trailing_zeros() as u64;
+        cur.rest &= cur.rest - 1;
+        Some(if pos < self.old_len { pos + self.old_base } else { pos - self.old_len })
+    }
+
+    /// Every marked address in enumeration order (frozen or not).
+    pub(crate) fn sources(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut cur = Cursor { block: 0, rest: self.bits.first().copied().unwrap_or(0) };
+        std::iter::from_fn(move || self.next(&mut cur))
+    }
+
+    /// Clears every mark and hands the all-zero map back for the next cycle.
+    pub(super) fn reset(mut self) -> Self {
+        self.bits.fill(0);
+        self.dests.clear();
+        self
     }
 }
 
-fn mark_push(
-    heap: &mut Heap,
-    addr: Addr,
-    stack: &mut Vec<Addr>,
-    live: &mut Vec<u64>,
-    work: &mut Work,
-) {
+fn mark_push(heap: &Heap, addr: Addr, stack: &mut Vec<Addr>, live: &mut LiveMap, work: &mut Work) {
     debug_assert!(addr.is_h1());
-    let header = heap.mem[addr.raw() as usize];
     work.objects += 1;
     work.extra_ns += heap.h1_word_extra_ns(addr);
-    if object::is_marked(header) {
-        return;
+    if live.mark(addr.raw()) {
+        stack.push(addr);
     }
-    heap.mem[addr.raw() as usize] = object::with_mark(header);
-    live.push(addr.raw());
-    stack.push(addr);
 }
 
 // ----- marking ---------------------------------------------------------------
@@ -112,7 +199,7 @@ pub(super) fn root_strip(
     for i in range {
         let a = heap.roots[i];
         if a.is_h1() {
-            mark_push(heap, a, &mut cyc.mark.stack, &mut cyc.mark.live, uw);
+            mark_push(heap, a, &mut cyc.mark.stack, &mut cyc.live, uw);
         } else if a.is_h2() {
             // A handle (thread-stack root) referencing H2 directly keeps the
             // region alive, exactly like an H1→H2 forward reference.
@@ -136,26 +223,16 @@ pub(super) fn h2_card_chunk(
 ) {
     let seg_words = heap.h2.as_ref().unwrap().cards().seg_words() as u64;
     let region_words = heap.h2.as_ref().unwrap().regions().region_words() as u64;
-    // Take/put-back the region's start index instead of cloning it per card
-    // (consecutive cards usually share a region).
-    let mut cached: Option<(u32, Vec<u64>)> = None;
     for ci in range {
         let card = cyc.mark.cards[ci];
         cyc.sched.claim(DOM_H2_CARD | card as u64);
         uw.cards += 1;
         let base = heap.h2.as_ref().unwrap().cards().card_base(card);
-        let region = (base.h2_offset() / region_words) as u32;
+        let region = (base.h2_offset() / region_words) as usize;
         let (lo, hi) = (base.raw(), base.raw() + seg_words);
-        if cached.as_ref().map(|&(r, _)| r) != Some(region) {
-            if let Some((r, v)) = cached.take() {
-                heap.h2_starts.insert(r, v);
-            }
-            cached = heap.h2_starts.remove(&region).map(|v| (region, v));
-        }
-        let Some((_, starts)) = &cached else {
-            cyc.mark.scanned_cards.push((card, false));
-            continue;
-        };
+        // Held out of the heap while the walk borrows it mutably; empty for
+        // a region freed since the card was dirtied.
+        let starts = std::mem::take(&mut heap.h2_starts[region]);
         let mut has_backward = false;
         let mut i = starts.partition_point(|&s| s <= lo).saturating_sub(1);
         while i < starts.len() && starts[i] < hi {
@@ -190,13 +267,11 @@ pub(super) fn h2_card_chunk(
                 has_backward = true;
                 heap.stats.backward_refs_seen += 1;
                 cyc.mark.backward_slots.push(Addr::new(first_slot + j as u64));
-                mark_push(heap, Addr::new(val), &mut cyc.mark.stack, &mut cyc.mark.live, uw);
+                mark_push(heap, Addr::new(val), &mut cyc.mark.stack, &mut cyc.live, uw);
             }
         }
         cyc.mark.scanned_cards.push((card, has_backward));
-    }
-    if let Some((r, v)) = cached {
-        heap.h2_starts.insert(r, v);
+        heap.h2_starts[region] = starts;
     }
 }
 
@@ -204,7 +279,7 @@ pub(super) fn h2_card_chunk(
 /// packet, then scans up to [`GRAY_PACKET`] gray objects.
 pub(super) fn gray_packet(heap: &mut Heap, cyc: &mut MajorCycle, uw: &mut Work) {
     while let Some(a) = cyc.mutator.remembered.pop() {
-        mark_push(heap, Addr::new(a), &mut cyc.mark.stack, &mut cyc.mark.live, uw);
+        mark_push(heap, Addr::new(a), &mut cyc.mark.stack, &mut cyc.live, uw);
     }
     for _ in 0..GRAY_PACKET {
         let Some(obj) = cyc.mark.stack.pop() else {
@@ -225,7 +300,7 @@ pub(super) fn gray_packet(heap: &mut Heap, cyc: &mut MajorCycle, uw: &mut Work) 
                 heap.stats.forward_refs_fenced += 1;
                 continue;
             }
-            mark_push(heap, target, &mut cyc.mark.stack, &mut cyc.mark.live, uw);
+            mark_push(heap, target, &mut cyc.mark.stack, &mut cyc.live, uw);
         }
     }
 }
@@ -276,14 +351,12 @@ impl SelState {
 /// H2 (injected ENOSPC or a write-retry budget exhausted) selects nothing:
 /// promotions park in the old generation — the paper's no-H2 baseline —
 /// until the device recovers.
-pub(super) fn begin_select(heap: &Heap, live_words: u64, live: &[u64]) -> Option<SelState> {
+pub(super) fn begin_select(heap: &Heap, live_words: u64, live: &LiveMap) -> Option<SelState> {
     let h2 = heap.h2.as_ref()?;
     let mut tagged: Vec<(u64, u64)> = Vec::new();
     if !h2.is_degraded() {
         tagged.extend(
-            live.iter()
-                .filter(|&&a| heap.mem[a as usize + 1] != 0)
-                .map(|&a| (heap.mem[a as usize + 1], a)),
+            live.sources().map(|a| (heap.mem[a as usize + 1], a)).filter(|&(label, _)| label != 0),
         );
         tagged.sort_unstable();
     }
@@ -333,6 +406,7 @@ pub(super) fn begin_select(heap: &Heap, live_words: u64, live: &[u64]) -> Option
 pub(super) fn select_chunk(
     heap: &mut Heap,
     sel: &mut SelState,
+    live: &LiveMap,
     move_order: &mut Vec<u64>,
     limit: usize,
     uw: &mut Work,
@@ -397,6 +471,7 @@ pub(super) fn select_chunk(
         let before = move_order.len();
         sel.cur_words += tag_closure_step(
             heap,
+            live,
             &mut sel.stack,
             Label::new(sel.cur_label),
             uw,
@@ -414,6 +489,7 @@ pub(super) fn select_chunk(
 /// objects (§3.2). Returns the words tagged.
 fn tag_closure_step(
     heap: &mut Heap,
+    live: &LiveMap,
     stack: &mut Vec<Addr>,
     label: Label,
     work: &mut Work,
@@ -437,7 +513,7 @@ fn tag_closure_step(
         // termination into a tagged group — those are outside the frozen
         // relocation enumeration and must not be assigned H2 addresses this
         // cycle.
-        if !object::is_marked(header) {
+        if !live.is_marked(obj.raw()) {
             continue;
         }
         let desc = heap.classes.get(object::class_of(header));
@@ -506,7 +582,7 @@ pub(super) fn h2_assign_chunk(
         };
         uw.objects += 1;
         match heap.h2.as_mut().expect("candidate without H2").alloc(label, size) {
-            Ok(dest) => cyc.plan.forwarding.push(src, dest.raw()),
+            Ok(dest) => cyc.live.set_dest(cyc.live.rank(src), dest.raw()),
             Err(_) => heap.mem[src as usize] = object::without_candidate(header),
         }
     }
@@ -536,7 +612,7 @@ pub(super) fn h2_assign_txn(heap: &mut Heap, cyc: &mut MajorCycle, uw: &mut Work
         staged.push((src, dest.raw()));
     }
     for (src, dest) in staged {
-        cyc.plan.forwarding.push(src, dest);
+        cyc.live.set_dest(cyc.live.rank(src), dest);
     }
 }
 
@@ -555,8 +631,9 @@ pub(super) fn plan_chunk(
     range: Range<usize>,
     uw: &mut Work,
 ) -> Result<(), OomError> {
+    let mut cur = cyc.live.cursor(range.start);
     for idx in range {
-        let src = cyc.enum_at(idx);
+        let src = cyc.live.next(&mut cur).expect("rank below the live count");
         cyc.sched.claim(DOM_OBJECT | src);
         let header = heap.mem[src as usize];
         if object::is_candidate(header) {
@@ -578,18 +655,18 @@ pub(super) fn plan_chunk(
                 context: format!(
                     "live data exceeds the old generation: {} live objects, \
                      {} words placed of {} capacity (old live {}, young live {})",
-                    plan.old_live.len() + plan.young_live.len(),
+                    cyc.live.len(),
                     plan.new_top - plan.old_base,
                     heap.old.capacity_words(),
-                    plan.old_live.len(),
-                    plan.young_live.len()
+                    cyc.live.old_live(),
+                    cyc.live.len() - cyc.live.old_live()
                 ),
             });
         }
         if footprint > size {
             heap.stats.g1_humongous_waste_words += (footprint - size) as u64;
         }
-        plan.forwarding.push(src, plan.new_top);
+        cyc.live.set_dest(idx, plan.new_top);
         plan.new_old_starts.push(plan.new_top);
         plan.new_top += footprint as u64;
     }
@@ -644,7 +721,7 @@ pub(super) fn backward_fix(heap: &mut Heap, cyc: &MajorCycle, slots: &[u64], uw:
         if val == 0 || Addr::new(val).is_h2() {
             continue;
         }
-        let new_val = cyc.plan.forwarding.get(val).unwrap_or(val);
+        let new_val = cyc.live.get(val).unwrap_or(val);
         if new_val != val {
             heap.h2.as_mut().unwrap().write_word(slot, new_val, Category::MajorGc);
         }
@@ -668,8 +745,7 @@ pub(super) fn adjust_object(heap: &mut Heap, cyc: &MajorCycle, src: u64, dest: u
         uw.adjusted_refs += 1;
         uw.extra_ns += heap.h1_word_extra_ns(Addr::new(s));
         // H2 objects never move.
-        let new_val =
-            if Addr::new(val).is_h2() { val } else { cyc.plan.forwarding.get(val).unwrap_or(val) };
+        let new_val = if Addr::new(val).is_h2() { val } else { cyc.live.get(val).unwrap_or(val) };
         heap.mem[s as usize] = new_val;
         let new_target = Addr::new(new_val);
         let dest_slot = Addr::new(dest + (s - src));
@@ -722,14 +798,15 @@ pub(super) fn move_object(
     uw: &mut Work,
     h1_words: &mut u64,
 ) {
-    // Clear GC bits in the header before the object reaches its new home.
-    let header = object::without_candidate(object::without_mark(heap.mem[src as usize]));
-    heap.mem[src as usize] = header;
+    // Only an H2-bound object still carries a GC bit (plan_chunk skips
+    // candidates); clear it before the object reaches its new home.
+    let header = object::without_candidate(heap.mem[src as usize]);
     let size = object::size_of(header);
     uw.copied_words += size as u64;
     let (src_i, src_end) = (src as usize, src as usize + size);
     let dest_addr = Addr::new(dest);
     if dest_addr.is_h2() {
+        heap.mem[src as usize] = header;
         // Split-field borrow: stream the object out of `mem` straight into
         // the promotion buffer, no intermediate copy.
         let region = {
@@ -738,7 +815,7 @@ pub(super) fn move_object(
             h2.write_promoted(dest_addr, &mem[src_i..src_end], Category::MajorGc);
             h2.regions().region_of(dest_addr)
         };
-        heap.h2_starts.entry(region.0).or_default().push(dest);
+        heap.h2_starts[region.0 as usize].push(dest);
         if cyc.reloc.promoted_regions.last() != Some(&region.0) {
             cyc.reloc.promoted_regions.push(region.0);
         }
@@ -754,7 +831,10 @@ pub(super) fn move_object(
     }
     *h1_words += size as u64;
     if dest <= src {
-        heap.mem.copy_within(src_i..src_end, dest as usize);
+        // The already-compact prefix stays put: charged, not copied.
+        if dest < src {
+            heap.mem.copy_within(src_i..src_end, dest as usize);
+        }
         uw.extra_ns += heap.h1_word_extra_ns(dest_addr) * size as u64;
     } else if src < cyc.plan.old_base {
         // Young → old evacuation: old sources were all read before the
@@ -791,3 +871,6 @@ pub(super) fn record_h2_liveness(heap: &mut Heap) {
         }
     }
 }
+
+#[cfg(test)]
+mod reference;

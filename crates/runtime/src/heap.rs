@@ -58,14 +58,15 @@ pub struct Heap {
     pub(crate) track_h2_liveness: bool,
     /// DRAM-side index of object start addresses per H2 region (the card
     /// offset table analogue for H2), so card scans can find object starts
-    /// without walking the device-resident region.
-    pub(crate) h2_starts: std::collections::HashMap<u32, Vec<u64>>,
+    /// without walking the device-resident region. Indexed by region id;
+    /// empty for a region holding nothing.
+    pub(crate) h2_starts: Vec<Vec<u64>>,
     /// GCs requested while one is already running would be re-entrant;
     /// guarded for debugging.
     pub(crate) in_gc: bool,
-    /// Recycled dense forwarding array for major GC (all-zero between
-    /// collections); avoids an alloc+memset of the full H1 word range per GC.
-    pub(crate) fwd_scratch: Vec<u64>,
+    /// The major cycle's mark bitmap between collections (all-zero, which
+    /// the heap checker verifies), recycled instead of reallocated per GC.
+    pub(crate) mark_scratch: gc::LiveMap,
     /// The in-flight major cycle, if one is parked between pause slices
     /// (DESIGN.md §11). Boxed: the cycle state is large and only ever
     /// outlives a collection when slicing is armed.
@@ -147,9 +148,9 @@ impl Heap {
             panthera_extra_ns,
             panthera_nvm_base,
             track_h2_liveness: false,
-            h2_starts: std::collections::HashMap::new(),
+            h2_starts: Vec::new(),
             in_gc: false,
-            fwd_scratch: Vec::new(),
+            mark_scratch: gc::LiveMap::default(),
             cycle: None,
             pending_oom: None,
             check_enabled: config.heap_check
@@ -176,6 +177,7 @@ impl Heap {
     /// violations surface here, not at first I/O.
     pub fn attach_h2(&mut self, h2_config: H2Config, device: &SharedDevice) -> Result<(), AttachError> {
         let h2 = H2::attach(h2_config, device, self.clock.clone())?;
+        self.h2_starts = vec![Vec::new(); h2.regions().region_count()];
         self.h2 = Some(h2);
         Ok(())
     }
@@ -411,7 +413,7 @@ impl Heap {
             self.mem[i + object::HEADER_WORDS] = array_len;
         }
         if let Some(cyc) = self.cycle.as_deref_mut() {
-            cyc.note_alloc(addr, words, &mut self.mem);
+            cyc.note_alloc(addr, words);
         }
         Ok(addr)
     }
@@ -478,7 +480,7 @@ impl Heap {
         // Bump allocation within a region is monotone, so appending keeps
         // the per-region start index sorted (the PR 2 invariant card scans
         // rely on).
-        self.h2_starts.entry(region).or_default().push(dest.raw());
+        self.h2_starts[region as usize].push(dest.raw());
         self.note_site_region(label, region);
         self.lifetimes.record_pretenure(label, words as u64);
         self.stats.pretenured_objects += 1;

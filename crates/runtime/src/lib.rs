@@ -6,7 +6,7 @@
 //! crate builds one with the same structure:
 //!
 //! * a JVM-like **object model** ([`object`], [`class`]): two header words
-//!   (class/size/age/mark bits, plus the 8-byte H2 *label* field §3.2 adds),
+//!   (class/size/age/GC bits, plus the 8-byte H2 *label* field §3.2 adds),
 //!   reference fields first, then primitive words; reference and primitive
 //!   arrays;
 //! * an **H1 heap** ([`heap::Heap`]) with eden/from/to survivor spaces and an

@@ -3,12 +3,15 @@
 //! Objects occupy contiguous words. The first two words are the header:
 //!
 //! ```text
-//! word 0:  [63] forwarded  [45] candidate  [44] mark  [48..52] age
+//! word 0:  [63] forwarded  [48..52] age  [45] candidate
 //!          [16..40] size in words          [0..16] class id
 //!          (when forwarded: [0..44] hold the forwarding address)
 //! word 1:  H2 label (0 = untagged) — the 8-byte field TeraHeap adds to the
 //!          object header for hint-based tagging (§3.2)
 //! ```
+//!
+//! The major collector's mark is not a header bit: it lives in the cycle's
+//! side bitmap (`gc::units::LiveMap`), one bit per H1 word.
 //!
 //! * plain object:     `[hdr, label, ref fields..., prim words...]`
 //! * reference array:  `[hdr, label, len, refs...]`
@@ -26,7 +29,6 @@ const CLASS_SHIFT: u32 = 0;
 const CLASS_BITS: u64 = 0xFFFF;
 const SIZE_SHIFT: u32 = 16;
 const SIZE_BITS: u64 = 0xFF_FFFF;
-const MARK_BIT: u64 = 1 << 44;
 const CANDIDATE_BIT: u64 = 1 << 45;
 const AGE_SHIFT: u32 = 48;
 const AGE_BITS: u64 = 0xF;
@@ -57,21 +59,6 @@ pub fn class_of(header: u64) -> ClassId {
 /// The object size in words stored in `header`.
 pub fn size_of(header: u64) -> usize {
     ((header >> SIZE_SHIFT) & SIZE_BITS) as usize
-}
-
-/// Whether the mark bit is set.
-pub fn is_marked(header: u64) -> bool {
-    header & MARK_BIT != 0
-}
-
-/// Returns `header` with the mark bit set.
-pub fn with_mark(header: u64) -> u64 {
-    header | MARK_BIT
-}
-
-/// Returns `header` with the mark bit cleared.
-pub fn without_mark(header: u64) -> u64 {
-    header & !MARK_BIT
 }
 
 /// Whether the H2-candidate bit is set (object selected for the move).
@@ -130,7 +117,6 @@ mod tests {
         let h = pack_header(ClassId(7), 1234);
         assert_eq!(class_of(h), ClassId(7));
         assert_eq!(size_of(h), 1234);
-        assert!(!is_marked(h));
         assert!(!is_candidate(h));
         assert!(!is_forwarded(h));
         assert_eq!(age_of(h), 0);
@@ -139,12 +125,10 @@ mod tests {
     #[test]
     fn flags_are_independent() {
         let h = pack_header(ClassId(3), 10);
-        let h = with_mark(with_candidate(h));
-        assert!(is_marked(h) && is_candidate(h));
+        let h = with_incremented_age(with_candidate(h));
+        assert!(is_candidate(h) && age_of(h) == 1);
         assert_eq!(class_of(h), ClassId(3));
         assert_eq!(size_of(h), 10);
-        let h = without_mark(h);
-        assert!(!is_marked(h) && is_candidate(h));
         let h = without_candidate(h);
         assert!(!is_candidate(h));
     }

@@ -98,6 +98,13 @@ echo "== page cache: list cache matches the reference cache =="
 cargo test -q --offline -p teraheap-storage --lib mmap::reference
 echo "ok"
 
+# Major-collector side table (DESIGN.md §7): the mark bitmap's scan must be
+# the live set in relocation order, and its rank-indexed forwarding must
+# answer every probe like the direct-mapped reference table.
+echo "== mark bitmap: rank forwarding matches the dense reference table =="
+cargo test -q --offline -p teraheap-runtime --lib gc::units::reference
+echo "ok"
+
 # Fault-plane invariants (DESIGN.md §10): the crash-consistency sweep must
 # pass at every write-back boundary with zero silent-corruption escapes, the
 # recovery property suite must hold, and a zero-rate plane must be
