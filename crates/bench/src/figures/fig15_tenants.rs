@@ -12,9 +12,9 @@
 //! On DAX-class memory the knee arrives later: device service times are
 //! small, so tenants contend less per round.
 
+use crate::harness::{devices, job, ms, Job, Rendered};
 use mini_giraph::GiraphWorkload;
 use mini_spark::{DatasetScale, Workload};
-use teraheap_bench::harness::{run_parallel, write_csv};
 use teraheap_core::H2Config;
 use teraheap_runtime::HeapConfig;
 use teraheap_server::{Server, ServerConfig, ServerReport, TenantSpec, TenantWorkload};
@@ -34,16 +34,9 @@ fn tenant_h2() -> H2Config {
         .n_regions(32)
         .card_seg_words(256)
         .resident_budget_bytes(96 << 10)
-        .page_size(4096)
         .promo_buffer_bytes(16 << 10)
         .build()
         .expect("valid H2 config")
-}
-
-/// H1 small enough that the 2000-vertex inputs below overflow into H2 —
-/// every round promotes and faults, so tenants genuinely share the device.
-fn tenant_heap() -> HeapConfig {
-    HeapConfig::with_words(8 << 10, 24 << 10)
 }
 
 /// Tenant `i`: even indices run Spark PageRank, odd run Giraph WCC, each on
@@ -56,15 +49,13 @@ fn tenant(i: usize) -> TenantSpec {
         scale.seed = 42 + i as u64;
         TenantWorkload::Spark { workload: Workload::Pr, scale }
     } else {
-        TenantWorkload::Giraph {
-            workload: GiraphWorkload::Wcc,
-            vertices: 2000,
-            avg_degree: 6,
-            seed: 7 + i as u64,
-        }
+        let (vertices, avg_degree, seed) = (2000, 6, 7 + i as u64);
+        TenantWorkload::Giraph { workload: GiraphWorkload::Wcc, vertices, avg_degree, seed }
     };
+    // H1 small enough that the 2000-vertex inputs overflow into H2 — every
+    // round promotes and faults, so tenants genuinely share the device.
     TenantSpec::builder(format!("t{i}"), workload)
-        .heap(tenant_heap())
+        .heap(HeapConfig::with_words(8 << 10, 24 << 10))
         .h2(tenant_h2())
         .rounds(ROUNDS)
         .build()
@@ -72,8 +63,7 @@ fn tenant(i: usize) -> TenantSpec {
 }
 
 fn run_server(device: DeviceSpec, n: usize) -> ServerReport {
-    let footprint = tenant_h2().footprint_bytes();
-    let mut builder = ServerConfig::builder(device, n * footprint);
+    let mut builder = ServerConfig::builder(device, n * tenant_h2().footprint_bytes());
     for i in 0..n {
         builder = builder.tenant(tenant(i));
     }
@@ -81,66 +71,40 @@ fn run_server(device: DeviceSpec, n: usize) -> ServerReport {
     Server::new(config).expect("validated config").run()
 }
 
-fn main() {
-    let devices: [(&str, DeviceSpec); 3] = [
-        ("nvme", DeviceSpec::nvme_ssd()),
-        ("nvm", DeviceSpec::optane_nvm()),
-        ("dax", DeviceSpec::dram()),
-    ];
+pub(super) fn arms() -> Vec<((&'static str, usize), Job<ServerReport>)> {
+    devices()
+        .into_iter()
+        .flat_map(|(name, device)| TENANTS.map(|n| ((name, n), job(move || run_server(device, n)))))
+        .collect()
+}
 
-    println!("=== Figure 15: tenant scaling on one shared H2 device ===\n");
-
-    let jobs: Vec<_> = devices
-        .iter()
-        .flat_map(|&(_, spec)| TENANTS.iter().map(move |&n| (spec, n)))
-        .map(|(spec, n)| move || run_server(spec, n))
-        .collect();
-    let reports = run_parallel(jobs);
-
-    let mut csv: Vec<String> = Vec::new();
-    let mut it = reports.iter();
-    for (name, _) in devices {
-        println!("--- device {name} ---");
-        for &n in &TENANTS {
-            let r = it.next().expect("one report per (device, N)");
-            let p99_max = r.tenants.iter().map(|t| t.p99_round_ns).max().unwrap_or(0);
-            let p99_mean = r.tenants.iter().map(|t| t.p99_round_ns).sum::<u64>()
-                / r.tenants.len().max(1) as u64;
+pub(super) fn render(out: &mut Rendered, runs: Vec<((&'static str, usize), ServerReport)>) {
+    for sweep in runs.chunk_by(|a, b| a.0 .0 == b.0 .0) {
+        say!(out.text, "--- device {} ---", sweep[0].0 .0);
+        for ((name, n), r) in sweep {
+            let p99s = || r.tenants.iter().map(|t| t.p99_round_ns);
+            let p99_max = p99s().max().unwrap_or(0);
+            let p99_mean = p99s().sum::<u64>() / r.tenants.len().max(1) as u64;
             let queued: u64 = r.tenants.iter().map(|t| t.io.queued_ns).sum();
             let busy: u64 = r.tenants.iter().map(|t| t.io.busy_ns).sum();
             let deferrals: u64 = r.tenants.iter().map(|t| t.deferrals).sum();
             let oom: usize = r.tenants.iter().map(|t| t.oom_rounds).sum();
-            println!(
-                "  N={n}: {:.1} rounds/s  p99 {:.2} ms (max {:.2})  queued {:.2} ms  jain {:.4}",
-                r.agg_rounds_per_sec,
-                p99_mean as f64 / 1e6,
-                p99_max as f64 / 1e6,
-                queued as f64 / 1e6,
-                r.jain_fairness,
+            let (rate, jain) = (r.agg_rounds_per_sec, r.jain_fairness);
+            say!(
+                out.text,
+                "  N={n}: {rate:.1} rounds/s  p99 {:.2} ms (max {:.2})  queued {:.2} ms  \
+                 jain {jain:.4}",
+                ms(p99_mean),
+                ms(p99_max),
+                ms(queued),
             );
-            csv.push(format!(
-                "{name},{n},{},{:.3},{},{},{},{},{},{},{},{:.6},{}",
-                r.total_rounds,
-                r.agg_rounds_per_sec,
-                r.makespan_ns,
-                r.device_vtime_ns,
-                p99_mean,
-                p99_max,
-                queued,
-                busy,
-                deferrals,
-                r.jain_fairness,
-                oom,
+            let (rounds, makespan_ns) = (r.total_rounds, r.makespan_ns);
+            let vtime_ns = r.device_vtime_ns;
+            out.csv.push(format!(
+                "{name},{n},{rounds},{rate:.3},{makespan_ns},{vtime_ns},{p99_mean},{p99_max},\
+                 {queued},{busy},{deferrals},{jain:.6},{oom}"
             ));
         }
-        println!();
+        say!(out.text, "");
     }
-
-    let path = write_csv(
-        "fig15_tenants",
-        "device,tenants,total_rounds,agg_rounds_per_sec,makespan_ns,device_vtime_ns,\
-         p99_mean_ns,p99_max_ns,queued_ns,busy_ns,deferrals,jain_fairness,oom_rounds",
-        &csv,
-    );
-    println!("wrote {}", path.display());
 }

@@ -13,73 +13,68 @@
 //! TeraHeap performs an order of magnitude fewer major GCs (13), each
 //! longer (mostly compaction I/O), and minor GC time drops ~38%.
 
+use crate::harness::{job, ms, spark_dataset, spark_row, spark_sd, spark_th, Job, Rendered};
 use mini_spark::{run_workload_traced, RunReport, Workload};
-use teraheap_bench::harness::{run_parallel, spark_dataset, spark_row, spark_sd, spark_th, write_csv};
-use teraheap_runtime::obs::timeline::{gc_cycles, gc_only, json_string, to_json, GcCycle};
+use teraheap_runtime::obs::timeline::{gc_cycles, gc_only, json_string, to_json};
 use teraheap_runtime::obs::{Event, Level};
 use teraheap_storage::DeviceSpec;
 
-type TracedJob = Box<dyn FnOnce() -> (RunReport, Vec<Event>) + Send>;
+type Traced = (RunReport, Vec<Event>);
 
-fn main() {
+/// One traced run per configuration: the report and the event series come
+/// from the same simulation.
+pub(super) fn arms() -> Vec<(&'static str, Job<Traced>)> {
     let row = spark_row(Workload::Pr);
     let scale = spark_dataset(&row);
-    println!("=== Figure 7: GC timeline, Spark PR, equal heap ===\n");
-    let configs = [
+    [
         ("Spark-SD", spark_sd(&row, 80, DeviceSpec::nvme_ssd())),
         ("TeraHeap", spark_th(&row, 80, DeviceSpec::nvme_ssd())),
-    ];
-    // One traced run per configuration: the report and the event series come
-    // from the same simulation.
-    let jobs: Vec<TracedJob> = configs
-        .iter()
-        .map(|&(_, cfg)| {
-            let mut cfg = cfg;
-            cfg.heap.obs_level = Some(Level::Full);
-            cfg.heap.obs_events = 1 << 20; // hold the whole run, no wrap
-            Box::new(move || run_workload_traced(Workload::Pr, cfg, scale)) as _
-        })
-        .collect();
-    let runs = run_parallel(jobs);
+    ]
+    .into_iter()
+    .map(|(label, mut cfg)| {
+        cfg.heap.obs_level = Some(Level::Full);
+        cfg.heap.obs_events = 1 << 20; // hold the whole run, no wrap
+        (label, job(move || run_workload_traced(Workload::Pr, cfg, scale)))
+    })
+    .collect()
+}
 
-    let mut csv: Vec<String> = Vec::new();
-    for ((label, _), (report, _)) in configs.iter().zip(&runs) {
+pub(super) fn render(out: &mut Rendered, runs: Vec<(&'static str, Traced)>) {
+    for (label, (report, _)) in &runs {
         if report.oom {
-            println!("{label}: OOM");
+            say!(out.text, "{label}: OOM");
             continue;
         }
-        println!(
+        say!(
+            out.text,
             "{label}: total {:.1} ms | {} minor GCs ({:.2} ms mean) | {} major GCs ({:.2} ms mean)",
             report.total_ms(),
             report.minor_gcs,
-            report.breakdown.minor_gc_ns as f64 / 1e6 / report.minor_gcs.max(1) as f64,
+            ms(report.breakdown.minor_gc_ns) / report.minor_gcs.max(1) as f64,
             report.major_gcs,
-            report.breakdown.major_gc_ns as f64 / 1e6 / report.major_gcs.max(1) as f64,
+            ms(report.breakdown.major_gc_ns) / report.major_gcs.max(1) as f64,
         );
-        csv.push(format!(
-            "{label},summary,{},{},{},{}",
-            report.minor_gcs,
-            report.major_gcs,
-            report.breakdown.minor_gc_ns,
-            report.breakdown.major_gc_ns
-        ));
+        let (minor_ns, major_ns) = (report.breakdown.minor_gc_ns, report.breakdown.major_gc_ns);
+        let (minors, majors) = (report.minor_gcs, report.major_gcs);
+        out.csv.push(format!("{label},summary,{minors},{majors},{minor_ns},{major_ns}"));
     }
     let mut jsonl = String::new();
-    for ((label, _), (_, events)) in configs.iter().zip(&runs) {
-        let cycles: Vec<GcCycle> = gc_cycles(events);
-        println!("\n{label}: first 10 GC events (t_ms, kind, dur_ms, old occupancy %):");
+    for (label, (_, events)) in &runs {
+        let cycles = gc_cycles(events);
+        say!(out.text, "\n{label}: first 10 GC events (t_ms, kind, dur_ms, old occupancy %):");
         for c in cycles.iter().take(10) {
-            println!(
+            say!(
+                out.text,
                 "  t={:8.2}  {:5}  dur={:7.3}  occ {:4.1}% -> {:4.1}%",
-                c.start_ns as f64 / 1e6,
+                ms(c.start_ns),
                 c.gc.name(),
-                c.duration_ns as f64 / 1e6,
+                ms(c.duration_ns),
                 100.0 * c.old_used_before as f64 / c.old_capacity as f64,
                 100.0 * c.old_used_after as f64 / c.old_capacity as f64,
             );
         }
         for c in &cycles {
-            csv.push(format!(
+            out.csv.push(format!(
                 "{label},event,{},{},{},{}",
                 c.start_ns,
                 c.gc.name(),
@@ -90,13 +85,8 @@ fn main() {
         // The raw event export: one JSON object per GC event, tagged with
         // the configuration it came from.
         for e in gc_only(events) {
-            let body = to_json(&e);
-            jsonl.push_str(&format!("{{\"config\":{},{}\n", json_string(label), &body[1..]));
+            jsonl.push_str(&format!("{{\"config\":{},{}\n", json_string(label), &to_json(&e)[1..]));
         }
     }
-    let path = write_csv("fig7_timeline", "config,row_kind,a,b,c,d", &csv);
-    println!("\nwrote {}", path.display());
-    let jsonl_path = std::path::Path::new("results").join("fig7_timeline.jsonl");
-    std::fs::write(&jsonl_path, jsonl).expect("write jsonl");
-    println!("wrote {}", jsonl_path.display());
+    out.sidecar = Some(("fig7_timeline.jsonl", jsonl));
 }

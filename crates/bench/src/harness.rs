@@ -5,10 +5,15 @@
 //! every *ratio* while scaling absolute sizes down by [`WORDS_PER_GB`]:
 //! one paper-GB becomes 24 Ki heap words (192 KiB), so a 256 GB
 //! configuration becomes a 48 MiB simulation that runs in seconds.
+//! Below them sit the pieces the figure entries share: the job type and
+//! worker pool, the rendering target, and the cell/bar formatters.
 
-use mini_giraph::{GiraphConfig, GiraphMode};
-use mini_spark::{DatasetScale, ExecMode, SparkConfig, Workload};
+use mini_giraph::{run_giraph, GiraphConfig, GiraphMode, GiraphReport};
+use mini_spark::{
+    run_workload, run_workload_traced, DatasetScale, ExecMode, RunReport, SparkConfig, Workload,
+};
 use teraheap_core::H2Config;
+use teraheap_runtime::obs::{Event, Level};
 use teraheap_runtime::HeapConfig;
 use teraheap_storage::DeviceSpec;
 
@@ -37,8 +42,9 @@ pub struct SparkRow {
     pub partitions: usize,
 }
 
-/// The Table 3 rows, with Figure 6's DRAM sweeps.
-pub fn spark_rows() -> Vec<SparkRow> {
+/// The Table 3 rows with Figure 6's DRAM sweeps, then KM — it only appears
+/// in Figure 12c and is sized like the other MLlib jobs.
+fn all_spark_rows() -> Vec<SparkRow> {
     let row = |workload, dataset_gb, sd, th, iterations, partitions| SparkRow {
         workload,
         dataset_gb,
@@ -58,26 +64,18 @@ pub fn spark_rows() -> Vec<SparkRow> {
         row(Workload::Svm, 48, &[28, 32, 36, 48], &[36, 48], 8, 160),
         row(Workload::Bc, 98, &[53, 57, 98, 180], &[57, 98], 2, 260),
         row(Workload::Rl, 63, &[24, 37, 63], &[37, 63], 5, 120),
+        row(Workload::Km, 70, &[43, 70], &[43, 70], 6, 64),
     ]
+}
+
+/// The Table 3 rows, with Figure 6's DRAM sweeps.
+pub fn spark_rows() -> Vec<SparkRow> {
+    all_spark_rows().into_iter().filter(|r| r.workload != Workload::Km).collect()
 }
 
 /// The row for one workload.
 pub fn spark_row(w: Workload) -> SparkRow {
-    if w == Workload::Km {
-        // KM only appears in Figure 12c; size it like the other MLlib jobs.
-        return SparkRow {
-            workload: Workload::Km,
-            dataset_gb: 70,
-            sd_dram_gb: &[43, 70],
-            th_dram_gb: &[43, 70],
-            iterations: 6,
-            partitions: 64,
-        };
-    }
-    spark_rows()
-        .into_iter()
-        .find(|r| r.workload == w)
-        .expect("workload has a Table 3 row")
+    all_spark_rows().into_iter().find(|r| r.workload == w).expect("workload has a Table 3 row")
 }
 
 /// The dataset for a Table 3 row, sized to `dataset_gb` scaled paper-GB.
@@ -102,7 +100,11 @@ pub fn spark_dataset(row: &SparkRow) -> DatasetScale {
 /// deployments use (small young generation, large tenured space for cached
 /// data).
 pub fn heap_split(heap_gb: usize) -> HeapConfig {
-    let words = heap_gb * WORDS_PER_GB;
+    heap_split_words(heap_gb * WORDS_PER_GB)
+}
+
+/// [`heap_split`] over a total given in words.
+pub fn heap_split_words(words: usize) -> HeapConfig {
     HeapConfig::with_words(words / 5, words - words / 5)
 }
 
@@ -112,40 +114,33 @@ pub fn spark_heap(dram_gb: usize) -> HeapConfig {
 }
 
 /// H2 sized to hold the workload's dataset several times over (lazy bulk
-/// reclamation needs slack), with the paper's defaults: 8 KB card segments
-/// and 2 MB promotion buffers.
+/// reclamation needs slack), with the paper's (and the builder's) defaults:
+/// 4 KB pages, 8 KB card segments and 2 MB promotion buffers.
 pub fn h2_for(dataset_gb: usize) -> H2Config {
     let region_words = 64 << 10;
     let capacity_words = 6 * dataset_gb * WORDS_PER_GB;
     H2Config::builder()
         .region_words(region_words)
         .n_regions(capacity_words.div_ceil(region_words).max(16))
-        .card_seg_words(1 << 10)
         .resident_budget_bytes(16 * WORDS_PER_GB * 8) // DR2 page-cache share
-        .page_size(4096)
-        .promo_buffer_bytes(2 << 20)
         .build()
         .expect("paper-default H2 layout is valid")
 }
 
+/// `row`'s configuration on `heap` in cache mode `mode`.
+pub fn spark_config(row: &SparkRow, heap: HeapConfig, mode: ExecMode) -> SparkConfig {
+    SparkConfig { heap, mode, partitions: row.partitions, iterations: row.iterations }
+}
+
 /// Spark-SD configuration at `dram_gb` on `device`.
 pub fn spark_sd(row: &SparkRow, dram_gb: usize, device: DeviceSpec) -> SparkConfig {
-    SparkConfig {
-        heap: spark_heap(dram_gb),
-        mode: ExecMode::SparkSd { device },
-        partitions: row.partitions,
-        iterations: row.iterations,
-    }
+    spark_config(row, spark_heap(dram_gb), ExecMode::SparkSd { device })
 }
 
 /// TeraHeap configuration at `dram_gb` on `device`.
 pub fn spark_th(row: &SparkRow, dram_gb: usize, device: DeviceSpec) -> SparkConfig {
-    SparkConfig {
-        heap: spark_heap(dram_gb),
-        mode: ExecMode::TeraHeap { h2: h2_for(row.dataset_gb), device },
-        partitions: row.partitions,
-        iterations: row.iterations,
-    }
+    let mode = ExecMode::TeraHeap { h2: h2_for(row.dataset_gb), device };
+    spark_config(row, spark_heap(dram_gb), mode)
 }
 
 /// Per-workload Table 4 row for Giraph.
@@ -180,6 +175,11 @@ pub fn giraph_rows() -> Vec<GiraphRow> {
     ]
 }
 
+/// The row for one workload.
+pub fn giraph_row(w: mini_giraph::GiraphWorkload) -> GiraphRow {
+    giraph_rows().into_iter().find(|r| r.workload == w).expect("workload has a Table 4 row")
+}
+
 /// Graph vertices for a Giraph row. Table 4's footprint covers the loaded
 /// graph *plus* the two message stores (messages and edges dominate the
 /// Giraph heap, §5).
@@ -187,17 +187,24 @@ pub fn giraph_vertices(row: &GiraphRow) -> usize {
     row.dataset_gb * WORDS_PER_GB / row.words_per_vertex
 }
 
-/// Giraph-OOC configuration at `dram_gb`.
-pub fn giraph_ooc(row: &GiraphRow, dram_gb: usize) -> GiraphConfig {
-    // Heap scales with DRAM: the Table 4 split keeps DR2 fixed.
-    let dr2 = row.dram_gb[1] - row.ooc_heap_gb;
-    let heap_gb = dram_gb.saturating_sub(dr2).max(4);
+/// Runs `row`'s workload under `config` on its Table 4 graph (degree 8,
+/// seed 42).
+pub fn run_giraph_row(row: &GiraphRow, config: GiraphConfig) -> GiraphReport {
+    run_giraph(row.workload, config, giraph_vertices(row), 8, 42)
+}
+
+/// `row`'s configuration at `dram_gb`: the heap is `full_heap_gb` at the large
+/// DRAM size and scales with DRAM (the Table 4 split keeps DR2 fixed).
+fn giraph_config(
+    row: &GiraphRow,
+    dram_gb: usize,
+    full_heap_gb: usize,
+    mode: impl FnOnce(usize) -> GiraphMode,
+) -> GiraphConfig {
+    let heap_gb = dram_gb.saturating_sub(row.dram_gb[1] - full_heap_gb).max(4);
     GiraphConfig {
         heap: heap_split(heap_gb),
-        mode: GiraphMode::OutOfCore {
-            device: DeviceSpec::nvme_ssd(),
-            memory_limit_words: heap_gb * WORDS_PER_GB * 45 / 100,
-        },
+        mode: mode(heap_gb),
         partitions: 16,
         max_supersteps: row.supersteps,
         use_move_hint: true,
@@ -205,192 +212,137 @@ pub fn giraph_ooc(row: &GiraphRow, dram_gb: usize) -> GiraphConfig {
         adaptive_threshold: false,
         track_h2_liveness: false,
     }
+}
+
+/// Giraph-OOC configuration at `dram_gb`.
+pub fn giraph_ooc(row: &GiraphRow, dram_gb: usize) -> GiraphConfig {
+    giraph_config(row, dram_gb, row.ooc_heap_gb, |heap_gb| GiraphMode::OutOfCore {
+        device: DeviceSpec::nvme_ssd(),
+        memory_limit_words: heap_gb * WORDS_PER_GB * 45 / 100,
+    })
 }
 
 /// TeraHeap Giraph configuration at `dram_gb`.
 pub fn giraph_th(row: &GiraphRow, dram_gb: usize) -> GiraphConfig {
-    let dr2 = row.dram_gb[1] - row.th_h1_gb;
-    let h1_gb = dram_gb.saturating_sub(dr2).max(4);
-    GiraphConfig {
-        heap: heap_split(h1_gb),
-        mode: GiraphMode::TeraHeap {
-            h2: h2_for(row.dataset_gb),
-            device: DeviceSpec::nvme_ssd(),
-        },
-        partitions: 16,
-        max_supersteps: row.supersteps,
-        use_move_hint: true,
-        low_threshold: None,
-        adaptive_threshold: false,
-        track_h2_liveness: false,
+    let mode = GiraphMode::TeraHeap { h2: h2_for(row.dataset_gb), device: DeviceSpec::nvme_ssd() };
+    giraph_config(row, dram_gb, row.th_h1_gb, |_| mode)
+}
+
+/// One independent simulation: owns its heap and clock, runs on any worker.
+pub type Job<T> = Box<dyn FnOnce() -> T + Send>;
+
+/// Boxes a job closure (the cast closures need inside tuples and `map`s).
+pub fn job<T>(f: impl FnOnce() -> T + Send + 'static) -> Job<T> {
+    Box::new(f)
+}
+
+/// What a figure's `render` returns.
+#[derive(Default)]
+pub struct Rendered {
+    /// The figure as printed text.
+    pub text: String,
+    /// CSV rows (without the header).
+    pub csv: Vec<String>,
+    /// Self-gates the results violated; any entry fails the `figures` run.
+    pub failed_gates: Vec<String>,
+    /// A second output file under `results/`: `(file name, contents)`.
+    pub sidecar: Option<(&'static str, String)>,
+}
+
+/// The three H2 device profiles the beyond-the-paper sweeps cross.
+pub fn devices() -> [(&'static str, DeviceSpec); 3] {
+    let (nvme, nvm, dax) = (DeviceSpec::nvme_ssd(), DeviceSpec::optane_nvm(), DeviceSpec::dram());
+    [("nvme", nvme), ("nvm", nvm), ("dax", dax)]
+}
+
+/// The memory-pressured PageRank job behind the GC-thread and pause-budget
+/// sweeps: several minor GCs and an H2-promoting major per run. `device`
+/// backs a 16 MiB H2 (`None`: on-heap). Traced in full, ring never wraps.
+pub fn pressure_pr(
+    gc_threads: usize,
+    pause_budget_ns: u64,
+    device: Option<DeviceSpec>,
+) -> (RunReport, Vec<Event>) {
+    let h2 = H2Config::builder()
+        .region_words(32 << 10)
+        .resident_budget_bytes(512 << 10)
+        .promo_buffer_bytes(256 << 10)
+        .build()
+        .expect("valid H2 layout");
+    let heap = HeapConfig::builder(12 << 10, 64 << 10)
+        .gc_threads(gc_threads)
+        .pause_budget_ns(pause_budget_ns)
+        .obs_level(Level::Full)
+        .obs_events(1 << 20)
+        .build()
+        .expect("valid heap config");
+    let mode = device.map_or(ExecMode::OnHeap, |device| ExecMode::TeraHeap { h2, device });
+    let scale = DatasetScale { vertices: 4_000, avg_degree: 6, ..DatasetScale::tiny() };
+    let config = SparkConfig { heap, mode, partitions: 8, iterations: 5 };
+    run_workload_traced(Workload::Pr, config, scale)
+}
+
+/// Worker-thread count for the figure pool: `TERAHEAP_BENCH_THREADS` if
+/// set (an error message unless it is a positive integer), else the
+/// machine's available parallelism.
+pub fn bench_threads() -> Result<usize, String> {
+    let Ok(v) = std::env::var("TERAHEAP_BENCH_THREADS") else {
+        return Ok(std::thread::available_parallelism().map_or(1, |n| n.get()));
+    };
+    match v.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("TERAHEAP_BENCH_THREADS must be a positive integer, got {v:?}")),
     }
 }
 
-/// Worker-thread count for the parallel bench driver: the
-/// `TERAHEAP_BENCH_THREADS` override if set, else the machine's available
-/// parallelism.
-pub fn bench_threads() -> usize {
-    match std::env::var("TERAHEAP_BENCH_THREADS") {
-        Ok(v) => v.parse().ok().filter(|&n| n > 0).unwrap_or(1),
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
-
-/// Runs independent benchmark jobs across [`bench_threads`] worker threads
-/// and returns their results **in input order** — each simulation owns its
-/// heap and clock, so fanning whole configurations out is safe, and the
-/// caller prints/serializes from the ordered results, keeping every CSV
-/// byte-identical to a sequential run regardless of the thread count.
-pub fn run_parallel<T, F>(jobs: Vec<F>) -> Vec<T>
+/// Runs independent jobs across `workers` threads and returns their results
+/// **in input order** — each simulation owns its heap and clock, so fanning
+/// whole configurations out is safe, and rendering from the ordered results
+/// keeps every CSV byte-identical to a sequential run at any thread count.
+pub fn run_parallel<T, F>(jobs: Vec<F>, workers: usize) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let workers = bench_threads().min(jobs.len().max(1));
+    let workers = workers.min(jobs.len());
     if workers <= 1 {
         return jobs.into_iter().map(|f| f()).collect();
     }
-    let pending: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|f| Mutex::new(Some(f))).collect();
-    let results: Vec<Mutex<Option<T>>> = (0..pending.len()).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= pending.len() {
-                    break;
-                }
-                let job = pending[i]
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("job claimed exactly once");
-                let out = job();
-                *results[i].lock().unwrap() = Some(out);
-            });
+    // Workers pull `(index, job)` off one queue; the lock is held only for the pull.
+    let queue = teraheap_util::sync::Mutex::new(jobs.into_iter().enumerate());
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().next();
+            let Some((i, job)) = next else { break done };
+            done.push((i, job()));
         }
+    };
+    let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(work)).collect();
+        handles.into_iter().flat_map(|h| h.join().expect("figure job panicked")).collect()
     });
-    results
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("worker completed the job"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Writes `rows` (comma-separated lines) under `results/<name>.csv`,
-/// creating the directory if needed. Returns the path written.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) -> std::path::PathBuf {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).expect("create results dir");
-    let path = dir.join(format!("{name}.csv"));
-    let mut body = String::from(header);
-    body.push('\n');
-    for r in rows {
-        body.push_str(r);
-        body.push('\n');
+/// Nanoseconds as milliseconds.
+pub fn ms(ns: u64) -> f64 {
+    ns as f64 / 1e6
+}
+
+/// A result cell: `OOM` for a run that died, else `cell()`.
+pub fn or_oom(oom: bool, cell: impl FnOnce() -> String) -> String {
+    if oom {
+        return "OOM".to_string();
     }
-    std::fs::write(&path, body).expect("write csv");
-    path
+    cell()
 }
 
-/// One bar of a figure: a display label and the job that simulates it.
-pub struct FigureBar {
-    /// Display label (spaces become `_` in the CSV key column).
-    pub label: String,
-    /// The simulation; runs on a worker thread via [`run_parallel`].
-    pub job: Box<dyn FnOnce() -> mini_spark::RunReport + Send>,
-}
-
-impl FigureBar {
-    /// Builds a bar from a label and a job closure.
-    pub fn new<F>(label: impl Into<String>, job: F) -> Self
-    where
-        F: FnOnce() -> mini_spark::RunReport + Send + 'static,
-    {
-        FigureBar { label: label.into(), job: Box::new(job) }
-    }
-}
-
-/// A group of bars normalized together (one workload's cluster in the
-/// paper's figures). The reference is the first non-OOM bar in declaration
-/// order, matching the paper's "normalized to the first completing bar".
-pub struct FigureGroup {
-    /// Printed group header (e.g. `--- Spark-PR (dataset 80 GB-scaled) ---`).
-    pub header: String,
-    /// Bars in display order.
-    pub bars: Vec<FigureBar>,
-}
-
-/// A whole normalized-execution-time figure: title, CSV naming and the bar
-/// groups. [`FigureSpec::run`] fans every bar out through [`run_parallel`],
-/// then prints groups and writes the CSV from the ordered results, so the
-/// output is byte-identical at any worker-thread count.
-pub struct FigureSpec {
-    /// Banner printed before the groups (without trailing newline).
-    pub title: String,
-    /// CSV file stem under `results/`.
-    pub csv_name: &'static str,
-    /// Name of the CSV key column (`bar`, `collector`, ...).
-    pub key_column: &'static str,
-    /// Right-alignment width for bar labels.
-    pub label_width: usize,
-    /// Whether to append `  [minor N major M]` after each bar.
-    pub gc_counts: bool,
-    /// The bar groups.
-    pub groups: Vec<FigureGroup>,
-}
-
-impl FigureSpec {
-    /// Runs every bar (in parallel), prints the figure and writes its CSV.
-    pub fn run(self) {
-        use mini_spark::RunReport;
-        println!("{}\n", self.title);
-        let mut jobs: Vec<Box<dyn FnOnce() -> RunReport + Send>> = Vec::new();
-        let mut shape: Vec<(String, Vec<String>)> = Vec::new();
-        for group in self.groups {
-            let labels = group.bars.iter().map(|b| b.label.clone()).collect();
-            shape.push((group.header, labels));
-            jobs.extend(group.bars.into_iter().map(|b| b.job));
-        }
-        let reports = run_parallel(jobs);
-
-        let mut csv: Vec<String> = Vec::new();
-        let mut idx = 0;
-        let width = self.label_width;
-        for (header, labels) in shape {
-            println!("{header}");
-            let group_reports = &reports[idx..idx + labels.len()];
-            let reference = group_reports
-                .iter()
-                .find(|r| !r.oom)
-                .map(|r| r.breakdown.total_ns())
-                .unwrap_or(1)
-                .max(1);
-            for (label, report) in labels.iter().zip(group_reports) {
-                if report.oom {
-                    println!("  {label:>width$}: OOM");
-                } else if self.gc_counts {
-                    println!(
-                        "  {label:>width$}: {}  [minor {} major {}]",
-                        bar(&report.breakdown, reference),
-                        report.minor_gcs,
-                        report.major_gcs
-                    );
-                } else {
-                    println!("  {label:>width$}: {}", bar(&report.breakdown, reference));
-                }
-                csv.push(format!("{},{}", label.replace(' ', "_"), report.csv_row()));
-            }
-            idx += labels.len();
-            println!();
-        }
-        let header = format!("{},{}", self.key_column, RunReport::csv_header());
-        let path = write_csv(self.csv_name, &header, &csv);
-        println!("wrote {}", path.display());
-    }
+/// What the paper's figures normalize a bar group to: the total of its first
+/// completing run. Takes `(oom, total_ns)` per bar.
+pub fn reference_ns(bars: impl IntoIterator<Item = (bool, u64)>) -> u64 {
+    bars.into_iter().find(|&(oom, _)| !oom).map_or(1, |(_, ns)| ns).max(1)
 }
 
 /// Renders a normalized stacked bar (other/sd+io/minor/major as percentages
@@ -405,6 +357,69 @@ pub fn bar(breakdown: &teraheap_storage::Breakdown, reference_ns: u64) -> String
         pct(breakdown.major_gc_ns),
         pct(breakdown.total_ns()),
     )
+}
+
+/// Reports a `[native, TeraHeap]` pair of `(oom, total_ns)` runs: a text line
+/// with TeraHeap's saving, and one CSV row each under `csv_key`.
+pub fn report_pair(out: &mut Rendered, label: &str, csv_key: &str, pair: [(bool, u64); 2]) {
+    let [native, th] = pair;
+    let cell = |(oom, ns): (bool, u64)| or_oom(oom, || format!("{:.1}ms", ms(ns)));
+    let saving = if native.0 || th.0 || th.1 == 0 {
+        "-".to_string()
+    } else {
+        format!("{:.0}%", 100.0 * (1.0 - th.1 as f64 / native.1 as f64))
+    };
+    say!(out.text, "  {label:>18}: native {}  TH {}  (TH saves {saving})", cell(native), cell(th));
+    out.csv.push(format!("{csv_key},native,-,{},{}", native.0, native.1));
+    out.csv.push(format!("{csv_key},TH,-,{},{}", th.0, th.1));
+}
+
+/// A job running `row`'s workload under `config` on its Table 3 dataset.
+pub fn spark_job(row: &SparkRow, config: SparkConfig) -> Job<RunReport> {
+    let (workload, scale) = (row.workload, spark_dataset(row));
+    Box::new(move || run_workload(workload, config, scale))
+}
+
+/// One bar of a normalized-execution-time figure (the key of its job).
+pub struct FigureBar {
+    /// Header of the bar's group (one workload's cluster in the paper's
+    /// figures); adjacent bars of one group are normalized together.
+    pub group: String,
+    /// Display label.
+    pub label: String,
+    /// The bar's CSV key column(s).
+    pub csv_key: String,
+}
+
+impl FigureBar {
+    /// A bar whose CSV key is its label with spaces as `_`.
+    pub fn new(group: &str, label: impl Into<String>) -> Self {
+        let label = label.into();
+        FigureBar { group: group.to_string(), csv_key: label.replace(' ', "_"), label }
+    }
+}
+
+/// Renders a figure of [`FigureBar`]s: per group its header, then each bar
+/// labelled to `width` (with its GC counts under `gc_counts`); one
+/// `csv_key,RunReport::csv_row` CSV row per bar.
+pub fn render_bars(
+    out: &mut Rendered,
+    runs: &[(FigureBar, RunReport)],
+    width: usize,
+    gc_counts: bool,
+) {
+    for group in runs.chunk_by(|a, b| a.0.group == b.0.group) {
+        say!(out.text, "{}", group[0].0.group);
+        let reference = reference_ns(group.iter().map(|(_, r)| (r.oom, r.breakdown.total_ns())));
+        for (FigureBar { label, csv_key, .. }, r) in group {
+            let gcs = format!("  [minor {} major {}]", r.minor_gcs, r.major_gcs);
+            let gcs = if gc_counts { gcs.as_str() } else { "" };
+            let cell = or_oom(r.oom, || bar(&r.breakdown, reference) + gcs);
+            say!(out.text, "  {label:>width$}: {cell}");
+            out.csv.push(format!("{csv_key},{}", r.csv_row()));
+        }
+        say!(out.text, "");
+    }
 }
 
 #[cfg(test)]

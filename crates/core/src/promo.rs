@@ -9,7 +9,6 @@
 //! write cost at flush time.
 
 use crate::region::RegionId;
-use std::collections::HashMap;
 
 /// Default promotion-buffer size: 2 MB, as in the paper.
 pub const DEFAULT_BUFFER_BYTES: usize = 2 << 20;
@@ -18,7 +17,8 @@ pub const DEFAULT_BUFFER_BYTES: usize = 2 << 20;
 #[derive(Debug)]
 pub struct Promoter {
     buffer_bytes: usize,
-    pending: HashMap<RegionId, usize>,
+    /// Staged, unflushed bytes by region id (grown on first use of an id).
+    pending: Vec<usize>,
     flushes: u64,
     bytes_flushed: u64,
 }
@@ -31,12 +31,7 @@ impl Promoter {
     /// Panics if `buffer_bytes` is zero.
     pub fn new(buffer_bytes: usize) -> Self {
         assert!(buffer_bytes > 0, "promotion buffer must be non-empty");
-        Promoter {
-            buffer_bytes,
-            pending: HashMap::new(),
-            flushes: 0,
-            bytes_flushed: 0,
-        }
+        Promoter { buffer_bytes, pending: Vec::new(), flushes: 0, bytes_flushed: 0 }
     }
 
     /// Buffer capacity in bytes.
@@ -57,35 +52,42 @@ impl Promoter {
     /// Stages `bytes` of object data headed for `region`. Returns the bytes
     /// flushed to the device by this call (0 if the buffer still has room).
     pub fn stage(&mut self, region: RegionId, bytes: usize) -> usize {
-        let slot = self.pending.entry(region).or_insert(0);
+        let buffer_bytes = self.buffer_bytes;
+        let slot = self.slot(region);
         *slot += bytes;
         // Closed form: a staged run crossing the buffer boundary n times
         // flushes n full batches, however large the object.
-        let batches = *slot / self.buffer_bytes;
-        let flushed = batches * self.buffer_bytes;
+        let batches = *slot / buffer_bytes;
+        let flushed = batches * buffer_bytes;
         *slot -= flushed;
         self.flushes += batches as u64;
         self.bytes_flushed += flushed as u64;
         flushed
     }
 
-    /// Bytes currently pending (staged, unflushed) for `region`.
-    pub fn pending_of(&self, region: RegionId) -> usize {
-        self.pending.get(&region).copied().unwrap_or(0)
+    fn slot(&mut self, region: RegionId) -> &mut usize {
+        let i = region.0 as usize;
+        if i >= self.pending.len() {
+            self.pending.resize(i + 1, 0);
+        }
+        &mut self.pending[i]
     }
 
-    /// All regions with pending bytes, sorted by region id — the snapshot
+    /// Bytes currently pending (staged, unflushed) for `region`.
+    pub fn pending_of(&self, region: RegionId) -> usize {
+        self.pending.get(region.0 as usize).copied().unwrap_or(0)
+    }
+
+    /// All regions with pending bytes, in region-id order — the snapshot
     /// [`Promoter::flush_all`] callers take first when a fault plane may
     /// fail the flush and force [`Promoter::unstage`].
     pub fn pending_regions(&self) -> Vec<(RegionId, usize)> {
-        let mut v: Vec<(RegionId, usize)> = self
-            .pending
+        self.pending
             .iter()
+            .enumerate()
             .filter(|&(_, &slot)| slot > 0)
-            .map(|(&r, &slot)| (r, slot))
-            .collect();
-        v.sort_unstable();
-        v
+            .map(|(i, &slot)| (RegionId(i as u32), slot))
+            .collect()
     }
 
     /// Rolls back one reported flush of `bytes` for `region` after the
@@ -96,7 +98,7 @@ impl Promoter {
         if bytes == 0 {
             return;
         }
-        *self.pending.entry(region).or_insert(0) += bytes;
+        *self.slot(region) += bytes;
         self.bytes_flushed = self.bytes_flushed.saturating_sub(bytes as u64);
         self.flushes = self.flushes.saturating_sub(1);
     }
@@ -107,21 +109,12 @@ impl Promoter {
         self.pending.clear();
     }
 
-    /// Flushes every partially-filled buffer (end of compaction), visiting
-    /// regions in sorted order so any per-flush cost or event emission is
-    /// deterministic across runs (a bare `HashMap` walk is not). Returns
-    /// the total bytes written.
+    /// Flushes every partially-filled buffer (end of compaction), one flush
+    /// per region with pending bytes. Returns the total bytes written.
     pub fn flush_all(&mut self) -> usize {
-        let mut regions: Vec<RegionId> = self
-            .pending
-            .iter()
-            .filter(|&(_, &slot)| slot > 0)
-            .map(|(&r, _)| r)
-            .collect();
-        regions.sort_unstable();
         let mut flushed = 0;
-        for region in regions {
-            flushed += self.pending[&region];
+        for &slot in self.pending.iter().filter(|&&slot| slot > 0) {
+            flushed += slot;
             self.flushes += 1;
         }
         self.pending.clear();

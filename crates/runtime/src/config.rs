@@ -38,6 +38,59 @@ pub enum GcVariant {
     },
 }
 
+/// Everything the runtime reads from a [`GcVariant`], derived once when the
+/// heap is built: the collector consults these numbers and never matches on
+/// the enum itself.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VariantPolicy {
+    /// Share of the traced mark CPU that shows up as GC time, in
+    /// thousandths (G1 marks concurrently with the mutator: a quarter).
+    pub mark_cpu_milli: u64,
+    /// Objects larger than eden divided by this bypass eden for the old
+    /// generation (PS: half of eden; Panthera pretenures all big objects).
+    pub big_object_eden_divisor: usize,
+    /// Multiplier on the live young words a minor GC must find old-generation
+    /// room for (G1 humongous rounding can double a footprint).
+    pub worst_promotion_factor: usize,
+    /// G1 heap-region size in words; `None` for the other variants.
+    pub g1_region_words: Option<usize>,
+    /// Panthera: `(nvm_base_offset_words, extra_ns_per_word)` — where in the
+    /// old generation NVM begins, and the access penalty past that point.
+    pub panthera_nvm: Option<(usize, u64)>,
+    /// Suffix of the configuration name in run reports.
+    pub report_suffix: &'static str,
+}
+
+impl GcVariant {
+    /// The runtime's view of this collector personality.
+    pub fn policy(self) -> VariantPolicy {
+        let ps = VariantPolicy {
+            mark_cpu_milli: 1000,
+            big_object_eden_divisor: 2,
+            worst_promotion_factor: 1,
+            g1_region_words: None,
+            panthera_nvm: None,
+            report_suffix: "",
+        };
+        match self {
+            GcVariant::ParallelScavenge => ps,
+            GcVariant::G1 { region_words } => VariantPolicy {
+                mark_cpu_milli: 250,
+                worst_promotion_factor: 2,
+                g1_region_words: Some(region_words),
+                report_suffix: "+G1",
+                ..ps
+            },
+            GcVariant::Panthera { old_dram_words, nvm } => VariantPolicy {
+                big_object_eden_divisor: 16,
+                panthera_nvm: Some((old_dram_words, nvm.read_lat_ns / 8)),
+                report_suffix: "+Panthera",
+                ..ps
+            },
+        }
+    }
+}
+
 /// Default per-slice pause budget in simulated nanoseconds for incremental
 /// major collection (`HeapConfig::pause_budget_ns`). 50 µs sits an order of
 /// magnitude under the stop-world major pauses of the figure workloads

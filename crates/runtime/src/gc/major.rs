@@ -60,10 +60,9 @@ use super::schedule::{
 };
 use super::units::{self, LiveMap, SelState, Stash};
 use super::Work;
-use crate::config::{GcVariant, OomError};
+use crate::config::OomError;
 use crate::heap::Heap;
 use crate::object;
-use std::collections::HashMap;
 use teraheap_core::{Addr, CardState, Label};
 use teraheap_storage::obs::{CardTableKind, EventKind, GcCause, GcKind, GcPhase, WorkUnitKind};
 use teraheap_storage::Category;
@@ -186,8 +185,9 @@ pub(super) struct PlanState {
     plan_idx: usize,
     pub(super) new_top: u64,
     pub(super) new_old_starts: Vec<u64>,
-    /// Live words per old-generation G1 region (mixed-collection model).
-    pub(super) g1_region_live: HashMap<u64, u64>,
+    /// Live words per old-generation G1 region (mixed-collection model),
+    /// indexed by region; empty for the other variants.
+    pub(super) g1_region_live: Vec<u64>,
     /// Eden top at mark termination: everything below relocates, everything
     /// at or above stays.
     flip_top: u64,
@@ -388,7 +388,8 @@ fn start(heap: &mut Heap, cause: GcCause, interleaved: bool) {
     );
     // G1 marks concurrently with the mutator; only a quarter of the traced
     // CPU shows up as pause/GC time. Applied per lane at the barrier.
-    sched.set_milli(if matches!(heap.config.variant, GcVariant::G1 { .. }) { 250 } else { 1000 });
+    sched.set_milli(heap.policy.mark_cpu_milli);
+    let g1_regions = heap.policy.g1_region_words.map_or(0, |w| heap.config.old_words.div_ceil(w));
     heap.cycle = Some(Box::new(MajorCycle {
         shape: Shape::new(interleaved),
         sched,
@@ -402,7 +403,11 @@ fn start(heap: &mut Heap, cause: GcCause, interleaved: bool) {
             .recycled(heap.old.base().raw(), heap.mem.len()),
         mark: MarkState { roots_len: heap.roots.len(), ..MarkState::default() },
         mutator: MutatorLog::default(),
-        plan: PlanState { old_base: heap.old.base().raw(), ..PlanState::default() },
+        plan: PlanState {
+            old_base: heap.old.base().raw(),
+            g1_region_live: vec![0; g1_regions],
+            ..PlanState::default()
+        },
         reloc: RelocState::default(),
         done: false,
         aborted: false,

@@ -16,10 +16,9 @@
 use super::major::MajorCycle;
 use super::schedule::{DOM_H2_CARD, DOM_OBJECT, GRAY_PACKET};
 use super::Work;
-use crate::config::{GcVariant, OomError};
+use crate::config::OomError;
 use crate::heap::Heap;
 use crate::object;
-use std::collections::HashMap;
 use std::ops::Range;
 use teraheap_core::{Addr, CardState, Label};
 use teraheap_storage::Category;
@@ -642,10 +641,10 @@ pub(super) fn plan_chunk(
         let size = object::size_of(header);
         uw.objects += 1;
         let plan = &mut cyc.plan;
-        if let GcVariant::G1 { region_words } = heap.config.variant {
+        if let Some(region_words) = heap.policy.g1_region_words {
             if src >= plan.old_base {
                 let region = (src - plan.old_base) / region_words as u64;
-                *plan.g1_region_live.entry(region).or_insert(0) += size as u64;
+                plan.g1_region_live[region as usize] += size as u64;
             }
         }
         let footprint = heap.g1_footprint(size);
@@ -678,20 +677,25 @@ pub(super) fn plan_chunk(
 /// live data. Non-G1 variants return 1000 (full compaction cost).
 pub(super) fn g1_moved_fraction_milli(
     heap: &Heap,
-    region_live: &HashMap<u64, u64>,
+    region_live: &[u64],
     total_live: u64,
 ) -> u64 {
-    let GcVariant::G1 { region_words } = heap.config.variant else {
+    let Some(region_words) = heap.policy.g1_region_words else {
         return 1000;
     };
-    if total_live == 0 || region_live.is_empty() {
+    if total_live == 0 {
         return 1000;
     }
     // Garbage per old region = capacity - live; collect the most-garbage
     // regions first until 90% of the garbage is reclaimed.
-    // (garbage, live) pairs per old-generation G1 region.
-    let mut per_region: Vec<(u64, u64)> =
-        region_live.values().map(|&l| ((region_words as u64).saturating_sub(l), l)).collect();
+    // (garbage, live) pairs per old-generation G1 region holding a live
+    // object start: a region none starts in is not a collection candidate
+    // (with no such region at all, `total_garbage` is 0 below).
+    let mut per_region: Vec<(u64, u64)> = region_live
+        .iter()
+        .filter(|&&l| l > 0)
+        .map(|&l| ((region_words as u64).saturating_sub(l), l))
+        .collect();
     per_region.sort_unstable_by_key(|r| std::cmp::Reverse(r.0));
     let total_garbage: u64 = per_region.iter().map(|(g, _)| g).sum();
     if total_garbage == 0 {

@@ -6,7 +6,7 @@
 //! pick the H1 or H2 card table.
 
 use crate::class::{ClassDesc, ClassId, ClassRegistry, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
-use crate::config::{GcVariant, HeapConfig, OomError};
+use crate::config::{HeapConfig, OomError, VariantPolicy};
 use crate::gc;
 use crate::object;
 use crate::space::{H1CardTable, Space};
@@ -43,6 +43,8 @@ pub struct Heap {
     pub(crate) h2: Option<H2>,
     pub(crate) clock: Arc<SimClock>,
     pub(crate) config: HeapConfig,
+    /// `config.variant` as the numbers the collector reads.
+    pub(crate) policy: VariantPolicy,
     pub(crate) stats: GcStats,
     /// Sorted start addresses of objects in the old generation (the card
     /// offset table analogue, letting dirty-card scans find object starts).
@@ -122,13 +124,10 @@ impl Heap {
         let total = old.limit().raw() as usize;
         let h1_cards = H1CardTable::new(old.base(), config.old_words, config.card_seg_words);
         let h1_extra_ns = config.memory_mode.map(|m| m.extra_ns_per_word()).unwrap_or(0);
-        let (panthera_extra_ns, panthera_nvm_base) = match config.variant {
-            GcVariant::Panthera { old_dram_words, nvm } => (
-                nvm.read_lat_ns / 8,
-                old.base().raw() + old_dram_words as u64,
-            ),
-            _ => (0, u64::MAX),
-        };
+        let policy = config.variant.policy();
+        let (panthera_nvm_base, panthera_extra_ns) = policy
+            .panthera_nvm
+            .map_or((u64::MAX, 0), |(offset, ns)| (old.base().raw() + offset as u64, ns));
         Heap {
             mem: vec![0; total],
             eden,
@@ -142,6 +141,7 @@ impl Heap {
             h2: None,
             clock,
             config,
+            policy,
             stats: GcStats::new(),
             old_starts: Vec::new(),
             h1_extra_ns,
@@ -421,9 +421,7 @@ impl Heap {
     fn alloc_words(&mut self, words: usize) -> Result<Addr, OomError> {
         // Large objects bypass eden and go straight to the old generation
         // (PS behaviour; Panthera additionally pretenures all big objects).
-        let big = words > self.eden.capacity_words() / 2
-            || (matches!(self.config.variant, GcVariant::Panthera { .. })
-                && words > self.eden.capacity_words() / 16);
+        let big = words > self.eden.capacity_words() / self.policy.big_object_eden_divisor;
         if big {
             // Old-gen placement must not race the in-flight cycle's plan.
             gc::major::finish(self)?;
@@ -549,23 +547,19 @@ impl Heap {
     /// The old-generation footprint of an object of `words` words: rounded
     /// up to whole G1 regions when the object is humongous.
     pub(crate) fn g1_footprint(&self, words: usize) -> usize {
-        if let GcVariant::G1 { region_words } = self.config.variant {
-            if words >= region_words / 2 {
-                return words.div_ceil(region_words) * region_words;
+        match self.policy.g1_region_words {
+            Some(region_words) if words >= region_words / 2 => {
+                words.div_ceil(region_words) * region_words
             }
+            _ => words,
         }
-        words
     }
 
     /// Worst-case words a minor GC could promote: everything live in the
     /// collected young spaces, doubled under G1 because humongous-object
     /// region rounding can inflate a footprint by up to 2x.
     fn worst_case_promotion(&self) -> usize {
-        let used = self.eden.used_words() + self.from.used_words();
-        match self.config.variant {
-            GcVariant::G1 { .. } => used * 2,
-            _ => used,
-        }
+        (self.eden.used_words() + self.from.used_words()) * self.policy.worst_promotion_factor
     }
 
     fn collect_for(&mut self, words: usize) -> Result<(), OomError> {

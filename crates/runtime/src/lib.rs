@@ -58,7 +58,7 @@ pub mod stats;
 pub use check::{CheckError, CheckReport, CrashRecovery};
 pub use class::{ClassDesc, ClassId, ClassRegistry, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
 pub use config::{
-    ConfigError, GcVariant, HeapConfig, HeapConfigBuilder, MemoryMode, OomError,
+    ConfigError, GcVariant, HeapConfig, HeapConfigBuilder, MemoryMode, OomError, VariantPolicy,
     DEFAULT_PAUSE_BUDGET_NS,
 };
 pub use heap::{Handle, Heap};

@@ -30,4 +30,7 @@ pub use block::{BlockId, BlockManager, CacheMode};
 pub use context::{ExecMode, SparkConfig, SparkContext};
 pub use placement::{Placement, PlacementInputs, PlacementModel};
 pub use report::RunReport;
-pub use workloads::{run_workload, run_workload_on, run_workload_traced, DatasetScale, Workload};
+pub use workloads::{
+    run_workload, run_workload_on, run_workload_reported, run_workload_traced, DatasetScale,
+    Workload,
+};

@@ -157,22 +157,33 @@ pub fn run_workload_traced(
     scale: DatasetScale,
 ) -> (RunReport, Vec<teraheap_runtime::obs::Event>) {
     let mut ctx = SparkContext::new(config);
-    let mode_name = mode_label(&config);
-    let report = match exec(workload, &mut ctx, scale) {
+    let report = run_workload_reported(workload, &mut ctx, mode_label(&config), scale);
+    let events = ctx.heap.clock().tracer().events();
+    (report, events)
+}
+
+/// Runs `workload` on a context the caller has set up and reports it under
+/// the configuration name `mode`, turning OOM into the report's OOM flag.
+pub fn run_workload_reported(
+    workload: Workload,
+    ctx: &mut SparkContext,
+    mode: String,
+    scale: DatasetScale,
+) -> RunReport {
+    match exec(workload, ctx, scale) {
         Err(e) => {
-            let mut r = RunReport::oom(workload.name(), mode_name);
+            let mut r = RunReport::oom(workload.name(), mode);
             r.oom_context = Some(e.to_string());
             r
         }
         Ok(checksum) => {
-            let b = ctx.heap.clock().breakdown();
             let s = ctx.heap.stats();
             RunReport {
                 workload: workload.name(),
-                mode: mode_name,
+                mode,
                 oom: false,
                 oom_context: None,
-                breakdown: b,
+                breakdown: ctx.heap.clock().breakdown(),
                 minor_gcs: s.minor_count,
                 major_gcs: s.major_count,
                 h2_objects: s.objects_promoted_h2,
@@ -182,18 +193,11 @@ pub fn run_workload_traced(
                 checksum,
             }
         }
-    };
-    let events = ctx.heap.clock().tracer().events();
-    (report, events)
+    }
 }
 
 fn mode_label(config: &SparkConfig) -> String {
-    use teraheap_runtime::GcVariant;
-    let collector = match config.heap.variant {
-        GcVariant::ParallelScavenge => "",
-        GcVariant::G1 { .. } => "+G1",
-        GcVariant::Panthera { .. } => "+Panthera",
-    };
+    let collector = config.heap.variant.policy().report_suffix;
     let mm = if config.heap.memory_mode.is_some() { "+MemMode" } else { "" };
     format!("{}{}{}", config.mode.name(), collector, mm)
 }

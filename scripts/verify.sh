@@ -175,14 +175,7 @@ if [[ "${VERIFY_SKIP_RESULTS:-0}" != "1" ]]; then
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
     cp -r results "$tmp/committed"
-    for bin in fig6_spark fig6_giraph fig7_timeline fig8_collectors \
-               fig9_hints fig10_regions fig11_gc_overhead fig12_nvm \
-               fig13_scaling fig13_gc_threads fig14_pause_cdf \
-               fig15_tenants fig16_placement fig17_query table5_metadata \
-               ablations; do
-        echo "  regenerating: $bin"
-        cargo run -q --release --offline -p teraheap-bench --bin "$bin" >/dev/null
-    done
+    cargo run -q --release --offline -p teraheap-bench --bin figures -- all >/dev/null
     if ! diff -rq -x microbench.csv "$tmp/committed" results; then
         echo "ERROR: regenerated results differ from committed CSVs." >&2
         echo "Simulated time must be deterministic; if the change is an" >&2
