@@ -8,12 +8,16 @@
 //!   allocation-free tracing, forwarding-table and stash-arena paths), a
 //!   major over many small half-dead objects (the mark bitmap's scan and
 //!   rank) and one dominated by forwarding lookups;
+//! * `heap/*` — one charged pass over a 64 Ki-word array, word by word,
+//!   through a handle and through a pin, on H1 and on page-cached H2;
+//! * `giraph/*` — a whole in-memory WCC run (load plus supersteps);
 //! * `h1_cards/*` — H1 dirty-card indexing: sparse scan and barrier mark;
 //! * `mmap/*` — page-cache touch: a resident hit, and fault + eviction
 //!   with the working set far past the budget;
 //! * `h2_cards/*` — H2 card-table scanning at several segment sizes;
 //! * `regions/*` — region allocation and bulk reclamation;
-//! * `serde/*` — kryo-sim serialize/deserialize round trips;
+//! * `serde/*` — kryo-sim serialize/deserialize round trips: a thousand
+//!   small objects, and one 64 Ki-word primitive array (a message store);
 //! * `promo/*` — promotion-buffer staging;
 //! * `query/*` — one point lookup, one 48-row index range scan and one
 //!   full-scan aggregate against a hot (H1) and a cold (H2, 6x the page
@@ -154,6 +158,64 @@ fn bench_gc(bench: &mut Bench) {
             heap.gc_major().unwrap();
             black_box(heap.stats().major_count);
         });
+    });
+    group.finish();
+}
+
+fn bench_heap(bench: &mut Bench) {
+    const WORDS: usize = 64 << 10;
+    let mut group = bench.group("heap");
+    for tier in ["h1", "h2"] {
+        let mut heap = Heap::new(HeapConfig::with_words(256 << 10, 1 << 20));
+        let h2 = teraheap_core::H2Config::builder()
+            .region_words(128 << 10)
+            .n_regions(4)
+            .card_seg_words(512)
+            .resident_budget_bytes(WORDS * 8 + (64 << 10))
+            .page_size(4096)
+            .promo_buffer_bytes(16 << 10)
+            .build()
+            .expect("valid H2 config");
+        let dev =
+            SharedDevice::new(DeviceSpec::nvme_ssd(), h2.footprint_bytes(), heap.clock().clone());
+        heap.attach_h2(h2, &dev).unwrap();
+        let arr = heap.alloc_prim_array(WORDS).unwrap();
+        if tier == "h2" {
+            heap.h2_tag_root(arr, Label::new(1));
+            heap.h2_move(Label::new(1));
+            heap.gc_major().unwrap();
+            assert!(heap.is_in_h2(arr));
+        }
+        group.bench_function(&format!("prim_loop_handle_{tier}"), |b| {
+            b.iter(|| {
+                let mut sum = 0u64;
+                for i in 0..WORDS {
+                    sum = sum.wrapping_add(heap.read_prim(arr, i));
+                }
+                black_box(sum)
+            });
+        });
+        group.bench_function(&format!("prim_loop_pinned_{tier}"), |b| {
+            let mut pin = heap.pin(arr);
+            b.iter(|| {
+                let mut sum = 0u64;
+                for i in 0..WORDS {
+                    sum = sum.wrapping_add(heap.read_prim_at(&mut pin, i));
+                }
+                black_box(sum)
+            });
+        });
+    }
+    group.finish();
+}
+
+fn bench_giraph(bench: &mut Bench) {
+    use mini_giraph::{run_giraph, GiraphConfig, GiraphMode, GiraphWorkload};
+    let mut group = bench.group("giraph");
+    group.bench_function("superstep_wcc", |b| {
+        let mut config = GiraphConfig::small(GiraphMode::InMemory);
+        config.heap = HeapConfig::with_words(64 << 10, 512 << 10);
+        b.iter(|| black_box(run_giraph(GiraphWorkload::Wcc, config, 4096, 6, 42).checksum));
     });
     group.finish();
 }
@@ -301,6 +363,23 @@ fn bench_serde(bench: &mut Bench) {
         });
     });
     group.finish();
+
+    // One large primitive array, the shape of a Giraph message store:
+    // payload emission and decoding with no graph to walk.
+    const WORDS: usize = 64 << 10;
+    let store = heap.alloc_prim_array(WORDS).unwrap();
+    let vals: Vec<u64> = (0..WORDS as u64).collect();
+    heap.write_prims(store, 0, &vals);
+    let mut group = bench.group("serde");
+    group.throughput_bytes(kryo_sim::serialized_size(&mut heap, store) as u64);
+    group.bench_function("prim_array_roundtrip", |b| {
+        b.iter(|| {
+            let bytes = kryo_sim::serialize(&mut heap, store).unwrap();
+            let out = kryo_sim::deserialize(&mut heap, black_box(&bytes)).unwrap();
+            heap.release(out);
+        });
+    });
+    group.finish();
 }
 
 fn bench_promo(bench: &mut Bench) {
@@ -375,6 +454,8 @@ fn main() {
     let mut bench = Bench::new();
     bench_barrier(&mut bench);
     bench_gc(&mut bench);
+    bench_heap(&mut bench);
+    bench_giraph(&mut bench);
     bench_h1_cards(&mut bench);
     bench_mmap(&mut bench);
     bench_h2_cards(&mut bench);

@@ -29,7 +29,7 @@ pub use workloads::{run_giraph, run_giraph_on_tenant, GiraphReport, GiraphWorklo
 
 use std::sync::Arc;
 use teraheap_core::{H2Config, Label};
-use teraheap_runtime::{AttachError, Handle, Heap, HeapConfig, OomError, SharedDevice};
+use teraheap_runtime::{AttachError, Handle, Heap, HeapConfig, OomError, Pin, SharedDevice};
 use teraheap_storage::{Category, DeviceSpec, SimClock, SimDevice};
 
 /// Error loading a tenant Giraph runtime: shared-device attachment rejected
@@ -143,11 +143,11 @@ impl GiraphConfig {
 struct PartitionState {
     /// Packed vertex store: one primitive array with (id, value, degree)
     /// triples — Giraph serializes vertices into byte arrays at allocation
-    /// time (§5). Always resident.
-    vertices: Handle,
-    /// Words the vertex store occupies (OOC budget; not offloadable here —
-    /// vertices are updated every superstep).
-    vertex_words: usize,
+    /// time (§5). Always resident, and pinned: every superstep reads and
+    /// updates it word by word.
+    vertices: Pin,
+    /// Vertices in the partition (three words each in the store).
+    n_vertices: usize,
     /// Ref array of per-vertex edge-target primitive arrays, or `None`
     /// while offloaded.
     edges: Option<Handle>,
@@ -159,45 +159,101 @@ struct PartitionState {
     last_access: u64,
 }
 
-/// One message store (one superstep's messages), per partition.
-#[derive(Debug, Default)]
+impl PartitionState {
+    /// Words the vertex store occupies (OOC budget; not offloadable here —
+    /// vertices are updated every superstep).
+    fn vertex_words(&self) -> usize {
+        3 + 3 * self.n_vertices
+    }
+}
+
+/// One partition's share of a message store.
+#[derive(Debug, Default, Clone, Copy)]
+struct PartMessages {
+    /// The message array, or `None` if empty or offloaded; pinned because
+    /// delivery and consumption go through it word by word. A slotted
+    /// store holds `(count, combined value)` pairs indexed by local vertex;
+    /// an appended store holds flattened `(target, value)` pairs.
+    array: Option<Pin>,
+    /// Whether the array is slotted (combiner) or appended.
+    slotted: bool,
+    /// Serialized blob on the OOC device.
+    blob: Option<(usize, usize)>,
+    /// Message pairs (append) / populated slots (slotted).
+    count: usize,
+    /// Append cursor of an unslotted store.
+    cursor: usize,
+    /// Allocated array capacity in words (resident-set accounting must use
+    /// capacity, not fill level).
+    capacity_words: usize,
+}
+
+/// One message store (one superstep's messages).
+#[derive(Debug)]
 struct MsgStore {
-    /// Per-partition message arrays, or `None` if empty or offloaded.
-    /// Slotted stores hold `(count, combined value)` pairs indexed by local
-    /// vertex; appended stores hold flattened `(target, value)` pairs.
-    arrays: Vec<Option<Handle>>,
-    /// Whether the partition's array is slotted (combiner) or appended.
-    slotted: Vec<bool>,
-    /// Per-partition serialized blob on the OOC device.
-    blobs: Vec<Option<(usize, usize)>>,
-    /// Per-partition message pair counts (append) / populated slots (slotted).
-    counts: Vec<usize>,
-    /// Append cursors for unslotted stores.
-    cursors: Vec<usize>,
-    /// Allocated array capacity in words per partition (resident-set
-    /// accounting must use capacity, not fill level).
-    capacity_words: Vec<usize>,
+    parts: Vec<PartMessages>,
 }
 
 impl MsgStore {
     fn empty(partitions: usize) -> Self {
-        MsgStore {
-            arrays: (0..partitions).map(|_| None).collect(),
-            slotted: vec![false; partitions],
-            blobs: (0..partitions).map(|_| None).collect(),
-            counts: vec![0; partitions],
-            cursors: vec![0; partitions],
-            capacity_words: vec![0; partitions],
-        }
+        MsgStore { parts: vec![PartMessages::default(); partitions] }
     }
 
     fn resident_words(&self) -> usize {
-        self.arrays
-            .iter()
-            .zip(&self.capacity_words)
-            .filter(|(a, _)| a.is_some())
-            .map(|(_, &c)| c + 3)
-            .sum()
+        self.parts.iter().filter(|m| m.array.is_some()).map(|m| m.capacity_words + 3).sum()
+    }
+}
+
+/// One partition's incoming messages grouped per local vertex, in delivery
+/// order within a vertex: two flat buffers, reused across partitions and
+/// supersteps ([`GiraphContext::read_incoming`] refills them).
+#[derive(Debug, Default)]
+pub(crate) struct Inbox {
+    /// Vertex `i`'s messages are `values[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
+    values: Vec<u64>,
+}
+
+impl Inbox {
+    /// The message values delivered to local vertex `i`.
+    pub(crate) fn of(&self, i: usize) -> &[u64] {
+        &self.values[self.starts[i]..self.starts[i + 1]]
+    }
+
+    /// Number of local vertices covered.
+    fn vertices(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
+
+    /// Empties the inbox over `n` vertices.
+    fn reset(&mut self, n: usize) {
+        self.starts.clear();
+        self.starts.resize(n + 1, 0);
+        self.values.clear();
+    }
+
+    /// Groups flattened `(target, value)` pairs over `n` local vertices
+    /// (`target / parts` is the local index) with a stable counting sort.
+    fn group(&mut self, pairs: &[u64], parts: usize, n: usize) {
+        // Count vertex i at starts[i + 2]; after the prefix sum starts[i + 1]
+        // is group i's first slot, and placing through it as a cursor leaves
+        // starts[i]..starts[i + 1] delimiting group i.
+        self.starts.clear();
+        self.starts.resize(n + 2, 0);
+        for pair in pairs.chunks_exact(2) {
+            self.starts[pair[0] as usize / parts + 2] += 1;
+        }
+        for i in 2..n + 2 {
+            self.starts[i] += self.starts[i - 1];
+        }
+        self.values.clear();
+        self.values.resize(pairs.len() / 2, 0);
+        for pair in pairs.chunks_exact(2) {
+            let cursor = &mut self.starts[pair[0] as usize / parts + 1];
+            self.values[*cursor] = pair[1];
+            *cursor += 1;
+        }
+        self.starts.truncate(n + 1);
     }
 }
 
@@ -348,26 +404,27 @@ impl GiraphContext {
         const FILL_PASSES: usize = 8;
         let parts = self.config.partitions;
         let teraheap = matches!(self.config.mode, GiraphMode::TeraHeap { .. });
-        let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); graph.vertices];
-        for &(s, t) in &graph.edges {
-            adjacency[s as usize].push(t);
-        }
+        let adjacency = graph.adjacency();
         // Phase 1: create the stores (vertices + pre-sized edge arrays).
         for p in 0..parts {
-            let ids: Vec<usize> = (p..graph.vertices).step_by(parts).collect();
-            let vertices = self.heap.alloc_prim_array(ids.len() * 3)?;
-            let edges = self.heap.alloc_ref_array(ids.len())?;
-            let mut edge_words = 3 + ids.len();
-            for (i, &vid) in ids.iter().enumerate() {
-                self.heap.write_prim(vertices, i * 3, vid as u64);
-                self.heap.write_prim(vertices, i * 3 + 1, initial_value(vid as u64));
-                self.heap.write_prim(vertices, i * 3 + 2, adjacency[vid].len() as u64);
-                let e = self.heap.alloc_prim_array(adjacency[vid].len().max(1))?;
-                edge_words += 3 + adjacency[vid].len().max(1);
+            let ids = (p..graph.vertices).step_by(parts);
+            let n = ids.len();
+            let vertices = self.heap.alloc_prim_array(n * 3)?;
+            let mut vertices = self.heap.pin(vertices);
+            let edges = self.heap.alloc_ref_array(n)?;
+            let mut edge_words = 3 + n;
+            for (i, vid) in ids.enumerate() {
+                let targets = adjacency.of(vid);
+                self.heap.write_prim_at(&mut vertices, i * 3, vid as u64);
+                self.heap.write_prim_at(&mut vertices, i * 3 + 1, initial_value(vid as u64));
+                self.heap.write_prim_at(&mut vertices, i * 3 + 2, targets.len() as u64);
+                let e = self.heap.alloc_prim_array(targets.len().max(1))?;
+                edge_words += 3 + targets.len().max(1);
                 if !teraheap {
                     // OOC/in-memory builds load each partition in full.
-                    for (k, &t) in adjacency[vid].iter().enumerate() {
-                        self.heap.write_prim(e, k, t as u64);
+                    let mut e = self.heap.pin(e);
+                    for (k, &t) in targets.iter().enumerate() {
+                        self.heap.write_prim_at(&mut e, k, t as u64);
                     }
                 }
                 self.heap.write_ref(edges, i, e);
@@ -379,7 +436,7 @@ impl GiraphContext {
             }
             self.parts.push(PartitionState {
                 vertices,
-                vertex_words: 3 + ids.len() * 3,
+                n_vertices: n,
                 edges: Some(edges),
                 edges_blob: None,
                 edge_words,
@@ -396,19 +453,20 @@ impl GiraphContext {
         // newest label, which the pressure path defers while it can.
         if teraheap {
             for p in 0..parts {
-                let ids: Vec<usize> = (p..graph.vertices).step_by(parts).collect();
                 for pass in 0..FILL_PASSES {
                     let edges = self.parts[p].edges.expect("edges resident during load");
-                    for (i, &vid) in ids.iter().enumerate() {
-                        let deg = adjacency[vid].len();
-                        let from = deg * pass / FILL_PASSES;
-                        let to = deg * (pass + 1) / FILL_PASSES;
+                    let mut edges = self.heap.pin(edges);
+                    for (i, vid) in (p..graph.vertices).step_by(parts).enumerate() {
+                        let targets = adjacency.of(vid);
+                        let from = targets.len() * pass / FILL_PASSES;
+                        let to = targets.len() * (pass + 1) / FILL_PASSES;
                         if from == to {
                             continue;
                         }
-                        let e = self.heap.read_ref(edges, i).expect("edge array");
-                        for (k, &dst) in adjacency[vid][from..to].iter().enumerate() {
-                            self.heap.write_prim(e, from + k, dst as u64);
+                        let e = self.heap.read_ref_at(&mut edges, i).expect("edge array");
+                        let mut slots = self.heap.pin(e);
+                        for (k, &dst) in targets[from..to].iter().enumerate() {
+                            self.heap.write_prim_at(&mut slots, from + k, dst as u64);
                         }
                         self.heap.release(e);
                     }
@@ -437,17 +495,17 @@ impl GiraphContext {
         self.superstep
     }
 
-    /// Reads partition `p`'s vertex values into a host vector of
-    /// `(id, value)` (charged heap loads).
-    pub fn vertex_values(&mut self, p: usize) -> Vec<(u64, u64)> {
-        let vertices = self.parts[p].vertices;
-        let n = self.heap.array_len(vertices) / 3;
+    /// Reads partition `p`'s vertex values into a host vector, indexed by
+    /// local vertex (vertex `i` has id `p + i * partitions`). Giraph
+    /// deserializes the whole vertex, so the id word is loaded — and charged
+    /// — with the value although nothing consumes it.
+    pub fn vertex_values(&mut self, p: usize) -> Vec<u64> {
+        let vertices = &mut self.parts[p].vertices;
+        let n = self.heap.array_len_at(vertices) / 3;
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
-            out.push((
-                self.heap.read_prim(vertices, i * 3),
-                self.heap.read_prim(vertices, i * 3 + 1),
-            ));
+            self.heap.read_prim_at(vertices, i * 3);
+            out.push(self.heap.read_prim_at(vertices, i * 3 + 1));
         }
         out
     }
@@ -455,15 +513,26 @@ impl GiraphContext {
     /// The out-degree of vertex `i` of partition `p` (stored in the vertex
     /// object; degree-0 vertices carry a one-slot placeholder edge array).
     pub fn vertex_degree(&mut self, p: usize, i: usize) -> usize {
-        let vertices = self.parts[p].vertices;
-        self.heap.read_prim(vertices, i * 3 + 2) as usize
+        self.heap.read_prim_at(&mut self.parts[p].vertices, i * 3 + 2) as usize
     }
 
     /// Writes vertex `i` of partition `p`'s value (mutator update; vertices
     /// stay in H1).
     pub fn set_vertex_value(&mut self, p: usize, i: usize, value: u64) {
-        let vertices = self.parts[p].vertices;
-        self.heap.write_prim(vertices, i * 3 + 1, value);
+        self.heap.write_prim_at(&mut self.parts[p].vertices, i * 3 + 1, value);
+    }
+
+    /// Reads the blob at `(offset, len)` on the OOC device and deserializes
+    /// it onto the heap (I/O + S/D + allocation), in place from the
+    /// device's bytes.
+    fn reload_blob(&mut self, (offset, len): (usize, usize)) -> Result<Handle, OomError> {
+        let device = self.device.as_ref().expect("OOC mode has a device");
+        let heap = &mut self.heap;
+        let h = device
+            .view(offset, len, Category::Io, |bytes| kryo_sim::deserialize(heap, bytes))
+            .expect("OOC read")?;
+        self.reloads += 1;
+        Ok(h)
     }
 
     /// Fetches partition `p`'s edge structure, reloading it from the OOC
@@ -477,60 +546,67 @@ impl GiraphContext {
         if let Some(h) = self.parts[p].edges {
             return Ok(self.heap.dup(h));
         }
-        // Reload from the device: read + deserialize (S/D + allocation).
-        let (offset, len) = self.parts[p].edges_blob.expect("offloaded edges have a blob");
-        let device = self.device.as_ref().expect("OOC mode has a device");
-        let mut bytes = vec![0u8; len];
-        device.read(offset, &mut bytes, Category::Io).expect("OOC read");
-        let h = kryo_sim::deserialize(&mut self.heap, &bytes)?;
-        self.reloads += 1;
+        let blob = self.parts[p].edges_blob.expect("offloaded edges have a blob");
+        let h = self.reload_blob(blob)?;
         let dup = self.heap.dup(h);
         self.parts[p].edges = Some(h);
         Ok(dup)
     }
 
-    /// Consumes partition `p`'s incoming messages as host `(target, value)`
-    /// pairs (charged heap loads; OOC reload if offloaded).
+    /// Consumes partition `p`'s incoming messages into `inbox`, grouped per
+    /// local vertex (charged heap loads; OOC reload if offloaded).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OomError`] if reloading exhausts the heap.
+    pub(crate) fn read_incoming(&mut self, p: usize, inbox: &mut Inbox) -> Result<(), OomError> {
+        if self.incoming.parts[p].array.is_none() {
+            if let Some(blob) = self.incoming.parts[p].blob {
+                let h = self.reload_blob(blob)?;
+                self.incoming.parts[p].array = Some(self.heap.pin(h));
+            }
+        }
+        let n = self.parts[p].n_vertices;
+        let store = &mut self.incoming.parts[p];
+        let Some(array) = store.array.as_mut() else {
+            inbox.reset(n);
+            return Ok(());
+        };
+        if store.slotted {
+            // One slot per vertex of the partition (and one for an empty
+            // partition), at most one combined message in each, in vertex
+            // order: the groups are written as the slots are read.
+            let slots = self.heap.array_len_at(array) / 2;
+            inbox.reset(slots);
+            for i in 0..slots {
+                let cnt = self.heap.read_prim_at(array, 2 * i);
+                if cnt > 0 {
+                    inbox.values.push(self.heap.read_prim_at(array, 2 * i + 1));
+                }
+                inbox.starts[i + 1] = inbox.values.len();
+            }
+        } else {
+            // Appended stores are dense (target, value) pairs: one bulk view
+            // replaces 2n word reads at identical simulated cost.
+            let pairs = self.heap.view_prims(array.handle(), 0, 2 * store.cursor);
+            inbox.group(pairs, self.parts.len(), n);
+        }
+        Ok(())
+    }
+
+    /// [`GiraphContext::read_incoming`] as host `(target, value)` pairs,
+    /// ordered by target and by delivery within a target.
     ///
     /// # Errors
     ///
     /// Returns [`OomError`] if reloading exhausts the heap.
     pub fn incoming_messages(&mut self, p: usize) -> Result<Vec<(u64, u64)>, OomError> {
-        if self.incoming.arrays[p].is_none() {
-            if let Some((offset, len)) = self.incoming.blobs[p] {
-                let device = self.device.as_ref().expect("OOC mode has a device");
-                let mut bytes = vec![0u8; len];
-                device.read(offset, &mut bytes, Category::Io).expect("OOC read");
-                let h = kryo_sim::deserialize(&mut self.heap, &bytes)?;
-                self.incoming.arrays[p] = Some(h);
-                self.reloads += 1;
-            }
-        }
-        let Some(h) = self.incoming.arrays[p] else {
-            return Ok(Vec::new());
-        };
-        let mut out = Vec::with_capacity(self.incoming.counts[p]);
-        if self.incoming.slotted[p] {
-            let parts = self.parts.len();
-            let slots = self.heap.array_len(h) / 2;
-            for i in 0..slots {
-                let cnt = self.heap.read_prim(h, 2 * i);
-                if cnt > 0 {
-                    let v = self.heap.read_prim(h, 2 * i + 1);
-                    out.push(((p + i * parts) as u64, v));
-                }
-            }
-        } else {
-            // Appended stores are dense (target, value) pairs: one bulk read
-            // replaces 2n word reads at identical simulated cost.
-            let n = self.incoming.cursors[p];
-            if n > 0 {
-                let mut buf = vec![0u64; 2 * n];
-                self.heap.read_prims(h, 0, &mut buf);
-                for pair in buf.chunks_exact(2) {
-                    out.push((pair[0], pair[1]));
-                }
-            }
+        let mut inbox = Inbox::default();
+        self.read_incoming(p, &mut inbox)?;
+        let parts = self.parts.len();
+        let mut out = Vec::with_capacity(inbox.values.len());
+        for i in 0..inbox.vertices() {
+            out.extend(inbox.of(i).iter().map(|&v| ((p + i * parts) as u64, v)));
         }
         Ok(out)
     }
@@ -543,7 +619,9 @@ impl GiraphContext {
     /// read-modify-write. That cost is precisely what the `h2_move` hint
     /// (Figure 9a) and the low threshold (Figure 9b) avoid.
     ///
-    /// `capacity_hint` sizes appended (combiner-less) stores, in messages.
+    /// `capacity_hints[dest]` sizes partition `dest`'s appended
+    /// (combiner-less) store, in messages, when it is created; combining
+    /// stores never read it.
     ///
     /// # Errors
     ///
@@ -553,46 +631,31 @@ impl GiraphContext {
         target: u64,
         value: u64,
         combiner: Combiner,
-        capacity_hint: usize,
+        capacity_hints: &[usize],
     ) -> Result<(), OomError> {
         let parts = self.parts.len();
-        let dest = (target as usize) % parts;
-        if self.current.arrays[dest].is_none() {
-            let slotted = combiner != Combiner::Append;
-            let words = if slotted {
-                2 * (self.heap.array_len(self.parts[dest].vertices) / 3)
-            } else {
-                2 * capacity_hint.max(1)
-            };
-            let h = self.heap.alloc_prim_array(words.max(2))?;
-            if matches!(self.config.mode, GiraphMode::TeraHeap { .. }) {
-                self.heap.h2_tag_root(h, msg_label(self.superstep));
-            }
-            self.current.arrays[dest] = Some(h);
-            self.current.slotted[dest] = slotted;
-            self.current.counts[dest] = 0;
-            self.current.cursors[dest] = 0;
-            self.current.capacity_words[dest] = words.max(2);
-            self.ooc_rebalance()?;
+        let (dest, local) = (target as usize % parts, target as usize / parts);
+        if self.current.parts[dest].array.is_none() {
+            self.create_store(dest, combiner, capacity_hints)?;
         }
-        let h = self.current.arrays[dest].expect("store just ensured");
+        let store = &mut self.current.parts[dest];
+        let array = store.array.as_mut().expect("store just ensured");
         match combiner {
             Combiner::Append => {
-                let c = self.current.cursors[dest];
-                assert!(2 * c + 1 < self.heap.array_len(h), "capacity hint too small");
-                self.heap.write_prim(h, 2 * c, target);
-                self.heap.write_prim(h, 2 * c + 1, value);
-                self.current.cursors[dest] = c + 1;
-                self.current.counts[dest] += 1;
+                let c = store.cursor;
+                assert!(2 * c + 1 < self.heap.array_len_at(array), "capacity hint too small");
+                self.heap.write_prim_at(array, 2 * c, target);
+                self.heap.write_prim_at(array, 2 * c + 1, value);
+                store.cursor = c + 1;
+                store.count += 1;
             }
             Combiner::SumF64 | Combiner::MinU64 => {
-                let i = (target as usize - dest) / parts;
-                let cnt = self.heap.read_prim(h, 2 * i);
+                let cnt = self.heap.read_prim_at(array, 2 * local);
                 let combined = if cnt == 0 {
-                    self.current.counts[dest] += 1;
+                    store.count += 1;
                     value
                 } else {
-                    let old = self.heap.read_prim(h, 2 * i + 1);
+                    let old = self.heap.read_prim_at(array, 2 * local + 1);
                     match combiner {
                         Combiner::SumF64 => {
                             (f64::from_bits(old) + f64::from_bits(value)).to_bits()
@@ -600,15 +663,46 @@ impl GiraphContext {
                         _ => old.min(value),
                     }
                 };
-                self.heap.write_prim(h, 2 * i, cnt + 1);
-                self.heap.write_prim(h, 2 * i + 1, combined);
+                self.heap.write_prim_at(array, 2 * local, cnt + 1);
+                self.heap.write_prim_at(array, 2 * local + 1, combined);
             }
         }
         Ok(())
     }
 
-    /// Stores partition `p`'s produced messages into the current store
-    /// (heap allocation; tagged for H2 with the superstep label).
+    /// Allocates partition `dest`'s array of the current store.
+    #[cold]
+    fn create_store(
+        &mut self,
+        dest: usize,
+        combiner: Combiner,
+        capacity_hints: &[usize],
+    ) -> Result<(), OomError> {
+        let slotted = combiner != Combiner::Append;
+        let words = if slotted {
+            2 * (self.heap.array_len_at(&mut self.parts[dest].vertices) / 3)
+        } else {
+            2 * capacity_hints[dest]
+        };
+        let words = words.max(2);
+        let h = self.heap.alloc_prim_array(words)?;
+        if matches!(self.config.mode, GiraphMode::TeraHeap { .. }) {
+            self.heap.h2_tag_root(h, msg_label(self.superstep));
+        }
+        self.current.parts[dest] = PartMessages {
+            array: Some(self.heap.pin(h)),
+            slotted,
+            blob: None,
+            count: 0,
+            cursor: 0,
+            capacity_words: words,
+        };
+        self.ooc_rebalance()
+    }
+
+    /// Stores `msgs` as partition `p`'s share of the current store (heap
+    /// allocation; tagged for H2 with the superstep label). Every target
+    /// must be a vertex of partition `p`: the consumer groups by local index.
     ///
     /// # Errors
     ///
@@ -632,13 +726,14 @@ impl GiraphContext {
         if matches!(self.config.mode, GiraphMode::TeraHeap { .. }) {
             self.heap.h2_tag_root(h, msg_label(self.superstep));
         }
-        if let Some(old) = self.current.arrays[p].replace(h) {
-            self.heap.release(old);
+        let store = &mut self.current.parts[p];
+        if let Some(old) = store.array.replace(self.heap.pin(h)) {
+            self.heap.release(old.handle());
         }
-        self.current.slotted[p] = false;
-        self.current.counts[p] = msgs.len();
-        self.current.cursors[p] = msgs.len();
-        self.current.capacity_words[p] = 2 * msgs.len();
+        store.slotted = false;
+        store.count = msgs.len();
+        store.cursor = msgs.len();
+        store.capacity_words = 2 * msgs.len();
         Ok(())
     }
 
@@ -653,14 +748,14 @@ impl GiraphContext {
     /// Returns [`OomError`] if OOC serialization pressure exhausts the heap.
     pub fn barrier(&mut self) -> Result<usize, OomError> {
         // Free the consumed incoming store.
-        for slot in &mut self.incoming.arrays {
-            if let Some(h) = slot.take() {
-                self.heap.release(h);
+        for store in &mut self.incoming.parts {
+            if let Some(array) = store.array.take() {
+                self.heap.release(array.handle());
             }
         }
         std::mem::swap(&mut self.incoming, &mut self.current);
         self.current = MsgStore::empty(self.parts.len());
-        let delivered: usize = self.incoming.counts.iter().sum();
+        let delivered: usize = self.incoming.parts.iter().map(|m| m.count).sum();
         self.superstep += 1;
         // 4: at the start of the next superstep, advise moving the previous
         // superstep's messages (Figure 5).
@@ -691,7 +786,7 @@ impl GiraphContext {
         let mut resident: usize = self
             .parts
             .iter()
-            .map(|p| p.vertex_words + if p.edges.is_some() { p.edge_words } else { 0 })
+            .map(|p| p.vertex_words() + if p.edges.is_some() { p.edge_words } else { 0 })
             .sum::<usize>()
             + self.incoming.resident_words()
             + self.current.resident_words();
@@ -707,12 +802,11 @@ impl GiraphContext {
             }
             // Offload incoming messages first (they die soonest anyway),
             // then edges.
-            if let Some(h) = self.incoming.arrays[p].take() {
-                let bytes = kryo_sim::serialize(&mut self.heap, h)?;
-                let off = self.write_blob(&bytes);
-                self.incoming.blobs[p] = Some(off);
-                resident = resident.saturating_sub(2 * self.incoming.counts[p] + 3);
-                self.heap.release(h);
+            if let Some(array) = self.incoming.parts[p].array.take() {
+                let bytes = kryo_sim::serialize(&mut self.heap, array.handle())?;
+                self.incoming.parts[p].blob = Some(self.write_blob(&bytes));
+                resident = resident.saturating_sub(2 * self.incoming.parts[p].count + 3);
+                self.heap.release(array.handle());
                 self.offloads += 1;
             }
             if resident <= memory_limit_words {
@@ -757,7 +851,7 @@ mod tests {
         assert_eq!(ctx.partitions(), 4);
         let values = ctx.vertex_values(0);
         assert!(!values.is_empty());
-        assert!(values.iter().all(|&(_, v)| v == 0));
+        assert!(values.iter().all(|&v| v == 0));
     }
 
     #[test]
@@ -765,11 +859,12 @@ mod tests {
         let mut ctx =
             GiraphContext::load(GiraphConfig::small(GiraphMode::InMemory), &graph(), |_| 0)
                 .unwrap();
-        ctx.emit_messages(1, &[(5, 42), (6, 43)]).unwrap();
+        // Both targets are vertices of partition 1 (id % 4 == 1).
+        ctx.emit_messages(1, &[(5, 42), (9, 43)]).unwrap();
         assert!(ctx.incoming_messages(1).unwrap().is_empty(), "not delivered yet");
         let delivered = ctx.barrier().unwrap();
         assert_eq!(delivered, 2);
-        assert_eq!(ctx.incoming_messages(1).unwrap(), vec![(5, 42), (6, 43)]);
+        assert_eq!(ctx.incoming_messages(1).unwrap(), vec![(5, 42), (9, 43)]);
         // After the next barrier the store is consumed.
         ctx.barrier().unwrap();
         assert!(ctx.incoming_messages(1).unwrap().is_empty());
@@ -782,7 +877,7 @@ mod tests {
                 .unwrap();
         ctx.set_vertex_value(0, 0, 999);
         let values = ctx.vertex_values(0);
-        assert_eq!(values[0].1, 999);
+        assert_eq!(values[0], 999);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! answers are checksummed so tests can prove the memory mode (in-memory /
 //! OOC / TeraHeap) never changes results.
 
-use crate::{GiraphConfig, GiraphContext, TenantLoadError};
+use crate::{GiraphConfig, GiraphContext, Inbox, TenantLoadError};
 use std::sync::Arc;
 use teraheap_runtime::{OomError, SharedDevice};
 use teraheap_storage::{Breakdown, SimClock};
@@ -202,47 +202,47 @@ fn drive(
         _ => crate::Combiner::MinU64,
     };
 
+    let mut inbox = Inbox::default();
+    let mut label_scratch: Vec<u64> = Vec::new();
     for ss in 0..max_ss {
         let mut delivered_any = false;
         for p in 0..parts {
-            let incoming = ctx.incoming_messages(p)?;
-            // Group messages per local vertex index: id = p + i * parts.
+            // Vertex i of the partition has id p + i * parts; the inbox groups
+            // the incoming messages by that local index.
+            ctx.read_incoming(p, &mut inbox)?;
             let values = ctx.vertex_values(p);
-            let mut grouped: Vec<Vec<u64>> = vec![Vec::new(); values.len()];
-            for &(target, value) in &incoming {
-                let local = (target as usize - p) / parts;
-                grouped[local].push(value);
-            }
             let edges = ctx.partition_edges(p)?;
+            let mut edge_arrays = ctx.heap.pin(edges);
             let mut ops = 0u64;
-            for (i, &(id, value)) in values.iter().enumerate() {
-                let e = ctx.heap.read_ref(edges, i).expect("edge array");
-                let deg = vertex_degree(&mut ctx, p, i);
+            for (i, &value) in values.iter().enumerate() {
+                let e = ctx.heap.read_ref_at(&mut edge_arrays, i).expect("edge array");
+                let deg = ctx.vertex_degree(p, i);
+                let msgs = inbox.of(i);
                 let (new_value, send): (u64, Option<u64>) = match workload {
                     GiraphWorkload::Pr => {
                         let rank = if ss == 0 {
                             f64::from_bits(value)
                         } else {
-                            0.15 + 0.85 * grouped[i].iter().map(|&m| f64::from_bits(m)).sum::<f64>()
+                            0.15 + 0.85 * msgs.iter().map(|&m| f64::from_bits(m)).sum::<f64>()
                         };
                         let share = rank / deg.max(1) as f64;
                         (rank.to_bits(), Some(share.to_bits()))
                     }
                     GiraphWorkload::Cdlp => {
-                        let label = if ss == 0 || grouped[i].is_empty() {
+                        let label = if ss == 0 || msgs.is_empty() {
                             value
                         } else {
-                            most_frequent(&grouped[i])
+                            most_frequent(msgs, &mut label_scratch)
                         };
                         (label, Some(label))
                     }
                     GiraphWorkload::Wcc => {
-                        let lowest = grouped[i].iter().copied().min().unwrap_or(value).min(value);
+                        let lowest = msgs.iter().copied().min().unwrap_or(value).min(value);
                         let send = if ss == 0 || lowest < value { Some(lowest) } else { None };
                         (lowest, send)
                     }
                     GiraphWorkload::Bfs | GiraphWorkload::Sssp => {
-                        let best = grouped[i].iter().copied().min().unwrap_or(INF).min(value);
+                        let best = msgs.iter().copied().min().unwrap_or(INF).min(value);
                         let send = if (ss == 0 && best < INF) || best < value {
                             Some(best + 1)
                         } else {
@@ -258,16 +258,16 @@ fn drive(
                     // Read every edge target from the (possibly H2- or
                     // device-resident) edge array and deliver through the
                     // combining current store.
+                    let mut targets = ctx.heap.pin(e);
                     for k in 0..deg {
-                        let t = ctx.heap.read_prim(e, k);
-                        ctx.deliver_message(t, msg, combiner, in_caps[(t as usize) % parts])?;
-                        delivered_any = true;
+                        let t = ctx.heap.read_prim_at(&mut targets, k);
+                        ctx.deliver_message(t, msg, combiner, &in_caps)?;
                     }
+                    delivered_any |= deg > 0;
                     ops += deg as u64;
                 }
-                ops += grouped[i].len() as u64 + 1;
+                ops += msgs.len() as u64 + 1;
                 ctx.heap.release(e);
-                let _ = id;
             }
             ctx.heap.charge_ops(ops);
             ctx.heap.release(edges);
@@ -282,7 +282,7 @@ fn drive(
     // Checksum over final vertex values.
     let mut checksum = 0.0f64;
     for p in 0..parts {
-        for (_, v) in ctx.vertex_values(p) {
+        for v in ctx.vertex_values(p) {
             checksum += match workload {
                 GiraphWorkload::Pr => f64::from_bits(v),
                 _ => v.min(INF) as f64,
@@ -292,20 +292,19 @@ fn drive(
     Ok((ctx, checksum))
 }
 
-fn vertex_degree(ctx: &mut GiraphContext, p: usize, i: usize) -> usize {
-    ctx.vertex_degree(p, i)
-}
-
-fn most_frequent(labels: &[u64]) -> u64 {
-    let mut counts: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-    for &l in labels {
-        *counts.entry(l).or_insert(0) += 1;
+/// The most frequent label, ties to the smallest: sorts a copy in `scratch`
+/// and scans the runs.
+fn most_frequent(labels: &[u64], scratch: &mut Vec<u64>) -> u64 {
+    scratch.clear();
+    scratch.extend_from_slice(labels);
+    scratch.sort_unstable();
+    let (mut best, mut best_count) = (0, 0);
+    for run in scratch.chunk_by(|a, b| a == b) {
+        if run.len() > best_count {
+            (best, best_count) = (run[0], run.len());
+        }
     }
-    counts
-        .into_iter()
-        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-        .map(|(l, _)| l)
-        .unwrap_or(0)
+    best
 }
 
 #[cfg(test)]

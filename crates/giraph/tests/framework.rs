@@ -18,9 +18,9 @@ fn mem_cfg() -> GiraphConfig {
 #[test]
 fn sum_combiner_accumulates_per_target() {
     let mut ctx = GiraphContext::load(mem_cfg(), &graph(), |_| 0).unwrap();
-    ctx.deliver_message(5, 1.5f64.to_bits(), Combiner::SumF64, 0).unwrap();
-    ctx.deliver_message(5, 2.25f64.to_bits(), Combiner::SumF64, 0).unwrap();
-    ctx.deliver_message(9, 1.0f64.to_bits(), Combiner::SumF64, 0).unwrap();
+    ctx.deliver_message(5, 1.5f64.to_bits(), Combiner::SumF64, &[]).unwrap();
+    ctx.deliver_message(5, 2.25f64.to_bits(), Combiner::SumF64, &[]).unwrap();
+    ctx.deliver_message(9, 1.0f64.to_bits(), Combiner::SumF64, &[]).unwrap();
     ctx.barrier().unwrap();
     let p = 5 % 4;
     let msgs = ctx.incoming_messages(p).unwrap();
@@ -33,7 +33,7 @@ fn sum_combiner_accumulates_per_target() {
 fn min_combiner_keeps_minimum() {
     let mut ctx = GiraphContext::load(mem_cfg(), &graph(), |_| 0).unwrap();
     for v in [9u64, 3, 7] {
-        ctx.deliver_message(8, v, Combiner::MinU64, 0).unwrap();
+        ctx.deliver_message(8, v, Combiner::MinU64, &[]).unwrap();
     }
     ctx.barrier().unwrap();
     let msgs = ctx.incoming_messages(8 % 4).unwrap();
@@ -46,7 +46,7 @@ fn min_combiner_keeps_minimum() {
 fn append_keeps_every_message() {
     let mut ctx = GiraphContext::load(mem_cfg(), &graph(), |_| 0).unwrap();
     for v in [9u64, 3, 9] {
-        ctx.deliver_message(8, v, Combiner::Append, 16).unwrap();
+        ctx.deliver_message(8, v, Combiner::Append, &[16; 4]).unwrap();
     }
     ctx.barrier().unwrap();
     let msgs = ctx.incoming_messages(8 % 4).unwrap();
@@ -57,7 +57,7 @@ fn append_keeps_every_message() {
 #[test]
 fn messages_vanish_after_consumption_barrier() {
     let mut ctx = GiraphContext::load(mem_cfg(), &graph(), |_| 0).unwrap();
-    ctx.deliver_message(2, 1, Combiner::MinU64, 0).unwrap();
+    ctx.deliver_message(2, 1, Combiner::MinU64, &[]).unwrap();
     ctx.barrier().unwrap();
     assert_eq!(ctx.incoming_messages(2).unwrap().len(), 1);
     ctx.barrier().unwrap();
@@ -73,7 +73,7 @@ fn ooc_offloaded_messages_reload_intact() {
     cfg.max_supersteps = 3;
     let mut ctx = GiraphContext::load(cfg, &graph(), |_| 0).unwrap();
     for t in 0..20u64 {
-        ctx.deliver_message(t, t * 100, Combiner::Append, 64).unwrap();
+        ctx.deliver_message(t, t * 100, Combiner::Append, &[64; 4]).unwrap();
     }
     ctx.barrier().unwrap();
     let mut total = 0;
@@ -106,7 +106,7 @@ fn teraheap_moves_message_stores_with_superstep_labels() {
     let mut ctx = GiraphContext::load(cfg, &graph(), |_| 0).unwrap();
     for ss in 0..3 {
         for t in 0..60u64 {
-            ctx.deliver_message(t, ss, Combiner::Append, 128).unwrap();
+            ctx.deliver_message(t, ss, Combiner::Append, &[128; 4]).unwrap();
         }
         ctx.barrier().unwrap();
         let _ = ctx.incoming_messages(0).unwrap();

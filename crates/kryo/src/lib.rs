@@ -41,8 +41,8 @@
 //! assert_eq!(heap.read_prim(q, 1), 4);
 //! ```
 
-use std::collections::HashMap;
-use teraheap_runtime::{Handle, Heap, OomError, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
+use std::collections::hash_map::{Entry, HashMap};
+use teraheap_runtime::{Handle, Heap, OomError, Pin, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
 use teraheap_storage::Category;
 
 const KIND_PLAIN: u8 = 0;
@@ -54,6 +54,52 @@ const TEMP_EVERY_OBJECTS: usize = 64;
 /// Size of each temporary buffer object, in words.
 const TEMP_WORDS: usize = 256;
 
+/// The depth-first walk over a root's transitive closure that [`serialize`]
+/// and [`serialized_size`] share, with Kryo's reference resolver: an
+/// identity map from object address to discovery number. A walk performs no
+/// heap allocation, so addresses are stable keys for its whole length.
+struct Walk {
+    /// Object address -> discovery number.
+    seen: HashMap<u64, u32>,
+    /// Objects still to visit, with their discovery numbers.
+    stack: Vec<(Handle, u32)>,
+    /// Handles the walk rooted (every discovered object but the root).
+    owned: Vec<Handle>,
+}
+
+impl Walk {
+    fn new(heap: &Heap, root: Handle) -> Self {
+        Walk {
+            seen: HashMap::from([(heap.handle_addr(root).raw(), 0)]),
+            stack: vec![(root, 0)],
+            owned: Vec::new(),
+        }
+    }
+
+    /// Reads the object's `nrefs` reference slots (charged) and stacks every
+    /// target met for the first time.
+    fn push_refs(&mut self, heap: &mut Heap, obj: &mut Pin, nrefs: usize) {
+        for i in 0..nrefs {
+            let Some(t) = heap.read_ref_at(obj, i) else { continue };
+            let discovered = self.seen.len() as u32;
+            match self.seen.entry(heap.handle_addr(t).raw()) {
+                Entry::Vacant(e) => {
+                    e.insert(discovered);
+                    self.stack.push((t, discovered));
+                    self.owned.push(t);
+                }
+                Entry::Occupied(_) => heap.release(t),
+            }
+        }
+    }
+
+    fn release(self, heap: &mut Heap) {
+        for h in self.owned {
+            heap.release(h);
+        }
+    }
+}
+
 /// Serializes the transitive closure of `root` into a byte stream.
 ///
 /// Charges S/D time (per object + per byte, divided across mutator threads)
@@ -64,76 +110,59 @@ const TEMP_WORDS: usize = 256;
 ///
 /// Returns [`OomError`] if a temporary buffer allocation exhausts the heap.
 pub fn serialize(heap: &mut Heap, root: Handle) -> Result<Vec<u8>, OomError> {
-    // Discovery and emission perform no heap allocations, so object
-    // addresses are stable and serve as identity-map keys (Kryo's reference
-    // resolver). The temporary-buffer pressure is applied afterwards.
-    let mut index: HashMap<u64, u32> = HashMap::new(); // address -> index
+    // Discovery and emission perform no heap allocations (the
+    // temporary-buffer pressure is applied afterwards), so the walk's
+    // address keys stay valid through emission. An object's stream index is
+    // its position in visit order, assigned when it is popped.
+    let mut walk = Walk::new(heap, root);
     let mut order: Vec<Handle> = Vec::new();
-    let mut queue: Vec<Handle> = vec![root];
-    let mut owned: Vec<Handle> = Vec::new();
-    index.insert(heap.handle_addr(root).raw(), 0);
-    while let Some(h) = queue.pop() {
+    let mut stream_index: Vec<u32> = Vec::new(); // by discovery number
+    while let Some((h, discovered)) = walk.stack.pop() {
+        stream_index.resize(walk.seen.len(), 0);
+        stream_index[discovered as usize] = order.len() as u32;
         order.push(h);
-        let nrefs = ref_count(heap, h);
-        for i in 0..nrefs {
-            if let Some(t) = heap.read_ref(h, i) {
-                let addr = heap.handle_addr(t).raw();
-                if let std::collections::hash_map::Entry::Vacant(e) = index.entry(addr) {
-                    e.insert(0); // placeholder; final indices assigned below
-                    queue.push(t);
-                    owned.push(t);
-                } else {
-                    heap.release(t);
-                }
-            }
-        }
-    }
-    // Fix indices: entry order above inserted len() before counting itself.
-    // Rebuild deterministically from `order` + owned discovery sequence.
-    index.clear();
-    for (i, &h) in order.iter().enumerate() {
-        index.insert(heap.handle_addr(h).raw(), i as u32);
+        let mut obj = heap.pin(h);
+        let nrefs = ref_count(heap, &mut obj);
+        walk.push_refs(heap, &mut obj, nrefs);
     }
 
     let mut out: Vec<u8> = Vec::new();
-    let mut scratch: Vec<u64> = Vec::new();
     out.extend_from_slice(&(order.len() as u32).to_le_bytes());
+    let emit_refs = |out: &mut Vec<u8>, heap: &mut Heap, obj: &mut Pin, n: usize| {
+        for i in 0..n {
+            let index = match heap.read_ref_at(obj, i) {
+                None => 0,
+                Some(t) => {
+                    let discovered = walk.seen[&heap.handle_addr(t).raw()];
+                    heap.release(t);
+                    stream_index[discovered as usize] + 1
+                }
+            };
+            out.extend_from_slice(&index.to_le_bytes());
+        }
+    };
     for &h in &order {
-        let class = heap.class_of(h);
+        let mut obj = heap.pin(h);
+        let class = obj.class();
         if class == PRIM_ARRAY_CLASS {
-            let len = heap.array_len(h);
+            let len = heap.array_len_at(&mut obj);
             push_class(&mut out, class.0, KIND_PRIM_ARRAY, len as u32);
-            scratch.resize(len, 0);
-            heap.read_prims(h, 0, &mut scratch);
-            out.reserve(len * 8);
-            for &w in &scratch {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
+            push_words(&mut out, heap.view_prims(h, 0, len));
         } else if class == OBJ_ARRAY_CLASS {
-            let len = heap.array_len(h);
+            let len = heap.array_len_at(&mut obj);
             push_class(&mut out, class.0, KIND_REF_ARRAY, len as u32);
-            for i in 0..len {
-                write_ref_index(&mut out, heap, h, i, &index);
-            }
+            emit_refs(&mut out, heap, &mut obj, len);
         } else {
             let desc = heap.class_desc(class);
             let (refs, prims) = (desc.ref_fields, desc.prim_fields);
             push_class(&mut out, class.0, KIND_PLAIN, refs as u32);
-            for i in 0..refs {
-                write_ref_index(&mut out, heap, h, i, &index);
-            }
+            emit_refs(&mut out, heap, &mut obj, refs);
             out.extend_from_slice(&(prims as u32).to_le_bytes());
-            scratch.resize(prims, 0);
-            heap.read_prims(h, 0, &mut scratch);
-            for &w in &scratch {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
+            push_words(&mut out, heap.view_prims(h, 0, prims));
         }
     }
     let objects = order.len();
-    for h in owned {
-        heap.release(h);
-    }
+    walk.release(heap);
     // Temporary-object pressure: Kryo-style buffers allocated on the heap
     // in proportion to the serialized volume.
     for _ in 0..objects.div_ceil(TEMP_EVERY_OBJECTS) {
@@ -142,23 +171,6 @@ pub fn serialize(heap: &mut Heap, root: Handle) -> Result<Vec<u8>, OomError> {
     }
     charge_sd(heap, objects, out.len());
     Ok(out)
-}
-
-fn write_ref_index(
-    out: &mut Vec<u8>,
-    heap: &mut Heap,
-    h: Handle,
-    i: usize,
-    index: &HashMap<u64, u32>,
-) {
-    match heap.read_ref(h, i) {
-        None => out.extend_from_slice(&0u32.to_le_bytes()),
-        Some(t) => {
-            let idx = index[&heap.handle_addr(t).raw()];
-            heap.release(t);
-            out.extend_from_slice(&(idx + 1).to_le_bytes());
-        }
-    }
 }
 
 /// Reconstructs an object graph from `bytes`, allocating every object on the
@@ -188,8 +200,7 @@ pub fn deserialize(heap: &mut Heap, bytes: &[u8]) -> Result<Handle, OomError> {
         let h = match kind {
             KIND_PRIM_ARRAY => {
                 let h = heap.alloc_prim_array(len)?;
-                scratch.clear();
-                scratch.extend((0..len).map(|_| r.u64()));
+                r.words(len, &mut scratch);
                 heap.write_prims(h, 0, &scratch);
                 h
             }
@@ -212,8 +223,7 @@ pub fn deserialize(heap: &mut Heap, bytes: &[u8]) -> Result<Handle, OomError> {
                     }
                 }
                 let prims = r.u32() as usize;
-                scratch.clear();
-                scratch.extend((0..prims).map(|_| r.u64()));
+                r.words(prims, &mut scratch);
                 heap.write_prims(h, 0, &scratch);
                 h
             }
@@ -235,35 +245,23 @@ pub fn deserialize(heap: &mut Heap, bytes: &[u8]) -> Result<Handle, OomError> {
 /// The serialized size in bytes of `root`'s transitive closure, without
 /// producing a stream or charging S/D time (block-manager sizing).
 pub fn serialized_size(heap: &mut Heap, root: Handle) -> usize {
-    let mut seen: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut stack = vec![root];
-    let mut owned = Vec::new();
+    let mut walk = Walk::new(heap, root);
     let mut bytes = 4usize;
-    seen.insert(heap.handle_addr(root).raw());
-    while let Some(h) = stack.pop() {
-        let class = heap.class_of(h);
+    while let Some((h, _)) = walk.stack.pop() {
+        let mut obj = heap.pin(h);
+        let class = obj.class();
         if class == PRIM_ARRAY_CLASS {
-            bytes += 7 + 8 * heap.array_len(h);
+            bytes += 7 + 8 * heap.array_len_at(&mut obj);
         } else if class == OBJ_ARRAY_CLASS {
-            bytes += 7 + 4 * heap.array_len(h);
+            bytes += 7 + 4 * heap.array_len_at(&mut obj);
         } else {
             let desc = heap.class_desc(class);
             bytes += 11 + 4 * desc.ref_fields + 8 * desc.prim_fields;
         }
-        for i in 0..ref_count(heap, h) {
-            if let Some(t) = heap.read_ref(h, i) {
-                if seen.insert(heap.handle_addr(t).raw()) {
-                    stack.push(t);
-                    owned.push(t);
-                } else {
-                    heap.release(t);
-                }
-            }
-        }
+        let nrefs = ref_count(heap, &mut obj);
+        walk.push_refs(heap, &mut obj, nrefs);
     }
-    for h in owned {
-        heap.release(h);
-    }
+    walk.release(heap);
     bytes
 }
 
@@ -273,12 +271,14 @@ fn charge_sd(heap: &mut Heap, objects: usize, bytes: usize) {
     heap.charge_ns(Category::SerDe, ns);
 }
 
-fn ref_count(heap: &mut Heap, h: Handle) -> usize {
-    let class = heap.class_of(h);
+/// Reference slots of the pinned object; the length of a reference array is
+/// a charged load.
+fn ref_count(heap: &mut Heap, obj: &mut Pin) -> usize {
+    let class = obj.class();
     if class == PRIM_ARRAY_CLASS {
         0
     } else if class == OBJ_ARRAY_CLASS {
-        heap.array_len(h)
+        heap.array_len_at(obj)
     } else {
         heap.class_desc(class).ref_fields
     }
@@ -290,31 +290,43 @@ fn push_class(out: &mut Vec<u8>, class: u16, kind: u8, len: u32) {
     out.extend_from_slice(&len.to_le_bytes());
 }
 
+/// Appends `words` little-endian: one growth, then eight bytes per word
+/// straight from the (borrowed) heap words.
+fn push_words(out: &mut Vec<u8>, words: &[u64]) {
+    let at = out.len();
+    out.resize(at + words.len() * 8, 0);
+    for (bytes, w) in out[at..].chunks_exact_mut(8).zip(words) {
+        bytes.copy_from_slice(&w.to_le_bytes());
+    }
+}
+
 struct Reader<'a> {
     b: &'a [u8],
     pos: usize,
 }
 
 impl Reader<'_> {
-    fn u8(&mut self) -> u8 {
-        let v = self.b[self.pos];
-        self.pos += 1;
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let v = self.b[self.pos..self.pos + N].try_into().expect("N bytes sliced");
+        self.pos += N;
         v
+    }
+    fn u8(&mut self) -> u8 {
+        u8::from_le_bytes(self.take())
     }
     fn u16(&mut self) -> u16 {
-        let v = u16::from_le_bytes(self.b[self.pos..self.pos + 2].try_into().unwrap());
-        self.pos += 2;
-        v
+        u16::from_le_bytes(self.take())
     }
     fn u32(&mut self) -> u32 {
-        let v = u32::from_le_bytes(self.b[self.pos..self.pos + 4].try_into().unwrap());
-        self.pos += 4;
-        v
+        u32::from_le_bytes(self.take())
     }
-    fn u64(&mut self) -> u64 {
-        let v = u64::from_le_bytes(self.b[self.pos..self.pos + 8].try_into().unwrap());
-        self.pos += 8;
-        v
+    /// Decodes a run of `n` little-endian words into `out` (replacing its
+    /// contents), eight bytes at a time over one bounds-checked slice.
+    fn words(&mut self, n: usize, out: &mut Vec<u64>) {
+        let run = &self.b[self.pos..self.pos + n * 8];
+        self.pos += n * 8;
+        out.clear();
+        out.extend(run.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))));
     }
 }
 

@@ -445,6 +445,8 @@ impl Heap {
             return out;
         }
         out.h2 = self.h2.as_mut().unwrap().recover();
+        // Roots of lost objects are nulled below: every pin is stale.
+        self.move_epoch += 1;
 
         // ---- 1. rebuild the per-region object-start index --------------
         let region_count = self.h2.as_ref().unwrap().regions().region_count() as u32;

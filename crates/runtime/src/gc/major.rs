@@ -425,6 +425,9 @@ pub(crate) fn run_slice(heap: &mut Heap, budget_ns: u64) {
     };
     debug_assert!(!heap.in_gc, "GC slice inside a collection");
     heap.in_gc = true;
+    // Any slice may flip, relocate or retire the cycle: every pin is stale
+    // (and stays uncached for as long as the cycle is in flight).
+    heap.move_epoch += 1;
     let clock = heap.clock.clone();
     let slice_start = clock.total_ns();
     if cyc.shape.interleaved {

@@ -27,6 +27,8 @@ use teraheap_storage::Category;
 pub(crate) fn minor_gc(heap: &mut Heap, cause: GcCause) {
     debug_assert!(!heap.in_gc, "re-entrant GC");
     heap.in_gc = true;
+    // Survivors move and roots are rewritten: every pin is stale.
+    heap.move_epoch += 1;
     let start_ns = heap.clock.total_ns();
     let old_before = heap.old.used_words();
     heap.clock.emit(EventKind::GcBegin {

@@ -28,6 +28,106 @@ const RESERVED_WORDS: usize = 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Handle(pub(crate) u32);
 
+/// Where one object's fields are: the single decode of header, class and
+/// array length that every field access — mutator or collector — starts
+/// from ([`Heap::layout`]). Reference slots are always contiguous (plain
+/// objects store references before primitives; arrays are homogeneous), and
+/// so are primitive slots.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Layout {
+    class: ClassId,
+    /// The object's (physical) address.
+    obj: Addr,
+    /// First reference slot, as a raw word address, and the slot count.
+    ref_base: u64,
+    ref_len: usize,
+    /// First primitive slot and the slot count.
+    prim_base: u64,
+    prim_len: usize,
+}
+
+impl Layout {
+    #[inline]
+    fn is_array(&self) -> bool {
+        self.class == OBJ_ARRAY_CLASS || self.class == PRIM_ARRAY_CLASS
+    }
+
+    // The slot helpers copy the length out before asserting: a panic message
+    // that borrowed the field would pin the whole layout in memory, and the
+    // handle accessors rely on the unused half being optimized away.
+
+    #[inline]
+    fn ref_slot(&self, idx: usize) -> Addr {
+        let len = self.ref_len;
+        assert!(idx < len, "ref index {idx} out of bounds ({len})");
+        Addr::new(self.ref_base + idx as u64)
+    }
+
+    #[inline]
+    fn prim_slot(&self, idx: usize) -> Addr {
+        let len = self.prim_len;
+        assert!(idx < len, "prim index {idx} out of bounds ({len})");
+        Addr::new(self.prim_base + idx as u64)
+    }
+
+    /// First slot of the `n`-slot primitive range starting at `start`, the
+    /// bounds checked once for the whole range.
+    #[inline]
+    fn prim_range(&self, start: usize, n: usize) -> Addr {
+        let len = self.prim_len;
+        assert!(n <= len && start <= len - n, "prim range {start}+{n} out of bounds ({len})");
+        Addr::new(self.prim_base + start as u64)
+    }
+
+    /// The slot holding an array's element count.
+    #[inline]
+    fn len_slot(&self) -> Addr {
+        assert!(self.is_array(), "array_len on non-array");
+        self.obj.add(object::HEADER_WORDS as u64)
+    }
+}
+
+/// A handle with its object's [`Layout`] resolved: the host-side half of a
+/// field access (root lookup, header decode, class lookup, array length)
+/// done once by [`Heap::pin`] instead of once per word. The `*_at`
+/// accessors ([`Heap::read_prim_at`], ...) bounds-check against it and then
+/// make the same charged load or store the handle accessors make, so a
+/// pinned loop is indistinguishable from the handle loop in everything the
+/// simulation observes (DESIGN.md §9).
+///
+/// A pin stays valid for as long as its handle does. It remembers the
+/// heap's move epoch — bumped wherever a collection can rewrite a root —
+/// and re-resolves through the handle when the epoch has moved on; while a
+/// sliced major cycle is in flight it re-resolves on every access. Pins are
+/// only meaningful on the heap that made them.
+#[derive(Debug, Clone, Copy)]
+pub struct Pin {
+    handle: Handle,
+    /// [`Heap::move_epoch`] when `at` was resolved, or `UNCACHED`.
+    epoch: u64,
+    /// The object is un-relocated behind the flip of an in-flight cycle: its
+    /// reference slots hold pre-compaction values. Only ever set on a pin
+    /// that is not cached.
+    raw_slots: bool,
+    at: Layout,
+}
+
+/// The epoch of a pin resolved under an in-flight major cycle; no heap ever
+/// has it, so the pin re-resolves on every access.
+const UNCACHED: u64 = 0;
+
+impl Pin {
+    /// The pinned handle.
+    pub fn handle(&self) -> Handle {
+        self.handle
+    }
+
+    /// The object's class (it never changes, so this needs no heap).
+    pub fn class(&self) -> ClassId {
+        self.at.class
+    }
+}
+
 /// The managed heap.
 #[derive(Debug)]
 pub struct Heap {
@@ -39,6 +139,10 @@ pub struct Heap {
     pub(crate) h1_cards: H1CardTable,
     pub(crate) roots: Vec<Addr>,
     pub(crate) free_roots: Vec<u32>,
+    /// Bumped wherever a root can be rewritten (minor GC, every major
+    /// slice, crash recovery): a [`Pin`] resolved under an older epoch is
+    /// stale.
+    pub(crate) move_epoch: u64,
     pub(crate) classes: ClassRegistry,
     pub(crate) h2: Option<H2>,
     pub(crate) clock: Arc<SimClock>,
@@ -137,6 +241,7 @@ impl Heap {
             h1_cards,
             roots: Vec::new(),
             free_roots: Vec::new(),
+            move_epoch: UNCACHED + 1,
             classes: ClassRegistry::new(),
             h2: None,
             clock,
@@ -776,28 +881,41 @@ impl Heap {
         object::class_of(self.header(addr))
     }
 
-    /// The contiguous reference-slot range `[start, end)` of the object at
-    /// `addr`, as raw word addresses. Reference slots are always contiguous
-    /// (plain objects store references before primitives; arrays are
-    /// homogeneous), so GC tracing iterates this range directly instead of
-    /// materializing a `Vec<Addr>` per visited object — the former
-    /// `ref_slots` allocation was the single hottest line of every trace.
+    /// Decodes the object at `addr` into its [`Layout`] — the one place a
+    /// header is interpreted for field access.
     ///
-    /// Valid for both H1 and H2 objects: header reads go through
-    /// [`Heap::word`], which dispatches to the uncharged H2 read path for
-    /// device-resident objects (tracing charges its costs in bulk).
-    pub(crate) fn ref_slot_range(&self, addr: Addr) -> (u64, u64) {
+    /// Valid for both H1 and H2 objects, and free: the header and array
+    /// length are read through [`Heap::word`], which dispatches to the
+    /// uncharged, page-cache-silent H2 read for device-resident objects
+    /// (mutator accesses charge the field load itself; tracing charges its
+    /// costs in bulk).
+    #[inline(always)]
+    pub(crate) fn layout(&self, addr: Addr) -> Layout {
         let class = self.object_class(addr);
-        if class == PRIM_ARRAY_CLASS {
-            return (addr.raw(), addr.raw());
+        let fields = addr.raw() + object::HEADER_WORDS as u64;
+        if class == OBJ_ARRAY_CLASS || class == PRIM_ARRAY_CLASS {
+            let len = self.word(Addr::new(fields)) as usize;
+            let first = fields + object::ARRAY_LEN_WORDS as u64;
+            let (ref_len, prim_len) = if class == OBJ_ARRAY_CLASS { (len, 0) } else { (0, len) };
+            return Layout { class, obj: addr, ref_base: first, ref_len, prim_base: first, prim_len };
         }
-        if class == OBJ_ARRAY_CLASS {
-            let len = self.word(addr.add(object::HEADER_WORDS as u64));
-            let first = addr.raw() + (object::HEADER_WORDS + object::ARRAY_LEN_WORDS) as u64;
-            return (first, first + len);
+        let desc = self.classes.get(class);
+        Layout {
+            class,
+            obj: addr,
+            ref_base: fields,
+            ref_len: desc.ref_fields,
+            prim_base: fields + desc.ref_fields as u64,
+            prim_len: desc.prim_fields,
         }
-        let first = addr.raw() + object::HEADER_WORDS as u64;
-        (first, first + self.classes.get(class).ref_fields as u64)
+    }
+
+    /// The contiguous reference-slot range `[start, end)` of the object at
+    /// `addr`, as raw word addresses: GC tracing iterates this range
+    /// directly instead of materializing a `Vec<Addr>` per visited object.
+    pub(crate) fn ref_slot_range(&self, addr: Addr) -> (u64, u64) {
+        let at = self.layout(addr);
+        (at.ref_base, at.ref_base + at.ref_len as u64)
     }
 
     /// The sub-range of `addr`'s reference slots falling within `[lo, hi)` —
@@ -810,37 +928,47 @@ impl Heap {
 
     // ----- mutator field access --------------------------------------------
 
-    fn ref_slot(&self, obj: Addr, idx: usize) -> Addr {
-        let class = self.object_class(obj);
-        if class == OBJ_ARRAY_CLASS {
-            let len = self.word(obj.add(object::HEADER_WORDS as u64)) as usize;
-            assert!(idx < len, "ref array index {idx} out of bounds ({len})");
-            return obj.add((object::HEADER_WORDS + object::ARRAY_LEN_WORDS + idx) as u64);
-        }
-        let refs = self.classes.get(class).ref_fields;
-        assert!(idx < refs, "ref field index {idx} out of bounds ({refs})");
-        obj.add((object::HEADER_WORDS + idx) as u64)
+    /// Resolves `h` to a [`Pin`]: root lookup, in-flight-cycle view, header
+    /// decode. Charges nothing and touches no page cache.
+    #[inline(always)]
+    pub fn pin(&self, h: Handle) -> Pin {
+        let (obj, raw_slots) = self.mutator_view(self.root_of(h));
+        let epoch = if self.cycle.is_some() { UNCACHED } else { self.move_epoch };
+        Pin { handle: h, epoch, raw_slots, at: self.layout(obj) }
     }
 
-    fn prim_slot(&self, obj: Addr, idx: usize) -> Addr {
-        let class = self.object_class(obj);
-        if class == PRIM_ARRAY_CLASS {
-            let len = self.word(obj.add(object::HEADER_WORDS as u64)) as usize;
-            assert!(idx < len, "prim array index {idx} out of bounds ({len})");
-            return obj.add((object::HEADER_WORDS + object::ARRAY_LEN_WORDS + idx) as u64);
+    /// Brings `pin` up to date. Every change of `cycle` from or to `None`
+    /// happens inside a slice, which bumps the epoch, so the epoch compare
+    /// alone decides.
+    #[inline]
+    fn refresh(&self, pin: &mut Pin) {
+        if pin.epoch != self.move_epoch {
+            self.repin(pin);
         }
-        let desc = self.classes.get(class);
-        assert!(idx < desc.prim_fields, "prim field index {idx} out of bounds");
-        obj.add((object::HEADER_WORDS + desc.ref_fields + idx) as u64)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn repin(&self, pin: &mut Pin) {
+        *pin = self.pin(pin.handle);
     }
 
     /// Reads reference field/element `idx`, returning a rooted handle (or
     /// `None` for null). Release the handle when done.
     pub fn read_ref(&mut self, h: Handle, idx: usize) -> Option<Handle> {
-        let (obj, raw_slots) = self.mutator_view(self.root_of(h));
-        let slot = self.ref_slot(obj, idx);
-        let mut val = self.load(slot, Category::Mutator);
-        if raw_slots && val != 0 {
+        let pin = self.pin(h);
+        self.ref_at(&pin, idx)
+    }
+
+    /// [`Heap::read_ref`] through a pin.
+    pub fn read_ref_at(&mut self, pin: &mut Pin, idx: usize) -> Option<Handle> {
+        self.refresh(pin);
+        self.ref_at(pin, idx)
+    }
+
+    fn ref_at(&mut self, pin: &Pin, idx: usize) -> Option<Handle> {
+        let mut val = self.load(pin.at.ref_slot(idx), Category::Mutator);
+        if pin.raw_slots && val != 0 {
             // Un-relocated object: the slot still holds a pre-compaction
             // address; canonicalize before rooting.
             val = self.cycle.as_deref().expect("raw view without cycle").canon(val);
@@ -854,8 +982,7 @@ impl Heap {
 
     /// Whether reference field/element `idx` is null.
     pub fn ref_is_null(&mut self, h: Handle, idx: usize) -> bool {
-        let (obj, _) = self.mutator_view(self.root_of(h));
-        let slot = self.ref_slot(obj, idx);
+        let slot = self.pin(h).at.ref_slot(idx);
         self.load(slot, Category::Mutator) == 0
     }
 
@@ -863,23 +990,21 @@ impl Heap {
     /// post-write barrier (with TeraHeap's reference range check).
     pub fn write_ref(&mut self, h: Handle, idx: usize, val: Handle) {
         let v = self.root_of(val);
-        let (obj, raw_slots) = self.mutator_view(self.root_of(h));
-        let slot = self.ref_slot(obj, idx);
-        let v = if raw_slots {
+        let pin = self.pin(h);
+        let v = if pin.raw_slots {
             // Un-relocated object: keep the slot in pre-compaction terms so
             // the fused adjust pass rewrites it exactly once.
             Addr::new(self.cycle.as_deref().expect("raw view without cycle").decanon(v.raw()))
         } else {
             v
         };
-        self.write_ref_at(obj, slot, v);
+        self.write_ref_at(pin.at.obj, pin.at.ref_slot(idx), v);
     }
 
     /// Stores null into reference field/element `idx`.
     pub fn write_ref_null(&mut self, h: Handle, idx: usize) {
-        let (obj, _) = self.mutator_view(self.root_of(h));
-        let slot = self.ref_slot(obj, idx);
-        self.write_ref_at(obj, slot, NULL);
+        let at = self.pin(h).at;
+        self.write_ref_at(at.obj, at.ref_slot(idx), NULL);
     }
 
     pub(crate) fn write_ref_at(&mut self, obj: Addr, slot: Addr, val: Addr) {
@@ -908,16 +1033,29 @@ impl Heap {
 
     /// Reads primitive field/element `idx`.
     pub fn read_prim(&mut self, h: Handle, idx: usize) -> u64 {
-        let (obj, _) = self.mutator_view(self.root_of(h));
-        let slot = self.prim_slot(obj, idx);
+        let slot = self.pin(h).at.prim_slot(idx);
         self.load(slot, Category::Mutator)
+    }
+
+    /// [`Heap::read_prim`] through a pin: the same charged load, with the
+    /// object resolved once per pin instead of once per word.
+    #[inline]
+    pub fn read_prim_at(&mut self, pin: &mut Pin, idx: usize) -> u64 {
+        self.refresh(pin);
+        self.load(pin.at.prim_slot(idx), Category::Mutator)
     }
 
     /// Writes primitive field/element `idx`.
     pub fn write_prim(&mut self, h: Handle, idx: usize, val: u64) {
-        let (obj, _) = self.mutator_view(self.root_of(h));
-        let slot = self.prim_slot(obj, idx);
+        let slot = self.pin(h).at.prim_slot(idx);
         self.store(slot, val, Category::Mutator);
+    }
+
+    /// [`Heap::write_prim`] through a pin.
+    #[inline]
+    pub fn write_prim_at(&mut self, pin: &mut Pin, idx: usize, val: u64) {
+        self.refresh(pin);
+        self.store(pin.at.prim_slot(idx), val, Category::Mutator);
     }
 
     /// Bulk [`Heap::read_prim`] without the copy: charges a read of the `n`
@@ -931,8 +1069,7 @@ impl Heap {
         if n == 0 {
             return &[];
         }
-        let (obj, _) = self.mutator_view(self.root_of(h));
-        let base = self.prim_range_slot(obj, start, n);
+        let base = self.pin(h).at.prim_range(start, n);
         if base.is_h2() {
             // Device-resident object: one touch_run over the range charges
             // exactly what the per-word loop did (DESIGN.md §9).
@@ -960,8 +1097,7 @@ impl Heap {
         if vals.is_empty() {
             return;
         }
-        let (obj, _) = self.mutator_view(self.root_of(h));
-        let base = self.prim_range_slot(obj, start, vals.len());
+        let base = self.pin(h).at.prim_range(start, vals.len());
         if base.is_h2() {
             self.h2
                 .as_mut()
@@ -972,27 +1108,6 @@ impl Heap {
         self.charge_h1_words(base, vals.len() as u64, Category::Mutator);
         let s = base.raw() as usize;
         self.mem[s..s + vals.len()].copy_from_slice(vals);
-    }
-
-    /// First slot of the `n`-element primitive range starting at `start`,
-    /// with the object's bounds checked once for the whole range.
-    fn prim_range_slot(&self, obj: Addr, start: usize, n: usize) -> Addr {
-        let class = self.object_class(obj);
-        if class == PRIM_ARRAY_CLASS {
-            let len = self.word(obj.add(object::HEADER_WORDS as u64)) as usize;
-            assert!(
-                start + n <= len,
-                "prim array range {start}+{n} out of bounds ({len})"
-            );
-            return obj.add((object::HEADER_WORDS + object::ARRAY_LEN_WORDS + start) as u64);
-        }
-        let desc = self.classes.get(class);
-        assert!(
-            start + n <= desc.prim_fields,
-            "prim field range {start}+{n} out of bounds ({})",
-            desc.prim_fields
-        );
-        obj.add((object::HEADER_WORDS + desc.ref_fields + start) as u64)
     }
 
     /// Charges `n` H1 mutator word accesses in one step: the exact integer
@@ -1010,13 +1125,15 @@ impl Heap {
 
     /// Length of the (reference or primitive) array behind `h`.
     pub fn array_len(&mut self, h: Handle) -> usize {
-        let (obj, _) = self.mutator_view(self.root_of(h));
-        let class = self.object_class(obj);
-        assert!(
-            class == OBJ_ARRAY_CLASS || class == PRIM_ARRAY_CLASS,
-            "array_len on non-array"
-        );
-        self.load(obj.add(object::HEADER_WORDS as u64), Category::Mutator) as usize
+        let slot = self.pin(h).at.len_slot();
+        self.load(slot, Category::Mutator) as usize
+    }
+
+    /// [`Heap::array_len`] through a pin: still a charged load of the
+    /// length word, as the handle accessor is.
+    pub fn array_len_at(&mut self, pin: &mut Pin) -> usize {
+        self.refresh(pin);
+        self.load(pin.at.len_slot(), Category::Mutator) as usize
     }
 
     /// The class id of the object behind `h`.

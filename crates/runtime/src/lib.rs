@@ -61,7 +61,7 @@ pub use config::{
     ConfigError, GcVariant, HeapConfig, HeapConfigBuilder, MemoryMode, OomError, VariantPolicy,
     DEFAULT_PAUSE_BUDGET_NS,
 };
-pub use heap::{Handle, Heap};
+pub use heap::{Handle, Heap, Pin};
 pub use stats::{GcStats, MajorPhases};
 pub use teraheap_storage::obs;
 pub use teraheap_storage::{AttachError, SharedDevice, TenantId, TenantIo};

@@ -11,11 +11,18 @@
 //! accessors make one `SimClock::charge` call per range where the loop
 //! makes one per word, so charge-call counts are compared between the two
 //! bulk accessors only; on H2 `touch_run` batches the loop's exact count.
+//!
+//! The second half is the same contract for the word loops that stay
+//! word-at-a-time: a [`Pin`] resolves its object once on the host, so the
+//! `*_at` accessors must be indistinguishable from the handle accessors
+//! they stand in for — across collections, H2 promotion of the pinned
+//! object, and a sliced major cycle left in flight (see [`Op`]).
 
 use teraheap_core::{H2Config, Label};
-use teraheap_runtime::obs::{Event, Level};
-use teraheap_runtime::{GcVariant, Handle, Heap, HeapConfig};
+use teraheap_runtime::obs::{Event, EventKind, GcKind, Level};
+use teraheap_runtime::{GcVariant, Handle, Heap, HeapConfig, Pin};
 use teraheap_storage::{Category, DeviceSpec, SharedDevice};
+use teraheap_util::rng::Rng;
 
 #[derive(Clone, Copy)]
 enum Access {
@@ -32,7 +39,7 @@ struct Observed {
     total_ns: u64,
     events: Vec<Event>,
     /// read bytes/ops, write bytes/ops, faults, sequential faults,
-    /// evictions — empty without an H2.
+    /// evictions, resident pages — empty without an H2.
     io: Vec<u64>,
 }
 
@@ -58,6 +65,12 @@ fn replay(
             Access::View => words.extend_from_slice(heap.view_prims(h, start, n)),
         }
     }
+    observe(&heap, words)
+}
+
+/// What a replay that produced `words` left observable on `heap`, and its
+/// charge-call counts.
+fn observe(heap: &Heap, words: Vec<u64>) -> (Observed, [u64; Category::COUNT]) {
     let clock = heap.clock();
     let io = heap.h2().map_or(Vec::new(), |h2| {
         let s = h2.mmap().stats();
@@ -69,6 +82,7 @@ fn replay(
             s.page_faults(),
             s.seq_faults(),
             s.evictions(),
+            h2.mmap().resident_pages() as u64,
         ]
     });
     let observed = Observed {
@@ -109,6 +123,29 @@ fn filled_array(heap: &mut Heap, len: usize) -> Handle {
     h
 }
 
+/// Attaches an H2 of `n_regions` regions of `region_words` on `device`, with
+/// `page_size` pages and a `budget_pages`-page resident set.
+fn attach_h2(
+    heap: &mut Heap,
+    device: DeviceSpec,
+    page_size: usize,
+    budget_pages: usize,
+    region_words: usize,
+    n_regions: usize,
+) {
+    let h2 = H2Config::builder()
+        .region_words(region_words)
+        .n_regions(n_regions)
+        .card_seg_words(512)
+        .resident_budget_bytes(budget_pages * page_size)
+        .page_size(page_size)
+        .promo_buffer_bytes(16 << 10)
+        .build()
+        .expect("valid H2 config");
+    let dev = SharedDevice::new(device, h2.footprint_bytes(), heap.clock().clone());
+    heap.attach_h2(h2, &dev).expect("sole tenant attaches");
+}
+
 /// A heap whose `len`-element array was promoted to an H2 on `device` with
 /// `page_size` pages and a `budget_pages`-page resident set.
 fn h2_array(
@@ -119,17 +156,7 @@ fn h2_array(
 ) -> (Heap, Handle) {
     let region_words = (len + 64).next_power_of_two();
     let mut heap = Heap::new(traced(HeapConfig::with_words(4 * region_words, 4 * region_words)));
-    let h2 = H2Config::builder()
-        .region_words(region_words)
-        .n_regions(4)
-        .card_seg_words(512)
-        .resident_budget_bytes(budget_pages * page_size)
-        .page_size(page_size)
-        .promo_buffer_bytes(16 << 10)
-        .build()
-        .expect("valid H2 config");
-    let dev = SharedDevice::new(device, h2.footprint_bytes(), heap.clock().clone());
-    heap.attach_h2(h2, &dev).expect("sole tenant attaches");
+    attach_h2(&mut heap, device, page_size, budget_pages, region_words, 4);
     let h = filled_array(&mut heap, len);
     heap.h2_tag_root(h, Label::new(9));
     heap.h2_move(Label::new(9));
@@ -239,4 +266,368 @@ fn read_prims_past_the_end_panics() {
     let mut heap = Heap::new(HeapConfig::small());
     let h = filled_array(&mut heap, 16);
     heap.read_prims(h, 15, &mut [0; 2]);
+}
+
+// ----- pinned word access -----------------------------------------------------
+
+/// One pool object a word script addresses.
+#[derive(Clone, Copy)]
+struct Obj {
+    h: Handle,
+    /// Primitive fields/elements.
+    prims: usize,
+    /// Reference fields/elements.
+    refs: usize,
+    is_array: bool,
+}
+
+/// One step of a word script: word accesses on pool objects, interleaved
+/// with everything that can move or re-home them.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Read(usize, usize),
+    Write(usize, usize, u64),
+    Len(usize),
+    /// Follow reference `idx` of the object (null or not, and the target's
+    /// first primitive).
+    ReadRef(usize, usize),
+    /// Allocate and drop a garbage array: fills eden, so collections — and,
+    /// when slicing is armed, pause slices — run between accesses.
+    Alloc(usize),
+    GcMinor,
+    GcMajor,
+    /// Tag the object and advise its move: the next major cycle (explicit,
+    /// demand or sliced) promotes it to H2 under its pin.
+    MoveToH2(usize),
+}
+
+/// A `len`-step script over `pool`: mostly word accesses, every so often an
+/// allocation burst, a collection or (with `h2`) a move hint. The first
+/// [`YOUNG_STEPS`] steps ask for no major collection, so the pool is still
+/// young — and moved by the scavenger, twice, under its pins — when the
+/// first minor collections run.
+fn word_script(pool: &[Obj], len: usize, h2: bool, seed: u64) -> Vec<Op> {
+    let mut rng = Rng::seed_from_u64(seed);
+    let with_prims: Vec<usize> = (0..pool.len()).filter(|&o| pool[o].prims > 0).collect();
+    let with_refs: Vec<usize> = (0..pool.len()).filter(|&o| pool[o].refs > 0).collect();
+    let arrays: Vec<usize> = (0..pool.len()).filter(|&o| pool[o].is_array).collect();
+    let mut script = Vec::with_capacity(len);
+    for step in 0..len {
+        let o = *rng.choose(&with_prims).expect("pool has primitive slots");
+        let op = match rng.gen_range(0..100u32) {
+            0..=39 => Op::Read(o, rng.gen_range(0..pool[o].prims)),
+            40..=69 => Op::Write(o, rng.gen_range(0..pool[o].prims), rng.next_u64()),
+            70..=77 => Op::Len(*rng.choose(&arrays).expect("pool has arrays")),
+            78..=83 if !with_refs.is_empty() => {
+                let r = *rng.choose(&with_refs).expect("checked");
+                Op::ReadRef(r, rng.gen_range(0..pool[r].refs))
+            }
+            84..=93 => Op::Alloc(rng.gen_range(16..400usize)),
+            94..=95 => Op::GcMinor,
+            96 if step >= YOUNG_STEPS => Op::GcMajor,
+            97 if h2 && step >= YOUNG_STEPS => Op::MoveToH2(o),
+            _ => Op::Read(o, rng.gen_range(0..pool[o].prims)),
+        };
+        script.push(op);
+    }
+    script
+}
+
+const YOUNG_STEPS: usize = 400;
+
+/// Replays `script` on a fresh heap, through handles or through pins taken
+/// once before the first step; then reads every pool word back through
+/// plain handles. Every value read is checked against a host shadow, so a
+/// pin that kept pointing at an object's old copy fails here, not only in
+/// the comparison with its twin.
+fn replay_words(
+    mk: &dyn Fn() -> (Heap, Vec<Obj>),
+    script: &[Op],
+    pinned: bool,
+) -> (Heap, Observed, [u64; Category::COUNT]) {
+    let (mut heap, pool) = mk();
+    let mut pins: Vec<Pin> = pool.iter().map(|o| heap.pin(o.h)).collect();
+    let mut shadow: Vec<Vec<u64>> =
+        pool.iter().map(|o| (0..o.prims).map(|i| heap.read_prim(o.h, i)).collect()).collect();
+    let mut words = Vec::new();
+    for &op in script {
+        match op {
+            Op::Read(o, i) => {
+                let v = if pinned {
+                    heap.read_prim_at(&mut pins[o], i)
+                } else {
+                    heap.read_prim(pool[o].h, i)
+                };
+                assert_eq!(v, shadow[o][i], "{op:?} read a stale word (pinned: {pinned})");
+                words.push(v);
+            }
+            Op::Write(o, i, v) => {
+                if pinned {
+                    heap.write_prim_at(&mut pins[o], i, v);
+                } else {
+                    heap.write_prim(pool[o].h, i, v);
+                }
+                shadow[o][i] = v;
+            }
+            Op::Len(o) => {
+                let n = if pinned {
+                    heap.array_len_at(&mut pins[o])
+                } else {
+                    heap.array_len(pool[o].h)
+                };
+                assert_eq!(n, pool[o].prims + pool[o].refs);
+                words.push(n as u64);
+            }
+            Op::ReadRef(o, i) => {
+                let r = if pinned {
+                    heap.read_ref_at(&mut pins[o], i)
+                } else {
+                    heap.read_ref(pool[o].h, i)
+                };
+                words.push(r.is_some() as u64);
+                if let Some(child) = r {
+                    words.push(heap.read_prim(child, 0));
+                    heap.release(child);
+                }
+            }
+            Op::Alloc(n) => {
+                let tmp = heap.alloc_prim_array(n).expect("garbage fits");
+                heap.release(tmp);
+            }
+            Op::GcMinor => heap.gc_minor().expect("fits"),
+            Op::GcMajor => heap.gc_major().expect("fits"),
+            Op::MoveToH2(o) => {
+                let label = Label::new(40 + o as u64);
+                heap.h2_tag_root(pool[o].h, label);
+                heap.h2_move(label);
+            }
+        }
+    }
+    for (o, obj) in pool.iter().enumerate() {
+        for (i, &want) in shadow[o].iter().enumerate() {
+            let v = heap.read_prim(obj.h, i);
+            assert_eq!(v, want, "object {o} word {i} lost a write (pinned: {pinned})");
+            words.push(v);
+        }
+    }
+    let (observed, charges) = observe(&heap, words);
+    (heap, observed, charges)
+}
+
+/// Replays `script` through handles and through pins and requires the two
+/// runs to be indistinguishable; returns the pinned heap and observation.
+fn assert_pins_equivalent(mk: &dyn Fn() -> (Heap, Vec<Obj>), script: &[Op]) -> (Heap, Observed) {
+    let (_, by_handle, handle_charges) = replay_words(mk, script, false);
+    let (heap, by_pin, pin_charges) = replay_words(mk, script, true);
+    assert_eq!(by_pin, by_handle, "pinned accessors diverged from the handle accessors");
+    assert_eq!(pin_charges, handle_charges, "pinned accessors charge call for call");
+    (heap, by_pin)
+}
+
+/// The standard pool: primitive arrays of `array_lens`, two plain objects
+/// (one with a reference field) and a reference array holding both.
+fn pool(heap: &mut Heap, array_lens: &[usize]) -> Vec<Obj> {
+    let mut pool = Vec::new();
+    for (k, &len) in array_lens.iter().enumerate() {
+        let h = heap.alloc_prim_array(len).expect("fits");
+        let vals: Vec<u64> = (0..len as u64).map(|i| 1000 * (k as u64 + 1) + i).collect();
+        heap.write_prims(h, 0, &vals);
+        pool.push(Obj { h, prims: len, refs: 0, is_array: true });
+    }
+    let leaf_c = heap.register_class("Leaf", 0, 3);
+    let node_c = heap.register_class("Node", 1, 2);
+    let leaf = heap.alloc(leaf_c).expect("fits");
+    let node = heap.alloc(node_c).expect("fits");
+    heap.write_prims(leaf, 0, &[7, 8, 9]);
+    heap.write_prims(node, 0, &[70, 80]);
+    heap.write_ref(node, 0, leaf);
+    let holder = heap.alloc_ref_array(3).expect("fits");
+    heap.write_ref(holder, 0, node);
+    heap.write_ref(holder, 2, leaf);
+    pool.push(Obj { h: leaf, prims: 3, refs: 0, is_array: false });
+    pool.push(Obj { h: node, prims: 2, refs: 1, is_array: false });
+    pool.push(Obj { h: holder, prims: 0, refs: 3, is_array: true });
+    pool
+}
+
+/// A heap with an H2 of `page_size` pages and a `budget_pages` resident
+/// set, and the standard pool over `array_lens` still in H1.
+fn h2_pool(
+    config: HeapConfig,
+    device: DeviceSpec,
+    page_size: usize,
+    budget_pages: usize,
+    array_lens: &[usize],
+) -> (Heap, Vec<Obj>) {
+    let largest = array_lens.iter().max().expect("arrays");
+    let region_words = (largest + 64).next_power_of_two();
+    let mut heap = Heap::new(traced(config));
+    attach_h2(&mut heap, device, page_size, budget_pages, region_words, 16);
+    let pool = pool(&mut heap, array_lens);
+    (heap, pool)
+}
+
+/// How many of the pool's objects live in H2.
+fn in_h2(heap: &Heap, pool: &[Obj]) -> usize {
+    pool.iter().filter(|o| heap.is_in_h2(o.h)).count()
+}
+
+#[test]
+fn h1_pins_follow_their_objects_across_collections() {
+    // A young generation the script's garbage overflows several times: the
+    // pool is copied to survivor space, tenured and compacted under its pins.
+    let mk = || {
+        let mut heap = Heap::new(traced(HeapConfig::with_words(4 << 10, 16 << 10)));
+        let pool = pool(&mut heap, &[40, 7, 300]);
+        (heap, pool)
+    };
+    // Identically built heaps hand out identical handles, so one build's
+    // pool describes every replay's.
+    let (fresh, pool) = mk();
+    let script = word_script(&pool, 1500, false, 0x51ab);
+    let (heap, _) = assert_pins_equivalent(&mk, &script);
+    assert!(heap.stats().minor_count > 3 && heap.stats().major_count > 0);
+    let moved =
+        pool.iter().filter(|o| heap.handle_addr(o.h) != fresh.handle_addr(o.h)).count();
+    assert_eq!(moved, pool.len(), "every pinned object must have moved");
+}
+
+#[test]
+fn pins_follow_their_objects_into_paged_h2() {
+    // Arrays of 2 to 3 pages against a 2-page resident set: once moved, the
+    // pinned loops fault, evict and write dirty pages back.
+    let lens = [1200, 1536, 1100];
+    let mk = || {
+        let config = HeapConfig::with_words(8 << 10, 32 << 10);
+        h2_pool(config, DeviceSpec::nvme_ssd(), 4096, 2, &lens)
+    };
+    let pool = mk().1;
+    let script = word_script(&pool, 1500, true, 0x4b);
+    let (heap, seen) = assert_pins_equivalent(&mk, &script);
+    assert!(in_h2(&heap, &pool) >= 3, "the script must promote pinned objects");
+    assert!(seen.io[FAULTS] > 0 && seen.io[EVICTIONS] > 0, "the script must fault and evict");
+}
+
+#[test]
+fn pins_follow_their_objects_into_huge_paged_h2() {
+    // 300k words = 2.3 MiB: the big array crosses one 2 MiB page boundary.
+    let lens = [300 << 10, 900];
+    let mk = || {
+        let config = HeapConfig::with_words(64 << 10, 1 << 20);
+        h2_pool(config, DeviceSpec::nvme_ssd(), 2 << 20, 1, &lens)
+    };
+    // The move of the big array is scripted, with random steps on both sides.
+    let pool = mk().1;
+    let mut script = word_script(&pool, 450, true, 0x2a);
+    script.extend([Op::MoveToH2(0), Op::GcMajor]);
+    script.extend(word_script(&pool, 450, true, 0x2b));
+    let (heap, seen) = assert_pins_equivalent(&mk, &script);
+    assert!(heap.is_in_h2(pool[0].h), "the big array must be promoted");
+    assert!(seen.io[EVICTIONS] > 0, "a one-page resident set must evict");
+}
+
+#[test]
+fn pins_follow_their_objects_into_dax_h2() {
+    let lens = [1200, 1536, 1100];
+    let mk = || {
+        let config = HeapConfig::with_words(8 << 10, 32 << 10);
+        h2_pool(config, DeviceSpec::optane_nvm(), 4096, 2, &lens)
+    };
+    let pool = mk().1;
+    let script = word_script(&pool, 1500, true, 0xda);
+    let (heap, seen) = assert_pins_equivalent(&mk, &script);
+    assert!(in_h2(&heap, &pool) >= 3, "the script must promote pinned objects");
+    assert_eq!(seen.io[FAULTS], 0, "DAX has no page cache to fault into");
+}
+
+#[test]
+fn pins_straddling_the_panthera_nvm_boundary_match() {
+    // Two pretenured 1024-element arrays in an old generation whose first
+    // 1500 words are DRAM: the second straddles the NVM boundary until a
+    // compaction (the first array of the pool is dropped) slides it down.
+    let mk = || {
+        let mut config = HeapConfig::with_words(16 << 10, 64 << 10);
+        config.variant =
+            GcVariant::Panthera { old_dram_words: 1500, nvm: DeviceSpec::optane_nvm() };
+        let mut heap = Heap::new(traced(config));
+        let first = filled_array(&mut heap, 1024);
+        heap.release(first);
+        let pool = pool(&mut heap, &[1024, 1024]);
+        (heap, pool)
+    };
+    let script = word_script(&mk().1, 1200, false, 0x9a);
+    let (heap, _) = assert_pins_equivalent(&mk, &script);
+    assert!(heap.stats().major_count > 0, "the straddling array must be compacted");
+}
+
+#[test]
+fn pins_match_with_a_sliced_cycle_in_flight() {
+    // A 5 µs pause budget over an old generation below the proactive
+    // trigger's margin: every minor GC starts a cycle that the script's
+    // allocations advance a slice at a time, so accesses land before the
+    // flip, behind it on un-relocated objects, and after retirement — and
+    // the hinted objects are promoted to H2 mid-cycle.
+    let lens = [1200, 600, 900];
+    let mk = || {
+        let config = HeapConfig::builder(6 << 10, 10 << 10)
+            .pause_budget_ns(5_000)
+            .build()
+            .expect("valid sliced config");
+        h2_pool(config, DeviceSpec::nvme_ssd(), 4096, 2, &lens)
+    };
+    // No explicit majors: they would finish the cycle the scenario wants
+    // left in flight.
+    let pool = mk().1;
+    let script: Vec<Op> = word_script(&pool, 2500, true, 0x51ce)
+        .into_iter()
+        .filter(|op| !matches!(op, Op::GcMajor))
+        .collect();
+    let (heap, seen) = assert_pins_equivalent(&mk, &script);
+    assert!(heap.stats().incr_slices > 20, "the cycle must be sliced");
+    assert!(in_h2(&heap, &pool) > 0, "a pinned object must be promoted mid-cycle");
+    // Accesses ran while a cycle was parked between slices: somewhere in the
+    // stream a slice ends and a later page fault (a mutator access to a
+    // promoted object) precedes the cycle's end.
+    let mut parked = false;
+    let mut accessed_while_parked = false;
+    for e in &seen.events {
+        match e.kind {
+            EventKind::SliceEnd { .. } => parked = true,
+            EventKind::SliceBegin { .. } | EventKind::GcEnd { gc: GcKind::Major, .. } => {
+                parked = false
+            }
+            EventKind::PageFault { .. } if parked => accessed_while_parked = true,
+            _ => {}
+        }
+    }
+    assert!(accessed_while_parked, "no access landed between two slices of one cycle");
+}
+
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn read_prim_at_past_the_end_panics() {
+    let mut heap = Heap::new(HeapConfig::small());
+    let h = filled_array(&mut heap, 16);
+    let mut pin = heap.pin(h);
+    heap.read_prim_at(&mut pin, 16);
+}
+
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn write_prim_at_past_the_end_panics() {
+    let mut heap = Heap::new(HeapConfig::small());
+    let class = heap.register_class("Two", 1, 2);
+    let h = heap.alloc(class).expect("fits");
+    let mut pin = heap.pin(h);
+    heap.write_prim_at(&mut pin, 2, 1);
+}
+
+#[test]
+#[should_panic(expected = "array_len on non-array")]
+fn array_len_at_on_a_plain_object_panics() {
+    let mut heap = Heap::new(HeapConfig::small());
+    let class = heap.register_class("Two", 1, 2);
+    let h = heap.alloc(class).expect("fits");
+    let mut pin = heap.pin(h);
+    heap.array_len_at(&mut pin);
 }

@@ -260,13 +260,13 @@ impl BlockManager {
                     | CacheMode::Adaptive { device, .. } => device,
                     _ => unreachable!("off-heap slot without a device"),
                 };
-                let mut bytes = vec![0u8; len];
-                device
-                    .read(offset, &mut bytes, Category::Io)
-                    .expect("off-heap cache read failed");
                 self.sd_deserializations += 1;
                 let before = heap.clock().category_ns(Category::SerDe);
-                let h = kryo_sim::deserialize(heap, &bytes)?;
+                // Deserialized in place from the device's bytes (the device
+                // read charges I/O, never S/D).
+                let h = device
+                    .view(offset, len, Category::Io, |bytes| kryo_sim::deserialize(heap, bytes))
+                    .expect("off-heap cache read failed")?;
                 let serde_ns = heap.clock().category_ns(Category::SerDe) - before;
                 heap.clock().emit(EventKind::BlockSerde { deser: true, bytes: len as u64 });
                 if let CacheMode::Adaptive { model, .. } = &mut self.mode {

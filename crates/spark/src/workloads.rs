@@ -242,26 +242,24 @@ fn exec(workload: Workload, ctx: &mut SparkContext, scale: DatasetScale) -> Resu
 /// Builds and persists the adjacency RDD: one partition per `partitions`,
 /// each a ref array of Vertex objects holding a primitive edge-target array.
 fn build_graph(ctx: &mut SparkContext, g: &GraphDataset) -> Result<(u64, Vec<BlockId>), OomError> {
-    let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); g.vertices];
-    for &(s, t) in &g.edges {
-        adjacency[s as usize].push(t);
-    }
+    let adjacency = g.adjacency();
     let parts = ctx.config.partitions;
     let rdd = ctx.new_rdd();
     let mut blocks = Vec::new();
     let mut scratch: Vec<u64> = Vec::new();
     for p in 0..parts {
-        let ids: Vec<usize> = (p..g.vertices).step_by(parts).collect();
+        let ids = (p..g.vertices).step_by(parts);
         let part = ctx.heap.alloc(ctx.partition_class)?;
         let arr = ctx.heap.alloc_ref_array(ids.len())?;
-        for (i, &vid) in ids.iter().enumerate() {
-            let edges = ctx.heap.alloc_prim_array(adjacency[vid].len().max(1))?;
+        for (i, vid) in ids.enumerate() {
+            let targets = adjacency.of(vid);
+            let edges = ctx.heap.alloc_prim_array(targets.len().max(1))?;
             scratch.clear();
-            scratch.extend(adjacency[vid].iter().map(|&t| t as u64));
+            scratch.extend(targets.iter().map(|&t| t as u64));
             ctx.heap.write_prims(edges, 0, &scratch);
             let v = ctx.heap.alloc(ctx.vertex_class)?;
             ctx.heap.write_prim(v, 0, vid as u64);
-            ctx.heap.write_prim(v, 1, adjacency[vid].len() as u64);
+            ctx.heap.write_prim(v, 1, targets.len() as u64);
             ctx.heap.write_ref(v, 0, edges);
             ctx.heap.release(edges);
             ctx.heap.write_ref(arr, i, v);

@@ -199,10 +199,15 @@ impl SimDevice {
             self.clock.charge(cat, self.spec.write_cost_ns(buf.len()));
         }
         let mut data = self.data.lock();
-        if data.len() < end {
-            data.resize(end, 0);
+        if offset == data.len() {
+            // Appending (every blob-cache write): no zero fill to overwrite.
+            data.extend_from_slice(buf);
+        } else {
+            if data.len() < end {
+                data.resize(end, 0);
+            }
+            data[offset..end].copy_from_slice(buf);
         }
-        data[offset..end].copy_from_slice(buf);
         drop(data);
         let bytes = self.spec.access_bytes(buf.len()) as u64;
         self.stats.record_write(bytes);
@@ -230,19 +235,59 @@ impl SimDevice {
         buf[..written].copy_from_slice(&data[offset..offset + written]);
         drop(data);
         buf[written..].fill(0);
+        self.account_read(buf.len(), cat);
+        Ok(())
+    }
+
+    /// Reads `len` bytes at `offset` without copying them out: charges,
+    /// counts, fault-injects and emits exactly what [`SimDevice::read`] of
+    /// the same range does — all before `f` runs, as a copy followed by its
+    /// consumer would — and hands `f` the bytes in place.
+    ///
+    /// The device's storage stays locked while `f` runs, so `f` must not
+    /// touch this device (or a clone of it). Consumers run heap code in `f`
+    /// (deserialization allocates, collects and promotes to H2); that is
+    /// sound because every blob device is a private `SimDevice` the heap
+    /// never writes — H2 lives on a [`SharedDevice`](crate::SharedDevice),
+    /// which deliberately offers no `view`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeviceError::OutOfSpace`] if the range extends past
+    /// capacity and [`DeviceError::Unwritten`] if it extends past the
+    /// written prefix: there are no bytes to lend there, and a view is never
+    /// a short slice. Nothing is charged on error.
+    pub fn view<R>(
+        &self,
+        offset: usize,
+        len: usize,
+        cat: Category,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, DeviceError> {
+        let end = offset.checked_add(len).ok_or(DeviceError::OutOfSpace)?;
+        if end > self.capacity {
+            return Err(DeviceError::OutOfSpace);
+        }
+        let data = self.data.lock();
+        let bytes = data.get(offset..end).ok_or(DeviceError::Unwritten)?;
+        self.account_read(len, cat);
+        Ok(f(bytes))
+    }
+
+    /// The simulated side of reading `len` bytes: charge (with the fault
+    /// plane's spike and retries, if armed), statistics, event.
+    fn account_read(&self, len: usize, cat: Category) {
         if let Some(plane) = self.plane.as_deref() {
             let mult = plane.spike_multiplier();
-            self.clock
-                .charge(cat, self.spec.read_cost_ns(buf.len()).saturating_mul(mult));
+            self.clock.charge(cat, self.spec.read_cost_ns(len).saturating_mul(mult));
             let out = fault::inject(plane, &self.clock, cat, false);
             self.stats.record_retries(out.retries as u64);
         } else {
-            self.clock.charge(cat, self.spec.read_cost_ns(buf.len()));
+            self.clock.charge(cat, self.spec.read_cost_ns(len));
         }
-        let bytes = self.spec.access_bytes(buf.len()) as u64;
+        let bytes = self.spec.access_bytes(len) as u64;
         self.stats.record_read(bytes);
         self.clock.emit(EventKind::DeviceRead { bytes });
-        Ok(())
     }
 }
 
@@ -251,6 +296,8 @@ impl SimDevice {
 pub enum DeviceError {
     /// The operation extends past the device capacity.
     OutOfSpace,
+    /// A borrowed view extends past the bytes written so far.
+    Unwritten,
     /// An injected transient write error survived the whole retry budget
     /// (only reachable with an armed fault plane).
     Io,
@@ -260,6 +307,7 @@ impl std::fmt::Display for DeviceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DeviceError::OutOfSpace => write!(f, "device out of space"),
+            DeviceError::Unwritten => write!(f, "view past the device's written prefix"),
             DeviceError::Io => write!(f, "device i/o error (injected, retries exhausted)"),
         }
     }
@@ -270,6 +318,7 @@ impl std::error::Error for DeviceError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
 
     #[test]
     fn nvme_rounds_to_pages() {
@@ -327,6 +376,91 @@ mod tests {
         let mut buf = [7u8; 10];
         dev.read(102, &mut buf, Category::Io).unwrap();
         assert_eq!(&buf, b"llo\0\0\0\0\0\0\0");
+    }
+
+    /// What a sequence of reads leaves observable on a device.
+    fn read_trace(plan: FaultPlan, by_view: bool) -> (Vec<u8>, Vec<u64>, Vec<teraheap_obs::Event>) {
+        let clock = Arc::new(SimClock::new());
+        clock.tracer().set_level(teraheap_obs::Level::Full);
+        let mut dev = SimDevice::new(DeviceSpec::nvme_ssd(), 1 << 20, clock.clone());
+        let plane = plan.enabled.then(|| FaultPlane::new(plan));
+        if let Some(plane) = &plane {
+            dev.set_fault_plane(plane.clone());
+        }
+        let blob: Vec<u8> = (0..10_000u32).map(|i| (i * 7) as u8).collect();
+        dev.write(0, &blob, Category::Io).unwrap();
+        let mut seen = Vec::new();
+        for k in 0..64usize {
+            let (offset, len) = (k * 131 % 9000, 1 + k * 97 % 1000);
+            if by_view {
+                dev.view(offset, len, Category::SerDe, |b| seen.extend_from_slice(b)).unwrap();
+            } else {
+                let mut buf = vec![0u8; len];
+                dev.read(offset, &mut buf, Category::SerDe).unwrap();
+                seen.extend_from_slice(&buf);
+            }
+        }
+        let mut counters: Vec<u64> = Category::ALL.iter().map(|&c| clock.category_ns(c)).collect();
+        counters.extend(clock.tracer().charge_counts());
+        let s = dev.stats();
+        counters.extend([
+            s.read_bytes(),
+            s.read_ops(),
+            s.write_bytes(),
+            s.write_ops(),
+            s.io_retries(),
+        ]);
+        if let Some(plane) = &plane {
+            counters.extend([plane.retries(), plane.faults_injected()]);
+        }
+        (seen, counters, clock.tracer().events())
+    }
+
+    #[test]
+    fn view_is_indistinguishable_from_read() {
+        let chaos = FaultPlan::zero_rate(11)
+            .with_error_ppm(300_000, 0)
+            .with_retries(6, 10_000)
+            .with_spike(4, 2, 8);
+        for plan in [FaultPlan::none(), FaultPlan::zero_rate(11), chaos] {
+            let read = read_trace(plan, false);
+            assert_eq!(read_trace(plan, true), read, "{plan:?}");
+            if plan.read_err_ppm > 0 {
+                let retries = read.1[read.1.len() - 2];
+                assert!(retries > 0, "the chaos plan must inject read retries");
+            }
+        }
+    }
+
+    #[test]
+    fn view_past_the_written_prefix_is_an_error_and_free() {
+        let clock = Arc::new(SimClock::new());
+        let dev = SimDevice::new(DeviceSpec::dram(), 1024, clock.clone());
+        dev.write(100, b"hello", Category::Io).unwrap();
+        let before = clock.total_ns();
+        assert_eq!(dev.view(102, 10, Category::Io, |b| b.len()), Err(DeviceError::Unwritten));
+        assert_eq!(dev.view(105, 1, Category::Io, |b| b.len()), Err(DeviceError::Unwritten));
+        assert_eq!(dev.view(1020, 8, Category::Io, |b| b.len()), Err(DeviceError::OutOfSpace));
+        assert_eq!(
+            dev.view(usize::MAX, 2, Category::Io, |b| b.len()),
+            Err(DeviceError::OutOfSpace)
+        );
+        assert_eq!((clock.total_ns(), dev.stats().read_ops()), (before, 0));
+        // Up to the last written byte it is the written bytes, gap included.
+        assert_eq!(dev.view(98, 7, Category::Io, |b| b.to_vec()).unwrap(), b"\0\0hello");
+        assert_eq!(dev.view(105, 0, Category::Io, |b| b.len()), Ok(0));
+    }
+
+    #[test]
+    fn appended_and_overlapping_writes_land() {
+        let clock = Arc::new(SimClock::new());
+        let dev = SimDevice::new(DeviceSpec::dram(), 1024, clock);
+        dev.write(0, b"abcd", Category::Io).unwrap(); // append to empty
+        dev.write(4, b"efgh", Category::Io).unwrap(); // append at the end
+        dev.write(2, b"XY", Category::Io).unwrap(); // overwrite inside
+        dev.write(6, b"ZZZZ", Category::Io).unwrap(); // straddle the end
+        dev.write(12, b"!", Category::Io).unwrap(); // past the end: gap reads zero
+        assert_eq!(dev.view(0, 13, Category::Io, |b| b.to_vec()).unwrap(), b"abXYefZZZZ\0\0!");
     }
 
     #[test]

@@ -44,6 +44,41 @@ impl GraphDataset {
     pub fn approx_bytes(&self) -> usize {
         self.vertices * 48 + self.edges.len() * 24
     }
+
+    /// The out-adjacency lists in compressed sparse row form: a stable
+    /// counting sort of `edges` by source, so every vertex's targets keep
+    /// their order in `edges`.
+    pub fn adjacency(&self) -> Adjacency {
+        let mut offsets = vec![0usize; self.vertices + 1];
+        for &(s, _) in &self.edges {
+            offsets[s as usize + 1] += 1;
+        }
+        for v in 0..self.vertices {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets.clone();
+        let mut targets = vec![0u32; self.edges.len()];
+        for &(s, t) in &self.edges {
+            targets[cursor[s as usize]] = t;
+            cursor[s as usize] += 1;
+        }
+        Adjacency { offsets, targets }
+    }
+}
+
+/// Out-adjacency lists of a [`GraphDataset`], flattened: vertex `v`'s
+/// targets are `targets[offsets[v]..offsets[v + 1]]`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Adjacency {
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+}
+
+impl Adjacency {
+    /// The targets of `v`'s out-edges, in edge-list order.
+    pub fn of(&self, v: usize) -> &[u32] {
+        &self.targets[self.offsets[v]..self.offsets[v + 1]]
+    }
 }
 
 /// Generates a power-law graph with `vertices` vertices and roughly
@@ -174,6 +209,22 @@ mod tests {
             top1pct * 100 / total
         );
         assert!(d[0] > 10 * d[d.len() / 2].max(1), "hub far above median");
+    }
+
+    #[test]
+    fn adjacency_lists_keep_edge_order() {
+        let mut g = powerlaw_graph(300, 5, 11);
+        // Unsorted input: the counting sort must not rely on source order.
+        g.edges.reverse();
+        let adj = g.adjacency();
+        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); g.vertices];
+        for &(s, t) in &g.edges {
+            lists[s as usize].push(t);
+        }
+        for (v, list) in lists.iter().enumerate() {
+            assert_eq!(adj.of(v), list.as_slice(), "vertex {v}");
+        }
+        assert_eq!(g.out_degrees()[7], adj.of(7).len());
     }
 
     #[test]

@@ -87,8 +87,20 @@ echo "== bulk equivalence: batched touches match the per-word loop =="
 cargo test -q --offline -p teraheap-storage --test bulk_equivalence
 # The same invariant one layer up: Heap::view_prims (borrowed), read_prims
 # (copied) and the read_prim loop observe and charge the same, on H1, paged
-# and DAX H2, and across the Panthera NVM boundary.
+# and DAX H2, and across the Panthera NVM boundary. The same suite holds the
+# pinned twin: the *_at accessors over pins taken before any collection must
+# be indistinguishable from the handle accessors across minor and major GCs,
+# H2 promotion of the pinned object and a sliced cycle in flight.
 cargo test -q --offline -p teraheap-runtime --test bulk_equivalence
+echo "ok"
+
+# Giraph and kryo charge pins (DESIGN.md §9): the superstep loop, the message
+# stores and the OOC blob path are host-optimized, so their simulated
+# numbers — per-category ns, GC counts, offloads/reloads, charge-call counts,
+# stream bytes — are pinned to tables captured before that work.
+echo "== charge pins: giraph superstep plane, kryo streams =="
+cargo test -q --offline -p mini-giraph --test charge_pin
+cargo test -q --offline -p kryo-sim --test stream_pin
 echo "ok"
 
 # Page-cache invariant (DESIGN.md §7): the page table + intrusive list is an
