@@ -12,12 +12,17 @@
 //!   through a handle and through a pin, on H1 and on page-cached H2;
 //! * `giraph/*` — a whole in-memory WCC run (load plus supersteps);
 //! * `h1_cards/*` — H1 dirty-card indexing: sparse scan and barrier mark;
-//! * `mmap/*` — page-cache touch: a resident hit, and fault + eviction
-//!   with the working set far past the budget;
+//! * `spark/*` — one PageRank scan of a cached graph partition through the
+//!   partition cursor, resident in H1 and in page-cached H2;
+//! * `workloads/*` — asking for the dataset the thread generated last;
+//! * `mmap/*` — page-cache touch: a resident hit on the front page, word
+//!   hits rotating over eight resident pages, and fault + eviction with the
+//!   working set far past the budget;
 //! * `h2_cards/*` — H2 card-table scanning at several segment sizes;
 //! * `regions/*` — region allocation and bulk reclamation;
 //! * `serde/*` — kryo-sim serialize/deserialize round trips: a thousand
 //!   small objects, and one 64 Ki-word primitive array (a message store);
+//!   and the sizing walk alone (the reference resolver's identity index);
 //! * `promo/*` — promotion-buffer staging;
 //! * `query/*` — one point lookup, one 48-row index range scan and one
 //!   full-scan aggregate against a hot (H1) and a cold (H2, 6x the page
@@ -220,6 +225,61 @@ fn bench_giraph(bench: &mut Bench) {
     group.finish();
 }
 
+fn bench_spark(bench: &mut Bench) {
+    use mini_spark::workloads::{build_graph, for_each_vertex};
+    use mini_spark::{ExecMode, SparkConfig, SparkContext};
+    const VERTICES: usize = 4096;
+    let graph = teraheap_workloads::shared_graph(VERTICES, 8, 42);
+    let h2 = teraheap_core::H2Config::builder()
+        .region_words(256 << 10)
+        .n_regions(4)
+        .card_seg_words(512)
+        .resident_budget_bytes(2 << 20)
+        .page_size(4096)
+        .promo_buffer_bytes(16 << 10)
+        .build()
+        .expect("valid H2 config");
+    let mut group = bench.group("spark");
+    for (tier, mode) in [
+        ("h1", ExecMode::OnHeap),
+        ("h2", ExecMode::TeraHeap { h2, device: DeviceSpec::nvme_ssd() }),
+    ] {
+        let mut ctx = SparkContext::new(SparkConfig {
+            heap: HeapConfig::with_words(256 << 10, 1 << 20),
+            mode,
+            partitions: 1,
+            iterations: 1,
+        });
+        let blocks = build_graph(&mut ctx, &graph).unwrap();
+        ctx.heap.gc_major().unwrap();
+        let ranks = vec![1.0f64; VERTICES];
+        let mut contrib = vec![0.0f64; VERTICES];
+        group.bench_function(&format!("scan_pr_partition_{tier}"), |b| {
+            b.iter(|| {
+                for_each_vertex(&mut ctx, &blocks, |heap, v, edges| {
+                    let id = heap.read_prim_at(v, 0) as usize;
+                    let deg = heap.array_len_at(edges);
+                    let real_deg = heap.read_prim_at(v, 1) as usize;
+                    let share = 0.85 * ranks[id] / real_deg.max(1) as f64;
+                    for &t in heap.view_prims_at(edges, 0, deg.min(real_deg)) {
+                        contrib[t as usize] += share;
+                    }
+                    heap.charge_ops(real_deg as u64 + 1);
+                })
+                .unwrap();
+                black_box(contrib[0])
+            });
+        });
+    }
+    group.finish();
+
+    let mut group = bench.group("workloads");
+    group.bench_function("shared_graph_hit", |b| {
+        b.iter(|| black_box(teraheap_workloads::shared_graph(VERTICES, 8, 42).edge_count()));
+    });
+    group.finish();
+}
+
 fn bench_h1_cards(bench: &mut Bench) {
     let mut group = bench.group("h1_cards");
     // Sparse dirty set over a large old generation: the indexed dirty-word
@@ -252,6 +312,18 @@ fn bench_mmap(bench: &mut Bench) {
         let mut map = MmapSim::new(DeviceSpec::nvme_ssd(), 1 << 20, 1 << 20, 4096, clock);
         map.touch_read(0, 8, Category::Mutator);
         b.iter(|| map.touch_read(black_box(64), 8, Category::Mutator));
+    });
+    // Word touches rotating over eight resident pages: every hit also moves
+    // its page to the front of the recency list.
+    group.bench_function("resident_hit_word", |b| {
+        let clock = Arc::new(SimClock::new());
+        let mut map = MmapSim::new(DeviceSpec::nvme_ssd(), 1 << 20, 1 << 20, 4096, clock);
+        map.touch_read(0, 8 * 4096, Category::Mutator);
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 4096 + 8) % (8 * 4096);
+            map.touch_read(black_box(i), 8, Category::Mutator)
+        });
     });
     // Working set 64x the budget, strided so no touch rides readahead:
     // every touch faults and evicts, and every third page leaves dirty.
@@ -362,6 +434,11 @@ fn bench_serde(bench: &mut Bench) {
             heap.release(out);
         });
     });
+    // The sizing walk a Spark-SD put starts with: one identity-index insert
+    // per object, no stream.
+    group.bench_function("walk_identity_index", |b| {
+        b.iter(|| black_box(kryo_sim::serialized_size(&mut heap, arr)));
+    });
     group.finish();
 
     // One large primitive array, the shape of a Giraph message store:
@@ -456,6 +533,7 @@ fn main() {
     bench_gc(&mut bench);
     bench_heap(&mut bench);
     bench_giraph(&mut bench);
+    bench_spark(&mut bench);
     bench_h1_cards(&mut bench);
     bench_mmap(&mut bench);
     bench_h2_cards(&mut bench);

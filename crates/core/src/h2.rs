@@ -506,14 +506,22 @@ impl H2 {
     /// bulk access plane (see [`H2::read_words`]). Card marking stays the
     /// caller's job, as for [`H2::write_word`].
     pub fn write_words(&mut self, addr: Addr, vals: &[u64], cat: Category) {
-        if vals.is_empty() {
+        self.fill_words(addr, vals.len(), cat, |words| words.copy_from_slice(vals));
+    }
+
+    /// Charges a write of the `n` consecutive words starting at `addr`
+    /// through the bulk access plane, then lets `fill` produce them in
+    /// place (it must overwrite all `n`). This is the one implementation of
+    /// bulk write charging; [`H2::write_words`] is this with a copy as the
+    /// producer. An empty range charges nothing and never calls `fill`.
+    pub fn fill_words(&mut self, addr: Addr, n: usize, cat: Category, fill: impl FnOnce(&mut [u64])) {
+        if n == 0 {
             return;
         }
-        self.mmap
-            .touch_run(addr.h2_byte_offset(), vals.len() * WORD_BYTES, true, cat);
+        self.mmap.touch_run(addr.h2_byte_offset(), n * WORD_BYTES, true, cat);
         let base = addr.h2_offset() as usize;
-        self.data[base..base + vals.len()].copy_from_slice(vals);
-        self.mirror_dax(addr.h2_byte_offset(), vals.len() * WORD_BYTES);
+        fill(&mut self.data[base..base + n]);
+        self.mirror_dax(addr.h2_byte_offset(), n * WORD_BYTES);
         self.sync_durable();
     }
 

@@ -304,7 +304,7 @@ impl GiraphContext {
     /// Returns [`OomError`] if the graph does not fit.
     pub fn load(
         config: GiraphConfig,
-        graph: &teraheap_workloads::GraphDataset,
+        graph: &teraheap_workloads::Adjacency,
         initial_value: impl Fn(u64) -> u64,
     ) -> Result<Self, OomError> {
         let mut heap = Heap::new(config.heap);
@@ -331,7 +331,7 @@ impl GiraphContext {
     /// graph does not fit.
     pub fn load_tenant(
         config: GiraphConfig,
-        graph: &teraheap_workloads::GraphDataset,
+        graph: &teraheap_workloads::Adjacency,
         initial_value: impl Fn(u64) -> u64,
         device: &SharedDevice,
         clock: Arc<SimClock>,
@@ -346,7 +346,7 @@ impl GiraphContext {
     fn finish_load(
         mut heap: Heap,
         config: GiraphConfig,
-        graph: &teraheap_workloads::GraphDataset,
+        graph: &teraheap_workloads::Adjacency,
         initial_value: impl Fn(u64) -> u64,
     ) -> Result<Self, OomError> {
         let mut device = None;
@@ -398,23 +398,22 @@ impl GiraphContext {
     /// that the `h2_move` hint and the low threshold exist to avoid.
     fn input_superstep(
         &mut self,
-        graph: &teraheap_workloads::GraphDataset,
+        graph: &teraheap_workloads::Adjacency,
         initial_value: impl Fn(u64) -> u64,
     ) -> Result<(), OomError> {
         const FILL_PASSES: usize = 8;
         let parts = self.config.partitions;
         let teraheap = matches!(self.config.mode, GiraphMode::TeraHeap { .. });
-        let adjacency = graph.adjacency();
         // Phase 1: create the stores (vertices + pre-sized edge arrays).
         for p in 0..parts {
-            let ids = (p..graph.vertices).step_by(parts);
+            let ids = (p..graph.vertices()).step_by(parts);
             let n = ids.len();
             let vertices = self.heap.alloc_prim_array(n * 3)?;
             let mut vertices = self.heap.pin(vertices);
             let edges = self.heap.alloc_ref_array(n)?;
             let mut edge_words = 3 + n;
             for (i, vid) in ids.enumerate() {
-                let targets = adjacency.of(vid);
+                let targets = graph.of(vid);
                 self.heap.write_prim_at(&mut vertices, i * 3, vid as u64);
                 self.heap.write_prim_at(&mut vertices, i * 3 + 1, initial_value(vid as u64));
                 self.heap.write_prim_at(&mut vertices, i * 3 + 2, targets.len() as u64);
@@ -456,8 +455,8 @@ impl GiraphContext {
                 for pass in 0..FILL_PASSES {
                     let edges = self.parts[p].edges.expect("edges resident during load");
                     let mut edges = self.heap.pin(edges);
-                    for (i, vid) in (p..graph.vertices).step_by(parts).enumerate() {
-                        let targets = adjacency.of(vid);
+                    for (i, vid) in (p..graph.vertices()).step_by(parts).enumerate() {
+                        let targets = graph.of(vid);
                         let from = targets.len() * pass / FILL_PASSES;
                         let to = targets.len() * (pass + 1) / FILL_PASSES;
                         if from == to {
@@ -839,8 +838,8 @@ mod tests {
     use super::*;
     use teraheap_workloads::powerlaw_graph;
 
-    fn graph() -> teraheap_workloads::GraphDataset {
-        powerlaw_graph(200, 4, 7)
+    fn graph() -> teraheap_workloads::Adjacency {
+        powerlaw_graph(200, 4, 7).adjacency()
     }
 
     #[test]

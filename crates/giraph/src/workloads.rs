@@ -10,7 +10,7 @@ use crate::{GiraphConfig, GiraphContext, Inbox, TenantLoadError};
 use std::sync::Arc;
 use teraheap_runtime::{OomError, SharedDevice};
 use teraheap_storage::{Breakdown, SimClock};
-use teraheap_workloads::powerlaw_graph;
+use teraheap_workloads::{shared_graph, Adjacency};
 
 /// The evaluated Giraph workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -143,7 +143,7 @@ pub fn run_giraph_with_context(
     avg_degree: usize,
     seed: u64,
 ) -> Result<(GiraphContext, f64), OomError> {
-    let g = powerlaw_graph(vertices, avg_degree, seed);
+    let g = shared_graph(vertices, avg_degree, seed);
     let ctx = GiraphContext::load(config, &g, workload_init(workload))?;
     drive(ctx, workload, config, &g)
 }
@@ -165,7 +165,7 @@ pub fn run_giraph_on_tenant(
     device: &SharedDevice,
     clock: Arc<SimClock>,
 ) -> Result<(GiraphContext, f64), TenantLoadError> {
-    let g = powerlaw_graph(vertices, avg_degree, seed);
+    let g = shared_graph(vertices, avg_degree, seed);
     let ctx = GiraphContext::load_tenant(config, &g, workload_init(workload), device, clock)?;
     Ok(drive(ctx, workload, config, &g)?)
 }
@@ -184,14 +184,14 @@ fn drive(
     mut ctx: GiraphContext,
     workload: GiraphWorkload,
     config: GiraphConfig,
-    g: &teraheap_workloads::GraphDataset,
+    g: &Adjacency,
 ) -> Result<(GiraphContext, f64), OomError> {
     let parts = ctx.partitions();
     let max_ss = config.max_supersteps;
     // Capacity hints for combiner-less (CDLP) stores: in-edges per
     // destination partition.
     let mut in_caps = vec![0usize; parts];
-    for &(_, t) in &g.edges {
+    for &t in g.targets() {
         in_caps[t as usize % parts] += 1;
     }
     // PR and CDLP run without combiners (per-message stores, as the

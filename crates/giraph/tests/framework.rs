@@ -7,8 +7,8 @@ use teraheap_runtime::HeapConfig;
 use teraheap_storage::DeviceSpec;
 use teraheap_workloads::powerlaw_graph;
 
-fn graph() -> teraheap_workloads::GraphDataset {
-    powerlaw_graph(120, 4, 5)
+fn graph() -> teraheap_workloads::Adjacency {
+    powerlaw_graph(120, 4, 5).adjacency()
 }
 
 fn mem_cfg() -> GiraphConfig {

@@ -41,7 +41,7 @@
 //! assert_eq!(heap.read_prim(q, 1), 4);
 //! ```
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::cell::Cell;
 use teraheap_runtime::{Handle, Heap, OomError, Pin, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
 use teraheap_storage::Category;
 
@@ -54,13 +54,102 @@ const TEMP_EVERY_OBJECTS: usize = 64;
 /// Size of each temporary buffer object, in words.
 const TEMP_WORDS: usize = 256;
 
+/// Kryo's reference resolver: an identity map from object address to the
+/// order the walk discovered it in. It is only ever probed, never iterated,
+/// so how it hashes cannot reach the simulation. Open addressing with linear
+/// probing over a power-of-two table, keyed by a multiplicative hash of the
+/// address; a slot belongs to the current walk when its stamp equals
+/// `epoch`, so starting a walk costs one increment instead of a clear.
+#[derive(Debug, Default)]
+struct IdentityIndex {
+    slots: Vec<Slot>,
+    epoch: u32,
+    len: usize,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    addr: u64,
+    stamp: u32,
+    number: u32,
+}
+
+impl IdentityIndex {
+    /// Forgets every entry, keeping the table.
+    fn restart(&mut self) {
+        self.len = 0;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamps from 2^32 walks ago would read as current.
+            self.slots.fill(Slot::default());
+            self.epoch = 1;
+        }
+    }
+
+    /// The slot holding `addr`, or the empty slot it would go in. The table
+    /// is never more than half full, so the probe ends.
+    fn probe(&self, addr: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        // Fibonacci hashing: the product's high bits mix every address bit.
+        let mut i = (addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        while self.slots[i].stamp == self.epoch && self.slots[i].addr != addr {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The discovery number of `addr`, if this walk has met it.
+    fn get(&self, addr: u64) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let slot = self.slots[self.probe(addr)];
+        (slot.stamp == self.epoch).then_some(slot.number)
+    }
+
+    /// Numbers `addr` with the count of addresses met so far if it is new;
+    /// returns that number, or `None` if the walk had met it already.
+    fn insert(&mut self, addr: u64) -> Option<u32> {
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let i = self.probe(addr);
+        if self.slots[i].stamp == self.epoch {
+            return None;
+        }
+        let number = self.len as u32;
+        self.slots[i] = Slot { addr, stamp: self.epoch, number };
+        self.len += 1;
+        Some(number)
+    }
+
+    #[cold]
+    fn grow(&mut self) {
+        let live: Vec<Slot> =
+            self.slots.iter().copied().filter(|s| s.stamp == self.epoch).collect();
+        let capacity = (self.slots.len() * 2).max(64);
+        self.slots.clear();
+        self.slots.resize(capacity, Slot::default());
+        for slot in live {
+            let i = self.probe(slot.addr);
+            self.slots[i] = Slot { stamp: self.epoch, ..slot };
+        }
+    }
+}
+
+thread_local! {
+    /// The last walk's index, parked for the next one: a block put walks the
+    /// same partition up to three times (sizing, discovery, emission), and a
+    /// run puts many partitions of one size, so the table is sized once.
+    static PARKED_INDEX: Cell<IdentityIndex> = Cell::default();
+}
+
 /// The depth-first walk over a root's transitive closure that [`serialize`]
-/// and [`serialized_size`] share, with Kryo's reference resolver: an
-/// identity map from object address to discovery number. A walk performs no
-/// heap allocation, so addresses are stable keys for its whole length.
+/// and [`serialized_size`] share. A walk performs no heap allocation, so
+/// addresses are stable keys for its whole length.
 struct Walk {
     /// Object address -> discovery number.
-    seen: HashMap<u64, u32>,
+    seen: IdentityIndex,
     /// Objects still to visit, with their discovery numbers.
     stack: Vec<(Handle, u32)>,
     /// Handles the walk rooted (every discovered object but the root).
@@ -69,11 +158,10 @@ struct Walk {
 
 impl Walk {
     fn new(heap: &Heap, root: Handle) -> Self {
-        Walk {
-            seen: HashMap::from([(heap.handle_addr(root).raw(), 0)]),
-            stack: vec![(root, 0)],
-            owned: Vec::new(),
-        }
+        let mut seen = PARKED_INDEX.take();
+        seen.restart();
+        let number = seen.insert(heap.handle_addr(root).raw()).expect("a fresh index is empty");
+        Walk { seen, stack: vec![(root, number)], owned: Vec::new() }
     }
 
     /// Reads the object's `nrefs` reference slots (charged) and stacks every
@@ -81,22 +169,22 @@ impl Walk {
     fn push_refs(&mut self, heap: &mut Heap, obj: &mut Pin, nrefs: usize) {
         for i in 0..nrefs {
             let Some(t) = heap.read_ref_at(obj, i) else { continue };
-            let discovered = self.seen.len() as u32;
-            match self.seen.entry(heap.handle_addr(t).raw()) {
-                Entry::Vacant(e) => {
-                    e.insert(discovered);
+            match self.seen.insert(heap.handle_addr(t).raw()) {
+                Some(discovered) => {
                     self.stack.push((t, discovered));
                     self.owned.push(t);
                 }
-                Entry::Occupied(_) => heap.release(t),
+                None => heap.release(t),
             }
         }
     }
 
+    /// Releases the handles the walk rooted and parks the index.
     fn release(self, heap: &mut Heap) {
         for h in self.owned {
             heap.release(h);
         }
+        PARKED_INDEX.set(self.seen);
     }
 }
 
@@ -118,7 +206,7 @@ pub fn serialize(heap: &mut Heap, root: Handle) -> Result<Vec<u8>, OomError> {
     let mut order: Vec<Handle> = Vec::new();
     let mut stream_index: Vec<u32> = Vec::new(); // by discovery number
     while let Some((h, discovered)) = walk.stack.pop() {
-        stream_index.resize(walk.seen.len(), 0);
+        stream_index.resize(walk.seen.len, 0);
         stream_index[discovered as usize] = order.len() as u32;
         order.push(h);
         let mut obj = heap.pin(h);
@@ -133,7 +221,10 @@ pub fn serialize(heap: &mut Heap, root: Handle) -> Result<Vec<u8>, OomError> {
             let index = match heap.read_ref_at(obj, i) {
                 None => 0,
                 Some(t) => {
-                    let discovered = walk.seen[&heap.handle_addr(t).raw()];
+                    let discovered = walk
+                        .seen
+                        .get(heap.handle_addr(t).raw())
+                        .expect("emission meets only discovered objects");
                     heap.release(t);
                     stream_index[discovered as usize] + 1
                 }
@@ -174,7 +265,8 @@ pub fn serialize(heap: &mut Heap, root: Handle) -> Result<Vec<u8>, OomError> {
 }
 
 /// Reconstructs an object graph from `bytes`, allocating every object on the
-/// managed heap. Returns a handle to the root.
+/// managed heap. Returns a handle to the root; no other handle outlives the
+/// call, whether it succeeds or not.
 ///
 /// # Errors
 ///
@@ -184,10 +276,22 @@ pub fn serialize(heap: &mut Heap, root: Handle) -> Result<Vec<u8>, OomError> {
 ///
 /// Panics on a malformed stream (streams come from [`serialize`]).
 pub fn deserialize(heap: &mut Heap, bytes: &[u8]) -> Result<Handle, OomError> {
+    let mut handles: Vec<Handle> = Vec::new();
+    let rebuilt = rebuild(heap, bytes, &mut handles);
+    // Only the root is handed out, and not even it if the heap ran out.
+    let keep = usize::from(rebuilt.is_ok());
+    for h in handles.drain(keep..) {
+        heap.release(h);
+    }
+    rebuilt.map(|()| handles[0])
+}
+
+/// The body of [`deserialize`]: rebuilds the stream's objects in stream
+/// order, pushing a handle to each onto `handles` as it is allocated.
+fn rebuild(heap: &mut Heap, bytes: &[u8], handles: &mut Vec<Handle>) -> Result<(), OomError> {
     let mut r = Reader { b: bytes, pos: 0 };
     let count = r.u32() as usize;
-    let mut scratch: Vec<u64> = Vec::new();
-    let mut handles: Vec<Handle> = Vec::with_capacity(count);
+    handles.reserve(count);
     let mut pending_refs: Vec<(usize, usize, u32)> = Vec::new(); // (obj, field, target+1)
     for obj_i in 0..count {
         if (obj_i + 1) % TEMP_EVERY_OBJECTS == 0 {
@@ -198,48 +302,32 @@ pub fn deserialize(heap: &mut Heap, bytes: &[u8]) -> Result<Handle, OomError> {
         let kind = r.u8();
         let len = r.u32() as usize;
         let h = match kind {
-            KIND_PRIM_ARRAY => {
-                let h = heap.alloc_prim_array(len)?;
-                r.words(len, &mut scratch);
-                heap.write_prims(h, 0, &scratch);
-                h
-            }
-            KIND_REF_ARRAY => {
-                let h = heap.alloc_ref_array(len)?;
-                for i in 0..len {
-                    let t = r.u32();
-                    if t != 0 {
-                        pending_refs.push((obj_i, i, t));
-                    }
-                }
-                h
-            }
-            KIND_PLAIN => {
-                let h = heap.alloc(class)?;
-                for i in 0..len {
-                    let t = r.u32();
-                    if t != 0 {
-                        pending_refs.push((obj_i, i, t));
-                    }
-                }
-                let prims = r.u32() as usize;
-                r.words(prims, &mut scratch);
-                heap.write_prims(h, 0, &scratch);
-                h
-            }
+            KIND_PRIM_ARRAY => heap.alloc_prim_array(len)?,
+            KIND_REF_ARRAY => heap.alloc_ref_array(len)?,
+            KIND_PLAIN => heap.alloc(class)?,
             k => panic!("malformed stream: unknown object kind {k}"),
         };
         handles.push(h);
+        if kind == KIND_PRIM_ARRAY {
+            r.words_into(heap, h, len);
+            continue;
+        }
+        for i in 0..len {
+            let t = r.u32();
+            if t != 0 {
+                pending_refs.push((obj_i, i, t));
+            }
+        }
+        if kind == KIND_PLAIN {
+            let prims = r.u32() as usize;
+            r.words_into(heap, h, prims);
+        }
     }
     for (obj, field, target) in pending_refs {
         heap.write_ref(handles[obj], field, handles[target as usize - 1]);
     }
     charge_sd(heap, count, bytes.len());
-    let root = handles[0];
-    for h in handles.into_iter().skip(1) {
-        heap.release(h);
-    }
-    Ok(root)
+    Ok(())
 }
 
 /// The serialized size in bytes of `root`'s transitive closure, without
@@ -320,13 +408,17 @@ impl Reader<'_> {
     fn u32(&mut self) -> u32 {
         u32::from_le_bytes(self.take())
     }
-    /// Decodes a run of `n` little-endian words into `out` (replacing its
-    /// contents), eight bytes at a time over one bounds-checked slice.
-    fn words(&mut self, n: usize, out: &mut Vec<u64>) {
+    /// Decodes a run of `n` little-endian words straight into the first `n`
+    /// primitive slots of `h` (a charged bulk write), eight bytes at a time
+    /// over one bounds-checked slice.
+    fn words_into(&mut self, heap: &mut Heap, h: Handle, n: usize) {
         let run = &self.b[self.pos..self.pos + n * 8];
         self.pos += n * 8;
-        out.clear();
-        out.extend(run.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))));
+        heap.fill_prims_at(&mut heap.pin(h), 0, n, |slots| {
+            for (slot, bytes) in slots.iter_mut().zip(run.chunks_exact(8)) {
+                *slot = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+            }
+        });
     }
 }
 
@@ -337,6 +429,39 @@ mod tests {
 
     fn heap() -> Heap {
         Heap::new(HeapConfig::small())
+    }
+
+    #[test]
+    fn identity_index_numbers_addresses_in_discovery_order() {
+        let mut index = IdentityIndex::default();
+        assert_eq!(index.get(7), None, "an index that never grew is empty");
+        // H1-like and H2-like (high-bit) addresses, dense enough to collide
+        // and to grow the table several times.
+        let addrs: Vec<u64> = (0..1000u64).map(|i| i * 8 + ((i % 3) << 62)).collect();
+        for walk in 0..3 {
+            index.restart();
+            let capacity = index.slots.len();
+            for (n, &a) in addrs.iter().enumerate() {
+                assert_eq!(index.insert(a), Some(n as u32));
+                assert_eq!(index.insert(a), None, "met twice");
+            }
+            for (n, &a) in addrs.iter().enumerate() {
+                assert_eq!(index.get(a), Some(n as u32));
+            }
+            assert_eq!(index.get(4), None);
+            assert_eq!(index.len, addrs.len());
+            assert!(walk == 0 || index.slots.len() == capacity, "a reused table is not regrown");
+        }
+        index.restart();
+        assert_eq!(index.get(addrs[5]), None, "a new walk forgets the last one");
+        // An epoch wrap-around clears the table: the entry stamped 1 below
+        // must not come back to life when the epoch is 1 again.
+        let mut index = IdentityIndex::default();
+        index.restart();
+        assert_eq!((index.epoch, index.insert(addrs[5])), (1, Some(0)));
+        index.epoch = u32::MAX;
+        index.restart();
+        assert_eq!((index.epoch, index.get(addrs[5])), (1, None));
     }
 
     #[test]
@@ -430,6 +555,32 @@ mod tests {
             h.eden_used_words() > eden_before || h.stats().minor_count > 0,
             "temporary buffers allocated during S/D"
         );
+    }
+
+    #[test]
+    fn failed_deserialization_releases_every_handle() {
+        let build = |h: &mut Heap| {
+            let c = h.register_class("E", 0, 1);
+            let arr = h.alloc_ref_array(300).unwrap();
+            for i in 0..300 {
+                let e = h.alloc(c).unwrap();
+                h.write_ref(arr, i, e);
+                h.release(e);
+            }
+            arr
+        };
+        let mut big = heap();
+        let arr = build(&mut big);
+        let bytes = serialize(&mut big, arr).unwrap();
+        // 300 elements of 3 words and their 303-word array do not fit 512 words.
+        let mut small = Heap::new(HeapConfig::with_words(256, 256));
+        small.register_class("E", 0, 1);
+        assert!(deserialize(&mut small, &bytes).is_err());
+        assert_eq!(small.live_roots(), 0, "half-built graph left rooted");
+        // A successful one hands out exactly the root.
+        let roots = big.live_roots();
+        deserialize(&mut big, &bytes).unwrap();
+        assert_eq!(big.live_roots(), roots + 1);
     }
 
     #[test]

@@ -1063,13 +1063,30 @@ impl Heap {
     /// what the equivalent per-element loop would, with the layout lookup
     /// and bounds check done once — and returns them in place, on either
     /// heap. The borrow ends before the next heap call, so a view never
-    /// outlives a collection. This is the one implementation of bulk read
-    /// charging; [`Heap::read_prims`] is this plus a copy.
+    /// outlives a collection. An empty range charges nothing and is not
+    /// bounds-checked. [`Heap::read_prims`] is this plus a copy.
     pub fn view_prims(&mut self, h: Handle, start: usize, n: usize) -> &[u64] {
         if n == 0 {
             return &[];
         }
         let base = self.pin(h).at.prim_range(start, n);
+        self.view_run(base, n)
+    }
+
+    /// [`Heap::view_prims`] through a pin.
+    #[inline]
+    pub fn view_prims_at(&mut self, pin: &mut Pin, start: usize, n: usize) -> &[u64] {
+        if n == 0 {
+            return &[];
+        }
+        self.refresh(pin);
+        self.view_run(pin.at.prim_range(start, n), n)
+    }
+
+    /// The one implementation of bulk read charging: a charged view of the
+    /// `n > 0` bounds-checked words at `base`.
+    #[inline(always)]
+    fn view_run(&mut self, base: Addr, n: usize) -> &[u64] {
         if base.is_h2() {
             // Device-resident object: one touch_run over the range charges
             // exactly what the per-word loop did (DESIGN.md §9).
@@ -1098,16 +1115,46 @@ impl Heap {
             return;
         }
         let base = self.pin(h).at.prim_range(start, vals.len());
+        self.fill_run(base, vals.len(), |slots| slots.copy_from_slice(vals));
+    }
+
+    /// The write twin of [`Heap::view_prims_at`]: charges a write of the `n`
+    /// consecutive primitive fields/elements starting at `start`, then hands
+    /// the slots themselves to `fill`, on either heap — a producer (a
+    /// decoder, an iterator) writes its words where they will live instead
+    /// of into a buffer [`Heap::write_prims`] then copies. `fill` sees the
+    /// old values and must overwrite all `n`. An empty range charges
+    /// nothing, is not bounds-checked and never calls `fill`.
+    #[inline]
+    pub fn fill_prims_at(
+        &mut self,
+        pin: &mut Pin,
+        start: usize,
+        n: usize,
+        fill: impl FnOnce(&mut [u64]),
+    ) {
+        if n == 0 {
+            return;
+        }
+        self.refresh(pin);
+        self.fill_run(pin.at.prim_range(start, n), n, fill);
+    }
+
+    /// The one implementation of bulk write charging: charges a write of
+    /// the `n > 0` bounds-checked words at `base`, then lets `fill` produce
+    /// them in place.
+    #[inline(always)]
+    fn fill_run(&mut self, base: Addr, n: usize, fill: impl FnOnce(&mut [u64])) {
         if base.is_h2() {
             self.h2
                 .as_mut()
                 .expect("H2 address without H2")
-                .write_words(base, vals, Category::Mutator);
+                .fill_words(base, n, Category::Mutator, fill);
             return;
         }
-        self.charge_h1_words(base, vals.len() as u64, Category::Mutator);
+        self.charge_h1_words(base, n as u64, Category::Mutator);
         let s = base.raw() as usize;
-        self.mem[s..s + vals.len()].copy_from_slice(vals);
+        fill(&mut self.mem[s..s + n]);
     }
 
     /// Charges `n` H1 mutator word accesses in one step: the exact integer

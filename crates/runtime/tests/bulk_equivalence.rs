@@ -1,22 +1,25 @@
 //! Runtime twin of `crates/storage/tests/bulk_equivalence.rs` (DESIGN.md
-//! §9): the three ways to read a run of primitives — the per-word
-//! [`Heap::read_prim`] loop, the copying [`Heap::read_prims`] and the
-//! borrowed [`Heap::view_prims`] — must be indistinguishable in everything
-//! the simulation observes: the words, per-category and total nanoseconds,
-//! the event stream at `TERAHEAP_OBS=full`, and (for device-resident
-//! objects) the page-cache statistics and charge-call counts.
+//! §9): the ways to read a run of primitives — the per-word
+//! [`Heap::read_prim`] loop, the copying [`Heap::read_prims`], the borrowed
+//! [`Heap::view_prims`] and [`Heap::view_prims_at`] through one pin — must
+//! be indistinguishable in everything the simulation observes: the words,
+//! per-category and total nanoseconds, the event stream at
+//! `TERAHEAP_OBS=full`, and (for device-resident objects) the page-cache
+//! statistics and charge-call counts. Likewise the ways to write one: the
+//! [`Heap::write_prim`] loop, [`Heap::write_prims`] and the in-place
+//! [`Heap::fill_prims_at`].
 //!
-//! Each scenario builds the same heap three times and replays one script of
-//! `(start, len)` ranges through one accessor each. On H1 the bulk
-//! accessors make one `SimClock::charge` call per range where the loop
-//! makes one per word, so charge-call counts are compared between the two
-//! bulk accessors only; on H2 `touch_run` batches the loop's exact count.
+//! Each scenario builds the same heap once per accessor and replays one
+//! script of `(start, len)` ranges through it. On H1 the bulk accessors make
+//! one `SimClock::charge` call per range where the loop makes one per word,
+//! so charge-call counts are compared between the bulk accessors only; on
+//! H2 `touch_run` batches the loop's exact count.
 //!
-//! The second half is the same contract for the word loops that stay
-//! word-at-a-time: a [`Pin`] resolves its object once on the host, so the
-//! `*_at` accessors must be indistinguishable from the handle accessors
-//! they stand in for — across collections, H2 promotion of the pinned
-//! object, and a sliced major cycle left in flight (see [`Op`]).
+//! The second half is the same contract for pinned access: a [`Pin`]
+//! resolves its object once on the host, so the `*_at` accessors — word and
+//! bulk — must be indistinguishable from the handle accessors they stand in
+//! for, across collections, H2 promotion of the pinned object, and a sliced
+//! major cycle left in flight (see [`Op`]).
 
 use teraheap_core::{H2Config, Label};
 use teraheap_runtime::obs::{Event, EventKind, GcKind, Level};
@@ -26,9 +29,14 @@ use teraheap_util::rng::Rng;
 
 #[derive(Clone, Copy)]
 enum Access {
+    /// One word at a time through the handle.
     Loop,
-    Read,
+    /// `read_prims` / `write_prims`.
+    Copy,
+    /// `view_prims` (reads only).
     View,
+    /// `view_prims_at` / `fill_prims_at` through one pin taken up front.
+    Pinned,
 }
 
 /// Everything a scenario can observe about one replay.
@@ -53,18 +61,46 @@ fn replay(
     access: Access,
 ) -> (Observed, [u64; Category::COUNT]) {
     let (mut heap, h) = mk();
+    let mut pin = heap.pin(h);
     let mut words = Vec::new();
     for &(start, n) in script {
         match access {
             Access::Loop => words.extend((start..start + n).map(|i| heap.read_prim(h, i))),
-            Access::Read => {
+            Access::Copy => {
                 let mut buf = vec![0; n];
                 heap.read_prims(h, start, &mut buf);
                 words.extend(buf);
             }
             Access::View => words.extend_from_slice(heap.view_prims(h, start, n)),
+            Access::Pinned => words.extend_from_slice(heap.view_prims_at(&mut pin, start, n)),
         }
     }
+    observe(&heap, words)
+}
+
+/// Writes `script`'s ranges (word `i` of the `k`-th range becomes
+/// `1_000_000 * k + i`) through one accessor, then reads the array back.
+fn replay_writes(
+    mk: &dyn Fn() -> (Heap, Handle),
+    script: &[(usize, usize)],
+    access: Access,
+) -> (Observed, [u64; Category::COUNT]) {
+    let (mut heap, h) = mk();
+    let mut pin = heap.pin(h);
+    for (k, &(start, n)) in script.iter().enumerate() {
+        let vals = (start..start + n).map(|i| 1_000_000 * k as u64 + i as u64);
+        match access {
+            Access::Loop => vals.zip(start..).for_each(|(v, i)| heap.write_prim(h, i, v)),
+            Access::Copy => heap.write_prims(h, start, &vals.collect::<Vec<u64>>()),
+            Access::View => unreachable!("views do not write"),
+            Access::Pinned => heap.fill_prims_at(&mut pin, start, n, |slots| {
+                assert_eq!(slots.len(), n, "fill sees exactly the range");
+                slots.iter_mut().zip(vals).for_each(|(slot, v)| *slot = v);
+            }),
+        }
+    }
+    let len = heap.array_len(h);
+    let words = heap.view_prims(h, 0, len).to_vec();
     observe(&heap, words)
 }
 
@@ -95,17 +131,31 @@ fn observe(heap: &Heap, words: Vec<u64>) -> (Observed, [u64; Category::COUNT]) {
     (observed, clock.tracer().charge_counts())
 }
 
-/// Replays `script` through all three accessors and requires identical
-/// observations; returns the common one.
+/// Replays `script` through all four read accessors, then through all three
+/// write accessors, and requires identical observations within each group;
+/// returns the readers' common one.
 fn assert_equivalent(mk: &dyn Fn() -> (Heap, Handle), script: &[(usize, usize)]) -> Observed {
     let (looped, loop_charges) = replay(mk, script, Access::Loop);
-    let (read, read_charges) = replay(mk, script, Access::Read);
+    let (read, read_charges) = replay(mk, script, Access::Copy);
     let (view, view_charges) = replay(mk, script, Access::View);
+    let (pinned, pinned_charges) = replay(mk, script, Access::Pinned);
     assert_eq!(read, looped, "read_prims diverged from the per-word loop");
     assert_eq!(view, looped, "view_prims diverged from the per-word loop");
+    assert_eq!(pinned, looped, "view_prims_at diverged from the per-word loop");
     assert_eq!(view_charges, read_charges, "view_prims and read_prims charge-call counts");
+    assert_eq!(pinned_charges, read_charges, "view_prims_at and read_prims charge-call counts");
     if !looped.io.is_empty() {
         assert_eq!(view_charges, loop_charges, "touch_run batches the loop's charge calls");
+    }
+
+    let (write_loop, write_loop_charges) = replay_writes(mk, script, Access::Loop);
+    let (written, write_charges) = replay_writes(mk, script, Access::Copy);
+    let (filled, fill_charges) = replay_writes(mk, script, Access::Pinned);
+    assert_eq!(written, write_loop, "write_prims diverged from the per-word loop");
+    assert_eq!(filled, write_loop, "fill_prims_at diverged from the per-word loop");
+    assert_eq!(fill_charges, write_charges, "fill_prims_at and write_prims charge-call counts");
+    if !write_loop.io.is_empty() {
+        assert_eq!(fill_charges, write_loop_charges, "touch_run batches the loop's charge calls");
     }
     looped
 }
@@ -268,6 +318,34 @@ fn read_prims_past_the_end_panics() {
     heap.read_prims(h, 15, &mut [0; 2]);
 }
 
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn view_prims_at_past_the_end_panics() {
+    let mut heap = Heap::new(HeapConfig::small());
+    let h = filled_array(&mut heap, 16);
+    let mut pin = heap.pin(h);
+    heap.view_prims_at(&mut pin, 15, 2);
+}
+
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn fill_prims_at_past_the_end_panics() {
+    let mut heap = Heap::new(HeapConfig::small());
+    let h = filled_array(&mut heap, 16);
+    let mut pin = heap.pin(h);
+    heap.fill_prims_at(&mut pin, 15, 2, |_| unreachable!("the range is checked first"));
+}
+
+#[test]
+fn empty_fills_never_call_the_producer() {
+    let mut heap = Heap::new(HeapConfig::small());
+    let h = filled_array(&mut heap, 16);
+    let mut pin = heap.pin(h);
+    let before = heap.clock().total_ns();
+    heap.fill_prims_at(&mut pin, 99, 0, |_| unreachable!("nothing to fill"));
+    assert_eq!(heap.clock().total_ns(), before);
+}
+
 // ----- pinned word access -----------------------------------------------------
 
 /// One pool object a word script addresses.
@@ -288,6 +366,11 @@ enum Op {
     Read(usize, usize),
     Write(usize, usize, u64),
     Len(usize),
+    /// Bulk-read `n` words from `start` (`view_prims` / `view_prims_at`).
+    View(usize, usize, usize),
+    /// Bulk-write `n` words from `start`, word `k` of the range becoming
+    /// `base + k` (`write_prims` / `fill_prims_at`).
+    Fill(usize, usize, usize, u64),
     /// Follow reference `idx` of the object (null or not, and the target's
     /// first primitive).
     ReadRef(usize, usize),
@@ -314,9 +397,26 @@ fn word_script(pool: &[Obj], len: usize, h2: bool, seed: u64) -> Vec<Op> {
     let mut script = Vec::with_capacity(len);
     for step in 0..len {
         let o = *rng.choose(&with_prims).expect("pool has primitive slots");
+        // A range of up to 700 words (more than a 4 KiB page) inside the
+        // object; one in eight is empty, and then may start past the end.
+        let range = |rng: &mut Rng| {
+            let start = rng.gen_range(0..pool[o].prims);
+            if rng.gen_range(0..8u32) == 0 {
+                return (start + rng.gen_range(0..pool[o].prims + 9), 0);
+            }
+            (start, rng.gen_range(1..(pool[o].prims - start).min(700) + 1))
+        };
         let op = match rng.gen_range(0..100u32) {
-            0..=39 => Op::Read(o, rng.gen_range(0..pool[o].prims)),
-            40..=69 => Op::Write(o, rng.gen_range(0..pool[o].prims), rng.next_u64()),
+            0..=29 => Op::Read(o, rng.gen_range(0..pool[o].prims)),
+            30..=39 => {
+                let (start, n) = range(&mut rng);
+                Op::View(o, start, n)
+            }
+            40..=59 => Op::Write(o, rng.gen_range(0..pool[o].prims), rng.next_u64()),
+            60..=69 => {
+                let (start, n) = range(&mut rng);
+                Op::Fill(o, start, n, rng.next_u64())
+            }
             70..=77 => Op::Len(*rng.choose(&arrays).expect("pool has arrays")),
             78..=83 if !with_refs.is_empty() => {
                 let r = *rng.choose(&with_refs).expect("checked");
@@ -377,6 +477,29 @@ fn replay_words(
                 };
                 assert_eq!(n, pool[o].prims + pool[o].refs);
                 words.push(n as u64);
+            }
+            Op::View(o, start, n) => {
+                let seen = if pinned {
+                    heap.view_prims_at(&mut pins[o], start, n)
+                } else {
+                    heap.view_prims(pool[o].h, start, n)
+                };
+                let want = shadow[o].get(start..start + n).unwrap_or(&[]);
+                assert_eq!(seen, want, "{op:?} viewed stale words (pinned: {pinned})");
+                words.extend_from_slice(seen);
+            }
+            Op::Fill(o, start, n, base) => {
+                let vals: Vec<u64> = (0..n as u64).map(|k| base.wrapping_add(k)).collect();
+                if pinned {
+                    heap.fill_prims_at(&mut pins[o], start, n, |slots| {
+                        slots.copy_from_slice(&vals)
+                    });
+                } else {
+                    heap.write_prims(pool[o].h, start, &vals);
+                }
+                if n > 0 {
+                    shadow[o][start..start + n].copy_from_slice(&vals);
+                }
             }
             Op::ReadRef(o, i) => {
                 let r = if pinned {

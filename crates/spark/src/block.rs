@@ -111,7 +111,8 @@ impl BlockManager {
         self.slots.is_empty()
     }
 
-    /// Caches `partition` under `id`, taking ownership of the handle.
+    /// Caches `partition` under `id`, taking ownership of the handle (a
+    /// failed put releases it).
     ///
     /// TeraHeap mode tags the partition as a root key-object with the RDD id
     /// as label and advises the move (§5: the block manager issues
@@ -161,7 +162,8 @@ impl BlockManager {
                     self.onheap_used_words += words;
                     self.slots.insert(id, Slot::OnHeap(partition));
                 } else {
-                    let bytes = kryo_sim::serialize(heap, partition)?;
+                    let bytes = kryo_sim::serialize(heap, partition)
+                        .inspect_err(|_| heap.release(partition))?;
                     let offset = self.device_cursor;
                     self.device_cursor += bytes.len();
                     device
@@ -213,7 +215,8 @@ impl BlockManager {
                     }
                     Placement::Serialized => {
                         let before = heap.clock().category_ns(Category::SerDe);
-                        let bytes = kryo_sim::serialize(heap, partition)?;
+                        let bytes = kryo_sim::serialize(heap, partition)
+                            .inspect_err(|_| heap.release(partition))?;
                         let serde_ns = heap.clock().category_ns(Category::SerDe) - before;
                         model.observe_serde(bytes.len() as u64, serde_ns);
                         let offset = self.device_cursor;

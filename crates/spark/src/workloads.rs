@@ -7,6 +7,11 @@
 //! plain loads for on-heap blocks — allocate per-iteration intermediate
 //! results (GC pressure) and shuffle aggregates between stages (S/D).
 //!
+//! Every stage reads its partitions through one cursor (`with_block`):
+//! cached data is read where it lies — pinned once, viewed in place — and
+//! every handle a stage takes is released on every exit, so a round that
+//! runs out of memory leaves the context with nothing rooted but its cache.
+//!
 //! Every workload returns a checksum that is *identical across cache modes*,
 //! which the integration tests use to prove that TeraHeap only changes
 //! performance, never answers.
@@ -16,8 +21,10 @@ use crate::context::{SparkConfig, SparkContext};
 use crate::report::RunReport;
 use teraheap_core::Label;
 use teraheap_runtime::obs::SpanKind;
-use teraheap_runtime::{Handle, OomError};
-use teraheap_workloads::{powerlaw_graph, relational_dataset, vector_dataset, GraphDataset};
+use teraheap_runtime::{Handle, Heap, OomError, Pin};
+use teraheap_workloads::{
+    shared_graph, shared_relational, shared_vectors, Adjacency, VectorDataset,
+};
 
 /// The evaluated Spark workloads (Table 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -236,30 +243,83 @@ fn exec(workload: Workload, ctx: &mut SparkContext, scale: DatasetScale) -> Resu
 }
 
 // ---------------------------------------------------------------------------
+// The partition cursor
+// ---------------------------------------------------------------------------
+
+/// The one way a stage reads a cached partition — the paper's "iterative
+/// stage re-reads the compute cache" path. Fetches block `id` (a duplicate
+/// handle for an on-heap or H2-resident block, a deserialized copy for an
+/// off-heap one), reads and pins its first `N` data arrays, and hands them
+/// to `scan`, which reads them where they lie through the pinned accessors.
+/// Every handle taken here is released again whatever `scan` returns.
+fn with_block<const N: usize, R>(
+    ctx: &mut SparkContext,
+    id: BlockId,
+    scan: impl FnOnce(&mut Heap, &mut [Pin; N]) -> Result<R, OomError>,
+) -> Result<R, OomError> {
+    let heap = &mut ctx.heap;
+    let part = ctx.bm.get(heap, id)?.expect("cached block vanished");
+    let mut data: [Pin; N] = std::array::from_fn(|i| {
+        let array = heap.read_ref(part, i).expect("partition data");
+        heap.pin(array)
+    });
+    let result = scan(heap, &mut data);
+    for array in &data {
+        heap.release(array.handle());
+    }
+    heap.release(part);
+    result
+}
+
+/// Runs `stage` with a holder for the handles it keeps across fallible
+/// calls — the per-iteration intermediate arrays, a query's materialized
+/// projection — and releases whatever the holder still has on every exit.
+fn with_held<R>(
+    ctx: &mut SparkContext,
+    stage: impl FnOnce(&mut SparkContext, &mut Vec<Handle>) -> Result<R, OomError>,
+) -> Result<R, OomError> {
+    let mut held = Vec::new();
+    let result = stage(ctx, &mut held);
+    release_all(ctx, &mut held);
+    result
+}
+
+fn release_all(ctx: &mut SparkContext, held: &mut Vec<Handle>) {
+    for h in held.drain(..) {
+        ctx.heap.release(h);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Graph workloads
 // ---------------------------------------------------------------------------
 
 /// Builds and persists the adjacency RDD: one partition per `partitions`,
 /// each a ref array of Vertex objects holding a primitive edge-target array.
-fn build_graph(ctx: &mut SparkContext, g: &GraphDataset) -> Result<(u64, Vec<BlockId>), OomError> {
-    let adjacency = g.adjacency();
+///
+/// # Errors
+///
+/// Returns [`OomError`] if the graph does not fit.
+pub fn build_graph(ctx: &mut SparkContext, g: &Adjacency) -> Result<Vec<BlockId>, OomError> {
     let parts = ctx.config.partitions;
     let rdd = ctx.new_rdd();
     let mut blocks = Vec::new();
-    let mut scratch: Vec<u64> = Vec::new();
     for p in 0..parts {
-        let ids = (p..g.vertices).step_by(parts);
+        let ids = (p..g.vertices()).step_by(parts);
         let part = ctx.heap.alloc(ctx.partition_class)?;
         let arr = ctx.heap.alloc_ref_array(ids.len())?;
         for (i, vid) in ids.enumerate() {
-            let targets = adjacency.of(vid);
+            let targets = g.of(vid);
             let edges = ctx.heap.alloc_prim_array(targets.len().max(1))?;
-            scratch.clear();
-            scratch.extend(targets.iter().map(|&t| t as u64));
-            ctx.heap.write_prims(edges, 0, &scratch);
+            ctx.heap.fill_prims_at(&mut ctx.heap.pin(edges), 0, targets.len(), |slots| {
+                for (slot, &t) in slots.iter_mut().zip(targets) {
+                    *slot = t as u64;
+                }
+            });
             let v = ctx.heap.alloc(ctx.vertex_class)?;
-            ctx.heap.write_prim(v, 0, vid as u64);
-            ctx.heap.write_prim(v, 1, targets.len() as u64);
+            let mut vertex = ctx.heap.pin(v);
+            ctx.heap.write_prim_at(&mut vertex, 0, vid as u64);
+            ctx.heap.write_prim_at(&mut vertex, 1, targets.len() as u64);
             ctx.heap.write_ref(v, 0, edges);
             ctx.heap.release(edges);
             ctx.heap.write_ref(arr, i, v);
@@ -273,250 +333,241 @@ fn build_graph(ctx: &mut SparkContext, g: &GraphDataset) -> Result<(u64, Vec<Blo
         blocks.push(id);
     }
     // The cached RDD is established; TeraHeap moves it at the next major GC.
-    Ok((rdd, blocks))
+    Ok(blocks)
 }
 
-/// Visits every vertex of the cached adjacency RDD, handing the callback the
-/// vertex and its edge array. This is the paper's "iterative stage re-reads
-/// the compute cache" path.
-fn for_each_vertex<F>(ctx: &mut SparkContext, blocks: &[BlockId], mut f: F) -> Result<(), OomError>
-where
-    F: FnMut(&mut SparkContext, Handle, Handle) -> Result<(), OomError>,
-{
+/// Visits every vertex of the cached adjacency RDD [`build_graph`] made,
+/// handing the callback the pinned vertex (primitives: id, out-degree) and
+/// its pinned edge-target array.
+///
+/// # Errors
+///
+/// Returns [`OomError`] if deserializing an off-heap block exhausts the heap.
+pub fn for_each_vertex(
+    ctx: &mut SparkContext,
+    blocks: &[BlockId],
+    mut f: impl FnMut(&mut Heap, &mut Pin, &mut Pin),
+) -> Result<(), OomError> {
     for &b in blocks {
-        let part = ctx.bm.get(&mut ctx.heap, b)?.expect("cached block vanished");
-        let arr = ctx.heap.read_ref(part, 0).expect("partition data");
-        let n = ctx.heap.array_len(arr);
-        for i in 0..n {
-            let v = ctx.heap.read_ref(arr, i).expect("vertex");
-            let edges = ctx.heap.read_ref(v, 0).expect("edge array");
-            f(ctx, v, edges)?;
-            ctx.heap.release(edges);
-            ctx.heap.release(v);
-        }
-        ctx.heap.release(arr);
-        ctx.heap.release(part);
+        with_block(ctx, b, |heap, [vertices]| {
+            let n = heap.array_len_at(vertices);
+            for i in 0..n {
+                let v = heap.read_ref_at(vertices, i).expect("vertex");
+                let mut vertex = heap.pin(v);
+                let e = heap.read_ref_at(&mut vertex, 0).expect("edge array");
+                let mut edges = heap.pin(e);
+                f(heap, &mut vertex, &mut edges);
+                heap.release(e);
+                heap.release(v);
+            }
+            Ok(())
+        })?;
     }
     Ok(())
 }
 
-/// Allocates the per-iteration intermediate "new ranks" arrays — the fresh
-/// RDD each Spark iteration produces — returning handles the caller holds
-/// for one iteration before releasing (GC churn, as in the paper).
-fn alloc_iteration_arrays(
+/// Replaces the arrays in `held` with this iteration's intermediate arrays
+/// — the fresh RDD each Spark iteration produces. The previous iteration's
+/// are dropped first (Spark's lineage keeps at most the current one live):
+/// GC churn, as in the paper.
+fn renew_iteration_arrays(
     ctx: &mut SparkContext,
+    held: &mut Vec<Handle>,
     per_part: usize,
-) -> Result<Vec<Handle>, OomError> {
-    let mut arrays = Vec::new();
+) -> Result<(), OomError> {
+    release_all(ctx, held);
     for _ in 0..ctx.config.partitions {
-        arrays.push(ctx.heap.alloc_prim_array(per_part.max(1))?);
+        held.push(ctx.heap.alloc_prim_array(per_part.max(1))?);
     }
-    Ok(arrays)
-}
-
-fn release_all(ctx: &mut SparkContext, handles: Vec<Handle>) {
-    for h in handles {
-        ctx.heap.release(h);
-    }
+    Ok(())
 }
 
 fn pagerank(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, OomError> {
-    let g = powerlaw_graph(scale.vertices, scale.avg_degree, scale.seed);
-    let (_rdd, blocks) = build_graph(ctx, &g)?;
-    let n = g.vertices;
+    let g = shared_graph(scale.vertices, scale.avg_degree, scale.seed);
+    let blocks = build_graph(ctx, &g)?;
+    let n = g.vertices();
     let mut ranks = vec![1.0f64; n];
-    let mut prev_arrays: Vec<Handle> = Vec::new();
-    let mut scratch: Vec<u64> = Vec::new();
-    for _ in 0..ctx.config.iterations {
-        let _stage = ctx.heap.span(SpanKind::Stage);
-        let mut contrib = vec![0.0f64; n];
-        for_each_vertex(ctx, &blocks, |ctx, v, edges| {
-            let id = ctx.heap.read_prim(v, 0) as usize;
-            let deg = ctx.heap.array_len(edges);
-            let real_deg = ctx.heap.read_prim(v, 1) as usize;
-            let share = if real_deg > 0 { 0.85 * ranks[id] / real_deg as f64 } else { 0.0 };
-            scratch.resize(deg.min(real_deg), 0);
-            ctx.heap.read_prims(edges, 0, &mut scratch);
-            for &t in &scratch {
-                contrib[t as usize] += share;
+    with_held(ctx, |ctx, arrays| {
+        for _ in 0..ctx.config.iterations {
+            let _stage = ctx.heap.span(SpanKind::Stage);
+            let mut contrib = vec![0.0f64; n];
+            for_each_vertex(ctx, &blocks, |heap, v, edges| {
+                let id = heap.read_prim_at(v, 0) as usize;
+                let deg = heap.array_len_at(edges);
+                let real_deg = heap.read_prim_at(v, 1) as usize;
+                let share = if real_deg > 0 { 0.85 * ranks[id] / real_deg as f64 } else { 0.0 };
+                for &t in heap.view_prims_at(edges, 0, deg.min(real_deg)) {
+                    contrib[t as usize] += share;
+                }
+                heap.charge_ops(real_deg as u64 + 1);
+            })?;
+            for (i, c) in contrib.iter().enumerate() {
+                ranks[i] = 0.15 + c;
             }
-            ctx.heap.charge_ops(real_deg as u64 + 1);
-            Ok(())
-        })?;
-        for (i, c) in contrib.iter().enumerate() {
-            ranks[i] = 0.15 + c;
+            let parts = ctx.config.partitions;
+            renew_iteration_arrays(ctx, arrays, n / parts + 1)?;
+            for (p, &a) in arrays.iter().enumerate() {
+                let mine = (p..n).step_by(parts);
+                ctx.heap.fill_prims_at(&mut ctx.heap.pin(a), 0, mine.len(), |slots| {
+                    for (slot, i) in slots.iter_mut().zip(mine) {
+                        *slot = ranks[i].to_bits();
+                    }
+                });
+            }
+            ctx.charge_shuffle(g.edge_count() as u64)?;
         }
-        // Fresh intermediate RDD; the previous iteration's is dropped first
-        // (Spark's lineage keeps at most the current ranks RDD live).
-        release_all(ctx, std::mem::take(&mut prev_arrays));
-        let arrays = alloc_iteration_arrays(ctx, n / ctx.config.partitions + 1)?;
-        for (p, &a) in arrays.iter().enumerate() {
-            scratch.clear();
-            scratch.extend((p..n).step_by(ctx.config.partitions).map(|i| ranks[i].to_bits()));
-            ctx.heap.write_prims(a, 0, &scratch);
-        }
-        prev_arrays = arrays;
-        ctx.charge_shuffle(g.edges.len() as u64)?;
-    }
-    release_all(ctx, prev_arrays);
+        Ok(())
+    })?;
     Ok(ranks.iter().sum())
 }
 
 fn connected_components(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, OomError> {
-    let g = powerlaw_graph(scale.vertices, scale.avg_degree, scale.seed);
-    let (_rdd, blocks) = build_graph(ctx, &g)?;
-    let n = g.vertices;
-    let mut labels: Vec<u64> = (0..n as u64).collect();
-    let mut prev_arrays: Vec<Handle> = Vec::new();
-    let mut scratch: Vec<u64> = Vec::new();
-    for _ in 0..ctx.config.iterations * 2 {
-        let _stage = ctx.heap.span(SpanKind::Stage);
-        let mut next = labels.clone();
-        let mut changed = false;
-        for_each_vertex(ctx, &blocks, |ctx, v, edges| {
-            let id = ctx.heap.read_prim(v, 0) as usize;
-            let deg = ctx.heap.read_prim(v, 1) as usize;
-            scratch.resize(deg.min(ctx.heap.array_len(edges)), 0);
-            ctx.heap.read_prims(edges, 0, &mut scratch);
-            for &e in &scratch {
-                let t = e as usize;
-                // Propagate minimum label both ways (undirected CC).
-                if labels[id] < next[t] {
-                    next[t] = labels[id];
-                    changed = true;
+    let g = shared_graph(scale.vertices, scale.avg_degree, scale.seed);
+    let blocks = build_graph(ctx, &g)?;
+    let n = g.vertices();
+    // Vertex ids are `u32` in the dataset; labels are vertex ids.
+    assert!(n <= u32::MAX as usize, "vertex ids must fit u32");
+    let mut labels: Vec<u32> = (0..n as u32).collect();
+    with_held(ctx, |ctx, arrays| {
+        for _ in 0..ctx.config.iterations * 2 {
+            let _stage = ctx.heap.span(SpanKind::Stage);
+            let mut next = labels.clone();
+            let mut changed = false;
+            for_each_vertex(ctx, &blocks, |heap, v, edges| {
+                let id = heap.read_prim_at(v, 0) as usize;
+                let deg = heap.read_prim_at(v, 1) as usize;
+                let len = heap.array_len_at(edges);
+                for &e in heap.view_prims_at(edges, 0, deg.min(len)) {
+                    let t = e as usize;
+                    // Propagate minimum label both ways (undirected CC).
+                    if labels[id] < next[t] {
+                        next[t] = labels[id];
+                        changed = true;
+                    }
+                    if labels[t] < next[id] {
+                        next[id] = labels[t];
+                        changed = true;
+                    }
                 }
-                if labels[t] < next[id] {
-                    next[id] = labels[t];
-                    changed = true;
-                }
+                heap.charge_ops(deg as u64 + 1);
+            })?;
+            labels = next;
+            renew_iteration_arrays(ctx, arrays, n / ctx.config.partitions + 1)?;
+            ctx.charge_shuffle(g.edge_count() as u64 / 2)?;
+            if !changed {
+                break;
             }
-            ctx.heap.charge_ops(deg as u64 + 1);
-            Ok(())
-        })?;
-        labels = next;
-        release_all(ctx, std::mem::take(&mut prev_arrays));
-        prev_arrays = alloc_iteration_arrays(ctx, n / ctx.config.partitions + 1)?;
-        ctx.charge_shuffle(g.edges.len() as u64 / 2)?;
-        if !changed {
-            break;
         }
-    }
-    release_all(ctx, prev_arrays);
+        Ok(())
+    })?;
     Ok(labels.iter().map(|&l| l as f64).sum())
 }
 
 fn shortest_paths(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, OomError> {
-    let g = powerlaw_graph(scale.vertices, scale.avg_degree, scale.seed);
-    let (_rdd, blocks) = build_graph(ctx, &g)?;
-    let n = g.vertices;
+    let g = shared_graph(scale.vertices, scale.avg_degree, scale.seed);
+    let blocks = build_graph(ctx, &g)?;
+    let n = g.vertices();
     let inf = n as u64 + 1;
     let mut dist = vec![inf; n];
     dist[0] = 0;
-    let mut prev_arrays: Vec<Handle> = Vec::new();
-    let mut scratch: Vec<u64> = Vec::new();
-    for _ in 0..ctx.config.iterations * 2 {
-        let _stage = ctx.heap.span(SpanKind::Stage);
-        let mut changed = false;
-        for_each_vertex(ctx, &blocks, |ctx, v, edges| {
-            let id = ctx.heap.read_prim(v, 0) as usize;
-            let deg = ctx.heap.read_prim(v, 1) as usize;
-            if dist[id] < inf {
-                scratch.resize(deg.min(ctx.heap.array_len(edges)), 0);
-                ctx.heap.read_prims(edges, 0, &mut scratch);
-                for &e in &scratch {
-                    let t = e as usize;
-                    if dist[id] + 1 < dist[t] {
-                        dist[t] = dist[id] + 1;
-                        changed = true;
+    with_held(ctx, |ctx, arrays| {
+        for _ in 0..ctx.config.iterations * 2 {
+            let _stage = ctx.heap.span(SpanKind::Stage);
+            let mut changed = false;
+            for_each_vertex(ctx, &blocks, |heap, v, edges| {
+                let id = heap.read_prim_at(v, 0) as usize;
+                let deg = heap.read_prim_at(v, 1) as usize;
+                if dist[id] < inf {
+                    let len = heap.array_len_at(edges);
+                    for &e in heap.view_prims_at(edges, 0, deg.min(len)) {
+                        let t = e as usize;
+                        if dist[id] + 1 < dist[t] {
+                            dist[t] = dist[id] + 1;
+                            changed = true;
+                        }
                     }
                 }
+                heap.charge_ops(deg as u64 + 1);
+            })?;
+            renew_iteration_arrays(ctx, arrays, n / ctx.config.partitions + 1)?;
+            ctx.charge_shuffle((n / 4) as u64)?;
+            if !changed {
+                break;
             }
-            ctx.heap.charge_ops(deg as u64 + 1);
-            Ok(())
-        })?;
-        release_all(ctx, std::mem::take(&mut prev_arrays));
-        prev_arrays = alloc_iteration_arrays(ctx, n / ctx.config.partitions + 1)?;
-        ctx.charge_shuffle((n / 4) as u64)?;
-        if !changed {
-            break;
         }
-    }
-    release_all(ctx, prev_arrays);
+        Ok(())
+    })?;
     Ok(dist.iter().map(|&d| d.min(inf) as f64).sum())
 }
 
 fn svd_factors(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, OomError> {
     const K: usize = 2;
-    let g = powerlaw_graph(scale.vertices, scale.avg_degree, scale.seed);
-    let (_rdd, blocks) = build_graph(ctx, &g)?;
-    let n = g.vertices;
+    let g = shared_graph(scale.vertices, scale.avg_degree, scale.seed);
+    let blocks = build_graph(ctx, &g)?;
+    let n = g.vertices();
     // Deterministic pseudo-random init from vertex ids.
     let mut user: Vec<f64> = (0..n * K).map(|i| ((i * 2654435761) % 1000) as f64 / 1000.0).collect();
     let mut item: Vec<f64> = (0..n * K).map(|i| ((i * 40503) % 1000) as f64 / 1000.0).collect();
     let lr = 0.01;
-    let mut prev_arrays: Vec<Handle> = Vec::new();
-    let mut scratch: Vec<u64> = Vec::new();
-    for _ in 0..ctx.config.iterations {
-        let _stage = ctx.heap.span(SpanKind::Stage);
-        for_each_vertex(ctx, &blocks, |ctx, v, edges| {
-            let s = ctx.heap.read_prim(v, 0) as usize;
-            let deg = ctx.heap.read_prim(v, 1) as usize;
-            scratch.resize(deg.min(ctx.heap.array_len(edges)), 0);
-            ctx.heap.read_prims(edges, 0, &mut scratch);
-            for &e in &scratch {
-                let t = e as usize;
-                let mut dot = 0.0;
-                for k in 0..K {
-                    dot += user[s * K + k] * item[t * K + k];
+    with_held(ctx, |ctx, arrays| {
+        for _ in 0..ctx.config.iterations {
+            let _stage = ctx.heap.span(SpanKind::Stage);
+            for_each_vertex(ctx, &blocks, |heap, v, edges| {
+                let s = heap.read_prim_at(v, 0) as usize;
+                let deg = heap.read_prim_at(v, 1) as usize;
+                let len = heap.array_len_at(edges);
+                for &e in heap.view_prims_at(edges, 0, deg.min(len)) {
+                    let t = e as usize;
+                    let mut dot = 0.0;
+                    for k in 0..K {
+                        dot += user[s * K + k] * item[t * K + k];
+                    }
+                    let err = 1.0 - dot;
+                    for k in 0..K {
+                        let u = user[s * K + k];
+                        user[s * K + k] += lr * err * item[t * K + k];
+                        item[t * K + k] += lr * err * u;
+                    }
                 }
-                let err = 1.0 - dot;
-                for k in 0..K {
-                    let u = user[s * K + k];
-                    user[s * K + k] += lr * err * item[t * K + k];
-                    item[t * K + k] += lr * err * u;
-                }
-            }
-            ctx.heap.charge_ops((deg * K * 4) as u64 + 1);
-            Ok(())
-        })?;
-        release_all(ctx, std::mem::take(&mut prev_arrays));
-        prev_arrays = alloc_iteration_arrays(ctx, n * K / ctx.config.partitions + 1)?;
-        ctx.charge_shuffle((n * K) as u64)?;
-    }
-    release_all(ctx, prev_arrays);
+                heap.charge_ops((deg * K * 4) as u64 + 1);
+            })?;
+            renew_iteration_arrays(ctx, arrays, n * K / ctx.config.partitions + 1)?;
+            ctx.charge_shuffle((n * K) as u64)?;
+        }
+        Ok(())
+    })?;
     Ok(user.iter().chain(item.iter()).sum())
 }
 
 fn triangle_count(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, OomError> {
     const NEIGHBOR_CAP: usize = 64;
-    let g = powerlaw_graph(scale.vertices, scale.avg_degree, scale.seed);
-    let (_rdd, blocks) = build_graph(ctx, &g)?;
+    let g = shared_graph(scale.vertices, scale.avg_degree, scale.seed);
+    let blocks = build_graph(ctx, &g)?;
     // Pass 1: collect (capped) adjacency sets from the cached RDD.
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); g.vertices];
-    let mut scratch: Vec<u64> = Vec::new();
-    for_each_vertex(ctx, &blocks, |ctx, v, edges| {
-        let id = ctx.heap.read_prim(v, 0) as usize;
-        let deg = (ctx.heap.read_prim(v, 1) as usize).min(ctx.heap.array_len(edges));
-        scratch.resize(deg.min(NEIGHBOR_CAP), 0);
-        ctx.heap.read_prims(edges, 0, &mut scratch);
-        adj[id].extend(scratch.iter().map(|&t| t as u32));
+    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); g.vertices()];
+    for_each_vertex(ctx, &blocks, |heap, v, edges| {
+        let id = heap.read_prim_at(v, 0) as usize;
+        let deg = (heap.read_prim_at(v, 1) as usize).min(heap.array_len_at(edges));
+        let seen = heap.view_prims_at(edges, 0, deg.min(NEIGHBOR_CAP));
+        adj[id].extend(seen.iter().map(|&t| t as u32));
         adj[id].sort_unstable();
         adj[id].dedup();
-        ctx.heap.charge_ops(deg as u64 + 1);
-        Ok(())
+        heap.charge_ops(deg as u64 + 1);
     })?;
     // Pass 2: re-read edges, counting closed wedges via sorted intersection.
     let mut triangles = 0u64;
-    for_each_vertex(ctx, &blocks, |ctx, v, edges| {
-        let id = ctx.heap.read_prim(v, 0) as usize;
-        let deg = (ctx.heap.read_prim(v, 1) as usize).min(ctx.heap.array_len(edges));
-        scratch.resize(deg.min(NEIGHBOR_CAP), 0);
-        ctx.heap.read_prims(edges, 0, &mut scratch);
-        for &e in scratch.iter() {
-            let t = e as usize;
+    for_each_vertex(ctx, &blocks, |heap, v, edges| {
+        let id = heap.read_prim_at(v, 0) as usize;
+        let deg = (heap.read_prim_at(v, 1) as usize).min(heap.array_len_at(edges));
+        // Every edge charges its own intersection, so the (capped) targets
+        // are copied out from under the heap borrow first.
+        let mut targets = [0u64; NEIGHBOR_CAP];
+        let targets = &mut targets[..deg.min(NEIGHBOR_CAP)];
+        targets.copy_from_slice(heap.view_prims_at(edges, 0, targets.len()));
+        for &e in targets.iter() {
             // |adj[id] ∩ adj[t]| closed wedges through this edge.
             let (mut i, mut j) = (0, 0);
-            let (a, b) = (&adj[id], &adj[t]);
+            let (a, b) = (&adj[id], &adj[e as usize]);
             while i < a.len() && j < b.len() {
                 match a[i].cmp(&b[j]) {
                     std::cmp::Ordering::Less => i += 1,
@@ -528,11 +579,10 @@ fn triangle_count(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, Oo
                     }
                 }
             }
-            ctx.heap.charge_ops((a.len() + b.len()) as u64);
+            heap.charge_ops((a.len() + b.len()) as u64);
         }
-        Ok(())
     })?;
-    ctx.charge_shuffle(g.edges.len() as u64)?;
+    ctx.charge_shuffle(g.edge_count() as u64)?;
     Ok(triangles as f64)
 }
 
@@ -550,22 +600,24 @@ enum LossKind {
 /// Builds and persists the feature RDD: per partition, one big primitive
 /// feature matrix plus a label array — the humongous-array shape that makes
 /// G1 fragment on SVM/BC/RL in Figure 8.
-fn build_ml(ctx: &mut SparkContext, rows: usize, dims: usize, seed: u64) -> Result<(Vec<BlockId>, teraheap_workloads::VectorDataset), OomError> {
-    let data = vector_dataset(rows, dims, seed);
+fn build_ml(ctx: &mut SparkContext, data: &VectorDataset) -> Result<Vec<BlockId>, OomError> {
+    let (rows, dims) = (data.rows, data.dims);
     let parts = ctx.config.partitions;
     let rdd = ctx.new_rdd();
     let mut blocks = Vec::new();
     for p in 0..parts {
-        let row_ids: Vec<usize> = (p..rows).step_by(parts).collect();
+        let row_ids = (p..rows).step_by(parts);
         let part = ctx.heap.alloc(ctx.partition_class)?;
         let features = ctx.heap.alloc_prim_array(row_ids.len() * dims)?;
         let labels = ctx.heap.alloc_prim_array(row_ids.len().max(1))?;
-        let mut scratch: Vec<u64> = Vec::with_capacity(dims);
-        for (i, &r) in row_ids.iter().enumerate() {
-            scratch.clear();
-            scratch.extend(data.row(r).iter().map(|x| x.to_bits()));
-            ctx.heap.write_prims(features, i * dims, &scratch);
-            ctx.heap.write_prim(labels, i, data.labels[r].to_bits());
+        let (mut feature_slots, mut label_slots) = (ctx.heap.pin(features), ctx.heap.pin(labels));
+        for (i, r) in row_ids.enumerate() {
+            ctx.heap.fill_prims_at(&mut feature_slots, i * dims, dims, |slots| {
+                for (slot, x) in slots.iter_mut().zip(data.row(r)) {
+                    *slot = x.to_bits();
+                }
+            });
+            ctx.heap.write_prim_at(&mut label_slots, i, data.labels[r].to_bits());
         }
         ctx.heap.write_ref(part, 0, features);
         ctx.heap.release(features);
@@ -576,63 +628,59 @@ fn build_ml(ctx: &mut SparkContext, rows: usize, dims: usize, seed: u64) -> Resu
         ctx.bm.put(&mut ctx.heap, id, part)?;
         blocks.push(id);
     }
-    Ok((blocks, data))
+    Ok(blocks)
 }
 
 fn ml_train(ctx: &mut SparkContext, scale: DatasetScale, loss: LossKind) -> Result<f64, OomError> {
     let dims = scale.dims;
-    let (blocks, _data) = build_ml(ctx, scale.rows, dims, scale.seed)?;
+    let data = shared_vectors(scale.rows, dims, scale.seed);
+    let blocks = build_ml(ctx, &data)?;
     let mut w = vec![0.0f64; dims];
     let step = 0.05;
-    let mut scratch: Vec<u64> = Vec::new();
     for _ in 0..ctx.config.iterations {
         let _stage = ctx.heap.span(SpanKind::Stage);
         let mut grad = vec![0.0f64; dims];
         let mut seen_rows = 0u64;
         for &b in &blocks {
-            let part = ctx.bm.get(&mut ctx.heap, b)?.expect("cached block");
-            let features = ctx.heap.read_ref(part, 0).expect("features");
-            let labels = ctx.heap.read_ref(part, 1).expect("labels");
-            let rows_p = ctx.heap.array_len(labels);
-            // Streaming scan over the cached matrix: for TeraHeap this is
-            // the sequential H2 access pattern that saturates device read
-            // bandwidth in LR/LgR/SVM (§7.1).
-            for r in 0..rows_p {
-                let y = f64::from_bits(ctx.heap.read_prim(labels, r));
-                scratch.resize(dims, 0);
-                ctx.heap.read_prims(features, r * dims, &mut scratch);
-                let mut dot = 0.0;
-                for d in 0..dims {
-                    dot += w[d] * f64::from_bits(scratch[d]);
-                }
-                let coeff = match loss {
-                    LossKind::Squared => dot - y,
-                    LossKind::Logistic => 1.0 / (1.0 + (-dot).exp()) - (y + 1.0) / 2.0,
-                    LossKind::Hinge => {
-                        if y * dot < 1.0 {
-                            -y
-                        } else {
-                            0.0
+            with_block(ctx, b, |heap, [features, labels]| {
+                let rows_p = heap.array_len_at(labels);
+                // Streaming scan over the cached matrix: for TeraHeap this is
+                // the sequential H2 access pattern that saturates device read
+                // bandwidth in LR/LgR/SVM (§7.1).
+                for r in 0..rows_p {
+                    let y = f64::from_bits(heap.read_prim_at(labels, r));
+                    let row = heap.view_prims_at(features, r * dims, dims);
+                    let mut dot = 0.0;
+                    for d in 0..dims {
+                        dot += w[d] * f64::from_bits(row[d]);
+                    }
+                    let coeff = match loss {
+                        LossKind::Squared => dot - y,
+                        LossKind::Logistic => 1.0 / (1.0 + (-dot).exp()) - (y + 1.0) / 2.0,
+                        LossKind::Hinge => {
+                            if y * dot < 1.0 {
+                                -y
+                            } else {
+                                0.0
+                            }
+                        }
+                    };
+                    if coeff != 0.0 {
+                        // The misclassified row is re-read, as the unbatched
+                        // gradient loop did (charge and touch order preserved).
+                        let row = heap.view_prims_at(features, r * dims, dims);
+                        for d in 0..dims {
+                            grad[d] += coeff * f64::from_bits(row[d]);
                         }
                     }
-                };
-                if coeff != 0.0 {
-                    // The misclassified row is re-read, as the unbatched
-                    // gradient loop did (charge and touch order preserved).
-                    ctx.heap.read_prims(features, r * dims, &mut scratch);
-                    for d in 0..dims {
-                        grad[d] += coeff * f64::from_bits(scratch[d]);
-                    }
+                    seen_rows += 1;
                 }
-                seen_rows += 1;
-            }
-            ctx.heap.charge_ops(rows_p as u64 * dims as u64 / 4);
-            // Per-partition temporary gradient buffer (Spark treeAggregate).
-            let tmp = ctx.heap.alloc_prim_array(dims.max(1))?;
-            ctx.heap.release(tmp);
-            ctx.heap.release(features);
-            ctx.heap.release(labels);
-            ctx.heap.release(part);
+                heap.charge_ops(rows_p as u64 * dims as u64 / 4);
+                // Per-partition temporary gradient buffer (Spark treeAggregate).
+                let tmp = heap.alloc_prim_array(dims.max(1))?;
+                heap.release(tmp);
+                Ok(())
+            })?;
         }
         for d in 0..dims {
             w[d] -= step * grad[d] / seen_rows.max(1) as f64;
@@ -645,50 +693,45 @@ fn ml_train(ctx: &mut SparkContext, scale: DatasetScale, loss: LossKind) -> Resu
 fn kmeans(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, OomError> {
     const K: usize = 4;
     let dims = scale.dims;
-    let (blocks, data) = build_ml(ctx, scale.rows, dims, scale.seed)?;
+    let data = shared_vectors(scale.rows, dims, scale.seed);
+    let blocks = build_ml(ctx, &data)?;
     // Deterministic centroid init from the first K rows.
     let mut centroids: Vec<f64> = (0..K).flat_map(|c| data.row(c).to_vec()).collect();
-    let mut scratch: Vec<u64> = Vec::new();
     for _ in 0..ctx.config.iterations {
         let _stage = ctx.heap.span(SpanKind::Stage);
         let mut sums = vec![0.0f64; K * dims];
         let mut counts = [0u64; K];
         for &b in &blocks {
-            let part = ctx.bm.get(&mut ctx.heap, b)?.expect("cached block");
-            let features = ctx.heap.read_ref(part, 0).expect("features");
-            let labels = ctx.heap.read_ref(part, 1).expect("labels");
-            let rows_p = ctx.heap.array_len(labels);
-            for r in 0..rows_p {
-                let mut best = 0usize;
-                let mut best_d = f64::INFINITY;
-                scratch.resize(dims, 0);
-                // The unbatched loop re-read the row for every centroid and
-                // again for the sums; keep that charge/touch sequence.
-                for c in 0..K {
-                    ctx.heap.read_prims(features, r * dims, &mut scratch);
-                    let mut d2 = 0.0;
+            with_block(ctx, b, |heap, [features, labels]| {
+                let rows_p = heap.array_len_at(labels);
+                for r in 0..rows_p {
+                    let mut best = 0usize;
+                    let mut best_d = f64::INFINITY;
+                    // The unbatched loop re-read the row for every centroid and
+                    // again for the sums; keep that charge/touch sequence.
+                    for c in 0..K {
+                        let row = heap.view_prims_at(features, r * dims, dims);
+                        let mut d2 = 0.0;
+                        for d in 0..dims {
+                            let diff = f64::from_bits(row[d]) - centroids[c * dims + d];
+                            d2 += diff * diff;
+                        }
+                        if d2 < best_d {
+                            best_d = d2;
+                            best = c;
+                        }
+                    }
+                    counts[best] += 1;
+                    let row = heap.view_prims_at(features, r * dims, dims);
                     for d in 0..dims {
-                        let x = f64::from_bits(scratch[d]);
-                        let diff = x - centroids[c * dims + d];
-                        d2 += diff * diff;
-                    }
-                    if d2 < best_d {
-                        best_d = d2;
-                        best = c;
+                        sums[best * dims + d] += f64::from_bits(row[d]);
                     }
                 }
-                counts[best] += 1;
-                ctx.heap.read_prims(features, r * dims, &mut scratch);
-                for d in 0..dims {
-                    sums[best * dims + d] += f64::from_bits(scratch[d]);
-                }
-            }
-            ctx.heap.charge_ops(rows_p as u64 * (K * dims) as u64 / 4);
-            let tmp = ctx.heap.alloc_prim_array((K * dims).max(1))?;
-            ctx.heap.release(tmp);
-            ctx.heap.release(features);
-            ctx.heap.release(labels);
-            ctx.heap.release(part);
+                heap.charge_ops(rows_p as u64 * (K * dims) as u64 / 4);
+                let tmp = heap.alloc_prim_array((K * dims).max(1))?;
+                heap.release(tmp);
+                Ok(())
+            })?;
         }
         for c in 0..K {
             if counts[c] > 0 {
@@ -704,40 +747,36 @@ fn kmeans(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, OomError> 
 
 fn naive_bayes(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, OomError> {
     let dims = scale.dims;
-    let (blocks, _data) = build_ml(ctx, scale.rows, dims, scale.seed)?;
+    let data = shared_vectors(scale.rows, dims, scale.seed);
+    let blocks = build_ml(ctx, &data)?;
     // Two passes: class priors, then per-dimension positive-rate counts.
     let mut pos_rows = 0u64;
     let mut total = 0u64;
     let mut counts = vec![0u64; dims * 2];
-    let mut scratch: Vec<u64> = Vec::new();
     for pass in 0..2 {
         for &b in &blocks {
-            let part = ctx.bm.get(&mut ctx.heap, b)?.expect("cached block");
-            let features = ctx.heap.read_ref(part, 0).expect("features");
-            let labels = ctx.heap.read_ref(part, 1).expect("labels");
-            let rows_p = ctx.heap.array_len(labels);
-            for r in 0..rows_p {
-                let y = f64::from_bits(ctx.heap.read_prim(labels, r));
-                if pass == 0 {
-                    total += 1;
-                    if y > 0.0 {
-                        pos_rows += 1;
-                    }
-                } else {
-                    let class = usize::from(y > 0.0);
-                    scratch.resize(dims, 0);
-                    ctx.heap.read_prims(features, r * dims, &mut scratch);
-                    for d in 0..dims {
-                        if f64::from_bits(scratch[d]) > 0.0 {
-                            counts[class * dims + d] += 1;
+            with_block(ctx, b, |heap, [features, labels]| {
+                let rows_p = heap.array_len_at(labels);
+                for r in 0..rows_p {
+                    let y = f64::from_bits(heap.read_prim_at(labels, r));
+                    if pass == 0 {
+                        total += 1;
+                        if y > 0.0 {
+                            pos_rows += 1;
+                        }
+                    } else {
+                        let class = usize::from(y > 0.0);
+                        let row = heap.view_prims_at(features, r * dims, dims);
+                        for d in 0..dims {
+                            if f64::from_bits(row[d]) > 0.0 {
+                                counts[class * dims + d] += 1;
+                            }
                         }
                     }
                 }
-            }
-            ctx.heap.charge_ops(rows_p as u64 * if pass == 0 { 1 } else { dims as u64 });
-            ctx.heap.release(features);
-            ctx.heap.release(labels);
-            ctx.heap.release(part);
+                heap.charge_ops(rows_p as u64 * if pass == 0 { 1 } else { dims as u64 });
+                Ok(())
+            })?;
         }
         ctx.charge_shuffle((dims * 2) as u64)?;
     }
@@ -749,7 +788,7 @@ fn naive_bayes(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, OomEr
 // ---------------------------------------------------------------------------
 
 fn relational(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, OomError> {
-    let data = relational_dataset(scale.rel_rows, scale.rel_keys, scale.seed);
+    let data = shared_relational(scale.rel_rows, scale.rel_keys, scale.seed);
     let parts = ctx.config.partitions;
     let rdd = ctx.new_rdd();
     let mut blocks = Vec::new();
@@ -759,9 +798,10 @@ fn relational(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, OomErr
         let part = ctx.heap.alloc(ctx.partition_class)?;
         let keys = ctx.heap.alloc_prim_array(rows.len().max(1))?;
         let vals = ctx.heap.alloc_prim_array(rows.len().max(1))?;
+        let (mut key_slots, mut val_slots) = (ctx.heap.pin(keys), ctx.heap.pin(vals));
         for (i, &(k, v)) in rows.iter().enumerate() {
-            ctx.heap.write_prim(keys, i, k);
-            ctx.heap.write_prim(vals, i, v);
+            ctx.heap.write_prim_at(&mut key_slots, i, k);
+            ctx.heap.write_prim_at(&mut val_slots, i, v);
         }
         ctx.heap.write_ref(part, 0, keys);
         ctx.heap.release(keys);
@@ -783,38 +823,40 @@ fn relational(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, OomErr
         let mut sums = vec![0u64; data.distinct_keys];
         let mut pairs: Vec<(u64, u64)> = Vec::new();
         for &b in &blocks {
-            let part = ctx.bm.get(&mut ctx.heap, b)?.expect("cached block");
-            let keys = ctx.heap.read_ref(part, 0).expect("keys");
-            let vals = ctx.heap.read_ref(part, 1).expect("vals");
-            let n = ctx.heap.array_len(keys);
-            for i in 0..n {
-                let v = ctx.heap.read_prim(vals, i);
-                if v > threshold {
-                    let k = ctx.heap.read_prim(keys, i);
-                    sums[k as usize] += v + q as u64;
-                    pairs.push((k, v));
+            with_block(ctx, b, |heap, [keys, vals]| {
+                let n = heap.array_len_at(keys);
+                for i in 0..n {
+                    let v = heap.read_prim_at(vals, i);
+                    if v > threshold {
+                        let k = heap.read_prim_at(keys, i);
+                        sums[k as usize] += v + q as u64;
+                        pairs.push((k, v));
+                    }
                 }
+                heap.charge_ops(n as u64);
+                Ok(())
+            })?;
+        }
+        with_held(ctx, |ctx, projection| {
+            // Materialize the filtered projection on the heap.
+            let sel_keys = ctx.heap.alloc_prim_array(pairs.len().max(1))?;
+            projection.push(sel_keys);
+            let sel_vals = ctx.heap.alloc_prim_array(pairs.len().max(1))?;
+            projection.push(sel_vals);
+            let (mut key_slots, mut val_slots) = (ctx.heap.pin(sel_keys), ctx.heap.pin(sel_vals));
+            for (i, &(k, v)) in pairs.iter().enumerate() {
+                ctx.heap.write_prim_at(&mut key_slots, i, k);
+                ctx.heap.write_prim_at(&mut val_slots, i, v);
             }
-            ctx.heap.charge_ops(n as u64);
-            ctx.heap.release(keys);
-            ctx.heap.release(vals);
-            ctx.heap.release(part);
-        }
-        // Materialize the filtered projection on the heap.
-        let sel_keys = ctx.heap.alloc_prim_array(pairs.len().max(1))?;
-        let sel_vals = ctx.heap.alloc_prim_array(pairs.len().max(1))?;
-        for (i, &(k, v)) in pairs.iter().enumerate() {
-            ctx.heap.write_prim(sel_keys, i, k);
-            ctx.heap.write_prim(sel_vals, i, v);
-        }
-        ctx.charge_shuffle(pairs.len() as u64)?;
-        let out = ctx.heap.alloc_prim_array(data.distinct_keys)?;
-        for (k, &s) in sums.iter().enumerate() {
-            ctx.heap.write_prim(out, k, s);
-        }
-        ctx.heap.release(out);
-        ctx.heap.release(sel_keys);
-        ctx.heap.release(sel_vals);
+            ctx.charge_shuffle(pairs.len() as u64)?;
+            let out = ctx.heap.alloc_prim_array(data.distinct_keys)?;
+            let mut out_slots = ctx.heap.pin(out);
+            for (k, &s) in sums.iter().enumerate() {
+                ctx.heap.write_prim_at(&mut out_slots, k, s);
+            }
+            ctx.heap.release(out);
+            Ok(())
+        })?;
         result += sums.iter().map(|&s| s as f64).sum::<f64>();
     }
     Ok(result)
@@ -849,20 +891,26 @@ fn mixed_hot_cold(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, Oo
     let cold_rdd = ctx.new_rdd();
     let hot_rdd = ctx.new_rdd();
     let mut cold_blocks: Vec<BlockId> = Vec::new();
-    let mut scratch: Vec<u64> = Vec::new();
     let mut checksum = 0.0f64;
+    // Builds partition `index`: one primitive array whose word `i` is `word(i)`.
+    let build = |ctx: &mut SparkContext, index: usize, words: usize, word: &dyn Fn(u64) -> u64| {
+        let part = ctx.heap.alloc(ctx.partition_class)?;
+        let arr = ctx.heap.alloc_prim_array(words)?;
+        ctx.heap.fill_prims_at(&mut ctx.heap.pin(arr), 0, words, |slots| {
+            for (slot, i) in slots.iter_mut().zip(0..) {
+                *slot = word(i);
+            }
+        });
+        ctx.heap.write_ref(part, 0, arr);
+        ctx.heap.release(arr);
+        ctx.heap.write_prim(part, 0, index as u64);
+        Ok::<Handle, OomError>(part)
+    };
     for it in 0..ctx.config.iterations {
         let _stage = ctx.heap.span(SpanKind::Stage);
         // 1. Cold ingest: one new long-lived partition from the cold site.
         ctx.heap.set_alloc_site(Some(Label::new(cold_rdd)));
-        let part = ctx.heap.alloc(ctx.partition_class)?;
-        let arr = ctx.heap.alloc_prim_array(cold_words)?;
-        scratch.clear();
-        scratch.extend((0..cold_words as u64).map(|i| i.wrapping_mul(2654435761) ^ it as u64));
-        ctx.heap.write_prims(arr, 0, &scratch);
-        ctx.heap.write_ref(part, 0, arr);
-        ctx.heap.release(arr);
-        ctx.heap.write_prim(part, 0, it as u64);
+        let part = build(ctx, it, cold_words, &|i| i.wrapping_mul(2654435761) ^ it as u64)?;
         ctx.heap.set_alloc_site(None);
         let cid = BlockId { rdd: cold_rdd, partition: it as u32 };
         ctx.bm.put(&mut ctx.heap, cid, part)?;
@@ -871,44 +919,31 @@ fn mixed_hot_cold(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, Oo
         ctx.bm.unpersist(&mut ctx.heap, hot_rdd);
         ctx.heap.set_alloc_site(Some(Label::new(hot_rdd)));
         for p in 0..parts {
-            let hpart = ctx.heap.alloc(ctx.partition_class)?;
-            let harr = ctx.heap.alloc_prim_array(hot_words)?;
-            scratch.clear();
-            scratch.extend((0..hot_words as u64).map(|i| i + (it * parts + p) as u64));
-            ctx.heap.write_prims(harr, 0, &scratch);
-            ctx.heap.write_ref(hpart, 0, harr);
-            ctx.heap.release(harr);
-            ctx.heap.write_prim(hpart, 0, p as u64);
+            let hpart = build(ctx, p, hot_words, &|i| i + (it * parts + p) as u64)?;
             ctx.bm.put(&mut ctx.heap, BlockId { rdd: hot_rdd, partition: p as u32 }, hpart)?;
         }
         ctx.heap.set_alloc_site(None);
         // 3. Hot phase: the working set is scanned HOT_REPS times.
         for _rep in 0..HOT_REPS {
             for p in 0..parts {
-                let h = ctx
-                    .bm
-                    .get(&mut ctx.heap, BlockId { rdd: hot_rdd, partition: p as u32 })?
-                    .expect("hot block cached");
-                let harr = ctx.heap.read_ref(h, 0).expect("hot data");
-                scratch.resize(hot_words, 0);
-                ctx.heap.read_prims(harr, 0, &mut scratch);
-                checksum += scratch.iter().map(|&v| v as f64).sum::<f64>();
-                ctx.heap.charge_ops(hot_words as u64 / 4);
-                ctx.heap.release(harr);
-                ctx.heap.release(h);
+                let hid = BlockId { rdd: hot_rdd, partition: p as u32 };
+                with_block(ctx, hid, |heap, [hot]| {
+                    let words = heap.view_prims_at(hot, 0, hot_words);
+                    checksum += words.iter().map(|&v| v as f64).sum::<f64>();
+                    heap.charge_ops(hot_words as u64 / 4);
+                    Ok(())
+                })?;
             }
         }
         // 4. Cold phase: one historical partition is re-read, long after
         //    its ingest (large reuse distance).
         let cb = cold_blocks[(it * 7 + 3) % cold_blocks.len()];
-        let c = ctx.bm.get(&mut ctx.heap, cb)?.expect("cold block cached");
-        let carr = ctx.heap.read_ref(c, 0).expect("cold data");
-        scratch.resize(cold_words, 0);
-        ctx.heap.read_prims(carr, 0, &mut scratch);
-        checksum += scratch.iter().map(|&v| (v & 0xffff) as f64).sum::<f64>();
-        ctx.heap.charge_ops(cold_words as u64 / 8);
-        ctx.heap.release(carr);
-        ctx.heap.release(c);
+        with_block(ctx, cb, |heap, [cold]| {
+            let words = heap.view_prims_at(cold, 0, cold_words);
+            checksum += words.iter().map(|&v| (v & 0xffff) as f64).sum::<f64>();
+            heap.charge_ops(cold_words as u64 / 8);
+            Ok(())
+        })?;
         // 5. Iteration results shuffle to the next stage.
         ctx.charge_shuffle((parts * hot_words) as u64 / 2)?;
     }

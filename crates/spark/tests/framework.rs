@@ -2,8 +2,8 @@
 //! unpersist, and report plumbing.
 
 use mini_spark::{
-    run_workload, BlockId, BlockManager, CacheMode, DatasetScale, ExecMode, SparkConfig,
-    SparkContext, Workload,
+    run_workload, run_workload_on, BlockId, BlockManager, CacheMode, DatasetScale, ExecMode,
+    SparkConfig, SparkContext, Workload,
 };
 use teraheap_core::H2Config;
 use teraheap_runtime::HeapConfig;
@@ -108,4 +108,39 @@ fn workloads_are_deterministic_across_runs() {
     assert_eq!(a.checksum, b.checksum);
     assert_eq!(a.breakdown, b.breakdown, "simulated time is exactly reproducible");
     assert_eq!(a.minor_gcs, b.minor_gcs);
+}
+
+#[test]
+fn a_round_that_runs_out_of_memory_leaves_only_the_cached_blocks_rooted() {
+    // Heaps on which each workload caches its whole RDD and then runs out
+    // of memory mid-stage — while it holds iteration arrays (the graph
+    // workloads), has a partition open (the ML ones), is deserializing an
+    // off-heap block (the Spark-SD arms) or is materializing a query's
+    // projection (RL). A context is reusable across rounds, so everything
+    // the failed round held must be released: the only roots left are the
+    // block manager's.
+    let sd = ExecMode::SparkSd { device: DeviceSpec::nvme_ssd() };
+    for (workload, mode, young, old) in [
+        (Workload::Svd, ExecMode::OnHeap, 768, 3968),
+        (Workload::Pr, ExecMode::OnHeap, 768, 3840),
+        (Workload::Svd, sd, 768, 3968),
+        (Workload::Lr, ExecMode::OnHeap, 1536, 1536),
+        (Workload::Km, ExecMode::OnHeap, 1536, 2048),
+        (Workload::Km, sd, 1536, 1536),
+        (Workload::Rl, ExecMode::OnHeap, 2048, 4096),
+    ] {
+        let arm = format!("{} under {}", workload.name(), mode.name());
+        let mut ctx = SparkContext::new(SparkConfig {
+            heap: HeapConfig::with_words(young, old),
+            mode,
+            partitions: 4,
+            iterations: 4,
+        });
+        let round = run_workload_on(workload, &mut ctx, DatasetScale::tiny());
+        assert!(round.is_err(), "{arm}: the heap is sized to run out");
+        assert_eq!(ctx.bm.len(), 4, "{arm}: the RDD must be fully cached before the failure");
+        let on_heap =
+            (0..4).filter(|&partition| ctx.bm.is_on_heap(BlockId { rdd: 1, partition })).count();
+        assert_eq!(ctx.heap.live_roots(), on_heap, "{arm} leaked root handles");
+    }
 }

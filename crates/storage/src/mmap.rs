@@ -324,6 +324,16 @@ impl MmapSim {
             self.clock.charge(cat, cost);
             return;
         }
+        // A touch inside one resident page charges nothing and emits
+        // nothing (DESIGN.md §9): answer it without building a scope.
+        let page = self.page_of(offset);
+        if page == self.page_of(offset + bytes - 1) {
+            let slot = self.table[page];
+            if slot != NIL {
+                self.hit(slot, write);
+                return;
+            }
+        }
         self.touch_pages(offset, bytes, write, cat);
     }
 
@@ -409,17 +419,23 @@ impl MmapSim {
         self.resident -= 1;
     }
 
-    /// One touch of `page`: a hit is "set dirty, move to front"; a miss is
-    /// a page fault — transfer the page, push it on the front, evict from
-    /// the tail while over budget.
+    /// A touch of the resident page at `slot`: set dirty, move to front.
+    #[inline]
+    fn hit(&mut self, slot: u32, write: bool) {
+        self.nodes[slot as usize].dirty |= write;
+        if self.nodes[NIL as usize].next != slot {
+            self.unlink(slot);
+            self.push_front(slot);
+        }
+    }
+
+    /// One touch of `page`: a [hit](Self::hit), or a miss — a page fault:
+    /// transfer the page, push it on the front, evict from the tail while
+    /// over budget.
     fn touch_page(&mut self, page: usize, write: bool, scope: &mut ChargeScope) {
         let slot = self.table[page];
         if slot != NIL {
-            self.nodes[slot as usize].dirty |= write;
-            if self.nodes[NIL as usize].next != slot {
-                self.unlink(slot);
-                self.push_front(slot);
-            }
+            self.hit(slot, write);
             return;
         }
         self.page_in(page as u64, scope);

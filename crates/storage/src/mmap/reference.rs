@@ -6,7 +6,10 @@
 //! to the same accounting `MmapSim` uses. Random touch / flush / discard
 //! programs must then leave both with identical statistics, per-category
 //! nanoseconds, charge counts, event streams and write-back logs: the
-//! page table + intrusive list is an exact LRU, victim for victim.
+//! page table + intrusive list is an exact LRU, victim for victim. A second
+//! property keeps the touches word-sized on a handful of pages, so most of
+//! them are the resident hits `MmapSim::touch` answers before it builds a
+//! charge scope, and compares the recency order left behind as well.
 
 use super::*;
 use crate::fault::FaultPlan;
@@ -66,6 +69,20 @@ impl Reference {
         // Its own resident set is empty, so this only forgets the
         // readahead streams inside the range.
         self.sim.discard(offset, bytes);
+    }
+}
+
+impl MmapSim {
+    /// The resident set as `(page, dirty)`, most recently touched first.
+    fn recency(&self) -> Vec<(u64, bool)> {
+        let mut order = Vec::new();
+        let mut slot = self.nodes[NIL as usize].next;
+        while slot != NIL {
+            let node = self.nodes[slot as usize];
+            order.push((node.page, node.dirty));
+            slot = node.next;
+        }
+        order
     }
 }
 
@@ -141,71 +158,110 @@ fn build(setup: Setup) -> (MmapSim, Arc<SimClock>) {
     (map, clock)
 }
 
+/// Runs `program` on a mapping and on the reference and requires them
+/// indistinguishable in everything observable.
+fn run_both(setup: Setup, program: Vec<Op>) -> CaseResult {
+    let (mut map, map_clock) = build(setup);
+    let (sim, ref_clock) = build(setup);
+    let mut reference = Reference { sim, order: Vec::new() };
+    let (unit, end) = (map.page_size() / UNITS, map.len());
+    let bytes_of = |start: usize, len: usize| {
+        let offset = start * unit;
+        (offset, (len * unit).min(end - offset))
+    };
+    for op in program {
+        match op {
+            Op::Touch { start, len, write, cat, run } => {
+                let (offset, bytes) = bytes_of(start, len);
+                if run {
+                    map.touch_run(offset, bytes, write, Category::ALL[cat]);
+                } else {
+                    map.touch(offset, bytes, write, Category::ALL[cat]);
+                }
+                reference.touch(offset, bytes, write, Category::ALL[cat]);
+            }
+            Op::Flush { cat } => {
+                map.flush(Category::ALL[cat]);
+                reference.flush(Category::ALL[cat]);
+            }
+            Op::Discard { start, len } => {
+                let (offset, bytes) = bytes_of(start, len);
+                map.discard(offset, bytes);
+                reference.discard(offset, bytes);
+            }
+        }
+        prop_assert_eq!(map.resident_pages(), reference.order.len());
+    }
+    prop_assert_eq!(map.recency(), reference.order.clone(), "recency order diverged");
+    // Whatever is still dirty must agree too.
+    map.flush(Category::Io);
+    reference.flush(Category::Io);
+
+    let (a, b) = (map.stats(), reference.sim.stats());
+    prop_assert_eq!(a.read_bytes(), b.read_bytes());
+    prop_assert_eq!(a.write_bytes(), b.write_bytes());
+    prop_assert_eq!(a.read_ops(), b.read_ops());
+    prop_assert_eq!(a.write_ops(), b.write_ops());
+    prop_assert_eq!(a.page_faults(), b.page_faults());
+    prop_assert_eq!(a.seq_faults(), b.seq_faults());
+    prop_assert_eq!(a.evictions(), b.evictions());
+    prop_assert_eq!(a.io_retries(), b.io_retries());
+    for cat in Category::ALL {
+        prop_assert_eq!(
+            map_clock.category_ns(cat),
+            ref_clock.category_ns(cat),
+            "charged ns diverged in {cat:?}"
+        );
+    }
+    prop_assert_eq!(map_clock.tracer().charge_counts(), ref_clock.tracer().charge_counts());
+    prop_assert_eq!(map_clock.tracer().events(), ref_clock.tracer().events());
+    prop_assert_eq!(map.take_writeback_pages(), reference.sim.take_writeback_pages());
+    CaseResult::Pass
+}
+
 #[test]
 fn list_cache_matches_the_reference_cache() {
     check(
         "list_cache_matches_the_reference_cache",
         &(setup(), vec_of(op(), 1..80)),
         &Config::with_cases(192),
-        |(setup, program): (Setup, Vec<Op>)| {
-            let (mut map, map_clock) = build(setup);
-            let (sim, ref_clock) = build(setup);
-            let mut reference = Reference { sim, order: Vec::new() };
-            let (unit, end) = (map.page_size() / UNITS, map.len());
-            let bytes_of = |start: usize, len: usize| {
-                let offset = start * unit;
-                (offset, (len * unit).min(end - offset))
-            };
-            for op in program {
-                match op {
-                    Op::Touch { start, len, write, cat, run } => {
-                        let (offset, bytes) = bytes_of(start, len);
-                        if run {
-                            map.touch_run(offset, bytes, write, Category::ALL[cat]);
-                        } else {
-                            map.touch(offset, bytes, write, Category::ALL[cat]);
-                        }
-                        reference.touch(offset, bytes, write, Category::ALL[cat]);
-                    }
-                    Op::Flush { cat } => {
-                        map.flush(Category::ALL[cat]);
-                        reference.flush(Category::ALL[cat]);
-                    }
-                    Op::Discard { start, len } => {
-                        let (offset, bytes) = bytes_of(start, len);
-                        map.discard(offset, bytes);
-                        reference.discard(offset, bytes);
-                    }
-                }
-                prop_assert_eq!(map.resident_pages(), reference.order.len());
-            }
-            // Whatever is still dirty must agree too.
-            map.flush(Category::Io);
-            reference.flush(Category::Io);
+        |(setup, program): (Setup, Vec<Op>)| run_both(setup, program),
+    );
+}
 
-            let (a, b) = (map.stats(), reference.sim.stats());
-            prop_assert_eq!(a.read_bytes(), b.read_bytes());
-            prop_assert_eq!(a.write_bytes(), b.write_bytes());
-            prop_assert_eq!(a.read_ops(), b.read_ops());
-            prop_assert_eq!(a.write_ops(), b.write_ops());
-            prop_assert_eq!(a.page_faults(), b.page_faults());
-            prop_assert_eq!(a.seq_faults(), b.seq_faults());
-            prop_assert_eq!(a.evictions(), b.evictions());
-            prop_assert_eq!(a.io_retries(), b.io_retries());
-            for cat in Category::ALL {
-                prop_assert_eq!(
-                    map_clock.category_ns(cat),
-                    ref_clock.category_ns(cat),
-                    "charged ns diverged in {cat:?}"
-                );
-            }
-            prop_assert_eq!(
-                map_clock.tracer().charge_counts(),
-                ref_clock.tracer().charge_counts()
-            );
-            prop_assert_eq!(map_clock.tracer().events(), ref_clock.tracer().events());
-            prop_assert_eq!(map.take_writeback_pages(), reference.sim.take_writeback_pages());
-            CaseResult::Pass
+/// Pages the word-touch programs stay on: with budgets of 1..65 pages most
+/// touches hit, and the smallest budgets still evict.
+const HOT_PAGES: usize = 6;
+
+/// A one-word touch, or a two-word touch placed so that it may straddle a
+/// page boundary (`at` counts words back from the end of `page`).
+fn word_op() -> impl Strategy<Value = Op> {
+    let place = (range_usize(0..HOT_PAGES), range_usize(0..UNITS), range_usize(0..2));
+    let how = (range_usize(0..2), range_usize(0..2), range_usize(0..Category::COUNT));
+    prop_oneof![
+        12 => (place, how).prop_map(|((page, at, straddle), (w, r, cat))| {
+            let (start, len) = if straddle == 1 {
+                ((page + 1) * UNITS - 1 - at % 2, 2)
+            } else {
+                (page * UNITS + at, 1)
+            };
+            Op::Touch { start, len, write: w == 1, cat, run: r == 0 }
+        }),
+        1 => range_usize(0..Category::COUNT).prop_map(|cat| Op::Flush { cat }),
+        1 => (range_usize(0..HOT_PAGES * UNITS), range_usize(1..UNITS))
+            .prop_map(|(start, len)| Op::Discard { start, len }),
+    ]
+}
+
+#[test]
+fn resident_word_hits_match_the_reference_cache() {
+    check(
+        "resident_word_hits_match_the_reference_cache",
+        &(setup(), vec_of(word_op(), 1..200)),
+        &Config::with_cases(192),
+        |(setup, program): (Setup, Vec<Op>)| {
+            let setup = Setup { budget_pages: 1 + setup.budget_pages % 8, ..setup };
+            run_both(setup, program)
         },
     );
 }

@@ -17,7 +17,16 @@
 //! in-repo xoshiro256++ generator ([`teraheap_util::rng::Rng`]), so the
 //! exact datasets — and therefore every number in `results/*.csv` — are
 //! pinned by the seed alone, with no external crate in the loop.
+//!
+//! Being deterministic, a dataset need not be generated twice: the
+//! framework loaders ask [`shared_graph`], [`shared_vectors`] and
+//! [`shared_relational`], which remember the last dataset their thread
+//! generated (a figure or benchmark runs the same dataset under several
+//! configurations back to back).
 
+use std::any::Any;
+use std::cell::RefCell;
+use std::sync::Arc;
 use teraheap_util::rng::Rng;
 
 /// A generated directed graph.
@@ -75,9 +84,24 @@ pub struct Adjacency {
 }
 
 impl Adjacency {
+    /// Number of vertices (ids `0..vertices`).
+    pub fn vertices(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Number of directed edges.
+    pub fn edge_count(&self) -> usize {
+        self.targets.len()
+    }
+
     /// The targets of `v`'s out-edges, in edge-list order.
     pub fn of(&self, v: usize) -> &[u32] {
         &self.targets[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// Every edge's target, grouped by source vertex.
+    pub fn targets(&self) -> &[u32] {
+        &self.targets
     }
 }
 
@@ -176,9 +200,92 @@ pub fn relational_dataset(rows: usize, distinct_keys: usize, seed: u64) -> Relat
     RelationalDataset { rows: data, distinct_keys }
 }
 
+/// What names a dataset: its generator, the generator's two size
+/// parameters and the seed.
+type DatasetKey = (&'static str, [usize; 2], u64);
+
+thread_local! {
+    /// The last dataset this thread's loaders asked for.
+    static LAST_DATASET: RefCell<Option<(DatasetKey, Arc<dyn Any + Send + Sync>)>> =
+        const { RefCell::new(None) };
+}
+
+/// The dataset `key` names: the one this thread generated last if that is
+/// it, otherwise freshly generated (and remembered in its place). At most
+/// one dataset is retained per thread, and it is let go *before* the next is
+/// generated, so the memo never keeps two alive; the thread-local is not
+/// borrowed while `generate` runs.
+fn shared<T: Any + Send + Sync>(key: DatasetKey, generate: impl FnOnce() -> T) -> Arc<T> {
+    let hit = LAST_DATASET.with(|last| {
+        let mut last = last.borrow_mut();
+        match &*last {
+            Some((k, dataset)) if *k == key => Some(Arc::clone(dataset)),
+            _ => {
+                *last = None;
+                None
+            }
+        }
+    });
+    if let Some(dataset) = hit {
+        return dataset.downcast().expect("the key names the generator, hence the type");
+    }
+    let dataset = Arc::new(generate());
+    LAST_DATASET.with(|last| *last.borrow_mut() = Some((key, dataset.clone())));
+    dataset
+}
+
+/// [`powerlaw_graph`]`(vertices, avg_degree, seed)` in the form its loaders
+/// read — vertex count, edge count and CSR out-adjacency; the edge list is
+/// dropped — generated at most once in a row per thread.
+pub fn shared_graph(vertices: usize, avg_degree: usize, seed: u64) -> Arc<Adjacency> {
+    shared(("powerlaw_graph", [vertices, avg_degree], seed), || {
+        powerlaw_graph(vertices, avg_degree, seed).adjacency()
+    })
+}
+
+/// [`vector_dataset`]`(rows, dims, seed)`, generated at most once in a row
+/// per thread.
+pub fn shared_vectors(rows: usize, dims: usize, seed: u64) -> Arc<VectorDataset> {
+    shared(("vector_dataset", [rows, dims], seed), || vector_dataset(rows, dims, seed))
+}
+
+/// [`relational_dataset`]`(rows, distinct_keys, seed)`, generated at most
+/// once in a row per thread.
+pub fn shared_relational(rows: usize, distinct_keys: usize, seed: u64) -> Arc<RelationalDataset> {
+    shared(("relational_dataset", [rows, distinct_keys], seed), || {
+        relational_dataset(rows, distinct_keys, seed)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shared_datasets_are_generated_once_in_a_row_and_retained_one_at_a_time() {
+        let g = shared_graph(400, 5, 3);
+        assert!(Arc::ptr_eq(&g, &shared_graph(400, 5, 3)), "same key: the same dataset");
+        let full = powerlaw_graph(400, 5, 3);
+        assert_eq!(*g, full.adjacency());
+        assert_eq!((g.vertices(), g.edge_count()), (full.vertices, full.edges.len()));
+        assert_eq!(g.targets().len(), full.edges.len());
+        // Any parameter or the seed names another dataset.
+        assert!(!Arc::ptr_eq(&g, &shared_graph(400, 5, 4)));
+        assert_eq!(*shared_graph(400, 6, 3), powerlaw_graph(400, 6, 3).adjacency());
+        // Asking for the next dataset lets go of the last: the only
+        // reference left is the caller's.
+        let v = shared_vectors(50, 4, 9);
+        assert_eq!(*v, vector_dataset(50, 4, 9));
+        let _r = shared_relational(50, 4, 9);
+        assert_eq!(Arc::strong_count(&v), 1, "the memo let the vectors go");
+        assert_eq!(*shared_relational(50, 4, 9), relational_dataset(50, 4, 9));
+        // The same parameters under another generator are another dataset.
+        assert_eq!(*shared_vectors(50, 4, 9), *v);
+        // The memo is per thread.
+        let mine = shared_graph(400, 5, 3);
+        let theirs = std::thread::spawn(|| shared_graph(400, 5, 3)).join().expect("no panic");
+        assert!(!Arc::ptr_eq(&mine, &theirs) && mine == theirs);
+    }
 
     #[test]
     fn graphs_are_deterministic() {

@@ -50,9 +50,18 @@ echo "ok"
 # The repo benchmark is its own workspace (benchmark/), so the builds above
 # never compile it. Its quarter-size run is the API-drift check: it fails if
 # a crate entry point the harness drives was renamed or an output check
-# (checksum parity, rep determinism) no longer holds.
-echo "== benchmark smoke: harness still builds and its checks pass =="
-benchmark/run.sh --smoke >/dev/null
+# (checksum parity, rep determinism) no longer holds. Each workload's
+# `sim_fingerprint` folds every simulated number the run observed, so the
+# five are also compared with the committed ones: a host-only change must
+# print exactly these.
+echo "== benchmark smoke: harness builds, its checks pass, fingerprints unmoved =="
+fingerprints=$(benchmark/run.sh --smoke \
+    | awk '/^== /{workload=$2} /^note sim_fingerprint /{print workload, $3}')
+if ! diff <(echo "$fingerprints") scripts/smoke_fingerprints.txt; then
+    echo "ERROR: smoke sim_fingerprints differ from scripts/smoke_fingerprints.txt." >&2
+    echo "Only a PR that means to move simulated time re-pins that file." >&2
+    exit 1
+fi
 echo "ok"
 
 # Flight-recorder invariant (DESIGN.md §8): tracing observes the clock and
@@ -85,27 +94,34 @@ echo "ok"
 # property suite explicitly for the same reason as above.
 echo "== bulk equivalence: batched touches match the per-word loop =="
 cargo test -q --offline -p teraheap-storage --test bulk_equivalence
-# The same invariant one layer up: Heap::view_prims (borrowed), read_prims
-# (copied) and the read_prim loop observe and charge the same, on H1, paged
-# and DAX H2, and across the Panthera NVM boundary. The same suite holds the
-# pinned twin: the *_at accessors over pins taken before any collection must
-# be indistinguishable from the handle accessors across minor and major GCs,
-# H2 promotion of the pinned object and a sliced cycle in flight.
+# The same invariant one layer up: Heap::view_prims (borrowed), view_prims_at
+# (through a pin), read_prims (copied) and the read_prim loop observe and
+# charge the same, as do write_prims, fill_prims_at (in place) and the
+# write_prim loop — on H1, paged and DAX H2, and across the Panthera NVM
+# boundary. The same suite holds the pinned twin: the *_at accessors, word
+# and bulk, over pins taken before any collection must be indistinguishable
+# from the handle accessors across minor and major GCs, H2 promotion of the
+# pinned object and a sliced cycle in flight.
 cargo test -q --offline -p teraheap-runtime --test bulk_equivalence
 echo "ok"
 
-# Giraph and kryo charge pins (DESIGN.md §9): the superstep loop, the message
-# stores and the OOC blob path are host-optimized, so their simulated
-# numbers — per-category ns, GC counts, offloads/reloads, charge-call counts,
-# stream bytes — are pinned to tables captured before that work.
-echo "== charge pins: giraph superstep plane, kryo streams =="
+# Framework and kryo charge pins (DESIGN.md §9): Giraph's superstep loop,
+# message stores and OOC blob path, Spark's scan loops, block manager and
+# dataset loaders are host-optimized, so their simulated numbers —
+# per-category ns, GC and S/D counts, offloads/reloads, faults, charge-call
+# counts, live roots at exit, stream bytes — are pinned to tables captured
+# before that work.
+echo "== charge pins: giraph superstep plane, spark scan plane, kryo streams =="
 cargo test -q --offline -p mini-giraph --test charge_pin
+cargo test -q --offline -p mini-spark --test charge_pin
 cargo test -q --offline -p kryo-sim --test stream_pin
 echo "ok"
 
 # Page-cache invariant (DESIGN.md §7): the page table + intrusive list is an
-# exact LRU — random programs leave it and the recency-vector reference with
-# the same statistics, ns, events and write-back log.
+# exact LRU — random programs, and word-sized ones that mostly take the
+# resident-hit early exit of `touch`, leave it and the recency-vector
+# reference with the same statistics, ns, events, write-back log and recency
+# order.
 echo "== page cache: list cache matches the reference cache =="
 cargo test -q --offline -p teraheap-storage --lib mmap::reference
 echo "ok"
