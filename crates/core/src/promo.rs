@@ -73,11 +73,6 @@ impl Promoter {
         &mut self.pending[i]
     }
 
-    /// Bytes currently pending (staged, unflushed) for `region`.
-    pub fn pending_of(&self, region: RegionId) -> usize {
-        self.pending.get(region.0 as usize).copied().unwrap_or(0)
-    }
-
     /// All regions with pending bytes, in region-id order — the snapshot
     /// [`Promoter::flush_all`] callers take first when a fault plane may
     /// fail the flush and force [`Promoter::unstage`].

@@ -25,45 +25,11 @@
 
 pub mod workloads;
 
-pub use workloads::{run_giraph, run_giraph_on_tenant, GiraphReport, GiraphWorkload};
+pub use workloads::{run_giraph, run_giraph_on, GiraphReport, GiraphWorkload};
 
-use std::sync::Arc;
 use teraheap_core::{H2Config, Label};
-use teraheap_runtime::{AttachError, Handle, Heap, HeapConfig, OomError, Pin, SharedDevice};
-use teraheap_storage::{Category, DeviceSpec, SimClock, SimDevice};
-
-/// Error loading a tenant Giraph runtime: shared-device attachment rejected
-/// or the input graph does not fit on the heap.
-#[derive(Debug)]
-pub enum TenantLoadError {
-    /// The shared device rejected the attachment.
-    Attach(AttachError),
-    /// The input superstep ran out of heap.
-    Oom(OomError),
-}
-
-impl std::fmt::Display for TenantLoadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TenantLoadError::Attach(e) => write!(f, "tenant attach failed: {e}"),
-            TenantLoadError::Oom(e) => write!(f, "tenant graph load failed: {e:?}"),
-        }
-    }
-}
-
-impl std::error::Error for TenantLoadError {}
-
-impl From<AttachError> for TenantLoadError {
-    fn from(e: AttachError) -> Self {
-        TenantLoadError::Attach(e)
-    }
-}
-
-impl From<OomError> for TenantLoadError {
-    fn from(e: OomError) -> Self {
-        TenantLoadError::Oom(e)
-    }
-}
+use teraheap_runtime::{Handle, Heap, HeapConfig, OomError, Pin, SharedDevice};
+use teraheap_storage::{Blob, Category, DeviceSpec, SimDevice};
 
 /// Memory configuration for a Giraph run (Table 2 / Table 4).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,6 +102,17 @@ impl GiraphConfig {
             track_h2_liveness: false,
         }
     }
+
+    /// A private heap for this configuration: attached, in TeraHeap mode, to
+    /// a fresh one-tenant [`SharedDevice`] sized to the H2 footprint.
+    pub(crate) fn private_heap(&self) -> Heap {
+        let mut heap = Heap::new(self.heap);
+        if let GiraphMode::TeraHeap { h2, device } = self.mode {
+            let dev = SharedDevice::new(device, h2.footprint_bytes(), heap.clock().clone());
+            heap.attach_h2(h2, &dev).expect("one-tenant SharedDevice attach cannot fail");
+        }
+        heap
+    }
 }
 
 /// One partition's heap-resident state.
@@ -151,8 +128,9 @@ struct PartitionState {
     /// Ref array of per-vertex edge-target primitive arrays, or `None`
     /// while offloaded.
     edges: Option<Handle>,
-    /// Serialized edges blob on the OOC device.
-    edges_blob: Option<(usize, usize)>,
+    /// Serialized edges on the OOC device. Kept across reloads: edges are
+    /// immutable, so offloading them again needs no second serialization.
+    edges_blob: Option<Blob>,
     /// Words the resident edge structure occupies (for the OOC budget).
     edge_words: usize,
     /// LRU stamp: the superstep this partition was last processed.
@@ -168,7 +146,7 @@ impl PartitionState {
 }
 
 /// One partition's share of a message store.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default)]
 struct PartMessages {
     /// The message array, or `None` if empty or offloaded; pinned because
     /// delivery and consumption go through it word by word. A slotted
@@ -177,8 +155,9 @@ struct PartMessages {
     array: Option<Pin>,
     /// Whether the array is slotted (combiner) or appended.
     slotted: bool,
-    /// Serialized blob on the OOC device.
-    blob: Option<(usize, usize)>,
+    /// Serialized store on the OOC device while offloaded; its reload
+    /// consumes it.
+    blob: Option<Blob>,
     /// Message pairs (append) / populated slots (slotted).
     count: usize,
     /// Append cursor of an unslotted store.
@@ -196,7 +175,7 @@ struct MsgStore {
 
 impl MsgStore {
     fn empty(partitions: usize) -> Self {
-        MsgStore { parts: vec![PartMessages::default(); partitions] }
+        MsgStore { parts: (0..partitions).map(|_| PartMessages::default()).collect() }
     }
 
     fn resident_words(&self) -> usize {
@@ -267,7 +246,6 @@ pub struct GiraphContext {
     incoming: MsgStore,
     current: MsgStore,
     device: Option<SimDevice>,
-    device_cursor: usize,
     superstep: u64,
     /// OOC statistics: partitions offloaded / reloaded.
     pub offloads: u64,
@@ -296,8 +274,15 @@ fn msg_label(superstep: u64) -> Label {
     Label::new(100 + superstep)
 }
 
+/// Reads `blob` from the OOC device and deserializes it onto the heap (I/O +
+/// S/D + allocation), in place from the blob's bytes.
+fn reload(device: &Option<SimDevice>, heap: &mut Heap, blob: &Blob) -> Result<Handle, OomError> {
+    let device = device.as_ref().expect("OOC mode has a device");
+    kryo_sim::deserialize(heap, device.load(blob, Category::Io))
+}
+
 impl GiraphContext {
-    /// Builds the runtime and loads `graph` (the input superstep).
+    /// Builds the runtime on a private heap and loads `graph`.
     ///
     /// # Errors
     ///
@@ -307,43 +292,23 @@ impl GiraphContext {
         graph: &teraheap_workloads::Adjacency,
         initial_value: impl Fn(u64) -> u64,
     ) -> Result<Self, OomError> {
-        let mut heap = Heap::new(config.heap);
-        if let GiraphMode::TeraHeap { h2, device: spec } = config.mode {
-            let dev = SharedDevice::new(spec, h2.footprint_bytes(), heap.clock().clone());
-            heap.attach_h2(h2, &dev)
-                .expect("one-tenant SharedDevice attach cannot fail");
-        }
-        Self::finish_load(heap, config, graph, initial_value)
+        Self::load_on(config.private_heap(), config, graph, initial_value)
     }
 
-    /// Builds the runtime as one tenant of a shared H2 device and loads
-    /// `graph`.
-    ///
-    /// `clock` must be the clock this tenant was registered with
-    /// ([`SharedDevice::add_tenant`]); under `GiraphMode::TeraHeap` the
-    /// device's partition spec — not the mode's `device` field, which only
-    /// matters for the private path of [`GiraphContext::load`] — decides the
-    /// I/O cost model.
+    /// Builds the runtime on a heap the caller made and loads `graph` (the
+    /// input superstep). In TeraHeap mode the caller has attached H2: a
+    /// server tenant attaches to its partition of the shared device, whose
+    /// spec — not the mode's `device` field, which [`GiraphContext::load`]
+    /// reads — decides the H2 I/O cost model.
     ///
     /// # Errors
     ///
-    /// Returns [`TenantLoadError`] if the attachment is rejected or the
-    /// graph does not fit.
-    pub fn load_tenant(
-        config: GiraphConfig,
-        graph: &teraheap_workloads::Adjacency,
-        initial_value: impl Fn(u64) -> u64,
-        device: &SharedDevice,
-        clock: Arc<SimClock>,
-    ) -> Result<Self, TenantLoadError> {
-        let mut heap = Heap::with_clock(config.heap, clock);
-        if let GiraphMode::TeraHeap { h2, .. } = config.mode {
-            heap.attach_h2(h2, device)?;
-        }
-        Ok(Self::finish_load(heap, config, graph, initial_value)?)
-    }
-
-    fn finish_load(
+    /// Returns [`OomError`] if the graph does not fit.
+    ///
+    /// # Panics
+    ///
+    /// In TeraHeap mode on a heap without H2.
+    pub fn load_on(
         mut heap: Heap,
         config: GiraphConfig,
         graph: &teraheap_workloads::Adjacency,
@@ -378,7 +343,6 @@ impl GiraphContext {
             incoming: MsgStore::empty(config.partitions),
             current: MsgStore::empty(config.partitions),
             device,
-            device_cursor: 0,
             superstep: 0,
             offloads: 0,
             reloads: 0,
@@ -521,19 +485,6 @@ impl GiraphContext {
         self.heap.write_prim_at(&mut self.parts[p].vertices, i * 3 + 1, value);
     }
 
-    /// Reads the blob at `(offset, len)` on the OOC device and deserializes
-    /// it onto the heap (I/O + S/D + allocation), in place from the
-    /// device's bytes.
-    fn reload_blob(&mut self, (offset, len): (usize, usize)) -> Result<Handle, OomError> {
-        let device = self.device.as_ref().expect("OOC mode has a device");
-        let heap = &mut self.heap;
-        let h = device
-            .view(offset, len, Category::Io, |bytes| kryo_sim::deserialize(heap, bytes))
-            .expect("OOC read")?;
-        self.reloads += 1;
-        Ok(h)
-    }
-
     /// Fetches partition `p`'s edge structure, reloading it from the OOC
     /// device if offloaded. Returns a handle the caller must release.
     ///
@@ -545,8 +496,9 @@ impl GiraphContext {
         if let Some(h) = self.parts[p].edges {
             return Ok(self.heap.dup(h));
         }
-        let blob = self.parts[p].edges_blob.expect("offloaded edges have a blob");
-        let h = self.reload_blob(blob)?;
+        let blob = self.parts[p].edges_blob.as_ref().expect("offloaded edges have a blob");
+        let h = reload(&self.device, &mut self.heap, blob)?;
+        self.reloads += 1;
         let dup = self.heap.dup(h);
         self.parts[p].edges = Some(h);
         Ok(dup)
@@ -560,8 +512,11 @@ impl GiraphContext {
     /// Returns [`OomError`] if reloading exhausts the heap.
     pub(crate) fn read_incoming(&mut self, p: usize, inbox: &mut Inbox) -> Result<(), OomError> {
         if self.incoming.parts[p].array.is_none() {
-            if let Some(blob) = self.incoming.parts[p].blob {
-                let h = self.reload_blob(blob)?;
+            if let Some(blob) = &self.incoming.parts[p].blob {
+                let h = reload(&self.device, &mut self.heap, blob)?;
+                self.reloads += 1;
+                // The reload consumes the blob: its bytes are freed here.
+                self.incoming.parts[p].blob = None;
                 self.incoming.parts[p].array = Some(self.heap.pin(h));
             }
         }
@@ -699,43 +654,6 @@ impl GiraphContext {
         self.ooc_rebalance()
     }
 
-    /// Stores `msgs` as partition `p`'s share of the current store (heap
-    /// allocation; tagged for H2 with the superstep label). Every target
-    /// must be a vertex of partition `p`: the consumer groups by local index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OomError`] if allocation fails.
-    pub fn emit_messages(&mut self, p: usize, msgs: &[(u64, u64)]) -> Result<(), OomError> {
-        if msgs.is_empty() {
-            return Ok(());
-        }
-        // Make room before the store grows: the OOC scheduler reacts to the
-        // allocation pressure of the current message store.
-        self.ooc_rebalance()?;
-        let h = self.heap.alloc_prim_array(2 * msgs.len())?;
-        // Flatten the pairs once and store them with a single bulk write.
-        let mut buf = Vec::with_capacity(2 * msgs.len());
-        for &(t, v) in msgs {
-            buf.push(t);
-            buf.push(v);
-        }
-        self.heap.write_prims(h, 0, &buf);
-        // 3: mark the generated messages with the superstep label (Figure 5).
-        if matches!(self.config.mode, GiraphMode::TeraHeap { .. }) {
-            self.heap.h2_tag_root(h, msg_label(self.superstep));
-        }
-        let store = &mut self.current.parts[p];
-        if let Some(old) = store.array.replace(self.heap.pin(h)) {
-            self.heap.release(old.handle());
-        }
-        store.slotted = false;
-        store.count = msgs.len();
-        store.cursor = msgs.len();
-        store.capacity_words = 2 * msgs.len();
-        Ok(())
-    }
-
     /// The synchronization barrier ending a superstep: the current store
     /// becomes the incoming store (now immutable), hints fire, and the OOC
     /// scheduler rebalances.
@@ -752,6 +670,7 @@ impl GiraphContext {
                 self.heap.release(array.handle());
             }
         }
+        // The retired store goes with whatever blobs it still holds.
         std::mem::swap(&mut self.incoming, &mut self.current);
         self.current = MsgStore::empty(self.parts.len());
         let delivered: usize = self.incoming.parts.iter().map(|m| m.count).sum();
@@ -765,20 +684,11 @@ impl GiraphContext {
         Ok(delivered)
     }
 
-    /// Mid-superstep pressure check: the paper's OOC scheduler monitors
-    /// memory pressure continuously, not only at barriers. Workloads call
-    /// this after processing each partition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OomError`] if offload serialization exhausts the heap.
-    pub fn ooc_pressure_check(&mut self) -> Result<(), OomError> {
-        self.ooc_rebalance()
-    }
-
     /// The out-of-core scheduler: offload LRU partition edges and incoming
-    /// message stores until resident data fits the memory limit.
-    fn ooc_rebalance(&mut self) -> Result<(), OomError> {
+    /// message stores until resident data fits the memory limit. The
+    /// paper's scheduler monitors memory pressure continuously, not only at
+    /// barriers: workloads also call this after processing each partition.
+    pub(crate) fn ooc_rebalance(&mut self) -> Result<(), OomError> {
         let GiraphMode::OutOfCore { memory_limit_words, .. } = self.config.mode else {
             return Ok(());
         };
@@ -792,6 +702,11 @@ impl GiraphContext {
         if resident <= memory_limit_words {
             return Ok(());
         }
+        let device = self.device.as_mut().expect("OOC mode has a device");
+        let mut offload = |heap: &mut Heap, h: Handle| -> Result<Blob, OomError> {
+            let bytes = kryo_sim::serialize(heap, h)?;
+            Ok(device.store(bytes, Category::Io).expect("OOC device full"))
+        };
         // LRU order over partitions.
         let mut order: Vec<usize> = (0..self.parts.len()).collect();
         order.sort_by_key(|&p| self.parts[p].last_access);
@@ -802,8 +717,7 @@ impl GiraphContext {
             // Offload incoming messages first (they die soonest anyway),
             // then edges.
             if let Some(array) = self.incoming.parts[p].array.take() {
-                let bytes = kryo_sim::serialize(&mut self.heap, array.handle())?;
-                self.incoming.parts[p].blob = Some(self.write_blob(&bytes));
+                self.incoming.parts[p].blob = Some(offload(&mut self.heap, array.handle())?);
                 resident = resident.saturating_sub(2 * self.incoming.parts[p].count + 3);
                 self.heap.release(array.handle());
                 self.offloads += 1;
@@ -813,8 +727,7 @@ impl GiraphContext {
             }
             if let Some(h) = self.parts[p].edges.take() {
                 if self.parts[p].edges_blob.is_none() {
-                    let bytes = kryo_sim::serialize(&mut self.heap, h)?;
-                    self.parts[p].edges_blob = Some(self.write_blob(&bytes));
+                    self.parts[p].edges_blob = Some(offload(&mut self.heap, h)?);
                 }
                 self.heap.release(h);
                 resident = resident.saturating_sub(self.parts[p].edge_words);
@@ -822,14 +735,6 @@ impl GiraphContext {
             }
         }
         Ok(())
-    }
-
-    fn write_blob(&mut self, bytes: &[u8]) -> (usize, usize) {
-        let device = self.device.as_ref().expect("OOC mode has a device");
-        let offset = self.device_cursor;
-        self.device_cursor += bytes.len();
-        device.write(offset, bytes, Category::Io).expect("OOC device full");
-        (offset, bytes.len())
     }
 }
 
@@ -859,7 +764,9 @@ mod tests {
             GiraphContext::load(GiraphConfig::small(GiraphMode::InMemory), &graph(), |_| 0)
                 .unwrap();
         // Both targets are vertices of partition 1 (id % 4 == 1).
-        ctx.emit_messages(1, &[(5, 42), (9, 43)]).unwrap();
+        for (target, value) in [(5, 42), (9, 43)] {
+            ctx.deliver_message(target, value, Combiner::Append, &[0, 2, 0, 0]).unwrap();
+        }
         assert!(ctx.incoming_messages(1).unwrap().is_empty(), "not delivered yet");
         let delivered = ctx.barrier().unwrap();
         assert_eq!(delivered, 2);
@@ -886,7 +793,7 @@ mod tests {
             memory_limit_words: 64, // absurdly small: force offloading
         };
         let mut ctx = GiraphContext::load(GiraphConfig::small(mode), &graph(), |_| 0).unwrap();
-        ctx.emit_messages(0, &[(1, 2)]).unwrap();
+        ctx.deliver_message(4, 2, Combiner::Append, &[1, 0, 0, 0]).unwrap();
         ctx.barrier().unwrap();
         assert!(ctx.offloads > 0, "scheduler must offload under pressure");
         // Access reloads transparently, and the data is intact.
@@ -894,6 +801,42 @@ mod tests {
         assert!(ctx.heap.array_len(e) > 0);
         ctx.heap.release(e);
         assert!(ctx.reloads > 0);
+    }
+
+    #[test]
+    fn consumed_message_blobs_are_freed() {
+        // Byte-granular NVM: the device's write counter is the exact sum of
+        // the blob lengths ever stored.
+        let mode =
+            GiraphMode::OutOfCore { device: DeviceSpec::optane_nvm(), memory_limit_words: 700 };
+        let config = GiraphConfig { max_supersteps: 8, ..GiraphConfig::small(mode) };
+        let (ctx, _) =
+            workloads::run_giraph_with_context(GiraphWorkload::Wcc, config, 200, 4, 7).unwrap();
+        assert!(ctx.reloads > 0 && ctx.offloads > ctx.parts.len() as u64);
+        let held = |blob: &Option<Blob>| blob.as_ref().map_or(0, Blob::len);
+        let edges: usize = ctx.parts.iter().map(|p| held(&p.edges_blob)).sum();
+        let incoming: usize = ctx.incoming.parts.iter().map(|m| held(&m.blob)).sum();
+        // What is still held is the edge blobs plus at most the offloaded
+        // part of the last incoming store (its arrays, serialized) — a
+        // reloaded store consumed its blob and retired stores took theirs
+        // along — never the sum of everything offloaded.
+        assert!(ctx.current.parts.iter().all(|m| m.blob.is_none()));
+        assert!(ctx.incoming.parts.iter().all(|m| m.array.is_none() || m.blob.is_none()));
+        let last_store: usize = ctx.incoming.parts.iter().map(|m| 11 + 8 * m.capacity_words).sum();
+        assert!(edges > 0 && incoming <= last_store, "{incoming} > {last_store}");
+        let stored = ctx.device.as_ref().unwrap().stats().write_bytes() as usize;
+        assert!(stored > 2 * (edges + last_store), "stored {stored}, edges {edges}");
+        // One more superstep by hand: a store offloaded at the barrier gives
+        // its blob up the moment it is reloaded, not only when it retires.
+        let mut ctx = ctx;
+        for target in 0..4 {
+            ctx.deliver_message(target, 1, Combiner::MinU64, &[]).unwrap();
+        }
+        ctx.barrier().unwrap();
+        let offloaded = |ctx: &GiraphContext, p: usize| held(&ctx.incoming.parts[p].blob) > 0;
+        let p = (0..4).find(|&p| offloaded(&ctx, p)).expect("the barrier offloads a store");
+        assert_eq!(ctx.incoming_messages(p).unwrap(), [(p as u64, 1)]);
+        assert!(!offloaded(&ctx, p) && ctx.incoming.parts[p].array.is_some());
     }
 
     #[test]
@@ -913,7 +856,9 @@ mod tests {
         let mut cfg = GiraphConfig::small(mode);
         cfg.heap = HeapConfig::with_words(4 << 10, 8 << 10);
         let mut ctx = GiraphContext::load(cfg, &graph(), |_| 0).unwrap();
-        ctx.emit_messages(0, &[(1, 2); 64]).unwrap();
+        for _ in 0..64 {
+            ctx.deliver_message(4, 2, Combiner::Append, &[64, 0, 0, 0]).unwrap();
+        }
         ctx.barrier().unwrap();
         ctx.heap.gc_major().unwrap();
         assert!(

@@ -6,10 +6,9 @@
 //! answers are checksummed so tests can prove the memory mode (in-memory /
 //! OOC / TeraHeap) never changes results.
 
-use crate::{GiraphConfig, GiraphContext, Inbox, TenantLoadError};
-use std::sync::Arc;
-use teraheap_runtime::{OomError, SharedDevice};
-use teraheap_storage::{Breakdown, SimClock};
+use crate::{GiraphConfig, GiraphContext, Inbox};
+use teraheap_runtime::{Heap, OomError};
+use teraheap_storage::Breakdown;
 use teraheap_workloads::{shared_graph, Adjacency};
 
 /// The evaluated Giraph workloads.
@@ -129,9 +128,9 @@ pub fn run_giraph(
 /// Largest "unreached" distance value used by BFS/SSSP.
 pub const INF: u64 = u64::MAX / 2;
 
-/// Runs a workload and returns the live context alongside the checksum, so
-/// harnesses can inspect H2 region statistics, GC logs and policy state
-/// (Figures 9–11).
+/// Runs a workload on a private heap and returns the live context alongside
+/// the checksum, so harnesses can inspect H2 region statistics, GC logs and
+/// policy state (Figures 9–11).
 ///
 /// # Errors
 ///
@@ -143,31 +142,27 @@ pub fn run_giraph_with_context(
     avg_degree: usize,
     seed: u64,
 ) -> Result<(GiraphContext, f64), OomError> {
-    let g = shared_graph(vertices, avg_degree, seed);
-    let ctx = GiraphContext::load(config, &g, workload_init(workload))?;
-    drive(ctx, workload, config, &g)
+    run_giraph_on(config.private_heap(), workload, config, vertices, avg_degree, seed)
 }
 
-/// Runs a workload as one tenant of a shared H2 device (one server-plane
-/// job round): same superstep loop as [`run_giraph_with_context`], but the
-/// heap lives on `clock` and H2 attaches to the tenant's device partition.
+/// Runs a workload on a heap the caller made — [`GiraphContext::load_on`],
+/// then the superstep loop. One server-plane job round is this on a heap
+/// attached to the tenant's partition of the shared device.
 ///
 /// # Errors
 ///
-/// Returns [`TenantLoadError`] if the attachment is rejected or the run
-/// exhausts the heap.
-pub fn run_giraph_on_tenant(
+/// Returns [`OomError`] if the run exhausts the heap.
+pub fn run_giraph_on(
+    heap: Heap,
     workload: GiraphWorkload,
     config: GiraphConfig,
     vertices: usize,
     avg_degree: usize,
     seed: u64,
-    device: &SharedDevice,
-    clock: Arc<SimClock>,
-) -> Result<(GiraphContext, f64), TenantLoadError> {
+) -> Result<(GiraphContext, f64), OomError> {
     let g = shared_graph(vertices, avg_degree, seed);
-    let ctx = GiraphContext::load_tenant(config, &g, workload_init(workload), device, clock)?;
-    Ok(drive(ctx, workload, config, &g)?)
+    let ctx = GiraphContext::load_on(heap, config, &g, workload_init(workload))?;
+    drive(ctx, workload, config, &g)
 }
 
 fn workload_init(workload: GiraphWorkload) -> Box<dyn Fn(u64) -> u64> {
@@ -271,7 +266,7 @@ fn drive(
             }
             ctx.heap.charge_ops(ops);
             ctx.heap.release(edges);
-            ctx.ooc_pressure_check()?;
+            ctx.ooc_rebalance()?;
         }
         let delivered = ctx.barrier()?;
         if (delivered == 0 || !delivered_any) && ss > 0 {

@@ -19,7 +19,7 @@
 //! - [`Tracer`]: level-gated sink. `Off` drops everything, `Counters` keeps
 //!   the per-class counters and span histograms, `Full` (the default) also
 //!   records events into the ring buffer.
-//! - [`timeline`]: deterministic JSONL/CSV exporters and the
+//! - [`timeline`]: the deterministic JSONL exporter and the
 //!   [`timeline::gc_cycles`] pairing used by `fig7_timeline`.
 //! - [`Tracer::crash_dump`]: writes the last events as JSONL when the runtime
 //!   hits an OOM, gated by `TERAHEAP_OBS_DUMP` so default runs stay quiet.

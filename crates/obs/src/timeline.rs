@@ -1,4 +1,4 @@
-//! Deterministic timeline exporters over recorded [`Event`]s.
+//! The deterministic timeline exporter (JSONL) over recorded [`Event`]s.
 //!
 //! Everything here is a pure function of the event slice, so exports are as
 //! deterministic as the trace itself — `fig7_timeline` commits its JSONL
@@ -144,97 +144,6 @@ pub fn to_jsonl(events: &[Event]) -> String {
     out
 }
 
-/// CSV header matching [`to_csv_rows`].
-pub const CSV_HEADER: &str = "seq,t_ns,kind,detail,a,b";
-
-/// Events as generic CSV rows: `seq,t_ns,kind,detail,a,b` where `detail` is
-/// the kind-specific name (gc/phase/span/table) and `a`,`b` the numeric or
-/// boolean payloads (empty when absent).
-pub fn to_csv_rows(events: &[Event]) -> Vec<String> {
-    events
-        .iter()
-        .map(|e| {
-            let (detail, a, b): (&str, String, String) = match &e.kind {
-                EventKind::GcBegin { gc, cause, old_used_words } => {
-                    (gc.name(), cause.name().to_string(), old_used_words.to_string())
-                }
-                EventKind::GcEnd { gc, old_used_words, old_capacity_words, .. } => {
-                    (gc.name(), old_used_words.to_string(), old_capacity_words.to_string())
-                }
-                EventKind::PhaseBegin { phase } | EventKind::PhaseEnd { phase } => {
-                    (phase.name(), String::new(), String::new())
-                }
-                EventKind::SpanBegin { kind } | EventKind::SpanEnd { kind } => {
-                    (kind.name(), String::new(), String::new())
-                }
-                EventKind::CardScan { table, cards } => {
-                    (table.name(), cards.to_string(), String::new())
-                }
-                EventKind::H2PromoFlush { bytes }
-                | EventKind::WriteBack { bytes }
-                | EventKind::DeviceRead { bytes }
-                | EventKind::DeviceWrite { bytes } => ("", bytes.to_string(), String::new()),
-                EventKind::PageFault { sequential } => ("", sequential.to_string(), String::new()),
-                EventKind::PageEvict { writeback } => ("", writeback.to_string(), String::new()),
-                EventKind::Oom | EventKind::CrashPoint => ("", String::new(), String::new()),
-                EventKind::FaultInjected { write } => ("", write.to_string(), String::new()),
-                EventKind::IoRetry { attempt } => ("", attempt.to_string(), String::new()),
-                EventKind::H2Degraded { enospc } => ("", enospc.to_string(), String::new()),
-                EventKind::Recovered { torn_pages, regions } => {
-                    ("", torn_pages.to_string(), regions.to_string())
-                }
-                EventKind::UnitBegin { lane, kind } => {
-                    (kind.name(), lane.to_string(), String::new())
-                }
-                EventKind::UnitEnd { lane, kind, cost_ns } => {
-                    (kind.name(), lane.to_string(), cost_ns.to_string())
-                }
-                // The generic CSV has two payload slots; keep the unit count
-                // and the clock advance, the JSONL export carries the rest.
-                EventKind::LaneBarrier { units, advance_ns, .. } => {
-                    ("barrier", units.to_string(), advance_ns.to_string())
-                }
-                EventKind::SliceBegin { phase } => (phase.name(), String::new(), String::new()),
-                EventKind::SliceEnd { phase, units } => {
-                    (phase.name(), units.to_string(), String::new())
-                }
-                EventKind::WriteBarrierRemember { root } => ("", root.to_string(), String::new()),
-                EventKind::DeviceQueued { wait_ns } => ("", wait_ns.to_string(), String::new()),
-                EventKind::TenantSched { tenant, admitted } => {
-                    ("", tenant.to_string(), admitted.to_string())
-                }
-                EventKind::Pretenure { label, words } => {
-                    ("", label.to_string(), words.to_string())
-                }
-                // Two payload slots: keep the block coordinates; the JSONL
-                // export carries the decision name.
-                EventKind::PlacementDecision { rdd, partition, choice } => (
-                    crate::PLACEMENT_NAMES[*choice as usize],
-                    rdd.to_string(),
-                    partition.to_string(),
-                ),
-                EventKind::BlockSerde { deser, bytes } => {
-                    ("", deser.to_string(), bytes.to_string())
-                }
-                // Two payload slots: keep session + the second field; the
-                // JSONL export carries the op name.
-                EventKind::QueryBegin { session, kind } => (
-                    crate::QUERY_OP_NAMES[*kind as usize],
-                    session.to_string(),
-                    String::new(),
-                ),
-                EventKind::QueryEnd { session, rows } => {
-                    ("", session.to_string(), rows.to_string())
-                }
-                EventKind::IndexProbe { runs, hits } => {
-                    ("", runs.to_string(), hits.to_string())
-                }
-            };
-            format!("{},{},{},{},{},{}", e.seq, e.t_ns, e.kind.name(), detail, a, b)
-        })
-        .collect()
-}
-
 /// Only the GC-attribution events (see [`EventKind::is_gc`]).
 pub fn gc_only(events: &[Event]) -> Vec<Event> {
     events.iter().copied().filter(|e| e.kind.is_gc()).collect()
@@ -294,7 +203,7 @@ pub fn gc_cycles(events: &[Event]) -> Vec<GcCycle> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CardTableKind, GcPhase};
+    use crate::CardTableKind;
 
     fn e(seq: u64, t_ns: u64, kind: EventKind) -> Event {
         Event { seq, t_ns, kind }
@@ -322,17 +231,6 @@ mod tests {
     #[test]
     fn json_string_escapes() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
-    fn csv_rows_match_header_arity() {
-        let events = [
-            e(0, 1, EventKind::DeviceWrite { bytes: 4096 }),
-            e(1, 2, EventKind::PhaseBegin { phase: GcPhase::Mark }),
-        ];
-        for row in to_csv_rows(&events) {
-            assert_eq!(row.split(',').count(), CSV_HEADER.split(',').count());
-        }
     }
 
     #[test]

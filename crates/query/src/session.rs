@@ -201,31 +201,18 @@ struct Tenant {
     cold: Table,
 }
 
-/// Builds a tenant: loads both table copies with `contents` and runs one
-/// major collection so the cold copy's tagged chunks move to H2.
+/// Builds a tenant on `heap` (H2 attached): loads both table copies with
+/// `contents` in chunks of `chunk_rows` and runs one major collection so the
+/// cold copy's tagged chunks move to H2.
 fn build_tenant(
-    cfg: &QueryPlaneConfig,
-    device: &SharedDevice,
-    clock: Arc<SimClock>,
+    mut heap: Heap,
+    chunk_rows: usize,
     contents: &[[u64; COLS]],
 ) -> Result<Tenant, OomError> {
-    let mut heap = Heap::with_clock(cfg.heap, clock);
-    heap.attach_h2(cfg.h2, device)
-        .expect("capacity is sized tenants * footprint; attach cannot fail");
-    let mut hot = Table::new(TableConfig {
-        table_id: 1,
-        cols: COLS,
-        chunk_rows: cfg.chunk_rows,
-        key_col: 0,
-        placement: TablePlacement::Hot,
-    });
-    let mut cold = Table::new(TableConfig {
-        table_id: 2,
-        cols: COLS,
-        chunk_rows: cfg.chunk_rows,
-        key_col: 0,
-        placement: TablePlacement::Cold,
-    });
+    let table = |table_id, placement| {
+        Table::new(TableConfig { table_id, cols: COLS, chunk_rows, key_col: 0, placement })
+    };
+    let (mut hot, mut cold) = (table(1, TablePlacement::Hot), table(2, TablePlacement::Cold));
     for row in contents {
         hot.append_row(&mut heap, row)?;
         cold.append_row(&mut heap, row)?;
@@ -262,7 +249,10 @@ pub fn run_query_plane(cfg: &QueryPlaneConfig) -> Result<QueryReport, OomError> 
             .add_tenant(clock.clone(), cfg.h2.footprint_bytes())
             .expect("fresh clocks, sized capacity");
         ids.push(id);
-        tenants.push(build_tenant(cfg, &device, clock, &contents)?);
+        let mut heap = Heap::with_clock(cfg.heap, clock);
+        heap.attach_h2(cfg.h2, &device)
+            .expect("capacity is sized tenants * footprint; attach cannot fail");
+        tenants.push(build_tenant(heap, cfg.chunk_rows, &contents)?);
     }
 
     // Session state: the op ids it will replay, and its next issue time
@@ -352,34 +342,33 @@ pub fn run_query_plane(cfg: &QueryPlaneConfig) -> Result<QueryReport, OomError> 
 
 /// One bounded query round for a server-plane tenant
 /// (`teraheap_server::TenantWorkload::Query`): builds the two table copies
-/// on a heap attached to the *already registered* tenant clock, replays
-/// `ops` operations multiplexed over `sessions` logical sessions, and
-/// returns the canonical answer checksum (exact in an `f64`, matching the
-/// server's mode-independent round checksums).
+/// on `heap` — which the server made on the tenant's registered clock and
+/// attached to its device partition — replays `ops` operations multiplexed
+/// over `sessions` logical sessions, and returns the canonical answer
+/// checksum (exact in an `f64`, matching the server's mode-independent
+/// round checksums).
 ///
 /// # Errors
 ///
 /// Returns [`OomError`] if the tables do not fit the tenant heap.
-#[allow(clippy::too_many_arguments)] // mirrors the server's run_round inputs
 pub fn run_tenant_round(
-    heap: HeapConfig,
-    h2: H2Config,
-    device: &SharedDevice,
-    clock: Arc<SimClock>,
+    heap: Heap,
     sessions: usize,
     ops: usize,
     rows: usize,
     seed: u64,
 ) -> Result<f64, OomError> {
-    let mut cfg = QueryPlaneConfig::new(device.spec());
-    cfg.heap = heap;
-    cfg.h2 = h2;
+    // Only the op mix, the table shape and the seed of the plane config are
+    // read below. Its device says where the cold copy lives: DRAM, on a
+    // heap without H2.
+    let device = heap.h2().map_or(DeviceSpec::dram(), |h2| *h2.device_spec());
+    let mut cfg = QueryPlaneConfig::new(device);
     cfg.rows_per_table = rows.max(1);
     cfg.chunk_rows = 64.min(cfg.rows_per_table);
     cfg.total_ops = ops.max(1);
     cfg.seed = seed;
     let contents = gen_rows(cfg.rows_per_table, cfg.seed);
-    let mut tenant = build_tenant(&cfg, device, clock, &contents)?;
+    let mut tenant = build_tenant(heap, cfg.chunk_rows, &contents)?;
     let sessions = sessions.max(1);
     let mut fnv = Fnv::new();
     for i in 0..cfg.total_ops {

@@ -287,11 +287,6 @@ impl Heap {
         Ok(())
     }
 
-    /// Whether TeraHeap is enabled.
-    pub fn teraheap_enabled(&self) -> bool {
-        self.h2.is_some()
-    }
-
     /// Enables the uncharged H2 liveness tracing that Figure 10 needs.
     pub fn track_h2_liveness(&mut self, on: bool) {
         self.track_h2_liveness = on;
@@ -343,11 +338,6 @@ impl Heap {
     /// primitive words.
     pub fn register_class(&mut self, name: &str, ref_fields: usize, prim_fields: usize) -> ClassId {
         self.classes.register(name, ref_fields, prim_fields)
-    }
-
-    /// Registers a fully-specified class descriptor.
-    pub fn register_class_full(&mut self, desc: ClassDesc) -> ClassId {
-        self.classes.register_full(desc)
     }
 
     /// The descriptor of `class`.
@@ -1228,28 +1218,12 @@ impl Heap {
         }
     }
 
-    /// Whether the adaptive placement plane is on.
-    pub fn adaptive_placement(&self) -> bool {
-        self.lifetimes.is_enabled()
-    }
-
     /// Sets (or clears) the allocation-site label for subsequent
     /// allocations. Frameworks bracket partition construction with this so
     /// the profiler can attribute allocations — and pretenure decisions —
     /// to the partition's site.
     pub fn set_alloc_site(&mut self, site: Option<Label>) {
         self.alloc_site = site;
-    }
-
-    /// The per-site lifetime profiles (empty unless adaptive placement ran).
-    pub fn lifetime_profiles(&self) -> &LifetimeProfiles {
-        &self.lifetimes
-    }
-
-    /// The union-find over H2 regions grouped by pretenure site, if
-    /// adaptive placement is on.
-    pub fn pretenure_groups(&self) -> Option<&RegionGroups> {
-        self.site_groups.as_ref()
     }
 
     /// `h2_move(label)`: advises TeraHeap to move all objects tagged with

@@ -13,9 +13,10 @@
 //! per-tenant [`TenantIo`] counters.
 
 use crate::config::{ConfigError, ServerConfig, TenantWorkload};
-use mini_giraph::{run_giraph_on_tenant, GiraphConfig, GiraphMode, TenantLoadError};
+use mini_giraph::{run_giraph_on, GiraphConfig, GiraphMode};
 use mini_spark::{run_workload_on, ExecMode, SparkConfig, SparkContext};
 use std::sync::Arc;
+use teraheap_runtime::Heap;
 use teraheap_storage::obs::EventKind;
 use teraheap_storage::{SharedDevice, SimClock, TenantId, TenantIo};
 
@@ -238,43 +239,29 @@ impl Server {
         }
     }
 
-    /// One job round for tenant `i`: build the tenant context (attach),
-    /// run the workload, drop the context (detach — arbitration state
-    /// persists). Returns the checksum, or `None` on OOM.
+    /// One job round for tenant `i`: make its heap on the tenant clock and
+    /// attach it to the tenant's partition of the shared device, hand it to
+    /// the workload's framework, drop it with the round (detach —
+    /// arbitration state persists). Returns the checksum, or `None` on OOM.
     fn run_round(&self, i: usize) -> Option<f64> {
         let spec = &self.config.tenants[i];
-        let clock = self.clocks[i].clone();
+        let mut heap = Heap::with_clock(spec.heap, self.clocks[i].clone());
+        heap.attach_h2(spec.h2, &self.device).expect("validated tenant attach cannot fail");
         match spec.workload {
             TenantWorkload::Spark { workload, scale } => {
                 let mode = ExecMode::TeraHeap { h2: spec.h2, device: self.config.device };
-                let cfg = SparkConfig {
-                    heap: spec.heap,
-                    mode,
-                    partitions: 4,
-                    iterations: 3,
-                };
-                let mut ctx = SparkContext::new_tenant(cfg, &self.device, clock)
-                    .expect("validated tenant attach cannot fail");
+                let cfg = SparkConfig { heap: spec.heap, mode, partitions: 4, iterations: 3 };
+                let mut ctx = SparkContext::with_heap(cfg, heap);
                 run_workload_on(workload, &mut ctx, scale).ok()
             }
             TenantWorkload::Giraph { workload, vertices, avg_degree, seed } => {
                 let mode = GiraphMode::TeraHeap { h2: spec.h2, device: self.config.device };
                 let cfg = GiraphConfig { heap: spec.heap, ..GiraphConfig::small(mode) };
-                match run_giraph_on_tenant(
-                    workload, cfg, vertices, avg_degree, seed, &self.device, clock,
-                ) {
-                    Ok((_ctx, c)) => Some(c),
-                    Err(TenantLoadError::Oom(_)) => None,
-                    Err(TenantLoadError::Attach(e)) => {
-                        panic!("validated tenant attach cannot fail: {e}")
-                    }
-                }
+                let round = run_giraph_on(heap, workload, cfg, vertices, avg_degree, seed);
+                round.ok().map(|(_ctx, checksum)| checksum)
             }
             TenantWorkload::Query { sessions, ops, rows, seed } => {
-                teraheap_query::run_tenant_round(
-                    spec.heap, spec.h2, &self.device, clock, sessions, ops, rows, seed,
-                )
-                .ok()
+                teraheap_query::run_tenant_round(heap, sessions, ops, rows, seed).ok()
             }
         }
     }

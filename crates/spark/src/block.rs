@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use teraheap_core::Label;
 use teraheap_runtime::obs::EventKind;
 use teraheap_runtime::{Handle, Heap, OomError};
-use teraheap_storage::{Category, SimDevice};
+use teraheap_storage::{Blob, Category, SimDevice};
 
 /// Identifies a cached partition: `(rdd id, partition index)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -52,7 +52,7 @@ pub enum CacheMode {
 #[derive(Debug)]
 enum Slot {
     OnHeap(Handle),
-    OffHeap { offset: usize, len: usize },
+    OffHeap(Blob),
 }
 
 /// The compute cache holding persisted partitions.
@@ -61,7 +61,6 @@ pub struct BlockManager {
     mode: CacheMode,
     slots: HashMap<BlockId, Slot>,
     onheap_used_words: usize,
-    device_cursor: usize,
     sd_serializations: u64,
     sd_deserializations: u64,
     /// Adaptive mode only: words each on-heap-budgeted block is charged,
@@ -76,18 +75,9 @@ impl BlockManager {
             mode,
             slots: HashMap::new(),
             onheap_used_words: 0,
-            device_cursor: 0,
             sd_serializations: 0,
             sd_deserializations: 0,
             budgeted: HashMap::new(),
-        }
-    }
-
-    /// The online placement model, when running in adaptive mode.
-    pub fn placement_model(&self) -> Option<&PlacementModel> {
-        match &self.mode {
-            CacheMode::Adaptive { model, .. } => Some(model),
-            _ => None,
         }
     }
 
@@ -112,130 +102,119 @@ impl BlockManager {
     }
 
     /// Caches `partition` under `id`, taking ownership of the handle (a
-    /// failed put releases it).
+    /// failed put releases it; a put over a cached id replaces that block).
+    /// The mode decides the tier, then the block is placed there.
     ///
-    /// TeraHeap mode tags the partition as a root key-object with the RDD id
-    /// as label and advises the move (§5: the block manager issues
+    /// An H2 placement tags the partition as a root key-object with the RDD
+    /// id as label and advises the move (§5: the block manager issues
     /// `h2_tag_root` and `h2_move` as it stores each partition).
     ///
     /// # Errors
     ///
     /// Returns [`OomError`] if serialization pressure exhausts the heap.
     pub fn put(&mut self, heap: &mut Heap, id: BlockId, partition: Handle) -> Result<(), OomError> {
-        self.put_labeled(heap, id, partition, Label::new(id.rdd))
-    }
-
-    /// [`BlockManager::put`] with an explicit placement label instead of the
-    /// RDD id. Callers that cache many logical streams under one RDD
-    /// namespace — the query plane caches one column chunk per block and
-    /// labels it per (table, column) — use this so H2 groups whole columns
-    /// into contiguous same-label regions rather than lumping every chunk
-    /// of a table together.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OomError`] if serialization pressure exhausts the heap.
-    pub fn put_labeled(
-        &mut self,
-        heap: &mut Heap,
-        id: BlockId,
-        partition: Handle,
-        label: Label,
-    ) -> Result<(), OomError> {
-        match &mut self.mode {
-            CacheMode::TeraHeap => {
-                // An already-H2-resident partition (group-labeled chunk
-                // allocation pretenured it) carries its label; re-tagging
-                // would touch the device for nothing.
-                if !heap.is_in_h2(partition) {
-                    heap.h2_tag_root(partition, label);
-                }
-                heap.h2_move(label);
-                self.slots.insert(id, Slot::OnHeap(partition));
-            }
-            CacheMode::OnHeapOnly => {
-                self.slots.insert(id, Slot::OnHeap(partition));
-            }
-            CacheMode::SerializedOverflow { device, onheap_budget_words } => {
-                let words = kryo_sim::serialized_size(heap, partition) / 8;
+        // What an on-heap placement is charged against the budget.
+        let mut words = 0;
+        let placement = match &mut self.mode {
+            CacheMode::OnHeapOnly => Placement::OnHeap,
+            CacheMode::TeraHeap => Placement::H2,
+            CacheMode::SerializedOverflow { onheap_budget_words, .. } => {
+                words = kryo_sim::serialized_size(heap, partition) / 8;
                 if self.onheap_used_words + words <= *onheap_budget_words {
-                    self.onheap_used_words += words;
-                    self.slots.insert(id, Slot::OnHeap(partition));
+                    Placement::OnHeap
                 } else {
-                    let bytes = kryo_sim::serialize(heap, partition)
-                        .inspect_err(|_| heap.release(partition))?;
-                    let offset = self.device_cursor;
-                    self.device_cursor += bytes.len();
-                    device
-                        .write(offset, &bytes, Category::Io)
-                        .expect("off-heap cache device full");
-                    heap.release(partition);
-                    heap.clock().emit(EventKind::BlockSerde {
-                        deser: false,
-                        bytes: bytes.len() as u64,
-                    });
-                    self.slots.insert(id, Slot::OffHeap { offset, len: bytes.len() });
-                    self.sd_serializations += 1;
+                    Placement::Serialized
                 }
             }
-            CacheMode::Adaptive { device, onheap_budget_words, model } => {
+            CacheMode::Adaptive { onheap_budget_words, model, .. } => {
                 model.note_put(id.rdd);
-                if heap.is_in_h2(partition) {
-                    // Pretenured at allocation: the lifetime profiler already
-                    // placed the partition in region-grouped H2 storage.
-                    heap.clock().emit(EventKind::PlacementDecision {
-                        rdd: id.rdd,
-                        partition: id.partition,
-                        choice: Placement::H2.index(),
-                    });
-                    self.slots.insert(id, Slot::OnHeap(partition));
-                    return Ok(());
-                }
-                let bytes_est = kryo_sim::serialized_size(heap, partition);
-                let words = bytes_est / 8;
-                let onheap_fits = self.onheap_used_words + words <= *onheap_budget_words;
-                let h2_ok = heap.h2().is_some_and(|h| !h.is_degraded());
-                let choice =
-                    model.decide(id.rdd, words as u64, bytes_est as u64, onheap_fits, h2_ok);
+                // Pretenured at allocation: the lifetime profiler already
+                // placed the partition in region-grouped H2 storage.
+                let pretenured = heap.is_in_h2(partition);
+                let choice = if pretenured {
+                    Placement::H2
+                } else {
+                    let bytes_est = kryo_sim::serialized_size(heap, partition);
+                    words = bytes_est / 8;
+                    let onheap_fits = self.onheap_used_words + words <= *onheap_budget_words;
+                    let h2_ok = heap.h2().is_some_and(|h| !h.is_degraded());
+                    model.decide(id.rdd, words as u64, bytes_est as u64, onheap_fits, h2_ok)
+                };
                 heap.clock().emit(EventKind::PlacementDecision {
                     rdd: id.rdd,
                     partition: id.partition,
                     choice: choice.index(),
                 });
-                match choice {
-                    Placement::OnHeap => {
-                        self.onheap_used_words += words;
-                        self.budgeted.insert(id, words);
-                        self.slots.insert(id, Slot::OnHeap(partition));
-                    }
-                    Placement::H2 => {
-                        heap.h2_tag_root(partition, label);
-                        heap.h2_move(label);
-                        self.slots.insert(id, Slot::OnHeap(partition));
-                    }
-                    Placement::Serialized => {
-                        let before = heap.clock().category_ns(Category::SerDe);
-                        let bytes = kryo_sim::serialize(heap, partition)
-                            .inspect_err(|_| heap.release(partition))?;
-                        let serde_ns = heap.clock().category_ns(Category::SerDe) - before;
-                        model.observe_serde(bytes.len() as u64, serde_ns);
-                        let offset = self.device_cursor;
-                        self.device_cursor += bytes.len();
-                        device
-                            .write(offset, &bytes, Category::Io)
-                            .expect("off-heap cache device full");
-                        heap.release(partition);
-                        heap.clock().emit(EventKind::BlockSerde {
-                            deser: false,
-                            bytes: bytes.len() as u64,
-                        });
-                        self.slots.insert(id, Slot::OffHeap { offset, len: bytes.len() });
-                        self.sd_serializations += 1;
-                    }
+                if pretenured {
+                    self.insert(heap, id, Slot::OnHeap(partition), None);
+                    return Ok(());
                 }
+                choice
             }
-        }
+        };
+        let mut budget = None;
+        let slot = match placement {
+            Placement::OnHeap => {
+                self.onheap_used_words += words;
+                // Only adaptive mode records what unpersist gives back:
+                // Spark-SD's budget only ever shrinks (ROADMAP item 2).
+                budget = matches!(self.mode, CacheMode::Adaptive { .. }).then_some(words);
+                Slot::OnHeap(partition)
+            }
+            Placement::H2 => {
+                // An already-H2-resident partition carries its label;
+                // re-tagging would touch the device for nothing.
+                let label = Label::new(id.rdd);
+                if !heap.is_in_h2(partition) {
+                    heap.h2_tag_root(partition, label);
+                }
+                heap.h2_move(label);
+                Slot::OnHeap(partition)
+            }
+            Placement::Serialized => {
+                let before = heap.clock().category_ns(Category::SerDe);
+                let bytes = kryo_sim::serialize(heap, partition)
+                    .inspect_err(|_| heap.release(partition))?;
+                let len = bytes.len() as u64;
+                let device = match &mut self.mode {
+                    CacheMode::SerializedOverflow { device, .. } => device,
+                    CacheMode::Adaptive { device, model, .. } => {
+                        let serde_ns = heap.clock().category_ns(Category::SerDe) - before;
+                        model.observe_serde(len, serde_ns);
+                        device
+                    }
+                    _ => unreachable!("serialized placement without a device"),
+                };
+                let blob = device.store(bytes, Category::Io).expect("off-heap cache device full");
+                heap.release(partition);
+                heap.clock().emit(EventKind::BlockSerde { deser: false, bytes: len });
+                self.sd_serializations += 1;
+                Slot::OffHeap(blob)
+            }
+        };
+        self.insert(heap, id, slot, budget);
         Ok(())
+    }
+
+    /// Caches `slot` under `id`, replacing the block a previous put left
+    /// there; `budget` is what unpersist returns to the on-heap budget.
+    fn insert(&mut self, heap: &mut Heap, id: BlockId, slot: Slot, budget: Option<usize>) {
+        self.evict(heap, id);
+        self.slots.insert(id, slot);
+        if let Some(words) = budget {
+            self.budgeted.insert(id, words);
+        }
+    }
+
+    /// Drops block `id`, if cached: releases an on-heap handle (an off-heap
+    /// blob frees its bytes by being dropped) and returns its budget.
+    fn evict(&mut self, heap: &mut Heap, id: BlockId) {
+        if let Some(Slot::OnHeap(h)) = self.slots.remove(&id) {
+            heap.release(h);
+        }
+        if let Some(words) = self.budgeted.remove(&id) {
+            self.onheap_used_words = self.onheap_used_words.saturating_sub(words);
+        }
     }
 
     /// Fetches block `id`, returning a caller-owned handle.
@@ -255,9 +234,9 @@ impl BlockManager {
         if let CacheMode::Adaptive { model, .. } = &mut self.mode {
             model.note_get(id.rdd);
         }
-        match *slot {
-            Slot::OnHeap(h) => Ok(Some(heap.dup(h))),
-            Slot::OffHeap { offset, len } => {
+        match slot {
+            Slot::OnHeap(h) => Ok(Some(heap.dup(*h))),
+            Slot::OffHeap(blob) => {
                 let device = match &self.mode {
                     CacheMode::SerializedOverflow { device, .. }
                     | CacheMode::Adaptive { device, .. } => device,
@@ -265,15 +244,14 @@ impl BlockManager {
                 };
                 self.sd_deserializations += 1;
                 let before = heap.clock().category_ns(Category::SerDe);
-                // Deserialized in place from the device's bytes (the device
+                // Deserialized in place from the blob's bytes (the device
                 // read charges I/O, never S/D).
-                let h = device
-                    .view(offset, len, Category::Io, |bytes| kryo_sim::deserialize(heap, bytes))
-                    .expect("off-heap cache read failed")?;
+                let h = kryo_sim::deserialize(heap, device.load(blob, Category::Io))?;
                 let serde_ns = heap.clock().category_ns(Category::SerDe) - before;
-                heap.clock().emit(EventKind::BlockSerde { deser: true, bytes: len as u64 });
+                let len = blob.len() as u64;
+                heap.clock().emit(EventKind::BlockSerde { deser: true, bytes: len });
                 if let CacheMode::Adaptive { model, .. } = &mut self.mode {
-                    model.observe_serde(len as u64, serde_ns);
+                    model.observe_serde(len, serde_ns);
                 }
                 Ok(Some(h))
             }
@@ -287,20 +265,15 @@ impl BlockManager {
 
     /// Removes an entire RDD from the cache, releasing on-heap handles in
     /// partition order (H2 regions become reclaimable at the next major
-    /// GC). The order matters: released root slots are reused last-in
-    /// first-out, and `HashMap` iteration order differs from process to
-    /// process.
+    /// GC; serialized blocks free their device bytes). The order matters:
+    /// released root slots are reused last-in first-out, and `HashMap`
+    /// iteration order differs from process to process.
     pub fn unpersist(&mut self, heap: &mut Heap, rdd: u64) {
         let mut ids: Vec<BlockId> =
             self.slots.keys().copied().filter(|b| b.rdd == rdd).collect();
         ids.sort_unstable();
         for id in ids {
-            if let Some(Slot::OnHeap(h)) = self.slots.remove(&id) {
-                heap.release(h);
-            }
-            if let Some(words) = self.budgeted.remove(&id) {
-                self.onheap_used_words = self.onheap_used_words.saturating_sub(words);
-            }
+            self.evict(heap, id);
         }
     }
 }
@@ -392,6 +365,32 @@ mod tests {
         bm.unpersist(&mut heap, 7);
         assert_eq!(heap.live_roots(), roots_before - 1);
         assert!(bm.get(&mut heap, BlockId { rdd: 7, partition: 0 }).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_put_over_a_cached_id_releases_the_block_it_replaces() {
+        let overflow = |heap: &Heap| CacheMode::SerializedOverflow {
+            device: SimDevice::new(DeviceSpec::nvme_ssd(), 1 << 20, heap.clock().clone()),
+            onheap_budget_words: 40,
+        };
+        for mode in [|_: &Heap| CacheMode::OnHeapOnly, overflow] {
+            let mut heap = Heap::new(HeapConfig::small());
+            let mut bm = BlockManager::new(mode(&heap));
+            let id = BlockId { rdd: 1, partition: 0 };
+            // Under the 40-word budget the first put stays on the heap and
+            // the second and third are serialized.
+            for fill in [0, 1000, 2000] {
+                let p = mk_partition(&mut heap, 32, fill);
+                bm.put(&mut heap, id, p).unwrap();
+                assert_eq!(bm.len(), 1);
+                let q = bm.get(&mut heap, id).unwrap().unwrap();
+                assert_eq!(heap.read_prim(q, 5), fill + 5, "the latest put wins");
+                heap.release(q);
+                assert!(heap.live_roots() <= 1, "{:?}: the replaced handle leaked", bm.mode);
+            }
+            bm.unpersist(&mut heap, 1);
+            assert_eq!(heap.live_roots(), 0, "{:?}", bm.mode);
+        }
     }
 
     #[test]

@@ -2,11 +2,10 @@
 
 use crate::block::{BlockManager, CacheMode};
 use crate::placement::PlacementModel;
-use std::sync::Arc;
 use teraheap_core::H2Config;
 use teraheap_runtime::obs::SpanKind;
-use teraheap_runtime::{AttachError, ClassId, Heap, HeapConfig, SharedDevice};
-use teraheap_storage::{Category, DeviceSpec, SimClock, SimDevice};
+use teraheap_runtime::{ClassId, Heap, HeapConfig, SharedDevice};
+use teraheap_storage::{Category, DeviceSpec, SimDevice};
 
 /// Which cache/heap configuration a run uses (Table 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,12 +92,10 @@ pub struct SparkContext {
 }
 
 impl SparkContext {
-    /// Builds a context: heap (with H2 when TeraHeap), block manager and
-    /// the shared data classes.
-    ///
-    /// A TeraHeap mode attaches to a freshly-created one-tenant
-    /// [`SharedDevice`] sized to the H2 footprint — the single-tenant
-    /// degenerate case, where arbitration provably never queues.
+    /// Builds a context on a private heap. A TeraHeap mode attaches it to a
+    /// freshly-created one-tenant [`SharedDevice`] sized to the H2 footprint
+    /// — the single-tenant degenerate case, where arbitration provably
+    /// never queues.
     pub fn new(config: SparkConfig) -> Self {
         let mut heap = Heap::new(config.heap);
         if let ExecMode::TeraHeap { h2, device } | ExecMode::Adaptive { h2, device } = config.mode
@@ -110,57 +107,35 @@ impl SparkContext {
         Self::with_heap(config, heap)
     }
 
-    /// Builds a context as one tenant of a shared H2 device.
-    ///
-    /// `clock` must be the clock this tenant was registered with
-    /// ([`SharedDevice::add_tenant`]); the device's partition spec — not the
-    /// `ExecMode::TeraHeap` device field, which only matters for the private
-    /// path of [`SparkContext::new`] — decides the I/O cost model.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the clock is not a registered tenant of `device` or the H2
-    /// footprint exceeds the tenant's quota.
-    pub fn new_tenant(
-        config: SparkConfig,
-        device: &SharedDevice,
-        clock: Arc<SimClock>,
-    ) -> Result<Self, AttachError> {
-        let mut heap = Heap::with_clock(config.heap, clock);
-        if let ExecMode::TeraHeap { h2, .. } | ExecMode::Adaptive { h2, .. } = config.mode {
-            heap.attach_h2(h2, device)?;
-        }
-        Ok(Self::with_heap(config, heap))
-    }
-
-    fn with_heap(config: SparkConfig, mut heap: Heap) -> Self {
+    /// Builds a context — block manager and the shared data classes — on a
+    /// heap the caller made (`config.heap` only sizes the on-heap cache
+    /// budget). For a TeraHeap mode the caller attaches H2 first: a server
+    /// tenant attaches to its partition of the shared device, whose spec —
+    /// not the mode's `device` field, which [`SparkContext::new`] reads —
+    /// decides the H2 I/O cost model.
+    pub fn with_heap(config: SparkConfig, mut heap: Heap) -> Self {
         let cache = match config.mode {
-            ExecMode::SparkSd { device } => {
-                let dev = SimDevice::new(device, 4 << 30, heap.clock().clone());
-                CacheMode::SerializedOverflow {
-                    device: dev,
-                    onheap_budget_words: config.heap.h1_words() / 2,
-                }
-            }
+            ExecMode::SparkSd { device } => CacheMode::SerializedOverflow {
+                device: SimDevice::new(device, 4 << 30, heap.clock().clone()),
+                onheap_budget_words: config.heap.h1_words() / 2,
+            },
             ExecMode::OnHeap => CacheMode::OnHeapOnly,
             ExecMode::TeraHeap { .. } => CacheMode::TeraHeap,
             ExecMode::Adaptive { device, .. } => {
                 heap.set_adaptive_placement(true);
-                let dev = SimDevice::new(device, 4 << 30, heap.clock().clone());
                 let cost = config.heap.cost;
                 // Seed the S/D estimate from the static cost model (per-KiB,
                 // one direction); real Kryo runs refine it online.
                 let serde_prior = cost.serde_byte_ns * 1024 + cost.serde_object_ns;
-                let model = PlacementModel::new(
-                    device,
-                    Some(device),
-                    serde_prior,
-                    cost.gc_copy_word_ns,
-                );
                 CacheMode::Adaptive {
-                    device: dev,
+                    device: SimDevice::new(device, 4 << 30, heap.clock().clone()),
                     onheap_budget_words: config.heap.h1_words() / 2,
-                    model,
+                    model: PlacementModel::new(
+                        device,
+                        Some(device),
+                        serde_prior,
+                        cost.gc_copy_word_ns,
+                    ),
                 }
             }
         };

@@ -7,10 +7,12 @@
 //! plain loads for on-heap blocks — allocate per-iteration intermediate
 //! results (GC pressure) and shuffle aggregates between stages (S/D).
 //!
-//! Every stage reads its partitions through one cursor (`with_block`):
-//! cached data is read where it lies — pinned once, viewed in place — and
-//! every handle a stage takes is released on every exit, so a round that
-//! runs out of memory leaves the context with nothing rooted but its cache.
+//! Every RDD is built through one builder (`build_block`) and every stage
+//! reads its partitions through one cursor (`with_block`): cached data is
+//! written and read where it lies — pinned once, filled and viewed in place
+//! — and every handle a build or a stage takes is released on every exit,
+//! so a round that runs out of memory leaves the context with nothing
+//! rooted but its cache.
 //!
 //! Every workload returns a checksum that is *identical across cache modes*,
 //! which the integration tests use to prove that TeraHeap only changes
@@ -177,7 +179,7 @@ pub fn run_workload_reported(
     mode: String,
     scale: DatasetScale,
 ) -> RunReport {
-    match exec(workload, ctx, scale) {
+    match run_workload_on(workload, ctx, scale) {
         Err(e) => {
             let mut r = RunReport::oom(workload.name(), mode);
             r.oom_context = Some(e.to_string());
@@ -222,10 +224,6 @@ pub fn run_workload_on(
     ctx: &mut SparkContext,
     scale: DatasetScale,
 ) -> Result<f64, OomError> {
-    exec(workload, ctx, scale)
-}
-
-fn exec(workload: Workload, ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, OomError> {
     match workload {
         Workload::Pr => pagerank(ctx, scale),
         Workload::Cc => connected_components(ctx, scale),
@@ -243,7 +241,7 @@ fn exec(workload: Workload, ctx: &mut SparkContext, scale: DatasetScale) -> Resu
 }
 
 // ---------------------------------------------------------------------------
-// The partition cursor
+// The partition builder and cursor
 // ---------------------------------------------------------------------------
 
 /// The one way a stage reads a cached partition — the paper's "iterative
@@ -269,6 +267,47 @@ fn with_block<const N: usize, R>(
     }
     heap.release(part);
     result
+}
+
+/// A partition data array to allocate: [`Heap::alloc_ref_array`] or
+/// [`Heap::alloc_prim_array`], and its length.
+type Array = (fn(&mut Heap, usize) -> Result<Handle, OomError>, usize);
+
+/// A primitive data array of `len` words.
+fn prims(len: usize) -> Array {
+    (Heap::alloc_prim_array, len)
+}
+
+/// The one way an RDD partition is built and cached: allocates the
+/// partition object, then its `N` data arrays in index order, pins them and
+/// hands them to `fill`; then links and releases each array in index order,
+/// stamps the partition index and puts the block under `id`. When a step
+/// runs out of memory, whatever is still held is released again and the
+/// allocation-site bracket the caller may have built under is closed (the
+/// round is over).
+fn build_block<const N: usize>(
+    ctx: &mut SparkContext,
+    id: BlockId,
+    arrays: [Array; N],
+    fill: impl FnOnce(&mut SparkContext, &mut [Pin; N]) -> Result<(), OomError>,
+) -> Result<(), OomError> {
+    with_held(ctx, |ctx, held| {
+        let part = ctx.heap.alloc(ctx.partition_class)?;
+        held.push(part);
+        for (alloc, len) in arrays {
+            held.push(alloc(&mut ctx.heap, len)?);
+        }
+        fill(ctx, &mut std::array::from_fn(|i| ctx.heap.pin(held[i + 1])))?;
+        for (i, array) in held.drain(1..).enumerate() {
+            ctx.heap.write_ref(part, i, array);
+            ctx.heap.release(array);
+        }
+        ctx.heap.write_prim(part, 0, id.partition as u64);
+        // The put owns the partition from here, failed or not.
+        held.clear();
+        ctx.bm.put(&mut ctx.heap, id, part)
+    })
+    .inspect_err(|_| ctx.heap.set_alloc_site(None))
 }
 
 /// Runs `stage` with a holder for the handles it keeps across fallible
@@ -306,30 +345,28 @@ pub fn build_graph(ctx: &mut SparkContext, g: &Adjacency) -> Result<Vec<BlockId>
     let mut blocks = Vec::new();
     for p in 0..parts {
         let ids = (p..g.vertices()).step_by(parts);
-        let part = ctx.heap.alloc(ctx.partition_class)?;
-        let arr = ctx.heap.alloc_ref_array(ids.len())?;
-        for (i, vid) in ids.enumerate() {
-            let targets = g.of(vid);
-            let edges = ctx.heap.alloc_prim_array(targets.len().max(1))?;
-            ctx.heap.fill_prims_at(&mut ctx.heap.pin(edges), 0, targets.len(), |slots| {
-                for (slot, &t) in slots.iter_mut().zip(targets) {
-                    *slot = t as u64;
-                }
-            });
-            let v = ctx.heap.alloc(ctx.vertex_class)?;
-            let mut vertex = ctx.heap.pin(v);
-            ctx.heap.write_prim_at(&mut vertex, 0, vid as u64);
-            ctx.heap.write_prim_at(&mut vertex, 1, targets.len() as u64);
-            ctx.heap.write_ref(v, 0, edges);
-            ctx.heap.release(edges);
-            ctx.heap.write_ref(arr, i, v);
-            ctx.heap.release(v);
-        }
-        ctx.heap.write_ref(part, 0, arr);
-        ctx.heap.release(arr);
-        ctx.heap.write_prim(part, 0, p as u64);
         let id = BlockId { rdd, partition: p as u32 };
-        ctx.bm.put(&mut ctx.heap, id, part)?;
+        build_block(ctx, id, [(Heap::alloc_ref_array, ids.len())], |ctx, [vertices]| {
+            for (i, vid) in ids.enumerate() {
+                let targets = g.of(vid);
+                let edges = ctx.heap.alloc_prim_array(targets.len().max(1))?;
+                ctx.heap.fill_prims_at(&mut ctx.heap.pin(edges), 0, targets.len(), |slots| {
+                    for (slot, &t) in slots.iter_mut().zip(targets) {
+                        *slot = t as u64;
+                    }
+                });
+                let v =
+                    ctx.heap.alloc(ctx.vertex_class).inspect_err(|_| ctx.heap.release(edges))?;
+                let mut vertex = ctx.heap.pin(v);
+                ctx.heap.write_prim_at(&mut vertex, 0, vid as u64);
+                ctx.heap.write_prim_at(&mut vertex, 1, targets.len() as u64);
+                ctx.heap.write_ref(v, 0, edges);
+                ctx.heap.release(edges);
+                ctx.heap.write_ref(vertices.handle(), i, v);
+                ctx.heap.release(v);
+            }
+            Ok(())
+        })?;
         blocks.push(id);
     }
     // The cached RDD is established; TeraHeap moves it at the next major GC.
@@ -607,25 +644,19 @@ fn build_ml(ctx: &mut SparkContext, data: &VectorDataset) -> Result<Vec<BlockId>
     let mut blocks = Vec::new();
     for p in 0..parts {
         let row_ids = (p..rows).step_by(parts);
-        let part = ctx.heap.alloc(ctx.partition_class)?;
-        let features = ctx.heap.alloc_prim_array(row_ids.len() * dims)?;
-        let labels = ctx.heap.alloc_prim_array(row_ids.len().max(1))?;
-        let (mut feature_slots, mut label_slots) = (ctx.heap.pin(features), ctx.heap.pin(labels));
-        for (i, r) in row_ids.enumerate() {
-            ctx.heap.fill_prims_at(&mut feature_slots, i * dims, dims, |slots| {
-                for (slot, x) in slots.iter_mut().zip(data.row(r)) {
-                    *slot = x.to_bits();
-                }
-            });
-            ctx.heap.write_prim_at(&mut label_slots, i, data.labels[r].to_bits());
-        }
-        ctx.heap.write_ref(part, 0, features);
-        ctx.heap.release(features);
-        ctx.heap.write_ref(part, 1, labels);
-        ctx.heap.release(labels);
-        ctx.heap.write_prim(part, 0, p as u64);
         let id = BlockId { rdd, partition: p as u32 };
-        ctx.bm.put(&mut ctx.heap, id, part)?;
+        let lens = [row_ids.len() * dims, row_ids.len().max(1)];
+        build_block(ctx, id, lens.map(prims), |ctx, [features, labels]| {
+            for (i, r) in row_ids.enumerate() {
+                ctx.heap.fill_prims_at(features, i * dims, dims, |slots| {
+                    for (slot, x) in slots.iter_mut().zip(data.row(r)) {
+                        *slot = x.to_bits();
+                    }
+                });
+                ctx.heap.write_prim_at(labels, i, data.labels[r].to_bits());
+            }
+            Ok(())
+        })?;
         blocks.push(id);
     }
     Ok(blocks)
@@ -795,21 +826,14 @@ fn relational(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, OomErr
     let per_part = data.rows.len().div_ceil(parts);
     for p in 0..parts {
         let rows = &data.rows[p * per_part..((p + 1) * per_part).min(data.rows.len())];
-        let part = ctx.heap.alloc(ctx.partition_class)?;
-        let keys = ctx.heap.alloc_prim_array(rows.len().max(1))?;
-        let vals = ctx.heap.alloc_prim_array(rows.len().max(1))?;
-        let (mut key_slots, mut val_slots) = (ctx.heap.pin(keys), ctx.heap.pin(vals));
-        for (i, &(k, v)) in rows.iter().enumerate() {
-            ctx.heap.write_prim_at(&mut key_slots, i, k);
-            ctx.heap.write_prim_at(&mut val_slots, i, v);
-        }
-        ctx.heap.write_ref(part, 0, keys);
-        ctx.heap.release(keys);
-        ctx.heap.write_ref(part, 1, vals);
-        ctx.heap.release(vals);
-        ctx.heap.write_prim(part, 0, p as u64);
         let id = BlockId { rdd, partition: p as u32 };
-        ctx.bm.put(&mut ctx.heap, id, part)?;
+        build_block(ctx, id, [prims(rows.len().max(1)); 2], |ctx, [keys, vals]| {
+            for (i, &(k, v)) in rows.iter().enumerate() {
+                ctx.heap.write_prim_at(keys, i, k);
+                ctx.heap.write_prim_at(vals, i, v);
+            }
+            Ok(())
+        })?;
         blocks.push(id);
     }
     // Queries: filter + group-by-sum with a shuffle per query. The filtered
@@ -892,35 +916,36 @@ fn mixed_hot_cold(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, Oo
     let hot_rdd = ctx.new_rdd();
     let mut cold_blocks: Vec<BlockId> = Vec::new();
     let mut checksum = 0.0f64;
-    // Builds partition `index`: one primitive array whose word `i` is `word(i)`.
-    let build = |ctx: &mut SparkContext, index: usize, words: usize, word: &dyn Fn(u64) -> u64| {
-        let part = ctx.heap.alloc(ctx.partition_class)?;
-        let arr = ctx.heap.alloc_prim_array(words)?;
-        ctx.heap.fill_prims_at(&mut ctx.heap.pin(arr), 0, words, |slots| {
+    // Fills a partition's one primitive array so that word `i` is `word(i)`.
+    let fill = |heap: &mut Heap, array: &mut Pin, words: usize, word: &dyn Fn(u64) -> u64| {
+        heap.fill_prims_at(array, 0, words, |slots| {
             for (slot, i) in slots.iter_mut().zip(0..) {
                 *slot = word(i);
             }
         });
-        ctx.heap.write_ref(part, 0, arr);
-        ctx.heap.release(arr);
-        ctx.heap.write_prim(part, 0, index as u64);
-        Ok::<Handle, OomError>(part)
     };
     for it in 0..ctx.config.iterations {
         let _stage = ctx.heap.span(SpanKind::Stage);
-        // 1. Cold ingest: one new long-lived partition from the cold site.
+        // 1. Cold ingest: one new long-lived partition, built under the cold
+        //    site; the bracket ends with the fill, so the put runs outside it.
         ctx.heap.set_alloc_site(Some(Label::new(cold_rdd)));
-        let part = build(ctx, it, cold_words, &|i| i.wrapping_mul(2654435761) ^ it as u64)?;
-        ctx.heap.set_alloc_site(None);
         let cid = BlockId { rdd: cold_rdd, partition: it as u32 };
-        ctx.bm.put(&mut ctx.heap, cid, part)?;
+        build_block(ctx, cid, [prims(cold_words)], |ctx, [cold]| {
+            fill(&mut ctx.heap, cold, cold_words, &|i| i.wrapping_mul(2654435761) ^ it as u64);
+            ctx.heap.set_alloc_site(None);
+            Ok(())
+        })?;
         cold_blocks.push(cid);
-        // 2. Hot rebuild: drop last iteration's hot set, create this one's.
+        // 2. Hot rebuild: drop last iteration's hot set, create this one's
+        //    (puts included) under the hot site.
         ctx.bm.unpersist(&mut ctx.heap, hot_rdd);
         ctx.heap.set_alloc_site(Some(Label::new(hot_rdd)));
         for p in 0..parts {
-            let hpart = build(ctx, p, hot_words, &|i| i + (it * parts + p) as u64)?;
-            ctx.bm.put(&mut ctx.heap, BlockId { rdd: hot_rdd, partition: p as u32 }, hpart)?;
+            let hid = BlockId { rdd: hot_rdd, partition: p as u32 };
+            build_block(ctx, hid, [prims(hot_words)], |ctx, [hot]| {
+                fill(&mut ctx.heap, hot, hot_words, &|i| i + (it * parts + p) as u64);
+                Ok(())
+            })?;
         }
         ctx.heap.set_alloc_site(None);
         // 3. Hot phase: the working set is scanned HOT_REPS times.

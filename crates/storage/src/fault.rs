@@ -222,10 +222,10 @@ impl Default for FaultPlan {
 /// Shared runtime state of an armed fault plan.
 ///
 /// One plane is created per H2 (or per test harness) and installed into the
-/// components it covers ([`crate::MmapSim::set_fault_plane`],
-/// [`crate::SimDevice::set_fault_plane`]); `Arc`-sharing keeps every
-/// component drawing from the *same* operation counters and PRNG stream,
-/// which is what makes a chaos run a single replayable sequence.
+/// components it covers ([`crate::MmapSim::set_fault_plane`]); `Arc`-sharing
+/// keeps every component drawing from the *same* operation counters and
+/// PRNG stream, which is what makes a chaos run a single replayable
+/// sequence.
 #[derive(Debug)]
 pub struct FaultPlane {
     plan: FaultPlan,

@@ -7,8 +7,9 @@
 //!
 //! * [`DeviceSpec`] — latency/bandwidth models for DRAM, NVMe SSD and NVM,
 //!   including page- vs byte-addressability (§2 of the paper).
-//! * [`SimDevice`] — a byte-addressable simulated device with real backing
-//!   bytes, used for the serialized off-heap caches of the baselines.
+//! * [`SimDevice`] — the blob tier under the serialized off-heap caches of
+//!   the baselines: `store` charges a write and returns an owned [`Blob`],
+//!   `load` charges a read and lends the blob's bytes.
 //! * [`MmapSim`] — a page-cache cost model for file-backed `mmap`, with
 //!   faults, dirty write-back, a resident-set budget (the paper's DR2) and
 //!   optional 2 MB huge pages (the paper's HugeMap configuration).
@@ -52,7 +53,7 @@ pub mod stats;
 
 pub use clock::{Breakdown, Category, ChargeScope, LaneSet, SimClock, TraceSpan};
 pub use cost::CostModel;
-pub use device::{DeviceKind, DeviceSpec, SimDevice};
+pub use device::{Blob, DeviceKind, DeviceSpec, SimDevice};
 pub use durable::{DurableStore, WriteBackOutcome};
 pub use fault::{FaultPlan, FaultPlane, RetryOutcome};
 pub use mmap::MmapSim;

@@ -74,11 +74,6 @@ impl Rng {
         result
     }
 
-    /// The next uniformly distributed 32-bit word.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform draw from `range` (half-open, `lo..hi`).
     ///
     /// Works for the integer types used across the repo and for `f64`.

@@ -47,6 +47,13 @@ echo "== lints: clippy -D warnings =="
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 echo "ok"
 
+# A deleted or renamed public item must take the intra-doc links that name
+# it along. (Links from public docs to private items only warn; the flag
+# does not deny them.)
+echo "== docs: no dangling intra-doc links =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --offline --workspace -q
+echo "ok"
+
 # The repo benchmark is its own workspace (benchmark/), so the builds above
 # never compile it. Its quarter-size run is the API-drift check: it fails if
 # a crate entry point the harness drives was renamed or an output check
