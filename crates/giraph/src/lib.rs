@@ -715,9 +715,12 @@ impl GiraphContext {
                 break;
             }
             // Offload incoming messages first (they die soonest anyway),
-            // then edges.
-            if let Some(array) = self.incoming.parts[p].array.take() {
+            // then edges. A handle leaves its slot only once its blob is
+            // stored: when `serialize` runs out of memory the slot still
+            // names it, so it is not a root nothing can release.
+            if let Some(array) = self.incoming.parts[p].array {
                 self.incoming.parts[p].blob = Some(offload(&mut self.heap, array.handle())?);
+                self.incoming.parts[p].array = None;
                 resident = resident.saturating_sub(2 * self.incoming.parts[p].count + 3);
                 self.heap.release(array.handle());
                 self.offloads += 1;
@@ -725,10 +728,11 @@ impl GiraphContext {
             if resident <= memory_limit_words {
                 break;
             }
-            if let Some(h) = self.parts[p].edges.take() {
+            if let Some(h) = self.parts[p].edges {
                 if self.parts[p].edges_blob.is_none() {
                     self.parts[p].edges_blob = Some(offload(&mut self.heap, h)?);
                 }
+                self.parts[p].edges = None;
                 self.heap.release(h);
                 resident = resident.saturating_sub(self.parts[p].edge_words);
                 self.offloads += 1;
@@ -837,6 +841,39 @@ mod tests {
         let p = (0..4).find(|&p| offloaded(&ctx, p)).expect("the barrier offloads a store");
         assert_eq!(ctx.incoming_messages(p).unwrap(), [(p as u64, 1)]);
         assert!(!offloaded(&ctx, p) && ctx.incoming.parts[p].array.is_some());
+    }
+
+    #[test]
+    fn a_rebalance_that_runs_out_of_memory_leaks_no_root() {
+        let mode = |memory_limit_words| GiraphMode::OutOfCore {
+            device: DeviceSpec::nvme_ssd(),
+            memory_limit_words,
+        };
+        // With a message store on the LRU partition the scheduler's first
+        // offload is that store; without one it is the partition's edges.
+        for deliver in [true, false] {
+            let config = GiraphConfig::small(mode(usize::MAX));
+            let mut ctx = GiraphContext::load(config, &graph(), |_| 0).unwrap();
+            if deliver {
+                ctx.deliver_message(4, 2, Combiner::Append, &[1, 0, 0, 0]).unwrap();
+                ctx.barrier().unwrap();
+            }
+            // Fill the heap to the brim: `serialize` cannot allocate its
+            // temporary buffer, so the first offload fails.
+            let mut fill = Vec::new();
+            while let Ok(h) = ctx.heap.alloc_prim_array(64) {
+                fill.push(h);
+            }
+            ctx.config.mode = mode(0);
+            assert!(ctx.ooc_rebalance().is_err(), "the offload must run out of memory");
+            // Every live root is a handle some slot still names (or filler).
+            let stores = ctx.incoming.parts.iter().chain(&ctx.current.parts);
+            let named = ctx.parts.len()
+                + ctx.parts.iter().filter(|p| p.edges.is_some()).count()
+                + stores.filter(|m| m.array.is_some()).count();
+            assert_eq!(ctx.heap.live_roots(), named + fill.len(), "a handle left its slot");
+            assert_eq!((ctx.offloads, named), (0, 2 * ctx.parts.len() + usize::from(deliver)));
+        }
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! and TeraHeap (with and without the `h2_move` hint) at test scale and
 //! compares per-category simulated ns, GC counts, supersteps, H2 promotions,
 //! OOC offloads/reloads, `SimClock::charge` call counts per category and the
-//! answer checksum against golden rows (see [`ARMS`]).
+//! answer checksum against the rows of `tests/golden/charge_pin.txt`
+//! (`teraheap_util::golden`).
 //!
-//! If a change legitimately alters the cost model, re-capture the table with
-//! `TERAHEAP_GOLDEN_PRINT=1 cargo test -p mini-giraph --test charge_pin -- --nocapture`
-//! and say so in the PR; an optimization or refactoring PR must reproduce it
-//! exactly.
+//! If a change legitimately alters the cost model, re-pin with
+//! `scripts/repin.sh` and say so in the PR; an optimization or refactoring PR
+//! must reproduce the file exactly.
 
 use mini_giraph::workloads::run_giraph_with_context;
 use mini_giraph::{GiraphConfig, GiraphMode, GiraphWorkload};
@@ -17,6 +17,7 @@ use teraheap_core::H2Config;
 use teraheap_runtime::obs::Level;
 use teraheap_runtime::HeapConfig;
 use teraheap_storage::{Category, DeviceSpec};
+use teraheap_util::golden::Golden;
 
 const VERTICES: usize = 1500;
 const AVG_DEGREE: usize = 6;
@@ -69,10 +70,17 @@ fn config(mode: Mode) -> GiraphConfig {
     cfg
 }
 
-/// Per-category ns (5), minor and major GC counts, supersteps, objects
-/// promoted to H2, OOC offloads and reloads, charge calls per category (5),
-/// checksum bits.
-type Row = [u64; 17];
+/// One arm's numbers: per-category ns and charge calls in [`Category::ALL`]
+/// order, the answer checksum as `f64` bits.
+#[rustfmt::skip]
+const COLUMNS: [&str; 17] = [
+    "mutator_ns", "serde_ns", "io_ns", "minor_gc_ns", "major_gc_ns",
+    "minor_count", "major_count", "supersteps", "objects_promoted_h2", "offloads", "reloads",
+    "mutator_charges", "serde_charges", "io_charges", "minor_gc_charges", "major_gc_charges",
+    "checksum_bits",
+];
+
+type Row = [u64; COLUMNS.len()];
 
 fn capture(workload: GiraphWorkload, mode: Mode) -> Row {
     let (ctx, checksum) =
@@ -81,7 +89,7 @@ fn capture(workload: GiraphWorkload, mode: Mode) -> Row {
     let clock = ctx.heap.clock();
     let stats = ctx.heap.stats();
     let charges = clock.tracer().charge_counts();
-    let mut row = [0u64; 17];
+    let mut row = [0u64; COLUMNS.len()];
     for (i, &cat) in Category::ALL.iter().enumerate() {
         row[i] = clock.category_ns(cat);
         row[11 + i] = charges[i];
@@ -96,59 +104,41 @@ fn capture(workload: GiraphWorkload, mode: Mode) -> Row {
     row
 }
 
-/// The golden table, one row per workload x mode in [`GiraphWorkload::ALL`]
-/// x [`MODES`] order, each row in [`Row`] order.
-#[rustfmt::skip]
-const ARMS: [Row; 20] = [
-    [697478, 0, 0, 238457, 0, 8, 0, 5, 0, 0, 0, 224784, 0, 0, 16, 0, 4654311885213007872], // PR InMemory
-    [1222794, 955289, 4203392, 453903, 65546, 19, 1, 5, 0, 51, 31, 259538, 63, 63, 38, 4, 4654311885213007872], // PR Ooc
-    [3988354, 0, 0, 89540, 950347, 3, 6, 5, 1520, 0, 0, 182154, 0, 0, 9, 29, 4654311885213007872], // PR TeraHeap
-    [5590816, 0, 0, 89540, 973765, 3, 6, 5, 1521, 0, 0, 151641, 0, 0, 9, 29, 4654311885213007872], // PR TeraHeapNoHint
-    [696622, 0, 0, 238457, 0, 8, 0, 5, 0, 0, 0, 224356, 0, 0, 16, 0, 4678255949931085824], // CDLP InMemory
-    [1221938, 955289, 4203392, 453903, 65546, 19, 1, 5, 0, 51, 31, 259110, 63, 63, 38, 4, 4678255949931085824], // CDLP Ooc
-    [3987498, 0, 0, 89540, 950347, 3, 6, 5, 1520, 0, 0, 181726, 0, 0, 9, 29, 4678255949931085824], // CDLP TeraHeap
-    [5589960, 0, 0, 89540, 973765, 3, 6, 5, 1521, 0, 0, 151213, 0, 0, 9, 29, 4678255949931085824], // CDLP TeraHeapNoHint
-    [543463, 0, 0, 79420, 0, 2, 0, 5, 0, 0, 0, 236770, 0, 0, 4, 0, 4677102149916688384], // WCC InMemory
-    [585719, 84308, 1407504, 100749, 0, 3, 0, 5, 0, 16, 12, 236842, 28, 28, 6, 0, 4677102149916688384], // WCC Ooc
-    [2368335, 0, 0, 103256, 330860, 4, 2, 5, 1508, 0, 0, 208440, 0, 0, 12, 9, 4677102149916688384], // WCC TeraHeap
-    [2658242, 0, 0, 103256, 339661, 4, 2, 5, 1510, 0, 0, 194939, 0, 0, 12, 9, 4677102149916688384], // WCC TeraHeapNoHint
-    [136728, 0, 0, 77902, 0, 2, 0, 5, 0, 0, 0, 58599, 0, 0, 4, 0, 4937400944993239040], // BFS InMemory
-    [291136, 252936, 2173308, 269818, 0, 7, 0, 5, 0, 24, 20, 81251, 36, 36, 14, 0, 4937400944993239040], // BFS Ooc
-    [2179302, 0, 0, 101738, 329330, 4, 2, 5, 1508, 0, 0, 59110, 0, 0, 12, 9, 4937400944993239040], // BFS TeraHeap
-    [2457389, 0, 0, 101738, 332267, 4, 2, 5, 1509, 0, 0, 58712, 0, 0, 12, 9, 4937400944993239040], // BFS TeraHeapNoHint
-    [136728, 0, 0, 77902, 0, 2, 0, 5, 0, 0, 0, 58599, 0, 0, 4, 0, 4937400944993239040], // SSSP InMemory
-    [291136, 252936, 2173308, 269818, 0, 7, 0, 5, 0, 24, 20, 81251, 36, 36, 14, 0, 4937400944993239040], // SSSP Ooc
-    [2179302, 0, 0, 101738, 329330, 4, 2, 5, 1508, 0, 0, 59110, 0, 0, 12, 9, 4937400944993239040], // SSSP TeraHeap
-    [2457389, 0, 0, 101738, 332267, 4, 2, 5, 1509, 0, 0, 58712, 0, 0, 12, 9, 4937400944993239040], // SSSP TeraHeapNoHint
-];
+/// Every arm, named as in the golden file: [`GiraphWorkload::ALL`] x
+/// [`MODES`].
+fn arms() -> impl Iterator<Item = (String, GiraphWorkload, Mode)> {
+    GiraphWorkload::ALL
+        .iter()
+        .flat_map(|&w| MODES.iter().map(move |&m| (format!("{}-{m:?}", w.name()), w, m)))
+}
+
+fn golden() -> Golden {
+    Golden::open(env!("CARGO_MANIFEST_DIR"), "charge_pin", &COLUMNS)
+}
 
 #[test]
 fn every_arm_matches_its_golden_row() {
-    let print = std::env::var("TERAHEAP_GOLDEN_PRINT").is_ok();
-    let arms = GiraphWorkload::ALL.iter().flat_map(|&w| MODES.iter().map(move |&m| (w, m)));
-    for ((workload, mode), golden) in arms.zip(&ARMS) {
-        let got = capture(workload, mode);
-        if print {
-            println!("    {got:?}, // {} {mode:?}", workload.name());
-            continue;
-        }
-        assert_eq!(&got, golden, "{} under {mode:?} diverged from its golden", workload.name());
+    let mut golden = golden();
+    for (arm, workload, mode) in arms() {
+        golden.check(&arm, Some(&capture(workload, mode)));
     }
+    golden.finish();
 }
 
 /// The table is only a pin if every arm exercises what it names: all arms
 /// collect, the OOC arms offload and reload, both TeraHeap arms promote.
 #[test]
 fn arms_exercise_their_mechanisms() {
-    for (i, row) in ARMS.iter().enumerate() {
-        let mode = MODES[i % MODES.len()];
-        assert!(row[5] > 0, "arm {i} ({mode:?}) never ran a minor GC");
-        assert!(row[7] > 1, "arm {i} ({mode:?}) ran one superstep");
+    let golden = golden();
+    for (arm, _, mode) in arms() {
+        let row = golden.row(&arm).expect("every arm fits its heap");
+        assert!(row[5] > 0, "{arm} never ran a minor GC");
+        assert!(row[7] > 1, "{arm} ran one superstep");
         match mode {
             Mode::InMemory => assert_eq!((row[8], row[9], row[10]), (0, 0, 0)),
-            Mode::Ooc => assert!(row[9] > 0 && row[10] > 0, "arm {i}: OOC must offload and reload"),
+            Mode::Ooc => assert!(row[9] > 0 && row[10] > 0, "{arm}: OOC must offload and reload"),
             Mode::TeraHeap | Mode::TeraHeapNoHint => {
-                assert!(row[6] > 0 && row[8] > 0, "arm {i} ({mode:?}) must promote to H2");
+                assert!(row[6] > 0 && row[8] > 0, "{arm} must promote to H2");
             }
         }
     }

@@ -3,18 +3,19 @@
 //! the size estimate and every simulated charge exactly where they were.
 //! Three fixed graphs — shared references, a cycle, a reference array of
 //! primitive arrays large enough to allocate temporary buffers — are
-//! serialized, sized and deserialized; each row of [`GOLDEN`] pins the
-//! FNV-1a of the bytes, their length, `serialized_size`, the S/D and mutator
-//! ns each of the three calls charged, the `SimClock::charge` call count and
-//! the root-table length afterwards.
+//! serialized, sized and deserialized; each row of
+//! `tests/golden/stream_pin.txt` (`teraheap_util::golden`) pins the FNV-1a of
+//! the bytes, their length, `serialized_size`, the S/D and mutator ns each of
+//! the three calls charged, the `SimClock::charge` call count and the
+//! root-table length afterwards.
 //!
-//! Re-capture with
-//! `TERAHEAP_GOLDEN_PRINT=1 cargo test -p kryo-sim --test stream_pin -- --nocapture`
-//! only for a deliberate format or cost-model change.
+//! Re-pin with `scripts/repin.sh` only for a deliberate format or cost-model
+//! change.
 
 use teraheap_runtime::obs::Level;
 use teraheap_runtime::{Handle, Heap, HeapConfig};
 use teraheap_storage::Category;
+use teraheap_util::golden::Golden;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes
@@ -102,7 +103,14 @@ fn ref_array_of_prim_arrays(heap: &mut Heap) -> Handle {
 /// FNV-1a of the stream, stream length, `serialized_size`; S/D ns and
 /// mutator ns of `serialize`, mutator ns of `serialized_size`, S/D ns and
 /// mutator ns of `deserialize`; total charge calls; root-table length.
-type Row = [u64; 10];
+#[rustfmt::skip]
+const COLUMNS: [&str; 10] = [
+    "stream_fnv", "stream_len", "serialized_size",
+    "ser_serde_ns", "ser_mutator_ns", "size_mutator_ns", "de_serde_ns", "de_mutator_ns",
+    "charge_calls", "root_table_len",
+];
+
+type Row = [u64; COLUMNS.len()];
 
 /// Builds one fixed graph and returns its root.
 type Build = fn(&mut Heap) -> Handle;
@@ -144,23 +152,13 @@ const GRAPHS: [(&str, Build); 3] = [
     ("ref_array_of_prim_arrays", ref_array_of_prim_arrays),
 ];
 
-#[rustfmt::skip]
-const GOLDEN: [Row; 3] = [
-    [6793203775816348795, 101, 101, 67, 42, 12, 67, 50, 70, 5], // shared_refs
-    [9302667023470605608, 85, 85, 59, 38, 12, 59, 46, 69, 5], // cycle
-    [11008877755015934856, 6950, 6950, 4138, 2234, 538, 4138, 2848, 2881, 120], // ref_array_of_prim_arrays
-];
-
 #[test]
 fn streams_sizes_and_charges_match_their_goldens() {
-    let print = std::env::var("TERAHEAP_GOLDEN_PRINT").is_ok();
-    for ((name, build), golden) in GRAPHS.iter().zip(&GOLDEN) {
-        let got = capture(*build);
-        if print {
-            println!("    {got:?}, // {name}");
-            continue;
-        }
-        assert_eq!(&got, golden, "{name} diverged from its golden");
+    let mut golden = Golden::open(env!("CARGO_MANIFEST_DIR"), "stream_pin", &COLUMNS);
+    for (name, build) in GRAPHS {
+        let got = capture(build);
+        golden.check(name, Some(&got));
         assert_eq!(got[1], got[2], "{name}: serialized_size is the stream length");
     }
+    golden.finish();
 }

@@ -4,9 +4,10 @@
 //! lookup structures, predicate kernels); what it *charges* is not. This
 //! suite runs one small fixed plane, cold and hot, and compares the
 //! simulated-time outputs and one tenant's page-cache counters against
-//! values captured at the commit before the zero-copy read path (PR 13),
-//! so "the charges did not move" fails a unit test, not only the
-//! benchmark's `sim_fingerprint`.
+//! `tests/golden/charge_pin_{cold,hot}.txt` (`teraheap_util::golden`; one
+//! file per test, because tests run in parallel and each rewrites its own
+//! under `scripts/repin.sh`), so "the charges did not move" fails a unit
+//! test, not only the benchmark's `sim_fingerprint`.
 
 use std::sync::Arc;
 use teraheap_core::H2Config;
@@ -16,6 +17,7 @@ use teraheap_query::{
 };
 use teraheap_runtime::Heap;
 use teraheap_storage::{DeviceSpec, SharedDevice, SimClock};
+use teraheap_util::golden::Golden;
 
 /// The pinned plane: NVMe, 64-row chunks, a cold copy (80 KiB of chunks
 /// and index runs) 2.5x the 32 KiB page cache so the cold arm evicts.
@@ -39,19 +41,13 @@ fn pinned_config(hot_pct: u8) -> QueryPlaneConfig {
     cfg
 }
 
-/// What one arm must reproduce.
-#[derive(Debug, PartialEq, Eq)]
-struct Pinned {
-    makespan_ns: u64,
-    p50_ns: u64,
-    p99_ns: u64,
-    device_queued_ns: u64,
-    checksum: u64,
-    /// Tenant 0's replay: total simulated ns, page faults, evictions.
-    replay_ns: u64,
-    replay_faults: u64,
-    replay_evictions: u64,
-}
+/// What one arm must reproduce: the plane's report, then tenant 0's replay
+/// (total simulated ns, page faults, evictions).
+#[rustfmt::skip]
+const COLUMNS: [&str; 8] = [
+    "makespan_ns", "p50_ns", "p99_ns", "device_queued_ns", "checksum",
+    "replay_ns", "replay_faults", "replay_evictions",
+];
 
 /// Serves tenant 0's share of the op stream alone on its own device (the
 /// plane returns only a report, so its tenants' `IoStats` are out of
@@ -89,48 +85,33 @@ fn replay_tenant0(cfg: &QueryPlaneConfig) -> (u64, u64, u64) {
     (heap.clock().total_ns(), io.page_faults(), io.evictions())
 }
 
-fn measure(hot_pct: u8) -> Pinned {
+/// Runs the plane at `hot_pct` and checks it against the one row of
+/// `tests/golden/<suite>.txt`.
+fn plane_charges_are_pinned(suite: &str, arm: &str, hot_pct: u8) {
     let cfg = pinned_config(hot_pct);
     let report = run_query_plane(&cfg).expect("plane runs");
     let (replay_ns, replay_faults, replay_evictions) = replay_tenant0(&cfg);
-    Pinned {
-        makespan_ns: report.makespan_ns,
-        p50_ns: report.all.p50_ns,
-        p99_ns: report.all.p99_ns,
-        device_queued_ns: report.device_queued_ns,
-        checksum: report.checksum,
+    let got = [
+        report.makespan_ns,
+        report.all.p50_ns,
+        report.all.p99_ns,
+        report.device_queued_ns,
+        report.checksum,
         replay_ns,
         replay_faults,
         replay_evictions,
-    }
+    ];
+    let mut golden = Golden::open(env!("CARGO_MANIFEST_DIR"), suite, &COLUMNS);
+    golden.check(arm, Some(&got));
+    golden.finish();
 }
 
 #[test]
 fn cold_plane_charges_are_pinned() {
-    let want = Pinned {
-        makespan_ns: 63_047_152,
-        p50_ns: 938_864,
-        p99_ns: 1_431_248,
-        device_queued_ns: 62_579_560,
-        checksum: 8_478_763_960_823_395_191,
-        replay_ns: 32_058_332,
-        replay_faults: 1523,
-        replay_evictions: 1515,
-    };
-    assert_eq!(measure(0), want);
+    plane_charges_are_pinned("charge_pin_cold", "cold", 0);
 }
 
 #[test]
 fn hot_plane_charges_are_pinned() {
-    let want = Pinned {
-        makespan_ns: 1_896_448,
-        p50_ns: 4288,
-        p99_ns: 223_548,
-        device_queued_ns: 81_440,
-        checksum: 8_478_763_960_823_395_191,
-        replay_ns: 855_200,
-        replay_faults: 0,
-        replay_evictions: 0,
-    };
-    assert_eq!(measure(100), want);
+    plane_charges_are_pinned("charge_pin_hot", "hot", 100);
 }

@@ -4,203 +4,67 @@
 //! server workload variant — all of which must be *free* when unused. This
 //! suite links the query crate into the test binary and replays the
 //! runtime's golden mixed GC/H2 workload (see
-//! `crates/runtime/tests/gc_equivalence.rs`): with the query plane never
-//! touched, the object-graph checksum and the total simulated time must
-//! reproduce the committed goldens bit-identically. The committed figure
-//! CSVs (fig6–fig16) are separately pinned by `scripts/verify.sh`'s
-//! regeneration diff.
+//! runtime's golden mixed GC/H2 workload — `crates/runtime/tests/common`,
+//! included by path, so it is that suite's workload by construction: with
+//! the query plane never touched, the object-graph checksum, the total
+//! simulated time and the collection counts must reproduce the
+//! default-configuration row of the runtime suite's own golden file
+//! (`crates/runtime/tests/golden/gc_equivalence.txt`) bit-identically. The
+//! committed figure CSVs (fig6–fig16) are separately pinned by
+//! `scripts/verify.sh`'s regeneration diff.
 //!
 //! If this fails while the runtime's own suite passes, the query crate has
 //! leaked cost into a shared path (an event emitted from library code, a
 //! charge in `alloc_prim_array_labeled` reachable from plain `alloc`, …).
 
-use teraheap_core::{H2Config, Label};
-use teraheap_query::Fnv;
-use teraheap_runtime::{Handle, Heap, HeapConfig};
-use teraheap_storage::{DeviceSpec, SharedDevice};
+#[path = "../../runtime/tests/common/mod.rs"]
+mod common;
 
-/// Golden values captured by the runtime suite (its `golden()` snapshot).
-const GOLDEN_CHECKSUM: u64 = 17052372585936982735;
-const GOLDEN_TOTAL_NS: u64 = 351855;
-const GOLDEN_MINOR_COUNT: u64 = 9;
-const GOLDEN_MAJOR_COUNT: u64 = 2;
-const GOLDEN_PROMOTED_H2: u64 = 258;
+use common::{graph_checksum, mixed_workload_body, workload_h2_config, COLUMNS, DEFAULT_ARM};
+// Links the query crate into this binary; nothing below calls into it.
+use teraheap_query as _;
+use teraheap_runtime::{Heap, HeapConfig};
+use teraheap_storage::{DeviceSpec, FaultPlan, SharedDevice};
+use teraheap_util::golden::Golden;
 
-fn workload_h2_config() -> H2Config {
-    H2Config::builder()
-        .region_words(8 << 10)
-        .n_regions(48)
-        .card_seg_words(256)
-        .resident_budget_bytes(96 << 10)
-        .page_size(4096)
-        .promo_buffer_bytes(16 << 10)
-        .build()
-        .expect("valid H2 config")
-}
-
-/// The runtime suite's mixed workload, verbatim: tagged partitions moving
-/// to H2, generational churn, mutator updates against H2 residents, region
-/// death, post-major churn.
-fn mixed_workload_body(heap: &mut Heap) -> Vec<Handle> {
-    let node = heap.register_class("Node", 2, 2);
-    let leaf = heap.register_class("Leaf", 0, 3);
-
-    let mut keep: Vec<Handle> = Vec::new();
-
-    for part in 0..3u64 {
-        let spine = heap.alloc_ref_array(64).unwrap();
-        for i in 0..64 {
-            let n = heap.alloc(node).unwrap();
-            let l = heap.alloc(leaf).unwrap();
-            heap.write_prim(l, 0, part * 1000 + i as u64);
-            heap.write_prim(l, 1, i as u64 * 3);
-            heap.write_ref(n, 1, l);
-            heap.write_prim(n, 0, i as u64);
-            if i > 0 {
-                let prev = heap.read_ref(spine, i - 1).unwrap();
-                heap.write_ref(prev, 0, n);
-                heap.release(prev);
-            }
-            heap.write_ref(spine, i, n);
-            heap.release(n);
-            heap.release(l);
-        }
-        heap.h2_tag_root(spine, Label::new(part + 1));
-        keep.push(spine);
-    }
-
-    let island = heap.alloc_ref_array(32).unwrap();
-    keep.push(island);
-    for round in 0..6u64 {
-        for i in 0..400u64 {
-            let t = heap.alloc(leaf).unwrap();
-            heap.write_prim(t, 0, round * 10_000 + i);
-            if i % 13 == 0 {
-                heap.write_ref(island, (i % 32) as usize, t);
-            }
-            heap.release(t);
-        }
-        heap.gc_minor().unwrap();
-    }
-
-    heap.h2_move(Label::new(1));
-    heap.h2_move(Label::new(2));
-    heap.gc_major().unwrap();
-
-    for &spine in &keep[..2] {
-        for i in (0..64).step_by(7) {
-            let n = heap.read_ref(spine, i).unwrap();
-            let fresh = heap.alloc(leaf).unwrap();
-            heap.write_prim(fresh, 0, 777_000 + i as u64);
-            heap.write_ref(n, 1, fresh);
-            heap.release(fresh);
-            heap.release(n);
-        }
-        heap.gc_minor().unwrap();
-    }
-
-    let dead = keep.remove(1);
-    heap.release(dead);
-    heap.gc_major().unwrap();
-
-    for i in 0..200u64 {
-        let t = heap.alloc(leaf).unwrap();
-        heap.write_prim(t, 0, 999_000 + i);
-        if i % 9 == 0 {
-            heap.write_ref(island, (i % 32) as usize, t);
-        }
-        heap.release(t);
-    }
-    heap.gc_minor().unwrap();
-
-    keep
-}
-
-/// The runtime suite's graph checksum, verbatim (depth-first, field order;
-/// folded with the query crate's re-exported [`Fnv`] — same constants).
-fn graph_checksum(heap: &mut Heap, roots: &[Handle]) -> u64 {
-    use std::collections::HashMap;
-    let mut fnv = Fnv::new();
-    let mut order: HashMap<u64, u64> = HashMap::new();
-    let mut stack: Vec<Handle> = Vec::new();
-    for &r in roots.iter().rev() {
-        stack.push(heap.dup(r));
-    }
-    while let Some(h) = stack.pop() {
-        let addr = heap.handle_addr(h).raw();
-        if let Some(&seen) = order.get(&addr) {
-            fnv.push(u64::MAX);
-            fnv.push(seen);
-            heap.release(h);
-            continue;
-        }
-        let n = order.len() as u64;
-        order.insert(addr, n);
-        let class = heap.class_of(h);
-        fnv.push(class.0 as u64);
-        fnv.push(heap.is_in_h2(h) as u64);
-        fnv.push(heap.h2_label_of(h));
-        if class == teraheap_runtime::OBJ_ARRAY_CLASS {
-            let len = heap.array_len(h);
-            fnv.push(len as u64);
-            for i in (0..len).rev() {
-                match heap.read_ref(h, i) {
-                    Some(c) => stack.push(c),
-                    None => fnv.push(0),
-                }
-            }
-        } else if class == teraheap_runtime::PRIM_ARRAY_CLASS {
-            let len = heap.array_len(h);
-            fnv.push(len as u64);
-            for i in 0..len {
-                fnv.push(heap.read_prim(h, i));
-            }
-        } else {
-            let desc = heap.class_desc(class).clone();
-            for i in (0..desc.ref_fields).rev() {
-                match heap.read_ref(h, i) {
-                    Some(c) => stack.push(c),
-                    None => fnv.push(0),
-                }
-            }
-            for i in 0..desc.prim_fields {
-                fnv.push(heap.read_prim(h, i));
-            }
-        }
-        heap.release(h);
-    }
-    fnv.finish()
+/// The default heap with the workload's H2 attached.
+fn workload_heap() -> Heap {
+    let mut heap = Heap::new(HeapConfig::with_words(24 << 10, 96 << 10));
+    let h2cfg = workload_h2_config(FaultPlan::none());
+    let dev =
+        SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
+    heap.attach_h2(h2cfg, &dev).unwrap();
+    heap
 }
 
 #[test]
 fn query_crate_linked_but_idle_reproduces_runtime_golden() {
-    let mut heap = Heap::new(HeapConfig::with_words(24 << 10, 96 << 10));
-    let h2cfg = workload_h2_config();
-    let dev =
-        SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
-    heap.attach_h2(h2cfg, &dev).unwrap();
+    let mut heap = workload_heap();
     let keep = mixed_workload_body(&mut heap);
 
     let total_ns = heap.clock().total_ns();
     let stats = heap.stats().clone();
     let checksum = graph_checksum(&mut heap, &keep);
 
-    assert_eq!(checksum, GOLDEN_CHECKSUM, "object graph drifted with query crate linked");
-    assert_eq!(total_ns, GOLDEN_TOTAL_NS, "simulated time drifted with query crate linked");
-    assert_eq!(stats.minor_count, GOLDEN_MINOR_COUNT);
-    assert_eq!(stats.major_count, GOLDEN_MAJOR_COUNT);
-    assert_eq!(stats.objects_promoted_h2, GOLDEN_PROMOTED_H2);
+    let runtime = concat!(env!("CARGO_MANIFEST_DIR"), "/../runtime");
+    let golden = Golden::open(runtime, "gc_equivalence", &COLUMNS);
+    for (column, got) in [
+        ("checksum", checksum),
+        ("total_ns", total_ns),
+        ("minor_count", stats.minor_count),
+        ("major_count", stats.major_count),
+        ("objects_promoted_h2", stats.objects_promoted_h2),
+    ] {
+        let pinned = golden.cell(DEFAULT_ARM, column);
+        assert_eq!(got, pinned, "{DEFAULT_ARM}  {column} drifted with the query crate linked");
+    }
 }
 
 #[test]
 fn idle_workload_emits_no_query_events() {
     // The flight recorder must show zero query-plane traffic when the
     // query API is never called — the events exist, the cost does not.
-    let mut heap = Heap::new(HeapConfig::with_words(24 << 10, 96 << 10));
-    let h2cfg = workload_h2_config();
-    let dev =
-        SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
-    heap.attach_h2(h2cfg, &dev).unwrap();
+    let mut heap = workload_heap();
     heap.clock().tracer().set_capacity(1 << 16);
     heap.clock().tracer().set_level(teraheap_runtime::obs::Level::Full);
     let keep = mixed_workload_body(&mut heap);

@@ -19,6 +19,9 @@
 //! exercising the SATB write barrier, allocate-black, the logical→physical
 //! redirection of every accessor, and the finish-on-demand paths.
 
+mod common;
+
+use common::graph_checksum;
 use teraheap_core::{H2Config, Label};
 use teraheap_runtime::{Handle, Heap, HeapConfig, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
 use teraheap_storage::{DeviceSpec, SharedDevice};
@@ -37,81 +40,6 @@ impl Lcg {
     fn below(&mut self, n: u64) -> u64 {
         self.next() % n
     }
-}
-
-/// FNV-1a over a stream of u64s.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn push(&mut self, v: u64) {
-        let mut h = self.0;
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-/// Checksums the reachable graph through the public API in deterministic
-/// depth-first field order: classes, array lengths, primitive payloads, H2
-/// residency, labels, and graph shape via visit-order numbering. Collector
-/// timing and object placement never enter the stream.
-fn graph_checksum(heap: &mut Heap, roots: &[Handle]) -> u64 {
-    use std::collections::HashMap;
-    let mut fnv = Fnv::new();
-    let mut order: HashMap<u64, u64> = HashMap::new();
-    let mut stack: Vec<Handle> = Vec::new();
-    for &r in roots.iter().rev() {
-        stack.push(heap.dup(r));
-    }
-    while let Some(h) = stack.pop() {
-        let addr = heap.handle_addr(h).raw();
-        if let Some(&seen) = order.get(&addr) {
-            fnv.push(u64::MAX);
-            fnv.push(seen);
-            heap.release(h);
-            continue;
-        }
-        let n = order.len() as u64;
-        order.insert(addr, n);
-        let class = heap.class_of(h);
-        fnv.push(class.0 as u64);
-        fnv.push(heap.is_in_h2(h) as u64);
-        fnv.push(heap.h2_label_of(h));
-        if class == OBJ_ARRAY_CLASS {
-            let len = heap.array_len(h);
-            fnv.push(len as u64);
-            for i in (0..len).rev() {
-                match heap.read_ref(h, i) {
-                    Some(c) => stack.push(c),
-                    None => fnv.push(0),
-                }
-            }
-        } else if class == PRIM_ARRAY_CLASS {
-            let len = heap.array_len(h);
-            fnv.push(len as u64);
-            for i in 0..len {
-                fnv.push(heap.read_prim(h, i));
-            }
-        } else {
-            let desc = heap.class_desc(class).clone();
-            for i in (0..desc.ref_fields).rev() {
-                match heap.read_ref(h, i) {
-                    Some(c) => stack.push(c),
-                    None => fnv.push(0),
-                }
-            }
-            for i in 0..desc.prim_fields {
-                fnv.push(heap.read_prim(h, i));
-            }
-        }
-        heap.release(h);
-    }
-    fnv.0
 }
 
 const POOL: usize = 24;

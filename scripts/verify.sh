@@ -43,6 +43,78 @@ cargo build --release --offline --workspace
 echo "== offline tests =="
 cargo test -q --offline --workspace
 
+# The invariant suites as one table: suite (crate/target::module), DESIGN.md
+# section, what it pins. The workspace pass above has just run every one of
+# them; the stage below only asserts, from the test listing, that each still
+# exists and still lists a test, so a renamed or emptied suite cannot drop
+# out of the gate unnoticed. "(golden)" marks a table kept as a data file,
+# crates/*/tests/golden/*.txt, behind teraheap_util::golden; scripts/repin.sh
+# rewrites those.
+suites=$(cat <<'TABLE'
+teraheap_util/lib::golden::                   §6   the golden helper: write/read round trip, moved-cell report, missing, unclaimed and duplicate arms
+teraheap_storage/lib::mmap::reference::       §7   the page table + intrusive list is an exact LRU: random programs, and word-sized ones that mostly take the resident-hit early exit of `touch`, leave it and the recency-vector reference with the same statistics, ns, events, write-back log and recency order
+teraheap_runtime/lib::gc::units::reference::  §7   the mark bitmap scan is the live set in relocation order; its rank-indexed forwarding answers every probe like the direct-mapped reference table
+teraheap_runtime/trace_equivalence::          §8   tracing observes the clock and never advances it
+teraheap_storage/bulk_equivalence::           §9   touch_run is bit-identical to the word-at-a-time loop: same ns, counters, events
+teraheap_runtime/bulk_equivalence::           §9   view_prims, view_prims_at, read_prims and the read_prim loop observe and charge the same, as do write_prims, fill_prims_at and the write_prim loop, on H1, paged and DAX H2 and across the Panthera NVM boundary; the pinned *_at accessors match the handle accessors across minor and major GCs, H2 promotion of the pinned object and a sliced cycle in flight
+mini_giraph/charge_pin::                      §9   the superstep loop, message stores and OOC blob path: per-category ns, GC counts, offloads/reloads, charge-call counts, checksum (golden)
+mini_spark/charge_pin::                       §9   the scan loops, block manager and dataset loaders: per-category ns, GC and S/D counts, faults, charge-call counts, live roots at exit (golden)
+kryo_sim/stream_pin::                         §9   stream bytes, size estimate and every charge of serialize, serialized_size and deserialize (golden)
+teraheap_storage/crash_consistency::          §10  the crash sweep passes at every write-back boundary with zero silent-corruption escapes
+teraheap_runtime/fault_recovery::             §10  the recovery properties; also holds the chaos_smoke_* tests the faults smoke stage drives
+teraheap_runtime/fault_equivalence::          §10  a zero-rate fault plane is bit-identical to no plane at all
+teraheap_runtime/gc_equivalence::             §11  simulated ns, phase breakdowns and graph checksum over variant x gc_threads x pause budget x armed fault plane (golden), the armed-idle run, and (§12) that a sole tenant never queues
+teraheap_runtime/lane_determinism::           §11  lane accounting is deterministic across runs, thread counts and host parallelism
+teraheap_runtime/incremental_marking::        §11  a pause-budgeted run converges to the stop-world logical heap at any budget and lane count; slices replay bit-identically
+teraheap_server/lib::                         §12  N-tenant server runs are deterministic, with typed config rejection
+teraheap_runtime/fault_isolation::            §12  one tenant's injected crash leaves its neighbours' simulated time, heap census and arbitration counters untouched
+teraheap_core/properties::                    §13  the lifetime profiler replays bit-identically and never retracts a pretenure decision; region-group liveness is merge-order invariant
+mini_spark/placement_properties::             §13  the placement cost model is deterministic and monotone in device latency and S/D cost
+teraheap_query/charge_pin::                   §14  the read path's simulated charges, cold and hot (golden)
+teraheap_query/query_properties::             §14  the executor matches its naive oracle, the index plan is answer-bit-equal to the full scan, answers are invariant across runtime knobs
+teraheap_query/endurance::                    §14  the retriever-style churn loop stays leak-free with the heap checker armed
+teraheap_query/gc_equivalence::               §14  with the query crate linked but idle the runtime golden reproduces bit-identically
+TABLE
+)
+echo "== suite table: every named suite exists and lists a test =="
+# One `crate/target::test` line per listed test: the unit-test binary's name
+# gives the crate, and a crate's integration tests follow its unit tests.
+listed=$(cargo test --offline --workspace -- --list 2>&1 | awk '
+    /^ +Running unittests src\/lib\.rs/ {
+        n = split($NF, path, "/"); crate = path[n]; sub(/-[0-9a-f]+\)$/, "", crate); target = "lib"
+    }
+    /^ +Running unittests src\/bin\// { target = "" }
+    /^ +Running tests\//              { target = $2; sub(/^tests\//, "", target); sub(/\.rs$/, "", target) }
+    /^ +Doc-tests /                   { target = "" }
+    /: test$/ && target != ""         { sub(/: test$/, ""); print crate "/" target "::" $0 }')
+named=0
+while read -r suite _; do
+    named=$((named + 1))
+    if ! grep -q "^$suite" <<<"$listed"; then
+        echo "ERROR: suite $suite is in the table but lists no test (renamed? emptied?)." >&2
+        exit 1
+    fi
+done <<<"$suites"
+echo "ok ($named suites)"
+
+# One golden mechanism: the print-and-paste capture path stays gone, and every
+# golden file is opened by a suite beside it (the helper itself reports file
+# *rows* no arm claims; this covers whole files).
+echo "== goldens: one mechanism, no orphan file =="
+if grep -rn --exclude=verify.sh TERAHEAP_GOLDEN_PRINT \
+    crates src tests examples benchmark scripts .claude README.md DESIGN.md; then
+    echo "ERROR: TERAHEAP_GOLDEN_PRINT is gone; pin through teraheap_util::golden, re-pin with scripts/repin.sh." >&2
+    exit 1
+fi
+for file in crates/*/tests/golden/*.txt; do
+    stem=$(basename "$file" .txt)
+    if ! grep -qF "\"$stem\"" "${file%/golden/*}"/*.rs; then
+        echo "ERROR: no suite beside $file opens \"$stem\"." >&2
+        exit 1
+    fi
+done
+echo "ok"
+
 echo "== lints: clippy -D warnings =="
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 echo "ok"
@@ -66,130 +138,16 @@ fingerprints=$(benchmark/run.sh --smoke \
     | awk '/^== /{workload=$2} /^note sim_fingerprint /{print workload, $3}')
 if ! diff <(echo "$fingerprints") scripts/smoke_fingerprints.txt; then
     echo "ERROR: smoke sim_fingerprints differ from scripts/smoke_fingerprints.txt." >&2
-    echo "Only a PR that means to move simulated time re-pins that file." >&2
+    echo "Only a PR that means to move simulated time re-pins that file (scripts/repin.sh)." >&2
     exit 1
 fi
 echo "ok"
 
-# Flight-recorder invariant (DESIGN.md §8): tracing observes the clock and
-# never advances it. Run the suite explicitly even though the workspace
-# test pass above includes it, so a skipped/filtered test run cannot hide
-# a trace-equivalence regression.
-echo "== trace equivalence: tracing never perturbs simulated time =="
-cargo test -q --offline -p teraheap-runtime --test trace_equivalence
-echo "ok"
-
-# Collector invariants (DESIGN.md §11). The golden table pins simulated ns,
-# phase breakdowns and the graph checksum over variant x gc_threads x pause
-# budget x armed fault plane (plus the armed-idle and sole-tenant goldens);
-# lane accounting must be deterministic across runs, thread counts, and host
-# parallelism. Run both suites explicitly.
-echo "== collector goldens: configuration-product table + lane determinism =="
-cargo test -q --offline -p teraheap-runtime --test gc_equivalence
-cargo test -q --offline -p teraheap-runtime --test lane_determinism
-echo "ok"
-
-# Sliced-cycle invariants (DESIGN.md §11): a pause-budgeted run must
-# converge to the same logical heap as one run whole at any budget and lane
-# count, and slices must replay bit-identically. Run the suite explicitly.
-echo "== incremental equivalence: sliced majors converge to stop-world =="
-cargo test -q --offline -p teraheap-runtime --test incremental_marking
-echo "ok"
-
-# Bulk-access-plane invariant (DESIGN.md §9): touch_run must be bit-identical
-# to the word-at-a-time loop — same ns, same counters, same events. Run the
-# property suite explicitly for the same reason as above.
-echo "== bulk equivalence: batched touches match the per-word loop =="
-cargo test -q --offline -p teraheap-storage --test bulk_equivalence
-# The same invariant one layer up: Heap::view_prims (borrowed), view_prims_at
-# (through a pin), read_prims (copied) and the read_prim loop observe and
-# charge the same, as do write_prims, fill_prims_at (in place) and the
-# write_prim loop — on H1, paged and DAX H2, and across the Panthera NVM
-# boundary. The same suite holds the pinned twin: the *_at accessors, word
-# and bulk, over pins taken before any collection must be indistinguishable
-# from the handle accessors across minor and major GCs, H2 promotion of the
-# pinned object and a sliced cycle in flight.
-cargo test -q --offline -p teraheap-runtime --test bulk_equivalence
-echo "ok"
-
-# Framework and kryo charge pins (DESIGN.md §9): Giraph's superstep loop,
-# message stores and OOC blob path, Spark's scan loops, block manager and
-# dataset loaders are host-optimized, so their simulated numbers —
-# per-category ns, GC and S/D counts, offloads/reloads, faults, charge-call
-# counts, live roots at exit, stream bytes — are pinned to tables captured
-# before that work.
-echo "== charge pins: giraph superstep plane, spark scan plane, kryo streams =="
-cargo test -q --offline -p mini-giraph --test charge_pin
-cargo test -q --offline -p mini-spark --test charge_pin
-cargo test -q --offline -p kryo-sim --test stream_pin
-echo "ok"
-
-# Page-cache invariant (DESIGN.md §7): the page table + intrusive list is an
-# exact LRU — random programs, and word-sized ones that mostly take the
-# resident-hit early exit of `touch`, leave it and the recency-vector
-# reference with the same statistics, ns, events, write-back log and recency
-# order.
-echo "== page cache: list cache matches the reference cache =="
-cargo test -q --offline -p teraheap-storage --lib mmap::reference
-echo "ok"
-
-# Major-collector side table (DESIGN.md §7): the mark bitmap's scan must be
-# the live set in relocation order, and its rank-indexed forwarding must
-# answer every probe like the direct-mapped reference table.
-echo "== mark bitmap: rank forwarding matches the dense reference table =="
-cargo test -q --offline -p teraheap-runtime --lib gc::units::reference
-echo "ok"
-
-# Fault-plane invariants (DESIGN.md §10): the crash-consistency sweep must
-# pass at every write-back boundary with zero silent-corruption escapes, the
-# recovery property suite must hold, and a zero-rate plane must be
-# bit-identical to no plane at all. Run the three suites explicitly so a
-# filtered test run cannot hide a regression.
-echo "== faults: crash-consistency sweep, recovery properties, differential =="
-cargo test -q --offline -p teraheap-storage --test crash_consistency
-cargo test -q --offline -p teraheap-runtime --test fault_recovery
-cargo test -q --offline -p teraheap-runtime --test fault_equivalence
-echo "ok"
-
-# Shared-device invariants (DESIGN.md §12): N-tenant server runs must be
-# deterministic with typed config rejection, and one tenant's injected crash
-# must leave its neighbours' simulated time, heap census and arbitration
-# counters untouched. (That a sole tenant never queues is part of the
-# gc_equivalence stage above.) Run both suites explicitly.
-echo "== shared device: server plane, fault isolation =="
-cargo test -q --offline -p teraheap-server
-cargo test -q --offline -p teraheap-runtime --test fault_isolation
-echo "ok"
-
-# Adaptive-placement invariants (DESIGN.md §13): the lifetime profiler must
-# replay bit-identically and never retract a pretenure decision, region
-# group liveness must be merge-order invariant, and the placement cost
-# model must be deterministic and monotone in device latency and S/D cost.
-# Run both property suites explicitly.
-echo "== adaptive placement: lifetime-profile + cost-model properties =="
-cargo test -q --offline -p teraheap-core --test properties
-cargo test -q --offline -p mini-spark --test placement_properties
-echo "ok"
-
-# Query-plane invariants (DESIGN.md §14): the executor must match its
-# naive oracle with the index plan answer-bit-equal to the full scan and
-# answers invariant across runtime knobs; the retriever-style endurance
-# loop must stay leak-free with the heap checker armed; and with the query
-# crate linked but idle the runtime golden must reproduce bit-identically
-# (the events, labeled entry points and server variant cost nothing
-# unused). The read path's simulated charges are pinned to constants. Run
-# the four suites explicitly.
-echo "== query plane: oracle properties, endurance churn, linked-idle golden, charge pin =="
-cargo test -q --offline -p teraheap-query --test charge_pin
-cargo test -q --offline -p teraheap-query --test query_properties
-cargo test -q --offline -p teraheap-query --test endurance
-cargo test -q --offline -p teraheap-query --test gc_equivalence
-echo "ok"
-
-# Faults smoke stage: one seeded chaos run per device profile (NVMe page
-# cache, Optane NVM, DRAM-DAX), injected through the production
-# TERAHEAP_FAULTS path with the full-heap checker armed at every GC
-# boundary. The fixed seed keeps the stage replayable bit-for-bit.
+# Faults smoke stage — the one thing here the workspace pass did not do: one
+# seeded chaos run per device profile (NVMe page cache, Optane NVM,
+# DRAM-DAX), injected through the production TERAHEAP_FAULTS path with the
+# full-heap checker armed at every GC boundary. The fixed seed keeps the
+# stage replayable bit-for-bit.
 echo "== faults smoke: seeded chaos per device profile =="
 chaos="seed=20260806,read_err_ppm=20000,write_err_ppm=20000,max_retries=4,backoff_ns=50000,spike_every=512,spike_len=32,spike_mult=8"
 for profile in nvme nvm dax; do
@@ -214,8 +172,8 @@ if [[ "${VERIFY_SKIP_RESULTS:-0}" != "1" ]]; then
     if ! diff -rq -x microbench.csv "$tmp/committed" results; then
         echo "ERROR: regenerated results differ from committed CSVs." >&2
         echo "Simulated time must be deterministic; if the change is an" >&2
-        echo "intentional cost-model/bug fix, re-commit the CSVs and say so" >&2
-        echo "in the PR (see crates/runtime/tests/gc_equivalence.rs)." >&2
+        echo "intentional cost-model/bug fix, re-pin with scripts/repin.sh and" >&2
+        echo "say so in the PR." >&2
         exit 1
     fi
     echo "ok"
