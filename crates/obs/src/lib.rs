@@ -425,41 +425,7 @@ pub const SPAN_NAMES: [&str; SPAN_COUNT] = [
 impl EventKind {
     /// Short lowercase name used by the exporters and counter listing.
     pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::GcBegin { .. } => "gc_begin",
-            EventKind::GcEnd { .. } => "gc_end",
-            EventKind::PhaseBegin { .. } => "phase_begin",
-            EventKind::PhaseEnd { .. } => "phase_end",
-            EventKind::SpanBegin { .. } => "span_begin",
-            EventKind::SpanEnd { .. } => "span_end",
-            EventKind::CardScan { .. } => "card_scan",
-            EventKind::H2PromoFlush { .. } => "h2_promo_flush",
-            EventKind::PageFault { .. } => "page_fault",
-            EventKind::PageEvict { .. } => "page_evict",
-            EventKind::WriteBack { .. } => "write_back",
-            EventKind::DeviceRead { .. } => "device_read",
-            EventKind::DeviceWrite { .. } => "device_write",
-            EventKind::Oom => "oom",
-            EventKind::FaultInjected { .. } => "fault_injected",
-            EventKind::IoRetry { .. } => "io_retry",
-            EventKind::H2Degraded { .. } => "h2_degraded",
-            EventKind::CrashPoint => "crash_point",
-            EventKind::Recovered { .. } => "recovered",
-            EventKind::UnitBegin { .. } => "unit_begin",
-            EventKind::UnitEnd { .. } => "unit_end",
-            EventKind::LaneBarrier { .. } => "lane_barrier",
-            EventKind::SliceBegin { .. } => "slice_begin",
-            EventKind::SliceEnd { .. } => "slice_end",
-            EventKind::WriteBarrierRemember { .. } => "write_barrier_remember",
-            EventKind::DeviceQueued { .. } => "device_queued",
-            EventKind::TenantSched { .. } => "tenant_sched",
-            EventKind::Pretenure { .. } => "pretenure",
-            EventKind::PlacementDecision { .. } => "placement_decision",
-            EventKind::BlockSerde { .. } => "block_serde",
-            EventKind::QueryBegin { .. } => "query_begin",
-            EventKind::QueryEnd { .. } => "query_end",
-            EventKind::IndexProbe { .. } => "index_probe",
-        }
+        Self::CLASS_NAMES[self.class()]
     }
 
     /// Dense class index for the per-class counters.
@@ -901,6 +867,53 @@ mod tests {
 
     fn ev(kind: EventKind) -> EventKind {
         kind
+    }
+
+    #[test]
+    fn event_classes_are_exactly_the_dense_range() {
+        // One event per variant: names come from `CLASS_NAMES[class()]`, so a
+        // duplicated or skipped index would mislabel the exporters.
+        let (gc, phase, unit) = (GcKind::Minor, GcPhase::Mark, WorkUnitKind::RootStrip);
+        let one_of_each = [
+            EventKind::GcBegin { gc, cause: GcCause::Explicit, old_used_words: 0 },
+            EventKind::GcEnd { gc, old_used_words: 0, old_capacity_words: 0, promoted_h2_words: 0 },
+            EventKind::PhaseBegin { phase },
+            EventKind::PhaseEnd { phase },
+            EventKind::SpanBegin { kind: SpanKind::Stage },
+            EventKind::SpanEnd { kind: SpanKind::Stage },
+            EventKind::CardScan { table: CardTableKind::H1, cards: 0 },
+            EventKind::H2PromoFlush { bytes: 0 },
+            EventKind::PageFault { sequential: false },
+            EventKind::PageEvict { writeback: false },
+            EventKind::WriteBack { bytes: 0 },
+            EventKind::DeviceRead { bytes: 0 },
+            EventKind::DeviceWrite { bytes: 0 },
+            EventKind::Oom,
+            EventKind::FaultInjected { write: false },
+            EventKind::IoRetry { attempt: 1 },
+            EventKind::H2Degraded { enospc: false },
+            EventKind::CrashPoint,
+            EventKind::Recovered { torn_pages: 0, regions: 0 },
+            EventKind::UnitBegin { lane: 0, kind: unit },
+            EventKind::UnitEnd { lane: 0, kind: unit, cost_ns: 0 },
+            EventKind::LaneBarrier { lanes: 1, units: 0, advance_ns: 0, stall_ns: 0 },
+            EventKind::SliceBegin { phase },
+            EventKind::SliceEnd { phase, units: 0 },
+            EventKind::WriteBarrierRemember { root: false },
+            EventKind::DeviceQueued { wait_ns: 0 },
+            EventKind::TenantSched { tenant: 0, admitted: true },
+            EventKind::Pretenure { label: 0, words: 0 },
+            EventKind::PlacementDecision { rdd: 0, partition: 0, choice: 0 },
+            EventKind::BlockSerde { deser: false, bytes: 0 },
+            EventKind::QueryBegin { session: 0, kind: 0 },
+            EventKind::QueryEnd { session: 0, rows: 0 },
+            EventKind::IndexProbe { runs: 0, hits: 0 },
+        ];
+        let mut classes: Vec<usize> = one_of_each.iter().map(EventKind::class).collect();
+        classes.sort_unstable();
+        assert_eq!(classes, (0..CLASS_COUNT).collect::<Vec<_>>());
+        assert_eq!(EventKind::Oom.name(), "oom");
+        assert_eq!(one_of_each[32].name(), "index_probe");
     }
 
     #[test]

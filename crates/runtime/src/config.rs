@@ -125,10 +125,6 @@ pub struct HeapConfig {
     pub young_words: usize,
     /// Old generation size in words.
     pub old_words: usize,
-    /// H1 card segment size in words (vanilla JVM: 64 words = 512 B).
-    pub card_seg_words: usize,
-    /// Minor GCs an object survives before tenuring to the old generation.
-    pub tenure_age: u8,
     /// Modeled parallel GC threads. Minor and major collections schedule
     /// their work units across this many accounting lanes and charge the
     /// critical path at each phase barrier (DESIGN.md §11). The default `1`
@@ -181,8 +177,6 @@ impl HeapConfig {
         HeapConfig {
             young_words,
             old_words,
-            card_seg_words: 64,
-            tenure_age: 2,
             gc_threads: 1,
             pause_budget_ns: 0,
             mutator_threads: 8,
@@ -215,8 +209,8 @@ impl HeapConfig {
 
     /// Checks the structural invariants the heap relies on: a young
     /// generation big enough to carve non-empty survivor spaces out of, a
-    /// non-empty old generation, a non-zero card segment, at least one
-    /// thread per pool, sane variant parameters and a miss ratio ≤ 100%.
+    /// non-empty old generation, at least one thread per pool, sane variant
+    /// parameters and a miss ratio ≤ 100%.
     ///
     /// # Errors
     ///
@@ -231,9 +225,6 @@ impl HeapConfig {
         }
         if self.old_words == 0 {
             return Err(ConfigError::ZeroOldGeneration);
-        }
-        if self.card_seg_words == 0 {
-            return Err(ConfigError::ZeroCardSegment);
         }
         if self.gc_threads == 0 {
             return Err(ConfigError::ZeroThreads { pool: "gc_threads" });
@@ -279,18 +270,6 @@ pub struct HeapConfigBuilder {
 }
 
 impl HeapConfigBuilder {
-    /// H1 card segment size in words.
-    pub fn card_seg_words(mut self, words: usize) -> Self {
-        self.config.card_seg_words = words;
-        self
-    }
-
-    /// Minor GCs an object survives before tenuring.
-    pub fn tenure_age(mut self, age: u8) -> Self {
-        self.config.tenure_age = age;
-        self
-    }
-
     /// Modeled parallel GC threads (accounting lanes for minor and major
     /// work units).
     pub fn gc_threads(mut self, threads: usize) -> Self {
@@ -365,8 +344,6 @@ pub enum ConfigError {
     YoungTooSmall { young_words: usize },
     /// The old generation was zero words.
     ZeroOldGeneration,
-    /// The H1 card segment size was zero.
-    ZeroCardSegment,
     /// A thread pool was configured with zero threads.
     ZeroThreads { pool: &'static str },
     /// The G1 region size was zero.
@@ -389,7 +366,6 @@ impl std::fmt::Display for ConfigError {
                  (needs at least 10 words)"
             ),
             ConfigError::ZeroOldGeneration => write!(f, "old generation must be non-zero"),
-            ConfigError::ZeroCardSegment => write!(f, "card segment size must be non-zero"),
             ConfigError::ZeroThreads { pool } => write!(f, "{pool} must be at least 1"),
             ConfigError::ZeroG1Region => write!(f, "G1 region size must be non-zero"),
             ConfigError::PantheraSplit { old_dram_words, old_words } => write!(
@@ -464,10 +440,6 @@ mod tests {
             Err(ConfigError::ZeroOldGeneration)
         );
         assert_eq!(
-            HeapConfig::builder(1 << 10, 1 << 10).card_seg_words(0).build(),
-            Err(ConfigError::ZeroCardSegment)
-        );
-        assert_eq!(
             HeapConfig::builder(1 << 10, 1 << 10).mutator_threads(0).build(),
             Err(ConfigError::ZeroThreads { pool: "mutator_threads" })
         );
@@ -508,21 +480,18 @@ mod tests {
     #[test]
     fn builder_accepts_and_applies_settings() {
         let cfg = HeapConfig::builder(64 << 10, 256 << 10)
-            .tenure_age(1)
             .gc_threads(8)
             .pause_budget_ns(25_000)
             .obs_level(Level::Counters)
             .obs_events(1 << 12)
             .build()
             .unwrap();
-        assert_eq!(cfg.tenure_age, 1);
         assert_eq!(cfg.gc_threads, 8);
         assert_eq!(cfg.pause_budget_ns, 25_000);
         assert_eq!(cfg.obs_level, Some(Level::Counters));
         assert_eq!(cfg.obs_events, 1 << 12);
         assert_eq!(cfg, { // builder with no overrides == with_words
             let mut c = HeapConfig::with_words(64 << 10, 256 << 10);
-            c.tenure_age = 1;
             c.gc_threads = 8;
             c.pause_budget_ns = 25_000;
             c.obs_level = Some(Level::Counters);

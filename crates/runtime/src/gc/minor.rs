@@ -15,12 +15,15 @@ use super::schedule::{
     Scheduler, DOM_H1_CARD, DOM_H2_CARD, GRAY_PACKET, H1_CARD_STRIPE, H2_CARD_CHUNK,
     H2_WALK_CHUNK, ROOT_STRIP,
 };
-use super::Work;
+use super::{first_overlapping, Work};
 use crate::heap::Heap;
 use crate::object;
 use teraheap_core::{Addr, CardState};
 use teraheap_storage::obs::{CardTableKind, EventKind, GcCause, GcKind, WorkUnitKind};
 use teraheap_storage::Category;
+
+/// Minor GCs an object survives before tenuring to the old generation.
+const TENURE_AGE: u8 = 2;
 
 /// Runs a minor collection. The caller must have ensured the promotion
 /// guarantee (old free ≥ young used); see [`Heap::gc_minor`].
@@ -43,7 +46,7 @@ pub(crate) fn minor_gc(heap: &mut Heap, cause: GcCause) {
     );
     let mut worklist: Vec<Addr> = Vec::new();
 
-    // ---- Phase 1: scavenge roots (handle strips + dirty H1 cards) --------
+    // Phase 1: scavenge roots (handle strips + dirty H1 cards).
     let clock = heap.clock.clone();
     for strip_base in (0..heap.roots.len()).step_by(ROOT_STRIP) {
         let lane = sched.begin_unit(&clock, WorkUnitKind::RootStrip);
@@ -51,8 +54,8 @@ pub(crate) fn minor_gc(heap: &mut Heap, cause: GcCause) {
         let strip_end = (strip_base + ROOT_STRIP).min(heap.roots.len());
         for i in strip_base..strip_end {
             let a = heap.roots[i];
-            if !a.is_null() && in_collected(heap, a) {
-                heap.roots[i] = copy_young(heap, a, &mut uw, &mut worklist);
+            if !a.is_null() {
+                heap.roots[i] = evacuate(heap, a, &mut uw, &mut worklist);
             }
         }
         let cost = uw.cpu_ns(&heap.config.cost);
@@ -61,7 +64,7 @@ pub(crate) fn minor_gc(heap: &mut Heap, cause: GcCause) {
     scan_h1_cards(heap, &mut sched, &mut worklist);
     heap.stats.lane_stall_ns += sched.barrier(&clock, Category::MinorGc, "minor:scavenge");
 
-    // ---- Phase 2: H2 backward-reference scan -----------------------------
+    // Phase 2: H2 backward-reference scan.
     // Charged between its own barriers so Figure 11a can report it: the
     // category delta below covers the in-phase device traffic plus this
     // phase's barrier advance and nothing else.
@@ -71,7 +74,7 @@ pub(crate) fn minor_gc(heap: &mut Heap, cause: GcCause) {
     let h2_scan_ns = heap.clock.category_ns(Category::MinorGc) - h2_scan_start;
     heap.stats.h2_minor_scan_ns += h2_scan_ns;
 
-    // ---- Phase 3: transitive copy (Cheney-style packet drain) ------------
+    // Phase 3: transitive copy (Cheney-style packet drain).
     while !worklist.is_empty() {
         let lane = sched.begin_unit(&clock, WorkUnitKind::GrayPacket);
         let mut uw = Work::default();
@@ -119,7 +122,7 @@ fn copy_young(heap: &mut Heap, addr: Addr, work: &mut Work, worklist: &mut Vec<A
     }
     let size = object::size_of(header);
     let aged = object::with_incremented_age(header);
-    let tenured = object::age_of(aged) >= heap.config.tenure_age;
+    let tenured = object::age_of(aged) >= TENURE_AGE;
     let dest = if tenured {
         heap.alloc_old(size)
     } else {
@@ -143,6 +146,17 @@ fn copy_young(heap: &mut Heap, addr: Addr, work: &mut Work, worklist: &mut Vec<A
     dest
 }
 
+/// The scavenge step for one H1 reference target: copied (or forwarded)
+/// when it lies in eden or from-space, returned unchanged otherwise.
+#[inline]
+fn evacuate(heap: &mut Heap, target: Addr, work: &mut Work, worklist: &mut Vec<Addr>) -> Addr {
+    if in_collected(heap, target) {
+        copy_young(heap, target, work, worklist)
+    } else {
+        target
+    }
+}
+
 /// Scans the reference slots of a freshly copied object, copying its young
 /// targets, fencing H2 targets, and dirtying H1 cards for any old→young
 /// references it now holds.
@@ -161,25 +175,12 @@ fn scan_copied(heap: &mut Heap, obj: Addr, work: &mut Work, worklist: &mut Vec<A
             // Reference range check: fenced, never followed (§4).
             continue;
         }
-        let new_target = if in_collected(heap, target) {
-            let t = copy_young(heap, target, work, worklist);
-            heap.mem[slot.raw() as usize] = t.raw();
-            t
-        } else {
-            target
-        };
+        let new_target = evacuate(heap, target, work, worklist);
+        heap.mem[slot.raw() as usize] = new_target.raw();
         if in_old && heap.in_young(new_target) {
             heap.h1_cards.mark_dirty(slot);
         }
     }
-}
-
-/// Index of the first object in `starts` that could overlap an address
-/// range beginning at `base` (i.e. the last object starting at or before
-/// `base`, or the first after it).
-fn first_overlapping(starts: &[u64], base: u64) -> usize {
-    let idx = starts.partition_point(|&s| s <= base);
-    idx.saturating_sub(1)
 }
 
 /// Scans the dirty H1 cards for old→young references in stripes of
@@ -227,13 +228,8 @@ fn scan_h1_cards(heap: &mut Heap, sched: &mut Scheduler, worklist: &mut Vec<Addr
                             if target.is_h2() {
                                 continue;
                             }
-                            let new_target = if in_collected(heap, target) {
-                                let t = copy_young(heap, target, &mut uw, worklist);
-                                heap.mem[slot.raw() as usize] = t.raw();
-                                t
-                            } else {
-                                target
-                            };
+                            let new_target = evacuate(heap, target, &mut uw, worklist);
+                            heap.mem[slot.raw() as usize] = new_target.raw();
                             if heap.in_young(new_target) {
                                 any_young = true;
                             }
@@ -345,17 +341,14 @@ fn scan_h2_cards(heap: &mut Heap, sched: &mut Scheduler, worklist: &mut Vec<Addr
                                     continue;
                                 }
                                 heap.stats.backward_refs_seen += 1;
-                                let new_target = if in_collected(heap, target) {
-                                    let t = copy_young(heap, target, &mut uw, worklist);
+                                let new_target = evacuate(heap, target, &mut uw, worklist);
+                                if new_target != target {
                                     heap.h2.as_mut().unwrap().write_word(
                                         slot,
-                                        t.raw(),
+                                        new_target.raw(),
                                         Category::MinorGc,
                                     );
-                                    t
-                                } else {
-                                    target
-                                };
+                                }
                                 if heap.in_young(new_target) {
                                     has_young = true;
                                 } else {

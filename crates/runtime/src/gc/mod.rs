@@ -15,6 +15,14 @@ mod units;
 
 pub(crate) use units::LiveMap;
 
+/// Index of the first object in the sorted start index `starts` that could
+/// overlap an address range beginning at `base`: the last object starting at
+/// or before `base`, or the first after it. Both collectors' card scans start
+/// there.
+fn first_overlapping(starts: &[u64], base: u64) -> usize {
+    starts.partition_point(|&s| s <= base).saturating_sub(1)
+}
+
 /// CPU-work counters accumulated by one work unit and charged to its lane
 /// when the unit ends.
 #[derive(Debug, Default, Clone, Copy)]

@@ -15,7 +15,7 @@
 
 use super::major::MajorCycle;
 use super::schedule::{DOM_H2_CARD, DOM_OBJECT, GRAY_PACKET};
-use super::Work;
+use super::{first_overlapping, Work};
 use crate::config::OomError;
 use crate::heap::Heap;
 use crate::object;
@@ -233,7 +233,7 @@ pub(super) fn h2_card_chunk(
         // a region freed since the card was dirtied.
         let starts = std::mem::take(&mut heap.h2_starts[region]);
         let mut has_backward = false;
-        let mut i = starts.partition_point(|&s| s <= lo).saturating_sub(1);
+        let mut i = first_overlapping(&starts, lo);
         while i < starts.len() && starts[i] < hi {
             let obj = Addr::new(starts[i]);
             i += 1;

@@ -1,0 +1,275 @@
+//! Allocation: eden bump allocation, the large-object and G1 humongous
+//! paths into the old generation, lifetime-profiled pretenuring into H2,
+//! and the GC entry points an allocation (or the mutator) triggers.
+
+use super::{Handle, Heap};
+use crate::class::{ClassId, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
+use crate::config::OomError;
+use crate::gc;
+use crate::object;
+use teraheap_core::{Addr, Label};
+use teraheap_storage::obs::{EventKind, GcCause};
+use teraheap_storage::Category;
+
+impl Heap {
+    /// Allocates an instance of `class`. Fields start zeroed/null.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OomError`] if the allocation cannot be satisfied even after
+    /// garbage collection.
+    pub fn alloc(&mut self, class: ClassId) -> Result<Handle, OomError> {
+        let words = self.classes.get(class).instance_words();
+        let addr = self.alloc_raw(class, words, 0)?;
+        Ok(self.make_root(addr))
+    }
+
+    /// Allocates a reference array of `len` elements (all null).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OomError`] on exhaustion.
+    pub fn alloc_ref_array(&mut self, len: usize) -> Result<Handle, OomError> {
+        self.alloc_array(OBJ_ARRAY_CLASS, len)
+    }
+
+    /// Allocates a primitive array of `len` words (zeroed).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OomError`] on exhaustion.
+    pub fn alloc_prim_array(&mut self, len: usize) -> Result<Handle, OomError> {
+        self.alloc_array(PRIM_ARRAY_CLASS, len)
+    }
+
+    fn alloc_array(&mut self, class: ClassId, len: usize) -> Result<Handle, OomError> {
+        let words = object::HEADER_WORDS + object::ARRAY_LEN_WORDS + len;
+        let addr = self.alloc_raw(class, words, len as u64)?;
+        Ok(self.make_root(addr))
+    }
+
+    /// Allocates a primitive array as a member of the labeled object group
+    /// `site`: the allocation is attributed to `site` for lifetime
+    /// profiling / pretenuring (so, with adaptive placement on, later
+    /// chunks of a long-lived group allocate straight into its
+    /// region-grouped H2 storage), and the object header is tagged with
+    /// `site` so a subsequent [`Heap::h2_move`] promotes the whole group
+    /// into contiguous same-label regions. The query plane allocates every
+    /// column chunk through this, one label per (table, column), so whole
+    /// columns move and die together at region granularity.
+    ///
+    /// The surrounding allocation-site bracket (if any) is preserved.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OomError`] on exhaustion.
+    pub fn alloc_prim_array_labeled(&mut self, len: usize, site: Label) -> Result<Handle, OomError> {
+        let prev = self.alloc_site;
+        self.alloc_site = Some(site);
+        let r = self.alloc_prim_array(len);
+        self.alloc_site = prev;
+        let h = r?;
+        // Pretenured arrays already carry the label in their H2 header.
+        if !self.is_in_h2(h) {
+            self.h2_tag_root(h, site);
+        }
+        Ok(h)
+    }
+
+    fn alloc_raw(&mut self, class: ClassId, words: usize, array_len: u64) -> Result<Addr, OomError> {
+        if let Some(e) = self.pending_oom.take() {
+            return Err(e);
+        }
+        self.clock.charge(Category::Mutator, self.config.cost.alloc_ns);
+        self.incr_poll();
+        // Lifetime-profiled pretenuring: when the current allocation site's
+        // profile crossed the tenure threshold, place the object straight
+        // into region-grouped H2 storage, skipping survivor copying. Falls
+        // through to the normal H1 path when H2 is absent, degraded or full.
+        if let Some(label) = self.alloc_site {
+            if self.lifetimes.should_pretenure(label) {
+                if let Some(addr) = self.pretenure(label, class, words, array_len) {
+                    return Ok(addr);
+                }
+            }
+        }
+        let addr = self.alloc_words(words)?;
+        let i = addr.raw() as usize;
+        self.mem[i..i + words].fill(0);
+        self.mem[i] = object::pack_header(class, words);
+        if class == OBJ_ARRAY_CLASS || class == PRIM_ARRAY_CLASS {
+            self.mem[i + object::HEADER_WORDS] = array_len;
+        }
+        if let Some(cyc) = self.cycle.as_deref_mut() {
+            cyc.note_alloc(addr, words);
+        }
+        Ok(addr)
+    }
+
+    fn alloc_words(&mut self, words: usize) -> Result<Addr, OomError> {
+        // Large objects bypass eden and go straight to the old generation
+        // (PS behaviour; Panthera additionally pretenures all big objects).
+        let big = words > self.eden.capacity_words() / self.policy.big_object_eden_divisor;
+        if big {
+            // Old-gen placement must not race the in-flight cycle's plan.
+            gc::major::finish(self)?;
+            if let Some(a) = self.alloc_old(words) {
+                return Ok(a);
+            }
+            gc::major::major_gc(self, GcCause::LargeAlloc)?;
+            return self.alloc_old(words).ok_or_else(|| {
+                self.note_oom(OomError {
+                    requested_words: words,
+                    context: "large allocation does not fit the old generation".to_string(),
+                })
+            });
+        }
+        if let Some(a) = self.eden.alloc(words) {
+            return Ok(a);
+        }
+        self.collect_for(words)?;
+        self.eden.alloc(words).ok_or_else(|| {
+            self.note_oom(OomError {
+                requested_words: words,
+                context: "eden exhausted after garbage collection".to_string(),
+            })
+        })
+    }
+
+    /// Allocates a pretenured object directly in H2 under `label`,
+    /// returning `None` (caller falls back to H1) when H2 is absent,
+    /// degraded, or cannot fit the object. The object image — header,
+    /// label word, array length — is composed in a reusable scratch buffer
+    /// and written through the promotion buffer, so device costs are
+    /// batched exactly like major-GC promotion, but charged to the mutator.
+    fn pretenure(&mut self, label: Label, class: ClassId, words: usize, array_len: u64) -> Option<Addr> {
+        let h2 = self.h2.as_mut()?;
+        if h2.is_degraded() {
+            return None;
+        }
+        let dest = h2.alloc(label, words).ok()?;
+        let mut scratch = std::mem::take(&mut self.pretenure_scratch);
+        scratch.clear();
+        scratch.resize(words, 0);
+        scratch[0] = object::pack_header(class, words);
+        scratch[1] = label.id();
+        if class == OBJ_ARRAY_CLASS || class == PRIM_ARRAY_CLASS {
+            scratch[object::HEADER_WORDS] = array_len;
+        }
+        let h2 = self.h2.as_mut().expect("checked above");
+        h2.write_promoted(dest, &scratch, Category::Mutator);
+        // Fence the region live immediately: an in-flight incremental cycle
+        // must not sweep a region that just received a rooted allocation.
+        h2.note_forward_ref(dest);
+        let region = h2.regions().region_of(dest).0;
+        self.pretenure_scratch = scratch;
+        // Bump allocation within a region is monotone, so appending keeps
+        // the per-region start index sorted, as card scans require.
+        self.h2_starts[region as usize].push(dest.raw());
+        self.note_site_region(label, region);
+        self.lifetimes.record_pretenure(label, words as u64);
+        self.stats.pretenured_objects += 1;
+        self.stats.pretenured_words += words as u64;
+        self.clock.emit(EventKind::Pretenure { label: label.id(), words: words as u64 });
+        Some(dest)
+    }
+
+    /// Records an OOM in the flight recorder and fires the crash-dump hook
+    /// (`TERAHEAP_OBS_DUMP`), returning the error for propagation.
+    pub(crate) fn note_oom(&self, e: OomError) -> OomError {
+        self.clock.emit(EventKind::Oom);
+        self.clock.tracer().crash_dump(&e.to_string());
+        e
+    }
+
+    /// Allocates in the old generation, applying G1 humongous-region
+    /// rounding when configured.
+    pub(crate) fn alloc_old(&mut self, words: usize) -> Option<Addr> {
+        let footprint = self.g1_footprint(words);
+        // Reserve the rounded footprint but place the object at its start.
+        let addr = self.old.alloc(footprint)?;
+        if footprint > words {
+            self.stats.g1_humongous_waste_words += (footprint - words) as u64;
+        }
+        self.old_starts.push(addr.raw());
+        Some(addr)
+    }
+
+    /// The old-generation footprint of an object of `words` words: rounded
+    /// up to whole G1 regions when the object is humongous.
+    pub(crate) fn g1_footprint(&self, words: usize) -> usize {
+        match self.policy.g1_region_words {
+            Some(region_words) if words >= region_words / 2 => {
+                words.div_ceil(region_words) * region_words
+            }
+            _ => words,
+        }
+    }
+
+    /// Makes room in eden for `words`: a young collection, then a major one
+    /// if eden still cannot take them.
+    fn collect_for(&mut self, words: usize) -> Result<(), OomError> {
+        self.collect_young(GcCause::AllocFailure)?;
+        if self.eden.free_words() < words {
+            gc::major::finish(self)?;
+            gc::major::major_gc(self, GcCause::EdenFullAfterGc)?;
+        }
+        Ok(())
+    }
+
+    /// Runs a minor (young-generation) collection now.
+    pub fn gc_minor(&mut self) -> Result<(), OomError> {
+        self.collect_young(GcCause::Explicit)
+    }
+
+    fn collect_young(&mut self, cause: GcCause) -> Result<(), OomError> {
+        // A minor GC would evacuate objects out from under the in-flight
+        // major cycle's mark stack and live set: finish it first
+        // (normally already done — the cycle completes well within one
+        // eden refill at the default pacing).
+        gc::major::finish(self)?;
+        // Promotion guarantee: a minor GC may promote everything live in
+        // eden and from-space (doubled under G1, whose humongous rounding
+        // can inflate a footprint up to 2x), so fall back to a full GC when
+        // the old generation cannot absorb that worst case.
+        let young = self.eden.used_words() + self.from.used_words();
+        if self.old.free_words() < young * self.policy.worst_promotion_factor {
+            return gc::major::major_gc(self, GcCause::PromotionGuarantee);
+        }
+        gc::minor::minor_gc(self, cause);
+        gc::major::maybe_start(self);
+        Ok(())
+    }
+
+    /// Runs a major (full) collection now.
+    ///
+    /// With a sliced cycle in flight, running it to completion *is* the
+    /// requested major collection; otherwise a fresh cycle runs whole.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OomError`] if live data exceeds the old generation.
+    pub fn gc_major(&mut self) -> Result<(), OomError> {
+        let had_cycle = self.cycle.is_some();
+        gc::major::finish(self)?;
+        if had_cycle {
+            return Ok(());
+        }
+        gc::major::major_gc(self, GcCause::Explicit)
+    }
+
+    /// Runs the next pause slice of the in-flight major cycle once
+    /// enough mutator time has elapsed since the last one
+    /// (`pause_budget_ns / PACE_DIVISOR` — the clock delta captures every
+    /// mutator charge, including accessor costs).
+    pub(crate) fn incr_poll(&mut self) {
+        if self.in_gc {
+            return;
+        }
+        let Some(cyc) = self.cycle.as_deref() else { return };
+        let pace = (self.config.pause_budget_ns / gc::major::PACE_DIVISOR).max(1);
+        if self.clock.total_ns() - cyc.last_slice_end_ns >= pace {
+            gc::major::run_slice(self, self.config.pause_budget_ns);
+        }
+    }
+}

@@ -1,0 +1,161 @@
+//! The TeraHeap side of the API (§3.2): attaching H2, the `h2_tag_root` /
+//! `h2_move` hints, H2 region dependencies, adaptive placement with its
+//! allocation site and region groups, and the charge/span hooks frameworks
+//! cost their work through.
+
+use super::{Handle, Heap};
+use teraheap_core::{Addr, H2Config, Label, RegionGroups, RegionId, H2};
+use teraheap_storage::obs::SpanKind;
+use teraheap_storage::{AttachError, Category, SharedDevice, TraceSpan};
+
+impl Heap {
+    /// Attaches a TeraHeap second heap over a tenant partition of `device`.
+    ///
+    /// Corresponds to launching the JVM with `EnableTeraHeap`. The heap must
+    /// have been registered as a tenant of the device beforehand (via
+    /// [`SharedDevice::new`] or [`SharedDevice::add_tenant`]) **with this
+    /// heap's clock**: tenant identity *is* clock identity, so a heap and its
+    /// device partition structurally share one [`teraheap_storage::SimClock`]
+    /// — the invariant every simulated-time comparison in the repo depends
+    /// on. Attachment fails if the clock is unknown to the device, if the
+    /// partition is already attached, or if the configured H2 footprint
+    /// ([`H2Config::footprint_bytes`]) exceeds the tenant's quota — quota
+    /// violations surface here, not at first I/O.
+    pub fn attach_h2(&mut self, h2_config: H2Config, device: &SharedDevice) -> Result<(), AttachError> {
+        let h2 = H2::attach(h2_config, device, self.clock.clone())?;
+        self.h2_starts = vec![Vec::new(); h2.regions().region_count()];
+        self.h2 = Some(h2);
+        Ok(())
+    }
+
+    /// Enables the uncharged H2 liveness tracing that Figure 10 needs.
+    pub fn track_h2_liveness(&mut self, on: bool) {
+        self.track_h2_liveness = on;
+    }
+
+    /// `h2_tag_root(obj, label)`: tags a root key-object for H2 placement by
+    /// writing the label into the object header's label field.
+    ///
+    /// With adaptive placement on, tagging doubles as the lifetime
+    /// profiler's allocation sample: the tagged words are the denominator
+    /// of the site's survival ratio. Recording charges nothing.
+    pub fn h2_tag_root(&mut self, h: Handle, label: Label) {
+        let (obj, _) = self.mutator_view(self.root_of(h));
+        self.set_word(obj.add(1), label.id());
+        if self.lifetimes.is_enabled() && obj.is_h1() {
+            let words = self.object_size(obj) as u64;
+            self.lifetimes.record_tag(label, words);
+        }
+    }
+
+    /// `h2_move(label)`: advises TeraHeap to move all objects tagged with
+    /// `label` to H2 during the next major GC. No-op without TeraHeap.
+    pub fn h2_move(&mut self, label: Label) {
+        if let Some(h2) = self.h2.as_mut() {
+            h2.h2_move(label);
+        }
+    }
+
+    /// The label tagged on the object behind `h` (0 = untagged).
+    pub fn h2_label_of(&self, h: Handle) -> u64 {
+        self.word(self.mutator_view(self.root_of(h)).0.add(1))
+    }
+
+    /// Turns the adaptive placement plane on or off: the per-site lifetime
+    /// profiler, H2 pretenuring, site region grouping, and the transfer
+    /// policy's dynamic threshold controller. Off by default — every
+    /// simulated-ns golden is pinned with this off.
+    pub fn set_adaptive_placement(&mut self, on: bool) {
+        self.lifetimes.set_enabled(on);
+        if on {
+            if self.site_groups.is_none() {
+                let n = self.h2.as_ref().map(|h| h.config().n_regions).unwrap_or(0);
+                self.site_groups = Some(RegionGroups::new(n));
+            }
+        } else {
+            self.site_groups = None;
+            self.site_last_region.clear();
+            self.alloc_site = None;
+        }
+        if let Some(h2) = self.h2.as_mut() {
+            h2.policy_mut().set_adaptive(on);
+        }
+    }
+
+    /// Sets (or clears) the allocation-site label for subsequent
+    /// allocations. Frameworks bracket partition construction with this so
+    /// the profiler can attribute allocations — and pretenure decisions —
+    /// to the partition's site.
+    pub fn set_alloc_site(&mut self, site: Option<Label>) {
+        self.alloc_site = site;
+    }
+
+    /// Records the directional cross-region dependency of an H2→H2
+    /// reference from `from` to `to` (§4).
+    pub(crate) fn note_h2_dependency(&mut self, from: Addr, to: Addr) {
+        let h2 = self.h2.as_mut().expect("H2 reference without H2");
+        let (from, to) = (h2.regions().region_of(from), h2.regions().region_of(to));
+        if from != to {
+            h2.regions_mut().add_dependency(from, to);
+        }
+    }
+
+    /// Records that `label`'s site placed an object in `region`, merging
+    /// the site's regions into one union-find group.
+    pub(crate) fn note_site_region(&mut self, label: Label, region: u32) {
+        let Some(groups) = self.site_groups.as_mut() else { return };
+        match self.site_last_region.binary_search_by_key(&label.id(), |&(k, _)| k) {
+            Ok(i) => {
+                let prev = self.site_last_region[i].1;
+                if prev != region {
+                    groups.merge(RegionId(prev), RegionId(region));
+                    self.site_last_region[i].1 = region;
+                }
+            }
+            Err(i) => self.site_last_region.insert(i, (label.id(), region)),
+        }
+    }
+
+    /// Propagates liveness across pretenure site groups before the H2
+    /// sweep: if any region of a group is referenced, the whole group
+    /// stays live (one site's partition data references itself freely, so
+    /// the group lives or dies as a unit). No-op with adaptive placement
+    /// off, keeping the static-policy goldens untouched.
+    pub(crate) fn propagate_site_groups(&mut self) {
+        let Some(groups) = self.site_groups.as_mut() else { return };
+        let Some(h2) = self.h2.as_mut() else { return };
+        let n = h2.config().n_regions;
+        let referenced: Vec<bool> =
+            (0..n).map(|r| h2.regions().is_live(RegionId(r as u32))).collect();
+        let live = groups.group_liveness(&referenced);
+        for (r, &keep) in live.iter().enumerate() {
+            if keep && !referenced[r] {
+                let base = h2.regions().region_base(RegionId(r as u32));
+                h2.regions_mut().mark_live(base);
+            }
+        }
+    }
+
+    /// Charges `ops` element-operations of mutator compute, divided across
+    /// the configured mutator threads. The charge routes through the
+    /// clock's tracer, so the flight recorder attributes it per category.
+    pub fn charge_ops(&mut self, ops: u64) {
+        let ns = ops * self.config.cost.mutator_op_ns / self.config.mutator_threads.max(1) as u64;
+        self.clock.charge(Category::Mutator, ns);
+        self.incr_poll();
+    }
+
+    /// Charges `ns` nanoseconds directly to a category, divided across
+    /// mutator threads (frameworks use this for S/D work).
+    pub fn charge_ns(&mut self, cat: Category, ns: u64) {
+        self.clock.charge(cat, ns / self.config.mutator_threads.max(1) as u64);
+        self.incr_poll();
+    }
+
+    /// Opens a mutator-side flight-recorder span (stage, shuffle, ...); the
+    /// returned guard records the span end when dropped. The guard holds the
+    /// clock, not the heap, so it can live across `&mut self` calls.
+    pub fn span(&self, kind: SpanKind) -> TraceSpan {
+        self.clock.span(kind)
+    }
+}

@@ -106,8 +106,8 @@ pub struct H1CardTable {
 }
 
 impl H1CardTable {
-    /// Vanilla JVM card segment size: 512 bytes = 64 words.
-    pub const DEFAULT_SEG_WORDS: usize = 64;
+    /// The heap's card segment size, the vanilla JVM's: 512 bytes = 64 words.
+    pub const SEG_WORDS: usize = 64;
 
     /// Creates a card table over the old generation `[base, base + words)`.
     pub fn new(base: Addr, words: usize, seg_words: usize) -> Self {

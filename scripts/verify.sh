@@ -97,6 +97,36 @@ while read -r suite _; do
 done <<<"$suites"
 echo "ok ($named suites)"
 
+# The two documents share one size budget, the heap stays split by
+# mechanism, and every `DESIGN.md §N` pointer (the suite table's § column
+# included) names a `## N.` heading that exists.
+echo "== docs and layout: size gate, heap files, DESIGN.md pointers =="
+doc_bytes=$(cat DESIGN.md EXPERIMENTS.md | wc -c)
+if (( doc_bytes > 110000 )); then
+    echo "ERROR: DESIGN.md + EXPERIMENTS.md are $doc_bytes bytes; the gate is 110000." >&2
+    exit 1
+fi
+for file in crates/runtime/src/heap/*.rs; do
+    if (( $(wc -l <"$file") > 500 )); then
+        echo "ERROR: $file is over 500 lines; split it by mechanism." >&2
+        exit 1
+    fi
+done
+pointers=$({
+    grep -rhoE 'DESIGN\.md`? §[0-9]+((,| and) §[0-9]+)*' crates scripts src tests examples \
+        README.md EXPERIMENTS.md .claude/skills/verify/SKILL.md
+    awk '{print $2}' <<<"$suites"
+} | grep -oE '§[0-9]+' | grep -oE '[0-9]+' | sort -un)
+for n in $pointers; do
+    if ! grep -qE "^## $n\. " DESIGN.md; then
+        echo "ERROR: DESIGN.md has no '## $n.' heading, but §$n is cited:" >&2
+        grep -rnE "DESIGN\.md\`? (§[0-9]+(,| and) )*§$n\b|^[^ ]+ +§$n " crates scripts src tests \
+            examples README.md EXPERIMENTS.md .claude/skills/verify/SKILL.md >&2 || true
+        exit 1
+    fi
+done
+echo "ok ($doc_bytes bytes; sections cited: $(echo $pointers))"
+
 # One golden mechanism: the print-and-paste capture path stays gone, and every
 # golden file is opened by a suite beside it (the helper itself reports file
 # *rows* no arm claims; this covers whole files).
