@@ -7,8 +7,9 @@
 //! scales N to device saturation on the three device profiles. Expected
 //! shape: aggregate throughput (job rounds per simulated second) flattens
 //! as the arbitrated device saturates, per-tenant p99 round latency and
-//! queueing delay grow with N, and Jain's fairness index stays ≈1 (the
-//! virtual-time fair queue gives equal-weight tenants equal shares).
+//! queueing delay grow with N, and Jain's fairness index stays ≈1 (one
+//! FIFO device clock and clock-ordered grants give equal tenants equal
+//! shares).
 //! On DAX-class memory the knee arrives later: device service times are
 //! small, so tenants contend less per round.
 

@@ -58,45 +58,26 @@ impl SiteStats {
 }
 
 /// Per-site lifetime profiles with a tenure-threshold pretenure rule.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LifetimeProfiles {
     enabled: bool,
     /// `(label id, stats)` sorted by label id; binary-search probed so the
     /// steady state allocates nothing.
     sites: Vec<(u64, SiteStats)>,
-    threshold_permille: u64,
-    min_long_lived_words: u64,
 }
 
 impl LifetimeProfiles {
-    /// Default tenure threshold: ≥60% of a site's tagged words must have
-    /// survived a minor GC (or reached H2) before the site pretenures.
-    pub const DEFAULT_THRESHOLD_PERMILLE: u64 = 600;
+    /// Tenure threshold: ≥60% of a site's tagged words must have survived
+    /// a minor GC (or reached H2) before the site pretenures.
+    pub const THRESHOLD_PERMILLE: u64 = 600;
 
-    /// Default evidence floor: a site must show this many long-lived words
-    /// before the ratio is trusted (a single surviving object is noise).
-    pub const DEFAULT_MIN_LONG_LIVED_WORDS: u64 = 512;
+    /// Evidence floor: a site must show this many long-lived words before
+    /// the ratio is trusted (a single surviving object is noise).
+    pub const MIN_LONG_LIVED_WORDS: u64 = 512;
 
-    /// Creates a disabled profiler with the default thresholds.
+    /// Creates a disabled profiler.
     pub fn new() -> Self {
-        LifetimeProfiles {
-            enabled: false,
-            sites: Vec::new(),
-            threshold_permille: Self::DEFAULT_THRESHOLD_PERMILLE,
-            min_long_lived_words: Self::DEFAULT_MIN_LONG_LIVED_WORDS,
-        }
-    }
-
-    /// Sets the tenure threshold in permille of tagged words.
-    pub fn with_threshold_permille(mut self, permille: u64) -> Self {
-        self.threshold_permille = permille.min(1000);
-        self
-    }
-
-    /// Sets the long-lived-words evidence floor.
-    pub fn with_min_long_lived_words(mut self, words: u64) -> Self {
-        self.min_long_lived_words = words;
-        self
+        Self::default()
     }
 
     /// Turns profiling (and therefore pretenuring) on or off.
@@ -168,8 +149,8 @@ impl LifetimeProfiles {
         match self.stats(label) {
             None => false,
             Some(s) => {
-                s.long_lived_words() >= self.min_long_lived_words
-                    && s.survival_permille() >= self.threshold_permille
+                s.long_lived_words() >= Self::MIN_LONG_LIVED_WORDS
+                    && s.survival_permille() >= Self::THRESHOLD_PERMILLE
             }
         }
     }
@@ -198,12 +179,6 @@ impl LifetimeProfiles {
     }
 }
 
-impl Default for LifetimeProfiles {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,9 +194,7 @@ mod tests {
 
     #[test]
     fn pretenure_needs_both_ratio_and_evidence() {
-        let mut p = LifetimeProfiles::new()
-            .with_threshold_permille(600)
-            .with_min_long_lived_words(512);
+        let mut p = LifetimeProfiles::new();
         p.set_enabled(true);
         let l = Label::new(7);
         p.record_tag(l, 1000);

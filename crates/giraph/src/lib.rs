@@ -688,6 +688,8 @@ impl GiraphContext {
     /// message stores until resident data fits the memory limit. The
     /// paper's scheduler monitors memory pressure continuously, not only at
     /// barriers: workloads also call this after processing each partition.
+    /// Serialization running out of heap and a full OOC device are both an
+    /// [`OomError`].
     pub(crate) fn ooc_rebalance(&mut self) -> Result<(), OomError> {
         let GiraphMode::OutOfCore { memory_limit_words, .. } = self.config.mode else {
             return Ok(());
@@ -705,7 +707,11 @@ impl GiraphContext {
         let device = self.device.as_mut().expect("OOC mode has a device");
         let mut offload = |heap: &mut Heap, h: Handle| -> Result<Blob, OomError> {
             let bytes = kryo_sim::serialize(heap, h)?;
-            Ok(device.store(bytes, Category::Io).expect("OOC device full"))
+            let words = bytes.len().div_ceil(8);
+            device.store(bytes, Category::Io).map_err(|e| OomError {
+                requested_words: words,
+                context: format!("Giraph-OOC device: {e}"),
+            })
         };
         // LRU order over partitions.
         let mut order: Vec<usize> = (0..self.parts.len()).collect();
@@ -716,8 +722,9 @@ impl GiraphContext {
             }
             // Offload incoming messages first (they die soonest anyway),
             // then edges. A handle leaves its slot only once its blob is
-            // stored: when `serialize` runs out of memory the slot still
-            // names it, so it is not a root nothing can release.
+            // stored: when `serialize` runs out of memory or the device is
+            // full the slot still names it, so it is not a root nothing can
+            // release.
             if let Some(array) = self.incoming.parts[p].array {
                 self.incoming.parts[p].blob = Some(offload(&mut self.heap, array.handle())?);
                 self.incoming.parts[p].array = None;
@@ -874,6 +881,25 @@ mod tests {
             assert_eq!(ctx.heap.live_roots(), named + fill.len(), "a handle left its slot");
             assert_eq!((ctx.offloads, named), (0, 2 * ctx.parts.len() + usize::from(deliver)));
         }
+    }
+
+    #[test]
+    fn a_full_ooc_device_is_an_error() {
+        let config = GiraphConfig::small(GiraphMode::OutOfCore {
+            device: DeviceSpec::nvme_ssd(),
+            memory_limit_words: usize::MAX,
+        });
+        let mut ctx = GiraphContext::load(config, &graph(), |_| 0).unwrap();
+        // Smaller than any partition's serialized edges.
+        ctx.device = Some(SimDevice::new(DeviceSpec::nvme_ssd(), 64, ctx.heap.clock().clone()));
+        ctx.config.mode =
+            GiraphMode::OutOfCore { device: DeviceSpec::nvme_ssd(), memory_limit_words: 0 };
+        let err = ctx.ooc_rebalance().unwrap_err();
+        assert!(err.context.contains("Giraph-OOC device"), "{err}");
+        // The edges the offload could not store still have their slot.
+        let named = ctx.parts.len() + ctx.parts.iter().filter(|p| p.edges.is_some()).count();
+        assert_eq!((ctx.heap.live_roots(), named), (named, 2 * ctx.parts.len()));
+        assert_eq!(ctx.offloads, 0);
     }
 
     #[test]

@@ -369,8 +369,8 @@ pub enum EventKind {
     /// (server plane, DESIGN.md §12): the arbiter delayed it `wait_ns`
     /// before service, charged to the waiting tenant.
     DeviceQueued { wait_ns: u64 },
-    /// A server scheduling decision for tenant `tenant`: `admitted` is
-    /// false when the admission policy deferred the tenant's burst.
+    /// A server scheduling decision for tenant `tenant`: one job round
+    /// granted. `admitted` is always true; the server grants by clock alone.
     TenantSched { tenant: u32, admitted: bool },
     /// Lifetime-profiled pretenuring placed a `words`-word object straight
     /// into H2 under allocation site `label` (adaptive placement plane).

@@ -5,13 +5,14 @@
 //! point-lookup / range-scan / aggregate mix against a hot (H1-cached) and
 //! a cold (H2-resident) copy of the same table. They are multiplexed over
 //! `tenants` independent heaps registered on one [`SharedDevice`] — the
-//! PR 8 arbitration plane — so device bandwidth is fair-queued across
-//! tenants while each tenant serves its sessions serially, closed-loop
-//! with think time. Scheduling is discrete-event over the sessions'
-//! next-issue times (host-side) and the tenants' `SimClock`s (simulated
-//! service), so a run is exactly reproducible: per-op latency is
-//! `completion − issue`, which includes time queued behind the tenant's
-//! other sessions *and* shared-device arbitration delays.
+//! server plane's arbiter — so device requests queue first-come
+//! first-served across tenants while each tenant serves its sessions
+//! serially, closed-loop with think time. Scheduling is discrete-event
+//! over the sessions' next-issue times (host-side) and the tenants'
+//! `SimClock`s (simulated service), so a run is exactly reproducible:
+//! per-op latency is `completion − issue`, which includes time queued
+//! behind the tenant's other sessions *and* shared-device arbitration
+//! delays.
 //!
 //! Everything an op answers depends only on the table contents and the
 //! op's own parameters — both derived from `seed` and the global op index

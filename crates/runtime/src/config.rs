@@ -189,13 +189,6 @@ impl HeapConfig {
         }
     }
 
-    /// A configuration sized like a `heap_mb`-megabyte JVM heap with the
-    /// PS default 1:2 young:old split.
-    pub fn with_heap_mb(heap_mb: usize) -> Self {
-        let words = heap_mb * (1 << 20) / 8;
-        Self::with_words(words / 3, words - words / 3)
-    }
-
     /// Total H1 capacity in words.
     pub fn h1_words(&self) -> usize {
         self.young_words + self.old_words
@@ -284,27 +277,9 @@ impl HeapConfigBuilder {
         self
     }
 
-    /// Mutator (executor) threads.
-    pub fn mutator_threads(mut self, threads: usize) -> Self {
-        self.config.mutator_threads = threads;
-        self
-    }
-
     /// Collector personality.
     pub fn variant(mut self, variant: GcVariant) -> Self {
         self.config.variant = variant;
-        self
-    }
-
-    /// NVM Memory-mode access model (Spark-MO).
-    pub fn memory_mode(mut self, mode: MemoryMode) -> Self {
-        self.config.memory_mode = Some(mode);
-        self
-    }
-
-    /// CPU cost model.
-    pub fn cost(mut self, cost: CostModel) -> Self {
-        self.config.cost = cost;
         self
     }
 
@@ -414,13 +389,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn heap_mb_splits_one_to_two() {
-        let c = HeapConfig::with_heap_mb(96);
-        assert_eq!(c.h1_words(), 96 * (1 << 20) / 8);
-        assert_eq!(c.young_words, c.h1_words() / 3);
-    }
-
-    #[test]
     fn memory_mode_penalty_scales_with_miss_rate() {
         let nvm = DeviceSpec::optane_nvm();
         let m30 = MemoryMode { nvm, miss_percent: 30 };
@@ -439,8 +407,9 @@ mod tests {
             HeapConfig::builder(1 << 10, 0).build(),
             Err(ConfigError::ZeroOldGeneration)
         );
+        let base = HeapConfig::with_words(1 << 10, 1 << 10);
         assert_eq!(
-            HeapConfig::builder(1 << 10, 1 << 10).mutator_threads(0).build(),
+            HeapConfig { mutator_threads: 0, ..base }.validate(),
             Err(ConfigError::ZeroThreads { pool: "mutator_threads" })
         );
         assert_eq!(
@@ -462,10 +431,9 @@ mod tests {
                 .build(),
             Err(ConfigError::PantheraSplit { old_dram_words: 2 << 10, old_words: 1 << 10 })
         );
+        let memory_mode = Some(MemoryMode { nvm: DeviceSpec::optane_nvm(), miss_percent: 101 });
         assert_eq!(
-            HeapConfig::builder(1 << 10, 1 << 10)
-                .memory_mode(MemoryMode { nvm: DeviceSpec::optane_nvm(), miss_percent: 101 })
-                .build(),
+            HeapConfig { memory_mode, ..base }.validate(),
             Err(ConfigError::MissPercent { miss_percent: 101 })
         );
         assert_eq!(

@@ -249,12 +249,12 @@ fn release_recycles_slots_under_churn() {
     );
 }
 
-/// A sole tenant at full weight must never queue: with one tenant the
-/// virtual-time fair queue degenerates to FIFO against an idle device, so
-/// every submission starts at its arrival (`wait = 0` for all ops) even
-/// though real service time flows through the arbiter — the arbitration
-/// layer a sole tenant passes through costs zero simulated ns, which is why
-/// the goldens above (all attached through `attach_h2`) predate it.
+/// A sole tenant must never queue: it submits each request at its own clock
+/// and is charged the service right after, so every arrival finds the device
+/// free (`wait = 0` for all ops) even though real service time flows through
+/// the arbiter — the arbitration layer a sole tenant passes through costs
+/// zero simulated ns, which is why the goldens above (all attached through
+/// `attach_h2`) predate it.
 #[test]
 fn sole_tenant_arbitration_is_queueless() {
     let (heap, _keep, dev) =
@@ -265,8 +265,5 @@ fn sole_tenant_arbitration_is_queueless() {
     assert_eq!(io.queued_ops, 0);
     assert!(io.ops > 0, "the workload must exercise the device");
     assert!(io.busy_ns > 0, "arbitrated ops must carry real service time");
-    // At weight 1000 the sole tenant's finish tag tracks the device's
-    // virtual time exactly — the property that makes every wait zero.
-    assert_eq!(dev.finish_tag_ns(id), Some(dev.device_vtime_ns()));
     assert!(dev.device_vtime_ns() >= io.busy_ns, "virtual time covers all service");
 }

@@ -3,8 +3,9 @@
 //! Follows the `HeapConfig` / `H2Config` builder idiom: a builder collects
 //! settings, `build()` returns the first violated constraint as a typed
 //! [`ConfigError`] instead of panicking (or silently misbehaving) mid-run.
-//! Partition tiling is validated here and again at attach time — never at
-//! first I/O.
+//! A tenant's quota is its H2 footprint, tiled after the previous tenant's;
+//! the pool is checked here and the footprint again at attach time — never
+//! at first I/O.
 
 use mini_giraph::GiraphWorkload;
 use mini_spark::{DatasetScale, Workload};
@@ -66,33 +67,15 @@ pub enum ConfigError {
     ZeroTenants,
     /// A tenant with zero job rounds never runs.
     ZeroRounds,
-    /// The tenants' quotas do not fit the device capacity pool.
+    /// The tenants' H2 footprints do not fit the device capacity pool.
     QuotaExceedsCapacity {
         /// Index of the first tenant that did not fit.
         tenant: usize,
-        /// Its requested quota in bytes.
+        /// Its H2 footprint in bytes.
         requested: usize,
-        /// Bytes still unassigned at its placement.
+        /// Bytes of the pool the tenants before it left unassigned.
         available: usize,
     },
-    /// Two explicitly placed partitions overlap.
-    OverlappingPartitions {
-        /// Index of the tenant whose placement collided.
-        tenant: usize,
-        /// Index of the earlier tenant owning the overlapping range.
-        existing: usize,
-    },
-    /// A tenant's H2 footprint does not fit its own quota.
-    QuotaBelowFootprint {
-        /// Index of the tenant.
-        tenant: usize,
-        /// Bytes its H2 mapping needs.
-        footprint: usize,
-        /// Its quota in bytes.
-        quota: usize,
-    },
-    /// A zero arbitration weight would stall the tenant forever.
-    ZeroWeight,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -104,22 +87,14 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "tenant {tenant} quota {requested} B exceeds remaining capacity {available} B"
             ),
-            ConfigError::OverlappingPartitions { tenant, existing } => {
-                write!(f, "tenant {tenant}'s partition overlaps tenant {existing}'s")
-            }
-            ConfigError::QuotaBelowFootprint { tenant, footprint, quota } => write!(
-                f,
-                "tenant {tenant} H2 footprint {footprint} B exceeds its quota {quota} B"
-            ),
-            ConfigError::ZeroWeight => write!(f, "tenant weight must be non-zero"),
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
 
-/// One tenant of the server: a workload, its heap/H2 shape and its share of
-/// the device.
+/// One tenant of the server: a workload and its heap/H2 shape. Its device
+/// quota is the H2 footprint.
 #[derive(Debug, Clone)]
 pub struct TenantSpec {
     /// Display name for reports and CSVs.
@@ -130,14 +105,8 @@ pub struct TenantSpec {
     pub heap: HeapConfig,
     /// H2 layout of the tenant's second heap.
     pub h2: H2Config,
-    /// Device bytes reserved for this tenant.
-    pub quota_bytes: usize,
-    /// Arbitration weight (1000 = a full FIFO share).
-    pub weight_milli: u64,
     /// Job rounds to run.
     pub rounds: usize,
-    /// Explicit partition offset; `None` tiles after the previous tenant.
-    pub offset_bytes: Option<usize>,
 }
 
 impl TenantSpec {
@@ -148,13 +117,9 @@ impl TenantSpec {
                 name: name.into(),
                 workload,
                 heap: HeapConfig::with_words(32 << 10, 128 << 10),
-                quota_bytes: 0, // resolved at build(): defaults to the footprint
                 h2: H2Config::default(),
-                weight_milli: 1000,
                 rounds: 4,
-                offset_bytes: None,
             },
-            explicit_quota: None,
         }
     }
 }
@@ -163,7 +128,6 @@ impl TenantSpec {
 #[derive(Debug, Clone)]
 pub struct TenantSpecBuilder {
     spec: TenantSpec,
-    explicit_quota: Option<usize>,
 }
 
 impl TenantSpecBuilder {
@@ -173,22 +137,9 @@ impl TenantSpecBuilder {
         self
     }
 
-    /// H2 layout. Unless [`TenantSpecBuilder::quota_bytes`] is called, the
-    /// quota defaults to exactly the layout's footprint.
+    /// H2 layout; its footprint is the tenant's device quota.
     pub fn h2(mut self, h2: H2Config) -> Self {
         self.spec.h2 = h2;
-        self
-    }
-
-    /// Device bytes reserved for this tenant (default: the H2 footprint).
-    pub fn quota_bytes(mut self, quota: usize) -> Self {
-        self.explicit_quota = Some(quota);
-        self
-    }
-
-    /// Arbitration weight (1000 = a full FIFO share).
-    pub fn weight_milli(mut self, weight: u64) -> Self {
-        self.spec.weight_milli = weight;
         self
     }
 
@@ -198,34 +149,14 @@ impl TenantSpecBuilder {
         self
     }
 
-    /// Pins the partition to an explicit byte offset.
-    pub fn offset_bytes(mut self, offset: usize) -> Self {
-        self.spec.offset_bytes = Some(offset);
-        self
-    }
-
-    /// Validates the per-tenant constraints.
+    /// Validates the tenant on its own.
     ///
     /// # Errors
     ///
-    /// [`ConfigError::ZeroRounds`], [`ConfigError::ZeroWeight`] or
-    /// [`ConfigError::QuotaBelowFootprint`] (reported with tenant index 0;
-    /// [`ServerConfigBuilder::build`] re-checks with the real index).
-    pub fn build(mut self) -> Result<TenantSpec, ConfigError> {
+    /// [`ConfigError::ZeroRounds`].
+    pub fn build(self) -> Result<TenantSpec, ConfigError> {
         if self.spec.rounds == 0 {
             return Err(ConfigError::ZeroRounds);
-        }
-        if self.spec.weight_milli == 0 {
-            return Err(ConfigError::ZeroWeight);
-        }
-        let footprint = self.spec.h2.footprint_bytes();
-        self.spec.quota_bytes = self.explicit_quota.unwrap_or(footprint);
-        if footprint > self.spec.quota_bytes {
-            return Err(ConfigError::QuotaBelowFootprint {
-                tenant: 0,
-                footprint,
-                quota: self.spec.quota_bytes,
-            });
         }
         Ok(self.spec)
     }
@@ -238,10 +169,6 @@ pub struct ServerConfig {
     pub device: DeviceSpec,
     /// Total device capacity pool in bytes.
     pub capacity_bytes: usize,
-    /// Admission slack: a tenant whose finish tag leads the device virtual
-    /// time by more than this is deferred (its burst would overdraw its
-    /// share). 0 = strict round-per-share admission.
-    pub admission_window_ns: u64,
     /// The tenants, in registration order.
     pub tenants: Vec<TenantSpec>,
 }
@@ -249,93 +176,55 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// Starts a builder for a device of `capacity_bytes`.
     pub fn builder(device: DeviceSpec, capacity_bytes: usize) -> ServerConfigBuilder {
-        ServerConfigBuilder {
-            device,
-            capacity_bytes,
-            admission_window_ns: 200_000,
-            tenants: Vec::new(),
+        ServerConfigBuilder { config: ServerConfig { device, capacity_bytes, tenants: Vec::new() } }
+    }
+
+    /// Checks that there is a tenant, that every tenant runs, and that the
+    /// H2 footprints, tiled in registration order, fit the pool.
+    ///
+    /// # Errors
+    ///
+    /// The first violated constraint as a [`ConfigError`].
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        if self.tenants.is_empty() {
+            return Err(ConfigError::ZeroTenants);
         }
+        let mut available = self.capacity_bytes;
+        for (tenant, t) in self.tenants.iter().enumerate() {
+            if t.rounds == 0 {
+                return Err(ConfigError::ZeroRounds);
+            }
+            let requested = t.h2.footprint_bytes();
+            if requested > available {
+                return Err(ConfigError::QuotaExceedsCapacity { tenant, requested, available });
+            }
+            available -= requested;
+        }
+        Ok(())
     }
 }
 
 /// Builder for [`ServerConfig`].
 #[derive(Debug, Clone)]
 pub struct ServerConfigBuilder {
-    device: DeviceSpec,
-    capacity_bytes: usize,
-    admission_window_ns: u64,
-    tenants: Vec<TenantSpec>,
+    config: ServerConfig,
 }
 
 impl ServerConfigBuilder {
-    /// Admission slack in simulated ns (see [`ServerConfig`]).
-    pub fn admission_window_ns(mut self, ns: u64) -> Self {
-        self.admission_window_ns = ns;
-        self
-    }
-
     /// Adds a tenant.
     pub fn tenant(mut self, spec: TenantSpec) -> Self {
-        self.tenants.push(spec);
+        self.config.tenants.push(spec);
         self
     }
 
-    /// Validates the whole configuration: at least one tenant, every H2
-    /// footprint within its quota, and the partition tiling (explicit
-    /// offsets must not overlap; every partition must fit the pool).
+    /// Validates the whole configuration (see [`ServerConfig`]'s fields).
     ///
     /// # Errors
     ///
-    /// The first violated constraint as a [`ConfigError`].
+    /// The first violated constraint as a [`ConfigError`]: no tenant, a
+    /// tenant with zero rounds, or footprints that overflow the pool.
     pub fn build(self) -> Result<ServerConfig, ConfigError> {
-        if self.tenants.is_empty() {
-            return Err(ConfigError::ZeroTenants);
-        }
-        let mut placed: Vec<(usize, usize)> = Vec::new(); // (offset, quota)
-        for (i, t) in self.tenants.iter().enumerate() {
-            if t.rounds == 0 {
-                return Err(ConfigError::ZeroRounds);
-            }
-            if t.weight_milli == 0 {
-                return Err(ConfigError::ZeroWeight);
-            }
-            let footprint = t.h2.footprint_bytes();
-            if footprint > t.quota_bytes {
-                return Err(ConfigError::QuotaBelowFootprint {
-                    tenant: i,
-                    footprint,
-                    quota: t.quota_bytes,
-                });
-            }
-            let offset = match t.offset_bytes {
-                Some(off) => {
-                    for (j, &(o, q)) in placed.iter().enumerate() {
-                        if off < o + q && o < off.saturating_add(t.quota_bytes) {
-                            return Err(ConfigError::OverlappingPartitions {
-                                tenant: i,
-                                existing: j,
-                            });
-                        }
-                    }
-                    off
-                }
-                None => placed.iter().map(|&(o, q)| o + q).max().unwrap_or(0),
-            };
-            let end = offset.saturating_add(t.quota_bytes);
-            if end > self.capacity_bytes {
-                return Err(ConfigError::QuotaExceedsCapacity {
-                    tenant: i,
-                    requested: t.quota_bytes,
-                    available: self.capacity_bytes.saturating_sub(offset),
-                });
-            }
-            placed.push((offset, t.quota_bytes));
-        }
-        Ok(ServerConfig {
-            device: self.device,
-            capacity_bytes: self.capacity_bytes,
-            admission_window_ns: self.admission_window_ns,
-            tenants: self.tenants,
-        })
+        self.config.validate()?;
+        Ok(self.config)
     }
 }

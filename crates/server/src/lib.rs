@@ -7,14 +7,12 @@
 //! makes the contention measurable (DESIGN.md §12):
 //!
 //! * [`ServerConfig`] / [`TenantSpec`] — builder-validated tenant layout:
-//!   per-tenant H2 partitions and quotas carved from one capacity pool,
-//!   arbitration weights, job-round counts. Violations are typed
-//!   [`ConfigError`]s at build time, not panics at first I/O.
+//!   each tenant's quota is its H2 footprint, tiled after the previous
+//!   tenant's in one capacity pool, plus job-round counts. Violations are
+//!   typed [`ConfigError`]s at build time, not panics at first I/O.
 //! * [`Server`] — a deterministic discrete-event scheduler: the runnable
-//!   tenant furthest behind in simulated time runs next, subject to an
-//!   admission policy that defers tenants whose promotion/GC bursts have
-//!   overdrawn their device share (virtual finish tag vs. device virtual
-//!   time).
+//!   tenant furthest behind in simulated time runs next, and every device
+//!   request queues first-come first-served on one device clock.
 //! * [`ServerReport`] / [`TenantReport`] — aggregate throughput, per-tenant
 //!   p99 round latency, queueing delay and Jain's fairness index; scheduling
 //!   decisions and queueing delays also land on each tenant's
@@ -116,33 +114,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, ConfigError::QuotaExceedsCapacity { tenant: 1, .. }), "{err:?}");
-    }
-
-    #[test]
-    fn builder_rejects_overlapping_partitions() {
-        let mut a = spark_tenant("a", 1);
-        a.offset_bytes = Some(0);
-        let mut b = spark_tenant("b", 1);
-        b.offset_bytes = Some(a.quota_bytes / 2);
-        let err = ServerConfig::builder(DeviceSpec::nvme_ssd(), 1 << 30)
-            .tenant(a)
-            .tenant(b)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::OverlappingPartitions { tenant: 1, existing: 0 });
-    }
-
-    #[test]
-    fn builder_rejects_quota_below_footprint() {
-        let err = TenantSpec::builder(
-            "a",
-            TenantWorkload::Spark { workload: Workload::Pr, scale: DatasetScale::tiny() },
-        )
-        .h2(small_h2())
-        .quota_bytes(4096)
-        .build()
-        .unwrap_err();
-        assert!(matches!(err, ConfigError::QuotaBelowFootprint { .. }), "{err:?}");
     }
 
     #[test]

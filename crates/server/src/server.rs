@@ -1,16 +1,11 @@
 //! The server: N tenant heaps scheduled over one shared device.
 //!
 //! Discrete-event scheduling over the tenants' own `SimClock`s: each
-//! scheduling pass picks the *runnable tenant with the smallest local
-//! clock* — the tenant furthest behind in simulated time — and grants it
-//! one job round, subject to the admission policy. A tenant whose virtual
-//! finish tag leads the device virtual time by more than the admission
-//! window is deferred (its GC/promotion bursts have overdrawn its
-//! bandwidth share); when every runnable tenant is deferred, the one with
-//! the smallest finish tag is admitted anyway so the plane never stalls.
-//! Every decision lands on the tenant's flight-recorder timeline as a
-//! `TenantSched` event; queueing delays appear as `DeviceQueued` events and
-//! per-tenant [`TenantIo`] counters.
+//! scheduling pass grants one job round to the *runnable tenant with the
+//! smallest local clock* — the tenant furthest behind in simulated time,
+//! ties by index. Every grant lands on the tenant's flight-recorder
+//! timeline as a `TenantSched` event; queueing delays appear as
+//! `DeviceQueued` events and per-tenant [`TenantIo`] counters.
 
 use crate::config::{ConfigError, ServerConfig, TenantWorkload};
 use mini_giraph::{run_giraph_on, GiraphConfig, GiraphMode};
@@ -41,7 +36,8 @@ pub struct TenantReport {
     pub mean_round_ns: u64,
     /// Arbitration counters (queueing delay, busy time, ops).
     pub io: TenantIo,
-    /// Times the admission policy deferred this tenant.
+    /// Times the tenant was passed over for admission: always 0, since the
+    /// server grants by clock alone. Kept for the report readers.
     pub deferrals: u64,
     /// Checksum of the last completed round (mode-independent answer).
     pub checksum: f64,
@@ -86,51 +82,29 @@ pub struct Server {
 }
 
 impl Server {
-    /// Registers every tenant of `config` on a fresh shared device.
+    /// Registers every tenant of `config` on a fresh shared device, each
+    /// with its H2 footprint as quota.
     ///
     /// # Errors
     ///
     /// Returns the first violated constraint as a [`ConfigError`] (the
     /// builder already validates; this re-validates defensively for
     /// hand-constructed configs).
+    ///
+    /// # Panics
+    ///
+    /// If a tenant's H2 layout has a zero footprint (an `H2Config` its own
+    /// validation rejects).
     pub fn new(config: ServerConfig) -> Result<Self, ConfigError> {
-        if config.tenants.is_empty() {
-            return Err(ConfigError::ZeroTenants);
-        }
+        config.validate()?;
         let device = SharedDevice::for_server(config.device, config.capacity_bytes);
         let mut clocks = Vec::with_capacity(config.tenants.len());
         let mut ids = Vec::with_capacity(config.tenants.len());
-        for (i, t) in config.tenants.iter().enumerate() {
-            if t.rounds == 0 {
-                return Err(ConfigError::ZeroRounds);
-            }
+        for t in &config.tenants {
             let clock = Arc::new(SimClock::new());
             let id = device
-                .add_tenant_placed(clock.clone(), t.quota_bytes, t.weight_milli, t.offset_bytes)
-                .map_err(|e| match e {
-                    teraheap_storage::AttachError::ZeroWeight => ConfigError::ZeroWeight,
-                    teraheap_storage::AttachError::OverlappingPartition { existing } => {
-                        ConfigError::OverlappingPartitions { tenant: i, existing }
-                    }
-                    teraheap_storage::AttachError::QuotaExceedsCapacity {
-                        requested,
-                        available,
-                    } => ConfigError::QuotaExceedsCapacity { tenant: i, requested, available },
-                    // ZeroQuota implies footprint > quota was already caught;
-                    // DuplicateClock cannot happen with fresh clocks.
-                    _ => ConfigError::QuotaBelowFootprint {
-                        tenant: i,
-                        footprint: t.h2.footprint_bytes(),
-                        quota: t.quota_bytes,
-                    },
-                })?;
-            if t.h2.footprint_bytes() > t.quota_bytes {
-                return Err(ConfigError::QuotaBelowFootprint {
-                    tenant: i,
-                    footprint: t.h2.footprint_bytes(),
-                    quota: t.quota_bytes,
-                });
-            }
+                .add_tenant(clock.clone(), t.h2.footprint_bytes())
+                .expect("validated footprints tile the pool");
             clocks.push(clock);
             ids.push(id);
         }
@@ -150,48 +124,17 @@ impl Server {
     /// Runs every tenant to completion and reports fairness + throughput.
     pub fn run(&mut self) -> ServerReport {
         let n = self.config.tenants.len();
-        let mut rounds_left: Vec<usize> =
-            self.config.tenants.iter().map(|t| t.rounds).collect();
+        let mut rounds_left: Vec<usize> = self.config.tenants.iter().map(|t| t.rounds).collect();
         let mut round_ns: Vec<Vec<u64>> = vec![Vec::new(); n];
-        let mut deferrals = vec![0u64; n];
         let mut oom_rounds = vec![0usize; n];
         let mut checksums = vec![0.0f64; n];
 
-        loop {
-            // Runnable tenants, furthest-behind local clock first.
-            let mut order: Vec<usize> = (0..n).filter(|&i| rounds_left[i] > 0).collect();
-            if order.is_empty() {
-                break;
-            }
-            order.sort_by_key(|&i| (self.clocks[i].total_ns(), i));
-            let vtime = self.device.device_vtime_ns();
-            let window = self.config.admission_window_ns;
-            let mut chosen = None;
-            for &i in &order {
-                let tag = self.device.finish_tag_ns(self.ids[i]).expect("registered tenant");
-                if tag <= vtime.saturating_add(window) {
-                    chosen = Some(i);
-                    break;
-                }
-                deferrals[i] += 1;
-                self.clocks[i].emit(EventKind::TenantSched {
-                    tenant: self.ids[i].tag(),
-                    admitted: false,
-                });
-            }
-            // All deferred: admit the smallest finish tag so progress is
-            // guaranteed (virtual time only advances through service).
-            let i = chosen.unwrap_or_else(|| {
-                order
-                    .iter()
-                    .copied()
-                    .min_by_key(|&i| self.device.finish_tag_ns(self.ids[i]).unwrap_or(u64::MAX))
-                    .expect("non-empty runnable set")
-            });
-            self.clocks[i].emit(EventKind::TenantSched {
-                tenant: self.ids[i].tag(),
-                admitted: true,
-            });
+        // The runnable tenant furthest behind in simulated time, ties by index.
+        while let Some(i) =
+            (0..n).filter(|&i| rounds_left[i] > 0).min_by_key(|&i| (self.clocks[i].total_ns(), i))
+        {
+            self.clocks[i]
+                .emit(EventKind::TenantSched { tenant: self.ids[i].tag(), admitted: true });
             let before = self.clocks[i].total_ns();
             match self.run_round(i) {
                 Some(c) => checksums[i] = c,
@@ -218,17 +161,15 @@ impl Server {
                     mean_round_ns: total / (round_ns[i].len().max(1) as u64),
                     round_ns: round_ns[i].clone(),
                     io: self.device.tenant_io(self.ids[i]).unwrap_or_default(),
-                    deferrals: deferrals[i],
+                    deferrals: 0,
                     checksum: checksums[i],
                 }
             })
             .collect();
         let makespan_ns = tenants.iter().map(|t| t.total_ns).max().unwrap_or(0);
         let total_rounds: usize = tenants.iter().map(|t| t.rounds).sum();
-        let rates: Vec<f64> = tenants
-            .iter()
-            .map(|t| t.rounds as f64 / (t.total_ns.max(1) as f64))
-            .collect();
+        let rates: Vec<f64> =
+            tenants.iter().map(|t| t.rounds as f64 / (t.total_ns.max(1) as f64)).collect();
         ServerReport {
             device_vtime_ns: self.device.device_vtime_ns(),
             makespan_ns,

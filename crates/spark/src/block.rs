@@ -111,7 +111,8 @@ impl BlockManager {
     ///
     /// # Errors
     ///
-    /// Returns [`OomError`] if serialization pressure exhausts the heap.
+    /// Returns [`OomError`] if serialization pressure exhausts the heap, or
+    /// if the off-heap cache device is full.
     pub fn put(&mut self, heap: &mut Heap, id: BlockId, partition: Handle) -> Result<(), OomError> {
         // What an on-heap placement is charged against the budget.
         let mut words = 0;
@@ -185,8 +186,12 @@ impl BlockManager {
                     }
                     _ => unreachable!("serialized placement without a device"),
                 };
-                let blob = device.store(bytes, Category::Io).expect("off-heap cache device full");
+                let stored = device.store(bytes, Category::Io);
                 heap.release(partition);
+                let blob = stored.map_err(|e| OomError {
+                    requested_words: len.div_ceil(8) as usize,
+                    context: format!("off-heap cache device: {e}"),
+                })?;
                 heap.clock().emit(EventKind::BlockSerde { deser: false, bytes: len });
                 self.sd_serializations += 1;
                 Slot::OffHeap(blob)
@@ -353,6 +358,22 @@ mod tests {
         let q = bm.get(&mut heap, id).unwrap().unwrap();
         assert!(heap.is_in_h2(q), "partition lives in H2 after major GC");
         assert_eq!(heap.read_prim(q, 10), 17, "direct access, no S/D");
+    }
+
+    #[test]
+    fn a_full_off_heap_device_is_an_error() {
+        let mut heap = Heap::new(HeapConfig::small());
+        // Smaller than one serialized 32-word partition.
+        let device = SimDevice::new(DeviceSpec::nvme_ssd(), 64, heap.clock().clone());
+        let mut bm =
+            BlockManager::new(CacheMode::SerializedOverflow { device, onheap_budget_words: 40 });
+        let a = mk_partition(&mut heap, 32, 0);
+        bm.put(&mut heap, BlockId { rdd: 1, partition: 0 }, a).unwrap();
+        let b = mk_partition(&mut heap, 32, 1000);
+        let err = bm.put(&mut heap, BlockId { rdd: 1, partition: 1 }, b).unwrap_err();
+        assert!(err.context.contains("off-heap cache device"), "{err}");
+        assert_eq!(heap.live_roots(), 1, "only the cached partition stays a root");
+        assert_eq!((bm.len(), bm.serializations()), (1, 0));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   faults, dirty write-back, a resident-set budget (the paper's DR2) and
 //!   optional 2 MB huge pages (the paper's HugeMap configuration).
 //! * [`SharedDevice`] — one H2 device shared by N tenant heaps: per-tenant
-//!   partitions/quotas carved from a single capacity pool and deterministic
-//!   virtual-time fair queueing, so colocated tenants' I/O charges reflect
-//!   contention (the server plane, DESIGN.md §12).
+//!   quotas tiled in a single capacity pool and one deterministic FIFO on
+//!   device time, so colocated tenants' I/O charges reflect contention (the
+//!   server plane, DESIGN.md §12).
 //! * [`SimClock`] — a deterministic simulated clock that attributes
 //!   nanoseconds to the paper's execution-time breakdown categories
 //!   (other, S/D + I/O, minor GC, major GC).

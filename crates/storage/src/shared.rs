@@ -5,15 +5,15 @@
 //! device must become a first-class shareable object instead of a
 //! `Heap`-private field. [`SharedDevice`] is that object:
 //!
-//! * **Partitions/quotas.** Each tenant registers with a byte quota carved
-//!   from the single capacity pool (sequential tiling by default, explicit
-//!   offsets for server configs). Tiling is validated at registration and
-//!   attach time — never deferred to first I/O.
-//! * **Bandwidth arbitration.** Every device service (page-fault transfer,
+//! * **Quotas.** Each tenant registers with a byte quota carved from the
+//!   single capacity pool, tiled after the previous tenant's. The pool is
+//!   checked at registration and the footprint at attach time — never
+//!   deferred to first I/O.
+//! * **One device clock.** Every device service (page-fault transfer,
 //!   dirty write-back, msync, DAX access run, promotion flush) is submitted
-//!   to a deterministic virtual-time fair queue before its cost lands on
-//!   the tenant's clock. The queueing delay is charged to the waiting
-//!   tenant and surfaced as a per-tenant stat plus a `DeviceQueued` event.
+//!   to a deterministic FIFO on device time before its cost lands on the
+//!   tenant's clock. The queueing delay is charged to the waiting tenant
+//!   and surfaced as a per-tenant stat plus a `DeviceQueued` event.
 //! * **Clock identity.** A tenant is identified by its `Arc<SimClock>`:
 //!   the heap that attaches must present the *same* clock the tenant
 //!   registered with (`Arc::ptr_eq`, not value equality). This is the
@@ -21,26 +21,22 @@
 //!
 //! # Arbitration math
 //!
-//! The arbiter keeps one device-wide virtual time `V` (the instant the
-//! device becomes free) and a per-tenant finish tag `F_t`. A request from
-//! tenant `t` arriving at simulated instant `a` with service time `s`:
+//! The arbiter keeps one device-wide virtual time `V`, the instant the
+//! device becomes free. A request arriving at simulated instant `a` with
+//! service time `s`:
 //!
 //! ```text
-//! ready = max(V, F_t)            // device free AND tenant's turn
-//! start = max(a, ready)
+//! start = max(a, V)
 //! wait  = start - a              // charged to the tenant, 0 if idle
 //! V     = start + s
-//! F_t   = start + s * 1000 / weight_milli
 //! ```
 //!
-//! With a single tenant at the default weight, `F_t == V` and every arrival
-//! satisfies `a >= V` (each submitted service is charged to the tenant's
-//! own clock right after submission, so the clock can never lag the
-//! device), hence `wait == 0` always: the degenerate case is bit-identical
-//! to the historical private device — no extra charges, no extra events.
-//! With several tenants, a request arriving while the device is busy waits
-//! until `max(V, F_t)`; weights below 1000 throttle a tenant to a fraction
-//! of the FIFO share (its finish tag advances faster than device time).
+//! A sole tenant never waits: each submitted service is charged to the
+//! tenant's own clock right after submission, so its clock never lags the
+//! device and every arrival satisfies `a >= V`. The degenerate case is
+//! bit-identical to the historical private device — no extra charges, no
+//! extra events. With several tenants, a request arriving while the device
+//! is busy waits until `V`.
 
 use crate::clock::SimClock;
 use crate::device::DeviceSpec;
@@ -70,18 +66,11 @@ pub enum AttachError {
     QuotaExceedsCapacity {
         /// Quota requested by the tenant, in bytes.
         requested: usize,
-        /// Bytes still unassigned in the pool (at the requested placement).
+        /// Bytes of the pool not yet assigned to a tenant.
         available: usize,
     },
     /// A tenant quota of zero bytes can hold no H2 regions.
     ZeroQuota,
-    /// A zero weight would stall the tenant forever.
-    ZeroWeight,
-    /// An explicitly placed partition overlaps an existing tenant's.
-    OverlappingPartition {
-        /// Index of the tenant already owning the overlapping range.
-        existing: usize,
-    },
     /// The clock is already registered to another tenant. Tenants are
     /// identified by clock, so sharing one clock between two tenants
     /// would alias them.
@@ -109,10 +98,6 @@ impl std::fmt::Display for AttachError {
                 "tenant quota {requested} B exceeds remaining device capacity {available} B"
             ),
             AttachError::ZeroQuota => write!(f, "tenant quota must be non-zero"),
-            AttachError::ZeroWeight => write!(f, "tenant weight must be non-zero"),
-            AttachError::OverlappingPartition { existing } => {
-                write!(f, "partition overlaps tenant {existing}'s partition")
-            }
             AttachError::DuplicateClock => {
                 write!(f, "clock already registered to another tenant")
             }
@@ -151,10 +136,7 @@ pub struct TenantIo {
 #[derive(Debug)]
 struct TenantState {
     clock: Arc<SimClock>,
-    offset_bytes: usize,
     quota_bytes: usize,
-    weight_milli: u64,
-    finish_tag_ns: u64,
     attached: bool,
     io: TenantIo,
 }
@@ -167,17 +149,15 @@ struct ArbiterState {
 
 impl ArbiterState {
     fn submit(&mut self, tenant: usize, arrival_ns: u64, service_ns: u64) -> u64 {
-        let t = &mut self.tenants[tenant];
-        let ready = self.device_vtime_ns.max(t.finish_tag_ns);
-        let start = arrival_ns.max(ready);
+        let start = arrival_ns.max(self.device_vtime_ns);
         let wait = start - arrival_ns;
         self.device_vtime_ns = start + service_ns;
-        t.finish_tag_ns = start + service_ns * 1000 / t.weight_milli;
-        t.io.busy_ns += service_ns;
-        t.io.ops += 1;
+        let io = &mut self.tenants[tenant].io;
+        io.busy_ns += service_ns;
+        io.ops += 1;
         if wait > 0 {
-            t.io.queued_ns += wait;
-            t.io.queued_ops += 1;
+            io.queued_ns += wait;
+            io.queued_ops += 1;
         }
         wait
     }
@@ -202,10 +182,7 @@ impl SharedDevice {
         SharedDevice {
             spec,
             capacity_bytes,
-            inner: Arc::new(Mutex::new(ArbiterState {
-                device_vtime_ns: 0,
-                tenants: Vec::new(),
-            })),
+            inner: Arc::new(Mutex::new(ArbiterState { device_vtime_ns: 0, tenants: Vec::new() })),
         }
     }
 
@@ -220,78 +197,34 @@ impl SharedDevice {
         dev
     }
 
-    /// Registers a tenant at the default weight (1.0), tiling its partition
-    /// after the highest existing one.
+    /// Registers a tenant whose partition is tiled after the previous
+    /// tenant's.
     ///
     /// # Errors
     ///
-    /// [`AttachError::ZeroQuota`], [`AttachError::QuotaExceedsCapacity`] or
-    /// [`AttachError::DuplicateClock`].
+    /// [`AttachError::ZeroQuota`], [`AttachError::DuplicateClock`] or
+    /// [`AttachError::QuotaExceedsCapacity`].
     pub fn add_tenant(
         &self,
         clock: Arc<SimClock>,
         quota_bytes: usize,
     ) -> Result<TenantId, AttachError> {
-        self.add_tenant_placed(clock, quota_bytes, 1000, None)
-    }
-
-    /// Registers a tenant with an explicit arbitration weight
-    /// (`weight_milli` of 1000 = a full FIFO share; 500 = half share) and
-    /// optionally an explicit partition offset.
-    ///
-    /// # Errors
-    ///
-    /// As [`SharedDevice::add_tenant`], plus [`AttachError::ZeroWeight`]
-    /// and — for explicit offsets — [`AttachError::OverlappingPartition`].
-    pub fn add_tenant_placed(
-        &self,
-        clock: Arc<SimClock>,
-        quota_bytes: usize,
-        weight_milli: u64,
-        offset_bytes: Option<usize>,
-    ) -> Result<TenantId, AttachError> {
         if quota_bytes == 0 {
             return Err(AttachError::ZeroQuota);
-        }
-        if weight_milli == 0 {
-            return Err(AttachError::ZeroWeight);
         }
         let mut state = self.inner.lock();
         if state.tenants.iter().any(|t| Arc::ptr_eq(&t.clock, &clock)) {
             return Err(AttachError::DuplicateClock);
         }
-        let offset = match offset_bytes {
-            Some(off) => {
-                for (i, t) in state.tenants.iter().enumerate() {
-                    let overlaps = off < t.offset_bytes + t.quota_bytes
-                        && t.offset_bytes < off.saturating_add(quota_bytes);
-                    if overlaps {
-                        return Err(AttachError::OverlappingPartition { existing: i });
-                    }
-                }
-                off
-            }
-            None => state
-                .tenants
-                .iter()
-                .map(|t| t.offset_bytes + t.quota_bytes)
-                .max()
-                .unwrap_or(0),
-        };
-        let end = offset.saturating_add(quota_bytes);
-        if end > self.capacity_bytes {
-            return Err(AttachError::QuotaExceedsCapacity {
-                requested: quota_bytes,
-                available: self.capacity_bytes.saturating_sub(offset),
-            });
+        let assigned: usize = state.tenants.iter().map(|t| t.quota_bytes).sum();
+        let available = self.capacity_bytes - assigned;
+        if quota_bytes > available {
+            return Err(AttachError::QuotaExceedsCapacity { requested: quota_bytes, available });
         }
         let id = TenantId(state.tenants.len() as u32);
         state.tenants.push(TenantState {
             clock,
-            offset_bytes: offset,
             quota_bytes,
-            weight_milli,
-            finish_tag_ns: 0,
             attached: false,
             io: TenantIo::default(),
         });
@@ -299,7 +232,7 @@ impl SharedDevice {
     }
 
     /// Attaches a heap's H2 mapping to the tenant registered with `clock`,
-    /// validating the partition tiling now rather than at first I/O:
+    /// validating the partition now rather than at first I/O:
     /// `footprint_bytes` must fit the tenant's quota, the clock must be the
     /// registered one (`Arc::ptr_eq` — the documented clock-identity
     /// invariant), and the partition must be free.
@@ -358,33 +291,15 @@ impl SharedDevice {
             .map(|i| TenantId(i as u32))
     }
 
-    /// The tenant's `(offset, quota)` partition in bytes.
-    pub fn partition(&self, tenant: TenantId) -> Option<(usize, usize)> {
-        let state = self.inner.lock();
-        state
-            .tenants
-            .get(tenant.index())
-            .map(|t| (t.offset_bytes, t.quota_bytes))
-    }
-
     /// Snapshot of the tenant's arbitration counters.
     pub fn tenant_io(&self, tenant: TenantId) -> Option<TenantIo> {
         self.inner.lock().tenants.get(tenant.index()).map(|t| t.io)
     }
 
     /// The device-wide virtual time: the simulated instant the device
-    /// becomes free. Drives the server's admission policy.
+    /// becomes free.
     pub fn device_vtime_ns(&self) -> u64 {
         self.inner.lock().device_vtime_ns
-    }
-
-    /// The tenant's virtual finish tag (weight-scaled share consumption).
-    pub fn finish_tag_ns(&self, tenant: TenantId) -> Option<u64> {
-        self.inner
-            .lock()
-            .tenants
-            .get(tenant.index())
-            .map(|t| t.finish_tag_ns)
     }
 }
 
@@ -398,8 +313,8 @@ pub struct DeviceLease {
 impl DeviceLease {
     /// Submits a device request arriving at `arrival_ns` needing
     /// `service_ns` of device time; returns the queueing delay to charge to
-    /// the tenant before the service cost (0 whenever the device is free
-    /// and the tenant is within its share — always, for a sole tenant).
+    /// the tenant before the service cost (0 whenever the device is free —
+    /// always, for a sole tenant).
     pub fn submit(&self, arrival_ns: u64, service_ns: u64) -> u64 {
         self.inner.lock().submit(self.tenant, arrival_ns, service_ns)
     }
@@ -413,11 +328,119 @@ impl DeviceLease {
 impl Drop for DeviceLease {
     /// Detaches the partition: dropping the heap (and with it the lease)
     /// frees the partition for the tenant's next attach. Arbitration state —
-    /// finish tag, I/O counters, device virtual time — survives, so
-    /// successive job rounds of one tenant contend like one long-lived
-    /// tenant.
+    /// I/O counters, device virtual time — survives, so successive job
+    /// rounds of one tenant contend like one long-lived tenant.
     fn drop(&mut self) {
         self.inner.lock().tenants[self.tenant].attached = false;
+    }
+}
+
+#[cfg(test)]
+mod reference {
+    //! The weighted start-time fair queue the arbiter used to be, and the
+    //! property that pins the FIFO to it.
+    //!
+    //! The old arbiter kept a finish tag `F_t` per tenant next to the device
+    //! virtual time `V`: `ready = max(V, F_t)`, `start = max(a, ready)`,
+    //! `V = start + s`, `F_t = start + s * 1000 / weight_milli`. At weight 1000
+    //! a tenant's tag is set to `V` by its own request and `V` never decreases,
+    //! so `F_t <= V` always, `ready == V`, and the queue is the FIFO of
+    //! `ArbiterState::submit` — whatever the arrival order. Random programs of
+    //! one to eight tenants must leave both with the same waits, device virtual
+    //! time and per-tenant counters.
+
+    use super::*;
+    use teraheap_util::prop_assert_eq;
+    use teraheap_util::proptest_mini::{
+        check, range_u64, range_usize, vec_of, CaseResult, Config, Strategy,
+    };
+
+    /// Start-time fair queueing with per-tenant weights in milli-shares.
+    struct FairQueue {
+        vtime_ns: u64,
+        weight_milli: Vec<u64>,
+        finish_tag_ns: Vec<u64>,
+        io: Vec<TenantIo>,
+    }
+
+    impl FairQueue {
+        fn new(weight_milli: Vec<u64>) -> Self {
+            let n = weight_milli.len();
+            FairQueue {
+                vtime_ns: 0,
+                weight_milli,
+                finish_tag_ns: vec![0; n],
+                io: vec![TenantIo::default(); n],
+            }
+        }
+
+        fn submit(&mut self, tenant: usize, arrival_ns: u64, service_ns: u64) -> u64 {
+            let ready = self.vtime_ns.max(self.finish_tag_ns[tenant]);
+            let start = arrival_ns.max(ready);
+            let wait = start - arrival_ns;
+            self.vtime_ns = start + service_ns;
+            self.finish_tag_ns[tenant] = start + service_ns * 1000 / self.weight_milli[tenant];
+            let io = &mut self.io[tenant];
+            io.busy_ns += service_ns;
+            io.ops += 1;
+            if wait > 0 {
+                io.queued_ns += wait;
+                io.queued_ops += 1;
+            }
+            wait
+        }
+    }
+
+    /// One request: `(tenant, arrival or gap in ns, service ns)`.
+    type Request = (usize, u64, u64);
+
+    fn program() -> impl Strategy<Value = (usize, Vec<Request>)> {
+        let request = (range_usize(0..8), range_u64(0..4_000), range_u64(0..2_000));
+        (range_usize(1..9), vec_of(request, 1..160))
+    }
+
+    /// Runs `requests` over `tenants` tenants through a [`SharedDevice`] and
+    /// the fair queue at weight 1000. With `monotone`, the second field of
+    /// a request is the gap since the tenant's previous request finished —
+    /// the production discipline, where a tenant's clock advances by the
+    /// wait plus the service it was charged. Otherwise it is the arrival
+    /// instant itself, in any order.
+    fn run_both(tenants: usize, requests: &[Request], monotone: bool) -> CaseResult {
+        let quota = 4096;
+        let device = SharedDevice::for_server(DeviceSpec::nvme_ssd(), tenants * quota);
+        let leases: Vec<DeviceLease> = (0..tenants)
+            .map(|_| {
+                let clock = Arc::new(SimClock::new());
+                device.add_tenant(clock.clone(), quota).expect("quota fits the pool");
+                device.attach(&clock, quota).expect("fresh tenant attaches")
+            })
+            .collect();
+        let mut queue = FairQueue::new(vec![1000; tenants]);
+        let mut clocks = vec![0u64; tenants];
+        for (i, &(t, at, service)) in requests.iter().enumerate() {
+            let t = t % tenants;
+            let arrival = if monotone { clocks[t] + at } else { at };
+            let wait = leases[t].submit(arrival, service);
+            prop_assert_eq!(wait, queue.submit(t, arrival, service), "request {i}: wait");
+            clocks[t] = arrival + wait + service;
+        }
+        prop_assert_eq!(device.device_vtime_ns(), queue.vtime_ns);
+        for (t, lease) in leases.iter().enumerate() {
+            prop_assert_eq!(device.tenant_io(lease.tenant()), Some(queue.io[t]), "tenant {t}");
+        }
+        CaseResult::Pass
+    }
+
+    #[test]
+    fn fifo_matches_the_equal_weight_fair_queue() {
+        check(
+            "fifo_matches_the_equal_weight_fair_queue",
+            &(program(), range_usize(0..2)),
+            &Config::with_cases(256),
+            |((tenants, requests), monotone): ((usize, Vec<Request>), usize)| {
+                run_both(tenants, &requests, monotone == 1)
+            },
+        );
     }
 }
 
@@ -469,44 +492,22 @@ mod tests {
     }
 
     #[test]
-    fn weight_throttles_below_fifo_share() {
-        let (a, b) = (clock(), clock());
-        let dev = SharedDevice::for_server(DeviceSpec::nvme_ssd(), 2 << 20);
-        // B gets a half share: its finish tag advances twice as fast.
-        dev.add_tenant(a.clone(), 1 << 20).unwrap();
-        let tb = dev
-            .add_tenant_placed(b.clone(), 1 << 20, 500, None)
-            .unwrap();
-        let lb = dev.attach(&b, 1 << 20).unwrap();
-        assert_eq!(lb.submit(0, 1000), 0);
-        // Device free at 1000, but B's half-share finish tag sits at 2000:
-        // an immediate return waits out its own throttle.
-        assert_eq!(lb.submit(1000, 10), 1000);
-        assert_eq!(dev.finish_tag_ns(tb).unwrap(), 2000 + 20);
-    }
-
-    #[test]
     fn partitions_tile_sequentially_and_validate() {
         let dev = SharedDevice::for_server(DeviceSpec::nvme_ssd(), 3000);
-        let a = dev.add_tenant(clock(), 1000).unwrap();
-        let b = dev.add_tenant(clock(), 1000).unwrap();
-        assert_eq!(dev.partition(a), Some((0, 1000)));
-        assert_eq!(dev.partition(b), Some((1000, 1000)));
+        dev.add_tenant(clock(), 1000).unwrap();
+        dev.add_tenant(clock(), 1000).unwrap();
         assert_eq!(
             dev.add_tenant(clock(), 2000),
             Err(AttachError::QuotaExceedsCapacity { requested: 2000, available: 1000 })
         );
         assert_eq!(dev.add_tenant(clock(), 0), Err(AttachError::ZeroQuota));
+        // The third partition fills the pool exactly; nothing fits after it.
+        dev.add_tenant(clock(), 1000).unwrap();
         assert_eq!(
-            dev.add_tenant_placed(clock(), 500, 0, None),
-            Err(AttachError::ZeroWeight)
+            dev.add_tenant(clock(), 1),
+            Err(AttachError::QuotaExceedsCapacity { requested: 1, available: 0 })
         );
-        assert_eq!(
-            dev.add_tenant_placed(clock(), 500, 1000, Some(500)),
-            Err(AttachError::OverlappingPartition { existing: 0 })
-        );
-        let c = dev.add_tenant_placed(clock(), 1000, 1000, Some(2000)).unwrap();
-        assert_eq!(dev.partition(c), Some((2000, 1000)));
+        assert_eq!(dev.tenants(), 3);
     }
 
     #[test]
@@ -515,19 +516,13 @@ mod tests {
         let dev = SharedDevice::for_server(DeviceSpec::nvme_ssd(), 1 << 20);
         dev.add_tenant(c.clone(), 1 << 20).unwrap();
         // A value-equal but distinct clock must be rejected.
-        assert_eq!(
-            dev.attach(&clock(), 4096).unwrap_err(),
-            AttachError::ClockMismatch
-        );
+        assert_eq!(dev.attach(&clock(), 4096).unwrap_err(), AttachError::ClockMismatch);
         assert_eq!(
             dev.attach(&c, (1 << 20) + 1).unwrap_err(),
             AttachError::FootprintExceedsQuota { footprint: (1 << 20) + 1, quota: 1 << 20 }
         );
         let _lease = dev.attach(&c, 1 << 20).expect("fits exactly");
         assert_eq!(dev.attach(&c, 4096).unwrap_err(), AttachError::AlreadyAttached);
-        assert_eq!(
-            dev.add_tenant(c.clone(), 1).unwrap_err(),
-            AttachError::DuplicateClock
-        );
+        assert_eq!(dev.add_tenant(c.clone(), 1).unwrap_err(), AttachError::DuplicateClock);
     }
 }

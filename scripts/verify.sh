@@ -66,6 +66,7 @@ teraheap_runtime/fault_equivalence::          §10  a zero-rate fault plane is b
 teraheap_runtime/gc_equivalence::             §11  simulated ns, phase breakdowns and graph checksum over variant x gc_threads x pause budget x armed fault plane (golden), the armed-idle run, and (§12) that a sole tenant never queues
 teraheap_runtime/lane_determinism::           §11  lane accounting is deterministic across runs, thread counts and host parallelism
 teraheap_runtime/incremental_marking::        §11  a pause-budgeted run converges to the stop-world logical heap at any budget and lane count; slices replay bit-identically
+teraheap_storage/lib::shared::reference::     §12  the FIFO device clock gives the waits, device virtual time and per-tenant counters of the equal-weight start-time fair queue it replaced, over 1-8 tenants with production-style and arbitrary arrivals
 teraheap_server/lib::                         §12  N-tenant server runs are deterministic, with typed config rejection
 teraheap_runtime/fault_isolation::            §12  one tenant's injected crash leaves its neighbours' simulated time, heap census and arbitration counters untouched
 teraheap_core/properties::                    §13  the lifetime profiler replays bit-identically and never retracts a pretenure decision; region-group liveness is merge-order invariant
@@ -102,8 +103,8 @@ echo "ok ($named suites)"
 # included) names a `## N.` heading that exists.
 echo "== docs and layout: size gate, heap files, DESIGN.md pointers =="
 doc_bytes=$(cat DESIGN.md EXPERIMENTS.md | wc -c)
-if (( doc_bytes > 110000 )); then
-    echo "ERROR: DESIGN.md + EXPERIMENTS.md are $doc_bytes bytes; the gate is 110000." >&2
+if (( doc_bytes > 109000 )); then
+    echo "ERROR: DESIGN.md + EXPERIMENTS.md are $doc_bytes bytes; the gate is 109000." >&2
     exit 1
 fi
 for file in crates/runtime/src/heap/*.rs; do
@@ -143,6 +144,15 @@ for file in crates/*/tests/golden/*.txt; do
         exit 1
     fi
 done
+echo "ok"
+
+# The profiler lives outside the workspace (it needs `unsafe` and
+# `extern "C"`), so nothing above builds it; compile it here so it cannot rot.
+echo "== profiler: scripts/prof/sigprof.rs compiles, scripts/profile.sh parses =="
+prof=$(mktemp -d)
+rustc --edition 2021 -O -D warnings --crate-type cdylib -o "$prof/libsigprof.so" scripts/prof/sigprof.rs
+rm -rf "$prof"
+bash -n scripts/profile.sh
 echo "ok"
 
 echo "== lints: clippy -D warnings =="
