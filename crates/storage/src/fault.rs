@@ -166,8 +166,9 @@ impl FaultPlan {
     /// Format: comma-separated `key=value` pairs, e.g.
     /// `seed=7,read_err_ppm=20000,write_err_ppm=20000,max_retries=4,`
     /// `backoff_ns=50000,spike_every=512,spike_len=32,spike_mult=8,`
-    /// `enospc_after=32,crash_at_writeback=10`. Unknown keys are ignored;
-    /// any recognised pair enables the plan.
+    /// `enospc_after=32,crash_at_writeback=10`. Unknown keys, non-numeric
+    /// values and values too large for the field are ignored; any other
+    /// pair enables the plan.
     pub fn from_env() -> Option<FaultPlan> {
         let raw = std::env::var("TERAHEAP_FAULTS").ok()?;
         FaultPlan::parse(&raw)
@@ -189,20 +190,22 @@ impl FaultPlan {
             let Ok(v) = value.parse::<u64>() else {
                 continue;
             };
-            any = true;
-            match key {
-                "seed" => plan.seed = v,
-                "read_err_ppm" => plan.read_err_ppm = v as u32,
-                "write_err_ppm" => plan.write_err_ppm = v as u32,
-                "max_retries" => plan.max_retries = v as u32,
-                "backoff_ns" => plan.backoff_base_ns = v,
-                "spike_every" => plan.spike_every_ops = v,
-                "spike_len" => plan.spike_len_ops = v,
-                "spike_mult" => plan.spike_mult = v,
-                "enospc_after" => plan.enospc_after_regions = Some(v as u32),
-                "crash_at_writeback" => plan.crash_at_writeback = Some(v),
-                _ => any = false,
+            match (key, u32::try_from(v)) {
+                ("seed", _) => plan.seed = v,
+                ("read_err_ppm", Ok(n)) => plan.read_err_ppm = n,
+                ("write_err_ppm", Ok(n)) => plan.write_err_ppm = n,
+                ("max_retries", Ok(n)) => plan.max_retries = n,
+                ("backoff_ns", _) => plan.backoff_base_ns = v,
+                ("spike_every", _) => plan.spike_every_ops = v,
+                ("spike_len", _) => plan.spike_len_ops = v,
+                ("spike_mult", _) => plan.spike_mult = v,
+                ("enospc_after", Ok(n)) => plan.enospc_after_regions = Some(n),
+                ("crash_at_writeback", _) => plan.crash_at_writeback = Some(v),
+                // An unknown key, or a `u32` key given a value past
+                // `u32::MAX`, is ignored like a non-numeric value.
+                _ => continue,
             }
+            any = true;
         }
         if any {
             plan.enabled = true;
@@ -413,6 +416,10 @@ pub fn inject(plane: &FaultPlane, clock: &SimClock, cat: Category, write: bool) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teraheap_util::proptest_mini::{
+        any_u64, check, range_u64, range_usize, vec_of, CaseResult, Config, Strategy,
+    };
+    use teraheap_util::{prop_assert_eq, prop_oneof};
 
     #[test]
     fn none_is_disabled_and_zero_rate_is_enabled() {
@@ -449,6 +456,69 @@ mod tests {
         assert_eq!(FaultPlan::parse("   "), None);
         assert_eq!(FaultPlan::parse("nonsense"), None);
         assert_eq!(FaultPlan::parse("bogus_key=1"), None);
+    }
+
+    #[test]
+    fn parse_ignores_values_too_large_for_a_u32_field() {
+        assert_eq!(FaultPlan::parse("read_err_ppm=4294967297"), None);
+        let plan = FaultPlan::parse(
+            "seed=7,read_err_ppm=4294967297,write_err_ppm=4294967296,max_retries=4294967298,\
+             enospc_after=4294967299",
+        );
+        assert_eq!(plan, Some(FaultPlan::none().with_seed(7)));
+        let max = FaultPlan::parse("write_err_ppm=4294967295").unwrap();
+        assert_eq!(max.write_err_ppm, u32::MAX, "u32::MAX itself fits");
+    }
+
+    /// The documented keys, then keys `parse` must ignore (from `UNKNOWN`).
+    const KEYS: [&str; 15] = [
+        "seed",
+        "read_err_ppm",
+        "write_err_ppm",
+        "max_retries",
+        "backoff_ns",
+        "spike_every",
+        "spike_len",
+        "spike_mult",
+        "enospc_after",
+        "crash_at_writeback",
+        "bogus",
+        "SEED",
+        "read_err",
+        " ",
+        "",
+    ];
+    const UNKNOWN: usize = 10;
+
+    /// `TERAHEAP_FAULTS` strings built from those keys, stray separators and
+    /// numeric, oversized or non-numeric values.
+    fn fault_strings() -> impl Strategy<Value = String> {
+        const JUNK: [&str; 6] = ["x", "-1", "", "1e3", "0x10", "18446744073709551616"];
+        const GLUE: [&str; 4] = ["=", "", "==", " = "];
+        let value = prop_oneof![
+            2 => range_u64(0..5_000).prop_map(|v| v.to_string()),
+            2 => any_u64().prop_map(|v| v.to_string()),
+            1 => range_usize(0..JUNK.len()).prop_map(|i| JUNK[i].to_string()),
+        ];
+        let pair = (range_usize(0..KEYS.len()), range_usize(0..GLUE.len()), value)
+            .prop_map(|(k, g, v)| format!("{}{}{v}", KEYS[k], GLUE[g]));
+        (vec_of(pair, 0..12), range_usize(0..3))
+            .prop_map(|(pairs, sep)| pairs.join([",", ", ", ",,"][sep]))
+    }
+
+    #[test]
+    fn parse_never_panics_and_ignores_an_appended_unknown_key() {
+        check(
+            "parse_never_panics_and_ignores_an_appended_unknown_key",
+            &(fault_strings(), range_usize(UNKNOWN..KEYS.len()), any_u64()),
+            &Config::with_cases(512),
+            |(raw, key, n): (String, usize, u64)| {
+                let plan = FaultPlan::parse(&raw);
+                let appended = format!("{raw},{}={n}", KEYS[key]);
+                prop_assert_eq!(FaultPlan::parse(&appended), plan, "{appended:?}");
+                CaseResult::Pass
+            },
+        );
     }
 
     #[test]

@@ -34,6 +34,7 @@ impl SplitMix64 {
     }
 
     /// The next word of the stream.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -52,6 +53,7 @@ pub struct Rng {
 impl Rng {
     /// Seeds the generator from a single word by running SplitMix64, as the
     /// xoshiro reference implementation recommends.
+    #[inline]
     pub fn seed_from_u64(seed: u64) -> Self {
         let mut sm = SplitMix64::new(seed);
         let s = [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()];
@@ -59,6 +61,7 @@ impl Rng {
     }
 
     /// The next uniformly distributed 64-bit word.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
@@ -81,22 +84,26 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if the range is empty.
+    #[inline]
     pub fn gen_range<T: UniformRange>(&mut self, range: std::ops::Range<T>) -> T {
         T::sample(self, range.start, range.end)
     }
 
     /// A uniform `f64` in `[0, 1)` with 53 bits of precision.
+    #[inline]
     pub fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// `true` with probability `p`.
+    #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.gen_f64() < p
     }
 
     /// A uniform draw from `[0, bound)` without modulo bias
     /// (Lemire's multiply-shift rejection method).
+    #[inline]
     pub fn bounded_u64(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bounded_u64 needs a non-zero bound");
         // Widening multiply maps a 64-bit draw onto [0, bound); reject the
@@ -158,6 +165,7 @@ pub trait UniformRange: Copy + PartialOrd {
 macro_rules! impl_uniform_int {
     ($($t:ty),*) => {$(
         impl UniformRange for $t {
+            #[inline]
             fn sample(rng: &mut Rng, lo: Self, hi: Self) -> Self {
                 assert!(lo < hi, "gen_range over empty range {lo}..{hi}");
                 let span = (hi as i128 - lo as i128) as u64;
@@ -170,6 +178,7 @@ macro_rules! impl_uniform_int {
 impl_uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl UniformRange for f64 {
+    #[inline]
     fn sample(rng: &mut Rng, lo: Self, hi: Self) -> Self {
         assert!(lo < hi, "gen_range over empty range {lo}..{hi}");
         let v = lo + rng.gen_f64() * (hi - lo);
@@ -236,6 +245,60 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, (0..50).collect::<Vec<_>>(), "50 elements should move");
+    }
+
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in words.into_iter().flat_map(u64::to_le_bytes) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h
+    }
+
+    /// Every sampling helper's stream, digit for digit: 100,000 draws each
+    /// from a fresh seed, `f64`s by their bits. The dataset generators, and
+    /// through them every simulated number, depend on these, so an edit that
+    /// moves one (a reordered float operation, a changed rejection test)
+    /// fails here rather than as a moved fingerprint downstream.
+    #[test]
+    fn sampling_streams_are_pinned() {
+        type Draw = fn(&mut Rng) -> u64;
+        let streams: [(&str, Draw, u64); 10] = [
+            ("f64 in 0.0001..1.0", |r| r.gen_range(0.0001..1.0).to_bits(), 0xfc15_4103_f168_132d),
+            ("f64 in 0.0..1.0", |r| r.gen_range(0.0..1.0).to_bits(), 0x0b1a_d9de_ebf9_f4d9),
+            ("f64 in -1.0..1.0", |r| r.gen_range(-1.0..1.0).to_bits(), 0xc6e4_f8a7_a557_c5fa),
+            ("u64 in 0..100", |r| r.gen_range(0u64..100), 0x3007_34a1_fec7_726d),
+            ("gen_bool(0.5)", |r| r.gen_bool(0.5) as u64, 0x59db_45e4_3670_65e4),
+            ("bounded_u64(1)", |r| r.bounded_u64(1), 0xe3db_d3f7_83ed_c725),
+            ("bounded_u64(3)", |r| r.bounded_u64(3), 0xcd21_05d0_f0c7_9b87),
+            ("bounded_u64(10)", |r| r.bounded_u64(10), 0x278b_2fcd_6ddb_66e8),
+            ("bounded_u64(2^33)", |r| r.bounded_u64(1 << 33), 0xe1e3_0810_2833_3d34),
+            // Rejects about half its draws.
+            ("bounded_u64(2^63 + 1)", |r| r.bounded_u64((1 << 63) + 1), 0x4f5b_adde_baee_10e8),
+        ];
+        let mut digests: Vec<(&str, u64, u64)> = streams
+            .into_iter()
+            .map(|(name, draw, pinned)| {
+                let mut rng = Rng::seed_from_u64(2026);
+                (name, digest((0..100_000).map(|_| draw(&mut rng))), pinned)
+            })
+            .collect();
+        // 100 successive shuffles of 0..1000: ~100,000 bounded draws.
+        let mut rng = Rng::seed_from_u64(2026);
+        let mut v: Vec<u64> = (0..1000).collect();
+        let shuffles = digest((0..100).flat_map(|_| {
+            rng.shuffle(&mut v);
+            v.clone()
+        }));
+        digests.push(("shuffle(0..1000)", shuffles, 0xb024_9de4_4c25_cee5));
+        let moved: Vec<String> = digests
+            .into_iter()
+            .filter(|&(_, got, pinned)| got != pinned)
+            .map(|(name, got, pinned)| format!("{name}: {pinned:#018x} -> {got:#018x}"))
+            .collect();
+        assert!(moved.is_empty(), "sampling streams moved:\n{}", moved.join("\n"));
     }
 
     #[test]

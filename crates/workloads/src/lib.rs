@@ -110,11 +110,27 @@ impl Adjacency {
 ///
 /// Degrees follow a heavy-tailed distribution and edge targets are biased
 /// toward low vertex ids (preferential attachment flavour), giving the
-/// hub-dominated structure of social graphs like `datagen-fb`.
+/// hub-dominated structure of social graphs like `datagen-fb`. The edges
+/// come out grouped by source in ascending order: [`shared_graph`]'s
+/// adjacency, expanded.
 pub fn powerlaw_graph(vertices: usize, avg_degree: usize, seed: u64) -> GraphDataset {
+    let adj = powerlaw_adjacency(vertices, avg_degree, seed);
+    let mut edges = Vec::with_capacity(adj.edge_count());
+    for src in 0..vertices {
+        edges.extend(adj.of(src).iter().map(|&dst| (src as u32, dst)));
+    }
+    GraphDataset { vertices, edges }
+}
+
+/// The one power-law generator body. Sources are drawn in ascending order,
+/// so the CSR is written as it is generated: a vertex's targets are pushed
+/// as its edges are drawn, and its offset once they are all in.
+fn powerlaw_adjacency(vertices: usize, avg_degree: usize, seed: u64) -> Adjacency {
     assert!(vertices > 1, "graph needs at least two vertices");
     let mut rng = Rng::seed_from_u64(seed);
-    let mut edges = Vec::with_capacity(vertices * avg_degree);
+    let mut offsets = Vec::with_capacity(vertices + 1);
+    let mut targets = Vec::with_capacity(vertices * avg_degree);
+    offsets.push(0);
     for src in 0..vertices as u32 {
         // Pareto-ish degree: most vertices near the average, hubs far above.
         let u: f64 = rng.gen_range(0.0001..1.0);
@@ -125,11 +141,12 @@ pub fn powerlaw_graph(vertices: usize, avg_degree: usize, seed: u64) -> GraphDat
             let t: f64 = rng.gen_range(0.0..1.0);
             let dst = ((t * t) * vertices as f64) as u32 % vertices as u32;
             if dst != src {
-                edges.push((src, dst));
+                targets.push(dst);
             }
         }
+        offsets.push(targets.len());
     }
-    GraphDataset { vertices, edges }
+    Adjacency { offsets, targets }
 }
 
 /// A dense labelled vector dataset for the ML workloads.
@@ -235,11 +252,11 @@ fn shared<T: Any + Send + Sync>(key: DatasetKey, generate: impl FnOnce() -> T) -
 }
 
 /// [`powerlaw_graph`]`(vertices, avg_degree, seed)` in the form its loaders
-/// read — vertex count, edge count and CSR out-adjacency; the edge list is
-/// dropped — generated at most once in a row per thread.
+/// read — vertex count, edge count and CSR out-adjacency, generated straight
+/// into that form with no edge list — at most once in a row per thread.
 pub fn shared_graph(vertices: usize, avg_degree: usize, seed: u64) -> Arc<Adjacency> {
     shared(("powerlaw_graph", [vertices, avg_degree], seed), || {
-        powerlaw_graph(vertices, avg_degree, seed).adjacency()
+        powerlaw_adjacency(vertices, avg_degree, seed)
     })
 }
 
@@ -255,6 +272,59 @@ pub fn shared_relational(rows: usize, distinct_keys: usize, seed: u64) -> Arc<Re
     shared(("relational_dataset", [rows, distinct_keys], seed), || {
         relational_dataset(rows, distinct_keys, seed)
     })
+}
+
+#[cfg(test)]
+mod reference {
+    //! The two-pass power-law generator the CSR body replaced, and the
+    //! property that pins the CSR body to it.
+    //!
+    //! The old generator drew the same numbers into an edge list and left the
+    //! CSR to [`GraphDataset::adjacency`]'s counting sort. For any size,
+    //! density and seed, [`shared_graph`] must equal that adjacency, and
+    //! [`powerlaw_graph`] that edge list.
+
+    use super::*;
+    use teraheap_util::prop_assert_eq;
+    use teraheap_util::proptest_mini::{any_u64, check, range_usize, CaseResult, Config};
+
+    /// The old generator body: the edge list, in generation order.
+    fn powerlaw_graph(vertices: usize, avg_degree: usize, seed: u64) -> GraphDataset {
+        assert!(vertices > 1, "graph needs at least two vertices");
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut edges = Vec::with_capacity(vertices * avg_degree);
+        for src in 0..vertices as u32 {
+            let u: f64 = rng.gen_range(0.0001..1.0);
+            let degree =
+                ((avg_degree as f64) * 0.5 / u.powf(0.5)).min((vertices - 1) as f64) as usize;
+            let degree = degree.max(1);
+            for _ in 0..degree {
+                let t: f64 = rng.gen_range(0.0..1.0);
+                let dst = ((t * t) * vertices as f64) as u32 % vertices as u32;
+                if dst != src {
+                    edges.push((src, dst));
+                }
+            }
+        }
+        GraphDataset { vertices, edges }
+    }
+
+    #[test]
+    fn csr_generator_matches_the_two_pass_generator() {
+        // Up to 40 edges per vertex on as few as 2 vertices: small graphs
+        // hit the `vertices - 1` degree cap.
+        check(
+            "csr_generator_matches_the_two_pass_generator",
+            &(range_usize(2..3_001), range_usize(1..41), any_u64()),
+            &Config::with_cases(128),
+            |(vertices, avg_degree, seed): (usize, usize, u64)| {
+                let old = powerlaw_graph(vertices, avg_degree, seed);
+                prop_assert_eq!(*shared_graph(vertices, avg_degree, seed), old.adjacency());
+                prop_assert_eq!(super::powerlaw_graph(vertices, avg_degree, seed).edges, old.edges);
+                CaseResult::Pass
+            },
+        );
+    }
 }
 
 #[cfg(test)]

@@ -52,7 +52,9 @@ cargo test -q --offline --workspace
 # rewrites those.
 suites=$(cat <<'TABLE'
 teraheap_util/lib::golden::                   §6   the golden helper: write/read round trip, moved-cell report, missing, unclaimed and duplicate arms
+teraheap_util/lib::rng::tests::sampling_      §6   every sampling helper's stream (f64 and integer ranges, gen_bool, bounded_u64 up to 2^63 + 1, shuffle): 100,000 draws each, digest-exact
 teraheap_storage/lib::mmap::reference::       §7   the page table + intrusive list is an exact LRU: random programs, and word-sized ones that mostly take the resident-hit early exit of `touch`, leave it and the recency-vector reference with the same statistics, ns, events, write-back log and recency order
+teraheap_workloads/lib::reference::           §7   the power-law generator written straight into CSR gives the two-pass generator's edge list and counting-sort adjacency, at 2-3,000 vertices and 1-40 edges per vertex
 teraheap_runtime/lib::gc::units::reference::  §7   the mark bitmap scan is the live set in relocation order; its rank-indexed forwarding answers every probe like the direct-mapped reference table
 teraheap_runtime/trace_equivalence::          §8   tracing observes the clock and never advances it
 teraheap_storage/bulk_equivalence::           §9   touch_run is bit-identical to the word-at-a-time loop: same ns, counters, events
@@ -60,6 +62,7 @@ teraheap_runtime/bulk_equivalence::           §9   view_prims, view_prims_at, r
 mini_giraph/charge_pin::                      §9   the superstep loop, message stores and OOC blob path: per-category ns, GC counts, offloads/reloads, charge-call counts, checksum (golden)
 mini_spark/charge_pin::                       §9   the scan loops, block manager and dataset loaders: per-category ns, GC and S/D counts, faults, charge-call counts, live roots at exit (golden)
 kryo_sim/stream_pin::                         §9   stream bytes, size estimate and every charge of serialize, serialized_size and deserialize (golden)
+teraheap_storage/lib::fault::tests::parse_     §10  TERAHEAP_FAULTS parsing: the documented keys round-trip; fuzzed strings never panic; an unknown key or a value too large for its u32 field is ignored, never turning a plan off
 teraheap_storage/crash_consistency::          §10  the crash sweep passes at every write-back boundary with zero silent-corruption escapes
 teraheap_runtime/fault_recovery::             §10  the recovery properties; also holds the chaos_smoke_* tests the faults smoke stage drives
 teraheap_runtime/fault_equivalence::          §10  a zero-rate fault plane is bit-identical to no plane at all
@@ -148,11 +151,14 @@ echo "ok"
 
 # The profiler lives outside the workspace (it needs `unsafe` and
 # `extern "C"`), so nothing above builds it; compile it here so it cannot rot.
-echo "== profiler: scripts/prof/sigprof.rs compiles, scripts/profile.sh parses =="
+# The A/B tool only needs to parse and answer --help (a run takes minutes).
+echo "== host tools: scripts/prof/sigprof.rs compiles, profile.sh and ab.sh parse =="
 prof=$(mktemp -d)
 rustc --edition 2021 -O -D warnings --crate-type cdylib -o "$prof/libsigprof.so" scripts/prof/sigprof.rs
 rm -rf "$prof"
 bash -n scripts/profile.sh
+bash -n scripts/ab.sh
+scripts/ab.sh --help >/dev/null
 echo "ok"
 
 echo "== lints: clippy -D warnings =="
