@@ -262,8 +262,6 @@ fn edges_label(p: usize) -> Label {
 /// per target vertex as they are inserted into the current store).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Combiner {
-    /// Sum of `f64` contributions (PageRank).
-    SumF64,
     /// Minimum of `u64` values (WCC/BFS/SSSP).
     MinU64,
     /// No combiner: every message is kept (CDLP).
@@ -603,19 +601,13 @@ impl GiraphContext {
                 store.cursor = c + 1;
                 store.count += 1;
             }
-            Combiner::SumF64 | Combiner::MinU64 => {
+            Combiner::MinU64 => {
                 let cnt = self.heap.read_prim_at(array, 2 * local);
                 let combined = if cnt == 0 {
                     store.count += 1;
                     value
                 } else {
-                    let old = self.heap.read_prim_at(array, 2 * local + 1);
-                    match combiner {
-                        Combiner::SumF64 => {
-                            (f64::from_bits(old) + f64::from_bits(value)).to_bits()
-                        }
-                        _ => old.min(value),
-                    }
+                    self.heap.read_prim_at(array, 2 * local + 1).min(value)
                 };
                 self.heap.write_prim_at(array, 2 * local, cnt + 1);
                 self.heap.write_prim_at(array, 2 * local + 1, combined);

@@ -16,20 +16,6 @@ fn mem_cfg() -> GiraphConfig {
 }
 
 #[test]
-fn sum_combiner_accumulates_per_target() {
-    let mut ctx = GiraphContext::load(mem_cfg(), &graph(), |_| 0).unwrap();
-    ctx.deliver_message(5, 1.5f64.to_bits(), Combiner::SumF64, &[]).unwrap();
-    ctx.deliver_message(5, 2.25f64.to_bits(), Combiner::SumF64, &[]).unwrap();
-    ctx.deliver_message(9, 1.0f64.to_bits(), Combiner::SumF64, &[]).unwrap();
-    ctx.barrier().unwrap();
-    let p = 5 % 4;
-    let msgs = ctx.incoming_messages(p).unwrap();
-    let to5: Vec<_> = msgs.iter().filter(|&&(t, _)| t == 5).collect();
-    assert_eq!(to5.len(), 1, "combined into one message");
-    assert_eq!(f64::from_bits(to5[0].1), 3.75);
-}
-
-#[test]
 fn min_combiner_keeps_minimum() {
     let mut ctx = GiraphContext::load(mem_cfg(), &graph(), |_| 0).unwrap();
     for v in [9u64, 3, 7] {

@@ -3,7 +3,6 @@
 //! `teraheap-query` adds events, labeled allocation entry points and a
 //! server workload variant — all of which must be *free* when unused. This
 //! suite links the query crate into the test binary and replays the
-//! runtime's golden mixed GC/H2 workload (see
 //! runtime's golden mixed GC/H2 workload — `crates/runtime/tests/common`,
 //! included by path, so it is that suite's workload by construction: with
 //! the query plane never touched, the object-graph checksum, the total
@@ -20,20 +19,17 @@
 #[path = "../../runtime/tests/common/mod.rs"]
 mod common;
 
-use common::{graph_checksum, mixed_workload_body, workload_h2_config, COLUMNS, DEFAULT_ARM};
+use common::{attach_workload_h2, graph_checksum, mixed_workload_body, COLUMNS, DEFAULT_ARM};
 // Links the query crate into this binary; nothing below calls into it.
 use teraheap_query as _;
 use teraheap_runtime::{Heap, HeapConfig};
-use teraheap_storage::{DeviceSpec, FaultPlan, SharedDevice};
+use teraheap_storage::{DeviceSpec, FaultPlan};
 use teraheap_util::golden::Golden;
 
 /// The default heap with the workload's H2 attached.
 fn workload_heap() -> Heap {
     let mut heap = Heap::new(HeapConfig::with_words(24 << 10, 96 << 10));
-    let h2cfg = workload_h2_config(FaultPlan::none());
-    let dev =
-        SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
-    heap.attach_h2(h2cfg, &dev).unwrap();
+    attach_workload_h2(&mut heap, DeviceSpec::nvme_ssd(), FaultPlan::none());
     heap
 }
 

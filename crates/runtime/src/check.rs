@@ -132,7 +132,9 @@ impl Heap {
     /// are legitimately set. Between the slices of an incremental major
     /// cycle the check adapts: before the flip the full walk runs with
     /// candidate bits allowed (selection legitimately leaves them set
-    /// between slices; the marks live in the cycle's own bitmap); during
+    /// between slices; the marks live in the cycle's own bitmap) and
+    /// without the references of garbage the H2 region sweep has already
+    /// passed (they may name freed regions until compaction); during
     /// relocation only root resolution is
     /// checked (objects are mid-motion and H2 promotion is mid-flight).
     ///
@@ -275,7 +277,11 @@ impl Heap {
         // ---- reference and card checks ---------------------------------
         let mut h1_sorted: Vec<u64> = h1.iter().copied().collect();
         h1_sorted.sort_unstable();
+        let cycle = self.cycle.as_deref();
         for &a in &h1_sorted {
+            if cycle.is_some_and(|cyc| cyc.swept_garbage(a)) {
+                continue;
+            }
             let obj = Addr::new(a);
             let in_old = self.old.contains(obj);
             let (first_slot, end_slot) = self.ref_slot_range(obj);

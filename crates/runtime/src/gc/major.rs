@@ -311,6 +311,16 @@ impl MajorCycle {
         }
     }
 
+    /// Whether the H1 object at `addr` is garbage the region sweep may have
+    /// left pointing into a freed H2 region: planning has begun (the sweep
+    /// ran) and neither marking, allocate-black nor a planning-time
+    /// allocation reached the object.
+    pub(crate) fn swept_garbage(&self, addr: u64) -> bool {
+        self.phase == Phase::Plan
+            && !self.live.is_marked(addr)
+            && !self.mutator.plan_late.contains(&addr)
+    }
+
     /// The cost of flushing the currently staged promotion-buffer bytes —
     /// added to the pause projection so the end-of-slice flush cannot push a
     /// slice past its budget.

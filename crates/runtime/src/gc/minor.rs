@@ -338,6 +338,10 @@ fn scan_h2_cards(heap: &mut Heap, sched: &mut Scheduler, worklist: &mut Vec<Addr
                                 }
                                 let target = Addr::new(val);
                                 if target.is_h2() {
+                                    // The card may go clean below, and a major
+                                    // GC scans no clean card: record the
+                                    // mutator's H2→H2 store now.
+                                    heap.note_h2_dependency(slot, target);
                                     continue;
                                 }
                                 heap.stats.backward_refs_seen += 1;

@@ -19,7 +19,7 @@
 //! resolves its object once on the host, so the `*_at` accessors — word and
 //! bulk — must be indistinguishable from the handle accessors they stand in
 //! for, across collections, H2 promotion of the pinned object, and a sliced
-//! major cycle left in flight (see [`Op`]).
+//! major cycle left in flight (see [`WordOp`]).
 
 use teraheap_core::{H2Config, Label};
 use teraheap_runtime::obs::{Event, EventKind, GcKind, Level};
@@ -362,7 +362,7 @@ struct Obj {
 /// One step of a word script: word accesses on pool objects, interleaved
 /// with everything that can move or re-home them.
 #[derive(Debug, Clone, Copy)]
-enum Op {
+enum WordOp {
     Read(usize, usize),
     Write(usize, usize, u64),
     Len(usize),
@@ -389,7 +389,7 @@ enum Op {
 /// [`YOUNG_STEPS`] steps ask for no major collection, so the pool is still
 /// young — and moved by the scavenger, twice, under its pins — when the
 /// first minor collections run.
-fn word_script(pool: &[Obj], len: usize, h2: bool, seed: u64) -> Vec<Op> {
+fn word_script(pool: &[Obj], len: usize, h2: bool, seed: u64) -> Vec<WordOp> {
     let mut rng = Rng::seed_from_u64(seed);
     let with_prims: Vec<usize> = (0..pool.len()).filter(|&o| pool[o].prims > 0).collect();
     let with_refs: Vec<usize> = (0..pool.len()).filter(|&o| pool[o].refs > 0).collect();
@@ -407,26 +407,26 @@ fn word_script(pool: &[Obj], len: usize, h2: bool, seed: u64) -> Vec<Op> {
             (start, rng.gen_range(1..(pool[o].prims - start).min(700) + 1))
         };
         let op = match rng.gen_range(0..100u32) {
-            0..=29 => Op::Read(o, rng.gen_range(0..pool[o].prims)),
+            0..=29 => WordOp::Read(o, rng.gen_range(0..pool[o].prims)),
             30..=39 => {
                 let (start, n) = range(&mut rng);
-                Op::View(o, start, n)
+                WordOp::View(o, start, n)
             }
-            40..=59 => Op::Write(o, rng.gen_range(0..pool[o].prims), rng.next_u64()),
+            40..=59 => WordOp::Write(o, rng.gen_range(0..pool[o].prims), rng.next_u64()),
             60..=69 => {
                 let (start, n) = range(&mut rng);
-                Op::Fill(o, start, n, rng.next_u64())
+                WordOp::Fill(o, start, n, rng.next_u64())
             }
-            70..=77 => Op::Len(*rng.choose(&arrays).expect("pool has arrays")),
+            70..=77 => WordOp::Len(*rng.choose(&arrays).expect("pool has arrays")),
             78..=83 if !with_refs.is_empty() => {
                 let r = *rng.choose(&with_refs).expect("checked");
-                Op::ReadRef(r, rng.gen_range(0..pool[r].refs))
+                WordOp::ReadRef(r, rng.gen_range(0..pool[r].refs))
             }
-            84..=93 => Op::Alloc(rng.gen_range(16..400usize)),
-            94..=95 => Op::GcMinor,
-            96 if step >= YOUNG_STEPS => Op::GcMajor,
-            97 if h2 && step >= YOUNG_STEPS => Op::MoveToH2(o),
-            _ => Op::Read(o, rng.gen_range(0..pool[o].prims)),
+            84..=93 => WordOp::Alloc(rng.gen_range(16..400usize)),
+            94..=95 => WordOp::GcMinor,
+            96 if step >= YOUNG_STEPS => WordOp::GcMajor,
+            97 if h2 && step >= YOUNG_STEPS => WordOp::MoveToH2(o),
+            _ => WordOp::Read(o, rng.gen_range(0..pool[o].prims)),
         };
         script.push(op);
     }
@@ -442,7 +442,7 @@ const YOUNG_STEPS: usize = 400;
 /// the comparison with its twin.
 fn replay_words(
     mk: &dyn Fn() -> (Heap, Vec<Obj>),
-    script: &[Op],
+    script: &[WordOp],
     pinned: bool,
 ) -> (Heap, Observed, [u64; Category::COUNT]) {
     let (mut heap, pool) = mk();
@@ -452,7 +452,7 @@ fn replay_words(
     let mut words = Vec::new();
     for &op in script {
         match op {
-            Op::Read(o, i) => {
+            WordOp::Read(o, i) => {
                 let v = if pinned {
                     heap.read_prim_at(&mut pins[o], i)
                 } else {
@@ -461,7 +461,7 @@ fn replay_words(
                 assert_eq!(v, shadow[o][i], "{op:?} read a stale word (pinned: {pinned})");
                 words.push(v);
             }
-            Op::Write(o, i, v) => {
+            WordOp::Write(o, i, v) => {
                 if pinned {
                     heap.write_prim_at(&mut pins[o], i, v);
                 } else {
@@ -469,7 +469,7 @@ fn replay_words(
                 }
                 shadow[o][i] = v;
             }
-            Op::Len(o) => {
+            WordOp::Len(o) => {
                 let n = if pinned {
                     heap.array_len_at(&mut pins[o])
                 } else {
@@ -478,7 +478,7 @@ fn replay_words(
                 assert_eq!(n, pool[o].prims + pool[o].refs);
                 words.push(n as u64);
             }
-            Op::View(o, start, n) => {
+            WordOp::View(o, start, n) => {
                 let seen = if pinned {
                     heap.view_prims_at(&mut pins[o], start, n)
                 } else {
@@ -488,7 +488,7 @@ fn replay_words(
                 assert_eq!(seen, want, "{op:?} viewed stale words (pinned: {pinned})");
                 words.extend_from_slice(seen);
             }
-            Op::Fill(o, start, n, base) => {
+            WordOp::Fill(o, start, n, base) => {
                 let vals: Vec<u64> = (0..n as u64).map(|k| base.wrapping_add(k)).collect();
                 if pinned {
                     heap.fill_prims_at(&mut pins[o], start, n, |slots| {
@@ -501,7 +501,7 @@ fn replay_words(
                     shadow[o][start..start + n].copy_from_slice(&vals);
                 }
             }
-            Op::ReadRef(o, i) => {
+            WordOp::ReadRef(o, i) => {
                 let r = if pinned {
                     heap.read_ref_at(&mut pins[o], i)
                 } else {
@@ -513,13 +513,13 @@ fn replay_words(
                     heap.release(child);
                 }
             }
-            Op::Alloc(n) => {
+            WordOp::Alloc(n) => {
                 let tmp = heap.alloc_prim_array(n).expect("garbage fits");
                 heap.release(tmp);
             }
-            Op::GcMinor => heap.gc_minor().expect("fits"),
-            Op::GcMajor => heap.gc_major().expect("fits"),
-            Op::MoveToH2(o) => {
+            WordOp::GcMinor => heap.gc_minor().expect("fits"),
+            WordOp::GcMajor => heap.gc_major().expect("fits"),
+            WordOp::MoveToH2(o) => {
                 let label = Label::new(40 + o as u64);
                 heap.h2_tag_root(pool[o].h, label);
                 heap.h2_move(label);
@@ -539,7 +539,7 @@ fn replay_words(
 
 /// Replays `script` through handles and through pins and requires the two
 /// runs to be indistinguishable; returns the pinned heap and observation.
-fn assert_pins_equivalent(mk: &dyn Fn() -> (Heap, Vec<Obj>), script: &[Op]) -> (Heap, Observed) {
+fn assert_pins_equivalent(mk: &dyn Fn() -> (Heap, Vec<Obj>), script: &[WordOp]) -> (Heap, Observed) {
     let (_, by_handle, handle_charges) = replay_words(mk, script, false);
     let (heap, by_pin, pin_charges) = replay_words(mk, script, true);
     assert_eq!(by_pin, by_handle, "pinned accessors diverged from the handle accessors");
@@ -642,7 +642,7 @@ fn pins_follow_their_objects_into_huge_paged_h2() {
     // The move of the big array is scripted, with random steps on both sides.
     let pool = mk().1;
     let mut script = word_script(&pool, 450, true, 0x2a);
-    script.extend([Op::MoveToH2(0), Op::GcMajor]);
+    script.extend([WordOp::MoveToH2(0), WordOp::GcMajor]);
     script.extend(word_script(&pool, 450, true, 0x2b));
     let (heap, seen) = assert_pins_equivalent(&mk, &script);
     assert!(heap.is_in_h2(pool[0].h), "the big array must be promoted");
@@ -701,9 +701,9 @@ fn pins_match_with_a_sliced_cycle_in_flight() {
     // No explicit majors: they would finish the cycle the scenario wants
     // left in flight.
     let pool = mk().1;
-    let script: Vec<Op> = word_script(&pool, 2500, true, 0x51ce)
+    let script: Vec<WordOp> = word_script(&pool, 2500, true, 0x51ce)
         .into_iter()
-        .filter(|op| !matches!(op, Op::GcMajor))
+        .filter(|op| !matches!(op, WordOp::GcMajor))
         .collect();
     let (heap, seen) = assert_pins_equivalent(&mk, &script);
     assert!(heap.stats().incr_slices > 20, "the cycle must be sliced");

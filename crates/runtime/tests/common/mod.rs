@@ -1,13 +1,16 @@
-//! Scaffolding shared by the suites that replay the runtime's mixed GC/H2
-//! workload or checksum an object graph: `gc_equivalence` and
-//! `incremental_marking` here, and `crates/query/tests/gc_equivalence.rs`,
-//! which includes this file by path so that "the runtime suite's workload"
-//! is true by construction.
+//! Scaffolding shared by the runtime's suites: the mixed GC/H2 workload
+//! that `gc_equivalence`, `trace_equivalence` and `fault_equivalence`
+//! replay, the H2 every suite here attaches, the object-graph checksum, and
+//! the mutator-program language of `mutator_programs` ([`program`]).
+//! `crates/query/tests/gc_equivalence.rs` includes this file by path so
+//! that "the runtime suite's workload" is true by construction.
 #![allow(dead_code)] // no single suite uses every item
+
+pub mod program;
 
 use teraheap_core::{H2Config, Label};
 use teraheap_runtime::{Handle, Heap, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
-use teraheap_storage::FaultPlan;
+use teraheap_storage::{DeviceSpec, FaultPlan, SharedDevice};
 
 /// The columns of `tests/golden/gc_equivalence.txt`: what the
 /// `gc_equivalence` suite captures of one run of [`mixed_workload_body`].
@@ -131,6 +134,15 @@ pub fn workload_h2_config(faults: FaultPlan) -> H2Config {
         .faults(faults)
         .build()
         .expect("valid H2 config")
+}
+
+/// Attaches [`workload_h2_config`] to `heap` over a fresh one-tenant `spec`
+/// device; the device is returned for its arbitration counters.
+pub fn attach_workload_h2(heap: &mut Heap, spec: DeviceSpec, faults: FaultPlan) -> SharedDevice {
+    let h2cfg = workload_h2_config(faults);
+    let dev = SharedDevice::new(spec, h2cfg.footprint_bytes(), heap.clock().clone());
+    heap.attach_h2(h2cfg, &dev).unwrap();
+    dev
 }
 
 /// The mixed workload: generational churn, H1 card traffic, hint-driven H2

@@ -7,77 +7,34 @@
 //! This is the contract that keeps every `results/*.csv` byte-diff in
 //! `scripts/verify.sh` green: arming the hooks costs nothing until a fault
 //! actually fires.
+//!
+//! The workload is the mixed GC/H2 workload the `gc_equivalence` golden
+//! pins, followed by an `msync` so every dirty H2 page crosses a write-back
+//! boundary.
 
-use teraheap_core::{H2Config, Label};
+mod common;
+
+use common::{attach_workload_h2, graph_checksum, mixed_workload_body};
+use teraheap_core::Label;
 use teraheap_runtime::obs::{Event, Level};
-use teraheap_runtime::{Handle, Heap, HeapConfig};
-use teraheap_storage::{DeviceSpec, FaultPlan, SharedDevice};
-
-fn h2_config(plan: FaultPlan) -> H2Config {
-    H2Config::builder()
-        .region_words(2048)
-        .n_regions(16)
-        .card_seg_words(256)
-        .resident_budget_bytes(64 << 10)
-        .page_size(4096)
-        .promo_buffer_bytes(8 << 10)
-        .faults(plan)
-        .build()
-        .expect("valid test H2 config")
-}
-
-/// Promotion-heavy churn touching every cost path: allocation, both GCs,
-/// H2 moves, post-move H2 reads (page faults + evictions) and an msync.
-fn churn(heap: &mut Heap) -> u64 {
-    let class = heap.register_class("Churn", 1, 4);
-    let mut keep: Vec<Handle> = Vec::new();
-    for i in 0..3_000u64 {
-        let h = heap.alloc(class).unwrap();
-        heap.write_prim(h, 0, i);
-        if i % 7 == 0 {
-            if let Some(&prev) = keep.last() {
-                heap.write_ref(h, 0, prev);
-            }
-            keep.push(h);
-        } else {
-            heap.release(h);
-        }
-        if i == 1_000 || i == 2_000 {
-            let root = keep[0];
-            heap.h2_tag_root(root, Label::new(i / 1_000));
-            heap.h2_move(Label::new(i / 1_000));
-            heap.gc_major().unwrap();
-        }
-    }
-    heap.gc_minor().unwrap();
-    heap.gc_major().unwrap();
-    // Post-promotion reads: page-cache traffic over H2.
-    let mut acc = 0u64;
-    for &h in keep.iter().take(32) {
-        acc = acc.wrapping_add(heap.read_prim(h, 0));
-    }
-    heap.h2_mut().unwrap().msync(teraheap_storage::Category::Io);
-    acc
-}
+use teraheap_runtime::{Heap, HeapConfig};
+use teraheap_storage::{Category, DeviceSpec, FaultPlan};
 
 fn run(plan: FaultPlan) -> (Heap, Vec<Event>, u64) {
-    let cfg = HeapConfig::builder(4 << 10, 32 << 10)
-        .obs_level(Level::Full)
-        .build()
-        .unwrap();
+    let cfg = HeapConfig::builder(24 << 10, 96 << 10).obs_level(Level::Full).build().unwrap();
     let mut heap = Heap::new(cfg);
-    let h2cfg = h2_config(plan);
-    let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
-    heap.attach_h2(h2cfg, &dev).unwrap();
-    let acc = churn(&mut heap);
+    attach_workload_h2(&mut heap, DeviceSpec::nvme_ssd(), plan);
+    let keep = mixed_workload_body(&mut heap);
+    heap.h2_mut().unwrap().msync(Category::Io);
     let events = heap.clock().tracer().events();
-    (heap, events, acc)
+    let checksum = graph_checksum(&mut heap, &keep);
+    (heap, events, checksum)
 }
 
 #[test]
 fn zero_rate_plane_is_bit_identical_to_no_plane() {
-    let (off, off_events, off_acc) = run(FaultPlan::none());
-    let (on, on_events, on_acc) = run(FaultPlan::zero_rate(1234));
+    let (off, off_events, off_checksum) = run(FaultPlan::none());
+    let (on, on_events, on_checksum) = run(FaultPlan::zero_rate(1234));
 
     assert!(off.h2().unwrap().fault_plane().is_none(), "none() must not arm a plane");
     assert!(on.h2().unwrap().fault_plane().is_some(), "zero_rate must arm the plane");
@@ -93,7 +50,7 @@ fn zero_rate_plane_is_bit_identical_to_no_plane() {
     );
 
     // Full event stream, including every timestamp.
-    assert!(!off_events.is_empty(), "churn must trace events");
+    assert!(!off_events.is_empty(), "the workload must trace events");
     assert_eq!(off_events, on_events, "TERAHEAP_OBS=full event streams diverged");
     assert_eq!(off.clock().tracer().emitted(), on.clock().tracer().emitted());
 
@@ -116,9 +73,12 @@ fn zero_rate_plane_is_bit_identical_to_no_plane() {
     assert_eq!(sa.read_bytes(), sb.read_bytes());
     assert_eq!(sa.write_bytes(), sb.write_bytes());
     assert_eq!(sb.io_retries(), 0, "a zero-rate plane must never retry");
+    assert!(h2a.objects_promoted() > 0, "the workload must promote to H2");
+    assert!(sa.page_faults() > 0, "the workload must fault H2 pages");
+    assert!(sa.write_bytes() > 0, "the workload must write H2 pages back");
 
     // And the workload's answer, for completeness.
-    assert_eq!(off_acc, on_acc);
+    assert_eq!(off_checksum, on_checksum);
 
     // The armed plane saw real write-back boundaries — the hooks were live,
     // not bypassed, and still added nothing.
@@ -138,9 +98,7 @@ fn degraded_mode_parks_promotions_in_old_gen() {
     let plan = FaultPlan::zero_rate(7).with_enospc_after(0);
     let cfg = HeapConfig::builder(4 << 10, 32 << 10).build().unwrap();
     let mut heap = Heap::new(cfg);
-    let h2cfg = h2_config(plan);
-    let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
-    heap.attach_h2(h2cfg, &dev).unwrap();
+    attach_workload_h2(&mut heap, DeviceSpec::nvme_ssd(), plan);
     let class = heap.register_class("Parked", 1, 1);
     let root = heap.alloc_ref_array(16).unwrap();
     for i in 0..16 {

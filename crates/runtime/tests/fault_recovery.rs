@@ -1,40 +1,22 @@
-//! Fault-recovery suite: random fault plans against random mutation
-//! workloads, a runtime-level exhaustive crash sweep, and one seeded chaos
-//! smoke per device profile.
+//! Fault-recovery suite: a runtime-level exhaustive crash sweep and one
+//! seeded chaos smoke per device profile. Random fault plans against random
+//! mutator programs are the faults arm of `mutator_programs`.
 //!
-//! Property cases run on the in-repo harness
-//! (`teraheap_util::proptest_mini`): every case derives from a printed
-//! per-case seed, and a failure replays bit-for-bit with
-//! `TERAHEAP_PROP_SEED=<seed> cargo test -p teraheap-runtime --test
-//! fault_recovery`. The chaos smokes honour `TERAHEAP_FAULTS` (same syntax
-//! as production, e.g.
+//! The chaos smokes honour `TERAHEAP_FAULTS` (same syntax as production,
+//! e.g.
 //! `TERAHEAP_FAULTS=seed=7,write_err_ppm=50000,spike_every=256,spike_len=16,spike_mult=8`),
 //! falling back to the built-in `FaultPlan::chaos` preset when unset.
 //!
 //! The full-heap invariant checker runs at **every GC boundary** of every
 //! run here (`HeapConfig::heap_check`), so a single structurally-corrupt
-//! collection anywhere in a case fails that case loudly.
+//! collection anywhere in a run fails it loudly.
 
-use teraheap_core::{H2Config, Label};
+mod common;
+
+use common::attach_workload_h2;
+use teraheap_core::Label;
 use teraheap_runtime::{Handle, Heap, HeapConfig};
-use teraheap_storage::{DeviceSpec, FaultPlan, SharedDevice};
-use teraheap_util::proptest_mini::{
-    check, range_u64, range_usize, vec_of, CaseResult, Config, Just, Strategy,
-};
-use teraheap_util::{prop_assert, prop_assert_eq, prop_oneof};
-
-fn h2_config(plan: FaultPlan) -> H2Config {
-    H2Config::builder()
-        .region_words(2048)
-        .n_regions(16)
-        .card_seg_words(256)
-        .resident_budget_bytes(32 << 10)
-        .page_size(4096)
-        .promo_buffer_bytes(8 << 10)
-        .faults(plan)
-        .build()
-        .expect("valid H2 config")
-}
+use teraheap_storage::{DeviceSpec, FaultPlan};
 
 /// A heap with the checker armed at every GC boundary and TeraHeap enabled
 /// over `spec` under the given fault plan.
@@ -42,139 +24,12 @@ fn checked_heap(plan: FaultPlan, spec: DeviceSpec) -> Heap {
     let mut cfg = HeapConfig::with_words(4096, 16 << 10);
     cfg.heap_check = true;
     let mut heap = Heap::new(cfg);
-    let h2cfg = h2_config(plan);
-    let dev = SharedDevice::new(spec, h2cfg.footprint_bytes(), heap.clock().clone());
-    heap.attach_h2(h2cfg, &dev).unwrap();
+    attach_workload_h2(&mut heap, spec, plan);
     heap
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 1a: random FaultPlan × random workload property (64+ cases).
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum Op {
-    Alloc(u64),
-    Link(usize, usize),
-    Release(usize),
-    MinorGc,
-    MajorGc,
-    TagAndMove(usize, u64),
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => range_u64(0..1_000_000).prop_map(Op::Alloc),
-        3 => (range_usize(0..48), range_usize(0..48)).prop_map(|(a, b)| Op::Link(a, b)),
-        2 => range_usize(0..48).prop_map(Op::Release),
-        1 => Just(Op::MinorGc),
-        2 => Just(Op::MajorGc),
-        3 => (range_usize(0..48), range_u64(1..6)).prop_map(|(a, l)| Op::TagAndMove(a, l)),
-    ]
-}
-
-/// Random enabled plan: transient errors in both directions, sometimes a
-/// latency spike, sometimes early ENOSPC. Crash points are exercised by the
-/// exhaustive sweep below, not sampled here.
-fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
-    (
-        (range_u64(1..1 << 32), range_u64(0..80_000), range_u64(0..80_000)),
-        (range_u64(0..24), range_u64(0..4)),
-    )
-        .prop_map(|((seed, read_ppm, write_ppm), (enospc, spike))| {
-            let mut plan = FaultPlan::zero_rate(seed)
-                .with_error_ppm(read_ppm as u32, write_ppm as u32)
-                .with_retries(3, 1_000);
-            if spike > 0 {
-                plan = plan.with_spike(64 * spike, 16, 4);
-            }
-            if enospc < 8 {
-                plan = plan.with_enospc_after(enospc as u32);
-            }
-            plan
-        })
-}
-
-/// Any random fault plan against any random mutation program either runs to
-/// completion with every surviving object's payload intact, or degrades
-/// cleanly into the paper's no-H2 baseline — and the full-heap checker
-/// holds at every GC boundary either way.
-#[test]
-fn random_faults_complete_or_degrade_cleanly() {
-    check(
-        "random_faults_complete_or_degrade_cleanly",
-        &(plan_strategy(), vec_of(op_strategy(), 1..64)),
-        &Config::with_cases(64),
-        |(plan, ops): (FaultPlan, Vec<Op>)| {
-            let mut heap = checked_heap(plan, DeviceSpec::nvme_ssd());
-            let class = heap.register_class("FaultNode", 1, 1);
-            let mut handles: Vec<Handle> = Vec::new();
-            let mut values: Vec<Option<u64>> = Vec::new();
-            for op in ops {
-                match op {
-                    Op::Alloc(v) => {
-                        let h = heap.alloc(class).unwrap();
-                        heap.write_prim(h, 0, v);
-                        handles.push(h);
-                        values.push(Some(v));
-                    }
-                    Op::Link(a, b) => {
-                        if a < handles.len()
-                            && b < handles.len()
-                            && values[a].is_some()
-                            && values[b].is_some()
-                        {
-                            heap.write_ref(handles[a], 0, handles[b]);
-                        }
-                    }
-                    Op::Release(a) => {
-                        if a < handles.len() && values[a].take().is_some() {
-                            heap.release(handles[a]);
-                        }
-                    }
-                    Op::MinorGc => heap.gc_minor().unwrap(),
-                    Op::MajorGc => heap.gc_major().unwrap(),
-                    Op::TagAndMove(a, l) => {
-                        if a < handles.len() && values[a].is_some() {
-                            heap.h2_tag_root(handles[a], Label::new(l));
-                            heap.h2_move(Label::new(l));
-                        }
-                    }
-                }
-            }
-            heap.gc_major().unwrap();
-
-            // Explicit end-of-workload invariant pass (the per-GC checks ran
-            // inside the loop via `HeapConfig::heap_check`).
-            if let Err(e) = heap.heap_check() {
-                return CaseResult::Fail(format!("final heap_check: {e}"));
-            }
-
-            // Transient faults must never corrupt payloads: retries and
-            // degradation are performance events, not data events.
-            for (i, v) in values.iter().enumerate() {
-                if let Some(v) = v {
-                    prop_assert_eq!(heap.read_prim(handles[i], 0), *v);
-                }
-            }
-
-            // Degradation is only legal if the plan could actually starve
-            // H2: injected ENOSPC or a permanently failing write.
-            let h2 = heap.h2().unwrap();
-            if h2.is_degraded() {
-                prop_assert!(
-                    plan.enospc_after_regions.is_some() || plan.write_err_ppm > 0,
-                    "degraded without any H2-starving fault configured"
-                );
-            }
-            prop_assert!(!h2.is_crashed(), "no crash point was configured");
-            CaseResult::Pass
-        },
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Satellite 1b: exhaustive crash sweep at runtime level.
+// Exhaustive crash sweep at runtime level.
 // ---------------------------------------------------------------------------
 
 /// Deterministic promotion-heavy script. Returns the heap plus the
@@ -299,8 +154,8 @@ fn crash_sweep_every_writeback_boundary_recovers() {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 1c: seeded chaos smoke per device profile (TERAHEAP_FAULTS-
-// overridable; the verify script runs these as its `faults` stage).
+// Seeded chaos smoke per device profile (TERAHEAP_FAULTS-overridable;
+// `scripts/verify.sh` runs these as its `faults` stage).
 // ---------------------------------------------------------------------------
 
 fn chaos_smoke(spec: DeviceSpec, seed: u64) {

@@ -1,7 +1,7 @@
 //! Behavioural tests for the collectors and the TeraHeap integration.
 
 use teraheap_core::{H2Config, Label};
-use teraheap_runtime::{GcVariant, Heap, HeapConfig};
+use teraheap_runtime::{GcVariant, Handle, Heap, HeapConfig};
 use teraheap_storage::{Category, DeviceSpec, SharedDevice};
 
 fn small_heap() -> Heap {
@@ -9,17 +9,22 @@ fn small_heap() -> Heap {
 }
 
 fn th_heap() -> Heap {
-    let mut heap = Heap::new(HeapConfig::with_words(2048, 8192));
+    th_heap_with(HeapConfig::with_words(2048, 8192))
+}
+
+fn th_heap_with(config: HeapConfig) -> Heap {
+    let mut heap = Heap::new(config);
     let h2cfg = H2Config::builder()
-            .region_words(1024)
-            .n_regions(16)
-            .card_seg_words(128)
-            .resident_budget_bytes(64 << 10)
-            .page_size(4096)
-            .promo_buffer_bytes(8 << 10)
-            .build()
-            .expect("valid H2 config");
-    let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
+        .region_words(1024)
+        .n_regions(16)
+        .card_seg_words(128)
+        .resident_budget_bytes(64 << 10)
+        .page_size(4096)
+        .promo_buffer_bytes(8 << 10)
+        .build()
+        .expect("valid H2 config");
+    let dev =
+        SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
     heap.attach_h2(h2cfg, &dev).unwrap();
     heap
 }
@@ -253,12 +258,11 @@ fn backward_references_keep_h1_objects_alive() {
     assert_eq!(h.read_prim(p3, 0), 123);
 }
 
-#[test]
-fn cross_region_dependencies_prevent_premature_reclaim() {
-    let mut h = th_heap();
+/// Two nodes moved to H2 under different labels (so different regions),
+/// then linked by a mutator update: an H2→H2 cross-region reference on a
+/// dirty card. Returns `(a, b)` with `a.0 = b`.
+fn h2_cross_region_pair(h: &mut Heap) -> (Handle, Handle) {
     let node = h.register_class("Node", 1, 1);
-    // Two independent groups with different labels move to H2 first; the
-    // cross-region reference is created afterwards by a mutator update.
     let a = h.alloc(node).unwrap();
     let b = h.alloc(node).unwrap();
     h.write_prim(b, 0, 55);
@@ -268,37 +272,88 @@ fn cross_region_dependencies_prevent_premature_reclaim() {
     h.h2_move(Label::new(2));
     h.gc_major().unwrap();
     assert!(h.is_in_h2(a) && h.is_in_h2(b));
-    // Mutator update creates an H2→H2 cross-region reference (dirty card).
+    let regions = h.h2().unwrap().regions();
+    assert_ne!(regions.region_of(h.handle_addr(a)), regions.region_of(h.handle_addr(b)));
     h.write_ref(a, 0, b);
-    h.gc_major().unwrap();
-    // a and b carry different labels so they are in different regions.
-    let (aa, ab) = (h.handle_addr(a), h.handle_addr(b));
-    let h2 = h.h2().unwrap();
-    let (ra, rb) = (h2.regions().region_of(aa), h2.regions().region_of(ab));
-    assert_ne!(ra, rb);
-    // b is only reachable through a (H2→H2 cross-region reference).
+    (a, b)
+}
+
+/// Releases `b`, leaving it reachable only through `a`'s H2→H2 reference,
+/// and checks that the next major GC keeps its region.
+fn assert_dependency_keeps_target(h: &mut Heap, (a, b): (Handle, Handle)) {
     h.release(b);
     h.gc_major().unwrap();
     assert_eq!(h.h2().unwrap().regions().reclaimed_total(), 0, "dep list keeps b's region");
+    h.heap_check().expect("no reference into a freed region");
     let b2 = h.read_ref(a, 0).unwrap();
     assert_eq!(h.read_prim(b2, 0), 55);
 }
 
 #[test]
+fn cross_region_dependencies_prevent_premature_reclaim() {
+    let mut h = th_heap();
+    let pair = h2_cross_region_pair(&mut h);
+    // The major GC's card scan records the dependency.
+    h.gc_major().unwrap();
+    assert_dependency_keeps_target(&mut h, pair);
+}
+
+/// A minor GC scans the dirty card first and, finding no backward
+/// reference, cleans it, so no major GC ever scans it: the minor scan must
+/// record the dependency itself, or `b`'s region is freed under `a`.
+#[test]
+fn minor_scanned_h2_to_h2_store_keeps_its_target_region() {
+    let mut h = th_heap();
+    let pair = h2_cross_region_pair(&mut h);
+    h.gc_minor().unwrap();
+    assert_dependency_keeps_target(&mut h, pair);
+}
+
+/// Between the slices of a sliced cycle, after the region sweep and
+/// before the flip, old-generation garbage may still name a region the
+/// sweep freed; it is compacted away at the flip, so the checker armed
+/// after every slice must not report it.
+#[test]
+fn sliced_checks_skip_garbage_pointing_into_swept_regions() {
+    let config =
+        HeapConfig::builder(2048, 4096).pause_budget_ns(1_000).heap_check(true).build().unwrap();
+    let mut h = th_heap_with(config);
+    let node = h.register_class("Node", 1, 1);
+    let y = h.alloc(node).unwrap();
+    h.h2_tag_root(y, Label::new(1));
+    h.h2_move(Label::new(1));
+    h.gc_major().unwrap();
+    assert!(h.is_in_h2(y));
+    // Live objects enough for several planning units, and garbage in the
+    // old generation (too big for eden) that is y's region's only referrer.
+    let keep = h.alloc_ref_array(256).unwrap();
+    for i in 0..256 {
+        let n = h.alloc(node).unwrap();
+        h.write_ref(keep, i, n);
+        h.release(n);
+    }
+    let garbage = h.alloc_ref_array(1024).unwrap();
+    h.write_ref(garbage, 0, y);
+    h.release(garbage);
+    h.release(y);
+    // The minor GC starts a cycle (old free < 2 * young is always true
+    // here); mutator time runs it slice by slice.
+    h.gc_minor().unwrap();
+    let majors = h.stats().major_count;
+    for _ in 0..10_000 {
+        if h.stats().major_count > majors {
+            break;
+        }
+        h.charge_ops(64);
+    }
+    assert!(h.stats().incr_slices > 2, "the cycle ran in slices");
+    assert_eq!(h.h2().unwrap().regions().reclaimed_total(), 1, "y's region died");
+}
+
+#[test]
 fn pressure_moves_marked_objects_without_hint() {
     // High threshold forces movement when H1 fills past 85%.
-    let mut h = Heap::new(HeapConfig::with_words(512, 2048));
-    let h2cfg = H2Config::builder()
-            .region_words(2048)
-            .n_regions(8)
-            .card_seg_words(256)
-            .resident_budget_bytes(64 << 10)
-            .page_size(4096)
-            .promo_buffer_bytes(8 << 10)
-            .build()
-            .expect("valid H2 config");
-    let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), h.clock().clone());
-    h.attach_h2(h2cfg, &dev).unwrap();
+    let mut h = th_heap_with(HeapConfig::with_words(512, 2048));
     let big = h.register_class("Big", 0, 200);
     let mut held = Vec::new();
     for i in 0..9 {
@@ -389,20 +444,7 @@ fn barrier_overhead_zero_when_teraheap_disabled() {
     // §4: "The additional overhead is zero for applications that do not set
     // EnableTeraHeap."
     let run = |enable: bool| -> u64 {
-        let mut h = small_heap();
-        if enable {
-            let h2cfg = H2Config::builder()
-                    .region_words(1024)
-                    .n_regions(4)
-                    .card_seg_words(128)
-                    .resident_budget_bytes(4096)
-                    .page_size(4096)
-                    .promo_buffer_bytes(4096)
-                    .build()
-                    .expect("valid H2 config");
-            let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), h.clock().clone());
-            h.attach_h2(h2cfg, &dev).unwrap();
-        }
+        let mut h = if enable { th_heap() } else { small_heap() };
         let c = h.register_class("N", 1, 0);
         let a = h.alloc(c).unwrap();
         let b = h.alloc(c).unwrap();

@@ -14,7 +14,7 @@
 mod common;
 
 use common::{
-    column, graph_checksum, mixed_workload_body, workload_h2_config, COLUMNS, DEFAULT_ARM,
+    attach_workload_h2, column, graph_checksum, mixed_workload_body, COLUMNS, DEFAULT_ARM,
 };
 use teraheap_runtime::{GcVariant, Handle, Heap, HeapConfig};
 use teraheap_storage::{Category, DeviceSpec, FaultPlan, SharedDevice};
@@ -40,10 +40,7 @@ fn run_mixed_workload_shared(
     faults: FaultPlan,
 ) -> (Heap, Vec<Handle>, SharedDevice) {
     let mut heap = Heap::new(config);
-    let h2cfg = workload_h2_config(faults);
-    let dev =
-        SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
-    heap.attach_h2(h2cfg, &dev).unwrap();
+    let dev = attach_workload_h2(&mut heap, DeviceSpec::nvme_ssd(), faults);
     let keep = mixed_workload_body(&mut heap);
     (heap, keep, dev)
 }

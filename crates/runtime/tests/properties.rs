@@ -1,159 +1,15 @@
-//! Property test: arbitrary mutation programs (allocations, pointer updates,
-//! handle releases, collections and H2 moves) never corrupt the reachable
-//! object graph. The heap is compared against a shadow model after every
-//! program.
+//! Property test: the H1 card table's maintained dirty-word index answers
+//! like a full per-card probe. The mutator-program properties live in
+//! `mutator_programs.rs`.
 //!
 //! Runs on the in-repo harness (`teraheap_util::proptest_mini`): cases are
 //! seeded deterministically, failures shrink to a minimal op sequence and
 //! print a `TERAHEAP_PROP_SEED` for replay.
 
-use teraheap_core::{H2Config, Label};
-use teraheap_runtime::{Handle, Heap, HeapConfig};
-use teraheap_storage::{DeviceSpec, SharedDevice};
-use teraheap_util::proptest_mini::{
-    check, range_u64, range_usize, vec_of, CaseResult, Config, Just, Strategy,
-};
-use teraheap_util::{prop_assert, prop_assert_eq, prop_oneof};
-
-#[derive(Debug, Clone)]
-enum Op {
-    /// Allocate a node with the given payload.
-    Alloc(u64),
-    /// Link node `a`'s ref field to node `b` (indices into allocated nodes).
-    Link(usize, usize),
-    /// Null node `a`'s ref field.
-    Unlink(usize),
-    /// Release node `a`'s handle (it may become garbage).
-    Release(usize),
-    /// Run a minor collection.
-    MinorGc,
-    /// Run a major collection.
-    MajorGc,
-    /// Tag node `a` and request its move to H2.
-    TagAndMove(usize, u64),
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => range_u64(0..1000).prop_map(Op::Alloc),
-        4 => (range_usize(0..64), range_usize(0..64)).prop_map(|(a, b)| Op::Link(a, b)),
-        1 => range_usize(0..64).prop_map(Op::Unlink),
-        2 => range_usize(0..64).prop_map(Op::Release),
-        1 => Just(Op::MinorGc),
-        1 => Just(Op::MajorGc),
-        2 => (range_usize(0..64), range_u64(1..8)).prop_map(|(a, l)| Op::TagAndMove(a, l)),
-    ]
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ModelNode {
-    value: u64,
-    next: Option<usize>,
-    released: bool,
-}
-
-#[test]
-fn mutation_programs_preserve_the_graph() {
-    check(
-        "mutation_programs_preserve_the_graph",
-        &vec_of(op_strategy(), 1..80),
-        &Config::with_cases(64),
-        |ops: Vec<Op>| {
-            let mut heap = Heap::new(HeapConfig::with_words(4096, 16384));
-            let h2cfg = H2Config::builder()
-                    .region_words(2048)
-                    .n_regions(16)
-                    .card_seg_words(256)
-                    .resident_budget_bytes(64 << 10)
-                    .page_size(4096)
-                    .promo_buffer_bytes(8 << 10)
-                    .build()
-                    .expect("valid H2 config");
-            let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
-            heap.attach_h2(h2cfg, &dev).unwrap();
-            let class = heap.register_class("PropNode", 1, 1);
-            let mut handles: Vec<Handle> = Vec::new();
-            let mut model: Vec<ModelNode> = Vec::new();
-
-            for op in ops {
-                match op {
-                    Op::Alloc(v) => {
-                        let h = heap.alloc(class).unwrap();
-                        heap.write_prim(h, 0, v);
-                        handles.push(h);
-                        model.push(ModelNode { value: v, next: None, released: false });
-                    }
-                    Op::Link(a, b) => {
-                        if a < model.len()
-                            && b < model.len()
-                            && !model[a].released
-                            && !model[b].released
-                        {
-                            heap.write_ref(handles[a], 0, handles[b]);
-                            model[a].next = Some(b);
-                        }
-                    }
-                    Op::Unlink(a) => {
-                        if a < model.len() && !model[a].released {
-                            heap.write_ref_null(handles[a], 0);
-                            model[a].next = None;
-                        }
-                    }
-                    Op::Release(a) => {
-                        if a < model.len() && !model[a].released {
-                            heap.release(handles[a]);
-                            model[a].released = true;
-                        }
-                    }
-                    Op::MinorGc => heap.gc_minor().unwrap(),
-                    Op::MajorGc => heap.gc_major().unwrap(),
-                    Op::TagAndMove(a, l) => {
-                        if a < model.len() && !model[a].released {
-                            heap.h2_tag_root(handles[a], Label::new(l));
-                            heap.h2_move(Label::new(l));
-                        }
-                    }
-                }
-            }
-            heap.gc_major().unwrap();
-
-            // Every un-released node must still hold its payload, and chains of
-            // `next` references must match the model (following up to 64 hops;
-            // the model may contain cycles through released-but-reachable nodes,
-            // which is fine — values still must match).
-            for (i, m) in model.iter().enumerate() {
-                if m.released {
-                    continue;
-                }
-                prop_assert_eq!(heap.read_prim(handles[i], 0), m.value);
-                let mut heap_cur = handles[i];
-                let mut model_cur = i;
-                let mut owned: Vec<Handle> = Vec::new();
-                for _ in 0..64 {
-                    match model[model_cur].next {
-                        None => {
-                            prop_assert!(heap.ref_is_null(heap_cur, 0));
-                            break;
-                        }
-                        Some(nm) => {
-                            let nh = heap.read_ref(heap_cur, 0);
-                            prop_assert!(nh.is_some(), "model expects a link");
-                            let nh = nh.unwrap();
-                            owned.push(nh);
-                            prop_assert_eq!(heap.read_prim(nh, 0), model[nm].value);
-                            heap_cur = nh;
-                            model_cur = nm;
-                        }
-                    }
-                }
-                for h in owned {
-                    heap.release(h);
-                }
-            }
-            CaseResult::Pass
-        },
-    );
-}
+use teraheap_core::Addr;
+use teraheap_runtime::space::H1CardTable;
+use teraheap_util::prop_assert_eq;
+use teraheap_util::proptest_mini::{check, range_usize, vec_of, CaseResult, Config};
 
 /// Whatever interleaving of barrier marks, per-card clears, bulk clears and
 /// mid-sequence queries hits the H1 card table, the maintained dirty-word
@@ -161,9 +17,6 @@ fn mutation_programs_preserve_the_graph() {
 /// same ascending order.
 #[test]
 fn h1_card_index_matches_full_probe() {
-    use teraheap_core::Addr;
-    use teraheap_runtime::space::H1CardTable;
-    use teraheap_util::proptest_mini::{range_usize, vec_of};
     // Ops: (card, code). 0 = mark_dirty via an address in the card,
     // 1 = clear, 2 = clear_all, 3 = query (forces the lazy index
     // reconciliation mid-sequence, not just at the end).

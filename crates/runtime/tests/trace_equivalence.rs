@@ -5,67 +5,23 @@
 //!    identical runs produce identical traces.
 //! 2. The tracing level (off / counters / full) leaves the simulated clock
 //!    and every GC statistic bit-identical.
-//! 3. For arbitrary mutation programs, span begin/end events are well-nested
-//!    per span slot, and major-GC phases only occur inside a major GC.
+//!
+//! The workload is the mixed GC/H2 workload the `gc_equivalence` golden
+//! pins. Span nesting over random programs is the spans arm of
+//! `mutator_programs`.
 
-use teraheap_core::{H2Config, Label};
-use teraheap_runtime::obs::{Event, EventKind, GcKind, Level, SpanKind, SPAN_COUNT};
-use teraheap_runtime::{Handle, Heap, HeapConfig};
-use teraheap_storage::{DeviceSpec, SharedDevice};
-use teraheap_util::proptest_mini::{
-    check, range_u64, range_usize, vec_of, CaseResult, Config, Just, Strategy,
-};
-use teraheap_util::{prop_assert, prop_oneof};
+mod common;
 
-fn test_h2() -> H2Config {
-    H2Config::builder()
-        .region_words(2048)
-        .n_regions(16)
-        .card_seg_words(256)
-        .resident_budget_bytes(64 << 10)
-        .page_size(4096)
-        .promo_buffer_bytes(8 << 10)
-        .build()
-        .expect("valid test H2 config")
-}
-
-/// A deterministic allocation/link/collect churn driving both GC paths and
-/// the H2 promotion machinery.
-fn churn(heap: &mut Heap) {
-    let class = heap.register_class("Churn", 1, 4);
-    let mut keep: Vec<Handle> = Vec::new();
-    for i in 0..3_000u64 {
-        let h = heap.alloc(class).unwrap();
-        heap.write_prim(h, 0, i);
-        if i % 7 == 0 {
-            if let Some(&prev) = keep.last() {
-                heap.write_ref(h, 0, prev);
-            }
-            keep.push(h);
-        } else {
-            heap.release(h);
-        }
-        if i == 1_000 {
-            let root = keep[0];
-            heap.h2_tag_root(root, Label::new(1));
-            heap.h2_move(Label::new(1));
-            heap.gc_major().unwrap();
-        }
-    }
-    heap.gc_minor().unwrap();
-    heap.gc_major().unwrap();
-}
+use common::{attach_workload_h2, mixed_workload_body};
+use teraheap_runtime::obs::{Event, Level};
+use teraheap_runtime::{Heap, HeapConfig};
+use teraheap_storage::{DeviceSpec, FaultPlan};
 
 fn run_traced(level: Level) -> (Heap, Vec<Event>) {
-    let cfg = HeapConfig::builder(4 << 10, 32 << 10)
-        .obs_level(level)
-        .build()
-        .unwrap();
+    let cfg = HeapConfig::builder(24 << 10, 96 << 10).obs_level(level).build().unwrap();
     let mut heap = Heap::new(cfg);
-    let h2cfg = test_h2();
-    let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
-    heap.attach_h2(h2cfg, &dev).unwrap();
-    churn(&mut heap);
+    attach_workload_h2(&mut heap, DeviceSpec::nvme_ssd(), FaultPlan::none());
+    mixed_workload_body(&mut heap);
     let events = heap.clock().tracer().events();
     (heap, events)
 }
@@ -74,7 +30,12 @@ fn run_traced(level: Level) -> (Heap, Vec<Event>) {
 fn trace_is_deterministic_for_a_fixed_workload() {
     let (heap_a, events_a) = run_traced(Level::Full);
     let (heap_b, events_b) = run_traced(Level::Full);
-    assert!(!events_a.is_empty(), "the churn workload must produce events");
+    assert!(!events_a.is_empty(), "the workload must produce events");
+    assert!(heap_a.stats().objects_promoted_h2 > 0, "the workload must promote to H2");
+    assert!(
+        heap_a.h2().unwrap().mmap().stats().page_faults() > 0,
+        "the workload must fault H2 pages"
+    );
     assert_eq!(events_a, events_b, "identical runs record identical traces");
     assert_eq!(heap_a.clock().total_ns(), heap_b.clock().total_ns());
     assert_eq!(heap_a.clock().tracer().emitted(), heap_b.clock().tracer().emitted());
@@ -102,112 +63,7 @@ fn tracing_level_never_perturbs_the_simulation() {
         assert_eq!(a.major_count, b.major_count);
         assert_eq!(a.minor_ns, b.minor_ns);
         assert_eq!(a.major_ns, b.major_ns);
+        assert_eq!(a.objects_promoted_h2, b.objects_promoted_h2);
         assert_eq!(a.phases, b.phases, "phase breakdowns unchanged by tracing");
     }
-}
-
-#[derive(Debug, Clone)]
-enum Op {
-    Alloc(u64),
-    Link(usize, usize),
-    Release(usize),
-    MinorGc,
-    MajorGc,
-    TagAndMove(usize, u64),
-    Stage,
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => range_u64(0..1000).prop_map(Op::Alloc),
-        3 => (range_usize(0..64), range_usize(0..64)).prop_map(|(a, b)| Op::Link(a, b)),
-        2 => range_usize(0..64).prop_map(Op::Release),
-        1 => Just(Op::MinorGc),
-        1 => Just(Op::MajorGc),
-        2 => (range_usize(0..64), range_u64(1..8)).prop_map(|(a, l)| Op::TagAndMove(a, l)),
-        1 => Just(Op::Stage),
-    ]
-}
-
-#[test]
-fn spans_are_well_nested_per_slot() {
-    check(
-        "spans_are_well_nested_per_slot",
-        &vec_of(op_strategy(), 1..80),
-        &Config::with_cases(64),
-        |ops: Vec<Op>| {
-            let cfg = HeapConfig::builder(4 << 10, 32 << 10)
-                .obs_level(Level::Full)
-                .build()
-                .unwrap();
-            let mut heap = Heap::new(cfg);
-            let h2cfg = test_h2();
-            let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
-            heap.attach_h2(h2cfg, &dev).unwrap();
-            let class = heap.register_class("PropNode", 1, 1);
-            let mut handles: Vec<Handle> = Vec::new();
-            let mut released: Vec<bool> = Vec::new();
-            for op in ops {
-                match op {
-                    Op::Alloc(v) => {
-                        let h = heap.alloc(class).unwrap();
-                        heap.write_prim(h, 0, v);
-                        handles.push(h);
-                        released.push(false);
-                    }
-                    Op::Link(a, b) => {
-                        if a < handles.len() && b < handles.len() && !released[a] && !released[b]
-                        {
-                            heap.write_ref(handles[a], 0, handles[b]);
-                        }
-                    }
-                    Op::Release(a) => {
-                        if a < handles.len() && !released[a] {
-                            heap.release(handles[a]);
-                            released[a] = true;
-                        }
-                    }
-                    Op::MinorGc => heap.gc_minor().unwrap(),
-                    Op::MajorGc => heap.gc_major().unwrap(),
-                    Op::TagAndMove(a, l) => {
-                        if a < handles.len() && !released[a] {
-                            heap.h2_tag_root(handles[a], Label::new(l));
-                            heap.h2_move(Label::new(l));
-                        }
-                    }
-                    Op::Stage => {
-                        let span = heap.span(SpanKind::Stage);
-                        heap.charge_ops(64);
-                        drop(span);
-                    }
-                }
-            }
-
-            let events = heap.clock().tracer().events();
-            let mut depth = [0i64; SPAN_COUNT];
-            let mut in_major = false;
-            let mut last_t = 0u64;
-            for e in &events {
-                prop_assert!(e.t_ns >= last_t, "events are time-ordered");
-                last_t = e.t_ns;
-                if let Some((slot, is_begin)) = e.kind.span_edge() {
-                    depth[slot] += if is_begin { 1 } else { -1 };
-                    prop_assert!(depth[slot] >= 0, "end before begin in slot {}", slot);
-                    prop_assert!(depth[slot] <= 1, "slot {} nested into itself", slot);
-                }
-                match e.kind {
-                    EventKind::GcBegin { gc: GcKind::Major, .. } => in_major = true,
-                    EventKind::GcEnd { gc: GcKind::Major, .. } => in_major = false,
-                    EventKind::PhaseBegin { .. } | EventKind::PhaseEnd { .. } => {
-                        prop_assert!(in_major, "phases only occur inside a major GC");
-                    }
-                    _ => {}
-                }
-            }
-            for (slot, d) in depth.iter().enumerate() {
-                prop_assert!(*d == 0, "slot {} left open at end of run", slot);
-            }
-            CaseResult::Pass
-        },
-    );
 }

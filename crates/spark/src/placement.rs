@@ -2,11 +2,11 @@
 //! Spark-side half).
 //!
 //! "GC or Serialization?" observes that the serialize-vs-H2 winner flips
-//! with S/D cost, reuse distance, and device latency. This module measures
-//! all three online — Kryo S/D ns from the block manager's own
-//! serialize/deserialize calls, reuse distance from the `BlockId` get
-//! stream, and device service time probed from the [`DeviceSpec`]s behind
-//! the serialized cache and H2 — and re-decides the placement of every
+//! with S/D cost, reuse, and device latency. This module measures all
+//! three online — Kryo S/D ns from the block manager's own
+//! serialize/deserialize calls, reuse as each RDD's gets per put, and
+//! device service time probed from the [`DeviceSpec`]s behind the
+//! serialized cache and H2 — and re-decides the placement of every
 //! partition on every put.
 //!
 //! Determinism: the model is pure integer arithmetic over counters that are
@@ -134,20 +134,16 @@ pub fn decide(i: &PlacementInputs) -> Placement {
 struct RddHistory {
     puts: u64,
     gets: u64,
-    last_get_tick: u64,
-    reuse_sum: u64,
-    reuse_samples: u64,
 }
 
 /// The stateful model: device specs probed once at construction, S/D cost
-/// and per-RDD reuse measured online.
+/// and per-RDD gets per put measured online.
 #[derive(Debug, Clone)]
 pub struct PlacementModel {
     sd_spec: DeviceSpec,
     h2_spec: Option<DeviceSpec>,
     serde_ns_per_kb: u64,
     gc_copy_ns_per_word: u64,
-    tick: u64,
     rdds: Vec<(u64, RddHistory)>,
 }
 
@@ -175,7 +171,6 @@ impl PlacementModel {
             h2_spec,
             serde_ns_per_kb: serde_ns_per_kb_prior.max(1),
             gc_copy_ns_per_word,
-            tick: 0,
             rdds: Vec::new(),
         }
     }
@@ -202,18 +197,9 @@ impl PlacementModel {
         self.history_mut(rdd).puts += 1;
     }
 
-    /// Records a get of a partition of `rdd`, advancing the global access
-    /// clock and updating the RDD's observed reuse distance.
+    /// Records a get of a partition of `rdd`.
     pub fn note_get(&mut self, rdd: u64) {
-        self.tick += 1;
-        let tick = self.tick;
-        let h = self.history_mut(rdd);
-        h.gets += 1;
-        if h.last_get_tick != 0 {
-            h.reuse_sum += tick - h.last_get_tick;
-            h.reuse_samples += 1;
-        }
-        h.last_get_tick = tick;
+        self.history_mut(rdd).gets += 1;
     }
 
     /// Folds one measured Kryo serialize or deserialize run (`ns` over
@@ -240,13 +226,6 @@ impl PlacementModel {
         } else {
             (h.gets / h.puts).clamp(DEFAULT_EXPECTED_GETS, MAX_EXPECTED_GETS)
         }
-    }
-
-    /// Mean observed reuse distance of `rdd` in get ticks (`u64::MAX` when
-    /// never re-accessed).
-    pub fn reuse_distance(&self, rdd: u64) -> u64 {
-        let h = self.history(rdd);
-        h.reuse_sum.checked_div(h.reuse_samples).unwrap_or(u64::MAX)
     }
 
     /// Builds the decision inputs for a partition of `rdd` about to be put.
@@ -381,9 +360,7 @@ mod tests {
             m.note_get(1);
         }
         assert_eq!(m.expected_gets(1), 8);
-        assert_eq!(m.reuse_distance(1), 1);
         assert_eq!(m.expected_gets(2), DEFAULT_EXPECTED_GETS);
-        assert_eq!(m.reuse_distance(2), u64::MAX);
         let before = m.serde_ns_per_kb();
         m.observe_serde(1024, 16_384);
         assert!(m.serde_ns_per_kb() > before, "EWMA moves toward slower measured S/D");

@@ -37,6 +37,22 @@ if grep -nE '^[^#]*\b(rand|proptest|criterion|crossbeam|parking_lot|bytes|serde)
 fi
 echo "ok"
 
+# The runtime's property suites share one mutator-program language
+# (crates/runtime/tests/common/program.rs); a second `enum Op` there would
+# fork it. TERAHEAP_BENCH_THREADS is the figure harness's host-thread knob:
+# if no code outside crates/bench/ names it, the simulation cannot read it.
+echo "== test layout guards: one program language, bench-only env knob =="
+if grep -rlE '^[[:space:]]*(pub[[:space:]]+)?enum[[:space:]]+Op\b' crates/runtime/tests \
+    | grep -v '^crates/runtime/tests/common/'; then
+    echo "ERROR: enum Op outside crates/runtime/tests/common/; extend the shared language instead." >&2
+    exit 1
+fi
+if grep -rl --include='*.rs' TERAHEAP_BENCH_THREADS crates src tests examples | grep -v '^crates/bench/'; then
+    echo "ERROR: TERAHEAP_BENCH_THREADS is read outside crates/bench/." >&2
+    exit 1
+fi
+echo "ok"
+
 echo "== offline release build =="
 cargo build --release --offline --workspace
 
@@ -56,7 +72,8 @@ teraheap_util/lib::rng::tests::sampling_      §6   every sampling helper's stre
 teraheap_storage/lib::mmap::reference::       §7   the page table + intrusive list is an exact LRU: random programs, and word-sized ones that mostly take the resident-hit early exit of `touch`, leave it and the recency-vector reference with the same statistics, ns, events, write-back log and recency order
 teraheap_workloads/lib::reference::           §7   the power-law generator written straight into CSR gives the two-pass generator's edge list and counting-sort adjacency, at 2-3,000 vertices and 1-40 edges per vertex
 teraheap_runtime/lib::gc::units::reference::  §7   the mark bitmap scan is the live set in relocation order; its rank-indexed forwarding answers every probe like the direct-mapped reference table
-teraheap_runtime/trace_equivalence::          §8   tracing observes the clock and never advances it
+teraheap_runtime/trace_equivalence::          §8   tracing observes the clock and never advances it, on the mixed workload the gc_equivalence golden pins
+teraheap_runtime/mutator_programs::spans_arm  §8   over random mutator programs, spans nest per slot and major-GC phases occur only inside a major GC
 teraheap_storage/bulk_equivalence::           §9   touch_run is bit-identical to the word-at-a-time loop: same ns, counters, events
 teraheap_runtime/bulk_equivalence::           §9   view_prims, view_prims_at, read_prims and the read_prim loop observe and charge the same, as do write_prims, fill_prims_at and the write_prim loop, on H1, paged and DAX H2 and across the Panthera NVM boundary; the pinned *_at accessors match the handle accessors across minor and major GCs, H2 promotion of the pinned object and a sliced cycle in flight
 mini_giraph/charge_pin::                      §9   the superstep loop, message stores and OOC blob path: per-category ns, GC counts, offloads/reloads, charge-call counts, checksum (golden)
@@ -64,11 +81,14 @@ mini_spark/charge_pin::                       §9   the scan loops, block manage
 kryo_sim/stream_pin::                         §9   stream bytes, size estimate and every charge of serialize, serialized_size and deserialize (golden)
 teraheap_storage/lib::fault::tests::parse_     §10  TERAHEAP_FAULTS parsing: the documented keys round-trip; fuzzed strings never panic; an unknown key or a value too large for its u32 field is ignored, never turning a plan off
 teraheap_storage/crash_consistency::          §10  the crash sweep passes at every write-back boundary with zero silent-corruption escapes
-teraheap_runtime/fault_recovery::             §10  the recovery properties; also holds the chaos_smoke_* tests the faults smoke stage drives
+teraheap_runtime/fault_recovery::             §10  the exhaustive crash sweep recovers at every write-back boundary; also holds the chaos_smoke_* tests the faults smoke stage drives
+teraheap_runtime/mutator_programs::faults_arm §10  a random fault plan never corrupts a payload, and H2 degrades only under ENOSPC or write errors
 teraheap_runtime/fault_equivalence::          §10  a zero-rate fault plane is bit-identical to no plane at all
 teraheap_runtime/gc_equivalence::             §11  simulated ns, phase breakdowns and graph checksum over variant x gc_threads x pause budget x armed fault plane (golden), the armed-idle run, and (§12) that a sole tenant never queues
-teraheap_runtime/lane_determinism::           §11  lane accounting is deterministic across runs, thread counts and host parallelism
-teraheap_runtime/incremental_marking::        §11  a pause-budgeted run converges to the stop-world logical heap at any budget and lane count; slices replay bit-identically
+teraheap_runtime/mutator_programs::graph_arm  §6   random mutator programs leave the heap equal to a shadow logical graph (the oracle every arm runs)
+teraheap_runtime/mutator_programs::product_arm §6  the oracle and the armed checker hold over variant x lanes x pause budget x adaptive x device x fault plan
+teraheap_runtime/mutator_programs::lanes_arm  §11  lane accounting is deterministic across runs, thread counts and host parallelism
+teraheap_runtime/incremental_marking::        §11  the incremental arm: a pause-budgeted run converges to the stop-world logical heap, H2 residency included, at any budget and lane count; runs replay bit-identically
 teraheap_storage/lib::shared::reference::     §12  the FIFO device clock gives the waits, device virtual time and per-tenant counters of the equal-weight start-time fair queue it replaced, over 1-8 tenants with production-style and arbitrary arrivals
 teraheap_server/lib::                         §12  N-tenant server runs are deterministic, with typed config rejection
 teraheap_runtime/fault_isolation::            §12  one tenant's injected crash leaves its neighbours' simulated time, heap census and arbitration counters untouched
