@@ -3,7 +3,7 @@
 //! only builds independent simulation jobs and a pure `render` from their
 //! ordered results to text, CSV rows and failed self-gates. [`run`] is the
 //! only code that executes jobs; the `figures` binary the only one touching
-//! disk. DESIGN.md §4 has the experiment index.
+//! disk. EXPERIMENTS.md has one section per entry, paper vs measured.
 
 use crate::harness::{run_parallel, Job, Rendered};
 use std::any::Any;

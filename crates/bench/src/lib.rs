@@ -1,7 +1,7 @@
 //! Benchmark harness for the TeraHeap reproduction.
 //!
 //! The paper's evaluation is one table, [`figures::table`], run by the
-//! `figures` binary (see DESIGN.md §4 for the experiment index); `micro`
+//! `figures` binary (EXPERIMENTS.md has one section per entry); `micro`
 //! holds the wall-clock micro-benchmarks. The [`harness`] module holds the
 //! scaled Table 3/Table 4 configurations and the pieces the figures share.
 

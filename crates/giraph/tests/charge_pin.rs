@@ -61,9 +61,9 @@ fn config(mode: Mode) -> GiraphConfig {
     };
     let mut cfg = GiraphConfig::small(giraph_mode);
     cfg.heap = heap;
-    // Charge-call counts are kept from `counters` up, whatever TERAHEAP_OBS
-    // says.
-    cfg.heap.obs_level = Some(Level::Counters);
+    // Charge-call counts are kept only with the recorder on, whatever
+    // TERAHEAP_OBS says.
+    cfg.heap.obs_level = Some(Level::Full);
     cfg.partitions = 4;
     cfg.max_supersteps = 5;
     cfg.use_move_hint = mode != Mode::TeraHeapNoHint;

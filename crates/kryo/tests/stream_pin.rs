@@ -16,16 +16,11 @@ use teraheap_runtime::obs::Level;
 use teraheap_runtime::{Handle, Heap, HeapConfig};
 use teraheap_storage::Category;
 use teraheap_util::golden::Golden;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
-}
+use teraheap_util::Fnv;
 
 fn heap() -> Heap {
     let mut config = HeapConfig::with_words(16 << 10, 64 << 10);
-    config.obs_level = Some(Level::Counters);
+    config.obs_level = Some(Level::Full);
     Heap::new(config)
 }
 
@@ -132,8 +127,10 @@ fn capture(build: Build) -> Row {
 
     // The copy is the same graph: it serializes to the same stream.
     assert_eq!(kryo_sim::serialize(&mut heap, copy).unwrap(), bytes);
+    let mut stream_fnv = Fnv::new();
+    stream_fnv.push_bytes(&bytes);
     [
-        fnv1a(&bytes),
+        stream_fnv.finish(),
         bytes.len() as u64,
         size as u64,
         sd1 - sd0,

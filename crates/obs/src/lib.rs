@@ -3,8 +3,8 @@
 //! Every component that shares a `SimClock` (the heap, both GC paths, the H2
 //! promotion pipeline, `MmapSim`, the device layer and the framework shims)
 //! reports what it is doing through one [`Tracer`]: a fixed-capacity ring
-//! buffer of typed, timestamped [`Event`]s plus cheap per-class counters and
-//! per-span duration histograms.
+//! buffer of typed, timestamped [`Event`]s plus per-class event counts and
+//! per-category charge counts.
 //!
 //! The recorder *observes* simulated time, it never advances it: emitting an
 //! event reads the clock that the caller already charged, so enabling or
@@ -16,15 +16,16 @@
 //! - [`Event`] / [`EventKind`]: the typed taxonomy (GC begin/end with cause,
 //!   GC phases, card scans, H2 promotion flushes, page faults/evictions/
 //!   write-backs, device reads/writes, mutator spans, OOM).
-//! - [`Tracer`]: level-gated sink. `Off` drops everything, `Counters` keeps
-//!   the per-class counters and span histograms, `Full` (the default) also
-//!   records events into the ring buffer.
+//! - [`Tracer`]: level-gated sink. `Off` drops everything, `Full` (the
+//!   default) records every event into the ring and every charge into its
+//!   category's counter.
 //! - [`timeline`]: the deterministic JSONL exporter and the
 //!   [`timeline::gc_cycles`] pairing used by `fig7_timeline`.
 //! - [`Tracer::crash_dump`]: writes the last events as JSONL when the runtime
 //!   hits an OOM, gated by `TERAHEAP_OBS_DUMP` so default runs stay quiet.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use teraheap_util::sync::Mutex;
 
@@ -87,33 +88,22 @@ impl Category {
     }
 }
 
-/// How much the tracer records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Whether the tracer records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Level {
     /// Record nothing; every emit is a cheap early return.
-    Off = 0,
-    /// Keep per-class counters and span histograms, but no ring events.
-    Counters = 1,
-    /// Counters plus the full event ring (the default).
-    Full = 2,
+    Off,
+    /// Ring events, per-class counts and charge counts (the default).
+    Full,
 }
 
 impl Level {
-    fn from_u8(v: u8) -> Level {
-        match v {
-            0 => Level::Off,
-            1 => Level::Counters,
-            _ => Level::Full,
-        }
-    }
-
-    /// Parses `TERAHEAP_OBS` (`off`/`counters`/`full`, or `0`/`1`/`2`).
-    /// Unset or unrecognised values mean [`Level::Full`]: tracing is on by
-    /// default, which is exactly what the determinism suite exercises.
+    /// Parses `TERAHEAP_OBS`: `off` or `0` mean [`Level::Off`]; unset or any
+    /// other value means [`Level::Full`]. Tracing is on by default, which
+    /// is exactly what the determinism suite exercises.
     pub fn from_env() -> Level {
         match std::env::var("TERAHEAP_OBS").as_deref() {
             Ok("off") | Ok("0") => Level::Off,
-            Ok("counters") | Ok("1") => Level::Counters,
             _ => Level::Full,
         }
     }
@@ -405,22 +395,9 @@ pub const QUERY_OP_NAMES: [&str; 3] = ["point_lookup", "range_scan", "aggregate"
 /// Number of distinct event classes (counter array dimension).
 pub const CLASS_COUNT: usize = 33;
 
-/// Number of span slots tracked by the duration histograms: minor/major GC,
-/// the four major phases, the [`SpanKind`]s, then incremental GC slices.
+/// Number of span slots [`EventKind::span_edge`] distinguishes: minor/major
+/// GC, the four major phases, the [`SpanKind`]s, then incremental GC slices.
 pub const SPAN_COUNT: usize = 9;
-
-/// Display names for the span slots, indexed like the histograms.
-pub const SPAN_NAMES: [&str; SPAN_COUNT] = [
-    "minor_gc",
-    "major_gc",
-    "major_mark",
-    "major_precompact",
-    "major_adjust",
-    "major_compact",
-    "stage",
-    "shuffle",
-    "major_slice",
-];
 
 impl EventKind {
     /// Short lowercase name used by the exporters and counter listing.
@@ -505,7 +482,7 @@ impl EventKind {
     ];
 
     /// If this event opens or closes a span, returns `(slot, is_begin)`
-    /// where `slot` indexes [`SPAN_NAMES`].
+    /// where `slot` is below [`SPAN_COUNT`].
     pub fn span_edge(&self) -> Option<(usize, bool)> {
         match self {
             EventKind::GcBegin { gc: GcKind::Minor, .. } => Some((0, true)),
@@ -557,57 +534,46 @@ pub struct Event {
 /// timeline raise it via `HeapConfig::obs_events`.
 pub const DEFAULT_RING_EVENTS: usize = 64 * 1024;
 
-/// Aggregated duration statistics for one span slot, in simulated ns.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanStats {
-    pub name: &'static str,
-    /// Completed begin/end pairs.
-    pub count: usize,
-    /// Begins without a matching end at snapshot time.
-    pub open: usize,
-    pub mean_ns: f64,
-    pub p50_ns: f64,
-    pub p99_ns: f64,
-    pub p999_ns: f64,
-    pub max_ns: u64,
+/// Everything an event touches, under the tracer's one lock.
+struct Ring {
+    events: VecDeque<Event>,
+    capacity: usize,
+    /// Events emitted since the last clear: the next sequence number.
+    seq: u64,
+    /// Events pushed out of the ring because it was full.
+    dropped: u64,
+    /// Events emitted per class (kept even when the ring overflows).
+    counts: [u64; CLASS_COUNT],
 }
 
-struct Inner {
-    ring: std::collections::VecDeque<Event>,
-    /// Per-slot stack of open span start times (simulated ns).
-    open: [Vec<u64>; SPAN_COUNT],
-    /// Per-slot completed span durations (simulated ns).
-    durations: [Vec<u64>; SPAN_COUNT],
-}
-
-impl Inner {
-    fn new() -> Inner {
-        Inner {
-            ring: std::collections::VecDeque::new(),
-            open: std::array::from_fn(|_| Vec::new()),
-            durations: std::array::from_fn(|_| Vec::new()),
+impl Ring {
+    fn push(&mut self, t_ns: u64, kind: EventKind) {
+        self.counts[kind.class()] += 1;
+        if self.events.len() >= self.capacity {
+            self.events.pop_front();
+            self.dropped += 1;
         }
+        self.events.push_back(Event { seq: self.seq, t_ns, kind });
+        self.seq += 1;
     }
 }
 
 /// The flight recorder. One `Tracer` lives inside each `SimClock`, so every
 /// component that shares the clock shares the recorder.
 ///
-/// Thread-safety: counters are relaxed atomics; the ring and span state sit
-/// behind a mutex taken only on coarse events. The parallel bench driver
-/// gives every job its own clock (and thus its own tracer), so traces are
-/// per-run and deterministic regardless of thread count.
+/// Thread-safety: the level and the per-category charge counters are
+/// relaxed atomics; everything an event touches (ring, capacity, sequence
+/// number, drop count, per-class counts) sits behind one mutex, taken once
+/// per event. The parallel bench driver gives every job its own clock (and
+/// thus its own tracer), so traces are per-run and deterministic regardless
+/// of thread count.
 pub struct Tracer {
-    level: AtomicU8,
-    capacity: AtomicUsize,
-    seq: AtomicU64,
-    dropped: AtomicU64,
-    /// Events emitted per class (kept even when the ring overflows).
-    counts: [AtomicU64; CLASS_COUNT],
+    /// True at [`Level::Full`].
+    on: AtomicBool,
     /// `SimClock::charge` calls per category — the cheap "charging routes
     /// through the tracer" hook; no ring traffic on the per-word hot path.
     charges: [AtomicU64; Category::COUNT],
-    inner: Mutex<Inner>,
+    ring: Mutex<Ring>,
 }
 
 impl Default for Tracer {
@@ -619,10 +585,11 @@ impl Default for Tracer {
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ring = self.ring.lock();
         f.debug_struct("Tracer")
             .field("level", &self.level())
-            .field("seq", &self.seq.load(Ordering::Relaxed))
-            .field("dropped", &self.dropped())
+            .field("seq", &ring.seq)
+            .field("dropped", &ring.dropped)
             .finish()
     }
 }
@@ -631,46 +598,52 @@ impl Tracer {
     /// A tracer at an explicit level with the default ring capacity.
     pub fn with_level(level: Level) -> Tracer {
         Tracer {
-            level: AtomicU8::new(level as u8),
-            capacity: AtomicUsize::new(DEFAULT_RING_EVENTS),
-            seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+            on: AtomicBool::new(level == Level::Full),
             charges: std::array::from_fn(|_| AtomicU64::new(0)),
-            inner: Mutex::new(Inner::new()),
+            ring: Mutex::new(Ring {
+                events: VecDeque::new(),
+                capacity: DEFAULT_RING_EVENTS,
+                seq: 0,
+                dropped: 0,
+                counts: [0; CLASS_COUNT],
+            }),
         }
     }
 
     /// Current recording level.
     pub fn level(&self) -> Level {
-        Level::from_u8(self.level.load(Ordering::Relaxed))
+        if self.enabled() {
+            Level::Full
+        } else {
+            Level::Off
+        }
     }
 
     /// Changes the recording level (applies to subsequent events).
     pub fn set_level(&self, level: Level) {
-        self.level.store(level as u8, Ordering::Relaxed);
+        self.on.store(level == Level::Full, Ordering::Relaxed);
     }
 
-    /// True when any recording is happening — callers can skip computing
+    /// True when recording is on — callers can skip computing
     /// timestamps/payloads entirely when the tracer is off.
+    #[inline]
     pub fn enabled(&self) -> bool {
-        self.level() != Level::Off
+        self.on.load(Ordering::Relaxed)
     }
 
     /// Resizes the ring (oldest events are dropped if shrinking).
     pub fn set_capacity(&self, events: usize) {
-        let cap = events.max(1);
-        self.capacity.store(cap, Ordering::Relaxed);
-        let mut inner = self.inner.lock();
-        while inner.ring.len() > cap {
-            inner.ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        let mut ring = self.ring.lock();
+        ring.capacity = events.max(1);
+        while ring.events.len() > ring.capacity {
+            ring.events.pop_front();
+            ring.dropped += 1;
         }
     }
 
     /// Ring capacity in events.
     pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
+        self.ring.lock().capacity
     }
 
     /// Records one event observed at simulated instant `t_ns`.
@@ -678,36 +651,8 @@ impl Tracer {
     /// This never touches the clock: the timestamp is whatever the caller
     /// already read, so tracing cannot perturb simulated time.
     pub fn emit(&self, t_ns: u64, kind: EventKind) {
-        let level = self.level();
-        if level == Level::Off {
-            return;
-        }
-        self.counts[kind.class()].fetch_add(1, Ordering::Relaxed);
-        let edge = kind.span_edge();
-        if level < Level::Full && edge.is_none() {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        match edge {
-            Some((slot, true)) => inner.open[slot].push(t_ns),
-            Some((slot, false)) => {
-                // Tolerate an end without a begin (e.g. the tracer was
-                // enabled mid-span); it just doesn't produce a sample.
-                if let Some(start) = inner.open[slot].pop() {
-                    let d = t_ns.saturating_sub(start);
-                    inner.durations[slot].push(d);
-                }
-            }
-            None => {}
-        }
-        if level == Level::Full {
-            let cap = self.capacity.load(Ordering::Relaxed);
-            if inner.ring.len() >= cap {
-                inner.ring.pop_front();
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            inner.ring.push_back(Event { seq, t_ns, kind });
+        if self.enabled() {
+            self.ring.lock().push(t_ns, kind);
         }
     }
 
@@ -721,10 +666,7 @@ impl Tracer {
     /// count is exact). Never takes the ring mutex.
     #[inline]
     pub fn note_charge(&self, cat: Category) {
-        if self.level.load(Ordering::Relaxed) != Level::Off as u8 {
-            let c = &self.charges[cat.index()];
-            c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        }
+        self.note_charges(cat, 1);
     }
 
     /// Bulk form of [`Tracer::note_charge`]: records `n` charge calls in one
@@ -733,7 +675,7 @@ impl Tracer {
     /// per-word loop it replaces would have.
     #[inline]
     pub fn note_charges(&self, cat: Category, n: u64) {
-        if n > 0 && self.level.load(Ordering::Relaxed) != Level::Off as u8 {
+        if n > 0 && self.enabled() {
             let c = &self.charges[cat.index()];
             c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
         }
@@ -741,27 +683,23 @@ impl Tracer {
 
     /// Snapshot of the ring contents, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        let inner = self.inner.lock();
-        inner.ring.iter().copied().collect()
+        self.ring.lock().events.iter().copied().collect()
     }
 
     /// Events dropped because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.lock().dropped
     }
 
     /// Total events emitted (recorded + dropped), i.e. the next seq number.
     pub fn emitted(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
+        self.ring.lock().seq
     }
 
     /// Per-class event counts as `(name, count)`, classes with zero included.
     pub fn counts(&self) -> Vec<(&'static str, u64)> {
-        EventKind::CLASS_NAMES
-            .iter()
-            .zip(self.counts.iter())
-            .map(|(name, c)| (*name, c.load(Ordering::Relaxed)))
-            .collect()
+        let ring = self.ring.lock();
+        EventKind::CLASS_NAMES.iter().copied().zip(ring.counts).collect()
     }
 
     /// `SimClock::charge` call counts per category, indexed by
@@ -770,58 +708,15 @@ impl Tracer {
         std::array::from_fn(|i| self.charges[i].load(Ordering::Relaxed))
     }
 
-    /// Duration statistics (p50/p99/p99.9 via `teraheap-util`'s percentile)
-    /// for every span slot that saw at least one begin.
-    pub fn span_stats(&self) -> Vec<SpanStats> {
-        let inner = self.inner.lock();
-        let mut out = Vec::new();
-        for (slot, name) in SPAN_NAMES.iter().enumerate() {
-            let open = inner.open[slot].len();
-            let d = &inner.durations[slot];
-            if d.is_empty() && open == 0 {
-                continue;
-            }
-            let mut sorted: Vec<f64> = d.iter().map(|&n| n as f64).collect();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let (mean, p50, p99, p999) = if sorted.is_empty() {
-                (0.0, 0.0, 0.0, 0.0)
-            } else {
-                (
-                    sorted.iter().sum::<f64>() / sorted.len() as f64,
-                    teraheap_util::microbench::percentile(&sorted, 0.50),
-                    teraheap_util::microbench::percentile(&sorted, 0.99),
-                    teraheap_util::microbench::percentile(&sorted, 0.999),
-                )
-            };
-            out.push(SpanStats {
-                name,
-                count: d.len(),
-                open,
-                mean_ns: mean,
-                p50_ns: p50,
-                p99_ns: p99,
-                p999_ns: p999,
-                max_ns: d.iter().copied().max().unwrap_or(0),
-            });
-        }
-        out
-    }
-
-    /// Clears ring, counters, histograms and sequence numbers (level and
-    /// capacity are kept). Paired with `SimClock::reset`.
+    /// Clears ring, counts and sequence numbers (level and capacity are
+    /// kept). Paired with `SimClock::reset`.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.ring.clear();
-        for v in inner.open.iter_mut() {
-            v.clear();
-        }
-        for v in inner.durations.iter_mut() {
-            v.clear();
-        }
-        drop(inner);
-        self.seq.store(0, Ordering::Relaxed);
-        self.dropped.store(0, Ordering::Relaxed);
-        for c in self.counts.iter().chain(self.charges.iter()) {
+        let mut ring = self.ring.lock();
+        ring.events.clear();
+        ring.seq = 0;
+        ring.dropped = 0;
+        ring.counts = [0; CLASS_COUNT];
+        for c in &self.charges {
             c.store(0, Ordering::Relaxed);
         }
     }
@@ -836,7 +731,7 @@ impl Tracer {
         let Ok(path) = std::env::var("TERAHEAP_OBS_DUMP") else {
             return 0;
         };
-        if path.is_empty() || self.level() != Level::Full {
+        if path.is_empty() || !self.enabled() {
             return 0;
         }
         let events = self.events();
@@ -864,6 +759,8 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teraheap_util::proptest_mini::{check, range_usize, vec_of, CaseResult, Config};
+    use teraheap_util::{prop_assert, prop_assert_eq};
 
     fn ev(kind: EventKind) -> EventKind {
         kind
@@ -927,25 +824,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_level_keeps_stats_but_no_ring() {
-        let t = Tracer::with_level(Level::Counters);
-        t.emit(0, EventKind::GcBegin { gc: GcKind::Minor, cause: GcCause::AllocFailure, old_used_words: 1 });
-        t.emit(7, EventKind::GcEnd { gc: GcKind::Minor, old_used_words: 2, old_capacity_words: 8, promoted_h2_words: 0 });
-        t.emit(9, EventKind::PageFault { sequential: false });
-        t.note_charge(Category::Io);
-        assert!(t.events().is_empty());
-        let counts = t.counts();
-        assert_eq!(counts[0], ("gc_begin", 1));
-        assert_eq!(counts[8], ("page_fault", 1));
-        assert_eq!(t.charge_counts()[Category::Io.index()], 1);
-        let stats = t.span_stats();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].name, "minor_gc");
-        assert_eq!(stats[0].count, 1);
-        assert_eq!(stats[0].max_ns, 7);
-    }
-
-    #[test]
     fn ring_wraps_and_counts_drops() {
         let t = Tracer::with_level(Level::Full);
         t.set_capacity(4);
@@ -960,22 +838,42 @@ mod tests {
         assert_eq!(events[3].kind, EventKind::DeviceRead { bytes: 9 });
     }
 
+    /// The one lock's contract, after every step of a random sequence of
+    /// emits, capacity changes (shrink and grow), level flips and clears:
+    /// every emitted event is in the ring or counted as dropped, the
+    /// per-class counts sum to the events emitted, and the ring holds the
+    /// newest events under contiguous sequence numbers.
     #[test]
-    fn span_histogram_pairs_begin_end() {
-        let t = Tracer::with_level(Level::Full);
-        t.emit(100, EventKind::SpanBegin { kind: SpanKind::Stage });
-        t.emit(150, EventKind::SpanBegin { kind: SpanKind::Stage });
-        t.emit(160, EventKind::SpanEnd { kind: SpanKind::Stage });
-        t.emit(400, EventKind::SpanEnd { kind: SpanKind::Stage });
-        let stats = t.span_stats();
-        let stage = stats.iter().find(|s| s.name == "stage").unwrap();
-        assert_eq!(stage.count, 2);
-        assert_eq!(stage.open, 0);
-        // Durations are 10 (inner) and 300 (outer, LIFO pairing); the
-        // nearest-rank p50 of two samples rounds up to the larger one.
-        assert_eq!(stage.max_ns, 300);
-        assert_eq!(stage.p50_ns, 300.0);
-        assert_eq!(stage.mean_ns, 155.0);
+    fn ring_counts_and_drops_agree_after_every_step() {
+        let steps = vec_of((range_usize(0..10), range_usize(1..12)), 1..200);
+        check(
+            "ring_counts_and_drops_agree_after_every_step",
+            &steps,
+            &Config::with_cases(128),
+            |steps: Vec<(usize, usize)>| {
+                let t = Tracer::with_level(Level::Full);
+                t.set_capacity(8);
+                for (i, &(op, arg)) in steps.iter().enumerate() {
+                    match op {
+                        0..=5 if arg % 2 == 0 => t.emit(i as u64, EventKind::Oom),
+                        0..=5 => t.emit(i as u64, EventKind::DeviceRead { bytes: arg as u64 }),
+                        6 | 7 => t.set_capacity(arg),
+                        8 if arg % 2 == 0 => t.set_level(Level::Off),
+                        8 => t.set_level(Level::Full),
+                        _ => t.clear(),
+                    }
+                    let (events, emitted) = (t.events(), t.emitted());
+                    let len = events.len() as u64;
+                    prop_assert_eq!(emitted, len + t.dropped(), "step {i}: ring + dropped");
+                    let counted: u64 = t.counts().iter().map(|&(_, c)| c).sum();
+                    prop_assert_eq!(counted, emitted, "step {i}: per-class counts");
+                    let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+                    prop_assert_eq!(seqs, (emitted - len..emitted).collect::<Vec<_>>(), "step {i}");
+                    prop_assert!(events.len() <= t.capacity(), "step {i}: over capacity");
+                }
+                CaseResult::Pass
+            },
+        );
     }
 
     #[test]

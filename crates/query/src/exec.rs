@@ -19,9 +19,9 @@
 //! per-op buffers are the match list, the candidate list and the bitmap,
 //! and they are reused across ops ([`ExecBuffers`]).
 
-use crate::report::Fnv;
 use crate::table::Table;
 use teraheap_runtime::Heap;
+use teraheap_util::Fnv;
 
 /// An inclusive range predicate on one column (`lo == hi` is a point
 /// lookup).

@@ -34,7 +34,8 @@ pub mod table;
 
 pub use exec::{run_query, Agg, Predicate, Query, QueryResult};
 pub use index::{RunMeta, SortedRunIndex};
-pub use report::{Fnv, LatencyHistogram, LatencySummary, QueryReport};
+pub use report::{LatencyHistogram, LatencySummary, QueryReport};
+pub use teraheap_util::Fnv;
 pub use session::{
     gen_rows, op_for, run_query_plane, run_tenant_round, OpKind, OpSpec, QueryPlaneConfig, COLS,
 };

@@ -1,37 +1,5 @@
 //! Latency histograms and the session driver's report.
 
-/// FNV-1a over a stream of `u64`s — the workspace's standard
-/// mode-independent answer checksum (same constants as the
-/// `gc_equivalence` goldens).
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv(u64);
-
-impl Fnv {
-    /// Fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-
-    /// Folds one word into the hash, little-endian byte order.
-    pub fn push(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// A per-operation latency population with per-mille quantiles.
 ///
 /// Samples are simulated ns; the histogram itself is host-side
@@ -62,9 +30,8 @@ impl LatencyHistogram {
         self.samples.is_empty()
     }
 
-    /// The `q`‰ quantile (q in 1..=1000), computed like the server plane's
-    /// p99: index `ceil(len·q/1000) - 1` of the sorted population. 0 when
-    /// empty.
+    /// The `q`‰ quantile (q in 1..=1000) by nearest rank: index
+    /// `ceil(len·q/1000) - 1` of the sorted population. 0 when empty.
     pub fn quantile_permille(&self, q: u64) -> u64 {
         if self.samples.is_empty() {
             return 0;

@@ -20,7 +20,7 @@
 //! bit-identical across session counts, devices, and hot fractions.
 
 use crate::exec::{run_query, Agg, Predicate, Query, QueryResult};
-use crate::report::{Fnv, LatencyHistogram, QueryReport};
+use crate::report::{LatencyHistogram, QueryReport};
 use crate::table::{Table, TableConfig, TablePlacement};
 use std::sync::Arc;
 use teraheap_runtime::obs::EventKind;
@@ -28,6 +28,7 @@ use teraheap_runtime::{Heap, HeapConfig, OomError};
 use teraheap_storage::{DeviceSpec, SharedDevice, SimClock};
 use teraheap_core::H2Config;
 use teraheap_util::rng::Rng;
+use teraheap_util::Fnv;
 
 /// Columns per table: key, value, value2.
 pub const COLS: usize = 3;
@@ -223,6 +224,17 @@ fn build_tenant(
     Ok(Tenant { heap, hot, cold })
 }
 
+/// Serves operation `spec` for logical session `session` on `tenant`: runs
+/// it against the hot or cold table copy, bracketed by `QueryBegin` and
+/// `QueryEnd` events.
+fn serve(tenant: &mut Tenant, session: u32, spec: &OpSpec) -> QueryResult {
+    tenant.heap.clock().emit(EventKind::QueryBegin { session, kind: spec.kind.index() as u8 });
+    let table = if spec.hot { &mut tenant.hot } else { &mut tenant.cold };
+    let res = run_query(&mut tenant.heap, table, &spec.query, spec.use_index);
+    tenant.heap.clock().emit(EventKind::QueryEnd { session, rows: res.rows_matched });
+    res
+}
+
 /// Runs the configured plane to completion.
 ///
 /// # Errors
@@ -288,17 +300,8 @@ pub fn run_query_plane(cfg: &QueryPlaneConfig) -> Result<QueryReport, OomError> 
         let t = s % cfg.tenants;
         let tenant = &mut tenants[t];
         let clock_before = tenant.heap.clock().total_ns();
-        tenant.heap.clock().emit(EventKind::QueryBegin {
-            session: s as u32,
-            kind: spec.kind.index() as u8,
-        });
-        let table = if spec.hot { &mut tenant.hot } else { &mut tenant.cold };
-        let res: QueryResult = run_query(&mut tenant.heap, table, &spec.query, spec.use_index);
+        let res = serve(tenant, s as u32, spec);
         let clock_after = tenant.heap.clock().total_ns();
-        tenant.heap.clock().emit(EventKind::QueryEnd {
-            session: s as u32,
-            rows: res.rows_matched,
-        });
         // Closed-loop accounting: service starts when both the client has
         // issued (ready) and the tenant is free (its clock).
         let issue = sessions[s].ready_ns;
@@ -374,14 +377,7 @@ pub fn run_tenant_round(
     let mut fnv = Fnv::new();
     for i in 0..cfg.total_ops {
         let spec = op_for(&cfg, &contents, i);
-        let s = (i % sessions) as u32;
-        tenant.heap.clock().emit(EventKind::QueryBegin {
-            session: s,
-            kind: spec.kind.index() as u8,
-        });
-        let table = if spec.hot { &mut tenant.hot } else { &mut tenant.cold };
-        let res = run_query(&mut tenant.heap, table, &spec.query, spec.use_index);
-        tenant.heap.clock().emit(EventKind::QueryEnd { session: s, rows: res.rows_matched });
+        let res = serve(&mut tenant, (i % sessions) as u32, &spec);
         fnv.push(i as u64);
         fnv.push(res.checksum);
         fnv.push(res.rows_matched);

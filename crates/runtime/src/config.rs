@@ -450,19 +450,19 @@ mod tests {
         let cfg = HeapConfig::builder(64 << 10, 256 << 10)
             .gc_threads(8)
             .pause_budget_ns(25_000)
-            .obs_level(Level::Counters)
+            .obs_level(Level::Full)
             .obs_events(1 << 12)
             .build()
             .unwrap();
         assert_eq!(cfg.gc_threads, 8);
         assert_eq!(cfg.pause_budget_ns, 25_000);
-        assert_eq!(cfg.obs_level, Some(Level::Counters));
+        assert_eq!(cfg.obs_level, Some(Level::Full));
         assert_eq!(cfg.obs_events, 1 << 12);
         assert_eq!(cfg, { // builder with no overrides == with_words
             let mut c = HeapConfig::with_words(64 << 10, 256 << 10);
             c.gc_threads = 8;
             c.pause_budget_ns = 25_000;
-            c.obs_level = Some(Level::Counters);
+            c.obs_level = Some(Level::Full);
             c.obs_events = 1 << 12;
             c
         });

@@ -11,6 +11,7 @@ pub mod program;
 use teraheap_core::{H2Config, Label};
 use teraheap_runtime::{Handle, Heap, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
 use teraheap_storage::{DeviceSpec, FaultPlan, SharedDevice};
+use teraheap_util::Fnv;
 
 /// The columns of `tests/golden/gc_equivalence.txt`: what the
 /// `gc_equivalence` suite captures of one run of [`mixed_workload_body`].
@@ -44,23 +45,6 @@ pub const DEFAULT_ARM: &str = "Ps-t1-b0";
 /// The position of a [`COLUMNS`] name in a captured row.
 pub fn column(name: &str) -> usize {
     COLUMNS.iter().position(|&c| c == name).expect("a gc_equivalence column")
-}
-
-/// FNV-1a over a stream of u64s — deterministic, dependency-free.
-pub struct Fnv(u64);
-
-impl Fnv {
-    pub fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    pub fn push(&mut self, v: u64) {
-        let mut h = self.0;
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
 }
 
 /// Checksums the reachable object graph through the public mutator API in
@@ -119,7 +103,7 @@ pub fn graph_checksum(heap: &mut Heap, roots: &[Handle]) -> u64 {
         }
         heap.release(h);
     }
-    fnv.0
+    fnv.finish()
 }
 
 /// The H2 the mixed workload attaches.

@@ -11,6 +11,7 @@ use crate::config::{ConfigError, ServerConfig, TenantWorkload};
 use mini_giraph::{run_giraph_on, GiraphConfig, GiraphMode};
 use mini_spark::{run_workload_on, ExecMode, SparkConfig, SparkContext};
 use std::sync::Arc;
+use teraheap_query::LatencyHistogram;
 use teraheap_runtime::Heap;
 use teraheap_storage::obs::EventKind;
 use teraheap_storage::{SharedDevice, SimClock, TenantId, TenantIo};
@@ -147,18 +148,17 @@ impl Server {
         let tenants: Vec<TenantReport> = (0..n)
             .map(|i| {
                 let spec = &self.config.tenants[i];
-                let mut sorted = round_ns[i].clone();
-                sorted.sort_unstable();
-                let p99_idx = (sorted.len() * 99).div_ceil(100).saturating_sub(1);
-                let total: u64 = round_ns[i].iter().sum();
+                let mut latency = LatencyHistogram::new();
+                round_ns[i].iter().for_each(|&ns| latency.record(ns));
+                let latency = latency.summary();
                 TenantReport {
                     name: spec.name.clone(),
                     workload: spec.workload.name(),
                     rounds: round_ns[i].len(),
                     oom_rounds: oom_rounds[i],
                     total_ns: self.clocks[i].total_ns(),
-                    p99_round_ns: sorted.get(p99_idx).copied().unwrap_or(0),
-                    mean_round_ns: total / (round_ns[i].len().max(1) as u64),
+                    p99_round_ns: latency.p99_ns,
+                    mean_round_ns: latency.mean_ns,
                     round_ns: round_ns[i].clone(),
                     io: self.device.tenant_io(self.ids[i]).unwrap_or_default(),
                     deferrals: 0,

@@ -71,9 +71,9 @@ fn config(workload: Workload, mode: Mode, pause_budget_ns: u64) -> SparkConfig {
         .pause_budget_ns(pause_budget_ns)
         .build()
         .expect("valid heap config");
-    // Charge-call counts are kept from `counters` up, whatever TERAHEAP_OBS
-    // says.
-    heap.obs_level = Some(Level::Counters);
+    // Charge-call counts are kept only with the recorder on, whatever
+    // TERAHEAP_OBS says.
+    heap.obs_level = Some(Level::Full);
     let mode = match mode {
         Mode::SparkSd => ExecMode::SparkSd { device },
         Mode::OnHeap => ExecMode::OnHeap,

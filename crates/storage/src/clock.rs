@@ -510,12 +510,12 @@ mod tests {
     #[test]
     fn charge_batched_matches_charge_loop() {
         let looped = SimClock::new();
-        looped.tracer().set_level(Level::Counters);
+        looped.tracer().set_level(Level::Full);
         for _ in 0..5 {
             looped.charge(Category::Io, 7);
         }
         let batched = SimClock::new();
-        batched.tracer().set_level(Level::Counters);
+        batched.tracer().set_level(Level::Full);
         batched.charge_batched(Category::Io, 35, 5);
         assert_eq!(looped.category_ns(Category::Io), batched.category_ns(Category::Io));
         assert_eq!(looped.tracer().charge_counts(), batched.tracer().charge_counts());
@@ -540,7 +540,7 @@ mod tests {
     #[test]
     fn charge_scope_flushes_once() {
         let clock = SimClock::new();
-        clock.tracer().set_level(Level::Counters);
+        clock.tracer().set_level(Level::Full);
         let mut scope = ChargeScope::new(Category::MajorGc);
         scope.add(10);
         scope.add_many(90, 9);

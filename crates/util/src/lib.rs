@@ -2,12 +2,14 @@
 //!
 //! The workspace builds fully offline: no crates.io dependencies anywhere.
 //! Everything the repo previously pulled in externally is owned here, in
-//! five small modules:
+//! six small modules:
 //!
 //! * [`rng`] — deterministic seedable PRNG (SplitMix64 + xoshiro256++) with
 //!   range/shuffle/weighted-choice helpers; drives the dataset generators
 //!   and property-test case generation.
-//! * [`sync`] — poison-free wrappers over `std::sync::Mutex`/`RwLock`.
+//! * [`fnv`] — the one FNV-1a hasher behind every checksum, fingerprint
+//!   and pinned digest.
+//! * [`sync`] — a poison-free wrapper over `std::sync::Mutex`.
 //! * [`proptest_mini`] — a property-testing harness with seeded generation,
 //!   input shrinking and failure-seed replay (`TERAHEAP_PROP_SEED`).
 //! * [`microbench`] — a micro-benchmark harness with warm-up, p50/p99
@@ -20,10 +22,12 @@
 //! suites are reproducible bit-for-bit on any machine with only a Rust
 //! toolchain.
 
+pub mod fnv;
 pub mod golden;
 pub mod microbench;
 pub mod proptest_mini;
 pub mod rng;
 pub mod sync;
 
+pub use fnv::Fnv;
 pub use rng::{Rng, SplitMix64};

@@ -22,6 +22,7 @@
 //! [`prop_assume!`](crate::prop_assume) macros; panics inside a case (e.g.
 //! `unwrap()`) are caught and treated as failures.
 
+use crate::fnv::Fnv;
 use crate::rng::{Rng, SplitMix64};
 use std::cell::{Cell, RefCell};
 use std::fmt::Debug;
@@ -603,7 +604,7 @@ where
     let replay_seed = config.seed.or_else(|| {
         std::env::var(SEED_ENV).ok().and_then(|s| s.trim().parse().ok())
     });
-    let mut case_seeds = SplitMix64::new(fnv1a(name));
+    let mut case_seeds = SplitMix64::new(name_seed(name));
     let mut passed = 0u32;
     let mut discarded = 0u32;
     let max_discards = config.cases.saturating_mul(16);
@@ -692,13 +693,10 @@ fn shrink<T: Clone, F: Fn(T) -> CaseResult>(
 }
 
 /// FNV-1a over the property name: a stable, platform-independent base seed.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+fn name_seed(name: &str) -> u64 {
+    let mut fnv = Fnv::new();
+    fnv.push_bytes(name.as_bytes());
+    fnv.finish()
 }
 
 #[cfg(test)]

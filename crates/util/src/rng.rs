@@ -249,12 +249,9 @@ mod tests {
 
     /// FNV-1a over the little-endian bytes of `words`.
     fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in words.into_iter().flat_map(u64::to_le_bytes) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        let mut fnv = crate::Fnv::new();
+        words.into_iter().for_each(|w| fnv.push(w));
+        fnv.finish()
     }
 
     /// Every sampling helper's stream, digit for digit: 100,000 draws each

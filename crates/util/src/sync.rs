@@ -1,8 +1,8 @@
-//! Poison-free lock shims over `std::sync`.
+//! Poison-free lock shim over `std::sync`.
 //!
 //! The repo previously used `parking_lot` for one property: `lock()` returns
 //! a guard directly instead of a `Result` poisoned by a panicking holder.
-//! These thin wrappers keep that call-site ergonomics on top of std. A
+//! This thin wrapper keeps that call-site ergonomics on top of std. A
 //! poisoned std lock simply yields its inner guard — for this simulation the
 //! data is either test-local or rebuilt per run, so recovering the guard is
 //! always the right call.
@@ -16,11 +16,6 @@ impl<T> Mutex<T> {
     pub fn new(value: T) -> Self {
         Mutex(std::sync::Mutex::new(value))
     }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -28,44 +23,6 @@ impl<T: ?Sized> Mutex<T> {
     /// panicked.
     pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// A reader-writer lock whose `read()`/`write()` never fail.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Creates a lock holding `value`.
-    pub fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> std::sync::RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -79,17 +36,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
-        assert_eq!(m.into_inner(), 42);
-    }
-
-    #[test]
-    fn rwlock_allows_many_readers() {
-        let l = RwLock::new(7);
-        let (a, b) = (l.read(), l.read());
-        assert_eq!(*a + *b, 14);
-        drop((a, b));
-        *l.write() = 9;
-        assert_eq!(*l.read(), 9);
     }
 
     #[test]

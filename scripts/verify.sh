@@ -41,7 +41,9 @@ echo "ok"
 # (crates/runtime/tests/common/program.rs); a second `enum Op` there would
 # fork it. TERAHEAP_BENCH_THREADS is the figure harness's host-thread knob:
 # if no code outside crates/bench/ names it, the simulation cannot read it.
-echo "== test layout guards: one program language, bench-only env knob =="
+# Every checksum, fingerprint and pinned digest folds through the one
+# `teraheap_util::Fnv`; the FNV offset basis anywhere else is a second copy.
+echo "== test layout guards: one program language, bench-only env knob, one FNV =="
 if grep -rlE '^[[:space:]]*(pub[[:space:]]+)?enum[[:space:]]+Op\b' crates/runtime/tests \
     | grep -v '^crates/runtime/tests/common/'; then
     echo "ERROR: enum Op outside crates/runtime/tests/common/; extend the shared language instead." >&2
@@ -49,6 +51,12 @@ if grep -rlE '^[[:space:]]*(pub[[:space:]]+)?enum[[:space:]]+Op\b' crates/runtim
 fi
 if grep -rl --include='*.rs' TERAHEAP_BENCH_THREADS crates src tests examples | grep -v '^crates/bench/'; then
     echo "ERROR: TERAHEAP_BENCH_THREADS is read outside crates/bench/." >&2
+    exit 1
+fi
+fnv_basis=$(sed 's/./&_?/g; s/_?$//' <<<cbf29ce484222325) # any `_` grouping
+if grep -rliE --include='*.rs' --exclude-dir=target "$fnv_basis" \
+    crates src tests examples benchmark scripts | grep -v '^crates/util/src/'; then
+    echo "ERROR: FNV offset basis outside crates/util/src/; use teraheap_util::Fnv." >&2
     exit 1
 fi
 echo "ok"
@@ -73,6 +81,7 @@ teraheap_storage/lib::mmap::reference::       §7   the page table + intrusive l
 teraheap_workloads/lib::reference::           §7   the power-law generator written straight into CSR gives the two-pass generator's edge list and counting-sort adjacency, at 2-3,000 vertices and 1-40 edges per vertex
 teraheap_runtime/lib::gc::units::reference::  §7   the mark bitmap scan is the live set in relocation order; its rank-indexed forwarding answers every probe like the direct-mapped reference table
 teraheap_runtime/trace_equivalence::          §8   tracing observes the clock and never advances it, on the mixed workload the gc_equivalence golden pins
+teraheap_obs/lib::tests::ring_counts_         §8   the recorder's one lock: after every emit, resize, level flip or clear, emitted = ring length + dropped = sum of per-class counts, and ring seqs are contiguous
 teraheap_runtime/mutator_programs::spans_arm  §8   over random mutator programs, spans nest per slot and major-GC phases occur only inside a major GC
 teraheap_storage/bulk_equivalence::           §9   touch_run is bit-identical to the word-at-a-time loop: same ns, counters, events
 teraheap_runtime/bulk_equivalence::           §9   view_prims, view_prims_at, read_prims and the read_prim loop observe and charge the same, as do write_prims, fill_prims_at and the write_prim loop, on H1, paged and DAX H2 and across the Panthera NVM boundary; the pinned *_at accessors match the handle accessors across minor and major GCs, H2 promotion of the pinned object and a sliced cycle in flight
@@ -126,8 +135,8 @@ echo "ok ($named suites)"
 # included) names a `## N.` heading that exists.
 echo "== docs and layout: size gate, heap files, DESIGN.md pointers =="
 doc_bytes=$(cat DESIGN.md EXPERIMENTS.md | wc -c)
-if (( doc_bytes > 109000 )); then
-    echo "ERROR: DESIGN.md + EXPERIMENTS.md are $doc_bytes bytes; the gate is 109000." >&2
+if (( doc_bytes > 101000 )); then
+    echo "ERROR: DESIGN.md + EXPERIMENTS.md are $doc_bytes bytes; the gate is 101000." >&2
     exit 1
 fi
 for file in crates/runtime/src/heap/*.rs; do
