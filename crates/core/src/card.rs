@@ -20,12 +20,13 @@
 //! 512 B–16 KB; larger segments shrink the table and the scan, at the cost
 //! of more object scanning per dirty card — Figure 11a).
 //!
-//! For contention-free parallel scanning, H2 is divided into *slices* of
-//! `n_threads` *stripes*; GC thread `t` processes stripe `t` of every slice
-//! (Figure 3). TeraHeap sets the stripe size equal to the region size and
-//! aligns objects to regions, so no two threads ever share a boundary card
-//! (the vanilla JVM's forever-dirty boundary-card problem, which would be
-//! disastrous with large device-backed segments).
+//! The paper scans H2 cards in parallel by *stripes* of region size (Figure
+//! 3): objects never span regions, so no two GC threads ever share a
+//! boundary card (the vanilla JVM's forever-dirty boundary-card problem,
+//! which would be disastrous with large device-backed segments). Here the
+//! collector hands the card scan out as `H2CardChunk` work units instead
+//! (DESIGN.md §11); the table keeps only the constraint that makes the
+//! stripes contention-free — a stripe boundary is a card boundary.
 
 use crate::addr::Addr;
 
@@ -60,7 +61,6 @@ pub enum CardState {
 #[derive(Debug, Clone)]
 pub struct H2CardTable {
     seg_words: usize,
-    stripe_words: usize,
     cards: Vec<CardState>,
     noted: Vec<u32>,
     listed: Vec<bool>,
@@ -85,7 +85,6 @@ impl H2CardTable {
         let n = h2_words.div_ceil(seg_words);
         H2CardTable {
             seg_words,
-            stripe_words,
             cards: vec![CardState::Clean; n],
             noted: Vec::new(),
             listed: vec![false; n],
@@ -172,29 +171,6 @@ impl H2CardTable {
         });
         out
     }
-
-    /// The stripe containing card `idx`.
-    pub fn stripe_of_card(&self, idx: usize) -> usize {
-        (idx * self.seg_words) / self.stripe_words
-    }
-
-    /// The GC thread that owns card `idx` under the slice/stripe scheme:
-    /// thread `t` processes stripe `t` of every slice.
-    pub fn thread_of_card(&self, idx: usize, n_threads: usize) -> usize {
-        self.stripe_of_card(idx) % n_threads.max(1)
-    }
-
-    /// Partitions `cards` across `n_threads` GC threads by stripe ownership
-    /// and returns per-thread card counts — used to model the parallel scan
-    /// cost as the maximum per-thread share.
-    pub fn per_thread_load(&self, cards: &[usize], n_threads: usize) -> Vec<usize> {
-        let n = n_threads.max(1);
-        let mut load = vec![0usize; n];
-        for &c in cards {
-            load[self.thread_of_card(c, n)] += 1;
-        }
-        load
-    }
 }
 
 #[cfg(test)]
@@ -237,27 +213,6 @@ mod tests {
         t.set_state(3, CardState::OldGen);
         assert_eq!(t.minor_scan_cards(), vec![1, 2]);
         assert_eq!(t.major_scan_cards(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn stripes_assign_threads_round_robin() {
-        let t = table(); // stripe = 4 cards
-        assert_eq!(t.stripe_of_card(0), 0);
-        assert_eq!(t.stripe_of_card(3), 0);
-        assert_eq!(t.stripe_of_card(4), 1);
-        assert_eq!(t.thread_of_card(0, 2), 0);
-        assert_eq!(t.thread_of_card(4, 2), 1);
-        assert_eq!(t.thread_of_card(8, 2), 0); // next slice wraps
-    }
-
-    #[test]
-    fn per_thread_load_partitions_all_cards() {
-        let t = table();
-        let cards: Vec<usize> = (0..64).collect();
-        let load = t.per_thread_load(&cards, 4);
-        assert_eq!(load.iter().sum::<usize>(), 64);
-        // Uniform card distribution over stripes => balanced threads.
-        assert!(load.iter().all(|&l| l == 16));
     }
 
     #[test]

@@ -16,8 +16,8 @@ use crate::region::{RegionError, RegionId, RegionManager};
 use teraheap_storage::fault;
 use teraheap_storage::obs::EventKind;
 use teraheap_storage::{
-    AttachError, Category, DeviceSpec, DurableStore, FaultPlan, FaultPlane, MmapSim, SharedDevice,
-    SimClock, WriteBackOutcome,
+    AttachError, Category, ChargeScope, DeviceSpec, DurableStore, FaultPlan, FaultPlane, MmapSim,
+    SharedDevice, SimClock, WriteBackOutcome,
 };
 use std::sync::Arc;
 
@@ -272,13 +272,32 @@ pub struct H2 {
     promoter: Promoter,
     objects_promoted: u64,
     words_promoted: u64,
-    /// Armed fault plane; `None` on the fault-free fast path.
-    plane: Option<Arc<FaultPlane>>,
-    /// Durable device image, allocated only when a plane is armed.
-    durable: Option<DurableStore>,
+    /// The armed fault plane and what it guards; `None` on the fault-free
+    /// fast path.
+    faults: Option<Armed>,
     /// Set when H2 gave up (retry-exhausted flush or injected ENOSPC): the
     /// collector stops promoting, matching the paper's no-H2 baseline.
     degraded: bool,
+}
+
+/// An H2's fault state: the armed plane and the durable device image it
+/// crashes and tears, which exists only under a plane.
+#[derive(Debug)]
+struct Armed {
+    plane: Arc<FaultPlane>,
+    durable: DurableStore,
+}
+
+impl Armed {
+    /// Writes `pages` of `data` to the durable image as one write-back
+    /// boundary, recording the crash point if it fires there.
+    fn write_back(&mut self, pages: &[u64], data: &[u64], clock: &SimClock) -> WriteBackOutcome {
+        let out = self.durable.write_back(pages, data, Some(&self.plane));
+        if out == WriteBackOutcome::Crashed {
+            clock.emit(EventKind::CrashPoint);
+        }
+        out
+    }
 }
 
 impl H2 {
@@ -298,14 +317,14 @@ impl H2 {
             clock.clone(),
         );
         let plan = FaultPlan::from_env().unwrap_or(config.faults);
-        let (plane, durable) = if plan.enabled {
+        let faults = plan.enabled.then(|| {
             let plane = FaultPlane::new(plan);
             mmap.set_fault_plane(plane.clone());
-            let durable = DurableStore::new(capacity_words, config.page_size / WORD_BYTES);
-            (Some(plane), Some(durable))
-        } else {
-            (None, None)
-        };
+            Armed {
+                plane,
+                durable: DurableStore::new(capacity_words, config.page_size / WORD_BYTES),
+            }
+        });
         H2 {
             regions: RegionManager::new(config.region_words, config.n_regions),
             cards: H2CardTable::new(capacity_words, config.card_seg_words, config.region_words),
@@ -318,8 +337,7 @@ impl H2 {
             config,
             objects_promoted: 0,
             words_promoted: 0,
-            plane,
-            durable,
+            faults,
             degraded: false,
         }
     }
@@ -400,12 +418,12 @@ impl H2 {
 
     /// The armed fault plane, if any.
     pub fn fault_plane(&self) -> Option<&Arc<FaultPlane>> {
-        self.plane.as_ref()
+        self.faults.as_ref().map(|f| &f.plane)
     }
 
     /// The durable device image, if a fault plane is armed.
     pub fn durable(&self) -> Option<&DurableStore> {
-        self.durable.as_ref()
+        self.faults.as_ref().map(|f| &f.durable)
     }
 
     /// Whether H2 has degraded (retry-exhausted flush or injected ENOSPC).
@@ -418,7 +436,7 @@ impl H2 {
     /// Whether the fault plane's crash point has fired (the simulated
     /// process is "dead"; only [`H2::recover`] makes progress again).
     pub fn is_crashed(&self) -> bool {
-        self.plane.as_deref().is_some_and(|p| p.crashed())
+        self.faults.as_ref().is_some_and(|f| f.plane.crashed())
     }
 
     /// Objects moved to H2 so far.
@@ -443,9 +461,9 @@ impl H2 {
     ///
     /// [`H2Error::OutOfSpace`] or [`H2Error::ObjectTooLarge`].
     pub fn alloc(&mut self, label: Label, words: usize) -> Result<Addr, H2Error> {
-        if let Some(plane) = self.plane.as_deref() {
+        if let Some(f) = &self.faults {
             if self.regions.would_open(label, words)
-                && plane.deny_growth(self.regions.allocated_total())
+                && f.plane.deny_growth(self.regions.allocated_total())
             {
                 // Injected ENOSPC: the backing file cannot grow. Degrade
                 // instead of erroring every caller forever.
@@ -549,8 +567,9 @@ impl H2 {
         self.data[addr.h2_offset() as usize] = value;
     }
 
-    /// Moves one object's words into H2 under `label` during compaction,
-    /// going through the promotion buffer. Returns the object's H2 address.
+    /// Moves one object's words into H2 under `label`: an [`H2::alloc`]
+    /// (so an injected ENOSPC fails it like a full H2) and then
+    /// [`H2::write_promoted`]. Returns the object's H2 address.
     ///
     /// Device write costs are charged to `cat` (normally
     /// [`Category::MajorGc`]) at each 2 MB batch flush.
@@ -559,7 +578,7 @@ impl H2 {
     ///
     /// [`H2Error::OutOfSpace`] or [`H2Error::ObjectTooLarge`].
     pub fn promote(&mut self, label: Label, words: &[u64], cat: Category) -> Result<Addr, H2Error> {
-        let addr = self.regions.alloc(label, words.len())?;
+        let addr = self.alloc(label, words.len())?;
         self.write_promoted(addr, words, cat);
         Ok(addr)
     }
@@ -577,79 +596,63 @@ impl H2 {
         self.charge_flush(flushed, cat);
         self.objects_promoted += 1;
         self.words_promoted += words.len() as u64;
-        if flushed > 0 && self.plane.is_some() {
-            self.faulty_flush(region, flushed, cat);
+        if flushed > 0 {
+            self.flush_durably(&[(region, flushed)], cat);
         }
     }
 
     /// Flushes all partially-filled promotion buffers (end of compaction).
     pub fn finish_promotion(&mut self, cat: Category) {
-        let snapshot = if self.plane.is_some() {
-            self.promoter.pending_regions()
-        } else {
-            Vec::new()
-        };
+        let pending =
+            if self.faults.is_some() { self.promoter.pending_regions() } else { Vec::new() };
         let flushed = self.promoter.flush_all();
         self.charge_flush(flushed, cat);
-        if flushed > 0 && self.plane.is_some() {
-            // One fault roll for the combined flush (it is one batched I/O
-            // submission), then one durable write-back boundary per region.
-            let plane = self.plane.clone().expect("checked above");
-            let out = fault::inject(&plane, &self.clock, cat, true);
-            if !out.ok {
-                for &(region, bytes) in &snapshot {
-                    self.promoter.unstage(region, bytes);
-                }
-                self.degrade();
-                return;
-            }
-            for &(region, bytes) in &snapshot {
-                if self.apply_durable_flush(region, bytes) == WriteBackOutcome::Crashed {
-                    break;
-                }
-            }
+        if flushed > 0 {
+            self.flush_durably(&pending, cat);
         }
     }
 
-    /// A promotion batch flushed: roll the injected write fault and, if the
-    /// device accepted it, write the batch to the durable image (one
-    /// write-back boundary). On retry exhaustion the batch is un-staged —
-    /// its bytes are only in DRAM — and H2 degrades.
-    fn faulty_flush(&mut self, region: RegionId, flushed: usize, cat: Category) {
-        let plane = self.plane.clone().expect("caller checked the plane");
-        let out = fault::inject(&plane, &self.clock, cat, true);
-        if !out.ok {
-            self.promoter.unstage(region, flushed);
-            self.degrade();
+    /// A promotion flush of `batches` (`(region, bytes)` each) reached the
+    /// device. With a plane armed, rolls one injected write fault for it (a
+    /// flush is one batched I/O submission) and, if the device accepted it,
+    /// writes each batch to the durable image: data pages first, then the
+    /// region's watermark record in the metadata journal (WAL order, so a
+    /// crash in between leaves the old watermark and the batch is dropped at
+    /// recovery rather than half-trusted), one write-back boundary per
+    /// region. On retry exhaustion the batches are un-staged — their bytes
+    /// are only in DRAM — and H2 degrades.
+    fn flush_durably(&mut self, batches: &[(RegionId, usize)], cat: Category) {
+        let Some(f) = self.faults.as_mut() else {
             return;
+        };
+        let mut scope = ChargeScope::new(cat);
+        let out = fault::inject_scoped(&f.plane, &self.clock, &mut scope, true);
+        scope.flush(&self.clock);
+        if !out.ok {
+            for &(region, bytes) in batches {
+                self.promoter.unstage(region, bytes);
+            }
+            return self.degrade();
         }
-        self.apply_durable_flush(region, flushed);
-    }
-
-    /// Durably writes `region`'s most recent `bytes` flushed bytes and, on
-    /// success, advances the region's watermark record in the metadata
-    /// journal (WAL order: data pages first, then the watermark, so a crash
-    /// in between leaves the old watermark and the batch is dropped at
-    /// recovery rather than half-trusted).
-    fn apply_durable_flush(&mut self, region: RegionId, bytes: usize) -> WriteBackOutcome {
-        let plane = self.plane.clone().expect("caller checked the plane");
-        let durable = self.durable.as_mut().expect("plane implies durable store");
-        let rid = region.0 as usize;
-        let (_, old_wm) = durable.meta(rid);
-        let new_wm = old_wm + bytes as u64;
-        let label_bits = self.regions.label_of(region).map_or(0, |l| l.id() + 1);
-        let base_byte = rid as u64 * (self.regions.region_words() * WORD_BYTES) as u64;
-        let page_bytes = (durable.page_words() * WORD_BYTES) as u64;
-        let lo = (base_byte + old_wm) / page_bytes;
-        let hi = (base_byte + new_wm - 1) / page_bytes;
-        let pages: Vec<u64> = (lo..=hi).collect();
-        let out = durable.write_back(&pages, &self.data, Some(&plane));
-        match out {
-            WriteBackOutcome::Applied => durable.set_meta(rid, label_bits, new_wm),
-            WriteBackOutcome::Crashed => self.clock.emit(EventKind::CrashPoint),
-            WriteBackOutcome::Ignored => {}
+        let region_bytes = (self.regions.region_words() * WORD_BYTES) as u64;
+        let page_bytes = (f.durable.page_words() * WORD_BYTES) as u64;
+        for &(region, bytes) in batches {
+            let rid = region.0 as usize;
+            let (_, old_wm) = f.durable.meta(rid);
+            let new_wm = old_wm + bytes as u64;
+            let base_byte = rid as u64 * region_bytes;
+            let pages: Vec<u64> = ((base_byte + old_wm) / page_bytes
+                ..=(base_byte + new_wm - 1) / page_bytes)
+                .collect();
+            match f.write_back(&pages, &self.data, &self.clock) {
+                WriteBackOutcome::Applied => {
+                    let label_bits = self.regions.label_of(region).map_or(0, |l| l.id() + 1);
+                    f.durable.set_meta(rid, label_bits, new_wm);
+                }
+                WriteBackOutcome::Crashed => break,
+                WriteBackOutcome::Ignored => {}
+            }
         }
-        out
     }
 
     /// Flips to degraded mode once, with its Tracer event.
@@ -664,17 +667,12 @@ impl H2 {
     /// explicit flushes) to the durable image. Fault-free runs have no
     /// write-back log and return immediately.
     fn sync_durable(&mut self) {
-        if self.plane.is_none() {
+        let Some(f) = self.faults.as_mut() else {
             return;
-        }
+        };
         let pages = self.mmap.take_writeback_pages();
-        if pages.is_empty() {
-            return;
-        }
-        let plane = self.plane.clone().expect("checked above");
-        let durable = self.durable.as_mut().expect("plane implies durable store");
-        if durable.write_back(&pages, &self.data, Some(&plane)) == WriteBackOutcome::Crashed {
-            self.clock.emit(EventKind::CrashPoint);
+        if !pages.is_empty() {
+            f.write_back(&pages, &self.data, &self.clock);
         }
     }
 
@@ -683,18 +681,17 @@ impl H2 {
     /// write-back boundary. No-op for page-cached devices or without a
     /// plane.
     fn mirror_dax(&mut self, byte_off: usize, len: usize) {
-        if self.plane.is_none() || !self.mmap.is_dax() || len == 0 {
+        let Some(f) = self.faults.as_mut() else {
+            return;
+        };
+        if !self.mmap.is_dax() || len == 0 {
             return;
         }
-        let plane = self.plane.clone().expect("checked above");
-        let durable = self.durable.as_mut().expect("plane implies durable store");
-        let page_bytes = durable.page_words() * WORD_BYTES;
+        let page_bytes = f.durable.page_words() * WORD_BYTES;
         let lo = byte_off / page_bytes;
         let hi = (byte_off + len - 1) / page_bytes;
         let pages: Vec<u64> = (lo..=hi).map(|p| p as u64).collect();
-        if durable.write_back(&pages, &self.data, Some(&plane)) == WriteBackOutcome::Crashed {
-            self.clock.emit(EventKind::CrashPoint);
-        }
+        f.write_back(&pages, &self.data, &self.clock);
     }
 
     /// Writes every dirty page of the mapping back (the `msync(2)`
@@ -744,7 +741,7 @@ impl H2 {
             // Retire the region's durable state too (the free is journaled:
             // watermark 0, no label), so a crash after the sweep can never
             // resurrect the dead region at recovery.
-            if let Some(durable) = self.durable.as_mut() {
+            if let Some(Armed { durable, .. }) = self.faults.as_mut() {
                 if !durable.crashed() {
                     durable.set_meta(rid.0 as usize, 0, 0);
                     let pw = durable.page_words();
@@ -774,10 +771,7 @@ impl H2 {
     ///
     /// Returns what was recovered. No-op (zero report) without a plane.
     pub fn recover(&mut self) -> RecoveryReport {
-        let Some(plane) = self.plane.clone() else {
-            return RecoveryReport::default();
-        };
-        let Some(durable) = self.durable.as_mut() else {
+        let Some(Armed { plane, durable }) = self.faults.as_mut() else {
             return RecoveryReport::default();
         };
         let torn = durable.verify();
@@ -866,6 +860,10 @@ mod tests {
     use super::*;
 
     fn h2() -> (H2, Arc<SimClock>) {
+        h2_with(FaultPlan::none())
+    }
+
+    fn h2_with(faults: FaultPlan) -> (H2, Arc<SimClock>) {
         let clock = Arc::new(SimClock::new());
         let config = H2Config::builder()
             .region_words(1024)
@@ -874,6 +872,7 @@ mod tests {
             .resident_budget_bytes(64 << 10)
             .page_size(4096)
             .promo_buffer_bytes(4096)
+            .faults(faults)
             .build()
             .unwrap();
         (H2::new(config, DeviceSpec::nvme_ssd(), clock.clone()), clock)
@@ -916,6 +915,18 @@ mod tests {
         assert!(clock.category_ns(Category::MajorGc) > 0, "8th object flushes 4 KB");
         assert_eq!(h2.objects_promoted(), 8);
         assert_eq!(h2.words_promoted(), 8 * 64);
+    }
+
+    #[test]
+    fn promote_under_injected_enospc_is_out_of_space() {
+        let (mut h2, _clock) = h2_with(FaultPlan::zero_rate(1).with_enospc_after(0));
+        assert_eq!(
+            h2.promote(Label::new(1), &[1, 2, 3], Category::MajorGc),
+            Err(H2Error::OutOfSpace)
+        );
+        assert!(h2.is_degraded());
+        assert_eq!(h2.objects_promoted(), 0);
+        assert_eq!(h2.regions().allocated_total(), 0, "no region was opened");
     }
 
     #[test]

@@ -56,4 +56,4 @@ pub use h2::{H2Config, H2ConfigBuilder, H2ConfigError, H2Error, RecoveryReport, 
 pub use lifetime::{LifetimeProfiles, SiteStats};
 pub use policy::{Label, TransferPolicy};
 pub use promo::Promoter;
-pub use region::{RegionId, RegionManager, RegionSnapshot, RegionStats};
+pub use region::{RegionId, RegionManager, RegionStats};

@@ -125,16 +125,6 @@ impl std::fmt::Display for RegionError {
 
 impl std::error::Error for RegionError {}
 
-/// Opaque copy of a [`RegionManager`]'s allocation state, captured by
-/// [`RegionManager::snapshot`] and consumed by [`RegionManager::restore`].
-#[derive(Debug, Clone)]
-pub struct RegionSnapshot {
-    regions: Vec<Region>,
-    free: Vec<RegionId>,
-    open: std::collections::HashMap<Label, RegionId>,
-    allocated_total: u64,
-}
-
 /// The H2 region allocator and liveness tracker.
 ///
 /// Objects with the same label are placed together (append-only) in the
@@ -276,27 +266,6 @@ impl RegionManager {
     pub fn truncate(&mut self, rid: RegionId, new_top: usize) {
         let r = &mut self.regions[rid.0 as usize];
         r.top = r.top.min(new_top);
-    }
-
-    /// Captures the complete allocation state (regions, free list, open map,
-    /// cumulative open count) for the promotion transaction: the major GC
-    /// snapshots before assigning H2 destinations and restores on a failed
-    /// assignment, so a half-assigned promotion batch never leaks regions.
-    pub fn snapshot(&self) -> RegionSnapshot {
-        RegionSnapshot {
-            regions: self.regions.clone(),
-            free: self.free.clone(),
-            open: self.open.clone(),
-            allocated_total: self.allocated_total,
-        }
-    }
-
-    /// Restores state captured by [`RegionManager::snapshot`].
-    pub fn restore(&mut self, snap: RegionSnapshot) {
-        self.regions = snap.regions;
-        self.free = snap.free;
-        self.open = snap.open;
-        self.allocated_total = snap.allocated_total;
     }
 
     /// Rebuilds allocation state from recovered `(label, top_words)` entries,

@@ -35,9 +35,9 @@
 //! What differs between the two is not code but the [`Shape`] a cycle is
 //! constructed with; see there. The G1 variant runs the same cycle with a
 //! concurrent-marking discount and garbage-first mixed-collection costs
-//! applied per lane at the barriers (`LaneSet` milli scaling); the Panthera
-//! variant charges NVM penalties for the NVM-resident part of the old
-//! generation.
+//! applied per lane at the barriers (the scheduler's milli scaling); the
+//! Panthera variant charges NVM penalties for the NVM-resident part of the
+//! old generation.
 //!
 //! # When a mutator interleaves
 //!
@@ -87,7 +87,7 @@ const SLICED_CHUNK: usize = 64;
 #[derive(Debug, Clone, Copy)]
 struct Shape {
     /// Objects per unit of a serial chain: tagged per `CandidateSelect`,
-    /// assigned per `H2Assign` (the fault-plane transaction is always whole).
+    /// assigned per `H2Assign`.
     chain_chunk: usize,
     /// Objects per `AdjustChunk`/`CompactChunk` unit.
     tail_chunk: usize,
@@ -686,10 +686,6 @@ fn finish_select(heap: &mut Heap, cyc: &mut MajorCycle) {
 fn step_plan(heap: &mut Heap, cyc: &mut MajorCycle) {
     let (from, len) = (cyc.plan.assign_idx, cyc.plan.move_order.len());
     if from < len {
-        if heap.h2.as_ref().is_some_and(|h| h.fault_plane().is_some()) {
-            cyc.plan.assign_idx = len;
-            return run_unit(heap, cyc, WorkUnitKind::H2Assign, true, units::h2_assign_txn);
-        }
         let to = from.saturating_add(cyc.shape.chain_chunk).min(len);
         cyc.plan.assign_idx = to;
         return run_unit(heap, cyc, WorkUnitKind::H2Assign, true, |heap, cyc, uw| {

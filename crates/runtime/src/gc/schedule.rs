@@ -24,7 +24,7 @@
 
 use crate::check;
 use teraheap_storage::obs::{EventKind, WorkUnitKind};
-use teraheap_storage::{Category, LaneSet, SimClock};
+use teraheap_storage::{Category, SimClock};
 
 /// Work-unit granularities. Coarse enough that unit events stay a small
 /// multiple of the card-scan event volume, fine enough that lanes
@@ -47,8 +47,19 @@ pub(crate) const DOM_OBJECT: u64 = 3 << 56;
 /// coverage auditing. One `Scheduler` lives for the duration of a minor
 /// collection or a major cycle and fires a barrier per phase (and, for a
 /// sliced cycle, per slice).
+///
+/// Each unit's cost is split into a `scaled` part — subject to the phase's
+/// `milli`/1000 scaling, applied once per lane at the barrier so a
+/// single-lane phase reproduces the serial `floor(total * milli / 1000)`
+/// exactly — and a `flat` part charged as-is (fixed per-phase overheads,
+/// costs outside the scaling domain).
 pub(crate) struct Scheduler {
-    lanes: LaneSet,
+    scaled: Vec<u64>,
+    flat: Vec<u64>,
+    milli: u64,
+    sync_ns: u64,
+    /// Units charged since the last barrier.
+    units: u64,
     coverage: Option<Coverage>,
 }
 
@@ -62,8 +73,13 @@ impl Scheduler {
     /// (the heap passes its checker flag so the audit costs nothing when
     /// off).
     pub(crate) fn new(gc_threads: usize, barrier_sync_ns: u64, audit: bool) -> Scheduler {
+        let lanes = gc_threads.max(1);
         Scheduler {
-            lanes: LaneSet::new(gc_threads.max(1), barrier_sync_ns),
+            scaled: vec![0; lanes],
+            flat: vec![0; lanes],
+            milli: 1000,
+            sync_ns: barrier_sync_ns,
+            units: 0,
             coverage: audit.then(|| Coverage { expected: Vec::new(), claims: Vec::new() }),
         }
     }
@@ -72,14 +88,33 @@ impl Scheduler {
     /// (G1 marking discount, mixed-collection fraction). Call between
     /// phases only.
     pub(crate) fn set_milli(&mut self, milli: u64) {
-        self.lanes.set_milli(milli);
+        debug_assert!(self.units == 0, "set_milli with {} units pending", self.units);
+        self.milli = milli;
+    }
+
+    fn lanes(&self) -> usize {
+        self.scaled.len()
+    }
+
+    fn effective(&self, lane: usize) -> u64 {
+        self.scaled[lane] * self.milli / 1000 + self.flat[lane]
+    }
+
+    /// The least-loaded lane; ties break to the lowest index.
+    fn pick(&self) -> usize {
+        (0..self.lanes()).min_by_key(|&l| self.effective(l)).unwrap_or(0)
+    }
+
+    /// Critical-path length of the pending phase (longest lane, scaled).
+    fn critical_ns(&self) -> u64 {
+        (0..self.lanes()).map(|l| self.effective(l)).max().unwrap_or(0)
     }
 
     /// Dispatches a unit: deterministically picks the least-loaded lane and
     /// emits `UnitBegin`. The caller runs the unit and must pair this with
     /// [`Scheduler::end_unit`] on the returned lane.
     pub(crate) fn begin_unit(&mut self, clock: &SimClock, kind: WorkUnitKind) -> usize {
-        let lane = self.lanes.pick();
+        let lane = self.pick();
         clock.emit(EventKind::UnitBegin { lane: lane as u32, kind });
         lane
     }
@@ -104,7 +139,9 @@ impl Scheduler {
         scaled_ns: u64,
         flat_ns: u64,
     ) {
-        self.lanes.charge(lane, scaled_ns, flat_ns);
+        self.scaled[lane] += scaled_ns;
+        self.flat[lane] += flat_ns;
+        self.units += 1;
         clock.emit(EventKind::UnitEnd {
             lane: lane as u32,
             kind,
@@ -117,7 +154,10 @@ impl Scheduler {
     /// cycle's drive loop polls this after every unit to bound a slice's
     /// pause at its budget.
     pub(crate) fn pending_ns(&self) -> u64 {
-        self.lanes.pending_advance_ns()
+        if self.units == 0 {
+            return 0;
+        }
+        self.critical_ns() + (self.lanes() as u64 - 1) * self.sync_ns
     }
 
     /// Declares `key` part of the current phase's work domain (no-op unless
@@ -155,16 +195,21 @@ impl Scheduler {
             cov.expected.clear();
             cov.claims.clear();
         }
-        let units = self.lanes.units();
-        let (advance, stall) = self.lanes.barrier(clock, cat);
-        if units > 0 {
-            clock.emit(EventKind::LaneBarrier {
-                lanes: self.lanes.lanes() as u32,
-                units,
-                advance_ns: advance,
-                stall_ns: stall,
-            });
+        if self.units == 0 {
+            return 0;
         }
+        // Each lane idles at the barrier until the critical-path lane arrives.
+        let crit = self.critical_ns();
+        let stall = (0..self.lanes()).map(|l| crit - self.effective(l)).sum();
+        let advance = self.pending_ns();
+        clock.charge(cat, advance);
+        clock.emit(EventKind::LaneBarrier {
+            lanes: self.lanes() as u32,
+            units: self.units,
+            advance_ns: advance,
+            stall_ns: stall,
+        });
+        self.reset_lanes();
         stall
     }
 
@@ -172,11 +217,17 @@ impl Scheduler {
     /// clock — for collections aborted mid-phase (planning overflow), which
     /// charge nothing for the aborted phase.
     pub(crate) fn abandon(&mut self) {
-        self.lanes.abandon();
+        self.reset_lanes();
         if let Some(cov) = &mut self.coverage {
             cov.expected.clear();
             cov.claims.clear();
         }
+    }
+
+    fn reset_lanes(&mut self) {
+        self.scaled.fill(0);
+        self.flat.fill(0);
+        self.units = 0;
     }
 }
 
@@ -196,6 +247,18 @@ mod tests {
     }
 
     #[test]
+    fn single_lane_reproduces_serial_total() {
+        let clock = SimClock::new();
+        let mut s = Scheduler::new(1, 25, false);
+        s.end_unit(&clock, 0, WorkUnitKind::GrayPacket, 100, 0);
+        s.end_unit(&clock, 0, WorkUnitKind::GrayPacket, 50, 3);
+        // One lane: no sync cost, no stall, advance is the plain sum.
+        assert_eq!(s.pending_ns(), 153);
+        assert_eq!(s.barrier(&clock, Category::MinorGc, "test"), 0);
+        assert_eq!(clock.category_ns(Category::MinorGc), 153);
+    }
+
+    #[test]
     fn lanes_spread_units_and_pay_sync() {
         let clock = SimClock::new();
         let mut s = Scheduler::new(2, 25, false);
@@ -207,6 +270,42 @@ mod tests {
         // Two equal units land on different lanes: critical path 100 + one
         // extra-lane sync of 25.
         assert_eq!(clock.category_ns(Category::MinorGc), 125);
+    }
+
+    #[test]
+    fn milli_scales_once_per_lane() {
+        let clock = SimClock::new();
+        let mut s = Scheduler::new(1, 25, false);
+        s.set_milli(250);
+        // 5 units of 3 ns each: per-unit floor(3/4) would lose everything;
+        // per-lane floor(15/4) = 3 matches the serial floor(total / 4).
+        for _ in 0..5 {
+            s.end_unit(&clock, 0, WorkUnitKind::GrayPacket, 3, 0);
+        }
+        s.barrier(&clock, Category::MajorGc, "test");
+        assert_eq!(clock.category_ns(Category::MajorGc), 15 * 250 / 1000);
+    }
+
+    #[test]
+    fn pick_is_least_loaded_lowest_index() {
+        let clock = SimClock::new();
+        let mut s = Scheduler::new(3, 25, false);
+        assert_eq!(s.pick(), 0, "all-zero ties break to lane 0");
+        for (lane, cost, next) in [(0, 10, 1), (1, 10, 2), (2, 5, 2)] {
+            s.end_unit(&clock, lane, WorkUnitKind::GrayPacket, 0, cost);
+            assert_eq!(s.pick(), next);
+        }
+    }
+
+    #[test]
+    fn barrier_returns_the_lanes_stall_sum() {
+        let clock = SimClock::new();
+        let mut s = Scheduler::new(4, 25, false);
+        s.end_unit(&clock, 0, WorkUnitKind::GrayPacket, 0, 100);
+        s.end_unit(&clock, 1, WorkUnitKind::GrayPacket, 0, 40);
+        // Lanes 2 and 3 stay idle; each lane waits for the 100 ns one.
+        assert_eq!(s.barrier(&clock, Category::MinorGc, "test"), 60 + 100 + 100);
+        assert_eq!(clock.category_ns(Category::MinorGc), 100 + 3 * 25);
     }
 
     #[test]
@@ -246,6 +345,17 @@ mod tests {
         s.abandon();
         let stall = s.barrier(&clock, Category::MajorGc, "test");
         assert_eq!(stall, 0);
+        assert_eq!(clock.total_ns(), 0);
+    }
+
+    #[test]
+    fn abandon_discards_without_charging() {
+        let clock = SimClock::new();
+        let mut s = Scheduler::new(2, 25, false);
+        s.end_unit(&clock, 0, WorkUnitKind::GrayPacket, 1000, 1000);
+        s.abandon();
+        assert_eq!(s.pending_ns(), 0);
+        s.barrier(&clock, Category::MajorGc, "test");
         assert_eq!(clock.total_ns(), 0);
     }
 }

@@ -554,64 +554,32 @@ pub(super) fn clear_region_cards(heap: &mut Heap, region: u32) {
 
 // ----- pre-compaction ----------------------------------------------------------
 
-/// The candidate at `move_order[i]` still awaiting an H2 address, as
-/// `(src, header, label, size)`.
-fn candidate_at(heap: &Heap, cyc: &MajorCycle, i: usize) -> Option<(u64, u64, Label, usize)> {
-    let src = cyc.plan.move_order[i];
-    let header = heap.mem[src as usize];
-    object::is_candidate(header)
-        .then(|| (src, header, Label::new(heap.mem[src as usize + 1]), object::size_of(header)))
-}
-
 /// H2 assignment chunk: bump-allocates H2 addresses for
 /// `move_order[range]`, in closure-discovery order. The region bump
 /// allocation is a cross-object dependency chain, so chunks resume in order
 /// and are never striped; a mutator between chunks touches neither the H2
-/// allocator nor the candidate bits. When H2 is full the object stays in H1
-/// this cycle.
+/// allocator nor the candidate bits. An object H2 cannot take — no free
+/// region, or an injected ENOSPC, which `H2::alloc` reports the same way —
+/// stays in H1 this cycle with its candidate bit cleared, while the rest of
+/// its closure still moves (§4's no-H2 fallback, per object).
 pub(super) fn h2_assign_chunk(
     heap: &mut Heap,
     cyc: &mut MajorCycle,
     range: Range<usize>,
     uw: &mut Work,
 ) {
-    for i in range {
-        let Some((src, header, label, size)) = candidate_at(heap, cyc, i) else {
+    for &src in &cyc.plan.move_order[range] {
+        let header = heap.mem[src as usize];
+        if !object::is_candidate(header) {
             continue;
-        };
+        }
         uw.objects += 1;
-        match heap.h2.as_mut().expect("candidate without H2").alloc(label, size) {
+        let label = Label::new(heap.mem[src as usize + 1]);
+        let h2 = heap.h2.as_mut().expect("candidate without H2");
+        match h2.alloc(label, object::size_of(header)) {
             Ok(dest) => cyc.live.set_dest(cyc.live.rank(src), dest.raw()),
             Err(_) => heap.mem[src as usize] = object::without_candidate(header),
         }
-    }
-}
-
-/// H2 assignment as a transaction, for an armed fault plane: an alloc can
-/// then fail mid-cycle (injected ENOSPC), so every assignment is staged
-/// first and on any failure the region allocator is restored and the whole
-/// candidate set stays in H1 — a half-promoted closure would split a
-/// key-object group across heaps with its region accounting already
-/// advanced. Atomic, hence always one unit.
-pub(super) fn h2_assign_txn(heap: &mut Heap, cyc: &mut MajorCycle, uw: &mut Work) {
-    let snap = heap.h2.as_ref().unwrap().regions().snapshot();
-    let mut staged: Vec<(u64, u64)> = Vec::with_capacity(cyc.plan.move_order.len());
-    for i in 0..cyc.plan.move_order.len() {
-        let Some((src, _, label, size)) = candidate_at(heap, cyc, i) else {
-            continue;
-        };
-        uw.objects += 1;
-        let Ok(dest) = heap.h2.as_mut().unwrap().alloc(label, size) else {
-            heap.h2.as_mut().unwrap().regions_mut().restore(snap);
-            for &src in &cyc.plan.move_order {
-                heap.mem[src as usize] = object::without_candidate(heap.mem[src as usize]);
-            }
-            return;
-        };
-        staged.push((src, dest.raw()));
-    }
-    for (src, dest) in staged {
-        cyc.live.set_dest(cyc.live.rank(src), dest);
     }
 }
 

@@ -1,8 +1,11 @@
 //! Behavioural tests for the collectors and the TeraHeap integration.
 
+mod common;
+
+use common::graph_checksum;
 use teraheap_core::{H2Config, Label};
 use teraheap_runtime::{GcVariant, Handle, Heap, HeapConfig};
-use teraheap_storage::{Category, DeviceSpec, SharedDevice};
+use teraheap_storage::{Category, DeviceSpec, FaultPlan, SharedDevice};
 
 fn small_heap() -> Heap {
     Heap::new(HeapConfig::with_words(2048, 8192))
@@ -13,14 +16,21 @@ fn th_heap() -> Heap {
 }
 
 fn th_heap_with(config: HeapConfig) -> Heap {
+    th_heap_on(config, 16, FaultPlan::none())
+}
+
+/// A heap of `config` over an H2 of `n_regions` 1024-word regions armed
+/// with `faults`.
+fn th_heap_on(config: HeapConfig, n_regions: usize, faults: FaultPlan) -> Heap {
     let mut heap = Heap::new(config);
     let h2cfg = H2Config::builder()
         .region_words(1024)
-        .n_regions(16)
+        .n_regions(n_regions)
         .card_seg_words(128)
         .resident_budget_bytes(64 << 10)
         .page_size(4096)
         .promo_buffer_bytes(8 << 10)
+        .faults(faults)
         .build()
         .expect("valid H2 config");
     let dev =
@@ -348,6 +358,57 @@ fn sliced_checks_skip_garbage_pointing_into_swept_regions() {
     }
     assert!(h.stats().incr_slices > 2, "the cycle ran in slices");
     assert_eq!(h.h2().unwrap().regions().reclaimed_total(), 1, "y's region died");
+}
+
+/// Tags one closure of a little over two regions — a spine array over 64
+/// primitive arrays of 2 to 58 elements — on a heap of [`th_heap_on`] with
+/// the checker armed, moves it with one major GC, and returns the heap and
+/// the closure's handles, spine first.
+fn move_closure_into(n_regions: usize, faults: FaultPlan) -> (Heap, Vec<Handle>) {
+    let config = HeapConfig::builder(2048, 8192).heap_check(true).build().unwrap();
+    let mut h = th_heap_on(config, n_regions, faults);
+    let spine = h.alloc_ref_array(64).unwrap();
+    let mut closure = vec![spine];
+    for i in 0..64 {
+        let e = h.alloc_prim_array(2 + (i * 37) % 57).unwrap();
+        h.write_prim(e, 0, i as u64);
+        h.write_ref(spine, i, e);
+        closure.push(e);
+    }
+    h.h2_tag_root(spine, Label::new(1));
+    h.h2_move(Label::new(1));
+    h.gc_major().unwrap();
+    h.heap_check().expect("a split closure is a consistent heap");
+    (h, closure)
+}
+
+/// An injected ENOSPC is one more full H2 (§4's no-H2 fallback): a closure
+/// larger than `k` regions, moved once with ample regions and ENOSPC after
+/// `k`, and once with only `k` regions and no plan, puts the same objects in
+/// H2 — the ones that fit, while the rest of the closure stays in H1.
+#[test]
+fn injected_enospc_splits_a_closure_like_a_full_h2() {
+    let k = 2;
+    let (mut enospc, a) = move_closure_into(16, FaultPlan::zero_rate(5).with_enospc_after(k));
+    let (mut full, b) = move_closure_into(k as usize, FaultPlan::none());
+    let placement = |h: &Heap, closure: &[Handle]| -> Vec<bool> {
+        closure.iter().map(|&o| h.is_in_h2(o)).collect()
+    };
+    let moved = placement(&enospc, &a);
+    assert_eq!(moved, placement(&full, &b), "the same objects must reach H2");
+    assert!(moved.contains(&true) && moved.contains(&false), "the closure must split: {moved:?}");
+    assert_eq!(enospc.h2().unwrap().objects_promoted(), full.h2().unwrap().objects_promoted());
+    assert_eq!(enospc.h2().unwrap().regions().allocated_total(), k as u64);
+    assert!(enospc.h2().unwrap().is_degraded(), "an injected ENOSPC degrades H2");
+    assert!(!full.h2().unwrap().is_degraded(), "a full H2 does not");
+    assert_eq!(graph_checksum(&mut enospc, &a[..1]), graph_checksum(&mut full, &b[..1]));
+    for (h, closure) in [(&mut enospc, &a), (&mut full, &b)] {
+        for (i, &e) in closure[1..].iter().enumerate() {
+            assert_eq!(h.read_prim(e, 0), i as u64, "object {i} survived the split");
+        }
+        h.gc_major().unwrap();
+        h.heap_check().expect("and stays consistent across the next major GC");
+    }
 }
 
 #[test]

@@ -102,8 +102,9 @@ struct Arm {
     /// a 40 Ki-word old generation, below the proactive trigger's
     /// `2 * young` free-space margin, so every minor GC starts a cycle.
     pause_budget_ns: u64,
-    /// Arms a zero-rate fault plane: nothing ever fires, but H2 address
-    /// assignment runs as the snapshot/stage/commit transaction.
+    /// Arms a zero-rate fault plane: nothing ever fires, so the arm must
+    /// match its plane-free twin while every fault hook runs (the page
+    /// cache's retry rolls and write-back log, H2's durable mirror).
     fault_plane: bool,
 }
 

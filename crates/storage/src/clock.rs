@@ -258,134 +258,6 @@ impl Drop for ChargeScope {
     }
 }
 
-/// Per-lane accumulators for the work-unit GC plane (DESIGN.md §11).
-///
-/// GC phases execute their work units in a fixed serial order (the simulation
-/// is sequential) but *account* them across `lanes` modeled GC threads: each
-/// unit's CPU cost is charged to a lane, and at the phase barrier the global
-/// clock advances once by the critical path
-/// `max(lane) + (lanes - 1) * sync_ns`. Because lane assignment depends only
-/// on previously accumulated costs (pure integer arithmetic), the advance is
-/// bit-identical across runs and hosts for any lane count.
-///
-/// Costs are split into a `scaled` part — subject to the phase's
-/// `milli`/1000 scaling, applied once per lane at the barrier so a
-/// single-lane phase reproduces the serial `floor(total * milli / 1000)`
-/// exactly — and a `flat` part charged as-is (fixed per-phase overheads,
-/// costs outside the scaling domain).
-#[derive(Debug)]
-pub struct LaneSet {
-    scaled: Vec<u64>,
-    flat: Vec<u64>,
-    milli: u64,
-    sync_ns: u64,
-    units: u64,
-}
-
-impl LaneSet {
-    /// A lane set of `lanes` empty lanes with per-extra-lane barrier cost
-    /// `sync_ns` and no scaling (`milli = 1000`).
-    pub fn new(lanes: usize, sync_ns: u64) -> Self {
-        assert!(lanes >= 1, "LaneSet needs at least one lane");
-        LaneSet { scaled: vec![0; lanes], flat: vec![0; lanes], milli: 1000, sync_ns, units: 0 }
-    }
-
-    /// Number of modeled GC threads.
-    pub fn lanes(&self) -> usize {
-        self.scaled.len()
-    }
-
-    /// Units charged since the last barrier.
-    pub fn units(&self) -> u64 {
-        self.units
-    }
-
-    /// Sets the scaling applied to the scaled component at the barrier
-    /// (e.g. 250 models G1 charging a quarter of the marking work). Must be
-    /// set between phases: scaling is uniform within a phase.
-    pub fn set_milli(&mut self, milli: u64) {
-        debug_assert!(self.units == 0, "set_milli with {} units pending", self.units);
-        self.milli = milli;
-    }
-
-    fn effective(&self, lane: usize) -> u64 {
-        self.scaled[lane] * self.milli / 1000 + self.flat[lane]
-    }
-
-    /// Deterministic least-loaded lane; ties break to the lowest index.
-    pub fn pick(&self) -> usize {
-        let mut best = 0;
-        let mut best_load = self.effective(0);
-        for lane in 1..self.lanes() {
-            let load = self.effective(lane);
-            if load < best_load {
-                best = lane;
-                best_load = load;
-            }
-        }
-        best
-    }
-
-    /// Charges one unit's cost to `lane`.
-    pub fn charge(&mut self, lane: usize, scaled_ns: u64, flat_ns: u64) {
-        self.scaled[lane] += scaled_ns;
-        self.flat[lane] += flat_ns;
-        self.units += 1;
-    }
-
-    /// Critical-path length of the pending phase (longest lane, scaled).
-    pub fn critical_ns(&self) -> u64 {
-        (0..self.lanes()).map(|l| self.effective(l)).max().unwrap_or(0)
-    }
-
-    /// The advance the barrier would charge if it fired right now (critical
-    /// path plus per-extra-lane sync), without firing it. 0 when no units
-    /// are pending — matching [`LaneSet::barrier`]'s empty-phase no-op. The
-    /// incremental GC polls this to decide when a slice has filled its
-    /// pause budget.
-    pub fn pending_advance_ns(&self) -> u64 {
-        if self.units == 0 {
-            return 0;
-        }
-        self.critical_ns() + (self.lanes() as u64 - 1) * self.sync_ns
-    }
-
-    /// Total idle ns across lanes: each lane stalls at the barrier until the
-    /// critical-path lane arrives.
-    pub fn stall_ns(&self) -> u64 {
-        let crit = self.critical_ns();
-        (0..self.lanes()).map(|l| crit - self.effective(l)).sum()
-    }
-
-    /// Phase barrier: advances `clock` by the critical path plus the
-    /// per-extra-lane sync cost in a single charge, clears the lanes, and
-    /// returns `(advance_ns, stall_ns)`. A phase that ran no units advances
-    /// nothing (no charge, no sync cost).
-    pub fn barrier(&mut self, clock: &SimClock, cat: Category) -> (u64, u64) {
-        if self.units == 0 {
-            return (0, 0);
-        }
-        let stall = self.stall_ns();
-        let advance = self.critical_ns() + (self.lanes() as u64 - 1) * self.sync_ns;
-        clock.charge(cat, advance);
-        self.reset();
-        (advance, stall)
-    }
-
-    /// Discards pending charges without advancing the clock — for phases
-    /// aborted mid-flight (e.g. a major GC's planning overflow), which charge
-    /// nothing.
-    pub fn abandon(&mut self) {
-        self.reset();
-    }
-
-    fn reset(&mut self) {
-        self.scaled.iter_mut().for_each(|s| *s = 0);
-        self.flat.iter_mut().for_each(|f| *f = 0);
-        self.units = 0;
-    }
-}
-
 /// Execution-time breakdown in the paper's four components (Figure 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Breakdown {
@@ -575,75 +447,6 @@ mod tests {
         let mut scope = ChargeScope::new(Category::MinorGc);
         scope.add(7);
         drop(scope);
-    }
-
-    #[test]
-    fn lane_set_single_lane_reproduces_serial_total() {
-        let clock = SimClock::new();
-        let mut lanes = LaneSet::new(1, 25);
-        lanes.charge(0, 100, 0);
-        lanes.charge(0, 50, 3);
-        let (advance, stall) = lanes.barrier(&clock, Category::MinorGc);
-        // One lane: no sync cost, no stall, advance is the plain sum.
-        assert_eq!(advance, 153);
-        assert_eq!(stall, 0);
-        assert_eq!(clock.category_ns(Category::MinorGc), 153);
-    }
-
-    #[test]
-    fn lane_set_milli_scales_once_per_lane() {
-        let clock = SimClock::new();
-        let mut lanes = LaneSet::new(1, 25);
-        lanes.set_milli(250);
-        // 5 units of 3 ns each: per-unit floor(3/4) would lose everything;
-        // per-lane floor(15/4) = 3 matches the serial floor(total / 4).
-        for _ in 0..5 {
-            lanes.charge(0, 3, 0);
-        }
-        let (advance, _) = lanes.barrier(&clock, Category::MajorGc);
-        assert_eq!(advance, 15 * 250 / 1000);
-    }
-
-    #[test]
-    fn lane_set_barrier_is_critical_path_plus_sync() {
-        let clock = SimClock::new();
-        let mut lanes = LaneSet::new(4, 25);
-        lanes.charge(0, 0, 100);
-        lanes.charge(1, 0, 40);
-        // Lanes 2 and 3 stay idle.
-        assert_eq!(lanes.critical_ns(), 100);
-        assert_eq!(lanes.stall_ns(), 60 + 100 + 100);
-        let (advance, stall) = lanes.barrier(&clock, Category::MinorGc);
-        assert_eq!(advance, 100 + 3 * 25);
-        assert_eq!(stall, 260);
-        assert_eq!(clock.category_ns(Category::MinorGc), 175);
-        // Barrier resets: an empty follow-up phase advances nothing.
-        let (advance, stall) = lanes.barrier(&clock, Category::MinorGc);
-        assert_eq!((advance, stall), (0, 0));
-        assert_eq!(clock.category_ns(Category::MinorGc), 175);
-    }
-
-    #[test]
-    fn lane_set_pick_is_least_loaded_lowest_index() {
-        let mut lanes = LaneSet::new(3, 25);
-        assert_eq!(lanes.pick(), 0, "all-zero ties break to lane 0");
-        lanes.charge(0, 0, 10);
-        assert_eq!(lanes.pick(), 1);
-        lanes.charge(1, 0, 10);
-        assert_eq!(lanes.pick(), 2);
-        lanes.charge(2, 0, 5);
-        assert_eq!(lanes.pick(), 2, "lane 2 still lightest");
-    }
-
-    #[test]
-    fn lane_set_abandon_discards_without_charging() {
-        let clock = SimClock::new();
-        let mut lanes = LaneSet::new(2, 25);
-        lanes.charge(0, 1000, 1000);
-        lanes.abandon();
-        let (advance, _) = lanes.barrier(&clock, Category::MajorGc);
-        assert_eq!(advance, 0);
-        assert_eq!(clock.total_ns(), 0);
     }
 
     #[test]

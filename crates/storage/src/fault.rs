@@ -29,7 +29,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::clock::{Category, ChargeScope, SimClock};
+use crate::clock::{ChargeScope, SimClock};
 use teraheap_obs::EventKind;
 use teraheap_util::rng::Rng;
 use teraheap_util::sync::Mutex;
@@ -394,25 +394,6 @@ pub fn inject_scoped(
     RetryOutcome { ok: !write, retries: budget }
 }
 
-/// Clock-direct variant of [`inject_scoped`] for call sites that charge the
-/// clock without a [`ChargeScope`] (device reads/writes, H2 promo flushes).
-pub fn inject(plane: &FaultPlane, clock: &SimClock, cat: Category, write: bool) -> RetryOutcome {
-    if !plane.roll_error(write) {
-        return RetryOutcome::CLEAN;
-    }
-    clock.emit(EventKind::FaultInjected { write });
-    let budget = plane.plan().max_retries.max(1);
-    for attempt in 1..=budget {
-        clock.charge(cat, plane.backoff_ns(attempt));
-        plane.note_retry();
-        clock.emit(EventKind::IoRetry { attempt: attempt as u64 });
-        if !plane.roll_error(write) {
-            return RetryOutcome { ok: true, retries: attempt };
-        }
-    }
-    RetryOutcome { ok: !write, retries: budget }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,19 +563,21 @@ mod tests {
 
     #[test]
     fn write_retry_exhaustion_fails_reads_do_not() {
-        use crate::clock::SimClock;
+        use crate::clock::Category;
         let clock = SimClock::new();
         let plane = FaultPlane::new(
             FaultPlan::none()
                 .with_error_ppm(1_000_000, 1_000_000)
                 .with_retries(3, 10),
         );
-        let w = inject(&plane, &clock, Category::Io, true);
+        let mut scope = ChargeScope::new(Category::Io);
+        let w = inject_scoped(&plane, &clock, &mut scope, true);
         assert!(!w.ok, "write must fail permanently after the budget");
         assert_eq!(w.retries, 3);
-        let r = inject(&plane, &clock, Category::Io, false);
+        let r = inject_scoped(&plane, &clock, &mut scope, false);
         assert!(r.ok, "reads always eventually succeed");
         assert_eq!(r.retries, 3);
+        scope.flush(&clock);
         // Backoff was charged: 10 + 20 + 40 per exhausted budget.
         assert_eq!(clock.category_ns(Category::Io), 2 * (10 + 20 + 40));
     }

@@ -51,7 +51,7 @@ pub mod mmap;
 pub mod shared;
 pub mod stats;
 
-pub use clock::{Breakdown, Category, ChargeScope, LaneSet, SimClock, TraceSpan};
+pub use clock::{Breakdown, Category, ChargeScope, SimClock, TraceSpan};
 pub use cost::CostModel;
 pub use device::{Blob, DeviceKind, DeviceSpec, SimDevice};
 pub use durable::{DurableStore, WriteBackOutcome};

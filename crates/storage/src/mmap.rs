@@ -46,6 +46,15 @@ struct Node {
 /// measures 2.9 GB/s for the ML workloads' sequential H2 scans, §7.1).
 const READAHEAD_PAGES: u64 = 32;
 
+/// A mapping's fault state: the armed plane, and the page indices written
+/// back (dirty evictions and `flush`) since the owner last drained them,
+/// which feed the owner's durable mirroring.
+#[derive(Debug)]
+struct Armed {
+    plane: Arc<FaultPlane>,
+    written_back: Vec<u64>,
+}
+
 /// Simulated memory-mapped file over a device.
 ///
 /// In *paged* mode (page-granularity devices such as NVMe) it models an LRU
@@ -85,11 +94,7 @@ pub struct MmapSim {
     /// Armed fault plane, if any: spikes and transient errors hit the fault
     /// and write-back paths. `None` (the default) keeps every path
     /// bit-identical to the pre-fault code.
-    plane: Option<Arc<FaultPlane>>,
-    /// Page indices written back (dirty evictions and `flush`) since the
-    /// owner last drained; only kept while a fault plane is armed, feeding
-    /// the owner's durable mirroring.
-    writeback_log: Option<Vec<u64>>,
+    faults: Option<Armed>,
     /// Shared-device lease: when present, every device service (fault
     /// transfer, write-back, msync, DAX run) is submitted to the device
     /// arbiter before its cost lands, and any queueing delay is charged to
@@ -131,8 +136,7 @@ impl MmapSim {
             readahead_next: 0,
             stats: Arc::new(IoStats::default()),
             clock,
-            plane: None,
-            writeback_log: None,
+            faults: None,
             lease: None,
         }
     }
@@ -149,11 +153,12 @@ impl MmapSim {
         self.lease.as_ref()
     }
 
-    /// Submits a device request of `service_ns` arriving at the current
-    /// scope-adjusted instant; accumulates any queueing delay into `scope`
-    /// (before the caller adds the service cost) and emits `DeviceQueued`.
-    /// A no-op without a lease, and delay-free for a sole tenant.
-    fn arbitrate_scoped(&self, service_ns: u64, scope: &mut ChargeScope) {
+    /// One device command of `service_ns`, accounted as `charges` charge
+    /// calls, arriving at the current scope-adjusted instant: with a lease,
+    /// the arbiter's queueing delay lands in `scope` first (with a
+    /// `DeviceQueued` event), then the service. Without a lease, and for a
+    /// sole tenant, there is no delay.
+    fn serve(&self, service_ns: u64, charges: u64, scope: &mut ChargeScope) {
         if let Some(lease) = &self.lease {
             let arrival = self.clock.total_ns() + scope.pending_ns();
             let wait = lease.submit(arrival, service_ns);
@@ -162,29 +167,23 @@ impl MmapSim {
                 scope.emit(&self.clock, EventKind::DeviceQueued { wait_ns: wait });
             }
         }
+        scope.add_many(service_ns, charges);
     }
 
-    /// As [`MmapSim::arbitrate_scoped`] for paths that charge the clock
-    /// directly (no scope in flight).
-    fn arbitrate_direct(&self, service_ns: u64, cat: Category) {
-        if let Some(lease) = &self.lease {
-            let wait = lease.submit(self.clock.total_ns(), service_ns);
-            if wait > 0 {
-                self.clock.charge(cat, wait);
-                self.clock.emit(EventKind::DeviceQueued { wait_ns: wait });
-            }
-        }
+    /// [`MmapSim::serve`] in a scope of its own, charged to `cat`.
+    fn serve_now(&self, cat: Category, service_ns: u64, charges: u64) {
+        let mut scope = ChargeScope::new(cat);
+        self.serve(service_ns, charges, &mut scope);
+        scope.flush(&self.clock);
     }
 
     /// Charges `service_ns` of device time to `cat` through the arbiter —
     /// for owner-level device costs that bypass the page cache (H2's
     /// promotion-buffer flush writes straight to the device file).
     pub fn charge_device(&self, cat: Category, service_ns: u64) {
-        if service_ns == 0 {
-            return;
+        if service_ns > 0 {
+            self.serve_now(cat, service_ns, 1);
         }
-        self.arbitrate_direct(service_ns, cat);
-        self.clock.charge(cat, service_ns);
     }
 
     /// Arms a fault plane over the mapping: device costs gain the plane's
@@ -193,22 +192,18 @@ impl MmapSim {
     /// category), and written-back page indices are logged for the owner's
     /// durable mirroring ([`MmapSim::take_writeback_pages`]).
     pub fn set_fault_plane(&mut self, plane: Arc<FaultPlane>) {
-        self.plane = Some(plane);
-        self.writeback_log = Some(Vec::new());
+        self.faults = Some(Armed { plane, written_back: Vec::new() });
     }
 
     /// The armed fault plane, if any.
     pub fn fault_plane(&self) -> Option<&Arc<FaultPlane>> {
-        self.plane.as_ref()
+        self.faults.as_ref().map(|f| &f.plane)
     }
 
     /// Drains the logged write-back page indices (empty when no plane is
     /// armed or nothing was written back).
     pub fn take_writeback_pages(&mut self) -> Vec<u64> {
-        match &mut self.writeback_log {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
+        self.faults.as_mut().map_or_else(Vec::new, |f| std::mem::take(&mut f.written_back))
     }
 
     /// Length of the mapping in bytes.
@@ -301,9 +296,9 @@ impl MmapSim {
     /// `base_ns` of device service, stretched by the armed fault plane's
     /// latency-spike multiplier if there is one.
     fn spiked(&self, base_ns: u64) -> u64 {
-        match self.plane.as_deref() {
+        match &self.faults {
             None => base_ns,
-            Some(plane) => base_ns.saturating_mul(plane.spike_multiplier()),
+            Some(f) => base_ns.saturating_mul(f.plane.spike_multiplier()),
         }
     }
 
@@ -320,8 +315,7 @@ impl MmapSim {
             } else {
                 self.stats.record_read(bytes as u64);
             }
-            self.arbitrate_direct(cost, cat);
-            self.clock.charge(cat, cost);
+            self.serve_now(cat, cost, 1);
             return;
         }
         // A touch inside one resident page charges nothing and emits
@@ -371,8 +365,7 @@ impl MmapSim {
             }
             // The whole run is one arbitrated device command (a sole
             // tenant sees no delay, so run-vs-loop equivalence holds).
-            self.arbitrate_direct(words * cost, cat);
-            self.clock.charge_batched(cat, words * cost, words);
+            self.serve_now(cat, words * cost, words);
             return;
         }
         debug_assert!(self.page_size >= WORD, "words must not span pages");
@@ -490,16 +483,14 @@ impl MmapSim {
         } else {
             self.spec.read_lat_ns
         };
-        let service = self.spiked(transfer_ns + latency_ns);
-        self.arbitrate_scoped(service, scope);
-        scope.add(service);
+        self.serve(self.spiked(transfer_ns + latency_ns), 1, scope);
         scope.emit(&self.clock, EventKind::PageFault { sequential });
-        if let Some(plane) = self.plane.as_deref() {
+        if let Some(f) = &self.faults {
             // Armed plane: the page-in may roll a transient read error,
             // retried with backoff charged to the touching category. Reads
             // always eventually succeed (the kernel's own page-I/O retry
             // loop), so the fault path stays total.
-            let out = fault::inject_scoped(plane, &self.clock, scope, false);
+            let out = fault::inject_scoped(&f.plane, &self.clock, scope, false);
             self.stats.record_retries(out.retries as u64);
         }
     }
@@ -509,18 +500,14 @@ impl MmapSim {
         self.stats.record_eviction();
         if dirty {
             self.stats.record_write(self.page_size as u64);
-            let service = self.spiked(self.spec.write_cost_ns(self.page_size));
-            self.arbitrate_scoped(service, scope);
-            scope.add(service);
-            if let Some(plane) = self.plane.as_deref() {
+            self.serve(self.spiked(self.spec.write_cost_ns(self.page_size)), 1, scope);
+            if let Some(f) = &mut self.faults {
                 // Transient write error on the eviction write-back: the
                 // kernel keeps the page and retries until it lands, so only
                 // the backoff cost is observable here.
-                let out = fault::inject_scoped(plane, &self.clock, scope, true);
+                let out = fault::inject_scoped(&f.plane, &self.clock, scope, true);
                 self.stats.record_retries(out.retries as u64);
-            }
-            if let Some(log) = &mut self.writeback_log {
-                log.push(page);
+                f.written_back.push(page);
             }
         }
         scope.emit(&self.clock, EventKind::PageEvict { writeback: dirty });
@@ -548,23 +535,21 @@ impl MmapSim {
         }
         let bytes = flushed.len() as u64 * self.page_size as u64;
         self.stats.record_write(bytes);
-        let service = self.spiked(self.spec.write_cost_ns(bytes as usize));
-        self.arbitrate_direct(service, cat);
-        self.clock.charge(cat, service);
-        self.clock.emit(EventKind::WriteBack { bytes });
-        if let Some(plane) = self.plane.as_deref() {
+        let mut scope = ChargeScope::new(cat);
+        self.serve(self.spiked(self.spec.write_cost_ns(bytes as usize)), 1, &mut scope);
+        scope.emit(&self.clock, EventKind::WriteBack { bytes });
+        if let Some(f) = &mut self.faults {
             // An msync the kernel retries to completion: only the
             // backoff cost is observable.
-            let out = fault::inject(plane, &self.clock, cat, true);
+            let out = fault::inject_scoped(&f.plane, &self.clock, &mut scope, true);
             self.stats.record_retries(out.retries as u64);
-        }
-        if let Some(log) = &mut self.writeback_log {
             // One msync lands its pages in address order, whatever order
             // they were last touched in; the durable mirror (and crash
             // tearing) replays the log, so it is sorted.
             flushed.sort_unstable();
-            log.extend_from_slice(&flushed);
+            f.written_back.extend_from_slice(&flushed);
         }
+        scope.flush(&self.clock);
     }
 
     /// Drops any resident pages overlapping `[offset, offset + bytes)`

@@ -43,7 +43,10 @@ echo "ok"
 # if no code outside crates/bench/ names it, the simulation cannot read it.
 # Every checksum, fingerprint and pinned digest folds through the one
 # `teraheap_util::Fnv`; the FNV offset basis anywhere else is a second copy.
-echo "== test layout guards: one program language, bench-only env knob, one FNV =="
+# The collector has one H2 assignment rule: an injected ENOSPC reaches it as
+# an ordinary full H2, so nothing under crates/runtime/src names the fault
+# plane.
+echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector =="
 if grep -rlE '^[[:space:]]*(pub[[:space:]]+)?enum[[:space:]]+Op\b' crates/runtime/tests \
     | grep -v '^crates/runtime/tests/common/'; then
     echo "ERROR: enum Op outside crates/runtime/tests/common/; extend the shared language instead." >&2
@@ -57,6 +60,10 @@ fnv_basis=$(sed 's/./&_?/g; s/_?$//' <<<cbf29ce484222325) # any `_` grouping
 if grep -rliE --include='*.rs' --exclude-dir=target "$fnv_basis" \
     crates src tests examples benchmark scripts | grep -v '^crates/util/src/'; then
     echo "ERROR: FNV offset basis outside crates/util/src/; use teraheap_util::Fnv." >&2
+    exit 1
+fi
+if grep -rnE 'fault_plane|FaultPlane|FaultPlan' crates/runtime/src; then
+    echo "ERROR: crates/runtime/src names the fault plane; H2 reports its faults as H2Error." >&2
     exit 1
 fi
 echo "ok"
