@@ -8,9 +8,10 @@
 //!   tombstones — and view the projected column only for chunks whose
 //!   bitmap is non-empty, gathering the set bits;
 //! * **index probe** — when the predicate is on the table's key column,
-//!   binary-search the frozen sorted runs
-//!   ([`crate::table::Table::probe_index`]) and fetch exactly the matching
-//!   rows.
+//!   binary-search the frozen sorted runs that may hold a match
+//!   ([`crate::table::Table::probe_index`]: zone maps prune by range, a
+//!   point predicate also by each run's Bloom filter) and fetch exactly the
+//!   matching rows.
 //!
 //! Both plans then run the open chunk's DRAM staging through the same
 //! bitmap kernel, visit matches in ascending row order, skip tombstones,

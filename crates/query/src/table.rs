@@ -67,7 +67,8 @@ pub struct TableMemoryUsage {
     pub index_words: usize,
     /// DRAM words staged in the open chunk.
     pub staging_words: usize,
-    /// DRAM words of table metadata (run metadata + tombstone bitmap).
+    /// DRAM words of table metadata (the index skeleton's zone maps and
+    /// Bloom filters + tombstone bitmap).
     pub meta_words: usize,
     /// Total rows ever appended.
     pub rows: usize,
@@ -233,7 +234,7 @@ impl Table {
         run.extend(pairs.iter().map(|p| p.1));
         let h = seal(heap, self.cfg.placement, self.stream_label(self.cfg.cols), &run)?;
         self.chunks[self.cfg.cols].push(h);
-        self.index.push_run(pairs[0].0, pairs[cr - 1].0, cr);
+        self.index.push_run(&run[..cr]);
         for col in &mut self.staging {
             col.clear();
         }
@@ -266,10 +267,13 @@ impl Table {
     }
 
     /// Probes the sorted-run index for key range `[lo, hi]` (inclusive):
-    /// binary search in every overlapping frozen run plus nothing else —
-    /// the open chunk is the executor's job. Replaces `hits` with the
-    /// candidate row ids ascending (tombstones *not* filtered) and emits an
-    /// `IndexProbe` event. A probed run pays for its whole key half (the
+    /// binary search in every candidate frozen run plus nothing else —
+    /// the open chunk is the executor's job. A run is a candidate when its
+    /// zone map overlaps `[lo, hi]` and, for a point predicate (`lo == hi`)
+    /// only, its DRAM Bloom filter may hold the key; each filter consulted
+    /// costs one op. Replaces `hits` with the candidate row ids ascending
+    /// (tombstones *not* filtered) and emits an `IndexProbe` event counting
+    /// the runs viewed. A viewed run pays for its whole key half (the
     /// search is in place, but the charge is the plane's contract) and for
     /// exactly the matching slice of its id half.
     pub fn probe_index(&self, heap: &mut Heap, lo: u64, hi: u64, hits: &mut Vec<usize>) {
@@ -279,6 +283,12 @@ impl Table {
         for (run, &root) in self.index.runs().iter().zip(&self.chunks[self.cfg.cols]) {
             if !run.overlaps(lo, hi) {
                 continue;
+            }
+            if lo == hi {
+                heap.charge_ops(1);
+                if !run.may_contain(lo) {
+                    continue;
+                }
             }
             probed += 1;
             let h = heap.dup(root);

@@ -2,7 +2,9 @@
 //!
 //! * Random tables + mutation churn + random queries: the executor (both
 //!   physical plans) must match a naive host-side full-scan oracle.
-//! * The index-probe plan must be answer-bit-equal to the full-scan plan.
+//! * The index-probe plan must be answer-bit-equal to the full-scan plan,
+//!   point lookups of held and absent keys (which the runs' Bloom filters
+//!   prune) included.
 //! * The full-scan plan must charge exactly what the two-pass reference
 //!   plan charges: every filter chunk, and a projected chunk only when a
 //!   live match survives in it.
@@ -112,13 +114,17 @@ fn query_strategy() -> impl Strategy<Value = QuerySpecTuple> {
     (
         (range_usize(0..COLS), range_u64(0..600), range_u64(0..250)),
         (range_usize(0..COLS), range_usize(0..5)),
-        range_usize(0..8),
+        range_usize(0..10),
     )
 }
 
-/// The query of a spec, and whether its matches in every other chunk are
-/// tombstoned before it runs (so some chunks' only matches are dead).
-fn build_query(((col, lo, span), (project, agg), shape): QuerySpecTuple) -> (Query, bool) {
+/// The query of a spec against the table `mirror` holds, and whether its
+/// matches in every other chunk are tombstoned before it runs (so some
+/// chunks' only matches are dead).
+fn build_query(
+    ((col, lo, span), (project, agg), shape): QuerySpecTuple,
+    mirror: &Mirror,
+) -> (Query, bool) {
     let agg = match agg {
         0 => None,
         1 => Some(Agg::Count),
@@ -126,13 +132,18 @@ fn build_query(((col, lo, span), (project, agg), shape): QuerySpecTuple) -> (Que
         3 => Some(Agg::Min),
         _ => Some(Agg::Max),
     };
-    let (lo, hi, kill) = match shape {
+    // Point lookups are on the key column, so the index plan asks the runs'
+    // filters: a drawn key (held by some runs or by none), or a held one.
+    let held = mirror.rows[lo as usize % mirror.rows.len()][0];
+    let (col, lo, hi, kill) = match shape {
         // Inverted: matches nothing, whatever the values.
-        0 => (lo + span + 1, lo, false),
-        1 => (0, lo, false),
-        2 => (lo, u64::MAX, false),
-        3 | 4 => (lo, lo + span, true),
-        _ => (lo, lo + span, false),
+        0 => (col, lo + span + 1, lo, false),
+        1 => (col, 0, lo, false),
+        2 => (col, lo, u64::MAX, false),
+        3 | 4 => (col, lo, lo + span, true),
+        7 => (0, lo, lo, false),
+        8 | 9 => (0, held, held, shape == 9),
+        _ => (col, lo, lo + span, false),
     };
     (Query { filter: Predicate { col, lo, hi }, project, agg }, kill)
 }
@@ -236,7 +247,7 @@ fn executor_matches_naive_oracle_and_index_equals_scan() {
             let (mut ref_heap, mut ref_table, _) = churned_table(chunk_rows, rows, seed, &churn);
 
             for spec in queries {
-                let (q, kill) = build_query(spec);
+                let (q, kill) = build_query(spec, &mirror);
                 if kill {
                     for r in 0..rows {
                         let f = mirror.rows[r][q.filter.col];
