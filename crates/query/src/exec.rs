@@ -1,6 +1,9 @@
 //! The filter / project / aggregate executor.
 //!
-//! Two physical plans produce bit-identical answers:
+//! Two physical plans produce bit-identical answers. Both read sealed
+//! chunks in *storage order* (ascending heap address, kept by the table),
+//! so an H2 scan meets its pages in the order the device holds them and
+//! rides readahead:
 //!
 //! * **full scan** — view every sealed chunk of the filter column in place
 //!   through [`Heap::view_prims`] (H2 chunks pay the real fault/arbitration
@@ -11,16 +14,18 @@
 //!   binary-search the frozen sorted runs that may hold a match
 //!   ([`crate::table::Table::probe_index`]: zone maps prune by range, a
 //!   point predicate also by each run's Bloom filter) and fetch exactly the
-//!   matching rows.
+//!   matching rows, by `(storage rank of the projected chunk, row)`.
 //!
 //! Both plans then run the open chunk's DRAM staging through the same
-//! bitmap kernel, visit matches in ascending row order, skip tombstones,
-//! and fold the same FNV answer checksum — `index == scan` is pinned by the
-//! property suite. Nothing is copied out of the heap on the way: the only
-//! per-op buffers are the match list, the candidate list and the bitmap,
-//! and they are reused across ops ([`ExecBuffers`]).
+//! bitmap kernel, skip tombstones, and fold the same FNV answer checksum
+//! over the matches in ascending row order, whatever order they were read
+//! in — `index == scan` is pinned by the property suite. Nothing is copied
+//! out of the heap on the way: the only per-op buffers are the match list,
+//! its chunk spans, the candidate list and the bitmap, and they are reused
+//! across ops ([`ExecBuffers`]).
 
 use crate::table::Table;
+use std::ops::Range;
 use teraheap_runtime::Heap;
 use teraheap_util::Fnv;
 
@@ -101,13 +106,61 @@ impl QueryResult {
 /// allocated once, not per operation.
 #[derive(Debug, Default)]
 pub(crate) struct ExecBuffers {
-    /// `(row id, projected value)` of every match, ascending row order.
+    /// `(row id, projected value)` of every match, chunk by chunk in the
+    /// order the plan read the chunks, ascending row order within a chunk.
     matched: Vec<(usize, u64)>,
-    /// The index plan's candidate row ids.
+    /// Where each sealed chunk's matches sit in `matched`.
+    spans: ChunkSpans,
+    /// The index plan's candidate row ids, then its fetch order.
     hits: Vec<usize>,
     /// One chunk's selection bitmap: bit `i % 64` of word `i / 64` is row
     /// `i` of the chunk.
     bitmap: Vec<u64>,
+}
+
+/// The index plan packs a hit's fetch rank above its row id, so one
+/// integer sort orders hits by `(rank, row)`; row ids fit below.
+const RANK_SHIFT: u32 = 32;
+const ROW_MASK: usize = (1 << RANK_SHIFT) - 1;
+
+/// The span of the match list holding each sealed chunk's matches, and a
+/// bitmap of the chunks that have one, so the answer folds the matches in
+/// chunk — hence row — order whatever order the chunks were read in,
+/// without sorting the matches.
+#[derive(Debug, Default)]
+struct ChunkSpans {
+    /// `spans[k]`: chunk `k`'s matches, when bit `k` of `seen` is set.
+    spans: Vec<Range<usize>>,
+    /// Bit `k % 64` of word `k / 64`: chunk `k` has a span.
+    seen: Vec<u64>,
+}
+
+impl ChunkSpans {
+    /// Forgets every span, for a table of `chunks` sealed chunks.
+    fn reset(&mut self, chunks: usize) {
+        self.spans.resize(chunks, 0..0);
+        self.seen.clear();
+        self.seen.resize(chunks.div_ceil(64), 0);
+    }
+
+    /// Records `span` of the match list as chunk `k`'s, if it is not empty.
+    fn record(&mut self, k: usize, span: Range<usize>) {
+        if !span.is_empty() {
+            self.seen[k / 64] |= 1 << (k % 64);
+            self.spans[k] = span;
+        }
+    }
+
+    /// Calls `f` on every recorded span, by ascending chunk.
+    fn for_each_ascending(&self, mut f: impl FnMut(Range<usize>)) {
+        for (w, &word) in self.seen.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                f(self.spans[64 * w + bits.trailing_zeros() as usize].clone());
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 /// Builds the selection bitmap of one chunk — the rows of `vals` (row ids
@@ -164,23 +217,36 @@ fn gather(bitmap: &[u64], row0: usize, proj: &[u64], matched: &mut Vec<(usize, u
 pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool) -> QueryResult {
     let cr = table.chunk_rows();
     let (fcol, pcol) = (q.filter.col, q.project);
-    let ExecBuffers { mut matched, mut hits, mut bitmap } = std::mem::take(&mut table.exec);
+    let ExecBuffers { mut matched, mut spans, mut hits, mut bitmap } =
+        std::mem::take(&mut table.exec);
     matched.clear();
+    spans.reset(table.sealed_chunks());
     let mut scanned = 0u64;
 
     if use_index && fcol == table.key_col() {
-        table.probe_index(heap, q.filter.lo, q.filter.hi, &mut hits);
+        table.probe_runs(heap, q.filter.lo, q.filter.hi, &mut hits);
         scanned += hits.len() as u64;
-        for &row in &hits {
-            if table.is_deleted(row) {
-                continue;
+        // Fetch by the projected chunk's storage rank, then by row: the rank
+        // packed above the row id sorts on both at once.
+        debug_assert!(table.rows() <= ROW_MASK, "row ids fit below the rank");
+        hits.retain(|&row| !table.is_deleted(row));
+        for hit in &mut hits {
+            *hit |= table.rank(pcol, *hit / cr) << RANK_SHIFT;
+        }
+        hits.sort_unstable();
+        for chunk in hits.chunk_by(|a, b| a >> RANK_SHIFT == b >> RANK_SHIFT) {
+            let (start, k) = (matched.len(), (chunk[0] & ROW_MASK) / cr);
+            for &hit in chunk {
+                let row = hit & ROW_MASK;
+                matched.push((row, table.read_col_at(heap, pcol, k, row % cr)));
             }
-            let v = table.read_col_at(heap, pcol, row / cr, row % cr);
-            matched.push((row, v));
+            spans.record(k, start..matched.len());
         }
     } else {
-        for k in 0..table.sealed_chunks() {
+        table.refresh_storage_order(heap);
+        for &k in table.order(fcol) {
             scanned += cr as u64;
+            let start = matched.len();
             // The projected chunk's read is charged, so whether it happens
             // is part of the plan's cost: only when a live match survives.
             let any = table.view_col_chunk(heap, fcol, k, |vals| {
@@ -195,12 +261,14 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
                     gather(&bitmap, k * cr, vals, &mut matched)
                 });
             }
+            spans.record(k, start..matched.len());
         }
     }
 
     // The open chunk's staging rows — identical in both plans.
     let srows = table.staging_rows();
     let base = table.sealed_chunks() * cr;
+    let staged = matched.len();
     heap.charge_ops(srows as u64);
     if select(table, &q.filter, base, table.staging_col(fcol), &mut bitmap) {
         gather(&bitmap, base, table.staging_col(pcol), &mut matched);
@@ -209,13 +277,17 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
 
     let mut fnv = Fnv::new();
     let (mut sum, mut mn, mut mx) = (0u64, u64::MAX, 0u64);
-    for &(row, v) in &matched {
-        fnv.push(row as u64);
-        fnv.push(v);
-        sum = sum.wrapping_add(v);
-        mn = mn.min(v);
-        mx = mx.max(v);
-    }
+    let mut fold = |span: Range<usize>| {
+        for &(row, v) in &matched[span] {
+            fnv.push(row as u64);
+            fnv.push(v);
+            sum = sum.wrapping_add(v);
+            mn = mn.min(v);
+            mx = mx.max(v);
+        }
+    };
+    spans.for_each_ascending(&mut fold);
+    fold(staged..matched.len());
     let agg = match q.agg {
         None => 0,
         Some(Agg::Count) => matched.len() as u64,
@@ -229,6 +301,6 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
         agg,
         checksum: fnv.finish(),
     };
-    table.exec = ExecBuffers { matched, hits, bitmap };
+    table.exec = ExecBuffers { matched, spans, hits, bitmap };
     result
 }

@@ -42,18 +42,24 @@ impl RunMeta {
         self.min_key <= hi && self.max_key >= lo
     }
 
-    /// Whether the run may hold `key`. A Bloom filter has no false
-    /// negatives: this is `true` for every key the run holds.
-    pub(crate) fn may_contain(&self, key: u64) -> bool {
-        bloom_bits(key, self.bloom.len()).all(|b| self.bloom[b / 64] >> (b % 64) & 1 == 1)
+    /// Whether the run may hold the key whose [`bloom_hash`] is `h` (a probe
+    /// asking many runs about one key hashes it once). A Bloom filter has
+    /// no false negatives: this is `true` for every key the run holds.
+    #[inline]
+    pub(crate) fn may_contain(&self, h: u64) -> bool {
+        bloom_bits(h, self.bloom.len()).all(|b| self.bloom[b / 64] >> (b % 64) & 1 == 1)
     }
 }
 
-/// The filter bits of `key` in a filter of `words` words: double hashing
-/// over the two halves of one SplitMix64 mix of the key, each probe mapped
-/// onto the bit range by a multiply-shift.
-fn bloom_bits(key: u64, words: usize) -> impl Iterator<Item = usize> {
-    let h = SplitMix64::new(key).next_u64();
+/// The one SplitMix64 mix of `key` its filter bits derive from.
+pub(crate) fn bloom_hash(key: u64) -> u64 {
+    SplitMix64::new(key).next_u64()
+}
+
+/// The filter bits of the key hashed to `h` in a filter of `words` words:
+/// double hashing over the two halves of the hash, each probe mapped onto
+/// the bit range by a multiply-shift.
+fn bloom_bits(h: u64, words: usize) -> impl Iterator<Item = usize> {
     let (h1, h2) = (h as u32, (h >> 32) as u32);
     let bits = 64 * words as u64;
     (0..BLOOM_HASHES)
@@ -86,7 +92,7 @@ impl SortedRunIndex {
         let len = keys.len();
         let mut bloom = vec![0u64; (BLOOM_BITS_PER_KEY * len).div_ceil(64)].into_boxed_slice();
         for &key in keys {
-            for b in bloom_bits(key, bloom.len()) {
+            for b in bloom_bits(bloom_hash(key), bloom.len()) {
                 bloom[b / 64] |= 1 << (b % 64);
             }
         }
@@ -146,7 +152,7 @@ mod tests {
                 }
                 for (run, keys) in index.runs().iter().zip(&runs) {
                     prop_assert!(
-                        keys.iter().all(|&k| run.may_contain(k)),
+                        keys.iter().all(|&k| run.may_contain(bloom_hash(k))),
                         "a held key was ruled out"
                     );
                 }

@@ -13,7 +13,8 @@
 //! * [`exec`] — a filter/project/aggregate executor whose scans look at
 //!   chunks in place through `Heap::view_prims` — a charged borrow, so
 //!   H2-resident chunks pay the real page-fault and shared-device
-//!   arbitration path and nothing is copied out first.
+//!   arbitration path and nothing is copied out first — in storage order,
+//!   so an H2 scan rides readahead.
 //! * [`session`] — a deterministic session driver: N concurrent
 //!   closed-loop client sessions multiplexed over multi-tenant heaps on
 //!   one `SharedDevice`, replaying a point-lookup / range-scan / aggregate

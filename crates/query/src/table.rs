@@ -17,13 +17,17 @@
 //! ([`crate::index::SortedRunIndex`]). Deletes are tombstones; updates
 //! rewrite value columns in place through the chunk handle, H2-resident or
 //! not. Reads are charged borrowed views ([`Heap::view_prims`]): a chunk is
-//! looked at where it lives, never copied out first.
+//! looked at where it lives, never copied out first, and a reader that
+//! visits many chunks visits them in storage order
+//! ([`Table::storage_order`]), so an H2 scan rides the page cache's
+//! readahead instead of jumping back wherever the layout is permuted.
 
 use crate::exec::ExecBuffers;
-use crate::index::SortedRunIndex;
+use crate::index::{bloom_hash, SortedRunIndex};
 use teraheap_core::Label;
 use teraheap_runtime::obs::EventKind;
 use teraheap_runtime::{Handle, Heap, OomError};
+use teraheap_util::rng::Rng;
 
 /// Columns per table-id slot of the label namespace; a table may have at
 /// most half this many columns (the upper half addresses index runs).
@@ -101,9 +105,38 @@ pub struct Table {
     index: SortedRunIndex,
     tombstones: Vec<u64>,
     dead_rows: usize,
-    /// The executor's match list, candidate list and selection bitmap,
-    /// reused by every query instead of allocating per operation.
+    storage: StorageOrder,
+    /// The executor's match list, candidate list, chunk spans and
+    /// selection bitmap, reused by every query instead of allocating per
+    /// operation.
     pub(crate) exec: ExecBuffers,
+}
+
+/// Every stream's sealed chunks in storage order — ascending heap address,
+/// the order a scan of the device meets them in — and each chunk's rank in
+/// it. Host-side catalog metadata, like the chunk directory: computing it
+/// charges nothing, and a stale order costs time, never an answer.
+#[derive(Debug)]
+struct StorageOrder {
+    /// `(minor GCs, major GCs, sealed chunks)` when the order was computed:
+    /// only a collection moves a chunk, only a seal adds one.
+    epoch: Option<(u64, u64, usize)>,
+    /// `order[s]`: stream `s`'s chunk indices by ascending address.
+    order: Vec<Vec<usize>>,
+    /// `rank[s][k]`: the position of chunk `k` in `order[s]`.
+    rank: Vec<Vec<usize>>,
+}
+
+impl StorageOrder {
+    /// Recomputes `rank` from `order`.
+    fn rank_from_order(&mut self) {
+        for (order, rank) in self.order.iter().zip(&mut self.rank) {
+            rank.resize(order.len(), 0);
+            for (r, &k) in order.iter().enumerate() {
+                rank[k] = r;
+            }
+        }
+    }
 }
 
 impl Table {
@@ -126,6 +159,11 @@ impl Table {
             index: SortedRunIndex::new(),
             tombstones: Vec::new(),
             dead_rows: 0,
+            storage: StorageOrder {
+                epoch: None,
+                order: vec![Vec::new(); cfg.cols + 1],
+                rank: vec![Vec::new(); cfg.cols + 1],
+            },
             exec: ExecBuffers::default(),
         }
     }
@@ -184,6 +222,54 @@ impl Table {
     /// The index's run metadata.
     pub fn index(&self) -> &SortedRunIndex {
         &self.index
+    }
+
+    /// Stream `s`'s sealed chunk indices in storage order (ascending heap
+    /// address); stream `cols()` is the index runs.
+    pub fn storage_order(&mut self, heap: &Heap, s: usize) -> &[usize] {
+        self.refresh_storage_order(heap);
+        &self.storage.order[s]
+    }
+
+    /// Brings the storage order up to date if a collection or a seal may
+    /// have changed it since it was computed.
+    pub(crate) fn refresh_storage_order(&mut self, heap: &Heap) {
+        let sealed = self.sealed_chunks();
+        let epoch = (heap.stats().minor_count, heap.stats().major_count, sealed);
+        if self.storage.epoch == Some(epoch) {
+            return;
+        }
+        self.storage.epoch = Some(epoch);
+        for (order, stream) in self.storage.order.iter_mut().zip(&self.chunks) {
+            order.clear();
+            order.extend(0..sealed);
+            order.sort_unstable_by_key(|&k| heap.handle_addr(stream[k]));
+        }
+        self.storage.rank_from_order();
+    }
+
+    /// Stream `s`'s chunks in storage order, as last refreshed.
+    pub(crate) fn order(&self, s: usize) -> &[usize] {
+        &self.storage.order[s]
+    }
+
+    /// The position of chunk `k` in stream `s`'s storage order, as last
+    /// refreshed.
+    pub(crate) fn rank(&self, s: usize, k: usize) -> usize {
+        self.storage.rank[s][k]
+    }
+
+    /// Test hook: replaces every stream's storage order with a seeded
+    /// permutation, kept until the next collection or seal. Answers must not
+    /// change; only the device's service time may.
+    #[doc(hidden)]
+    pub fn permute_storage_order(&mut self, heap: &Heap, seed: u64) {
+        self.refresh_storage_order(heap);
+        let mut rng = Rng::seed_from_u64(seed);
+        for order in &mut self.storage.order {
+            rng.shuffle(order);
+        }
+        self.storage.rank_from_order();
     }
 
     /// Appends one row; seals (and indexes) a chunk when it fills.
@@ -267,26 +353,37 @@ impl Table {
     }
 
     /// Probes the sorted-run index for key range `[lo, hi]` (inclusive):
-    /// binary search in every candidate frozen run plus nothing else —
-    /// the open chunk is the executor's job. A run is a candidate when its
-    /// zone map overlaps `[lo, hi]` and, for a point predicate (`lo == hi`)
-    /// only, its DRAM Bloom filter may hold the key; each filter consulted
-    /// costs one op. Replaces `hits` with the candidate row ids ascending
-    /// (tombstones *not* filtered) and emits an `IndexProbe` event counting
-    /// the runs viewed. A viewed run pays for its whole key half (the
-    /// search is in place, but the charge is the plane's contract) and for
-    /// exactly the matching slice of its id half.
-    pub fn probe_index(&self, heap: &mut Heap, lo: u64, hi: u64, hits: &mut Vec<usize>) {
+    /// binary search in every candidate frozen run, swept in storage order,
+    /// plus nothing else — the open chunk is the executor's job. A run is a
+    /// candidate when its zone map overlaps `[lo, hi]` and, for a point
+    /// predicate (`lo == hi`) only, its DRAM Bloom filter may hold the key;
+    /// each filter consulted costs one op. Replaces `hits` with the
+    /// candidate row ids ascending (tombstones *not* filtered) and emits an
+    /// `IndexProbe` event counting the runs viewed. A viewed run pays for
+    /// its whole key half (the search is in place, but the charge is the
+    /// plane's contract) and for exactly the matching slice of its id half.
+    pub fn probe_index(&mut self, heap: &mut Heap, lo: u64, hi: u64, hits: &mut Vec<usize>) {
+        self.probe_runs(heap, lo, hi, hits);
+        hits.sort_unstable();
+    }
+
+    /// [`Table::probe_index`] with `hits` in the order the probe found
+    /// them: run by run in storage order, each run's in key order.
+    pub(crate) fn probe_runs(&mut self, heap: &mut Heap, lo: u64, hi: u64, hits: &mut Vec<usize>) {
+        self.refresh_storage_order(heap);
         let cr = self.cfg.chunk_rows;
+        let (runs, roots) = (self.index.runs(), &self.chunks[self.cfg.cols]);
+        let key_hash = bloom_hash(lo);
         hits.clear();
         let mut probed = 0u32;
-        for (run, &root) in self.index.runs().iter().zip(&self.chunks[self.cfg.cols]) {
+        for &k in self.order(self.cfg.cols) {
+            let (run, root) = (&runs[k], roots[k]);
             if !run.overlaps(lo, hi) {
                 continue;
             }
             if lo == hi {
                 heap.charge_ops(1);
-                if !run.may_contain(lo) {
+                if !run.may_contain(key_hash) {
                     continue;
                 }
             }
@@ -301,7 +398,6 @@ impl Table {
             heap.release(h);
         }
         heap.clock().emit(EventKind::IndexProbe { runs: probed, hits: hits.len() as u64 });
-        hits.sort_unstable();
     }
 
     /// Rewrites a value column in place (sealed chunks through the chunk
@@ -370,6 +466,7 @@ impl Table {
             col.clear();
         }
         self.index.clear();
+        self.storage.epoch = None;
         self.rows = 0;
         self.dead_rows = 0;
         self.tombstones.clear();

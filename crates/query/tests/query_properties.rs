@@ -5,6 +5,8 @@
 //! * The index-probe plan must be answer-bit-equal to the full-scan plan,
 //!   point lookups of held and absent keys (which the runs' Bloom filters
 //!   prune) included.
+//! * Neither plan's result may depend on the order it visits chunks and
+//!   runs in: a permuted storage order answers like the real one.
 //! * The full-scan plan must charge exactly what the two-pass reference
 //!   plan charges: every filter chunk, and a projected chunk only when a
 //!   live match survives in it.
@@ -24,7 +26,7 @@ use teraheap_util::proptest_mini::{
     check, range_u64, range_usize, vec_of, CaseResult, Config, Just, Strategy,
 };
 use teraheap_util::rng::Rng;
-use teraheap_util::{prop_assert, prop_assert_eq, prop_oneof};
+use teraheap_util::{prop_assert_eq, prop_oneof};
 
 const COLS: usize = 3;
 
@@ -198,11 +200,12 @@ fn churned_table(
 }
 
 /// The charges of the full-scan plan by the two-pass rule it replaced:
-/// read every sealed filter chunk; read the projected chunk only if some
-/// row of the chunk matches and is not tombstoned; one op per staged row.
-fn reference_scan_charges(heap: &mut Heap, table: &Table, q: &Query) {
+/// read every sealed filter chunk, in storage order; read the projected
+/// chunk only if some row of the chunk matches and is not tombstoned; one
+/// op per staged row.
+fn reference_scan_charges(heap: &mut Heap, table: &mut Table, q: &Query) {
     let cr = table.chunk_rows();
-    for k in 0..table.sealed_chunks() {
+    for k in table.storage_order(heap, q.filter.col).to_vec() {
         let any = table.view_col_chunk(heap, q.filter.col, k, |vals| {
             (0..cr).any(|i| {
                 q.filter.lo <= vals[i] && vals[i] <= q.filter.hi && !table.is_deleted(k * cr + i)
@@ -215,28 +218,52 @@ fn reference_scan_charges(heap: &mut Heap, table: &Table, q: &Query) {
     heap.charge_ops(table.staging_rows() as u64);
 }
 
+/// (chunk rows, rows, seed) of a [`churned_table`].
+type TableSpec = (usize, usize, u64);
+
+/// Chunk sizes from 10 rows to the default 256, up to 600 rows.
+fn table_strategy() -> impl Strategy<Value = TableSpec> {
+    (
+        prop_oneof![
+            1 => Just(10usize),
+            1 => Just(32usize),
+            1 => Just(64usize),
+            1 => Just(100usize),
+            1 => Just(256usize),
+        ],
+        range_usize(1..600),
+        range_u64(0..u64::MAX),
+    )
+}
+
+/// Tombstones, in both twins, every live row of an even chunk that `q`
+/// matches, so some chunks' only matches are dead.
+fn plant_tombstones(
+    q: &Query,
+    mirror: &mut Mirror,
+    chunk_rows: usize,
+    mut twins: [(&mut Heap, &mut Table); 2],
+) {
+    for r in 0..mirror.rows.len() {
+        let f = mirror.rows[r][q.filter.col];
+        let matches = q.filter.lo <= f && f <= q.filter.hi;
+        if matches && (r / chunk_rows).is_multiple_of(2) && !mirror.deleted[r] {
+            for (heap, table) in &mut twins {
+                assert!(table.delete_row(heap, r), "the twins and the mirror agree on live rows");
+            }
+            mirror.deleted[r] = true;
+        }
+    }
+}
+
 #[test]
 fn executor_matches_naive_oracle_and_index_equals_scan() {
     check(
         "executor_matches_naive_oracle_and_index_equals_scan",
-        &(
-            (
-                prop_oneof![
-                    1 => Just(10usize),
-                    1 => Just(32usize),
-                    1 => Just(64usize),
-                    1 => Just(100usize),
-                    1 => Just(256usize),
-                ],
-                range_usize(1..600),
-                range_u64(0..u64::MAX),
-            ),
-            vec_of(churn_strategy(), 0..24),
-            vec_of(query_strategy(), 1..8),
-        ),
+        &(table_strategy(), vec_of(churn_strategy(), 0..24), vec_of(query_strategy(), 1..8)),
         &Config::with_cases(48),
         |((chunk_rows, rows, seed), churn, queries): (
-            (usize, usize, u64),
+            TableSpec,
             Vec<ChurnOp>,
             Vec<QuerySpecTuple>,
         )| {
@@ -249,20 +276,13 @@ fn executor_matches_naive_oracle_and_index_equals_scan() {
             for spec in queries {
                 let (q, kill) = build_query(spec, &mirror);
                 if kill {
-                    for r in 0..rows {
-                        let f = mirror.rows[r][q.filter.col];
-                        let matches = q.filter.lo <= f && f <= q.filter.hi;
-                        if matches && (r / chunk_rows) % 2 == 0 && !mirror.deleted[r] {
-                            prop_assert!(table.delete_row(&mut heap, r));
-                            prop_assert!(ref_table.delete_row(&mut ref_heap, r));
-                            mirror.deleted[r] = true;
-                        }
-                    }
+                    let twins = [(&mut heap, &mut table), (&mut ref_heap, &mut ref_table)];
+                    plant_tombstones(&q, &mut mirror, chunk_rows, twins);
                 }
                 let (before, ref_before) =
                     (heap.clock().total_ns(), ref_heap.clock().total_ns());
                 let scan = run_query(&mut heap, &mut table, &q, false);
-                reference_scan_charges(&mut ref_heap, &ref_table, &q);
+                reference_scan_charges(&mut ref_heap, &mut ref_table, &q);
                 prop_assert_eq!(
                     heap.clock().total_ns() - before,
                     ref_heap.clock().total_ns() - ref_before,
@@ -282,6 +302,45 @@ fn executor_matches_naive_oracle_and_index_equals_scan() {
                 );
                 prop_assert_eq!(probe, ref_probe, "twins diverged");
                 prop_assert_eq!(heap.clock().total_ns(), ref_heap.clock().total_ns());
+            }
+            CaseResult::Pass
+        },
+    );
+}
+
+#[test]
+fn answers_do_not_depend_on_visiting_order() {
+    // Twins again: one visits chunks and runs in storage order, the other
+    // in a seeded permutation of it. Every result field must agree, and
+    // both plans must still match the oracle.
+    check(
+        "answers_do_not_depend_on_visiting_order",
+        &(
+            (table_strategy(), range_u64(0..u64::MAX)),
+            vec_of(churn_strategy(), 0..24),
+            vec_of(query_strategy(), 1..8),
+        ),
+        &Config::with_cases(48),
+        |(((chunk_rows, rows, seed), perm), churn, queries): (
+            (TableSpec, u64),
+            Vec<ChurnOp>,
+            Vec<QuerySpecTuple>,
+        )| {
+            let (mut heap, mut table, mut mirror) = churned_table(chunk_rows, rows, seed, &churn);
+            let (mut perm_heap, mut perm_table, _) = churned_table(chunk_rows, rows, seed, &churn);
+            perm_table.permute_storage_order(&perm_heap, perm);
+            for spec in queries {
+                let (q, kill) = build_query(spec, &mirror);
+                if kill {
+                    let twins = [(&mut heap, &mut table), (&mut perm_heap, &mut perm_table)];
+                    plant_tombstones(&q, &mut mirror, chunk_rows, twins);
+                }
+                for use_index in [false, true] {
+                    let want = run_query(&mut heap, &mut table, &q, use_index);
+                    let got = run_query(&mut perm_heap, &mut perm_table, &q, use_index);
+                    prop_assert_eq!(got, want, "a permuted visiting order moved the result");
+                    prop_assert_eq!(got.answer(), mirror.oracle(&q), "disagrees with the oracle");
+                }
             }
             CaseResult::Pass
         },

@@ -293,8 +293,11 @@ impl Heap {
 
     /// The current address of the object behind `h`.
     ///
-    /// Only stable until the next collection; intended for diagnostics and
-    /// region-level assertions, not for storing.
+    /// Only stable until the next collection; intended for diagnostics,
+    /// region-level assertions and ordering hints, not for storing. Sorting
+    /// objects by address gives the order a scan of their storage meets
+    /// them in (ascending H2 offsets ride the page cache's readahead); the
+    /// order holds until the next collection moves something.
     pub fn handle_addr(&self, h: Handle) -> Addr {
         self.root_of(h)
     }

@@ -111,7 +111,8 @@ teraheap_runtime/fault_isolation::            §12  one tenant's injected crash 
 teraheap_core/properties::                    §13  the lifetime profiler replays bit-identically and never retracts a pretenure decision; region-group liveness is merge-order invariant
 mini_spark/placement_properties::             §13  the placement cost model is deterministic and monotone in device latency and S/D cost
 teraheap_query/charge_pin::                   §14  the read path's simulated charges, cold and hot (golden)
-teraheap_query/query_properties::             §14  the executor matches its naive oracle, the index plan is answer-bit-equal to the full scan (point lookups of held and absent keys included), answers are invariant across runtime knobs
+teraheap_query/query_properties::             §14  the executor matches its naive oracle, the index plan is answer-bit-equal to the full scan (point lookups of held and absent keys included), answers are invariant across runtime knobs and across a permuted chunk/run visiting order
+teraheap_query/scan_order::                   §14  a cold table loaded through minor GCs lies in H2 out of directory order; a full-scan aggregate visiting it in storage order takes >= 90% of its faults sequentially (directory order: under 90%) and answers the same
 teraheap_query/lib::index::tests::bloom_filter_has_no_false_negatives  §14  every key a run holds passes its Bloom filter: 1-256 keys per run, duplicates, 0 and u64::MAX
 teraheap_query/lib::index::tests::point_lookup_views_few_of_128_runs   §14  a point lookup of a present key views at most 3 of 128 runs on average (IndexProbe), where zone maps alone would view nearly all
 teraheap_query/endurance::                    §14  the retriever-style churn loop stays leak-free with the heap checker armed
