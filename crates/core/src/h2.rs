@@ -16,8 +16,8 @@ use crate::region::{RegionError, RegionId, RegionManager};
 use teraheap_storage::fault;
 use teraheap_storage::obs::EventKind;
 use teraheap_storage::{
-    AttachError, Category, ChargeScope, DeviceSpec, DurableStore, FaultPlan, FaultPlane, MmapSim,
-    SharedDevice, SimClock, WriteBackOutcome,
+    AttachError, Category, ChargeScope, DeviceSpec, FaultPlan, FaultPlane, MmapSim, SharedDevice,
+    SimClock,
 };
 use std::sync::Arc;
 
@@ -244,19 +244,6 @@ impl std::fmt::Display for H2Error {
 
 impl std::error::Error for H2Error {}
 
-/// What [`H2::recover`] rebuilt from the durable image after a crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RecoveryReport {
-    /// Pages whose checksum failed (torn by the crash) — all were detected
-    /// and zeroed, never silently trusted.
-    pub torn_pages: u64,
-    /// Regions whose journaled prefix survived intact.
-    pub regions_recovered: u64,
-    /// Journaled regions dropped because a torn page fell inside their
-    /// durable prefix.
-    pub regions_quarantined: u64,
-}
-
 /// The second heap: word store + region allocator + card table + policy +
 /// promotion buffers + device cost model.
 #[derive(Debug)]
@@ -272,41 +259,20 @@ pub struct H2 {
     promoter: Promoter,
     objects_promoted: u64,
     words_promoted: u64,
-    /// The armed fault plane and what it guards; `None` on the fault-free
-    /// fast path.
-    faults: Option<Armed>,
+    /// The armed fault plane; `None` on the fault-free fast path.
+    faults: Option<Arc<FaultPlane>>,
     /// Set when H2 gave up (retry-exhausted flush or injected ENOSPC): the
     /// collector stops promoting, matching the paper's no-H2 baseline.
     degraded: bool,
-}
-
-/// An H2's fault state: the armed plane and the durable device image it
-/// crashes and tears, which exists only under a plane.
-#[derive(Debug)]
-struct Armed {
-    plane: Arc<FaultPlane>,
-    durable: DurableStore,
-}
-
-impl Armed {
-    /// Writes `pages` of `data` to the durable image as one write-back
-    /// boundary, recording the crash point if it fires there.
-    fn write_back(&mut self, pages: &[u64], data: &[u64], clock: &SimClock) -> WriteBackOutcome {
-        let out = self.durable.write_back(pages, data, Some(&self.plane));
-        if out == WriteBackOutcome::Crashed {
-            clock.emit(EventKind::CrashPoint);
-        }
-        out
-    }
 }
 
 impl H2 {
     /// Creates a second heap over a device described by `spec`.
     ///
     /// When `TERAHEAP_FAULTS` is set (or `config.faults` is enabled), a
-    /// fault plane and a durable device image are armed; otherwise every
-    /// fault-path branch stays `None` and the heap behaves bit-identically
-    /// to a build without the fault plane.
+    /// fault plane is armed; otherwise every fault-path branch stays `None`
+    /// and the heap behaves bit-identically to a build without the fault
+    /// plane.
     pub fn new(config: H2Config, spec: DeviceSpec, clock: Arc<SimClock>) -> Self {
         let capacity_words = config.capacity_words();
         let mut mmap = MmapSim::new(
@@ -320,10 +286,7 @@ impl H2 {
         let faults = plan.enabled.then(|| {
             let plane = FaultPlane::new(plan);
             mmap.set_fault_plane(plane.clone());
-            Armed {
-                plane,
-                durable: DurableStore::new(capacity_words, config.page_size / WORD_BYTES),
-            }
+            plane
         });
         H2 {
             regions: RegionManager::new(config.region_words, config.n_regions),
@@ -418,12 +381,7 @@ impl H2 {
 
     /// The armed fault plane, if any.
     pub fn fault_plane(&self) -> Option<&Arc<FaultPlane>> {
-        self.faults.as_ref().map(|f| &f.plane)
-    }
-
-    /// The durable device image, if a fault plane is armed.
-    pub fn durable(&self) -> Option<&DurableStore> {
-        self.faults.as_ref().map(|f| &f.durable)
+        self.faults.as_ref()
     }
 
     /// Whether H2 has degraded (retry-exhausted flush or injected ENOSPC).
@@ -431,12 +389,6 @@ impl H2 {
     /// promotees in the old generation, i.e. the paper's no-H2 baseline.
     pub fn is_degraded(&self) -> bool {
         self.degraded
-    }
-
-    /// Whether the fault plane's crash point has fired (the simulated
-    /// process is "dead"; only [`H2::recover`] makes progress again).
-    pub fn is_crashed(&self) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.plane.crashed())
     }
 
     /// Objects moved to H2 so far.
@@ -461,9 +413,9 @@ impl H2 {
     ///
     /// [`H2Error::OutOfSpace`] or [`H2Error::ObjectTooLarge`].
     pub fn alloc(&mut self, label: Label, words: usize) -> Result<Addr, H2Error> {
-        if let Some(f) = &self.faults {
+        if let Some(plane) = &self.faults {
             if self.regions.would_open(label, words)
-                && f.plane.deny_growth(self.regions.allocated_total())
+                && plane.deny_growth(self.regions.allocated_total())
             {
                 // Injected ENOSPC: the backing file cannot grow. Degrade
                 // instead of erroring every caller forever.
@@ -480,7 +432,6 @@ impl H2 {
     /// Reads the word at `addr`, charging page-fault/DAX cost to `cat`.
     pub fn read_word(&mut self, addr: Addr, cat: Category) -> u64 {
         self.mmap.touch_read(addr.h2_byte_offset(), WORD_BYTES, cat);
-        self.sync_durable();
         self.data[addr.h2_offset() as usize]
     }
 
@@ -491,8 +442,6 @@ impl H2 {
     pub fn write_word(&mut self, addr: Addr, value: u64, cat: Category) {
         self.mmap.touch_write(addr.h2_byte_offset(), WORD_BYTES, cat);
         self.data[addr.h2_offset() as usize] = value;
-        self.mirror_dax(addr.h2_byte_offset(), WORD_BYTES);
-        self.sync_durable();
     }
 
     /// Charges a read of the `n` consecutive words starting at `addr`
@@ -509,7 +458,6 @@ impl H2 {
         }
         self.mmap
             .touch_run(addr.h2_byte_offset(), n * WORD_BYTES, false, cat);
-        self.sync_durable();
         let base = addr.h2_offset() as usize;
         &self.data[base..base + n]
     }
@@ -539,8 +487,6 @@ impl H2 {
         self.mmap.touch_run(addr.h2_byte_offset(), n * WORD_BYTES, true, cat);
         let base = addr.h2_offset() as usize;
         fill(&mut self.data[base..base + n]);
-        self.mirror_dax(addr.h2_byte_offset(), n * WORD_BYTES);
-        self.sync_durable();
     }
 
     /// Words per page of the backing mapping — the chunk size at which a
@@ -597,7 +543,7 @@ impl H2 {
         self.objects_promoted += 1;
         self.words_promoted += words.len() as u64;
         if flushed > 0 {
-            self.flush_durably(&[(region, flushed)], cat);
+            self.roll_flush_fault(&[(region, flushed)], cat);
         }
     }
 
@@ -608,50 +554,27 @@ impl H2 {
         let flushed = self.promoter.flush_all();
         self.charge_flush(flushed, cat);
         if flushed > 0 {
-            self.flush_durably(&pending, cat);
+            self.roll_flush_fault(&pending, cat);
         }
     }
 
     /// A promotion flush of `batches` (`(region, bytes)` each) reached the
     /// device. With a plane armed, rolls one injected write fault for it (a
-    /// flush is one batched I/O submission) and, if the device accepted it,
-    /// writes each batch to the durable image: data pages first, then the
-    /// region's watermark record in the metadata journal (WAL order, so a
-    /// crash in between leaves the old watermark and the batch is dropped at
-    /// recovery rather than half-trusted), one write-back boundary per
-    /// region. On retry exhaustion the batches are un-staged — their bytes
-    /// are only in DRAM — and H2 degrades.
-    fn flush_durably(&mut self, batches: &[(RegionId, usize)], cat: Category) {
-        let Some(f) = self.faults.as_mut() else {
+    /// flush is one batched I/O submission). On retry exhaustion the
+    /// batches are un-staged — their bytes are only in DRAM — and H2
+    /// degrades.
+    fn roll_flush_fault(&mut self, batches: &[(RegionId, usize)], cat: Category) {
+        let Some(plane) = &self.faults else {
             return;
         };
         let mut scope = ChargeScope::new(cat);
-        let out = fault::inject_scoped(&f.plane, &self.clock, &mut scope, true);
+        let out = fault::inject_scoped(plane, &self.clock, &mut scope, true);
         scope.flush(&self.clock);
         if !out.ok {
             for &(region, bytes) in batches {
                 self.promoter.unstage(region, bytes);
             }
-            return self.degrade();
-        }
-        let region_bytes = (self.regions.region_words() * WORD_BYTES) as u64;
-        let page_bytes = (f.durable.page_words() * WORD_BYTES) as u64;
-        for &(region, bytes) in batches {
-            let rid = region.0 as usize;
-            let (_, old_wm) = f.durable.meta(rid);
-            let new_wm = old_wm + bytes as u64;
-            let base_byte = rid as u64 * region_bytes;
-            let pages: Vec<u64> = ((base_byte + old_wm) / page_bytes
-                ..=(base_byte + new_wm - 1) / page_bytes)
-                .collect();
-            match f.write_back(&pages, &self.data, &self.clock) {
-                WriteBackOutcome::Applied => {
-                    let label_bits = self.regions.label_of(region).map_or(0, |l| l.id() + 1);
-                    f.durable.set_meta(rid, label_bits, new_wm);
-                }
-                WriteBackOutcome::Crashed => break,
-                WriteBackOutcome::Ignored => {}
-            }
+            self.degrade();
         }
     }
 
@@ -663,43 +586,10 @@ impl H2 {
         }
     }
 
-    /// Applies pages the page cache wrote back (evictions of dirty pages,
-    /// explicit flushes) to the durable image. Fault-free runs have no
-    /// write-back log and return immediately.
-    fn sync_durable(&mut self) {
-        let Some(f) = self.faults.as_mut() else {
-            return;
-        };
-        let pages = self.mmap.take_writeback_pages();
-        if !pages.is_empty() {
-            f.write_back(&pages, &self.data, &self.clock);
-        }
-    }
-
-    /// DAX (byte-addressable) devices persist stores directly: mirror the
-    /// written byte range into the durable image immediately, as one
-    /// write-back boundary. No-op for page-cached devices or without a
-    /// plane.
-    fn mirror_dax(&mut self, byte_off: usize, len: usize) {
-        let Some(f) = self.faults.as_mut() else {
-            return;
-        };
-        if !self.mmap.is_dax() || len == 0 {
-            return;
-        }
-        let page_bytes = f.durable.page_words() * WORD_BYTES;
-        let lo = byte_off / page_bytes;
-        let hi = (byte_off + len - 1) / page_bytes;
-        let pages: Vec<u64> = (lo..=hi).map(|p| p as u64).collect();
-        f.write_back(&pages, &self.data, &self.clock);
-    }
-
     /// Writes every dirty page of the mapping back (the `msync(2)`
-    /// analogue), charging `cat`, and applies the write-back to the durable
-    /// image when a plane is armed.
+    /// analogue), charging `cat`.
     pub fn msync(&mut self, cat: Category) {
         self.mmap.flush(cat);
-        self.sync_durable();
     }
 
     fn charge_flush(&self, flushed_bytes: usize, cat: Category) {
@@ -738,120 +628,8 @@ impl H2 {
             // Zero the store so stale data can never be misread as objects.
             let base_w = self.regions.region_base(rid).h2_offset() as usize;
             self.data[base_w..base_w + self.regions.region_words()].fill(0);
-            // Retire the region's durable state too (the free is journaled:
-            // watermark 0, no label), so a crash after the sweep can never
-            // resurrect the dead region at recovery.
-            if let Some(Armed { durable, .. }) = self.faults.as_mut() {
-                if !durable.crashed() {
-                    durable.set_meta(rid.0 as usize, 0, 0);
-                    let pw = durable.page_words();
-                    let zeros = vec![0u64; pw];
-                    let lo = base / (pw * WORD_BYTES);
-                    let hi = (base + bytes - 1) / (pw * WORD_BYTES);
-                    for page in lo..=hi {
-                        durable.rewrite_page(page, &zeros);
-                    }
-                }
-            }
         }
         freed
-    }
-
-    /// Rebuilds H2 from the durable image after a simulated crash.
-    ///
-    /// Recovery trusts only what survived on the device: checksummed data
-    /// pages and the atomic per-region metadata journal. For each journaled
-    /// region the watermark names the durably-written prefix; a torn page
-    /// inside that prefix quarantines the whole region (its group is
-    /// incomplete — the safe interpretation, since objects from one group
-    /// reference each other). All volatile state — cards, promotion
-    /// buffers, the page cache, open-region map — restarts cold. The
-    /// runtime layer then rebuilds object maps and reference invariants on
-    /// top (see the runtime crate's `Heap::recover_from_crash`).
-    ///
-    /// Returns what was recovered. No-op (zero report) without a plane.
-    pub fn recover(&mut self) -> RecoveryReport {
-        let Some(Armed { plane, durable }) = self.faults.as_mut() else {
-            return RecoveryReport::default();
-        };
-        let torn = durable.verify();
-        // The volatile image died with the process: reload it from the
-        // device, with torn pages read as zero (their checksum failed).
-        let pw = durable.page_words();
-        let data_len = self.data.len();
-        self.data.copy_from_slice(&durable.words()[..data_len]);
-        for &p in &torn {
-            let lo = p as usize * pw;
-            let hi = (lo + pw).min(self.data.len());
-            self.data[lo..hi].fill(0);
-        }
-        // Rebuild region state from the metadata journal, quarantining any
-        // region whose durable prefix contains a torn page.
-        let region_bytes = self.regions.region_words() * WORD_BYTES;
-        let mut entries: Vec<(Option<Label>, usize)> = Vec::with_capacity(self.config.n_regions);
-        let mut quarantined = 0u64;
-        let mut recovered = 0u64;
-        for rid in 0..self.config.n_regions {
-            let (label_bits, wm) = durable.meta(rid);
-            if label_bits == 0 || wm == 0 {
-                entries.push((None, 0));
-                continue;
-            }
-            let base_byte = rid * region_bytes;
-            let lo_page = (base_byte / (pw * WORD_BYTES)) as u64;
-            let hi_page = ((base_byte + wm as usize - 1) / (pw * WORD_BYTES)) as u64;
-            let is_torn = torn.iter().any(|&p| p >= lo_page && p <= hi_page);
-            if is_torn {
-                quarantined += 1;
-                entries.push((None, 0));
-                let base_w = rid * self.regions.region_words();
-                self.data[base_w..base_w + self.regions.region_words()].fill(0);
-            } else {
-                recovered += 1;
-                entries.push((Some(Label::new(label_bits - 1)), wm as usize / WORD_BYTES));
-            }
-        }
-        self.regions.restore_from(&entries);
-        // Repair the device image (zero quarantined/torn pages, fix their
-        // checksums, retire quarantined journal records) and unfreeze.
-        durable.clear_crash();
-        let zeros = vec![0u64; pw];
-        for &p in &torn {
-            durable.rewrite_page(p as usize, &zeros);
-        }
-        for (rid, entry) in entries.iter().enumerate() {
-            if entry.0.is_none() {
-                durable.set_meta(rid, 0, 0);
-                let lo = rid * region_bytes / (pw * WORD_BYTES);
-                let hi = (rid * region_bytes + region_bytes - 1) / (pw * WORD_BYTES);
-                for page in lo..=hi {
-                    if !durable.page_ok(page) {
-                        durable.rewrite_page(page, &zeros);
-                    }
-                }
-            }
-        }
-        // Volatile state restarts cold.
-        self.cards = H2CardTable::new(
-            self.config.capacity_words(),
-            self.config.card_seg_words,
-            self.config.region_words,
-        );
-        self.promoter.reset_pending();
-        self.mmap.discard(0, self.config.capacity_words() * WORD_BYTES);
-        let _ = self.mmap.take_writeback_pages();
-        plane.clear_crash();
-        self.degraded = false;
-        let report = RecoveryReport {
-            torn_pages: torn.len() as u64,
-            regions_recovered: recovered,
-            regions_quarantined: quarantined,
-        };
-        self.clock.emit(EventKind::Recovered {
-            torn_pages: report.torn_pages,
-            regions: report.regions_recovered,
-        });
-        report
     }
 }
 

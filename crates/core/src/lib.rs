@@ -52,7 +52,7 @@ pub mod region;
 pub use addr::{Addr, H2_BASE_WORDS, NULL, WORD_BYTES};
 pub use card::{CardState, H2CardTable};
 pub use groups::RegionGroups;
-pub use h2::{H2Config, H2ConfigBuilder, H2ConfigError, H2Error, RecoveryReport, H2};
+pub use h2::{H2Config, H2ConfigBuilder, H2ConfigError, H2Error, H2};
 pub use lifetime::{LifetimeProfiles, SiteStats};
 pub use policy::{Label, TransferPolicy};
 pub use promo::Promoter;

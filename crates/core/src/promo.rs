@@ -98,12 +98,6 @@ impl Promoter {
         self.flushes = self.flushes.saturating_sub(1);
     }
 
-    /// Drops all pending bytes without flushing (crash recovery: the staged
-    /// data died with DRAM).
-    pub fn reset_pending(&mut self) {
-        self.pending.clear();
-    }
-
     /// Flushes every partially-filled buffer (end of compaction), one flush
     /// per region with pending bytes. Returns the total bytes written.
     pub fn flush_all(&mut self) -> usize {

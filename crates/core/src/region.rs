@@ -206,11 +206,6 @@ impl RegionManager {
         Addr::h2_at((rid.0 as usize * self.region_words) as u64)
     }
 
-    /// Label of the group placed in `rid`, if any.
-    pub fn label_of(&self, rid: RegionId) -> Option<Label> {
-        self.regions[rid.0 as usize].label
-    }
-
     /// Words currently allocated in `rid`.
     pub fn used_words(&self, rid: RegionId) -> usize {
         self.regions[rid.0 as usize].top
@@ -259,47 +254,6 @@ impl RegionManager {
             Some(&rid) => self.regions[rid.0 as usize].top + words > self.region_words,
             None => true,
         }
-    }
-
-    /// Clamps `rid`'s allocation pointer down to `new_top` words (crash
-    /// recovery: a truncated object walk found the tail unparsable).
-    pub fn truncate(&mut self, rid: RegionId, new_top: usize) {
-        let r = &mut self.regions[rid.0 as usize];
-        r.top = r.top.min(new_top);
-    }
-
-    /// Rebuilds allocation state from recovered `(label, top_words)` entries,
-    /// one per region (crash recovery from the durable metadata journal).
-    /// Dependency lists and statistics restart empty — they are DRAM-only
-    /// state the runtime re-derives — and the open map restarts empty, so
-    /// the next allocation under any label opens a fresh region rather than
-    /// appending to a region whose tail state is uncertain. The cumulative
-    /// open count restarts at the number of in-use regions (history is lost
-    /// with DRAM).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries.len()` differs from the region count.
-    pub fn restore_from(&mut self, entries: &[(Option<Label>, usize)]) {
-        assert_eq!(entries.len(), self.regions.len(), "one entry per region");
-        self.open.clear();
-        self.free.clear();
-        let mut in_use = 0u64;
-        for (i, &(label, top)) in entries.iter().enumerate() {
-            let r = &mut self.regions[i];
-            *r = Region::empty();
-            r.label = label;
-            if label.is_some() {
-                r.top = top.min(self.region_words);
-                in_use += 1;
-            }
-        }
-        for i in (0..self.regions.len()).rev() {
-            if self.regions[i].is_free() {
-                self.free.push(RegionId(i as u32));
-            }
-        }
-        self.allocated_total = in_use;
     }
 
     /// Adds `to` to `from`'s dependency list if not already present.

@@ -330,12 +330,6 @@ pub enum EventKind {
     /// `enospc` distinguishes backing-file exhaustion from write-retry
     /// exhaustion.
     H2Degraded { enospc: bool },
-    /// The injected crash point fired mid-write-back; the durable image may
-    /// hold torn pages from here on.
-    CrashPoint,
-    /// `H2::recover()` completed: `torn_pages` checksum mismatches were
-    /// detected and `regions` regions restored from the durable image.
-    Recovered { torn_pages: u64, regions: u64 },
     /// A GC work unit was dispatched to lane `lane` (work-unit plane).
     UnitBegin { lane: u32, kind: WorkUnitKind },
     /// The dispatched unit finished; `cost_ns` is what it charged its lane.
@@ -393,7 +387,7 @@ pub const PLACEMENT_NAMES: [&str; 3] = ["on_heap", "serialized", "h2"];
 pub const QUERY_OP_NAMES: [&str; 3] = ["point_lookup", "range_scan", "aggregate"];
 
 /// Number of distinct event classes (counter array dimension).
-pub const CLASS_COUNT: usize = 33;
+pub const CLASS_COUNT: usize = 31;
 
 /// Number of span slots [`EventKind::span_edge`] distinguishes: minor/major
 /// GC, the four major phases, the [`SpanKind`]s, then incremental GC slices.
@@ -425,22 +419,20 @@ impl EventKind {
             EventKind::FaultInjected { .. } => 14,
             EventKind::IoRetry { .. } => 15,
             EventKind::H2Degraded { .. } => 16,
-            EventKind::CrashPoint => 17,
-            EventKind::Recovered { .. } => 18,
-            EventKind::UnitBegin { .. } => 19,
-            EventKind::UnitEnd { .. } => 20,
-            EventKind::LaneBarrier { .. } => 21,
-            EventKind::SliceBegin { .. } => 22,
-            EventKind::SliceEnd { .. } => 23,
-            EventKind::WriteBarrierRemember { .. } => 24,
-            EventKind::DeviceQueued { .. } => 25,
-            EventKind::TenantSched { .. } => 26,
-            EventKind::Pretenure { .. } => 27,
-            EventKind::PlacementDecision { .. } => 28,
-            EventKind::BlockSerde { .. } => 29,
-            EventKind::QueryBegin { .. } => 30,
-            EventKind::QueryEnd { .. } => 31,
-            EventKind::IndexProbe { .. } => 32,
+            EventKind::UnitBegin { .. } => 17,
+            EventKind::UnitEnd { .. } => 18,
+            EventKind::LaneBarrier { .. } => 19,
+            EventKind::SliceBegin { .. } => 20,
+            EventKind::SliceEnd { .. } => 21,
+            EventKind::WriteBarrierRemember { .. } => 22,
+            EventKind::DeviceQueued { .. } => 23,
+            EventKind::TenantSched { .. } => 24,
+            EventKind::Pretenure { .. } => 25,
+            EventKind::PlacementDecision { .. } => 26,
+            EventKind::BlockSerde { .. } => 27,
+            EventKind::QueryBegin { .. } => 28,
+            EventKind::QueryEnd { .. } => 29,
+            EventKind::IndexProbe { .. } => 30,
         }
     }
 
@@ -463,8 +455,6 @@ impl EventKind {
         "fault_injected",
         "io_retry",
         "h2_degraded",
-        "crash_point",
-        "recovered",
         "unit_begin",
         "unit_end",
         "lane_barrier",
@@ -512,8 +502,6 @@ impl EventKind {
                 | EventKind::H2PromoFlush { .. }
                 | EventKind::Oom
                 | EventKind::H2Degraded { .. }
-                | EventKind::CrashPoint
-                | EventKind::Recovered { .. }
                 | EventKind::LaneBarrier { .. }
                 | EventKind::SliceBegin { .. }
                 | EventKind::SliceEnd { .. }
@@ -789,8 +777,6 @@ mod tests {
             EventKind::FaultInjected { write: false },
             EventKind::IoRetry { attempt: 1 },
             EventKind::H2Degraded { enospc: false },
-            EventKind::CrashPoint,
-            EventKind::Recovered { torn_pages: 0, regions: 0 },
             EventKind::UnitBegin { lane: 0, kind: unit },
             EventKind::UnitEnd { lane: 0, kind: unit, cost_ns: 0 },
             EventKind::LaneBarrier { lanes: 1, units: 0, advance_ns: 0, stall_ns: 0 },
@@ -810,7 +796,7 @@ mod tests {
         classes.sort_unstable();
         assert_eq!(classes, (0..CLASS_COUNT).collect::<Vec<_>>());
         assert_eq!(EventKind::Oom.name(), "oom");
-        assert_eq!(one_of_each[32].name(), "index_probe");
+        assert_eq!(one_of_each[30].name(), "index_probe");
     }
 
     #[test]

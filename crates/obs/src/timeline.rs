@@ -61,7 +61,7 @@ fn json_fields(kind: &EventKind) -> String {
         EventKind::PageEvict { writeback } => {
             format!("\"kind\":\"{name}\",\"writeback\":{writeback}")
         }
-        EventKind::Oom | EventKind::CrashPoint => format!("\"kind\":\"{name}\""),
+        EventKind::Oom => format!("\"kind\":\"{name}\""),
         EventKind::FaultInjected { write } => {
             format!("\"kind\":\"{name}\",\"write\":{write}")
         }
@@ -70,9 +70,6 @@ fn json_fields(kind: &EventKind) -> String {
         }
         EventKind::H2Degraded { enospc } => {
             format!("\"kind\":\"{name}\",\"enospc\":{enospc}")
-        }
-        EventKind::Recovered { torn_pages, regions } => {
-            format!("\"kind\":\"{name}\",\"torn_pages\":{torn_pages},\"regions\":{regions}")
         }
         EventKind::UnitBegin { lane, kind } => {
             format!("\"kind\":\"{name}\",\"unit\":\"{}\",\"lane\":{lane}", kind.name())

@@ -1,10 +1,7 @@
-//! Full-heap invariant checker and post-crash recovery.
+//! Full-heap invariant checker.
 //!
-//! The fault-injection plane (`teraheap_storage::fault`) can kill a run in
-//! the middle of an H2 write-back, leaving torn pages on the simulated
-//! device. [`crate::heap::Heap::recover_from_crash`] rebuilds a consistent
-//! dual-heap from what durably survived, and [`crate::heap::Heap::heap_check`]
-//! verifies — at any GC boundary — that the whole heap still satisfies the
+//! [`crate::heap::Heap::heap_check`] verifies — at any GC boundary, and
+//! under any fault plan — that the whole heap still satisfies the
 //! structural invariants the collector relies on:
 //!
 //! * every object in eden, the active survivor space, the old generation
@@ -29,7 +26,7 @@
 use crate::heap::Heap;
 use crate::object;
 use std::collections::HashSet;
-use teraheap_core::{Addr, CardState, RecoveryReport, RegionId, NULL};
+use teraheap_core::{Addr, CardState, RegionId};
 
 /// Counters from a successful [`Heap::heap_check`] pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -108,21 +105,6 @@ impl std::fmt::Display for CheckError {
 }
 
 impl std::error::Error for CheckError {}
-
-/// What [`Heap::recover_from_crash`] rebuilt and repaired.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CrashRecovery {
-    /// The storage-level recovery report from [`teraheap_core::H2::recover`].
-    pub h2: RecoveryReport,
-    /// H2 objects surviving in the rebuilt per-region start index.
-    pub h2_objects: u64,
-    /// H1-resident reference slots nulled because their H2 target was lost.
-    pub h1_refs_nulled: u64,
-    /// H2-resident reference slots nulled because their target was lost.
-    pub h2_refs_nulled: u64,
-    /// Root-table entries nulled because their H2 target was lost.
-    pub roots_nulled: u64,
-}
 
 impl Heap {
     /// Verifies the full-heap invariants listed in the [module docs](self).
@@ -419,143 +401,6 @@ impl Heap {
             return Err(CheckError::BadHeader { addr, detail: "unregistered class id" });
         }
         Ok(())
-    }
-
-    /// Rebuilds a consistent dual-heap after a fault-plane crash killed an
-    /// H2 write-back mid-flight (simulating a process restart over the
-    /// surviving device image).
-    ///
-    /// Storage-level recovery ([`teraheap_core::H2::recover`]) restores H2
-    /// data and region metadata from the durable image and its write-ahead
-    /// meta journal; this method then rebuilds the runtime's view:
-    ///
-    /// 1. the per-region object-start index, by header-walking each
-    ///    recovered region's journaled prefix (truncating a region at the
-    ///    first unparsable header — belt and braces over the journal);
-    /// 2. H2-resident reference slots: targets lost with the crash are
-    ///    nulled, surviving cross-region references re-record their
-    ///    directional dependency, surviving backward (H2→H1) references
-    ///    conservatively dirty the rebuilt card table (the next minor GC
-    ///    re-derives precise `YoungGen`/`OldGen` states);
-    /// 3. H1-resident reference slots and root-table entries pointing at
-    ///    lost H2 objects are nulled. A nulled root's slot is *not*
-    ///    recycled — a live [`crate::heap::Handle`] may still index it, and
-    ///    recycling would silently alias it to an unrelated object.
-    ///
-    /// Every repair is counted in the returned [`CrashRecovery`]: data loss
-    /// is always reported, never silent. A no-op (reported as default) when
-    /// TeraHeap is disabled.
-    pub fn recover_from_crash(&mut self) -> CrashRecovery {
-        let mut out = CrashRecovery::default();
-        if self.h2.is_none() {
-            return out;
-        }
-        out.h2 = self.h2.as_mut().unwrap().recover();
-        // Roots of lost objects are nulled below: every pin is stale.
-        self.move_epoch += 1;
-
-        // ---- 1. rebuild the per-region object-start index --------------
-        let region_count = self.h2.as_ref().unwrap().regions().region_count() as u32;
-        for rid in 0..region_count {
-            let (base, used) = {
-                let regions = self.h2.as_ref().unwrap().regions();
-                (regions.region_base(RegionId(rid)).raw(), regions.used_words(RegionId(rid)))
-            };
-            let mut starts: Vec<u64> = Vec::new();
-            let mut off = 0usize;
-            while off < used {
-                let header = self.h2.as_ref().unwrap().read_word_free(Addr::new(base + off as u64));
-                let size = object::size_of(header);
-                let bad = object::is_forwarded(header)
-                    || size < object::HEADER_WORDS
-                    || off + size > used
-                    || (object::class_of(header).0 as usize) >= self.classes.len();
-                if bad {
-                    // Unparsable tail (e.g. a quarantined region zeroed
-                    // mid-object): drop it from the allocator's accounting.
-                    self.h2.as_mut().unwrap().regions_mut().truncate(RegionId(rid), off);
-                    break;
-                }
-                starts.push(base + off as u64);
-                off += size;
-            }
-            self.h2_starts[rid as usize] = starts;
-        }
-        out.h2_objects = self.h2_starts.iter().map(|v| v.len() as u64).sum();
-
-        // ---- 2. valid-object sets --------------------------------------
-        // H1 survived the (simulated) crash untouched: the walk must succeed.
-        let mut h1: HashSet<u64> = HashSet::new();
-        let mut scratch = CheckReport::default();
-        self.collect_linear(self.eden.base().raw(), self.eden.top().raw(), &mut h1, &mut scratch, false)
-            .expect("H1 eden damaged outside the fault plane");
-        self.collect_linear(self.from.base().raw(), self.from.top().raw(), &mut h1, &mut scratch, false)
-            .expect("H1 survivor space damaged outside the fault plane");
-        for &s in &self.old_starts {
-            h1.insert(s);
-        }
-        let h2set: HashSet<u64> =
-            self.h2_starts.iter().flat_map(|v| v.iter().copied()).collect();
-
-        // ---- 3. repair H2-resident slots, rebuild cards + deps ---------
-        for rid in 0..self.h2_starts.len() {
-            for a in self.h2_starts[rid].clone() {
-                let obj = Addr::new(a);
-                let (first_slot, end_slot) = self.ref_slot_range(obj);
-                for s in first_slot..end_slot {
-                    let slot = Addr::new(s);
-                    let val = self.h2.as_ref().unwrap().read_word_free(slot);
-                    if val == 0 {
-                        continue;
-                    }
-                    let target = Addr::new(val);
-                    if target.is_h2() {
-                        if h2set.contains(&val) {
-                            let h2 = self.h2.as_mut().unwrap();
-                            let from = h2.regions().region_of(obj);
-                            let to = h2.regions().region_of(target);
-                            if from != to {
-                                h2.regions_mut().add_dependency(from, to);
-                            }
-                        } else {
-                            self.h2.as_mut().unwrap().write_word_free(slot, 0);
-                            out.h2_refs_nulled += 1;
-                        }
-                    } else if h1.contains(&val) {
-                        // Surviving backward reference: conservatively
-                        // `Dirty`; the next minor scan re-derives the state.
-                        self.h2.as_mut().unwrap().cards_mut().mark_dirty(slot);
-                    } else {
-                        self.h2.as_mut().unwrap().write_word_free(slot, 0);
-                        out.h2_refs_nulled += 1;
-                    }
-                }
-            }
-        }
-
-        // ---- 4. repair H1-resident slots -------------------------------
-        let mut h1_sorted: Vec<u64> = h1.iter().copied().collect();
-        h1_sorted.sort_unstable();
-        for a in h1_sorted {
-            let (first_slot, end_slot) = self.ref_slot_range(Addr::new(a));
-            for s in first_slot..end_slot {
-                let val = self.mem[s as usize];
-                if val != 0 && Addr::new(val).is_h2() && !h2set.contains(&val) {
-                    self.mem[s as usize] = 0;
-                    out.h1_refs_nulled += 1;
-                }
-            }
-        }
-
-        // ---- 5. repair roots -------------------------------------------
-        for i in 0..self.roots.len() {
-            let a = self.roots[i];
-            if a.is_h2() && !h2set.contains(&a.raw()) {
-                self.roots[i] = NULL;
-                out.roots_nulled += 1;
-            }
-        }
-        out
     }
 }
 

@@ -349,7 +349,7 @@ impl SelState {
 /// arrive after the heap has overflowed. `None` without an H2. A degraded
 /// H2 (injected ENOSPC or a write-retry budget exhausted) selects nothing:
 /// promotions park in the old generation — the paper's no-H2 baseline —
-/// until the device recovers.
+/// for the rest of the run.
 pub(super) fn begin_select(heap: &Heap, live_words: u64, live: &LiveMap) -> Option<SelState> {
     let h2 = heap.h2.as_ref()?;
     let mut tagged: Vec<(u64, u64)> = Vec::new();

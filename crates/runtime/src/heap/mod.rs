@@ -51,8 +51,7 @@ pub struct Heap {
     pub(crate) roots: Vec<Addr>,
     pub(crate) free_roots: Vec<u32>,
     /// Bumped wherever a root can be rewritten (minor GC, every major
-    /// slice, crash recovery): a [`Pin`] resolved under an older epoch is
-    /// stale.
+    /// slice): a [`Pin`] resolved under an older epoch is stale.
     pub(crate) move_epoch: u64,
     pub(crate) classes: ClassRegistry,
     pub(crate) h2: Option<H2>,

@@ -55,7 +55,7 @@ pub mod object;
 pub mod space;
 pub mod stats;
 
-pub use check::{CheckError, CheckReport, CrashRecovery};
+pub use check::{CheckError, CheckReport};
 pub use class::{ClassDesc, ClassId, ClassRegistry, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
 pub use config::{
     ConfigError, GcVariant, HeapConfig, HeapConfigBuilder, MemoryMode, OomError, VariantPolicy,

@@ -106,13 +106,12 @@ fn assert_zero_rate_plane_is_invisible(cfg: HeapConfig) -> Vec<Event> {
     // And the workload's answer, for completeness.
     assert_eq!(off_checksum, on_checksum);
 
-    // The armed plane saw real write-back boundaries — the hooks were live,
-    // not bypassed, and still added nothing.
+    // The armed plane saw every device op — the hooks were live, not
+    // bypassed, and still added nothing.
     let plane = on.h2().unwrap().fault_plane().unwrap();
-    assert!(plane.writebacks() > 0, "the zero-rate plane must observe write-backs");
+    assert!(plane.io_ops() > 0, "the zero-rate plane must observe device ops");
     assert_eq!(plane.faults_injected(), 0);
     assert_eq!(plane.retries(), 0);
-    assert!(!plane.crashed());
     on_events
 }
 

@@ -104,7 +104,7 @@ struct Arm {
     pause_budget_ns: u64,
     /// Arms a zero-rate fault plane: nothing ever fires, so the arm must
     /// match its plane-free twin while every fault hook runs (the page
-    /// cache's retry rolls and write-back log, H2's durable mirror).
+    /// cache's spike and retry rolls, H2's promotion-flush roll).
     fault_plane: bool,
 }
 

@@ -1,9 +1,9 @@
 //! Deterministic fault-injection plane for the simulated storage stack.
 //!
-//! The paper's H2 heap lives on real devices that fail transiently, stall,
-//! fill up and tear pages when a machine dies mid-`msync` (§4.3's write-back
-//! path). This module injects exactly those behaviours into the simulation,
-//! deterministically:
+//! The paper's H2 heap lives on real devices that fail transiently, stall
+//! and fill up. H2 lives and dies with the JVM, so these are the faults a
+//! running TeraHeap can observe. This module injects exactly those
+//! behaviours into the simulation, deterministically:
 //!
 //! * **Transient read/write errors** with per-direction probabilities
 //!   (parts-per-million per I/O operation), answered by bounded retry with
@@ -14,8 +14,6 @@
 //!   firmware, a congested NVMe queue).
 //! * **ENOSPC** on H2 backing-file growth after a configured number of
 //!   regions, driving the runtime into its degraded (no-H2) mode.
-//! * A **crash point** that kills the run at the N-th durable write-back,
-//!   leaving torn pages behind (see [`crate::durable::DurableStore`]).
 //!
 //! Everything is seeded from the in-repo PRNG ([`teraheap_util::Rng`]) and
 //! driven by operation counts, never wall-clock time, so a failing chaos run
@@ -26,7 +24,7 @@
 //! zero simulated nanoseconds, zero charge calls and zero events. The
 //! `fault_equivalence` suite pins this.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::clock::{ChargeScope, SimClock};
@@ -48,10 +46,9 @@ const MAX_BACKOFF_SHIFT: u32 = 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Master switch. `false` means the plane is entirely absent: no RNG,
-    /// no counters, no durable mirroring, bit-identical to the pre-fault
-    /// code path.
+    /// no counters, bit-identical to the pre-fault code path.
     pub enabled: bool,
-    /// PRNG seed for error rolls and crash-tear ordering.
+    /// PRNG seed for error rolls.
     pub seed: u64,
     /// Transient read-error probability per I/O op, parts per million.
     pub read_err_ppm: u32,
@@ -70,9 +67,6 @@ pub struct FaultPlan {
     /// Fail H2 backing-file growth (opening a fresh region) once this many
     /// regions have been allocated over the run's lifetime.
     pub enospc_after_regions: Option<u32>,
-    /// Crash the run at the N-th durable write-back (1-based), tearing the
-    /// in-flight pages.
-    pub crash_at_writeback: Option<u64>,
 }
 
 impl FaultPlan {
@@ -89,7 +83,6 @@ impl FaultPlan {
             spike_len_ops: 0,
             spike_mult: 1,
             enospc_after_regions: None,
-            crash_at_writeback: None,
         }
     }
 
@@ -154,21 +147,14 @@ impl FaultPlan {
         self
     }
 
-    /// Crashes the run at the `n`-th durable write-back (1-based).
-    pub const fn with_crash_at_writeback(mut self, n: u64) -> FaultPlan {
-        self.enabled = true;
-        self.crash_at_writeback = Some(n);
-        self
-    }
-
     /// Parses `TERAHEAP_FAULTS` into a plan, or `None` when unset/empty.
     ///
     /// Format: comma-separated `key=value` pairs, e.g.
     /// `seed=7,read_err_ppm=20000,write_err_ppm=20000,max_retries=4,`
     /// `backoff_ns=50000,spike_every=512,spike_len=32,spike_mult=8,`
-    /// `enospc_after=32,crash_at_writeback=10`. Unknown keys, non-numeric
-    /// values and values too large for the field are ignored; any other
-    /// pair enables the plan.
+    /// `enospc_after=32`. Unknown keys (the retired `crash_at_writeback`
+    /// among them), non-numeric values and values too large for the field
+    /// are ignored; any other pair enables the plan.
     pub fn from_env() -> Option<FaultPlan> {
         let raw = std::env::var("TERAHEAP_FAULTS").ok()?;
         FaultPlan::parse(&raw)
@@ -200,7 +186,6 @@ impl FaultPlan {
                 ("spike_len", _) => plan.spike_len_ops = v,
                 ("spike_mult", _) => plan.spike_mult = v,
                 ("enospc_after", Ok(n)) => plan.enospc_after_regions = Some(n),
-                ("crash_at_writeback", _) => plan.crash_at_writeback = Some(v),
                 // An unknown key, or a `u32` key given a value past
                 // `u32::MAX`, is ignored like a non-numeric value.
                 _ => continue,
@@ -234,10 +219,8 @@ pub struct FaultPlane {
     plan: FaultPlan,
     rng: Mutex<Rng>,
     io_ops: AtomicU64,
-    writebacks: AtomicU64,
     faults_injected: AtomicU64,
     retries: AtomicU64,
-    crashed: AtomicBool,
 }
 
 impl FaultPlane {
@@ -247,10 +230,8 @@ impl FaultPlane {
             plan,
             rng: Mutex::new(Rng::seed_from_u64(plan.seed)),
             io_ops: AtomicU64::new(0),
-            writebacks: AtomicU64::new(0),
             faults_injected: AtomicU64::new(0),
             retries: AtomicU64::new(0),
-            crashed: AtomicBool::new(false),
         })
     }
 
@@ -304,35 +285,16 @@ impl FaultPlane {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one durable write-back boundary; returns `true` exactly when
-    /// the configured crash point fires at this boundary (the caller must
-    /// then tear the in-flight pages and stop updating durable state).
-    pub fn note_writeback(&self) -> bool {
-        let n = self.writebacks.fetch_add(1, Ordering::Relaxed) + 1;
-        matches!(self.plan.crash_at_writeback,
-            Some(c) if n == c && !self.crashed.swap(true, Ordering::Relaxed))
-    }
-
     /// Whether H2 backing-file growth must fail with ENOSPC, given how many
     /// regions the backing file already holds.
     pub fn deny_growth(&self, allocated_regions: u64) -> bool {
         matches!(self.plan.enospc_after_regions, Some(limit) if allocated_regions >= limit as u64)
     }
 
-    /// Whether the crash point has fired.
-    pub fn crashed(&self) -> bool {
-        self.crashed.load(Ordering::Relaxed)
-    }
-
-    /// Clears the crash flag after recovery so the revived run can resume
-    /// durable mirroring (the one-shot crash point has been consumed).
-    pub fn clear_crash(&self) {
-        self.crashed.store(false, Ordering::Relaxed);
-    }
-
-    /// Durable write-back boundaries counted so far.
-    pub fn writebacks(&self) -> u64 {
-        self.writebacks.load(Ordering::Relaxed)
+    /// Device-level I/O operations the plane has seen so far (every one
+    /// passed through [`FaultPlane::spike_multiplier`]).
+    pub fn io_ops(&self) -> u64 {
+        self.io_ops.load(Ordering::Relaxed)
     }
 
     /// Transient errors injected so far.
@@ -345,9 +307,9 @@ impl FaultPlane {
         self.retries.load(Ordering::Relaxed)
     }
 
-    /// Runs `f` with the plane's PRNG (crash tearing draws its page order
-    /// from the same stream as the error rolls).
-    pub fn with_rng<T>(&self, f: impl FnOnce(&mut Rng) -> T) -> T {
+    /// Runs `f` with the plane's PRNG.
+    #[cfg(test)]
+    fn with_rng<T>(&self, f: impl FnOnce(&mut Rng) -> T) -> T {
         f(&mut self.rng.lock())
     }
 }
@@ -408,14 +370,14 @@ mod tests {
         let z = FaultPlan::zero_rate(9);
         assert!(z.enabled);
         assert_eq!(z.read_err_ppm, 0);
-        assert_eq!(z.crash_at_writeback, None);
+        assert_eq!(z.enospc_after_regions, None);
     }
 
     #[test]
     fn parse_round_trips_the_documented_keys() {
         let plan = FaultPlan::parse(
             "seed=7,read_err_ppm=100,write_err_ppm=200,max_retries=3,backoff_ns=10,\
-             spike_every=64,spike_len=8,spike_mult=4,enospc_after=5,crash_at_writeback=2",
+             spike_every=64,spike_len=8,spike_mult=4,enospc_after=5",
         )
         .unwrap();
         assert!(plan.enabled);
@@ -428,7 +390,6 @@ mod tests {
         assert_eq!(plan.spike_len_ops, 8);
         assert_eq!(plan.spike_mult, 4);
         assert_eq!(plan.enospc_after_regions, Some(5));
-        assert_eq!(plan.crash_at_writeback, Some(2));
     }
 
     #[test]
@@ -451,7 +412,9 @@ mod tests {
         assert_eq!(max.write_err_ppm, u32::MAX, "u32::MAX itself fits");
     }
 
-    /// The documented keys, then keys `parse` must ignore (from `UNKNOWN`).
+    /// The documented keys, then keys `parse` must ignore (from `UNKNOWN`),
+    /// the retired `crash_at_writeback` among them: an old string carrying
+    /// it parses as if it were absent.
     const KEYS: [&str; 15] = [
         "seed",
         "read_err_ppm",
@@ -469,7 +432,7 @@ mod tests {
         " ",
         "",
     ];
-    const UNKNOWN: usize = 10;
+    const UNKNOWN: usize = 9;
 
     /// `TERAHEAP_FAULTS` strings built from those keys, stray separators and
     /// numeric, oversized or non-numeric values.
@@ -539,17 +502,6 @@ mod tests {
         assert_eq!(plane.backoff_ns(2), 200);
         assert_eq!(plane.backoff_ns(3), 400);
         assert_eq!(plane.backoff_ns(1000), 100 << MAX_BACKOFF_SHIFT);
-    }
-
-    #[test]
-    fn crash_fires_exactly_once_at_the_configured_boundary() {
-        let plane = FaultPlane::new(FaultPlan::none().with_crash_at_writeback(3));
-        assert!(!plane.note_writeback());
-        assert!(!plane.note_writeback());
-        assert!(plane.note_writeback());
-        assert!(plane.crashed());
-        assert!(!plane.note_writeback(), "the crash point is one-shot");
-        assert_eq!(plane.writebacks(), 4);
     }
 
     #[test]

@@ -22,10 +22,7 @@
 //!   (other, S/D + I/O, minor GC, major GC).
 //! * [`FaultPlan`] / [`FaultPlane`] — a deterministic fault-injection plane
 //!   (transient I/O errors with bounded backoff-charged retries, latency
-//!   spikes, ENOSPC, a mid-write-back crash point), armed per run and off
-//!   by default.
-//! * [`DurableStore`] — the checksummed durable image behind the crash
-//!   model: what survives the crash point, including torn pages.
+//!   spikes, ENOSPC), armed per run and off by default.
 //!
 //! Everything is deterministic: no wall-clock time is ever read.
 //!
@@ -45,7 +42,6 @@
 pub mod clock;
 pub mod cost;
 pub mod device;
-pub mod durable;
 pub mod fault;
 pub mod mmap;
 pub mod shared;
@@ -54,7 +50,6 @@ pub mod stats;
 pub use clock::{Breakdown, Category, ChargeScope, SimClock, TraceSpan};
 pub use cost::CostModel;
 pub use device::{Blob, DeviceKind, DeviceSpec, SimDevice};
-pub use durable::{DurableStore, WriteBackOutcome};
 pub use fault::{FaultPlan, FaultPlane, RetryOutcome};
 pub use mmap::MmapSim;
 pub use shared::{AttachError, DeviceLease, SharedDevice, TenantId, TenantIo};

@@ -46,15 +46,6 @@ struct Node {
 /// measures 2.9 GB/s for the ML workloads' sequential H2 scans, §7.1).
 const READAHEAD_PAGES: u64 = 32;
 
-/// A mapping's fault state: the armed plane, and the page indices written
-/// back (dirty evictions and `flush`) since the owner last drained them,
-/// which feed the owner's durable mirroring.
-#[derive(Debug)]
-struct Armed {
-    plane: Arc<FaultPlane>,
-    written_back: Vec<u64>,
-}
-
 /// Simulated memory-mapped file over a device.
 ///
 /// In *paged* mode (page-granularity devices such as NVMe) it models an LRU
@@ -94,7 +85,7 @@ pub struct MmapSim {
     /// Armed fault plane, if any: spikes and transient errors hit the fault
     /// and write-back paths. `None` (the default) keeps every path
     /// bit-identical to the pre-fault code.
-    faults: Option<Armed>,
+    faults: Option<Arc<FaultPlane>>,
     /// Shared-device lease: when present, every device service (fault
     /// transfer, write-back, msync, DAX run) is submitted to the device
     /// arbiter before its cost lands, and any queueing delay is charged to
@@ -189,21 +180,14 @@ impl MmapSim {
     /// Arms a fault plane over the mapping: device costs gain the plane's
     /// latency-spike multiplier, page-fault reads and write-backs roll
     /// transient errors (retried with backoff charged to the touching
-    /// category), and written-back page indices are logged for the owner's
-    /// durable mirroring ([`MmapSim::take_writeback_pages`]).
+    /// category).
     pub fn set_fault_plane(&mut self, plane: Arc<FaultPlane>) {
-        self.faults = Some(Armed { plane, written_back: Vec::new() });
+        self.faults = Some(plane);
     }
 
     /// The armed fault plane, if any.
     pub fn fault_plane(&self) -> Option<&Arc<FaultPlane>> {
-        self.faults.as_ref().map(|f| &f.plane)
-    }
-
-    /// Drains the logged write-back page indices (empty when no plane is
-    /// armed or nothing was written back).
-    pub fn take_writeback_pages(&mut self) -> Vec<u64> {
-        self.faults.as_mut().map_or_else(Vec::new, |f| std::mem::take(&mut f.written_back))
+        self.faults.as_ref()
     }
 
     /// Length of the mapping in bytes.
@@ -298,7 +282,7 @@ impl MmapSim {
     fn spiked(&self, base_ns: u64) -> u64 {
         match &self.faults {
             None => base_ns,
-            Some(f) => base_ns.saturating_mul(f.plane.spike_multiplier()),
+            Some(plane) => base_ns.saturating_mul(plane.spike_multiplier()),
         }
     }
 
@@ -448,9 +432,9 @@ impl MmapSim {
         self.resident += 1;
         while self.resident > self.budget_pages {
             let slot = self.nodes[NIL as usize].prev;
-            let Node { page, dirty, .. } = self.nodes[slot as usize];
+            let dirty = self.nodes[slot as usize].dirty;
             self.remove(slot);
-            self.page_out(page, dirty, scope);
+            self.page_out(dirty, scope);
         }
     }
 
@@ -485,29 +469,28 @@ impl MmapSim {
         };
         self.serve(self.spiked(transfer_ns + latency_ns), 1, scope);
         scope.emit(&self.clock, EventKind::PageFault { sequential });
-        if let Some(f) = &self.faults {
+        if let Some(plane) = &self.faults {
             // Armed plane: the page-in may roll a transient read error,
             // retried with backoff charged to the touching category. Reads
             // always eventually succeed (the kernel's own page-I/O retry
             // loop), so the fault path stays total.
-            let out = fault::inject_scoped(&f.plane, &self.clock, scope, false);
+            let out = fault::inject_scoped(plane, &self.clock, scope, false);
             self.stats.record_retries(out.retries as u64);
         }
     }
 
-    /// Accounts the eviction of `page`, writing it back if dirty.
-    fn page_out(&mut self, page: u64, dirty: bool, scope: &mut ChargeScope) {
+    /// Accounts the eviction of a page, writing it back if `dirty`.
+    fn page_out(&mut self, dirty: bool, scope: &mut ChargeScope) {
         self.stats.record_eviction();
         if dirty {
             self.stats.record_write(self.page_size as u64);
             self.serve(self.spiked(self.spec.write_cost_ns(self.page_size)), 1, scope);
-            if let Some(f) = &mut self.faults {
+            if let Some(plane) = &self.faults {
                 // Transient write error on the eviction write-back: the
                 // kernel keeps the page and retries until it lands, so only
                 // the backoff cost is observable here.
-                let out = fault::inject_scoped(&f.plane, &self.clock, scope, true);
+                let out = fault::inject_scoped(plane, &self.clock, scope, true);
                 self.stats.record_retries(out.retries as u64);
-                f.written_back.push(page);
             }
         }
         scope.emit(&self.clock, EventKind::PageEvict { writeback: dirty });
@@ -515,39 +498,31 @@ impl MmapSim {
 
     /// Writes back every dirty resident page (like `msync`), charging `cat`.
     pub fn flush(&mut self, cat: Category) {
-        let mut flushed: Vec<u64> = Vec::new();
+        let mut flushed = 0;
         let mut slot = self.nodes[NIL as usize].next;
         while slot != NIL {
             let node = &mut self.nodes[slot as usize];
-            if node.dirty {
-                node.dirty = false;
-                flushed.push(node.page);
-            }
+            flushed += u64::from(std::mem::take(&mut node.dirty));
             slot = node.next;
         }
         self.msync(flushed, cat);
     }
 
-    /// Accounts one write-back of the `flushed` pages, if any.
-    fn msync(&mut self, mut flushed: Vec<u64>, cat: Category) {
-        if flushed.is_empty() {
+    /// Accounts one write-back of `pages` dirty pages, if any.
+    fn msync(&mut self, pages: u64, cat: Category) {
+        if pages == 0 {
             return;
         }
-        let bytes = flushed.len() as u64 * self.page_size as u64;
+        let bytes = pages * self.page_size as u64;
         self.stats.record_write(bytes);
         let mut scope = ChargeScope::new(cat);
         self.serve(self.spiked(self.spec.write_cost_ns(bytes as usize)), 1, &mut scope);
         scope.emit(&self.clock, EventKind::WriteBack { bytes });
-        if let Some(f) = &mut self.faults {
+        if let Some(plane) = &self.faults {
             // An msync the kernel retries to completion: only the
             // backoff cost is observable.
-            let out = fault::inject_scoped(&f.plane, &self.clock, &mut scope, true);
+            let out = fault::inject_scoped(plane, &self.clock, &mut scope, true);
             self.stats.record_retries(out.retries as u64);
-            // One msync lands its pages in address order, whatever order
-            // they were last touched in; the durable mirror (and crash
-            // tearing) replays the log, so it is sorted.
-            flushed.sort_unstable();
-            f.written_back.extend_from_slice(&flushed);
         }
         scope.flush(&self.clock);
     }
