@@ -135,12 +135,9 @@ pub struct HeapConfig {
     /// Per-slice pause budget for the major cycle, in simulated nanoseconds
     /// (DESIGN.md §11). `0` (the default) never slices: every major GC is a
     /// cycle run whole in one unbounded slice — stop-world, what the
-    /// committed figures are built on. A finite non-zero budget starts
-    /// cycles proactively and runs them as bounded work-unit slices
-    /// interleaved with the mutator; it requires the ParallelScavenge
-    /// variant. `u64::MAX` arms the slicing hooks (write barrier, poll) but
-    /// never starts a proactive cycle, so every major still runs whole —
-    /// `gc_equivalence.rs` pins it bit-identical to `0`.
+    /// committed figures are built on. A non-zero budget starts cycles
+    /// proactively and runs them as bounded work-unit slices interleaved
+    /// with the mutator; it requires the ParallelScavenge variant.
     pub pause_budget_ns: u64,
     /// Mutator (executor) threads; frameworks divide their compute and S/D
     /// time by this (paper: 8, swept 4/8/16 in Figure 13a).
@@ -245,8 +242,7 @@ impl HeapConfig {
         // A mutator interleaving with the major cycle is only modelled for
         // the ParallelScavenge cost model (G1 already models concurrent
         // marking through its discount; Panthera's split old gen is out of
-        // scope). `u64::MAX` arms the same hooks and is likewise PS-only.
-        // `0` (never sliced) is valid for every variant.
+        // scope). `0` (never sliced) is valid for every variant.
         if self.pause_budget_ns != 0 && self.variant != GcVariant::ParallelScavenge {
             return Err(ConfigError::IncrementalNeedsPs { pause_budget_ns: self.pause_budget_ns });
         }

@@ -349,14 +349,14 @@ pub(crate) fn major_gc(heap: &mut Heap, cause: GcCause) -> Result<(), OomError> 
     finish(heap)
 }
 
-/// Starts a cycle after a minor GC if slicing is armed (`0 <
-/// pause_budget_ns < u64::MAX`) and old free space has dropped below twice
-/// the young generation. The margin guarantees a `PromotionGuarantee` major
-/// can never be needed while a cycle is active: with no cycle running free
-/// >= 2·young, and one minor promotes at most `young` words.
+/// Starts a cycle after a minor GC if slicing is on (`pause_budget_ns >
+/// 0`) and old free space has dropped below twice the young generation. The
+/// margin guarantees a `PromotionGuarantee` major can never be needed while
+/// a cycle is active: with no cycle running free >= 2·young, and one minor
+/// promotes at most `young` words.
 pub(crate) fn maybe_start(heap: &mut Heap) {
     let budget = heap.config.pause_budget_ns;
-    if budget == 0 || budget == u64::MAX || heap.cycle.is_some() || heap.pending_oom.is_some() {
+    if budget == 0 || heap.cycle.is_some() || heap.pending_oom.is_some() {
         return;
     }
     if heap.old.free_words() >= 2 * heap.config.young_words {

@@ -1,7 +1,7 @@
 //! Scaffolding shared by the runtime's suites: the mixed GC/H2 workload
 //! that `gc_equivalence`, `trace_equivalence` and `fault_equivalence`
 //! replay, the H2 every suite here attaches, the object-graph checksum, and
-//! the mutator-program language of `mutator_programs` ([`program`]).
+//! the mutator-program language the program suites share ([`program`]).
 //! `crates/query/tests/gc_equivalence.rs` includes this file by path so
 //! that "the runtime suite's workload" is true by construction.
 #![allow(dead_code)] // no single suite uses every item

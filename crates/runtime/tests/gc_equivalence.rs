@@ -27,12 +27,6 @@ fn golden() -> Golden {
     Golden::open(env!("CARGO_MANIFEST_DIR"), "gc_equivalence", &COLUMNS)
 }
 
-/// The mixed workload on a heap of `config`, no fault plane.
-fn run_mixed_workload_with(config: HeapConfig) -> (Heap, Vec<Handle>) {
-    let (heap, keep, _dev) = run_mixed_workload_shared(config, FaultPlan::none());
-    (heap, keep)
-}
-
 /// The workload attached to a one-tenant [`SharedDevice`], returning the
 /// device handle so tests can inspect arbitration counters.
 fn run_mixed_workload_shared(
@@ -139,6 +133,10 @@ impl Arm {
             if self.fault_plane { FaultPlan::zero_rate(20260927) } else { FaultPlan::none() };
         let (heap, keep, _dev) = run_mixed_workload_shared(self.config(heap_check), faults);
         assert_eq!(heap.h2().unwrap().fault_plane().is_some(), self.fault_plane);
+        if self.pause_budget_ns == 0 {
+            let remembered = heap.stats().write_barrier_remembered;
+            assert_eq!(remembered, 0, "arm {self:?}: the SATB barrier ran without a cycle");
+        }
         capture_from(heap, keep)
     }
 }
@@ -181,41 +179,6 @@ fn every_arm_matches_its_golden_snapshot() {
     golden.finish();
 }
 
-/// `pause_budget_ns = u64::MAX` *arms* incremental mode but the proactive
-/// trigger never starts a cycle (an infinite budget means a demand major
-/// can always run whole), so every demand collection runs as one unbounded
-/// slice and the armed configuration must reproduce the unarmed golden
-/// bit-identically — the armed-idle write barrier and slice plumbing cost
-/// nothing in the simulated clock.
-fn armed_idle_config() -> HeapConfig {
-    HeapConfig::builder(24 << 10, 96 << 10)
-        .pause_budget_ns(u64::MAX)
-        .build()
-        .expect("armed-idle config is valid")
-}
-
-#[test]
-fn armed_infinite_budget_matches_golden() {
-    let (heap, keep) = run_mixed_workload_with(armed_idle_config());
-    let got = capture_from(heap, keep);
-    let golden = golden();
-    let want = golden.row(DEFAULT_ARM).expect("the default arm completes");
-    for ((column, got), want) in COLUMNS.iter().zip(got).zip(want) {
-        assert_eq!(got, *want, "{column}: the armed-idle run against {DEFAULT_ARM}'s pin");
-    }
-}
-
-#[test]
-fn armed_infinite_budget_never_slices() {
-    let (heap, _keep) = run_mixed_workload_with(armed_idle_config());
-    assert_eq!(heap.stats().incr_slices, 0, "no slice may run at infinite budget");
-    assert_eq!(
-        heap.stats().write_barrier_remembered,
-        0,
-        "the SATB barrier must stay passive while no cycle is in flight"
-    );
-}
-
 #[test]
 fn workload_is_self_deterministic() {
     // Two fresh runs in the same process must agree exactly — guards the
@@ -231,7 +194,8 @@ fn release_recycles_slots_under_churn() {
     // The root-table free list must keep the root set bounded under
     // long-running alloc/release churn (leaked slots would grow every root
     // scan forever).
-    let (mut heap, _keep) = run_mixed_workload_with(HeapConfig::with_words(24 << 10, 96 << 10));
+    let config = HeapConfig::with_words(24 << 10, 96 << 10);
+    let (mut heap, _keep, _dev) = run_mixed_workload_shared(config, FaultPlan::none());
     let baseline = heap.root_table_len();
     let leaf = heap.register_class("ChurnLeaf", 0, 1);
     for i in 0..10_000u64 {

@@ -13,7 +13,7 @@
 //! * **faults** — a random `FaultPlan` never corrupts a payload, and H2
 //!   degrades only when a plan could starve it;
 //! * **product** — the configuration product: collector variant, lanes,
-//!   pause budget, adaptive placement, device and fault plan.
+//!   pause budget, adaptive placement, device, fault plan and access path.
 //!
 //! The incremental arm, on the same language, is `incremental_marking`.
 //! Cases are seeded deterministically; a failure shrinks to a minimal
@@ -24,7 +24,7 @@
 mod common;
 
 use common::attach_workload_h2;
-use common::program::{config, h2_heap, program, run, Op};
+use common::program::{access, config, h2_heap, program, run, Access, Op};
 use teraheap_runtime::obs::{Event, EventKind, GcKind, Level, SPAN_COUNT};
 use teraheap_runtime::{GcVariant, Heap, HeapConfig};
 use teraheap_storage::{DeviceSpec, FaultPlan};
@@ -34,7 +34,7 @@ use teraheap_util::{prop_assert, prop_assert_eq};
 #[test]
 fn graph_arm_matches_the_shadow_graph() {
     check("graph_arm", &program(1..80), &Config::with_cases(64), |ops| {
-        run(h2_heap(config().build().unwrap(), FaultPlan::none()), &ops);
+        run(h2_heap(config().build().unwrap(), FaultPlan::none()), Access::Loop, &ops);
         CaseResult::Pass
     });
 }
@@ -54,7 +54,7 @@ struct LaneReport {
 
 fn lanes_run(ops: &[Op], gc_threads: usize) -> LaneReport {
     let config = config().gc_threads(gc_threads).obs_level(Level::Full).build().unwrap();
-    let m = run(h2_heap(config, FaultPlan::none()), ops);
+    let m = run(h2_heap(config, FaultPlan::none()), Access::Loop, ops);
     let stats = m.heap.stats();
     LaneReport {
         total_ns: m.heap.clock().total_ns(),
@@ -113,7 +113,7 @@ fn lanes_arm_is_deterministic_and_host_independent() {
 fn spans_arm_nests_spans_and_phases() {
     check("spans_arm", &program(1..80), &Config::with_cases(64), |ops| {
         let config = config().obs_level(Level::Full).build().unwrap();
-        let m = run(h2_heap(config, FaultPlan::none()), &ops);
+        let m = run(h2_heap(config, FaultPlan::none()), Access::Loop, &ops);
         let mut depth = [0i64; SPAN_COUNT];
         let mut in_major = false;
         let mut last_t = 0u64;
@@ -169,7 +169,7 @@ fn fault_plan() -> impl Strategy<Value = FaultPlan> {
 #[test]
 fn faults_arm_completes_or_degrades_cleanly() {
     check("faults_arm", &(fault_plan(), program(1..64)), &Config::with_cases(64), |(plan, ops)| {
-        let m = run(h2_heap(config().heap_check(true).build().unwrap(), plan), &ops);
+        let m = run(h2_heap(config().heap_check(true).build().unwrap(), plan), Access::Loop, &ops);
         if let Err(e) = m.heap.heap_check() {
             return CaseResult::Fail(format!("final heap_check: {e}"));
         }
@@ -215,16 +215,16 @@ fn product_cell() -> impl Strategy<Value = (HeapConfig, DeviceSpec, FaultPlan, b
 }
 
 /// The oracle holds, with the heap checker armed at every GC boundary, in
-/// any cell of the configuration product (ROADMAP item 4).
+/// any cell of the configuration product, through any access path.
 #[test]
 fn product_arm_holds_across_configurations() {
-    let strategy = (product_cell(), program(1..80));
-    check("product_arm", &strategy, &Config::with_cases(64), |(cell, ops)| {
+    let strategy = ((product_cell(), access()), program(1..80));
+    check("product_arm", &strategy, &Config::with_cases(64), |((cell, access), ops)| {
         let (config, spec, faults, adaptive) = cell;
         let mut heap = Heap::new(config);
         attach_workload_h2(&mut heap, spec, faults);
         heap.set_adaptive_placement(adaptive);
-        run(heap, &ops);
+        run(heap, access, &ops);
         CaseResult::Pass
     });
 }

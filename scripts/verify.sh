@@ -38,9 +38,10 @@ fi
 echo "ok"
 
 # The runtime's property suites share one mutator-program language
-# (crates/runtime/tests/common/program.rs); a second `enum Op` there would
-# fork it. TERAHEAP_BENCH_THREADS is the figure harness's host-thread knob:
-# if no code outside crates/bench/ names it, the simulation cannot read it.
+# (crates/runtime/tests/common/program.rs); a second op enum there (`enum
+# Op`, `enum WordOp`, any `enum <Name>Op`) would fork it.
+# TERAHEAP_BENCH_THREADS is the figure harness's host-thread knob: if no
+# code outside crates/bench/ names it, the simulation cannot read it.
 # Every checksum, fingerprint and pinned digest folds through the one
 # `teraheap_util::Fnv`; the FNV offset basis anywhere else is a second copy.
 # The collector has one H2 assignment rule: an injected ENOSPC reaches it as
@@ -50,9 +51,9 @@ echo "ok"
 # them (`crash_at_writeback` may appear quoted or in backticks, where the
 # fault-string parser's tests pin it as an ignored key).
 echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane =="
-if grep -rlE '^[[:space:]]*(pub[[:space:]]+)?enum[[:space:]]+Op\b' crates/runtime/tests \
+if grep -rlE '^[[:space:]]*(pub[[:space:]]+)?enum[[:space:]]+[A-Za-z0-9_]*Op\b' crates/runtime/tests \
     | grep -v '^crates/runtime/tests/common/'; then
-    echo "ERROR: enum Op outside crates/runtime/tests/common/; extend the shared language instead." >&2
+    echo "ERROR: an op enum outside crates/runtime/tests/common/; extend the shared language instead." >&2
     exit 1
 fi
 if grep -rl --include='*.rs' TERAHEAP_BENCH_THREADS crates src tests examples | grep -v '^crates/bench/'; then
@@ -99,7 +100,7 @@ teraheap_runtime/trace_equivalence::          §8   tracing observes the clock a
 teraheap_obs/lib::tests::ring_counts_         §8   the recorder's one lock: after every emit, resize, level flip or clear, emitted = ring length + dropped = sum of per-class counts, and ring seqs are contiguous
 teraheap_runtime/mutator_programs::spans_arm  §8   over random mutator programs, spans nest per slot and major-GC phases occur only inside a major GC
 teraheap_storage/bulk_equivalence::           §9   touch_run is bit-identical to the word-at-a-time loop: same ns, counters, events
-teraheap_runtime/bulk_equivalence::           §9   view_prims, view_prims_at, read_prims and the read_prim loop observe and charge the same, as do write_prims, fill_prims_at and the write_prim loop, on H1, paged and DAX H2 and across the Panthera NVM boundary; the pinned *_at accessors match the handle accessors across minor and major GCs, H2 promotion of the pinned object and a sliced cycle in flight
+teraheap_runtime/bulk_equivalence::           §9   programs of the shared mutator language observe and charge the same through the word loop, read_prims/write_prims, view_prims and the pinned *_at accessors: scripted ranges on H1, paged and DAX H2 and across the Panthera NVM boundary, and random programs whose pins ride minor and major GCs, H2 promotion and a sliced cycle in flight
 mini_giraph/charge_pin::                      §9   the superstep loop, message stores and OOC blob path: per-category ns, GC counts, offloads/reloads, charge-call counts, checksum (golden)
 mini_spark/charge_pin::                       §9   the scan loops, block manager and dataset loaders: per-category ns, GC and S/D counts, faults, charge-call counts, live roots at exit (golden)
 kryo_sim/stream_pin::                         §9   stream bytes, size estimate and every charge of serialize, serialized_size and deserialize (golden)
@@ -107,11 +108,11 @@ teraheap_storage/lib::fault::tests::parse_     §10  TERAHEAP_FAULTS parsing: th
 teraheap_runtime/fault_recovery::             §10  the chaos_smoke_* tests the faults smoke stage drives: seeded transient errors and latency spikes on NVMe, NVM and DAX keep every payload, checked at every GC boundary
 teraheap_runtime/mutator_programs::faults_arm §10  a random fault plan never corrupts a payload, and H2 degrades only under ENOSPC or write errors
 teraheap_runtime/fault_equivalence::          §10  a zero-rate fault plane is bit-identical to no plane at all
-teraheap_runtime/gc_equivalence::             §11  simulated ns, phase breakdowns and graph checksum over variant x gc_threads x pause budget x armed fault plane (golden), the armed-idle run, and (§12) that a sole tenant never queues
+teraheap_runtime/gc_equivalence::             §11  simulated ns, phase breakdowns and graph checksum over variant x gc_threads x pause budget x armed fault plane (golden), the SATB barrier idle on stop-world arms, and (§12) that a sole tenant never queues
 teraheap_runtime/mutator_programs::graph_arm  §6   random mutator programs leave the heap equal to a shadow logical graph (the oracle every arm runs)
-teraheap_runtime/mutator_programs::product_arm §6  the oracle and the armed checker hold over variant x lanes x pause budget x adaptive x device x fault plan
+teraheap_runtime/mutator_programs::product_arm §6  the oracle and the armed checker hold over variant x lanes x pause budget x adaptive x device x fault plan x access mode
 teraheap_runtime/mutator_programs::lanes_arm  §11  lane accounting is deterministic across runs, thread counts and host parallelism
-teraheap_runtime/incremental_marking::        §11  the incremental arm: a pause-budgeted run converges to the stop-world logical heap, H2 residency included, at any budget and lane count; runs replay bit-identically
+teraheap_runtime/incremental_marking::        §11  the incremental arm: a pause-budgeted run converges to the stop-world logical heap, H2 residency included, at any budget, lane count and access mode; runs replay bit-identically
 teraheap_storage/lib::shared::reference::     §12  the FIFO device clock gives the waits, device virtual time and per-tenant counters of the equal-weight start-time fair queue it replaced, over 1-8 tenants with production-style and arbitrary arrivals
 teraheap_server/lib::                         §12  N-tenant server runs are deterministic, with typed config rejection
 teraheap_runtime/fault_isolation::            §12  a neighbour degrading under injected ENOSPC leaves a tenant's simulated time, heap census and arbitration counters untouched; the degraded tenant still passes the checker
