@@ -17,8 +17,45 @@ use crate::harness::{
 };
 use mini_giraph::GiraphWorkload;
 use mini_spark::{run_workload, ExecMode, Workload};
-use teraheap_core::{H2Config, Label, RegionGroups, RegionManager};
+use teraheap_core::{H2Config, Label, RegionId, RegionManager};
 use teraheap_storage::{Breakdown, DeviceSpec};
+
+/// Union-find over H2 regions, merging the two ends of every cross-region
+/// reference whatever its direction: the liveness rule §3.3 rejects, kept
+/// only to measure it against the product's dependency lists.
+struct RegionGroups(Vec<u32>);
+
+impl RegionGroups {
+    fn new(n: usize) -> Self {
+        RegionGroups((0..n as u32).collect())
+    }
+
+    fn find(&mut self, mut x: u32) -> u32 {
+        while self.0[x as usize] != x {
+            // Path halving.
+            self.0[x as usize] = self.0[self.0[x as usize] as usize];
+            x = self.0[x as usize];
+        }
+        x
+    }
+
+    fn merge(&mut self, a: RegionId, b: RegionId) {
+        let (ra, rb) = (self.find(a.0), self.find(b.0));
+        self.0[rb as usize] = ra;
+    }
+
+    /// Per-region liveness under group semantics: a region is live iff any
+    /// region of its group is referenced from H1.
+    fn group_liveness(&mut self, h1_referenced: &[bool]) -> Vec<bool> {
+        let n = self.0.len();
+        let mut live = vec![false; n];
+        for r in (0..n as u32).filter(|&r| h1_referenced[r as usize]) {
+            let root = self.find(r);
+            live[root as usize] = true;
+        }
+        (0..n as u32).map(|r| live[self.find(r) as usize]).collect()
+    }
+}
 
 /// Chain structure from §3.3: X -> Y -> Z per chain, H1 references only the
 /// chain tails. The directional scheme reclaims heads and middles; the
@@ -134,5 +171,105 @@ pub(super) fn render(out: &mut Rendered, runs: Vec<(Key, Cell)>) {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use teraheap_core::Addr;
+    use teraheap_util::proptest_mini::{check, range_u64, range_usize, vec_of, CaseResult, Config};
+    use teraheap_util::{prop_assert, prop_assume};
+
+    #[test]
+    fn singletons_are_their_own_group() {
+        let mut g = RegionGroups::new(3);
+        assert_ne!(g.find(0), g.find(1));
+        assert_eq!(g.find(2), 2);
+        assert_eq!(g.group_liveness(&[false, true, false]), [false, true, false]);
+    }
+
+    #[test]
+    fn merge_is_transitive_and_symmetric() {
+        let mut g = RegionGroups::new(4);
+        g.merge(RegionId(0), RegionId(1));
+        g.merge(RegionId(2), RegionId(1));
+        assert_eq!(g.group_liveness(&[false, false, true, false]), [true, true, true, false]);
+        assert_eq!(g.group_liveness(&[false, false, false, true]), [false, false, false, true]);
+    }
+
+    #[test]
+    fn dead_group_is_fully_reclaimable() {
+        let mut g = RegionGroups::new(4);
+        g.merge(RegionId(0), RegionId(1));
+        g.merge(RegionId(2), RegionId(3));
+        assert_eq!(g.group_liveness(&[true, false, false, false]), [true, true, false, false]);
+    }
+
+    #[test]
+    fn chain_keeps_whole_group_alive() {
+        // X -> Y -> Z with only Z referenced from H1: the group keeps all
+        // three, where the dependency lists reclaim X and Y.
+        let mut g = RegionGroups::new(3);
+        g.merge(RegionId(0), RegionId(1));
+        g.merge(RegionId(1), RegionId(2));
+        assert_eq!(g.group_liveness(&[false, false, true]), [true, true, true]);
+    }
+
+    #[test]
+    fn group_liveness_is_superset_of_direct_marks() {
+        let mut g = RegionGroups::new(5);
+        g.merge(RegionId(0), RegionId(4));
+        let marks = [false, true, false, false, false];
+        let live = g.group_liveness(&marks);
+        for (i, &m) in marks.iter().enumerate() {
+            assert!(!m || live[i], "directly marked region R{i} must be group-live");
+        }
+    }
+
+    /// Union-find group liveness is a superset of directional liveness:
+    /// anything the dependency-list scheme keeps, the group scheme keeps.
+    #[test]
+    fn groups_over_approximate_directional() {
+        let script = (
+            vec_of((range_u64(0..6), range_usize(1..64)), 1..40),
+            vec_of((range_usize(0..40), range_usize(0..40)), 0..40),
+            vec_of(range_usize(0..40), 0..10),
+        );
+        type Script = (Vec<(u64, usize)>, Vec<(usize, usize)>, Vec<usize>);
+        check(
+            "groups_over_approximate_directional",
+            &script,
+            &Config::with_cases(256),
+            |(allocs, deps, h1_marks): Script| {
+                let mut m = RegionManager::new(256, 64);
+                let mut groups = RegionGroups::new(64);
+                let objs: Vec<Addr> = allocs
+                    .iter()
+                    .filter_map(|&(label, words)| m.alloc(Label::new(label), words).ok())
+                    .collect();
+                prop_assume!(!objs.is_empty());
+                for &(f, t) in deps.iter().filter(|&&(f, t)| f < objs.len() && t < objs.len()) {
+                    let (rf, rt) = (m.region_of(objs[f]), m.region_of(objs[t]));
+                    m.add_dependency(rf, rt);
+                    groups.merge(rf, rt);
+                }
+                m.clear_live_bits();
+                let mut h1_ref = vec![false; 64];
+                for &i in h1_marks.iter().filter(|&&i| i < objs.len()) {
+                    m.mark_live(objs[i]);
+                    h1_ref[m.region_of(objs[i]).0 as usize] = true;
+                }
+                m.propagate_liveness();
+                let group_live = groups.group_liveness(&h1_ref);
+                for rid in 0..64u32 {
+                    prop_assert!(
+                        !m.is_live(RegionId(rid)) || group_live[rid as usize],
+                        "directionally-live region R{rid} must be group-live"
+                    );
+                }
+                CaseResult::Pass
+            },
+        );
     }
 }

@@ -9,9 +9,6 @@
 //!   per-region metadata in DRAM: start/top pointers, a live bit and a
 //!   *dependency list* recording outgoing cross-region references (§3.3,
 //!   Figure 2). Dead regions are reclaimed lazily in bulk, never compacted.
-//! * [`groups::RegionGroups`] — the simpler union-find alternative that
-//!   merges regions connected by references into groups, losing reference
-//!   direction (§3.3 explores and rejects this; we keep it for the ablation).
 //! * [`card::H2CardTable`] — the extended card table tracking backward
 //!   (H2→H1) references with four states (clean/dirty/youngGen/oldGen) and
 //!   stripe/slice organization for contention-free parallel scanning (§3.4,
@@ -42,7 +39,6 @@
 
 pub mod addr;
 pub mod card;
-pub mod groups;
 pub mod h2;
 pub mod lifetime;
 pub mod policy;
@@ -51,7 +47,6 @@ pub mod region;
 
 pub use addr::{Addr, H2_BASE_WORDS, NULL, WORD_BYTES};
 pub use card::{CardState, H2CardTable};
-pub use groups::RegionGroups;
 pub use h2::{H2Config, H2ConfigBuilder, H2ConfigError, H2Error, H2};
 pub use lifetime::{LifetimeProfiles, SiteStats};
 pub use policy::{Label, TransferPolicy};

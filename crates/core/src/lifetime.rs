@@ -3,7 +3,7 @@
 //! Deca-style lifetime-based placement: partition data is bound to its
 //! allocation site (the framework's [`Label`]), and sites whose objects
 //! demonstrably survive minor collections are *pretenured* — allocated
-//! straight into region-grouped H2 storage, skipping survivor copying
+//! straight into the site's H2 regions, skipping survivor copying
 //! entirely.
 //!
 //! The profiler samples the charge paths that already exist:
@@ -30,8 +30,6 @@ use crate::policy::Label;
 pub struct SiteStats {
     /// Words tagged for this site that were allocated in H1.
     pub tagged_words: u64,
-    /// Objects tagged for this site that were allocated in H1.
-    pub tagged_objects: u64,
     /// Tagged words that survived a minor-GC copy (aged or tenured).
     pub survived_words: u64,
     /// Tagged words promoted to H2 by a major GC.
@@ -107,9 +105,7 @@ impl LifetimeProfiles {
         if !self.enabled {
             return;
         }
-        let s = self.stats_mut(label);
-        s.tagged_words += words;
-        s.tagged_objects += 1;
+        self.stats_mut(label).tagged_words += words;
     }
 
     /// Records a tagged object surviving a minor-GC copy.

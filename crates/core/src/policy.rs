@@ -109,11 +109,6 @@ impl TransferPolicy {
         self
     }
 
-    /// Whether dynamic threshold adaptation is enabled.
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
-    }
-
     /// Turns dynamic threshold adaptation on or off at run time (the
     /// adaptive-placement plane flips this together with the lifetime
     /// profiler; see `Heap::set_adaptive_placement`).
@@ -301,7 +296,6 @@ mod tests {
     #[test]
     fn adaptive_lowers_threshold_under_repeated_pressure() {
         let mut p = TransferPolicy::new().with_adaptive();
-        assert!(p.is_adaptive());
         let h0 = p.high();
         p.note_major_gc_end_satisfying(90, 100, &[]);
         p.note_major_gc_end_satisfying(90, 100, &[]);

@@ -19,8 +19,6 @@ pub struct Promoter {
     buffer_bytes: usize,
     /// Staged, unflushed bytes by region id (grown on first use of an id).
     pending: Vec<usize>,
-    flushes: u64,
-    bytes_flushed: u64,
 }
 
 impl Promoter {
@@ -31,22 +29,7 @@ impl Promoter {
     /// Panics if `buffer_bytes` is zero.
     pub fn new(buffer_bytes: usize) -> Self {
         assert!(buffer_bytes > 0, "promotion buffer must be non-empty");
-        Promoter { buffer_bytes, pending: Vec::new(), flushes: 0, bytes_flushed: 0 }
-    }
-
-    /// Buffer capacity in bytes.
-    pub fn buffer_bytes(&self) -> usize {
-        self.buffer_bytes
-    }
-
-    /// Total batch flushes performed.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
-    }
-
-    /// Total bytes written to the device through the buffers.
-    pub fn bytes_flushed(&self) -> u64 {
-        self.bytes_flushed
+        Promoter { buffer_bytes, pending: Vec::new() }
     }
 
     /// Stages `bytes` of object data headed for `region`. Returns the bytes
@@ -57,11 +40,8 @@ impl Promoter {
         *slot += bytes;
         // Closed form: a staged run crossing the buffer boundary n times
         // flushes n full batches, however large the object.
-        let batches = *slot / buffer_bytes;
-        let flushed = batches * buffer_bytes;
+        let flushed = *slot / buffer_bytes * buffer_bytes;
         *slot -= flushed;
-        self.flushes += batches as u64;
-        self.bytes_flushed += flushed as u64;
         flushed
     }
 
@@ -87,27 +67,16 @@ impl Promoter {
 
     /// Rolls back one reported flush of `bytes` for `region` after the
     /// device write failed past its retry budget: the bytes go back to
-    /// pending (they are still only in DRAM) and the flush counters are
-    /// un-charged, so accounting reflects what actually reached the device.
+    /// pending, since they are still only in DRAM.
     pub fn unstage(&mut self, region: RegionId, bytes: usize) {
-        if bytes == 0 {
-            return;
-        }
         *self.slot(region) += bytes;
-        self.bytes_flushed = self.bytes_flushed.saturating_sub(bytes as u64);
-        self.flushes = self.flushes.saturating_sub(1);
     }
 
     /// Flushes every partially-filled buffer (end of compaction), one flush
     /// per region with pending bytes. Returns the total bytes written.
     pub fn flush_all(&mut self) -> usize {
-        let mut flushed = 0;
-        for &slot in self.pending.iter().filter(|&&slot| slot > 0) {
-            flushed += slot;
-            self.flushes += 1;
-        }
+        let flushed = self.pending.iter().sum();
         self.pending.clear();
-        self.bytes_flushed += flushed as u64;
         flushed
     }
 }
@@ -129,10 +98,9 @@ mod tests {
         assert_eq!(p.stage(RegionId(0), 400), 0);
         // Third stage crosses the 1000-byte boundary: one batch goes out.
         assert_eq!(p.stage(RegionId(0), 400), 1000);
-        assert_eq!(p.flushes(), 1);
         // 200 bytes remain pending.
+        assert_eq!(p.pending_regions(), [(RegionId(0), 200)]);
         assert_eq!(p.flush_all(), 200);
-        assert_eq!(p.bytes_flushed(), 1200);
     }
 
     #[test]
@@ -146,9 +114,17 @@ mod tests {
     #[test]
     fn huge_object_flushes_multiple_batches() {
         let mut p = Promoter::new(1000);
-        assert_eq!(p.stage(RegionId(0), 3500), 3000);
-        assert_eq!(p.flushes(), 3);
+        assert_eq!(p.stage(RegionId(0), 3500), 3000, "three full batches");
         assert_eq!(p.flush_all(), 500);
+    }
+
+    #[test]
+    fn unstage_requeues_a_failed_flush() {
+        let mut p = Promoter::new(1000);
+        assert_eq!(p.stage(RegionId(1), 1200), 1000);
+        p.unstage(RegionId(1), 1000);
+        assert_eq!(p.pending_regions(), [(RegionId(1), 1200)]);
+        assert_eq!(p.flush_all(), 1200);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! set when marking finds an H1→H2 reference into the region, and a
 //! *dependency list* of regions that this region's objects reference
 //! (directional, so a region referenced only by dead regions can still be
-//! reclaimed — the property the union-find alternative loses).
+//! reclaimed — the property undirected region groups lose; the `ablations`
+//! figure measures the gap).
 
 use crate::addr::Addr;
 use crate::policy::Label;

@@ -2,15 +2,14 @@
 //!
 //! These check the safety invariants the paper's design depends on:
 //! directional dependency-list liveness never reclaims a reachable region,
-//! the union-find group alternative is a conservative over-approximation of
-//! it, and the card table never loses a dirty mark.
+//! and the card table never loses a dirty mark.
 //!
 //! Runs on the in-repo harness (`teraheap_util::proptest_mini`): cases are
 //! seeded deterministically, failures shrink to a minimal script and print
 //! a `TERAHEAP_PROP_SEED` for replay.
 
 use teraheap_core::{
-    Addr, CardState, H2CardTable, Label, LifetimeProfiles, RegionGroups, RegionId, RegionManager,
+    Addr, CardState, H2CardTable, Label, LifetimeProfiles, RegionId, RegionManager,
 };
 use teraheap_util::proptest_mini::{
     check, range_u64, range_usize, vec_of, CaseResult, Config, Strategy,
@@ -95,54 +94,6 @@ fn sweep_never_frees_reachable_region() {
                     !reachable.contains(&rid),
                     "reclaimed region {rid} is reachable from H1"
                 );
-            }
-            CaseResult::Pass
-        },
-    );
-}
-
-/// Union-find group liveness is a superset of directional liveness:
-/// anything the dependency-list scheme keeps, the group scheme keeps.
-#[test]
-fn groups_over_approximate_directional() {
-    check(
-        "groups_over_approximate_directional",
-        &region_script(),
-        &Config::with_cases(CASES),
-        |script: RegionScript| {
-            let mut m = RegionManager::new(256, 64);
-            let mut groups = RegionGroups::new(64);
-            let mut objs: Vec<Addr> = Vec::new();
-            for &(label, words) in &script.allocs {
-                if let Ok(a) = m.alloc(Label::new(label), words) {
-                    objs.push(a);
-                }
-            }
-            prop_assume!(!objs.is_empty());
-            for &(f, t) in &script.deps {
-                if f < objs.len() && t < objs.len() {
-                    let (rf, rt) = (m.region_of(objs[f]), m.region_of(objs[t]));
-                    m.add_dependency(rf, rt);
-                    groups.merge(rf, rt);
-                }
-            }
-            m.clear_live_bits();
-            let mut h1_ref = vec![false; 64];
-            for &i in &script.h1_marks {
-                if i < objs.len() {
-                    m.mark_live(objs[i]);
-                    h1_ref[m.region_of(objs[i]).0 as usize] = true;
-                }
-            }
-            m.propagate_liveness();
-            let group_live = groups.group_liveness(&h1_ref);
-            for rid in 0..64u32 {
-                if m.is_live(RegionId(rid)) {
-                    prop_assert!(
-                        group_live[rid as usize],
-                        "directionally-live region R{rid} must be group-live"
-                    );
-                }
             }
             CaseResult::Pass
         },
@@ -287,49 +238,6 @@ fn pretenure_decision_is_monotone_in_evidence() {
                     "survival evidence or pretenured volume retracted the decision"
                 );
             }
-            CaseResult::Pass
-        },
-    );
-}
-
-/// H1-referenced region indices plus a rotation offset for the merge order.
-type MarkPlan = (Vec<usize>, usize);
-
-/// Group liveness is invariant under the order merges are applied in:
-/// forward, reversed and rotated merge sequences classify every region
-/// identically. The collector may thus merge site regions in whatever
-/// order compaction discovers them.
-#[test]
-fn group_liveness_is_merge_order_invariant() {
-    check(
-        "group_liveness_is_merge_order_invariant",
-        &(
-            vec_of((range_usize(0..32), range_usize(0..32)), 0..48),
-            (vec_of(range_usize(0..32), 0..8), range_usize(0..48)),
-        ),
-        &Config::with_cases(CASES),
-        |(merges, (marks, rot)): (Vec<(usize, usize)>, MarkPlan)| {
-            let mut h1_ref = vec![false; 32];
-            for &m in &marks {
-                h1_ref[m] = true;
-            }
-            let liveness = |order: &[(usize, usize)]| {
-                let mut g = RegionGroups::new(32);
-                for &(a, b) in order {
-                    g.merge(RegionId(a as u32), RegionId(b as u32));
-                }
-                g.group_liveness(&h1_ref)
-            };
-            let forward = liveness(&merges);
-            let mut reversed = merges.clone();
-            reversed.reverse();
-            let mut rotated = merges.clone();
-            if !rotated.is_empty() {
-                let mid = rot % rotated.len();
-                rotated.rotate_left(mid);
-            }
-            prop_assert_eq!(&forward, &liveness(&reversed));
-            prop_assert_eq!(&forward, &liveness(&rotated));
             CaseResult::Pass
         },
     );

@@ -4,11 +4,11 @@
 //! `chunk_rows` values. Each column chunk is one primitive array allocated
 //! through [`Heap::alloc_prim_array_labeled`] with a *per-(table, column)*
 //! label, so whole columns pretenure / promote together into contiguous
-//! same-label H2 regions (`RegionGroups`) and die together at region
-//! granularity when the table is dropped. The table roots its sealed
-//! chunks itself, in a dense directory indexed by `(stream, chunk)`; a cold
-//! table tags and advises each chunk as it seals, the way Spark's block
-//! manager does per cached partition (§5).
+//! same-label H2 regions and die together at region granularity when the
+//! table is dropped. The table roots its sealed chunks itself, in a dense
+//! directory indexed by `(stream, chunk)`; a cold table tags and advises
+//! each chunk as it seals, the way Spark's block manager does per cached
+//! partition (§5).
 //!
 //! Rows accumulate in a DRAM staging buffer (the promotion-buffer idiom)
 //! until a chunk fills; sealing a chunk writes it through

@@ -659,7 +659,6 @@ fn finish_select(heap: &mut Heap, cyc: &mut MajorCycle) {
         if heap.track_h2_liveness {
             units::record_h2_liveness(heap);
         }
-        heap.propagate_site_groups();
         let freed = heap.h2.as_mut().unwrap().propagate_and_sweep();
         for rid in &freed {
             heap.h2_starts[rid.0 as usize] = Vec::new();

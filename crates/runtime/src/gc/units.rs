@@ -795,9 +795,7 @@ pub(super) fn move_object(
         cyc.reloc.staged_words += size as u64;
         let label_word = heap.mem[src_i + 1];
         if heap.lifetimes.is_enabled() && label_word != 0 {
-            let label = Label::new(label_word);
-            heap.lifetimes.record_promotion(label, size as u64);
-            heap.note_site_region(label, region.0);
+            heap.lifetimes.record_promotion(Label::new(label_word), size as u64);
         }
         return;
     }

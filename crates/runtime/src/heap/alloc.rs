@@ -51,9 +51,9 @@ impl Heap {
     /// Allocates a primitive array as a member of the labeled object group
     /// `site`: the allocation is attributed to `site` for lifetime
     /// profiling / pretenuring (so, with adaptive placement on, later
-    /// chunks of a long-lived group allocate straight into its
-    /// region-grouped H2 storage), and the object header is tagged with
-    /// `site` so a subsequent [`Heap::h2_move`] promotes the whole group
+    /// chunks of a long-lived group allocate straight into its H2
+    /// regions), and the object header is tagged with `site` so a
+    /// subsequent [`Heap::h2_move`] promotes the whole group
     /// into contiguous same-label regions. The query plane allocates every
     /// column chunk through this, one label per (table, column), so whole
     /// columns move and die together at region granularity.
@@ -84,7 +84,7 @@ impl Heap {
         self.incr_poll();
         // Lifetime-profiled pretenuring: when the current allocation site's
         // profile crossed the tenure threshold, place the object straight
-        // into region-grouped H2 storage, skipping survivor copying. Falls
+        // into the site's H2 regions, skipping survivor copying. Falls
         // through to the normal H1 path when H2 is absent, degraded or full.
         if let Some(label) = self.alloc_site {
             if self.lifetimes.should_pretenure(label) {
@@ -166,7 +166,6 @@ impl Heap {
         // Bump allocation within a region is monotone, so appending keeps
         // the per-region start index sorted, as card scans require.
         self.h2_starts[region as usize].push(dest.raw());
-        self.note_site_region(label, region);
         self.lifetimes.record_pretenure(label, words as u64);
         self.stats.pretenured_objects += 1;
         self.stats.pretenured_words += words as u64;

@@ -1,10 +1,10 @@
 //! The TeraHeap side of the API (§3.2): attaching H2, the `h2_tag_root` /
 //! `h2_move` hints, H2 region dependencies, adaptive placement with its
-//! allocation site and region groups, and the charge/span hooks frameworks
-//! cost their work through.
+//! allocation site, and the charge/span hooks frameworks cost their work
+//! through.
 
 use super::{Handle, Heap};
-use teraheap_core::{Addr, H2Config, Label, RegionGroups, RegionId, H2};
+use teraheap_core::{Addr, H2Config, Label, H2};
 use teraheap_storage::obs::SpanKind;
 use teraheap_storage::{AttachError, Category, SharedDevice, TraceSpan};
 
@@ -62,19 +62,13 @@ impl Heap {
     }
 
     /// Turns the adaptive placement plane on or off: the per-site lifetime
-    /// profiler, H2 pretenuring, site region grouping, and the transfer
-    /// policy's dynamic threshold controller. Off by default — every
+    /// profiler, H2 pretenuring, and the transfer policy's dynamic threshold
+    /// controller. Pretenured regions die like any other H2 region, by the
+    /// dependency-list rule alone (DESIGN.md §3). Off by default — every
     /// simulated-ns golden is pinned with this off.
     pub fn set_adaptive_placement(&mut self, on: bool) {
         self.lifetimes.set_enabled(on);
-        if on {
-            if self.site_groups.is_none() {
-                let n = self.h2.as_ref().map(|h| h.config().n_regions).unwrap_or(0);
-                self.site_groups = Some(RegionGroups::new(n));
-            }
-        } else {
-            self.site_groups = None;
-            self.site_last_region.clear();
+        if !on {
             self.alloc_site = None;
         }
         if let Some(h2) = self.h2.as_mut() {
@@ -97,42 +91,6 @@ impl Heap {
         let (from, to) = (h2.regions().region_of(from), h2.regions().region_of(to));
         if from != to {
             h2.regions_mut().add_dependency(from, to);
-        }
-    }
-
-    /// Records that `label`'s site placed an object in `region`, merging
-    /// the site's regions into one union-find group.
-    pub(crate) fn note_site_region(&mut self, label: Label, region: u32) {
-        let Some(groups) = self.site_groups.as_mut() else { return };
-        match self.site_last_region.binary_search_by_key(&label.id(), |&(k, _)| k) {
-            Ok(i) => {
-                let prev = self.site_last_region[i].1;
-                if prev != region {
-                    groups.merge(RegionId(prev), RegionId(region));
-                    self.site_last_region[i].1 = region;
-                }
-            }
-            Err(i) => self.site_last_region.insert(i, (label.id(), region)),
-        }
-    }
-
-    /// Propagates liveness across pretenure site groups before the H2
-    /// sweep: if any region of a group is referenced, the whole group
-    /// stays live (one site's partition data references itself freely, so
-    /// the group lives or dies as a unit). No-op with adaptive placement
-    /// off, keeping the static-policy goldens untouched.
-    pub(crate) fn propagate_site_groups(&mut self) {
-        let Some(groups) = self.site_groups.as_mut() else { return };
-        let Some(h2) = self.h2.as_mut() else { return };
-        let n = h2.config().n_regions;
-        let referenced: Vec<bool> =
-            (0..n).map(|r| h2.regions().is_live(RegionId(r as u32))).collect();
-        let live = groups.group_liveness(&referenced);
-        for (r, &keep) in live.iter().enumerate() {
-            if keep && !referenced[r] {
-                let base = h2.regions().region_base(RegionId(r as u32));
-                h2.regions_mut().mark_live(base);
-            }
         }
     }
 

@@ -23,7 +23,7 @@ use crate::gc;
 use crate::space::{H1CardTable, Space};
 use crate::stats::GcStats;
 use std::sync::Arc;
-use teraheap_core::{Addr, Label, LifetimeProfiles, RegionGroups, H2, NULL};
+use teraheap_core::{Addr, Label, LifetimeProfiles, H2, NULL};
 use teraheap_storage::obs::EventKind;
 use teraheap_storage::{Category, SimClock};
 
@@ -100,13 +100,6 @@ pub struct Heap {
     /// The allocation-site label subsequent allocations belong to, set by
     /// the framework around partition construction ([`Heap::set_alloc_site`]).
     pub(crate) alloc_site: Option<Label>,
-    /// Union-find over H2 regions: regions receiving pretenured data from
-    /// one site merge into a group whose liveness is decided as a unit.
-    /// Present only while adaptive placement is on.
-    pub(crate) site_groups: Option<RegionGroups>,
-    /// `(label id, last region)` per pretenuring site, sorted by label id —
-    /// consecutive regions of one site are merged in `site_groups`.
-    pub(crate) site_last_region: Vec<(u64, u32)>,
     /// Reusable scratch for composing pretenured object images (zero
     /// allocation on the pretenure path once its capacity warms up).
     pub(crate) pretenure_scratch: Vec<u64>,
@@ -172,8 +165,6 @@ impl Heap {
                 || std::env::var("TERAHEAP_HEAP_CHECK").is_ok_and(|v| v == "1"),
             lifetimes: LifetimeProfiles::new(),
             alloc_site: None,
-            site_groups: None,
-            site_last_region: Vec::new(),
             pretenure_scratch: Vec::new(),
         }
     }

@@ -78,28 +78,11 @@ impl GcStats {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Average major-GC duration, in nanoseconds.
-    pub fn mean_major_ns(&self) -> u64 {
-        self.major_ns.checked_div(self.major_count).unwrap_or(0)
-    }
-
-    /// Average minor-GC duration, in nanoseconds.
-    pub fn mean_minor_ns(&self) -> u64 {
-        self.minor_ns.checked_div(self.minor_count).unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn means_handle_zero_counts() {
-        let s = GcStats::new();
-        assert_eq!(s.mean_major_ns(), 0);
-        assert_eq!(s.mean_minor_ns(), 0);
-    }
 
     #[test]
     fn phases_total() {

@@ -242,6 +242,47 @@ fn dead_h2_regions_are_reclaimed_in_bulk() {
     assert_eq!(h.h2().unwrap().regions().reclaimed_total(), 1);
 }
 
+/// Pretenuring one site into two regions does not tie their fates: with
+/// every handle into the first released and the second still held, the
+/// first has no referrer and dies at the next major GC (§3.3: a region is
+/// live only if H1 or a live region references it).
+#[test]
+fn a_pretenured_region_dies_while_its_sites_next_region_lives() {
+    let mut h = th_heap();
+    h.set_adaptive_placement(true);
+    let site = Label::new(7);
+    // Teach the profiler the site is long-lived: one tagged array reaches H2.
+    let evidence = h.alloc_prim_array(600).unwrap();
+    h.h2_tag_root(evidence, site);
+    h.h2_move(site);
+    h.gc_major().unwrap();
+    assert!(h.is_in_h2(evidence), "the evidence must reach H2");
+    h.set_alloc_site(Some(site));
+    let region = |h: &Heap, x: Handle| h.h2().unwrap().regions().region_of(h.handle_addr(x));
+    let mut arrays = vec![evidence];
+    loop {
+        let x = h.alloc_prim_array(100).unwrap();
+        assert!(h.is_in_h2(x), "the site pretenures");
+        arrays.push(x);
+        if region(&h, x) != region(&h, evidence) {
+            break;
+        }
+    }
+    h.set_alloc_site(None);
+    let in_b = arrays.pop().unwrap();
+    h.write_prim(in_b, 0, 77);
+    for x in arrays {
+        h.release(x);
+    }
+    let free = h.h2().unwrap().regions().free_count();
+    h.gc_major().unwrap();
+    let regions = h.h2().unwrap().regions();
+    assert_eq!(regions.reclaimed_total(), 1, "region A has no referrer");
+    assert_eq!(regions.free_count(), free + 1);
+    h.heap_check().expect("nothing references the freed region");
+    assert_eq!(h.read_prim(in_b, 0), 77, "region B lives on");
+}
+
 #[test]
 fn backward_references_keep_h1_objects_alive() {
     let mut h = th_heap();

@@ -126,15 +126,6 @@ impl Rng {
         }
     }
 
-    /// A uniformly chosen element of `slice`, or `None` when empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.bounded_u64(slice.len() as u64) as usize])
-        }
-    }
-
     /// Index drawn proportionally to `weights` (e.g. `[3, 1]` picks index 0
     /// three times as often as index 1).
     ///

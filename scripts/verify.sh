@@ -50,7 +50,10 @@ echo "ok"
 # durable image, crash point or recovery, so no code under crates/ names
 # them (`crash_at_writeback` may appear quoted or in backticks, where the
 # fault-string parser's tests pin it as an ignored key).
-echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane =="
+# A region dies when nothing live reaches it (§3.3's dependency lists), and
+# that is the only liveness rule: the union-find groups the paper rejects
+# live privately in crates/bench/src/figures/ablations.rs, which measures them.
+echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane, one region-liveness rule =="
 if grep -rlE '^[[:space:]]*(pub[[:space:]]+)?enum[[:space:]]+[A-Za-z0-9_]*Op\b' crates/runtime/tests \
     | grep -v '^crates/runtime/tests/common/'; then
     echo "ERROR: an op enum outside crates/runtime/tests/common/; extend the shared language instead." >&2
@@ -72,6 +75,10 @@ if grep -rnE 'fault_plane|FaultPlane|FaultPlan' crates/runtime/src; then
 fi
 if grep -rnE --include='*.rs' 'DurableStore|recover_from_crash|CrashPoint|(^|[^"`])crash_at_writeback' crates; then
     echo "ERROR: crates/ names the deleted crash-recovery plane; H2 has no durable image." >&2
+    exit 1
+fi
+if grep -rniE 'RegionGroups|site_groups|union' crates/core/src crates/runtime/src; then
+    echo "ERROR: a second region-liveness rule; regions die by dependency lists alone." >&2
     exit 1
 fi
 echo "ok"
@@ -116,7 +123,8 @@ teraheap_runtime/incremental_marking::        §11  the incremental arm: a pause
 teraheap_storage/lib::shared::reference::     §12  the FIFO device clock gives the waits, device virtual time and per-tenant counters of the equal-weight start-time fair queue it replaced, over 1-8 tenants with production-style and arbitrary arrivals
 teraheap_server/lib::                         §12  N-tenant server runs are deterministic, with typed config rejection
 teraheap_runtime/fault_isolation::            §12  a neighbour degrading under injected ENOSPC leaves a tenant's simulated time, heap census and arbitration counters untouched; the degraded tenant still passes the checker
-teraheap_core/properties::                    §13  the lifetime profiler replays bit-identically and never retracts a pretenure decision; region-group liveness is merge-order invariant
+teraheap_core/properties::                    §13  the lifetime profiler replays bit-identically and never retracts a pretenure decision
+teraheap_bench/lib::figures::ablations::tests::groups_over_approximate_directional  §3  the ablation's private union-find keeps every region the dependency lists keep
 mini_spark/placement_properties::             §13  the placement cost model is deterministic and monotone in device latency and S/D cost
 teraheap_query/charge_pin::                   §14  the read path's simulated charges, cold and hot (golden)
 teraheap_query/query_properties::             §14  the executor matches its naive oracle, the index plan is answer-bit-equal to the full scan (point lookups of held and absent keys included), answers are invariant across runtime knobs and across a permuted chunk/run visiting order
