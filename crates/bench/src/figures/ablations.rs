@@ -9,13 +9,12 @@
 //!    simulated time for a streaming ML scan.
 //! 3. **Promotion buffer size** (§3.2): device write batching vs per-object
 //!    writes during H2 moves.
-//! 4. **Dynamic high threshold** (§7.2 future work): fixed 85% vs adaptive.
+//!
+//! §7.2's future-work dynamic high threshold has no row: its controller
+//! fires on no Giraph configuration the harness builds, so the row would
+//! equal the fixed 85% one.
 
-use crate::harness::{
-    giraph_row, giraph_th, job, ms, run_giraph_row, spark_dataset, spark_row, spark_th, Job,
-    Rendered,
-};
-use mini_giraph::GiraphWorkload;
+use crate::harness::{job, ms, spark_dataset, spark_row, spark_th, Job, Rendered};
 use mini_spark::{run_workload, ExecMode, Workload};
 use teraheap_core::{H2Config, Label, RegionId, RegionManager};
 use teraheap_storage::{Breakdown, DeviceSpec};
@@ -88,11 +87,10 @@ fn reclaimed_regions(chains: usize) -> (usize, usize) {
 }
 
 /// `(CSV key, banner)` per ablation, in output order.
-const SECTIONS: [(&str, &str); 4] = [
+const SECTIONS: [(&str, &str); 3] = [
     ("deps", "1: directional dependency lists vs union-find groups"),
     ("hugepages", "2: H2 page size (4 KB vs 2 MB HugeMap) for ML scans"),
     ("promo", "3: promotion buffer size (device write batching)"),
-    ("adaptive", "4: dynamic high threshold (§7.2 future work)"),
 ];
 
 /// An arm's `(text cell, CSV value column(s))`; `None` when it died with OOM.
@@ -143,18 +141,6 @@ pub(super) fn arms() -> Vec<(Key, Job<Cell>)> {
     for buf in [4096usize, 64 << 10, 2 << 20] {
         let run = spark(Workload::Pr, 80, |h2| h2.promo_buffer_bytes = buf, gc_cell);
         arms.push((("promo", buf.to_string(), format!("PR with {buf:>7} B buffers")), run));
-    }
-    let sssp = giraph_row(GiraphWorkload::Sssp);
-    for (label, adaptive) in [("fixed 85%", false), ("adaptive", true)] {
-        let mut cfg = giraph_th(&sssp, sssp.dram_gb[0]);
-        cfg.adaptive_threshold = adaptive;
-        let run = job(move || {
-            let r = run_giraph_row(&sssp, cfg);
-            let (total, gc) = (r.total_ms(), ms(r.breakdown.minor_gc_ns + r.breakdown.major_gc_ns));
-            let cell = format!("total {total:9.2} ms (gc {gc:7.2} ms, {} majors)", r.major_gcs);
-            (!r.oom).then(|| (cell, r.breakdown.total_ns().to_string()))
-        });
-        arms.push((("adaptive", label.to_string(), format!("SSSP with {label:>10}")), run));
     }
     arms
 }

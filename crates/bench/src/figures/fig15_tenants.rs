@@ -88,7 +88,6 @@ pub(super) fn render(out: &mut Rendered, runs: Vec<((&'static str, usize), Serve
             let p99_mean = p99s().sum::<u64>() / r.tenants.len().max(1) as u64;
             let queued: u64 = r.tenants.iter().map(|t| t.io.queued_ns).sum();
             let busy: u64 = r.tenants.iter().map(|t| t.io.busy_ns).sum();
-            let deferrals: u64 = r.tenants.iter().map(|t| t.deferrals).sum();
             let oom: usize = r.tenants.iter().map(|t| t.oom_rounds).sum();
             let (rate, jain) = (r.agg_rounds_per_sec, r.jain_fairness);
             say!(
@@ -103,7 +102,7 @@ pub(super) fn render(out: &mut Rendered, runs: Vec<((&'static str, usize), Serve
             let vtime_ns = r.device_vtime_ns;
             out.csv.push(format!(
                 "{name},{n},{rounds},{rate:.3},{makespan_ns},{vtime_ns},{p99_mean},{p99_max},\
-                 {queued},{busy},{deferrals},{jain:.6},{oom}"
+                 {queued},{busy},{jain:.6},{oom}"
             ));
         }
         say!(out.text, "");

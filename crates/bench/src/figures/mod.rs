@@ -99,7 +99,7 @@ figures! {
          major_p999_ns,major_max_ns,minor_pauses,minor_mean_pause_ns,total_ns";
     fig15_tenants: "Figure 15: tenant scaling on one shared H2 device",
         "device,tenants,total_rounds,agg_rounds_per_sec,makespan_ns,device_vtime_ns,\
-         p99_mean_ns,p99_max_ns,queued_ns,busy_ns,deferrals,jain_fairness,oom_rounds";
+         p99_mean_ns,p99_max_ns,queued_ns,busy_ns,jain_fairness,oom_rounds";
     fig16_placement: "Figure 16: adaptive placement ablation (mixed hot/cold)",
         bars("device,arm") + ",serializations,deserializations,pretenured,h2_objects,checksum";
     fig17_query: "Figure 17: query-serving latency (sessions x device x hot fraction)",

@@ -13,8 +13,8 @@
 //! * **high threshold** (default 85%): if live objects exceed this fraction
 //!   of H1 after a major GC, the *next* major GC moves marked objects even
 //!   without `h2_move`;
-//! * **low threshold** (optional, default 50% when enabled): under pressure,
-//!   only enough marked objects move to bring H1 occupancy down to the low
+//! * **low threshold** (optional; §7.2 uses 50%): under pressure, only
+//!   enough marked objects move to bring H1 occupancy down to the low
 //!   threshold — oldest labels first — leaving recently-marked (likely
 //!   still-mutable) objects in H1 (§7.2 shows this cuts device
 //!   read-modify-writes by up to 95%).
@@ -64,9 +64,6 @@ impl TransferPolicy {
     /// Default high threshold (85% of H1, as in the paper).
     pub const DEFAULT_HIGH: f64 = 0.85;
 
-    /// Default low threshold when enabled (50%, as in §7.2).
-    pub const DEFAULT_LOW: f64 = 0.50;
-
     /// Creates the default policy: hints enabled, high = 85%, no low
     /// threshold.
     pub fn new() -> Self {
@@ -80,13 +77,6 @@ impl TransferPolicy {
             consecutive_pressure: 0,
             consecutive_calm: 0,
         }
-    }
-
-    /// Sets the high threshold (fraction of H1 capacity).
-    pub fn with_high(mut self, high: f64) -> Self {
-        assert!((0.0..=1.0).contains(&high));
-        self.high = high;
-        self
     }
 
     /// Enables the low-threshold mechanism.
@@ -290,7 +280,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "0.0..=1.0")]
     fn invalid_threshold_panics() {
-        let _ = TransferPolicy::new().with_high(1.5);
+        let _ = TransferPolicy::new().with_low(1.5);
     }
 
     #[test]

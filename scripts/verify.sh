@@ -125,6 +125,7 @@ teraheap_server/lib::                         §12  N-tenant server runs are det
 teraheap_runtime/fault_isolation::            §12  a neighbour degrading under injected ENOSPC leaves a tenant's simulated time, heap census and arbitration counters untouched; the degraded tenant still passes the checker
 teraheap_core/properties::                    §13  the lifetime profiler replays bit-identically and never retracts a pretenure decision
 teraheap_bench/lib::figures::ablations::tests::groups_over_approximate_directional  §3  the ablation's private union-find keeps every region the dependency lists keep
+teraheap_bench/figures::every_arm_earns_its_row  §4   no two arms of a figure render one committed CSV row unless both are OOM or an exact alias names the family
 mini_spark/placement_properties::             §13  the placement cost model is deterministic and monotone in device latency and S/D cost
 teraheap_query/charge_pin::                   §14  the read path's simulated charges, cold and hot (golden)
 teraheap_query/query_properties::             §14  the executor matches its naive oracle, the index plan is answer-bit-equal to the full scan (point lookups of held and absent keys included), answers are invariant across runtime knobs and across a permuted chunk/run visiting order
