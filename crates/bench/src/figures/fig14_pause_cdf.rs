@@ -1,4 +1,4 @@
-//! Figure 14 (extension): major-GC pause distribution, stop-world
+//! Extension (beyond the paper): major-GC pause distribution, stop-world
 //! ParallelScavenge vs pause-budgeted incremental collection (DESIGN.md
 //! §11), across H2 devices and with H2 disabled.
 //!

@@ -1,4 +1,4 @@
-//! Figure 15 (beyond the paper): multi-tenant scaling on one shared H2
+//! Extension (beyond the paper): multi-tenant scaling on one shared H2
 //! device.
 //!
 //! The paper evaluates one framework instance per device; this figure

@@ -1,12 +1,13 @@
-//! Figure 16 (beyond the paper): adaptive placement ablation.
+//! Extension (beyond the paper): adaptive placement ablation.
 //!
 //! The paper's TeraHeap places *every* hinted partition in H2 behind static
 //! high/low watermarks; vanilla Spark serializes every cache-overflow
-//! partition. This figure ablates the PR's online placement plane — the
-//! per-partition cost model plus lifetime-profiled pretenuring — against
-//! those static policies on the mixed hot/cold workload ([`Workload::Mix`]:
-//! a small hot working set re-read every iteration plus a cold stream of
-//! large ingest partitions read once, long after ingest).
+//! partition. This figure ablates the online placement plane of
+//! DESIGN.md §13 — the per-partition cost model plus lifetime-profiled
+//! pretenuring — against those static policies on the mixed hot/cold
+//! workload ([`Workload::Mix`]: a small hot working set re-read every
+//! iteration plus a cold stream of large ingest partitions read once, long
+//! after ingest).
 //!
 //! Arms, per device profile (NVMe / Optane NVM / DAX):
 //!

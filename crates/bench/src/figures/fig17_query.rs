@@ -1,11 +1,11 @@
-//! Figure 17 (beyond the paper): query-serving latency over the dual heap.
+//! Extension (beyond the paper): query-serving latency over the dual heap.
 //!
 //! The paper evaluates TeraHeap on batch analytics; this figure measures
 //! the *interactive* story: closed-loop client sessions replaying a
 //! point-lookup / range-scan / aggregate mix against columnar tables with
 //! a hot (H1-cached) and a cold (H2-resident) copy, multiplexed over
-//! multi-tenant heaps sharing one arbitrated device (the PR 8 server
-//! plane). Sweeps:
+//! multi-tenant heaps sharing one arbitrated device (the server plane,
+//! DESIGN.md §12). Sweeps:
 //!
 //! * sessions ∈ {1, 8, 64, 512} — concurrency, over `min(sessions, 4)`
 //!   tenant heaps; total operations are fixed, so arms differ only in how

@@ -97,12 +97,12 @@ figures! {
     fig14_pause_cdf: "Major-GC pause distribution: stop-world PS vs incremental (pause budget)",
         "device,h2,mode,pause_budget_ns,major_pauses,major_mean_ns,major_p50_ns,major_p99_ns,\
          major_p999_ns,major_max_ns,minor_pauses,minor_mean_pause_ns,total_ns";
-    fig15_tenants: "Figure 15: tenant scaling on one shared H2 device",
+    fig15_tenants: "Tenant scaling on one shared H2 device",
         "device,tenants,total_rounds,agg_rounds_per_sec,makespan_ns,device_vtime_ns,\
          p99_mean_ns,p99_max_ns,queued_ns,busy_ns,jain_fairness,oom_rounds";
-    fig16_placement: "Figure 16: adaptive placement ablation (mixed hot/cold)",
+    fig16_placement: "Adaptive placement ablation (mixed hot/cold)",
         bars("device,arm") + ",serializations,deserializations,pretenured,h2_objects,checksum";
-    fig17_query: "Figure 17: query-serving latency (sessions x device x hot fraction)",
+    fig17_query: "Query-serving latency (sessions x device x hot fraction)",
         "device,sessions,hot_pct,tenants,ops,p50_ns,p99_ns,p999_ns,max_ns,mean_ns,\
          makespan_ns,ops_per_sec,device_vtime_ns,device_queued_ns,h2_chunks,checksum";
     table5_metadata: "Table 5: H2 metadata per TB vs region size", "region_mb,metadata_mb";

@@ -1,7 +1,8 @@
-//! The figure table against the committed `results/`: every entry names a
-//! committed CSV and starts it with the right header, rendering is
-//! byte-identical to the committed files at any worker count, and no two
-//! arms of a figure render the same row.
+//! The figure table against the committed `results/` and EXPERIMENTS.md:
+//! every entry names a committed CSV and starts it with the right header and
+//! has one EXPERIMENTS.md heading, rendering is byte-identical to the
+//! committed files at any worker count, and no two arms of a figure render
+//! the same row.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -11,8 +12,19 @@ fn results() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }
 
+/// The `Figure N` or `Table N` a title or heading label starts with: the
+/// paper item it reproduces. Anything else is an extension.
+fn paper_item(text: &str) -> Option<&str> {
+    let rest = text.strip_prefix("Figure ").or_else(|| text.strip_prefix("Table "))?;
+    let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+    (digits > 0).then(|| &text[..text.len() - rest.len() + digits])
+}
+
 /// Unique names, one entry per `results/*.csv` (bar `microbench`, which the
 /// `micro` binary writes), and each file starts with its entry's header.
+/// EXPERIMENTS.md has exactly one ``## <label> — `figures <name>` ``
+/// heading per entry and none for a name the table lacks, and the label
+/// names the title's paper item, or none when the title names none.
 #[test]
 fn table_matches_committed_results() {
     let table = table();
@@ -30,6 +42,24 @@ fn table_matches_committed_results() {
         let csv = std::fs::read_to_string(results().join(format!("{}.csv", f.name))).unwrap();
         assert_eq!(csv.lines().next(), Some(f.csv_header.as_str()), "{} header", f.name);
     }
+
+    let experiments = std::fs::read_to_string(results().join("../EXPERIMENTS.md")).unwrap();
+    let mut headings: BTreeMap<String, Vec<&str>> = BTreeMap::new();
+    for heading in experiments.lines().filter_map(|line| line.strip_prefix("## ")) {
+        if let Some((label, command)) = heading.split_once(" — `figures ") {
+            let name = command.strip_suffix('`').expect("the heading ends with the command");
+            headings.entry(name.to_string()).or_default().push(label);
+        }
+    }
+    assert_eq!(headings.keys().cloned().collect::<BTreeSet<_>>(), names, "EXPERIMENTS.md headings");
+    let mut wrong = Vec::new();
+    for f in &table {
+        match headings[f.name].as_slice() {
+            [label] if paper_item(label) == paper_item(f.title) => {}
+            labels => wrong.push(format!("{}: headings {labels:?}, title {:?}", f.name, f.title)),
+        }
+    }
+    assert!(wrong.is_empty(), "EXPERIMENTS.md headings against the table:\n{}", wrong.join("\n"));
 }
 
 /// Plans, pools and renders the two cheapest entries at 1 and at 2 workers:

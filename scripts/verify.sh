@@ -125,6 +125,7 @@ teraheap_server/lib::                         §12  N-tenant server runs are det
 teraheap_runtime/fault_isolation::            §12  a neighbour degrading under injected ENOSPC leaves a tenant's simulated time, heap census and arbitration counters untouched; the degraded tenant still passes the checker
 teraheap_core/properties::                    §13  the lifetime profiler replays bit-identically and never retracts a pretenure decision
 teraheap_bench/lib::figures::ablations::tests::groups_over_approximate_directional  §3  the ablation's private union-find keeps every region the dependency lists keep
+teraheap_bench/figures::table_matches_committed_results  §4   every entry has one committed CSV with its header and one EXPERIMENTS.md heading, whose `Figure N`/`Table N` matches the title's
 teraheap_bench/figures::every_arm_earns_its_row  §4   no two arms of a figure render one committed CSV row unless both are OOM or an exact alias names the family
 mini_spark/placement_properties::             §13  the placement cost model is deterministic and monotone in device latency and S/D cost
 teraheap_query/charge_pin::                   §14  the read path's simulated charges, cold and hot (golden)
@@ -157,13 +158,19 @@ while read -r suite _; do
 done <<<"$suites"
 echo "ok ($named suites)"
 
-# The two documents share one size budget, the heap stays split by
-# mechanism, and every `DESIGN.md §N` pointer (the suite table's § column
-# included) names a `## N.` heading that exists.
-echo "== docs and layout: size gate, heap files, DESIGN.md pointers =="
+# The two documents share one size budget and DESIGN.md has its own (each
+# fact has one owner, so a restated one costs room), the heap stays split
+# by mechanism, and every `DESIGN.md §N` pointer (the suite table's §
+# column included) names a `## N.` heading that exists.
+echo "== docs and layout: size gates, heap files, DESIGN.md pointers =="
+design_bytes=$(wc -c <DESIGN.md)
+if (( design_bytes >= 50000 )); then
+    echo "ERROR: DESIGN.md is $design_bytes bytes; it must stay under 50000." >&2
+    exit 1
+fi
 doc_bytes=$(cat DESIGN.md EXPERIMENTS.md | wc -c)
-if (( doc_bytes > 101000 )); then
-    echo "ERROR: DESIGN.md + EXPERIMENTS.md are $doc_bytes bytes; the gate is 101000." >&2
+if (( doc_bytes > 90000 )); then
+    echo "ERROR: DESIGN.md + EXPERIMENTS.md are $doc_bytes bytes; the gate is 90000." >&2
     exit 1
 fi
 for file in crates/runtime/src/heap/*.rs; do
@@ -185,7 +192,7 @@ for n in $pointers; do
         exit 1
     fi
 done
-echo "ok ($doc_bytes bytes; sections cited: $(echo $pointers))"
+echo "ok (DESIGN.md $design_bytes, both $doc_bytes bytes; sections cited: $(echo $pointers))"
 
 # One golden mechanism: the print-and-paste capture path stays gone, and every
 # golden file is opened by a suite beside it (the helper itself reports file
