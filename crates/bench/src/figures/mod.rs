@@ -100,8 +100,8 @@ figures! {
     fig15_tenants: "Tenant scaling on one shared H2 device",
         "device,tenants,total_rounds,agg_rounds_per_sec,makespan_ns,device_vtime_ns,\
          p99_mean_ns,p99_max_ns,queued_ns,busy_ns,jain_fairness,oom_rounds";
-    fig16_placement: "Adaptive placement ablation (mixed hot/cold)",
-        bars("device,arm") + ",serializations,deserializations,pretenured,h2_objects,checksum";
+    fig16_placement: "Adaptive placement vs Spark-SD and TeraHeap (LR, SVM, PR, CC), NVMe",
+        bars("device,arm") + ",serializations,deserializations,h2_objects,checksum";
     fig17_query: "Query-serving latency (sessions x device x hot fraction)",
         "device,sessions,hot_pct,tenants,ops,p50_ns,p99_ns,p999_ns,max_ns,mean_ns,\
          makespan_ns,ops_per_sec,device_vtime_ns,device_queued_ns,h2_chunks,checksum";
