@@ -24,24 +24,19 @@ use crate::harness::{
 use mini_spark::{ExecMode, RunReport, Workload};
 use teraheap_storage::DeviceSpec;
 
-/// The arms, in CSV order; the gates read `adaptive` last.
-const ARMS: [&str; 3] = ["spark-sd", "teraheap", "adaptive"];
-
 pub(super) fn arms() -> Vec<((&'static str, &'static str), Job<RunReport>)> {
     let device = DeviceSpec::nvme_ssd();
     let mut arms = Vec::new();
     for workload in [Workload::Lr, Workload::Svm, Workload::Pr, Workload::Cc] {
         let row = spark_row(workload);
         let dram = row.th_dram_gb[row.th_dram_gb.len() - 1];
-        for arm in ARMS {
-            let config = match arm {
-                "spark-sd" => spark_sd(&row, dram, device),
-                "teraheap" => spark_th(&row, dram, device),
-                _ => {
-                    let mode = ExecMode::Adaptive { h2: h2_for(row.dataset_gb), device };
-                    spark_config(&row, spark_heap(dram), mode)
-                }
-            };
+        let mode = ExecMode::Adaptive { h2: h2_for(row.dataset_gb), device };
+        // The gates read `adaptive` last.
+        for (arm, config) in [
+            ("spark-sd", spark_sd(&row, dram, device)),
+            ("teraheap", spark_th(&row, dram, device)),
+            ("adaptive", spark_config(&row, spark_heap(dram), mode)),
+        ] {
             arms.push(((workload.name(), arm), spark_job(&row, config)));
         }
     }
@@ -64,8 +59,7 @@ pub(super) fn render(out: &mut Rendered, runs: Vec<((&'static str, &'static str)
             );
             out.csv.push(format!("nvme,{arm},{},{ser},{deser},{h2},{}", r.csv_row(), r.checksum));
         }
-        let (statics, adaptive) = per_workload.split_at(ARMS.len() - 1);
-        let adaptive = &adaptive[0].1;
+        let ((_, adaptive), statics) = per_workload.split_last().expect("three arms");
         for (_, r) in per_workload {
             let same = !r.oom && (r.checksum - adaptive.checksum).abs() < 1e-9;
             gate!(out, same, "{workload}: {} does not match adaptive's checksum", r.mode);

@@ -468,18 +468,12 @@ impl H2 {
         out.copy_from_slice(self.view_words(addr, out.len(), cat));
     }
 
-    /// Writes `vals` to consecutive words starting at `addr` through the
-    /// bulk access plane (see [`H2::read_words`]). Card marking stays the
-    /// caller's job, as for [`H2::write_word`].
-    pub fn write_words(&mut self, addr: Addr, vals: &[u64], cat: Category) {
-        self.fill_words(addr, vals.len(), cat, |words| words.copy_from_slice(vals));
-    }
-
     /// Charges a write of the `n` consecutive words starting at `addr`
     /// through the bulk access plane, then lets `fill` produce them in
     /// place (it must overwrite all `n`). This is the one implementation of
-    /// bulk write charging; [`H2::write_words`] is this with a copy as the
-    /// producer. An empty range charges nothing and never calls `fill`.
+    /// bulk write charging; card marking stays the caller's job, as for
+    /// [`H2::write_word`]. An empty range charges nothing and never calls
+    /// `fill`.
     pub fn fill_words(&mut self, addr: Addr, n: usize, cat: Category, fill: impl FnOnce(&mut [u64])) {
         if n == 0 {
             return;

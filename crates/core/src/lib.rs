@@ -40,7 +40,6 @@
 pub mod addr;
 pub mod card;
 pub mod h2;
-pub mod lifetime;
 pub mod policy;
 pub mod promo;
 pub mod region;
@@ -48,7 +47,6 @@ pub mod region;
 pub use addr::{Addr, H2_BASE_WORDS, NULL, WORD_BYTES};
 pub use card::{CardState, H2CardTable};
 pub use h2::{H2Config, H2ConfigBuilder, H2ConfigError, H2Error, H2};
-pub use lifetime::{LifetimeProfiles, SiteStats};
 pub use policy::{Label, TransferPolicy};
 pub use promo::Promoter;
 pub use region::{RegionId, RegionManager, RegionStats};

@@ -10,7 +10,7 @@
 //! Two thresholds protect H1 from filling up while the framework delays
 //! `h2_move`:
 //!
-//! * **high threshold** (default 85%): if live objects exceed this fraction
+//! * **high threshold** (85%): if live objects exceed this fraction
 //!   of H1 after a major GC, the *next* major GC moves marked objects even
 //!   without `h2_move`;
 //! * **low threshold** (optional; §7.2 uses 50%): under pressure, only
@@ -50,32 +50,24 @@ impl std::fmt::Display for Label {
 /// Decides, per major GC, which tagged objects move to H2 and how many.
 #[derive(Debug, Clone)]
 pub struct TransferPolicy {
-    high: f64,
     low: Option<f64>,
     hints_enabled: bool,
     requested: HashSet<Label>,
     pressure: bool,
-    adaptive: bool,
-    consecutive_pressure: u32,
-    consecutive_calm: u32,
 }
 
 impl TransferPolicy {
-    /// Default high threshold (85% of H1, as in the paper).
-    pub const DEFAULT_HIGH: f64 = 0.85;
+    /// The high threshold: 85% of H1, as in the paper.
+    pub const HIGH: f64 = 0.85;
 
     /// Creates the default policy: hints enabled, high = 85%, no low
     /// threshold.
     pub fn new() -> Self {
         TransferPolicy {
-            high: Self::DEFAULT_HIGH,
             low: None,
             hints_enabled: true,
             requested: HashSet::new(),
             pressure: false,
-            adaptive: false,
-            consecutive_pressure: 0,
-            consecutive_calm: 0,
         }
     }
 
@@ -84,30 +76,6 @@ impl TransferPolicy {
         assert!((0.0..=1.0).contains(&low));
         self.low = Some(low);
         self
-    }
-
-    /// Enables dynamic threshold adaptation — the extension §7.2 leaves as
-    /// future work ("there may be benefits in setting the low and high
-    /// thresholds dynamically"). After every major GC the controller nudges
-    /// the high threshold: two consecutive pressured GCs lower it by five
-    /// points (start moving earlier, before the heap is critical); four
-    /// consecutive calm GCs raise it back toward the configured default
-    /// (keep data in DRAM while there is room). The threshold stays within
-    /// [0.55, DEFAULT_HIGH].
-    pub fn with_adaptive(mut self) -> Self {
-        self.adaptive = true;
-        self
-    }
-
-    /// Turns dynamic threshold adaptation on or off at run time (the
-    /// adaptive-placement plane flips this together with the lifetime
-    /// profiler; see `Heap::set_adaptive_placement`).
-    pub fn set_adaptive(&mut self, on: bool) {
-        self.adaptive = on;
-        if !on {
-            self.consecutive_pressure = 0;
-            self.consecutive_calm = 0;
-        }
     }
 
     /// Disables the `h2_move` hint (the "NH" configuration of Figure 9a):
@@ -138,11 +106,6 @@ impl TransferPolicy {
     /// Whether the high-threshold pressure path is active for this GC.
     pub fn under_pressure(&self) -> bool {
         self.pressure
-    }
-
-    /// The high threshold (fraction of H1 capacity).
-    pub fn high(&self) -> f64 {
-        self.high
     }
 
     /// Whether the upcoming major GC should move objects tagged `label`:
@@ -188,26 +151,9 @@ impl TransferPolicy {
         capacity_words: u64,
         satisfied: &[Label],
     ) {
-        self.pressure = (live_words as f64) > self.high * capacity_words as f64;
+        self.pressure = (live_words as f64) > Self::HIGH * capacity_words as f64;
         for label in satisfied {
             self.requested.remove(label);
-        }
-        if self.adaptive {
-            if self.pressure {
-                self.consecutive_pressure += 1;
-                self.consecutive_calm = 0;
-                if self.consecutive_pressure >= 2 {
-                    self.high = (self.high - 0.05).max(0.55);
-                    self.consecutive_pressure = 0;
-                }
-            } else {
-                self.consecutive_calm += 1;
-                self.consecutive_pressure = 0;
-                if self.consecutive_calm >= 4 {
-                    self.high = (self.high + 0.05).min(Self::DEFAULT_HIGH);
-                    self.consecutive_calm = 0;
-                }
-            }
         }
     }
 }
@@ -281,38 +227,5 @@ mod tests {
     #[should_panic(expected = "0.0..=1.0")]
     fn invalid_threshold_panics() {
         let _ = TransferPolicy::new().with_low(1.5);
-    }
-
-    #[test]
-    fn adaptive_lowers_threshold_under_repeated_pressure() {
-        let mut p = TransferPolicy::new().with_adaptive();
-        let h0 = p.high();
-        p.note_major_gc_end_satisfying(90, 100, &[]);
-        p.note_major_gc_end_satisfying(90, 100, &[]);
-        assert!(p.high() < h0, "two pressured GCs lower the threshold");
-    }
-
-    #[test]
-    fn adaptive_recovers_when_calm() {
-        let mut p = TransferPolicy::new().with_adaptive();
-        for _ in 0..4 {
-            p.note_major_gc_end_satisfying(95, 100, &[]);
-        }
-        let lowered = p.high();
-        assert!(lowered < TransferPolicy::DEFAULT_HIGH);
-        for _ in 0..16 {
-            p.note_major_gc_end_satisfying(10, 100, &[]);
-        }
-        assert!(p.high() > lowered, "calm GCs raise the threshold back");
-        assert!(p.high() <= TransferPolicy::DEFAULT_HIGH);
-    }
-
-    #[test]
-    fn adaptive_threshold_stays_bounded() {
-        let mut p = TransferPolicy::new().with_adaptive();
-        for _ in 0..100 {
-            p.note_major_gc_end_satisfying(99, 100, &[]);
-        }
-        assert!(p.high() >= 0.55, "floor holds: {}", p.high());
     }
 }

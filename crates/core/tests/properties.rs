@@ -8,9 +8,7 @@
 //! seeded deterministically, failures shrink to a minimal script and print
 //! a `TERAHEAP_PROP_SEED` for replay.
 
-use teraheap_core::{
-    Addr, CardState, H2CardTable, Label, LifetimeProfiles, RegionId, RegionManager,
-};
+use teraheap_core::{Addr, CardState, H2CardTable, Label, RegionId, RegionManager};
 use teraheap_util::proptest_mini::{
     check, range_u64, range_usize, vec_of, CaseResult, Config, Strategy,
 };
@@ -162,82 +160,6 @@ fn card_index_matches_full_sweep() {
             let major_ref = sweep(&|s| s != CardState::Clean);
             prop_assert_eq!(t.minor_scan_cards(), minor_ref);
             prop_assert_eq!(t.major_scan_cards(), major_ref);
-            CaseResult::Pass
-        },
-    );
-}
-
-/// One profiler observation: op code, label, words. Op codes: 0 =
-/// record_tag, 1 = record_survival, 2 = record_promotion, 3 =
-/// record_pretenure.
-type ProfileOp = (usize, u64, u64);
-
-fn profile_script() -> impl Strategy<Value = Vec<ProfileOp>> {
-    vec_of(
-        ((range_usize(0..4), range_u64(0..8)), range_u64(1..4096))
-            .prop_map(|((op, label), words)| (op, label, words)),
-        1..120,
-    )
-}
-
-fn apply_profile(script: &[ProfileOp]) -> LifetimeProfiles {
-    let mut p = LifetimeProfiles::new();
-    p.set_enabled(true);
-    for &(op, label, words) in script {
-        let l = Label::new(label);
-        match op {
-            0 => p.record_tag(l, words),
-            1 => p.record_survival(l, words),
-            2 => p.record_promotion(l, words),
-            _ => p.record_pretenure(l, words),
-        }
-    }
-    p
-}
-
-/// The lifetime profiler is a pure fold over its observation stream:
-/// replaying one script yields bit-identical per-site stats and identical
-/// pretenure decisions. This is what makes pretenuring safe to enable in a
-/// deterministic simulation.
-#[test]
-fn lifetime_profiler_replays_identically() {
-    check(
-        "lifetime_profiler_replays_identically",
-        &profile_script(),
-        &Config::with_cases(CASES),
-        |script: Vec<ProfileOp>| {
-            let (a, b) = (apply_profile(&script), apply_profile(&script));
-            prop_assert_eq!(a.len(), b.len());
-            for ((la, sa), (lb, sb)) in a.sites().zip(b.sites()) {
-                prop_assert_eq!(la.id(), lb.id());
-                prop_assert_eq!(*sa, *sb);
-                prop_assert_eq!(a.should_pretenure(la), b.should_pretenure(lb));
-            }
-            CaseResult::Pass
-        },
-    );
-}
-
-/// Additional survival evidence never retracts a pretenure decision, and
-/// pretenured allocations never dilute it (the decision is sticky).
-#[test]
-fn pretenure_decision_is_monotone_in_evidence() {
-    check(
-        "pretenure_decision_is_monotone_in_evidence",
-        &(profile_script(), (range_u64(0..8), range_u64(1..4096))),
-        &Config::with_cases(CASES),
-        |(script, (label, words)): (Vec<ProfileOp>, (u64, u64))| {
-            let mut p = apply_profile(&script);
-            let l = Label::new(label);
-            let before = p.should_pretenure(l);
-            p.record_survival(l, words);
-            p.record_pretenure(l, words);
-            if before {
-                prop_assert!(
-                    p.should_pretenure(l),
-                    "survival evidence or pretenured volume retracted the decision"
-                );
-            }
             CaseResult::Pass
         },
     );

@@ -81,8 +81,8 @@ pub struct GiraphConfig {
     /// Optional low-threshold fraction for the pressure mechanism
     /// (Figure 9b's L configuration). Ignored outside TeraHeap mode.
     pub low_threshold: Option<f64>,
-    /// Dynamic high-threshold adaptation (§7.2's future-work extension).
-    /// Ignored outside TeraHeap mode.
+    /// Nothing reads this any more (the threshold controller is gone);
+    /// kept because the repo benchmark still sets it.
     pub adaptive_threshold: bool,
     /// Record per-H2-region live-object statistics (Figure 10).
     pub track_h2_liveness: bool,
@@ -321,10 +321,6 @@ impl GiraphContext {
                 }
                 if let Some(low) = config.low_threshold {
                     let p = heap.h2_mut().unwrap().policy().clone().with_low(low);
-                    *heap.h2_mut().unwrap().policy_mut() = p;
-                }
-                if config.adaptive_threshold {
-                    let p = heap.h2_mut().unwrap().policy().clone().with_adaptive();
                     *heap.h2_mut().unwrap().policy_mut() = p;
                 }
                 heap.track_h2_liveness(config.track_h2_liveness);

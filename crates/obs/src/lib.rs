@@ -356,8 +356,8 @@ pub enum EventKind {
     /// A server scheduling decision for tenant `tenant`: one job round
     /// granted. `admitted` is always true; the server grants by clock alone.
     TenantSched { tenant: u32, admitted: bool },
-    /// Lifetime-profiled pretenuring placed a `words`-word object straight
-    /// into H2 under allocation site `label` (adaptive placement plane).
+    /// Nothing emits this any more (H2 pretenuring is gone); kept because
+    /// the repo benchmark still matches on it.
     Pretenure { label: u64, words: u64 },
     /// The online cost model decided where partition `(rdd, partition)` is
     /// cached: `choice` indexes `PLACEMENT_NAMES` (0 on-heap, 1 serialized,

@@ -5,7 +5,7 @@
 //!
 //! * [`table`] — columnar tables whose column chunks are *labeled object
 //!   groups* on the managed heap: one label per (table, column), so whole
-//!   columns pretenure / promote together into contiguous H2 regions and
+//!   columns promote together into contiguous H2 regions and
 //!   are reclaimed together at region granularity. The table roots its
 //!   chunks in a dense `(stream, chunk)` directory.
 //! * [`index`] — secondary indexes as sorted-key chunk runs, frozen

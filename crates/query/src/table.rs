@@ -3,11 +3,11 @@
 //! A table is a set of fixed-width `u64` columns stored in chunks of
 //! `chunk_rows` values. Each column chunk is one primitive array allocated
 //! through [`Heap::alloc_prim_array_labeled`] with a *per-(table, column)*
-//! label, so whole columns pretenure / promote together into contiguous
+//! label, so whole columns promote together into contiguous
 //! same-label H2 regions and die together at region granularity when the
 //! table is dropped. The table roots its sealed chunks itself, in a dense
-//! directory indexed by `(stream, chunk)`; a cold table tags and advises
-//! each chunk as it seals, the way Spark's block manager does per cached
+//! directory indexed by `(stream, chunk)`; a cold table advises the move
+//! of each chunk as it seals, the way Spark's block manager does per cached
 //! partition (§5).
 //!
 //! Rows accumulate in a DRAM staging buffer (the promotion-buffer idiom)
@@ -503,11 +503,9 @@ impl Table {
     }
 }
 
-/// Allocates and fills one chunk under `label` and returns its root. A
-/// cold table tags the chunk as a root key-object and advises the move, as
-/// Spark's block manager does per cached partition (§5); an already
-/// H2-resident chunk (group-labeled allocation pretenured it) carries its
-/// label, and re-tagging would touch the device for nothing.
+/// Allocates and fills one chunk under `label` (the allocation tags it as
+/// a root key-object) and returns its root. A cold table advises the move,
+/// as Spark's block manager does per cached partition (§5).
 fn seal(
     heap: &mut Heap,
     placement: TablePlacement,
@@ -517,9 +515,6 @@ fn seal(
     let h = heap.alloc_prim_array_labeled(words.len(), label)?;
     heap.write_prims(h, 0, words);
     if placement == TablePlacement::Cold {
-        if !heap.is_in_h2(h) {
-            heap.h2_tag_root(h, label);
-        }
         heap.h2_move(label);
     }
     Ok(h)

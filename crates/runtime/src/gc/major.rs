@@ -468,7 +468,7 @@ pub(crate) fn run_slice(heap: &mut Heap, budget_ns: u64) {
     }
     if !cyc.aborted {
         // The end of a cycle is a promotion durability point whatever this
-        // slice staged (pretenured allocations share the buffers).
+        // slice staged.
         if cyc.reloc.staged_words > 0 || cyc.done {
             if let Some(h2) = heap.h2.as_mut() {
                 h2.finish_promotion(Category::MajorGc);

@@ -130,12 +130,6 @@ fn copy_young(heap: &mut Heap, addr: Addr, work: &mut Work, worklist: &mut Vec<A
     }
     .expect("promotion guarantee violated: no space for survivor");
     let (src_i, dst_i) = (addr.raw() as usize, dest.raw() as usize);
-    if heap.lifetimes.is_enabled() {
-        let label_word = heap.mem[src_i + 1];
-        if label_word != 0 {
-            heap.lifetimes.record_survival(teraheap_core::Label::new(label_word), size as u64);
-        }
-    }
     heap.mem.copy_within(src_i..src_i + size, dst_i);
     heap.mem[dst_i] = aged;
     heap.mem[src_i] = object::forwarding_header(dest.raw());

@@ -20,7 +20,7 @@ use crate::config::OomError;
 use crate::heap::Heap;
 use crate::object;
 use std::ops::Range;
-use teraheap_core::{Addr, CardState, Label};
+use teraheap_core::{Addr, CardState, Label, TransferPolicy};
 use teraheap_storage::Category;
 
 /// The major cycle's side table (DESIGN.md §7): one mark bit per H1 word,
@@ -361,7 +361,8 @@ pub(super) fn begin_select(heap: &Heap, live_words: u64, live: &LiveMap) -> Opti
     }
     let policy = h2.policy();
     let capacity = heap.old.capacity_words() as u64;
-    let pressure = policy.under_pressure() || live_words as f64 > policy.high() * capacity as f64;
+    let high = TransferPolicy::HIGH;
+    let pressure = policy.under_pressure() || live_words as f64 > high * capacity as f64;
     Some(SelState {
         gi: 0,
         stack: Vec::new(),
@@ -759,8 +760,8 @@ impl Stash {
 }
 
 /// Moves the (already adjusted) object at `src` to `dest`: an H1 slide, or
-/// a promotion-buffered H2 write that also indexes the object's start and
-/// feeds the lifetime profiler. Adds the words that stayed in H1 to
+/// a promotion-buffered H2 write that also indexes the object's start.
+/// Adds the words that stayed in H1 to
 /// `h1_words`; `uw.copied_words` counts both kinds.
 pub(super) fn move_object(
     heap: &mut Heap,
@@ -793,10 +794,6 @@ pub(super) fn move_object(
         }
         heap.stats.objects_promoted_h2 += 1;
         cyc.reloc.staged_words += size as u64;
-        let label_word = heap.mem[src_i + 1];
-        if heap.lifetimes.is_enabled() && label_word != 0 {
-            heap.lifetimes.record_promotion(Label::new(label_word), size as u64);
-        }
         return;
     }
     *h1_words += size as u64;

@@ -1,6 +1,6 @@
 //! Allocation: eden bump allocation, the large-object and G1 humongous
-//! paths into the old generation, lifetime-profiled pretenuring into H2,
-//! and the GC entry points an allocation (or the mutator) triggers.
+//! paths into the old generation, and the GC entry points an allocation
+//! (or the mutator) triggers.
 
 use super::{Handle, Heap};
 use crate::class::{ClassId, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
@@ -49,30 +49,18 @@ impl Heap {
     }
 
     /// Allocates a primitive array as a member of the labeled object group
-    /// `site`: the allocation is attributed to `site` for lifetime
-    /// profiling / pretenuring (so, with adaptive placement on, later
-    /// chunks of a long-lived group allocate straight into its H2
-    /// regions), and the object header is tagged with `site` so a
-    /// subsequent [`Heap::h2_move`] promotes the whole group
-    /// into contiguous same-label regions. The query plane allocates every
-    /// column chunk through this, one label per (table, column), so whole
-    /// columns move and die together at region granularity.
-    ///
-    /// The surrounding allocation-site bracket (if any) is preserved.
+    /// `label`: the object header is tagged with `label` so a subsequent
+    /// [`Heap::h2_move`] promotes the whole group into contiguous
+    /// same-label regions. The query plane allocates every column chunk
+    /// through this, one label per (table, column), so whole columns move
+    /// and die together at region granularity.
     ///
     /// # Errors
     ///
     /// Returns [`OomError`] on exhaustion.
-    pub fn alloc_prim_array_labeled(&mut self, len: usize, site: Label) -> Result<Handle, OomError> {
-        let prev = self.alloc_site;
-        self.alloc_site = Some(site);
-        let r = self.alloc_prim_array(len);
-        self.alloc_site = prev;
-        let h = r?;
-        // Pretenured arrays already carry the label in their H2 header.
-        if !self.is_in_h2(h) {
-            self.h2_tag_root(h, site);
-        }
+    pub fn alloc_prim_array_labeled(&mut self, len: usize, label: Label) -> Result<Handle, OomError> {
+        let h = self.alloc_prim_array(len)?;
+        self.h2_tag_root(h, label);
         Ok(h)
     }
 
@@ -82,17 +70,6 @@ impl Heap {
         }
         self.clock.charge(Category::Mutator, self.config.cost.alloc_ns);
         self.incr_poll();
-        // Lifetime-profiled pretenuring: when the current allocation site's
-        // profile crossed the tenure threshold, place the object straight
-        // into the site's H2 regions, skipping survivor copying. Falls
-        // through to the normal H1 path when H2 is absent, degraded or full.
-        if let Some(label) = self.alloc_site {
-            if self.lifetimes.should_pretenure(label) {
-                if let Some(addr) = self.pretenure(label, class, words, array_len) {
-                    return Ok(addr);
-                }
-            }
-        }
         let addr = self.alloc_words(words)?;
         let i = addr.raw() as usize;
         self.mem[i..i + words].fill(0);
@@ -134,43 +111,6 @@ impl Heap {
                 context: "eden exhausted after garbage collection".to_string(),
             })
         })
-    }
-
-    /// Allocates a pretenured object directly in H2 under `label`,
-    /// returning `None` (caller falls back to H1) when H2 is absent,
-    /// degraded, or cannot fit the object. The object image — header,
-    /// label word, array length — is composed in a reusable scratch buffer
-    /// and written through the promotion buffer, so device costs are
-    /// batched exactly like major-GC promotion, but charged to the mutator.
-    fn pretenure(&mut self, label: Label, class: ClassId, words: usize, array_len: u64) -> Option<Addr> {
-        let h2 = self.h2.as_mut()?;
-        if h2.is_degraded() {
-            return None;
-        }
-        let dest = h2.alloc(label, words).ok()?;
-        let mut scratch = std::mem::take(&mut self.pretenure_scratch);
-        scratch.clear();
-        scratch.resize(words, 0);
-        scratch[0] = object::pack_header(class, words);
-        scratch[1] = label.id();
-        if class == OBJ_ARRAY_CLASS || class == PRIM_ARRAY_CLASS {
-            scratch[object::HEADER_WORDS] = array_len;
-        }
-        let h2 = self.h2.as_mut().expect("checked above");
-        h2.write_promoted(dest, &scratch, Category::Mutator);
-        // Fence the region live immediately: an in-flight incremental cycle
-        // must not sweep a region that just received a rooted allocation.
-        h2.note_forward_ref(dest);
-        let region = h2.regions().region_of(dest).0;
-        self.pretenure_scratch = scratch;
-        // Bump allocation within a region is monotone, so appending keeps
-        // the per-region start index sorted, as card scans require.
-        self.h2_starts[region as usize].push(dest.raw());
-        self.lifetimes.record_pretenure(label, words as u64);
-        self.stats.pretenured_objects += 1;
-        self.stats.pretenured_words += words as u64;
-        self.clock.emit(EventKind::Pretenure { label: label.id(), words: words as u64 });
-        Some(dest)
     }
 
     /// Records an OOM in the flight recorder and fires the crash-dump hook

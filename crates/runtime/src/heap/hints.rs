@@ -1,7 +1,6 @@
 //! The TeraHeap side of the API (§3.2): attaching H2, the `h2_tag_root` /
-//! `h2_move` hints, H2 region dependencies, adaptive placement with its
-//! allocation site, and the charge/span hooks frameworks cost their work
-//! through.
+//! `h2_move` hints, H2 region dependencies, and the charge/span hooks
+//! frameworks cost their work through.
 
 use super::{Handle, Heap};
 use teraheap_core::{Addr, H2Config, Label, H2};
@@ -35,17 +34,9 @@ impl Heap {
 
     /// `h2_tag_root(obj, label)`: tags a root key-object for H2 placement by
     /// writing the label into the object header's label field.
-    ///
-    /// With adaptive placement on, tagging doubles as the lifetime
-    /// profiler's allocation sample: the tagged words are the denominator
-    /// of the site's survival ratio. Recording charges nothing.
     pub fn h2_tag_root(&mut self, h: Handle, label: Label) {
         let (obj, _) = self.mutator_view(self.root_of(h));
         self.set_word(obj.add(1), label.id());
-        if self.lifetimes.is_enabled() && obj.is_h1() {
-            let words = self.object_size(obj) as u64;
-            self.lifetimes.record_tag(label, words);
-        }
     }
 
     /// `h2_move(label)`: advises TeraHeap to move all objects tagged with
@@ -59,29 +50,6 @@ impl Heap {
     /// The label tagged on the object behind `h` (0 = untagged).
     pub fn h2_label_of(&self, h: Handle) -> u64 {
         self.word(self.mutator_view(self.root_of(h)).0.add(1))
-    }
-
-    /// Turns the adaptive placement plane on or off: the per-site lifetime
-    /// profiler, H2 pretenuring, and the transfer policy's dynamic threshold
-    /// controller. Pretenured regions die like any other H2 region, by the
-    /// dependency-list rule alone (DESIGN.md §3). Off by default — every
-    /// simulated-ns golden is pinned with this off.
-    pub fn set_adaptive_placement(&mut self, on: bool) {
-        self.lifetimes.set_enabled(on);
-        if !on {
-            self.alloc_site = None;
-        }
-        if let Some(h2) = self.h2.as_mut() {
-            h2.policy_mut().set_adaptive(on);
-        }
-    }
-
-    /// Sets (or clears) the allocation-site label for subsequent
-    /// allocations. Frameworks bracket partition construction with this so
-    /// the profiler can attribute allocations — and pretenure decisions —
-    /// to the partition's site.
-    pub fn set_alloc_site(&mut self, site: Option<Label>) {
-        self.alloc_site = site;
     }
 
     /// Records the directional cross-region dependency of an H2→H2

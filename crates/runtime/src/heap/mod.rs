@@ -7,7 +7,7 @@
 //!
 //! * this file — the [`Heap`] struct, its constructors, the root table and
 //!   the uncharged and charged word load/store everything else goes through;
-//! * `alloc` — allocation, pretenuring and the GC entry points;
+//! * `alloc` — allocation and the GC entry points;
 //! * `access` — [`Pin`], the field accessors and the write barrier;
 //! * `hints` — attaching H2, the placement hints and the charge/span hooks.
 
@@ -23,7 +23,7 @@ use crate::gc;
 use crate::space::{H1CardTable, Space};
 use crate::stats::GcStats;
 use std::sync::Arc;
-use teraheap_core::{Addr, Label, LifetimeProfiles, H2, NULL};
+use teraheap_core::{Addr, H2, NULL};
 use teraheap_storage::obs::EventKind;
 use teraheap_storage::{Category, SimClock};
 
@@ -94,15 +94,6 @@ pub struct Heap {
     /// Run [`Heap::heap_check`] at every GC boundary (config flag or
     /// `TERAHEAP_HEAP_CHECK=1`), panicking on the first violated invariant.
     pub(crate) check_enabled: bool,
-    /// Per-allocation-site lifetime profiles (adaptive placement plane).
-    /// Disabled by default, so the static-policy goldens stay bit-identical.
-    pub(crate) lifetimes: LifetimeProfiles,
-    /// The allocation-site label subsequent allocations belong to, set by
-    /// the framework around partition construction ([`Heap::set_alloc_site`]).
-    pub(crate) alloc_site: Option<Label>,
-    /// Reusable scratch for composing pretenured object images (zero
-    /// allocation on the pretenure path once its capacity warms up).
-    pub(crate) pretenure_scratch: Vec<u64>,
 }
 
 impl Heap {
@@ -163,9 +154,6 @@ impl Heap {
             pending_oom: None,
             check_enabled: config.heap_check
                 || std::env::var("TERAHEAP_HEAP_CHECK").is_ok_and(|v| v == "1"),
-            lifetimes: LifetimeProfiles::new(),
-            alloc_site: None,
-            pretenure_scratch: Vec::new(),
         }
     }
 
@@ -366,6 +354,7 @@ impl Heap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teraheap_core::Label;
 
     fn heap() -> Heap {
         Heap::new(HeapConfig::small())

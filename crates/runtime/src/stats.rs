@@ -62,10 +62,8 @@ pub struct GcStats {
     /// Incremental major GC: pause slices executed across all cycles
     /// (`SliceBegin`/`SliceEnd` pairs).
     pub incr_slices: u64,
-    /// Objects allocated straight into H2 by lifetime-profiled pretenuring
-    /// (adaptive placement plane; 0 with the static policy).
-    pub pretenured_objects: u64,
-    /// Words allocated straight into H2 by pretenuring.
+    /// Always 0: nothing allocates straight into H2 any more. Kept because
+    /// the repo benchmark reports it as `core.pretenured_words`.
     pub pretenured_words: u64,
     /// On-demand full-heap invariant sweeps run via
     /// `Heap::heap_check_now` (endurance harness checkpoints; the armed

@@ -242,34 +242,26 @@ fn dead_h2_regions_are_reclaimed_in_bulk() {
     assert_eq!(h.h2().unwrap().regions().reclaimed_total(), 1);
 }
 
-/// Pretenuring one site into two regions does not tie their fates: with
-/// every handle into the first released and the second still held, the
+/// One label that fills two regions does not tie their fates: with every
+/// handle into the first released and one into the second still held, the
 /// first has no referrer and dies at the next major GC (§3.3: a region is
 /// live only if H1 or a live region references it).
 #[test]
-fn a_pretenured_region_dies_while_its_sites_next_region_lives() {
+fn a_labels_first_region_dies_while_its_next_region_lives() {
     let mut h = th_heap();
-    h.set_adaptive_placement(true);
-    let site = Label::new(7);
-    // Teach the profiler the site is long-lived: one tagged array reaches H2.
-    let evidence = h.alloc_prim_array(600).unwrap();
-    h.h2_tag_root(evidence, site);
-    h.h2_move(site);
-    h.gc_major().unwrap();
-    assert!(h.is_in_h2(evidence), "the evidence must reach H2");
-    h.set_alloc_site(Some(site));
-    let region = |h: &Heap, x: Handle| h.h2().unwrap().regions().region_of(h.handle_addr(x));
-    let mut arrays = vec![evidence];
-    loop {
-        let x = h.alloc_prim_array(100).unwrap();
-        assert!(h.is_in_h2(x), "the site pretenures");
-        arrays.push(x);
-        if region(&h, x) != region(&h, evidence) {
-            break;
-        }
+    let label = Label::new(7);
+    // Twelve ~100-word arrays overflow one 1024-word region.
+    let mut arrays: Vec<Handle> = (0..12).map(|_| h.alloc_prim_array(100).unwrap()).collect();
+    for &x in &arrays {
+        h.h2_tag_root(x, label);
     }
-    h.set_alloc_site(None);
+    h.h2_move(label);
+    h.gc_major().unwrap();
+    let region = |h: &Heap, x: Handle| h.h2().unwrap().regions().region_of(h.handle_addr(x));
+    assert!(arrays.iter().all(|&x| h.is_in_h2(x)), "the label moves to H2");
     let in_b = arrays.pop().unwrap();
+    let region_a = region(&h, arrays[0]);
+    assert_ne!(region(&h, in_b), region_a, "the label fills two regions");
     h.write_prim(in_b, 0, 77);
     for x in arrays {
         h.release(x);

@@ -186,14 +186,13 @@ fn faults_arm_completes_or_degrades_cleanly() {
 
 /// One cell of the configuration product: a heap configuration
 /// `HeapConfig::validate` accepts (only Parallel Scavenge slices), the H2
-/// device, a zero-rate or chaos fault plan, and adaptive placement on/off.
-fn product_cell() -> impl Strategy<Value = (HeapConfig, DeviceSpec, FaultPlan, bool)> {
+/// device and a zero-rate or chaos fault plan.
+fn product_cell() -> impl Strategy<Value = (HeapConfig, DeviceSpec, FaultPlan)> {
     (
         (range_usize(0..3), range_usize(1..9), range_usize(0..3)),
         (range_usize(0..3), range_u64(0..2), range_u64(0..1 << 32)),
-        range_u64(0..2),
     )
-        .prop_map(|((variant, gc_threads, budget), (device, chaos, seed), adaptive)| {
+        .prop_map(|((variant, gc_threads, budget), (device, chaos, seed))| {
             let variant = [
                 GcVariant::ParallelScavenge,
                 GcVariant::G1 { region_words: 128 },
@@ -210,7 +209,7 @@ fn product_cell() -> impl Strategy<Value = (HeapConfig, DeviceSpec, FaultPlan, b
             let spec = [DeviceSpec::nvme_ssd(), DeviceSpec::optane_nvm(), DeviceSpec::dram()];
             let faults =
                 if chaos == 1 { FaultPlan::chaos(seed) } else { FaultPlan::zero_rate(seed) };
-            (config, spec[device], faults, adaptive == 1)
+            (config, spec[device], faults)
         })
 }
 
@@ -220,10 +219,9 @@ fn product_cell() -> impl Strategy<Value = (HeapConfig, DeviceSpec, FaultPlan, b
 fn product_arm_holds_across_configurations() {
     let strategy = ((product_cell(), access()), program(1..80));
     check("product_arm", &strategy, &Config::with_cases(64), |((cell, access), ops)| {
-        let (config, spec, faults, adaptive) = cell;
+        let (config, spec, faults) = cell;
         let mut heap = Heap::new(config);
         attach_workload_h2(&mut heap, spec, faults);
-        heap.set_adaptive_placement(adaptive);
         run(heap, access, &ops);
         CaseResult::Pass
     });

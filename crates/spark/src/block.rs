@@ -129,27 +129,17 @@ impl BlockManager {
             }
             CacheMode::Adaptive { onheap_budget_words, model, .. } => {
                 model.note_put(id.rdd);
-                // Pretenured at allocation: the lifetime profiler already
-                // placed the partition in region-grouped H2 storage.
-                let pretenured = heap.is_in_h2(partition);
-                let choice = if pretenured {
-                    Placement::H2
-                } else {
-                    let bytes_est = kryo_sim::serialized_size(heap, partition);
-                    words = bytes_est / 8;
-                    let onheap_fits = self.onheap_used_words + words <= *onheap_budget_words;
-                    let h2_ok = heap.h2().is_some_and(|h| !h.is_degraded());
-                    model.decide(id.rdd, words as u64, bytes_est as u64, onheap_fits, h2_ok)
-                };
+                let bytes_est = kryo_sim::serialized_size(heap, partition);
+                words = bytes_est / 8;
+                let onheap_fits = self.onheap_used_words + words <= *onheap_budget_words;
+                let h2_ok = heap.h2().is_some_and(|h| !h.is_degraded());
+                let choice =
+                    model.decide(id.rdd, words as u64, bytes_est as u64, onheap_fits, h2_ok);
                 heap.clock().emit(EventKind::PlacementDecision {
                     rdd: id.rdd,
                     partition: id.partition,
                     choice: choice.index(),
                 });
-                if pretenured {
-                    self.insert(heap, id, Slot::OnHeap(partition), None);
-                    return Ok(());
-                }
                 choice
             }
         };
@@ -158,17 +148,13 @@ impl BlockManager {
             Placement::OnHeap => {
                 self.onheap_used_words += words;
                 // Only adaptive mode records what unpersist gives back:
-                // Spark-SD's budget only ever shrinks (ROADMAP item 2).
+                // Spark-SD's budget only ever shrinks (ROADMAP item 1(b)).
                 budget = matches!(self.mode, CacheMode::Adaptive { .. }).then_some(words);
                 Slot::OnHeap(partition)
             }
             Placement::H2 => {
-                // An already-H2-resident partition carries its label;
-                // re-tagging would touch the device for nothing.
                 let label = Label::new(id.rdd);
-                if !heap.is_in_h2(partition) {
-                    heap.h2_tag_root(partition, label);
-                }
+                heap.h2_tag_root(partition, label);
                 heap.h2_move(label);
                 Slot::OnHeap(partition)
             }

@@ -29,7 +29,7 @@ pub enum ExecMode {
     /// Adaptive placement: H2 is attached as in TeraHeap mode, a serialized
     /// off-heap cache tier exists as in Spark-SD, and the online cost model
     /// ([`crate::placement`]) re-decides per put which tier each partition
-    /// lands in. Enables the heap's lifetime-profiled pretenuring.
+    /// lands in.
     Adaptive {
         /// H2 layout.
         h2: H2Config,
@@ -122,7 +122,6 @@ impl SparkContext {
             ExecMode::OnHeap => CacheMode::OnHeapOnly,
             ExecMode::TeraHeap { .. } => CacheMode::TeraHeap,
             ExecMode::Adaptive { device, .. } => {
-                heap.set_adaptive_placement(true);
                 let cost = config.heap.cost;
                 // Seed the S/D estimate from the static cost model (per-KiB,
                 // one direction); real Kryo runs refine it online.

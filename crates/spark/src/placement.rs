@@ -1,5 +1,5 @@
-//! Online per-partition placement cost model (the adaptive plane's
-//! Spark-side half).
+//! Online per-partition placement cost model: the adaptive placement plane
+//! (DESIGN.md §13).
 //!
 //! "GC or Serialization?" observes that the serialize-vs-H2 winner flips
 //! with S/D cost, reuse, and device latency. This module measures all
@@ -81,7 +81,7 @@ pub struct PlacementInputs {
 
 /// Survivor copies a resident partition is charged for in the on-heap
 /// estimate: one eden→survivor copy per tenuring age step plus the old-gen
-/// compaction move — the copying that pretenuring (and H2 placement) skip.
+/// compaction move — the copying that H2 placement skips.
 const RESIDENT_COPIES: u64 = 4;
 
 /// Estimated total cost of keeping the partition deserialized on H1.

@@ -28,9 +28,6 @@ pub struct RunReport {
     /// Partitions the block manager deserialized back from the off-heap
     /// cache tier.
     pub deserializations: u64,
-    /// Objects allocated straight into H2 by lifetime-profiled pretenuring
-    /// (adaptive runs; 0 otherwise).
-    pub pretenured: u64,
     /// A workload-defined checksum for cross-configuration validation —
     /// every mode must compute the same answer.
     pub checksum: f64,
@@ -50,7 +47,6 @@ impl RunReport {
             h2_objects: 0,
             serializations: 0,
             deserializations: 0,
-            pretenured: 0,
             checksum: f64::NAN,
         }
     }

