@@ -92,7 +92,7 @@ pub struct QueryReport {
     /// Completion time of the last operation (simulated ns) — the plane's
     /// makespan including session think time.
     pub makespan_ns: u64,
-    /// Shared-device virtual time consumed (total arbitrated service).
+    /// End of the shared device's latest booking, in simulated ns.
     pub device_vtime_ns: u64,
     /// Total queueing delay the device arbiter charged across tenants.
     pub device_queued_ns: u64,

@@ -5,8 +5,8 @@
 //! point-lookup / range-scan / aggregate mix against a hot (H1-cached) and
 //! a cold (H2-resident) copy of the same table. They are multiplexed over
 //! `tenants` independent heaps registered on one [`SharedDevice`] — the
-//! server plane's arbiter — so device requests queue first-come
-//! first-served across tenants while each tenant serves its sessions
+//! server plane's arbiter — so device requests take the earliest idle gap
+//! of one device calendar while each tenant serves its sessions
 //! serially, closed-loop with think time. Scheduling is discrete-event
 //! over the sessions' next-issue times (host-side) and the tenants'
 //! `SimClock`s (simulated service), so a run is exactly reproducible:

@@ -49,7 +49,8 @@ pub struct TenantReport {
 pub struct ServerReport {
     /// Per-tenant reports, in registration order.
     pub tenants: Vec<TenantReport>,
-    /// Device virtual time consumed (total arbitrated service).
+    /// End of the device's latest booking, in simulated ns (the service
+    /// total is the sum of the tenants' `io.busy_ns`).
     pub device_vtime_ns: u64,
     /// Slowest tenant's final clock — the plane's makespan.
     pub makespan_ns: u64,

@@ -10,10 +10,10 @@
 //!   checked at registration and the footprint at attach time — never
 //!   deferred to first I/O.
 //! * **One device clock.** Every device service (page-fault transfer,
-//!   dirty write-back, msync, DAX access run, promotion flush) is submitted
-//!   to a deterministic FIFO on device time before its cost lands on the
-//!   tenant's clock. The queueing delay is charged to the waiting tenant
-//!   and surfaced as a per-tenant stat plus a `DeviceQueued` event.
+//!   dirty write-back, msync, DAX access run, promotion flush) is booked
+//!   on a deterministic calendar of device time before its cost lands on
+//!   the tenant's clock. The queueing delay is charged to the waiting
+//!   tenant and surfaced as a per-tenant stat plus a `DeviceQueued` event.
 //! * **Clock identity.** A tenant is identified by its `Arc<SimClock>`:
 //!   the heap that attaches must present the *same* clock the tenant
 //!   registered with (`Arc::ptr_eq`, not value equality). This is the
@@ -21,22 +21,35 @@
 //!
 //! # Arbitration math
 //!
-//! The arbiter keeps one device-wide virtual time `V`, the instant the
-//! device becomes free. A request arriving at simulated instant `a` with
-//! service time `s`:
+//! The arbiter keeps a calendar of disjoint busy intervals, sorted and
+//! with adjacent ones merged. A request arriving at simulated instant `a`
+//! with service time `s` is booked in the earliest idle gap that holds it:
 //!
 //! ```text
-//! start = max(a, V)
+//! start = min { t >= a : [t, t + s) overlaps no booking }
 //! wait  = start - a              // charged to the tenant, 0 if idle
-//! V     = start + s
+//! V     = max(V, start + s)      // the end of the latest booking
 //! ```
+//!
+//! Requests are booked in the order they are *simulated*, not the order
+//! they arrive: the server runs a whole job round of one tenant before the
+//! next, so the next tenant's requests arrive earlier than the last ones
+//! booked. A FIFO (`start = max(a, V)`) would queue them behind every
+//! booking of that round, idle gaps included, and colocated tenants would
+//! run one after another. Backfilling lets them overlap. Bookings never
+//! move, so every tenant sees a device that was busy at exactly the times
+//! the others booked it.
 //!
 //! A sole tenant never waits: each submitted service is charged to the
 //! tenant's own clock right after submission, so its clock never lags the
 //! device and every arrival satisfies `a >= V`. The degenerate case is
 //! bit-identical to the historical private device — no extra charges, no
-//! extra events. With several tenants, a request arriving while the device
-//! is busy waits until `V`.
+//! extra events.
+//!
+//! Every arrival is at least its own tenant's `total_ns`, so no request
+//! can reach a booking that ends at or below the smallest registered
+//! tenant clock. Those bookings are dropped whenever the calendar has
+//! doubled since the last prune, which keeps it short and is exact.
 
 use crate::clock::SimClock;
 use crate::device::DeviceSpec;
@@ -125,7 +138,7 @@ impl std::error::Error for AttachError {}
 pub struct TenantIo {
     /// Total queueing delay charged to the tenant, in simulated ns.
     pub queued_ns: u64,
-    /// Requests that had to wait (arrived while the device was busy).
+    /// Requests that had to wait (no idle gap at their arrival held them).
     pub queued_ops: u64,
     /// Total device service time consumed by the tenant, in simulated ns.
     pub busy_ns: u64,
@@ -141,17 +154,25 @@ struct TenantState {
     io: TenantIo,
 }
 
+/// Calendar length below which the arbiter never prunes.
+const PRUNE_FLOOR: usize = 16;
+
 #[derive(Debug)]
 struct ArbiterState {
     device_vtime_ns: u64,
+    /// Booked device time: disjoint `[start, end)` intervals sorted by
+    /// start, no two adjacent.
+    calendar: Vec<(u64, u64)>,
+    /// Calendar length that triggers the next prune.
+    prune_at: usize,
     tenants: Vec<TenantState>,
 }
 
 impl ArbiterState {
     fn submit(&mut self, tenant: usize, arrival_ns: u64, service_ns: u64) -> u64 {
-        let start = arrival_ns.max(self.device_vtime_ns);
+        let start = self.book(arrival_ns, service_ns);
         let wait = start - arrival_ns;
-        self.device_vtime_ns = start + service_ns;
+        self.device_vtime_ns = self.device_vtime_ns.max(start + service_ns);
         let io = &mut self.tenants[tenant].io;
         io.busy_ns += service_ns;
         io.ops += 1;
@@ -160,6 +181,61 @@ impl ArbiterState {
             io.queued_ops += 1;
         }
         wait
+    }
+
+    /// Books `service_ns` in the earliest idle gap at or after
+    /// `arrival_ns` and returns its start.
+    fn book(&mut self, arrival_ns: u64, service_ns: u64) -> u64 {
+        if service_ns == 0 {
+            return arrival_ns;
+        }
+        let cal = &mut self.calendar;
+        // The first booking that ends after the arrival; every later one
+        // that the request would overlap pushes it to that booking's end.
+        // Most arrivals (99% on a query server) come after the last
+        // booking, so that case skips the search.
+        let mut i = match cal.last() {
+            Some(&(_, last_end)) if last_end > arrival_ns => {
+                cal.partition_point(|&(_, end)| end <= arrival_ns)
+            }
+            _ => cal.len(),
+        };
+        let mut start = arrival_ns;
+        while let Some(&(busy_from, busy_to)) = cal.get(i) {
+            if start + service_ns <= busy_from {
+                break;
+            }
+            start = busy_to;
+            i += 1;
+        }
+        let end = start + service_ns;
+        let joins_prev = i > 0 && cal[i - 1].1 == start;
+        let joins_next = cal.get(i).is_some_and(|&(from, _)| from == end);
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                cal[i - 1].1 = cal[i].1;
+                cal.remove(i);
+            }
+            (true, false) => cal[i - 1].1 = end,
+            (false, true) => cal[i].0 = start,
+            (false, false) => {
+                cal.insert(i, (start, end));
+                if cal.len() >= self.prune_at {
+                    self.prune();
+                }
+            }
+        }
+        start
+    }
+
+    /// Drops the bookings that end at or below the smallest registered
+    /// tenant clock: no arrival can precede its own tenant's clock, so no
+    /// request can overlap them.
+    fn prune(&mut self) {
+        let floor = self.tenants.iter().map(|t| t.clock.total_ns()).min().unwrap_or(0);
+        let dead = self.calendar.partition_point(|&(_, end)| end <= floor);
+        self.calendar.drain(..dead);
+        self.prune_at = (2 * self.calendar.len()).max(PRUNE_FLOOR);
     }
 }
 
@@ -182,7 +258,12 @@ impl SharedDevice {
         SharedDevice {
             spec,
             capacity_bytes,
-            inner: Arc::new(Mutex::new(ArbiterState { device_vtime_ns: 0, tenants: Vec::new() })),
+            inner: Arc::new(Mutex::new(ArbiterState {
+                device_vtime_ns: 0,
+                calendar: Vec::new(),
+                prune_at: PRUNE_FLOOR,
+                tenants: Vec::new(),
+            })),
         }
     }
 
@@ -296,8 +377,9 @@ impl SharedDevice {
         self.inner.lock().tenants.get(tenant.index()).map(|t| t.io)
     }
 
-    /// The device-wide virtual time: the simulated instant the device
-    /// becomes free.
+    /// The end of the latest booking on the device, in simulated ns. The
+    /// device may still have idle gaps before it; the service total is
+    /// the sum of the tenants' [`TenantIo::busy_ns`].
     pub fn device_vtime_ns(&self) -> u64 {
         self.inner.lock().device_vtime_ns
     }
@@ -313,8 +395,8 @@ pub struct DeviceLease {
 impl DeviceLease {
     /// Submits a device request arriving at `arrival_ns` needing
     /// `service_ns` of device time; returns the queueing delay to charge to
-    /// the tenant before the service cost (0 whenever the device is free —
-    /// always, for a sole tenant).
+    /// the tenant before the service cost (0 whenever an idle gap at the
+    /// arrival holds the request — always, for a sole tenant).
     pub fn submit(&self, arrival_ns: u64, service_ns: u64) -> u64 {
         self.inner.lock().submit(self.tenant, arrival_ns, service_ns)
     }
@@ -337,49 +419,52 @@ impl Drop for DeviceLease {
 
 #[cfg(test)]
 mod reference {
-    //! The weighted start-time fair queue the arbiter used to be, and the
-    //! property that pins the FIFO to it.
+    //! The earliest-fit calendar against a brute-force oracle, and the
+    //! FIFO the arbiter used to be against a sole tenant.
     //!
-    //! The old arbiter kept a finish tag `F_t` per tenant next to the device
-    //! virtual time `V`: `ready = max(V, F_t)`, `start = max(a, ready)`,
-    //! `V = start + s`, `F_t = start + s * 1000 / weight_milli`. At weight 1000
-    //! a tenant's tag is set to `V` by its own request and `V` never decreases,
-    //! so `F_t <= V` always, `ready == V`, and the queue is the FIFO of
-    //! `ArbiterState::submit` — whatever the arrival order. Random programs of
-    //! one to eight tenants must leave both with the same waits, device virtual
-    //! time and per-tenant counters.
+    //! The oracle keeps every booking, unmerged and unpruned, in a `Vec`.
+    //! The earliest start at or after an arrival `a` is `a` itself or the
+    //! end of some booking (a feasible start that is neither can move
+    //! earlier), so it tries each candidate against every booking. Random
+    //! programs of one to eight tenants must leave the oracle and the
+    //! arbiter with the same waits, device virtual time and per-tenant
+    //! counters, the arbiter's calendar sorted, disjoint and merged, and,
+    //! for a sole tenant with production-style arrivals, the waits of the
+    //! FIFO `start = max(a, V)`.
 
     use super::*;
-    use teraheap_util::prop_assert_eq;
+    use crate::clock::Category;
     use teraheap_util::proptest_mini::{
         check, range_u64, range_usize, vec_of, CaseResult, Config, Strategy,
     };
+    use teraheap_util::{prop_assert, prop_assert_eq};
 
-    /// Start-time fair queueing with per-tenant weights in milli-shares.
-    struct FairQueue {
+    /// Every booking ever made, in submission order.
+    #[derive(Default)]
+    struct LinearCalendar {
+        bookings: Vec<(u64, u64)>,
         vtime_ns: u64,
-        weight_milli: Vec<u64>,
-        finish_tag_ns: Vec<u64>,
         io: Vec<TenantIo>,
     }
 
-    impl FairQueue {
-        fn new(weight_milli: Vec<u64>) -> Self {
-            let n = weight_milli.len();
-            FairQueue {
-                vtime_ns: 0,
-                weight_milli,
-                finish_tag_ns: vec![0; n],
-                io: vec![TenantIo::default(); n],
-            }
+    impl LinearCalendar {
+        fn fits(&self, start: u64, service_ns: u64) -> bool {
+            let end = start + service_ns;
+            self.bookings.iter().all(|&(from, to)| start.max(from) >= end.min(to))
         }
 
         fn submit(&mut self, tenant: usize, arrival_ns: u64, service_ns: u64) -> u64 {
-            let ready = self.vtime_ns.max(self.finish_tag_ns[tenant]);
-            let start = arrival_ns.max(ready);
+            let ends = self.bookings.iter().map(|&(_, to)| to).filter(|&to| to > arrival_ns);
+            let start = std::iter::once(arrival_ns)
+                .chain(ends)
+                .filter(|&t| self.fits(t, service_ns))
+                .min()
+                .expect("the end of the latest booking always fits");
+            if service_ns > 0 {
+                self.bookings.push((start, start + service_ns));
+            }
+            self.vtime_ns = self.vtime_ns.max(start + service_ns);
             let wait = start - arrival_ns;
-            self.vtime_ns = start + service_ns;
-            self.finish_tag_ns[tenant] = start + service_ns * 1000 / self.weight_milli[tenant];
             let io = &mut self.io[tenant];
             io.busy_ns += service_ns;
             io.ops += 1;
@@ -400,45 +485,67 @@ mod reference {
     }
 
     /// Runs `requests` over `tenants` tenants through a [`SharedDevice`] and
-    /// the fair queue at weight 1000. With `monotone`, the second field of
-    /// a request is the gap since the tenant's previous request finished —
-    /// the production discipline, where a tenant's clock advances by the
-    /// wait plus the service it was charged. Otherwise it is the arrival
-    /// instant itself, in any order.
-    fn run_both(tenants: usize, requests: &[Request], monotone: bool) -> CaseResult {
+    /// the oracle. With `production`, the second field of a request is the
+    /// gap since the tenant's previous request finished, and each tenant's
+    /// clock is charged the gap, the wait and the service, as `MmapSim`
+    /// does, so the arbiter prunes. Otherwise it is the arrival instant
+    /// itself, in any order, and the clocks stay at 0.
+    fn run_both(tenants: usize, requests: &[Request], production: bool) -> CaseResult {
         let quota = 4096;
         let device = SharedDevice::for_server(DeviceSpec::nvme_ssd(), tenants * quota);
-        let leases: Vec<DeviceLease> = (0..tenants)
-            .map(|_| {
-                let clock = Arc::new(SimClock::new());
+        let clocks: Vec<Arc<SimClock>> = (0..tenants).map(|_| Arc::new(SimClock::new())).collect();
+        let leases: Vec<DeviceLease> = clocks
+            .iter()
+            .map(|clock| {
                 device.add_tenant(clock.clone(), quota).expect("quota fits the pool");
-                device.attach(&clock, quota).expect("fresh tenant attaches")
+                device.attach(clock, quota).expect("fresh tenant attaches")
             })
             .collect();
-        let mut queue = FairQueue::new(vec![1000; tenants]);
-        let mut clocks = vec![0u64; tenants];
+        let mut oracle =
+            LinearCalendar { io: vec![TenantIo::default(); tenants], ..Default::default() };
+        let mut fifo_vtime_ns = 0u64;
         for (i, &(t, at, service)) in requests.iter().enumerate() {
             let t = t % tenants;
-            let arrival = if monotone { clocks[t] + at } else { at };
+            let arrival = if production { clocks[t].total_ns() + at } else { at };
             let wait = leases[t].submit(arrival, service);
-            prop_assert_eq!(wait, queue.submit(t, arrival, service), "request {i}: wait");
-            clocks[t] = arrival + wait + service;
+            prop_assert_eq!(wait, oracle.submit(t, arrival, service), "request {i}: wait");
+            if tenants == 1 && production {
+                let fifo_start = arrival.max(fifo_vtime_ns);
+                prop_assert_eq!(wait, fifo_start - arrival, "request {i}: sole-tenant FIFO wait");
+                fifo_vtime_ns = fifo_start + service;
+            }
+            if production {
+                clocks[t].charge(Category::Io, at + wait + service);
+            }
+            let state = device.inner.lock();
+            prop_assert!(
+                state.calendar.windows(2).all(|w| w[0].0 < w[0].1 && w[0].1 < w[1].0),
+                "request {i}: calendar not sorted, disjoint and merged: {:?}",
+                state.calendar
+            );
         }
-        prop_assert_eq!(device.device_vtime_ns(), queue.vtime_ns);
+        let booked = &oracle.bookings;
+        for (j, &(from, to)) in booked.iter().enumerate() {
+            prop_assert!(
+                booked[..j].iter().all(|&(f, t)| from.max(f) >= to.min(t)),
+                "booking {j} overlaps an earlier one"
+            );
+        }
+        prop_assert_eq!(device.device_vtime_ns(), oracle.vtime_ns);
         for (t, lease) in leases.iter().enumerate() {
-            prop_assert_eq!(device.tenant_io(lease.tenant()), Some(queue.io[t]), "tenant {t}");
+            prop_assert_eq!(device.tenant_io(lease.tenant()), Some(oracle.io[t]), "tenant {t}");
         }
         CaseResult::Pass
     }
 
     #[test]
-    fn fifo_matches_the_equal_weight_fair_queue() {
+    fn earliest_fit_matches_the_linear_scan_calendar() {
         check(
-            "fifo_matches_the_equal_weight_fair_queue",
+            "earliest_fit_matches_the_linear_scan_calendar",
             &(program(), range_usize(0..2)),
             &Config::with_cases(256),
-            |((tenants, requests), monotone): ((usize, Vec<Request>), usize)| {
-                run_both(tenants, &requests, monotone == 1)
+            |((tenants, requests), production): ((usize, Vec<Request>), usize)| {
+                run_both(tenants, &requests, production == 1)
             },
         );
     }
@@ -489,6 +596,24 @@ mod tests {
         assert_eq!(dev.device_vtime_ns(), 1510);
         assert_eq!(dev.tenant_io(ta).unwrap().queued_ns, 500);
         assert_eq!(dev.tenant_io(tb).unwrap().queued_ns, 900);
+    }
+
+    #[test]
+    fn a_request_simulated_late_backfills_an_earlier_gap() {
+        let (a, b) = (clock(), clock());
+        let dev = SharedDevice::for_server(DeviceSpec::nvme_ssd(), 2 << 20);
+        dev.add_tenant(a.clone(), 1 << 20).unwrap();
+        dev.add_tenant(b.clone(), 1 << 20).unwrap();
+        let la = dev.attach(&a, 1 << 20).unwrap();
+        let lb = dev.attach(&b, 1 << 20).unwrap();
+        // A's round is simulated first and books [0, 1000) and [3000, 4000).
+        assert_eq!(la.submit(0, 1000), 0);
+        assert_eq!(la.submit(3000, 1000), 0);
+        // B arrives at 500: the gap [1000, 3000) holds its 1000 ns.
+        assert_eq!(lb.submit(500, 1000), 500, "B backfills the gap after A's first booking");
+        // The gap left is [2000, 3000): 2000 ns from 1200 does not fit it.
+        assert_eq!(lb.submit(1200, 2000), 2800, "too long for the gap: after A's last booking");
+        assert_eq!(dev.device_vtime_ns(), 6000);
     }
 
     #[test]

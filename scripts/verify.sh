@@ -128,7 +128,7 @@ teraheap_runtime/mutator_programs::graph_arm  §6   random mutator programs leav
 teraheap_runtime/mutator_programs::product_arm §6  the oracle and the armed checker hold over variant x lanes x pause budget x device x fault plan x access mode
 teraheap_runtime/mutator_programs::lanes_arm  §11  lane accounting is deterministic across runs, thread counts and host parallelism
 teraheap_runtime/incremental_marking::        §11  the incremental arm: a pause-budgeted run converges to the stop-world logical heap, H2 residency included, at any budget, lane count and access mode; runs replay bit-identically
-teraheap_storage/lib::shared::reference::     §12  the FIFO device clock gives the waits, device virtual time and per-tenant counters of the equal-weight start-time fair queue it replaced, over 1-8 tenants with production-style and arbitrary arrivals
+teraheap_storage/lib::shared::reference::     §12  the earliest-fit device calendar gives the waits, device virtual time and per-tenant counters of a brute-force scan over every booking, keeps its bookings sorted, disjoint and merged, and gives a sole tenant the FIFO's waits, over 1-8 tenants with production-style (pruning) and arbitrary arrivals
 teraheap_server/lib::                         §12  N-tenant server runs are deterministic, with typed config rejection
 teraheap_runtime/fault_isolation::            §12  a neighbour degrading under injected ENOSPC leaves a tenant's simulated time, heap census and arbitration counters untouched; the degraded tenant still passes the checker
 teraheap_core/properties::                    §3   dependency-list liveness never frees a reachable region, the card table never loses a dirty mark and its index matches a full sweep, and allocations never overlap
