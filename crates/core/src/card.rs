@@ -9,8 +9,8 @@
 //! * `Clean` — no backward references in the segment;
 //! * `Dirty` — a mutator updated an object in the segment (post-write
 //!   barrier) and it has not been re-examined;
-//! * `YoungGen` — the segment's objects reference only young-generation H1
-//!   objects;
+//! * `YoungGen` — the segment's objects reference young-generation H1
+//!   objects (and possibly old);
 //! * `OldGen` — the segment's objects reference only old-generation H1
 //!   objects, which minor GC can skip entirely (old objects don't move in
 //!   minor GC).

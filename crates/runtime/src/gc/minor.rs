@@ -15,7 +15,7 @@ use super::schedule::{
     Scheduler, DOM_H1_CARD, DOM_H2_CARD, GRAY_PACKET, H1_CARD_STRIPE, H2_CARD_CHUNK,
     H2_WALK_CHUNK, ROOT_STRIP,
 };
-use super::{first_overlapping, Work};
+use super::{first_overlapping, walk_h2_card, Work};
 use crate::heap::Heap;
 use crate::object;
 use teraheap_core::{Addr, CardState};
@@ -245,9 +245,10 @@ fn scan_h1_cards(heap: &mut Heap, sched: &mut Scheduler, worklist: &mut Vec<Addr
     heap.old_starts = starts;
 }
 
-/// Scans the H2 card table for backward references (§3.4): minor GC visits
-/// `Dirty` and `YoungGen` cards, copies referenced young objects, rewrites
-/// the H2 slots and re-derives each card's state.
+/// Scans the H2 card table for backward references (§3.4): minor GC walks
+/// `Dirty` and `YoungGen` cards (`walk_h2_card`), copies referenced young
+/// objects, has the walk rewrite the H2 slots and re-derives each card's
+/// state.
 ///
 /// Two unit populations: the full card-table walk (every entry examined,
 /// the Figure 11a trade-off) striped arithmetically in [`H2_WALK_CHUNK`]
@@ -279,86 +280,23 @@ fn scan_h2_cards(heap: &mut Heap, sched: &mut Scheduler, worklist: &mut Vec<Addr
     for &card in &cards {
         sched.expect(DOM_H2_CARD | card as u64);
     }
-    let seg_words = heap.h2.as_ref().unwrap().cards().seg_words() as u64;
-    let region_words = heap.h2.as_ref().unwrap().regions().region_words() as u64;
-    // Bulk access plane: slot runs are read page-chunk-wise through one
-    // touch_run each (bit-identical to the per-word loop because the scan
-    // never returns to an earlier page — DESIGN.md §9). The scratch buffer
-    // is reused across cards.
-    let page_words = heap.h2.as_ref().unwrap().page_run_words() as u64;
     let mut slot_buf: Vec<u64> = Vec::new();
     for chunk in cards.chunks(H2_CARD_CHUNK) {
         let lane = sched.begin_unit(&clock, WorkUnitKind::H2CardChunk);
         let mut uw = Work::default();
         for &card in chunk {
             sched.claim(DOM_H2_CARD | card as u64);
-            let base = heap.h2.as_ref().unwrap().cards().card_base(card);
-            let region = (base.h2_offset() / region_words) as usize;
-            let lo = base.raw();
-            let hi = lo + seg_words;
-            // Held out of the heap while the walk borrows it mutably; empty
-            // (so the card goes clean) for a region freed since it was dirtied.
-            let starts = std::mem::take(&mut heap.h2_starts[region]);
-            let mut has_young = false;
-            let mut has_old = false;
-            if !starts.is_empty() {
-                let mut i = first_overlapping(&starts, lo);
-                while i < starts.len() && starts[i] < hi {
-                    let obj = Addr::new(starts[i]);
-                    // Reading the header from the device-backed heap.
-                    let header = heap.h2.as_mut().unwrap().read_word(obj, Category::MinorGc);
-                    let size = object::size_of(header) as u64;
-                    uw.objects += 1;
-                    if obj.raw() + size > lo {
-                        let (first_slot, end_slot) = heap.ref_slot_range_in(obj, lo, hi);
-                        let mut s = first_slot;
-                        while s < end_slot {
-                            // One bulk read per page chunk; slot write-backs land
-                            // as hits on the same resident page, so the per-page
-                            // touch multiset matches the word-at-a-time loop.
-                            let off = Addr::new(s).h2_offset();
-                            let run = (page_words - off % page_words).min(end_slot - s) as usize;
-                            slot_buf.resize(run, 0);
-                            heap.h2.as_mut().unwrap().read_words(
-                                Addr::new(s),
-                                &mut slot_buf,
-                                Category::MinorGc,
-                            );
-                            for (j, &val) in slot_buf.iter().enumerate() {
-                                let slot = Addr::new(s + j as u64);
-                                uw.refs += 1;
-                                if val == 0 {
-                                    continue;
-                                }
-                                let target = Addr::new(val);
-                                if target.is_h2() {
-                                    // The card may go clean below, and a major
-                                    // GC scans no clean card: record the
-                                    // mutator's H2→H2 store now.
-                                    heap.note_h2_dependency(slot, target);
-                                    continue;
-                                }
-                                heap.stats.backward_refs_seen += 1;
-                                let new_target = evacuate(heap, target, &mut uw, worklist);
-                                if new_target != target {
-                                    heap.h2.as_mut().unwrap().write_word(
-                                        slot,
-                                        new_target.raw(),
-                                        Category::MinorGc,
-                                    );
-                                }
-                                if heap.in_young(new_target) {
-                                    has_young = true;
-                                } else {
-                                    has_old = true;
-                                }
-                            }
-                            s += run as u64;
-                        }
-                    }
-                    i += 1;
+            let (mut has_young, mut has_old) = (false, false);
+            let cat = Category::MinorGc;
+            walk_h2_card(heap, card, cat, &mut uw, &mut slot_buf, |heap, _, target, uw| {
+                let new_target = evacuate(heap, target, uw, worklist);
+                if heap.in_young(new_target) {
+                    has_young = true;
+                } else {
+                    has_old = true;
                 }
-            }
+                new_target
+            });
             let state = if has_young {
                 CardState::YoungGen
             } else if has_old {
@@ -367,7 +305,6 @@ fn scan_h2_cards(heap: &mut Heap, sched: &mut Scheduler, worklist: &mut Vec<Addr
                 CardState::Clean
             };
             heap.h2.as_mut().unwrap().cards_mut().set_state(card, state);
-            heap.h2_starts[region] = starts;
         }
         let cost = uw.cpu_ns(&heap.config.cost);
         sched.end_unit(&clock, lane, WorkUnitKind::H2CardChunk, cost, uw.extra_ns);

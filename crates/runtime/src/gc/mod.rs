@@ -15,12 +15,80 @@ mod units;
 
 pub(crate) use units::LiveMap;
 
+use crate::heap::Heap;
+use crate::object;
+use teraheap_core::Addr;
+use teraheap_storage::Category;
+
 /// Index of the first object in the sorted start index `starts` that could
 /// overlap an address range beginning at `base`: the last object starting at
-/// or before `base`, or the first after it. Both collectors' card scans start
-/// there.
+/// or before `base`, or the first after it. Every card scan starts there.
 fn first_overlapping(starts: &[u64], base: u64) -> usize {
     starts.partition_point(|&s| s <= base).saturating_sub(1)
+}
+
+/// Scans H2 card `card` (§3.4) for both collectors — the only place either
+/// reads H2, through the charged device path, charging `cat`. H2 objects are
+/// found through the DRAM-side start index; each one the card overlaps costs
+/// a header read, and its reference slots within the card are read one page
+/// chunk at a time into `buf` (bit-identical to the per-word loop, DESIGN.md
+/// §9). An H2→H2 reference becomes a cross-region dependency now: the
+/// card may go clean, and no collector scans a clean card. A backward
+/// (H2→H1) reference is handed to `visit` with its slot; `visit` returns the
+/// slot's new target, written back when it differs.
+fn walk_h2_card(
+    heap: &mut Heap,
+    card: usize,
+    cat: Category,
+    uw: &mut Work,
+    buf: &mut Vec<u64>,
+    mut visit: impl FnMut(&mut Heap, Addr, Addr, &mut Work) -> Addr,
+) {
+    let h2 = heap.h2.as_ref().expect("H2 card without H2");
+    let base = h2.cards().card_base(card);
+    let (lo, hi) = (base.raw(), base.raw() + h2.cards().seg_words() as u64);
+    let region = (base.h2_offset() / h2.regions().region_words() as u64) as usize;
+    let page_words = h2.page_run_words() as u64;
+    // Held out of the heap while the walk borrows it mutably; empty for a
+    // region freed since the card was dirtied.
+    let starts = std::mem::take(&mut heap.h2_starts[region]);
+    let mut i = first_overlapping(&starts, lo);
+    while i < starts.len() && starts[i] < hi {
+        let obj = Addr::new(starts[i]);
+        i += 1;
+        let header = heap.h2.as_mut().unwrap().read_word(obj, cat);
+        uw.objects += 1;
+        if obj.raw() + object::size_of(header) as u64 <= lo {
+            continue;
+        }
+        // Empty (inverted) when all the object's slots fall outside the card.
+        let (mut s, end) = heap.ref_slot_range_in(obj, lo, hi);
+        while s < end {
+            // A write-back lands as a hit on the page just read, so the
+            // per-page touch sequence is the per-word loop's.
+            let run = (page_words - Addr::new(s).h2_offset() % page_words).min(end - s);
+            buf.resize(run as usize, 0);
+            heap.h2.as_mut().unwrap().read_words(Addr::new(s), buf, cat);
+            for (j, &val) in buf.iter().enumerate() {
+                uw.refs += 1;
+                if val == 0 {
+                    continue;
+                }
+                let (slot, target) = (Addr::new(s + j as u64), Addr::new(val));
+                if target.is_h2() {
+                    heap.note_h2_dependency(slot, target);
+                    continue;
+                }
+                heap.stats.backward_refs_seen += 1;
+                let new_target = visit(heap, slot, target, uw);
+                if new_target != target {
+                    heap.h2.as_mut().unwrap().write_word(slot, new_target.raw(), cat);
+                }
+            }
+            s += run;
+        }
+    }
+    heap.h2_starts[region] = starts;
 }
 
 /// CPU-work counters accumulated by one work unit and charged to its lane

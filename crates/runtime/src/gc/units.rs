@@ -15,7 +15,7 @@
 
 use super::major::MajorCycle;
 use super::schedule::{DOM_H2_CARD, DOM_OBJECT, GRAY_PACKET};
-use super::{first_overlapping, Work};
+use super::{walk_h2_card, Work};
 use crate::config::OomError;
 use crate::heap::Heap;
 use crate::object;
@@ -207,70 +207,31 @@ pub(super) fn root_strip(
     }
 }
 
-/// H2 card chunk: scans the non-clean cards `cards[range]` for backward
-/// references. Their H1 targets are GC roots (must stay live) and the slots
-/// are collected for the backward fix; H2→H2 references a mutator created
-/// after the move become cross-region dependencies the allocator could not
-/// have seen. H2 objects are found through the DRAM-side start index and
-/// read through the charged device path — the only H2 words a major GC
-/// ever touches.
+/// H2 card chunk: walks the non-clean cards `cards[range]`
+/// (`walk_h2_card`) for backward references. Their H1 targets are GC roots
+/// (must stay live) and the slots are collected for the backward fix; the
+/// walk turns H2→H2 references a mutator created after the move into
+/// cross-region dependencies the allocator could not have seen. These are
+/// the only H2 words a major GC ever reads.
 pub(super) fn h2_card_chunk(
     heap: &mut Heap,
     cyc: &mut MajorCycle,
     range: Range<usize>,
     uw: &mut Work,
 ) {
-    let seg_words = heap.h2.as_ref().unwrap().cards().seg_words() as u64;
-    let region_words = heap.h2.as_ref().unwrap().regions().region_words() as u64;
     for ci in range {
         let card = cyc.mark.cards[ci];
         cyc.sched.claim(DOM_H2_CARD | card as u64);
         uw.cards += 1;
-        let base = heap.h2.as_ref().unwrap().cards().card_base(card);
-        let region = (base.h2_offset() / region_words) as usize;
-        let (lo, hi) = (base.raw(), base.raw() + seg_words);
-        // Held out of the heap while the walk borrows it mutably; empty for
-        // a region freed since the card was dirtied.
-        let starts = std::mem::take(&mut heap.h2_starts[region]);
         let mut has_backward = false;
-        let mut i = first_overlapping(&starts, lo);
-        while i < starts.len() && starts[i] < hi {
-            let obj = Addr::new(starts[i]);
-            i += 1;
-            let header = heap.h2.as_mut().unwrap().read_word(obj, Category::MajorGc);
-            uw.objects += 1;
-            if obj.raw() + object::size_of(header) as u64 <= lo {
-                continue;
-            }
-            // The slot walk never writes the mapping (marking touches H1
-            // memory only), so the object's slot range is one bulk read. The
-            // clamped range can be empty (inverted) for objects whose ref
-            // slots all fall outside the card.
-            let (first_slot, end_slot) = heap.ref_slot_range_in(obj, lo, hi);
-            cyc.mark.slot_buf.resize(end_slot.saturating_sub(first_slot) as usize, 0);
-            heap.h2.as_mut().unwrap().read_words(
-                Addr::new(first_slot),
-                &mut cyc.mark.slot_buf,
-                Category::MajorGc,
-            );
-            for j in 0..cyc.mark.slot_buf.len() {
-                let val = cyc.mark.slot_buf[j];
-                uw.refs += 1;
-                if val == 0 {
-                    continue;
-                }
-                if Addr::new(val).is_h2() {
-                    heap.note_h2_dependency(obj, Addr::new(val));
-                    continue;
-                }
-                has_backward = true;
-                heap.stats.backward_refs_seen += 1;
-                cyc.mark.backward_slots.push(Addr::new(first_slot + j as u64));
-                mark_push(heap, Addr::new(val), &mut cyc.mark.stack, &mut cyc.live, uw);
-            }
-        }
+        let buf = &mut cyc.mark.slot_buf;
+        walk_h2_card(heap, card, Category::MajorGc, uw, buf, |heap, slot, target, uw| {
+            has_backward = true;
+            cyc.mark.backward_slots.push(slot);
+            mark_push(heap, target, &mut cyc.mark.stack, &mut cyc.live, uw);
+            target
+        });
         cyc.mark.scanned_cards.push((card, has_backward));
-        heap.h2_starts[region] = starts;
     }
 }
 

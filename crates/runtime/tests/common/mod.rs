@@ -123,7 +123,11 @@ pub fn workload_h2_config(faults: FaultPlan) -> H2Config {
 /// Attaches [`workload_h2_config`] to `heap` over a fresh one-tenant `spec`
 /// device; the device is returned for its arbitration counters.
 pub fn attach_workload_h2(heap: &mut Heap, spec: DeviceSpec, faults: FaultPlan) -> SharedDevice {
-    let h2cfg = workload_h2_config(faults);
+    attach_h2_config(heap, spec, workload_h2_config(faults))
+}
+
+/// Attaches `h2cfg` to `heap` over a fresh one-tenant `spec` device.
+pub fn attach_h2_config(heap: &mut Heap, spec: DeviceSpec, h2cfg: H2Config) -> SharedDevice {
     let dev = SharedDevice::new(spec, h2cfg.footprint_bytes(), heap.clock().clone());
     heap.attach_h2(h2cfg, &dev).unwrap();
     dev

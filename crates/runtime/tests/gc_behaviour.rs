@@ -3,7 +3,7 @@
 mod common;
 
 use common::graph_checksum;
-use teraheap_core::{H2Config, Label};
+use teraheap_core::{CardState, H2Config, Label};
 use teraheap_runtime::{GcVariant, Handle, Heap, HeapConfig};
 use teraheap_storage::{Category, DeviceSpec, FaultPlan, SharedDevice};
 
@@ -16,12 +16,12 @@ fn th_heap() -> Heap {
 }
 
 fn th_heap_with(config: HeapConfig) -> Heap {
-    th_heap_on(config, 16, FaultPlan::none())
+    th_heap_on(config, 16, DeviceSpec::nvme_ssd(), FaultPlan::none())
 }
 
-/// A heap of `config` over an H2 of `n_regions` 1024-word regions armed
-/// with `faults`.
-fn th_heap_on(config: HeapConfig, n_regions: usize, faults: FaultPlan) -> Heap {
+/// A heap of `config` over an H2 of `n_regions` 1024-word regions on a
+/// `spec` device armed with `faults`.
+fn th_heap_on(config: HeapConfig, n_regions: usize, spec: DeviceSpec, faults: FaultPlan) -> Heap {
     let mut heap = Heap::new(config);
     let h2cfg = H2Config::builder()
         .region_words(1024)
@@ -33,8 +33,7 @@ fn th_heap_on(config: HeapConfig, n_regions: usize, faults: FaultPlan) -> Heap {
         .faults(faults)
         .build()
         .expect("valid H2 config");
-    let dev =
-        SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
+    let dev = SharedDevice::new(spec, h2cfg.footprint_bytes(), heap.clock().clone());
     heap.attach_h2(h2cfg, &dev).unwrap();
     heap
 }
@@ -352,6 +351,43 @@ fn minor_scanned_h2_to_h2_store_keeps_its_target_region() {
     assert_dependency_keeps_target(&mut h, pair);
 }
 
+/// North-star invariant 1: a collection reads H2 only behind non-clean
+/// cards. A closure holding no H1 reference leaves its cards clean, so
+/// neither collector reads any of it; one mutator store of an H1 reference
+/// dirties a card, and the next minor GC reads H2 again. The device is DAX,
+/// which counts every read (a page cache would hide hits on resident pages).
+#[test]
+fn collections_never_read_h2_behind_clean_cards() {
+    let config = HeapConfig::with_words(2048, 8192);
+    let mut h = th_heap_on(config, 16, DeviceSpec::optane_nvm(), FaultPlan::none());
+    let holder = h.register_class("Holder", 2, 0);
+    let leaf = h.register_class("Leaf", 0, 2);
+    let root = h.alloc(holder).unwrap();
+    let l = h.alloc(leaf).unwrap();
+    h.write_ref(root, 0, l);
+    h.release(l);
+    h.h2_tag_root(root, Label::new(3));
+    h.h2_move(Label::new(3));
+    h.gc_major().unwrap();
+    assert!(h.is_in_h2(root));
+    let cards = h.h2().unwrap().cards();
+    assert!((0..cards.card_count()).all(|c| cards.state(c) == CardState::Clean));
+    let reads = |h: &Heap| {
+        let io = h.h2().unwrap().mmap().stats();
+        (io.read_ops(), io.page_faults())
+    };
+    let before = reads(&h);
+    h.gc_minor().unwrap();
+    h.gc_major().unwrap();
+    assert_eq!(reads(&h), before, "a collection read H2 behind clean cards");
+    let p = h.alloc(leaf).unwrap();
+    h.write_ref(root, 1, p);
+    h.release(p);
+    let stored = reads(&h);
+    h.gc_minor().unwrap();
+    assert!(reads(&h).0 > stored.0, "the minor GC must read the dirtied card");
+}
+
 /// Between the slices of a sliced cycle, after the region sweep and
 /// before the flip, old-generation garbage may still name a region the
 /// sweep freed; it is compacted away at the flip, so the checker armed
@@ -399,7 +435,7 @@ fn sliced_checks_skip_garbage_pointing_into_swept_regions() {
 /// the closure's handles, spine first.
 fn move_closure_into(n_regions: usize, faults: FaultPlan) -> (Heap, Vec<Handle>) {
     let config = HeapConfig::builder(2048, 8192).heap_check(true).build().unwrap();
-    let mut h = th_heap_on(config, n_regions, faults);
+    let mut h = th_heap_on(config, n_regions, DeviceSpec::nvme_ssd(), faults);
     let spine = h.alloc_ref_array(64).unwrap();
     let mut closure = vec![spine];
     for i in 0..64 {

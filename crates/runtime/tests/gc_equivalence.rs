@@ -2,10 +2,10 @@
 //! change *simulated* behaviour by a single nanosecond. One table-driven
 //! test runs a mixed minor/major/H2 workload over the collector's
 //! configuration product — variant x `gc_threads` x pause budget x armed
-//! fault plane, see [`arms`] — and checks the object-graph checksum, the
-//! `GcStats` counters and phase breakdowns, and the `SimClock` totals of
-//! every arm against its row of `tests/golden/gc_equivalence.txt`
-//! (`teraheap_util::golden`).
+//! fault plane, plus two H2 geometries, see [`arms`] — and checks the
+//! object-graph checksum, the `GcStats` counters and phase breakdowns, and
+//! the `SimClock` totals of every arm against its row of
+//! `tests/golden/gc_equivalence.txt` (`teraheap_util::golden`).
 //!
 //! If a change legitimately alters the cost model (new feature, new
 //! charge), re-pin with `scripts/repin.sh` and say so in the PR; an
@@ -14,8 +14,10 @@
 mod common;
 
 use common::{
-    attach_workload_h2, column, graph_checksum, mixed_workload_body, COLUMNS, DEFAULT_ARM,
+    attach_h2_config, column, graph_checksum, mixed_workload_body, workload_h2_config, COLUMNS,
+    DEFAULT_ARM,
 };
+use teraheap_core::H2Config;
 use teraheap_runtime::{GcVariant, Handle, Heap, HeapConfig};
 use teraheap_storage::{Category, DeviceSpec, FaultPlan, SharedDevice};
 use teraheap_util::golden::Golden;
@@ -27,14 +29,22 @@ fn golden() -> Golden {
     Golden::open(env!("CARGO_MANIFEST_DIR"), "gc_equivalence", &COLUMNS)
 }
 
-/// The workload attached to a one-tenant [`SharedDevice`], returning the
-/// device handle so tests can inspect arbitration counters.
+/// The workload attached to a one-tenant [`SharedDevice`] in `geometry`,
+/// returning the device handle so tests can inspect arbitration counters.
 fn run_mixed_workload_shared(
     config: HeapConfig,
+    geometry: Geometry,
     faults: FaultPlan,
 ) -> (Heap, Vec<Handle>, SharedDevice) {
     let mut heap = Heap::new(config);
-    let dev = attach_workload_h2(&mut heap, DeviceSpec::nvme_ssd(), faults);
+    let mut h2cfg = workload_h2_config(faults);
+    let mut spec = DeviceSpec::nvme_ssd();
+    match geometry {
+        Geometry::Workload => {}
+        Geometry::PaperCard => h2cfg.card_seg_words = H2Config::default().card_seg_words,
+        Geometry::Dax => spec = DeviceSpec::optane_nvm(),
+    }
+    let dev = attach_h2_config(&mut heap, spec, h2cfg);
     let keep = mixed_workload_body(&mut heap);
     (heap, keep, dev)
 }
@@ -87,6 +97,17 @@ enum Variant {
     Panthera,
 }
 
+/// The H2 under the workload. The workload's own has 256-word (2 KiB) cards
+/// on 4 KiB NVMe pages, so no card spans two pages; every figure runs the
+/// paper's 8 KB card, which does, and on a DAX device (Optane, byte
+/// addressable) a card's bulk read has no page to stop at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Geometry {
+    Workload,
+    PaperCard,
+    Dax,
+}
+
 /// One arm of the configuration product.
 #[derive(Debug, Clone, Copy)]
 struct Arm {
@@ -100,14 +121,20 @@ struct Arm {
     /// match its plane-free twin while every fault hook runs (the page
     /// cache's spike and retry rolls, H2's promotion-flush roll).
     fault_plane: bool,
+    geometry: Geometry,
 }
 
 impl Arm {
     /// The arm's name in the golden file.
     fn name(&self) -> String {
-        let Arm { variant, gc_threads, pause_budget_ns, fault_plane } = self;
+        let Arm { variant, gc_threads, pause_budget_ns, fault_plane, geometry } = self;
         let plane = if *fault_plane { "-faultplane" } else { "" };
-        format!("{variant:?}-t{gc_threads}-b{pause_budget_ns}{plane}")
+        let geometry = match geometry {
+            Geometry::Workload => "",
+            Geometry::PaperCard => "-card8k",
+            Geometry::Dax => "-dax",
+        };
+        format!("{variant:?}-t{gc_threads}-b{pause_budget_ns}{plane}{geometry}")
     }
 
     fn config(&self, heap_check: bool) -> HeapConfig {
@@ -131,7 +158,8 @@ impl Arm {
     fn capture(&self, heap_check: bool) -> Snapshot {
         let faults =
             if self.fault_plane { FaultPlan::zero_rate(20260927) } else { FaultPlan::none() };
-        let (heap, keep, _dev) = run_mixed_workload_shared(self.config(heap_check), faults);
+        let (heap, keep, _dev) =
+            run_mixed_workload_shared(self.config(heap_check), self.geometry, faults);
         assert_eq!(heap.h2().unwrap().fault_plane().is_some(), self.fault_plane);
         if self.pause_budget_ns == 0 {
             let remembered = heap.stats().write_barrier_remembered;
@@ -142,8 +170,9 @@ impl Arm {
 }
 
 /// The configuration product: variant x `gc_threads` x pause budget x fault
-/// plane (only Parallel Scavenge slices). The first arm is the default
-/// configuration, [`DEFAULT_ARM`] — the row
+/// plane (only Parallel Scavenge slices) on the workload's H2, then the
+/// default configuration on the other two [`Geometry`]s. The first arm is
+/// the default configuration, [`DEFAULT_ARM`] — the row
 /// `crates/query/tests/gc_equivalence.rs` reads too.
 fn arms() -> Vec<Arm> {
     let mut arms = Vec::new();
@@ -152,10 +181,14 @@ fn arms() -> Vec<Arm> {
         for gc_threads in [1, 4] {
             for &pause_budget_ns in budgets(variant) {
                 for fault_plane in [false, true] {
-                    arms.push(Arm { variant, gc_threads, pause_budget_ns, fault_plane });
+                    let geometry = Geometry::Workload;
+                    arms.push(Arm { variant, gc_threads, pause_budget_ns, fault_plane, geometry });
                 }
             }
         }
+    }
+    for geometry in [Geometry::PaperCard, Geometry::Dax] {
+        arms.push(Arm { geometry, ..arms[0] });
     }
     assert_eq!(arms[0].name(), DEFAULT_ARM);
     arms
@@ -172,6 +205,7 @@ fn every_arm_matches_its_golden_snapshot() {
             a.pause_budget_ns != 0,
             "arm {a:?}: a sliced arm must slice and a stop-world arm must not"
         );
+        assert!(got[column("backward_refs_seen")] > 0, "arm {a:?}: no H2 card scan found a ref");
         // The heap checker and the scheduler's coverage audit it arms are
         // instrumentation: exercising them on every arm must cost nothing.
         assert_eq!(a.capture(true), got, "arm {a:?} diverged with the checker armed");
@@ -195,7 +229,8 @@ fn release_recycles_slots_under_churn() {
     // long-running alloc/release churn (leaked slots would grow every root
     // scan forever).
     let config = HeapConfig::with_words(24 << 10, 96 << 10);
-    let (mut heap, _keep, _dev) = run_mixed_workload_shared(config, FaultPlan::none());
+    let (mut heap, _keep, _dev) =
+        run_mixed_workload_shared(config, Geometry::Workload, FaultPlan::none());
     let baseline = heap.root_table_len();
     let leaf = heap.register_class("ChurnLeaf", 0, 1);
     for i in 0..10_000u64 {
@@ -219,8 +254,9 @@ fn release_recycles_slots_under_churn() {
 /// `attach_h2`) predate it.
 #[test]
 fn sole_tenant_arbitration_is_queueless() {
+    let config = HeapConfig::with_words(24 << 10, 96 << 10);
     let (heap, _keep, dev) =
-        run_mixed_workload_shared(HeapConfig::with_words(24 << 10, 96 << 10), FaultPlan::none());
+        run_mixed_workload_shared(config, Geometry::Workload, FaultPlan::none());
     let id = dev.tenant_of(heap.clock()).expect("heap's clock is registered");
     let io = dev.tenant_io(id).expect("registered tenant has counters");
     assert_eq!(io.queued_ns, 0, "a sole tenant must never wait");
