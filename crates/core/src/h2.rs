@@ -9,7 +9,7 @@
 //! compaction, region sweeping).
 
 use crate::addr::{Addr, WORD_BYTES};
-use crate::card::H2CardTable;
+use crate::card::{CardState, H2CardTable};
 use crate::policy::{Label, TransferPolicy};
 use crate::promo::Promoter;
 use crate::region::{RegionError, RegionId, RegionManager};
@@ -525,12 +525,14 @@ impl H2 {
 
     /// Writes an already-reserved promoted object's words (two-phase form:
     /// the major GC's pre-compaction phase reserves addresses with
-    /// [`H2::alloc`] and its compaction phase writes the data here).
+    /// [`H2::alloc`] and its compaction phase writes the data here) and
+    /// indexes its start in its region.
     ///
     /// Device write costs go through the promotion buffer, charged to `cat`.
     pub fn write_promoted(&mut self, addr: Addr, words: &[u64], cat: Category) {
         let base = addr.h2_offset() as usize;
         self.data[base..base + words.len()].copy_from_slice(words);
+        self.regions.record_start(addr);
         let region = self.regions.region_of(addr);
         let flushed = self.promoter.stage(region, words.len() * WORD_BYTES);
         self.charge_flush(flushed, cat);
@@ -541,8 +543,11 @@ impl H2 {
         }
     }
 
-    /// Flushes all partially-filled promotion buffers (end of compaction).
+    /// Flushes all partially-filled promotion buffers (end of compaction)
+    /// and sorts the start lists the promotions appended to, so card scans
+    /// can binary-search them again.
     pub fn finish_promotion(&mut self, cat: Category) {
+        self.regions.sort_starts();
         let pending =
             if self.faults.is_some() { self.promoter.pending_regions() } else { Vec::new() };
         let flushed = self.promoter.flush_all();
@@ -610,18 +615,23 @@ impl H2 {
     }
 
     /// Marking-phase task 5 precursor + sweep: propagate liveness through
-    /// dependency lists and free every dead region, discarding its resident
-    /// pages without write-back. Returns the freed regions.
+    /// dependency lists and free every dead region with everything it holds:
+    /// its metadata and start list, its resident pages (discarded without
+    /// write-back), its words and its cards. Returns the freed regions.
     pub fn propagate_and_sweep(&mut self) -> Vec<RegionId> {
         self.regions.propagate_liveness();
         let freed = self.regions.sweep_dead();
+        let words = self.regions.region_words();
         for &rid in &freed {
-            let base = self.regions.region_base(rid).h2_byte_offset();
-            let bytes = self.regions.region_words() * WORD_BYTES;
-            self.mmap.discard(base, bytes);
+            let base = self.regions.region_base(rid);
+            self.mmap.discard(base.h2_byte_offset(), words * WORD_BYTES);
             // Zero the store so stale data can never be misread as objects.
-            let base_w = self.regions.region_base(rid).h2_offset() as usize;
-            self.data[base_w..base_w + self.regions.region_words()].fill(0);
+            let base_w = base.h2_offset() as usize;
+            self.data[base_w..base_w + words].fill(0);
+            let first = self.cards.card_of(base);
+            for card in first..first + words / self.cards.seg_words() {
+                self.cards.set_state(card, CardState::Clean);
+            }
         }
         freed
     }
@@ -730,6 +740,35 @@ mod tests {
         assert_eq!(freed[0], h2.regions().region_of(b));
         // The freed region's store is zeroed.
         assert_eq!(h2.read_word_free(b), 0);
+    }
+
+    #[test]
+    fn start_lists_sort_at_finish_promotion_and_die_with_their_region() {
+        let (mut h2, _clock) = h2();
+        let (kept, dead) = (Label::new(1), Label::new(2));
+        let k = h2.promote(kept, &[1; 8], Category::MajorGc).unwrap();
+        // Reserved in address order, written in the reverse order.
+        let (a, b) = (h2.alloc(dead, 200).unwrap(), h2.alloc(dead, 4).unwrap());
+        h2.write_promoted(b, &[2; 4], Category::MajorGc);
+        h2.write_promoted(a, &[3; 200], Category::MajorGc);
+        let rid = h2.regions().region_of(a);
+        assert_eq!(h2.regions().starts(rid), [b.raw(), a.raw()], "unsorted until durable");
+        h2.finish_promotion(Category::MajorGc);
+        assert_eq!(h2.regions().starts(rid), [a.raw(), b.raw()]);
+
+        let seg = h2.cards().seg_words();
+        let first = h2.cards().card_of(a);
+        h2.cards_mut().mark_dirty(b);
+        h2.cards_mut().set_state(first + 1, CardState::OldGen);
+        h2.cards_mut().mark_dirty(k);
+        h2.begin_major_marking();
+        h2.note_forward_ref(k);
+        assert_eq!(h2.propagate_and_sweep(), vec![rid]);
+        assert!(h2.regions().starts(rid).is_empty());
+        let cards = first..first + h2.regions().region_words() / seg;
+        assert!(cards.clone().all(|c| h2.cards().state(c) == CardState::Clean));
+        assert_eq!(h2.cards_mut().major_scan_cards(), vec![h2.cards().card_of(k)]);
+        assert_eq!(h2.regions().starts(h2.regions().region_of(k)), [k.raw()]);
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! excessive read-modify-write I/O on the device.
 //!
 //! Per-region metadata lives in DRAM: `start`/`top` pointers, a `live` bit
-//! set when marking finds an H1→H2 reference into the region, and a
+//! set when marking finds an H1→H2 reference into the region, a
 //! *dependency list* of regions that this region's objects reference
 //! (directional, so a region referenced only by dead regions can still be
 //! reclaimed — the property undirected region groups lose; the `ablations`
-//! figure measures the gap).
+//! figure measures the gap) and the start addresses of its objects, which
+//! card scans search. All of it dies with the region.
 
 use crate::addr::Addr;
 use crate::policy::Label;
@@ -28,8 +29,9 @@ impl std::fmt::Display for RegionId {
     }
 }
 
-/// Per-region metadata (DRAM-resident, Figure 2).
-#[derive(Debug, Clone)]
+/// Per-region metadata (DRAM-resident, Figure 2); the default is a free
+/// region.
+#[derive(Debug, Clone, Default)]
 struct Region {
     /// Allocation offset within the region, in words (the `top` pointer).
     top: usize,
@@ -45,21 +47,12 @@ struct Region {
     live_objects: u64,
     /// Words occupied by live objects during the last marking (Figure 10).
     live_words: u64,
+    /// Start addresses of the objects promoted here (the card offset table
+    /// analogue): ascending after every [`RegionManager::sort_starts`].
+    starts: Vec<u64>,
 }
 
 impl Region {
-    fn empty() -> Self {
-        Region {
-            top: 0,
-            live: false,
-            label: None,
-            deps: Vec::new(),
-            total_objects: 0,
-            live_objects: 0,
-            live_words: 0,
-        }
-    }
-
     fn is_free(&self) -> bool {
         self.label.is_none() && self.top == 0
     }
@@ -148,6 +141,8 @@ pub struct RegionManager {
     /// counts "allocated regions = reclaimed during execution + active at
     /// shutdown").
     reclaimed_stats: Vec<RegionStats>,
+    /// Regions whose start lists grew since the last sort.
+    appended: Vec<RegionId>,
 }
 
 impl RegionManager {
@@ -157,12 +152,13 @@ impl RegionManager {
         free.reverse(); // pop from the low end first
         RegionManager {
             region_words,
-            regions: vec![Region::empty(); n_regions],
+            regions: vec![Region::default(); n_regions],
             free,
             open: std::collections::HashMap::new(),
             reclaimed_total: 0,
             allocated_total: 0,
             reclaimed_stats: Vec::new(),
+            appended: Vec::new(),
         }
     }
 
@@ -257,6 +253,31 @@ impl RegionManager {
         }
     }
 
+    /// Indexes the object written at `addr`.
+    pub(crate) fn record_start(&mut self, addr: Addr) {
+        let rid = self.region_of(addr);
+        self.regions[rid.0 as usize].starts.push(addr.raw());
+        if self.appended.last() != Some(&rid) {
+            self.appended.push(rid);
+        }
+    }
+
+    /// Sorts the start lists that grew since the last call: objects are
+    /// written in H1 order, not in the H2 address order they were assigned.
+    pub(crate) fn sort_starts(&mut self) {
+        self.appended.sort_unstable();
+        self.appended.dedup();
+        for rid in self.appended.drain(..) {
+            self.regions[rid.0 as usize].starts.sort_unstable();
+        }
+    }
+
+    /// The start addresses of `rid`'s objects, ascending (empty for a free
+    /// region).
+    pub fn starts(&self, rid: RegionId) -> &[u64] {
+        &self.regions[rid.0 as usize].starts
+    }
+
     /// Adds `to` to `from`'s dependency list if not already present.
     ///
     /// Called when an object moved into region `from` references an object
@@ -330,30 +351,25 @@ impl RegionManager {
     }
 
     /// Frees every in-use region whose live bit is clear: resets the
-    /// allocation pointer and deletes the dependency list (§3.3, "Freeing
-    /// dead regions"). Returns the freed region ids so the caller can
-    /// discard their pages from the mapping.
+    /// allocation pointer and deletes the dependency list and start list
+    /// (§3.3, "Freeing dead regions"). Returns the freed region ids so the
+    /// caller can discard their pages and cards.
     pub fn sweep_dead(&mut self) -> Vec<RegionId> {
         let mut freed = Vec::new();
         for i in 0..self.regions.len() {
             let rid = RegionId(i as u32);
-            let r = &self.regions[i];
-            if r.label.is_some() && !r.live {
-                self.reclaimed_stats.push(self.stats_of(rid));
-                let r = &mut self.regions[i];
-                let label = r.label.take().expect("in-use region has a label");
-                r.top = 0;
-                r.deps.clear();
-                r.total_objects = 0;
-                r.live_objects = 0;
-                r.live_words = 0;
-                if self.open.get(&label) == Some(&rid) {
-                    self.open.remove(&label);
-                }
-                self.free.push(rid);
-                self.reclaimed_total += 1;
-                freed.push(rid);
+            if self.regions[i].live {
+                continue;
             }
+            let Some(label) = self.regions[i].label.take() else { continue };
+            self.reclaimed_stats.push(self.stats_of(rid));
+            self.regions[i] = Region::default();
+            if self.open.get(&label) == Some(&rid) {
+                self.open.remove(&label);
+            }
+            self.free.push(rid);
+            self.reclaimed_total += 1;
+            freed.push(rid);
         }
         freed
     }
@@ -399,7 +415,7 @@ impl RegionManager {
     ///
     /// Counts the fixed per-region metadata (pointers, live bit, label,
     /// promotion-buffer bookkeeping) the way the paper sizes it; dependency
-    /// lists are dynamic and excluded, as in Table 5.
+    /// and start lists are dynamic and excluded, as in Table 5.
     pub fn metadata_bytes(&self) -> usize {
         // start ptr + top ptr + live-head ptr + label + live bit/padding +
         // dependency-list head + promotion-buffer descriptor ≈ 7 words,

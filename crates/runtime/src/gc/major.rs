@@ -201,7 +201,6 @@ pub(super) struct RelocState {
     dest_index: Vec<(u64, u64)>,
     /// Enumeration ranks below this have moved.
     idx: usize,
-    pub(super) promoted_regions: Vec<u32>,
     /// Words staged in the promotion buffer since the last flush; bounds the
     /// end-of-slice flush cost in the pause projection.
     pub(super) staged_words: u64,
@@ -258,9 +257,9 @@ impl MajorCycle {
 
     /// Declares every live object part of the next barrier's coverage
     /// domain: each is planned, adjusted and copied by exactly one unit.
-    fn expect_live(&mut self) {
+    fn declare_live(&mut self) {
         for src in self.live.sources() {
-            self.sched.expect(DOM_OBJECT | src);
+            self.sched.declare(DOM_OBJECT | src);
         }
     }
 
@@ -592,7 +591,7 @@ fn step_mark_cards(heap: &mut Heap, cyc: &mut MajorCycle) {
             let cards = cyc.mark.cards.len() as u64;
             heap.clock.emit(EventKind::CardScan { table: CardTableKind::H2Major, cards });
             for &card in &cyc.mark.cards {
-                cyc.sched.expect(DOM_H2_CARD | card as u64);
+                cyc.sched.declare(DOM_H2_CARD | card as u64);
             }
         }
     }
@@ -655,15 +654,11 @@ fn step_select(heap: &mut Heap, cyc: &mut MajorCycle) {
 /// reclamation), the mark barrier, and freezing the live set into the
 /// relocation enumeration.
 fn finish_select(heap: &mut Heap, cyc: &mut MajorCycle) {
-    if heap.h2.is_some() {
-        if heap.track_h2_liveness {
-            units::record_h2_liveness(heap);
-        }
-        let freed = heap.h2.as_mut().unwrap().propagate_and_sweep();
-        for rid in &freed {
-            heap.h2_starts[rid.0 as usize] = Vec::new();
-            units::clear_region_cards(heap, rid.0);
-        }
+    if heap.h2.is_some() && heap.track_h2_liveness {
+        units::record_h2_liveness(heap);
+    }
+    if let Some(h2) = heap.h2.as_mut() {
+        h2.propagate_and_sweep();
     }
     let clock = heap.clock.clone();
     heap.stats.lane_stall_ns += cyc.sched.barrier(&clock, Category::MajorGc, "major:mark");
@@ -676,7 +671,7 @@ fn finish_select(heap: &mut Heap, cyc: &mut MajorCycle) {
     plan.new_old_starts.reserve_exact(cyc.live.freeze());
     plan.flip_top = heap.eden.top().raw();
     plan.new_top = plan.old_base;
-    cyc.expect_live();
+    cyc.declare_live();
     cyc.phase = Phase::Plan;
 }
 
@@ -730,16 +725,15 @@ fn tail_unit(
     let lane = cyc.sched.begin_unit(&clock, kind);
     let mut uw = Work::default();
     let mut h1_words: u64 = 0;
-    let mut cur = cyc.live.cursor(from);
-    for idx in from..to {
-        let src = cyc.live.next(&mut cur).expect("rank below the live count");
+    for (idx, src) in (from..to).zip(cyc.live.sources_from(from)) {
         cyc.sched.claim(DOM_OBJECT | src);
         let dest = cyc.live.dest(idx);
         if adjust {
             units::adjust_object(heap, cyc, src, dest, &mut uw);
         }
         if copy {
-            units::move_object(heap, cyc, src, dest, &mut uw, &mut h1_words);
+            let old_base = cyc.plan.old_base;
+            units::move_object(heap, &mut cyc.reloc, old_base, src, dest, &mut uw, &mut h1_words);
         }
     }
     let cost = &heap.config.cost;
@@ -775,7 +769,7 @@ fn flip(heap: &mut Heap, cyc: &mut MajorCycle) {
     }
     let total = cyc.live.len();
     if !cyc.shape.interleaved {
-        cyc.expect_live();
+        cyc.declare_live();
         for from in (0..total).step_by(cyc.shape.tail_chunk) {
             let to = (from + cyc.shape.tail_chunk).min(total);
             tail_unit(heap, cyc, WorkUnitKind::AdjustChunk, from, to, true, false);
@@ -820,7 +814,7 @@ fn flip(heap: &mut Heap, cyc: &mut MajorCycle) {
     }
     heap.stats.lane_stall_ns += cyc.sched.barrier(&clock, Category::MajorGc, "major:adjust");
     roll_to(heap, cyc, GcPhase::Compact);
-    cyc.expect_live();
+    cyc.declare_live();
     cyc.phase = Phase::Relocate;
 }
 
@@ -834,22 +828,12 @@ fn step_relocate(heap: &mut Heap, cyc: &mut MajorCycle) {
     cyc.reloc.idx = to;
 }
 
-/// Retires the cycle: restore the start indexes, reset spaces, update the
-/// transfer policy's pressure state from what is left in H1 (§3.2). The
-/// final promotion flush, barrier and `GcEnd` happen in the [`run_slice`]
-/// epilogue.
+/// Retires the cycle: restore the old-generation start index, reset spaces,
+/// update the transfer policy's pressure state from what is left in H1
+/// (§3.2). The final promotion flush (which also sorts H2's start lists),
+/// barrier and `GcEnd` happen in the [`run_slice`] epilogue.
 fn retire(heap: &mut Heap, cyc: &mut MajorCycle) {
     cyc.reloc.stash.flush(&mut heap.mem);
-    // Sources are visited in H1 address order, but H2 destinations were
-    // assigned in closure-discovery order, so the per-region start lists
-    // were appended out of address order. Card scans binary-search these
-    // lists, which silently misses objects on unsorted input — restore the
-    // sort invariant here.
-    cyc.reloc.promoted_regions.sort_unstable();
-    cyc.reloc.promoted_regions.dedup();
-    for &rid in &cyc.reloc.promoted_regions {
-        heap.h2_starts[rid as usize].sort_unstable();
-    }
     heap.mark_scratch = std::mem::take(&mut cyc.live).reset();
     heap.old.set_top(Addr::new(cyc.plan.new_top));
     heap.old_starts = std::mem::take(&mut cyc.plan.new_old_starts);

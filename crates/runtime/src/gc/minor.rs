@@ -187,7 +187,7 @@ fn scan_h1_cards(heap: &mut Heap, sched: &mut Scheduler, worklist: &mut Vec<Addr
         cards: dirty.len() as u64,
     });
     for &card in &dirty {
-        sched.expect(DOM_H1_CARD | card as u64);
+        sched.declare(DOM_H1_CARD | card as u64);
     }
     let seg = heap.h1_cards.seg_words() as u64;
     // Snapshot the start index by moving it out: objects tenured *during*
@@ -255,11 +255,11 @@ fn scan_h1_cards(heap: &mut Heap, sched: &mut Scheduler, worklist: &mut Vec<Addr
 /// entries, and the non-clean cards found by it in chunks of
 /// [`H2_CARD_CHUNK`].
 fn scan_h2_cards(heap: &mut Heap, sched: &mut Scheduler, worklist: &mut Vec<Addr>) {
-    if heap.h2.is_none() {
+    let Some(h2) = heap.h2.as_mut() else {
         return;
-    }
+    };
+    let (cards, card_count) = (h2.cards_mut().minor_scan_cards(), h2.cards().card_count() as u64);
     let clock = heap.clock.clone();
-    let cards = heap.h2.as_mut().unwrap().cards_mut().minor_scan_cards();
     heap.stats.h2_cards_scanned_minor += cards.len() as u64;
     heap.clock.emit(EventKind::CardScan {
         table: CardTableKind::H2Minor,
@@ -268,7 +268,6 @@ fn scan_h2_cards(heap: &mut Heap, sched: &mut Scheduler, worklist: &mut Vec<Addr
     // The card-table walk examines every entry; smaller segments mean a
     // larger table and a longer walk. The walk has no side effects, so its
     // units are striped arithmetically.
-    let card_count = heap.h2.as_ref().unwrap().cards().card_count() as u64;
     let mut walked = 0;
     while walked < card_count {
         let run = H2_WALK_CHUNK.min(card_count - walked);
@@ -278,7 +277,7 @@ fn scan_h2_cards(heap: &mut Heap, sched: &mut Scheduler, worklist: &mut Vec<Addr
         walked += run;
     }
     for &card in &cards {
-        sched.expect(DOM_H2_CARD | card as u64);
+        sched.declare(DOM_H2_CARD | card as u64);
     }
     let mut slot_buf: Vec<u64> = Vec::new();
     for chunk in cards.chunks(H2_CARD_CHUNK) {
@@ -304,7 +303,7 @@ fn scan_h2_cards(heap: &mut Heap, sched: &mut Scheduler, worklist: &mut Vec<Addr
             } else {
                 CardState::Clean
             };
-            heap.h2.as_mut().unwrap().cards_mut().set_state(card, state);
+            heap.attached_h2_mut().cards_mut().set_state(card, state);
         }
         let cost = uw.cpu_ns(&heap.config.cost);
         sched.end_unit(&clock, lane, WorkUnitKind::H2CardChunk, cost, uw.extra_ns);

@@ -29,8 +29,9 @@ fn first_overlapping(starts: &[u64], base: u64) -> usize {
 
 /// Scans H2 card `card` (§3.4) for both collectors — the only place either
 /// reads H2, through the charged device path, charging `cat`. H2 objects are
-/// found through the DRAM-side start index; each one the card overlaps costs
-/// a header read, and its reference slots within the card are read one page
+/// found through their region's DRAM-side start list (empty for a region
+/// freed since the card was dirtied); each one the card overlaps costs a
+/// header read, and its reference slots within the card are read one page
 /// chunk at a time into `buf` (bit-identical to the per-word loop, DESIGN.md
 /// §9). An H2→H2 reference becomes a cross-region dependency now: the
 /// card may go clean, and no collector scans a clean card. A backward
@@ -44,19 +45,18 @@ fn walk_h2_card(
     buf: &mut Vec<u64>,
     mut visit: impl FnMut(&mut Heap, Addr, Addr, &mut Work) -> Addr,
 ) {
-    let h2 = heap.h2.as_ref().expect("H2 card without H2");
+    let h2 = heap.attached_h2();
     let base = h2.cards().card_base(card);
     let (lo, hi) = (base.raw(), base.raw() + h2.cards().seg_words() as u64);
-    let region = (base.h2_offset() / h2.regions().region_words() as u64) as usize;
+    let region = h2.regions().region_of(base);
     let page_words = h2.page_run_words() as u64;
-    // Held out of the heap while the walk borrows it mutably; empty for a
-    // region freed since the card was dirtied.
-    let starts = std::mem::take(&mut heap.h2_starts[region]);
-    let mut i = first_overlapping(&starts, lo);
-    while i < starts.len() && starts[i] < hi {
-        let obj = Addr::new(starts[i]);
-        i += 1;
-        let header = heap.h2.as_mut().unwrap().read_word(obj, cat);
+    let starts = h2.regions().starts(region);
+    let overlapping = first_overlapping(starts, lo)..starts.partition_point(|&s| s < hi);
+    for i in overlapping {
+        // Re-read per object: the walk lends the whole heap to `visit`, and
+        // no card walk promotes, so the list cannot change under it.
+        let obj = Addr::new(heap.attached_h2().regions().starts(region)[i]);
+        let header = heap.attached_h2_mut().read_word(obj, cat);
         uw.objects += 1;
         if obj.raw() + object::size_of(header) as u64 <= lo {
             continue;
@@ -68,7 +68,7 @@ fn walk_h2_card(
             // per-page touch sequence is the per-word loop's.
             let run = (page_words - Addr::new(s).h2_offset() % page_words).min(end - s);
             buf.resize(run as usize, 0);
-            heap.h2.as_mut().unwrap().read_words(Addr::new(s), buf, cat);
+            heap.attached_h2_mut().read_words(Addr::new(s), buf, cat);
             for (j, &val) in buf.iter().enumerate() {
                 uw.refs += 1;
                 if val == 0 {
@@ -82,13 +82,12 @@ fn walk_h2_card(
                 heap.stats.backward_refs_seen += 1;
                 let new_target = visit(heap, slot, target, uw);
                 if new_target != target {
-                    heap.h2.as_mut().unwrap().write_word(slot, new_target.raw(), cat);
+                    heap.attached_h2_mut().write_word(slot, new_target.raw(), cat);
                 }
             }
             s += run;
         }
     }
-    heap.h2_starts[region] = starts;
 }
 
 /// CPU-work counters accumulated by one work unit and charged to its lane

@@ -18,7 +18,7 @@
 //!
 //! When the heap checker is armed the scheduler also audits **coverage**:
 //! phases declare their work domain (dirty cards, live objects) with
-//! [`Scheduler::expect`], units [`Scheduler::claim`] what they process, and
+//! [`Scheduler::declare`], units [`Scheduler::claim`] what they process, and
 //! the barrier panics — like `maybe_heap_check` — unless every key was
 //! claimed exactly once.
 
@@ -162,7 +162,7 @@ impl Scheduler {
 
     /// Declares `key` part of the current phase's work domain (no-op unless
     /// auditing).
-    pub(crate) fn expect(&mut self, key: u64) {
+    pub(crate) fn declare(&mut self, key: u64) {
         if let Some(cov) = &mut self.coverage {
             cov.expected.push(key);
         }
@@ -313,7 +313,7 @@ mod tests {
     fn unclaimed_key_panics_at_barrier() {
         let clock = SimClock::new();
         let mut s = Scheduler::new(2, 25, true);
-        s.expect(DOM_H1_CARD | 3);
+        s.declare(DOM_H1_CARD | 3);
         let lane = s.begin_unit(&clock, WorkUnitKind::H1CardStripe);
         s.end_unit(&clock, lane, WorkUnitKind::H1CardStripe, 1, 0);
         s.barrier(&clock, Category::MinorGc, "test");
@@ -324,7 +324,7 @@ mod tests {
         let clock = SimClock::new();
         let mut s = Scheduler::new(2, 25, true);
         for card in [7u64, 9] {
-            s.expect(DOM_H1_CARD | card);
+            s.declare(DOM_H1_CARD | card);
         }
         let lane = s.begin_unit(&clock, WorkUnitKind::H1CardStripe);
         s.claim(DOM_H1_CARD | 9);
@@ -339,7 +339,7 @@ mod tests {
     fn abandon_discards_lane_charges_and_coverage() {
         let clock = SimClock::new();
         let mut s = Scheduler::new(2, 25, true);
-        s.expect(DOM_OBJECT | 1);
+        s.declare(DOM_OBJECT | 1);
         let lane = s.begin_unit(&clock, WorkUnitKind::PlanChunk);
         s.end_unit(&clock, lane, WorkUnitKind::PlanChunk, 500, 0);
         s.abandon();

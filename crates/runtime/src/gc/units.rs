@@ -13,14 +13,14 @@
 //! every reference an object carries into H2 is re-derived into a dirty
 //! card or a cross-region dependency before the object moves.
 
-use super::major::MajorCycle;
+use super::major::{MajorCycle, RelocState};
 use super::schedule::{DOM_H2_CARD, DOM_OBJECT, GRAY_PACKET};
 use super::{walk_h2_card, Work};
 use crate::config::OomError;
 use crate::heap::Heap;
 use crate::object;
 use std::ops::Range;
-use teraheap_core::{Addr, CardState, Label, TransferPolicy};
+use teraheap_core::{Addr, Label, TransferPolicy};
 use teraheap_storage::Category;
 
 /// The major cycle's side table (DESIGN.md §7): one mark bit per H1 word,
@@ -43,13 +43,6 @@ pub(crate) struct LiveMap {
     bits: Vec<u64>,
     block_rank: Vec<u32>,
     dests: Vec<u64>,
-}
-
-/// A resumable ascending scan over a [`LiveMap`]'s marks.
-pub(super) struct Cursor {
-    block: usize,
-    /// The block's marks not yet yielded.
-    rest: u64,
 }
 
 impl LiveMap {
@@ -141,32 +134,27 @@ impl LiveMap {
         self.dests[rank] = dest;
     }
 
-    /// A scan whose first [`LiveMap::next`] is the live object at `rank`
-    /// (frozen, `rank < len()`).
-    pub(super) fn cursor(&self, rank: usize) -> Cursor {
-        let block = self.block_rank.partition_point(|&r| r as usize <= rank) - 1;
-        let mut rest = self.bits[block];
-        for _ in self.block_rank[block] as usize..rank {
-            rest &= rest - 1;
-        }
-        Cursor { block, rest }
-    }
-
-    /// The next marked address in enumeration order, `None` past the last.
-    pub(super) fn next(&self, cur: &mut Cursor) -> Option<u64> {
-        while cur.rest == 0 {
-            cur.block += 1;
-            cur.rest = *self.bits.get(cur.block)?;
-        }
-        let pos = (cur.block as u64) << 6 | cur.rest.trailing_zeros() as u64;
-        cur.rest &= cur.rest - 1;
-        Some(if pos < self.old_len { pos + self.old_base } else { pos - self.old_len })
-    }
-
     /// Every marked address in enumeration order (frozen or not).
     pub(crate) fn sources(&self) -> impl Iterator<Item = u64> + '_ {
-        let mut cur = Cursor { block: 0, rest: self.bits.first().copied().unwrap_or(0) };
-        std::iter::from_fn(move || self.next(&mut cur))
+        scan(&self.bits, self.old_base, self.old_len, 0, 0)
+    }
+
+    /// The frozen live objects in enumeration order from rank `rank` on.
+    pub(super) fn sources_from(&self, rank: usize) -> impl Iterator<Item = u64> + '_ {
+        let (block, skip) = self.locate(rank);
+        scan(&self.bits, self.old_base, self.old_len, block, skip)
+    }
+
+    /// [`LiveMap::sources_from`], each with the destination slot it sets.
+    pub(super) fn dests_from(&mut self, rank: usize) -> impl Iterator<Item = (u64, &mut u64)> {
+        let (block, skip) = self.locate(rank);
+        scan(&self.bits, self.old_base, self.old_len, block, skip).zip(&mut self.dests[rank..])
+    }
+
+    /// The block holding frozen rank `rank` and the marks before it there.
+    fn locate(&self, rank: usize) -> (usize, usize) {
+        let block = self.block_rank.partition_point(|&r| r as usize <= rank) - 1;
+        (block, rank - self.block_rank[block] as usize)
     }
 
     /// Clears every mark and hands the all-zero map back for the next cycle.
@@ -175,6 +163,30 @@ impl LiveMap {
         self.dests.clear();
         self
     }
+}
+
+/// The marks of `bits` as addresses in enumeration order, from the `skip`-th
+/// mark of block `block` on.
+fn scan(
+    bits: &[u64],
+    old_base: u64,
+    old_len: u64,
+    mut block: usize,
+    skip: usize,
+) -> impl Iterator<Item = u64> + '_ {
+    let mut rest = bits.get(block).copied().unwrap_or(0);
+    for _ in 0..skip {
+        rest &= rest - 1;
+    }
+    std::iter::from_fn(move || {
+        while rest == 0 {
+            block += 1;
+            rest = *bits.get(block)?;
+        }
+        let pos = (block as u64) << 6 | rest.trailing_zeros() as u64;
+        rest &= rest - 1;
+        Some(if pos < old_len { pos + old_base } else { pos - old_len })
+    })
 }
 
 fn mark_push(heap: &Heap, addr: Addr, stack: &mut Vec<Addr>, live: &mut LiveMap, work: &mut Work) {
@@ -202,7 +214,7 @@ pub(super) fn root_strip(
         } else if a.is_h2() {
             // A handle (thread-stack root) referencing H2 directly keeps the
             // region alive, exactly like an H1→H2 forward reference.
-            heap.h2.as_mut().expect("H2 root without H2").note_forward_ref(a);
+            heap.attached_h2_mut().note_forward_ref(a);
         }
     }
 }
@@ -256,7 +268,7 @@ pub(super) fn gray_packet(heap: &mut Heap, cyc: &mut MajorCycle, uw: &mut Work) 
             let target = Addr::new(val);
             if target.is_h2() {
                 // Fence: set the region live bit instead of following (§4).
-                heap.h2.as_mut().expect("H2 ref without H2").note_forward_ref(target);
+                heap.attached_h2_mut().note_forward_ref(target);
                 heap.stats.forward_refs_fenced += 1;
                 continue;
             }
@@ -502,18 +514,6 @@ fn tag_closure_step(
     words
 }
 
-/// Sets every card of a freed H2 region back to clean.
-pub(super) fn clear_region_cards(heap: &mut Heap, region: u32) {
-    let h2 = heap.h2.as_mut().unwrap();
-    let region_words = h2.regions().region_words();
-    let seg_words = h2.cards().seg_words();
-    let first_card = region as usize * region_words / seg_words;
-    let cards_per_region = region_words / seg_words;
-    for card in first_card..first_card + cards_per_region {
-        h2.cards_mut().set_state(card, CardState::Clean);
-    }
-}
-
 // ----- pre-compaction ----------------------------------------------------------
 
 /// H2 assignment chunk: bump-allocates H2 addresses for
@@ -537,8 +537,7 @@ pub(super) fn h2_assign_chunk(
         }
         uw.objects += 1;
         let label = Label::new(heap.mem[src as usize + 1]);
-        let h2 = heap.h2.as_mut().expect("candidate without H2");
-        match h2.alloc(label, object::size_of(header)) {
+        match heap.attached_h2_mut().alloc(label, object::size_of(header)) {
             Ok(dest) => cyc.live.set_dest(cyc.live.rank(src), dest.raw()),
             Err(_) => heap.mem[src as usize] = object::without_candidate(header),
         }
@@ -560,9 +559,8 @@ pub(super) fn plan_chunk(
     range: Range<usize>,
     uw: &mut Work,
 ) -> Result<(), OomError> {
-    let mut cur = cyc.live.cursor(range.start);
-    for idx in range {
-        let src = cyc.live.next(&mut cur).expect("rank below the live count");
+    let (live, old_live) = (cyc.live.len(), cyc.live.old_live());
+    for (src, dest) in cyc.live.dests_from(range.start).take(range.len()) {
         cyc.sched.claim(DOM_OBJECT | src);
         let header = heap.mem[src as usize];
         if object::is_candidate(header) {
@@ -584,18 +582,19 @@ pub(super) fn plan_chunk(
                 context: format!(
                     "live data exceeds the old generation: {} live objects, \
                      {} words placed of {} capacity (old live {}, young live {})",
-                    cyc.live.len(),
+                    live,
                     plan.new_top - plan.old_base,
                     heap.old.capacity_words(),
-                    cyc.live.old_live(),
-                    cyc.live.len() - cyc.live.old_live()
+                    old_live,
+                    live - old_live
                 ),
             });
         }
         if footprint > size {
             heap.stats.g1_humongous_waste_words += (footprint - size) as u64;
         }
-        cyc.live.set_dest(idx, plan.new_top);
+        debug_assert_eq!(*dest, 0, "duplicate forwarding source");
+        *dest = plan.new_top;
         plan.new_old_starts.push(plan.new_top);
         plan.new_top += footprint as u64;
     }
@@ -649,15 +648,16 @@ pub(super) fn g1_moved_fraction_milli(
 /// Backward-fix chunk: points the H2 `slots` that held backward references
 /// at their targets' new H1 locations (device writes, charged to major GC).
 pub(super) fn backward_fix(heap: &mut Heap, cyc: &MajorCycle, slots: &[u64], uw: &mut Work) {
+    let h2 = heap.attached_h2_mut();
     for &s in slots {
         let slot = Addr::new(s);
-        let val = heap.h2.as_ref().unwrap().read_word_free(slot);
+        let val = h2.read_word_free(slot);
         if val == 0 || Addr::new(val).is_h2() {
             continue;
         }
         let new_val = cyc.live.get(val).unwrap_or(val);
         if new_val != val {
-            heap.h2.as_mut().unwrap().write_word(slot, new_val, Category::MajorGc);
+            h2.write_word(slot, new_val, Category::MajorGc);
         }
         uw.adjusted_refs += 1;
     }
@@ -687,7 +687,7 @@ pub(super) fn adjust_object(heap: &mut Heap, cyc: &MajorCycle, src: u64, dest: u
             if new_target.is_h1() {
                 // Newly created backward reference: dirty the H2 card of
                 // the object's future location (§4).
-                heap.h2.as_mut().unwrap().cards_mut().mark_dirty(dest_slot);
+                heap.attached_h2_mut().cards_mut().mark_dirty(dest_slot);
             } else {
                 // Newly created cross-region reference (§4).
                 heap.note_h2_dependency(dest_addr, new_target);
@@ -721,12 +721,13 @@ impl Stash {
 }
 
 /// Moves the (already adjusted) object at `src` to `dest`: an H1 slide, or
-/// a promotion-buffered H2 write that also indexes the object's start.
-/// Adds the words that stayed in H1 to
-/// `h1_words`; `uw.copied_words` counts both kinds.
+/// a promotion-buffered H2 write (which also indexes the object's start).
+/// Adds the words that stayed in H1 to `h1_words`; `uw.copied_words` counts
+/// both kinds.
 pub(super) fn move_object(
     heap: &mut Heap,
-    cyc: &mut MajorCycle,
+    reloc: &mut RelocState,
+    old_base: u64,
     src: u64,
     dest: u64,
     uw: &mut Work,
@@ -741,20 +742,13 @@ pub(super) fn move_object(
     let dest_addr = Addr::new(dest);
     if dest_addr.is_h2() {
         heap.mem[src as usize] = header;
-        // Split-field borrow: stream the object out of `mem` straight into
-        // the promotion buffer, no intermediate copy.
-        let region = {
-            let Heap { mem, h2, .. } = &mut *heap;
-            let h2 = h2.as_mut().unwrap();
-            h2.write_promoted(dest_addr, &mem[src_i..src_end], Category::MajorGc);
-            h2.regions().region_of(dest_addr)
-        };
-        heap.h2_starts[region.0 as usize].push(dest);
-        if cyc.reloc.promoted_regions.last() != Some(&region.0) {
-            cyc.reloc.promoted_regions.push(region.0);
-        }
+        // Lend `mem` out so the object streams straight into the promotion
+        // buffer, no intermediate copy.
+        let mem = std::mem::take(&mut heap.mem);
+        heap.attached_h2_mut().write_promoted(dest_addr, &mem[src_i..src_end], Category::MajorGc);
+        heap.mem = mem;
         heap.stats.objects_promoted_h2 += 1;
-        cyc.reloc.staged_words += size as u64;
+        reloc.staged_words += size as u64;
         return;
     }
     *h1_words += size as u64;
@@ -764,14 +758,14 @@ pub(super) fn move_object(
             heap.mem.copy_within(src_i..src_end, dest as usize);
         }
         uw.extra_ns += heap.h1_word_extra_ns(dest_addr) * size as u64;
-    } else if src < cyc.plan.old_base {
+    } else if src < old_base {
         // Young → old evacuation: old sources were all read before the
         // first young one (enumeration order) and no destination lies in
         // the young spaces, so the copy cannot clobber an unread source.
         heap.mem.copy_within(src_i..src_end, dest as usize);
     } else {
-        cyc.reloc.stash.words.extend_from_slice(&heap.mem[src_i..src_end]);
-        cyc.reloc.stash.meta.push((dest, cyc.reloc.stash.words.len() - size, size));
+        reloc.stash.words.extend_from_slice(&heap.mem[src_i..src_end]);
+        reloc.stash.meta.push((dest, reloc.stash.words.len() - size, size));
     }
 }
 
@@ -786,7 +780,7 @@ pub(super) fn record_h2_liveness(heap: &mut Heap) {
         }
         if obj.is_h2() {
             let size = object::size_of(heap.word(obj));
-            heap.h2.as_mut().unwrap().regions_mut().record_live_object(obj, size);
+            heap.attached_h2_mut().regions_mut().record_live_object(obj, size);
         }
         // `ref_slot_range` and `word` read H2 through the uncharged path,
         // matching this statistics pass.

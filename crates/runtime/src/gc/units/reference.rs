@@ -115,9 +115,8 @@ fn rank_forwarding_matches_dense_reference() {
             let (mut new_top, mut h2_top) = (c.old_base, H2_BASE);
             for (rank, &src) in order.iter().enumerate() {
                 prop_assert_eq!(map.rank(src), rank);
-                let mut cur = map.cursor(rank);
-                prop_assert_eq!(map.next(&mut cur), Some(src), "cursor({rank})");
-                prop_assert_eq!(map.next(&mut cur), order.get(rank + 1).copied());
+                let from_rank: Vec<u64> = map.sources_from(rank).collect();
+                prop_assert_eq!(from_rank, order[rank..].to_vec(), "sources_from({rank})");
                 let dest = match c.kinds[rank % c.kinds.len()] {
                     0 => {
                         h2_top += 3 + rank as u64;
@@ -139,6 +138,9 @@ fn rank_forwarding_matches_dense_reference() {
             for (rank, &src) in order.iter().enumerate() {
                 prop_assert_eq!(map.get(src), reference.get(src), "get({src})");
                 prop_assert_eq!(Some(map.dest(rank)), reference.get(src), "dest({rank})");
+                let (from, dest) = map.dests_from(rank).next().map(|(s, d)| (s, *d)).unzip();
+                prop_assert_eq!(from, Some(src), "dests_from({rank})");
+                prop_assert_eq!(dest, reference.get(src));
             }
             // Every other address — in the heap, in the bitmap's padding,
             // past it, in H2 — is not forwarded.

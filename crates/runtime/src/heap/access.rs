@@ -265,7 +265,7 @@ impl Heap {
         self.clock.charge(Category::Mutator, barrier_ns);
         if slot.is_h2() {
             // Mutator updated an H2 object: dirty the H2 card.
-            self.h2.as_mut().expect("H2 slot without H2").cards_mut().mark_dirty(slot);
+            self.attached_h2_mut().cards_mut().mark_dirty(slot);
         } else if self.old.contains(obj) && !val.is_null() && self.in_young(val) {
             self.h1_cards.mark_dirty(slot);
         }
@@ -282,7 +282,7 @@ impl Heap {
                 // Deletion barrier: read (charged) and remember the value
                 // being overwritten, so snapshot reachability survives.
                 let old = if slot.is_h2() {
-                    self.h2.as_mut().expect("H2 slot without H2").read_word(slot, Category::Mutator)
+                    self.attached_h2_mut().read_word(slot, Category::Mutator)
                 } else {
                     self.clock.charge(
                         Category::Mutator,
@@ -293,7 +293,7 @@ impl Heap {
                 if old != 0 {
                     let old_addr = Addr::new(old);
                     if old_addr.is_h2() {
-                        self.h2.as_mut().expect("H2 ref without H2").note_forward_ref(old_addr);
+                        self.attached_h2_mut().note_forward_ref(old_addr);
                     } else {
                         cyc.mutator.remembered.push(old);
                     }
@@ -303,7 +303,7 @@ impl Heap {
                 // Insertion fence: a black H1 object may now point at this
                 // H2 target; region liveness must see it.
                 if val.is_h2() {
-                    self.h2.as_mut().expect("H2 ref without H2").note_forward_ref(val);
+                    self.attached_h2_mut().note_forward_ref(val);
                 }
             }
             if slot.is_h2() {
@@ -380,11 +380,7 @@ impl Heap {
         if base.is_h2() {
             // Device-resident object: one touch_run over the range charges
             // exactly what the per-word loop did (DESIGN.md §9).
-            return self
-                .h2
-                .as_mut()
-                .expect("H2 address without H2")
-                .view_words(base, n, Category::Mutator);
+            return self.attached_h2_mut().view_words(base, n, Category::Mutator);
         }
         self.charge_h1_words(base, n as u64, Category::Mutator);
         let s = base.raw() as usize;
@@ -436,10 +432,7 @@ impl Heap {
     #[inline(always)]
     fn fill_run(&mut self, base: Addr, n: usize, fill: impl FnOnce(&mut [u64])) {
         if base.is_h2() {
-            self.h2
-                .as_mut()
-                .expect("H2 address without H2")
-                .fill_words(base, n, Category::Mutator, fill);
+            self.attached_h2_mut().fill_words(base, n, Category::Mutator, fill);
             return;
         }
         self.charge_h1_words(base, n as u64, Category::Mutator);

@@ -21,9 +21,7 @@ impl Heap {
     /// ([`H2Config::footprint_bytes`]) exceeds the tenant's quota — quota
     /// violations surface here, not at first I/O.
     pub fn attach_h2(&mut self, h2_config: H2Config, device: &SharedDevice) -> Result<(), AttachError> {
-        let h2 = H2::attach(h2_config, device, self.clock.clone())?;
-        self.h2_starts = vec![Vec::new(); h2.regions().region_count()];
-        self.h2 = Some(h2);
+        self.h2 = Some(H2::attach(h2_config, device, self.clock.clone())?);
         Ok(())
     }
 
@@ -55,11 +53,8 @@ impl Heap {
     /// Records the directional cross-region dependency of an H2→H2
     /// reference from `from` to `to` (§4).
     pub(crate) fn note_h2_dependency(&mut self, from: Addr, to: Addr) {
-        let h2 = self.h2.as_mut().expect("H2 reference without H2");
-        let (from, to) = (h2.regions().region_of(from), h2.regions().region_of(to));
-        if from != to {
-            h2.regions_mut().add_dependency(from, to);
-        }
+        let regions = self.attached_h2_mut().regions_mut();
+        regions.add_dependency(regions.region_of(from), regions.region_of(to));
     }
 
     /// Charges `ops` element-operations of mutator compute, divided across

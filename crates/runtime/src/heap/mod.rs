@@ -30,6 +30,8 @@ use teraheap_storage::{Category, SimClock};
 /// Reserved low words so that address 0 stays the null reference.
 const RESERVED_WORDS: usize = 16;
 
+const UNATTACHED: &str = "an H2 address, slot, card or candidate exists only after attach_h2";
+
 /// A GC-safe reference to a heap object.
 ///
 /// Handles index a root table that every collection updates, so they remain
@@ -72,11 +74,6 @@ pub struct Heap {
     /// When true, major GC runs an uncharged full trace through H2 to
     /// collect the per-region live-object statistics of Figure 10.
     pub(crate) track_h2_liveness: bool,
-    /// DRAM-side index of object start addresses per H2 region (the card
-    /// offset table analogue for H2), so card scans can find object starts
-    /// without walking the device-resident region. Indexed by region id;
-    /// empty for a region holding nothing.
-    pub(crate) h2_starts: Vec<Vec<u64>>,
     /// GCs requested while one is already running would be re-entrant;
     /// guarded for debugging.
     pub(crate) in_gc: bool,
@@ -147,7 +144,6 @@ impl Heap {
             panthera_extra_ns,
             panthera_nvm_base,
             track_h2_liveness: false,
-            h2_starts: Vec::new(),
             in_gc: false,
             mark_scratch: gc::LiveMap::default(),
             cycle: None,
@@ -180,6 +176,20 @@ impl Heap {
     /// Mutable access to the second heap, if enabled.
     pub fn h2_mut(&mut self) -> Option<&mut H2> {
         self.h2.as_mut()
+    }
+
+    /// The second heap behind an H2 address, slot, card or candidate: none
+    /// of those exists before [`Heap::attach_h2`], so the collector and the
+    /// barriers reach H2 through this pair, never through the `Option`.
+    #[inline]
+    pub(crate) fn attached_h2(&self) -> &H2 {
+        self.h2.as_ref().expect(UNATTACHED)
+    }
+
+    /// Mutable [`Heap::attached_h2`].
+    #[inline]
+    pub(crate) fn attached_h2_mut(&mut self) -> &mut H2 {
+        self.h2.as_mut().expect(UNATTACHED)
     }
 
     /// Old-generation occupancy in words.
@@ -238,7 +248,7 @@ impl Heap {
         if let Some(cyc) = self.cycle.as_deref_mut() {
             if cyc.marking() && !a.is_null() {
                 if a.is_h2() {
-                    self.h2.as_mut().expect("H2 root without H2").note_forward_ref(a);
+                    self.attached_h2_mut().note_forward_ref(a);
                 } else {
                     cyc.mutator.remembered.push(a.raw());
                 }
@@ -298,7 +308,7 @@ impl Heap {
     #[inline]
     pub(crate) fn word(&self, addr: Addr) -> u64 {
         if addr.is_h2() {
-            self.h2.as_ref().expect("H2 address without H2").read_word_free(addr)
+            self.attached_h2().read_word_free(addr)
         } else {
             self.mem[addr.raw() as usize]
         }
@@ -308,7 +318,7 @@ impl Heap {
     #[inline]
     pub(crate) fn set_word(&mut self, addr: Addr, value: u64) {
         if addr.is_h2() {
-            self.h2.as_mut().expect("H2 address without H2").write_word_free(addr, value);
+            self.attached_h2_mut().write_word_free(addr, value);
         } else {
             self.mem[addr.raw() as usize] = value;
         }
@@ -319,7 +329,7 @@ impl Heap {
     #[inline]
     pub(crate) fn load(&mut self, addr: Addr, cat: Category) -> u64 {
         if addr.is_h2() {
-            self.h2.as_mut().expect("H2 address without H2").read_word(addr, cat)
+            self.attached_h2_mut().read_word(addr, cat)
         } else {
             self.clock.charge(cat, self.config.cost.dram_word_ns + self.h1_word_extra_ns(addr));
             self.mem[addr.raw() as usize]
@@ -330,7 +340,7 @@ impl Heap {
     #[inline]
     pub(crate) fn store(&mut self, addr: Addr, value: u64, cat: Category) {
         if addr.is_h2() {
-            self.h2.as_mut().expect("H2 address without H2").write_word(addr, value, cat);
+            self.attached_h2_mut().write_word(addr, value, cat);
         } else {
             self.clock.charge(cat, self.config.cost.dram_word_ns + self.h1_word_extra_ns(addr));
             self.mem[addr.raw() as usize] = value;

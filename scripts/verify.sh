@@ -59,7 +59,11 @@ echo "ok"
 # Both collectors scan an H2 card through one walk, gc::walk_h2_card, the
 # only collector code that reads H2 through the charged device path; a
 # `.read_word(`/`.read_words(` anywhere else under gc/ is a second scan.
-echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane, one region-liveness rule, placement is its cost model, one H2 card walk =="
+# H2 owns its region metadata: the object-start index, its sort and a dead
+# region's reset live in teraheap-core, so the runtime keeps no copy of them.
+# The panic ratchet counts the non-test unwrap/expect/panic!/unreachable!
+# lines of a crate (reference oracles excluded); it may fall, never rise.
+echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane, one region-liveness rule, placement is its cost model, one H2 card walk, H2 owns its region metadata, panic ratchet =="
 if grep -rlE '^[[:space:]]*(pub[[:space:]]+)?enum[[:space:]]+[A-Za-z0-9_]*Op\b' crates/runtime/tests \
     | grep -v '^crates/runtime/tests/common/'; then
     echo "ERROR: an op enum outside crates/runtime/tests/common/; extend the shared language instead." >&2
@@ -102,6 +106,22 @@ if [[ -n "$stray_reads" ]]; then
     echo "ERROR: an H2 read outside gc::walk_h2_card; scan H2 cards through the one walk." >&2
     exit 1
 fi
+if grep -rnE 'h2_starts|clear_region_cards|promoted_regions' crates/runtime/src; then
+    echo "ERROR: the runtime indexes or resets H2 regions; that metadata belongs to teraheap-core." >&2
+    exit 1
+fi
+panic_sites() {
+    for f in $(find "$1" -name '*.rs' ! -name reference.rs); do
+        awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /unwrap\(\)|\.expect\(|panic!|unreachable!/ && !/^[[:space:]]*\/\//' "$f"
+    done | wc -l
+}
+for bound in crates/runtime/src:8 crates/core/src:0; do
+    sites=$(panic_sites "${bound%:*}")
+    if (( sites > ${bound#*:} )); then
+        echo "ERROR: ${bound%:*} has $sites panic sites outside tests; the ratchet allows ${bound#*:}." >&2
+        exit 1
+    fi
+done
 echo "ok"
 
 echo "== offline release build =="
