@@ -29,7 +29,7 @@ pub use workloads::{run_giraph, run_giraph_on, GiraphReport, GiraphWorkload};
 
 use teraheap_core::{H2Config, Label};
 use teraheap_runtime::{Handle, Heap, HeapConfig, OomError, Pin, SharedDevice};
-use teraheap_storage::{Blob, Category, DeviceSpec, SimDevice};
+use teraheap_storage::{Blob, DeviceSpec, SimDevice};
 
 /// Memory configuration for a Giraph run (Table 2 / Table 4).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -160,8 +160,6 @@ struct PartMessages {
     blob: Option<Blob>,
     /// Message pairs (append) / populated slots (slotted).
     count: usize,
-    /// Append cursor of an unslotted store.
-    cursor: usize,
     /// Allocated array capacity in words (resident-set accounting must use
     /// capacity, not fill level).
     capacity_words: usize,
@@ -272,13 +270,6 @@ fn msg_label(superstep: u64) -> Label {
     Label::new(100 + superstep)
 }
 
-/// Reads `blob` from the OOC device and deserializes it onto the heap (I/O +
-/// S/D + allocation), in place from the blob's bytes.
-fn reload(device: &Option<SimDevice>, heap: &mut Heap, blob: &Blob) -> Result<Handle, OomError> {
-    let device = device.as_ref().expect("OOC mode has a device");
-    kryo_sim::deserialize(heap, device.load(blob, Category::Io))
-}
-
 impl GiraphContext {
     /// Builds the runtime on a private heap and loads `graph`.
     ///
@@ -302,10 +293,6 @@ impl GiraphContext {
     /// # Errors
     ///
     /// Returns [`OomError`] if the graph does not fit.
-    ///
-    /// # Panics
-    ///
-    /// In TeraHeap mode on a heap without H2.
     pub fn load_on(
         mut heap: Heap,
         config: GiraphConfig,
@@ -315,13 +302,14 @@ impl GiraphContext {
         let mut device = None;
         match config.mode {
             GiraphMode::TeraHeap { .. } => {
-                if !config.use_move_hint {
-                    let p = heap.h2_mut().unwrap().policy().clone().without_hints();
-                    *heap.h2_mut().unwrap().policy_mut() = p;
-                }
-                if let Some(low) = config.low_threshold {
-                    let p = heap.h2_mut().unwrap().policy().clone().with_low(low);
-                    *heap.h2_mut().unwrap().policy_mut() = p;
+                // Without H2 the options steer nothing, as with `h2_move`.
+                if let Some(policy) = heap.h2_mut().map(|h2| h2.policy_mut()) {
+                    if !config.use_move_hint {
+                        *policy = policy.clone().without_hints();
+                    }
+                    if let Some(low) = config.low_threshold {
+                        *policy = policy.clone().with_low(low);
+                    }
                 }
                 heap.track_h2_liveness(config.track_h2_liveness);
             }
@@ -362,6 +350,7 @@ impl GiraphContext {
         const FILL_PASSES: usize = 8;
         let parts = self.config.partitions;
         let teraheap = matches!(self.config.mode, GiraphMode::TeraHeap { .. });
+        let mut edge_roots = Vec::with_capacity(parts);
         // Phase 1: create the stores (vertices + pre-sized edge arrays).
         for p in 0..parts {
             let ids = (p..graph.vertices()).step_by(parts);
@@ -391,6 +380,7 @@ impl GiraphContext {
             if teraheap {
                 self.heap.h2_tag_root(edges, edges_label(p));
             }
+            edge_roots.push(edges);
             self.parts.push(PartitionState {
                 vertices,
                 n_vertices: n,
@@ -409,9 +399,8 @@ impl GiraphContext {
         // receives no further writes; the in-progress partition is the
         // newest label, which the pressure path defers while it can.
         if teraheap {
-            for p in 0..parts {
+            for (p, &edges) in edge_roots.iter().enumerate() {
                 for pass in 0..FILL_PASSES {
-                    let edges = self.parts[p].edges.expect("edges resident during load");
                     let mut edges = self.heap.pin(edges);
                     for (i, vid) in (p..graph.vertices()).step_by(parts).enumerate() {
                         let targets = graph.of(vid);
@@ -490,8 +479,10 @@ impl GiraphContext {
         if let Some(h) = self.parts[p].edges {
             return Ok(self.heap.dup(h));
         }
-        let blob = self.parts[p].edges_blob.as_ref().expect("offloaded edges have a blob");
-        let h = reload(&self.device, &mut self.heap, blob)?;
+        let (Some(device), Some(blob)) = (&self.device, &self.parts[p].edges_blob) else {
+            unreachable!("offloaded edges have a blob on the OOC device");
+        };
+        let h = kryo_sim::reload(device, &mut self.heap, blob)?;
         self.reloads += 1;
         let dup = self.heap.dup(h);
         self.parts[p].edges = Some(h);
@@ -506,8 +497,8 @@ impl GiraphContext {
     /// Returns [`OomError`] if reloading exhausts the heap.
     pub(crate) fn read_incoming(&mut self, p: usize, inbox: &mut Inbox) -> Result<(), OomError> {
         if self.incoming.parts[p].array.is_none() {
-            if let Some(blob) = &self.incoming.parts[p].blob {
-                let h = reload(&self.device, &mut self.heap, blob)?;
+            if let (Some(device), Some(blob)) = (&self.device, &self.incoming.parts[p].blob) {
+                let h = kryo_sim::reload(device, &mut self.heap, blob)?;
                 self.reloads += 1;
                 // The reload consumes the blob: its bytes are freed here.
                 self.incoming.parts[p].blob = None;
@@ -536,7 +527,7 @@ impl GiraphContext {
         } else {
             // Appended stores are dense (target, value) pairs: one bulk view
             // replaces 2n word reads at identical simulated cost.
-            let pairs = self.heap.view_prims(array.handle(), 0, 2 * store.cursor);
+            let pairs = self.heap.view_prims(array.handle(), 0, 2 * store.count);
             inbox.group(pairs, self.parts.len(), n);
         }
         Ok(())
@@ -590,11 +581,10 @@ impl GiraphContext {
         let array = store.array.as_mut().expect("store just ensured");
         match combiner {
             Combiner::Append => {
-                let c = store.cursor;
+                let c = store.count;
                 assert!(2 * c + 1 < self.heap.array_len_at(array), "capacity hint too small");
                 self.heap.write_prim_at(array, 2 * c, target);
                 self.heap.write_prim_at(array, 2 * c + 1, value);
-                store.cursor = c + 1;
                 store.count += 1;
             }
             Combiner::MinU64 => {
@@ -636,7 +626,6 @@ impl GiraphContext {
             slotted,
             blob: None,
             count: 0,
-            cursor: 0,
             capacity_words: words,
         };
         self.ooc_rebalance()
@@ -679,7 +668,9 @@ impl GiraphContext {
     /// Serialization running out of heap and a full OOC device are both an
     /// [`OomError`].
     pub(crate) fn ooc_rebalance(&mut self) -> Result<(), OomError> {
-        let GiraphMode::OutOfCore { memory_limit_words, .. } = self.config.mode else {
+        let (GiraphMode::OutOfCore { memory_limit_words, .. }, Some(device)) =
+            (self.config.mode, self.device.as_mut())
+        else {
             return Ok(());
         };
         let mut resident: usize = self
@@ -692,15 +683,6 @@ impl GiraphContext {
         if resident <= memory_limit_words {
             return Ok(());
         }
-        let device = self.device.as_mut().expect("OOC mode has a device");
-        let mut offload = |heap: &mut Heap, h: Handle| -> Result<Blob, OomError> {
-            let bytes = kryo_sim::serialize(heap, h)?;
-            let words = bytes.len().div_ceil(8);
-            device.store(bytes, Category::Io).map_err(|e| OomError {
-                requested_words: words,
-                context: format!("Giraph-OOC device: {e}"),
-            })
-        };
         // LRU order over partitions.
         let mut order: Vec<usize> = (0..self.parts.len()).collect();
         order.sort_by_key(|&p| self.parts[p].last_access);
@@ -714,7 +696,8 @@ impl GiraphContext {
             // full the slot still names it, so it is not a root nothing can
             // release.
             if let Some(array) = self.incoming.parts[p].array {
-                self.incoming.parts[p].blob = Some(offload(&mut self.heap, array.handle())?);
+                let blob = kryo_sim::offload(device, &mut self.heap, array.handle(), "Giraph-OOC")?;
+                self.incoming.parts[p].blob = Some(blob);
                 self.incoming.parts[p].array = None;
                 resident = resident.saturating_sub(2 * self.incoming.parts[p].count + 3);
                 self.heap.release(array.handle());
@@ -725,7 +708,8 @@ impl GiraphContext {
             }
             if let Some(h) = self.parts[p].edges {
                 if self.parts[p].edges_blob.is_none() {
-                    self.parts[p].edges_blob = Some(offload(&mut self.heap, h)?);
+                    let blob = kryo_sim::offload(device, &mut self.heap, h, "Giraph-OOC")?;
+                    self.parts[p].edges_blob = Some(blob);
                 }
                 self.parts[p].edges = None;
                 self.heap.release(h);

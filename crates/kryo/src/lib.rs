@@ -14,7 +14,10 @@
 //!   the managed heap as it goes;
 //! * [`deserialize`] reconstructs the objects on the managed heap —
 //!   *reallocating the data on the heap for processing*, which is exactly
-//!   the memory-pressure path TeraHeap eliminates via direct H2 access.
+//!   the memory-pressure path TeraHeap eliminates via direct H2 access;
+//! * [`offload`] and [`reload`] are the serialized off-heap path of both
+//!   baselines (Spark-SD's cache, Giraph-OOC): the stream stored as a
+//!   [`Blob`] on a [`SimDevice`], loaded and deserialized on every access.
 //!
 //! # Stream format
 //!
@@ -43,7 +46,7 @@
 
 use std::cell::Cell;
 use teraheap_runtime::{Handle, Heap, OomError, Pin, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
-use teraheap_storage::Category;
+use teraheap_storage::{Blob, Category, SimDevice};
 
 const KIND_PLAIN: u8 = 0;
 const KIND_REF_ARRAY: u8 = 1;
@@ -160,8 +163,9 @@ impl Walk {
     fn new(heap: &Heap, root: Handle) -> Self {
         let mut seen = PARKED_INDEX.take();
         seen.restart();
-        let number = seen.insert(heap.handle_addr(root).raw()).expect("a fresh index is empty");
-        Walk { seen, stack: vec![(root, number)], owned: Vec::new() }
+        // A fresh index numbers its first address 0.
+        seen.insert(heap.handle_addr(root).raw());
+        Walk { seen, stack: vec![(root, 0)], owned: Vec::new() }
     }
 
     /// Reads the object's `nrefs` reference slots (charged) and stacks every
@@ -330,6 +334,37 @@ fn rebuild(heap: &mut Heap, bytes: &[u8], handles: &mut Vec<Handle>) -> Result<(
     Ok(())
 }
 
+/// Serializes `root`'s closure and stores the stream on `device` as one
+/// blob, charged to [`Category::Io`]. The caller keeps `root`.
+///
+/// # Errors
+///
+/// Returns [`OomError`] if serialization exhausts the heap, or if `device`
+/// is full: then `context` reads `"{what} device: …"` and
+/// `requested_words` is the stream's length in words.
+pub fn offload(
+    device: &mut SimDevice,
+    heap: &mut Heap,
+    root: Handle,
+    what: &str,
+) -> Result<Blob, OomError> {
+    let bytes = serialize(heap, root)?;
+    let words = bytes.len().div_ceil(8);
+    device
+        .store(bytes, Category::Io)
+        .map_err(|e| OomError { requested_words: words, context: format!("{what} device: {e}") })
+}
+
+/// Loads `blob` from `device` (charged to [`Category::Io`], never S/D) and
+/// deserializes it in place from its bytes.
+///
+/// # Errors
+///
+/// Returns [`OomError`] if the heap cannot hold the reconstructed objects.
+pub fn reload(device: &SimDevice, heap: &mut Heap, blob: &Blob) -> Result<Handle, OomError> {
+    deserialize(heap, device.load(blob, Category::Io))
+}
+
 /// The serialized size in bytes of `root`'s transitive closure, without
 /// producing a stream or charging S/D time (block-manager sizing).
 pub fn serialized_size(heap: &mut Heap, root: Handle) -> usize {
@@ -395,7 +430,8 @@ struct Reader<'a> {
 
 impl Reader<'_> {
     fn take<const N: usize>(&mut self) -> [u8; N] {
-        let v = self.b[self.pos..self.pos + N].try_into().expect("N bytes sliced");
+        let mut v = [0; N];
+        v.copy_from_slice(&self.b[self.pos..self.pos + N]);
         self.pos += N;
         v
     }
@@ -412,11 +448,11 @@ impl Reader<'_> {
     /// primitive slots of `h` (a charged bulk write), eight bytes at a time
     /// over one bounds-checked slice.
     fn words_into(&mut self, heap: &mut Heap, h: Handle, n: usize) {
-        let run = &self.b[self.pos..self.pos + n * 8];
+        let (run, _) = self.b[self.pos..self.pos + n * 8].as_chunks::<8>();
         self.pos += n * 8;
         heap.fill_prims_at(&mut heap.pin(h), 0, n, |slots| {
-            for (slot, bytes) in slots.iter_mut().zip(run.chunks_exact(8)) {
-                *slot = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+            for (slot, bytes) in slots.iter_mut().zip(run) {
+                *slot = u64::from_le_bytes(*bytes);
             }
         });
     }
@@ -426,6 +462,7 @@ impl Reader<'_> {
 mod tests {
     use super::*;
     use teraheap_runtime::HeapConfig;
+    use teraheap_storage::DeviceSpec;
 
     fn heap() -> Heap {
         Heap::new(HeapConfig::small())
@@ -581,6 +618,37 @@ mod tests {
         let roots = big.live_roots();
         deserialize(&mut big, &bytes).unwrap();
         assert_eq!(big.live_roots(), roots + 1);
+    }
+
+    #[test]
+    fn offload_stores_the_stream_and_reload_rebuilds_it() {
+        let mut h = heap();
+        let c = h.register_class("P", 1, 2);
+        let p = h.alloc(c).unwrap();
+        let q = h.alloc(c).unwrap();
+        h.write_ref(p, 0, q);
+        h.write_prim(p, 1, 11);
+        h.write_prim(q, 0, 22);
+        let mut device = SimDevice::new(DeviceSpec::nvme_ssd(), 1 << 20, h.clock().clone());
+        let roots = h.live_roots();
+        let blob = offload(&mut device, &mut h, p, "test").unwrap();
+        assert_eq!(h.live_roots(), roots, "offload released root");
+        let p2 = reload(&device, &mut h, &blob).unwrap();
+        assert!(!h.same_object(p, p2), "a reload reallocates");
+        let q2 = h.read_ref(p2, 0).unwrap();
+        assert_eq!((h.read_prim(p2, 1), h.read_prim(q2, 0)), (11, 22));
+        assert_eq!(h.read_prim(p, 1), 11, "the caller still owns root");
+
+        // A device smaller than the stream refuses it, charging nothing.
+        let words = serialized_size(&mut h, p).div_ceil(8);
+        let mut small = SimDevice::new(DeviceSpec::nvme_ssd(), 8, h.clock().clone());
+        let (roots, io) = (h.live_roots(), h.clock().category_ns(Category::Io));
+        let err = offload(&mut small, &mut h, p, "test").unwrap_err();
+        assert_eq!(err.context, "test device: device out of space");
+        assert_eq!(err.requested_words, words);
+        assert_eq!(h.clock().category_ns(Category::Io), io, "a refused store is charged");
+        assert_eq!(h.live_roots(), roots, "offload released root");
+        assert_eq!(small.stats().write_ops(), 0);
     }
 
     #[test]

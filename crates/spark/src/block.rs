@@ -159,25 +159,19 @@ impl BlockManager {
                 Slot::OnHeap(partition)
             }
             Placement::Serialized => {
-                let before = heap.clock().category_ns(Category::SerDe);
-                let bytes = kryo_sim::serialize(heap, partition)
-                    .inspect_err(|_| heap.release(partition))?;
-                let len = bytes.len() as u64;
-                let device = match &mut self.mode {
-                    CacheMode::SerializedOverflow { device, .. } => device,
-                    CacheMode::Adaptive { device, model, .. } => {
-                        let serde_ns = heap.clock().category_ns(Category::SerDe) - before;
-                        model.observe_serde(len, serde_ns);
-                        device
-                    }
+                let (device, model) = match &mut self.mode {
+                    CacheMode::SerializedOverflow { device, .. } => (device, None),
+                    CacheMode::Adaptive { device, model, .. } => (device, Some(model)),
                     _ => unreachable!("serialized placement without a device"),
                 };
-                let stored = device.store(bytes, Category::Io);
+                let before = heap.clock().category_ns(Category::SerDe);
+                let stored = kryo_sim::offload(device, heap, partition, "off-heap cache");
                 heap.release(partition);
-                let blob = stored.map_err(|e| OomError {
-                    requested_words: len.div_ceil(8) as usize,
-                    context: format!("off-heap cache device: {e}"),
-                })?;
+                let blob = stored?;
+                let len = blob.len() as u64;
+                if let Some(model) = model {
+                    model.observe_serde(len, heap.clock().category_ns(Category::SerDe) - before);
+                }
                 heap.clock().emit(EventKind::BlockSerde { deser: false, bytes: len });
                 self.sd_serializations += 1;
                 Slot::OffHeap(blob)
@@ -235,9 +229,7 @@ impl BlockManager {
                 };
                 self.sd_deserializations += 1;
                 let before = heap.clock().category_ns(Category::SerDe);
-                // Deserialized in place from the blob's bytes (the device
-                // read charges I/O, never S/D).
-                let h = kryo_sim::deserialize(heap, device.load(blob, Category::Io))?;
+                let h = kryo_sim::reload(device, heap, blob)?;
                 let serde_ns = heap.clock().category_ns(Category::SerDe) - before;
                 let len = blob.len() as u64;
                 heap.clock().emit(EventKind::BlockSerde { deser: true, bytes: len });

@@ -129,12 +129,7 @@ impl SparkContext {
                 CacheMode::Adaptive {
                     device: SimDevice::new(device, 4 << 30, heap.clock().clone()),
                     onheap_budget_words: config.heap.h1_words() / 2,
-                    model: PlacementModel::new(
-                        device,
-                        Some(device),
-                        serde_prior,
-                        cost.gc_copy_word_ns,
-                    ),
+                    model: PlacementModel::new(device, serde_prior, cost.gc_copy_word_ns),
                 }
             }
         };

@@ -5,7 +5,7 @@
 //! with S/D cost, reuse, and device latency. This module measures all
 //! three online — Kryo S/D ns from the block manager's own
 //! serialize/deserialize calls, reuse as each RDD's gets per put, and
-//! device service time probed from the [`DeviceSpec`]s behind the
+//! device service time probed from the [`DeviceSpec`] behind both the
 //! serialized cache and H2 — and re-decides the placement of every
 //! partition on every put.
 //!
@@ -136,12 +136,11 @@ struct RddHistory {
     gets: u64,
 }
 
-/// The stateful model: device specs probed once at construction, S/D cost
-/// and per-RDD gets per put measured online.
+/// The stateful model: the device spec probed once at construction, S/D
+/// cost and per-RDD gets per put measured online.
 #[derive(Debug, Clone)]
 pub struct PlacementModel {
-    sd_spec: DeviceSpec,
-    h2_spec: Option<DeviceSpec>,
+    device: DeviceSpec,
     serde_ns_per_kb: u64,
     gc_copy_ns_per_word: u64,
     rdds: Vec<(u64, RddHistory)>,
@@ -156,19 +155,13 @@ const DEFAULT_EXPECTED_GETS: u64 = 1;
 const MAX_EXPECTED_GETS: u64 = 64;
 
 impl PlacementModel {
-    /// Creates a model over the serialized-cache device and (optionally)
-    /// the H2 device. `serde_ns_per_kb_prior` seeds the measured S/D cost
+    /// Creates a model over `device`, the device behind both the serialized
+    /// cache and H2. `serde_ns_per_kb_prior` seeds the measured S/D cost
     /// until the first real observation (pass the static cost-model
     /// estimate); `gc_copy_ns_per_word` is the heap's survivor-copy rate.
-    pub fn new(
-        sd_spec: DeviceSpec,
-        h2_spec: Option<DeviceSpec>,
-        serde_ns_per_kb_prior: u64,
-        gc_copy_ns_per_word: u64,
-    ) -> Self {
+    pub fn new(device: DeviceSpec, serde_ns_per_kb_prior: u64, gc_copy_ns_per_word: u64) -> Self {
         PlacementModel {
-            sd_spec,
-            h2_spec,
+            device,
             serde_ns_per_kb: serde_ns_per_kb_prior.max(1),
             gc_copy_ns_per_word,
             rdds: Vec::new(),
@@ -238,21 +231,19 @@ impl PlacementModel {
         h2_available: bool,
     ) -> PlacementInputs {
         let expected_gets = self.expected_gets(rdd);
-        let (h2_read_ns, h2_write_ns) = match &self.h2_spec {
-            Some(spec) => (spec.read_cost_ns(bytes as usize), spec.write_cost_ns(bytes as usize)),
-            None => (u64::MAX, u64::MAX),
-        };
+        let (read_ns, write_ns) =
+            (self.device.read_cost_ns(bytes as usize), self.device.write_cost_ns(bytes as usize));
         PlacementInputs {
             words,
             bytes,
             expected_gets,
             serde_ns_per_kb: self.serde_ns_per_kb,
-            sd_read_ns: self.sd_spec.read_cost_ns(bytes as usize),
-            sd_write_ns: self.sd_spec.write_cost_ns(bytes as usize),
-            h2_read_ns,
-            h2_write_ns,
+            sd_read_ns: read_ns,
+            sd_write_ns: write_ns,
+            h2_read_ns: read_ns,
+            h2_write_ns: write_ns,
             onheap_fits,
-            h2_available: h2_available && self.h2_spec.is_some(),
+            h2_available,
             gc_copy_ns_per_word: self.gc_copy_ns_per_word,
         }
     }
@@ -354,7 +345,7 @@ mod tests {
     #[test]
     fn model_learns_reuse_and_serde() {
         let spec = DeviceSpec::nvme_ssd();
-        let mut m = PlacementModel::new(spec, Some(spec), 4096, 2);
+        let mut m = PlacementModel::new(spec, 4096, 2);
         m.note_put(1);
         for _ in 0..8 {
             m.note_get(1);
@@ -370,7 +361,7 @@ mod tests {
     fn decisions_replay_identically() {
         let spec = DeviceSpec::nvme_ssd();
         let mk = || {
-            let mut m = PlacementModel::new(spec, Some(spec), 4096, 2);
+            let mut m = PlacementModel::new(spec, 4096, 2);
             let mut choices = Vec::new();
             for step in 0..32u64 {
                 let rdd = step % 3 + 1;

@@ -173,12 +173,7 @@ fn observation_script() -> impl Strategy<Value = Vec<(usize, u64, u64, u64)>> {
 }
 
 fn replay(script: &[(usize, u64, u64, u64)]) -> (Vec<Placement>, u64) {
-    let mut m = PlacementModel::new(
-        DeviceSpec::nvme_ssd(),
-        Some(DeviceSpec::nvme_ssd()),
-        4 * 1024 + 45,
-        2,
-    );
+    let mut m = PlacementModel::new(DeviceSpec::nvme_ssd(), 4 * 1024 + 45, 2);
     let mut decisions = Vec::new();
     for &(op, rdd, bytes, ns) in script {
         match op {
@@ -219,12 +214,7 @@ fn observed_reuse_never_flips_toward_serialized() {
         &Config::with_cases(CASES),
         |(extra_gets, bytes): (u64, u64)| {
             let mk = |gets: u64| {
-                let mut m = PlacementModel::new(
-                    DeviceSpec::nvme_ssd(),
-                    Some(DeviceSpec::nvme_ssd()),
-                    4 * 1024 + 45,
-                    2,
-                );
+                let mut m = PlacementModel::new(DeviceSpec::nvme_ssd(), 4 * 1024 + 45, 2);
                 m.note_put(7);
                 for _ in 0..gets {
                     m.note_get(7);

@@ -143,7 +143,8 @@ impl Blob {
 }
 
 /// The simulated device under the serialized off-heap caches of Spark-SD
-/// and Giraph-OOC: a blob tier. [`SimDevice::store`] takes a serialized
+/// and Giraph-OOC, which reach it only through `kryo_sim::offload` and
+/// `kryo_sim::reload`: a blob tier. [`SimDevice::store`] takes a serialized
 /// buffer and [`SimDevice::load`] lends it back whole; each charges its
 /// simulated cost to the given [`SimClock`] category and updates
 /// [`IoStats`]. Cost, statistics and events depend on the blob's length

@@ -61,9 +61,12 @@ echo "ok"
 # `.read_word(`/`.read_words(` anywhere else under gc/ is a second scan.
 # H2 owns its region metadata: the object-start index, its sort and a dead
 # region's reset live in teraheap-core, so the runtime keeps no copy of them.
+# Spark-SD and Giraph-OOC reach their device only through kryo_sim's
+# offload/reload pair, the one serialized off-heap path: a framework that
+# serializes or charges device I/O itself is a second copy of it.
 # The panic ratchet counts the non-test unwrap/expect/panic!/unreachable!
 # lines of a crate (reference oracles excluded); it may fall, never rise.
-echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane, one region-liveness rule, placement is its cost model, one H2 card walk, H2 owns its region metadata, panic ratchet =="
+echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane, one region-liveness rule, placement is its cost model, one H2 card walk, H2 owns its region metadata, one serialized off-heap path, panic ratchet =="
 if grep -rlE '^[[:space:]]*(pub[[:space:]]+)?enum[[:space:]]+[A-Za-z0-9_]*Op\b' crates/runtime/tests \
     | grep -v '^crates/runtime/tests/common/'; then
     echo "ERROR: an op enum outside crates/runtime/tests/common/; extend the shared language instead." >&2
@@ -110,12 +113,17 @@ if grep -rnE 'h2_starts|clear_region_cards|promoted_regions' crates/runtime/src;
     echo "ERROR: the runtime indexes or resets H2 regions; that metadata belongs to teraheap-core." >&2
     exit 1
 fi
+if grep -rnE 'kryo_sim::(de)?serialize\(|Category::Io' crates/spark/src crates/giraph/src; then
+    echo "ERROR: a framework serializes to its device itself; go through kryo_sim::offload/reload." >&2
+    exit 1
+fi
 panic_sites() {
     for f in $(find "$1" -name '*.rs' ! -name reference.rs); do
         awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /unwrap\(\)|\.expect\(|panic!|unreachable!/ && !/^[[:space:]]*\/\//' "$f"
     done | wc -l
 }
-for bound in crates/runtime/src:8 crates/core/src:0; do
+for bound in crates/runtime/src:8 crates/core/src:0 crates/kryo/src:2 crates/giraph/src:5 \
+    crates/spark/src:7; do
     sites=$(panic_sites "${bound%:*}")
     if (( sites > ${bound#*:} )); then
         echo "ERROR: ${bound%:*} has $sites panic sites outside tests; the ratchet allows ${bound#*:}." >&2
