@@ -495,6 +495,24 @@ impl H2 {
         }
     }
 
+    /// How many words from `addr` on a per-word mutator loop touches as one
+    /// [`H2::view_words`] run, even when the loop charges the clock between
+    /// words: to the end of the page when paged (only the page's first
+    /// touch can fault, emit or reach the arbiter), one word in DAX mode
+    /// behind a lease (each word is its own arbitrated command, and its
+    /// arrival is the clock at that word), unbounded in DAX mode without
+    /// one.
+    pub fn run_words_at(&self, addr: Addr) -> usize {
+        if !self.mmap.is_dax() {
+            let page_words = self.mmap.page_size() / WORD_BYTES;
+            page_words - addr.h2_offset() as usize % page_words
+        } else if self.mmap.lease().is_some() {
+            1
+        } else {
+            usize::MAX
+        }
+    }
+
     /// Reads a word without charging any cost (GC internal bookkeeping that
     /// the phase-level cost model already accounts for).
     pub fn read_word_free(&self, addr: Addr) -> u64 {

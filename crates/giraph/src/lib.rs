@@ -28,7 +28,7 @@ pub mod workloads;
 pub use workloads::{run_giraph, run_giraph_on, GiraphReport, GiraphWorkload};
 
 use teraheap_core::{H2Config, Label};
-use teraheap_runtime::{Handle, Heap, HeapConfig, OomError, Pin, SharedDevice};
+use teraheap_runtime::{H1Prims, Handle, Heap, HeapConfig, OomError, Pin, SharedDevice, WordBatch};
 use teraheap_storage::{Blob, DeviceSpec, SimDevice};
 
 /// Memory configuration for a Giraph run (Table 2 / Table 4).
@@ -209,6 +209,18 @@ impl Inbox {
         self.values.clear();
     }
 
+    /// Refills the inbox from a slotted store of `n` `(count, combined
+    /// value)` slots, reading a slot's value only if its count is not 0.
+    fn ungroup(&mut self, slots: &mut impl Words, n: usize) {
+        self.reset(n);
+        for i in 0..n {
+            if slots.read(2 * i) > 0 {
+                self.values.push(slots.read(2 * i + 1));
+            }
+            self.starts[i + 1] = self.values.len();
+        }
+    }
+
     /// Groups flattened `(target, value)` pairs over `n` local vertices
     /// (`target / parts` is the local index) with a stable counting sort.
     fn group(&mut self, pairs: &[u64], parts: usize, n: usize) {
@@ -245,6 +257,11 @@ pub struct GiraphContext {
     current: MsgStore,
     device: Option<SimDevice>,
     superstep: u64,
+    /// The current store's arrays resolved in H1, one per partition, while
+    /// every one exists and is H1-resident; empty otherwise.
+    h1_stores: Vec<H1Prims>,
+    /// One H2 run of edge targets, copied out of the heap.
+    run: Vec<u64>,
     /// OOC statistics: partitions offloaded / reloaded.
     pub offloads: u64,
     /// OOC statistics: partition reloads.
@@ -326,6 +343,8 @@ impl GiraphContext {
             current: MsgStore::empty(config.partitions),
             device,
             superstep: 0,
+            h1_stores: Vec::new(),
+            run: Vec::new(),
             offloads: 0,
             reloads: 0,
         };
@@ -361,17 +380,14 @@ impl GiraphContext {
             let mut edge_words = 3 + n;
             for (i, vid) in ids.enumerate() {
                 let targets = graph.of(vid);
-                self.heap.write_prim_at(&mut vertices, i * 3, vid as u64);
-                self.heap.write_prim_at(&mut vertices, i * 3 + 1, initial_value(vid as u64));
-                self.heap.write_prim_at(&mut vertices, i * 3 + 2, targets.len() as u64);
+                let vertex = [vid as u64, initial_value(vid as u64), targets.len() as u64];
+                write_words(&mut self.heap, &mut vertices, i * 3, &vertex);
                 let e = self.heap.alloc_prim_array(targets.len().max(1))?;
                 edge_words += 3 + targets.len().max(1);
                 if !teraheap {
                     // OOC/in-memory builds load each partition in full.
                     let mut e = self.heap.pin(e);
-                    for (k, &t) in targets.iter().enumerate() {
-                        self.heap.write_prim_at(&mut e, k, t as u64);
-                    }
+                    write_words(&mut self.heap, &mut e, 0, targets);
                 }
                 self.heap.write_ref(edges, i, e);
                 self.heap.release(e);
@@ -411,9 +427,7 @@ impl GiraphContext {
                         }
                         let e = self.heap.read_ref_at(&mut edges, i).expect("edge array");
                         let mut slots = self.heap.pin(e);
-                        for (k, &dst) in targets[from..to].iter().enumerate() {
-                            self.heap.write_prim_at(&mut slots, from + k, dst as u64);
-                        }
+                        write_words(&mut self.heap, &mut slots, from, &targets[from..to]);
                         self.heap.release(e);
                     }
                     // Input-split buffers churn the young generation.
@@ -442,18 +456,14 @@ impl GiraphContext {
     }
 
     /// Reads partition `p`'s vertex values into a host vector, indexed by
-    /// local vertex (vertex `i` has id `p + i * partitions`). Giraph
-    /// deserializes the whole vertex, so the id word is loaded — and charged
-    /// — with the value although nothing consumes it.
+    /// local vertex (vertex `i` has id `p + i * partitions`).
     pub fn vertex_values(&mut self, p: usize) -> Vec<u64> {
         let vertices = &mut self.parts[p].vertices;
         let n = self.heap.array_len_at(vertices) / 3;
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            self.heap.read_prim_at(vertices, i * 3);
-            out.push(self.heap.read_prim_at(vertices, i * 3 + 1));
+        match self.heap.h1_prims(vertices) {
+            Some(h1) => values_of(&mut (&mut self.heap.word_batch(), &h1), n),
+            None => values_of(&mut (&mut self.heap, vertices), n),
         }
-        out
     }
 
     /// The out-degree of vertex `i` of partition `p` (stored in the vertex
@@ -496,12 +506,12 @@ impl GiraphContext {
     ///
     /// Returns [`OomError`] if reloading exhausts the heap.
     pub(crate) fn read_incoming(&mut self, p: usize, inbox: &mut Inbox) -> Result<(), OomError> {
-        if self.incoming.parts[p].array.is_none() {
-            if let (Some(device), Some(blob)) = (&self.device, &self.incoming.parts[p].blob) {
-                let h = kryo_sim::reload(device, &mut self.heap, blob)?;
+        if let (Some(device), None) = (self.device.as_mut(), self.incoming.parts[p].array) {
+            // The reload consumes the blob: its buffer carries the next
+            // offload's stream.
+            if let Some(blob) = self.incoming.parts[p].blob.take() {
+                let h = kryo_sim::consume(device, &mut self.heap, blob)?;
                 self.reloads += 1;
-                // The reload consumes the blob: its bytes are freed here.
-                self.incoming.parts[p].blob = None;
                 self.incoming.parts[p].array = Some(self.heap.pin(h));
             }
         }
@@ -516,13 +526,9 @@ impl GiraphContext {
             // partition), at most one combined message in each, in vertex
             // order: the groups are written as the slots are read.
             let slots = self.heap.array_len_at(array) / 2;
-            inbox.reset(slots);
-            for i in 0..slots {
-                let cnt = self.heap.read_prim_at(array, 2 * i);
-                if cnt > 0 {
-                    inbox.values.push(self.heap.read_prim_at(array, 2 * i + 1));
-                }
-                inbox.starts[i + 1] = inbox.values.len();
+            match self.heap.h1_prims(array) {
+                Some(h1) => inbox.ungroup(&mut (&mut self.heap.word_batch(), &h1), slots),
+                None => inbox.ungroup(&mut (&mut self.heap, array), slots),
             }
         } else {
             // Appended stores are dense (target, value) pairs: one bulk view
@@ -572,34 +578,90 @@ impl GiraphContext {
         combiner: Combiner,
         capacity_hints: &[usize],
     ) -> Result<(), OomError> {
-        let parts = self.parts.len();
-        let (dest, local) = (target as usize % parts, target as usize / parts);
+        let (dest, local) = split(target, self.parts.len());
         if self.current.parts[dest].array.is_none() {
             self.create_store(dest, combiner, capacity_hints)?;
         }
         let store = &mut self.current.parts[dest];
         let array = store.array.as_mut().expect("store just ensured");
-        match combiner {
-            Combiner::Append => {
-                let c = store.count;
-                assert!(2 * c + 1 < self.heap.array_len_at(array), "capacity hint too small");
-                self.heap.write_prim_at(array, 2 * c, target);
-                self.heap.write_prim_at(array, 2 * c + 1, value);
-                store.count += 1;
+        combine(&mut (&mut self.heap, array), &mut store.count, target, local, value, combiner);
+        Ok(())
+    }
+
+    /// Delivers `msg` along the first `deg` targets of the edge array
+    /// `targets`: what reading each target with [`Heap::read_prim_at`] and
+    /// delivering it with [`GiraphContext::deliver_message`] does, in the
+    /// same simulated time, charges, statistics and events.
+    ///
+    /// While every current store exists in H1 (and nothing can allocate)
+    /// a delivery only touches H1 words, so the targets are read in runs
+    /// ([`Heap::prim_run_at`]) and each run's deliveries are charged as one
+    /// [`WordBatch`]. Otherwise this is the per-edge loop.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OomError`] if a store allocation fails.
+    pub(crate) fn send(
+        &mut self,
+        targets: &mut Pin,
+        deg: usize,
+        msg: u64,
+        combiner: Combiner,
+        capacity_hints: &[usize],
+    ) -> Result<(), OomError> {
+        let runs = !per_edge_oracle() && self.stores_in_h1();
+        #[cfg(test)]
+        tests::note_send(self, targets, runs);
+        if !runs {
+            for k in 0..deg {
+                let t = self.heap.read_prim_at(targets, k);
+                self.deliver_message(t, msg, combiner, capacity_hints)?;
             }
-            Combiner::MinU64 => {
-                let cnt = self.heap.read_prim_at(array, 2 * local);
-                let combined = if cnt == 0 {
-                    store.count += 1;
-                    value
-                } else {
-                    self.heap.read_prim_at(array, 2 * local + 1).min(value)
-                };
-                self.heap.write_prim_at(array, 2 * local, cnt + 1);
-                self.heap.write_prim_at(array, 2 * local + 1, combined);
+            return Ok(());
+        }
+        let parts = self.parts.len();
+        let (stores, current) = (&self.h1_stores, &mut self.current.parts);
+        if let Some(edges) = self.heap.h1_prims(targets) {
+            let mut batch = self.heap.word_batch();
+            for k in 0..deg {
+                let t = batch.read(&edges, k);
+                deliver_in(&mut batch, stores, current, parts, t, msg, combiner);
             }
+            return Ok(());
+        }
+        let mut k = 0;
+        while k < deg {
+            let n = self.heap.prim_run_at(targets, k).clamp(1, deg - k);
+            self.run.clear();
+            self.run.extend_from_slice(self.heap.view_prims_at(targets, k, n));
+            let mut batch = self.heap.word_batch();
+            for &t in &self.run {
+                deliver_in(&mut batch, stores, current, parts, t, msg, combiner);
+            }
+            k += n;
         }
         Ok(())
+    }
+
+    /// Whether every partition's current store exists in H1, resolving
+    /// them into `h1_stores` if the last resolution went stale.
+    fn stores_in_h1(&mut self) -> bool {
+        if let Some(first) = self.h1_stores.first() {
+            if self.heap.h1_prims_current(first) {
+                return true;
+            }
+        }
+        self.h1_stores.clear();
+        for store in &mut self.current.parts {
+            match store.array.as_mut().and_then(|array| self.heap.h1_prims(array)) {
+                Some(array) => self.h1_stores.push(array),
+                None => {
+                    self.h1_stores.clear();
+                    return false;
+                }
+            }
+        }
+        true
     }
 
     /// Allocates partition `dest`'s array of the current store.
@@ -618,6 +680,7 @@ impl GiraphContext {
         };
         let words = words.max(2);
         let h = self.heap.alloc_prim_array(words)?;
+        self.h1_stores.clear();
         if matches!(self.config.mode, GiraphMode::TeraHeap { .. }) {
             self.heap.h2_tag_root(h, msg_label(self.superstep));
         }
@@ -650,6 +713,7 @@ impl GiraphContext {
         // The retired store goes with whatever blobs it still holds.
         std::mem::swap(&mut self.incoming, &mut self.current);
         self.current = MsgStore::empty(self.parts.len());
+        self.h1_stores.clear();
         let delivered: usize = self.incoming.parts.iter().map(|m| m.count).sum();
         self.superstep += 1;
         // 4: at the start of the next superstep, advise moving the previous
@@ -719,6 +783,153 @@ impl GiraphContext {
         }
         Ok(())
     }
+}
+
+/// `(target % parts, target / parts)`: the partition and local index of a
+/// vertex id, by one 32-bit division when both fit (vertex ids are `u32`).
+#[inline]
+fn split(target: u64, parts: usize) -> (usize, usize) {
+    match (u32::try_from(target), u32::try_from(parts)) {
+        (Ok(t), Ok(p)) => ((t % p) as usize, (t / p) as usize),
+        _ => (target as usize % parts, target as usize / parts),
+    }
+}
+
+/// Word accesses to one primitive array, each charged as the per-word
+/// accessor charges it: through a [`Pin`] on the heap, or inside a
+/// [`WordBatch`].
+trait Words {
+    fn read(&mut self, idx: usize) -> u64;
+    fn write(&mut self, idx: usize, val: u64);
+    fn array_len(&mut self) -> usize;
+}
+
+impl Words for (&mut Heap, &mut Pin) {
+    fn read(&mut self, idx: usize) -> u64 {
+        self.0.read_prim_at(self.1, idx)
+    }
+    fn write(&mut self, idx: usize, val: u64) {
+        self.0.write_prim_at(self.1, idx, val);
+    }
+    fn array_len(&mut self) -> usize {
+        self.0.array_len_at(self.1)
+    }
+}
+
+impl Words for (&mut WordBatch<'_>, &H1Prims) {
+    #[inline(always)]
+    fn read(&mut self, idx: usize) -> u64 {
+        self.0.read(self.1, idx)
+    }
+    #[inline(always)]
+    fn write(&mut self, idx: usize, val: u64) {
+        self.0.write(self.1, idx, val);
+    }
+    #[inline(always)]
+    fn array_len(&mut self) -> usize {
+        self.0.array_len(self.1)
+    }
+}
+
+/// One delivery into a store array holding `count` messages or slots: an
+/// append of the `(target, value)` pair, or a combine into `local`'s slot.
+#[inline(always)]
+fn combine(
+    array: &mut impl Words,
+    count: &mut usize,
+    target: u64,
+    local: usize,
+    value: u64,
+    combiner: Combiner,
+) {
+    match combiner {
+        Combiner::Append => {
+            let c = *count;
+            assert!(2 * c + 1 < array.array_len(), "capacity hint too small");
+            array.write(2 * c, target);
+            array.write(2 * c + 1, value);
+            *count += 1;
+        }
+        Combiner::MinU64 => {
+            let cnt = array.read(2 * local);
+            let combined = if cnt == 0 {
+                *count += 1;
+                value
+            } else {
+                array.read(2 * local + 1).min(value)
+            };
+            array.write(2 * local, cnt + 1);
+            array.write(2 * local + 1, combined);
+        }
+    }
+}
+
+/// The value words of `n` packed vertices. Giraph deserializes the whole
+/// vertex, so each id word is loaded — and charged — too, although nothing
+/// consumes it.
+fn values_of(vertices: &mut impl Words, n: usize) -> Vec<u64> {
+    (0..n)
+        .map(|i| {
+            vertices.read(i * 3);
+            vertices.read(i * 3 + 1)
+        })
+        .collect()
+}
+
+/// [`GiraphContext::deliver_message`] on stores resolved in H1.
+#[inline(always)]
+fn deliver_in(
+    batch: &mut WordBatch<'_>,
+    stores: &[H1Prims],
+    current: &mut [PartMessages],
+    parts: usize,
+    target: u64,
+    value: u64,
+    combiner: Combiner,
+) {
+    let (dest, local) = split(target, parts);
+    let count = &mut current[dest].count;
+    combine(&mut (batch, &stores[dest]), count, target, local, value, combiner);
+}
+
+/// Writes `words` into `pin`'s primitive slots from `start`, charged as the
+/// per-word [`Heap::write_prim_at`] loop: one [`WordBatch`] fill in H1, a
+/// [`Heap::fill_prims_at`] per [`Heap::prim_run_at`] run otherwise (in H2,
+/// or word by word in H1 while a major cycle is in flight).
+fn write_words<T: Copy + Into<u64>>(heap: &mut Heap, pin: &mut Pin, start: usize, words: &[T]) {
+    let fill = |from: usize, slots: &mut [u64]| {
+        for (slot, &w) in slots.iter_mut().zip(&words[from..]) {
+            *slot = w.into();
+        }
+    };
+    if let Some(h1) = heap.h1_prims(pin) {
+        heap.word_batch().fill(&h1, start, words.len(), |slots| fill(0, slots));
+        return;
+    }
+    let mut k = 0;
+    while k < words.len() {
+        // At least one word, so a range past the end fails the bounds check.
+        let n = heap.prim_run_at(pin, start + k).clamp(1, words.len() - k);
+        heap.fill_prims_at(pin, start + k, n, |slots| fill(k, slots));
+        k += n;
+    }
+}
+
+/// Whether the delivery oracle test has switched [`GiraphContext::send`]
+/// to the per-edge loop everywhere.
+#[cfg(not(test))]
+fn per_edge_oracle() -> bool {
+    false
+}
+
+#[cfg(test)]
+thread_local! {
+    static PER_EDGE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+#[cfg(test)]
+fn per_edge_oracle() -> bool {
+    PER_EDGE.get()
 }
 
 #[cfg(test)]
@@ -874,6 +1085,33 @@ mod tests {
         assert_eq!(ctx.offloads, 0);
     }
 
+    thread_local! {
+        /// [`GiraphContext::send`] calls since the last [`take_sends`]:
+        /// per-edge, in one H1 run, in H2 runs, and per-edge because a
+        /// store had moved to H2 mid-superstep.
+        static SENDS: std::cell::Cell<[u64; 4]> = const { std::cell::Cell::new([0; 4]) };
+    }
+
+    pub(super) fn note_send(ctx: &GiraphContext, targets: &Pin, runs: bool) {
+        let stores = &ctx.current.parts;
+        let path = if runs && ctx.heap.is_in_h2(targets.handle()) {
+            2
+        } else if runs {
+            1
+        } else if stores.iter().all(|m| m.array.is_some())
+            && stores.iter().any(|m| m.array.is_some_and(|a| ctx.heap.is_in_h2(a.handle())))
+        {
+            3
+        } else {
+            0
+        };
+        SENDS.with(|s| s.set(std::array::from_fn(|i| s.get()[i] + u64::from(i == path))));
+    }
+
+    fn take_sends() -> [u64; 4] {
+        SENDS.take()
+    }
+
     #[test]
     fn teraheap_moves_edges_and_messages() {
         let mode = GiraphMode::TeraHeap {
@@ -904,5 +1142,182 @@ mod tests {
         let e = ctx.partition_edges(0).unwrap();
         assert!(ctx.heap.is_in_h2(e));
         ctx.heap.release(e);
+    }
+
+    /// The delivery oracle: [`GiraphContext::send`]'s runs against the
+    /// per-edge `read_prim_at` + `deliver_message` loop it replaces.
+    mod delivery_oracle {
+        use super::*;
+        use teraheap_runtime::obs::{Event, Level};
+        use teraheap_runtime::TenantIo;
+        use teraheap_storage::{Breakdown, Category, IoStats};
+        use teraheap_util::prop_assert_eq;
+        use teraheap_util::proptest_mini::{any_u64, check, range_usize, CaseResult, Config};
+
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Setup {
+            /// Paged NVMe H2, edges and message stores moved by hint.
+            TeraHeap,
+            /// The same without hints, on a heap so small that current
+            /// stores move to H2 while they are being delivered to.
+            TeraHeapNoHint,
+            Ooc,
+            /// Optane H2 on a device shared with a tenant that ran first,
+            /// so every DAX word meets the arbiter with bookings to dodge.
+            DaxShared,
+        }
+
+        const SETUPS: [Setup; 4] =
+            [Setup::TeraHeap, Setup::TeraHeapNoHint, Setup::Ooc, Setup::DaxShared];
+
+        fn config(setup: Setup) -> GiraphConfig {
+            let h2 = |resident_kb: usize| {
+                H2Config::builder()
+                    .region_words(8 << 10)
+                    .n_regions(96)
+                    .card_seg_words(512)
+                    .resident_budget_bytes(resident_kb << 10)
+                    .page_size(4096)
+                    .promo_buffer_bytes(64 << 10)
+                    .build()
+                    .expect("valid H2 config")
+            };
+            let (heap, mode) = match setup {
+                Setup::TeraHeap | Setup::TeraHeapNoHint => (
+                    HeapConfig::with_words(8 << 10, 24 << 10),
+                    GiraphMode::TeraHeap { h2: h2(32), device: DeviceSpec::nvme_ssd() },
+                ),
+                Setup::Ooc => (
+                    HeapConfig::with_words(16 << 10, 96 << 10),
+                    GiraphMode::OutOfCore {
+                        device: DeviceSpec::nvme_ssd(),
+                        memory_limit_words: 12 << 10,
+                    },
+                ),
+                Setup::DaxShared => (
+                    HeapConfig::with_words(8 << 10, 24 << 10),
+                    GiraphMode::TeraHeap { h2: h2(64), device: DeviceSpec::optane_nvm() },
+                ),
+            };
+            let mut cfg = GiraphConfig::small(mode);
+            cfg.heap = heap;
+            cfg.heap.obs_level = Some(Level::Full);
+            cfg.use_move_hint = setup != Setup::TeraHeapNoHint;
+            cfg
+        }
+
+        /// Everything the simulation shows of one run.
+        #[derive(Debug, PartialEq)]
+        struct Observed {
+            breakdown: Breakdown,
+            /// The H2 mapping's or the OOC device's counters.
+            io: [u64; 8],
+            charges: [u64; Category::COUNT],
+            event_classes: Vec<(&'static str, u64)>,
+            /// The ring itself: kinds and timestamps in order.
+            events: Vec<Event>,
+            tenant: Option<TenantIo>,
+            checksum_bits: u64,
+        }
+
+        fn io(s: &IoStats) -> [u64; 8] {
+            [
+                s.read_bytes(),
+                s.write_bytes(),
+                s.read_ops(),
+                s.write_ops(),
+                s.page_faults(),
+                s.seq_faults(),
+                s.evictions(),
+                s.io_retries(),
+            ]
+        }
+
+        /// Runs `workload` under `setup`, through the oracle or not.
+        fn run(
+            setup: Setup,
+            workload: GiraphWorkload,
+            graph: (usize, usize, u64),
+            oracle: bool,
+        ) -> Observed {
+            let (vertices, degree, seed) = graph;
+            let cfg = config(setup);
+            let (heap, shared) = match (setup, cfg.mode) {
+                (Setup::DaxShared, GiraphMode::TeraHeap { h2, device }) => {
+                    let shared = SharedDevice::for_server(device, 2 * h2.footprint_bytes());
+                    let tenant = || {
+                        let heap = Heap::new(cfg.heap);
+                        shared.add_tenant(heap.clock().clone(), h2.footprint_bytes()).unwrap();
+                        let mut heap = heap;
+                        heap.attach_h2(h2, &shared).unwrap();
+                        heap
+                    };
+                    let (neighbour, heap) = (tenant(), tenant());
+                    workloads::run_giraph_on(
+                        neighbour,
+                        GiraphWorkload::Wcc,
+                        cfg,
+                        vertices,
+                        degree,
+                        !seed,
+                    )
+                    .expect("the neighbour fits");
+                    (heap, Some(shared))
+                }
+                _ => (cfg.private_heap(), None),
+            };
+            PER_EDGE.set(oracle);
+            let run = workloads::run_giraph_on(heap, workload, cfg, vertices, degree, seed);
+            PER_EDGE.set(false);
+            let (ctx, checksum) =
+                run.unwrap_or_else(|e| panic!("{setup:?} runs out of memory: {e}"));
+            let clock = ctx.heap.clock();
+            let io = match (&ctx.device, ctx.heap.h2()) {
+                (Some(device), _) => io(device.stats()),
+                (None, Some(h2)) => io(h2.mmap().stats()),
+                (None, None) => unreachable!("every setup has a device"),
+            };
+            Observed {
+                breakdown: clock.breakdown(),
+                io,
+                charges: clock.tracer().charge_counts(),
+                event_classes: clock.tracer().counts(),
+                events: clock.tracer().events(),
+                tenant: shared.and_then(|d| d.tenant_of(clock).and_then(|t| d.tenant_io(t))),
+                checksum_bits: checksum.to_bits(),
+            }
+        }
+
+        #[test]
+        fn runs_deliver_what_the_per_edge_loop_delivers() {
+            let graphs = ((range_usize(1000..1600), range_usize(4..7)), any_u64());
+            let covered = std::cell::Cell::new([[0u64; 4]; SETUPS.len()]);
+            check(
+                "runs_deliver_what_the_per_edge_loop_delivers",
+                &graphs,
+                &Config::with_cases(2),
+                |((v, d), seed)| {
+                    for (i, &setup) in SETUPS.iter().enumerate() {
+                        for w in [GiraphWorkload::Pr, GiraphWorkload::Cdlp, GiraphWorkload::Wcc] {
+                            let oracle = run(setup, w, (v, d, seed), true);
+                            take_sends();
+                            let runs = run(setup, w, (v, d, seed), false);
+                            let (sends, mut total) = (take_sends(), covered.get());
+                            for (c, s) in total[i].iter_mut().zip(sends) {
+                                *c += s;
+                            }
+                            covered.set(total);
+                            prop_assert_eq!(runs, oracle, "{} under {setup:?}", w.name());
+                        }
+                    }
+                    CaseResult::Pass
+                },
+            );
+            // Every setup took the paths it exists for.
+            let covered = covered.get();
+            let [th, no_hint, ooc, dax] = covered;
+            assert!(th[2] > 0 && ooc[1] > 0 && dax[2] > 0, "{covered:?}");
+            assert!(no_hint[3] > 0, "no store moved mid-superstep: {covered:?}");
+        }
     }
 }

@@ -253,11 +253,7 @@ fn drive(
                     // Read every edge target from the (possibly H2- or
                     // device-resident) edge array and deliver through the
                     // combining current store.
-                    let mut targets = ctx.heap.pin(e);
-                    for k in 0..deg {
-                        let t = ctx.heap.read_prim_at(&mut targets, k);
-                        ctx.deliver_message(t, msg, combiner, &in_caps)?;
-                    }
+                    ctx.send(&mut ctx.heap.pin(e), deg, msg, combiner, &in_caps)?;
                     delivered_any |= deg > 0;
                     ops += deg as u64;
                 }

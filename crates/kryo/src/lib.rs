@@ -17,7 +17,9 @@
 //!   the memory-pressure path TeraHeap eliminates via direct H2 access;
 //! * [`offload`] and [`reload`] are the serialized off-heap path of both
 //!   baselines (Spark-SD's cache, Giraph-OOC): the stream stored as a
-//!   [`Blob`] on a [`SimDevice`], loaded and deserialized on every access.
+//!   [`Blob`] on a [`SimDevice`], loaded and deserialized on every access;
+//!   [`consume`] is a last reload, whose blob's buffer then carries the
+//!   device's next stream.
 //!
 //! # Stream format
 //!
@@ -145,6 +147,29 @@ thread_local! {
     /// same partition up to three times (sizing, discovery, emission), and a
     /// run puts many partitions of one size, so the table is sized once.
     static PARKED_INDEX: Cell<IdentityIndex> = Cell::default();
+    /// [`serialize`]'s visit order and stream indices.
+    static PARKED_EMIT: Cell<(Vec<Handle>, Vec<u32>)> = Cell::default();
+    /// [`deserialize`]'s handles and pending reference stores.
+    static PARKED_REBUILD: Cell<(Vec<Handle>, Vec<PendingRef>)> = Cell::default();
+}
+
+/// `(object, field, target + 1)`: a reference store deferred until every
+/// object of the stream exists (all three are `u32`s in the stream).
+type PendingRef = (u32, u32, u32);
+
+/// The largest buffer kept parked. A parked buffer keeps the pages it
+/// touched resident until the next call on its thread, in whatever
+/// simulation that is, so the bound keeps one large stream (a partition's
+/// edges) from raising a later simulation's peak.
+const PARKED_MAX_BYTES: usize = 256 << 10;
+
+/// `v` emptied, if its capacity is small enough to park.
+fn parkable<T>(mut v: Vec<T>) -> Vec<T> {
+    if v.capacity() * std::mem::size_of::<T>() > PARKED_MAX_BYTES {
+        return Vec::new();
+    }
+    v.clear();
+    v
 }
 
 /// The depth-first walk over a root's transitive closure that [`serialize`]
@@ -202,13 +227,17 @@ impl Walk {
 ///
 /// Returns [`OomError`] if a temporary buffer allocation exhausts the heap.
 pub fn serialize(heap: &mut Heap, root: Handle) -> Result<Vec<u8>, OomError> {
+    serialize_into(heap, root, Vec::new())
+}
+
+/// [`serialize`] into `out`, an empty buffer whose capacity it reuses.
+fn serialize_into(heap: &mut Heap, root: Handle, mut out: Vec<u8>) -> Result<Vec<u8>, OomError> {
     // Discovery and emission perform no heap allocations (the
     // temporary-buffer pressure is applied afterwards), so the walk's
     // address keys stay valid through emission. An object's stream index is
     // its position in visit order, assigned when it is popped.
     let mut walk = Walk::new(heap, root);
-    let mut order: Vec<Handle> = Vec::new();
-    let mut stream_index: Vec<u32> = Vec::new(); // by discovery number
+    let (mut order, mut stream_index) = PARKED_EMIT.take(); // indices by discovery number
     while let Some((h, discovered)) = walk.stack.pop() {
         stream_index.resize(walk.seen.len, 0);
         stream_index[discovered as usize] = order.len() as u32;
@@ -218,7 +247,6 @@ pub fn serialize(heap: &mut Heap, root: Handle) -> Result<Vec<u8>, OomError> {
         walk.push_refs(heap, &mut obj, nrefs);
     }
 
-    let mut out: Vec<u8> = Vec::new();
     out.extend_from_slice(&(order.len() as u32).to_le_bytes());
     let emit_refs = |out: &mut Vec<u8>, heap: &mut Heap, obj: &mut Pin, n: usize| {
         for i in 0..n {
@@ -258,6 +286,7 @@ pub fn serialize(heap: &mut Heap, root: Handle) -> Result<Vec<u8>, OomError> {
     }
     let objects = order.len();
     walk.release(heap);
+    PARKED_EMIT.set((parkable(order), parkable(stream_index)));
     // Temporary-object pressure: Kryo-style buffers allocated on the heap
     // in proportion to the serialized volume.
     for _ in 0..objects.div_ceil(TEMP_EVERY_OBJECTS) {
@@ -280,23 +309,30 @@ pub fn serialize(heap: &mut Heap, root: Handle) -> Result<Vec<u8>, OomError> {
 ///
 /// Panics on a malformed stream (streams come from [`serialize`]).
 pub fn deserialize(heap: &mut Heap, bytes: &[u8]) -> Result<Handle, OomError> {
-    let mut handles: Vec<Handle> = Vec::new();
-    let rebuilt = rebuild(heap, bytes, &mut handles);
+    let (mut handles, mut pending_refs) = PARKED_REBUILD.take();
+    let rebuilt = rebuild(heap, bytes, &mut handles, &mut pending_refs);
     // Only the root is handed out, and not even it if the heap ran out.
     let keep = usize::from(rebuilt.is_ok());
     for h in handles.drain(keep..) {
         heap.release(h);
     }
-    rebuilt.map(|()| handles[0])
+    let root = rebuilt.map(|()| handles[0]);
+    PARKED_REBUILD.set((parkable(handles), parkable(pending_refs)));
+    root
 }
 
 /// The body of [`deserialize`]: rebuilds the stream's objects in stream
-/// order, pushing a handle to each onto `handles` as it is allocated.
-fn rebuild(heap: &mut Heap, bytes: &[u8], handles: &mut Vec<Handle>) -> Result<(), OomError> {
+/// order, pushing a handle to each onto `handles` as it is allocated and
+/// deferring reference stores to `pending_refs` (both empty on entry).
+fn rebuild(
+    heap: &mut Heap,
+    bytes: &[u8],
+    handles: &mut Vec<Handle>,
+    pending_refs: &mut Vec<PendingRef>,
+) -> Result<(), OomError> {
     let mut r = Reader { b: bytes, pos: 0 };
     let count = r.u32() as usize;
     handles.reserve(count);
-    let mut pending_refs: Vec<(usize, usize, u32)> = Vec::new(); // (obj, field, target+1)
     for obj_i in 0..count {
         if (obj_i + 1) % TEMP_EVERY_OBJECTS == 0 {
             let tmp = heap.alloc_prim_array(TEMP_WORDS)?;
@@ -319,7 +355,7 @@ fn rebuild(heap: &mut Heap, bytes: &[u8], handles: &mut Vec<Handle>) -> Result<(
         for i in 0..len {
             let t = r.u32();
             if t != 0 {
-                pending_refs.push((obj_i, i, t));
+                pending_refs.push((obj_i as u32, i as u32, t));
             }
         }
         if kind == KIND_PLAIN {
@@ -327,8 +363,8 @@ fn rebuild(heap: &mut Heap, bytes: &[u8], handles: &mut Vec<Handle>) -> Result<(
             r.words_into(heap, h, prims);
         }
     }
-    for (obj, field, target) in pending_refs {
-        heap.write_ref(handles[obj], field, handles[target as usize - 1]);
+    for &(obj, field, target) in pending_refs.iter() {
+        heap.write_ref(handles[obj as usize], field as usize, handles[target as usize - 1]);
     }
     charge_sd(heap, count, bytes.len());
     Ok(())
@@ -348,7 +384,7 @@ pub fn offload(
     root: Handle,
     what: &str,
 ) -> Result<Blob, OomError> {
-    let bytes = serialize(heap, root)?;
+    let bytes = serialize_into(heap, root, device.take_spare())?;
     let words = bytes.len().div_ceil(8);
     device
         .store(bytes, Category::Io)
@@ -363,6 +399,20 @@ pub fn offload(
 /// Returns [`OomError`] if the heap cannot hold the reconstructed objects.
 pub fn reload(device: &SimDevice, heap: &mut Heap, blob: &Blob) -> Result<Handle, OomError> {
     deserialize(heap, device.load(blob, Category::Io))
+}
+
+/// [`reload`] for the last time: the blob is consumed either way, and
+/// `device` takes its buffer back ([`SimDevice::recycle`]) for the next
+/// [`offload`] to serialize into (a message blob would otherwise be freed,
+/// and a new one faulted in, on every Giraph-OOC offload cycle).
+///
+/// # Errors
+///
+/// Returns [`OomError`] if the heap cannot hold the reconstructed objects.
+pub fn consume(device: &mut SimDevice, heap: &mut Heap, blob: Blob) -> Result<Handle, OomError> {
+    let root = reload(device, heap, &blob);
+    device.recycle(blob);
+    root
 }
 
 /// The serialized size in bytes of `root`'s transitive closure, without
@@ -649,6 +699,36 @@ mod tests {
         assert_eq!(h.clock().category_ns(Category::Io), io, "a refused store is charged");
         assert_eq!(h.live_roots(), roots, "offload released root");
         assert_eq!(small.stats().write_ops(), 0);
+    }
+
+    #[test]
+    fn a_recycled_blob_buffer_carries_no_stale_bytes() {
+        let mut h = heap();
+        let c = h.register_class("P", 1, 2);
+        let small = h.alloc(c).unwrap();
+        h.write_prim(small, 0, 7);
+        let big = h.alloc_ref_array(40).unwrap();
+        for i in 0..40 {
+            let a = h.alloc_prim_array(100).unwrap();
+            for j in 0..100 {
+                h.write_prim(a, j, u64::MAX - j as u64);
+            }
+            h.write_ref(big, i, a);
+            h.release(a);
+        }
+        let fresh = serialize(&mut h, small).unwrap();
+        let mut device = SimDevice::new(DeviceSpec::nvme_ssd(), 1 << 20, h.clock().clone());
+        let blob = offload(&mut device, &mut h, big, "test").unwrap();
+        let big_len = blob.len();
+        assert!(big_len > 30_000 && big_len > 100 * fresh.len());
+        let root = consume(&mut device, &mut h, blob).unwrap();
+        h.release(root);
+        // The next stream is written over the consumed one's bytes.
+        let blob = offload(&mut device, &mut h, small, "test").unwrap();
+        assert_eq!(blob.len(), fresh.len());
+        assert_eq!(device.load(&blob, Category::Io), &fresh[..], "stale bytes in the stream");
+        device.recycle(blob);
+        assert!(device.take_spare().capacity() >= big_len, "the consumed buffer was not reused");
     }
 
     #[test]

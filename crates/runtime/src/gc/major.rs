@@ -207,6 +207,79 @@ pub(super) struct RelocState {
     pub(super) stash: Stash,
 }
 
+impl MarkState {
+    /// A fresh state over this one's buffers, emptied.
+    fn emptied(self) -> MarkState {
+        MarkState {
+            cards: parked(self.cards),
+            stack: parked(self.stack),
+            backward_slots: parked(self.backward_slots),
+            scanned_cards: parked(self.scanned_cards),
+            slot_buf: parked(self.slot_buf),
+            ..MarkState::default()
+        }
+    }
+}
+
+impl PlanState {
+    /// A fresh state over this one's buffers, emptied.
+    fn emptied(self) -> PlanState {
+        PlanState {
+            move_order: parked(self.move_order),
+            req_snapshot: parked(self.req_snapshot),
+            new_old_starts: parked(self.new_old_starts),
+            g1_region_live: parked(self.g1_region_live),
+            ..PlanState::default()
+        }
+    }
+}
+
+impl RelocState {
+    /// A fresh state over this one's buffers, emptied.
+    fn emptied(self) -> RelocState {
+        RelocState {
+            dest_index: parked(self.dest_index),
+            stash: Stash::emptied(self.stash),
+            ..RelocState::default()
+        }
+    }
+}
+
+/// The largest buffer a heap keeps between collections. A kept buffer keeps
+/// the pages it touched resident, so one cycle's outlier (the candidate
+/// list of a whole graph's edges moving at once) is dropped.
+const PARKED_MAX_BYTES: usize = 256 << 10;
+
+/// `v` emptied with its capacity kept, or dropped if that is over
+/// [`PARKED_MAX_BYTES`].
+pub(super) fn parked<T>(mut v: Vec<T>) -> Vec<T> {
+    if v.capacity() * std::mem::size_of::<T>() > PARKED_MAX_BYTES {
+        return Vec::new();
+    }
+    v.clear();
+    v
+}
+
+/// A retired cycle's states, buffers emptied, kept by the heap
+/// ([`Heap::gc_scratch`]) until the next cycle starts on them — as the
+/// mark bitmap is — instead of each cycle faulting fresh pages in for
+/// vectors the last one had already grown.
+#[derive(Default)]
+pub(super) struct CycleScratch {
+    mark: MarkState,
+    plan: PlanState,
+    reloc: RelocState,
+}
+
+impl CycleScratch {
+    /// Keeps the buffers of a cycle that has retired.
+    fn park(&mut self, cyc: MajorCycle) {
+        self.mark = cyc.mark.emptied();
+        self.plan = cyc.plan.emptied();
+        self.reloc = cyc.reloc.emptied();
+    }
+}
+
 /// All state a major cycle carries between work units.
 pub(crate) struct MajorCycle {
     shape: Shape,
@@ -399,6 +472,8 @@ fn start(heap: &mut Heap, cause: GcCause, interleaved: bool) {
     // CPU shows up as pause/GC time. Applied per lane at the barrier.
     sched.set_milli(heap.policy.mark_cpu_milli);
     let g1_regions = heap.policy.g1_region_words.map_or(0, |w| heap.config.old_words.div_ceil(w));
+    let scratch = &mut heap.gc_scratch.cycle;
+    scratch.plan.g1_region_live.resize(g1_regions, 0);
     heap.cycle = Some(Box::new(MajorCycle {
         shape: Shape::new(interleaved),
         sched,
@@ -410,14 +485,10 @@ fn start(heap: &mut Heap, cause: GcCause, interleaved: bool) {
         last_slice_end_ns: heap.clock.total_ns(),
         live: std::mem::take(&mut heap.mark_scratch)
             .recycled(heap.old.base().raw(), heap.mem.len()),
-        mark: MarkState { roots_len: heap.roots.len(), ..MarkState::default() },
+        mark: MarkState { roots_len: heap.roots.len(), ..std::mem::take(&mut scratch.mark) },
         mutator: MutatorLog::default(),
-        plan: PlanState {
-            old_base: heap.old.base().raw(),
-            g1_region_live: vec![0; g1_regions],
-            ..PlanState::default()
-        },
-        reloc: RelocState::default(),
+        plan: PlanState { old_base: heap.old.base().raw(), ..std::mem::take(&mut scratch.plan) },
+        reloc: std::mem::take(&mut scratch.reloc),
         done: false,
         aborted: false,
     }));
@@ -499,7 +570,9 @@ pub(crate) fn run_slice(heap: &mut Heap, budget_ns: u64) {
         // Candidate bits are still set: the heap is not checkable (nor usable).
         return;
     }
-    if !cyc.done {
+    if cyc.done {
+        heap.gc_scratch.cycle.park(*cyc);
+    } else {
         cyc.last_slice_end_ns = clock.total_ns();
         heap.cycle = Some(cyc);
     }
@@ -629,7 +702,8 @@ fn mark_terminate(heap: &mut Heap, cyc: &mut MajorCycle) {
     }
     // A chain run whole is charged as one unit even when nothing is tagged.
     let whole = !cyc.shape.interleaved;
-    cyc.plan.sel = units::begin_select(heap, cyc.mark.live_words, &cyc.live)
+    let buffers = std::mem::take(&mut heap.gc_scratch.sel);
+    cyc.plan.sel = units::begin_select(heap, cyc.mark.live_words, &cyc.live, buffers)
         .filter(|sel| whole || !sel.is_idle());
     step_select(heap, cyc)
 }
@@ -644,7 +718,9 @@ fn step_select(heap: &mut Heap, cyc: &mut MajorCycle) {
     let exhausted = run_unit(heap, cyc, WorkUnitKind::CandidateSelect, true, |heap, cyc, uw| {
         units::select_chunk(heap, &mut sel, &cyc.live, &mut cyc.plan.move_order, chunk, uw)
     });
-    if !exhausted {
+    if exhausted {
+        heap.gc_scratch.sel = sel.into_buffers();
+    } else {
         cyc.plan.sel = Some(sel);
     }
 }
@@ -836,7 +912,8 @@ fn retire(heap: &mut Heap, cyc: &mut MajorCycle) {
     cyc.reloc.stash.flush(&mut heap.mem);
     heap.mark_scratch = std::mem::take(&mut cyc.live).reset();
     heap.old.set_top(Addr::new(cyc.plan.new_top));
-    heap.old_starts = std::mem::take(&mut cyc.plan.new_old_starts);
+    // The retired index is parked as the next cycle's `new_old_starts`.
+    std::mem::swap(&mut heap.old_starts, &mut cyc.plan.new_old_starts);
     if cyc.shape.interleaved {
         // Deadwood: objects in the relocated prefix keep their headers — the
         // linear eden walk stays parsable — but their reference slots are

@@ -44,7 +44,7 @@ pub(crate) fn minor_gc(heap: &mut Heap, cause: GcCause) {
         heap.config.cost.gc_barrier_sync_ns,
         heap.check_enabled,
     );
-    let mut worklist: Vec<Addr> = Vec::new();
+    let mut worklist = std::mem::take(&mut heap.gc_scratch.worklist);
 
     // Phase 1: scavenge roots (handle strips + dirty H1 cards).
     let clock = heap.clock.clone();
@@ -93,6 +93,7 @@ pub(crate) fn minor_gc(heap: &mut Heap, cause: GcCause) {
     heap.from.reset();
     std::mem::swap(&mut heap.from, &mut heap.to);
     heap.stats.lane_stall_ns += sched.barrier(&clock, Category::MinorGc, "minor:drain");
+    heap.gc_scratch.worklist = super::major::parked(worklist);
 
     let duration = heap.clock.total_ns() - start_ns;
     heap.stats.minor_count += 1;

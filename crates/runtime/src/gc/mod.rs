@@ -15,6 +15,27 @@ mod units;
 
 pub(crate) use units::LiveMap;
 
+/// Collection buffers that outlive their collection, emptied: a heap keeps
+/// one ([`Heap::gc_scratch`]), so each collection reuses the capacity the
+/// last one grew instead of faulting fresh pages in for it.
+#[derive(Default)]
+pub(crate) struct GcScratch {
+    /// The minor collection's copy worklist.
+    worklist: Vec<Addr>,
+    /// The last major cycle's mark, plan and relocation state.
+    cycle: major::CycleScratch,
+    /// The last cycle's candidate-selection buffers.
+    sel: units::SelBuffers,
+}
+
+impl std::fmt::Debug for GcScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GcScratch")
+            .field("worklist", &self.worklist.capacity())
+            .finish_non_exhaustive()
+    }
+}
+
 use crate::heap::Heap;
 use crate::object;
 use teraheap_core::Addr;

@@ -13,7 +13,7 @@
 //! every reference an object carries into H2 is re-derived into a dirty
 //! card or a cross-region dependency before the object moves.
 
-use super::major::{MajorCycle, RelocState};
+use super::major::{parked, MajorCycle, RelocState};
 use super::schedule::{DOM_H2_CARD, DOM_OBJECT, GRAY_PACKET};
 use super::{walk_h2_card, Work};
 use crate::config::OomError;
@@ -310,6 +310,23 @@ impl SelState {
     pub(super) fn is_idle(&self) -> bool {
         self.groups.is_empty()
     }
+
+    /// A drained selection's buffers, emptied, for the next one.
+    pub(super) fn into_buffers(self) -> SelBuffers {
+        SelBuffers {
+            groups: parked(self.groups),
+            stack: parked(self.stack),
+            deferred: parked(self.deferred),
+        }
+    }
+}
+
+/// The vectors a [`SelState`] grows, kept between cycles.
+#[derive(Default)]
+pub(super) struct SelBuffers {
+    groups: Vec<(u64, u64, bool)>,
+    stack: Vec<Addr>,
+    deferred: Vec<(u64, u64)>,
 }
 
 /// Snapshots the selection policy at mark termination: tagged groups oldest
@@ -323,8 +340,15 @@ impl SelState {
 /// H2 (injected ENOSPC or a write-retry budget exhausted) selects nothing:
 /// promotions park in the old generation — the paper's no-H2 baseline —
 /// for the rest of the run.
-pub(super) fn begin_select(heap: &Heap, live_words: u64, live: &LiveMap) -> Option<SelState> {
+/// The selection grows `buffers` (empty; a drained selection's).
+pub(super) fn begin_select(
+    heap: &Heap,
+    live_words: u64,
+    live: &LiveMap,
+    buffers: SelBuffers,
+) -> Option<SelState> {
     let h2 = heap.h2.as_ref()?;
+    let SelBuffers { mut groups, stack, deferred } = buffers;
     let mut tagged: Vec<(u64, u64)> = Vec::new();
     if !h2.is_degraded() {
         tagged.extend(
@@ -336,9 +360,10 @@ pub(super) fn begin_select(heap: &Heap, live_words: u64, live: &LiveMap) -> Opti
     let capacity = heap.old.capacity_words() as u64;
     let high = TransferPolicy::HIGH;
     let pressure = policy.under_pressure() || live_words as f64 > high * capacity as f64;
+    groups.extend(tagged.into_iter().map(|(l, r)| (l, r, policy.is_requested(Label::new(l)))));
     Some(SelState {
         gi: 0,
-        stack: Vec::new(),
+        stack,
         cur_label: 0,
         cur_counts: false,
         cur_words: 0,
@@ -351,7 +376,7 @@ pub(super) fn begin_select(heap: &Heap, live_words: u64, live: &LiveMap) -> Opti
         // older group still leaves the heap overflowing* (§3.2: the hint
         // exists precisely to avoid device read-modify-writes on groups
         // moved while mutable). Without hints everything marked moves.
-        newest_label: tagged.last().map(|&(l, _)| l).unwrap_or(0),
+        newest_label: groups.last().map(|&(l, _, _)| l).unwrap_or(0),
         pressure_budget: if pressure {
             policy.pressure_budget_words(live_words, capacity)
         } else {
@@ -359,12 +384,9 @@ pub(super) fn begin_select(heap: &Heap, live_words: u64, live: &LiveMap) -> Opti
         },
         moved_words: 0,
         live_words,
-        deferred: Vec::new(),
+        deferred,
         deferred_mode: false,
-        groups: tagged
-            .into_iter()
-            .map(|(l, r)| (l, r, policy.is_requested(Label::new(l))))
-            .collect(),
+        groups,
     })
 }
 
@@ -711,6 +733,11 @@ pub(super) struct Stash {
 }
 
 impl Stash {
+    /// This stash's buffers, emptied.
+    pub(super) fn emptied(self) -> Stash {
+        Stash { words: parked(self.words), meta: parked(self.meta) }
+    }
+
     /// Writes every deferred copy to its destination.
     pub(super) fn flush(&mut self, mem: &mut [u64]) {
         for (dest, off, len) in self.meta.drain(..) {

@@ -107,6 +107,13 @@ impl Pin {
     pub fn class(&self) -> ClassId {
         self.at.class
     }
+
+    /// `(object, first primitive slot, primitive slot count, is an array)`
+    /// as of the last resolution.
+    #[inline]
+    pub(super) fn prim_window(&self) -> (Addr, u64, usize, bool) {
+        (self.at.obj, self.at.prim_base, self.at.prim_len, self.at.is_array())
+    }
 }
 
 impl Heap {
@@ -184,7 +191,7 @@ impl Heap {
     /// happens inside a slice, which bumps the epoch, so the epoch compare
     /// alone decides.
     #[inline]
-    fn refresh(&self, pin: &mut Pin) {
+    pub(super) fn refresh(&self, pin: &mut Pin) {
         if pin.epoch != self.move_epoch {
             self.repin(pin);
         }

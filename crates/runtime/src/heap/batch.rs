@@ -1,0 +1,168 @@
+//! Word batches: runs of mutator word accesses charged as one
+//! `SimClock::charge_batched` — the same nanoseconds and the same number of
+//! charges the per-word accessors make (DESIGN.md §9).
+//!
+//! A batch addresses only [`H1Prims`]: primitive arrays resolved in H1 with
+//! no major cycle in flight. A batch borrows the whole heap, so nothing can
+//! allocate, collect or touch the page cache while it is open; H1 word
+//! accesses emit no events, so landing their sum at the end is
+//! indistinguishable from charging word by word.
+
+use super::{Heap, Pin};
+use teraheap_core::Addr;
+use teraheap_storage::{Category, SimClock};
+
+/// A primitive array's words in H1, as of the heap's move epoch when it was
+/// resolved ([`Heap::h1_prims`]). Stale after any collection: a batch
+/// refuses it then.
+#[derive(Debug, Clone, Copy)]
+pub struct H1Prims {
+    /// First primitive slot and the slot count.
+    base: usize,
+    len: usize,
+    /// The array-length word (0 for a plain object).
+    len_slot: usize,
+    epoch: u64,
+}
+
+/// An open run of H1 word accesses ([`Heap::word_batch`]). Each access
+/// costs what the per-word accessor charges for that word, Memory-mode and
+/// Panthera-NVM premiums included, and counts as one charge; the sum lands
+/// on the clock when the batch is dropped.
+#[derive(Debug)]
+pub struct WordBatch<'h> {
+    mem: &'h mut [u64],
+    clock: &'h SimClock,
+    epoch: u64,
+    word_ns: u64,
+    nvm_base: usize,
+    nvm_ns: u64,
+    /// Accesses so far, and how many of them were at or above `nvm_base`.
+    charges: u64,
+    nvm_charges: u64,
+}
+
+impl WordBatch<'_> {
+    /// Charges one access of the H1 word at `slot`.
+    #[inline(always)]
+    fn charge(&mut self, slot: usize) {
+        self.charges += 1;
+        if slot >= self.nvm_base {
+            self.nvm_charges += 1;
+        }
+    }
+
+    /// The word of primitive slot `idx` of `a`, bounds- and epoch-checked.
+    #[inline(always)]
+    fn slot(&self, a: &H1Prims, idx: usize) -> usize {
+        let len = a.len;
+        assert!(a.epoch == self.epoch, "H1Prims resolved before a collection");
+        assert!(idx < len, "prim index {idx} out of bounds ({len})");
+        a.base + idx
+    }
+
+    /// [`Heap::read_prim_at`] of slot `idx`.
+    #[inline]
+    pub fn read(&mut self, a: &H1Prims, idx: usize) -> u64 {
+        let s = self.slot(a, idx);
+        self.charge(s);
+        self.mem[s]
+    }
+
+    /// [`Heap::write_prim_at`] of slot `idx`.
+    #[inline]
+    pub fn write(&mut self, a: &H1Prims, idx: usize, val: u64) {
+        let s = self.slot(a, idx);
+        self.charge(s);
+        self.mem[s] = val;
+    }
+
+    /// [`Heap::array_len_at`]: a charged load of the length word.
+    #[inline]
+    pub fn array_len(&mut self, a: &H1Prims) -> usize {
+        assert!(a.epoch == self.epoch, "H1Prims resolved before a collection");
+        assert!(a.len_slot != 0, "array_len on non-array");
+        self.charge(a.len_slot);
+        self.mem[a.len_slot] as usize
+    }
+
+    /// Writes the `n` slots from `start` through `fill` (which must
+    /// overwrite all of them), charged as `n` single writes — unlike
+    /// [`Heap::fill_prims_at`], whose H1 run is one charge.
+    pub fn fill(&mut self, a: &H1Prims, start: usize, n: usize, fill: impl FnOnce(&mut [u64])) {
+        if n == 0 {
+            return;
+        }
+        let len = a.len;
+        assert!(a.epoch == self.epoch, "H1Prims resolved before a collection");
+        assert!(n <= len && start <= len - n, "prim range {start}+{n} out of bounds ({len})");
+        let s = a.base + start;
+        self.charges += n as u64;
+        self.nvm_charges += (s + n).saturating_sub(self.nvm_base.max(s)) as u64;
+        fill(&mut self.mem[s..s + n]);
+    }
+}
+
+impl Drop for WordBatch<'_> {
+    fn drop(&mut self) {
+        if self.charges > 0 {
+            let ns = self.charges * self.word_ns + self.nvm_charges * self.nvm_ns;
+            self.clock.charge_batched(Category::Mutator, ns, self.charges);
+        }
+    }
+}
+
+impl Heap {
+    /// `pin`'s primitive slots for a [`WordBatch`], when the object is in
+    /// H1 and no major cycle is in flight; `None` otherwise.
+    #[inline]
+    pub fn h1_prims(&mut self, pin: &mut Pin) -> Option<H1Prims> {
+        self.refresh(pin);
+        let (obj, base, len, array) = pin.prim_window();
+        (self.cycle.is_none() && !obj.is_h2()).then(|| H1Prims {
+            base: base as usize,
+            len,
+            len_slot: if array { obj.raw() as usize + crate::object::HEADER_WORDS } else { 0 },
+            epoch: self.move_epoch,
+        })
+    }
+
+    /// Whether `a` still addresses its object: no collection since it was
+    /// resolved.
+    #[inline]
+    pub fn h1_prims_current(&self, a: &H1Prims) -> bool {
+        a.epoch == self.move_epoch && self.cycle.is_none()
+    }
+
+    /// Opens a [`WordBatch`] over this heap's H1 words.
+    #[inline]
+    pub fn word_batch(&mut self) -> WordBatch<'_> {
+        WordBatch {
+            mem: &mut self.mem,
+            clock: &self.clock,
+            epoch: self.move_epoch,
+            word_ns: self.config.cost.dram_word_ns + self.h1_extra_ns,
+            nvm_base: usize::try_from(self.panthera_nvm_base).unwrap_or(usize::MAX),
+            nvm_ns: self.panthera_extra_ns,
+            charges: 0,
+            nvm_charges: 0,
+        }
+    }
+
+    /// How many primitive slots of `pin` from `idx` on a per-word
+    /// [`Heap::read_prim_at`] (or `write_prim_at`) loop touches as one
+    /// [`Heap::view_prims_at`] (or `fill_prims_at`) run, whatever the loop
+    /// charges between words: [`teraheap_core::H2::run_words_at`] in H2,
+    /// one word in H1, where such a run is one charge and the loop one a
+    /// word (a [`WordBatch`] runs H1 words charge for charge).
+    pub fn prim_run_at(&mut self, pin: &mut Pin, idx: usize) -> usize {
+        self.refresh(pin);
+        let (obj, base, len, _) = pin.prim_window();
+        let rest = len.saturating_sub(idx);
+        if obj.is_h2() {
+            rest.min(self.attached_h2().run_words_at(Addr::new(base + idx as u64)))
+        } else {
+            rest.min(1)
+        }
+    }
+}

@@ -9,13 +9,16 @@
 //!   the uncharged and charged word load/store everything else goes through;
 //! * `alloc` — allocation and the GC entry points;
 //! * `access` — [`Pin`], the field accessors and the write barrier;
+//! * `batch` — [`WordBatch`], runs of H1 word accesses charged in one step;
 //! * `hints` — attaching H2, the placement hints and the charge/span hooks.
 
 mod access;
 mod alloc;
+mod batch;
 mod hints;
 
 pub use access::Pin;
+pub use batch::{H1Prims, WordBatch};
 
 use crate::class::{ClassDesc, ClassId, ClassRegistry};
 use crate::config::{HeapConfig, OomError, VariantPolicy};
@@ -80,6 +83,8 @@ pub struct Heap {
     /// The major cycle's mark bitmap between collections (all-zero, which
     /// the heap checker verifies), recycled instead of reallocated per GC.
     pub(crate) mark_scratch: gc::LiveMap,
+    /// Every other collection buffer between collections, likewise.
+    pub(crate) gc_scratch: gc::GcScratch,
     /// The in-flight major cycle, if one is parked between pause slices
     /// (DESIGN.md §11). Boxed: the cycle state is large and only ever
     /// outlives a collection when slicing is armed.
@@ -146,6 +151,7 @@ impl Heap {
             track_h2_liveness: false,
             in_gc: false,
             mark_scratch: gc::LiveMap::default(),
+            gc_scratch: gc::GcScratch::default(),
             cycle: None,
             pending_oom: None,
             check_enabled: config.heap_check

@@ -158,12 +158,22 @@ pub struct SimDevice {
     capacity: usize,
     /// Bytes ever stored; freed blobs do not give capacity back.
     stored: usize,
+    /// The buffer of the last blob handed back, emptied
+    /// ([`SimDevice::recycle`]).
+    spare: Vec<u8>,
 }
 
 impl SimDevice {
     /// Creates a device that accepts `capacity` bytes over its lifetime.
     pub fn new(spec: DeviceSpec, capacity: usize, clock: Arc<SimClock>) -> Self {
-        SimDevice { spec, stats: Arc::new(IoStats::default()), clock, capacity, stored: 0 }
+        SimDevice {
+            spec,
+            stats: Arc::new(IoStats::default()),
+            clock,
+            capacity,
+            stored: 0,
+            spare: Vec::new(),
+        }
     }
 
     /// The device's latency/bandwidth model.
@@ -197,6 +207,23 @@ impl SimDevice {
         self.clock.emit(EventKind::DeviceWrite { bytes: accessed });
         bytes.reserve_exact(MIN_BLOB_CAPACITY.saturating_sub(bytes.len()));
         Ok(Blob(bytes))
+    }
+
+    /// Takes back a blob its owner is done with, charging nothing: its
+    /// buffer, emptied, is the next [`SimDevice::take_spare`], so the next
+    /// blob is written into pages the last one already faulted in instead
+    /// of a fresh mapping. The device keeps one such buffer, for as long as
+    /// it lives.
+    pub fn recycle(&mut self, blob: Blob) {
+        let mut buffer = blob.0;
+        buffer.clear();
+        self.spare = buffer;
+    }
+
+    /// An empty buffer to write the next blob's bytes into: the last one
+    /// [`SimDevice::recycle`] took back, or a new one.
+    pub fn take_spare(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.spare)
     }
 
     /// Reads `blob` back whole, charging the cost to `cat`, and lends its

@@ -255,16 +255,7 @@ impl SharedDevice {
     /// server-plane constructor; register tenants with
     /// [`SharedDevice::add_tenant`].
     pub fn for_server(spec: DeviceSpec, capacity_bytes: usize) -> Self {
-        SharedDevice {
-            spec,
-            capacity_bytes,
-            inner: Arc::new(Mutex::new(ArbiterState {
-                device_vtime_ns: 0,
-                calendar: Vec::new(),
-                prune_at: PRUNE_FLOOR,
-                tenants: Vec::new(),
-            })),
-        }
+        Self::with_tenants(spec, capacity_bytes, Vec::new())
     }
 
     /// The single-tenant degenerate case: the whole capacity pool is one
@@ -272,10 +263,26 @@ impl SharedDevice {
     /// heap-private device (see the module docs for why the arbiter never
     /// delays a sole tenant).
     pub fn new(spec: DeviceSpec, capacity_bytes: usize, clock: Arc<SimClock>) -> Self {
-        let dev = SharedDevice::for_server(spec, capacity_bytes);
-        dev.add_tenant(clock, capacity_bytes)
-            .expect("single-tenant quota equals capacity; cannot fail");
-        dev
+        let tenant = TenantState {
+            clock,
+            quota_bytes: capacity_bytes,
+            attached: false,
+            io: TenantIo::default(),
+        };
+        Self::with_tenants(spec, capacity_bytes, vec![tenant])
+    }
+
+    fn with_tenants(spec: DeviceSpec, capacity_bytes: usize, tenants: Vec<TenantState>) -> Self {
+        SharedDevice {
+            spec,
+            capacity_bytes,
+            inner: Arc::new(Mutex::new(ArbiterState {
+                device_vtime_ns: 0,
+                calendar: Vec::new(),
+                prune_at: PRUNE_FLOOR,
+                tenants,
+            })),
+        }
     }
 
     /// Registers a tenant whose partition is tiled after the previous

@@ -12,9 +12,10 @@
 //! (a frameless libc leaf such as `memcpy`), the word at the stack pointer
 //! is kept as the caller if it points into that text. Every word is read
 //! through a pipe, so a corrupt chain ends the walk with `EFAULT` instead of
-//! a crash. At exit the samples, `/proc/self/maps` and the process's user
-//! and system CPU ticks are written to the file named by `SIGPROF_OUT`;
-//! without that variable the library does nothing.
+//! a crash. At exit the samples, `/proc/self/maps`, the process's user
+//! and system CPU ticks and its minor and major page faults are written to
+//! the file named by `SIGPROF_OUT`; without that variable the library does
+//! nothing.
 //!
 //! Dump format, one record per line: `H key=value...` (header), `M <maps
 //! line>`, `S <ip> <return address>...` (hexadecimal, innermost first).
@@ -228,12 +229,15 @@ unsafe fn record(slot: &[AtomicU64], gregs: *const u64) {
     slot[0].store(n as u64, Relaxed);
 }
 
-/// `(utime, stime)` of the whole process in clock ticks.
-fn cpu_ticks() -> Option<(u64, u64)> {
+/// `[minflt, majflt, utime, stime]` of the whole process: page faults, then
+/// CPU time in clock ticks.
+fn proc_stat() -> Option<[u64; 4]> {
     let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    // Fields 14 and 15, counted after the parenthesised command name.
-    let mut rest = stat.rsplit_once(')')?.1.split_whitespace().skip(11);
-    Some((rest.next()?.parse().ok()?, rest.next()?.parse().ok()?))
+    // Fields 10, 12, 14 and 15; the first field after the parenthesised
+    // command name is field 3.
+    let fields: Vec<&str> = stat.rsplit_once(')')?.1.split_whitespace().collect();
+    let field = |n: usize| fields.get(n - 3)?.parse().ok();
+    Some([field(10)?, field(12)?, field(14)?, field(15)?])
 }
 
 extern "C" fn dump() {
@@ -246,11 +250,12 @@ extern "C" fn dump() {
     let Ok(file) = std::fs::File::create(path) else { return };
     let mut out = std::io::BufWriter::new(file);
     let taken = NEXT.load(Relaxed).min(MAX_SAMPLES);
-    let (utime, stime) = cpu_ticks().unwrap_or((0, 0));
+    let [minflt, majflt, utime, stime] = proc_stat().unwrap_or([0; 4]);
     // Exit is under way and has no one to report a failed write to.
     let _ = writeln!(
         out,
-        "H samples={taken} dropped={} period_us={PERIOD_US} utime={utime} stime={stime}",
+        "H samples={taken} dropped={} period_us={PERIOD_US} utime={utime} stime={stime} \
+         minflt={minflt} majflt={majflt}",
         DROPPED.load(Relaxed)
     );
     for line in std::fs::read_to_string("/proc/self/maps").unwrap_or_default().lines() {

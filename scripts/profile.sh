@@ -9,7 +9,8 @@
 # LD_PRELOADed, and symbolises the samples with `nm -C`. It prints the top
 # self frames (where the CPU was), the top inclusive frames (what was on the
 # stack), the share of samples with a collector frame (teraheap_runtime::gc)
-# on the stack, the system-time share of the process's CPU time, and a
+# on the stack, the system-time share of the process's CPU time with the
+# process's minor and major page faults (in total and per rep), and a
 # per-crate roll-up, each crate being one layer of the stack. Addresses
 # outside the executable are reported by the mapping they fall in, e.g.
 # [libc.so.6], and their self samples also by the nearest caller inside it.
@@ -33,8 +34,10 @@ bin=$(cd "$target/release" && pwd -P)/teraheap-benchmark
 MALLOC_MMAP_THRESHOLD_=131072 LD_PRELOAD="$tmp/libsigprof.so" SIGPROF_OUT="$tmp/samples" \
     "$bin" --workload "$workload" --seed "$seed" --seconds 10 --trace 0 >"$tmp/result"
 nm -C --defined-only -n "$bin" >"$tmp/symbols"
+# Reps run: the timed ones, from the printed result, and the warm-up.
+reps=$(awk '$1 == "metric" && $2 == "bench.reps" { print $3 + 1 }' "$tmp/result")
 
-awk -v exe="$bin" -v top=25 -v title="$workload seed $seed" '
+awk -v exe="$bin" -v top=25 -v title="$workload seed $seed" -v reps="${reps:-0}" '
 function hex(s,    i, n) {
     n = 0
     for (i = 1; i <= length(s); i++) n = n * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1
@@ -112,8 +115,11 @@ END {
     cpu = header["utime"] + header["stime"]
     printf "profile: %s: %d samples (%d dropped)\n", title, samples, header["dropped"]
     printf "collector share: %s of samples have a teraheap_runtime::gc frame on the stack\n", pct(collector)
-    printf "sys share: %5.1f%% of the process CPU time (utime %d, stime %d ticks)\n",
+    printf "sys share: %5.1f%% of the process CPU time (utime %d, stime %d ticks)",
         cpu ? 100 * header["stime"] / cpu : 0, header["utime"], header["stime"]
+    printf "; faults: %d minor, %d major (%d minor, %d major per rep over %d reps, warm-up included)\n",
+        header["minflt"], header["majflt"],
+        reps ? header["minflt"] / reps : 0, reps ? header["majflt"] / reps : 0, reps
     print "== top self frames =="; ranked(self, top)
     print "== top inclusive frames =="; ranked(inclusive, top)
     print "== self outside the executable, by nearest caller =="; ranked(outside, top)

@@ -123,7 +123,7 @@ panic_sites() {
     done | wc -l
 }
 for bound in crates/runtime/src:8 crates/core/src:0 crates/kryo/src:2 crates/giraph/src:5 \
-    crates/spark/src:7; do
+    crates/spark/src:7 crates/storage/src:1 crates/server/src:2; do
     sites=$(panic_sites "${bound%:*}")
     if (( sites > ${bound#*:} )); then
         echo "ERROR: ${bound%:*} has $sites panic sites outside tests; the ratchet allows ${bound#*:}." >&2
@@ -158,6 +158,8 @@ teraheap_runtime/mutator_programs::spans_arm  §8   over random mutator programs
 teraheap_storage/bulk_equivalence::           §9   touch_run is bit-identical to the word-at-a-time loop: same ns, counters, events
 teraheap_runtime/bulk_equivalence::           §9   programs of the shared mutator language observe and charge the same through the word loop, read_prims/write_prims, view_prims and the pinned *_at accessors: scripted ranges on H1, paged and DAX H2 and across the Panthera NVM boundary, and random programs whose pins ride minor and major GCs, H2 promotion and a sliced cycle in flight
 mini_giraph/charge_pin::                      §9   the superstep loop, message stores and OOC blob path: per-category ns, GC counts, offloads/reloads, charge-call counts, checksum (golden)
+mini_giraph/lib::tests::delivery_oracle::     §9   edge delivery in word-batched runs against the per-edge loop, PR/CDLP/WCC on hinted and hint-less TeraHeap, OOC and two-tenant DAX: breakdown, I/O counters, charge counts, event classes, the event ring, tenant arbitration and checksum all equal
+kryo_sim/lib::tests::a_recycled_blob_buffer_  §9   a consumed blob's buffer serializes the next stream with no stale bytes: the same bytes and length as a fresh stream, in the reused buffer
 mini_spark/charge_pin::                       §9   the scan loops, block manager and dataset loaders: per-category ns, GC and S/D counts, faults, charge-call counts, live roots at exit (golden)
 kryo_sim/stream_pin::                         §9   stream bytes, size estimate and every charge of serialize, serialized_size and deserialize (golden)
 teraheap_storage/lib::fault::tests::parse_     §10  TERAHEAP_FAULTS parsing: the documented keys round-trip; fuzzed strings never panic; an unknown key or a value too large for its u32 field is ignored, never turning a plan off
