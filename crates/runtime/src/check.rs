@@ -200,8 +200,10 @@ impl Heap {
         self.collect_linear(self.eden.base().raw(), self.eden.top().raw(), &mut h1, &mut report, allow_gc_bits)?;
         self.collect_linear(self.from.base().raw(), self.from.top().raw(), &mut h1, &mut report, allow_gc_bits)?;
         // The old generation is indexed by `old_starts` (a linear walk
-        // cannot cross G1 humongous footprint gaps).
+        // cannot cross G1 humongous footprint gaps). Its footprints tile
+        // `[base, top)`, which the major plan's dense prefix relies on.
         let old_top = self.old.top().raw();
+        let mut tiled = self.old.base().raw();
         for (i, &s) in self.old_starts.iter().enumerate() {
             if i > 0 && self.old_starts[i - 1] >= s {
                 return Err(CheckError::UnsortedStarts { space: "old", index: i });
@@ -214,17 +216,15 @@ impl Heap {
             }
             let header = self.mem[s as usize];
             self.check_header(s, header, (old_top - s) as usize, allow_gc_bits)?;
-            let end = s + object::size_of(header) as u64;
-            if let Some(&next) = self.old_starts.get(i + 1) {
-                if end > next {
-                    return Err(CheckError::BadHeader {
-                        addr: s,
-                        detail: "object overlaps the next old-generation object",
-                    });
-                }
+            if s != tiled {
+                return Err(CheckError::UnsortedStarts { space: "old", index: i });
             }
+            tiled = s + self.g1_footprint(object::size_of(header)) as u64;
             h1.insert(s);
             report.h1_objects += 1;
+        }
+        if tiled != old_top {
+            return Err(CheckError::UnsortedStarts { space: "old", index: self.old_starts.len() });
         }
 
         let mut h2set: HashSet<u64> = HashSet::new();

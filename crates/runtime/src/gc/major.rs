@@ -184,6 +184,13 @@ pub(super) struct PlanState {
     assign_idx: usize,
     plan_idx: usize,
     pub(super) new_top: u64,
+    /// The dense prefix (DESIGN.md §7): `heap.old_starts[..prefix_len]`
+    /// are live, stay in H1 and keep their address, so their ranks are
+    /// planned and slid by span. 0 in a sliced cycle.
+    pub(super) prefix_len: usize,
+    /// Where the dense prefix ends (`old_base` when it is empty).
+    pub(super) prefix_end: u64,
+    /// Planned starts of the live old generation past the dense prefix.
     pub(super) new_old_starts: Vec<u64>,
     /// Live words per old-generation G1 region (mixed-collection model),
     /// indexed by region; empty for the other variants.
@@ -331,6 +338,9 @@ impl MajorCycle {
     /// Declares every live object part of the next barrier's coverage
     /// domain: each is planned, adjusted and copied by exactly one unit.
     fn declare_live(&mut self) {
+        if !self.sched.auditing() {
+            return;
+        }
         for src in self.live.sources() {
             self.sched.declare(DOM_OBJECT | src);
         }
@@ -353,8 +363,14 @@ impl MajorCycle {
         }
     }
 
-    /// Raw slot value → logical address (reads from un-moved objects).
+    /// Raw slot value → logical address (reads from un-moved objects): the
+    /// forwarding address of a live H1 object, with no rank lookup inside
+    /// the dense prefix (whose objects stay put); anything else unchanged.
+    #[inline]
     pub(crate) fn canon(&self, v: u64) -> u64 {
+        if v >= self.plan.old_base && v < self.plan.prefix_end {
+            return v;
+        }
         self.live.get(v).unwrap_or(v)
     }
 
@@ -744,7 +760,13 @@ fn finish_select(heap: &mut Heap, cyc: &mut MajorCycle) {
     // planning and the relocation order, and the flip point pins which eden
     // allocations stay put.
     let plan = &mut cyc.plan;
-    plan.new_old_starts.reserve_exact(cyc.live.freeze());
+    let live = cyc.live.freeze();
+    (plan.prefix_len, plan.prefix_end) = if cyc.shape.interleaved || per_object_oracle() {
+        (0, plan.old_base)
+    } else {
+        units::dense_prefix(heap, &cyc.live, &plan.move_order)
+    };
+    plan.new_old_starts.reserve_exact(live - plan.prefix_len);
     plan.flip_top = heap.eden.top().raw();
     plan.new_top = plan.old_base;
     cyc.declare_live();
@@ -787,12 +809,13 @@ fn step_plan(heap: &mut Heap, cyc: &mut MajorCycle) {
 /// One unit of the tail over enumeration ranks `from..to`: pointer
 /// adjustment, the copy, or both fused. H1 copies and slot rewrites carry
 /// the phase's mixed-collection discount (scaled); H2 promotion copies and
-/// NVM penalties are always paid in full (flat).
+/// NVM penalties are always paid in full (flat). A copy-only unit slides
+/// its dense-prefix ranks as one span.
 fn tail_unit(
     heap: &mut Heap,
     cyc: &mut MajorCycle,
     kind: WorkUnitKind,
-    from: usize,
+    mut from: usize,
     to: usize,
     adjust: bool,
     copy: bool,
@@ -801,6 +824,11 @@ fn tail_unit(
     let lane = cyc.sched.begin_unit(&clock, kind);
     let mut uw = Work::default();
     let mut h1_words: u64 = 0;
+    if copy && !adjust && from < cyc.plan.prefix_len {
+        let dense = from..to.min(cyc.plan.prefix_len);
+        from = dense.end;
+        h1_words += units::slide_dense(heap, cyc, dense, &mut uw);
+    }
     for (idx, src) in (from..to).zip(cyc.live.sources_from(from)) {
         cyc.sched.claim(DOM_OBJECT | src);
         let dest = cyc.live.dest(idx);
@@ -910,10 +938,16 @@ fn step_relocate(heap: &mut Heap, cyc: &mut MajorCycle) {
 /// barrier and `GcEnd` happen in the [`run_slice`] epilogue.
 fn retire(heap: &mut Heap, cyc: &mut MajorCycle) {
     cyc.reloc.stash.flush(&mut heap.mem);
-    heap.mark_scratch = std::mem::take(&mut cyc.live).reset();
     heap.old.set_top(Addr::new(cyc.plan.new_top));
-    // The retired index is parked as the next cycle's `new_old_starts`.
-    std::mem::swap(&mut heap.old_starts, &mut cyc.plan.new_old_starts);
+    // The dense prefix keeps its entries and the planned rest replaces the
+    // others. The list is untouched until here, so a plan aborted at an
+    // OOM leaves it valid. It is then cut to its length, as a fresh list
+    // would be: pages a longer list once touched would stay resident.
+    heap.old_starts.truncate(cyc.plan.prefix_len);
+    heap.old_starts.append(&mut cyc.plan.new_old_starts);
+    heap.old_starts.shrink_to_fit();
+    note_retiring(heap, cyc);
+    heap.mark_scratch = std::mem::take(&mut cyc.live).reset();
     if cyc.shape.interleaved {
         // Deadwood: objects in the relocated prefix keep their headers — the
         // linear eden walk stays parsable — but their reference slots are
@@ -939,3 +973,18 @@ fn retire(heap: &mut Heap, cyc: &mut MajorCycle) {
     }
     cyc.done = true;
 }
+
+/// Whether the oracle test has switched the dense prefix off (`k = 0`).
+#[cfg(not(test))]
+fn per_object_oracle() -> bool {
+    false
+}
+
+/// What the oracle test records of a retiring cycle.
+#[cfg(not(test))]
+fn note_retiring(_: &Heap, _: &MajorCycle) {}
+
+#[cfg(test)]
+mod dense_oracle;
+#[cfg(test)]
+use dense_oracle::{note_retiring, per_object_oracle};

@@ -160,6 +160,11 @@ impl Scheduler {
         self.critical_ns() + (self.lanes() as u64 - 1) * self.sync_ns
     }
 
+    /// Whether coverage is audited (the heap checker is armed).
+    pub(crate) fn auditing(&self) -> bool {
+        self.coverage.is_some()
+    }
+
     /// Declares `key` part of the current phase's work domain (no-op unless
     /// auditing).
     pub(crate) fn declare(&mut self, key: u64) {

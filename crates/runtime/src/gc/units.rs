@@ -1,7 +1,7 @@
 //! The work-unit bodies of the major cycle ([`super::major`]): what one
 //! root strip, H2 card chunk, gray packet, selection chunk, H2 assignment,
-//! plan chunk, backward-fix chunk, object adjustment and object move *does*
-//! to the heap and which work counters it bumps.
+//! plan chunk, backward-fix chunk, object adjustment, object move and
+//! dense-prefix slide *does* to the heap and which work counters it bumps.
 //!
 //! Each body exists once. It is handed the range it covers and the
 //! [`Work`] counters of the unit it runs in; it never dispatches, charges or
@@ -13,8 +13,8 @@
 //! every reference an object carries into H2 is re-derived into a dirty
 //! card or a cross-region dependency before the object moves.
 
-use super::major::{parked, MajorCycle, RelocState};
-use super::schedule::{DOM_H2_CARD, DOM_OBJECT, GRAY_PACKET};
+use super::major::{parked, MajorCycle, PlanState, RelocState};
+use super::schedule::{Scheduler, DOM_H2_CARD, DOM_OBJECT, GRAY_PACKET};
 use super::{walk_h2_card, Work};
 use crate::config::OomError;
 use crate::heap::Heap;
@@ -132,6 +132,19 @@ impl LiveMap {
     pub(super) fn set_dest(&mut self, rank: usize, dest: u64) {
         debug_assert_eq!(self.dests[rank], 0, "duplicate forwarding source");
         self.dests[rank] = dest;
+    }
+
+    /// Sets the destinations of the ranks from `rank` on to `dests`.
+    fn set_dests(&mut self, rank: usize, dests: &[u64]) {
+        let slots = &mut self.dests[rank..rank + dests.len()];
+        debug_assert!(slots.iter().all(|&d| d == 0), "duplicate forwarding source");
+        slots.copy_from_slice(dests);
+    }
+
+    /// Every frozen rank's destination, in rank order.
+    #[cfg(test)]
+    pub(super) fn all_dests(&self) -> &[u64] {
+        &self.dests
     }
 
     /// Every marked address in enumeration order (frozen or not).
@@ -538,6 +551,40 @@ fn tag_closure_step(
 
 // ----- pre-compaction ----------------------------------------------------------
 
+/// The dense prefix of a stop-world cycle, at mark termination: the number
+/// `k` of leading `old_starts` entries that are marked and not H2
+/// candidates, and where the last of them ends (`old_starts[k]`, or the old
+/// generation's top). The old generation's footprints tile it from its base
+/// (the heap checker verifies this), so the plan places each of these
+/// objects at its own address and the object-by-object plan and slide
+/// would only write `dest = src`. Under G1 the prefix also stops at the
+/// first humongous object, so a span's words are its objects' words.
+pub(super) fn dense_prefix(heap: &Heap, live: &LiveMap, move_order: &[u64]) -> (usize, u64) {
+    let (starts, old_base) = (&heap.old_starts, heap.old.base().raw());
+    // Old-generation marks sit on object starts only, so `starts[i]` is
+    // marked with every entry before it exactly when it is marked at rank
+    // `i`; that predicate holds on a prefix of the list.
+    let (mut lo, mut hi) = (0, starts.len());
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if live.is_marked(starts[mid]) && live.rank(starts[mid]) == mid {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    let mut k = lo;
+    if let Some(&first) = move_order.iter().filter(|&&a| a >= old_base).min() {
+        k = k.min(starts.partition_point(|&s| s < first));
+    }
+    let end_of = |i: usize| starts.get(i).map_or(heap.old.top().raw(), |&s| s);
+    if let Some(region_words) = heap.policy.g1_region_words {
+        // Exactly a humongous object's footprint reaches half a region.
+        k = (0..k).find(|&i| end_of(i + 1) - starts[i] >= (region_words / 2) as u64).unwrap_or(k);
+    }
+    (k, end_of(k))
+}
+
 /// H2 assignment chunk: bump-allocates H2 addresses for
 /// `move_order[range]`, in closure-discovery order. The region bump
 /// allocation is a cross-object dependency chain, so chunks resume in order
@@ -581,6 +628,11 @@ pub(super) fn plan_chunk(
     range: Range<usize>,
     uw: &mut Work,
 ) -> Result<(), OomError> {
+    let dense = range.start..range.end.min(cyc.plan.prefix_len);
+    if !dense.is_empty() {
+        plan_dense(heap, cyc, dense.clone(), uw);
+    }
+    let range = range.start.max(dense.end)..range.end;
     let (live, old_live) = (cyc.live.len(), cyc.live.old_live());
     for (src, dest) in cyc.live.dests_from(range.start).take(range.len()) {
         cyc.sched.claim(DOM_OBJECT | src);
@@ -621,6 +673,48 @@ pub(super) fn plan_chunk(
         plan.new_top += footprint as u64;
     }
     Ok(())
+}
+
+/// The dense-prefix ranks `ranks` of a plan chunk: each object keeps its
+/// address, so the ranks' destinations are their starts, copied in one go,
+/// and the plan's top jumps to the end of their span.
+fn plan_dense(heap: &Heap, cyc: &mut MajorCycle, ranks: Range<usize>, uw: &mut Work) {
+    let starts = &heap.old_starts[ranks.clone()];
+    let plan = &mut cyc.plan;
+    debug_assert_eq!(plan.new_top, starts[0], "the dense prefix does not tile");
+    claim_dense(&mut cyc.sched, starts);
+    cyc.live.set_dests(ranks.start, starts);
+    uw.objects += starts.len() as u64;
+    let end = dense_end(heap, plan, ranks.end);
+    if let Some(region_words) = heap.policy.g1_region_words {
+        // Each object's words count in the region it starts in.
+        let mut i = 0;
+        while let Some(&s) = starts.get(i) {
+            let region = (s - plan.old_base) / region_words as u64;
+            let next_region = plan.old_base + (region + 1) * region_words as u64;
+            i += starts[i..].partition_point(|&t| t < next_region);
+            plan.g1_region_live[region as usize] += starts.get(i).map_or(end, |&t| t) - s;
+        }
+    }
+    plan.new_top = end;
+}
+
+/// Where the dense-prefix rank `rank` starts, or the prefix end past it.
+fn dense_end(heap: &Heap, plan: &PlanState, rank: usize) -> u64 {
+    if rank < plan.prefix_len {
+        heap.old_starts[rank]
+    } else {
+        plan.prefix_end
+    }
+}
+
+/// The coverage claims of dense-prefix ranks (a loop only under audit).
+fn claim_dense(sched: &mut Scheduler, starts: &[u64]) {
+    if sched.auditing() {
+        for &src in starts {
+            sched.claim(DOM_OBJECT | src);
+        }
+    }
 }
 
 /// The G1 mixed-collection moved-live fraction, in thousandths: live data
@@ -677,7 +771,7 @@ pub(super) fn backward_fix(heap: &mut Heap, cyc: &MajorCycle, slots: &[u64], uw:
         if val == 0 || Addr::new(val).is_h2() {
             continue;
         }
-        let new_val = cyc.live.get(val).unwrap_or(val);
+        let new_val = cyc.canon(val);
         if new_val != val {
             h2.write_word(slot, new_val, Category::MajorGc);
         }
@@ -701,7 +795,7 @@ pub(super) fn adjust_object(heap: &mut Heap, cyc: &MajorCycle, src: u64, dest: u
         uw.adjusted_refs += 1;
         uw.extra_ns += heap.h1_word_extra_ns(Addr::new(s));
         // H2 objects never move.
-        let new_val = if Addr::new(val).is_h2() { val } else { cyc.live.get(val).unwrap_or(val) };
+        let new_val = if Addr::new(val).is_h2() { val } else { cyc.canon(val) };
         heap.mem[s as usize] = new_val;
         let new_target = Addr::new(new_val);
         let dest_slot = Addr::new(dest + (s - src));
@@ -794,6 +888,27 @@ pub(super) fn move_object(
         reloc.stash.words.extend_from_slice(&heap.mem[src_i..src_end]);
         reloc.stash.meta.push((dest, reloc.stash.words.len() - size, size));
     }
+}
+
+/// The copy of the dense-prefix ranks `ranks`: nothing moves, so their span
+/// is counted as copied H1 words, each object paying its start's NVM
+/// penalty as [`move_object`] charges it, without visiting an object.
+/// Returns the words.
+pub(super) fn slide_dense(
+    heap: &Heap,
+    cyc: &mut MajorCycle,
+    ranks: Range<usize>,
+    uw: &mut Work,
+) -> u64 {
+    let starts = &heap.old_starts[ranks.clone()];
+    claim_dense(&mut cyc.sched, starts);
+    let end = dense_end(heap, &cyc.plan, ranks.end);
+    let words = end - starts[0];
+    uw.copied_words += words;
+    let first_nvm = starts.partition_point(|&s| s < heap.panthera_nvm_base);
+    let nvm_words = starts.get(first_nvm).map_or(0, |&s| end - s);
+    uw.extra_ns += heap.h1_extra_ns * words + heap.panthera_extra_ns * nvm_words;
+    words
 }
 
 /// Uncharged full trace through both heaps recording per-H2-region live

@@ -398,10 +398,11 @@ fn pagerank(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, OomError
     let blocks = build_graph(ctx, &g)?;
     let n = g.vertices();
     let mut ranks = vec![1.0f64; n];
+    let mut contrib = vec![0.0f64; n];
     with_held(ctx, |ctx, arrays| {
         for _ in 0..ctx.config.iterations {
             let _stage = ctx.heap.span(SpanKind::Stage);
-            let mut contrib = vec![0.0f64; n];
+            contrib.fill(0.0);
             for_each_vertex(ctx, &blocks, |heap, v, edges| {
                 let id = heap.read_prim_at(v, 0) as usize;
                 let deg = heap.array_len_at(edges);
@@ -439,10 +440,11 @@ fn connected_components(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f
     // Vertex ids are `u32` in the dataset; labels are vertex ids.
     assert!(n <= u32::MAX as usize, "vertex ids must fit u32");
     let mut labels: Vec<u32> = (0..n as u32).collect();
+    let mut next = labels.clone();
     with_held(ctx, |ctx, arrays| {
         for _ in 0..ctx.config.iterations * 2 {
             let _stage = ctx.heap.span(SpanKind::Stage);
-            let mut next = labels.clone();
+            next.copy_from_slice(&labels);
             let mut changed = false;
             for_each_vertex(ctx, &blocks, |heap, v, edges| {
                 let id = heap.read_prim_at(v, 0) as usize;
@@ -462,7 +464,7 @@ fn connected_components(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f
                 }
                 heap.charge_ops(deg as u64 + 1);
             })?;
-            labels = next;
+            std::mem::swap(&mut labels, &mut next);
             renew_iteration_arrays(ctx, arrays, n / ctx.config.partitions + 1)?;
             ctx.charge_shuffle(g.edge_count() as u64 / 2)?;
             if !changed {
@@ -815,11 +817,13 @@ fn relational(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, OomErr
     // held until the query completes — the working set that makes RDD-RL
     // memory-hungry in the paper.
     let mut result = 0.0f64;
+    let mut sums = vec![0u64; data.distinct_keys];
+    let mut pairs: Vec<(u64, u64)> = Vec::new();
     for q in 0..ctx.config.iterations {
         let _stage = ctx.heap.span(SpanKind::Stage);
         let threshold = 720_000u64;
-        let mut sums = vec![0u64; data.distinct_keys];
-        let mut pairs: Vec<(u64, u64)> = Vec::new();
+        sums.fill(0);
+        pairs.clear();
         for &b in &blocks {
             with_block(ctx, b, |heap, [keys, vals]| {
                 let n = heap.array_len_at(keys);

@@ -14,6 +14,15 @@
 # per-crate roll-up, each crate being one layer of the stack. Addresses
 # outside the executable are reported by the mapping they fall in, e.g.
 # [libc.so.6], and their self samples also by the nearest caller inside it.
+#
+# It also writes target/profile/<workload>.folded: one line per sample, the
+# stack's frames outermost first joined by `;` (a `;` inside a frame name
+# becomes `,`), then a count of 1 — the folded form flame-graph tools read.
+# Grep it to split a share by caller, e.g. the collector's samples under
+# Spark-SD's BlockManager frames by innermost collector function:
+#
+#   grep BlockManager target/profile/spark_batch.folded | grep 'gc::' |
+#       sed -E 's/.*(gc::[a-z]+::[a-z_]+).*/\1/' | sort | uniq -c | sort -rn
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -37,7 +46,9 @@ nm -C --defined-only -n "$bin" >"$tmp/symbols"
 # Reps run: the timed ones, from the printed result, and the warm-up.
 reps=$(awk '$1 == "metric" && $2 == "bench.reps" { print $3 + 1 }' "$tmp/result")
 
-awk -v exe="$bin" -v top=25 -v title="$workload seed $seed" -v reps="${reps:-0}" '
+folded="$target/$workload.folded"
+: >"$folded"
+awk -v exe="$bin" -v top=25 -v title="$workload seed $seed" -v reps="${reps:-0}" -v folded="$folded" '
 function hex(s,    i, n) {
     n = 0
     for (i = 1; i <= length(s); i++) n = n * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1
@@ -97,9 +108,11 @@ FNR == NR {
 /^S / {
     samples++
     split("", seen); split("", crates_seen)
-    gc = 0; outer = ""
+    gc = 0; outer = ""; stack = ""
     for (i = 2; i <= NF; i++) {
         name = resolve($i, i == 2)
+        frame = name; gsub(/;/, ",", frame)
+        stack = i == 2 ? frame : frame ";" stack
         if (i == 2) { self[name]++; crate_self[crate(name)]++ }
         # A leaf outside the executable is charged to its nearest caller in it.
         if (i == 2 && name ~ /^\[/) outer = name
@@ -110,6 +123,7 @@ FNR == NR {
         if (name ~ /teraheap_runtime::gc::/) gc = 1
     }
     collector += gc
+    print stack " 1" > folded
 }
 END {
     cpu = header["utime"] + header["stime"]
@@ -125,4 +139,5 @@ END {
     print "== self outside the executable, by nearest caller =="; ranked(outside, top)
     print "== per crate, self =="; ranked(crate_self, top)
     print "== per crate, inclusive =="; ranked(crate_incl, top)
+    printf "folded stacks: %s\n", folded
 }' "$tmp/symbols" "$tmp/samples"

@@ -152,6 +152,7 @@ teraheap_storage/lib::mmap::reference::       §7   the page table + intrusive l
 teraheap_storage/page_cache::                  §7   the dead-region sweep's discard: it forgets readahead heads inside the range, drops the most recent page, writes nothing back, and the re-fault costs what the first fault did; an armed zero-rate plane charges what no plane does
 teraheap_workloads/lib::reference::           §7   the power-law generator written straight into CSR gives the two-pass generator's edge list and counting-sort adjacency, at 2-3,000 vertices and 1-40 edges per vertex
 teraheap_runtime/lib::gc::units::reference::  §7   the mark bitmap scan is the live set in relocation order; its rank-indexed forwarding answers every probe like the direct-mapped reference table
+teraheap_runtime/lib::gc::major::dense_oracle:: §7  a stop-world cycle planning and sliding its dense prefix by span gives the per-object cycle's clock totals, events, forwarding addresses, start lists and heap words: PS, G1, Panthera and Memory mode at 1 and 4 lanes, a low-yield heap whose prefix holds most live objects, and the armed checker's coverage audit
 teraheap_runtime/trace_equivalence::          §8   tracing observes the clock and never advances it, on the mixed workload the gc_equivalence golden pins
 teraheap_obs/lib::tests::ring_counts_         §8   the recorder's one lock: after every emit, resize, level flip or clear, emitted = ring length + dropped = sum of per-class counts, and ring seqs are contiguous
 teraheap_runtime/mutator_programs::spans_arm  §8   over random mutator programs, spans nest per slot and major-GC phases occur only inside a major GC
