@@ -1149,7 +1149,7 @@ mod tests {
     mod delivery_oracle {
         use super::*;
         use teraheap_runtime::obs::{Event, Level};
-        use teraheap_runtime::TenantIo;
+        use teraheap_runtime::{GcVariant, MemoryMode, TenantIo};
         use teraheap_storage::{Breakdown, Category, IoStats};
         use teraheap_util::prop_assert_eq;
         use teraheap_util::proptest_mini::{any_u64, check, range_usize, CaseResult, Config};
@@ -1165,10 +1165,23 @@ mod tests {
             /// Optane H2 on a device shared with a tenant that ran first,
             /// so every DAX word meets the arbiter with bookings to dodge.
             DaxShared,
+            /// In-memory Giraph with the whole heap in NVM Memory mode:
+            /// every H1 word pays the miss premium.
+            MemoryMode,
+            /// In-memory Giraph under Panthera, whose NVM boundary lies
+            /// inside the old generation: the pretenured edge arrays and
+            /// message stores straddle it or lie past it.
+            Panthera,
         }
 
-        const SETUPS: [Setup; 4] =
-            [Setup::TeraHeap, Setup::TeraHeapNoHint, Setup::Ooc, Setup::DaxShared];
+        const SETUPS: [Setup; 6] = [
+            Setup::TeraHeap,
+            Setup::TeraHeapNoHint,
+            Setup::Ooc,
+            Setup::DaxShared,
+            Setup::MemoryMode,
+            Setup::Panthera,
+        ];
 
         fn config(setup: Setup) -> GiraphConfig {
             let h2 = |resident_kb: usize| {
@@ -1197,6 +1210,26 @@ mod tests {
                 Setup::DaxShared => (
                     HeapConfig::with_words(8 << 10, 24 << 10),
                     GiraphMode::TeraHeap { h2: h2(64), device: DeviceSpec::optane_nvm() },
+                ),
+                Setup::MemoryMode => (
+                    HeapConfig {
+                        memory_mode: Some(MemoryMode {
+                            nvm: DeviceSpec::optane_nvm(),
+                            miss_percent: 40,
+                        }),
+                        ..HeapConfig::with_words(16 << 10, 96 << 10)
+                    },
+                    GiraphMode::InMemory,
+                ),
+                Setup::Panthera => (
+                    HeapConfig {
+                        variant: GcVariant::Panthera {
+                            old_dram_words: 8 << 10,
+                            nvm: DeviceSpec::optane_nvm(),
+                        },
+                        ..HeapConfig::with_words(16 << 10, 96 << 10)
+                    },
+                    GiraphMode::InMemory,
                 ),
             };
             let mut cfg = GiraphConfig::small(mode);
@@ -1275,7 +1308,7 @@ mod tests {
             let io = match (&ctx.device, ctx.heap.h2()) {
                 (Some(device), _) => io(device.stats()),
                 (None, Some(h2)) => io(h2.mmap().stats()),
-                (None, None) => unreachable!("every setup has a device"),
+                (None, None) => [0; 8],
             };
             Observed {
                 breakdown: clock.breakdown(),
@@ -1315,9 +1348,10 @@ mod tests {
             );
             // Every setup took the paths it exists for.
             let covered = covered.get();
-            let [th, no_hint, ooc, dax] = covered;
+            let [th, no_hint, ooc, dax, mo, panthera] = covered;
             assert!(th[2] > 0 && ooc[1] > 0 && dax[2] > 0, "{covered:?}");
             assert!(no_hint[3] > 0, "no store moved mid-superstep: {covered:?}");
+            assert!(mo[1] > 0 && panthera[1] > 0, "no run under an H1 premium: {covered:?}");
         }
     }
 }

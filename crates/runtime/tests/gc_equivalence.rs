@@ -2,7 +2,8 @@
 //! change *simulated* behaviour by a single nanosecond. One table-driven
 //! test runs a mixed minor/major/H2 workload over the collector's
 //! configuration product — variant x `gc_threads` x pause budget x armed
-//! fault plane, plus two H2 geometries, see [`arms`] — and checks the
+//! fault plane, plus two H2 geometries and NVM Memory mode, see [`arms`] —
+//! and checks the
 //! object-graph checksum, the `GcStats` counters and phase breakdowns, and
 //! the `SimClock` totals of every arm against its row of
 //! `tests/golden/gc_equivalence.txt` (`teraheap_util::golden`).
@@ -18,7 +19,7 @@ use common::{
     DEFAULT_ARM,
 };
 use teraheap_core::H2Config;
-use teraheap_runtime::{GcVariant, Handle, Heap, HeapConfig};
+use teraheap_runtime::{GcVariant, Handle, Heap, HeapConfig, MemoryMode};
 use teraheap_storage::{Category, DeviceSpec, FaultPlan, SharedDevice};
 use teraheap_util::golden::Golden;
 
@@ -122,19 +123,23 @@ struct Arm {
     /// cache's spike and retry rolls, H2's promotion-flush roll).
     fault_plane: bool,
     geometry: Geometry,
+    /// Runs the whole heap in NVM Memory mode (the paper's Spark-MO
+    /// baseline): every H1 word pays the amortized miss premium.
+    memory_mode: bool,
 }
 
 impl Arm {
     /// The arm's name in the golden file.
     fn name(&self) -> String {
-        let Arm { variant, gc_threads, pause_budget_ns, fault_plane, geometry } = self;
+        let Arm { variant, gc_threads, pause_budget_ns, fault_plane, geometry, memory_mode } = self;
         let plane = if *fault_plane { "-faultplane" } else { "" };
+        let mode = if *memory_mode { "-memorymode" } else { "" };
         let geometry = match geometry {
             Geometry::Workload => "",
             Geometry::PaperCard => "-card8k",
             Geometry::Dax => "-dax",
         };
-        format!("{variant:?}-t{gc_threads}-b{pause_budget_ns}{plane}{geometry}")
+        format!("{variant:?}-t{gc_threads}-b{pause_budget_ns}{plane}{geometry}{mode}")
     }
 
     fn config(&self, heap_check: bool) -> HeapConfig {
@@ -146,13 +151,17 @@ impl Arm {
                 GcVariant::Panthera { old_dram_words: 1 << 10, nvm: DeviceSpec::optane_nvm() }
             }
         };
-        HeapConfig::builder(24 << 10, old_words)
+        let config = HeapConfig::builder(24 << 10, old_words)
             .variant(variant)
             .gc_threads(self.gc_threads)
             .pause_budget_ns(self.pause_budget_ns)
             .heap_check(heap_check)
             .build()
-            .expect("golden arm config is valid")
+            .expect("golden arm config is valid");
+        let memory_mode = self
+            .memory_mode
+            .then_some(MemoryMode { nvm: DeviceSpec::optane_nvm(), miss_percent: 40 });
+        HeapConfig { memory_mode, ..config }
     }
 
     fn capture(&self, heap_check: bool) -> Snapshot {
@@ -171,7 +180,8 @@ impl Arm {
 
 /// The configuration product: variant x `gc_threads` x pause budget x fault
 /// plane (only Parallel Scavenge slices) on the workload's H2, then the
-/// default configuration on the other two [`Geometry`]s. The first arm is
+/// default configuration on the other two [`Geometry`]s and in Memory mode.
+/// The first arm is
 /// the default configuration, [`DEFAULT_ARM`] — the row
 /// `crates/query/tests/gc_equivalence.rs` reads too.
 fn arms() -> Vec<Arm> {
@@ -181,8 +191,15 @@ fn arms() -> Vec<Arm> {
         for gc_threads in [1, 4] {
             for &pause_budget_ns in budgets(variant) {
                 for fault_plane in [false, true] {
-                    let geometry = Geometry::Workload;
-                    arms.push(Arm { variant, gc_threads, pause_budget_ns, fault_plane, geometry });
+                    let (geometry, memory_mode) = (Geometry::Workload, false);
+                    arms.push(Arm {
+                        variant,
+                        gc_threads,
+                        pause_budget_ns,
+                        fault_plane,
+                        geometry,
+                        memory_mode,
+                    });
                 }
             }
         }
@@ -190,6 +207,7 @@ fn arms() -> Vec<Arm> {
     for geometry in [Geometry::PaperCard, Geometry::Dax] {
         arms.push(Arm { geometry, ..arms[0] });
     }
+    arms.push(Arm { memory_mode: true, ..arms[0] });
     assert_eq!(arms[0].name(), DEFAULT_ARM);
     arms
 }
