@@ -47,6 +47,7 @@
 //! ```
 
 use std::cell::Cell;
+use teraheap_runtime::gc::parked;
 use teraheap_runtime::{Handle, Heap, OomError, Pin, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
 use teraheap_storage::{Blob, Category, SimDevice};
 
@@ -156,21 +157,6 @@ thread_local! {
 /// `(object, field, target + 1)`: a reference store deferred until every
 /// object of the stream exists (all three are `u32`s in the stream).
 type PendingRef = (u32, u32, u32);
-
-/// The largest buffer kept parked. A parked buffer keeps the pages it
-/// touched resident until the next call on its thread, in whatever
-/// simulation that is, so the bound keeps one large stream (a partition's
-/// edges) from raising a later simulation's peak.
-const PARKED_MAX_BYTES: usize = 256 << 10;
-
-/// `v` emptied, if its capacity is small enough to park.
-fn parkable<T>(mut v: Vec<T>) -> Vec<T> {
-    if v.capacity() * std::mem::size_of::<T>() > PARKED_MAX_BYTES {
-        return Vec::new();
-    }
-    v.clear();
-    v
-}
 
 /// The depth-first walk over a root's transitive closure that [`serialize`]
 /// and [`serialized_size`] share. A walk performs no heap allocation, so
@@ -286,7 +272,7 @@ fn serialize_into(heap: &mut Heap, root: Handle, mut out: Vec<u8>) -> Result<Vec
     }
     let objects = order.len();
     walk.release(heap);
-    PARKED_EMIT.set((parkable(order), parkable(stream_index)));
+    PARKED_EMIT.set((parked(order), parked(stream_index)));
     // Temporary-object pressure: Kryo-style buffers allocated on the heap
     // in proportion to the serialized volume.
     for _ in 0..objects.div_ceil(TEMP_EVERY_OBJECTS) {
@@ -317,7 +303,7 @@ pub fn deserialize(heap: &mut Heap, bytes: &[u8]) -> Result<Handle, OomError> {
         heap.release(h);
     }
     let root = rebuilt.map(|()| handles[0]);
-    PARKED_REBUILD.set((parkable(handles), parkable(pending_refs)));
+    PARKED_REBUILD.set((parked(handles), parked(pending_refs)));
     root
 }
 

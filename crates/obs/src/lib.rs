@@ -354,8 +354,8 @@ pub enum EventKind {
     /// before service, charged to the waiting tenant.
     DeviceQueued { wait_ns: u64 },
     /// A server scheduling decision for tenant `tenant`: one job round
-    /// granted. `admitted` is always true; the server grants by clock alone.
-    TenantSched { tenant: u32, admitted: bool },
+    /// granted (the server grants by clock alone, so every decision is one).
+    TenantSched { tenant: u32 },
     /// Nothing emits this any more (H2 pretenuring is gone); kept because
     /// the repo benchmark still matches on it.
     Pretenure { label: u64, words: u64 },
@@ -784,7 +784,7 @@ mod tests {
             EventKind::SliceEnd { phase, units: 0 },
             EventKind::WriteBarrierRemember { root: false },
             EventKind::DeviceQueued { wait_ns: 0 },
-            EventKind::TenantSched { tenant: 0, admitted: true },
+            EventKind::TenantSched { tenant: 0 },
             EventKind::Pretenure { label: 0, words: 0 },
             EventKind::PlacementDecision { rdd: 0, partition: 0, choice: 0 },
             EventKind::BlockSerde { deser: false, bytes: 0 },

@@ -94,8 +94,8 @@ fn json_fields(kind: &EventKind) -> String {
         EventKind::DeviceQueued { wait_ns } => {
             format!("\"kind\":\"{name}\",\"wait_ns\":{wait_ns}")
         }
-        EventKind::TenantSched { tenant, admitted } => {
-            format!("\"kind\":\"{name}\",\"tenant\":{tenant},\"admitted\":{admitted}")
+        EventKind::TenantSched { tenant } => {
+            format!("\"kind\":\"{name}\",\"tenant\":{tenant}")
         }
         EventKind::Pretenure { label, words } => {
             format!("\"kind\":\"{name}\",\"label\":{label},\"words\":{words}")

@@ -268,34 +268,32 @@ pub fn run_query_plane(cfg: &QueryPlaneConfig) -> Result<QueryReport, OomError> 
         tenants.push(build_tenant(heap, cfg.chunk_rows, &contents)?);
     }
 
-    // Session state: the op ids it will replay, and its next issue time
-    // (staggered so the arrival process isn't a thundering herd).
+    // Session state: the next op id it replays (session `s` replays ops `s`,
+    // `s + sessions`, ...), and its next issue time (staggered so the
+    // arrival process isn't a thundering herd).
     struct Sess {
         ready_ns: u64,
-        ops: std::collections::VecDeque<usize>,
+        next_op: usize,
     }
     let mut sessions: Vec<Sess> = (0..cfg.sessions)
-        .map(|s| Sess {
-            ready_ns: s as u64 * cfg.think_ns / cfg.sessions as u64,
-            ops: std::collections::VecDeque::new(),
-        })
+        .map(|s| Sess { ready_ns: s as u64 * cfg.think_ns / cfg.sessions as u64, next_op: s })
         .collect();
-    for i in 0..cfg.total_ops {
-        sessions[i % cfg.sessions].ops.push_back(i);
-    }
 
     let mut all = LatencyHistogram::new();
     let mut per_kind = [LatencyHistogram::new(), LatencyHistogram::new(), LatencyHistogram::new()];
     let mut results: Vec<(u64, u64)> = vec![(0, 0); cfg.total_ops];
     let mut makespan_ns = 0u64;
 
-    // Discrete-event loop: each step serves the session with the earliest
-    // pending issue time.
-    while let Some(s) = (0..cfg.sessions)
-        .filter(|&s| !sessions[s].ops.is_empty())
-        .min_by_key(|&s| (sessions[s].ready_ns, s))
+    // Discrete-event loop: each step serves the next op of the session with
+    // the earliest pending issue time.
+    while let Some((_, s, i)) = sessions
+        .iter()
+        .enumerate()
+        .filter(|(_, sess)| sess.next_op < cfg.total_ops)
+        .map(|(s, sess)| (sess.ready_ns, s, sess.next_op))
+        .min()
     {
-        let i = sessions[s].ops.pop_front().expect("non-empty");
+        sessions[s].next_op += cfg.sessions;
         let spec = &specs[i];
         let t = s % cfg.tenants;
         let tenant = &mut tenants[t];

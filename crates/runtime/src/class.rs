@@ -2,9 +2,9 @@
 //!
 //! Every object carries a class id in its header; the class descriptor says
 //! how many reference fields and primitive words the object has (references
-//! first, by convention), plus the two exclusion flags the paper's
-//! transitive-closure computation respects (§3.2): JVM metadata objects and
-//! `java.lang.ref.Reference`-like objects are never moved to H2.
+//! first, by convention). No framework here allocates JVM metadata or
+//! `java.lang.ref.Reference`-like objects, so the paper's exclusion of them
+//! from H2 closures (§3.2) has nothing to exclude (DESIGN.md §1).
 
 /// Identifier of a registered class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -18,7 +18,7 @@ pub const PRIM_ARRAY_CLASS: ClassId = ClassId(2);
 
 const FIRST_USER_CLASS: u16 = 3;
 
-/// Descriptor of one class: field layout and H2-exclusion flags.
+/// Descriptor of one class: its field layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassDesc {
     /// Human-readable name (diagnostics only).
@@ -27,12 +27,6 @@ pub struct ClassDesc {
     pub ref_fields: usize,
     /// Number of primitive words (laid out after the references).
     pub prim_fields: usize,
-    /// Whether this models a `java.lang.ref.Reference` subclass, which
-    /// TeraHeap excludes from H2 transitive closures (§3.2).
-    pub is_reference_kind: bool,
-    /// Whether this models JVM metadata (class objects, class loaders),
-    /// also excluded from H2 transitive closures (§3.2).
-    pub is_metadata: bool,
 }
 
 impl ClassDesc {
@@ -52,40 +46,21 @@ pub struct ClassRegistry {
 impl ClassRegistry {
     /// Creates a registry pre-populated with the built-in array classes.
     pub fn new() -> Self {
-        let stub = |name: &str| ClassDesc {
-            name: name.to_string(),
-            ref_fields: 0,
-            prim_fields: 0,
-            is_reference_kind: false,
-            is_metadata: false,
-        };
-        ClassRegistry {
-            classes: vec![stub("<null>"), stub("Object[]"), stub("word[]")],
-        }
+        let stub = |name: &str| ClassDesc { name: name.to_string(), ref_fields: 0, prim_fields: 0 };
+        ClassRegistry { classes: vec![stub("<null>"), stub("Object[]"), stub("word[]")] }
     }
 
-    /// Registers a plain data class with `ref_fields` references and
-    /// `prim_fields` primitive words. Returns its id.
-    pub fn register(&mut self, name: &str, ref_fields: usize, prim_fields: usize) -> ClassId {
-        self.register_full(ClassDesc {
-            name: name.to_string(),
-            ref_fields,
-            prim_fields,
-            is_reference_kind: false,
-            is_metadata: false,
-        })
-    }
-
-    /// Registers a fully-specified class descriptor. Returns its id.
+    /// Registers a class with `ref_fields` references and `prim_fields`
+    /// primitive words. Returns its id.
     ///
     /// # Panics
     ///
     /// Panics if more than `u16::MAX` classes are registered.
-    pub fn register_full(&mut self, desc: ClassDesc) -> ClassId {
+    pub fn register(&mut self, name: &str, ref_fields: usize, prim_fields: usize) -> ClassId {
         let id = self.classes.len();
         assert!(id <= u16::MAX as usize, "class registry full");
         assert!(id >= FIRST_USER_CLASS as usize);
-        self.classes.push(desc);
+        self.classes.push(ClassDesc { name: name.to_string(), ref_fields, prim_fields });
         ClassId(id as u16)
     }
 
@@ -133,18 +108,5 @@ mod tests {
         assert_eq!(c, ClassId(3));
         assert_eq!(r.get(c).ref_fields, 2);
         assert_eq!(r.get(c).instance_words(), 2 + 2 + 1);
-    }
-
-    #[test]
-    fn exclusion_flags_round_trip() {
-        let mut r = ClassRegistry::new();
-        let c = r.register_full(ClassDesc {
-            name: "WeakRef".into(),
-            ref_fields: 1,
-            prim_fields: 0,
-            is_reference_kind: true,
-            is_metadata: false,
-        });
-        assert!(r.get(c).is_reference_kind);
     }
 }

@@ -118,6 +118,64 @@ impl MemoryMode {
     }
 }
 
+/// What the mutator pays to access an H1 word, in simulated ns: DRAM plus
+/// a premium, Memory mode's on every word and Panthera's on the words past
+/// its NVM boundary. A collector pays only the premium, and an object its
+/// start's on every word. Built once per heap; every H1 charge asks it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct H1Price {
+    dram_ns: u64,
+    /// Memory mode's premium; the first Panthera NVM word (`u64::MAX`
+    /// without Panthera) and the premium past it.
+    mode_ns: u64,
+    nvm_base: u64,
+    nvm_ns: u64,
+}
+
+impl H1Price {
+    /// The price under `config` and its `policy`, for an old generation
+    /// starting at `old_base`.
+    pub(crate) fn new(config: &HeapConfig, policy: &VariantPolicy, old_base: u64) -> Self {
+        let (nvm_base, nvm_ns) =
+            policy.panthera_nvm.map_or((u64::MAX, 0), |(dram, ns)| (old_base + dram as u64, ns));
+        let mode_ns = config.memory_mode.map_or(0, |m| m.extra_ns_per_word());
+        H1Price { dram_ns: config.cost.dram_word_ns, mode_ns, nvm_base, nvm_ns }
+    }
+
+    /// The premium of the word at `addr`.
+    #[inline(always)]
+    pub(crate) fn premium(&self, addr: u64) -> u64 {
+        self.mode_ns + if addr >= self.nvm_base { self.nvm_ns } else { 0 }
+    }
+
+    /// One access of the word at `addr`.
+    #[inline(always)]
+    pub(crate) fn word(&self, addr: u64) -> u64 {
+        self.dram_ns + self.premium(addr)
+    }
+
+    /// One access of each of the `n` words from `base`.
+    #[inline]
+    pub(crate) fn words(&self, base: u64, n: u64) -> u64 {
+        let nvm_words = (base + n).saturating_sub(self.nvm_base.max(base));
+        n * (self.dram_ns + self.mode_ns) + nvm_words * self.nvm_ns
+    }
+
+    /// The premium of the `words`-word object at `start`.
+    #[inline]
+    pub(crate) fn object_premium(&self, start: u64, words: u64) -> u64 {
+        self.premium(start) * words
+    }
+
+    /// [`H1Price::object_premium`] summed over the adjacent objects at
+    /// `starts` (ascending, not empty), the last ending at `end`.
+    pub(crate) fn objects_premium(&self, starts: &[u64], end: u64) -> u64 {
+        let first_nvm = starts.partition_point(|&s| s < self.nvm_base);
+        let nvm_words = starts.get(first_nvm).map_or(0, |&s| end - s);
+        (end - starts[0]) * self.mode_ns + nvm_words * self.nvm_ns
+    }
+}
+
 /// Full heap configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeapConfig {

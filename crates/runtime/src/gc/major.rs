@@ -59,7 +59,7 @@ use super::schedule::{
     Scheduler, DOM_H2_CARD, DOM_OBJECT, GRAY_PACKET, H2_CARD_CHUNK, OBJECT_CHUNK, ROOT_STRIP,
 };
 use super::units::{self, LiveMap, SelState, Stash};
-use super::Work;
+use super::{parked, Work};
 use crate::config::OomError;
 use crate::heap::Heap;
 use crate::object;
@@ -250,21 +250,6 @@ impl RelocState {
             ..RelocState::default()
         }
     }
-}
-
-/// The largest buffer a heap keeps between collections. A kept buffer keeps
-/// the pages it touched resident, so one cycle's outlier (the candidate
-/// list of a whole graph's edges moving at once) is dropped.
-const PARKED_MAX_BYTES: usize = 256 << 10;
-
-/// `v` emptied with its capacity kept, or dropped if that is over
-/// [`PARKED_MAX_BYTES`].
-pub(super) fn parked<T>(mut v: Vec<T>) -> Vec<T> {
-    if v.capacity() * std::mem::size_of::<T>() > PARKED_MAX_BYTES {
-        return Vec::new();
-    }
-    v.clear();
-    v
 }
 
 /// A retired cycle's states, buffers emptied, kept by the heap

@@ -93,7 +93,7 @@ pub(crate) fn minor_gc(heap: &mut Heap, cause: GcCause) {
     heap.from.reset();
     std::mem::swap(&mut heap.from, &mut heap.to);
     heap.stats.lane_stall_ns += sched.barrier(&clock, Category::MinorGc, "minor:drain");
-    heap.gc_scratch.worklist = super::major::parked(worklist);
+    heap.gc_scratch.worklist = super::parked(worklist);
 
     let duration = heap.clock.total_ns() - start_ns;
     heap.stats.minor_count += 1;
@@ -136,7 +136,7 @@ fn copy_young(heap: &mut Heap, addr: Addr, work: &mut Work, worklist: &mut Vec<A
     heap.mem[src_i] = object::forwarding_header(dest.raw());
     work.objects += 1;
     work.copied_words += size as u64;
-    work.extra_ns += heap.h1_word_extra_ns(dest) * size as u64;
+    work.extra_ns += heap.h1_price.object_premium(dest.raw(), size as u64);
     worklist.push(dest);
     dest
 }

@@ -15,6 +15,23 @@ mod units;
 
 pub(crate) use units::LiveMap;
 
+/// The largest buffer kept between uses. A kept buffer keeps the pages it
+/// touched resident until its next use, so one outlier (the candidate list
+/// of a whole graph's edges moving at once, a partition's edge stream) is
+/// dropped instead of raising a later run's peak.
+const PARKED_MAX_BYTES: usize = 256 << 10;
+
+/// `v` emptied with its capacity kept, or dropped if that is over
+/// `PARKED_MAX_BYTES`: the one rule for every host buffer kept between
+/// uses, the collectors' and the serializer's alike.
+pub fn parked<T>(mut v: Vec<T>) -> Vec<T> {
+    if v.capacity() * std::mem::size_of::<T>() > PARKED_MAX_BYTES {
+        return Vec::new();
+    }
+    v.clear();
+    v
+}
+
 /// Collection buffers that outlive their collection, emptied: a heap keeps
 /// one ([`Heap::gc_scratch`]), so each collection reuses the capacity the
 /// last one grew instead of faulting fresh pages in for it.

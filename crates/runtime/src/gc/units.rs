@@ -13,9 +13,9 @@
 //! every reference an object carries into H2 is re-derived into a dirty
 //! card or a cross-region dependency before the object moves.
 
-use super::major::{parked, MajorCycle, PlanState, RelocState};
+use super::major::{MajorCycle, PlanState, RelocState};
 use super::schedule::{Scheduler, DOM_H2_CARD, DOM_OBJECT, GRAY_PACKET};
-use super::{walk_h2_card, Work};
+use super::{parked, walk_h2_card, Work};
 use crate::config::OomError;
 use crate::heap::Heap;
 use crate::object;
@@ -205,7 +205,7 @@ fn scan(
 fn mark_push(heap: &Heap, addr: Addr, stack: &mut Vec<Addr>, live: &mut LiveMap, work: &mut Work) {
     debug_assert!(addr.is_h1());
     work.objects += 1;
-    work.extra_ns += heap.h1_word_extra_ns(addr);
+    work.extra_ns += heap.h1_price.premium(addr.raw());
     if live.mark(addr.raw()) {
         stack.push(addr);
     }
@@ -524,10 +524,6 @@ fn tag_closure_step(
         if !live.is_marked(obj.raw()) {
             continue;
         }
-        let desc = heap.classes.get(object::class_of(header));
-        if desc.is_reference_kind || desc.is_metadata {
-            continue;
-        }
         heap.mem[obj.raw() as usize] = object::with_candidate(header);
         heap.mem[obj.raw() as usize + 1] = label.id();
         move_order.push(obj.raw());
@@ -793,7 +789,7 @@ pub(super) fn adjust_object(heap: &mut Heap, cyc: &MajorCycle, src: u64, dest: u
             continue;
         }
         uw.adjusted_refs += 1;
-        uw.extra_ns += heap.h1_word_extra_ns(Addr::new(s));
+        uw.extra_ns += heap.h1_price.premium(s);
         // H2 objects never move.
         let new_val = if Addr::new(val).is_h2() { val } else { cyc.canon(val) };
         heap.mem[s as usize] = new_val;
@@ -878,7 +874,7 @@ pub(super) fn move_object(
         if dest < src {
             heap.mem.copy_within(src_i..src_end, dest as usize);
         }
-        uw.extra_ns += heap.h1_word_extra_ns(dest_addr) * size as u64;
+        uw.extra_ns += heap.h1_price.object_premium(dest, size as u64);
     } else if src < old_base {
         // Young → old evacuation: old sources were all read before the
         // first young one (enumeration order) and no destination lies in
@@ -905,9 +901,7 @@ pub(super) fn slide_dense(
     let end = dense_end(heap, &cyc.plan, ranks.end);
     let words = end - starts[0];
     uw.copied_words += words;
-    let first_nvm = starts.partition_point(|&s| s < heap.panthera_nvm_base);
-    let nvm_words = starts.get(first_nvm).map_or(0, |&s| end - s);
-    uw.extra_ns += heap.h1_extra_ns * words + heap.panthera_extra_ns * nvm_words;
+    uw.extra_ns += heap.h1_price.objects_premium(starts, end);
     words
 }
 

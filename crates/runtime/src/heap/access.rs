@@ -291,10 +291,7 @@ impl Heap {
                 let old = if slot.is_h2() {
                     self.attached_h2_mut().read_word(slot, Category::Mutator)
                 } else {
-                    self.clock.charge(
-                        Category::Mutator,
-                        self.config.cost.dram_word_ns + self.h1_word_extra_ns(slot),
-                    );
+                    self.clock.charge(Category::Mutator, self.h1_price.word(slot.raw()));
                     self.mem[slot.raw() as usize]
                 };
                 if old != 0 {
@@ -389,7 +386,7 @@ impl Heap {
             // exactly what the per-word loop did (DESIGN.md §9).
             return self.attached_h2_mut().view_words(base, n, Category::Mutator);
         }
-        self.charge_h1_words(base, n as u64, Category::Mutator);
+        self.clock.charge(Category::Mutator, self.h1_price.words(base.raw(), n as u64));
         let s = base.raw() as usize;
         &self.mem[s..s + n]
     }
@@ -442,22 +439,9 @@ impl Heap {
             self.attached_h2_mut().fill_words(base, n, Category::Mutator, fill);
             return;
         }
-        self.charge_h1_words(base, n as u64, Category::Mutator);
+        self.clock.charge(Category::Mutator, self.h1_price.words(base.raw(), n as u64));
         let s = base.raw() as usize;
         fill(&mut self.mem[s..s + n]);
-    }
-
-    /// Charges `n` H1 mutator word accesses in one step: the exact integer
-    /// sum of the per-word charges, including the Panthera-NVM premium for
-    /// the words at or above the NVM boundary.
-    fn charge_h1_words(&self, base: Addr, n: u64, cat: Category) {
-        let mut total = n * (self.config.cost.dram_word_ns + self.h1_extra_ns);
-        let end = base.raw() + n;
-        if end > self.panthera_nvm_base {
-            let nvm_words = end - self.panthera_nvm_base.max(base.raw());
-            total += nvm_words * self.panthera_extra_ns;
-        }
-        self.clock.charge(cat, total);
     }
 
     /// Length of the (reference or primitive) array behind `h`.

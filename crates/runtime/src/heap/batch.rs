@@ -9,6 +9,7 @@
 //! indistinguishable from charging word by word.
 
 use super::{Heap, Pin};
+use crate::config::H1Price;
 use teraheap_core::Addr;
 use teraheap_storage::{Category, SimClock};
 
@@ -34,12 +35,10 @@ pub struct WordBatch<'h> {
     mem: &'h mut [u64],
     clock: &'h SimClock,
     epoch: u64,
-    word_ns: u64,
-    nvm_base: usize,
-    nvm_ns: u64,
-    /// Accesses so far, and how many of them were at or above `nvm_base`.
+    price: H1Price,
+    /// Accesses so far, and what they cost.
     charges: u64,
-    nvm_charges: u64,
+    ns: u64,
 }
 
 impl WordBatch<'_> {
@@ -47,9 +46,7 @@ impl WordBatch<'_> {
     #[inline(always)]
     fn charge(&mut self, slot: usize) {
         self.charges += 1;
-        if slot >= self.nvm_base {
-            self.nvm_charges += 1;
-        }
+        self.ns += self.price.word(slot as u64);
     }
 
     /// The word of primitive slot `idx` of `a`, bounds- and epoch-checked.
@@ -98,7 +95,7 @@ impl WordBatch<'_> {
         assert!(n <= len && start <= len - n, "prim range {start}+{n} out of bounds ({len})");
         let s = a.base + start;
         self.charges += n as u64;
-        self.nvm_charges += (s + n).saturating_sub(self.nvm_base.max(s)) as u64;
+        self.ns += self.price.words(s as u64, n as u64);
         fill(&mut self.mem[s..s + n]);
     }
 }
@@ -106,8 +103,7 @@ impl WordBatch<'_> {
 impl Drop for WordBatch<'_> {
     fn drop(&mut self) {
         if self.charges > 0 {
-            let ns = self.charges * self.word_ns + self.nvm_charges * self.nvm_ns;
-            self.clock.charge_batched(Category::Mutator, ns, self.charges);
+            self.clock.charge_batched(Category::Mutator, self.ns, self.charges);
         }
     }
 }
@@ -141,11 +137,9 @@ impl Heap {
             mem: &mut self.mem,
             clock: &self.clock,
             epoch: self.move_epoch,
-            word_ns: self.config.cost.dram_word_ns + self.h1_extra_ns,
-            nvm_base: usize::try_from(self.panthera_nvm_base).unwrap_or(usize::MAX),
-            nvm_ns: self.panthera_extra_ns,
+            price: self.h1_price,
             charges: 0,
-            nvm_charges: 0,
+            ns: 0,
         }
     }
 

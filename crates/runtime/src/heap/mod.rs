@@ -21,7 +21,7 @@ pub use access::Pin;
 pub use batch::{H1Prims, WordBatch};
 
 use crate::class::{ClassDesc, ClassId, ClassRegistry};
-use crate::config::{HeapConfig, OomError, VariantPolicy};
+use crate::config::{H1Price, HeapConfig, OomError, VariantPolicy};
 use crate::gc;
 use crate::space::{H1CardTable, Space};
 use crate::stats::GcStats;
@@ -68,12 +68,9 @@ pub struct Heap {
     /// Sorted start addresses of objects in the old generation (the card
     /// offset table analogue, letting dirty-card scans find object starts).
     pub(crate) old_starts: Vec<u64>,
-    /// Extra nanoseconds per H1 word access (NVM Memory mode).
-    pub(crate) h1_extra_ns: u64,
-    /// Extra nanoseconds per word for the NVM part of a Panthera old gen.
-    pub(crate) panthera_extra_ns: u64,
-    /// First old-generation address backed by NVM under Panthera.
-    pub(crate) panthera_nvm_base: u64,
+    /// What an H1 word access costs, Memory-mode and Panthera-NVM
+    /// premiums included.
+    pub(crate) h1_price: H1Price,
     /// When true, major GC runs an uncharged full trace through H2 to
     /// collect the per-region live-object statistics of Figure 10.
     pub(crate) track_h2_liveness: bool,
@@ -123,11 +120,7 @@ impl Heap {
         let old = Space::new(to.limit().raw(), config.old_words);
         let total = old.limit().raw() as usize;
         let h1_cards = H1CardTable::new(old.base(), config.old_words, H1CardTable::SEG_WORDS);
-        let h1_extra_ns = config.memory_mode.map(|m| m.extra_ns_per_word()).unwrap_or(0);
         let policy = config.variant.policy();
-        let (panthera_nvm_base, panthera_extra_ns) = policy
-            .panthera_nvm
-            .map_or((u64::MAX, 0), |(offset, ns)| (old.base().raw() + offset as u64, ns));
         Heap {
             mem: vec![0; total],
             eden,
@@ -145,9 +138,7 @@ impl Heap {
             policy,
             stats: GcStats::new(),
             old_starts: Vec::new(),
-            h1_extra_ns,
-            panthera_extra_ns,
-            panthera_nvm_base,
+            h1_price: H1Price::new(&config, &policy, old.base().raw()),
             track_h2_liveness: false,
             in_gc: false,
             mark_scratch: gc::LiveMap::default(),
@@ -301,15 +292,6 @@ impl Heap {
         self.eden.contains(addr) || self.from.contains(addr) || self.to.contains(addr)
     }
 
-    #[inline]
-    pub(crate) fn h1_word_extra_ns(&self, addr: Addr) -> u64 {
-        let mut extra = self.h1_extra_ns;
-        if addr.raw() >= self.panthera_nvm_base {
-            extra += self.panthera_extra_ns;
-        }
-        extra
-    }
-
     /// Uncharged word load (GC-internal; phase costs are charged in bulk).
     #[inline]
     pub(crate) fn word(&self, addr: Addr) -> u64 {
@@ -337,7 +319,7 @@ impl Heap {
         if addr.is_h2() {
             self.attached_h2_mut().read_word(addr, cat)
         } else {
-            self.clock.charge(cat, self.config.cost.dram_word_ns + self.h1_word_extra_ns(addr));
+            self.clock.charge(cat, self.h1_price.word(addr.raw()));
             self.mem[addr.raw() as usize]
         }
     }
@@ -348,7 +330,7 @@ impl Heap {
         if addr.is_h2() {
             self.attached_h2_mut().write_word(addr, value, cat);
         } else {
-            self.clock.charge(cat, self.config.cost.dram_word_ns + self.h1_word_extra_ns(addr));
+            self.clock.charge(cat, self.h1_price.word(addr.raw()));
             self.mem[addr.raw() as usize] = value;
         }
     }

@@ -135,8 +135,7 @@ impl Server {
         while let Some(i) =
             (0..n).filter(|&i| rounds_left[i] > 0).min_by_key(|&i| (self.clocks[i].total_ns(), i))
         {
-            self.clocks[i]
-                .emit(EventKind::TenantSched { tenant: self.ids[i].tag(), admitted: true });
+            self.clocks[i].emit(EventKind::TenantSched { tenant: self.ids[i].tag() });
             let before = self.clocks[i].total_ns();
             match self.run_round(i) {
                 Some(c) => checksums[i] = c,

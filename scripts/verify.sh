@@ -64,9 +64,12 @@ echo "ok"
 # Spark-SD and Giraph-OOC reach their device only through kryo_sim's
 # offload/reload pair, the one serialized off-heap path: a framework that
 # serializes or charges device I/O itself is a second copy of it.
+# An H1 word's price has one owner, config::H1Price: outside its constructor
+# no runtime code reads the DRAM word cost, Memory mode's premium or
+# Panthera's NVM split (definitions, comments and tests aside).
 # The panic ratchet counts the non-test unwrap/expect/panic!/unreachable!
 # lines of a crate (reference oracles excluded); it may fall, never rise.
-echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane, one region-liveness rule, placement is its cost model, one H2 card walk, H2 owns its region metadata, one serialized off-heap path, panic ratchet =="
+echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane, one region-liveness rule, placement is its cost model, one H2 card walk, H2 owns its region metadata, one serialized off-heap path, one H1 word price, panic ratchet =="
 if grep -rlE '^[[:space:]]*(pub[[:space:]]+)?enum[[:space:]]+[A-Za-z0-9_]*Op\b' crates/runtime/tests \
     | grep -v '^crates/runtime/tests/common/'; then
     echo "ERROR: an op enum outside crates/runtime/tests/common/; extend the shared language instead." >&2
@@ -117,13 +120,28 @@ if grep -rnE 'kryo_sim::(de)?serialize\(|Category::Io' crates/spark/src crates/g
     echo "ERROR: a framework serializes to its device itself; go through kryo_sim::offload/reload." >&2
     exit 1
 fi
+stray_price=$(awk '
+    FNR == 1 { build = 0; test = 0 }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    FILENAME ~ /\/config\.rs$/ && /^    pub\(crate\) fn new\(config: &HeapConfig/ { build = 1 }
+    /(^|[^A-Za-z0-9_])(dram_word_ns|extra_ns_per_word|panthera_nvm)([^A-Za-z0-9_]|$)/ && !build && !test \
+        && !/^[[:space:]]*\/\/|pub panthera_nvm:|panthera_nvm: (None|Some)|pub fn extra_ns_per_word/ {
+        print FILENAME ":" FNR ": " $0
+    }
+    build && /^    }$/ { build = 0 }' $(find crates/runtime/src -name '*.rs'))
+if [[ -n "$stray_price" ]]; then
+    echo "$stray_price"
+    echo "ERROR: an H1 word price read outside H1Price::new; ask the heap's h1_price." >&2
+    exit 1
+fi
 panic_sites() {
     for f in $(find "$1" -name '*.rs' ! -name reference.rs); do
         awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t && /unwrap\(\)|\.expect\(|panic!|unreachable!/ && !/^[[:space:]]*\/\//' "$f"
     done | wc -l
 }
 for bound in crates/runtime/src:8 crates/core/src:0 crates/kryo/src:2 crates/giraph/src:5 \
-    crates/spark/src:7 crates/storage/src:1 crates/server/src:2; do
+    crates/spark/src:7 crates/storage/src:1 crates/server/src:2 crates/query/src:3 \
+    crates/obs/src:0 crates/workloads/src:1; do
     sites=$(panic_sites "${bound%:*}")
     if (( sites > ${bound#*:} )); then
         echo "ERROR: ${bound%:*} has $sites panic sites outside tests; the ratchet allows ${bound#*:}." >&2
