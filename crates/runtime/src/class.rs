@@ -16,8 +16,6 @@ pub const OBJ_ARRAY_CLASS: ClassId = ClassId(1);
 /// Built-in class id for primitive arrays (`byte[]`/`long[]`/... as words).
 pub const PRIM_ARRAY_CLASS: ClassId = ClassId(2);
 
-const FIRST_USER_CLASS: u16 = 3;
-
 /// Descriptor of one class: its field layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassDesc {
@@ -59,7 +57,6 @@ impl ClassRegistry {
     pub fn register(&mut self, name: &str, ref_fields: usize, prim_fields: usize) -> ClassId {
         let id = self.classes.len();
         assert!(id <= u16::MAX as usize, "class registry full");
-        assert!(id >= FIRST_USER_CLASS as usize);
         self.classes.push(ClassDesc { name: name.to_string(), ref_fields, prim_fields });
         ClassId(id as u16)
     }

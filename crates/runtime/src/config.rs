@@ -124,53 +124,64 @@ impl MemoryMode {
 /// start's on every word. Built once per heap; every H1 charge asks it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct H1Price {
-    dram_ns: u64,
-    /// Memory mode's premium; the first Panthera NVM word (`u64::MAX`
-    /// without Panthera) and the premium past it.
+    /// DRAM plus Memory mode's premium; that premium; the first NVM word of
+    /// a Panthera old generation (`u64::MAX` otherwise); the NVM premium.
+    word_ns: u64,
     mode_ns: u64,
     nvm_base: u64,
     nvm_ns: u64,
 }
 
 impl H1Price {
-    /// The price under `config` and its `policy`, for an old generation
-    /// starting at `old_base`.
+    /// The price under `config` and `policy`, the old generation at `old_base`.
     pub(crate) fn new(config: &HeapConfig, policy: &VariantPolicy, old_base: u64) -> Self {
         let (nvm_base, nvm_ns) =
             policy.panthera_nvm.map_or((u64::MAX, 0), |(dram, ns)| (old_base + dram as u64, ns));
         let mode_ns = config.memory_mode.map_or(0, |m| m.extra_ns_per_word());
-        H1Price { dram_ns: config.cost.dram_word_ns, mode_ns, nvm_base, nvm_ns }
+        H1Price { word_ns: config.cost.dram_word_ns + mode_ns, mode_ns, nvm_base, nvm_ns }
     }
 
-    /// The premium of the word at `addr`.
+    /// Whether the word at `addr` is past the NVM boundary.
     #[inline(always)]
-    pub(crate) fn premium(&self, addr: u64) -> u64 {
-        self.mode_ns + if addr >= self.nvm_base { self.nvm_ns } else { 0 }
+    pub(crate) fn in_nvm(&self, addr: u64) -> bool {
+        addr >= self.nvm_base
+    }
+
+    /// How many of the `n` words from `base` are past the NVM boundary.
+    #[inline(always)]
+    pub(crate) fn nvm_words(&self, base: u64, n: u64) -> u64 {
+        (base + n).saturating_sub(self.nvm_base.max(base))
+    }
+
+    /// `n` word accesses, `nvm` of them past the NVM boundary.
+    #[inline(always)]
+    pub(crate) fn accesses(&self, n: u64, nvm: u64) -> u64 {
+        n * self.word_ns + nvm * self.nvm_ns
     }
 
     /// One access of the word at `addr`.
     #[inline(always)]
     pub(crate) fn word(&self, addr: u64) -> u64 {
-        self.dram_ns + self.premium(addr)
+        self.accesses(1, self.in_nvm(addr).into())
     }
 
     /// One access of each of the `n` words from `base`.
     #[inline]
     pub(crate) fn words(&self, base: u64, n: u64) -> u64 {
-        let nvm_words = (base + n).saturating_sub(self.nvm_base.max(base));
-        n * (self.dram_ns + self.mode_ns) + nvm_words * self.nvm_ns
+        self.accesses(n, self.nvm_words(base, n))
     }
 
-    /// The premium of the `words`-word object at `start`.
-    #[inline]
-    pub(crate) fn object_premium(&self, start: u64, words: u64) -> u64 {
-        self.premium(start) * words
+    /// The premium of the `words`-word object at `start` (of the word at
+    /// `start` for `words = 1`).
+    #[inline(always)]
+    pub(crate) fn premium(&self, start: u64, words: u64) -> u64 {
+        (self.mode_ns + if self.in_nvm(start) { self.nvm_ns } else { 0 }) * words
     }
 
-    /// [`H1Price::object_premium`] summed over the adjacent objects at
-    /// `starts` (ascending, not empty), the last ending at `end`.
+    /// [`H1Price::premium`] summed over the adjacent objects at `starts`
+    /// (ascending, not empty), the last ending at `end`.
     pub(crate) fn objects_premium(&self, starts: &[u64], end: u64) -> u64 {
-        let first_nvm = starts.partition_point(|&s| s < self.nvm_base);
+        let first_nvm = starts.partition_point(|&s| !self.in_nvm(s));
         let nvm_words = starts.get(first_nvm).map_or(0, |&s| end - s);
         (end - starts[0]) * self.mode_ns + nvm_words * self.nvm_ns
     }

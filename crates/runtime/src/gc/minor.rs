@@ -136,7 +136,7 @@ fn copy_young(heap: &mut Heap, addr: Addr, work: &mut Work, worklist: &mut Vec<A
     heap.mem[src_i] = object::forwarding_header(dest.raw());
     work.objects += 1;
     work.copied_words += size as u64;
-    work.extra_ns += heap.h1_price.object_premium(dest.raw(), size as u64);
+    work.extra_ns += heap.h1_price.premium(dest.raw(), size as u64);
     worklist.push(dest);
     dest
 }

@@ -16,14 +16,12 @@ mod units;
 pub(crate) use units::LiveMap;
 
 /// The largest buffer kept between uses. A kept buffer keeps the pages it
-/// touched resident until its next use, so one outlier (the candidate list
-/// of a whole graph's edges moving at once, a partition's edge stream) is
-/// dropped instead of raising a later run's peak.
+/// touched resident, so one outlier (a whole graph's edges moving at once,
+/// a partition's edge stream) is dropped instead of raising a later peak.
 const PARKED_MAX_BYTES: usize = 256 << 10;
 
 /// `v` emptied with its capacity kept, or dropped if that is over
-/// `PARKED_MAX_BYTES`: the one rule for every host buffer kept between
-/// uses, the collectors' and the serializer's alike.
+/// `PARKED_MAX_BYTES`: the one rule for the collectors' and kryo's buffers.
 pub fn parked<T>(mut v: Vec<T>) -> Vec<T> {
     if v.capacity() * std::mem::size_of::<T>() > PARKED_MAX_BYTES {
         return Vec::new();

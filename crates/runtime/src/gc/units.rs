@@ -205,7 +205,7 @@ fn scan(
 fn mark_push(heap: &Heap, addr: Addr, stack: &mut Vec<Addr>, live: &mut LiveMap, work: &mut Work) {
     debug_assert!(addr.is_h1());
     work.objects += 1;
-    work.extra_ns += heap.h1_price.premium(addr.raw());
+    work.extra_ns += heap.h1_price.premium(addr.raw(), 1);
     if live.mark(addr.raw()) {
         stack.push(addr);
     }
@@ -789,7 +789,7 @@ pub(super) fn adjust_object(heap: &mut Heap, cyc: &MajorCycle, src: u64, dest: u
             continue;
         }
         uw.adjusted_refs += 1;
-        uw.extra_ns += heap.h1_price.premium(s);
+        uw.extra_ns += heap.h1_price.premium(s, 1);
         // H2 objects never move.
         let new_val = if Addr::new(val).is_h2() { val } else { cyc.canon(val) };
         heap.mem[s as usize] = new_val;
@@ -874,7 +874,7 @@ pub(super) fn move_object(
         if dest < src {
             heap.mem.copy_within(src_i..src_end, dest as usize);
         }
-        uw.extra_ns += heap.h1_price.object_premium(dest, size as u64);
+        uw.extra_ns += heap.h1_price.premium(dest, size as u64);
     } else if src < old_base {
         // Young → old evacuation: old sources were all read before the
         // first young one (enumeration order) and no destination lies in

@@ -288,12 +288,7 @@ impl Heap {
             if cyc.marking() {
                 // Deletion barrier: read (charged) and remember the value
                 // being overwritten, so snapshot reachability survives.
-                let old = if slot.is_h2() {
-                    self.attached_h2_mut().read_word(slot, Category::Mutator)
-                } else {
-                    self.clock.charge(Category::Mutator, self.h1_price.word(slot.raw()));
-                    self.mem[slot.raw() as usize]
-                };
+                let old = self.load(slot, Category::Mutator);
                 if old != 0 {
                     let old_addr = Addr::new(old);
                     if old_addr.is_h2() {

@@ -36,9 +36,9 @@ pub struct WordBatch<'h> {
     clock: &'h SimClock,
     epoch: u64,
     price: H1Price,
-    /// Accesses so far, and what they cost.
+    /// Accesses so far, and how many of them were past the NVM boundary.
     charges: u64,
-    ns: u64,
+    nvm_charges: u64,
 }
 
 impl WordBatch<'_> {
@@ -46,7 +46,9 @@ impl WordBatch<'_> {
     #[inline(always)]
     fn charge(&mut self, slot: usize) {
         self.charges += 1;
-        self.ns += self.price.word(slot as u64);
+        if self.price.in_nvm(slot as u64) {
+            self.nvm_charges += 1;
+        }
     }
 
     /// The word of primitive slot `idx` of `a`, bounds- and epoch-checked.
@@ -95,7 +97,7 @@ impl WordBatch<'_> {
         assert!(n <= len && start <= len - n, "prim range {start}+{n} out of bounds ({len})");
         let s = a.base + start;
         self.charges += n as u64;
-        self.ns += self.price.words(s as u64, n as u64);
+        self.nvm_charges += self.price.nvm_words(s as u64, n as u64);
         fill(&mut self.mem[s..s + n]);
     }
 }
@@ -103,7 +105,8 @@ impl WordBatch<'_> {
 impl Drop for WordBatch<'_> {
     fn drop(&mut self) {
         if self.charges > 0 {
-            self.clock.charge_batched(Category::Mutator, self.ns, self.charges);
+            let ns = self.price.accesses(self.charges, self.nvm_charges);
+            self.clock.charge_batched(Category::Mutator, ns, self.charges);
         }
     }
 }
@@ -139,7 +142,7 @@ impl Heap {
             epoch: self.move_epoch,
             price: self.h1_price,
             charges: 0,
-            ns: 0,
+            nvm_charges: 0,
         }
     }
 
@@ -157,6 +160,49 @@ impl Heap {
             rest.min(self.attached_h2().run_words_at(Addr::new(base + idx as u64)))
         } else {
             rest.min(1)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{GcVariant, Heap, HeapConfig, MemoryMode};
+    use teraheap_storage::DeviceSpec;
+
+    /// Reads, writes, a length load and a fill through a batch cost what the
+    /// per-word accessors do, charge for charge, on an array straddling
+    /// Panthera's NVM boundary and under Memory mode.
+    #[test]
+    fn batches_charge_what_the_per_word_accessors_charge() {
+        let (nvm, base) = (DeviceSpec::optane_nvm(), HeapConfig::with_words(16 << 10, 64 << 10));
+        let panthera = GcVariant::Panthera { old_dram_words: 512, nvm };
+        let memory_mode = Some(MemoryMode { nvm, miss_percent: 40 });
+        for config in [HeapConfig { variant: panthera, ..base }, HeapConfig { memory_mode, ..base }] {
+            let run = |batched: bool| {
+                let mut heap = Heap::new(config);
+                let h = heap.alloc_prim_array(1024).expect("fits");
+                let mut pin = heap.pin(h);
+                if batched {
+                    let a = heap.h1_prims(&mut pin).expect("in H1");
+                    let mut batch = heap.word_batch();
+                    batch.fill(&a, 100, 800, |slots| slots.fill(7));
+                    for i in (0..batch.array_len(&a)).step_by(3) {
+                        let v = batch.read(&a, i);
+                        batch.write(&a, i, v + 1);
+                    }
+                } else {
+                    for i in 100..900 {
+                        heap.write_prim_at(&mut pin, i, 7);
+                    }
+                    for i in (0..heap.array_len_at(&mut pin)).step_by(3) {
+                        let v = heap.read_prim_at(&mut pin, i);
+                        heap.write_prim_at(&mut pin, i, v + 1);
+                    }
+                }
+                let words: Vec<u64> = heap.view_prims(h, 0, 1024).to_vec();
+                (heap.clock().breakdown(), heap.clock().tracer().charge_counts(), words)
+            };
+            assert_eq!(run(true), run(false), "{config:?}");
         }
     }
 }

@@ -68,8 +68,7 @@ pub struct Heap {
     /// Sorted start addresses of objects in the old generation (the card
     /// offset table analogue, letting dirty-card scans find object starts).
     pub(crate) old_starts: Vec<u64>,
-    /// What an H1 word access costs, Memory-mode and Panthera-NVM
-    /// premiums included.
+    /// What an H1 word access costs, premiums included.
     pub(crate) h1_price: H1Price,
     /// When true, major GC runs an uncharged full trace through H2 to
     /// collect the per-region live-object statistics of Figure 10.

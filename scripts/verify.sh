@@ -176,8 +176,9 @@ teraheap_obs/lib::tests::ring_counts_         §8   the recorder's one lock: aft
 teraheap_runtime/mutator_programs::spans_arm  §8   over random mutator programs, spans nest per slot and major-GC phases occur only inside a major GC
 teraheap_storage/bulk_equivalence::           §9   touch_run is bit-identical to the word-at-a-time loop: same ns, counters, events
 teraheap_runtime/bulk_equivalence::           §9   programs of the shared mutator language observe and charge the same through the word loop, read_prims/write_prims, view_prims and the pinned *_at accessors: scripted ranges on H1, paged and DAX H2 and across the Panthera NVM boundary, and random programs whose pins ride minor and major GCs, H2 promotion and a sliced cycle in flight
+teraheap_runtime/lib::heap::batch::tests::    §9   a word batch's reads, writes, length load and fill cost what the per-word accessors do, charge for charge, across Panthera's NVM boundary and under Memory mode
 mini_giraph/charge_pin::                      §9   the superstep loop, message stores and OOC blob path: per-category ns, GC counts, offloads/reloads, charge-call counts, checksum (golden)
-mini_giraph/lib::tests::delivery_oracle::     §9   edge delivery in word-batched runs against the per-edge loop, PR/CDLP/WCC on hinted and hint-less TeraHeap, OOC and two-tenant DAX: breakdown, I/O counters, charge counts, event classes, the event ring, tenant arbitration and checksum all equal
+mini_giraph/lib::tests::delivery_oracle::     §9   edge delivery in word-batched runs against the per-edge loop, PR/CDLP/WCC on hinted and hint-less TeraHeap, OOC, two-tenant DAX, Memory mode and Panthera: breakdown, I/O counters, charge counts, event classes, the event ring, tenant arbitration and checksum all equal
 kryo_sim/lib::tests::a_recycled_blob_buffer_  §9   a consumed blob's buffer serializes the next stream with no stale bytes: the same bytes and length as a fresh stream, in the reused buffer
 mini_spark/charge_pin::                       §9   the scan loops, block manager and dataset loaders: per-category ns, GC and S/D counts, faults, charge-call counts, live roots at exit (golden)
 kryo_sim/stream_pin::                         §9   stream bytes, size estimate and every charge of serialize, serialized_size and deserialize (golden)
@@ -185,7 +186,7 @@ teraheap_storage/lib::fault::tests::parse_     §10  TERAHEAP_FAULTS parsing: th
 teraheap_runtime/fault_recovery::             §10  the chaos_smoke_* tests the faults smoke stage drives: seeded transient errors and latency spikes on NVMe, NVM and DAX keep every payload, checked at every GC boundary
 teraheap_runtime/mutator_programs::faults_arm §10  a random fault plan never corrupts a payload, and H2 degrades only under ENOSPC or write errors
 teraheap_runtime/fault_equivalence::          §10  a zero-rate fault plane is bit-identical to no plane at all
-teraheap_runtime/gc_equivalence::             §11  simulated ns, phase breakdowns and graph checksum over variant x gc_threads x pause budget x armed fault plane, plus the paper's 8 KB card (two pages a card) and a DAX device (golden), the SATB barrier idle on stop-world arms, and (§12) that a sole tenant never queues
+teraheap_runtime/gc_equivalence::             §11  simulated ns, phase breakdowns and graph checksum over variant x gc_threads x pause budget x armed fault plane, plus the paper's 8 KB card (two pages a card), a DAX device and NVM Memory mode (golden), the SATB barrier idle on stop-world arms, and (§12) that a sole tenant never queues
 teraheap_runtime/gc_behaviour::collections_never_read_h2_behind_clean_cards  §11  a closure with no H1 reference leaves its cards clean, and minor and major GCs then read none of H2 (DAX read ops and faults unchanged); one H1 store dirties a card the next minor GC reads
 teraheap_runtime/mutator_programs::graph_arm  §6   random mutator programs leave the heap equal to a shadow logical graph (the oracle every arm runs)
 teraheap_runtime/mutator_programs::product_arm §6  the oracle and the armed checker hold over variant x lanes x pause budget x device x fault plan x access mode
