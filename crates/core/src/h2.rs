@@ -13,11 +13,10 @@ use crate::card::{CardState, H2CardTable};
 use crate::policy::{Label, TransferPolicy};
 use crate::promo::Promoter;
 use crate::region::{RegionError, RegionId, RegionManager};
-use teraheap_storage::fault;
 use teraheap_storage::obs::EventKind;
 use teraheap_storage::{
-    AttachError, Category, ChargeScope, DeviceSpec, FaultPlan, FaultPlane, MmapSim, SharedDevice,
-    SimClock,
+    fault, spare, AttachError, Category, ChargeScope, DeviceSpec, FaultPlan, FaultPlane, MmapSim,
+    SharedDevice, SimClock,
 };
 use std::sync::Arc;
 
@@ -293,7 +292,7 @@ impl H2 {
             cards: H2CardTable::new(capacity_words, config.card_seg_words, config.region_words),
             policy: TransferPolicy::new(),
             promoter: Promoter::new(config.promo_buffer_bytes),
-            data: vec![0; capacity_words],
+            data: spare::zeroed(capacity_words),
             mmap,
             spec,
             clock,
@@ -640,18 +639,42 @@ impl H2 {
         self.regions.propagate_liveness();
         let freed = self.regions.sweep_dead();
         let words = self.regions.region_words();
-        for &rid in &freed {
+        let stats = self.regions.reclaimed_stats();
+        for (&rid, dead) in freed.iter().zip(&stats[stats.len() - freed.len()..]) {
             let base = self.regions.region_base(rid);
             self.mmap.discard(base.h2_byte_offset(), words * WORD_BYTES);
             // Zero the store so stale data can never be misread as objects.
-            let base_w = base.h2_offset() as usize;
-            self.data[base_w..base_w + words].fill(0);
+            zero_used(&mut self.data, base, dead.used_words);
+            debug_assert!(
+                self.data[base.h2_offset() as usize..][..words].iter().all(|&w| w == 0),
+                "a region's words past its top were written"
+            );
             let first = self.cards.card_of(base);
             for card in first..first + words / self.cards.seg_words() {
                 self.cards.set_state(card, CardState::Clean);
             }
         }
         freed
+    }
+}
+
+/// Zeroes a region's words in use, `[base, base + used)`: every word its
+/// objects were written to, and no page past them.
+fn zero_used(data: &mut [u64], base: Addr, used: usize) {
+    let base = base.h2_offset() as usize;
+    data[base..base + used].fill(0);
+}
+
+impl Drop for H2 {
+    /// Inside a server run the store goes back to the spare pool zeroed
+    /// region by region (DESIGN.md §12); otherwise it is simply freed.
+    fn drop(&mut self) {
+        let regions = &self.regions;
+        spare::give_back(&mut self.data, |data| {
+            for rid in (0..regions.region_count() as u32).map(RegionId) {
+                zero_used(data, regions.region_base(rid), regions.used_words(rid));
+            }
+        });
     }
 }
 
@@ -758,6 +781,31 @@ mod tests {
         assert_eq!(freed[0], h2.regions().region_of(b));
         // The freed region's store is zeroed.
         assert_eq!(h2.read_word_free(b), 0);
+    }
+
+    #[test]
+    fn a_store_dropped_in_a_server_run_comes_back_all_zero() {
+        let scope = spare::Recycling::begin();
+        let (mut store, _clock) = h2();
+        let a = store.promote(Label::new(1), &[1; 16], Category::MajorGc).unwrap();
+        store.promote(Label::new(2), &[2; 900], Category::MajorGc).unwrap();
+        store.begin_major_marking();
+        store.note_forward_ref(a);
+        assert_eq!(store.propagate_and_sweep().len(), 1, "label 2's region is reclaimed");
+        store.promote(Label::new(3), &[3; 40], Category::MajorGc).unwrap();
+        let (len, ptr) = (store.data.len(), store.data.as_ptr());
+        drop(store);
+        assert_eq!(spare::parked(), 1);
+        let fresh = spare::zeroed(len);
+        assert_eq!(fresh.as_ptr(), ptr, "the next store of its length reuses it");
+        assert!(fresh.iter().all(|&w| w == 0));
+        drop(scope);
+        assert_eq!(spare::parked(), 0, "the pool dies with the run");
+
+        let (mut outside, _clock) = h2();
+        outside.promote(Label::new(1), &[1; 16], Category::MajorGc).unwrap();
+        drop(outside);
+        assert_eq!(spare::parked(), 0, "outside a run a store is freed");
     }
 
     #[test]

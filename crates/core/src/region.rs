@@ -18,6 +18,30 @@
 
 use crate::addr::Addr;
 use crate::policy::Label;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The open-region map's hasher: labels are integers the frameworks issue,
+/// never outside input, and the map is never iterated, so one multiply
+/// spreads them where SipHash's flood resistance would buy nothing.
+#[derive(Default)]
+struct LabelHasher(u64);
+
+impl Hasher for LabelHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        // Fibonacci hashing; the rotation brings the well-mixed high half
+        // down to the bucket-index bits.
+        self.0 = ((self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15)).rotate_left(32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Identifier of an H2 region (index into the region array).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -132,7 +156,7 @@ pub struct RegionManager {
     /// Free-region stack.
     free: Vec<RegionId>,
     /// Current open region per label.
-    open: std::collections::HashMap<Label, RegionId>,
+    open: HashMap<Label, RegionId, BuildHasherDefault<LabelHasher>>,
     /// Cumulative count of regions reclaimed over the run.
     reclaimed_total: u64,
     /// Cumulative count of regions ever allocated (opened) over the run.
@@ -154,7 +178,7 @@ impl RegionManager {
             region_words,
             regions: vec![Region::default(); n_regions],
             free,
-            open: std::collections::HashMap::new(),
+            open: HashMap::default(),
             reclaimed_total: 0,
             allocated_total: 0,
             reclaimed_stats: Vec::new(),

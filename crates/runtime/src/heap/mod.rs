@@ -28,7 +28,7 @@ use crate::stats::GcStats;
 use std::sync::Arc;
 use teraheap_core::{Addr, H2, NULL};
 use teraheap_storage::obs::EventKind;
-use teraheap_storage::{Category, SimClock};
+use teraheap_storage::{spare, Category, SimClock};
 
 /// Reserved low words so that address 0 stays the null reference.
 const RESERVED_WORDS: usize = 16;
@@ -121,7 +121,7 @@ impl Heap {
         let h1_cards = H1CardTable::new(old.base(), config.old_words, H1CardTable::SEG_WORDS);
         let policy = config.variant.policy();
         Heap {
-            mem: vec![0; total],
+            mem: spare::zeroed(total),
             eden,
             from,
             to,
@@ -348,6 +348,15 @@ impl Heap {
     }
 }
 
+impl Drop for Heap {
+    /// Inside a server run the H1 words go back to the spare pool, zeroed
+    /// page by page where they were written (DESIGN.md §12); otherwise they
+    /// are simply freed. An attached H2 hands its store back as it drops.
+    fn drop(&mut self) {
+        spare::give_back(&mut self.mem, spare::zero_written_pages);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,6 +438,37 @@ mod tests {
         h.release(a);
         let b = h.alloc(c).unwrap();
         assert_eq!(a.0, b.0, "slot recycled");
+    }
+
+    #[test]
+    fn h1_words_dropped_in_a_server_run_come_back_all_zero() {
+        let churn = |h: &mut Heap| {
+            let c = h.register_class("Node", 1, 6);
+            let keep = h.alloc(c).unwrap();
+            for i in 0..2_000 {
+                let a = h.alloc(c).unwrap();
+                h.write_prim(a, 0, i);
+                h.write_ref(keep, 0, a);
+                h.release(a);
+            }
+            h.gc_major().unwrap();
+        };
+        let scope = spare::Recycling::begin();
+        let mut h = heap();
+        churn(&mut h);
+        let (len, ptr) = (h.mem.len(), h.mem.as_ptr());
+        drop(h);
+        assert_eq!(spare::parked(), 1);
+        let words = spare::zeroed(len);
+        assert_eq!(words.as_ptr(), ptr, "the next heap of its size reuses them");
+        assert!(words.iter().all(|&w| w == 0));
+        drop(scope);
+        assert_eq!(spare::parked(), 0, "the pool dies with the run");
+
+        let mut outside = heap();
+        churn(&mut outside);
+        drop(outside);
+        assert_eq!(spare::parked(), 0, "outside a run the words are freed");
     }
 
     #[test]

@@ -216,6 +216,28 @@ mod tests {
     }
 
     #[test]
+    fn recycled_round_memory_reports_what_fresh_memory_does() {
+        // Spark and Giraph share an H1 size and all three tenants an H2
+        // size, so rounds reuse each other's buffers across tenants too.
+        let mk = || {
+            ServerConfig::builder(DeviceSpec::nvme_ssd(), 1 << 30)
+                .tenant(spark_tenant("spark-0", 3))
+                .tenant(giraph_tenant("giraph-0", 3))
+                .tenant(query_tenant("query-0", 2))
+                .build()
+                .unwrap()
+        };
+        let recycled = Server::new(mk()).unwrap().run();
+        assert_eq!(teraheap_storage::spare::parked(), 0, "the pool dies with the run");
+        server::fresh_rounds::ON.with(|on| on.set(true));
+        let fresh = Server::new(mk()).unwrap().run();
+        server::fresh_rounds::ON.with(|on| on.set(false));
+        // Debug prints every f64 round-trip exact: equal text, equal bits.
+        assert_eq!(format!("{recycled:?}"), format!("{fresh:?}"));
+        assert!(recycled.tenants.iter().all(|t| t.oom_rounds == 0 && t.checksum != 0.0));
+    }
+
+    #[test]
     fn query_tenant_serves_rounds_and_answers_survive_contention() {
         // A query tenant colocated with a batch Spark tenant: rounds
         // complete, the run is deterministic, and the query answers are

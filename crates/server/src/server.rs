@@ -14,6 +14,7 @@ use std::sync::Arc;
 use teraheap_query::LatencyHistogram;
 use teraheap_runtime::Heap;
 use teraheap_storage::obs::EventKind;
+use teraheap_storage::spare::Recycling;
 use teraheap_storage::{SharedDevice, SimClock, TenantId, TenantIo};
 
 /// Per-tenant outcome of a server run.
@@ -74,6 +75,26 @@ pub fn jain_index(rates: &[f64]) -> f64 {
     sum * sum / (n * sq)
 }
 
+/// The scope of a run's round memory: each round's heap and H2 store are
+/// built in the buffers the last round dropped (DESIGN.md §12). The
+/// `cfg(test)` oracle gives every round fresh memory instead.
+fn round_memory() -> Option<Recycling> {
+    #[cfg(test)]
+    if fresh_rounds::ON.with(std::cell::Cell::get) {
+        return None;
+    }
+    Some(Recycling::begin())
+}
+
+/// The oracle switch: while `ON`, server runs on this thread allocate every
+/// round's memory afresh.
+#[cfg(test)]
+pub(crate) mod fresh_rounds {
+    thread_local! {
+        pub(crate) static ON: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+}
+
 /// The multi-tenant server plane.
 #[derive(Debug)]
 pub struct Server {
@@ -125,6 +146,7 @@ impl Server {
 
     /// Runs every tenant to completion and reports fairness + throughput.
     pub fn run(&mut self) -> ServerReport {
+        let _round_memory = round_memory();
         let n = self.config.tenants.len();
         let mut rounds_left: Vec<usize> = self.config.tenants.iter().map(|t| t.rounds).collect();
         let mut round_ns: Vec<Vec<u64>> = vec![Vec::new(); n];

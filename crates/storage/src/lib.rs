@@ -17,6 +17,8 @@
 //!   quotas tiled in a single capacity pool and one deterministic calendar
 //!   of device time, so colocated tenants' I/O charges reflect contention
 //!   (the server plane, DESIGN.md §12).
+//! * [`spare`] — the word buffers a server run recycles from one tenant
+//!   round to the next, zeroed where they were written.
 //! * [`SimClock`] — a deterministic simulated clock that attributes
 //!   nanoseconds to the paper's execution-time breakdown categories
 //!   (other, S/D + I/O, minor GC, major GC).
@@ -45,6 +47,7 @@ pub mod device;
 pub mod fault;
 pub mod mmap;
 pub mod shared;
+pub mod spare;
 pub mod stats;
 
 pub use clock::{Breakdown, Category, ChargeScope, SimClock, TraceSpan};
