@@ -78,16 +78,6 @@ impl Addr {
     pub fn add(self, words: u64) -> Addr {
         Addr(self.0 + words)
     }
-
-    /// The distance in words from `earlier` to `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `earlier > self`.
-    pub fn words_since(self, earlier: Addr) -> u64 {
-        debug_assert!(earlier.0 <= self.0);
-        self.0 - earlier.0
-    }
 }
 
 impl std::fmt::Display for Addr {
@@ -134,7 +124,6 @@ mod tests {
         let a = Addr::new(100);
         let b = a.add(28);
         assert_eq!(b.raw(), 128);
-        assert_eq!(b.words_since(a), 28);
     }
 
     #[test]

@@ -108,12 +108,6 @@ impl TransferPolicy {
         self.pressure
     }
 
-    /// Whether the upcoming major GC should move objects tagged `label`:
-    /// either the framework requested it or H1 is under pressure.
-    pub fn should_move(&self, label: Label) -> bool {
-        self.pressure || self.requested.contains(&label)
-    }
-
     /// Word budget for *pressure-driven* movement this major GC.
     ///
     /// Returns `None` for "unlimited" (move everything marked): that is the
@@ -172,10 +166,10 @@ mod tests {
     fn hint_requests_move() {
         let mut p = TransferPolicy::new();
         let l = Label::new(3);
-        assert!(!p.should_move(l));
+        assert!(!p.is_requested(l));
         p.request_move(l);
-        assert!(p.should_move(l));
-        assert!(!p.should_move(Label::new(4)));
+        assert!(p.is_requested(l));
+        assert!(!p.is_requested(Label::new(4)));
     }
 
     #[test]
@@ -185,8 +179,8 @@ mod tests {
         let seen: Vec<Label> = p.requested_labels().collect();
         p.request_move(Label::new(2));
         p.note_major_gc_end_satisfying(0, 100, &seen);
-        assert!(!p.should_move(Label::new(1)));
-        assert!(p.should_move(Label::new(2)), "a hint the GC never saw survives it");
+        assert!(!p.is_requested(Label::new(1)));
+        assert!(p.is_requested(Label::new(2)), "a hint the GC never saw survives it");
     }
 
     #[test]
@@ -196,8 +190,7 @@ mod tests {
         assert!(!p.under_pressure());
         p.note_major_gc_end_satisfying(86, 100, &[]);
         assert!(p.under_pressure());
-        // Under pressure, every label moves even without a hint.
-        assert!(p.should_move(Label::new(42)));
+        assert!(!p.is_requested(Label::new(42)), "pressure is not a request");
     }
 
     #[test]
@@ -217,10 +210,10 @@ mod tests {
     fn hints_can_be_disabled() {
         let mut p = TransferPolicy::new().without_hints();
         p.request_move(Label::new(1));
-        assert!(!p.should_move(Label::new(1)), "NH config ignores h2_move");
+        assert!(!p.is_requested(Label::new(1)), "NH config ignores h2_move");
         // The pressure mechanism still works.
         p.note_major_gc_end_satisfying(90, 100, &[]);
-        assert!(p.should_move(Label::new(1)));
+        assert!(p.under_pressure());
     }
 
     #[test]

@@ -466,7 +466,7 @@ mod tests {
         let l = Label::new(7);
         let a = m.alloc(l, 10).unwrap();
         let b = m.alloc(l, 6).unwrap();
-        assert_eq!(b.words_since(a), 10);
+        assert_eq!(b.raw() - a.raw(), 10);
         assert_eq!(m.region_of(a), m.region_of(b));
         assert_eq!(m.used_words(m.region_of(a)), 16);
     }

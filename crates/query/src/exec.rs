@@ -7,9 +7,9 @@
 //!
 //! * **full scan** — view every sealed chunk of the filter column in place
 //!   through [`Heap::view_prims`] (H2 chunks pay the real fault/arbitration
-//!   path), build the chunk's selection bitmap — predicate lanes, minus
-//!   tombstones — and view the projected column only for chunks whose
-//!   bitmap is non-empty, gathering the set bits;
+//!   path), build the chunk's selection bitmap of predicate lanes and view
+//!   the projected column only for chunks whose bitmap is non-empty,
+//!   gathering the set bits;
 //! * **index probe** — when the predicate is on the table's key column,
 //!   binary-search the frozen sorted runs that may hold a match
 //!   ([`crate::table::Table::probe_index`]: zone maps prune by range, a
@@ -17,9 +17,9 @@
 //!   matching rows, by `(storage rank of the projected chunk, row)`.
 //!
 //! Both plans then run the open chunk's DRAM staging through the same
-//! bitmap kernel, skip tombstones, and fold the same FNV answer checksum
-//! over the matches in ascending row order, whatever order they were read
-//! in — `index == scan` is pinned by the property suite. Nothing is copied
+//! bitmap kernel and fold the same FNV answer checksum over the matches in
+//! ascending row order, whatever order they were read in — `index == scan`
+//! is pinned by the property suite. Nothing is copied
 //! out of the heap on the way: the only per-op buffers are the match list,
 //! its chunk spans, the candidate list and the bitmap, and they are reused
 //! across ops ([`ExecBuffers`]).
@@ -86,7 +86,7 @@ pub struct QueryResult {
     /// candidate set) — the one field the two plans legitimately disagree
     /// on.
     pub rows_scanned: u64,
-    /// Rows matching the predicate and not tombstoned.
+    /// Rows matching the predicate.
     pub rows_matched: u64,
     /// The aggregate value (0 when `agg` is `None`).
     pub agg: u64,
@@ -163,19 +163,12 @@ impl ChunkSpans {
     }
 }
 
-/// Builds the selection bitmap of one chunk — the rows of `vals` (row ids
-/// from `row0`) that satisfy `filter` and are not tombstoned — and returns
-/// whether any bit is set. The lane is branch-free; a 64-lane block is
-/// counted first (a reduction the compiler vectorizes) and its bits are
-/// extracted only when the count is non-zero: selective scans find most
-/// blocks empty.
-fn select(
-    table: &Table,
-    filter: &Predicate,
-    row0: usize,
-    vals: &[u64],
-    bitmap: &mut Vec<u64>,
-) -> bool {
+/// Builds the selection bitmap of one chunk — the rows of `vals` that
+/// satisfy `filter` — and returns whether any bit is set. The lane is
+/// branch-free; a 64-lane block is counted first (a reduction the compiler
+/// vectorizes) and its bits are extracted only when the count is non-zero:
+/// selective scans find most blocks empty.
+fn select(filter: &Predicate, vals: &[u64], bitmap: &mut Vec<u64>) -> bool {
     bitmap.clear();
     // The span is hoisted by hand: with `filter.matches(v)` as the lane the
     // compiler re-derives it per lane and the scan runs 1.4-1.8x slower.
@@ -184,13 +177,12 @@ fn select(
     };
     let hit = |v: u64| v.wrapping_sub(filter.lo) <= span;
     let mut any = 0u64;
-    for (w, block) in vals.chunks(64).enumerate() {
+    for block in vals.chunks(64) {
         let mut word = 0u64;
         if block.iter().filter(|&&v| hit(v)).count() != 0 {
             for (i, &v) in block.iter().enumerate() {
                 word |= (hit(v) as u64) << i;
             }
-            word &= !table.deleted_bits(row0 + 64 * w);
         }
         bitmap.push(word);
         any |= word;
@@ -229,7 +221,6 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
         // Fetch by the projected chunk's storage rank, then by row: the rank
         // packed above the row id sorts on both at once.
         debug_assert!(table.rows() <= ROW_MASK, "row ids fit below the rank");
-        hits.retain(|&row| !table.is_deleted(row));
         for hit in &mut hits {
             *hit |= table.rank(pcol, *hit / cr) << RANK_SHIFT;
         }
@@ -248,9 +239,9 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
             scanned += cr as u64;
             let start = matched.len();
             // The projected chunk's read is charged, so whether it happens
-            // is part of the plan's cost: only when a live match survives.
+            // is part of the plan's cost: only when the chunk has a match.
             let any = table.view_col_chunk(heap, fcol, k, |vals| {
-                let any = select(table, &q.filter, k * cr, vals, &mut bitmap);
+                let any = select(&q.filter, vals, &mut bitmap);
                 if any && pcol == fcol {
                     gather(&bitmap, k * cr, vals, &mut matched);
                 }
@@ -270,7 +261,7 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
     let base = table.sealed_chunks() * cr;
     let staged = matched.len();
     heap.charge_ops(srows as u64);
-    if select(table, &q.filter, base, table.staging_col(fcol), &mut bitmap) {
+    if select(&q.filter, table.staging_col(fcol), &mut bitmap) {
         gather(&bitmap, base, table.staging_col(pcol), &mut matched);
     }
     scanned += srows as u64;

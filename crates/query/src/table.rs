@@ -14,13 +14,12 @@
 //! until a chunk fills; sealing a chunk writes it through
 //! [`Heap::write_prims`] — paying the real allocation + store path — and
 //! incrementally freezes a sorted index run over the key column
-//! ([`crate::index::SortedRunIndex`]). Deletes are tombstones; updates
-//! rewrite value columns in place through the chunk handle, H2-resident or
-//! not. Reads are charged borrowed views ([`Heap::view_prims`]): a chunk is
-//! looked at where it lives, never copied out first, and a reader that
-//! visits many chunks visits them in storage order
-//! ([`Table::storage_order`]), so an H2 scan rides the page cache's
-//! readahead instead of jumping back wherever the layout is permuted.
+//! ([`crate::index::SortedRunIndex`]). A table is append-only. Reads are
+//! charged borrowed views ([`Heap::view_prims`]): a chunk is looked at
+//! where it lives, never copied out first, and a reader that visits many
+//! chunks visits them in storage order ([`Table::storage_order`]), so an H2
+//! scan rides the page cache's readahead instead of jumping back wherever
+//! the layout is permuted.
 
 use crate::exec::ExecBuffers;
 use crate::index::{bloom_hash, SortedRunIndex};
@@ -72,12 +71,10 @@ pub struct TableMemoryUsage {
     /// DRAM words staged in the open chunk.
     pub staging_words: usize,
     /// DRAM words of table metadata (the index skeleton's zone maps and
-    /// Bloom filters + tombstone bitmap).
+    /// Bloom filters).
     pub meta_words: usize,
-    /// Total rows ever appended.
+    /// Total rows appended.
     pub rows: usize,
-    /// Rows not tombstoned.
-    pub live_rows: usize,
 }
 
 impl TableMemoryUsage {
@@ -103,8 +100,6 @@ pub struct Table {
     rows: usize,
     staging: Vec<Vec<u64>>,
     index: SortedRunIndex,
-    tombstones: Vec<u64>,
-    dead_rows: usize,
     storage: StorageOrder,
     /// The executor's match list, candidate list, chunk spans and
     /// selection bitmap, reused by every query instead of allocating per
@@ -157,8 +152,6 @@ impl Table {
             rows: 0,
             staging: vec![Vec::new(); cfg.cols],
             index: SortedRunIndex::new(),
-            tombstones: Vec::new(),
-            dead_rows: 0,
             storage: StorageOrder {
                 epoch: None,
                 order: vec![Vec::new(); cfg.cols + 1],
@@ -194,14 +187,9 @@ impl Table {
         self.cfg.cols
     }
 
-    /// Total rows ever appended (including tombstoned ones).
+    /// Total rows appended.
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// Rows not tombstoned.
-    pub fn live_rows(&self) -> usize {
-        self.rows - self.dead_rows
     }
 
     /// Sealed (immutable, indexed) chunks.
@@ -288,10 +276,6 @@ impl Table {
         }
         heap.charge_ops(self.cfg.cols as u64);
         self.rows += 1;
-        let row = self.rows; // bitmap capacity covers rows 0..rows
-        if self.tombstones.len() * 64 < row {
-            self.tombstones.push(0);
-        }
         if self.staging[0].len() == self.cfg.chunk_rows {
             self.seal_chunk(heap)?;
         }
@@ -358,10 +342,10 @@ impl Table {
     /// candidate when its zone map overlaps `[lo, hi]` and, for a point
     /// predicate (`lo == hi`) only, its DRAM Bloom filter may hold the key;
     /// each filter consulted costs one op. Replaces `hits` with the
-    /// candidate row ids ascending (tombstones *not* filtered) and emits an
-    /// `IndexProbe` event counting the runs viewed. A viewed run pays for
-    /// its whole key half (the search is in place, but the charge is the
-    /// plane's contract) and for exactly the matching slice of its id half.
+    /// candidate row ids ascending and emits an `IndexProbe` event counting
+    /// the runs viewed. A viewed run pays for its whole key half (the search
+    /// is in place, but the charge is the plane's contract) and for exactly
+    /// the matching slice of its id half.
     pub fn probe_index(&mut self, heap: &mut Heap, lo: u64, hi: u64, hits: &mut Vec<usize>) {
         self.probe_runs(heap, lo, hi, hits);
         hits.sort_unstable();
@@ -400,59 +384,6 @@ impl Table {
         heap.clock().emit(EventKind::IndexProbe { runs: probed, hits: hits.len() as u64 });
     }
 
-    /// Rewrites a value column in place (sealed chunks through the chunk
-    /// handle — H2-resident chunks pay the device write — staging rows in
-    /// DRAM). The key column is immutable: the index runs would go stale.
-    ///
-    /// # Panics
-    ///
-    /// On the key column, a tombstoned row, or an out-of-range row.
-    pub fn update_value(&mut self, heap: &mut Heap, row: usize, col: usize, val: u64) {
-        assert_ne!(col, self.cfg.key_col, "key column is immutable");
-        assert!(row < self.rows, "row out of range");
-        assert!(!self.is_deleted(row), "update of tombstoned row");
-        let cr = self.cfg.chunk_rows;
-        let k = row / cr;
-        if k < self.sealed_chunks() {
-            let h = heap.dup(self.chunks[col][k]);
-            heap.write_prims(h, row % cr, &[val]);
-            heap.release(h);
-        } else {
-            self.staging[col][row % cr] = val;
-            heap.charge_ops(1);
-        }
-    }
-
-    /// Tombstones a row. Returns whether the row was live.
-    pub fn delete_row(&mut self, heap: &mut Heap, row: usize) -> bool {
-        assert!(row < self.rows, "row out of range");
-        heap.charge_ops(1);
-        let (w, b) = (row / 64, row % 64);
-        if self.tombstones[w] >> b & 1 == 1 {
-            return false;
-        }
-        self.tombstones[w] |= 1 << b;
-        self.dead_rows += 1;
-        true
-    }
-
-    /// Whether `row` is tombstoned.
-    pub fn is_deleted(&self, row: usize) -> bool {
-        self.tombstones[row / 64] >> (row % 64) & 1 == 1
-    }
-
-    /// The tombstone bits of rows `[row, row + 64)`, bit `i` for row
-    /// `row + i`; rows past the end read as live.
-    pub(crate) fn deleted_bits(&self, row: usize) -> u64 {
-        let (w, b) = (row / 64, row % 64);
-        let word = |w: usize| self.tombstones.get(w).copied().unwrap_or(0);
-        if b == 0 {
-            word(w)
-        } else {
-            word(w) >> b | word(w + 1) << (64 - b)
-        }
-    }
-
     /// Releases every chunk, index run and staging buffer, in directory
     /// order (so the root slots they free are reused in the same order on
     /// every run). The objects become garbage immediately; their H2
@@ -468,8 +399,6 @@ impl Table {
         self.index.clear();
         self.storage.epoch = None;
         self.rows = 0;
-        self.dead_rows = 0;
-        self.tombstones.clear();
     }
 
     /// Where every word of the table lives right now (retriever-style
@@ -484,9 +413,8 @@ impl Table {
             h2_chunk_words: h2_chunks * cr,
             index_words: self.sealed_chunks() * 2 * cr,
             staging_words: self.staging.iter().map(Vec::len).sum(),
-            meta_words: self.index.metadata_words() + self.tombstones.len(),
+            meta_words: self.index.metadata_words(),
             rows: self.rows,
-            live_rows: self.live_rows(),
         }
     }
 

@@ -1,6 +1,6 @@
 //! Property suite for the query executor and session plane.
 //!
-//! * Random tables + mutation churn + random queries: the executor (both
+//! * Random append-only tables + random queries: the executor (both
 //!   physical plans) must match a naive host-side full-scan oracle.
 //! * The index-probe plan must be answer-bit-equal to the full-scan plan,
 //!   point lookups of held and absent keys (which the runs' Bloom filters
@@ -8,8 +8,8 @@
 //! * Neither plan's result may depend on the order it visits chunks and
 //!   runs in: a permuted storage order answers like the real one.
 //! * The full-scan plan must charge exactly what the two-pass reference
-//!   plan charges: every filter chunk, and a projected chunk only when a
-//!   live match survives in it.
+//!   plan charges: every filter chunk, and a projected chunk only when the
+//!   chunk has a match.
 //! * Answers must be invariant across device models, `gc_threads` and
 //!   `pause_budget_ns` — runtime knobs move simulated time, never results.
 //! * A fixed seed must replay the whole plane bit-identically, latencies
@@ -50,10 +50,9 @@ fn test_heap() -> Heap {
     heap
 }
 
-/// Host-side mirror of one table: plain rows + tombstones.
+/// Host-side mirror of one table: its plain rows.
 struct Mirror {
     rows: Vec<[u64; COLS]>,
-    deleted: Vec<bool>,
 }
 
 impl Mirror {
@@ -63,9 +62,6 @@ impl Mirror {
         let mut fnv = Fnv::new();
         let (mut count, mut sum, mut mn, mut mx) = (0u64, 0u64, u64::MAX, 0u64);
         for (row, vals) in self.rows.iter().enumerate() {
-            if self.deleted[row] {
-                continue;
-            }
             let f = vals[q.filter.col];
             if q.filter.lo <= f && f <= q.filter.hi {
                 let v = vals[q.project];
@@ -88,27 +84,6 @@ impl Mirror {
     }
 }
 
-#[derive(Debug, Clone)]
-enum ChurnOp {
-    /// Overwrite a value column of a (possibly sealed, H2-resident) row.
-    Update(usize, usize, u64),
-    /// Tombstone a row.
-    Delete(usize),
-    /// A collection between mutations.
-    MinorGc,
-    MajorGc,
-}
-
-fn churn_strategy() -> impl Strategy<Value = ChurnOp> {
-    prop_oneof![
-        4 => (range_usize(0..512), range_usize(1..COLS), range_u64(0..600))
-            .prop_map(|(r, c, v)| ChurnOp::Update(r, c, v)),
-        2 => range_usize(0..512).prop_map(ChurnOp::Delete),
-        1 => Just(ChurnOp::MinorGc),
-        1 => Just(ChurnOp::MajorGc),
-    ]
-}
-
 /// ((filter col, lo, span), (project col, agg selector), predicate shape).
 type QuerySpecTuple = ((usize, u64, u64), (usize, usize), usize);
 
@@ -120,13 +95,8 @@ fn query_strategy() -> impl Strategy<Value = QuerySpecTuple> {
     )
 }
 
-/// The query of a spec against the table `mirror` holds, and whether its
-/// matches in every other chunk are tombstoned before it runs (so some
-/// chunks' only matches are dead).
-fn build_query(
-    ((col, lo, span), (project, agg), shape): QuerySpecTuple,
-    mirror: &Mirror,
-) -> (Query, bool) {
+/// The query of a spec against the table `mirror` holds.
+fn build_query(((col, lo, span), (project, agg), shape): QuerySpecTuple, mirror: &Mirror) -> Query {
     let agg = match agg {
         0 => None,
         1 => Some(Agg::Count),
@@ -137,28 +107,21 @@ fn build_query(
     // Point lookups are on the key column, so the index plan asks the runs'
     // filters: a drawn key (held by some runs or by none), or a held one.
     let held = mirror.rows[lo as usize % mirror.rows.len()][0];
-    let (col, lo, hi, kill) = match shape {
+    let (col, lo, hi) = match shape {
         // Inverted: matches nothing, whatever the values.
-        0 => (col, lo + span + 1, lo, false),
-        1 => (col, 0, lo, false),
-        2 => (col, lo, u64::MAX, false),
-        3 | 4 => (col, lo, lo + span, true),
-        7 => (0, lo, lo, false),
-        8 | 9 => (0, held, held, shape == 9),
-        _ => (col, lo, lo + span, false),
+        0 => (col, lo + span + 1, lo),
+        1 => (col, 0, lo),
+        2 => (col, lo, u64::MAX),
+        7 => (0, lo, lo),
+        8 | 9 => (0, held, held),
+        _ => (col, lo, lo + span),
     };
-    (Query { filter: Predicate { col, lo, hi }, project, agg }, kill)
+    Query { filter: Predicate { col, lo, hi }, project, agg }
 }
 
-/// A cold table of `rows` seeded rows after `churn`, with its mirror. Cold
-/// placement and several sealed chunks: most reads go through H2 after the
-/// first major GC.
-fn churned_table(
-    chunk_rows: usize,
-    rows: usize,
-    seed: u64,
-    churn: &[ChurnOp],
-) -> (Heap, Table, Mirror) {
+/// A cold table of `rows` seeded rows, with its mirror. Cold placement and
+/// several sealed chunks: most reads go through H2 after the major GC.
+fn cold_table(chunk_rows: usize, rows: usize, seed: u64) -> (Heap, Table, Mirror) {
     let mut heap = test_heap();
     let mut table = Table::new(TableConfig {
         table_id: 1,
@@ -168,48 +131,24 @@ fn churned_table(
         placement: TablePlacement::Cold,
     });
     let mut rng = Rng::seed_from_u64(seed);
-    let mut mirror = Mirror { rows: Vec::new(), deleted: Vec::new() };
+    let mut mirror = Mirror { rows: Vec::new() };
     for _ in 0..rows {
         let row = [rng.gen_range(0..600u64), rng.gen_range(0..600u64), rng.gen_range(0..600u64)];
         table.append_row(&mut heap, &row).unwrap();
         mirror.rows.push(row);
-        mirror.deleted.push(false);
     }
     heap.gc_major().unwrap();
-    for op in churn {
-        match *op {
-            ChurnOp::Update(r, c, v) => {
-                let r = r % rows;
-                if !mirror.deleted[r] {
-                    table.update_value(&mut heap, r, c, v);
-                    mirror.rows[r][c] = v;
-                }
-            }
-            ChurnOp::Delete(r) => {
-                let r = r % rows;
-                if !mirror.deleted[r] {
-                    assert!(table.delete_row(&mut heap, r));
-                    mirror.deleted[r] = true;
-                }
-            }
-            ChurnOp::MinorGc => heap.gc_minor().unwrap(),
-            ChurnOp::MajorGc => heap.gc_major().unwrap(),
-        }
-    }
     (heap, table, mirror)
 }
 
 /// The charges of the full-scan plan by the two-pass rule it replaced:
 /// read every sealed filter chunk, in storage order; read the projected
-/// chunk only if some row of the chunk matches and is not tombstoned; one
-/// op per staged row.
+/// chunk only if some row of the chunk matches; one op per staged row.
 fn reference_scan_charges(heap: &mut Heap, table: &mut Table, q: &Query) {
     let cr = table.chunk_rows();
     for k in table.storage_order(heap, q.filter.col).to_vec() {
         let any = table.view_col_chunk(heap, q.filter.col, k, |vals| {
-            (0..cr).any(|i| {
-                q.filter.lo <= vals[i] && vals[i] <= q.filter.hi && !table.is_deleted(k * cr + i)
-            })
+            vals[..cr].iter().any(|&v| q.filter.lo <= v && v <= q.filter.hi)
         });
         if any && q.project != q.filter.col {
             table.view_col_chunk(heap, q.project, k, |_| ());
@@ -218,7 +157,7 @@ fn reference_scan_charges(heap: &mut Heap, table: &mut Table, q: &Query) {
     heap.charge_ops(table.staging_rows() as u64);
 }
 
-/// (chunk rows, rows, seed) of a [`churned_table`].
+/// (chunk rows, rows, seed) of a [`cold_table`].
 type TableSpec = (usize, usize, u64);
 
 /// Chunk sizes from 10 rows to the default 256, up to 600 rows.
@@ -236,49 +175,21 @@ fn table_strategy() -> impl Strategy<Value = TableSpec> {
     )
 }
 
-/// Tombstones, in both twins, every live row of an even chunk that `q`
-/// matches, so some chunks' only matches are dead.
-fn plant_tombstones(
-    q: &Query,
-    mirror: &mut Mirror,
-    chunk_rows: usize,
-    mut twins: [(&mut Heap, &mut Table); 2],
-) {
-    for r in 0..mirror.rows.len() {
-        let f = mirror.rows[r][q.filter.col];
-        let matches = q.filter.lo <= f && f <= q.filter.hi;
-        if matches && (r / chunk_rows).is_multiple_of(2) && !mirror.deleted[r] {
-            for (heap, table) in &mut twins {
-                assert!(table.delete_row(heap, r), "the twins and the mirror agree on live rows");
-            }
-            mirror.deleted[r] = true;
-        }
-    }
-}
-
 #[test]
 fn executor_matches_naive_oracle_and_index_equals_scan() {
     check(
         "executor_matches_naive_oracle_and_index_equals_scan",
-        &(table_strategy(), vec_of(churn_strategy(), 0..24), vec_of(query_strategy(), 1..8)),
+        &(table_strategy(), vec_of(query_strategy(), 1..8)),
         &Config::with_cases(48),
-        |((chunk_rows, rows, seed), churn, queries): (
-            TableSpec,
-            Vec<ChurnOp>,
-            Vec<QuerySpecTuple>,
-        )| {
+        |((chunk_rows, rows, seed), queries): (TableSpec, Vec<QuerySpecTuple>)| {
             // Twins: one runs the executor, the other the reference plan's
             // charges; they see the same op sequence otherwise, so their
             // page caches stay in lockstep.
-            let (mut heap, mut table, mut mirror) = churned_table(chunk_rows, rows, seed, &churn);
-            let (mut ref_heap, mut ref_table, _) = churned_table(chunk_rows, rows, seed, &churn);
+            let (mut heap, mut table, mirror) = cold_table(chunk_rows, rows, seed);
+            let (mut ref_heap, mut ref_table, _) = cold_table(chunk_rows, rows, seed);
 
             for spec in queries {
-                let (q, kill) = build_query(spec, &mirror);
-                if kill {
-                    let twins = [(&mut heap, &mut table), (&mut ref_heap, &mut ref_table)];
-                    plant_tombstones(&q, &mut mirror, chunk_rows, twins);
-                }
+                let q = build_query(spec, &mirror);
                 let (before, ref_before) =
                     (heap.clock().total_ns(), ref_heap.clock().total_ns());
                 let scan = run_query(&mut heap, &mut table, &q, false);
@@ -315,26 +226,14 @@ fn answers_do_not_depend_on_visiting_order() {
     // both plans must still match the oracle.
     check(
         "answers_do_not_depend_on_visiting_order",
-        &(
-            (table_strategy(), range_u64(0..u64::MAX)),
-            vec_of(churn_strategy(), 0..24),
-            vec_of(query_strategy(), 1..8),
-        ),
+        &((table_strategy(), range_u64(0..u64::MAX)), vec_of(query_strategy(), 1..8)),
         &Config::with_cases(48),
-        |(((chunk_rows, rows, seed), perm), churn, queries): (
-            (TableSpec, u64),
-            Vec<ChurnOp>,
-            Vec<QuerySpecTuple>,
-        )| {
-            let (mut heap, mut table, mut mirror) = churned_table(chunk_rows, rows, seed, &churn);
-            let (mut perm_heap, mut perm_table, _) = churned_table(chunk_rows, rows, seed, &churn);
+        |(((chunk_rows, rows, seed), perm), queries): ((TableSpec, u64), Vec<QuerySpecTuple>)| {
+            let (mut heap, mut table, mirror) = cold_table(chunk_rows, rows, seed);
+            let (mut perm_heap, mut perm_table, _) = cold_table(chunk_rows, rows, seed);
             perm_table.permute_storage_order(&perm_heap, perm);
             for spec in queries {
-                let (q, kill) = build_query(spec, &mirror);
-                if kill {
-                    let twins = [(&mut heap, &mut table), (&mut perm_heap, &mut perm_table)];
-                    plant_tombstones(&q, &mut mirror, chunk_rows, twins);
-                }
+                let q = build_query(spec, &mirror);
                 for use_index in [false, true] {
                     let want = run_query(&mut heap, &mut table, &q, use_index);
                     let got = run_query(&mut perm_heap, &mut perm_table, &q, use_index);

@@ -230,12 +230,6 @@ impl Heap {
         }
     }
 
-    /// Whether reference field/element `idx` is null.
-    pub fn ref_is_null(&mut self, h: Handle, idx: usize) -> bool {
-        let slot = self.pin(h).at.ref_slot(idx);
-        self.load(slot, Category::Mutator) == 0
-    }
-
     /// Stores `val` into reference field/element `idx` of `h`, running the
     /// post-write barrier (with TeraHeap's reference range check).
     pub fn write_ref(&mut self, h: Handle, idx: usize, val: Handle) {

@@ -390,7 +390,7 @@ mod tests {
         assert!(h.same_object(b, b2));
         assert_eq!(h.read_prim(b2, 0), 99);
         h.write_ref_null(a, 0);
-        assert!(h.ref_is_null(a, 0));
+        assert!(h.read_ref(a, 0).is_none());
     }
 
     #[test]

@@ -198,7 +198,7 @@ fn h1_cards_are_cleared_when_no_young_refs_remain() {
     let minors_before = heap.stats().minor_count;
     heap.gc_minor().unwrap();
     assert_eq!(heap.stats().minor_count, minors_before + 1);
-    assert!(heap.ref_is_null(holder, 0));
+    assert!(heap.read_ref(holder, 0).is_none());
 }
 
 #[test]

@@ -86,14 +86,6 @@ impl Workload {
             Workload::Km => "KM",
         }
     }
-
-    /// Whether this is a GraphX-style workload.
-    pub fn is_graph(&self) -> bool {
-        matches!(
-            self,
-            Workload::Pr | Workload::Cc | Workload::Sssp | Workload::Svd | Workload::Tr
-        )
-    }
 }
 
 /// Dataset sizing knobs (the scaled-down stand-ins for Table 3's datasets).

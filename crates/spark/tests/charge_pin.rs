@@ -86,7 +86,7 @@ fn config(workload: Workload, mode: Mode, pause_budget_ns: u64) -> SparkConfig {
 /// tiny dataset barely fits (or, for some arms, does not fit) deserialized.
 fn heap_words(workload: Workload) -> (usize, usize) {
     match workload {
-        w if w.is_graph() => (768, 3968),
+        Workload::Pr | Workload::Cc | Workload::Sssp | Workload::Svd | Workload::Tr => (768, 3968),
         Workload::Rl => (2048, 4096),
         _ => (1536, 1536),
     }

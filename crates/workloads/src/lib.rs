@@ -39,15 +39,6 @@ pub struct GraphDataset {
 }
 
 impl GraphDataset {
-    /// Out-degree of every vertex.
-    pub fn out_degrees(&self) -> Vec<usize> {
-        let mut d = vec![0usize; self.vertices];
-        for &(s, _) in &self.edges {
-            d[s as usize] += 1;
-        }
-        d
-    }
-
     /// Approximate in-memory size in bytes when loaded as objects
     /// (vertex + edge objects), used to size heaps like Tables 3–4.
     pub fn approx_bytes(&self) -> usize {
@@ -376,7 +367,8 @@ mod tests {
     #[test]
     fn degree_distribution_is_heavy_tailed() {
         let g = powerlaw_graph(2000, 10, 3);
-        let mut d = g.out_degrees();
+        let adj = g.adjacency();
+        let mut d: Vec<usize> = (0..g.vertices).map(|v| adj.of(v).len()).collect();
         d.sort_unstable_by(|a, b| b.cmp(a));
         let top1pct: usize = d[..20].iter().sum();
         let total: usize = d.iter().sum();
@@ -401,7 +393,6 @@ mod tests {
         for (v, list) in lists.iter().enumerate() {
             assert_eq!(adj.of(v), list.as_slice(), "vertex {v}");
         }
-        assert_eq!(g.out_degrees()[7], adj.of(7).len());
     }
 
     #[test]
