@@ -18,7 +18,7 @@ use mini_spark::RunReport;
 const THREADS: [usize; 5] = [1, 2, 4, 8, 16];
 
 pub(super) fn arms() -> Vec<((&'static str, usize), Job<RunReport>)> {
-    let run = |t, device| job(move || pressure_pr(t, 0, Some(device)).0);
+    let run = |t, device| job(move || pressure_pr(t, Some(device)));
     let sweep = |(name, device)| THREADS.map(|t| ((name, t), run(t, device)));
     devices().into_iter().flat_map(sweep).collect()
 }

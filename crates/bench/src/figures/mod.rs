@@ -94,9 +94,6 @@ figures! {
     fig13_gc_threads: "GC pause time vs gc_threads vs device (work-unit scheduler)",
         "device,gc_threads,minor_gcs,mean_minor_pause_ns,major_gcs,mean_major_pause_ns,\
          minor_gc_ns,major_gc_ns,total_ns";
-    fig14_pause_cdf: "Major-GC pause distribution: stop-world PS vs incremental (pause budget)",
-        "device,h2,mode,pause_budget_ns,major_pauses,major_mean_ns,major_p50_ns,major_p99_ns,\
-         major_p999_ns,major_max_ns,minor_pauses,minor_mean_pause_ns,total_ns";
     fig15_tenants: "Tenant scaling on one shared H2 device",
         "device,tenants,total_rounds,agg_rounds_per_sec,makespan_ns,device_vtime_ns,\
          p99_mean_ns,p99_max_ns,queued_ns,busy_ns,jain_fairness,oom_rounds";

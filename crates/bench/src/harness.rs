@@ -9,11 +9,8 @@
 //! worker pool, the rendering target, and the cell/bar formatters.
 
 use mini_giraph::{run_giraph, GiraphConfig, GiraphMode, GiraphReport};
-use mini_spark::{
-    run_workload, run_workload_traced, DatasetScale, ExecMode, RunReport, SparkConfig, Workload,
-};
+use mini_spark::{run_workload, DatasetScale, ExecMode, RunReport, SparkConfig, Workload};
 use teraheap_core::H2Config;
-use teraheap_runtime::obs::{Event, Level};
 use teraheap_runtime::HeapConfig;
 use teraheap_storage::DeviceSpec;
 
@@ -255,14 +252,10 @@ pub fn devices() -> [(&'static str, DeviceSpec); 3] {
     [("nvme", nvme), ("nvm", nvm), ("dax", dax)]
 }
 
-/// The memory-pressured PageRank job behind the GC-thread and pause-budget
-/// sweeps: several minor GCs and an H2-promoting major per run. `device`
-/// backs a 16 MiB H2 (`None`: on-heap). Traced in full, ring never wraps.
-pub fn pressure_pr(
-    gc_threads: usize,
-    pause_budget_ns: u64,
-    device: Option<DeviceSpec>,
-) -> (RunReport, Vec<Event>) {
+/// The memory-pressured PageRank job behind the GC-thread sweep: several
+/// minor GCs and an H2-promoting major per run. `device` backs a 16 MiB H2
+/// (`None`: on-heap).
+pub fn pressure_pr(gc_threads: usize, device: Option<DeviceSpec>) -> RunReport {
     let h2 = H2Config::builder()
         .region_words(32 << 10)
         .resident_budget_bytes(512 << 10)
@@ -271,15 +264,12 @@ pub fn pressure_pr(
         .expect("valid H2 layout");
     let heap = HeapConfig::builder(12 << 10, 64 << 10)
         .gc_threads(gc_threads)
-        .pause_budget_ns(pause_budget_ns)
-        .obs_level(Level::Full)
-        .obs_events(1 << 20)
         .build()
         .expect("valid heap config");
     let mode = device.map_or(ExecMode::OnHeap, |device| ExecMode::TeraHeap { h2, device });
     let scale = DatasetScale { vertices: 4_000, avg_degree: 6, ..DatasetScale::tiny() };
     let config = SparkConfig { heap, mode, partitions: 8, iterations: 5 };
-    run_workload_traced(Workload::Pr, config, scale)
+    run_workload(Workload::Pr, config, scale)
 }
 
 /// Worker-thread count for the figure pool: `TERAHEAP_BENCH_THREADS` if

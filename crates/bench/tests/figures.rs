@@ -92,7 +92,7 @@ fn rendering_is_byte_identical_at_any_worker_count() {
 
 /// How many leading CSV columns name an arm (its labels and sweep
 /// coordinates), per figure. The rest of a row is the arm's value.
-const KEY_COLUMNS: [(&str, usize); 16] = [
+const KEY_COLUMNS: [(&str, usize); 15] = [
     ("fig6_spark", 3),        // bar,workload,mode
     ("fig6_giraph", 3),       // bar,workload,mode
     ("fig7_timeline", 2),     // config,row_kind
@@ -103,7 +103,6 @@ const KEY_COLUMNS: [(&str, usize); 16] = [
     ("fig12_nvm", 4),         // panel,config,workload,mode
     ("fig13_scaling", 4),     // panel,workload,config,threads_or_size
     ("fig13_gc_threads", 2),  // device,gc_threads
-    ("fig14_pause_cdf", 4),   // device,h2,mode,pause_budget_ns
     ("fig15_tenants", 2),     // device,tenants
     ("fig16_placement", 4),   // device,arm,workload,mode
     ("fig17_query", 4),       // device,sessions,hot_pct,tenants

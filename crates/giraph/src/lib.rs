@@ -894,8 +894,7 @@ fn deliver_in(
 
 /// Writes `words` into `pin`'s primitive slots from `start`, charged as the
 /// per-word [`Heap::write_prim_at`] loop: one [`WordBatch`] fill in H1, a
-/// [`Heap::fill_prims_at`] per [`Heap::prim_run_at`] run otherwise (in H2,
-/// or word by word in H1 while a major cycle is in flight).
+/// [`Heap::fill_prims_at`] per [`Heap::prim_run_at`] run in H2.
 fn write_words<T: Copy + Into<u64>>(heap: &mut Heap, pin: &mut Pin, start: usize, words: &[T]) {
     let fill = |from: usize, slots: &mut [u64]| {
         for (slot, &w) in slots.iter_mut().zip(&words[from..]) {

@@ -138,10 +138,6 @@ pub enum GcCause {
     EdenFullAfterGc,
     /// An explicit `gc_minor`/`gc_major` request (tests, benchmarks).
     Explicit,
-    /// The incremental collector started a cycle early, on old-gen occupancy,
-    /// so marking can finish before the promotion guarantee would force a
-    /// stop-world collection.
-    Incremental,
 }
 
 impl GcCause {
@@ -152,7 +148,6 @@ impl GcCause {
             GcCause::PromotionGuarantee => "promotion_guarantee",
             GcCause::EdenFullAfterGc => "eden_full_after_gc",
             GcCause::Explicit => "explicit",
-            GcCause::Incremental => "incremental",
         }
     }
 }
@@ -338,17 +333,6 @@ pub enum EventKind {
     /// clock advanced by the critical path `advance_ns`, and non-critical
     /// lanes idled for `stall_ns` total.
     LaneBarrier { lanes: u32, units: u64, advance_ns: u64, stall_ns: u64 },
-    /// An incremental major-GC slice starts; `phase` is the phase the slice
-    /// resumes. The mutator is stopped between `SliceBegin` and `SliceEnd`,
-    /// so the pair's duration is one observable pause.
-    SliceBegin { phase: GcPhase },
-    /// The incremental slice yielded back to the mutator after dispatching
-    /// `units` work units.
-    SliceEnd { phase: GcPhase, units: u64 },
-    /// The mutator write barrier remembered a reference overwritten between
-    /// marking slices (snapshot-at-the-beginning deletion barrier); `root`
-    /// distinguishes a released GC root from an object-field overwrite.
-    WriteBarrierRemember { root: bool },
     /// A device request queued behind other tenants of a shared device
     /// (server plane, DESIGN.md §12): the arbiter delayed it `wait_ns`
     /// before service, charged to the waiting tenant.
@@ -387,11 +371,11 @@ pub const PLACEMENT_NAMES: [&str; 3] = ["on_heap", "serialized", "h2"];
 pub const QUERY_OP_NAMES: [&str; 3] = ["point_lookup", "range_scan", "aggregate"];
 
 /// Number of distinct event classes (counter array dimension).
-pub const CLASS_COUNT: usize = 31;
+pub const CLASS_COUNT: usize = 28;
 
 /// Number of span slots [`EventKind::span_edge`] distinguishes: minor/major
-/// GC, the four major phases, the [`SpanKind`]s, then incremental GC slices.
-pub const SPAN_COUNT: usize = 9;
+/// GC, the four major phases, then the [`SpanKind`]s.
+pub const SPAN_COUNT: usize = 8;
 
 impl EventKind {
     /// Short lowercase name used by the exporters and counter listing.
@@ -422,17 +406,14 @@ impl EventKind {
             EventKind::UnitBegin { .. } => 17,
             EventKind::UnitEnd { .. } => 18,
             EventKind::LaneBarrier { .. } => 19,
-            EventKind::SliceBegin { .. } => 20,
-            EventKind::SliceEnd { .. } => 21,
-            EventKind::WriteBarrierRemember { .. } => 22,
-            EventKind::DeviceQueued { .. } => 23,
-            EventKind::TenantSched { .. } => 24,
-            EventKind::Pretenure { .. } => 25,
-            EventKind::PlacementDecision { .. } => 26,
-            EventKind::BlockSerde { .. } => 27,
-            EventKind::QueryBegin { .. } => 28,
-            EventKind::QueryEnd { .. } => 29,
-            EventKind::IndexProbe { .. } => 30,
+            EventKind::DeviceQueued { .. } => 20,
+            EventKind::TenantSched { .. } => 21,
+            EventKind::Pretenure { .. } => 22,
+            EventKind::PlacementDecision { .. } => 23,
+            EventKind::BlockSerde { .. } => 24,
+            EventKind::QueryBegin { .. } => 25,
+            EventKind::QueryEnd { .. } => 26,
+            EventKind::IndexProbe { .. } => 27,
         }
     }
 
@@ -458,9 +439,6 @@ impl EventKind {
         "unit_begin",
         "unit_end",
         "lane_barrier",
-        "slice_begin",
-        "slice_end",
-        "write_barrier_remember",
         "device_queued",
         "tenant_sched",
         "pretenure",
@@ -483,8 +461,6 @@ impl EventKind {
             EventKind::PhaseEnd { phase } => Some((2 + phase.index(), false)),
             EventKind::SpanBegin { kind } => Some((6 + kind.index(), true)),
             EventKind::SpanEnd { kind } => Some((6 + kind.index(), false)),
-            EventKind::SliceBegin { .. } => Some((8, true)),
-            EventKind::SliceEnd { .. } => Some((8, false)),
             _ => None,
         }
     }
@@ -503,8 +479,6 @@ impl EventKind {
                 | EventKind::Oom
                 | EventKind::H2Degraded { .. }
                 | EventKind::LaneBarrier { .. }
-                | EventKind::SliceBegin { .. }
-                | EventKind::SliceEnd { .. }
         )
     }
 }
@@ -780,9 +754,6 @@ mod tests {
             EventKind::UnitBegin { lane: 0, kind: unit },
             EventKind::UnitEnd { lane: 0, kind: unit, cost_ns: 0 },
             EventKind::LaneBarrier { lanes: 1, units: 0, advance_ns: 0, stall_ns: 0 },
-            EventKind::SliceBegin { phase },
-            EventKind::SliceEnd { phase, units: 0 },
-            EventKind::WriteBarrierRemember { root: false },
             EventKind::DeviceQueued { wait_ns: 0 },
             EventKind::TenantSched { tenant: 0 },
             EventKind::Pretenure { label: 0, words: 0 },
@@ -796,7 +767,7 @@ mod tests {
         classes.sort_unstable();
         assert_eq!(classes, (0..CLASS_COUNT).collect::<Vec<_>>());
         assert_eq!(EventKind::Oom.name(), "oom");
-        assert_eq!(one_of_each[30].name(), "index_probe");
+        assert_eq!(one_of_each[27].name(), "index_probe");
     }
 
     #[test]

@@ -82,15 +82,6 @@ fn json_fields(kind: &EventKind) -> String {
             "\"kind\":\"{name}\",\"lanes\":{lanes},\"units\":{units},\
              \"advance_ns\":{advance_ns},\"stall_ns\":{stall_ns}"
         ),
-        EventKind::SliceBegin { phase } => {
-            format!("\"kind\":\"{name}\",\"phase\":\"{}\"", phase.name())
-        }
-        EventKind::SliceEnd { phase, units } => {
-            format!("\"kind\":\"{name}\",\"phase\":\"{}\",\"units\":{units}", phase.name())
-        }
-        EventKind::WriteBarrierRemember { root } => {
-            format!("\"kind\":\"{name}\",\"root\":{root}")
-        }
         EventKind::DeviceQueued { wait_ns } => {
             format!("\"kind\":\"{name}\",\"wait_ns\":{wait_ns}")
         }

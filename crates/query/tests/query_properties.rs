@@ -10,8 +10,8 @@
 //! * The full-scan plan must charge exactly what the two-pass reference
 //!   plan charges: every filter chunk, and a projected chunk only when the
 //!   chunk has a match.
-//! * Answers must be invariant across device models, `gc_threads` and
-//!   `pause_budget_ns` — runtime knobs move simulated time, never results.
+//! * Answers must be invariant across device models and `gc_threads` —
+//!   runtime knobs move simulated time, never results.
 //! * A fixed seed must replay the whole plane bit-identically, latencies
 //!   included.
 
@@ -248,34 +248,29 @@ fn answers_do_not_depend_on_visiting_order() {
 
 #[test]
 fn answers_are_invariant_across_runtime_knobs() {
-    // Device model, GC parallelism and the incremental pause budget move
-    // *when* things happen, never *what* the queries answer: the plane's
-    // canonical checksum must agree across every knob combination.
+    // Device model and GC parallelism move *when* things happen, never
+    // *what* the queries answer: the plane's canonical checksum must agree
+    // across every knob combination.
     let devices =
         [DeviceSpec::nvme_ssd(), DeviceSpec::optane_nvm(), DeviceSpec::dram()];
     let mut reference = None;
     for device in devices {
         for gc_threads in [1usize, 4] {
-            for pause_budget in [0u64, 50_000] {
-                let mut cfg = QueryPlaneConfig::new(device);
-                cfg.heap = HeapConfig::builder(16 << 10, 96 << 10)
-                    .gc_threads(gc_threads)
-                    .pause_budget_ns(pause_budget)
-                    .build()
-                    .expect("valid heap config");
-                cfg.tenants = 2;
-                cfg.sessions = 4;
-                cfg.total_ops = 96;
-                cfg.rows_per_table = 512;
-                cfg.chunk_rows = 64;
-                let report = run_query_plane(&cfg).expect("plane runs");
-                match reference {
-                    None => reference = Some(report.checksum),
-                    Some(want) => assert_eq!(
-                        report.checksum, want,
-                        "answers drifted at gc_threads={gc_threads} \
-                         pause_budget={pause_budget}"
-                    ),
+            let mut cfg = QueryPlaneConfig::new(device);
+            cfg.heap = HeapConfig::builder(16 << 10, 96 << 10)
+                .gc_threads(gc_threads)
+                .build()
+                .expect("valid heap config");
+            cfg.tenants = 2;
+            cfg.sessions = 4;
+            cfg.total_ops = 96;
+            cfg.rows_per_table = 512;
+            cfg.chunk_rows = 64;
+            let report = run_query_plane(&cfg).expect("plane runs");
+            match reference {
+                None => reference = Some(report.checksum),
+                Some(want) => {
+                    assert_eq!(report.checksum, want, "answers drifted at gc_threads={gc_threads}")
                 }
             }
         }

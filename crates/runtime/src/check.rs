@@ -110,33 +110,21 @@ impl Heap {
     /// Verifies the full-heap invariants listed in the [module docs](self).
     ///
     /// Intended for quiescent points (GC boundaries, end of a workload);
-    /// must not be called from inside a collection, where forwarding bits
-    /// are legitimately set. Between the slices of an incremental major
-    /// cycle the check adapts: before the flip the full walk runs with
-    /// candidate bits allowed (selection legitimately leaves them set
-    /// between slices; the marks live in the cycle's own bitmap) and
-    /// without the references of garbage the H2 region sweep has already
-    /// passed (they may name freed regions until compaction); during
-    /// relocation only root resolution is
-    /// checked (objects are mid-motion and H2 promotion is mid-flight).
+    /// must not be called from inside a collection, where candidate bits
+    /// and marks are legitimately set.
     ///
     /// # Errors
     ///
     /// Returns the first violated invariant as a [`CheckError`].
     pub fn heap_check(&self) -> Result<CheckReport, CheckError> {
         debug_assert!(!self.in_gc, "heap_check inside a collection");
-        match self.cycle.as_deref() {
-            Some(cyc) if !cyc.pre_flip() => return self.heap_check_relocating(),
-            Some(_) => return self.heap_check_walk(true),
-            None => {}
-        }
         if let Some(addr) = self.mark_scratch.sources().next() {
             return Err(CheckError::StaleGcBits {
                 addr,
                 detail: "mark bitmap bit outside a cycle",
             });
         }
-        self.heap_check_walk(false)
+        self.heap_check_walk()
     }
 
     /// On-demand invariant sweep for long-running harnesses.
@@ -163,33 +151,7 @@ impl Heap {
         self.heap_check()
     }
 
-    /// The relocation-window check: every live root must resolve — through
-    /// the cycle's destination index — to a well-formed object header.
-    fn heap_check_relocating(&self) -> Result<CheckReport, CheckError> {
-        let cyc = self.cycle.as_deref().expect("relocating check without a cycle");
-        let mut report = CheckReport::default();
-        for (i, &a) in self.roots.iter().enumerate() {
-            if a.is_null() {
-                continue;
-            }
-            let (phys, _) = cyc.view(a);
-            let header = self.word(phys);
-            let bad = object::is_forwarded(header)
-                || object::size_of(header) < object::HEADER_WORDS
-                || object::class_of(header).0 as usize >= self.classes.len();
-            if bad {
-                return Err(CheckError::DanglingRoot { slot: i, to: a.raw() });
-            }
-            if phys.is_h2() {
-                report.h2_objects += 1;
-            } else {
-                report.h1_objects += 1;
-            }
-        }
-        Ok(report)
-    }
-
-    fn heap_check_walk(&self, allow_gc_bits: bool) -> Result<CheckReport, CheckError> {
+    fn heap_check_walk(&self) -> Result<CheckReport, CheckError> {
         let mut report = CheckReport::default();
         if self.to.used_words() != 0 {
             return Err(CheckError::SurvivorNotEmpty { words: self.to.used_words() });
@@ -197,8 +159,8 @@ impl Heap {
 
         // ---- valid object-start sets -----------------------------------
         let mut h1: HashSet<u64> = HashSet::new();
-        self.collect_linear(self.eden.base().raw(), self.eden.top().raw(), &mut h1, &mut report, allow_gc_bits)?;
-        self.collect_linear(self.from.base().raw(), self.from.top().raw(), &mut h1, &mut report, allow_gc_bits)?;
+        self.collect_linear(self.eden.base().raw(), self.eden.top().raw(), &mut h1, &mut report)?;
+        self.collect_linear(self.from.base().raw(), self.from.top().raw(), &mut h1, &mut report)?;
         // The old generation is indexed by `old_starts` (a linear walk
         // cannot cross G1 humongous footprint gaps). Its footprints tile
         // `[base, top)`, which the major plan's dense prefix relies on.
@@ -215,7 +177,7 @@ impl Heap {
                 });
             }
             let header = self.mem[s as usize];
-            self.check_header(s, header, (old_top - s) as usize, allow_gc_bits)?;
+            self.check_header(s, header, (old_top - s) as usize)?;
             if s != tiled {
                 return Err(CheckError::UnsortedStarts { space: "old", index: i });
             }
@@ -243,7 +205,7 @@ impl Heap {
                         return Err(CheckError::UnsortedStarts { space: "h2", index: i });
                     }
                     let header = h2.read_word_free(Addr::new(s));
-                    self.check_header(s, header, used - (s - base) as usize, allow_gc_bits)?;
+                    self.check_header(s, header, used - (s - base) as usize)?;
                     h2set.insert(s);
                     report.h2_objects += 1;
                     expect = s + object::size_of(header) as u64;
@@ -258,11 +220,7 @@ impl Heap {
         // ---- reference and card checks ---------------------------------
         let mut h1_sorted: Vec<u64> = h1.iter().copied().collect();
         h1_sorted.sort_unstable();
-        let cycle = self.cycle.as_deref();
         for &a in &h1_sorted {
-            if cycle.is_some_and(|cyc| cyc.swept_garbage(a)) {
-                continue;
-            }
             let obj = Addr::new(a);
             let in_old = self.old.contains(obj);
             let (first_slot, end_slot) = self.ref_slot_range(obj);
@@ -360,12 +318,11 @@ impl Heap {
         hi: u64,
         set: &mut HashSet<u64>,
         report: &mut CheckReport,
-        allow_gc_bits: bool,
     ) -> Result<(), CheckError> {
         let mut a = lo;
         while a < hi {
             let header = self.mem[a as usize];
-            self.check_header(a, header, (hi - a) as usize, allow_gc_bits)?;
+            self.check_header(a, header, (hi - a) as usize)?;
             set.insert(a);
             report.h1_objects += 1;
             a += object::size_of(header) as u64;
@@ -373,20 +330,14 @@ impl Heap {
         Ok(())
     }
 
-    fn check_header(
-        &self,
-        addr: u64,
-        header: u64,
-        max_words: usize,
-        allow_gc_bits: bool,
-    ) -> Result<(), CheckError> {
+    fn check_header(&self, addr: u64, header: u64, max_words: usize) -> Result<(), CheckError> {
         if object::is_forwarded(header) {
             return Err(CheckError::StaleGcBits {
                 addr,
                 detail: "forwarding header outside a collection",
             });
         }
-        if !allow_gc_bits && object::is_candidate(header) {
+        if object::is_candidate(header) {
             return Err(CheckError::StaleGcBits {
                 addr,
                 detail: "candidate bit outside a collection",

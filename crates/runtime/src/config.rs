@@ -91,13 +91,6 @@ impl GcVariant {
     }
 }
 
-/// Default per-slice pause budget in simulated nanoseconds for incremental
-/// major collection (`HeapConfig::pause_budget_ns`). 50 µs sits an order of
-/// magnitude under the stop-world major pauses of the figure workloads
-/// (hundreds of µs, see `results/fig13_gc_threads.csv`), which is what the
-/// fig14 pause-CDF sweep demonstrates.
-pub const DEFAULT_PAUSE_BUDGET_NS: u64 = 50_000;
-
 /// NVM "Memory mode" model (the paper's Spark-MO baseline, Figure 12b):
 /// the entire heap lives in NVM with DRAM acting as a hardware-managed
 /// cache. Every heap word access pays an amortized NVM penalty determined
@@ -201,13 +194,6 @@ pub struct HeapConfig {
     /// built on; thread-scaling scenarios (the paper's machine runs 16 GC
     /// threads) set it explicitly, e.g. the `fig13_gc_threads` sweep.
     pub gc_threads: usize,
-    /// Per-slice pause budget for the major cycle, in simulated nanoseconds
-    /// (DESIGN.md §11). `0` (the default) never slices: every major GC is a
-    /// cycle run whole in one unbounded slice — stop-world, what the
-    /// committed figures are built on. A non-zero budget starts cycles
-    /// proactively and runs them as bounded work-unit slices interleaved
-    /// with the mutator; it requires the ParallelScavenge variant.
-    pub pause_budget_ns: u64,
     /// Mutator (executor) threads; frameworks divide their compute and S/D
     /// time by this (paper: 8, swept 4/8/16 in Figure 13a).
     pub mutator_threads: usize,
@@ -244,7 +230,6 @@ impl HeapConfig {
             young_words,
             old_words,
             gc_threads: 1,
-            pause_budget_ns: 0,
             mutator_threads: 8,
             variant: GcVariant::ParallelScavenge,
             memory_mode: None,
@@ -308,13 +293,6 @@ impl HeapConfig {
                 return Err(ConfigError::MissPercent { miss_percent: mm.miss_percent });
             }
         }
-        // A mutator interleaving with the major cycle is only modelled for
-        // the ParallelScavenge cost model (G1 already models concurrent
-        // marking through its discount; Panthera's split old gen is out of
-        // scope). `0` (never sliced) is valid for every variant.
-        if self.pause_budget_ns != 0 && self.variant != GcVariant::ParallelScavenge {
-            return Err(ConfigError::IncrementalNeedsPs { pause_budget_ns: self.pause_budget_ns });
-        }
         Ok(())
     }
 }
@@ -332,13 +310,6 @@ impl HeapConfigBuilder {
     /// work units).
     pub fn gc_threads(mut self, threads: usize) -> Self {
         self.config.gc_threads = threads;
-        self
-    }
-
-    /// Per-slice pause budget for incremental major collection in simulated
-    /// ns (`0` = stop-world, the default; see `HeapConfig::pause_budget_ns`).
-    pub fn pause_budget_ns(mut self, ns: u64) -> Self {
-        self.config.pause_budget_ns = ns;
         self
     }
 
@@ -392,9 +363,6 @@ pub enum ConfigError {
     PantheraSplit { old_dram_words: usize, old_words: usize },
     /// A memory-mode miss ratio above 100%.
     MissPercent { miss_percent: u8 },
-    /// A non-zero incremental pause budget on a non-ParallelScavenge
-    /// collector variant.
-    IncrementalNeedsPs { pause_budget_ns: u64 },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -416,11 +384,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::MissPercent { miss_percent } => {
                 write!(f, "memory-mode miss ratio {miss_percent}% exceeds 100%")
             }
-            ConfigError::IncrementalNeedsPs { pause_budget_ns } => write!(
-                f,
-                "pause_budget_ns = {pause_budget_ns} requires the ParallelScavenge \
-                 variant (incremental major collection is PS-only)"
-            ),
         }
     }
 }
@@ -501,32 +464,22 @@ mod tests {
             HeapConfig { memory_mode, ..base }.validate(),
             Err(ConfigError::MissPercent { miss_percent: 101 })
         );
-        assert_eq!(
-            HeapConfig::builder(1 << 10, 1 << 10)
-                .variant(GcVariant::G1 { region_words: 256 })
-                .pause_budget_ns(50_000)
-                .build(),
-            Err(ConfigError::IncrementalNeedsPs { pause_budget_ns: 50_000 })
-        );
     }
 
     #[test]
     fn builder_accepts_and_applies_settings() {
         let cfg = HeapConfig::builder(64 << 10, 256 << 10)
             .gc_threads(8)
-            .pause_budget_ns(25_000)
             .obs_level(Level::Full)
             .obs_events(1 << 12)
             .build()
             .unwrap();
         assert_eq!(cfg.gc_threads, 8);
-        assert_eq!(cfg.pause_budget_ns, 25_000);
         assert_eq!(cfg.obs_level, Some(Level::Full));
         assert_eq!(cfg.obs_events, 1 << 12);
         assert_eq!(cfg, { // builder with no overrides == with_words
             let mut c = HeapConfig::with_words(64 << 10, 256 << 10);
             c.gc_threads = 8;
-            c.pause_budget_ns = 25_000;
             c.obs_level = Some(Level::Full);
             c.obs_events = 1 << 12;
             c

@@ -4,9 +4,8 @@
 //! * [`schedule`] — the work-unit scheduler both collectors charge through:
 //!   units, accounting lanes, barriers, the coverage audit.
 //! * [`minor`] — the scavenge, one function.
-//! * [`major`] — the major cycle: one state machine whose drive loop serves
-//!   both the stop-world collection (one unbounded slice) and pause-budgeted
-//!   slicing; `units` holds the body of each of its work units, once.
+//! * [`major`] — the stop-world major cycle, its phases in order; `units`
+//!   holds the body of each of its work units, once.
 
 pub mod major;
 pub mod minor;

@@ -45,8 +45,7 @@ pub(crate) const DOM_OBJECT: u64 = 3 << 56;
 
 /// Per-collection work-unit scheduler: lane accounting plus (optional)
 /// coverage auditing. One `Scheduler` lives for the duration of a minor
-/// collection or a major cycle and fires a barrier per phase (and, for a
-/// sliced cycle, per slice).
+/// collection or a major cycle and fires a barrier per phase.
 ///
 /// Each unit's cost is split into a `scaled` part — subject to the phase's
 /// `milli`/1000 scaling, applied once per lane at the barrier so a
@@ -119,15 +118,6 @@ impl Scheduler {
         lane
     }
 
-    /// Dispatches a chunk of a serial dependency chain: always lane 0, so
-    /// chunked serial work (candidate selection, H2 address assignment) is
-    /// never credited with cross-lane parallelism its execution order
-    /// forbids.
-    pub(crate) fn begin_serial_unit(&mut self, clock: &SimClock, kind: WorkUnitKind) -> usize {
-        clock.emit(EventKind::UnitBegin { lane: 0, kind });
-        0
-    }
-
     /// Retires a unit, charging `scaled_ns` (subject to the phase milli at
     /// the barrier) and `flat_ns` to its lane, and emits `UnitEnd` with the
     /// raw (unscaled) cost.
@@ -149,11 +139,9 @@ impl Scheduler {
         });
     }
 
-    /// The ns the next barrier would advance the clock by for the units
-    /// charged so far (critical path + sync), without firing it. The major
-    /// cycle's drive loop polls this after every unit to bound a slice's
-    /// pause at its budget.
-    pub(crate) fn pending_ns(&self) -> u64 {
+    /// The ns the next barrier advances the clock by for the units charged
+    /// so far (critical path + sync).
+    fn pending_ns(&self) -> u64 {
         if self.units == 0 {
             return 0;
         }

@@ -1,19 +1,18 @@
 //! The work-unit bodies of the major cycle ([`super::major`]): what one
-//! root strip, H2 card chunk, gray packet, selection chunk, H2 assignment,
-//! plan chunk, backward-fix chunk, object adjustment, object move and
-//! dense-prefix slide *does* to the heap and which work counters it bumps.
+//! root strip, H2 card chunk, gray packet, candidate selection, H2
+//! assignment, plan chunk, backward-fix chunk, object adjustment, object
+//! move and dense-prefix slide *does* to the heap and which work counters
+//! it bumps.
 //!
 //! Each body exists once. It is handed the range it covers and the
 //! [`Work`] counters of the unit it runs in; it never dispatches, charges or
-//! ends a unit, never advances a cycle cursor and never learns how the cycle
-//! is being driven — whether a mutator runs between units is the drive
-//! loop's business. Every §4 invariant lives here: marking fences at H1→H2
+//! ends a unit. Every §4 invariant lives here: marking fences at H1→H2
 //! references and sets the region live bit instead of following them,
 //! backward (H2→H1) references are found through the H2 card table only, and
 //! every reference an object carries into H2 is re-derived into a dirty
 //! card or a cross-region dependency before the object moves.
 
-use super::major::{MajorCycle, PlanState, RelocState};
+use super::major::{MajorCycle, PlanState};
 use super::schedule::{Scheduler, DOM_H2_CARD, DOM_OBJECT, GRAY_PACKET};
 use super::{parked, walk_h2_card, Work};
 use crate::config::OomError;
@@ -260,12 +259,8 @@ pub(super) fn h2_card_chunk(
     }
 }
 
-/// Gray packet: re-grays what the SATB barrier remembered since the last
-/// packet, then scans up to [`GRAY_PACKET`] gray objects.
+/// Gray packet: scans up to [`GRAY_PACKET`] gray objects.
 pub(super) fn gray_packet(heap: &mut Heap, cyc: &mut MajorCycle, uw: &mut Work) {
-    while let Some(a) = cyc.mutator.remembered.pop() {
-        mark_push(heap, Addr::new(a), &mut cyc.mark.stack, &mut cyc.live, uw);
-    }
     for _ in 0..GRAY_PACKET {
         let Some(obj) = cyc.mark.stack.pop() else {
             break;
@@ -292,46 +287,21 @@ pub(super) fn gray_packet(heap: &mut Heap, cyc: &mut MajorCycle, uw: &mut Work) 
 
 // ----- candidate selection -----------------------------------------------------
 
-/// Resumable candidate selection (marking task 4): which tagged root
-/// key-objects move (hint or pressure, §3.2), honouring the low-threshold
-/// budget, and how far the current closure walk has got. All policy
-/// decisions are snapshotted when selection begins.
+/// Candidate selection (marking task 4): which tagged root key-objects
+/// move (hint or pressure, §3.2), honouring the low-threshold budget. All
+/// policy decisions are snapshotted when selection begins.
 pub(super) struct SelState {
     /// `(label, root, requested)`, oldest label first.
     groups: Vec<(u64, u64, bool)>,
-    gi: usize,
-    /// In-progress closure traversal of the current group.
+    /// The closure walk's stack.
     stack: Vec<Addr>,
-    cur_label: u64,
-    /// The current group draws down the pressure budget (not requested).
-    cur_counts: bool,
-    cur_words: u64,
-    in_group: bool,
     pressure: bool,
     hints: bool,
     newest_label: u64,
     pressure_budget: Option<u64>,
-    moved_words: u64,
     /// `live_words` frozen at selection start.
     live_words: u64,
     deferred: Vec<(u64, u64)>,
-    deferred_mode: bool,
-}
-
-impl SelState {
-    /// Whether no tagged group is live (nothing can be selected).
-    pub(super) fn is_idle(&self) -> bool {
-        self.groups.is_empty()
-    }
-
-    /// A drained selection's buffers, emptied, for the next one.
-    pub(super) fn into_buffers(self) -> SelBuffers {
-        SelBuffers {
-            groups: parked(self.groups),
-            stack: parked(self.stack),
-            deferred: parked(self.deferred),
-        }
-    }
 }
 
 /// The vectors a [`SelState`] grows, kept between cycles.
@@ -349,18 +319,17 @@ pub(super) struct SelBuffers {
 /// flag (§3.2), pressure also arms when the live data *measured by this
 /// marking* already exceeds the high threshold — the same occupancy test
 /// the paper applies at GC end, evaluated one GC earlier so the move cannot
-/// arrive after the heap has overflowed. `None` without an H2. A degraded
-/// H2 (injected ENOSPC or a write-retry budget exhausted) selects nothing:
-/// promotions park in the old generation — the paper's no-H2 baseline —
-/// for the rest of the run.
-/// The selection grows `buffers` (empty; a drained selection's).
+/// arrive after the heap has overflowed. A degraded H2 (injected ENOSPC or
+/// a write-retry budget exhausted) selects nothing: promotions park in the
+/// old generation — the paper's no-H2 baseline — for the rest of the run.
+/// The selection grows `buffers` (empty; a finished selection's).
 pub(super) fn begin_select(
     heap: &Heap,
     live_words: u64,
     live: &LiveMap,
     buffers: SelBuffers,
-) -> Option<SelState> {
-    let h2 = heap.h2.as_ref()?;
+) -> SelState {
+    let h2 = heap.attached_h2();
     let SelBuffers { mut groups, stack, deferred } = buffers;
     let mut tagged: Vec<(u64, u64)> = Vec::new();
     if !h2.is_degraded() {
@@ -374,13 +343,8 @@ pub(super) fn begin_select(
     let high = TransferPolicy::HIGH;
     let pressure = policy.under_pressure() || live_words as f64 > high * capacity as f64;
     groups.extend(tagged.into_iter().map(|(l, r)| (l, r, policy.is_requested(Label::new(l)))));
-    Some(SelState {
-        gi: 0,
+    SelState {
         stack,
-        cur_label: 0,
-        cur_counts: false,
-        cur_words: 0,
-        in_group: false,
         pressure,
         hints: policy.hints_enabled(),
         // With hints enabled, the newest tagged group has most likely not
@@ -395,154 +359,101 @@ pub(super) fn begin_select(
         } else {
             None
         },
-        moved_words: 0,
         live_words,
         deferred,
-        deferred_mode: false,
         groups,
-    })
+    }
 }
 
-/// Selection chunk: resumes the in-progress closure (or advances the group
-/// loop) until `limit` objects were tagged. Returns true once selection is
-/// exhausted. Closure discovery order is the H2 placement order — each root
-/// key-object's closure lands contiguously in its label's regions — so the
-/// chain cannot be striped across lanes. A mutator running between chunks
-/// can only unlink marked objects (they move anyway — floating garbage) or
-/// link unmarked late allocations (clamped out by the mark check in
-/// [`tag_closure_step`]).
-pub(super) fn select_chunk(
+/// Selection: walks the closure of every group the policy admits, in group
+/// order, tagging each object with its group's label and the candidate bit
+/// and appending it to `move_order`. Closure discovery order is the H2
+/// placement order — each root key-object's closure lands contiguously in
+/// its label's regions — so the walk is one serial unit. Returns the
+/// emptied buffers for the next selection.
+pub(super) fn select(
     heap: &mut Heap,
-    sel: &mut SelState,
+    mut sel: SelState,
     live: &LiveMap,
     move_order: &mut Vec<u64>,
-    limit: usize,
-    uw: &mut Work,
-) -> bool {
-    let mut budget = limit;
-    while budget > 0 {
-        if sel.stack.is_empty() {
-            if sel.in_group {
-                sel.in_group = false;
-                sel.moved_words += sel.cur_words;
-                if sel.cur_counts {
-                    if let Some(b) = &mut sel.pressure_budget {
-                        *b = b.saturating_sub(sel.cur_words);
-                    }
-                }
-                sel.cur_words = 0;
-            }
-            // Group gating: an uncharged policy scan.
-            let started = loop {
-                if sel.gi >= sel.groups.len() {
-                    if !sel.deferred_mode {
-                        // Take the deferred (mutable) group only when
-                        // survival demands it, against the live words
-                        // frozen at selection start.
-                        sel.deferred_mode = true;
-                        sel.gi = 0;
-                        let remaining = sel.live_words.saturating_sub(sel.moved_words);
-                        sel.groups = if remaining as f64 > 0.95 * heap.old.capacity_words() as f64 {
-                            let deferred = std::mem::take(&mut sel.deferred);
-                            deferred.into_iter().map(|(l, r)| (l, r, true)).collect()
-                        } else {
-                            Vec::new()
-                        };
-                        continue;
-                    }
-                    break false;
-                }
-                let (label_id, root, requested) = sel.groups[sel.gi];
-                sel.gi += 1;
-                if !sel.deferred_mode && !requested {
-                    if !sel.pressure {
-                        continue;
-                    }
-                    if sel.hints && label_id == sel.newest_label {
-                        sel.deferred.push((label_id, root));
-                        continue;
-                    }
-                    if sel.pressure_budget == Some(0) {
-                        continue;
-                    }
-                }
-                sel.stack.push(Addr::new(root));
-                sel.cur_label = label_id;
-                sel.cur_counts = !requested;
-                sel.in_group = true;
-                break true;
-            };
-            if !started {
-                return true;
-            }
-        }
-        let before = move_order.len();
-        sel.cur_words += tag_closure_step(
-            heap,
-            live,
-            &mut sel.stack,
-            Label::new(sel.cur_label),
-            uw,
-            move_order,
-            budget,
-        );
-        budget -= move_order.len() - before;
-    }
-    false
-}
-
-/// One bounded step of a closure tagging: pops from `stack` until `limit`
-/// objects were tagged or the stack drains, tagging each with `label` and
-/// the candidate bit and excluding JVM-metadata and `Reference`-kind
-/// objects (§3.2). Returns the words tagged.
-fn tag_closure_step(
-    heap: &mut Heap,
-    live: &LiveMap,
-    stack: &mut Vec<Addr>,
-    label: Label,
     work: &mut Work,
-    move_order: &mut Vec<u64>,
-    limit: usize,
-) -> u64 {
-    let mut words = 0u64;
-    let mut tagged = 0usize;
-    while tagged < limit {
-        let Some(obj) = stack.pop() else { break };
-        if !obj.is_h1() {
+) -> SelBuffers {
+    let (mut gi, mut deferred_mode, mut moved_words) = (0, false, 0u64);
+    loop {
+        if gi >= sel.groups.len() {
+            if deferred_mode {
+                break;
+            }
+            // Take the deferred (mutable) group only when survival demands
+            // it, against the live words frozen at selection start.
+            deferred_mode = true;
+            gi = 0;
+            let remaining = sel.live_words.saturating_sub(moved_words);
+            sel.groups = if remaining as f64 > 0.95 * heap.old.capacity_words() as f64 {
+                let deferred = std::mem::take(&mut sel.deferred);
+                deferred.into_iter().map(|(l, r)| (l, r, true)).collect()
+            } else {
+                Vec::new()
+            };
             continue;
         }
-        let header = heap.mem[obj.raw() as usize];
-        if object::is_candidate(header) {
-            continue;
+        // Group gating: an uncharged policy scan.
+        let (label, root, requested) = sel.groups[gi];
+        gi += 1;
+        if !deferred_mode && !requested {
+            if !sel.pressure {
+                continue;
+            }
+            if sel.hints && label == sel.newest_label {
+                sel.deferred.push((label, root));
+                continue;
+            }
+            if sel.pressure_budget == Some(0) {
+                continue;
+            }
         }
-        // Only marked (SATB-live) objects join the closure. With no mutator
-        // between marking and selection every reachable object is marked;
-        // an interleaving mutator can link objects allocated *after* mark
-        // termination into a tagged group — those are outside the frozen
-        // relocation enumeration and must not be assigned H2 addresses this
-        // cycle.
-        if !live.is_marked(obj.raw()) {
-            continue;
+        let mut words = 0u64;
+        sel.stack.push(Addr::new(root));
+        while let Some(obj) = sel.stack.pop() {
+            if !obj.is_h1() {
+                continue;
+            }
+            let header = heap.mem[obj.raw() as usize];
+            if object::is_candidate(header) {
+                continue;
+            }
+            // Marking traced every slot of every marked object.
+            debug_assert!(live.is_marked(obj.raw()), "an unmarked object in a live closure");
+            heap.mem[obj.raw() as usize] = object::with_candidate(header);
+            heap.mem[obj.raw() as usize + 1] = label;
+            move_order.push(obj.raw());
+            words += object::size_of(header) as u64;
+            work.objects += 1;
+            // Push in reverse so the LIFO pops children in field/element
+            // order: the placement order then matches the mutator's forward
+            // traversal, which is what makes H2 scans sequential on the
+            // device.
+            let (first_slot, end_slot) = heap.ref_slot_range(obj);
+            // Slice iteration instead of indexed loads: one bounds check for
+            // the whole slot run of this (often large) transitive-move object.
+            for &val in heap.mem[first_slot as usize..end_slot as usize].iter().rev() {
+                if val != 0 && Addr::new(val).is_h1() {
+                    sel.stack.push(Addr::new(val));
+                }
+            }
         }
-        heap.mem[obj.raw() as usize] = object::with_candidate(header);
-        heap.mem[obj.raw() as usize + 1] = label.id();
-        move_order.push(obj.raw());
-        words += object::size_of(header) as u64;
-        work.objects += 1;
-        tagged += 1;
-        // Push in reverse so the LIFO pops children in field/element order:
-        // the placement order then matches the mutator's forward traversal,
-        // which is what makes H2 scans sequential on the device.
-        let (first_slot, end_slot) = heap.ref_slot_range(obj);
-        // Slice iteration instead of indexed loads: one bounds check for the
-        // whole slot run of this (often large) transitive-move object.
-        for &val in heap.mem[first_slot as usize..end_slot as usize].iter().rev() {
-            if val != 0 && Addr::new(val).is_h1() {
-                stack.push(Addr::new(val));
+        moved_words += words;
+        if !requested {
+            if let Some(b) = &mut sel.pressure_budget {
+                *b = b.saturating_sub(words);
             }
         }
     }
-    words
+    SelBuffers {
+        groups: parked(sel.groups),
+        stack: parked(sel.stack),
+        deferred: parked(sel.deferred),
+    }
 }
 
 // ----- pre-compaction ----------------------------------------------------------
@@ -581,21 +492,15 @@ pub(super) fn dense_prefix(heap: &Heap, live: &LiveMap, move_order: &[u64]) -> (
     (k, end_of(k))
 }
 
-/// H2 assignment chunk: bump-allocates H2 addresses for
-/// `move_order[range]`, in closure-discovery order. The region bump
-/// allocation is a cross-object dependency chain, so chunks resume in order
-/// and are never striped; a mutator between chunks touches neither the H2
-/// allocator nor the candidate bits. An object H2 cannot take — no free
-/// region, or an injected ENOSPC, which `H2::alloc` reports the same way —
-/// stays in H1 this cycle with its candidate bit cleared, while the rest of
-/// its closure still moves (§4's no-H2 fallback, per object).
-pub(super) fn h2_assign_chunk(
-    heap: &mut Heap,
-    cyc: &mut MajorCycle,
-    range: Range<usize>,
-    uw: &mut Work,
-) {
-    for &src in &cyc.plan.move_order[range] {
+/// H2 assignment: bump-allocates H2 addresses for `move_order`, in
+/// closure-discovery order. The region bump allocation is a cross-object
+/// dependency chain, so it is one unit, never striped. An object H2 cannot
+/// take — no free region, or an injected ENOSPC, which `H2::alloc` reports
+/// the same way — stays in H1 this cycle with its candidate bit cleared,
+/// while the rest of its closure still moves (§4's no-H2 fallback, per
+/// object).
+pub(super) fn h2_assign(heap: &mut Heap, cyc: &mut MajorCycle, uw: &mut Work) {
+    for &src in &cyc.plan.move_order {
         let header = heap.mem[src as usize];
         if !object::is_candidate(header) {
             continue;
@@ -777,11 +682,9 @@ pub(super) fn backward_fix(heap: &mut Heap, cyc: &MajorCycle, slots: &[u64], uw:
 
 /// Pointer adjustment of the object at `src`, bound for `dest`: rewrites its
 /// reference slots in place at the source and re-derives the destination's
-/// card state from the final values. An object that stays put (`dest ==
-/// src`, allocated after the live set froze) only has its slots rewritten.
+/// H2 card state and region dependencies from the final values.
 pub(super) fn adjust_object(heap: &mut Heap, cyc: &MajorCycle, src: u64, dest: u64, uw: &mut Work) {
     let dest_addr = Addr::new(dest);
-    let old_base = cyc.plan.old_base;
     let (first_slot, end_slot) = heap.ref_slot_range(Addr::new(src));
     for s in first_slot..end_slot {
         let val = heap.mem[s as usize];
@@ -793,21 +696,17 @@ pub(super) fn adjust_object(heap: &mut Heap, cyc: &MajorCycle, src: u64, dest: u
         // H2 objects never move.
         let new_val = if Addr::new(val).is_h2() { val } else { cyc.canon(val) };
         heap.mem[s as usize] = new_val;
+        if !dest_addr.is_h2() {
+            continue;
+        }
         let new_target = Addr::new(new_val);
-        let dest_slot = Addr::new(dest + (s - src));
-        if dest_addr.is_h2() {
-            if new_target.is_h1() {
-                // Newly created backward reference: dirty the H2 card of
-                // the object's future location (§4).
-                heap.attached_h2_mut().cards_mut().mark_dirty(dest_slot);
-            } else {
-                // Newly created cross-region reference (§4).
-                heap.note_h2_dependency(dest_addr, new_target);
-            }
-        } else if dest >= old_base && new_val < old_base {
-            // Old→young: the target was allocated after the live set froze
-            // and stays in eden.
-            heap.h1_cards.mark_dirty(dest_slot);
+        if new_target.is_h1() {
+            // Newly created backward reference: dirty the H2 card of the
+            // object's future location (§4).
+            heap.attached_h2_mut().cards_mut().mark_dirty(Addr::new(dest + (s - src)));
+        } else {
+            // Newly created cross-region reference (§4).
+            heap.note_h2_dependency(dest_addr, new_target);
         }
     }
 }
@@ -843,7 +742,7 @@ impl Stash {
 /// both kinds.
 pub(super) fn move_object(
     heap: &mut Heap,
-    reloc: &mut RelocState,
+    stash: &mut Stash,
     old_base: u64,
     src: u64,
     dest: u64,
@@ -865,7 +764,6 @@ pub(super) fn move_object(
         heap.attached_h2_mut().write_promoted(dest_addr, &mem[src_i..src_end], Category::MajorGc);
         heap.mem = mem;
         heap.stats.objects_promoted_h2 += 1;
-        reloc.staged_words += size as u64;
         return;
     }
     *h1_words += size as u64;
@@ -881,8 +779,8 @@ pub(super) fn move_object(
         // the young spaces, so the copy cannot clobber an unread source.
         heap.mem.copy_within(src_i..src_end, dest as usize);
     } else {
-        reloc.stash.words.extend_from_slice(&heap.mem[src_i..src_end]);
-        reloc.stash.meta.push((dest, reloc.stash.words.len() - size, size));
+        stash.words.extend_from_slice(&heap.mem[src_i..src_end]);
+        stash.meta.push((dest, stash.words.len() - size, size));
     }
 }
 

@@ -1,12 +1,11 @@
 //! Mutator field access: the one header decode ([`Layout`]), the resolved
 //! handle ([`Pin`]), every handle and `*_at` accessor, the bulk view/fill
-//! runs and the post-write barrier with its sliced-cycle hook.
+//! runs and the post-write barrier.
 
 use super::{Handle, Heap};
 use crate::class::{ClassId, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
 use crate::object;
 use teraheap_core::{Addr, NULL};
-use teraheap_storage::obs::EventKind;
 use teraheap_storage::Category;
 
 /// Where one object's fields are: the single decode of header, class and
@@ -77,25 +76,16 @@ impl Layout {
 /// simulation observes (DESIGN.md §9).
 ///
 /// A pin stays valid for as long as its handle does. It remembers the
-/// heap's move epoch — bumped wherever a collection can rewrite a root —
-/// and re-resolves through the handle when the epoch has moved on; while a
-/// sliced major cycle is in flight it re-resolves on every access. Pins are
-/// only meaningful on the heap that made them.
+/// heap's move epoch — bumped by every collection — and re-resolves through
+/// the handle when the epoch has moved on. Pins are only meaningful on the
+/// heap that made them.
 #[derive(Debug, Clone, Copy)]
 pub struct Pin {
     handle: Handle,
-    /// [`Heap::move_epoch`] when `at` was resolved, or `UNCACHED`.
+    /// [`Heap::move_epoch`] when `at` was resolved.
     epoch: u64,
-    /// The object is un-relocated behind the flip of an in-flight cycle: its
-    /// reference slots hold pre-compaction values. Only ever set on a pin
-    /// that is not cached.
-    raw_slots: bool,
     at: Layout,
 }
-
-/// The epoch of a pin resolved under an in-flight major cycle; no heap ever
-/// has it, so the pin re-resolves on every access.
-pub(super) const UNCACHED: u64 = 0;
 
 impl Pin {
     /// The pinned handle.
@@ -169,27 +159,14 @@ impl Heap {
         (start.max(lo), end.min(hi))
     }
 
-    /// Resolves a mutator-held object address against the in-flight cycle:
-    /// `(physical address, raw_slots)`. See [`crate::gc::major::MajorCycle::view`].
-    pub(crate) fn mutator_view(&self, a: Addr) -> (Addr, bool) {
-        match self.cycle.as_deref() {
-            Some(cyc) => cyc.view(a),
-            None => (a, false),
-        }
-    }
-
-    /// Resolves `h` to a [`Pin`]: root lookup, in-flight-cycle view, header
-    /// decode. Charges nothing and touches no page cache.
+    /// Resolves `h` to a [`Pin`]: root lookup and header decode. Charges
+    /// nothing and touches no page cache.
     #[inline(always)]
     pub fn pin(&self, h: Handle) -> Pin {
-        let (obj, raw_slots) = self.mutator_view(self.root_of(h));
-        let epoch = if self.cycle.is_some() { UNCACHED } else { self.move_epoch };
-        Pin { handle: h, epoch, raw_slots, at: self.layout(obj) }
+        Pin { handle: h, epoch: self.move_epoch, at: self.layout(self.root_of(h)) }
     }
 
-    /// Brings `pin` up to date. Every change of `cycle` from or to `None`
-    /// happens inside a slice, which bumps the epoch, so the epoch compare
-    /// alone decides.
+    /// Brings `pin` up to date: re-resolves it if a collection ran since.
     #[inline]
     pub(super) fn refresh(&self, pin: &mut Pin) {
         if pin.epoch != self.move_epoch {
@@ -217,12 +194,7 @@ impl Heap {
     }
 
     fn ref_at(&mut self, pin: &Pin, idx: usize) -> Option<Handle> {
-        let mut val = self.load(pin.at.ref_slot(idx), Category::Mutator);
-        if pin.raw_slots && val != 0 {
-            // Un-relocated object: the slot still holds a pre-compaction
-            // address; canonicalize before rooting.
-            val = self.cycle.as_deref().expect("raw view without cycle").canon(val);
-        }
+        let val = self.load(pin.at.ref_slot(idx), Category::Mutator);
         if val == 0 {
             None
         } else {
@@ -234,15 +206,8 @@ impl Heap {
     /// post-write barrier (with TeraHeap's reference range check).
     pub fn write_ref(&mut self, h: Handle, idx: usize, val: Handle) {
         let v = self.root_of(val);
-        let pin = self.pin(h);
-        let v = if pin.raw_slots {
-            // Un-relocated object: keep the slot in pre-compaction terms so
-            // the fused adjust pass rewrites it exactly once.
-            Addr::new(self.cycle.as_deref().expect("raw view without cycle").decanon(v.raw()))
-        } else {
-            v
-        };
-        self.write_ref_at(pin.at.obj, pin.at.ref_slot(idx), v);
+        let at = self.pin(h).at;
+        self.write_ref_at(at.obj, at.ref_slot(idx), v);
     }
 
     /// Stores null into reference field/element `idx`.
@@ -253,9 +218,6 @@ impl Heap {
 
     /// The store and post-write barrier of every reference write.
     pub(crate) fn write_ref_at(&mut self, obj: Addr, slot: Addr, val: Addr) {
-        if self.cycle.is_some() {
-            self.incr_ref_write_hook(slot, val);
-        }
         self.store(slot, val.raw(), Category::Mutator);
         // Post-write barrier (§4): base card-mark cost, plus the reference
         // range check TeraHeap adds (zero overhead when disabled).
@@ -270,48 +232,6 @@ impl Heap {
         } else if self.old.contains(obj) && !val.is_null() && self.in_young(val) {
             self.h1_cards.mark_dirty(slot);
         }
-    }
-
-    /// The pre-store half of the write barrier while a major cycle is in
-    /// flight: SATB-remember the overwritten value during marking, fence H2
-    /// targets live, and track mutator-dirtied H2 slots for the flip's card
-    /// re-derivation.
-    fn incr_ref_write_hook(&mut self, slot: Addr, val: Addr) {
-        let Some(mut cyc) = self.cycle.take() else { return };
-        if cyc.pre_flip() {
-            if cyc.marking() {
-                // Deletion barrier: read (charged) and remember the value
-                // being overwritten, so snapshot reachability survives.
-                let old = self.load(slot, Category::Mutator);
-                if old != 0 {
-                    let old_addr = Addr::new(old);
-                    if old_addr.is_h2() {
-                        self.attached_h2_mut().note_forward_ref(old_addr);
-                    } else {
-                        cyc.mutator.remembered.push(old);
-                    }
-                    self.clock.emit(EventKind::WriteBarrierRemember { root: false });
-                    self.stats.write_barrier_remembered += 1;
-                }
-                // Insertion fence: a black H1 object may now point at this
-                // H2 target; region liveness must see it.
-                if val.is_h2() {
-                    self.attached_h2_mut().note_forward_ref(val);
-                }
-            }
-            if slot.is_h2() {
-                // The incremental card scan may already have passed this
-                // card; replay the dirt after the flip re-derives states,
-                // and record what the scan can no longer discover.
-                cyc.mutator.h2_dirty.push(slot);
-                if val.is_h1() {
-                    cyc.mutator.extra_backward.push(slot);
-                } else if val.is_h2() {
-                    self.note_h2_dependency(slot, val);
-                }
-            }
-        }
-        self.cycle = Some(cyc);
     }
 
     /// Reads primitive field/element `idx`.
@@ -448,6 +368,6 @@ impl Heap {
 
     /// The class id of the object behind `h`.
     pub fn class_of(&self, h: Handle) -> ClassId {
-        self.object_class(self.mutator_view(self.root_of(h)).0)
+        self.object_class(self.root_of(h))
     }
 }

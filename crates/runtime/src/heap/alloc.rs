@@ -65,20 +65,13 @@ impl Heap {
     }
 
     fn alloc_raw(&mut self, class: ClassId, words: usize, array_len: u64) -> Result<Addr, OomError> {
-        if let Some(e) = self.pending_oom.take() {
-            return Err(e);
-        }
         self.clock.charge(Category::Mutator, self.config.cost.alloc_ns);
-        self.incr_poll();
         let addr = self.alloc_words(words)?;
         let i = addr.raw() as usize;
         self.mem[i..i + words].fill(0);
         self.mem[i] = object::pack_header(class, words);
         if class == OBJ_ARRAY_CLASS || class == PRIM_ARRAY_CLASS {
             self.mem[i + object::HEADER_WORDS] = array_len;
-        }
-        if let Some(cyc) = self.cycle.as_deref_mut() {
-            cyc.note_alloc(addr, words);
         }
         Ok(addr)
     }
@@ -88,8 +81,6 @@ impl Heap {
         // (PS behaviour; Panthera additionally pretenures all big objects).
         let big = words > self.eden.capacity_words() / self.policy.big_object_eden_divisor;
         if big {
-            // Old-gen placement must not race the in-flight cycle's plan.
-            gc::major::finish(self)?;
             if let Some(a) = self.alloc_old(words) {
                 return Ok(a);
             }
@@ -150,7 +141,6 @@ impl Heap {
     fn collect_for(&mut self, words: usize) -> Result<(), OomError> {
         self.collect_young(GcCause::AllocFailure)?;
         if self.eden.free_words() < words {
-            gc::major::finish(self)?;
             gc::major::major_gc(self, GcCause::EdenFullAfterGc)?;
         }
         Ok(())
@@ -162,11 +152,6 @@ impl Heap {
     }
 
     fn collect_young(&mut self, cause: GcCause) -> Result<(), OomError> {
-        // A minor GC would evacuate objects out from under the in-flight
-        // major cycle's mark stack and live set: finish it first
-        // (normally already done — the cycle completes well within one
-        // eden refill at the default pacing).
-        gc::major::finish(self)?;
         // Promotion guarantee: a minor GC may promote everything live in
         // eden and from-space (doubled under G1, whose humongous rounding
         // can inflate a footprint up to 2x), so fall back to a full GC when
@@ -176,39 +161,15 @@ impl Heap {
             return gc::major::major_gc(self, GcCause::PromotionGuarantee);
         }
         gc::minor::minor_gc(self, cause);
-        gc::major::maybe_start(self);
         Ok(())
     }
 
     /// Runs a major (full) collection now.
     ///
-    /// With a sliced cycle in flight, running it to completion *is* the
-    /// requested major collection; otherwise a fresh cycle runs whole.
-    ///
     /// # Errors
     ///
     /// Returns [`OomError`] if live data exceeds the old generation.
     pub fn gc_major(&mut self) -> Result<(), OomError> {
-        let had_cycle = self.cycle.is_some();
-        gc::major::finish(self)?;
-        if had_cycle {
-            return Ok(());
-        }
         gc::major::major_gc(self, GcCause::Explicit)
-    }
-
-    /// Runs the next pause slice of the in-flight major cycle once
-    /// enough mutator time has elapsed since the last one
-    /// (`pause_budget_ns / PACE_DIVISOR` — the clock delta captures every
-    /// mutator charge, including accessor costs).
-    pub(crate) fn incr_poll(&mut self) {
-        if self.in_gc {
-            return;
-        }
-        let Some(cyc) = self.cycle.as_deref() else { return };
-        let pace = (self.config.pause_budget_ns / gc::major::PACE_DIVISOR).max(1);
-        if self.clock.total_ns() - cyc.last_slice_end_ns >= pace {
-            gc::major::run_slice(self, self.config.pause_budget_ns);
-        }
     }
 }

@@ -2,8 +2,8 @@
 //! `SimClock::charge_batched` — the same nanoseconds and the same number of
 //! charges the per-word accessors make (DESIGN.md §9).
 //!
-//! A batch addresses only [`H1Prims`]: primitive arrays resolved in H1 with
-//! no major cycle in flight. A batch borrows the whole heap, so nothing can
+//! A batch addresses only [`H1Prims`]: primitive arrays resolved in H1. A
+//! batch borrows the whole heap, so nothing can
 //! allocate, collect or touch the page cache while it is open; H1 word
 //! accesses emit no events, so landing their sum at the end is
 //! indistinguishable from charging word by word.
@@ -113,12 +113,12 @@ impl Drop for WordBatch<'_> {
 
 impl Heap {
     /// `pin`'s primitive slots for a [`WordBatch`], when the object is in
-    /// H1 and no major cycle is in flight; `None` otherwise.
+    /// H1; `None` otherwise.
     #[inline]
     pub fn h1_prims(&mut self, pin: &mut Pin) -> Option<H1Prims> {
         self.refresh(pin);
         let (obj, base, len, array) = pin.prim_window();
-        (self.cycle.is_none() && !obj.is_h2()).then(|| H1Prims {
+        (!obj.is_h2()).then(|| H1Prims {
             base: base as usize,
             len,
             len_slot: if array { obj.raw() as usize + crate::object::HEADER_WORDS } else { 0 },
@@ -130,7 +130,7 @@ impl Heap {
     /// resolved.
     #[inline]
     pub fn h1_prims_current(&self, a: &H1Prims) -> bool {
-        a.epoch == self.move_epoch && self.cycle.is_none()
+        a.epoch == self.move_epoch
     }
 
     /// Opens a [`WordBatch`] over this heap's H1 words.

@@ -33,7 +33,7 @@ impl Heap {
     /// `h2_tag_root(obj, label)`: tags a root key-object for H2 placement by
     /// writing the label into the object header's label field.
     pub fn h2_tag_root(&mut self, h: Handle, label: Label) {
-        let (obj, _) = self.mutator_view(self.root_of(h));
+        let obj = self.root_of(h);
         self.set_word(obj.add(1), label.id());
     }
 
@@ -47,7 +47,7 @@ impl Heap {
 
     /// The label tagged on the object behind `h` (0 = untagged).
     pub fn h2_label_of(&self, h: Handle) -> u64 {
-        self.word(self.mutator_view(self.root_of(h)).0.add(1))
+        self.word(self.root_of(h).add(1))
     }
 
     /// Records the directional cross-region dependency of an H2→H2
@@ -63,14 +63,12 @@ impl Heap {
     pub fn charge_ops(&mut self, ops: u64) {
         let ns = ops * self.config.cost.mutator_op_ns / self.config.mutator_threads.max(1) as u64;
         self.clock.charge(Category::Mutator, ns);
-        self.incr_poll();
     }
 
     /// Charges `ns` nanoseconds directly to a category, divided across
     /// mutator threads (frameworks use this for S/D work).
     pub fn charge_ns(&mut self, cat: Category, ns: u64) {
         self.clock.charge(cat, ns / self.config.mutator_threads.max(1) as u64);
-        self.incr_poll();
     }
 
     /// Opens a mutator-side flight-recorder span (stage, shuffle, ...); the

@@ -21,13 +21,12 @@ pub use access::Pin;
 pub use batch::{H1Prims, WordBatch};
 
 use crate::class::{ClassDesc, ClassId, ClassRegistry};
-use crate::config::{H1Price, HeapConfig, OomError, VariantPolicy};
+use crate::config::{H1Price, HeapConfig, VariantPolicy};
 use crate::gc;
 use crate::space::{H1CardTable, Space};
 use crate::stats::GcStats;
 use std::sync::Arc;
 use teraheap_core::{Addr, H2, NULL};
-use teraheap_storage::obs::EventKind;
 use teraheap_storage::{spare, Category, SimClock};
 
 /// Reserved low words so that address 0 stays the null reference.
@@ -55,8 +54,8 @@ pub struct Heap {
     pub(crate) h1_cards: H1CardTable,
     pub(crate) roots: Vec<Addr>,
     pub(crate) free_roots: Vec<u32>,
-    /// Bumped wherever a root can be rewritten (minor GC, every major
-    /// slice): a [`Pin`] resolved under an older epoch is stale.
+    /// Bumped wherever a root can be rewritten (every minor and major GC):
+    /// a [`Pin`] resolved under an older epoch is stale.
     pub(crate) move_epoch: u64,
     pub(crate) classes: ClassRegistry,
     pub(crate) h2: Option<H2>,
@@ -81,14 +80,6 @@ pub struct Heap {
     pub(crate) mark_scratch: gc::LiveMap,
     /// Every other collection buffer between collections, likewise.
     pub(crate) gc_scratch: gc::GcScratch,
-    /// The in-flight major cycle, if one is parked between pause slices
-    /// (DESIGN.md §11). Boxed: the cycle state is large and only ever
-    /// outlives a collection when slicing is armed.
-    pub(crate) cycle: Option<Box<gc::major::MajorCycle>>,
-    /// OOM hit by a major cycle, possibly inside a slice running under an
-    /// infallible charge path; surfaced at the next fallible call
-    /// (allocation or explicit GC).
-    pub(crate) pending_oom: Option<OomError>,
     /// Run [`Heap::heap_check`] at every GC boundary (config flag or
     /// `TERAHEAP_HEAP_CHECK=1`), panicking on the first violated invariant.
     pub(crate) check_enabled: bool,
@@ -129,7 +120,7 @@ impl Heap {
             h1_cards,
             roots: Vec::new(),
             free_roots: Vec::new(),
-            move_epoch: access::UNCACHED + 1,
+            move_epoch: 0,
             classes: ClassRegistry::new(),
             h2: None,
             clock,
@@ -142,8 +133,6 @@ impl Heap {
             in_gc: false,
             mark_scratch: gc::LiveMap::default(),
             gc_scratch: gc::GcScratch::default(),
-            cycle: None,
-            pending_oom: None,
             check_enabled: config.heap_check
                 || std::env::var("TERAHEAP_HEAP_CHECK").is_ok_and(|v| v == "1"),
         }
@@ -237,21 +226,8 @@ impl Heap {
     /// Releases a handle; the object may become unreachable.
     pub fn release(&mut self, h: Handle) {
         debug_assert!(!self.roots[h.0 as usize].is_null(), "double release");
-        let a = self.roots[h.0 as usize];
         self.roots[h.0 as usize] = NULL;
         self.free_roots.push(h.0);
-        // SATB: a root released mid-marking was reachable at cycle start.
-        if let Some(cyc) = self.cycle.as_deref_mut() {
-            if cyc.marking() && !a.is_null() {
-                if a.is_h2() {
-                    self.attached_h2_mut().note_forward_ref(a);
-                } else {
-                    cyc.mutator.remembered.push(a.raw());
-                }
-                self.clock.emit(EventKind::WriteBarrierRemember { root: true });
-                self.stats.write_barrier_remembered += 1;
-            }
-        }
     }
 
     /// Number of live root handles (diagnostics).

@@ -19,8 +19,7 @@
 //!   (marking, pre-compaction, pointer adjustment, compaction), extended
 //!   with the paper's five marking-phase tasks, H2 address assignment in
 //!   pre-compaction, backward/cross-region bookkeeping in adjustment and
-//!   promotion-buffered H2 moves in compaction — one cycle state machine,
-//!   run whole (stop-world) or in pause-budgeted slices;
+//!   promotion-buffered H2 moves in compaction — one stop-world cycle;
 //! * **baseline collectors** for the evaluation: a G1-style cost model with
 //!   humongous-object fragmentation, a Panthera-style DRAM/NVM split old
 //!   generation, and an NVM "Memory mode" access model — all selected via
@@ -59,7 +58,6 @@ pub use check::{CheckError, CheckReport};
 pub use class::{ClassDesc, ClassId, ClassRegistry, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
 pub use config::{
     ConfigError, GcVariant, HeapConfig, HeapConfigBuilder, MemoryMode, OomError, VariantPolicy,
-    DEFAULT_PAUSE_BUDGET_NS,
 };
 pub use heap::{H1Prims, Handle, Heap, Pin, WordBatch};
 pub use stats::{GcStats, MajorPhases};

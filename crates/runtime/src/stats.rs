@@ -56,12 +56,6 @@ pub struct GcStats {
     pub lane_stall_ns: u64,
     /// G1 only: words wasted by humongous-object region rounding.
     pub g1_humongous_waste_words: u64,
-    /// Incremental major GC: references the SATB write barrier remembered
-    /// between marking slices (field overwrites + released roots).
-    pub write_barrier_remembered: u64,
-    /// Incremental major GC: pause slices executed across all cycles
-    /// (`SliceBegin`/`SliceEnd` pairs).
-    pub incr_slices: u64,
     /// Always 0: nothing allocates straight into H2 any more. Kept because
     /// the repo benchmark reports it as `core.pretenured_words`.
     pub pretenured_words: u64,

@@ -12,8 +12,8 @@
 //! ([`assert_access_equivalent`]), every value checked against the shadow
 //! graph on the spot. The view scenarios are scripted range reads and
 //! writes over one array; the pin scenarios are random programs after a
-//! scripted prologue, so their pins follow objects across collections, H2
-//! promotion and a sliced cycle in flight.
+//! scripted prologue, so their pins follow objects across collections and
+//! H2 promotion.
 
 mod common;
 
@@ -22,7 +22,7 @@ use common::program::{
 };
 use std::cell::RefCell;
 use teraheap_core::H2Config;
-use teraheap_runtime::obs::{EventKind, GcKind, Level};
+use teraheap_runtime::obs::Level;
 use teraheap_runtime::{GcVariant, Handle, Heap, HeapConfig};
 use teraheap_storage::{DeviceSpec, SharedDevice};
 use teraheap_util::proptest_mini::{check, CaseResult, Config};
@@ -224,20 +224,18 @@ fn pool_in_h2(m: &Mutator) -> usize {
     m.kept()[1..].iter().filter(|&&h| m.heap.is_in_h2(h)).count()
 }
 
-/// Runs `name` over `cases` random programs of the shared language (the
-/// ops `keep` passes) after `prologue`, each under every path on `mk`'s
-/// heaps; returns every case's pinned run for the non-vacuity asserts.
+/// Runs `name` over `cases` random programs of the shared language after
+/// `prologue`, each under every path on `mk`'s heaps; returns every case's
+/// pinned run for the non-vacuity asserts.
 fn pins_property(
     name: &str,
     cases: u32,
     mk: &dyn Fn() -> Heap,
     prologue: &[Op],
-    keep: fn(&Op) -> bool,
 ) -> Vec<(Mutator, Observed)> {
     let runs = RefCell::new(Vec::new());
     let config = Config { max_shrink_iters: 200, ..Config::with_cases(cases) };
     check(name, &program(150..400), &config, |ops| {
-        let ops: Vec<Op> = ops.into_iter().filter(keep).collect();
         runs.borrow_mut().push(assert_access_equivalent(mk, prologue, &ops));
         CaseResult::Pass
     });
@@ -254,7 +252,7 @@ fn h1_pins_follow_their_objects_across_collections() {
     // Identically built heaps hand out identical handles and addresses.
     let fresh = Mutator::new(mk(), Access::Loop, &prologue);
     let addrs = |m: &Mutator| m.kept().iter().map(|&h| m.heap.handle_addr(h)).collect::<Vec<_>>();
-    let runs = pins_property("h1_pins", 4, &mk, &prologue, |_| true);
+    let runs = pins_property("h1_pins", 4, &mk, &prologue);
     let collected = |m: &Mutator| m.heap.stats().minor_count > 3 && m.heap.stats().major_count > 0;
     assert!(runs.iter().any(|(m, _)| collected(m)), "no program ran minors and a major");
     let moved = |m: &Mutator| addrs(m).iter().zip(addrs(&fresh)).all(|(a, b)| *a != b);
@@ -266,7 +264,7 @@ fn h1_pins_follow_their_objects_across_collections() {
 fn pins_into_h2(name: &str, device: DeviceSpec) -> Vec<Observed> {
     let lens = [1200, 1536, 1100];
     let mk = || h2_heap(HeapConfig::with_words(8 << 10, 32 << 10), device, 4096, 2, 1536, 16);
-    let runs = pins_property(name, 4, &mk, &pool(&lens, true), |_| true);
+    let runs = pins_property(name, 4, &mk, &pool(&lens, true));
     assert!(runs.iter().any(|(m, _)| pool_in_h2(m) == 3), "no program promoted the arrays");
     runs.into_iter().map(|(_, seen)| seen).collect()
 }
@@ -294,7 +292,7 @@ fn pins_follow_their_objects_into_huge_paged_h2() {
     };
     let mut prologue = pool(&[300 << 10, 900], false);
     prologue.push(Op::TagAndMove(1, 9));
-    let runs = pins_property("pins_huge_paged_h2", 2, &mk, &prologue, |_| true);
+    let runs = pins_property("pins_huge_paged_h2", 2, &mk, &prologue);
     assert!(runs.iter().all(|(m, _)| m.heap.is_in_h2(m.kept()[1])), "the big array moved");
     assert!(runs.iter().any(|(_, seen)| seen.io[EVICTIONS] > 0), "a one-page set must evict");
 }
@@ -305,48 +303,9 @@ fn pins_straddling_the_panthera_nvm_boundary_match() {
     // straddles the NVM boundary until a compaction slides it down.
     let mut prologue = STRADDLE.to_vec();
     prologue.push(Op::PrimArray(1024, 2000));
-    let runs = pins_property("pins_panthera", 4, &panthera_heap, &prologue, |_| true);
+    let runs = pins_property("pins_panthera", 4, &panthera_heap, &prologue);
     let compacted = runs.iter().any(|(m, _)| m.heap.stats().major_count > 0);
     assert!(compacted, "the straddling array must be compacted");
-}
-
-#[test]
-fn pins_match_with_a_sliced_cycle_in_flight() {
-    // A 5 µs pause budget over an old generation below the proactive
-    // trigger's margin: every minor GC starts a cycle that the programs'
-    // allocations advance a slice at a time, so accesses land before the
-    // flip, behind it on un-relocated objects, and after retirement — and
-    // the hinted arrays are promoted to H2 mid-cycle. Explicit majors would
-    // finish the cycle, so the programs run without them.
-    let mk = || {
-        let config = HeapConfig::builder(6 << 10, 10 << 10)
-            .pause_budget_ns(5_000)
-            .build()
-            .expect("valid sliced config");
-        h2_heap(config, DeviceSpec::nvme_ssd(), 4096, 2, 1200, 16)
-    };
-    let no_major = |op: &Op| !matches!(op, Op::MajorGc | Op::TagAndMove(..));
-    let runs = pins_property("pins_sliced", 4, &mk, &pool(&[1200, 600, 900], true), no_major);
-    assert!(runs.iter().any(|(m, _)| m.heap.stats().incr_slices > 20), "the cycle is sliced");
-    assert!(runs.iter().any(|(m, _)| pool_in_h2(m) > 0), "an array is promoted mid-cycle");
-    // Accesses ran while a cycle was parked between slices: a slice ends
-    // and a later page fault (a mutator access to a promoted object)
-    // precedes the cycle's end.
-    let parked = |seen: &Observed| {
-        let mut between = false;
-        seen.events.iter().any(|e| {
-            match e.kind {
-                EventKind::SliceEnd { .. } => between = true,
-                EventKind::SliceBegin { .. } | EventKind::GcEnd { gc: GcKind::Major, .. } => {
-                    between = false
-                }
-                EventKind::PageFault { .. } => return between,
-                _ => {}
-            }
-            false
-        })
-    };
-    assert!(runs.iter().any(|(_, seen)| parked(seen)), "no access between two slices");
 }
 
 #[test]

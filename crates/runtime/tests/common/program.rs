@@ -2,8 +2,8 @@
 //! ([`program`]), an interpreter ([`Mutator`]) that applies every op to the
 //! heap, through one of four [`Access`] paths, and to a shadow logical
 //! graph, and an oracle ([`Mutator::check`]) that compares the two. The arms
-//! of `mutator_programs` and `incremental_marking` differ only in the heap
-//! and access path they hand to [`run`] and what they assert afterwards;
+//! of `mutator_programs` differ only in the heap and access path they hand
+//! to [`run`] and what they assert afterwards;
 //! `bulk_equivalence` runs one program under every path
 //! ([`assert_access_equivalent`]).
 //!
@@ -21,8 +21,7 @@ use teraheap_util::prop_oneof;
 use teraheap_util::proptest_mini::{range_u64, range_usize, vec_of, Just, Strategy};
 
 /// Every arm's heap: an 8 Ki-word young generation over a 12 Ki-word old
-/// one. Old free space is always below twice the young generation, so a
-/// sliced configuration starts a cycle after every minor GC.
+/// one.
 pub fn config() -> HeapConfigBuilder {
     HeapConfig::builder(8 << 10, 12 << 10)
 }
@@ -103,23 +102,19 @@ pub enum Op {
     /// Release the handle to `a` (a kept slot is never released).
     Release(usize),
     /// Allocate a prim array of this length and drop it: eden fills, so
-    /// collections and pause slices run between accesses.
+    /// collections run between accesses.
     Garbage(usize),
     MinorGc,
     MajorGc,
-    /// Tag `a` with the label, request its move and collect twice: the
-    /// first major finishes any in-flight cycle (whose candidate selection
-    /// may predate the hint), the second honours the hint. Every
-    /// configuration therefore moves the closure reachable at this op, so
-    /// H2 residency is a function of the program, not of slice timing.
+    /// Tag `a` with the label, request its move and run a major GC, which
+    /// moves the closure reachable at this op.
     TagAndMove(usize, u64),
     /// Tag `a` and request its move without collecting: the next major
-    /// cycle, explicit, demand or sliced, promotes it. Scripted only, since
-    /// what that cycle moves depends on when slicing starts it.
+    /// cycle, explicit or demand, promotes it. Scripted only.
     Hint(usize, u64),
     /// Charge this many mutator ops inside a `Stage` span.
     Stage(u64),
-    /// Charge this many mutator ops: pure mutator time, which paces slices.
+    /// Charge this many mutator ops: pure mutator time.
     ChargeOps(u64),
 }
 
@@ -551,7 +546,6 @@ impl Mutator {
             Op::MajorGc => self.heap.gc_major().expect("major GC"),
             Op::TagAndMove(a, l) => {
                 self.apply(&Op::Hint(a, l));
-                self.heap.gc_major().expect("major finishing an in-flight cycle");
                 self.heap.gc_major().expect("major honouring h2_move");
             }
             Op::Hint(a, l) => {

@@ -10,14 +10,13 @@
 //!
 //! The workload is the mixed GC/H2 workload the `gc_equivalence` golden
 //! pins, followed by an `msync` so every dirty H2 page crosses a write-back
-//! boundary: stop-world, and sliced, where H2 address assignment runs as
-//! several units.
+//! boundary.
 
 mod common;
 
 use common::{attach_workload_h2, graph_checksum, mixed_workload_body};
 use teraheap_core::Label;
-use teraheap_runtime::obs::{Event, EventKind, Level, WorkUnitKind};
+use teraheap_runtime::obs::{Event, Level};
 use teraheap_runtime::{Heap, HeapConfig};
 use teraheap_storage::{Category, DeviceSpec, FaultPlan};
 
@@ -35,30 +34,6 @@ fn run(cfg: HeapConfig, plan: FaultPlan) -> (Heap, Vec<Event>, u64) {
 #[test]
 fn zero_rate_plane_is_bit_identical_to_no_plane() {
     let cfg = HeapConfig::builder(24 << 10, 96 << 10).obs_level(Level::Full).build().unwrap();
-    assert_zero_rate_plane_is_invisible(cfg);
-}
-
-/// A sliced cycle assigns H2 addresses 64 candidates per `H2Assign` unit,
-/// with or without a plane: the armed zero-rate plane still changes nothing.
-#[test]
-fn zero_rate_plane_is_bit_identical_to_no_plane_when_sliced() {
-    let cfg = HeapConfig::builder(24 << 10, 40 << 10)
-        .pause_budget_ns(5_000)
-        .obs_level(Level::Full)
-        .build()
-        .unwrap();
-    let events = assert_zero_rate_plane_is_invisible(cfg);
-    let assigns = events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::UnitBegin { kind: WorkUnitKind::H2Assign, .. }))
-        .count();
-    assert_eq!(assigns, 5, "partitions 1 and 2 (258 candidates, one cycle) take five units");
-}
-
-/// Runs the workload on a heap of `cfg` with no plane and with an armed
-/// zero-rate plane, asserts the two runs are bit-identical, and returns the
-/// event stream.
-fn assert_zero_rate_plane_is_invisible(cfg: HeapConfig) -> Vec<Event> {
     let (off, off_events, off_checksum) = run(cfg, FaultPlan::none());
     let (on, on_events, on_checksum) = run(cfg, FaultPlan::zero_rate(1234));
 
@@ -112,7 +87,6 @@ fn assert_zero_rate_plane_is_invisible(cfg: HeapConfig) -> Vec<Event> {
     assert!(plane.io_ops() > 0, "the zero-rate plane must observe device ops");
     assert_eq!(plane.faults_injected(), 0);
     assert_eq!(plane.retries(), 0);
-    on_events
 }
 
 /// The degraded (no-H2) mode really is the paper's no-H2 baseline: a heap

@@ -388,47 +388,6 @@ fn collections_never_read_h2_behind_clean_cards() {
     assert!(reads(&h).0 > stored.0, "the minor GC must read the dirtied card");
 }
 
-/// Between the slices of a sliced cycle, after the region sweep and
-/// before the flip, old-generation garbage may still name a region the
-/// sweep freed; it is compacted away at the flip, so the checker armed
-/// after every slice must not report it.
-#[test]
-fn sliced_checks_skip_garbage_pointing_into_swept_regions() {
-    let config =
-        HeapConfig::builder(2048, 4096).pause_budget_ns(1_000).heap_check(true).build().unwrap();
-    let mut h = th_heap_with(config);
-    let node = h.register_class("Node", 1, 1);
-    let y = h.alloc(node).unwrap();
-    h.h2_tag_root(y, Label::new(1));
-    h.h2_move(Label::new(1));
-    h.gc_major().unwrap();
-    assert!(h.is_in_h2(y));
-    // Live objects enough for several planning units, and garbage in the
-    // old generation (too big for eden) that is y's region's only referrer.
-    let keep = h.alloc_ref_array(256).unwrap();
-    for i in 0..256 {
-        let n = h.alloc(node).unwrap();
-        h.write_ref(keep, i, n);
-        h.release(n);
-    }
-    let garbage = h.alloc_ref_array(1024).unwrap();
-    h.write_ref(garbage, 0, y);
-    h.release(garbage);
-    h.release(y);
-    // The minor GC starts a cycle (old free < 2 * young is always true
-    // here); mutator time runs it slice by slice.
-    h.gc_minor().unwrap();
-    let majors = h.stats().major_count;
-    for _ in 0..10_000 {
-        if h.stats().major_count > majors {
-            break;
-        }
-        h.charge_ops(64);
-    }
-    assert!(h.stats().incr_slices > 2, "the cycle ran in slices");
-    assert_eq!(h.h2().unwrap().regions().reclaimed_total(), 1, "y's region died");
-}
-
 /// Tags one closure of a little over two regions — a spine array over 64
 /// primitive arrays of 2 to 58 elements — on a heap of [`th_heap_on`] with
 /// the checker armed, moves it with one major GC, and returns the heap and

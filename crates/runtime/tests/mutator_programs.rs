@@ -13,9 +13,8 @@
 //! * **faults** — a random `FaultPlan` never corrupts a payload, and H2
 //!   degrades only when a plan could starve it;
 //! * **product** — the configuration product: collector variant, lanes,
-//!   pause budget, adaptive placement, device, fault plan and access path.
+//!   adaptive placement, device, fault plan and access path.
 //!
-//! The incremental arm, on the same language, is `incremental_marking`.
 //! Cases are seeded deterministically; a failure shrinks to a minimal
 //! program and prints a `TERAHEAP_PROP_SEED` that replays it
 //! (`TERAHEAP_PROP_SEED=<seed> cargo test -p teraheap-runtime --test
@@ -185,24 +184,22 @@ fn faults_arm_completes_or_degrades_cleanly() {
 }
 
 /// One cell of the configuration product: a heap configuration
-/// `HeapConfig::validate` accepts (only Parallel Scavenge slices), the H2
-/// device and a zero-rate or chaos fault plan.
+/// `HeapConfig::validate` accepts, the H2 device and a zero-rate or chaos
+/// fault plan.
 fn product_cell() -> impl Strategy<Value = (HeapConfig, DeviceSpec, FaultPlan)> {
     (
-        (range_usize(0..3), range_usize(1..9), range_usize(0..3)),
+        (range_usize(0..3), range_usize(1..9)),
         (range_usize(0..3), range_u64(0..2), range_u64(0..1 << 32)),
     )
-        .prop_map(|((variant, gc_threads, budget), (device, chaos, seed))| {
+        .prop_map(|((variant, gc_threads), (device, chaos, seed))| {
             let variant = [
                 GcVariant::ParallelScavenge,
                 GcVariant::G1 { region_words: 128 },
                 GcVariant::Panthera { old_dram_words: 1 << 10, nvm: DeviceSpec::optane_nvm() },
             ][variant];
-            let sliced = variant == GcVariant::ParallelScavenge;
             let config = config()
                 .variant(variant)
                 .gc_threads(gc_threads)
-                .pause_budget_ns(if sliced { [0, 5_000, 50_000][budget] } else { 0 })
                 .heap_check(true)
                 .build()
                 .expect("HeapConfig::validate accepts every sampled cell");

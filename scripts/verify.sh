@@ -56,6 +56,9 @@ echo "ok"
 # Adaptive placement is its per-partition cost model: the lifetime profiler,
 # H2 pretenuring, the threshold controller and the synthetic Mix workload
 # that alone exercised them are gone.
+# The major collector is one stop-world cycle, as the paper's Parallel
+# Scavenge is: the pause-budgeted sliced cycle, its pacing and its slice
+# events are gone.
 # Both collectors scan an H2 card through one walk, gc::walk_h2_card, the
 # only collector code that reads H2 through the charged device path; a
 # `.read_word(`/`.read_words(` anywhere else under gc/ is a second scan.
@@ -74,7 +77,7 @@ echo "ok"
 # The panic ratchet counts the unwrap/expect/panic!/unreachable! lines of a
 # crate; it may fall, never rise. "Outside tests" is what scripts/loc.sh
 # keeps: no cfg(test) item, statement or oracle file, wherever it sits.
-echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane, one region-liveness rule, placement is its cost model, one H2 card walk, H2 owns its region metadata, one serialized off-heap path, one H1 word price, round memory through the spare pool, panic ratchet =="
+echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane, one region-liveness rule, placement is its cost model, one stop-world major, one H2 card walk, H2 owns its region metadata, one serialized off-heap path, one H1 word price, round memory through the spare pool, panic ratchet =="
 if grep -rlE '^[[:space:]]*(pub[[:space:]]+)?enum[[:space:]]+[A-Za-z0-9_]*Op\b' crates/runtime/tests \
     | grep -v '^crates/runtime/tests/common/'; then
     echo "ERROR: an op enum outside crates/runtime/tests/common/; extend the shared language instead." >&2
@@ -105,6 +108,10 @@ fi
 if grep -rnE 'LifetimeProfiles|should_pretenure|set_alloc_site|set_adaptive|with_adaptive|Workload::Mix' \
     crates/*/src; then
     echo "ERROR: the deleted placement plane is back; adaptive placement is the cost model alone." >&2
+    exit 1
+fi
+if grep -rnE --include='*.rs' 'pause_budget|run_slice|SliceBegin|incr_poll' crates src examples; then
+    echo "ERROR: the sliced major cycle is back; the major collector is one stop-world cycle." >&2
     exit 1
 fi
 stray_reads=$(awk '
@@ -150,7 +157,7 @@ panic_sites() {
     scripts/loc.sh --lines "$1" | cut -d: -f3- \
         | awk '/unwrap\(\)|\.expect\(|panic!|unreachable!/ && !/^[[:space:]]*\/\//' | wc -l
 }
-for bound in crates/runtime/src:8 crates/core/src:0 crates/kryo/src:2 crates/giraph/src:5 \
+for bound in crates/runtime/src:5 crates/core/src:0 crates/kryo/src:2 crates/giraph/src:5 \
     crates/spark/src:7 crates/storage/src:1 crates/server/src:2 crates/query/src:3 \
     crates/obs/src:0 crates/workloads/src:1; do
     sites=$(panic_sites "${bound%:*}")
@@ -176,8 +183,8 @@ if ! diff <(scripts/loc.sh --root scripts/loc_fixture) scripts/loc_fixture/expec
 fi
 loc=$(scripts/loc.sh)
 echo "$loc"
-declare -A pin=([bench]=2553 [core]=1704 [giraph]=1224 [kryo]=496 [obs]=945 [query]=1402
-    [runtime]=5333 [server]=480 [spark]=1666 [storage]=2297 [util]=1585 [workloads]=268)
+declare -A pin=([bench]=2386 [core]=1704 [giraph]=1223 [kryo]=496 [obs]=910 [query]=1402
+    [runtime]=4524 [server]=480 [spark]=1666 [storage]=2297 [util]=1585 [workloads]=268)
 while read -r crate lines; do
     [[ $crate == crate || $crate == total ]] && continue
     if [[ -z ${pin[$crate]:-} ]]; then
@@ -219,7 +226,7 @@ teraheap_runtime/trace_equivalence::          §8   tracing observes the clock a
 teraheap_obs/lib::tests::ring_counts_         §8   the recorder's one lock: after every emit, resize, level flip or clear, emitted = ring length + dropped = sum of per-class counts, and ring seqs are contiguous
 teraheap_runtime/mutator_programs::spans_arm  §8   over random mutator programs, spans nest per slot and major-GC phases occur only inside a major GC
 teraheap_storage/bulk_equivalence::           §9   touch_run is bit-identical to the word-at-a-time loop: same ns, counters, events
-teraheap_runtime/bulk_equivalence::           §9   programs of the shared mutator language observe and charge the same through the word loop, read_prims/write_prims, view_prims and the pinned *_at accessors: scripted ranges on H1, paged and DAX H2 and across the Panthera NVM boundary, and random programs whose pins ride minor and major GCs, H2 promotion and a sliced cycle in flight
+teraheap_runtime/bulk_equivalence::           §9   programs of the shared mutator language observe and charge the same through the word loop, read_prims/write_prims, view_prims and the pinned *_at accessors: scripted ranges on H1, paged and DAX H2 and across the Panthera NVM boundary, and random programs whose pins ride minor and major GCs and H2 promotion
 teraheap_runtime/lib::heap::batch::tests::    §9   a word batch's reads, writes, length load and fill cost what the per-word accessors do, charge for charge, across Panthera's NVM boundary and under Memory mode
 mini_giraph/charge_pin::                      §9   the superstep loop, message stores and OOC blob path: per-category ns, GC counts, offloads/reloads, charge-call counts, checksum (golden)
 mini_giraph/lib::tests::delivery_oracle::     §9   edge delivery in word-batched runs against the per-edge loop, PR/CDLP/WCC on hinted and hint-less TeraHeap, OOC, two-tenant DAX, Memory mode and Panthera: breakdown, I/O counters, charge counts, event classes, the event ring, tenant arbitration and checksum all equal
@@ -230,12 +237,11 @@ teraheap_storage/lib::fault::tests::parse_     §10  TERAHEAP_FAULTS parsing: th
 teraheap_runtime/fault_recovery::             §10  the chaos_smoke_* tests the faults smoke stage drives: seeded transient errors and latency spikes on NVMe, NVM and DAX keep every payload, checked at every GC boundary
 teraheap_runtime/mutator_programs::faults_arm §10  a random fault plan never corrupts a payload, and H2 degrades only under ENOSPC or write errors
 teraheap_runtime/fault_equivalence::          §10  a zero-rate fault plane is bit-identical to no plane at all
-teraheap_runtime/gc_equivalence::             §11  simulated ns, phase breakdowns and graph checksum over variant x gc_threads x pause budget x armed fault plane, plus the paper's 8 KB card (two pages a card), a DAX device and NVM Memory mode (golden), the SATB barrier idle on stop-world arms, and (§12) that a sole tenant never queues
+teraheap_runtime/gc_equivalence::             §11  simulated ns, phase breakdowns and graph checksum over variant x gc_threads x armed fault plane, plus the paper's 8 KB card (two pages a card), a DAX device and NVM Memory mode (golden), and (§12) that a sole tenant never queues
 teraheap_runtime/gc_behaviour::collections_never_read_h2_behind_clean_cards  §11  a closure with no H1 reference leaves its cards clean, and minor and major GCs then read none of H2 (DAX read ops and faults unchanged); one H1 store dirties a card the next minor GC reads
 teraheap_runtime/mutator_programs::graph_arm  §6   random mutator programs leave the heap equal to a shadow logical graph (the oracle every arm runs)
-teraheap_runtime/mutator_programs::product_arm §6  the oracle and the armed checker hold over variant x lanes x pause budget x device x fault plan x access mode
+teraheap_runtime/mutator_programs::product_arm §6  the oracle and the armed checker hold over variant x lanes x device x fault plan x access mode
 teraheap_runtime/mutator_programs::lanes_arm  §11  lane accounting is deterministic across runs, thread counts and host parallelism
-teraheap_runtime/incremental_marking::        §11  the incremental arm: a pause-budgeted run converges to the stop-world logical heap, H2 residency included, at any budget, lane count and access mode; runs replay bit-identically
 teraheap_storage/lib::shared::reference::     §12  the earliest-fit device calendar gives the waits, device virtual time and per-tenant counters of a brute-force scan over every booking, keeps its bookings sorted, disjoint and merged, and gives a sole tenant the FIFO's waits, over 1-8 tenants with production-style (pruning) and arbitrary arrivals
 teraheap_server/lib::                         §12  N-tenant server runs are deterministic, with typed config rejection
 teraheap_server/lib::tests::recycled_round_memory_  §12  rounds built in recycled H1 words and H2 stores report what rounds in fresh memory do, bit for bit (per-round ns, checksums, TenantIo), and the pool is empty after the run
@@ -282,13 +288,13 @@ echo "ok ($named suites)"
 # column included) names a `## N.` heading that exists.
 echo "== docs and layout: size gates, heap files, DESIGN.md pointers =="
 design_bytes=$(wc -c <DESIGN.md)
-if (( design_bytes >= 48550 )); then
-    echo "ERROR: DESIGN.md is $design_bytes bytes; it must stay under 48550." >&2
+if (( design_bytes >= 44524 )); then
+    echo "ERROR: DESIGN.md is $design_bytes bytes; it must stay under 44524." >&2
     exit 1
 fi
 doc_bytes=$(cat DESIGN.md EXPERIMENTS.md | wc -c)
-if (( doc_bytes > 74601 )); then
-    echo "ERROR: DESIGN.md + EXPERIMENTS.md are $doc_bytes bytes; the gate is 74601." >&2
+if (( doc_bytes > 69012 )); then
+    echo "ERROR: DESIGN.md + EXPERIMENTS.md are $doc_bytes bytes; the gate is 69012." >&2
     exit 1
 fi
 for file in crates/runtime/src/heap/*.rs; do
@@ -392,20 +398,30 @@ echo "ok"
 # bit-identically. Simulated time is a pure function of the cost model and
 # the deterministic workloads, so any diff here means a change quietly
 # altered experiment results. microbench.csv is excluded (it records real
-# wall-clock times). Skip with VERIFY_SKIP_RESULTS=1 for a quick check.
+# wall-clock times). The checked stage runs every figure again with the
+# full-heap checker armed at every GC boundary (and the collectors'
+# work-unit coverage audit with it): a violated invariant panics the run,
+# and the checker charges nothing, so the results must still match. Skip
+# both with VERIFY_SKIP_RESULTS=1 for a quick check.
 if [[ "${VERIFY_SKIP_RESULTS:-0}" != "1" ]]; then
-    echo "== results determinism: regenerate and diff results/*.csv =="
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
     cp -r results "$tmp/committed"
-    cargo run -q --release --offline -p teraheap-bench --bin figures -- all >/dev/null
-    if ! diff -rq -x microbench.csv "$tmp/committed" results; then
-        echo "ERROR: regenerated results differ from committed CSVs." >&2
-        echo "Simulated time must be deterministic; if the change is an" >&2
-        echo "intentional cost-model/bug fix, re-pin with scripts/repin.sh and" >&2
-        echo "say so in the PR." >&2
-        exit 1
-    fi
+    regenerate_and_diff() {
+        cargo run -q --release --offline -p teraheap-bench --bin figures -- all >/dev/null
+        if ! diff -rq -x microbench.csv "$tmp/committed" results; then
+            echo "ERROR: regenerated results differ from committed CSVs." >&2
+            echo "Simulated time must be deterministic; if the change is an" >&2
+            echo "intentional cost-model/bug fix, re-pin with scripts/repin.sh and" >&2
+            echo "say so in the PR." >&2
+            exit 1
+        fi
+    }
+    echo "== results determinism: regenerate and diff results/*.csv =="
+    regenerate_and_diff
+    echo "ok"
+    echo "== checked results: every figure under TERAHEAP_HEAP_CHECK=1, same results =="
+    TERAHEAP_HEAP_CHECK=1 regenerate_and_diff
     echo "ok"
 fi
 
