@@ -120,7 +120,11 @@ fn bench_barrier(bench: &mut Bench) {
             let mut heap = Heap::new(HeapConfig::small());
             if enable {
                 let h2cfg = teraheap_core::H2Config::default();
-                let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
+                let dev = SharedDevice::new(
+                    DeviceSpec::nvme_ssd(),
+                    h2cfg.footprint_bytes(),
+                    heap.clock().clone(),
+                );
                 heap.attach_h2(h2cfg, &dev).unwrap();
             }
             let class = heap.register_class("N", 1, 1);
@@ -330,8 +334,7 @@ fn bench_mmap(bench: &mut Bench) {
     group.bench_function("fault_evict_mixed", |b| {
         const PAGES: usize = 2048;
         let clock = Arc::new(SimClock::new());
-        let mut map =
-            MmapSim::new(DeviceSpec::nvme_ssd(), PAGES * 4096, 32 * 4096, 4096, clock);
+        let mut map = MmapSim::new(DeviceSpec::nvme_ssd(), PAGES * 4096, 32 * 4096, 4096, clock);
         let mut i = 0usize;
         b.iter(|| {
             i = (i + 331) % PAGES;
@@ -500,8 +503,13 @@ fn bench_query(bench: &mut Bench) {
         let dev =
             SharedDevice::new(DeviceSpec::nvme_ssd(), h2.footprint_bytes(), heap.clock().clone());
         heap.attach_h2(h2, &dev).unwrap();
-        let mut table =
-            Table::new(TableConfig { table_id: 1, cols: COLS, chunk_rows: 256, key_col: 0, placement });
+        let mut table = Table::new(TableConfig {
+            table_id: 1,
+            cols: COLS,
+            chunk_rows: 256,
+            key_col: 0,
+            placement,
+        });
         for row in &rows {
             table.append_row(&mut heap, row).unwrap();
         }

@@ -164,11 +164,51 @@ pub struct GiraphRow {
 pub fn giraph_rows() -> Vec<GiraphRow> {
     use mini_giraph::GiraphWorkload as W;
     vec![
-        GiraphRow { workload: W::Pr, dataset_gb: 85, dram_gb: [74, 85], ooc_heap_gb: 70, th_h1_gb: 50, supersteps: 6, words_per_vertex: 48 },
-        GiraphRow { workload: W::Cdlp, dataset_gb: 85, dram_gb: [74, 85], ooc_heap_gb: 70, th_h1_gb: 60, supersteps: 6, words_per_vertex: 48 },
-        GiraphRow { workload: W::Wcc, dataset_gb: 85, dram_gb: [74, 85], ooc_heap_gb: 70, th_h1_gb: 60, supersteps: 8, words_per_vertex: 24 },
-        GiraphRow { workload: W::Bfs, dataset_gb: 65, dram_gb: [57, 65], ooc_heap_gb: 48, th_h1_gb: 35, supersteps: 8, words_per_vertex: 24 },
-        GiraphRow { workload: W::Sssp, dataset_gb: 90, dram_gb: [78, 90], ooc_heap_gb: 75, th_h1_gb: 50, supersteps: 8, words_per_vertex: 24 },
+        GiraphRow {
+            workload: W::Pr,
+            dataset_gb: 85,
+            dram_gb: [74, 85],
+            ooc_heap_gb: 70,
+            th_h1_gb: 50,
+            supersteps: 6,
+            words_per_vertex: 48,
+        },
+        GiraphRow {
+            workload: W::Cdlp,
+            dataset_gb: 85,
+            dram_gb: [74, 85],
+            ooc_heap_gb: 70,
+            th_h1_gb: 60,
+            supersteps: 6,
+            words_per_vertex: 48,
+        },
+        GiraphRow {
+            workload: W::Wcc,
+            dataset_gb: 85,
+            dram_gb: [74, 85],
+            ooc_heap_gb: 70,
+            th_h1_gb: 60,
+            supersteps: 8,
+            words_per_vertex: 24,
+        },
+        GiraphRow {
+            workload: W::Bfs,
+            dataset_gb: 65,
+            dram_gb: [57, 65],
+            ooc_heap_gb: 48,
+            th_h1_gb: 35,
+            supersteps: 8,
+            words_per_vertex: 24,
+        },
+        GiraphRow {
+            workload: W::Sssp,
+            dataset_gb: 90,
+            dram_gb: [78, 90],
+            ooc_heap_gb: 75,
+            th_h1_gb: 50,
+            supersteps: 8,
+            words_per_vertex: 24,
+        },
     ]
 }
 

@@ -13,12 +13,12 @@ use crate::card::{CardState, H2CardTable};
 use crate::policy::{Label, TransferPolicy};
 use crate::promo::Promoter;
 use crate::region::{RegionError, RegionId, RegionManager};
+use std::sync::Arc;
 use teraheap_storage::obs::EventKind;
 use teraheap_storage::{
     fault, spare, AttachError, Category, ChargeScope, DeviceSpec, FaultPlan, FaultPlane, MmapSim,
     SharedDevice, SimClock,
 };
-use std::sync::Arc;
 
 /// Configuration of the second heap.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -233,10 +233,9 @@ impl std::fmt::Display for H2Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             H2Error::OutOfSpace => write!(f, "H2 out of space"),
-            H2Error::ObjectTooLarge { words, region_words } => write!(
-                f,
-                "object of {words} words exceeds H2 region size {region_words}"
-            ),
+            H2Error::ObjectTooLarge { words, region_words } => {
+                write!(f, "object of {words} words exceeds H2 region size {region_words}")
+            }
         }
     }
 }
@@ -455,8 +454,7 @@ impl H2 {
         if n == 0 {
             return &[];
         }
-        self.mmap
-            .touch_run(addr.h2_byte_offset(), n * WORD_BYTES, false, cat);
+        self.mmap.touch_run(addr.h2_byte_offset(), n * WORD_BYTES, false, cat);
         let base = addr.h2_offset() as usize;
         &self.data[base..base + n]
     }
@@ -473,7 +471,13 @@ impl H2 {
     /// bulk write charging; card marking stays the caller's job, as for
     /// [`H2::write_word`]. An empty range charges nothing and never calls
     /// `fill`.
-    pub fn fill_words(&mut self, addr: Addr, n: usize, cat: Category, fill: impl FnOnce(&mut [u64])) {
+    pub fn fill_words(
+        &mut self,
+        addr: Addr,
+        n: usize,
+        cat: Category,
+        fill: impl FnOnce(&mut [u64]),
+    ) {
         if n == 0 {
             return;
         }
@@ -613,10 +617,8 @@ impl H2 {
             // The promotion buffer writes straight to the device file, so
             // the flush is one arbitrated device command (a no-op routing
             // for a private device or a sole tenant).
-            self.mmap
-                .charge_device(cat, self.spec.write_cost_ns(flushed_bytes));
-            self.clock
-                .emit(EventKind::H2PromoFlush { bytes: flushed_bytes as u64 });
+            self.mmap.charge_device(cat, self.spec.write_cost_ns(flushed_bytes));
+            self.clock.emit(EventKind::H2PromoFlush { bytes: flushed_bytes as u64 });
         }
     }
 
@@ -851,14 +853,8 @@ mod tests {
 
     #[test]
     fn builder_rejects_invalid_configs() {
-        assert_eq!(
-            H2Config::builder().region_words(0).build(),
-            Err(H2ConfigError::ZeroRegionSize)
-        );
-        assert_eq!(
-            H2Config::builder().n_regions(0).build(),
-            Err(H2ConfigError::ZeroRegionCount)
-        );
+        assert_eq!(H2Config::builder().region_words(0).build(), Err(H2ConfigError::ZeroRegionSize));
+        assert_eq!(H2Config::builder().n_regions(0).build(), Err(H2ConfigError::ZeroRegionCount));
         // 100 does not divide the default 1 MB region.
         let err = H2Config::builder().card_seg_words(100).build().unwrap_err();
         assert!(matches!(err, H2ConfigError::CardSegment { card_seg_words: 100, .. }));

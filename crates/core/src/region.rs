@@ -132,10 +132,9 @@ pub enum RegionError {
 impl std::fmt::Display for RegionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RegionError::ObjectTooLarge { words, region_words } => write!(
-                f,
-                "object of {words} words exceeds region size of {region_words} words"
-            ),
+            RegionError::ObjectTooLarge { words, region_words } => {
+                write!(f, "object of {words} words exceeds region size of {region_words} words")
+            }
             RegionError::OutOfRegions => write!(f, "no free H2 region available"),
         }
     }
@@ -241,10 +240,7 @@ impl RegionManager {
     /// [`RegionError::OutOfRegions`] if H2 is exhausted.
     pub fn alloc(&mut self, label: Label, words: usize) -> Result<Addr, RegionError> {
         if words > self.region_words {
-            return Err(RegionError::ObjectTooLarge {
-                words,
-                region_words: self.region_words,
-            });
+            return Err(RegionError::ObjectTooLarge { words, region_words: self.region_words });
         }
         let rid = match self.open.get(&label) {
             Some(&rid) if self.regions[rid.0 as usize].top + words <= self.region_words => rid,

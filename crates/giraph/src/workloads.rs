@@ -169,9 +169,7 @@ fn workload_init(workload: GiraphWorkload) -> Box<dyn Fn(u64) -> u64> {
     match workload {
         GiraphWorkload::Pr => Box::new(|_| 1.0f64.to_bits()),
         GiraphWorkload::Cdlp | GiraphWorkload::Wcc => Box::new(|id| id),
-        GiraphWorkload::Bfs | GiraphWorkload::Sssp => {
-            Box::new(|id| if id == 0 { 0 } else { INF })
-        }
+        GiraphWorkload::Bfs | GiraphWorkload::Sssp => Box::new(|id| if id == 0 { 0 } else { INF }),
     }
 }
 
@@ -321,10 +319,7 @@ mod tests {
     }
 
     fn ooc_mode() -> GiraphMode {
-        GiraphMode::OutOfCore {
-            device: DeviceSpec::nvme_ssd(),
-            memory_limit_words: 4 << 10,
-        }
+        GiraphMode::OutOfCore { device: DeviceSpec::nvme_ssd(), memory_limit_words: 4 << 10 }
     }
 
     #[test]
@@ -345,10 +340,7 @@ mod tests {
     fn bfs_reaches_the_reachable_set() {
         let r = run_giraph(
             GiraphWorkload::Bfs,
-            GiraphConfig {
-                max_supersteps: 12,
-                ..GiraphConfig::small(GiraphMode::InMemory)
-            },
+            GiraphConfig { max_supersteps: 12, ..GiraphConfig::small(GiraphMode::InMemory) },
             200,
             6,
             3,
@@ -361,13 +353,8 @@ mod tests {
 
     #[test]
     fn pr_ranks_sum_near_vertex_count() {
-        let r = run_giraph(
-            GiraphWorkload::Pr,
-            GiraphConfig::small(GiraphMode::InMemory),
-            300,
-            5,
-            11,
-        );
+        let r =
+            run_giraph(GiraphWorkload::Pr, GiraphConfig::small(GiraphMode::InMemory), 300, 5, 11);
         // PageRank with damping 0.85 over n vertices sums to ~n.
         assert!((r.checksum - 300.0).abs() < 90.0, "rank mass ≈ n, got {}", r.checksum);
     }

@@ -57,13 +57,8 @@ impl Category {
     pub const COUNT: usize = 5;
 
     /// All categories, in fixed order (matches [`Category::index`]).
-    pub const ALL: [Category; Category::COUNT] = [
-        Category::Mutator,
-        Category::SerDe,
-        Category::Io,
-        Category::MinorGc,
-        Category::MajorGc,
-    ];
+    pub const ALL: [Category; Category::COUNT] =
+        [Category::Mutator, Category::SerDe, Category::Io, Category::MinorGc, Category::MajorGc];
 
     /// Dense index of this category, `0..COUNT`.
     pub fn index(self) -> usize {
@@ -277,18 +272,9 @@ impl WorkUnitKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A collection starts. `old_used_words` is the old-gen occupancy before.
-    GcBegin {
-        gc: GcKind,
-        cause: GcCause,
-        old_used_words: u64,
-    },
+    GcBegin { gc: GcKind, cause: GcCause, old_used_words: u64 },
     /// A collection finished. `promoted_h2_words` is the H2 growth during it.
-    GcEnd {
-        gc: GcKind,
-        old_used_words: u64,
-        old_capacity_words: u64,
-        promoted_h2_words: u64,
-    },
+    GcEnd { gc: GcKind, old_used_words: u64, old_capacity_words: u64, promoted_h2_words: u64 },
     /// A major-GC phase starts.
     PhaseBegin { phase: GcPhase },
     /// A major-GC phase ends.

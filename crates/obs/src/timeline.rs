@@ -113,12 +113,7 @@ fn json_fields(kind: &EventKind) -> String {
 
 /// One event as a single JSON object (no trailing newline).
 pub fn to_json(event: &Event) -> String {
-    format!(
-        "{{\"seq\":{},\"t_ns\":{},{}}}",
-        event.seq,
-        event.t_ns,
-        json_fields(&event.kind)
-    )
+    format!("{{\"seq\":{},\"t_ns\":{},{}}}", event.seq, event.t_ns, json_fields(&event.kind))
 }
 
 /// Events as JSONL, one object per line, trailing newline included when
@@ -200,7 +195,15 @@ mod tests {
     #[test]
     fn jsonl_is_stable_and_line_per_event() {
         let events = [
-            e(0, 5, EventKind::GcBegin { gc: GcKind::Minor, cause: GcCause::AllocFailure, old_used_words: 3 }),
+            e(
+                0,
+                5,
+                EventKind::GcBegin {
+                    gc: GcKind::Minor,
+                    cause: GcCause::AllocFailure,
+                    old_used_words: 3,
+                },
+            ),
             e(1, 9, EventKind::CardScan { table: CardTableKind::H1, cards: 2 }),
             e(2, 11, EventKind::PageFault { sequential: true }),
         ];
@@ -212,7 +215,10 @@ mod tests {
             "{\"seq\":0,\"t_ns\":5,\"kind\":\"gc_begin\",\"gc\":\"minor\",\
              \"cause\":\"alloc_failure\",\"old_used_words\":3}"
         );
-        assert_eq!(lines[1], "{\"seq\":1,\"t_ns\":9,\"kind\":\"card_scan\",\"table\":\"h1\",\"cards\":2}");
+        assert_eq!(
+            lines[1],
+            "{\"seq\":1,\"t_ns\":9,\"kind\":\"card_scan\",\"table\":\"h1\",\"cards\":2}"
+        );
         assert_eq!(lines[2], "{\"seq\":2,\"t_ns\":11,\"kind\":\"page_fault\",\"sequential\":true}");
     }
 
@@ -224,12 +230,54 @@ mod tests {
     #[test]
     fn gc_cycles_pair_in_completion_order() {
         let events = [
-            e(0, 10, EventKind::GcBegin { gc: GcKind::Minor, cause: GcCause::AllocFailure, old_used_words: 100 }),
-            e(1, 30, EventKind::GcEnd { gc: GcKind::Minor, old_used_words: 120, old_capacity_words: 1000, promoted_h2_words: 0 }),
-            e(2, 50, EventKind::GcBegin { gc: GcKind::Major, cause: GcCause::PromotionGuarantee, old_used_words: 900 }),
-            e(3, 90, EventKind::GcEnd { gc: GcKind::Major, old_used_words: 400, old_capacity_words: 1000, promoted_h2_words: 64 }),
+            e(
+                0,
+                10,
+                EventKind::GcBegin {
+                    gc: GcKind::Minor,
+                    cause: GcCause::AllocFailure,
+                    old_used_words: 100,
+                },
+            ),
+            e(
+                1,
+                30,
+                EventKind::GcEnd {
+                    gc: GcKind::Minor,
+                    old_used_words: 120,
+                    old_capacity_words: 1000,
+                    promoted_h2_words: 0,
+                },
+            ),
+            e(
+                2,
+                50,
+                EventKind::GcBegin {
+                    gc: GcKind::Major,
+                    cause: GcCause::PromotionGuarantee,
+                    old_used_words: 900,
+                },
+            ),
+            e(
+                3,
+                90,
+                EventKind::GcEnd {
+                    gc: GcKind::Major,
+                    old_used_words: 400,
+                    old_capacity_words: 1000,
+                    promoted_h2_words: 64,
+                },
+            ),
             // aborted: begin without end
-            e(4, 95, EventKind::GcBegin { gc: GcKind::Major, cause: GcCause::LargeAlloc, old_used_words: 999 }),
+            e(
+                4,
+                95,
+                EventKind::GcBegin {
+                    gc: GcKind::Major,
+                    cause: GcCause::LargeAlloc,
+                    old_used_words: 999,
+                },
+            ),
         ];
         let cycles = gc_cycles(&events);
         assert_eq!(cycles.len(), 2);

@@ -23,10 +23,10 @@ use crate::exec::{run_query, Agg, Predicate, Query, QueryResult};
 use crate::report::{LatencyHistogram, QueryReport};
 use crate::table::{Table, TableConfig, TablePlacement};
 use std::sync::Arc;
+use teraheap_core::H2Config;
 use teraheap_runtime::obs::EventKind;
 use teraheap_runtime::{Heap, HeapConfig, OomError};
 use teraheap_storage::{DeviceSpec, SharedDevice, SimClock};
-use teraheap_core::H2Config;
 use teraheap_util::rng::Rng;
 use teraheap_util::Fnv;
 
@@ -142,9 +142,7 @@ pub fn gen_rows(rows: usize, seed: u64) -> Vec<[u64; COLS]> {
     let mut rng = Rng::seed_from_u64(seed ^ 0x7ab1e5);
     let mut keys: Vec<u64> = (0..rows as u64).map(|r| r * KEY_STRIDE).collect();
     rng.shuffle(&mut keys);
-    keys.iter()
-        .map(|&key| [key, rng.next_u64() >> 16, rng.next_u64() >> 16])
-        .collect()
+    keys.iter().map(|&key| [key, rng.next_u64() >> 16, rng.next_u64() >> 16]).collect()
 }
 
 /// Derives operation `i` of the stream — a pure function of the config's
@@ -169,10 +167,7 @@ pub fn op_for(cfg: &QueryPlaneConfig, contents: &[[u64; COLS]], i: usize) -> OpS
         OpKind::RangeScan => {
             let span = cfg.scan_rows as u64 * KEY_STRIDE;
             let lo = rng.gen_range(0..max_key.saturating_sub(span).max(1));
-            (
-                Query { filter: Predicate { col: 0, lo, hi: lo + span }, project: 1, agg: None },
-                true,
-            )
+            (Query { filter: Predicate { col: 0, lo, hi: lo + span }, project: 1, agg: None }, true)
         }
         OpKind::Aggregate => {
             let span = 4 * cfg.scan_rows as u64 * KEY_STRIDE;
@@ -250,10 +245,7 @@ pub fn run_query_plane(cfg: &QueryPlaneConfig) -> Result<QueryReport, OomError> 
     let contents = gen_rows(cfg.rows_per_table, cfg.seed);
     let specs: Vec<OpSpec> = (0..cfg.total_ops).map(|i| op_for(cfg, &contents, i)).collect();
 
-    let device = SharedDevice::for_server(
-        cfg.device,
-        cfg.tenants * cfg.h2.footprint_bytes(),
-    );
+    let device = SharedDevice::for_server(cfg.device, cfg.tenants * cfg.h2.footprint_bytes());
     let mut tenants = Vec::with_capacity(cfg.tenants);
     let mut ids = Vec::with_capacity(cfg.tenants);
     for _ in 0..cfg.tenants {
@@ -319,10 +311,8 @@ pub fn run_query_plane(cfg: &QueryPlaneConfig) -> Result<QueryReport, OomError> 
         fnv.push(c);
         fnv.push(m);
     }
-    let device_queued_ns = ids
-        .iter()
-        .map(|&id| device.tenant_io(id).map(|io| io.queued_ns).unwrap_or(0))
-        .sum();
+    let device_queued_ns =
+        ids.iter().map(|&id| device.tenant_io(id).map(|io| io.queued_ns).unwrap_or(0)).sum();
     let h2_chunks = tenants
         .iter()
         .map(|t| t.cold.h2_resident_chunks(&t.heap) + t.hot.h2_resident_chunks(&t.heap))

@@ -164,11 +164,8 @@ impl Table {
     /// Placement label of stream `s`: the column's slot, or the key
     /// column's slot in the upper (index-run) half of the namespace.
     fn stream_label(&self, s: usize) -> Label {
-        let slot = if s < self.cfg.cols {
-            s as u64
-        } else {
-            COLS_PER_TABLE / 2 + self.cfg.key_col as u64
-        };
+        let slot =
+            if s < self.cfg.cols { s as u64 } else { COLS_PER_TABLE / 2 + self.cfg.key_col as u64 };
         Label::new(self.cfg.table_id * COLS_PER_TABLE + slot)
     }
 

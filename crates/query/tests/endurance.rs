@@ -80,12 +80,7 @@ fn append_rows(heap: &mut Heap, slot: &mut Slot, n: usize, next_key: &mut u64, r
 }
 
 /// A fresh cold table in `slot_id`'s label/block namespace.
-fn fresh_slot(
-    heap: &mut Heap,
-    slot_id: usize,
-    next_key: &mut u64,
-    rng: &mut Rng,
-) -> Slot {
+fn fresh_slot(heap: &mut Heap, slot_id: usize, next_key: &mut u64, rng: &mut Rng) -> Slot {
     let mut slot = Slot {
         table: Table::new(TableConfig {
             table_id: slot_id as u64 + 1,
@@ -126,9 +121,8 @@ fn churn_rounds_stay_leak_free_and_bounded() {
 
     let mut rng = Rng::seed_from_u64(0xe4d0_a11c);
     let mut next_key = 0u64;
-    let mut slots: Vec<Slot> = (0..SLOTS)
-        .map(|s| fresh_slot(&mut heap, s, &mut next_key, &mut rng))
-        .collect();
+    let mut slots: Vec<Slot> =
+        (0..SLOTS).map(|s| fresh_slot(&mut heap, s, &mut next_key, &mut rng)).collect();
     heap.gc_major().unwrap();
 
     // High-water marks captured after warm-up; every later check must stay
@@ -175,10 +169,8 @@ fn churn_rounds_stay_leak_free_and_bounded() {
             let h1_used = heap.old_used_words() + heap.eden_used_words();
             let h2r = heap.h2().expect("H2 attached").regions();
             let h2_live = h2r.region_count() - h2r.free_count();
-            let table_words: usize = slots
-                .iter()
-                .map(|s| s.table.memory_usage(&heap).total_words())
-                .sum();
+            let table_words: usize =
+                slots.iter().map(|s| s.table.memory_usage(&heap).total_words()).sum();
 
             if round >= WARMUP_ROUNDS {
                 let h1_cap = *h1_high.get_or_insert(h1_used);

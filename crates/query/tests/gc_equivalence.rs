@@ -65,10 +65,7 @@ fn idle_workload_emits_no_query_events() {
     heap.clock().tracer().set_level(teraheap_runtime::obs::Level::Full);
     let keep = mixed_workload_body(&mut heap);
     let events = heap.clock().tracer().events();
-    assert!(
-        !events.is_empty(),
-        "the recorder must capture the workload's GC/H2 traffic"
-    );
+    assert!(!events.is_empty(), "the recorder must capture the workload's GC/H2 traffic");
     assert!(
         events.iter().all(|e| {
             !matches!(

@@ -190,8 +190,7 @@ fn executor_matches_naive_oracle_and_index_equals_scan() {
 
             for spec in queries {
                 let q = build_query(spec, &mirror);
-                let (before, ref_before) =
-                    (heap.clock().total_ns(), ref_heap.clock().total_ns());
+                let (before, ref_before) = (heap.clock().total_ns(), ref_heap.clock().total_ns());
                 let scan = run_query(&mut heap, &mut table, &q, false);
                 reference_scan_charges(&mut ref_heap, &mut ref_table, &q);
                 prop_assert_eq!(
@@ -251,8 +250,7 @@ fn answers_are_invariant_across_runtime_knobs() {
     // Device model and GC parallelism move *when* things happen, never
     // *what* the queries answer: the plane's canonical checksum must agree
     // across every knob combination.
-    let devices =
-        [DeviceSpec::nvme_ssd(), DeviceSpec::optane_nvm(), DeviceSpec::dram()];
+    let devices = [DeviceSpec::nvme_ssd(), DeviceSpec::optane_nvm(), DeviceSpec::dram()];
     let mut reference = None;
     for device in devices {
         for gc_threads in [1usize, 4] {

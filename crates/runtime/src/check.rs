@@ -78,17 +78,15 @@ impl std::fmt::Display for CheckError {
             CheckError::UnsortedStarts { space, index } => {
                 write!(f, "object-start index for {space} broken at entry {index}")
             }
-            CheckError::DanglingRef { from, slot, to } => write!(
-                f,
-                "object {from:#x} slot {slot:#x} references {to:#x}, not a valid object"
-            ),
+            CheckError::DanglingRef { from, slot, to } => {
+                write!(f, "object {from:#x} slot {slot:#x} references {to:#x}, not a valid object")
+            }
             CheckError::DanglingRoot { slot, to } => {
                 write!(f, "root {slot} references {to:#x}, not a valid object")
             }
-            CheckError::CardInconsistent { slot, target, detail } => write!(
-                f,
-                "card table misses reference at slot {slot:#x} -> {target:#x}: {detail}"
-            ),
+            CheckError::CardInconsistent { slot, target, detail } => {
+                write!(f, "card table misses reference at slot {slot:#x} -> {target:#x}: {detail}")
+            }
             CheckError::RegionAccounting { region, walked, recorded } => write!(
                 f,
                 "H2 region {region}: walked {walked} live words but allocator records {recorded}"
@@ -212,7 +210,11 @@ impl Heap {
                 }
                 let walked = (expect - base) as usize;
                 if walked != used {
-                    return Err(CheckError::RegionAccounting { region: rid.0, walked, recorded: used });
+                    return Err(CheckError::RegionAccounting {
+                        region: rid.0,
+                        walked,
+                        recorded: used,
+                    });
                 }
             }
         }
@@ -382,7 +384,12 @@ pub(crate) fn validate_unit_coverage(
                     c += 1;
                 }
                 if n != 1 {
-                    return Err(CheckError::UnitCoverage { phase, key: ek, claims: n, expected: 1 });
+                    return Err(CheckError::UnitCoverage {
+                        phase,
+                        key: ek,
+                        claims: n,
+                        expected: 1,
+                    });
                 }
                 e += 1;
             }
@@ -526,9 +533,7 @@ mod on_demand_tests {
         // Plant the dangling ref: retarget the slot one word into the H2
         // object — a device-resident address that is not an object start.
         let bogus = heap.handle_addr(payload).add(1);
-        let slot = heap
-            .handle_addr(holder)
-            .add(object::HEADER_WORDS as u64);
+        let slot = heap.handle_addr(holder).add(object::HEADER_WORDS as u64);
         heap.set_word(slot, bogus.raw());
         match heap.heap_check_now() {
             Err(CheckError::DanglingRef { to, .. }) => assert_eq!(to, bogus.raw()),

@@ -402,11 +402,7 @@ pub struct OomError {
 
 impl std::fmt::Display for OomError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "out of memory: {} ({} words requested)",
-            self.context, self.requested_words
-        )
+        write!(f, "out of memory: {} ({} words requested)", self.context, self.requested_words)
     }
 }
 
@@ -431,10 +427,7 @@ mod tests {
             HeapConfig::builder(4, 1 << 10).build(),
             Err(ConfigError::YoungTooSmall { young_words: 4 })
         );
-        assert_eq!(
-            HeapConfig::builder(1 << 10, 0).build(),
-            Err(ConfigError::ZeroOldGeneration)
-        );
+        assert_eq!(HeapConfig::builder(1 << 10, 0).build(), Err(ConfigError::ZeroOldGeneration));
         let base = HeapConfig::with_words(1 << 10, 1 << 10);
         assert_eq!(
             HeapConfig { mutator_threads: 0, ..base }.validate(),
@@ -477,7 +470,8 @@ mod tests {
         assert_eq!(cfg.gc_threads, 8);
         assert_eq!(cfg.obs_level, Some(Level::Full));
         assert_eq!(cfg.obs_events, 1 << 12);
-        assert_eq!(cfg, { // builder with no overrides == with_words
+        assert_eq!(cfg, {
+            // builder with no overrides == with_words
             let mut c = HeapConfig::with_words(64 << 10, 256 << 10);
             c.gc_threads = 8;
             c.obs_level = Some(Level::Full);

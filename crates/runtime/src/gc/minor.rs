@@ -12,8 +12,8 @@
 //! the CPU accounting is laned.
 
 use super::schedule::{
-    Scheduler, DOM_H1_CARD, DOM_H2_CARD, GRAY_PACKET, H1_CARD_STRIPE, H2_CARD_CHUNK,
-    H2_WALK_CHUNK, ROOT_STRIP,
+    Scheduler, DOM_H1_CARD, DOM_H2_CARD, GRAY_PACKET, H1_CARD_STRIPE, H2_CARD_CHUNK, H2_WALK_CHUNK,
+    ROOT_STRIP,
 };
 use super::{first_overlapping, walk_h2_card, Work};
 use crate::heap::Heap;
@@ -183,10 +183,7 @@ fn scan_copied(heap: &mut Heap, obj: Addr, work: &mut Work, worklist: &mut Vec<A
 fn scan_h1_cards(heap: &mut Heap, sched: &mut Scheduler, worklist: &mut Vec<Addr>) {
     let clock = heap.clock.clone();
     let dirty = heap.h1_cards.dirty_cards();
-    heap.clock.emit(EventKind::CardScan {
-        table: CardTableKind::H1,
-        cards: dirty.len() as u64,
-    });
+    heap.clock.emit(EventKind::CardScan { table: CardTableKind::H1, cards: dirty.len() as u64 });
     for &card in &dirty {
         sched.declare(DOM_H1_CARD | card as u64);
     }
@@ -262,10 +259,8 @@ fn scan_h2_cards(heap: &mut Heap, sched: &mut Scheduler, worklist: &mut Vec<Addr
     let (cards, card_count) = (h2.cards_mut().minor_scan_cards(), h2.cards().card_count() as u64);
     let clock = heap.clock.clone();
     heap.stats.h2_cards_scanned_minor += cards.len() as u64;
-    heap.clock.emit(EventKind::CardScan {
-        table: CardTableKind::H2Minor,
-        cards: cards.len() as u64,
-    });
+    heap.clock
+        .emit(EventKind::CardScan { table: CardTableKind::H2Minor, cards: cards.len() as u64 });
     // The card-table walk examines every entry; smaller segments mean a
     // larger table and a longer walk. The walk has no side effects, so its
     // units are striped arithmetically.

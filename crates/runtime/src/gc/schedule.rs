@@ -132,11 +132,7 @@ impl Scheduler {
         self.scaled[lane] += scaled_ns;
         self.flat[lane] += flat_ns;
         self.units += 1;
-        clock.emit(EventKind::UnitEnd {
-            lane: lane as u32,
-            kind,
-            cost_ns: scaled_ns + flat_ns,
-        });
+        clock.emit(EventKind::UnitEnd { lane: lane as u32, kind, cost_ns: scaled_ns + flat_ns });
     }
 
     /// The ns the next barrier advances the clock by for the units charged
@@ -174,12 +170,7 @@ impl Scheduler {
     /// one charge, emits `LaneBarrier`, and returns the lanes' total stall
     /// ns for [`crate::stats::GcStats::lane_stall_ns`]. An empty phase (no
     /// units) advances nothing and emits nothing.
-    pub(crate) fn barrier(
-        &mut self,
-        clock: &SimClock,
-        cat: Category,
-        phase: &'static str,
-    ) -> u64 {
+    pub(crate) fn barrier(&mut self, clock: &SimClock, cat: Category, phase: &'static str) -> u64 {
         if let Some(cov) = &mut self.coverage {
             if let Err(e) = check::validate_unit_coverage(phase, &mut cov.expected, &mut cov.claims)
             {

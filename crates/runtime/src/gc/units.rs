@@ -621,11 +621,7 @@ fn claim_dense(sched: &mut Scheduler, starts: &[u64]) {
 /// The G1 mixed-collection moved-live fraction, in thousandths: live data
 /// in the regions a garbage-first policy would actually collect, over total
 /// live data. Non-G1 variants return 1000 (full compaction cost).
-pub(super) fn g1_moved_fraction_milli(
-    heap: &Heap,
-    region_live: &[u64],
-    total_live: u64,
-) -> u64 {
+pub(super) fn g1_moved_fraction_milli(heap: &Heap, region_live: &[u64], total_live: u64) -> u64 {
     let Some(region_words) = heap.policy.g1_region_words else {
         return 1000;
     };

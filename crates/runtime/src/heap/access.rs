@@ -131,7 +131,14 @@ impl Heap {
             let len = self.word(Addr::new(fields)) as usize;
             let first = fields + object::ARRAY_LEN_WORDS as u64;
             let (ref_len, prim_len) = if class == OBJ_ARRAY_CLASS { (len, 0) } else { (0, len) };
-            return Layout { class, obj: addr, ref_base: first, ref_len, prim_base: first, prim_len };
+            return Layout {
+                class,
+                obj: addr,
+                ref_base: first,
+                ref_len,
+                prim_base: first,
+                prim_len,
+            };
         }
         let desc = self.classes.get(class);
         Layout {

@@ -58,13 +58,22 @@ impl Heap {
     /// # Errors
     ///
     /// Returns [`OomError`] on exhaustion.
-    pub fn alloc_prim_array_labeled(&mut self, len: usize, label: Label) -> Result<Handle, OomError> {
+    pub fn alloc_prim_array_labeled(
+        &mut self,
+        len: usize,
+        label: Label,
+    ) -> Result<Handle, OomError> {
         let h = self.alloc_prim_array(len)?;
         self.h2_tag_root(h, label);
         Ok(h)
     }
 
-    fn alloc_raw(&mut self, class: ClassId, words: usize, array_len: u64) -> Result<Addr, OomError> {
+    fn alloc_raw(
+        &mut self,
+        class: ClassId,
+        words: usize,
+        array_len: u64,
+    ) -> Result<Addr, OomError> {
         self.clock.charge(Category::Mutator, self.config.cost.alloc_ns);
         let addr = self.alloc_words(words)?;
         let i = addr.raw() as usize;

@@ -177,7 +177,8 @@ mod tests {
         let (nvm, base) = (DeviceSpec::optane_nvm(), HeapConfig::with_words(16 << 10, 64 << 10));
         let panthera = GcVariant::Panthera { old_dram_words: 512, nvm };
         let memory_mode = Some(MemoryMode { nvm, miss_percent: 40 });
-        for config in [HeapConfig { variant: panthera, ..base }, HeapConfig { memory_mode, ..base }] {
+        for config in [HeapConfig { variant: panthera, ..base }, HeapConfig { memory_mode, ..base }]
+        {
             let run = |batched: bool| {
                 let mut heap = Heap::new(config);
                 let h = heap.alloc_prim_array(1024).expect("fits");

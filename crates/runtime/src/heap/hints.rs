@@ -20,7 +20,11 @@ impl Heap {
     /// partition is already attached, or if the configured H2 footprint
     /// ([`H2Config::footprint_bytes`]) exceeds the tenant's quota — quota
     /// violations surface here, not at first I/O.
-    pub fn attach_h2(&mut self, h2_config: H2Config, device: &SharedDevice) -> Result<(), AttachError> {
+    pub fn attach_h2(
+        &mut self,
+        h2_config: H2Config,
+        device: &SharedDevice,
+    ) -> Result<(), AttachError> {
         self.h2 = Some(H2::attach(h2_config, device, self.clock.clone())?);
         Ok(())
     }

@@ -13,11 +13,7 @@ pub struct Space {
 impl Space {
     /// Creates a space covering word addresses `[base, base + words)`.
     pub fn new(base: u64, words: usize) -> Self {
-        Space {
-            base,
-            limit: base + words as u64,
-            top: base,
-        }
+        Space { base, limit: base + words as u64, top: base }
     }
 
     /// First word address of the space.

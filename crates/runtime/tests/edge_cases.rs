@@ -23,7 +23,8 @@ fn h2_exhaustion_falls_back_to_h1_without_corruption() {
     // in H1, still intact and still readable.
     let mut heap = Heap::new(HeapConfig::with_words(8 << 10, 64 << 10));
     let h2cfg = tiny_h2(64, 2);
-    let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
+    let dev =
+        SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
     heap.attach_h2(h2cfg, &dev).unwrap();
     let c = heap.register_class("Blob", 0, 100);
     let mut handles = Vec::new();
@@ -50,7 +51,8 @@ fn h2_exhaustion_falls_back_to_h1_without_corruption() {
 fn h2_partial_capacity_moves_what_fits() {
     let mut heap = Heap::new(HeapConfig::with_words(8 << 10, 64 << 10));
     let h2cfg = tiny_h2(256, 2);
-    let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
+    let dev =
+        SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
     heap.attach_h2(h2cfg, &dev).unwrap();
     let c = heap.register_class("Blob", 0, 100);
     let mut handles = Vec::new();
@@ -74,7 +76,8 @@ fn h2_partial_capacity_moves_what_fits() {
 fn labels_survive_minor_gc_copies() {
     let mut heap = Heap::new(HeapConfig::small());
     let h2cfg = tiny_h2(1 << 10, 8);
-    let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
+    let dev =
+        SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
     heap.attach_h2(h2cfg, &dev).unwrap();
     let c = heap.register_class("Tagged", 0, 1);
     let h = heap.alloc(c).unwrap();
@@ -102,10 +105,7 @@ fn large_objects_allocate_directly_in_old_gen() {
 #[test]
 fn panthera_pretenures_moderately_large_objects() {
     let mut cfg = HeapConfig::with_words(16 << 10, 64 << 10);
-    cfg.variant = GcVariant::Panthera {
-        old_dram_words: 8 << 10,
-        nvm: DeviceSpec::optane_nvm(),
-    };
+    cfg.variant = GcVariant::Panthera { old_dram_words: 8 << 10, nvm: DeviceSpec::optane_nvm() };
     let mut heap = Heap::new(cfg);
     // 1/16 of eden (= 819 words) is the Panthera pretenuring threshold.
     let a = heap.alloc_prim_array(1 << 10).unwrap();
@@ -136,7 +136,8 @@ fn memory_mode_charges_every_h1_access() {
 fn deep_object_chains_survive_many_collections() {
     let mut heap = Heap::new(HeapConfig::with_words(8 << 10, 64 << 10));
     let h2cfg = tiny_h2(4 << 10, 8);
-    let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
+    let dev =
+        SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
     heap.attach_h2(h2cfg, &dev).unwrap();
     let c = heap.register_class("Link", 1, 1);
     let head = heap.alloc(c).unwrap();
@@ -218,7 +219,8 @@ fn handle_dup_and_release_are_independent() {
 fn unreferenced_h2_groups_die_even_with_internal_cycles() {
     let mut heap = Heap::new(HeapConfig::small());
     let h2cfg = tiny_h2(1 << 10, 8);
-    let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
+    let dev =
+        SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
     heap.attach_h2(h2cfg, &dev).unwrap();
     let c = heap.register_class("C", 1, 0);
     let a = heap.alloc(c).unwrap();

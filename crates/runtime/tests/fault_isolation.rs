@@ -62,7 +62,12 @@ fn build_pair(plan_a: FaultPlan) -> (Heap, Heap, SharedDevice, ClassId) {
 /// One promotion-heavy wave: a tagged chain moved to H2 under a fresh
 /// label (so it opens a region), H1-side probes, both collectors, then H2
 /// page traffic against the moved chain.
-fn wave(heap: &mut Heap, class: ClassId, w: u64, probes: &mut Vec<(teraheap_runtime::Handle, u64)>) {
+fn wave(
+    heap: &mut Heap,
+    class: ClassId,
+    w: u64,
+    probes: &mut Vec<(teraheap_runtime::Handle, u64)>,
+) {
     let head = heap.alloc(class).unwrap();
     heap.write_prim(head, 0, w * 1_000);
     let mut prev = head;

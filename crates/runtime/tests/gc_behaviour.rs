@@ -520,10 +520,8 @@ fn memory_mode_slows_gc() {
     };
     let normal = run(base);
     let mut mo = base;
-    mo.memory_mode = Some(teraheap_runtime::MemoryMode {
-        nvm: DeviceSpec::optane_nvm(),
-        miss_percent: 40,
-    });
+    mo.memory_mode =
+        Some(teraheap_runtime::MemoryMode { nvm: DeviceSpec::optane_nvm(), miss_percent: 40 });
     let slowed = run(mo);
     assert!(slowed > normal, "NVM memory mode must slow major GC: {slowed} !> {normal}");
 }

@@ -100,9 +100,7 @@ mod tests {
 
     #[test]
     fn builder_rejects_zero_tenants() {
-        let err = ServerConfig::builder(DeviceSpec::nvme_ssd(), 1 << 30)
-            .build()
-            .unwrap_err();
+        let err = ServerConfig::builder(DeviceSpec::nvme_ssd(), 1 << 30).build().unwrap_err();
         assert_eq!(err, ConfigError::ZeroTenants);
     }
 

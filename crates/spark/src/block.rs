@@ -252,8 +252,7 @@ impl BlockManager {
     /// released root slots are reused last-in first-out, and `HashMap`
     /// iteration order differs from process to process.
     pub fn unpersist(&mut self, heap: &mut Heap, rdd: u64) {
-        let mut ids: Vec<BlockId> =
-            self.slots.keys().copied().filter(|b| b.rdd == rdd).collect();
+        let mut ids: Vec<BlockId> = self.slots.keys().copied().filter(|b| b.rdd == rdd).collect();
         ids.sort_unstable();
         for id in ids {
             self.evict(heap, id);
@@ -293,10 +292,8 @@ mod tests {
     fn overflow_mode_serializes_past_budget() {
         let mut heap = Heap::new(HeapConfig::small());
         let device = SimDevice::new(DeviceSpec::nvme_ssd(), 1 << 20, heap.clock().clone());
-        let mut bm = BlockManager::new(CacheMode::SerializedOverflow {
-            device,
-            onheap_budget_words: 40,
-        });
+        let mut bm =
+            BlockManager::new(CacheMode::SerializedOverflow { device, onheap_budget_words: 40 });
         let a = mk_partition(&mut heap, 32, 0);
         let b = mk_partition(&mut heap, 32, 1000);
         bm.put(&mut heap, BlockId { rdd: 1, partition: 0 }, a).unwrap();
@@ -318,15 +315,19 @@ mod tests {
         let clock = Arc::new(teraheap_storage::SimClock::new());
         let mut heap = Heap::with_clock(HeapConfig::small(), clock);
         let h2cfg = H2Config::builder()
-                .region_words(4096)
-                .n_regions(8)
-                .card_seg_words(512)
-                .resident_budget_bytes(64 << 10)
-                .page_size(4096)
-                .promo_buffer_bytes(8 << 10)
-                .build()
-                .expect("valid H2 config");
-        let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
+            .region_words(4096)
+            .n_regions(8)
+            .card_seg_words(512)
+            .resident_budget_bytes(64 << 10)
+            .page_size(4096)
+            .promo_buffer_bytes(8 << 10)
+            .build()
+            .expect("valid H2 config");
+        let dev = SharedDevice::new(
+            DeviceSpec::nvme_ssd(),
+            h2cfg.footprint_bytes(),
+            heap.clock().clone(),
+        );
         heap.attach_h2(h2cfg, &dev).unwrap();
         let mut bm = BlockManager::new(CacheMode::TeraHeap);
         let p = mk_partition(&mut heap, 64, 7);
@@ -408,8 +409,7 @@ mod tests {
                 })
                 .collect();
             bm.unpersist(&mut heap, 7);
-            let reused: Vec<Handle> =
-                (0..32).map(|_| heap.alloc_prim_array(1).unwrap()).collect();
+            let reused: Vec<Handle> = (0..32).map(|_| heap.alloc_prim_array(1).unwrap()).collect();
             assert_eq!(reused, put.into_iter().rev().collect::<Vec<_>>());
         }
     }

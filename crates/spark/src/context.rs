@@ -98,11 +98,9 @@ impl SparkContext {
     /// never queues.
     pub fn new(config: SparkConfig) -> Self {
         let mut heap = Heap::new(config.heap);
-        if let ExecMode::TeraHeap { h2, device } | ExecMode::Adaptive { h2, device } = config.mode
-        {
+        if let ExecMode::TeraHeap { h2, device } | ExecMode::Adaptive { h2, device } = config.mode {
             let dev = SharedDevice::new(device, h2.footprint_bytes(), heap.clock().clone());
-            heap.attach_h2(h2, &dev)
-                .expect("one-tenant SharedDevice attach cannot fail");
+            heap.attach_h2(h2, &dev).expect("one-tenant SharedDevice attach cannot fail");
         }
         Self::with_heap(config, heap)
     }

@@ -89,9 +89,7 @@ pub fn onheap_cost_ns(i: &PlacementInputs) -> u64 {
     if !i.onheap_fits {
         return u64::MAX;
     }
-    i.words
-        .saturating_mul(i.gc_copy_ns_per_word)
-        .saturating_mul(RESIDENT_COPIES)
+    i.words.saturating_mul(i.gc_copy_ns_per_word).saturating_mul(RESIDENT_COPIES)
 }
 
 /// Estimated total cost of the serialized placement: serialize + write now,
@@ -249,7 +247,14 @@ impl PlacementModel {
     }
 
     /// Decides the placement of a partition of `rdd` about to be put.
-    pub fn decide(&self, rdd: u64, words: u64, bytes: u64, onheap_fits: bool, h2_available: bool) -> Placement {
+    pub fn decide(
+        &self,
+        rdd: u64,
+        words: u64,
+        bytes: u64,
+        onheap_fits: bool,
+        h2_available: bool,
+    ) -> Placement {
         decide(&self.inputs(rdd, words, bytes, onheap_fits, h2_available))
     }
 }

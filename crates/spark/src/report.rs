@@ -92,9 +92,6 @@ mod tests {
     #[test]
     fn csv_row_field_count_matches_header() {
         let r = RunReport::oom("X", "Y".into());
-        assert_eq!(
-            r.csv_row().split(',').count(),
-            RunReport::csv_header().split(',').count()
-        );
+        assert_eq!(r.csv_row().split(',').count(), RunReport::csv_header().split(',').count());
     }
 }

@@ -511,7 +511,8 @@ fn svd_factors(ctx: &mut SparkContext, scale: DatasetScale) -> Result<f64, OomEr
     let blocks = build_graph(ctx, &g)?;
     let n = g.vertices();
     // Deterministic pseudo-random init from vertex ids.
-    let mut user: Vec<f64> = (0..n * K).map(|i| ((i * 2654435761) % 1000) as f64 / 1000.0).collect();
+    let mut user: Vec<f64> =
+        (0..n * K).map(|i| ((i * 2654435761) % 1000) as f64 / 1000.0).collect();
     let mut item: Vec<f64> = (0..n * K).map(|i| ((i * 40503) % 1000) as f64 / 1000.0).collect();
     let lr = 0.01;
     with_held(ctx, |ctx, arrays| {

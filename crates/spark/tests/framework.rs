@@ -38,9 +38,7 @@ fn unpersist_releases_h2_regions() {
         for i in 0..512 {
             ctx.heap.write_prim(part, i, i as u64);
         }
-        ctx.bm
-            .put(&mut ctx.heap, BlockId { rdd, partition: p }, part)
-            .unwrap();
+        ctx.bm.put(&mut ctx.heap, BlockId { rdd, partition: p }, part).unwrap();
     }
     ctx.heap.gc_major().unwrap();
     assert!(ctx.heap.stats().objects_promoted_h2 >= 4, "partitions moved to H2");
@@ -56,13 +54,14 @@ fn unpersist_releases_h2_regions() {
 #[test]
 fn off_heap_cache_grows_on_device_not_heap() {
     let clock = std::sync::Arc::new(teraheap_storage::SimClock::new());
-    let mut heap = teraheap_runtime::Heap::with_clock(HeapConfig::with_words(8 << 10, 32 << 10), clock.clone());
+    let mut heap = teraheap_runtime::Heap::with_clock(
+        HeapConfig::with_words(8 << 10, 32 << 10),
+        clock.clone(),
+    );
     let device = SimDevice::new(DeviceSpec::nvme_ssd(), 16 << 20, clock);
     let stats = device.stats().clone();
-    let mut bm = BlockManager::new(CacheMode::SerializedOverflow {
-        device,
-        onheap_budget_words: 256,
-    });
+    let mut bm =
+        BlockManager::new(CacheMode::SerializedOverflow { device, onheap_budget_words: 256 });
     for p in 0..6u32 {
         let part = heap.alloc_prim_array(512).unwrap();
         bm.put(&mut heap, BlockId { rdd: 1, partition: p }, part).unwrap();

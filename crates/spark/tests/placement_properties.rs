@@ -129,10 +129,7 @@ fn raising_h2_latency_never_flips_toward_h2() {
             dearer.h2_write_ns = dearer.h2_write_ns.saturating_add(dw);
             let after = decide(&dearer);
             if before != Placement::H2 {
-                prop_assert!(
-                    after != Placement::H2,
-                    "raising H2 latency flipped {before:?} -> H2"
-                );
+                prop_assert!(after != Placement::H2, "raising H2 latency flipped {before:?} -> H2");
             }
             CaseResult::Pass
         },
@@ -164,7 +161,7 @@ fn unavailable_tiers_are_never_chosen() {
 fn observation_script() -> impl Strategy<Value = Vec<(usize, u64, u64, u64)>> {
     vec_of(
         (
-            (range_usize(0..4), range_u64(0..6)), // op, rdd
+            (range_usize(0..4), range_u64(0..6)),           // op, rdd
             (range_u64(8..1 << 16), range_u64(1..1 << 20)), // bytes, ns/words
         )
             .prop_map(|((op, rdd), (bytes, ns))| (op, rdd, bytes, ns)),

@@ -400,9 +400,7 @@ mod tests {
         // This thread is mid-charge (it holds the writer flag) when another
         // thread charges the same clock.
         let _mid_charge = clock.begin_charge();
-        let second = std::thread::scope(|s| {
-            s.spawn(|| clock.charge(Category::Mutator, 1)).join()
-        });
+        let second = std::thread::scope(|s| s.spawn(|| clock.charge(Category::Mutator, 1)).join());
         let panic = second.expect_err("concurrent charge must be refused");
         let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
         assert!(message.contains("charged by two threads at once"), "{message}");

@@ -258,11 +258,7 @@ impl FaultPlane {
 
     /// Rolls the per-direction transient-error probability for one op.
     pub fn roll_error(&self, write: bool) -> bool {
-        let ppm = if write {
-            self.plan.write_err_ppm
-        } else {
-            self.plan.read_err_ppm
-        } as u64;
+        let ppm = if write { self.plan.write_err_ppm } else { self.plan.read_err_ppm } as u64;
         if ppm == 0 {
             return false;
         }
@@ -518,9 +514,7 @@ mod tests {
         use crate::clock::Category;
         let clock = SimClock::new();
         let plane = FaultPlane::new(
-            FaultPlan::none()
-                .with_error_ppm(1_000_000, 1_000_000)
-                .with_retries(3, 10),
+            FaultPlan::none().with_error_ppm(1_000_000, 1_000_000).with_retries(3, 10),
         );
         let mut scope = ChargeScope::new(Category::Io);
         let w = inject_scoped(&plane, &clock, &mut scope, true);

@@ -21,8 +21,8 @@ use crate::device::DeviceSpec;
 use crate::fault::{self, FaultPlane};
 use crate::shared::DeviceLease;
 use crate::stats::IoStats;
-use teraheap_obs::EventKind;
 use std::sync::Arc;
+use teraheap_obs::EventKind;
 
 /// Word size the bulk access plane batches at.
 const WORD: usize = 8;
@@ -445,10 +445,7 @@ impl MmapSim {
     fn page_in(&mut self, page: u64, scope: &mut ChargeScope) {
         self.stats.record_fault();
         self.stats.record_read(self.page_size as u64);
-        let sequential = self
-            .readahead_heads
-            .iter()
-            .position(|&h| page == h.wrapping_add(1));
+        let sequential = self.readahead_heads.iter().position(|&h| page == h.wrapping_add(1));
         match sequential {
             Some(i) => self.readahead_heads[i] = page,
             None => {
@@ -460,8 +457,7 @@ impl MmapSim {
         if sequential {
             self.stats.record_seq_fault();
         }
-        let transfer_ns =
-            self.spec.read_cost_ns(self.page_size) - self.spec.read_lat_ns;
+        let transfer_ns = self.spec.read_cost_ns(self.page_size) - self.spec.read_lat_ns;
         let latency_ns = if sequential {
             self.spec.read_lat_ns / READAHEAD_PAGES
         } else {
@@ -780,10 +776,7 @@ mod tests {
             looped.touch_write(off + 8 * w, 8, Category::MajorGc);
         }
         bulk.touch_run(off, bytes, true, Category::MajorGc);
-        assert_eq!(
-            clock_l.category_ns(Category::MajorGc),
-            clock_b.category_ns(Category::MajorGc)
-        );
+        assert_eq!(clock_l.category_ns(Category::MajorGc), clock_b.category_ns(Category::MajorGc));
         assert_eq!(looped.stats().page_faults(), bulk.stats().page_faults());
         assert_eq!(looped.stats().seq_faults(), bulk.stats().seq_faults());
         assert_eq!(looped.stats().evictions(), bulk.stats().evictions());
@@ -796,10 +789,7 @@ mod tests {
             }
         }
         assert_eq!(looped.stats().write_bytes(), bulk.stats().write_bytes());
-        assert_eq!(
-            clock_l.category_ns(Category::MajorGc),
-            clock_b.category_ns(Category::MajorGc)
-        );
+        assert_eq!(clock_l.category_ns(Category::MajorGc), clock_b.category_ns(Category::MajorGc));
     }
 
     #[test]
@@ -808,16 +798,12 @@ mod tests {
         let mut looped =
             MmapSim::new(DeviceSpec::optane_nvm(), 1 << 20, 4096, 4096, clock_l.clone());
         let clock_b = Arc::new(SimClock::new());
-        let mut bulk =
-            MmapSim::new(DeviceSpec::optane_nvm(), 1 << 20, 4096, 4096, clock_b.clone());
+        let mut bulk = MmapSim::new(DeviceSpec::optane_nvm(), 1 << 20, 4096, 4096, clock_b.clone());
         for w in 0..100 {
             looped.touch_read(8 * w, 8, Category::SerDe);
         }
         bulk.touch_run(0, 800, false, Category::SerDe);
-        assert_eq!(
-            clock_l.category_ns(Category::SerDe),
-            clock_b.category_ns(Category::SerDe)
-        );
+        assert_eq!(clock_l.category_ns(Category::SerDe), clock_b.category_ns(Category::SerDe));
         assert_eq!(looped.stats().read_ops(), bulk.stats().read_ops());
         assert_eq!(looped.stats().read_bytes(), bulk.stats().read_bytes());
     }

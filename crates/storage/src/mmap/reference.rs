@@ -17,10 +17,8 @@ use crate::fault::FaultPlan;
 use crate::shared::SharedDevice;
 use teraheap_obs::Level;
 use teraheap_util::prop_assert_eq;
-use teraheap_util::proptest_mini::{
-    check, range_usize, vec_of, CaseResult, Config, Strategy,
-};
 use teraheap_util::prop_oneof;
+use teraheap_util::proptest_mini::{check, range_usize, vec_of, CaseResult, Config, Strategy};
 
 struct Reference {
     /// Accounting only: this mapping's own resident set stays empty.
@@ -92,9 +90,20 @@ const UNITS: usize = 512;
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// `run` picks `touch_run` over `touch_read`/`touch_write`.
-    Touch { start: usize, len: usize, write: bool, cat: usize, run: bool },
-    Flush { cat: usize },
-    Discard { start: usize, len: usize },
+    Touch {
+        start: usize,
+        len: usize,
+        write: bool,
+        cat: usize,
+        run: bool,
+    },
+    Flush {
+        cat: usize,
+    },
+    Discard {
+        start: usize,
+        len: usize,
+    },
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -147,10 +156,7 @@ fn build(setup: Setup) -> (MmapSim, Arc<SimClock>) {
         device.add_tenant(clock.clone(), len).expect("first quota fits");
         device.add_tenant(neighbour.clone(), len).expect("second quota fits");
         map.set_lease(device.attach(&clock, len).expect("fresh tenant attaches"));
-        device
-            .attach(&neighbour, len)
-            .expect("fresh tenant attaches")
-            .submit(0, 5_000_000);
+        device.attach(&neighbour, len).expect("fresh tenant attaches").submit(0, 5_000_000);
     }
     (map, clock)
 }

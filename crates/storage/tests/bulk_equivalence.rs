@@ -18,9 +18,7 @@ use std::sync::Arc;
 use teraheap_storage::obs::Level;
 use teraheap_storage::{Category, DeviceSpec, MmapSim, SimClock};
 use teraheap_util::prop_assert_eq;
-use teraheap_util::proptest_mini::{
-    check, range_usize, vec_of, CaseResult, Config, Strategy,
-};
+use teraheap_util::proptest_mini::{check, range_usize, vec_of, CaseResult, Config, Strategy};
 
 const WORD: usize = 8;
 const CASES: u32 = 96;
@@ -42,10 +40,7 @@ fn ops(map_words: usize, max_len: usize) -> impl Strategy<Value = Vec<Op>> {
 
 /// Replays `script` against a per-word-touched mapping and a `touch_run`
 /// mapping built by `mk`, asserting every observable matches.
-fn assert_equivalent(
-    script: &[Op],
-    mk: &dyn Fn(Arc<SimClock>) -> MmapSim,
-) -> CaseResult {
+fn assert_equivalent(script: &[Op], mk: &dyn Fn(Arc<SimClock>) -> MmapSim) -> CaseResult {
     let clock_loop = Arc::new(SimClock::new());
     clock_loop.tracer().set_level(Level::Full);
     let mut looped = mk(clock_loop.clone());

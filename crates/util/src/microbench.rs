@@ -215,10 +215,7 @@ impl Group<'_> {
     /// Runs `f` under this group as `group/name`.
     pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) {
         let id = format!("{}/{}", self.name, name);
-        let mut bencher = Bencher {
-            config: self.bench.config.clone(),
-            measurement: None,
-        };
+        let mut bencher = Bencher { config: self.bench.config.clone(), measurement: None };
         let mut f = f;
         f(&mut bencher);
         let m = bencher
@@ -285,8 +282,7 @@ impl Bencher {
             black_box(f());
             warm_iters += 1;
         }
-        let est_ns =
-            (warmup_start.elapsed().as_nanos() as u64 / warm_iters.max(1)).max(1);
+        let est_ns = (warmup_start.elapsed().as_nanos() as u64 / warm_iters.max(1)).max(1);
         let batch = (self.config.target_sample_ns / est_ns).clamp(1, 1 << 20);
 
         let mut samples = Vec::with_capacity(self.config.samples);

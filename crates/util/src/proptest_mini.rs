@@ -249,11 +249,8 @@ where
             .shrinks()
             .into_iter()
             .map(|t| {
-                Box::new(MapTree {
-                    inner: t,
-                    f: self.f.clone(),
-                    _marker: std::marker::PhantomData,
-                }) as BoxTree<U>
+                Box::new(MapTree { inner: t, f: self.f.clone(), _marker: std::marker::PhantomData })
+                    as BoxTree<U>
             })
             .collect()
     }
@@ -601,9 +598,8 @@ where
     F: Fn(S::Value) -> CaseResult,
 {
     install_quiet_hook();
-    let replay_seed = config.seed.or_else(|| {
-        std::env::var(SEED_ENV).ok().and_then(|s| s.trim().parse().ok())
-    });
+    let replay_seed =
+        config.seed.or_else(|| std::env::var(SEED_ENV).ok().and_then(|s| s.trim().parse().ok()));
     let mut case_seeds = SplitMix64::new(name_seed(name));
     let mut passed = 0u32;
     let mut discarded = 0u32;
@@ -713,30 +709,20 @@ mod tests {
 
     #[test]
     fn discards_do_not_count_as_cases() {
-        let res = check_result(
-            "unit_discard",
-            &range_u64(0..100),
-            &Config::with_cases(64),
-            |v| {
-                prop_assume!(v % 2 == 0);
-                prop_assert!(v % 2 == 0);
-                CaseResult::Pass
-            },
-        );
+        let res = check_result("unit_discard", &range_u64(0..100), &Config::with_cases(64), |v| {
+            prop_assume!(v % 2 == 0);
+            prop_assert!(v % 2 == 0);
+            CaseResult::Pass
+        });
         assert!(res.is_ok());
     }
 
     #[test]
     fn panics_are_failures_and_shrink() {
-        let res = check_result(
-            "unit_panic",
-            &range_u64(0..1000),
-            &Config::with_cases(64),
-            |v| {
-                assert!(v < 500, "boom at {v}");
-                CaseResult::Pass
-            },
-        );
+        let res = check_result("unit_panic", &range_u64(0..1000), &Config::with_cases(64), |v| {
+            assert!(v < 500, "boom at {v}");
+            CaseResult::Pass
+        });
         let f = res.expect_err("property must fail");
         assert_eq!(f.minimal, 500, "shrinks to the smallest failing value");
         assert!(f.message.contains("boom"), "panic message kept: {}", f.message);
@@ -744,8 +730,7 @@ mod tests {
 
     #[test]
     fn mapped_and_tuple_strategies_shrink_through() {
-        let strat = (range_u64(0..100), range_u64(0..100))
-            .prop_map(|(a, b)| a + b);
+        let strat = (range_u64(0..100), range_u64(0..100)).prop_map(|(a, b)| a + b);
         let res = check_result("unit_map", &strat, &Config::with_cases(128), |v| {
             prop_assert!(v < 50, "sum {v} too big");
             CaseResult::Pass

@@ -29,12 +29,7 @@ fn prng_sequences_are_pinned() {
     let first: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
     assert_eq!(
         first,
-        vec![
-            15021278609987233951,
-            5881210131331364753,
-            18149643915985481100,
-            12933668939759105464,
-        ]
+        vec![15021278609987233951, 5881210131331364753, 18149643915985481100, 12933668939759105464,]
     );
 }
 
@@ -112,17 +107,13 @@ fn failure_seed_replays_the_same_minimal_case() {
 
 #[test]
 fn discarded_cases_do_not_mask_failures() {
-    let failure = proptest_mini::check_result(
-        "assume_then_fail",
-        &any_u64(),
-        &Config::with_cases(64),
-        |v| {
+    let failure =
+        proptest_mini::check_result("assume_then_fail", &any_u64(), &Config::with_cases(64), |v| {
             prop_assume!(v % 2 == 0);
             prop_assert!(v < 1 << 60, "{v} too big");
             CaseResult::Pass
-        },
-    )
-    .expect_err("property must fail");
+        })
+        .expect_err("property must fail");
     assert_eq!(failure.minimal % 2, 0, "minimal case respects the assumption");
     assert!(failure.minimal >= 1 << 60);
 }
@@ -149,11 +140,8 @@ fn mapped_struct_strategies_shrink() {
 
 #[test]
 fn microbench_csv_has_expected_shape() {
-    let mut bench = Bench::with_config(BenchConfig {
-        warmup_ns: 10_000,
-        samples: 5,
-        target_sample_ns: 2_000,
-    });
+    let mut bench =
+        Bench::with_config(BenchConfig { warmup_ns: 10_000, samples: 5, target_sample_ns: 2_000 });
     let mut g = bench.group("csv");
     g.bench_function("a", |b| b.iter(|| std::hint::black_box(1 + 1)));
     g.throughput_bytes(4096);

@@ -415,11 +415,8 @@ mod tests {
         let mut correct = 0;
         for r in 0..a.rows {
             let row = a.row(r);
-            let score: f64 = row
-                .iter()
-                .enumerate()
-                .map(|(d, &x)| x * if d % 2 == 0 { 1.0 } else { -0.5 })
-                .sum();
+            let score: f64 =
+                row.iter().enumerate().map(|(d, &x)| x * if d % 2 == 0 { 1.0 } else { -0.5 }).sum();
             if (score > 0.0) == (a.labels[r] > 0.0) {
                 correct += 1;
             }

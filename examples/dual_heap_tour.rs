@@ -11,12 +11,13 @@ use teraheap_storage::{DeviceSpec, SharedDevice};
 fn main() {
     let mut heap = Heap::new(HeapConfig::small());
     let h2cfg = H2Config {
-            region_words: 8 << 10,
-            n_regions: 32,
-            card_seg_words: 1 << 10,
-            ..H2Config::default()
-        };
-    let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
+        region_words: 8 << 10,
+        n_regions: 32,
+        card_seg_words: 1 << 10,
+        ..H2Config::default()
+    };
+    let dev =
+        SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
     heap.attach_h2(h2cfg, &dev).unwrap();
     let node = heap.register_class("Node", 1, 1);
 
@@ -31,10 +32,7 @@ fn main() {
     heap.gc_major().unwrap();
     let (ra, rb) = {
         let h2 = heap.h2().unwrap();
-        (
-            h2.regions().region_of(heap.handle_addr(a)),
-            h2.regions().region_of(heap.handle_addr(b)),
-        )
+        (h2.regions().region_of(heap.handle_addr(a)), h2.regions().region_of(heap.handle_addr(b)))
     };
     println!("   label 1 -> {ra}, label 2 -> {rb} (different lifetimes, different regions)\n");
 

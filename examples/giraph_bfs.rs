@@ -15,16 +15,10 @@ use teraheap_storage::DeviceSpec;
 fn main() {
     let vertices = 20_000;
     let heap = HeapConfig::with_words(48 << 10, 256 << 10);
-    let ooc = GiraphMode::OutOfCore {
-        device: DeviceSpec::nvme_ssd(),
-        memory_limit_words: 140 << 10,
-    };
+    let ooc =
+        GiraphMode::OutOfCore { device: DeviceSpec::nvme_ssd(), memory_limit_words: 140 << 10 };
     let th = GiraphMode::TeraHeap {
-        h2: H2Config {
-            region_words: 64 << 10,
-            n_regions: 64,
-            ..H2Config::default()
-        },
+        h2: H2Config { region_words: 64 << 10, n_regions: 64, ..H2Config::default() },
         device: DeviceSpec::nvme_ssd(),
     };
     let mut answers = Vec::new();

@@ -15,7 +15,8 @@ fn main() {
     // H1: a small DRAM heap. H2: region-based second heap over NVMe.
     let mut heap = Heap::new(HeapConfig::small());
     let h2cfg = H2Config::default();
-    let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
+    let dev =
+        SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
     heap.attach_h2(h2cfg, &dev).unwrap();
 
     // A "partition": an array of a thousand point objects.
@@ -50,8 +51,5 @@ fn main() {
         heap.release(p);
     }
     println!("sum of squares read straight out of H2: {sum}");
-    println!(
-        "simulated time breakdown: {}",
-        heap.clock().breakdown()
-    );
+    println!("simulated time breakdown: {}", heap.clock().breakdown());
 }

@@ -10,17 +10,9 @@ use teraheap_runtime::HeapConfig;
 use teraheap_storage::DeviceSpec;
 
 fn main() {
-    let scale = DatasetScale {
-        vertices: 20_000,
-        avg_degree: 8,
-        ..DatasetScale::tiny()
-    };
+    let scale = DatasetScale { vertices: 20_000, avg_degree: 8, ..DatasetScale::tiny() };
     let heap = HeapConfig::with_words(64 << 10, 320 << 10);
-    let h2 = H2Config {
-        region_words: 64 << 10,
-        n_regions: 64,
-        ..H2Config::default()
-    };
+    let h2 = H2Config { region_words: 64 << 10, n_regions: 64, ..H2Config::default() };
     let configs = [
         ("Spark-SD ", ExecMode::SparkSd { device: DeviceSpec::nvme_ssd() }),
         ("On-heap  ", ExecMode::OnHeap),

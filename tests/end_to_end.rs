@@ -34,7 +34,8 @@ fn spark_cfg(mode: ExecMode) -> SparkConfig {
 fn all_spark_workloads_agree_across_all_cache_modes() {
     let scale = DatasetScale::tiny();
     for w in Workload::ALL {
-        let sd = run_workload(w, spark_cfg(ExecMode::SparkSd { device: DeviceSpec::nvme_ssd() }), scale);
+        let sd =
+            run_workload(w, spark_cfg(ExecMode::SparkSd { device: DeviceSpec::nvme_ssd() }), scale);
         let th = run_workload(
             w,
             spark_cfg(ExecMode::TeraHeap { h2: h2(), device: DeviceSpec::nvme_ssd() }),
@@ -59,10 +60,8 @@ fn all_spark_workloads_agree_under_every_collector() {
         let mut g1 = ps;
         g1.heap.variant = GcVariant::G1 { region_words: 2 << 10 };
         let mut panthera = ps;
-        panthera.heap.variant = GcVariant::Panthera {
-            old_dram_words: 32 << 10,
-            nvm: DeviceSpec::optane_nvm(),
-        };
+        panthera.heap.variant =
+            GcVariant::Panthera { old_dram_words: 32 << 10, nvm: DeviceSpec::optane_nvm() };
         let r_ps = run_workload(w, ps, scale);
         let r_g1 = run_workload(w, g1, scale);
         let r_p = run_workload(w, panthera, scale);
@@ -89,10 +88,8 @@ fn giraph_modes_agree_and_teraheap_avoids_sd() {
         };
         let mem = run_giraph(w, base, 400, 5, 3);
         let mut ooc_cfg = base;
-        ooc_cfg.mode = GiraphMode::OutOfCore {
-            device: DeviceSpec::nvme_ssd(),
-            memory_limit_words: 4 << 10,
-        };
+        ooc_cfg.mode =
+            GiraphMode::OutOfCore { device: DeviceSpec::nvme_ssd(), memory_limit_words: 4 << 10 };
         let ooc = run_giraph(w, ooc_cfg, 400, 5, 3);
         let mut th_cfg = base;
         th_cfg.mode = GiraphMode::TeraHeap { h2: h2(), device: DeviceSpec::nvme_ssd() };
@@ -112,18 +109,18 @@ fn giraph_modes_agree_and_teraheap_avoids_sd() {
 /// and S/D time.
 #[test]
 fn teraheap_beats_spark_sd_under_pressure() {
-    let scale = DatasetScale {
-        vertices: 4_000,
-        avg_degree: 6,
-        ..DatasetScale::tiny()
-    };
+    let scale = DatasetScale { vertices: 4_000, avg_degree: 6, ..DatasetScale::tiny() };
     let cfg = |mode| SparkConfig {
         heap: HeapConfig::with_words(12 << 10, 64 << 10),
         mode,
         partitions: 8,
         iterations: 5,
     };
-    let sd = run_workload(Workload::Pr, cfg(ExecMode::SparkSd { device: DeviceSpec::nvme_ssd() }), scale);
+    let sd = run_workload(
+        Workload::Pr,
+        cfg(ExecMode::SparkSd { device: DeviceSpec::nvme_ssd() }),
+        scale,
+    );
     let th = run_workload(
         Workload::Pr,
         cfg(ExecMode::TeraHeap { h2: h2(), device: DeviceSpec::nvme_ssd() }),
@@ -151,7 +148,11 @@ fn enabling_teraheap_is_nearly_free_without_hints() {
         let mut heap = Heap::new(HeapConfig::small());
         if enable {
             let h2cfg = h2();
-            let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
+            let dev = SharedDevice::new(
+                DeviceSpec::nvme_ssd(),
+                h2cfg.footprint_bytes(),
+                heap.clock().clone(),
+            );
             heap.attach_h2(h2cfg, &dev).unwrap();
         }
         let class = heap.register_class("N", 1, 2);
@@ -197,7 +198,8 @@ fn enabling_teraheap_is_nearly_free_without_hints() {
 fn serialized_and_h2_paths_read_identical_data() {
     let mut heap = Heap::new(HeapConfig::small());
     let h2cfg = h2();
-    let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
+    let dev =
+        SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
     heap.attach_h2(h2cfg, &dev).unwrap();
     let class = heap.register_class("Row", 0, 3);
     let arr = heap.alloc_ref_array(50).unwrap();
