@@ -3,7 +3,7 @@
 mod common;
 
 use common::graph_checksum;
-use teraheap_core::{CardState, H2Config, Label};
+use teraheap_core::{CardState, H2Config, Label, TransferPolicy};
 use teraheap_runtime::{GcVariant, Handle, Heap, HeapConfig};
 use teraheap_storage::{Category, DeviceSpec, FaultPlan, SharedDevice};
 
@@ -465,6 +465,34 @@ fn pressure_moves_marked_objects_without_hint() {
         h.stats().objects_promoted_h2 > 0,
         "high-threshold pressure moved tagged objects without h2_move"
     );
+}
+
+#[test]
+fn pressure_moves_the_newest_group_when_survival_demands_it() {
+    // Two un-requested groups fill a 1,024-word old generation past the
+    // high threshold. Pressure moves the old one and sets the newest aside
+    // (it may still be mutable), but moving the old one leaves 983 words
+    // live, over 95% of the old generation, so the newest moves too.
+    let mut h = th_heap_with(HeapConfig::with_words(512, 1024));
+    let old = h.alloc_prim_array_labeled(10, Label::new(1)).unwrap();
+    let newest = h.alloc_prim_array_labeled(980, Label::new(2)).unwrap();
+    h.gc_major().unwrap();
+    assert!(h.is_in_h2(old), "pressure moves the older group");
+    assert!(h.is_in_h2(newest), "the 95% survival test overrides the newest group's deferral");
+}
+
+#[test]
+fn the_low_threshold_budget_stops_later_groups() {
+    // Without hints, pressure moves tagged groups oldest first until the
+    // low threshold's budget (live words down to 50% of the old generation)
+    // is spent: the first group spends it, the second stays in H1.
+    let mut h = th_heap_with(HeapConfig::with_words(512, 1024));
+    *h.h2_mut().unwrap().policy_mut() = TransferPolicy::new().with_low(0.5).without_hints();
+    let first = h.alloc_prim_array_labeled(600, Label::new(1)).unwrap();
+    let second = h.alloc_prim_array_labeled(300, Label::new(2)).unwrap();
+    h.gc_major().unwrap();
+    assert!(h.is_in_h2(first), "pressure moves the oldest group");
+    assert!(!h.is_in_h2(second), "a spent budget leaves the next group in H1");
 }
 
 #[test]
