@@ -121,34 +121,12 @@ impl TransferPolicy {
         Some(live_words.saturating_sub(target))
     }
 
-    /// The labels currently requested by `h2_move`, for callers that decide
-    /// candidate selection at a different time than they retire the GC (the
-    /// incremental collector snapshots these at selection and passes them
-    /// back through [`TransferPolicy::note_major_gc_end_satisfying`]).
-    ///
-    /// Returned as an iterator — the caller chooses whether to collect into
-    /// its own (reusable) storage, so this GC-path accessor allocates
-    /// nothing itself (PR 2 zero-allocation convention). Order is
-    /// unspecified; callers must be order-insensitive.
-    pub fn requested_labels(&self) -> impl Iterator<Item = Label> + '_ {
-        self.requested.iter().copied()
-    }
-
     /// Updates the pressure flag from end-of-major-GC occupancy and clears
-    /// the `satisfied` `h2_move` requests — the ones the finishing
-    /// collection actually considered. A cycle snapshots its requests when
-    /// candidate selection begins; a hint arriving after that point applies
-    /// to a *later* GC and must survive the cycle's retirement.
-    pub fn note_major_gc_end_satisfying(
-        &mut self,
-        live_words: u64,
-        capacity_words: u64,
-        satisfied: &[Label],
-    ) {
+    /// every `h2_move` request: no hint can arrive inside a stop-world
+    /// collection, so the finishing one has considered them all.
+    pub fn note_major_gc_end(&mut self, live_words: u64, capacity_words: u64) {
         self.pressure = (live_words as f64) > Self::HIGH * capacity_words as f64;
-        for label in satisfied {
-            self.requested.remove(label);
-        }
+        self.requested.clear();
     }
 }
 
@@ -176,19 +154,18 @@ mod tests {
     fn requests_clear_after_major_gc() {
         let mut p = TransferPolicy::new();
         p.request_move(Label::new(1));
-        let seen: Vec<Label> = p.requested_labels().collect();
         p.request_move(Label::new(2));
-        p.note_major_gc_end_satisfying(0, 100, &seen);
+        p.note_major_gc_end(0, 100);
         assert!(!p.is_requested(Label::new(1)));
-        assert!(p.is_requested(Label::new(2)), "a hint the GC never saw survives it");
+        assert!(!p.is_requested(Label::new(2)));
     }
 
     #[test]
     fn pressure_triggers_at_high_threshold() {
         let mut p = TransferPolicy::new();
-        p.note_major_gc_end_satisfying(84, 100, &[]);
+        p.note_major_gc_end(84, 100);
         assert!(!p.under_pressure());
-        p.note_major_gc_end_satisfying(86, 100, &[]);
+        p.note_major_gc_end(86, 100);
         assert!(p.under_pressure());
         assert!(!p.is_requested(Label::new(42)), "pressure is not a request");
     }
@@ -212,7 +189,7 @@ mod tests {
         p.request_move(Label::new(1));
         assert!(!p.is_requested(Label::new(1)), "NH config ignores h2_move");
         // The pressure mechanism still works.
-        p.note_major_gc_end_satisfying(90, 100, &[]);
+        p.note_major_gc_end(90, 100);
         assert!(p.under_pressure());
     }
 

@@ -539,7 +539,7 @@ impl GiraphContext {
         Ok(())
     }
 
-    /// [`GiraphContext::read_incoming`] as host `(target, value)` pairs,
+    /// `GiraphContext::read_incoming` as host `(target, value)` pairs,
     /// ordered by target and by delivery within a target.
     ///
     /// # Errors

@@ -22,7 +22,7 @@
 //! is pinned by the property suite. Nothing is copied
 //! out of the heap on the way: the only per-op buffers are the match list,
 //! its chunk spans, the candidate list and the bitmap, and they are reused
-//! across ops ([`ExecBuffers`]).
+//! across ops (`ExecBuffers`).
 
 use crate::table::Table;
 use std::ops::Range;

@@ -310,8 +310,8 @@ impl Table {
 
     /// Charges a read of sealed chunk `k` of `col` through the bulk path —
     /// H2-resident chunks pay the real fault / arbitration cost here — and
-    /// hands its `chunk_rows` values to `f` in place, under a temporary
-    /// root of their own like any other reader of the chunk.
+    /// hands its `chunk_rows` values to `f` in place, viewed through the
+    /// table's own root of the chunk.
     pub fn view_col_chunk<R>(
         &self,
         heap: &mut Heap,
@@ -319,18 +319,12 @@ impl Table {
         k: usize,
         f: impl FnOnce(&[u64]) -> R,
     ) -> R {
-        let h = heap.dup(self.chunks[col][k]);
-        let r = f(heap.view_prims(h, 0, self.cfg.chunk_rows));
-        heap.release(h);
-        r
+        f(heap.view_prims(self.chunks[col][k], 0, self.cfg.chunk_rows))
     }
 
     /// Reads the single element `i` of sealed chunk `k` of `col`.
     pub fn read_col_at(&self, heap: &mut Heap, col: usize, k: usize, i: usize) -> u64 {
-        let h = heap.dup(self.chunks[col][k]);
-        let v = heap.view_prims(h, i, 1)[0];
-        heap.release(h);
-        v
+        heap.view_prims(self.chunks[col][k], i, 1)[0]
     }
 
     /// Probes the sorted-run index for key range `[lo, hi]` (inclusive):
@@ -369,14 +363,12 @@ impl Table {
                 }
             }
             probed += 1;
-            let h = heap.dup(root);
-            let keys = heap.view_prims(h, 0, cr);
+            let keys = heap.view_prims(root, 0, cr);
             let a = keys.partition_point(|&key| key < lo);
             let n = keys[a..].iter().take_while(|&&key| key <= hi).count();
             if n > 0 {
-                hits.extend(heap.view_prims(h, cr + a, n).iter().map(|&r| r as usize));
+                hits.extend(heap.view_prims(root, cr + a, n).iter().map(|&r| r as usize));
             }
-            heap.release(h);
         }
         heap.clock().emit(EventKind::IndexProbe { runs: probed, hits: hits.len() as u64 });
     }

@@ -20,7 +20,7 @@
 //!
 //! Checking is opt-in (`HeapConfig::heap_check` or `TERAHEAP_HEAP_CHECK=1`)
 //! because the walk is O(heap); GC entry points call
-//! [`crate::heap::Heap::maybe_heap_check`] so enabled runs trip loudly at
+//! `Heap::maybe_heap_check` so enabled runs trip loudly at
 //! the first corrupted boundary instead of producing silently wrong results.
 
 use crate::heap::Heap;
@@ -116,7 +116,7 @@ impl Heap {
     /// Returns the first violated invariant as a [`CheckError`].
     pub fn heap_check(&self) -> Result<CheckReport, CheckError> {
         debug_assert!(!self.in_gc, "heap_check inside a collection");
-        if let Some(addr) = self.mark_scratch.sources().next() {
+        if let Some(addr) = self.gc_scratch.cycle.live.sources().next() {
             return Err(CheckError::StaleGcBits {
                 addr,
                 detail: "mark bitmap bit outside a cycle",
@@ -510,7 +510,7 @@ mod on_demand_tests {
         heap.gc_major().unwrap();
         heap.heap_check_now().expect("bitmap clear after the cycle");
         let addr = heap.handle_addr(arr).raw();
-        assert!(heap.mark_scratch.mark(addr));
+        assert!(heap.gc_scratch.cycle.live.mark(addr));
         assert_eq!(
             heap.heap_check_now(),
             Err(CheckError::StaleGcBits { addr, detail: "mark bitmap bit outside a cycle" })

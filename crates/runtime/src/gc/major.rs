@@ -26,11 +26,11 @@
 use super::schedule::{
     Scheduler, DOM_H2_CARD, DOM_OBJECT, GRAY_PACKET, H2_CARD_CHUNK, OBJECT_CHUNK, ROOT_STRIP,
 };
-use super::units::{self, LiveMap, Stash};
+use super::units::{self, LiveMap, SelBuffers, Stash};
 use super::{parked, Work};
 use crate::config::OomError;
 use crate::heap::Heap;
-use teraheap_core::{Addr, CardState, Label};
+use teraheap_core::{Addr, CardState};
 use teraheap_storage::obs::{CardTableKind, EventKind, GcCause, GcKind, GcPhase, WorkUnitKind};
 use teraheap_storage::Category;
 
@@ -54,9 +54,6 @@ pub(super) struct PlanState {
     pub(super) old_base: u64,
     /// H2 candidates in closure-discovery order (= H2 placement order).
     pub(super) move_order: Vec<u64>,
-    /// `h2_move` requests visible when selection began: the ones this cycle
-    /// clears at retirement.
-    req_snapshot: Vec<Label>,
     pub(super) new_top: u64,
     /// The dense prefix (DESIGN.md §7): `heap.old_starts[..prefix_len]`
     /// are live, stay in H1 and keep their address, so their ranks are
@@ -90,7 +87,6 @@ impl PlanState {
     fn emptied(self) -> PlanState {
         PlanState {
             move_order: parked(self.move_order),
-            req_snapshot: parked(self.req_snapshot),
             new_old_starts: parked(self.new_old_starts),
             g1_region_live: parked(self.g1_region_live),
             ..PlanState::default()
@@ -98,24 +94,18 @@ impl PlanState {
     }
 }
 
-/// A retired cycle's states, buffers emptied, kept by the heap
-/// ([`Heap::gc_scratch`]) until the next cycle starts on them — as the
-/// mark bitmap is — instead of each cycle faulting fresh pages in for
-/// vectors the last one had already grown.
+/// A retired cycle's buffers, emptied, kept by the heap
+/// ([`Heap::gc_scratch`]) until the next cycle starts on them, instead of
+/// each cycle faulting fresh pages in for vectors the last one had already
+/// grown.
 #[derive(Default)]
-pub(super) struct CycleScratch {
+pub(crate) struct CycleScratch {
+    /// The mark bitmap, all-zero between cycles (the heap checker verifies).
+    pub(crate) live: LiveMap,
     mark: MarkState,
     plan: PlanState,
+    sel: SelBuffers,
     stash: Stash,
-}
-
-impl CycleScratch {
-    /// Keeps the buffers of a cycle that has retired.
-    fn park(&mut self, cyc: MajorCycle) {
-        self.mark = cyc.mark.emptied();
-        self.plan = cyc.plan.emptied();
-        self.stash = cyc.stash.emptied();
-    }
 }
 
 /// All state a major cycle carries between work units.
@@ -130,6 +120,7 @@ pub(crate) struct MajorCycle {
     pub(super) live: LiveMap,
     pub(super) mark: MarkState,
     pub(super) plan: PlanState,
+    pub(super) sel: SelBuffers,
     /// Deferred H1 copies of the compaction.
     pub(super) stash: Stash,
 }
@@ -156,6 +147,17 @@ impl MajorCycle {
         }
         self.live.get(v).unwrap_or(v)
     }
+
+    /// The buffers of a cycle that has retired, emptied for the next.
+    fn park(self) -> CycleScratch {
+        CycleScratch {
+            live: self.live.reset(),
+            mark: self.mark.emptied(),
+            plan: self.plan.emptied(),
+            sel: self.sel.emptied(),
+            stash: self.stash.emptied(),
+        }
+    }
 }
 
 /// Runs a full collection: marking, selection, planning, adjustment,
@@ -172,7 +174,8 @@ pub(crate) fn major_gc(heap: &mut Heap, cause: GcCause) -> Result<(), OomError> 
     heap.move_epoch += 1;
     let clock = heap.clock.clone();
     let h2_words_before = heap.h2.as_ref().map_or(0, |h| h.words_promoted());
-    let mut cyc = begin(heap, cause);
+    let scratch = std::mem::take(&mut heap.gc_scratch.cycle);
+    let mut cyc = begin(heap, cause, scratch);
     let start_ns = cyc.seg_start_ns;
     mark(heap, &mut cyc);
     select(heap, &mut cyc);
@@ -188,7 +191,7 @@ pub(crate) fn major_gc(heap: &mut Heap, cause: GcCause) -> Result<(), OomError> 
     if let Some(h2) = heap.h2.as_mut() {
         h2.finish_promotion(Category::MajorGc);
     }
-    heap.stats.lane_stall_ns += cyc.sched.barrier(&clock, Category::MajorGc, "major:slice");
+    heap.stats.lane_stall_ns += cyc.sched.barrier(&clock, Category::MajorGc, "major:compact");
     add_phase_ns(heap, cyc.cur_gc_phase, clock.total_ns() - cyc.seg_start_ns);
     clock.emit(EventKind::PhaseEnd { phase: GcPhase::Compact });
     heap.stats.major_count += 1;
@@ -200,14 +203,14 @@ pub(crate) fn major_gc(heap: &mut Heap, cause: GcCause) -> Result<(), OomError> 
         promoted_h2_words: heap.h2.as_ref().map_or(0, |h| h.words_promoted()) - h2_words_before,
     });
     heap.in_gc = false;
-    heap.gc_scratch.cycle.park(cyc);
+    heap.gc_scratch.cycle = cyc.park();
     heap.maybe_heap_check("after major GC");
     Ok(())
 }
 
 /// Opens the cycle: `GcBegin`, the marking phase, and the cycle state over
 /// the last cycle's buffers.
-fn begin(heap: &mut Heap, cause: GcCause) -> MajorCycle {
+fn begin(heap: &mut Heap, cause: GcCause, scratch: CycleScratch) -> MajorCycle {
     heap.clock.emit(EventKind::GcBegin {
         gc: GcKind::Major,
         cause,
@@ -226,17 +229,18 @@ fn begin(heap: &mut Heap, cause: GcCause) -> MajorCycle {
     // CPU shows up as pause/GC time. Applied per lane at the barrier.
     sched.set_milli(heap.policy.mark_cpu_milli);
     let g1_regions = heap.policy.g1_region_words.map_or(0, |w| heap.config.old_words.div_ceil(w));
-    let scratch = &mut heap.gc_scratch.cycle;
-    scratch.plan.g1_region_live.resize(g1_regions, 0);
+    let CycleScratch { live, mark, mut plan, sel, stash } = scratch;
+    plan.g1_region_live.resize(g1_regions, 0);
+    let old_base = heap.old.base().raw();
     MajorCycle {
         sched,
         cur_gc_phase: GcPhase::Mark,
         seg_start_ns: heap.clock.total_ns(),
-        live: std::mem::take(&mut heap.mark_scratch)
-            .recycled(heap.old.base().raw(), heap.mem.len()),
-        mark: std::mem::take(&mut scratch.mark),
-        plan: PlanState { old_base: heap.old.base().raw(), ..std::mem::take(&mut scratch.plan) },
-        stash: std::mem::take(&mut scratch.stash),
+        live: live.recycled(old_base, heap.mem.len()),
+        mark,
+        plan: PlanState { old_base, ..plan },
+        sel,
+        stash,
     }
 }
 
@@ -318,19 +322,11 @@ fn mark(heap: &mut Heap, cyc: &mut MajorCycle) {
 /// regions are freed (lazy bulk reclamation), and after the mark barrier
 /// the live set freezes into the relocation enumeration.
 fn select(heap: &mut Heap, cyc: &mut MajorCycle) {
-    if let Some(h2) = heap.h2.as_ref() {
-        // A hint landing after this point applies to a later GC, so
-        // retirement clears only the requests selection could see.
-        cyc.plan.req_snapshot.extend(h2.policy().requested_labels());
-        let buffers = std::mem::take(&mut heap.gc_scratch.sel);
-        let sel = units::begin_select(heap, cyc.mark.live_words, &cyc.live, buffers);
-        heap.gc_scratch.sel =
-            run_unit(heap, cyc, WorkUnitKind::CandidateSelect, |heap, cyc, uw| {
-                units::select(heap, sel, &cyc.live, &mut cyc.plan.move_order, uw)
-            });
-    }
-    if heap.h2.is_some() && heap.track_h2_liveness {
-        units::record_h2_liveness(heap);
+    if heap.h2.is_some() {
+        run_unit(heap, cyc, WorkUnitKind::CandidateSelect, units::select);
+        if heap.track_h2_liveness {
+            units::record_h2_liveness(heap);
+        }
     }
     if let Some(h2) = heap.h2.as_mut() {
         h2.propagate_and_sweep();
@@ -491,16 +487,12 @@ fn retire(heap: &mut Heap, cyc: &mut MajorCycle) {
     heap.old_starts.append(&mut cyc.plan.new_old_starts);
     heap.old_starts.shrink_to_fit();
     note_retiring(heap, cyc);
-    heap.mark_scratch = std::mem::take(&mut cyc.live).reset();
     heap.eden.reset();
     heap.from.reset();
     heap.to.reset();
     if let Some(h2) = heap.h2.as_mut() {
-        h2.policy_mut().note_major_gc_end_satisfying(
-            cyc.plan.new_top - cyc.plan.old_base,
-            heap.old.capacity_words() as u64,
-            &cyc.plan.req_snapshot,
-        );
+        let live = cyc.plan.new_top - cyc.plan.old_base;
+        h2.policy_mut().note_major_gc_end(live, heap.old.capacity_words() as u64);
     }
 }
 

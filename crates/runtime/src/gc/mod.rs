@@ -12,8 +12,6 @@ pub mod minor;
 pub mod schedule;
 mod units;
 
-pub(crate) use units::LiveMap;
-
 /// The largest buffer kept between uses. A kept buffer keeps the pages it
 /// touched resident, so one outlier (a whole graph's edges moving at once,
 /// a partition's edge stream) is dropped instead of raising a later peak.
@@ -36,10 +34,8 @@ pub fn parked<T>(mut v: Vec<T>) -> Vec<T> {
 pub(crate) struct GcScratch {
     /// The minor collection's copy worklist.
     worklist: Vec<Addr>,
-    /// The last major cycle's mark, plan and relocation state.
-    cycle: major::CycleScratch,
-    /// The last cycle's candidate-selection buffers.
-    sel: units::SelBuffers,
+    /// The last major cycle's mark bitmap and buffers.
+    pub(crate) cycle: major::CycleScratch,
 }
 
 impl std::fmt::Debug for GcScratch {

@@ -18,7 +18,7 @@
 //!
 //! When the heap checker is armed the scheduler also audits **coverage**:
 //! phases declare their work domain (dirty cards, live objects) with
-//! [`Scheduler::declare`], units [`Scheduler::claim`] what they process, and
+//! `Scheduler::declare`, units `Scheduler::claim` what they process, and
 //! the barrier panics — like `maybe_heap_check` — unless every key was
 //! claimed exactly once.
 
@@ -135,15 +135,6 @@ impl Scheduler {
         clock.emit(EventKind::UnitEnd { lane: lane as u32, kind, cost_ns: scaled_ns + flat_ns });
     }
 
-    /// The ns the next barrier advances the clock by for the units charged
-    /// so far (critical path + sync).
-    fn pending_ns(&self) -> u64 {
-        if self.units == 0 {
-            return 0;
-        }
-        self.critical_ns() + (self.lanes() as u64 - 1) * self.sync_ns
-    }
-
     /// Whether coverage is audited (the heap checker is armed).
     pub(crate) fn auditing(&self) -> bool {
         self.coverage.is_some()
@@ -185,7 +176,7 @@ impl Scheduler {
         // Each lane idles at the barrier until the critical-path lane arrives.
         let crit = self.critical_ns();
         let stall = (0..self.lanes()).map(|l| crit - self.effective(l)).sum();
-        let advance = self.pending_ns();
+        let advance = crit + (self.lanes() as u64 - 1) * self.sync_ns;
         clock.charge(cat, advance);
         clock.emit(EventKind::LaneBarrier {
             lanes: self.lanes() as u32,
@@ -237,7 +228,6 @@ mod tests {
         s.end_unit(&clock, 0, WorkUnitKind::GrayPacket, 100, 0);
         s.end_unit(&clock, 0, WorkUnitKind::GrayPacket, 50, 3);
         // One lane: no sync cost, no stall, advance is the plain sum.
-        assert_eq!(s.pending_ns(), 153);
         assert_eq!(s.barrier(&clock, Category::MinorGc, "test"), 0);
         assert_eq!(clock.category_ns(Category::MinorGc), 153);
     }
@@ -338,7 +328,6 @@ mod tests {
         let mut s = Scheduler::new(2, 25, false);
         s.end_unit(&clock, 0, WorkUnitKind::GrayPacket, 1000, 1000);
         s.abandon();
-        assert_eq!(s.pending_ns(), 0);
         s.barrier(&clock, Category::MajorGc, "test");
         assert_eq!(clock.total_ns(), 0);
     }

@@ -32,8 +32,8 @@ use teraheap_storage::Category;
 /// [`LiveMap::freeze`] counts the marks before every 64-bit block; from then
 /// on `rank(src) = block_rank + popcount(bits below)` indexes `dests`, one
 /// destination (H1, or H2 at `1 << 40` and up) per live object. 12 bytes per
-/// 64 heap words plus 8 per live object, recycled across collections through
-/// `Heap::mark_scratch` and all-zero between cycles.
+/// 64 heap words plus 8 per live object, recycled across collections in the
+/// heap's cycle scratch and all-zero between cycles.
 #[derive(Debug, Default)]
 pub(crate) struct LiveMap {
     old_base: u64,
@@ -287,173 +287,132 @@ pub(super) fn gray_packet(heap: &mut Heap, cyc: &mut MajorCycle, uw: &mut Work) 
 
 // ----- candidate selection -----------------------------------------------------
 
-/// Candidate selection (marking task 4): which tagged root key-objects
-/// move (hint or pressure, §3.2), honouring the low-threshold budget. All
-/// policy decisions are snapshotted when selection begins.
-pub(super) struct SelState {
-    /// `(label, root, requested)`, oldest label first.
+/// The buffers candidate selection grows, kept between cycles.
+#[derive(Default)]
+pub(super) struct SelBuffers {
+    /// `(label, root, requested)` per tagged live object, oldest label first.
     groups: Vec<(u64, u64, bool)>,
     /// The closure walk's stack.
     stack: Vec<Addr>,
-    pressure: bool,
-    hints: bool,
-    newest_label: u64,
-    pressure_budget: Option<u64>,
-    /// `live_words` frozen at selection start.
-    live_words: u64,
-    deferred: Vec<(u64, u64)>,
+    /// The newest group's roots, set aside under pressure.
+    deferred: Vec<u64>,
 }
 
-/// The vectors a [`SelState`] grows, kept between cycles.
-#[derive(Default)]
-pub(super) struct SelBuffers {
-    groups: Vec<(u64, u64, bool)>,
-    stack: Vec<Addr>,
-    deferred: Vec<(u64, u64)>,
+impl SelBuffers {
+    /// These buffers, emptied.
+    pub(super) fn emptied(self) -> SelBuffers {
+        SelBuffers {
+            groups: parked(self.groups),
+            stack: parked(self.stack),
+            deferred: parked(self.deferred),
+        }
+    }
 }
 
-/// Snapshots the selection policy at mark termination: tagged groups oldest
-/// label first (so the low threshold moves the oldest, most likely immutable
-/// groups and leaves recently tagged ones in H1), each group's `h2_move`
-/// request, and the pressure path. Besides the end-of-previous-GC pressure
-/// flag (§3.2), pressure also arms when the live data *measured by this
-/// marking* already exceeds the high threshold — the same occupancy test
-/// the paper applies at GC end, evaluated one GC earlier so the move cannot
-/// arrive after the heap has overflowed. A degraded H2 (injected ENOSPC or
-/// a write-retry budget exhausted) selects nothing: promotions park in the
-/// old generation — the paper's no-H2 baseline — for the rest of the run.
-/// The selection grows `buffers` (empty; a finished selection's).
-pub(super) fn begin_select(
-    heap: &Heap,
-    live_words: u64,
-    live: &LiveMap,
-    buffers: SelBuffers,
-) -> SelState {
+/// Candidate selection (marking task 4): which tagged root key-objects move
+/// to H2 (§3.2), one serial unit, since closure discovery order is the H2
+/// placement order. Groups go oldest label first, so the low threshold moves
+/// the oldest, most likely immutable groups and leaves recently tagged ones
+/// in H1. A group moves when `h2_move` requested it, or under pressure until
+/// the low threshold's budget is spent. Besides the end-of-previous-GC
+/// pressure flag, pressure arms when the live data *measured by this
+/// marking* exceeds the high threshold — the paper's GC-end occupancy test
+/// one GC earlier, so the move cannot arrive after the heap has overflowed.
+/// With hints enabled, the newest group has most likely not seen its
+/// `h2_move` yet (it is still mutable — e.g. Giraph's current message
+/// store): pressure sets its roots aside and moves them only if moving every
+/// older group still leaves over 95% of the old generation live (the hint
+/// exists to avoid device read-modify-writes on groups moved while mutable).
+/// A degraded H2 (injected ENOSPC or a write-retry budget exhausted) selects
+/// nothing: promotions park in the old generation — the paper's no-H2
+/// baseline — for the rest of the run.
+pub(super) fn select(heap: &mut Heap, cyc: &mut MajorCycle, work: &mut Work) {
     let h2 = heap.attached_h2();
-    let SelBuffers { mut groups, stack, deferred } = buffers;
-    let mut tagged: Vec<(u64, u64)> = Vec::new();
-    if !h2.is_degraded() {
-        tagged.extend(
-            live.sources().map(|a| (heap.mem[a as usize + 1], a)).filter(|&(label, _)| label != 0),
-        );
-        tagged.sort_unstable();
+    if h2.is_degraded() {
+        return;
     }
+    let MajorCycle { live, mark, plan, sel, .. } = cyc;
     let policy = h2.policy();
+    sel.groups.extend(live.sources().filter_map(|root| {
+        let label = heap.mem[root as usize + 1];
+        (label != 0).then(|| (label, root, policy.is_requested(Label::new(label))))
+    }));
+    sel.groups.sort_unstable();
     let capacity = heap.old.capacity_words() as u64;
-    let high = TransferPolicy::HIGH;
-    let pressure = policy.under_pressure() || live_words as f64 > high * capacity as f64;
-    groups.extend(tagged.into_iter().map(|(l, r)| (l, r, policy.is_requested(Label::new(l)))));
-    SelState {
-        stack,
-        pressure,
-        hints: policy.hints_enabled(),
-        // With hints enabled, the newest tagged group has most likely not
-        // seen its h2_move yet (it is still mutable — e.g. Giraph's current
-        // message store); the pressure path defers it *unless moving every
-        // older group still leaves the heap overflowing* (§3.2: the hint
-        // exists precisely to avoid device read-modify-writes on groups
-        // moved while mutable). Without hints everything marked moves.
-        newest_label: groups.last().map(|&(l, _, _)| l).unwrap_or(0),
-        pressure_budget: if pressure {
-            policy.pressure_budget_words(live_words, capacity)
-        } else {
-            None
-        },
-        live_words,
-        deferred,
-        groups,
+    let pressure =
+        policy.under_pressure() || mark.live_words as f64 > TransferPolicy::HIGH * capacity as f64;
+    let mut budget =
+        if pressure { policy.pressure_budget_words(mark.live_words, capacity) } else { None };
+    let hints = policy.hints_enabled();
+    let newest = sel.groups.last().map_or(0, |&(label, _, _)| label);
+    let mut moved = 0;
+    for &(label, root, requested) in &sel.groups {
+        if !requested {
+            if !pressure {
+                continue;
+            }
+            if hints && label == newest {
+                sel.deferred.push(root);
+                continue;
+            }
+            if budget == Some(0) {
+                continue;
+            }
+        }
+        let words = closure(heap, live, &mut sel.stack, &mut plan.move_order, label, root, work);
+        moved += words;
+        if !requested {
+            budget = budget.map(|b| b.saturating_sub(words));
+        }
+    }
+    if mark.live_words.saturating_sub(moved) as f64 > 0.95 * capacity as f64 {
+        for &root in &sel.deferred {
+            closure(heap, live, &mut sel.stack, &mut plan.move_order, newest, root, work);
+        }
     }
 }
 
-/// Selection: walks the closure of every group the policy admits, in group
-/// order, tagging each object with its group's label and the candidate bit
-/// and appending it to `move_order`. Closure discovery order is the H2
-/// placement order — each root key-object's closure lands contiguously in
-/// its label's regions — so the walk is one serial unit. Returns the
-/// emptied buffers for the next selection.
-pub(super) fn select(
+/// Walks the closure of `root` in H1, skipping what an earlier group took:
+/// tags each object with `label` and the candidate bit and appends it to
+/// `move_order`. Returns the words it tagged.
+fn closure(
     heap: &mut Heap,
-    mut sel: SelState,
     live: &LiveMap,
+    stack: &mut Vec<Addr>,
     move_order: &mut Vec<u64>,
+    label: u64,
+    root: u64,
     work: &mut Work,
-) -> SelBuffers {
-    let (mut gi, mut deferred_mode, mut moved_words) = (0, false, 0u64);
-    loop {
-        if gi >= sel.groups.len() {
-            if deferred_mode {
-                break;
-            }
-            // Take the deferred (mutable) group only when survival demands
-            // it, against the live words frozen at selection start.
-            deferred_mode = true;
-            gi = 0;
-            let remaining = sel.live_words.saturating_sub(moved_words);
-            sel.groups = if remaining as f64 > 0.95 * heap.old.capacity_words() as f64 {
-                let deferred = std::mem::take(&mut sel.deferred);
-                deferred.into_iter().map(|(l, r)| (l, r, true)).collect()
-            } else {
-                Vec::new()
-            };
+) -> u64 {
+    let mut words = 0;
+    stack.push(Addr::new(root));
+    while let Some(obj) = stack.pop() {
+        if !obj.is_h1() {
             continue;
         }
-        // Group gating: an uncharged policy scan.
-        let (label, root, requested) = sel.groups[gi];
-        gi += 1;
-        if !deferred_mode && !requested {
-            if !sel.pressure {
-                continue;
-            }
-            if sel.hints && label == sel.newest_label {
-                sel.deferred.push((label, root));
-                continue;
-            }
-            if sel.pressure_budget == Some(0) {
-                continue;
-            }
+        let header = heap.mem[obj.raw() as usize];
+        if object::is_candidate(header) {
+            continue;
         }
-        let mut words = 0u64;
-        sel.stack.push(Addr::new(root));
-        while let Some(obj) = sel.stack.pop() {
-            if !obj.is_h1() {
-                continue;
-            }
-            let header = heap.mem[obj.raw() as usize];
-            if object::is_candidate(header) {
-                continue;
-            }
-            // Marking traced every slot of every marked object.
-            debug_assert!(live.is_marked(obj.raw()), "an unmarked object in a live closure");
-            heap.mem[obj.raw() as usize] = object::with_candidate(header);
-            heap.mem[obj.raw() as usize + 1] = label;
-            move_order.push(obj.raw());
-            words += object::size_of(header) as u64;
-            work.objects += 1;
-            // Push in reverse so the LIFO pops children in field/element
-            // order: the placement order then matches the mutator's forward
-            // traversal, which is what makes H2 scans sequential on the
-            // device.
-            let (first_slot, end_slot) = heap.ref_slot_range(obj);
-            // Slice iteration instead of indexed loads: one bounds check for
-            // the whole slot run of this (often large) transitive-move object.
-            for &val in heap.mem[first_slot as usize..end_slot as usize].iter().rev() {
-                if val != 0 && Addr::new(val).is_h1() {
-                    sel.stack.push(Addr::new(val));
-                }
-            }
-        }
-        moved_words += words;
-        if !requested {
-            if let Some(b) = &mut sel.pressure_budget {
-                *b = b.saturating_sub(words);
+        // Marking traced every slot of every marked object.
+        debug_assert!(live.is_marked(obj.raw()), "an unmarked object in a live closure");
+        heap.mem[obj.raw() as usize] = object::with_candidate(header);
+        heap.mem[obj.raw() as usize + 1] = label;
+        move_order.push(obj.raw());
+        words += object::size_of(header) as u64;
+        work.objects += 1;
+        // Push in reverse so the LIFO pops children in field/element order:
+        // the placement order then matches the mutator's forward traversal,
+        // which is what makes H2 scans sequential on the device. Slice
+        // iteration: one bounds check for the whole slot run.
+        let (first_slot, end_slot) = heap.ref_slot_range(obj);
+        for &val in heap.mem[first_slot as usize..end_slot as usize].iter().rev() {
+            if val != 0 && Addr::new(val).is_h1() {
+                stack.push(Addr::new(val));
             }
         }
     }
-    SelBuffers {
-        groups: parked(sel.groups),
-        stack: parked(sel.stack),
-        deferred: parked(sel.deferred),
-    }
+    words
 }
 
 // ----- pre-compaction ----------------------------------------------------------

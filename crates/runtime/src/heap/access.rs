@@ -67,7 +67,7 @@ impl Layout {
     }
 }
 
-/// A handle with its object's [`Layout`] resolved: the host-side half of a
+/// A handle with its object's `Layout` resolved: the host-side half of a
 /// field access (root lookup, header decode, class lookup, array length)
 /// done once by [`Heap::pin`] instead of once per word. The `*_at`
 /// accessors ([`Heap::read_prim_at`], ...) bounds-check against it and then

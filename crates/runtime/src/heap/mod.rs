@@ -75,10 +75,8 @@ pub struct Heap {
     /// GCs requested while one is already running would be re-entrant;
     /// guarded for debugging.
     pub(crate) in_gc: bool,
-    /// The major cycle's mark bitmap between collections (all-zero, which
-    /// the heap checker verifies), recycled instead of reallocated per GC.
-    pub(crate) mark_scratch: gc::LiveMap,
-    /// Every other collection buffer between collections, likewise.
+    /// Collection buffers between collections, the major cycle's mark
+    /// bitmap among them, recycled instead of reallocated per GC.
     pub(crate) gc_scratch: gc::GcScratch,
     /// Run [`Heap::heap_check`] at every GC boundary (config flag or
     /// `TERAHEAP_HEAP_CHECK=1`), panicking on the first violated invariant.
@@ -131,7 +129,6 @@ impl Heap {
             h1_price: H1Price::new(&config, &policy, old.base().raw()),
             track_h2_liveness: false,
             in_gc: false,
-            mark_scratch: gc::LiveMap::default(),
             gc_scratch: gc::GcScratch::default(),
             check_enabled: config.heap_check
                 || std::env::var("TERAHEAP_HEAP_CHECK").is_ok_and(|v| v == "1"),
