@@ -247,7 +247,6 @@ impl std::error::Error for H2Error {}
 #[derive(Debug)]
 pub struct H2 {
     config: H2Config,
-    spec: DeviceSpec,
     clock: Arc<SimClock>,
     data: Vec<u64>,
     mmap: MmapSim,
@@ -265,21 +264,47 @@ pub struct H2 {
 }
 
 impl H2 {
-    /// Creates a second heap over a device described by `spec`.
+    /// Creates a second heap over a private device described by `spec`: a
+    /// one-tenant [`SharedDevice`] whose sole tenant is `clock`.
     ///
     /// When `TERAHEAP_FAULTS` is set (or `config.faults` is enabled), a
     /// fault plane is armed; otherwise every fault-path branch stays `None`
     /// and the heap behaves bit-identically to a build without the fault
     /// plane.
     pub fn new(config: H2Config, spec: DeviceSpec, clock: Arc<SimClock>) -> Self {
+        let len = config.capacity_words() * WORD_BYTES;
+        let mmap =
+            MmapSim::new(spec, len, config.resident_budget_bytes, config.page_size, clock.clone());
+        H2::over(config, mmap, clock)
+    }
+
+    /// Creates a second heap attached to a tenant partition of a
+    /// [`SharedDevice`] — the server-plane constructor (DESIGN.md §12).
+    ///
+    /// The tenant is identified by `clock` (`Arc::ptr_eq` with the clock it
+    /// registered with), the config's [`H2Config::footprint_bytes`] is
+    /// validated against the tenant's quota here rather than at first I/O,
+    /// and the mapping is built over the tenant's lease, so every device
+    /// service goes through the device's arbiter. With a sole tenant the
+    /// arbiter never delays, so this is bit-identical to [`H2::new`].
+    ///
+    /// # Errors
+    ///
+    /// See [`SharedDevice::attach`].
+    pub fn attach(
+        config: H2Config,
+        device: &SharedDevice,
+        clock: Arc<SimClock>,
+    ) -> Result<Self, AttachError> {
+        let lease = device.attach(&clock, config.footprint_bytes())?;
+        let len = config.capacity_words() * WORD_BYTES;
+        let mmap = MmapSim::leased(lease, len, config.resident_budget_bytes, config.page_size);
+        Ok(H2::over(config, mmap, clock))
+    }
+
+    /// A second heap over `mmap`, whose services are charged to `clock`.
+    fn over(config: H2Config, mut mmap: MmapSim, clock: Arc<SimClock>) -> Self {
         let capacity_words = config.capacity_words();
-        let mut mmap = MmapSim::new(
-            spec,
-            capacity_words * WORD_BYTES,
-            config.resident_budget_bytes,
-            config.page_size,
-            clock.clone(),
-        );
         let plan = FaultPlan::from_env().unwrap_or(config.faults);
         let faults = plan.enabled.then(|| {
             let plane = FaultPlane::new(plan);
@@ -293,7 +318,6 @@ impl H2 {
             promoter: Promoter::new(config.promo_buffer_bytes),
             data: spare::zeroed(capacity_words),
             mmap,
-            spec,
             clock,
             config,
             objects_promoted: 0,
@@ -303,30 +327,6 @@ impl H2 {
         }
     }
 
-    /// Creates a second heap attached to a tenant partition of a
-    /// [`SharedDevice`] — the server-plane constructor (DESIGN.md §12).
-    ///
-    /// The tenant is identified by `clock` (`Arc::ptr_eq` with the clock it
-    /// registered with), the config's [`H2Config::footprint_bytes`] is
-    /// validated against the tenant's quota here rather than at first I/O,
-    /// and every device service of the mapping is routed through the
-    /// device's bandwidth arbiter. With a sole tenant the arbiter never
-    /// delays, so this is bit-identical to [`H2::new`] on a private device.
-    ///
-    /// # Errors
-    ///
-    /// See [`SharedDevice::attach`].
-    pub fn attach(
-        config: H2Config,
-        device: &SharedDevice,
-        clock: Arc<SimClock>,
-    ) -> Result<Self, AttachError> {
-        let lease = device.attach(&clock, config.footprint_bytes())?;
-        let mut h2 = H2::new(config, device.spec(), clock);
-        h2.mmap.set_lease(lease);
-        Ok(h2)
-    }
-
     /// The configuration this heap was built with.
     pub fn config(&self) -> &H2Config {
         &self.config
@@ -334,7 +334,7 @@ impl H2 {
 
     /// The device model backing the heap.
     pub fn device_spec(&self) -> &DeviceSpec {
-        &self.spec
+        self.mmap.spec()
     }
 
     /// Total capacity in words.
@@ -502,18 +502,14 @@ impl H2 {
     /// [`H2::view_words`] run, even when the loop charges the clock between
     /// words: to the end of the page when paged (only the page's first
     /// touch can fault, emit or reach the arbiter), one word in DAX mode
-    /// behind a lease (each word is its own arbitrated command, and its
-    /// arrival is the clock at that word), unbounded in DAX mode without
-    /// one.
+    /// (each word is its own arbitrated command, and its arrival is the
+    /// clock at that word).
     pub fn run_words_at(&self, addr: Addr) -> usize {
-        if !self.mmap.is_dax() {
-            let page_words = self.mmap.page_size() / WORD_BYTES;
-            page_words - addr.h2_offset() as usize % page_words
-        } else if self.mmap.lease().is_some() {
-            1
-        } else {
-            usize::MAX
+        if self.mmap.is_dax() {
+            return 1;
         }
+        let page_words = self.mmap.page_size() / WORD_BYTES;
+        page_words - addr.h2_offset() as usize % page_words
     }
 
     /// Reads a word without charging any cost (GC internal bookkeeping that
@@ -615,9 +611,8 @@ impl H2 {
     fn charge_flush(&self, flushed_bytes: usize, cat: Category) {
         if flushed_bytes > 0 {
             // The promotion buffer writes straight to the device file, so
-            // the flush is one arbitrated device command (a no-op routing
-            // for a private device or a sole tenant).
-            self.mmap.charge_device(cat, self.spec.write_cost_ns(flushed_bytes));
+            // the flush is one arbitrated device command.
+            self.mmap.charge_device(cat, self.mmap.spec().write_cost_ns(flushed_bytes));
             self.clock.emit(EventKind::H2PromoFlush { bytes: flushed_bytes as u64 });
         }
     }

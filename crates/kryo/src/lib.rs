@@ -682,9 +682,9 @@ mod tests {
         let err = offload(&mut small, &mut h, p, "test").unwrap_err();
         assert_eq!(err.context, "test device: device out of space");
         assert_eq!(err.requested_words, words);
+        // The device charges only `Category::Io`: its clock did not move.
         assert_eq!(h.clock().category_ns(Category::Io), io, "a refused store is charged");
         assert_eq!(h.live_roots(), roots, "offload released root");
-        assert_eq!(small.stats().write_ops(), 0);
     }
 
     #[test]

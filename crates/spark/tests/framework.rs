@@ -59,7 +59,6 @@ fn off_heap_cache_grows_on_device_not_heap() {
         clock.clone(),
     );
     let device = SimDevice::new(DeviceSpec::nvme_ssd(), 16 << 20, clock);
-    let stats = device.stats().clone();
     let mut bm =
         BlockManager::new(CacheMode::SerializedOverflow { device, onheap_budget_words: 256 });
     for p in 0..6u32 {
@@ -67,7 +66,8 @@ fn off_heap_cache_grows_on_device_not_heap() {
         bm.put(&mut heap, BlockId { rdd: 1, partition: p }, part).unwrap();
     }
     assert!(bm.serializations() >= 5, "budget admits at most one partition");
-    assert!(stats.write_bytes() > 5 * 512 * 8, "bytes landed on the device");
+    let stored = 5 * DeviceSpec::nvme_ssd().write_cost_ns(512 * 8);
+    assert!(heap.clock().category_ns(Category::Io) > stored, "bytes landed on the device");
     // Reading back pays I/O every time.
     let io0 = heap.clock().category_ns(Category::Io);
     let h = bm.get(&mut heap, BlockId { rdd: 1, partition: 5 }).unwrap().unwrap();
@@ -79,7 +79,7 @@ fn off_heap_cache_grows_on_device_not_heap() {
     bm.unpersist(&mut heap, 1);
     assert!(bm.is_empty());
     assert!(bm.get(&mut heap, BlockId { rdd: 1, partition: 5 }).unwrap().is_none());
-    let (writes, reads) = (stats.write_ops(), stats.read_ops());
+    let (writes, reads) = (bm.serializations(), bm.deserializations());
     for p in 0..6u32 {
         let part = heap.alloc_prim_array(512).unwrap();
         heap.write_prim(part, 7, 1000 + p as u64);
@@ -92,7 +92,7 @@ fn off_heap_cache_grows_on_device_not_heap() {
     }
     // No partition fits the 256-word budget, so every re-put block is
     // serialized again and every get reads the device.
-    assert_eq!((stats.write_ops(), stats.read_ops()), (writes + 6, reads + 6));
+    assert_eq!((bm.serializations(), bm.deserializations()), (writes + 6, reads + 6));
 }
 
 #[test]

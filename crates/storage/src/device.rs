@@ -13,7 +13,7 @@
 //!   saturating during ML workload streaming (§7.1).
 
 use crate::clock::{Category, SimClock};
-use crate::stats::IoStats;
+use crate::shared::DeviceLease;
 use crate::PAGE_SIZE;
 use std::sync::Arc;
 use teraheap_obs::EventKind;
@@ -145,16 +145,17 @@ impl Blob {
 /// The simulated device under the serialized off-heap caches of Spark-SD
 /// and Giraph-OOC, which reach it only through `kryo_sim::offload` and
 /// `kryo_sim::reload`: a blob tier. [`SimDevice::store`] takes a serialized
-/// buffer and [`SimDevice::load`] lends it back whole; each charges its
-/// simulated cost to the given [`SimClock`] category and updates
-/// [`IoStats`]. Cost, statistics and events depend on the blob's length
-/// alone, never on where it lies, which is why the device hands the bytes
-/// to the caller as an owned [`Blob`] instead of keeping an address space.
+/// buffer and [`SimDevice::load`] lends it back whole; each is one device
+/// command served through the device's lease, charged to the given
+/// [`Category`] of the tenant's clock. Cost and events depend on the blob's
+/// length alone, never on where it lies, which is why the device hands the
+/// bytes to the caller as an owned [`Blob`] instead of keeping an address
+/// space.
 #[derive(Debug)]
 pub struct SimDevice {
     spec: DeviceSpec,
-    stats: Arc<IoStats>,
-    clock: Arc<SimClock>,
+    /// The sole tenant's lease on a private one-tenant device.
+    lease: DeviceLease,
     capacity: usize,
     /// Bytes ever stored; freed blobs do not give capacity back.
     stored: usize,
@@ -164,32 +165,21 @@ pub struct SimDevice {
 }
 
 impl SimDevice {
-    /// Creates a device that accepts `capacity` bytes over its lifetime.
+    /// Creates a device that accepts `capacity` bytes over its lifetime and
+    /// charges its services to `clock`.
     pub fn new(spec: DeviceSpec, capacity: usize, clock: Arc<SimClock>) -> Self {
         SimDevice {
             spec,
-            stats: Arc::new(IoStats::default()),
-            clock,
+            lease: DeviceLease::private(spec, capacity, clock),
             capacity,
             stored: 0,
             spare: Vec::new(),
         }
     }
 
-    /// The device's latency/bandwidth model.
-    pub fn spec(&self) -> &DeviceSpec {
-        &self.spec
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Cumulative I/O statistics (clone the `Arc` to keep reading them after
-    /// the device has moved into a cache).
-    pub fn stats(&self) -> &Arc<IoStats> {
-        &self.stats
+    /// Bytes ever stored, refused blobs excepted.
+    pub fn stored_bytes(&self) -> usize {
+        self.stored
     }
 
     /// Writes `bytes` to the device as one blob, charging the cost to `cat`.
@@ -201,10 +191,9 @@ impl SimDevice {
     pub fn store(&mut self, mut bytes: Vec<u8>, cat: Category) -> Result<Blob, DeviceError> {
         let end = self.stored.checked_add(bytes.len()).filter(|&end| end <= self.capacity);
         self.stored = end.ok_or(DeviceError::OutOfSpace)?;
-        self.clock.charge(cat, self.spec.write_cost_ns(bytes.len()));
+        self.lease.serve_now(cat, self.spec.write_cost_ns(bytes.len()), 1);
         let accessed = self.spec.access_bytes(bytes.len()) as u64;
-        self.stats.record_write(accessed);
-        self.clock.emit(EventKind::DeviceWrite { bytes: accessed });
+        self.lease.clock().emit(EventKind::DeviceWrite { bytes: accessed });
         bytes.reserve_exact(MIN_BLOB_CAPACITY.saturating_sub(bytes.len()));
         Ok(Blob(bytes))
     }
@@ -229,10 +218,9 @@ impl SimDevice {
     /// Reads `blob` back whole, charging the cost to `cat`, and lends its
     /// bytes (consumers deserialize straight from them).
     pub fn load<'b>(&self, blob: &'b Blob, cat: Category) -> &'b [u8] {
-        self.clock.charge(cat, self.spec.read_cost_ns(blob.len()));
+        self.lease.serve_now(cat, self.spec.read_cost_ns(blob.len()), 1);
         let accessed = self.spec.access_bytes(blob.len()) as u64;
-        self.stats.record_read(accessed);
-        self.clock.emit(EventKind::DeviceRead { bytes: accessed });
+        self.lease.clock().emit(EventKind::DeviceRead { bytes: accessed });
         &blob.0
     }
 }
@@ -322,9 +310,6 @@ mod tests {
                 assert_eq!(clock.category_ns(Category::Io), store_ns, "{arm}");
                 assert_eq!(clock.category_ns(Category::SerDe), load_ns, "{arm}");
                 assert_eq!(clock.tracer().charge_counts().iter().sum::<u64>(), 2, "{arm}");
-                let s = dev.stats();
-                assert_eq!((s.write_bytes(), s.write_ops()), (accessed, 1), "{arm}");
-                assert_eq!((s.read_bytes(), s.read_ops()), (accessed, 1), "{arm}");
                 let write = EventKind::DeviceWrite { bytes: accessed };
                 let read = EventKind::DeviceRead { bytes: accessed };
                 assert_eq!(
@@ -340,27 +325,49 @@ mod tests {
     }
 
     #[test]
+    fn store_and_load_are_served_through_the_lease() {
+        let clock = Arc::new(SimClock::new());
+        let spec = DeviceSpec::nvme_ssd();
+        let mut dev = SimDevice::new(spec, 1 << 20, clock.clone());
+        let blob = dev.store(vec![3u8; 5000], Category::Io).unwrap();
+        dev.load(&blob, Category::Io);
+        let service = spec.write_cost_ns(5000) + spec.read_cost_ns(5000);
+        let io = dev.lease.io();
+        assert_eq!((io.ops, io.busy_ns, io.queued_ns), (2, service, 0));
+        assert_eq!(clock.total_ns(), service);
+        // A refused blob books nothing and leaves the clock where it was.
+        assert_eq!(
+            dev.store(vec![0u8; 1 << 20], Category::Io).err(),
+            Some(DeviceError::OutOfSpace)
+        );
+        assert_eq!((dev.lease.io(), clock.total_ns()), (io, service));
+    }
+
+    #[test]
     fn out_of_space_errors() {
         let clock = Arc::new(SimClock::new());
         let mut dev = SimDevice::new(DeviceSpec::dram(), 16, clock.clone());
         let first = dev.store(vec![0u8; 10], Category::Io).unwrap();
-        let (ns, ops) = (clock.total_ns(), dev.stats().write_ops());
+        let (ns, ops) = (clock.total_ns(), dev.lease.io().ops);
         // Capacity counts the bytes ever stored: a refused blob costs
         // nothing, and freeing a stored one gives no room back.
         assert_eq!(dev.store(vec![0u8; 8], Category::Io).err(), Some(DeviceError::OutOfSpace));
         drop(first);
         assert_eq!(dev.store(vec![0u8; 8], Category::Io).err(), Some(DeviceError::OutOfSpace));
-        assert_eq!((clock.total_ns(), dev.stats().write_ops()), (ns, ops));
+        assert_eq!((clock.total_ns(), dev.lease.io().ops), (ns, ops));
         dev.store(vec![0u8; 6], Category::Io).expect("exactly fills the device");
+        assert_eq!(dev.stored_bytes(), 16);
     }
 
     #[test]
     fn stats_count_page_granularity() {
         let clock = Arc::new(SimClock::new());
-        let mut dev = SimDevice::new(DeviceSpec::nvme_ssd(), 1 << 20, clock);
+        clock.tracer().set_level(Level::Full);
+        let mut dev = SimDevice::new(DeviceSpec::nvme_ssd(), 1 << 20, clock.clone());
         dev.store(vec![1u8; 10], Category::Io).unwrap();
         // 10 bytes on NVMe transfer a whole page.
-        assert_eq!(dev.stats().write_bytes(), PAGE_SIZE as u64);
-        assert_eq!(dev.stats().write_ops(), 1);
+        let write = EventKind::DeviceWrite { bytes: PAGE_SIZE as u64 };
+        assert_eq!(clock.tracer().events().last().map(|e| e.kind), Some(write));
+        assert_eq!(dev.stored_bytes(), 10);
     }
 }

@@ -8,15 +8,17 @@
 //! * [`DeviceSpec`] — latency/bandwidth models for DRAM, NVMe SSD and NVM,
 //!   including page- vs byte-addressability (§2 of the paper).
 //! * [`SimDevice`] — the blob tier under the serialized off-heap caches of
-//!   the baselines: `store` charges a write and returns an owned [`Blob`],
-//!   `load` charges a read and lends the blob's bytes.
+//!   the baselines: `store` serves a write and returns an owned [`Blob`],
+//!   `load` serves a read and lends the blob's bytes.
 //! * [`MmapSim`] — a page-cache cost model for file-backed `mmap`, with
 //!   faults, dirty write-back, a resident-set budget (the paper's DR2) and
 //!   optional 2 MB huge pages (the paper's HugeMap configuration).
 //! * [`SharedDevice`] — one H2 device shared by N tenant heaps: per-tenant
 //!   quotas tiled in a single capacity pool and one deterministic calendar
 //!   of device time, so colocated tenants' I/O charges reflect contention
-//!   (the server plane, DESIGN.md §12).
+//!   (the server plane, DESIGN.md §12). Every device operation, page
+//!   cache and blob tier alike, is served through a [`DeviceLease`]; a
+//!   private device is a one-tenant `SharedDevice`.
 //! * [`spare`] — the word buffers a server run recycles from one tenant
 //!   round to the next, zeroed where they were written.
 //! * [`SimClock`] — a deterministic simulated clock that attributes

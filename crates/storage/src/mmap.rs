@@ -80,25 +80,24 @@ pub struct MmapSim {
     /// and array scans).
     readahead_heads: [u64; 4],
     readahead_next: usize,
-    stats: Arc<IoStats>,
-    clock: Arc<SimClock>,
+    stats: IoStats,
     /// Armed fault plane, if any: spikes and transient errors hit the fault
     /// and write-back paths. `None` (the default) keeps every path
     /// bit-identical to the pre-fault code.
     faults: Option<Arc<FaultPlane>>,
-    /// Shared-device lease: when present, every device service (fault
-    /// transfer, write-back, msync, DAX run) is submitted to the device
-    /// arbiter before its cost lands, and any queueing delay is charged to
-    /// the touching category (DESIGN.md §12). `None` — and a sole tenant —
-    /// keep every path bit-identical to the private-device code.
-    lease: Option<DeviceLease>,
+    /// The tenant's lease on its device: every device service (fault
+    /// transfer, write-back, msync, DAX run) is served through it, so the
+    /// arbiter's queueing delay is charged to the touching category
+    /// (DESIGN.md §12). A private mapping leases a one-tenant device.
+    lease: DeviceLease,
 }
 
 impl MmapSim {
-    /// Creates a mapping of `len` bytes over a device described by `spec`,
-    /// with at most `resident_budget` bytes of pages resident at once, and
-    /// the given `page_size` (4096 for regular pages, `2 << 20` for huge
-    /// pages).
+    /// Creates a mapping of `len` bytes over a private device described by
+    /// `spec`, with at most `resident_budget` bytes of pages resident at
+    /// once, and the given `page_size` (4096 for regular pages, `2 << 20`
+    /// for huge pages). Its services are charged to `clock`, the sole
+    /// tenant of the device.
     ///
     /// # Panics
     ///
@@ -110,6 +109,22 @@ impl MmapSim {
         page_size: usize,
         clock: Arc<SimClock>,
     ) -> Self {
+        Self::leased(DeviceLease::private(spec, len, clock), len, resident_budget, page_size)
+    }
+
+    /// [`MmapSim::new`] over a tenant's `lease` on a shared device, charging
+    /// the lease's clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page_size` is zero or not a power of two.
+    pub fn leased(
+        lease: DeviceLease,
+        len: usize,
+        resident_budget: usize,
+        page_size: usize,
+    ) -> Self {
+        let spec = lease.spec();
         assert!(page_size.is_power_of_two(), "page size must be a power of two");
         let budget_pages = (resident_budget / page_size).max(1);
         let table_pages = if spec.byte_addressable { 0 } else { len.div_ceil(page_size) };
@@ -125,47 +140,10 @@ impl MmapSim {
             resident: 0,
             readahead_heads: [u64::MAX - 1; 4],
             readahead_next: 0,
-            stats: Arc::new(IoStats::default()),
-            clock,
+            stats: IoStats::default(),
             faults: None,
-            lease: None,
+            lease,
         }
-    }
-
-    /// Routes the mapping's device services through a shared-device
-    /// arbiter. Queueing delays are charged to the touching category and
-    /// surfaced as `DeviceQueued` events.
-    pub fn set_lease(&mut self, lease: DeviceLease) {
-        self.lease = Some(lease);
-    }
-
-    /// The shared-device lease, if the mapping is attached to one.
-    pub fn lease(&self) -> Option<&DeviceLease> {
-        self.lease.as_ref()
-    }
-
-    /// One device command of `service_ns`, accounted as `charges` charge
-    /// calls, arriving at the current scope-adjusted instant: with a lease,
-    /// the arbiter's queueing delay lands in `scope` first (with a
-    /// `DeviceQueued` event), then the service. Without a lease, and for a
-    /// sole tenant, there is no delay.
-    fn serve(&self, service_ns: u64, charges: u64, scope: &mut ChargeScope) {
-        if let Some(lease) = &self.lease {
-            let arrival = self.clock.total_ns() + scope.pending_ns();
-            let wait = lease.submit(arrival, service_ns);
-            if wait > 0 {
-                scope.add(wait);
-                scope.emit(&self.clock, EventKind::DeviceQueued { wait_ns: wait });
-            }
-        }
-        scope.add_many(service_ns, charges);
-    }
-
-    /// [`MmapSim::serve`] in a scope of its own, charged to `cat`.
-    fn serve_now(&self, cat: Category, service_ns: u64, charges: u64) {
-        let mut scope = ChargeScope::new(cat);
-        self.serve(service_ns, charges, &mut scope);
-        scope.flush(&self.clock);
     }
 
     /// Charges `service_ns` of device time to `cat` through the arbiter —
@@ -173,7 +151,7 @@ impl MmapSim {
     /// promotion-buffer flush writes straight to the device file).
     pub fn charge_device(&self, cat: Category, service_ns: u64) {
         if service_ns > 0 {
-            self.serve_now(cat, service_ns, 1);
+            self.lease.serve_now(cat, service_ns, 1);
         }
     }
 
@@ -299,7 +277,7 @@ impl MmapSim {
             } else {
                 self.stats.record_read(bytes as u64);
             }
-            self.serve_now(cat, cost, 1);
+            self.lease.serve_now(cat, cost, 1);
             return;
         }
         // A touch inside one resident page charges nothing and emits
@@ -349,7 +327,7 @@ impl MmapSim {
             }
             // The whole run is one arbitrated device command (a sole
             // tenant sees no delay, so run-vs-loop equivalence holds).
-            self.serve_now(cat, words * cost, words);
+            self.lease.serve_now(cat, words * cost, words);
             return;
         }
         debug_assert!(self.page_size >= WORD, "words must not span pages");
@@ -365,7 +343,7 @@ impl MmapSim {
         for page in self.page_of(offset)..=self.page_of(offset + bytes - 1) {
             self.touch_page(page, write, &mut scope);
         }
-        scope.flush(&self.clock);
+        scope.flush(self.lease.clock());
     }
 
     /// Detaches `slot` from the recency list.
@@ -463,14 +441,14 @@ impl MmapSim {
         } else {
             self.spec.read_lat_ns
         };
-        self.serve(self.spiked(transfer_ns + latency_ns), 1, scope);
-        scope.emit(&self.clock, EventKind::PageFault { sequential });
+        self.lease.serve(self.spiked(transfer_ns + latency_ns), 1, scope);
+        scope.emit(self.lease.clock(), EventKind::PageFault { sequential });
         if let Some(plane) = &self.faults {
             // Armed plane: the page-in may roll a transient read error,
             // retried with backoff charged to the touching category. Reads
             // always eventually succeed (the kernel's own page-I/O retry
             // loop), so the fault path stays total.
-            let out = fault::inject_scoped(plane, &self.clock, scope, false);
+            let out = fault::inject_scoped(plane, self.lease.clock(), scope, false);
             self.stats.record_retries(out.retries as u64);
         }
     }
@@ -480,16 +458,16 @@ impl MmapSim {
         self.stats.record_eviction();
         if dirty {
             self.stats.record_write(self.page_size as u64);
-            self.serve(self.spiked(self.spec.write_cost_ns(self.page_size)), 1, scope);
+            self.lease.serve(self.spiked(self.spec.write_cost_ns(self.page_size)), 1, scope);
             if let Some(plane) = &self.faults {
                 // Transient write error on the eviction write-back: the
                 // kernel keeps the page and retries until it lands, so only
                 // the backoff cost is observable here.
-                let out = fault::inject_scoped(plane, &self.clock, scope, true);
+                let out = fault::inject_scoped(plane, self.lease.clock(), scope, true);
                 self.stats.record_retries(out.retries as u64);
             }
         }
-        scope.emit(&self.clock, EventKind::PageEvict { writeback: dirty });
+        scope.emit(self.lease.clock(), EventKind::PageEvict { writeback: dirty });
     }
 
     /// Writes back every dirty resident page (like `msync`), charging `cat`.
@@ -512,15 +490,15 @@ impl MmapSim {
         let bytes = pages * self.page_size as u64;
         self.stats.record_write(bytes);
         let mut scope = ChargeScope::new(cat);
-        self.serve(self.spiked(self.spec.write_cost_ns(bytes as usize)), 1, &mut scope);
-        scope.emit(&self.clock, EventKind::WriteBack { bytes });
+        self.lease.serve(self.spiked(self.spec.write_cost_ns(bytes as usize)), 1, &mut scope);
+        scope.emit(self.lease.clock(), EventKind::WriteBack { bytes });
         if let Some(plane) = &self.faults {
             // An msync the kernel retries to completion: only the
             // backoff cost is observable.
-            let out = fault::inject_scoped(plane, &self.clock, &mut scope, true);
+            let out = fault::inject_scoped(plane, self.lease.clock(), &mut scope, true);
             self.stats.record_retries(out.retries as u64);
         }
-        scope.flush(&self.clock);
+        scope.flush(self.lease.clock());
     }
 
     /// Drops any resident pages overlapping `[offset, offset + bytes)`

@@ -49,7 +49,7 @@ impl Reference {
                 self.sim.page_out(dirty, &mut scope);
             }
         }
-        scope.flush(&self.sim.clock);
+        scope.flush(self.sim.lease.clock());
     }
 
     fn flush(&mut self, cat: Category) {
@@ -124,16 +124,17 @@ struct Setup {
     budget_pages: usize,
     huge: bool,
     armed: bool,
-    leased: bool,
+    /// A second tenant shares the device and keeps it busy at first.
+    contended: bool,
 }
 
 fn setup() -> impl Strategy<Value = Setup> {
     (range_usize(1..65), (range_usize(0..2), range_usize(0..2), range_usize(0..2))).prop_map(
-        |(budget_pages, (huge, armed, leased))| Setup {
+        |(budget_pages, (huge, armed, contended))| Setup {
             budget_pages,
             huge: huge == 1,
             armed: armed == 1,
-            leased: leased == 1,
+            contended: contended == 1,
         },
     )
 }
@@ -144,19 +145,22 @@ fn build(setup: Setup) -> (MmapSim, Arc<SimClock>) {
     let clock = Arc::new(SimClock::new());
     clock.tracer().set_level(Level::Full);
     let spec = DeviceSpec::nvme_ssd();
-    let mut map = MmapSim::new(spec, len, setup.budget_pages * page_size, page_size, clock.clone());
-    if setup.armed {
-        map.set_fault_plane(FaultPlane::new(FaultPlan::zero_rate(11)));
-    }
-    if setup.leased {
+    let budget = setup.budget_pages * page_size;
+    let mut map = if setup.contended {
         // A neighbour keeps the device busy for the first 5 ms, so early
         // faults queue and the arrival instants matter.
         let device = SharedDevice::for_server(spec, 2 * len);
         let neighbour = Arc::new(SimClock::new());
         device.add_tenant(clock.clone(), len).expect("first quota fits");
         device.add_tenant(neighbour.clone(), len).expect("second quota fits");
-        map.set_lease(device.attach(&clock, len).expect("fresh tenant attaches"));
         device.attach(&neighbour, len).expect("fresh tenant attaches").submit(0, 5_000_000);
+        let lease = device.attach(&clock, len).expect("fresh tenant attaches");
+        MmapSim::leased(lease, len, budget, page_size)
+    } else {
+        MmapSim::new(spec, len, budget, page_size, clock.clone())
+    };
+    if setup.armed {
+        map.set_fault_plane(FaultPlane::new(FaultPlan::zero_rate(11)));
     }
     (map, clock)
 }

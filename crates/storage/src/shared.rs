@@ -10,10 +10,13 @@
 //!   checked at registration and the footprint at attach time — never
 //!   deferred to first I/O.
 //! * **One device clock.** Every device service (page-fault transfer,
-//!   dirty write-back, msync, DAX access run, promotion flush) is booked
-//!   on a deterministic calendar of device time before its cost lands on
-//!   the tenant's clock. The queueing delay is charged to the waiting
-//!   tenant and surfaced as a per-tenant stat plus a `DeviceQueued` event.
+//!   dirty write-back, msync, DAX access run, promotion flush, blob store
+//!   and load) is a [`DeviceLease`] submission: booked on a deterministic
+//!   calendar of device time before its cost lands on the tenant's clock.
+//!   The lease is the one place device service reaches a clock. The
+//!   queueing delay is charged to the waiting tenant and surfaced as a
+//!   per-tenant stat plus a `DeviceQueued` event. A private device is a
+//!   one-tenant `SharedDevice`.
 //! * **Clock identity.** A tenant is identified by its `Arc<SimClock>`:
 //!   the heap that attaches must present the *same* clock the tenant
 //!   registered with (`Arc::ptr_eq`, not value equality). This is the
@@ -42,18 +45,18 @@
 //!
 //! A sole tenant never waits: each submitted service is charged to the
 //! tenant's own clock right after submission, so its clock never lags the
-//! device and every arrival satisfies `a >= V`. The degenerate case is
-//! bit-identical to the historical private device — no extra charges, no
-//! extra events.
+//! device and every arrival satisfies `a >= V`: no extra charges, no extra
+//! events.
 //!
 //! Every arrival is at least its own tenant's `total_ns`, so no request
 //! can reach a booking that ends at or below the smallest registered
 //! tenant clock. Those bookings are dropped whenever the calendar has
 //! doubled since the last prune, which keeps it short and is exact.
 
-use crate::clock::SimClock;
+use crate::clock::{Category, ChargeScope, SimClock};
 use crate::device::DeviceSpec;
 use std::sync::Arc;
+use teraheap_obs::EventKind;
 use teraheap_util::sync::Mutex;
 
 /// Identifies one tenant of a [`SharedDevice`] (registration order).
@@ -258,10 +261,9 @@ impl SharedDevice {
         Self::with_tenants(spec, capacity_bytes, Vec::new())
     }
 
-    /// The single-tenant degenerate case: the whole capacity pool is one
-    /// partition owned by `clock`'s tenant. Bit-identical to the historical
-    /// heap-private device (see the module docs for why the arbiter never
-    /// delays a sole tenant).
+    /// The private device: the whole capacity pool is one partition owned
+    /// by `clock`'s tenant, which the arbiter never delays (see the module
+    /// docs).
     pub fn new(spec: DeviceSpec, capacity_bytes: usize, clock: Arc<SimClock>) -> Self {
         let tenant = TenantState {
             clock,
@@ -351,7 +353,12 @@ impl SharedDevice {
             });
         }
         t.attached = true;
-        Ok(DeviceLease { inner: Arc::clone(&self.inner), tenant: idx })
+        Ok(DeviceLease {
+            inner: Arc::clone(&self.inner),
+            tenant: idx,
+            clock: Arc::clone(clock),
+            spec: self.spec,
+        })
     }
 
     /// The device's cost model.
@@ -392,14 +399,25 @@ impl SharedDevice {
     }
 }
 
-/// One tenant's handle into the shared arbiter, held by its `MmapSim`.
+/// One tenant's handle into the shared arbiter, held by its `MmapSim` or
+/// `SimDevice`: the one place where device service reaches a clock.
 #[derive(Debug)]
 pub struct DeviceLease {
     inner: Arc<Mutex<ArbiterState>>,
     tenant: usize,
+    clock: Arc<SimClock>,
+    spec: DeviceSpec,
 }
 
 impl DeviceLease {
+    /// The lease of the sole tenant of a private device of
+    /// `capacity_bytes` (a one-tenant [`SharedDevice::new`], attached).
+    pub(crate) fn private(spec: DeviceSpec, capacity_bytes: usize, clock: Arc<SimClock>) -> Self {
+        let device = SharedDevice::new(spec, capacity_bytes, Arc::clone(&clock));
+        device.inner.lock().tenants[0].attached = true;
+        DeviceLease { inner: device.inner, tenant: 0, clock, spec }
+    }
+
     /// Submits a device request arriving at `arrival_ns` needing
     /// `service_ns` of device time; returns the queueing delay to charge to
     /// the tenant before the service cost (0 whenever an idle gap at the
@@ -408,9 +426,48 @@ impl DeviceLease {
         self.inner.lock().submit(self.tenant, arrival_ns, service_ns)
     }
 
+    /// One device command of `service_ns`, accounted as `charges` charge
+    /// calls, arriving at the tenant clock's scope-adjusted instant: the
+    /// arbiter's queueing delay lands in `scope` first (with a
+    /// `DeviceQueued` event), then the service. A sole tenant never waits.
+    #[inline]
+    pub(crate) fn serve(&self, service_ns: u64, charges: u64, scope: &mut ChargeScope) {
+        let arrival = self.clock.total_ns() + scope.pending_ns();
+        let wait = self.submit(arrival, service_ns);
+        if wait > 0 {
+            scope.add(wait);
+            scope.emit(&self.clock, EventKind::DeviceQueued { wait_ns: wait });
+        }
+        scope.add_many(service_ns, charges);
+    }
+
+    /// [`DeviceLease::serve`] in a scope of its own, charged to `cat`.
+    #[inline]
+    pub(crate) fn serve_now(&self, cat: Category, service_ns: u64, charges: u64) {
+        let mut scope = ChargeScope::new(cat);
+        self.serve(service_ns, charges, &mut scope);
+        scope.flush(&self.clock);
+    }
+
+    /// The tenant's clock: the one every service is charged to.
+    pub(crate) fn clock(&self) -> &Arc<SimClock> {
+        &self.clock
+    }
+
+    /// The device's cost model.
+    pub(crate) fn spec(&self) -> DeviceSpec {
+        self.spec
+    }
+
     /// The leased tenant.
     pub fn tenant(&self) -> TenantId {
         TenantId(self.tenant as u32)
+    }
+
+    /// Snapshot of the leased tenant's arbitration counters.
+    #[cfg(test)]
+    pub(crate) fn io(&self) -> TenantIo {
+        self.inner.lock().tenants[self.tenant].io
     }
 }
 
@@ -440,7 +497,6 @@ mod reference {
     //! FIFO `start = max(a, V)`.
 
     use super::*;
-    use crate::clock::Category;
     use teraheap_util::proptest_mini::{
         check, range_u64, range_usize, vec_of, CaseResult, Config, Strategy,
     };
@@ -561,7 +617,6 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::Category;
 
     fn clock() -> Arc<SimClock> {
         Arc::new(SimClock::new())

@@ -2,14 +2,14 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Cumulative I/O statistics for a device or mapping.
+/// Cumulative I/O statistics of a mapping.
 ///
 /// The paper reports device traffic repeatedly (e.g. §7.2's "increases
 /// device traffic by up to 98% (writes)", §7.5's NVM read/write operation
 /// counts), so every simulated component keeps these counters.
 ///
 /// Single writer, like the [`SimClock`](crate::SimClock) its owner charges:
-/// one mapping or device updates a set of counters, on the one thread its
+/// one mapping updates a set of counters, on the one thread its
 /// simulation runs on, so an update is a relaxed load + store. Any thread
 /// may read.
 #[derive(Debug, Default)]
@@ -31,11 +31,6 @@ fn bump(counter: &AtomicU64, n: u64) {
 }
 
 impl IoStats {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one read operation of `bytes` transferred.
     #[inline]
     pub fn record_read(&self, bytes: u64) {
@@ -133,22 +128,6 @@ impl IoStats {
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        for c in [
-            &self.read_bytes,
-            &self.write_bytes,
-            &self.read_ops,
-            &self.write_ops,
-            &self.page_faults,
-            &self.seq_faults,
-            &self.evictions,
-            &self.io_retries,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +136,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let s = IoStats::new();
+        let s = IoStats::default();
         s.record_read(100);
         s.record_read(50);
         s.record_write(10);
@@ -169,14 +148,5 @@ mod tests {
         assert_eq!(s.write_ops(), 1);
         assert_eq!(s.page_faults(), 1);
         assert_eq!(s.evictions(), 1);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let s = IoStats::new();
-        s.record_read(1);
-        s.record_write(1);
-        s.reset();
-        assert_eq!(s.read_bytes() + s.write_bytes() + s.read_ops() + s.write_ops(), 0);
     }
 }

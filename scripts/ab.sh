@@ -13,18 +13,24 @@
 # once per seed, alternating which side goes first. Seeds default to 42,
 # 43, .. (N of them, N defaults to 10); --seeds names them instead.
 #
+# A fixed anchor commit (`anchor=` in this script) also runs, on the first
+# three seeds, each run just before that seed's pair. Raw host seconds from different sessions
+# are not comparable; a side's median host_s over the anchor's is. The
+# anchor's simulator is older, so its sim_* are not compared.
+#
 # It prints a markdown table of the seven end-to-end metrics: each side's
 # median [q1, q3] over the seeds, the change in the median and how many
 # pairs the working tree won, then the claim rule's verdict for host_s: the
 # working tree wins at least N-1 of N pairs and its median is better by more
-# than the base's interquartile range.
+# than the base's interquartile range, and each side's host_s / anchor host_s.
 #
 # Exits 1 if any pair differs in sim_fingerprint or any sim_* metric, if a
 # run reports `"correct":false`, or if the working tree fails a larger share
-# of operations than the base. The worktree is removed on every exit.
+# of operations than the base. The worktrees are removed on every exit.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 root=$(pwd -P)
+anchor=6cb20e2
 
 usage() { awk 'NR > 1 && !/^#/ { exit } NR > 1 { sub(/^# ?/, ""); print }' "${BASH_SOURCE[0]}"; }
 
@@ -55,16 +61,18 @@ base_sha=$(git rev-parse --verify "$base^{commit}")
 tmp=$(mktemp -d)
 cleanup() {
     git -C "$root" worktree remove --force "$tmp/base" 2>/dev/null || true
+    git -C "$root" worktree remove --force "$tmp/anchor" 2>/dev/null || true
     git -C "$root" worktree prune
     rm -rf "$tmp"
 }
 trap cleanup EXIT
 git worktree add --detach --quiet "$tmp/base" "$base_sha"
+git worktree add --detach --quiet "$tmp/anchor" "$anchor"
 
 # side name -> checkout root and target directory.
-declare -A tree=([base]="$tmp/base" [change]="$root")
-declare -A target=([base]="$tmp/target" [change]="$root/target")
-for side in base change; do
+declare -A tree=([base]="$tmp/base" [change]="$root" [anchor]="$tmp/anchor")
+declare -A target=([base]="$tmp/target" [change]="$root/target" [anchor]="$tmp/anchor-target")
+for side in base change anchor; do
     echo "ab.sh: building $side" >&2
     cargo build --release --offline --quiet --manifest-path "${tree[$side]}/benchmark/Cargo.toml" \
         --target-dir "${target[$side]}" >&2
@@ -73,7 +81,8 @@ done
 i=0
 for seed in ${seeds//,/ }; do
     order="base change"
-    ((i++ % 2)) && order="change base"
+    ((i % 2)) && order="change base"
+    ((i++ < 3)) && order="anchor $order"
     for side in $order; do
         echo "ab.sh: seed $seed $side" >&2
         CARGO_TARGET_DIR="${target[$side]}" bash "${tree[$side]}/benchmark/run.sh" \
@@ -105,6 +114,11 @@ function summary(side, m,    v, s, n) {
     for (s = 1; s <= nseed; s++) if ((side, m, seed[s]) in val) v[++n] = val[side, m, seed[s]]
     q1[side, m] = quantile(v, n, 0.25); med[side, m] = quantile(v, n, 0.5); q3[side, m] = quantile(v, n, 0.75)
     return sprintf("%.5g [%.5g, %.5g]", med[side, m], q1[side, m], q3[side, m])
+}
+$1 == "anchor" {
+    while ((getline line < $3) > 0) if (line ~ /^\{/ && (x = value(line, "host_s")) != "") val["anchor", "host_s", $2] = x
+    close($3)
+    next
 }
 {
     file[$1, $2] = $3
@@ -154,6 +168,10 @@ END {
     verdict = wins["host_s"] >= nseed - 1 && gap > iqr ? "holds" : "does not hold"
     printf "\nclaim rule (host_s): wins %d/%d (needs >= %d), median gap %.4g s vs base IQR %.4g s: %s\n", wins["host_s"], nseed, nseed - 1, gap, iqr, verdict
     printf "failed share: base %.4g, working tree %.4g\n", share["base"], share["change"]
+    a = summary("anchor", "host_s")
+    if (med["anchor", "host_s"] > 0) {
+        printf "anchor %s host_s %s: base %.4f, working tree %.4f of it\n", anchor, a, med["base", "host_s"] / med["anchor", "host_s"], med["change", "host_s"] / med["anchor", "host_s"]
+    } else { printf "ERROR: the anchor %s reported no host_s\n", anchor; bad = 1 }
     if (!bad) printf "sim_fingerprint and every sim_* equal on all %d pairs\n", nseed
     exit bad
-}' "$tmp/runs"
+}' anchor="$anchor" "$tmp/runs"

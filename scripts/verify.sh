@@ -67,6 +67,10 @@ echo "ok"
 # Spark-SD and Giraph-OOC reach their device only through kryo_sim's
 # offload/reload pair, the one serialized off-heap path: a framework that
 # serializes or charges device I/O itself is a second copy of it.
+# Every simulated device operation, H2 page cache and blob tier alike, is a
+# DeviceLease submission: device service reaches a clock only through the
+# lease in storage/src/shared.rs, so a charge in device.rs or mmap.rs is a
+# second device path.
 # An H1 word's price has one owner, config::H1Price: outside its constructor
 # no runtime code reads the DRAM word cost, Memory mode's premium or
 # Panthera's NVM split (definitions, comments and tests aside).
@@ -77,7 +81,7 @@ echo "ok"
 # The panic ratchet counts the unwrap/expect/panic!/unreachable! lines of a
 # crate; it may fall, never rise. "Outside tests" is what scripts/loc.sh
 # keeps: no cfg(test) item, statement or oracle file, wherever it sits.
-echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane, one region-liveness rule, placement is its cost model, one stop-world major, one H2 card walk, H2 owns its region metadata, one serialized off-heap path, one H1 word price, round memory through the spare pool, panic ratchet =="
+echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane, one region-liveness rule, placement is its cost model, one stop-world major, one H2 card walk, H2 owns its region metadata, one serialized off-heap path, one device path, one H1 word price, round memory through the spare pool, panic ratchet =="
 if grep -rlE '^[[:space:]]*(pub[[:space:]]+)?enum[[:space:]]+[A-Za-z0-9_]*Op\b' crates/runtime/tests \
     | grep -v '^crates/runtime/tests/common/'; then
     echo "ERROR: an op enum outside crates/runtime/tests/common/; extend the shared language instead." >&2
@@ -132,6 +136,10 @@ if grep -rnE 'kryo_sim::(de)?serialize\(|Category::Io' crates/spark/src crates/g
     echo "ERROR: a framework serializes to its device itself; go through kryo_sim::offload/reload." >&2
     exit 1
 fi
+if grep -nE '\.charge(_batched)?\(|add_many\(' crates/storage/src/device.rs crates/storage/src/mmap.rs; then
+    echo "ERROR: a device charges a clock itself; serve it through its DeviceLease (shared.rs)." >&2
+    exit 1
+fi
 stray_price=$(scripts/loc.sh --lines crates/runtime/src | awk '
     { text = $0; sub(/^[^:]*:[^:]*:/, "", text) }
     /^[^:]*\/config\.rs:/ && text ~ /^    pub\(crate\) fn new\(config: &HeapConfig/ { build = 1 }
@@ -183,8 +191,8 @@ if ! diff <(scripts/loc.sh --root scripts/loc_fixture) scripts/loc_fixture/expec
 fi
 loc=$(scripts/loc.sh)
 echo "$loc"
-declare -A pin=([bench]=2434 [core]=1680 [giraph]=1221 [kryo]=496 [obs]=891 [query]=1381
-    [runtime]=4460 [server]=480 [spark]=1669 [storage]=2289 [util]=1574 [workloads]=268)
+declare -A pin=([bench]=2434 [core]=1675 [giraph]=1221 [kryo]=496 [obs]=891 [query]=1381
+    [runtime]=4460 [server]=480 [spark]=1669 [storage]=2288 [util]=1574 [workloads]=268)
 while read -r crate lines; do
     [[ $crate == crate || $crate == total ]] && continue
     if [[ -z ${pin[$crate]:-} ]]; then
@@ -240,7 +248,7 @@ kryo_sim/lib::tests::a_recycled_blob_buffer_  §9   a consumed blob's buffer ser
 mini_spark/charge_pin::                       §9   the scan loops, block manager and dataset loaders: per-category ns, GC and S/D counts, faults, charge-call counts, live roots at exit (golden)
 kryo_sim/stream_pin::                         §9   stream bytes, size estimate and every charge of serialize, serialized_size and deserialize (golden)
 teraheap_storage/lib::fault::tests::parse_     §10  TERAHEAP_FAULTS parsing: the documented keys round-trip; fuzzed strings never panic; an unknown key or a value too large for its u32 field is ignored, never turning a plan off
-teraheap_runtime/fault_recovery::             §10  the chaos_smoke_* tests the faults smoke stage drives: seeded transient errors and latency spikes on NVMe, NVM and DAX keep every payload, checked at every GC boundary
+teraheap_runtime/fault_recovery::             §10  the chaos_smoke_* tests the faults smoke stage drives: seeded transient errors and latency spikes on NVMe, NVM and DAX keep every payload, checked at every GC boundary; the plan must fire on NVMe and not on DAX
 teraheap_runtime/mutator_programs::faults_arm §10  a random fault plan never corrupts a payload, and H2 degrades only under ENOSPC or write errors
 teraheap_runtime/fault_equivalence::          §10  a zero-rate fault plane is bit-identical to no plane at all
 teraheap_runtime/gc_equivalence::             §11  simulated ns, phase breakdowns and graph checksum over variant x gc_threads x armed fault plane, plus the paper's 8 KB card (two pages a card), a DAX device and NVM Memory mode (golden), and (§12) that a sole tenant never queues
@@ -249,6 +257,7 @@ teraheap_runtime/mutator_programs::graph_arm  §6   random mutator programs leav
 teraheap_runtime/mutator_programs::product_arm §6  the oracle and the armed checker hold over variant x lanes x device x fault plan x access mode
 teraheap_runtime/mutator_programs::lanes_arm  §11  lane accounting is deterministic across runs, thread counts and host parallelism
 teraheap_storage/lib::shared::reference::     §12  the earliest-fit device calendar gives the waits, device virtual time and per-tenant counters of a brute-force scan over every booking, keeps its bookings sorted, disjoint and merged, and gives a sole tenant the FIFO's waits, over 1-8 tenants with production-style (pruning) and arbitrary arrivals
+teraheap_storage/lib::device::tests::store_and_load_are_served_  §12  one device path: a blob store and load book two ops on their private device's arbiter for exactly their service, and a refused blob books nothing and leaves the clock where it was
 teraheap_server/lib::                         §12  N-tenant server runs are deterministic, with typed config rejection
 teraheap_server/lib::tests::recycled_round_memory_  §12  rounds built in recycled H1 words and H2 stores report what rounds in fresh memory do, bit for bit (per-round ns, checksums, TenantIo), and the pool is empty after the run
 teraheap_storage/lib::spare::                 §12  the spare pool reuses only exact-length all-zero buffers, parks nothing outside a run and is emptied when the run ends
@@ -390,7 +399,8 @@ echo "ok"
 # seeded chaos run per device profile (NVMe page cache, Optane NVM,
 # DRAM-DAX), injected through the production TERAHEAP_FAULTS path with the
 # full-heap checker armed at every GC boundary. The fixed seed keeps the
-# stage replayable bit-for-bit.
+# stage replayable bit-for-bit. The NVMe run fails unless the plan fired
+# (I/O retries on the H2 mapping); the DAX runs fail if it did.
 echo "== faults smoke: seeded chaos per device profile =="
 chaos="seed=20260806,read_err_ppm=20000,write_err_ppm=20000,max_retries=4,backoff_ns=50000,spike_every=512,spike_len=32,spike_mult=8"
 for profile in nvme nvm dax; do
