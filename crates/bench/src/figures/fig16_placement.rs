@@ -3,16 +3,16 @@
 //!
 //! The paper's TeraHeap places *every* hinted partition in H2 behind static
 //! high/low watermarks; Spark-SD serializes every partition past its
-//! on-heap budget. The adaptive plane of DESIGN.md §13 re-decides per put
-//! between the on-heap cache, the serialized tier and H2 from a
-//! per-partition cost model. This figure runs the three on LR, SVM, PR and
-//! CC (Table 3) over NVMe, each at its row's larger TeraHeap DRAM size:
+//! on-heap budget. The adaptive placement of DESIGN.md §13 puts Spark-SD's
+//! on-heap budget in front of H2. This figure runs the three on LR, SVM,
+//! PR and CC (Table 3) over NVMe, each at its row's larger TeraHeap DRAM
+//! size:
 //!
-//! | arm        | placement                                      |
-//! |------------|------------------------------------------------|
-//! | `spark-sd` | on-heap up to half the heap, then serialize    |
-//! | `teraheap` | every partition tagged and moved to H2         |
-//! | `adaptive` | the cost model's choice (`ExecMode::Adaptive`) |
+//! | arm        | placement                                                   |
+//! |------------|-------------------------------------------------------------|
+//! | `spark-sd` | on-heap up to half the heap, then serialize                 |
+//! | `teraheap` | every partition tagged and moved to H2                      |
+//! | `adaptive` | on-heap up to half the heap, then H2 (`ExecMode::Adaptive`) |
 //!
 //! Self-gates: every arm of a workload completes with the same checksum,
 //! and adaptive beats both static arms end-to-end on at least one workload.

@@ -329,13 +329,13 @@ pub enum EventKind {
     /// Nothing emits this any more (H2 pretenuring is gone); kept because
     /// the repo benchmark still matches on it.
     Pretenure { label: u64, words: u64 },
-    /// The online cost model decided where partition `(rdd, partition)` is
+    /// Adaptive placement decided where partition `(rdd, partition)` is
     /// cached: `choice` indexes `PLACEMENT_NAMES` (0 on-heap, 1 serialized,
     /// 2 H2).
     PlacementDecision { rdd: u64, partition: u32, choice: u8 },
     /// A block-manager serialize (`deser == false`) or deserialize
-    /// (`deser == true`) of `bytes` bytes — the one source of truth the
-    /// cost model, `RunReport` and the timeline exporter all read.
+    /// (`deser == true`) of `bytes` bytes — the one source of truth
+    /// `RunReport` and the timeline exporter both read.
     BlockSerde { deser: bool, bytes: u64 },
     /// A query-plane operation began on logical client session `session`;
     /// `kind` indexes [`QUERY_OP_NAMES`] (0 point lookup, 1 range scan,

@@ -4,12 +4,11 @@
 //! stages fetch them back with [`BlockManager::get`]. The three cache modes
 //! implement the paper's baseline and TeraHeap configurations.
 
-use crate::placement::{Placement, PlacementModel};
 use std::collections::HashMap;
 use teraheap_core::Label;
 use teraheap_runtime::obs::EventKind;
 use teraheap_runtime::{Handle, Heap, OomError};
-use teraheap_storage::{Blob, Category, SimDevice};
+use teraheap_storage::{Blob, SimDevice};
 
 /// Identifies a cached partition: `(rdd id, partition index)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -36,17 +35,35 @@ pub enum CacheMode {
     OnHeapOnly,
     /// TeraHeap: partitions are tagged + moved to H2 and accessed directly.
     TeraHeap,
-    /// Adaptive: an online cost model re-decides per put between the
-    /// deserialized on-heap cache, the serialized off-heap cache, and H2
-    /// (requires an attached H2 for the H2 tier to be reachable).
+    /// Adaptive (DESIGN.md §13): a partition stays deserialized on the
+    /// heap while it fits the on-heap budget, otherwise it moves to H2 if
+    /// an H2 is attached and not degraded, otherwise it is serialized.
     Adaptive {
         /// Device holding the serialized off-heap cache tier.
         device: SimDevice,
-        /// On-heap cache budget in words.
+        /// On-heap cache budget in words (returned on unpersist).
         onheap_budget_words: usize,
-        /// The online placement model.
-        model: PlacementModel,
     },
+}
+
+/// Where a put places a partition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// Deserialized on the H1 heap (pays GC copying while live).
+    OnHeap = 0,
+    /// Serialized to the off-heap cache device (pays S/D + I/O per access).
+    Serialized = 1,
+    /// Tagged and moved to H2 (pays promotion once, device faults per
+    /// access, no S/D).
+    H2 = 2,
+}
+
+impl Placement {
+    /// Index into `teraheap_obs::PLACEMENT_NAMES` (and the
+    /// `PlacementDecision` event's `choice` field).
+    pub fn index(self) -> u8 {
+        self as u8
+    }
 }
 
 #[derive(Debug)]
@@ -116,7 +133,7 @@ impl BlockManager {
     pub fn put(&mut self, heap: &mut Heap, id: BlockId, partition: Handle) -> Result<(), OomError> {
         // What an on-heap placement is charged against the budget.
         let mut words = 0;
-        let placement = match &mut self.mode {
+        let placement = match &self.mode {
             CacheMode::OnHeapOnly => Placement::OnHeap,
             CacheMode::TeraHeap => Placement::H2,
             CacheMode::SerializedOverflow { onheap_budget_words, .. } => {
@@ -127,14 +144,15 @@ impl BlockManager {
                     Placement::Serialized
                 }
             }
-            CacheMode::Adaptive { onheap_budget_words, model, .. } => {
-                model.note_put(id.rdd);
-                let bytes_est = kryo_sim::serialized_size(heap, partition);
-                words = bytes_est / 8;
-                let onheap_fits = self.onheap_used_words + words <= *onheap_budget_words;
-                let h2_ok = heap.h2().is_some_and(|h| !h.is_degraded());
-                let choice =
-                    model.decide(id.rdd, words as u64, bytes_est as u64, onheap_fits, h2_ok);
+            CacheMode::Adaptive { onheap_budget_words, .. } => {
+                words = kryo_sim::serialized_size(heap, partition) / 8;
+                let choice = if self.onheap_used_words + words <= *onheap_budget_words {
+                    Placement::OnHeap
+                } else if heap.h2().is_some_and(|h| !h.is_degraded()) {
+                    Placement::H2
+                } else {
+                    Placement::Serialized
+                };
                 heap.clock().emit(EventKind::PlacementDecision {
                     rdd: id.rdd,
                     partition: id.partition,
@@ -159,20 +177,15 @@ impl BlockManager {
                 Slot::OnHeap(partition)
             }
             Placement::Serialized => {
-                let (device, model) = match &mut self.mode {
-                    CacheMode::SerializedOverflow { device, .. } => (device, None),
-                    CacheMode::Adaptive { device, model, .. } => (device, Some(model)),
+                let device = match &mut self.mode {
+                    CacheMode::SerializedOverflow { device, .. }
+                    | CacheMode::Adaptive { device, .. } => device,
                     _ => unreachable!("serialized placement without a device"),
                 };
-                let before = heap.clock().category_ns(Category::SerDe);
                 let stored = kryo_sim::offload(device, heap, partition, "off-heap cache");
                 heap.release(partition);
                 let blob = stored?;
-                let len = blob.len() as u64;
-                if let Some(model) = model {
-                    model.observe_serde(len, heap.clock().category_ns(Category::SerDe) - before);
-                }
-                heap.clock().emit(EventKind::BlockSerde { deser: false, bytes: len });
+                heap.clock().emit(EventKind::BlockSerde { deser: false, bytes: blob.len() as u64 });
                 self.sd_serializations += 1;
                 Slot::OffHeap(blob)
             }
@@ -216,9 +229,6 @@ impl BlockManager {
         let Some(slot) = self.slots.get(&id) else {
             return Ok(None);
         };
-        if let CacheMode::Adaptive { model, .. } = &mut self.mode {
-            model.note_get(id.rdd);
-        }
         match slot {
             Slot::OnHeap(h) => Ok(Some(heap.dup(*h))),
             Slot::OffHeap(blob) => {
@@ -228,14 +238,8 @@ impl BlockManager {
                     _ => unreachable!("off-heap slot without a device"),
                 };
                 self.sd_deserializations += 1;
-                let before = heap.clock().category_ns(Category::SerDe);
                 let h = kryo_sim::reload(device, heap, blob)?;
-                let serde_ns = heap.clock().category_ns(Category::SerDe) - before;
-                let len = blob.len() as u64;
-                heap.clock().emit(EventKind::BlockSerde { deser: true, bytes: len });
-                if let CacheMode::Adaptive { model, .. } = &mut self.mode {
-                    model.observe_serde(len, serde_ns);
-                }
+                heap.clock().emit(EventKind::BlockSerde { deser: true, bytes: blob.len() as u64 });
                 Ok(Some(h))
             }
         }
@@ -263,10 +267,35 @@ impl BlockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use teraheap_core::H2Config;
+    use teraheap_runtime::obs::Level;
     use teraheap_runtime::HeapConfig;
     use teraheap_storage::{DeviceSpec, SharedDevice};
+
+    /// A small heap with every event recorded, and an H2 over NVMe if `h2`.
+    fn traced_heap(h2: bool) -> Heap {
+        let mut cfg = HeapConfig::small();
+        cfg.obs_level = Some(Level::Full);
+        let mut heap = Heap::new(cfg);
+        if h2 {
+            let h2cfg = H2Config::builder()
+                .region_words(4096)
+                .n_regions(8)
+                .card_seg_words(512)
+                .resident_budget_bytes(64 << 10)
+                .page_size(4096)
+                .promo_buffer_bytes(8 << 10)
+                .build()
+                .expect("valid H2 config");
+            let dev = SharedDevice::new(
+                DeviceSpec::nvme_ssd(),
+                h2cfg.footprint_bytes(),
+                heap.clock().clone(),
+            );
+            heap.attach_h2(h2cfg, &dev).unwrap();
+        }
+        heap
+    }
 
     fn mk_partition(heap: &mut Heap, words: usize, fill: u64) -> Handle {
         let p = heap.alloc_prim_array(words).unwrap();
@@ -312,23 +341,7 @@ mod tests {
 
     #[test]
     fn teraheap_mode_moves_partitions_to_h2() {
-        let clock = Arc::new(teraheap_storage::SimClock::new());
-        let mut heap = Heap::with_clock(HeapConfig::small(), clock);
-        let h2cfg = H2Config::builder()
-            .region_words(4096)
-            .n_regions(8)
-            .card_seg_words(512)
-            .resident_budget_bytes(64 << 10)
-            .page_size(4096)
-            .promo_buffer_bytes(8 << 10)
-            .build()
-            .expect("valid H2 config");
-        let dev = SharedDevice::new(
-            DeviceSpec::nvme_ssd(),
-            h2cfg.footprint_bytes(),
-            heap.clock().clone(),
-        );
-        heap.attach_h2(h2cfg, &dev).unwrap();
+        let mut heap = traced_heap(true);
         let mut bm = BlockManager::new(CacheMode::TeraHeap);
         let p = mk_partition(&mut heap, 64, 7);
         let id = BlockId { rdd: 3, partition: 0 };
@@ -337,6 +350,68 @@ mod tests {
         let q = bm.get(&mut heap, id).unwrap().unwrap();
         assert!(heap.is_in_h2(q), "partition lives in H2 after major GC");
         assert_eq!(heap.read_prim(q, 10), 17, "direct access, no S/D");
+    }
+
+    #[test]
+    fn adaptive_mode_keeps_the_budget_on_heap_then_prefers_h2_to_serializing() {
+        // Under a 40-word budget a 32-word partition fits and a second does not.
+        let adaptive = |heap: &Heap| CacheMode::Adaptive {
+            device: SimDevice::new(DeviceSpec::nvme_ssd(), 1 << 20, heap.clock().clone()),
+            onheap_budget_words: 40,
+        };
+        let choices = |heap: &Heap| -> Vec<u8> {
+            let events = heap.clock().tracer().events();
+            events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::PlacementDecision { choice, .. } => Some(choice),
+                    _ => None,
+                })
+                .collect()
+        };
+        let (on_heap, serialized, h2) =
+            (Placement::OnHeap.index(), Placement::Serialized.index(), Placement::H2.index());
+        let (a, b, c) = (
+            BlockId { rdd: 1, partition: 0 },
+            BlockId { rdd: 1, partition: 1 },
+            BlockId { rdd: 2, partition: 0 },
+        );
+        let in_h2 = |bm: &mut BlockManager, heap: &mut Heap, id| {
+            let q = bm.get(heap, id).unwrap().unwrap();
+            let moved = heap.is_in_h2(q);
+            heap.release(q);
+            moved
+        };
+
+        let mut heap = traced_heap(true);
+        let mut bm = BlockManager::new(adaptive(&heap));
+        for (id, fill) in [(a, 0), (b, 1000)] {
+            let p = mk_partition(&mut heap, 32, fill);
+            bm.put(&mut heap, id, p).unwrap();
+        }
+        heap.gc_major().unwrap();
+        assert!(!in_h2(&mut bm, &mut heap, a), "the first put fits the budget");
+        assert!(in_h2(&mut bm, &mut heap, b), "past the budget, H2 takes the partition");
+        assert_eq!(bm.serializations(), 0);
+        assert_eq!(choices(&heap), [on_heap, h2]);
+        // Unpersist returns the budget, so the next put fits on the heap again.
+        bm.unpersist(&mut heap, 1);
+        let p = mk_partition(&mut heap, 32, 2000);
+        bm.put(&mut heap, c, p).unwrap();
+        heap.gc_major().unwrap();
+        assert!(!in_h2(&mut bm, &mut heap, c));
+        assert_eq!(choices(&heap), [on_heap, h2, on_heap]);
+
+        // With no H2, the partition past the budget is serialized.
+        let mut heap = traced_heap(false);
+        let mut bm = BlockManager::new(adaptive(&heap));
+        for (id, fill) in [(a, 0), (b, 1000)] {
+            let p = mk_partition(&mut heap, 32, fill);
+            bm.put(&mut heap, id, p).unwrap();
+        }
+        assert!(bm.is_on_heap(a) && !bm.is_on_heap(b));
+        assert_eq!(bm.serializations(), 1);
+        assert_eq!(choices(&heap), [on_heap, serialized]);
     }
 
     #[test]

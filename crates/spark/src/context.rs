@@ -1,7 +1,6 @@
 //! The Spark execution context: heap + block manager + shared classes.
 
 use crate::block::{BlockManager, CacheMode};
-use crate::placement::PlacementModel;
 use teraheap_core::H2Config;
 use teraheap_runtime::obs::SpanKind;
 use teraheap_runtime::{ClassId, Heap, HeapConfig, SharedDevice};
@@ -26,10 +25,11 @@ pub enum ExecMode {
         /// Device backing H2.
         device: DeviceSpec,
     },
-    /// Adaptive placement: H2 is attached as in TeraHeap mode, a serialized
-    /// off-heap cache tier exists as in Spark-SD, and the online cost model
-    /// ([`crate::placement`]) re-decides per put which tier each partition
-    /// lands in.
+    /// Adaptive placement: H2 is attached as in TeraHeap mode and a
+    /// serialized off-heap cache tier exists as in Spark-SD; each put keeps
+    /// the partition on-heap while it fits the budget Spark-SD has, and
+    /// past it moves the partition to H2 (or serializes it while H2 is
+    /// degraded).
     Adaptive {
         /// H2 layout.
         h2: H2Config,
@@ -119,17 +119,10 @@ impl SparkContext {
             },
             ExecMode::OnHeap => CacheMode::OnHeapOnly,
             ExecMode::TeraHeap { .. } => CacheMode::TeraHeap,
-            ExecMode::Adaptive { device, .. } => {
-                let cost = config.heap.cost;
-                // Seed the S/D estimate from the static cost model (per-KiB,
-                // one direction); real Kryo runs refine it online.
-                let serde_prior = cost.serde_byte_ns * 1024 + cost.serde_object_ns;
-                CacheMode::Adaptive {
-                    device: SimDevice::new(device, 4 << 30, heap.clock().clone()),
-                    onheap_budget_words: config.heap.h1_words() / 2,
-                    model: PlacementModel::new(device, serde_prior, cost.gc_copy_word_ns),
-                }
-            }
+            ExecMode::Adaptive { device, .. } => CacheMode::Adaptive {
+                device: SimDevice::new(device, 4 << 30, heap.clock().clone()),
+                onheap_budget_words: config.heap.h1_words() / 2,
+            },
         };
         let partition_class = heap.register_class("SparkPartition", 2, 1);
         let vertex_class = heap.register_class("Vertex", 1, 2);

@@ -22,13 +22,11 @@
 
 pub mod block;
 pub mod context;
-pub mod placement;
 pub mod report;
 pub mod workloads;
 
-pub use block::{BlockId, BlockManager, CacheMode};
+pub use block::{BlockId, BlockManager, CacheMode, Placement};
 pub use context::{ExecMode, SparkConfig, SparkContext};
-pub use placement::{Placement, PlacementInputs, PlacementModel};
 pub use report::RunReport;
 pub use workloads::{
     run_workload, run_workload_on, run_workload_reported, run_workload_traced, DatasetScale,

@@ -193,9 +193,8 @@ impl MmapSim {
         &self.stats
     }
 
-    /// The device specification backing the mapping — the stats-probe API
-    /// used by online cost models to estimate per-access service time
-    /// (latency + bandwidth terms) without issuing traffic.
+    /// The device specification backing the mapping, for pricing service
+    /// time (latency + bandwidth terms) without issuing traffic.
     pub fn spec(&self) -> &DeviceSpec {
         &self.spec
     }
