@@ -1,14 +1,16 @@
 //! The block manager: Spark's compute cache (Figure 4).
 //!
 //! `persist()`ed partitions flow through [`BlockManager::put`]; iterative
-//! stages fetch them back with [`BlockManager::get`]. The three cache modes
-//! implement the paper's baseline and TeraHeap configurations.
+//! stages fetch them back with [`BlockManager::get`]. The run's
+//! [`ExecMode`] decides where each partition is cached.
 
+use crate::context::ExecMode;
 use std::collections::HashMap;
+use std::sync::Arc;
 use teraheap_core::Label;
 use teraheap_runtime::obs::EventKind;
 use teraheap_runtime::{Handle, Heap, OomError};
-use teraheap_storage::{Blob, SimDevice};
+use teraheap_storage::{Blob, SimClock, SimDevice};
 
 /// Identifies a cached partition: `(rdd id, partition index)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -17,33 +19,6 @@ pub struct BlockId {
     pub rdd: u64,
     /// Partition index within the RDD.
     pub partition: u32,
-}
-
-/// How cached partitions are stored.
-#[derive(Debug)]
-pub enum CacheMode {
-    /// Spark-SD: deserialized on-heap cache bounded to a fraction of the
-    /// heap; overflow is serialized onto the device and deserialized back
-    /// on access.
-    SerializedOverflow {
-        /// Device holding the serialized off-heap cache.
-        device: SimDevice,
-        /// On-heap cache budget in words (paper: 50% of the heap).
-        onheap_budget_words: usize,
-    },
-    /// Spark-MO / plain on-heap: everything stays deserialized on the heap.
-    OnHeapOnly,
-    /// TeraHeap: partitions are tagged + moved to H2 and accessed directly.
-    TeraHeap,
-    /// Adaptive (DESIGN.md §13): a partition stays deserialized on the
-    /// heap while it fits the on-heap budget, otherwise it moves to H2 if
-    /// an H2 is attached and not degraded, otherwise it is serialized.
-    Adaptive {
-        /// Device holding the serialized off-heap cache tier.
-        device: SimDevice,
-        /// On-heap cache budget in words (returned on unpersist).
-        onheap_budget_words: usize,
-    },
 }
 
 /// Where a put places a partition.
@@ -68,33 +43,45 @@ impl Placement {
 
 #[derive(Debug)]
 enum Slot {
-    OnHeap(Handle),
+    /// An on-heap or H2-resident partition and the budget words it holds
+    /// (0 in H2 and in the unbudgeted modes).
+    OnHeap(Handle, usize),
     OffHeap(Blob),
 }
 
 /// The compute cache holding persisted partitions.
 #[derive(Debug)]
 pub struct BlockManager {
-    mode: CacheMode,
+    mode: ExecMode,
+    /// The serialized tier, under `SparkSd` and `Adaptive` only.
+    device: Option<SimDevice>,
+    onheap_budget_words: usize,
     slots: HashMap<BlockId, Slot>,
     onheap_used_words: usize,
     sd_serializations: u64,
     sd_deserializations: u64,
-    /// Adaptive mode only: words each on-heap-budgeted block is charged,
-    /// so unpersist can return its budget (H2-placed blocks are absent).
-    budgeted: HashMap<BlockId, usize>,
 }
 
 impl BlockManager {
-    /// Creates a block manager in the given mode.
-    pub fn new(mode: CacheMode) -> Self {
+    /// Creates a block manager for `mode`. `SparkSd` and `Adaptive` keep
+    /// partitions on the heap up to `onheap_budget_words` (the paper: half
+    /// the heap) and get a 4 GiB serialized tier charging `clock`; the
+    /// other modes ignore both.
+    pub fn new(mode: ExecMode, onheap_budget_words: usize, clock: Arc<SimClock>) -> Self {
+        let device = match mode {
+            ExecMode::SparkSd { device } | ExecMode::Adaptive { device, .. } => {
+                Some(SimDevice::new(device, 4 << 30, clock))
+            }
+            ExecMode::OnHeap | ExecMode::TeraHeap { .. } => None,
+        };
         BlockManager {
             mode,
+            device,
+            onheap_budget_words,
             slots: HashMap::new(),
             onheap_used_words: 0,
             sd_serializations: 0,
             sd_deserializations: 0,
-            budgeted: HashMap::new(),
         }
     }
 
@@ -122,6 +109,11 @@ impl BlockManager {
     /// failed put releases it; a put over a cached id replaces that block).
     /// The mode decides the tier, then the block is placed there.
     ///
+    /// `SparkSd` and `Adaptive` share one rule (DESIGN.md §13): the
+    /// partition stays on the heap while it fits the budget; past it,
+    /// `Adaptive` moves it to H2 if one is attached and not degraded, and
+    /// otherwise it is serialized. Only `Adaptive` emits its decision.
+    ///
     /// An H2 placement tags the partition as a root key-object with the RDD
     /// id as label and advises the move (§5: the block manager issues
     /// `h2_tag_root` and `h2_move` as it stores each partition).
@@ -133,54 +125,44 @@ impl BlockManager {
     pub fn put(&mut self, heap: &mut Heap, id: BlockId, partition: Handle) -> Result<(), OomError> {
         // What an on-heap placement is charged against the budget.
         let mut words = 0;
-        let placement = match &self.mode {
-            CacheMode::OnHeapOnly => Placement::OnHeap,
-            CacheMode::TeraHeap => Placement::H2,
-            CacheMode::SerializedOverflow { onheap_budget_words, .. } => {
+        let placement = match self.mode {
+            ExecMode::OnHeap => Placement::OnHeap,
+            ExecMode::TeraHeap { .. } => Placement::H2,
+            ExecMode::SparkSd { .. } | ExecMode::Adaptive { .. } => {
+                // The size walk charges loads: only the budgeted modes pay it.
                 words = kryo_sim::serialized_size(heap, partition) / 8;
-                if self.onheap_used_words + words <= *onheap_budget_words {
+                let adaptive = matches!(self.mode, ExecMode::Adaptive { .. });
+                let choice = if self.onheap_used_words + words <= self.onheap_budget_words {
                     Placement::OnHeap
-                } else {
-                    Placement::Serialized
-                }
-            }
-            CacheMode::Adaptive { onheap_budget_words, .. } => {
-                words = kryo_sim::serialized_size(heap, partition) / 8;
-                let choice = if self.onheap_used_words + words <= *onheap_budget_words {
-                    Placement::OnHeap
-                } else if heap.h2().is_some_and(|h| !h.is_degraded()) {
+                } else if adaptive && heap.h2().is_some_and(|h| !h.is_degraded()) {
                     Placement::H2
                 } else {
                     Placement::Serialized
                 };
-                heap.clock().emit(EventKind::PlacementDecision {
-                    rdd: id.rdd,
-                    partition: id.partition,
-                    choice: choice.index(),
-                });
+                if adaptive {
+                    heap.clock().emit(EventKind::PlacementDecision {
+                        rdd: id.rdd,
+                        partition: id.partition,
+                        choice: choice.index(),
+                    });
+                }
                 choice
             }
         };
-        let mut budget = None;
         let slot = match placement {
             Placement::OnHeap => {
                 self.onheap_used_words += words;
-                // Only adaptive mode records what unpersist gives back:
-                // Spark-SD's budget only ever shrinks (ROADMAP item 1(b)).
-                budget = matches!(self.mode, CacheMode::Adaptive { .. }).then_some(words);
-                Slot::OnHeap(partition)
+                Slot::OnHeap(partition, words)
             }
             Placement::H2 => {
                 let label = Label::new(id.rdd);
                 heap.h2_tag_root(partition, label);
                 heap.h2_move(label);
-                Slot::OnHeap(partition)
+                Slot::OnHeap(partition, 0)
             }
             Placement::Serialized => {
-                let device = match &mut self.mode {
-                    CacheMode::SerializedOverflow { device, .. }
-                    | CacheMode::Adaptive { device, .. } => device,
-                    _ => unreachable!("serialized placement without a device"),
+                let Some(device) = self.device.as_mut() else {
+                    unreachable!("serialized placement without a device")
                 };
                 let stored = kryo_sim::offload(device, heap, partition, "off-heap cache");
                 heap.release(partition);
@@ -190,28 +172,17 @@ impl BlockManager {
                 Slot::OffHeap(blob)
             }
         };
-        self.insert(heap, id, slot, budget);
+        self.evict(heap, id);
+        self.slots.insert(id, slot);
         Ok(())
     }
 
-    /// Caches `slot` under `id`, replacing the block a previous put left
-    /// there; `budget` is what unpersist returns to the on-heap budget.
-    fn insert(&mut self, heap: &mut Heap, id: BlockId, slot: Slot, budget: Option<usize>) {
-        self.evict(heap, id);
-        self.slots.insert(id, slot);
-        if let Some(words) = budget {
-            self.budgeted.insert(id, words);
-        }
-    }
-
-    /// Drops block `id`, if cached: releases an on-heap handle (an off-heap
-    /// blob frees its bytes by being dropped) and returns its budget.
+    /// Drops block `id`, if cached: releases an on-heap handle and returns
+    /// its budget words (an off-heap blob frees its bytes by being dropped).
     fn evict(&mut self, heap: &mut Heap, id: BlockId) {
-        if let Some(Slot::OnHeap(h)) = self.slots.remove(&id) {
+        if let Some(Slot::OnHeap(h, words)) = self.slots.remove(&id) {
             heap.release(h);
-        }
-        if let Some(words) = self.budgeted.remove(&id) {
-            self.onheap_used_words = self.onheap_used_words.saturating_sub(words);
+            self.onheap_used_words -= words;
         }
     }
 
@@ -230,12 +201,10 @@ impl BlockManager {
             return Ok(None);
         };
         match slot {
-            Slot::OnHeap(h) => Ok(Some(heap.dup(*h))),
+            Slot::OnHeap(h, _) => Ok(Some(heap.dup(*h))),
             Slot::OffHeap(blob) => {
-                let device = match &self.mode {
-                    CacheMode::SerializedOverflow { device, .. }
-                    | CacheMode::Adaptive { device, .. } => device,
-                    _ => unreachable!("off-heap slot without a device"),
+                let Some(device) = &self.device else {
+                    unreachable!("off-heap slot without a device")
                 };
                 self.sd_deserializations += 1;
                 let h = kryo_sim::reload(device, heap, blob)?;
@@ -247,7 +216,7 @@ impl BlockManager {
 
     /// Whether the block is served from the on-heap (or H2) cache.
     pub fn is_on_heap(&self, id: BlockId) -> bool {
-        matches!(self.slots.get(&id), Some(Slot::OnHeap(_)))
+        matches!(self.slots.get(&id), Some(Slot::OnHeap(..)))
     }
 
     /// Removes an entire RDD from the cache, releasing on-heap handles in
@@ -272,21 +241,39 @@ mod tests {
     use teraheap_runtime::HeapConfig;
     use teraheap_storage::{DeviceSpec, SharedDevice};
 
+    fn h2_config() -> H2Config {
+        H2Config::builder()
+            .region_words(4096)
+            .n_regions(8)
+            .card_seg_words(512)
+            .resident_budget_bytes(64 << 10)
+            .page_size(4096)
+            .promo_buffer_bytes(8 << 10)
+            .build()
+            .expect("valid H2 config")
+    }
+
+    fn spark_sd() -> ExecMode {
+        ExecMode::SparkSd { device: DeviceSpec::nvme_ssd() }
+    }
+
+    fn adaptive() -> ExecMode {
+        ExecMode::Adaptive { h2: h2_config(), device: DeviceSpec::nvme_ssd() }
+    }
+
+    /// A block manager whose budgeted modes hold 40 words on the heap: one
+    /// 32-word partition fits and a second does not.
+    fn manager(heap: &Heap, mode: ExecMode) -> BlockManager {
+        BlockManager::new(mode, 40, heap.clock().clone())
+    }
+
     /// A small heap with every event recorded, and an H2 over NVMe if `h2`.
     fn traced_heap(h2: bool) -> Heap {
         let mut cfg = HeapConfig::small();
         cfg.obs_level = Some(Level::Full);
         let mut heap = Heap::new(cfg);
         if h2 {
-            let h2cfg = H2Config::builder()
-                .region_words(4096)
-                .n_regions(8)
-                .card_seg_words(512)
-                .resident_budget_bytes(64 << 10)
-                .page_size(4096)
-                .promo_buffer_bytes(8 << 10)
-                .build()
-                .expect("valid H2 config");
+            let h2cfg = h2_config();
             let dev = SharedDevice::new(
                 DeviceSpec::nvme_ssd(),
                 h2cfg.footprint_bytes(),
@@ -295,6 +282,18 @@ mod tests {
             heap.attach_h2(h2cfg, &dev).unwrap();
         }
         heap
+    }
+
+    /// The `choice` of every `PlacementDecision` the heap's tracer holds.
+    fn choices(heap: &Heap) -> Vec<u8> {
+        let events = heap.clock().tracer().events();
+        events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::PlacementDecision { choice, .. } => Some(choice),
+                _ => None,
+            })
+            .collect()
     }
 
     fn mk_partition(heap: &mut Heap, words: usize, fill: u64) -> Handle {
@@ -308,7 +307,7 @@ mod tests {
     #[test]
     fn onheap_mode_round_trips() {
         let mut heap = Heap::new(HeapConfig::small());
-        let mut bm = BlockManager::new(CacheMode::OnHeapOnly);
+        let mut bm = manager(&heap, ExecMode::OnHeap);
         let p = mk_partition(&mut heap, 16, 100);
         let id = BlockId { rdd: 1, partition: 0 };
         bm.put(&mut heap, id, p).unwrap();
@@ -320,9 +319,7 @@ mod tests {
     #[test]
     fn overflow_mode_serializes_past_budget() {
         let mut heap = Heap::new(HeapConfig::small());
-        let device = SimDevice::new(DeviceSpec::nvme_ssd(), 1 << 20, heap.clock().clone());
-        let mut bm =
-            BlockManager::new(CacheMode::SerializedOverflow { device, onheap_budget_words: 40 });
+        let mut bm = manager(&heap, spark_sd());
         let a = mk_partition(&mut heap, 32, 0);
         let b = mk_partition(&mut heap, 32, 1000);
         bm.put(&mut heap, BlockId { rdd: 1, partition: 0 }, a).unwrap();
@@ -342,7 +339,8 @@ mod tests {
     #[test]
     fn teraheap_mode_moves_partitions_to_h2() {
         let mut heap = traced_heap(true);
-        let mut bm = BlockManager::new(CacheMode::TeraHeap);
+        let mode = ExecMode::TeraHeap { h2: h2_config(), device: DeviceSpec::nvme_ssd() };
+        let mut bm = manager(&heap, mode);
         let p = mk_partition(&mut heap, 64, 7);
         let id = BlockId { rdd: 3, partition: 0 };
         bm.put(&mut heap, id, p).unwrap();
@@ -354,28 +352,9 @@ mod tests {
 
     #[test]
     fn adaptive_mode_keeps_the_budget_on_heap_then_prefers_h2_to_serializing() {
-        // Under a 40-word budget a 32-word partition fits and a second does not.
-        let adaptive = |heap: &Heap| CacheMode::Adaptive {
-            device: SimDevice::new(DeviceSpec::nvme_ssd(), 1 << 20, heap.clock().clone()),
-            onheap_budget_words: 40,
-        };
-        let choices = |heap: &Heap| -> Vec<u8> {
-            let events = heap.clock().tracer().events();
-            events
-                .iter()
-                .filter_map(|e| match e.kind {
-                    EventKind::PlacementDecision { choice, .. } => Some(choice),
-                    _ => None,
-                })
-                .collect()
-        };
         let (on_heap, serialized, h2) =
             (Placement::OnHeap.index(), Placement::Serialized.index(), Placement::H2.index());
-        let (a, b, c) = (
-            BlockId { rdd: 1, partition: 0 },
-            BlockId { rdd: 1, partition: 1 },
-            BlockId { rdd: 2, partition: 0 },
-        );
+        let (a, b) = (BlockId { rdd: 1, partition: 0 }, BlockId { rdd: 1, partition: 1 });
         let in_h2 = |bm: &mut BlockManager, heap: &mut Heap, id| {
             let q = bm.get(heap, id).unwrap().unwrap();
             let moved = heap.is_in_h2(q);
@@ -384,7 +363,7 @@ mod tests {
         };
 
         let mut heap = traced_heap(true);
-        let mut bm = BlockManager::new(adaptive(&heap));
+        let mut bm = manager(&heap, adaptive());
         for (id, fill) in [(a, 0), (b, 1000)] {
             let p = mk_partition(&mut heap, 32, fill);
             bm.put(&mut heap, id, p).unwrap();
@@ -394,17 +373,10 @@ mod tests {
         assert!(in_h2(&mut bm, &mut heap, b), "past the budget, H2 takes the partition");
         assert_eq!(bm.serializations(), 0);
         assert_eq!(choices(&heap), [on_heap, h2]);
-        // Unpersist returns the budget, so the next put fits on the heap again.
-        bm.unpersist(&mut heap, 1);
-        let p = mk_partition(&mut heap, 32, 2000);
-        bm.put(&mut heap, c, p).unwrap();
-        heap.gc_major().unwrap();
-        assert!(!in_h2(&mut bm, &mut heap, c));
-        assert_eq!(choices(&heap), [on_heap, h2, on_heap]);
 
         // With no H2, the partition past the budget is serialized.
         let mut heap = traced_heap(false);
-        let mut bm = BlockManager::new(adaptive(&heap));
+        let mut bm = manager(&heap, adaptive());
         for (id, fill) in [(a, 0), (b, 1000)] {
             let p = mk_partition(&mut heap, 32, fill);
             bm.put(&mut heap, id, p).unwrap();
@@ -415,12 +387,47 @@ mod tests {
     }
 
     #[test]
+    fn budgeted_modes_return_the_budget_on_unpersist_and_on_replace() {
+        let (on_heap, serialized) = (Placement::OnHeap.index(), Placement::Serialized.index());
+        let (a, b, c) = (
+            BlockId { rdd: 1, partition: 0 },
+            BlockId { rdd: 2, partition: 0 },
+            BlockId { rdd: 3, partition: 0 },
+        );
+        for mode in [spark_sd(), adaptive()] {
+            // No H2 is attached, so both modes serialize past the budget.
+            let mut heap = traced_heap(false);
+            let mut bm = manager(&heap, mode);
+            let put = |bm: &mut BlockManager, heap: &mut Heap, id, fill| {
+                let p = mk_partition(heap, 32, fill);
+                bm.put(heap, id, p).unwrap();
+                bm.is_on_heap(id)
+            };
+            assert!(put(&mut bm, &mut heap, a, 0), "{mode:?}: the first put fits the budget");
+            // The put over `a` is decided while `a` still holds its words, so
+            // it is serialized; replacing `a` then returns them.
+            assert!(!put(&mut bm, &mut heap, a, 1000), "{mode:?}: the replacement overflows");
+            assert!(
+                put(&mut bm, &mut heap, b, 2000),
+                "{mode:?}: the replaced block's budget came back"
+            );
+            bm.unpersist(&mut heap, 2);
+            assert!(put(&mut bm, &mut heap, c, 3000), "{mode:?}: unpersist returned the budget");
+            let decided = if mode == adaptive() {
+                vec![on_heap, serialized, on_heap, on_heap]
+            } else {
+                vec![]
+            };
+            assert_eq!(choices(&heap), decided, "only Adaptive emits its decisions");
+        }
+    }
+
+    #[test]
     fn a_full_off_heap_device_is_an_error() {
         let mut heap = Heap::new(HeapConfig::small());
+        let mut bm = manager(&heap, spark_sd());
         // Smaller than one serialized 32-word partition.
-        let device = SimDevice::new(DeviceSpec::nvme_ssd(), 64, heap.clock().clone());
-        let mut bm =
-            BlockManager::new(CacheMode::SerializedOverflow { device, onheap_budget_words: 40 });
+        bm.device = Some(SimDevice::new(DeviceSpec::nvme_ssd(), 64, heap.clock().clone()));
         let a = mk_partition(&mut heap, 32, 0);
         bm.put(&mut heap, BlockId { rdd: 1, partition: 0 }, a).unwrap();
         let b = mk_partition(&mut heap, 32, 1000);
@@ -433,7 +440,7 @@ mod tests {
     #[test]
     fn unpersist_releases_blocks() {
         let mut heap = Heap::new(HeapConfig::small());
-        let mut bm = BlockManager::new(CacheMode::OnHeapOnly);
+        let mut bm = manager(&heap, ExecMode::OnHeap);
         let p = mk_partition(&mut heap, 8, 0);
         bm.put(&mut heap, BlockId { rdd: 7, partition: 0 }, p).unwrap();
         let roots_before = heap.live_roots();
@@ -444,27 +451,25 @@ mod tests {
 
     #[test]
     fn a_put_over_a_cached_id_releases_the_block_it_replaces() {
-        let overflow = |heap: &Heap| CacheMode::SerializedOverflow {
-            device: SimDevice::new(DeviceSpec::nvme_ssd(), 1 << 20, heap.clock().clone()),
-            onheap_budget_words: 40,
-        };
-        for mode in [|_: &Heap| CacheMode::OnHeapOnly, overflow] {
+        for mode in [ExecMode::OnHeap, spark_sd()] {
             let mut heap = Heap::new(HeapConfig::small());
-            let mut bm = BlockManager::new(mode(&heap));
+            let mut bm = manager(&heap, mode);
             let id = BlockId { rdd: 1, partition: 0 };
-            // Under the 40-word budget the first put stays on the heap and
-            // the second and third are serialized.
+            // Under the 40-word budget the first put stays on the heap, the
+            // second (decided while the first holds the budget) is
+            // serialized, and the third fits the returned budget again.
             for fill in [0, 1000, 2000] {
                 let p = mk_partition(&mut heap, 32, fill);
                 bm.put(&mut heap, id, p).unwrap();
                 assert_eq!(bm.len(), 1);
+                assert_eq!(bm.is_on_heap(id), mode == ExecMode::OnHeap || fill != 1000, "{mode:?}");
                 let q = bm.get(&mut heap, id).unwrap().unwrap();
                 assert_eq!(heap.read_prim(q, 5), fill + 5, "the latest put wins");
                 heap.release(q);
-                assert!(heap.live_roots() <= 1, "{:?}: the replaced handle leaked", bm.mode);
+                assert!(heap.live_roots() <= 1, "{mode:?}: the replaced handle leaked");
             }
             bm.unpersist(&mut heap, 1);
-            assert_eq!(heap.live_roots(), 0, "{:?}", bm.mode);
+            assert_eq!(heap.live_roots(), 0, "{mode:?}");
         }
     }
 
@@ -475,7 +480,7 @@ mod tests {
         // come back last-in first-out: the same handles, reversed.
         for _process in 0..2 {
             let mut heap = Heap::new(HeapConfig::small());
-            let mut bm = BlockManager::new(CacheMode::OnHeapOnly);
+            let mut bm = manager(&heap, ExecMode::OnHeap);
             let put: Vec<Handle> = (0..32)
                 .map(|partition| {
                     let p = mk_partition(&mut heap, 4, 0);

@@ -1,10 +1,10 @@
 //! The Spark execution context: heap + block manager + shared classes.
 
-use crate::block::{BlockManager, CacheMode};
+use crate::block::BlockManager;
 use teraheap_core::H2Config;
 use teraheap_runtime::obs::SpanKind;
 use teraheap_runtime::{ClassId, Heap, HeapConfig, SharedDevice};
-use teraheap_storage::{Category, DeviceSpec, SimDevice};
+use teraheap_storage::{Category, DeviceSpec};
 
 /// Which cache/heap configuration a run uses (Table 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,28 +112,10 @@ impl SparkContext {
     /// not the mode's `device` field, which [`SparkContext::new`] reads —
     /// decides the H2 I/O cost model.
     pub fn with_heap(config: SparkConfig, mut heap: Heap) -> Self {
-        let cache = match config.mode {
-            ExecMode::SparkSd { device } => CacheMode::SerializedOverflow {
-                device: SimDevice::new(device, 4 << 30, heap.clock().clone()),
-                onheap_budget_words: config.heap.h1_words() / 2,
-            },
-            ExecMode::OnHeap => CacheMode::OnHeapOnly,
-            ExecMode::TeraHeap { .. } => CacheMode::TeraHeap,
-            ExecMode::Adaptive { device, .. } => CacheMode::Adaptive {
-                device: SimDevice::new(device, 4 << 30, heap.clock().clone()),
-                onheap_budget_words: config.heap.h1_words() / 2,
-            },
-        };
+        let bm = BlockManager::new(config.mode, config.heap.h1_words() / 2, heap.clock().clone());
         let partition_class = heap.register_class("SparkPartition", 2, 1);
         let vertex_class = heap.register_class("Vertex", 1, 2);
-        SparkContext {
-            heap,
-            bm: BlockManager::new(cache),
-            partition_class,
-            vertex_class,
-            config,
-            next_rdd: 1,
-        }
+        SparkContext { heap, bm, partition_class, vertex_class, config, next_rdd: 1 }
     }
 
     /// Allocates a fresh RDD id (also the TeraHeap label).

@@ -25,7 +25,7 @@ pub mod context;
 pub mod report;
 pub mod workloads;
 
-pub use block::{BlockId, BlockManager, CacheMode, Placement};
+pub use block::{BlockId, BlockManager, Placement};
 pub use context::{ExecMode, SparkConfig, SparkContext};
 pub use report::RunReport;
 pub use workloads::{

@@ -938,7 +938,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_mode_without_pressure_matches_checksum_and_uses_model() {
+    fn adaptive_pagerank_checksum_equals_spark_sd() {
         let r = run_workload(Workload::Pr, adaptive_config(), DatasetScale::tiny());
         let sd = run_workload(Workload::Pr, sd_config(), DatasetScale::tiny());
         assert!(!r.oom);

@@ -2,12 +2,12 @@
 //! unpersist, and report plumbing.
 
 use mini_spark::{
-    run_workload, run_workload_on, BlockId, BlockManager, CacheMode, DatasetScale, ExecMode,
-    SparkConfig, SparkContext, Workload,
+    run_workload, run_workload_on, BlockId, BlockManager, DatasetScale, ExecMode, SparkConfig,
+    SparkContext, Workload,
 };
 use teraheap_core::H2Config;
 use teraheap_runtime::HeapConfig;
-use teraheap_storage::{Category, DeviceSpec, SimDevice};
+use teraheap_storage::{Category, DeviceSpec};
 
 fn th_ctx() -> SparkContext {
     SparkContext::new(SparkConfig {
@@ -58,9 +58,8 @@ fn off_heap_cache_grows_on_device_not_heap() {
         HeapConfig::with_words(8 << 10, 32 << 10),
         clock.clone(),
     );
-    let device = SimDevice::new(DeviceSpec::nvme_ssd(), 16 << 20, clock);
     let mut bm =
-        BlockManager::new(CacheMode::SerializedOverflow { device, onheap_budget_words: 256 });
+        BlockManager::new(ExecMode::SparkSd { device: DeviceSpec::nvme_ssd() }, 256, clock);
     for p in 0..6u32 {
         let part = heap.alloc_prim_array(512).unwrap();
         bm.put(&mut heap, BlockId { rdd: 1, partition: p }, part).unwrap();

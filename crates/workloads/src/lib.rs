@@ -39,12 +39,6 @@ pub struct GraphDataset {
 }
 
 impl GraphDataset {
-    /// Approximate in-memory size in bytes when loaded as objects
-    /// (vertex + edge objects), used to size heaps like Tables 3–4.
-    pub fn approx_bytes(&self) -> usize {
-        self.vertices * 48 + self.edges.len() * 24
-    }
-
     /// The out-adjacency lists in compressed sparse row form: a stable
     /// counting sort of `edges` by source, so every vertex's targets keep
     /// their order in `edges`.
@@ -158,11 +152,6 @@ impl VectorDataset {
     /// The feature slice of row `r`.
     pub fn row(&self, r: usize) -> &[f64] {
         &self.features[r * self.dims..(r + 1) * self.dims]
-    }
-
-    /// Approximate in-memory size in bytes when loaded.
-    pub fn approx_bytes(&self) -> usize {
-        self.rows * (self.dims + 1) * 8 + self.rows * 32
     }
 }
 
@@ -436,15 +425,5 @@ mod tests {
         let max = *counts.iter().max().unwrap();
         let min = *counts.iter().min().unwrap();
         assert!(max > 4 * (min + 1), "key skew expected: max {max}, min {min}");
-    }
-
-    #[test]
-    fn approx_bytes_scale_with_size() {
-        let small = powerlaw_graph(100, 4, 1).approx_bytes();
-        let large = powerlaw_graph(1000, 4, 1).approx_bytes();
-        assert!(large > 5 * small);
-        let vs = vector_dataset(100, 8, 1).approx_bytes();
-        let vl = vector_dataset(1000, 8, 1).approx_bytes();
-        assert!(vl > 5 * vs);
     }
 }

@@ -116,6 +116,10 @@ if grep -rnE 'LifetimeProfiles|should_pretenure|set_alloc_site|set_adaptive|with
     echo "ERROR: the deleted placement plane is back; adaptive placement is an on-heap budget in front of H2." >&2
     exit 1
 fi
+if grep -rnE 'CacheMode|budgeted *: *HashMap|\.budgeted\b' crates/spark/src; then
+    echo "ERROR: a second cache rule; Spark-SD and adaptive share one budgeted put whose slots hold their budget." >&2
+    exit 1
+fi
 if grep -rnE --include='*.rs' 'pause_budget|run_slice|SliceBegin|incr_poll' crates src examples; then
     echo "ERROR: the sliced major cycle is back; the major collector is one stop-world cycle." >&2
     exit 1
@@ -194,7 +198,7 @@ fi
 loc=$(scripts/loc.sh)
 echo "$loc"
 declare -A pin=([bench]=2434 [core]=1675 [giraph]=1221 [kryo]=496 [obs]=891 [query]=1381
-    [runtime]=4460 [server]=480 [spark]=1403 [storage]=2287 [util]=1574 [workloads]=268)
+    [runtime]=4460 [server]=480 [spark]=1354 [storage]=2287 [util]=1574 [workloads]=257)
 while read -r crate lines; do
     [[ $crate == crate || $crate == total ]] && continue
     if [[ -z ${pin[$crate]:-} ]]; then
@@ -268,7 +272,8 @@ teraheap_core/properties::                    §3   dependency-list liveness nev
 teraheap_bench/lib::figures::ablations::tests::groups_over_approximate_directional  §3  the ablation's private union-find keeps every region the dependency lists keep
 teraheap_bench/figures::table_matches_committed_results  §4   every entry has one committed CSV with its header and one EXPERIMENTS.md heading, whose `Figure N`/`Table N` matches the title's
 teraheap_bench/figures::every_arm_earns_its_row  §4   no two arms of a figure render one committed CSV row unless both are OOM or an exact alias names the family
-mini_spark/lib::block::tests::adaptive_       §13  the adaptive rule: a put that fits the on-heap budget stays on H1, one past it goes to H2 if attached and to the serialized tier if not, unpersist returns the budget, and each put emits one PlacementDecision with its tier
+mini_spark/lib::block::tests::adaptive_       §13  the adaptive rule: a put that fits the on-heap budget stays on H1, one past it goes to H2 if attached and to the serialized tier if not, and each put emits one PlacementDecision with its tier
+mini_spark/lib::block::tests::budgeted_       §13  Spark-SD and adaptive return a block's budget words on unpersist and on a put over its id; only adaptive emits PlacementDecision
 teraheap_query/charge_pin::                   §14  the read path's simulated charges, cold and hot (golden)
 teraheap_query/query_properties::             §14  the executor matches its naive oracle, the index plan is answer-bit-equal to the full scan (point lookups of held and absent keys included), answers are invariant across runtime knobs and across a permuted chunk/run visiting order
 teraheap_query/scan_order::                   §14  a cold table loaded through minor GCs lies in H2 out of directory order; a full-scan aggregate visiting it in storage order takes >= 90% of its faults sequentially (directory order: under 90%) and answers the same
