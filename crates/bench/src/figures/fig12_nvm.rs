@@ -12,8 +12,8 @@ use crate::harness::{
     heap_split, job, render_bars, spark_config, spark_dataset, spark_job, spark_row, spark_rows,
     spark_sd, spark_th, FigureBar, Job, Rendered, SparkRow, WORDS_PER_GB,
 };
-use mini_spark::{run_workload, ExecMode, RunReport, Workload};
-use teraheap_runtime::{GcVariant, HeapConfig, MemoryMode};
+use mini_spark::{run_workload, ExecMode, Workload};
+use teraheap_runtime::{GcVariant, HeapConfig, MemoryMode, RunReport};
 use teraheap_storage::DeviceSpec;
 
 /// The native-vs-TeraHeap pair of `workload` in `panel`: one bar group.

@@ -13,7 +13,7 @@
 //! 1 to 8 threads.
 
 use crate::harness::{devices, job, pressure_pr, Job, Rendered};
-use mini_spark::RunReport;
+use teraheap_runtime::RunReport;
 
 const THREADS: [usize; 5] = [1, 2, 4, 8, 16];
 

@@ -18,10 +18,11 @@
 //! and adaptive beats both static arms end-to-end on at least one workload.
 
 use crate::harness::{
-    h2_for, or_oom, spark_config, spark_heap, spark_job, spark_row, spark_sd, spark_th, Job,
-    Rendered,
+    csv_row, h2_for, or_oom, spark_config, spark_heap, spark_job, spark_row, spark_sd, spark_th,
+    Job, Rendered,
 };
-use mini_spark::{ExecMode, RunReport, Workload};
+use mini_spark::{ExecMode, Workload};
+use teraheap_runtime::RunReport;
 use teraheap_storage::DeviceSpec;
 
 pub(super) fn arms() -> Vec<((&'static str, &'static str), Job<RunReport>)> {
@@ -49,7 +50,7 @@ pub(super) fn render(out: &mut Rendered, runs: Vec<((&'static str, &'static str)
         let workload = per_workload[0].0 .0;
         say!(out.text, "--- {workload} (NVMe) ---");
         for ((_, arm), r) in per_workload {
-            let (ser, deser, h2) = (r.serializations, r.deserializations, r.h2_objects);
+            let (ser, deser, h2) = (r.offloads, r.reloads, r.h2_objects);
             let total = or_oom(r.oom, || format!("{:9.3} ms", r.total_ms()));
             say!(
                 out.text,
@@ -57,7 +58,7 @@ pub(super) fn render(out: &mut Rendered, runs: Vec<((&'static str, &'static str)
                 r.minor_gcs,
                 r.major_gcs,
             );
-            out.csv.push(format!("nvme,{arm},{},{ser},{deser},{h2},{}", r.csv_row(), r.checksum));
+            out.csv.push(format!("nvme,{arm},{},{ser},{deser},{h2},{}", csv_row(r), r.checksum));
         }
         let ((_, adaptive), statics) = per_workload.split_last().expect("three arms");
         for (_, r) in per_workload {

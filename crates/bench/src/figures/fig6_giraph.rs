@@ -10,10 +10,10 @@ use crate::harness::{
     bar, giraph_ooc, giraph_rows, giraph_th, giraph_vertices, job, or_oom, reference_ns,
     run_giraph_row, FigureBar, Job, Rendered,
 };
-use mini_giraph::GiraphReport;
+use teraheap_runtime::RunReport;
 
 /// Four bars per workload.
-pub(super) fn arms() -> Vec<(FigureBar, Job<GiraphReport>)> {
+pub(super) fn arms() -> Vec<(FigureBar, Job<RunReport>)> {
     let mut arms = Vec::new();
     for row in giraph_rows() {
         let header = format!(
@@ -34,7 +34,7 @@ pub(super) fn arms() -> Vec<(FigureBar, Job<GiraphReport>)> {
     arms
 }
 
-pub(super) fn render(out: &mut Rendered, runs: Vec<(FigureBar, GiraphReport)>) {
+pub(super) fn render(out: &mut Rendered, runs: Vec<(FigureBar, RunReport)>) {
     for group in runs.chunk_by(|a, b| a.0.group == b.0.group) {
         say!(out.text, "{}", group[0].0.group);
         let reference = reference_ns(group.iter().map(|(_, r)| (r.oom, r.breakdown.total_ns())));

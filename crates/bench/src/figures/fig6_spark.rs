@@ -12,7 +12,7 @@
 use crate::harness::{
     render_bars, spark_job, spark_rows, spark_sd, spark_th, FigureBar, Job, Rendered,
 };
-use mini_spark::RunReport;
+use teraheap_runtime::RunReport;
 use teraheap_storage::DeviceSpec;
 
 pub(super) fn arms() -> Vec<(FigureBar, Job<RunReport>)> {

@@ -14,7 +14,8 @@
 //! longer (mostly compaction I/O), and minor GC time drops ~38%.
 
 use crate::harness::{job, ms, spark_dataset, spark_row, spark_sd, spark_th, Job, Rendered};
-use mini_spark::{run_workload_traced, RunReport, Workload};
+use mini_spark::{run_workload_traced, Workload};
+use teraheap_runtime::RunReport;
 use teraheap_runtime::obs::timeline::{gc_cycles, gc_only, json_string, to_json};
 use teraheap_runtime::obs::{Event, Level};
 use teraheap_storage::DeviceSpec;

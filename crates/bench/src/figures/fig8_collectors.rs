@@ -10,7 +10,7 @@
 use crate::harness::{
     render_bars, spark_job, spark_rows, spark_sd, spark_th, FigureBar, Job, Rendered,
 };
-use mini_spark::RunReport;
+use teraheap_runtime::RunReport;
 use teraheap_runtime::GcVariant;
 use teraheap_storage::DeviceSpec;
 

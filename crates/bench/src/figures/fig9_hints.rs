@@ -13,12 +13,13 @@ use crate::harness::{
     giraph_row, giraph_rows, giraph_th, giraph_vertices, heap_split_words, job, ms, or_oom,
     run_giraph_row, GiraphRow, Job, Rendered,
 };
-use mini_giraph::{GiraphReport, GiraphWorkload};
+use mini_giraph::GiraphWorkload;
+use teraheap_runtime::RunReport;
 
 /// `(panel, config)` per run; each workload is an adjacent without/with pair.
 type Key = (&'static str, &'static str);
 
-pub(super) fn arms() -> Vec<(Key, Job<GiraphReport>)> {
+pub(super) fn arms() -> Vec<(Key, Job<RunReport>)> {
     let mut arms = Vec::new();
     for row in giraph_rows() {
         let with_hint = giraph_th(&row, row.dram_gb[1]);
@@ -46,7 +47,7 @@ pub(super) fn arms() -> Vec<(Key, Job<GiraphReport>)> {
     arms
 }
 
-pub(super) fn render(out: &mut Rendered, runs: Vec<(Key, GiraphReport)>) {
+pub(super) fn render(out: &mut Rendered, runs: Vec<(Key, RunReport)>) {
     for panel in runs.chunk_by(|a, b| a.0 .0 == b.0 .0) {
         let name = panel[0].0 .0;
         let banner = match name {
@@ -54,7 +55,7 @@ pub(super) fn render(out: &mut Rendered, runs: Vec<(Key, GiraphReport)>) {
             _ => "\n=== Figure 9b: low threshold (L) vs none (NL), large dataset ===\n",
         };
         say!(out.text, "{banner}");
-        let cell = |r: &GiraphReport| {
+        let cell = |r: &RunReport| {
             let gc_ns = r.breakdown.minor_gc_ns + r.breakdown.major_gc_ns;
             let split = format!(" (other {:.1} | gc {:.1})", ms(r.breakdown.other_ns), ms(gc_ns));
             let split = if name == "9a" { split.as_str() } else { "" };

@@ -57,9 +57,9 @@ impl Figure {
     }
 }
 
-/// Header of a figure of `RunReport::csv_row`s behind its own key column(s).
+/// Header of a figure of `harness::csv_row`s behind its own key column(s).
 fn bars(key_columns: &str) -> String {
-    format!("{key_columns},{}", mini_spark::RunReport::csv_header())
+    format!("{key_columns},{}", crate::harness::csv_header())
 }
 
 /// The table: `module (= CSV stem): title, CSV header;` per entry, in paper

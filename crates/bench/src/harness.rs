@@ -8,10 +8,10 @@
 //! Below them sit the pieces the figure entries share: the job type and
 //! worker pool, the rendering target, and the cell/bar formatters.
 
-use mini_giraph::{run_giraph, GiraphConfig, GiraphMode, GiraphReport};
-use mini_spark::{run_workload, DatasetScale, ExecMode, RunReport, SparkConfig, Workload};
+use mini_giraph::{run_giraph, GiraphConfig, GiraphMode};
+use mini_spark::{run_workload, DatasetScale, ExecMode, SparkConfig, Workload};
 use teraheap_core::H2Config;
-use teraheap_runtime::HeapConfig;
+use teraheap_runtime::{HeapConfig, RunReport};
 use teraheap_storage::DeviceSpec;
 
 /// Heap words standing in for one paper-GB.
@@ -226,7 +226,7 @@ pub fn giraph_vertices(row: &GiraphRow) -> usize {
 
 /// Runs `row`'s workload under `config` on its Table 4 graph (degree 8,
 /// seed 42).
-pub fn run_giraph_row(row: &GiraphRow, config: GiraphConfig) -> GiraphReport {
+pub fn run_giraph_row(row: &GiraphRow, config: GiraphConfig) -> RunReport {
     run_giraph(row.workload, config, giraph_vertices(row), 8, 42)
 }
 
@@ -302,10 +302,8 @@ pub fn pressure_pr(gc_threads: usize, device: Option<DeviceSpec>) -> RunReport {
         .promo_buffer_bytes(256 << 10)
         .build()
         .expect("valid H2 layout");
-    let heap = HeapConfig::builder(12 << 10, 64 << 10)
-        .gc_threads(gc_threads)
-        .build()
-        .expect("valid heap config");
+    let heap = HeapConfig { gc_threads, ..HeapConfig::with_words(12 << 10, 64 << 10) };
+    heap.validate().expect("valid heap config");
     let mode = device.map_or(ExecMode::OnHeap, |device| ExecMode::TeraHeap { h2, device });
     let scale = DatasetScale { vertices: 4_000, avg_degree: 6, ..DatasetScale::tiny() };
     let config = SparkConfig { heap, mode, partitions: 8, iterations: 5 };
@@ -431,7 +429,7 @@ impl FigureBar {
 
 /// Renders a figure of [`FigureBar`]s: per group its header, then each bar
 /// labelled to `width` (with its GC counts under `gc_counts`); one
-/// `csv_key,RunReport::csv_row` CSV row per bar.
+/// `csv_key,`[`csv_row`] CSV row per bar.
 pub fn render_bars(
     out: &mut Rendered,
     runs: &[(FigureBar, RunReport)],
@@ -446,10 +444,31 @@ pub fn render_bars(
             let gcs = if gc_counts { gcs.as_str() } else { "" };
             let cell = or_oom(r.oom, || bar(&r.breakdown, reference) + gcs);
             say!(out.text, "  {label:>width$}: {cell}");
-            out.csv.push(format!("{csv_key},{}", r.csv_row()));
+            out.csv.push(format!("{csv_key},{}", csv_row(r)));
         }
         say!(out.text, "");
     }
+}
+
+/// The CSV columns of [`csv_row`].
+pub fn csv_header() -> &'static str {
+    "workload,mode,oom,other_ms,sd_io_ms,minor_gc_ms,major_gc_ms,total_ms"
+}
+
+/// A run as one CSV row (ms): `workload,mode,oom,other,sd_io,minor,major,total`.
+pub fn csv_row(r: &RunReport) -> String {
+    let b = &r.breakdown;
+    format!(
+        "{},{},{},{:.3},{:.3},{:.3},{:.3},{:.3}",
+        r.workload,
+        r.mode,
+        r.oom,
+        ms(b.other_ns),
+        ms(b.sd_io_ns),
+        ms(b.minor_gc_ns),
+        ms(b.major_gc_ns),
+        r.total_ms()
+    )
 }
 
 #[cfg(test)]
@@ -489,5 +508,13 @@ mod tests {
     #[test]
     fn giraph_rows_cover_all_five() {
         assert_eq!(giraph_rows().len(), 5);
+    }
+
+    #[test]
+    fn csv_row_field_count_matches_header() {
+        let error = teraheap_runtime::OomError { requested_words: 1, context: "full".into() };
+        let r = RunReport::oom("PR", "Spark-SD".into(), &error);
+        assert!(csv_row(&r).starts_with("PR,Spark-SD,true"));
+        assert_eq!(csv_row(&r).split(',').count(), csv_header().split(',').count());
     }
 }

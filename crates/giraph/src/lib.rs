@@ -25,7 +25,7 @@
 
 pub mod workloads;
 
-pub use workloads::{run_giraph, run_giraph_on, GiraphReport, GiraphWorkload};
+pub use workloads::{run_giraph, run_giraph_on, GiraphWorkload};
 
 use teraheap_core::{H2Config, Label};
 use teraheap_runtime::{H1Prims, Handle, Heap, HeapConfig, OomError, Pin, SharedDevice, WordBatch};

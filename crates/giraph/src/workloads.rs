@@ -7,8 +7,7 @@
 //! OOC / TeraHeap) never changes results.
 
 use crate::{GiraphConfig, GiraphContext, Inbox};
-use teraheap_runtime::{Heap, OomError};
-use teraheap_storage::Breakdown;
+use teraheap_runtime::{Heap, OomError, RunReport};
 use teraheap_workloads::{shared_graph, Adjacency};
 
 /// The evaluated Giraph workloads.
@@ -48,40 +47,6 @@ impl GiraphWorkload {
     }
 }
 
-/// Outcome of one Giraph run.
-#[derive(Debug, Clone)]
-pub struct GiraphReport {
-    /// Workload abbreviation.
-    pub workload: &'static str,
-    /// Configuration name.
-    pub mode: String,
-    /// Whether the run hit an out-of-memory error.
-    pub oom: bool,
-    /// Execution-time breakdown.
-    pub breakdown: Breakdown,
-    /// Minor GC count.
-    pub minor_gcs: u64,
-    /// Major GC count.
-    pub major_gcs: u64,
-    /// Supersteps executed.
-    pub supersteps: u64,
-    /// Objects moved to H2.
-    pub h2_objects: u64,
-    /// OOC offload operations.
-    pub offloads: u64,
-    /// OOC reload operations.
-    pub reloads: u64,
-    /// Mode-independent answer checksum.
-    pub checksum: f64,
-}
-
-impl GiraphReport {
-    /// Total simulated time in milliseconds.
-    pub fn total_ms(&self) -> f64 {
-        self.breakdown.total_ns() as f64 / 1e6
-    }
-}
-
 /// Runs one workload on a fresh power-law graph of `vertices` vertices and
 /// `avg_degree` average degree, turning OOM into the report's flag.
 pub fn run_giraph(
@@ -90,37 +55,13 @@ pub fn run_giraph(
     vertices: usize,
     avg_degree: usize,
     seed: u64,
-) -> GiraphReport {
+) -> RunReport {
     let mode = config.mode.name().to_string();
     match run_giraph_with_context(workload, config, vertices, avg_degree, seed) {
-        Err(_) => GiraphReport {
-            workload: workload.name(),
-            mode,
-            oom: true,
-            breakdown: Breakdown::default(),
-            minor_gcs: 0,
-            major_gcs: 0,
-            supersteps: 0,
-            h2_objects: 0,
-            offloads: 0,
-            reloads: 0,
-            checksum: f64::NAN,
-        },
+        Err(e) => RunReport::oom(workload.name(), mode, &e),
         Ok((ctx, checksum)) => {
-            let s = ctx.heap.stats();
-            GiraphReport {
-                workload: workload.name(),
-                mode,
-                oom: false,
-                breakdown: ctx.heap.clock().breakdown(),
-                minor_gcs: s.minor_count,
-                major_gcs: s.major_count,
-                supersteps: ctx.superstep(),
-                h2_objects: s.objects_promoted_h2,
-                offloads: ctx.offloads,
-                reloads: ctx.reloads,
-                checksum,
-            }
+            let (offloads, reloads) = (ctx.offloads, ctx.reloads);
+            RunReport::completed(workload.name(), mode, &ctx.heap, offloads, reloads, checksum)
         }
     }
 }
@@ -301,6 +242,7 @@ mod tests {
     use super::*;
     use crate::GiraphMode;
     use teraheap_core::H2Config;
+    use teraheap_runtime::HeapConfig;
     use teraheap_storage::DeviceSpec;
 
     fn th_mode() -> GiraphMode {
@@ -338,17 +280,25 @@ mod tests {
 
     #[test]
     fn bfs_reaches_the_reachable_set() {
-        let r = run_giraph(
-            GiraphWorkload::Bfs,
-            GiraphConfig { max_supersteps: 12, ..GiraphConfig::small(GiraphMode::InMemory) },
-            200,
-            6,
-            3,
-        );
+        let config =
+            GiraphConfig { max_supersteps: 12, ..GiraphConfig::small(GiraphMode::InMemory) };
+        let (ctx, checksum) =
+            run_giraph_with_context(GiraphWorkload::Bfs, config, 200, 6, 3).expect("fits");
         // The power-law graph biases edges toward vertex 0's side, so a
         // substantial part of the graph must be reached (depth < INF).
-        assert!(r.checksum < 200.0 * INF as f64 / 2.0, "most vertices reached");
-        assert!(r.supersteps > 1);
+        assert!(checksum < 200.0 * INF as f64 / 2.0, "most vertices reached");
+        assert!(ctx.superstep() > 1);
+    }
+
+    #[test]
+    fn an_oom_report_keeps_its_context() {
+        let heap = HeapConfig::with_words(1 << 10, 4 << 10);
+        let config = GiraphConfig { heap, ..GiraphConfig::small(GiraphMode::InMemory) };
+        let r = run_giraph(GiraphWorkload::Pr, config, 2_000, 8, 5);
+        assert!(r.oom, "a 5 Ki-word heap cannot hold a 2,000-vertex graph");
+        let context = r.oom_context.expect("an OOM report carries its error's text");
+        assert!(context.contains("out of memory"), "{context}");
+        assert!(r.checksum.is_nan());
     }
 
     #[test]

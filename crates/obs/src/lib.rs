@@ -334,8 +334,8 @@ pub enum EventKind {
     /// 2 H2).
     PlacementDecision { rdd: u64, partition: u32, choice: u8 },
     /// A block-manager serialize (`deser == false`) or deserialize
-    /// (`deser == true`) of `bytes` bytes — the one source of truth
-    /// `RunReport` and the timeline exporter both read.
+    /// (`deser == true`) of `bytes` bytes, for the obs exporters (a
+    /// `RunReport` counts S/D from the block manager's own counters).
     BlockSerde { deser: bool, bytes: u64 },
     /// A query-plane operation began on logical client session `session`;
     /// `kind` indexes [`QUERY_OP_NAMES`] (0 point lookup, 1 range scan,

@@ -52,10 +52,7 @@ fn endurance_h2() -> H2Config {
 
 /// The soak heap, checker armed: every collection sweeps the dual heap too.
 fn endurance_heap() -> Heap {
-    let config = HeapConfig::builder(16 << 10, 96 << 10)
-        .heap_check(true)
-        .build()
-        .expect("valid heap config");
+    let config = HeapConfig { heap_check: true, ..HeapConfig::with_words(16 << 10, 96 << 10) };
     let mut heap = Heap::new(config);
     let h2 = endurance_h2();
     let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2.footprint_bytes(), heap.clock().clone());

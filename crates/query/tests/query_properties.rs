@@ -255,10 +255,8 @@ fn answers_are_invariant_across_runtime_knobs() {
     for device in devices {
         for gc_threads in [1usize, 4] {
             let mut cfg = QueryPlaneConfig::new(device);
-            cfg.heap = HeapConfig::builder(16 << 10, 96 << 10)
-                .gc_threads(gc_threads)
-                .build()
-                .expect("valid heap config");
+            cfg.heap = HeapConfig { gc_threads, ..HeapConfig::with_words(16 << 10, 96 << 10) };
+            cfg.heap.validate().expect("valid heap config");
             cfg.tenants = 2;
             cfg.sessions = 4;
             cfg.total_ops = 96;

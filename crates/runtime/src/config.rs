@@ -245,12 +245,6 @@ impl HeapConfig {
         self.young_words + self.old_words
     }
 
-    /// Starts a builder with the given generation sizes and paper-default
-    /// thread counts (the same seed as [`HeapConfig::with_words`]).
-    pub fn builder(young_words: usize, old_words: usize) -> HeapConfigBuilder {
-        HeapConfigBuilder { config: Self::with_words(young_words, old_words) }
-    }
-
     /// Checks the structural invariants the heap relies on: a young
     /// generation big enough to carve non-empty survivor spaces out of, a
     /// non-empty old generation, at least one thread per pool, sane variant
@@ -294,57 +288,6 @@ impl HeapConfig {
             }
         }
         Ok(())
-    }
-}
-
-/// Builder for [`HeapConfig`]: validated construction for the figure
-/// drivers and tests, so a bad configuration surfaces as a typed
-/// [`ConfigError`] before any simulation runs.
-#[derive(Debug, Clone)]
-pub struct HeapConfigBuilder {
-    config: HeapConfig,
-}
-
-impl HeapConfigBuilder {
-    /// Modeled parallel GC threads (accounting lanes for minor and major
-    /// work units).
-    pub fn gc_threads(mut self, threads: usize) -> Self {
-        self.config.gc_threads = threads;
-        self
-    }
-
-    /// Collector personality.
-    pub fn variant(mut self, variant: GcVariant) -> Self {
-        self.config.variant = variant;
-        self
-    }
-
-    /// Flight-recorder level applied when the heap is created.
-    pub fn obs_level(mut self, level: Level) -> Self {
-        self.config.obs_level = Some(level);
-        self
-    }
-
-    /// Flight-recorder ring capacity in events.
-    pub fn obs_events(mut self, events: usize) -> Self {
-        self.config.obs_events = events;
-        self
-    }
-
-    /// Run the full-heap invariant checker at every GC boundary.
-    pub fn heap_check(mut self, on: bool) -> Self {
-        self.config.heap_check = on;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// See [`HeapConfig::validate`].
-    pub fn build(self) -> Result<HeapConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -422,34 +365,32 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_invalid_configs() {
+    fn validate_rejects_invalid_configs() {
         assert_eq!(
-            HeapConfig::builder(4, 1 << 10).build(),
+            HeapConfig::with_words(4, 1 << 10).validate(),
             Err(ConfigError::YoungTooSmall { young_words: 4 })
         );
-        assert_eq!(HeapConfig::builder(1 << 10, 0).build(), Err(ConfigError::ZeroOldGeneration));
+        assert_eq!(
+            HeapConfig::with_words(1 << 10, 0).validate(),
+            Err(ConfigError::ZeroOldGeneration)
+        );
         let base = HeapConfig::with_words(1 << 10, 1 << 10);
         assert_eq!(
             HeapConfig { mutator_threads: 0, ..base }.validate(),
             Err(ConfigError::ZeroThreads { pool: "mutator_threads" })
         );
         assert_eq!(
-            HeapConfig::builder(1 << 10, 1 << 10).gc_threads(0).build(),
+            HeapConfig { gc_threads: 0, ..base }.validate(),
             Err(ConfigError::ZeroThreads { pool: "gc_threads" })
         );
         assert_eq!(
-            HeapConfig::builder(1 << 10, 1 << 10)
-                .variant(GcVariant::G1 { region_words: 0 })
-                .build(),
+            HeapConfig { variant: GcVariant::G1 { region_words: 0 }, ..base }.validate(),
             Err(ConfigError::ZeroG1Region)
         );
+        let variant =
+            GcVariant::Panthera { old_dram_words: 2 << 10, nvm: DeviceSpec::optane_nvm() };
         assert_eq!(
-            HeapConfig::builder(1 << 10, 1 << 10)
-                .variant(GcVariant::Panthera {
-                    old_dram_words: 2 << 10,
-                    nvm: DeviceSpec::optane_nvm(),
-                })
-                .build(),
+            HeapConfig { variant, ..base }.validate(),
             Err(ConfigError::PantheraSplit { old_dram_words: 2 << 10, old_words: 1 << 10 })
         );
         let memory_mode = Some(MemoryMode { nvm: DeviceSpec::optane_nvm(), miss_percent: 101 });
@@ -460,24 +401,26 @@ mod tests {
     }
 
     #[test]
-    fn builder_accepts_and_applies_settings() {
-        let cfg = HeapConfig::builder(64 << 10, 256 << 10)
-            .gc_threads(8)
-            .obs_level(Level::Full)
-            .obs_events(1 << 12)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.gc_threads, 8);
-        assert_eq!(cfg.obs_level, Some(Level::Full));
-        assert_eq!(cfg.obs_events, 1 << 12);
-        assert_eq!(cfg, {
-            // builder with no overrides == with_words
-            let mut c = HeapConfig::with_words(64 << 10, 256 << 10);
-            c.gc_threads = 8;
-            c.obs_level = Some(Level::Full);
-            c.obs_events = 1 << 12;
-            c
-        });
+    fn validate_accepts_valid_configs() {
+        let base = HeapConfig::small();
+        let nvm = DeviceSpec::optane_nvm();
+        for config in [
+            base,
+            HeapConfig::with_words(10, 1),
+            HeapConfig { gc_threads: 8, obs_level: Some(Level::Full), obs_events: 1 << 12, ..base },
+            HeapConfig { variant: GcVariant::G1 { region_words: 1 << 10 }, ..base },
+            HeapConfig {
+                variant: GcVariant::Panthera { old_dram_words: base.old_words, nvm },
+                ..base
+            },
+            HeapConfig {
+                memory_mode: Some(MemoryMode { nvm, miss_percent: 100 }),
+                heap_check: true,
+                ..base
+            },
+        ] {
+            assert_eq!(config.validate(), Ok(()), "{config:?}");
+        }
     }
 
     #[test]

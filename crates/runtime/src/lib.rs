@@ -51,15 +51,15 @@ pub mod config;
 pub mod gc;
 pub mod heap;
 pub mod object;
+pub mod report;
 pub mod space;
 pub mod stats;
 
 pub use check::{CheckError, CheckReport};
 pub use class::{ClassDesc, ClassId, ClassRegistry, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
-pub use config::{
-    ConfigError, GcVariant, HeapConfig, HeapConfigBuilder, MemoryMode, OomError, VariantPolicy,
-};
+pub use config::{ConfigError, GcVariant, HeapConfig, MemoryMode, OomError, VariantPolicy};
 pub use heap::{H1Prims, Handle, Heap, Pin, WordBatch};
+pub use report::RunReport;
 pub use stats::{GcStats, MajorPhases};
 pub use teraheap_storage::obs;
 pub use teraheap_storage::{AttachError, SharedDevice, TenantId, TenantIo};

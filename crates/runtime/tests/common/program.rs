@@ -14,7 +14,7 @@
 use super::attach_workload_h2;
 use teraheap_core::Label;
 use teraheap_runtime::obs::{Event, SpanKind};
-use teraheap_runtime::{ClassId, Handle, Heap, HeapConfig, HeapConfigBuilder, Pin};
+use teraheap_runtime::{ClassId, Handle, Heap, HeapConfig, Pin};
 use teraheap_runtime::{OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
 use teraheap_storage::{Category, DeviceSpec, FaultPlan};
 use teraheap_util::prop_oneof;
@@ -22,8 +22,8 @@ use teraheap_util::proptest_mini::{range_u64, range_usize, vec_of, Just, Strateg
 
 /// Every arm's heap: an 8 Ki-word young generation over a 12 Ki-word old
 /// one.
-pub fn config() -> HeapConfigBuilder {
-    HeapConfig::builder(8 << 10, 12 << 10)
+pub fn config() -> HeapConfig {
+    HeapConfig::with_words(8 << 10, 12 << 10)
 }
 
 /// A heap of `config` with the workload H2 over a fresh NVMe device.

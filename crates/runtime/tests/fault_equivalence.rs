@@ -33,7 +33,8 @@ fn run(cfg: HeapConfig, plan: FaultPlan) -> (Heap, Vec<Event>, u64) {
 
 #[test]
 fn zero_rate_plane_is_bit_identical_to_no_plane() {
-    let cfg = HeapConfig::builder(24 << 10, 96 << 10).obs_level(Level::Full).build().unwrap();
+    let cfg =
+        HeapConfig { obs_level: Some(Level::Full), ..HeapConfig::with_words(24 << 10, 96 << 10) };
     let (off, off_events, off_checksum) = run(cfg, FaultPlan::none());
     let (on, on_events, on_checksum) = run(cfg, FaultPlan::zero_rate(1234));
 
@@ -96,7 +97,7 @@ fn zero_rate_plane_is_bit_identical_to_no_plane() {
 fn degraded_mode_parks_promotions_in_old_gen() {
     // ENOSPC immediately: the first region-open is denied.
     let plan = FaultPlan::zero_rate(7).with_enospc_after(0);
-    let cfg = HeapConfig::builder(4 << 10, 32 << 10).build().unwrap();
+    let cfg = HeapConfig::with_words(4 << 10, 32 << 10);
     let mut heap = Heap::new(cfg);
     attach_workload_h2(&mut heap, DeviceSpec::nvme_ssd(), plan);
     let class = heap.register_class("Parked", 1, 1);

@@ -393,7 +393,7 @@ fn collections_never_read_h2_behind_clean_cards() {
 /// the checker armed, moves it with one major GC, and returns the heap and
 /// the closure's handles, spine first.
 fn move_closure_into(n_regions: usize, faults: FaultPlan) -> (Heap, Vec<Handle>) {
-    let config = HeapConfig::builder(2048, 8192).heap_check(true).build().unwrap();
+    let config = HeapConfig { heap_check: true, ..HeapConfig::with_words(2048, 8192) };
     let mut h = th_heap_on(config, n_regions, DeviceSpec::nvme_ssd(), faults);
     let spine = h.alloc_ref_array(64).unwrap();
     let mut closure = vec![spine];

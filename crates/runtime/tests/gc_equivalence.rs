@@ -147,12 +147,13 @@ impl Arm {
                 GcVariant::Panthera { old_dram_words: 1 << 10, nvm: DeviceSpec::optane_nvm() }
             }
         };
-        let config = HeapConfig::builder(24 << 10, 96 << 10)
-            .variant(variant)
-            .gc_threads(self.gc_threads)
-            .heap_check(heap_check)
-            .build()
-            .expect("golden arm config is valid");
+        let config = HeapConfig {
+            variant,
+            gc_threads: self.gc_threads,
+            heap_check,
+            ..HeapConfig::with_words(24 << 10, 96 << 10)
+        };
+        config.validate().expect("golden arm config is valid");
         let memory_mode = self
             .memory_mode
             .then_some(MemoryMode { nvm: DeviceSpec::optane_nvm(), miss_percent: 40 });

@@ -33,7 +33,7 @@ use teraheap_util::{prop_assert, prop_assert_eq};
 #[test]
 fn graph_arm_matches_the_shadow_graph() {
     check("graph_arm", &program(1..80), &Config::with_cases(64), |ops| {
-        run(h2_heap(config().build().unwrap(), FaultPlan::none()), Access::Loop, &ops);
+        run(h2_heap(config(), FaultPlan::none()), Access::Loop, &ops);
         CaseResult::Pass
     });
 }
@@ -52,7 +52,7 @@ struct LaneReport {
 }
 
 fn lanes_run(ops: &[Op], gc_threads: usize) -> LaneReport {
-    let config = config().gc_threads(gc_threads).obs_level(Level::Full).build().unwrap();
+    let config = HeapConfig { gc_threads, obs_level: Some(Level::Full), ..config() };
     let m = run(h2_heap(config, FaultPlan::none()), Access::Loop, ops);
     let stats = m.heap.stats();
     LaneReport {
@@ -111,7 +111,7 @@ fn lanes_arm_is_deterministic_and_host_independent() {
 #[test]
 fn spans_arm_nests_spans_and_phases() {
     check("spans_arm", &program(1..80), &Config::with_cases(64), |ops| {
-        let config = config().obs_level(Level::Full).build().unwrap();
+        let config = HeapConfig { obs_level: Some(Level::Full), ..config() };
         let m = run(h2_heap(config, FaultPlan::none()), Access::Loop, &ops);
         let mut depth = [0i64; SPAN_COUNT];
         let mut in_major = false;
@@ -168,7 +168,7 @@ fn fault_plan() -> impl Strategy<Value = FaultPlan> {
 #[test]
 fn faults_arm_completes_or_degrades_cleanly() {
     check("faults_arm", &(fault_plan(), program(1..64)), &Config::with_cases(64), |(plan, ops)| {
-        let m = run(h2_heap(config().heap_check(true).build().unwrap(), plan), Access::Loop, &ops);
+        let m = run(h2_heap(HeapConfig { heap_check: true, ..config() }, plan), Access::Loop, &ops);
         if let Err(e) = m.heap.heap_check() {
             return CaseResult::Fail(format!("final heap_check: {e}"));
         }
@@ -197,12 +197,8 @@ fn product_cell() -> impl Strategy<Value = (HeapConfig, DeviceSpec, FaultPlan)> 
                 GcVariant::G1 { region_words: 128 },
                 GcVariant::Panthera { old_dram_words: 1 << 10, nvm: DeviceSpec::optane_nvm() },
             ][variant];
-            let config = config()
-                .variant(variant)
-                .gc_threads(gc_threads)
-                .heap_check(true)
-                .build()
-                .expect("HeapConfig::validate accepts every sampled cell");
+            let config = HeapConfig { variant, gc_threads, heap_check: true, ..config() };
+            config.validate().expect("HeapConfig::validate accepts every sampled cell");
             let spec = [DeviceSpec::nvme_ssd(), DeviceSpec::optane_nvm(), DeviceSpec::dram()];
             let faults =
                 if chaos == 1 { FaultPlan::chaos(seed) } else { FaultPlan::zero_rate(seed) };

@@ -18,7 +18,7 @@ use teraheap_runtime::{Heap, HeapConfig};
 use teraheap_storage::{DeviceSpec, FaultPlan};
 
 fn run_traced(level: Level) -> (Heap, Vec<Event>) {
-    let cfg = HeapConfig::builder(24 << 10, 96 << 10).obs_level(level).build().unwrap();
+    let cfg = HeapConfig { obs_level: Some(level), ..HeapConfig::with_words(24 << 10, 96 << 10) };
     let mut heap = Heap::new(cfg);
     attach_workload_h2(&mut heap, DeviceSpec::nvme_ssd(), FaultPlan::none());
     mixed_workload_body(&mut heap);

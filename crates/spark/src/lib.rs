@@ -22,13 +22,8 @@
 
 pub mod block;
 pub mod context;
-pub mod report;
 pub mod workloads;
 
 pub use block::{BlockId, BlockManager, Placement};
 pub use context::{ExecMode, SparkConfig, SparkContext};
-pub use report::RunReport;
-pub use workloads::{
-    run_workload, run_workload_on, run_workload_reported, run_workload_traced, DatasetScale,
-    Workload,
-};
+pub use workloads::{run_workload, run_workload_on, run_workload_traced, DatasetScale, Workload};

@@ -20,9 +20,8 @@
 
 use crate::block::BlockId;
 use crate::context::{SparkConfig, SparkContext};
-use crate::report::RunReport;
 use teraheap_runtime::obs::SpanKind;
-use teraheap_runtime::{Handle, Heap, OomError, Pin};
+use teraheap_runtime::{Handle, Heap, OomError, Pin, RunReport};
 use teraheap_workloads::{
     shared_graph, shared_relational, shared_vectors, Adjacency, VectorDataset,
 };
@@ -137,42 +136,16 @@ pub fn run_workload_traced(
     scale: DatasetScale,
 ) -> (RunReport, Vec<teraheap_runtime::obs::Event>) {
     let mut ctx = SparkContext::new(config);
-    let report = run_workload_reported(workload, &mut ctx, mode_label(&config), scale);
+    let mode = mode_label(&config);
+    let report = match run_workload_on(workload, &mut ctx, scale) {
+        Err(e) => RunReport::oom(workload.name(), mode, &e),
+        Ok(checksum) => {
+            let (offloads, reloads) = (ctx.bm.serializations(), ctx.bm.deserializations());
+            RunReport::completed(workload.name(), mode, &ctx.heap, offloads, reloads, checksum)
+        }
+    };
     let events = ctx.heap.clock().tracer().events();
     (report, events)
-}
-
-/// Runs `workload` on a context the caller has set up and reports it under
-/// the configuration name `mode`, turning OOM into the report's OOM flag.
-pub fn run_workload_reported(
-    workload: Workload,
-    ctx: &mut SparkContext,
-    mode: String,
-    scale: DatasetScale,
-) -> RunReport {
-    match run_workload_on(workload, ctx, scale) {
-        Err(e) => {
-            let mut r = RunReport::oom(workload.name(), mode);
-            r.oom_context = Some(e.to_string());
-            r
-        }
-        Ok(checksum) => {
-            let s = ctx.heap.stats();
-            RunReport {
-                workload: workload.name(),
-                mode,
-                oom: false,
-                oom_context: None,
-                breakdown: ctx.heap.clock().breakdown(),
-                minor_gcs: s.minor_count,
-                major_gcs: s.major_count,
-                h2_objects: s.objects_promoted_h2,
-                serializations: ctx.bm.serializations(),
-                deserializations: ctx.bm.deserializations(),
-                checksum,
-            }
-        }
-    }
 }
 
 fn mode_label(config: &SparkConfig) -> String {

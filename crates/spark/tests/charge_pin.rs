@@ -60,10 +60,10 @@ fn config(workload: Workload, mode: Mode) -> SparkConfig {
         .expect("valid H2 config");
     let device = DeviceSpec::nvme_ssd();
     let (young, old) = heap_words(workload);
-    let mut heap = HeapConfig::builder(young, old).build().expect("valid heap config");
     // Charge-call counts are kept only with the recorder on, whatever
     // TERAHEAP_OBS says.
-    heap.obs_level = Some(Level::Full);
+    let heap = HeapConfig { obs_level: Some(Level::Full), ..HeapConfig::with_words(young, old) };
+    heap.validate().expect("valid heap config");
     let mode = match mode {
         Mode::SparkSd => ExecMode::SparkSd { device },
         Mode::OnHeap => ExecMode::OnHeap,

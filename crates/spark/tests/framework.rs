@@ -110,7 +110,7 @@ fn reports_expose_breakdown_and_counts() {
     assert_eq!(r.workload, "RL");
     assert!(r.breakdown.total_ns() > 0);
     assert!(r.checksum.is_finite());
-    assert!(r.csv_row().contains("RL,Spark-SD"));
+    assert_eq!(r.mode, "Spark-SD");
 }
 
 #[test]

@@ -40,13 +40,12 @@ fn main() {
             7,
         );
         if report.oom {
-            println!("{name}: OOM");
+            println!("{name}: OOM ({})", report.oom_context.as_deref().unwrap_or("?"));
             continue;
         }
         println!(
-            "{name}: {:8.2} ms over {} supersteps | s/d+io {:6.2} ms | gc {:6.2} ms | offloads {} reloads {} | {} objects in H2",
+            "{name}: {:8.2} ms | s/d+io {:6.2} ms | gc {:6.2} ms | offloads {} reloads {} | {} objects in H2",
             report.total_ms(),
-            report.supersteps,
             report.breakdown.sd_io_ns as f64 / 1e6,
             (report.breakdown.minor_gc_ns + report.breakdown.major_gc_ns) as f64 / 1e6,
             report.offloads,

@@ -61,6 +61,8 @@ echo "ok"
 # The major collector is one stop-world cycle, as the paper's Parallel
 # Scavenge is: the pause-budgeted sliced cycle, its pacing and its slice
 # events are gone.
+# Spark and Giraph runs report through one teraheap_runtime::RunReport,
+# built by its two constructors; a HeapConfig is built by struct update.
 # Both collectors scan an H2 card through one walk, gc::walk_h2_card, the
 # only collector code that reads H2 through the charged device path; a
 # `.read_word(`/`.read_words(` anywhere else under gc/ is a second scan.
@@ -83,7 +85,7 @@ echo "ok"
 # The panic ratchet counts the unwrap/expect/panic!/unreachable! lines of a
 # crate; it may fall, never rise. "Outside tests" is what scripts/loc.sh
 # keeps: no cfg(test) item, statement or oracle file, wherever it sits.
-echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane, one region-liveness rule, placement is a budget rule, one stop-world major, one H2 card walk, H2 owns its region metadata, one serialized off-heap path, one device path, one H1 word price, round memory through the spare pool, panic ratchet =="
+echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane, one region-liveness rule, placement is a budget rule, one stop-world major, one run report, one H2 card walk, H2 owns its region metadata, one serialized off-heap path, one device path, one H1 word price, round memory through the spare pool, panic ratchet =="
 if grep -rlE '^[[:space:]]*(pub[[:space:]]+)?enum[[:space:]]+[A-Za-z0-9_]*Op\b' crates/runtime/tests \
     | grep -v '^crates/runtime/tests/common/'; then
     echo "ERROR: an op enum outside crates/runtime/tests/common/; extend the shared language instead." >&2
@@ -122,6 +124,10 @@ if grep -rnE 'CacheMode|budgeted *: *HashMap|\.budgeted\b' crates/spark/src; the
 fi
 if grep -rnE --include='*.rs' 'pause_budget|run_slice|SliceBegin|incr_poll' crates src examples; then
     echo "ERROR: the sliced major cycle is back; the major collector is one stop-world cycle." >&2
+    exit 1
+fi
+if grep -rnE --include='*.rs' 'GiraphReport|run_workload_reported|HeapConfigBuilder' crates src examples; then
+    echo "ERROR: a second run report or heap-config path; runs report through teraheap_runtime::RunReport." >&2
     exit 1
 fi
 stray_reads=$(awk '
@@ -197,8 +203,8 @@ if ! diff <(scripts/loc.sh --root scripts/loc_fixture) scripts/loc_fixture/expec
 fi
 loc=$(scripts/loc.sh)
 echo "$loc"
-declare -A pin=([bench]=2434 [core]=1675 [giraph]=1221 [kryo]=496 [obs]=891 [query]=1381
-    [runtime]=4460 [server]=480 [spark]=1354 [storage]=2287 [util]=1574 [workloads]=257)
+declare -A pin=([bench]=2456 [core]=1675 [giraph]=1162 [kryo]=496 [obs]=891 [query]=1381
+    [runtime]=4492 [server]=480 [spark]=1243 [storage]=2287 [util]=1574 [workloads]=257)
 while read -r crate lines; do
     [[ $crate == crate || $crate == total ]] && continue
     if [[ -z ${pin[$crate]:-} ]]; then
@@ -274,6 +280,7 @@ teraheap_bench/figures::table_matches_committed_results  §4   every entry has o
 teraheap_bench/figures::every_arm_earns_its_row  §4   no two arms of a figure render one committed CSV row unless both are OOM or an exact alias names the family
 mini_spark/lib::block::tests::adaptive_       §13  the adaptive rule: a put that fits the on-heap budget stays on H1, one past it goes to H2 if attached and to the serialized tier if not, and each put emits one PlacementDecision with its tier
 mini_spark/lib::block::tests::budgeted_       §13  Spark-SD and adaptive return a block's budget words on unpersist and on a put over its id; only adaptive emits PlacementDecision
+mini_giraph/lib::workloads::tests::an_oom_report_  §13  one run report for Spark and Giraph: a Giraph run that outgrows its heap reports oom, its OomError's text and a NaN checksum
 teraheap_query/charge_pin::                   §14  the read path's simulated charges, cold and hot (golden)
 teraheap_query/query_properties::             §14  the executor matches its naive oracle, the index plan is answer-bit-equal to the full scan (point lookups of held and absent keys included), answers are invariant across runtime knobs and across a permuted chunk/run visiting order
 teraheap_query/scan_order::                   §14  a cold table loaded through minor GCs lies in H2 out of directory order; a full-scan aggregate visiting it in storage order takes >= 90% of its faults sequentially (directory order: under 90%) and answers the same
