@@ -518,6 +518,15 @@ impl H2 {
         self.data[addr.h2_offset() as usize]
     }
 
+    /// The `n` consecutive words at `addr` in place, without charging or
+    /// touching the page cache: a host-side look at bytes a charged read
+    /// already paid for, or whose search the cost model counts as host
+    /// work (a frozen index run's key half).
+    pub fn peek_words(&self, addr: Addr, n: usize) -> &[u64] {
+        let base = addr.h2_offset() as usize;
+        &self.data[base..base + n]
+    }
+
     /// Writes a word without charging (pointer adjustment; the adjust phase
     /// charges per-reference CPU cost separately).
     pub fn write_word_free(&mut self, addr: Addr, value: u64) {

@@ -7,8 +7,11 @@
 //!
 //! * **full scan** — view every sealed chunk of the filter column in place
 //!   through [`Heap::view_prims`] (H2 chunks pay the real fault/arbitration
-//!   path), build the chunk's selection bitmap of predicate lanes and view
-//!   the projected column only for chunks whose bitmap is non-empty,
+//!   path) and build the chunk's selection bitmap: a key-column chunk's from
+//!   its frozen sorted run, read uncharged through [`Heap::peek_prims`]
+//!   (binary search to `lo`, one bit per row id up to `hi`; the chunk's view
+//!   is charged all the same), any other chunk's from its predicate lanes.
+//!   View the projected column only for chunks whose bitmap is non-empty,
 //!   gathering the set bits;
 //! * **index probe** — when the predicate is on the table's key column,
 //!   binary-search the frozen sorted runs that may hold a match
@@ -190,6 +193,35 @@ fn select(filter: &Predicate, vals: &[u64], bitmap: &mut Vec<u64>) -> bool {
     any != 0
 }
 
+/// [`select`] for sealed chunk `k` of the key column, from its frozen index
+/// run `[sorted keys | row ids]` ([`Table::peek_run`]) instead of its
+/// values: the run's zone map rules the chunk out, or the matching keys are
+/// one slice of the sorted half, found by binary search, whose row ids are
+/// the bits. O(log chunk_rows + matches) instead of a pass over the chunk.
+fn select_run(
+    table: &Table,
+    heap: &Heap,
+    k: usize,
+    filter: &Predicate,
+    bitmap: &mut Vec<u64>,
+) -> bool {
+    bitmap.clear();
+    if !table.index().runs()[k].overlaps(filter.lo, filter.hi) {
+        return false;
+    }
+    let cr = table.chunk_rows();
+    let (keys, rows) = table.peek_run(heap, k).split_at(cr);
+    bitmap.resize(cr.div_ceil(64), 0);
+    let a = keys.partition_point(|&key| key < filter.lo);
+    let n = keys[a..].iter().take_while(|&&key| key <= filter.hi).count();
+    let row0 = (k * cr) as u64;
+    for &row in &rows[a..a + n] {
+        let i = (row - row0) as usize;
+        bitmap[i / 64] |= 1 << (i % 64);
+    }
+    n != 0
+}
+
 /// Appends `(row id, projected value)` for every set bit of `bitmap`,
 /// ascending.
 fn gather(bitmap: &[u64], row0: usize, proj: &[u64], matched: &mut Vec<(usize, u64)>) {
@@ -235,13 +267,17 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
         }
     } else {
         table.refresh_storage_order(heap);
+        let by_run = fcol == table.key_col();
         for &k in table.order(fcol) {
             scanned += cr as u64;
             let start = matched.len();
-            // The projected chunk's read is charged, so whether it happens
-            // is part of the plan's cost: only when the chunk has a match.
+            // A key-column chunk selects from its sorted run; its view below
+            // is charged all the same. The projected chunk's read is charged
+            // too, so whether it happens is part of the plan's cost: only
+            // when the chunk has a match.
+            let run_any = by_run && select_run(table, heap, k, &q.filter, &mut bitmap);
             let any = table.view_col_chunk(heap, fcol, k, |vals| {
-                let any = select(&q.filter, vals, &mut bitmap);
+                let any = if by_run { run_any } else { select(&q.filter, vals, &mut bitmap) };
                 if any && pcol == fcol {
                     gather(&bitmap, k * cr, vals, &mut matched);
                 }
@@ -294,4 +330,101 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
     };
     table.exec = ExecBuffers { matched, spans, hits, bitmap };
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::table::{TableConfig, TablePlacement};
+    use teraheap_core::H2Config;
+    use teraheap_runtime::HeapConfig;
+    use teraheap_storage::{DeviceSpec, SharedDevice};
+    use teraheap_util::rng::Rng;
+
+    /// A table of `rows` rows after a major cycle (which moves a cold
+    /// table's chunks and runs to H2). Keys are drawn from 0..600 and every
+    /// fifth repeats the one before it, so every chunk holds a duplicate.
+    fn table(placement: TablePlacement, chunk_rows: usize, rows: usize) -> (Heap, Table) {
+        let mut heap = Heap::new(HeapConfig::with_words(16 << 10, 96 << 10));
+        if placement == TablePlacement::Cold {
+            let h2 = H2Config::builder()
+                .region_words(2 << 10)
+                .n_regions(32)
+                .card_seg_words(512)
+                .resident_budget_bytes(128 << 10)
+                .page_size(4096)
+                .promo_buffer_bytes(16 << 10)
+                .build()
+                .expect("valid H2 config");
+            let dev = SharedDevice::new(
+                DeviceSpec::nvme_ssd(),
+                h2.footprint_bytes(),
+                heap.clock().clone(),
+            );
+            heap.attach_h2(h2, &dev).expect("sole tenant attaches");
+        }
+        let mut table =
+            Table::new(TableConfig { table_id: 1, cols: 2, chunk_rows, key_col: 0, placement });
+        let mut rng = Rng::seed_from_u64(chunk_rows as u64);
+        let mut key = 0;
+        for row in 0..rows as u64 {
+            if row % 5 != 4 {
+                key = rng.gen_range(0..600u64);
+            }
+            table.append_row(&mut heap, &[key, row]).expect("fits");
+        }
+        heap.gc_major().expect("fits");
+        (heap, table)
+    }
+
+    /// A selection's answer: whether it matched, and its set bits.
+    fn selected(any: bool, bitmap: &[u64]) -> (bool, Vec<usize>) {
+        let bits = (0..64 * bitmap.len()).filter(|&i| bitmap[i / 64] >> (i % 64) & 1 == 1);
+        (any, bits.collect())
+    }
+
+    #[test]
+    fn run_bitmaps_equal_value_scan_bitmaps() {
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for placement in [TablePlacement::Hot, TablePlacement::Cold] {
+            for chunk_rows in [10, 64, 100, 256] {
+                let (mut heap, table) = table(placement, chunk_rows, 1000);
+                let cold = table.h2_resident_chunks(&heap) > 0;
+                assert_eq!(cold, placement == TablePlacement::Cold, "{placement:?}");
+                for k in 0..table.sealed_chunks() {
+                    let mut keys = table.view_col_chunk(&mut heap, 0, k, <[u64]>::to_vec);
+                    keys.sort_unstable();
+                    let (min, max) = (keys[0], keys[chunk_rows - 1]);
+                    let dup = keys.windows(2).find(|w| w[0] == w[1]).expect("a duplicate")[0];
+                    let mut preds = vec![
+                        (min + 1, min),
+                        (u64::MAX, 0),
+                        (max + 1, u64::MAX),
+                        (min, min),
+                        (min.saturating_sub(3), min),
+                        (max, max),
+                        (max, max + 3),
+                        (dup, dup),
+                        (min, max),
+                        (0, u64::MAX),
+                    ];
+                    if min > 0 {
+                        preds.push((0, min - 1));
+                    }
+                    for (lo, hi) in preds {
+                        let filter = Predicate { col: 0, lo, hi };
+                        let scan = table.view_col_chunk(&mut heap, 0, k, |vals| {
+                            select(&filter, vals, &mut want)
+                        });
+                        let run = select_run(&table, &heap, k, &filter, &mut got);
+                        assert_eq!(
+                            selected(run, &got),
+                            selected(scan, &want),
+                            "{placement:?} chunk_rows {chunk_rows} chunk {k} [{lo}, {hi}]"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -322,6 +322,14 @@ impl Table {
         f(heap.view_prims(self.chunks[col][k], 0, self.cfg.chunk_rows))
     }
 
+    /// Sealed chunk `k`'s frozen index run, `[sorted keys | row ids]`, in
+    /// place and uncharged: searching a run is host work (DESIGN §14), so
+    /// the full scan builds a key-column chunk's selection bitmap from it
+    /// while still paying for the chunk's charged view.
+    pub(crate) fn peek_run<'h>(&self, heap: &'h Heap, k: usize) -> &'h [u64] {
+        heap.peek_prims(self.chunks[self.cfg.cols][k], 0, 2 * self.cfg.chunk_rows)
+    }
+
     /// Reads the single element `i` of sealed chunk `k` of `col`.
     pub fn read_col_at(&self, heap: &mut Heap, col: usize, k: usize, i: usize) -> u64 {
         heap.view_prims(self.chunks[col][k], i, 1)[0]

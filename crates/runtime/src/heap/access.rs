@@ -307,6 +307,23 @@ impl Heap {
         &self.mem[s..s + n]
     }
 
+    /// [`Heap::view_prims`] without the charge: the same bounds-checked
+    /// words in place, on either heap, but through `&self`, so it charges
+    /// no clock, emits nothing and touches no page cache. For host work the
+    /// cost model does not price, such as searching a frozen index run
+    /// whose chunk the caller reads through a charged view anyway.
+    pub fn peek_prims(&self, h: Handle, start: usize, n: usize) -> &[u64] {
+        if n == 0 {
+            return &[];
+        }
+        let base = self.pin(h).at.prim_range(start, n);
+        if base.is_h2() {
+            return self.attached_h2().peek_words(base, n);
+        }
+        let s = base.raw() as usize;
+        &self.mem[s..s + n]
+    }
+
     /// [`Heap::view_prims`] copied into `out`, for callers that need the
     /// values to outlive the borrow.
     pub fn read_prims(&mut self, h: Handle, start: usize, out: &mut [u64]) {

@@ -6,6 +6,8 @@
 //! indistinguishable in everything the simulation observes: the words,
 //! per-category and total nanoseconds, the event stream at
 //! `TERAHEAP_OBS=full`, the page-cache statistics and charge-call counts.
+//! The uncharged [`Heap::peek_prims`] must see the same words and leave
+//! none of those behind.
 //!
 //! Every scenario is a program of the shared mutator language
 //! ([`common::program`]) run under each [`Access`] path on a fresh heap
@@ -21,10 +23,10 @@ use common::program::{
     assert_access_equivalent, program, Access, Mutator, Observed, Op, EVICTIONS, FAULTS,
 };
 use std::cell::RefCell;
-use teraheap_core::H2Config;
+use teraheap_core::{H2Config, Label};
 use teraheap_runtime::obs::Level;
 use teraheap_runtime::{GcVariant, Handle, Heap, HeapConfig};
-use teraheap_storage::{DeviceSpec, SharedDevice};
+use teraheap_storage::{Category, DeviceSpec, SharedDevice};
 use teraheap_util::proptest_mini::{check, CaseResult, Config};
 
 fn traced(mut config: HeapConfig) -> HeapConfig {
@@ -196,6 +198,67 @@ fn view_prims_at_past_the_end_panics() {
 fn fill_prims_at_past_the_end_panics() {
     let (mut heap, h) = array16();
     heap.fill_prims_at(&mut heap.pin(h), 15, 2, |_| unreachable!("the range is checked first"));
+}
+
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn peek_prims_past_the_end_panics() {
+    let (heap, h) = array16();
+    heap.peek_prims(h, 15, 2);
+}
+
+/// Everything a read could leave behind: the clock, the charge-call counts,
+/// the event count, the H2 mapping's statistics and its resident set.
+fn footprint(heap: &Heap) -> (u64, [u64; Category::COUNT], usize, Vec<u64>) {
+    let clock = heap.clock();
+    let io = heap.h2().map_or(Vec::new(), |h2| {
+        let s = h2.mmap().stats();
+        vec![
+            s.read_bytes(),
+            s.read_ops(),
+            s.write_bytes(),
+            s.write_ops(),
+            s.page_faults(),
+            s.seq_faults(),
+            s.evictions(),
+            h2.mmap().resident_pages() as u64,
+        ]
+    });
+    (clock.total_ns(), clock.tracer().charge_counts(), clock.tracer().events().len(), io)
+}
+
+#[test]
+fn peek_prims_charges_nothing_and_sees_what_view_prims_sees() {
+    // An array spanning several 4 KiB pages, moved to H2 by a hinted major
+    // cycle, which writes it to the device and leaves its pages unmapped.
+    let len = 3000usize;
+    let words = 4 * (len + 64).next_power_of_two();
+    let mut heap =
+        h2_heap(HeapConfig::with_words(words, words), DeviceSpec::nvme_ssd(), 4096, 2, len, 4);
+    let label = Label::new(9);
+    let h = heap.alloc_prim_array_labeled(len, label).expect("fits");
+    let vals: Vec<u64> = (0..len as u64).map(|i| i * 7 + 1).collect();
+    heap.write_prims(h, 0, &vals);
+    heap.h2_move(label);
+    heap.gc_major().expect("the array fits H2");
+    assert!(heap.is_in_h2(h), "the array must be device-resident");
+    assert_eq!(heap.h2().expect("attached").mmap().resident_pages(), 0);
+
+    for (start, n) in [(0, len), (5, 1), (500, 1200), (len, 0)] {
+        let before = footprint(&heap);
+        let peeked = heap.peek_prims(h, start, n).to_vec();
+        assert_eq!(footprint(&heap), before, "peek_prims({start}, {n}) left a trace");
+        assert_eq!(peeked, heap.view_prims(h, start, n), "H2 words of ({start}, {n})");
+        assert_eq!(peeked, vals[start..start + n]);
+    }
+    assert!(heap.h2().expect("attached").mmap().resident_pages() > 0, "views fault pages in");
+
+    let (mut heap, h) = array16();
+    heap.write_prims(h, 0, &(100..116).collect::<Vec<u64>>());
+    let before = footprint(&heap);
+    let peeked = heap.peek_prims(h, 3, 9).to_vec();
+    assert_eq!(footprint(&heap), before, "an H1 peek left a trace");
+    assert_eq!(peeked, heap.view_prims(h, 3, 9), "H1 words");
 }
 
 #[test]

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Sampling CPU profile of one benchmark workload.
 #
-#   scripts/profile.sh <workload> [seed]     seed defaults to 42
+#   scripts/profile.sh <workload> [seed] [--lines <path-substring>]
+#
+# The seed defaults to 42.
 #
 # Builds scripts/prof/sigprof.rs with bare rustc into a temporary directory,
 # builds teraheap-benchmark with frame pointers into target/profile, runs
@@ -23,11 +25,31 @@
 #
 #   grep BlockManager target/profile/spark_batch.folded | grep 'gc::' |
 #       sed -E 's/.*(gc::[a-z]+::[a-z_]+).*/\1/' | sort | uniq -c | sort -rn
+#
+# With --lines, it also prints the top source lines of the self samples: each
+# sample's innermost instruction pointer goes through `addr2line -i -f -C -a`
+# over the build's line tables, and the sample counts for the innermost
+# inlined frame whose file path contains <path-substring> (`query/src`,
+# `exec.rs`, ...), as `file:line  function`. Samples with no such frame are
+# only counted. This names the line a host-time change moved.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-workload=${1:?usage: scripts/profile.sh <workload> [seed]}
-seed=${2:-42}
+usage="usage: scripts/profile.sh <workload> [seed] [--lines <path-substring>]"
+workload="" seed="" lines=""
+while (($#)); do
+    case $1 in
+        --lines) lines=${2:?--lines needs a path substring}; shift 2 ;;
+        -*) echo "$usage" >&2; exit 2 ;;
+        *)
+            if [[ -z $workload ]]; then workload=$1
+            elif [[ -z $seed ]]; then seed=$1
+            else echo "$usage" >&2; exit 2; fi
+            shift ;;
+    esac
+done
+[[ -n $workload ]] || { echo "$usage" >&2; exit 2; }
+seed=${seed:-42}
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -48,7 +70,8 @@ reps=$(awk '$1 == "metric" && $2 == "bench.reps" { print $3 + 1 }' "$tmp/result"
 
 folded="$target/$workload.folded"
 : >"$folded"
-awk -v exe="$bin" -v top=25 -v title="$workload seed $seed" -v reps="${reps:-0}" -v folded="$folded" '
+awk -v exe="$bin" -v top=25 -v title="$workload seed $seed" -v reps="${reps:-0}" -v folded="$folded" \
+    -v leaves="$tmp/leaves" '
 function hex(s,    i, n) {
     n = 0
     for (i = 1; i <= length(s); i++) n = n * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1
@@ -79,6 +102,18 @@ function crate(name,    s) {
     # `<u64 as teraheap_util::..>::f` is counted under the crate of the trait.
     while (sub(/^(<|&|\*const |\*mut |dyn |impl |[^:<> ]+ as )/, "", s)) {}
     return index(s, "::") ? substr(s, 1, index(s, "::") - 1) : "(no crate)"
+}
+# Lowercase hex of a non-negative integer (the %x of mawk stops at 2^32).
+function tohex(n,    s) {
+    s = ""
+    do { s = substr("0123456789abcdef", n % 16 + 1, 1) s; n = int(n / 16) } while (n > 0)
+    return s
+}
+# Records the link-time address of a self sample, `-` outside the executable.
+function note_leaf(word,    a, m) {
+    a = hex(word)
+    for (m = 1; m <= nmap; m++) if (a >= mlo[m] && a < mhi[m]) break
+    print (m <= nmap && mpath[m] == exe ? "0x" tohex(a - bias) : "-") > leaves
 }
 function pct(n) { return sprintf("%5.1f%%", 100 * n / (samples ? samples : 1)) }
 # Prints the `k` largest entries of `count` (selection, no external sort).
@@ -113,7 +148,7 @@ FNR == NR {
         name = resolve($i, i == 2)
         frame = name; gsub(/;/, ",", frame)
         stack = i == 2 ? frame : frame ";" stack
-        if (i == 2) { self[name]++; crate_self[crate(name)]++ }
+        if (i == 2) { self[name]++; crate_self[crate(name)]++; note_leaf($i) }
         # A leaf outside the executable is charged to its nearest caller in it.
         if (i == 2 && name ~ /^\[/) outer = name
         if (outer != "" && name !~ /^\[/) { outside[outer " <- " name]++; outer = "" }
@@ -141,3 +176,35 @@ END {
     print "== per crate, inclusive =="; ranked(crate_incl, top)
     printf "folded stacks: %s\n", folded
 }' "$tmp/symbols" "$tmp/samples"
+
+[[ -n $lines ]] || exit 0
+touch "$tmp/leaves"
+sort "$tmp/leaves" | uniq -c >"$tmp/counts"
+awk '$2 != "-" { print $2 }' "$tmp/counts" | addr2line -i -f -C -a -e "$bin" >"$tmp/located"
+# `addr2line -a` prints the address, then a function line and a file:line line
+# per inlined frame, innermost first.
+awk -v want="$lines" -v root="$(pwd -P)/" -v top=25 '
+function norm(a) { sub(/^0x0*/, "", a); return a }
+FNR == NR { count[norm($2)] = $1; samples += $1; next }
+/^0x[0-9a-f]+$/ { addr = norm($0); frame = 0; taken = 0; next }
+{
+    frame++
+    if (frame % 2 == 1) { fn = $0; next }
+    loc = $1
+    if (taken || index(loc, want) == 0) next
+    taken = 1
+    if (index(loc, root) == 1) loc = substr(loc, length(root) + 1)
+    key = loc "  " substr(fn, 1, 90)
+    hits[key] += count[addr]; matched += count[addr]
+}
+END {
+    printf "== top source lines of self samples in files matching \"%s\" (%.1f%% of %d samples) ==\n",
+        want, 100 * matched / (samples ? samples : 1), samples
+    for (r = 1; r <= top; r++) {
+        best = ""
+        for (key in hits) if (!(key in done) && (best == "" || hits[key] > hits[best])) best = key
+        if (best == "") break
+        done[best] = 1
+        printf "  %5.1f%%  %s\n", 100 * hits[best] / (samples ? samples : 1), best
+    }
+}' "$tmp/counts" "$tmp/located"

@@ -75,6 +75,10 @@ echo "ok"
 # DeviceLease submission: device service reaches a clock only through the
 # lease in storage/src/shared.rs, so a charge in device.rs or mmap.rs is a
 # second device path.
+# A read that charges nothing has one use outside the runtime: the query
+# table peeks a frozen index run to build a key-column chunk's selection
+# bitmap, and pays for the chunk's charged view all the same. Heap::peek_prims
+# is the one H1/H2 entry, and H2::peek_words is reached only through it.
 # An H1 word's price has one owner, config::H1Price: outside its constructor
 # no runtime code reads the DRAM word cost, Memory mode's premium or
 # Panthera's NVM split (definitions, comments and tests aside).
@@ -85,7 +89,7 @@ echo "ok"
 # The panic ratchet counts the unwrap/expect/panic!/unreachable! lines of a
 # crate; it may fall, never rise. "Outside tests" is what scripts/loc.sh
 # keeps: no cfg(test) item, statement or oracle file, wherever it sits.
-echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane, one region-liveness rule, placement is a budget rule, one stop-world major, one run report, one H2 card walk, H2 owns its region metadata, one serialized off-heap path, one device path, one H1 word price, round memory through the spare pool, panic ratchet =="
+echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane, one region-liveness rule, placement is a budget rule, one stop-world major, one run report, one H2 card walk, H2 owns its region metadata, one serialized off-heap path, one device path, uncharged peeks for run search only, one H1 word price, round memory through the spare pool, panic ratchet =="
 if grep -rlE '^[[:space:]]*(pub[[:space:]]+)?enum[[:space:]]+[A-Za-z0-9_]*Op\b' crates/runtime/tests \
     | grep -v '^crates/runtime/tests/common/'; then
     echo "ERROR: an op enum outside crates/runtime/tests/common/; extend the shared language instead." >&2
@@ -152,6 +156,20 @@ if grep -nE '\.charge(_batched)?\(|add_many\(' crates/storage/src/device.rs crat
     echo "ERROR: a device charges a clock itself; serve it through its DeviceLease (shared.rs)." >&2
     exit 1
 fi
+stray_peeks=$({
+    grep -rnE --include='*.rs' '\.peek_prims\(' crates src tests examples \
+        | grep -vE '^crates/(runtime/|query/src/table\.rs:)'
+    grep -rnE --include='*.rs' '\.peek_words\(' crates src tests examples \
+        | grep -v '^crates/runtime/src/heap/access\.rs:'
+    awk '/^    pub fn peek_prims\(/ { peek = 1 }
+        /\.peek_words\(/ && !peek { print FILENAME ":" FNR ": " $0 }
+        /^    }$/ { peek = 0 }' crates/runtime/src/heap/access.rs
+} || true)
+if [[ -n "$stray_peeks" ]]; then
+    echo "$stray_peeks"
+    echo "ERROR: an uncharged read outside Heap::peek_prims or the query table's run search; read through a charged view." >&2
+    exit 1
+fi
 stray_price=$(scripts/loc.sh --lines crates/runtime/src | awk '
     { text = $0; sub(/^[^:]*:[^:]*:/, "", text) }
     /^[^:]*\/config\.rs:/ && text ~ /^    pub\(crate\) fn new\(config: &HeapConfig/ { build = 1 }
@@ -203,8 +221,8 @@ if ! diff <(scripts/loc.sh --root scripts/loc_fixture) scripts/loc_fixture/expec
 fi
 loc=$(scripts/loc.sh)
 echo "$loc"
-declare -A pin=([bench]=2456 [core]=1675 [giraph]=1162 [kryo]=496 [obs]=891 [query]=1381
-    [runtime]=4492 [server]=480 [spark]=1243 [storage]=2287 [util]=1574 [workloads]=257)
+declare -A pin=([bench]=2456 [core]=1684 [giraph]=1162 [kryo]=496 [obs]=891 [query]=1426
+    [runtime]=4509 [server]=480 [spark]=1243 [storage]=2287 [util]=1574 [workloads]=257)
 while read -r crate lines; do
     [[ $crate == crate || $crate == total ]] && continue
     if [[ -z ${pin[$crate]:-} ]]; then
@@ -252,7 +270,7 @@ teraheap_runtime/trace_equivalence::          §8   tracing observes the clock a
 teraheap_obs/lib::tests::ring_counts_         §8   the recorder's one lock: after every emit, resize, level flip or clear, emitted = ring length + dropped = sum of per-class counts, and ring seqs are contiguous
 teraheap_runtime/mutator_programs::spans_arm  §8   over random mutator programs, spans nest per slot and major-GC phases occur only inside a major GC
 teraheap_storage/bulk_equivalence::           §9   touch_run is bit-identical to the word-at-a-time loop: same ns, counters, events
-teraheap_runtime/bulk_equivalence::           §9   programs of the shared mutator language observe and charge the same through the word loop, read_prims/write_prims, view_prims and the pinned *_at accessors: scripted ranges on H1, paged and DAX H2 and across the Panthera NVM boundary, and random programs whose pins ride minor and major GCs and H2 promotion
+teraheap_runtime/bulk_equivalence::           §9   programs of the shared mutator language observe and charge the same through the word loop, read_prims/write_prims, view_prims and the pinned *_at accessors, and the uncharged peek_prims sees their words and leaves no trace: scripted ranges on H1, paged and DAX H2 and across the Panthera NVM boundary, and random programs whose pins ride minor and major GCs and H2 promotion
 teraheap_runtime/lib::heap::batch::tests::    §9   a word batch's reads, writes, length load and fill cost what the per-word accessors do, charge for charge, across Panthera's NVM boundary and under Memory mode
 mini_giraph/charge_pin::                      §9   the superstep loop, message stores and OOC blob path: per-category ns, GC counts, offloads/reloads, charge-call counts, checksum (golden)
 mini_giraph/lib::tests::delivery_oracle::     §9   edge delivery in word-batched runs against the per-edge loop, PR/CDLP/WCC on hinted and hint-less TeraHeap, OOC, two-tenant DAX, Memory mode and Panthera: breakdown, I/O counters, charge counts, event classes, the event ring, tenant arbitration and checksum all equal
@@ -286,6 +304,7 @@ teraheap_query/query_properties::             §14  the executor matches its nai
 teraheap_query/scan_order::                   §14  a cold table loaded through minor GCs lies in H2 out of directory order; a full-scan aggregate visiting it in storage order takes >= 90% of its faults sequentially (directory order: under 90%) and answers the same
 teraheap_query/lib::index::tests::bloom_filter_has_no_false_negatives  §14  every key a run holds passes its Bloom filter: 1-256 keys per run, duplicates, 0 and u64::MAX
 teraheap_query/lib::index::tests::point_lookup_views_few_of_128_runs   §14  a point lookup of a present key views at most 3 of 128 runs on average (IndexProbe), where zone maps alone would view nearly all
+teraheap_query/lib::exec::tests::run_bitmaps_equal_value_scan_bitmaps  §14  a key-column chunk's selection bitmap built from its sorted run equals the value scan's, hot and cold, chunks of 10-256 rows with duplicate keys, for inverted, out-of-range, boundary, one-key and full-range predicates
 teraheap_query/endurance::                    §14  the retriever-style churn loop stays leak-free with the heap checker armed
 teraheap_query/gc_equivalence::               §14  with the query crate linked but idle the runtime golden reproduces bit-identically
 TABLE
