@@ -9,8 +9,10 @@
 //!   through [`Heap::view_prims`] (H2 chunks pay the real fault/arbitration
 //!   path) and build the chunk's selection bitmap: a key-column chunk's from
 //!   its frozen sorted run, read uncharged through [`Heap::peek_prims`]
-//!   (binary search to `lo`, one bit per row id up to `hi`; the chunk's view
+//!   (one bit per row id from the run's start up to `hi`; the chunk's view
 //!   is charged all the same), any other chunk's from its predicate lanes.
+//!   One branch-free pass before the chunk loop binary-searches every
+//!   run's start (its first key not below `lo`), overlapping their misses.
 //!   View the projected column only for chunks whose bitmap is non-empty,
 //!   gathering the set bits;
 //! * **index probe** — when the predicate is on the table's key column,
@@ -119,6 +121,8 @@ pub(crate) struct ExecBuffers {
     /// One chunk's selection bitmap: bit `i % 64` of word `i / 64` is row
     /// `i` of the chunk.
     bitmap: Vec<u64>,
+    /// A key-column scan's run starts, by chunk ([`run_starts`]).
+    starts: Vec<usize>,
 }
 
 /// The index plan packs a hit's fetch rank above its row id, so one
@@ -193,16 +197,33 @@ fn select(filter: &Predicate, vals: &[u64], bitmap: &mut Vec<u64>) -> bool {
     any != 0
 }
 
+/// Replaces `starts` with every sealed run's start for `filter`: the
+/// position of run `k`'s first key not below `filter.lo` ([`Table::peek_run`]),
+/// or 0 when its zone map rules it out. The binary searches are branch-free
+/// and uncharged, so consecutive runs' cache misses overlap.
+fn run_starts(table: &Table, heap: &Heap, filter: &Predicate, starts: &mut Vec<usize>) {
+    let cr = table.chunk_rows();
+    starts.clear();
+    starts.extend(table.index().runs().iter().enumerate().map(|(k, run)| {
+        if run.overlaps(filter.lo, filter.hi) {
+            table.peek_run(heap, k)[..cr].partition_point(|&key| key < filter.lo)
+        } else {
+            0
+        }
+    }));
+}
+
 /// [`select`] for sealed chunk `k` of the key column, from its frozen index
 /// run `[sorted keys | row ids]` ([`Table::peek_run`]) instead of its
 /// values: the run's zone map rules the chunk out, or the matching keys are
-/// one slice of the sorted half, found by binary search, whose row ids are
-/// the bits. O(log chunk_rows + matches) instead of a pass over the chunk.
+/// one slice of the sorted half, from the run's `start` ([`run_starts`]),
+/// whose row ids are the bits. O(matches) instead of a pass over the chunk.
 fn select_run(
     table: &Table,
     heap: &Heap,
     k: usize,
     filter: &Predicate,
+    start: usize,
     bitmap: &mut Vec<u64>,
 ) -> bool {
     bitmap.clear();
@@ -212,10 +233,9 @@ fn select_run(
     let cr = table.chunk_rows();
     let (keys, rows) = table.peek_run(heap, k).split_at(cr);
     bitmap.resize(cr.div_ceil(64), 0);
-    let a = keys.partition_point(|&key| key < filter.lo);
-    let n = keys[a..].iter().take_while(|&&key| key <= filter.hi).count();
+    let n = keys[start..].iter().take_while(|&&key| key <= filter.hi).count();
     let row0 = (k * cr) as u64;
-    for &row in &rows[a..a + n] {
+    for &row in &rows[start..start + n] {
         let i = (row - row0) as usize;
         bitmap[i / 64] |= 1 << (i % 64);
     }
@@ -241,7 +261,7 @@ fn gather(bitmap: &[u64], row0: usize, proj: &[u64], matched: &mut Vec<(usize, u
 pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool) -> QueryResult {
     let cr = table.chunk_rows();
     let (fcol, pcol) = (q.filter.col, q.project);
-    let ExecBuffers { mut matched, mut spans, mut hits, mut bitmap } =
+    let ExecBuffers { mut matched, mut spans, mut hits, mut bitmap, mut starts } =
         std::mem::take(&mut table.exec);
     matched.clear();
     spans.reset(table.sealed_chunks());
@@ -268,6 +288,9 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
     } else {
         table.refresh_storage_order(heap);
         let by_run = fcol == table.key_col();
+        if by_run {
+            run_starts(table, heap, &q.filter, &mut starts);
+        }
         for &k in table.order(fcol) {
             scanned += cr as u64;
             let start = matched.len();
@@ -275,7 +298,7 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
             // is charged all the same. The projected chunk's read is charged
             // too, so whether it happens is part of the plan's cost: only
             // when the chunk has a match.
-            let run_any = by_run && select_run(table, heap, k, &q.filter, &mut bitmap);
+            let run_any = by_run && select_run(table, heap, k, &q.filter, starts[k], &mut bitmap);
             let any = table.view_col_chunk(heap, fcol, k, |vals| {
                 let any = if by_run { run_any } else { select(&q.filter, vals, &mut bitmap) };
                 if any && pcol == fcol {
@@ -328,7 +351,7 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
         agg,
         checksum: fnv.finish(),
     };
-    table.exec = ExecBuffers { matched, spans, hits, bitmap };
+    table.exec = ExecBuffers { matched, spans, hits, bitmap, starts };
     result
 }
 
@@ -385,7 +408,7 @@ mod tests {
 
     #[test]
     fn run_bitmaps_equal_value_scan_bitmaps() {
-        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let (mut want, mut got, mut starts) = (Vec::new(), Vec::new(), Vec::new());
         for placement in [TablePlacement::Hot, TablePlacement::Cold] {
             for chunk_rows in [10, 64, 100, 256] {
                 let (mut heap, table) = table(placement, chunk_rows, 1000);
@@ -416,7 +439,8 @@ mod tests {
                         let scan = table.view_col_chunk(&mut heap, 0, k, |vals| {
                             select(&filter, vals, &mut want)
                         });
-                        let run = select_run(&table, &heap, k, &filter, &mut got);
+                        run_starts(&table, &heap, &filter, &mut starts);
+                        let run = select_run(&table, &heap, k, &filter, starts[k], &mut got);
                         assert_eq!(
                             selected(run, &got),
                             selected(scan, &want),

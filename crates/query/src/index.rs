@@ -12,6 +12,11 @@
 //! path. Zone maps prune range predicates; keys shuffled across chunks give
 //! every run the whole key space, so a point predicate also asks each
 //! overlapping run's filter and views only the runs it cannot rule out.
+//!
+//! Runs share the table's chunk length, so the filters are stored
+//! *bit-sliced* in blocks of 64 runs, one run per bit of a word: a point
+//! probe ANDs the 7 words of its key's bits in a block into the mask of the
+//! block's runs that may hold the key.
 
 use teraheap_util::rng::SplitMix64;
 
@@ -22,7 +27,8 @@ const BLOOM_BITS_PER_KEY: usize = 10;
 /// positives, to about 0.8%.
 const BLOOM_HASHES: u32 = 7;
 
-/// DRAM-side skeleton of one frozen run: its zone map and Bloom filter.
+/// DRAM-side zone map of one frozen run; its filter is a bit of the
+/// index's slices.
 #[derive(Debug, Clone)]
 pub struct RunMeta {
     /// Smallest key in the run.
@@ -31,9 +37,6 @@ pub struct RunMeta {
     pub max_key: u64,
     /// Keys in the run (the table's chunk size).
     pub len: usize,
-    /// Bloom filter over the run's keys: `BLOOM_BITS_PER_KEY · len` bits,
-    /// rounded up to whole words.
-    bloom: Box<[u64]>,
 }
 
 impl RunMeta {
@@ -41,18 +44,10 @@ impl RunMeta {
     pub fn overlaps(&self, lo: u64, hi: u64) -> bool {
         self.min_key <= hi && self.max_key >= lo
     }
-
-    /// Whether the run may hold the key whose [`bloom_hash`] is `h` (a probe
-    /// asking many runs about one key hashes it once). A Bloom filter has
-    /// no false negatives: this is `true` for every key the run holds.
-    #[inline]
-    pub(crate) fn may_contain(&self, h: u64) -> bool {
-        bloom_bits(h, self.bloom.len()).all(|b| self.bloom[b / 64] >> (b % 64) & 1 == 1)
-    }
 }
 
 /// The one SplitMix64 mix of `key` its filter bits derive from.
-pub(crate) fn bloom_hash(key: u64) -> u64 {
+fn bloom_hash(key: u64) -> u64 {
     SplitMix64::new(key).next_u64()
 }
 
@@ -67,36 +62,69 @@ fn bloom_bits(h: u64, words: usize) -> impl Iterator<Item = usize> {
 }
 
 /// The sorted-run index skeleton: run metadata in registration (chunk)
-/// order. The runs' payloads are heap objects rooted in the table's chunk
-/// directory; probing lives on [`crate::table::Table::probe_index`] where
-/// both are in scope.
-#[derive(Debug, Clone, Default)]
+/// order and the runs' bit-sliced filters. The runs' payloads are heap
+/// objects rooted in the table's chunk directory; probing lives on
+/// [`crate::table::Table::probe_index`] where both are in scope.
+#[derive(Debug, Clone)]
 pub struct SortedRunIndex {
+    /// Keys in every run.
+    run_len: usize,
+    /// Words of each run's filter: `BLOOM_BITS_PER_KEY · run_len` bits,
+    /// rounded up to whole words.
+    filter_words: usize,
     runs: Vec<RunMeta>,
+    /// Blocks of `64 · filter_words` slices: bit `r % 64` of slice `b` of
+    /// block `r / 64` is filter bit `b` of run `r`.
+    slices: Vec<u64>,
 }
 
 impl SortedRunIndex {
-    /// Empty index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers the run frozen from a newly sealed chunk, given its keys in
-    /// ascending order: records the zone map and fills the run's filter.
+    /// Empty index over runs of `run_len` keys.
     ///
     /// # Panics
     ///
-    /// If `keys` is empty.
+    /// If `run_len` is zero.
+    pub fn new(run_len: usize) -> Self {
+        assert!(run_len > 0, "a run holds at least one key");
+        let filter_words = (BLOOM_BITS_PER_KEY * run_len).div_ceil(64);
+        SortedRunIndex { run_len, filter_words, runs: Vec::new(), slices: Vec::new() }
+    }
+
+    /// Registers the run frozen from a newly sealed chunk, given its keys in
+    /// ascending order: records the zone map and sets the run's filter bits.
+    ///
+    /// # Panics
+    ///
+    /// If `keys` is not one run long.
     pub fn push_run(&mut self, keys: &[u64]) {
+        assert_eq!(keys.len(), self.run_len, "every run has the index's run length");
         debug_assert!(keys.is_sorted(), "run keys must be ascending");
-        let len = keys.len();
-        let mut bloom = vec![0u64; (BLOOM_BITS_PER_KEY * len).div_ceil(64)].into_boxed_slice();
+        let (r, block_words) = (self.runs.len(), 64 * self.filter_words);
+        if r % 64 == 0 {
+            self.slices.resize(self.slices.len() + block_words, 0);
+        }
+        let block = &mut self.slices[r / 64 * block_words..];
         for &key in keys {
-            for b in bloom_bits(bloom_hash(key), bloom.len()) {
-                bloom[b / 64] |= 1 << (b % 64);
+            for b in bloom_bits(bloom_hash(key), self.filter_words) {
+                block[b] |= 1 << (r % 64);
             }
         }
-        self.runs.push(RunMeta { min_key: keys[0], max_key: keys[len - 1], len, bloom });
+        let len = keys.len();
+        self.runs.push(RunMeta { min_key: keys[0], max_key: keys[len - 1], len });
+    }
+
+    /// Replaces `masks` with one word per block of 64 runs: bit `r % 64` of
+    /// word `r / 64` is set when run `r`'s filter may hold `key`. A Bloom
+    /// filter has no false negatives: the bit is set for every run holding
+    /// the key.
+    pub(crate) fn filter_masks(&self, key: u64, masks: &mut Vec<u64>) {
+        let (h, words) = (bloom_hash(key), self.filter_words);
+        masks.clear();
+        masks.extend(
+            self.slices
+                .chunks_exact(64 * words)
+                .map(|block| bloom_bits(h, words).fold(!0, |mask, b| mask & block[b])),
+        );
     }
 
     /// Run metadata in chunk order.
@@ -107,13 +135,15 @@ impl SortedRunIndex {
     /// Drops every run (table storage was dropped).
     pub fn clear(&mut self) {
         self.runs.clear();
+        self.slices.clear();
     }
 
     /// DRAM words of the index skeleton (the `memory_usage` report's
-    /// index term): per run, three words of zone map and length plus the
-    /// words of its Bloom filter.
+    /// index term): per run, three words of zone map and length, plus
+    /// every allocated word of the filter slices (a run's filter words, for
+    /// each run of a full block).
     pub fn metadata_words(&self) -> usize {
-        self.runs.iter().map(|run| 3 + run.bloom.len()).sum()
+        3 * self.runs.len() + self.slices.len()
     }
 }
 
@@ -124,15 +154,42 @@ mod tests {
     use teraheap_runtime::obs::{EventKind, Level};
     use teraheap_runtime::{Heap, HeapConfig};
     use teraheap_util::proptest_mini::{
-        any_u64, check, range_u64, vec_of, CaseResult, Config, Just,
+        any_u64, check, range_u64, range_usize, vec_of, CaseResult, Config, Just,
     };
     use teraheap_util::rng::Rng;
     use teraheap_util::{prop_assert, prop_oneof};
 
+    /// The per-run filter the slices transpose, kept as their oracle:
+    /// `BLOOM_BITS_PER_KEY · len` bits, rounded up to whole words, asked one
+    /// run at a time.
+    struct RunFilter(Vec<u64>);
+
+    impl RunFilter {
+        fn new(keys: &[u64]) -> Self {
+            let mut words = vec![0u64; (BLOOM_BITS_PER_KEY * keys.len()).div_ceil(64)];
+            for &key in keys {
+                for b in bloom_bits(bloom_hash(key), words.len()) {
+                    words[b / 64] |= 1 << (b % 64);
+                }
+            }
+            RunFilter(words)
+        }
+
+        fn may_contain(&self, key: u64) -> bool {
+            bloom_bits(bloom_hash(key), self.0.len()).all(|b| self.0[b / 64] >> (b % 64) & 1 == 1)
+        }
+    }
+
+    /// Whether run `r`'s bit is set in `masks`.
+    fn passes(masks: &[u64], r: usize) -> bool {
+        masks[r / 64] >> (r % 64) & 1 == 1
+    }
+
     #[test]
     fn bloom_filter_has_no_false_negatives() {
-        // Runs of 1..=256 keys (the default chunk size): a narrow domain
-        // for duplicates, both ends of the key space, and arbitrary keys.
+        // One run length per case, 1..=256 keys (the default chunk size):
+        // a narrow domain for duplicates, both ends of the key space, and
+        // arbitrary keys.
         let key = prop_oneof![
             2 => range_u64(0..64),
             1 => Just(0u64),
@@ -141,20 +198,69 @@ mod tests {
         ];
         check(
             "bloom_filter_has_no_false_negatives",
-            &vec_of(vec_of(key, 1..257), 1..4),
+            &(range_usize(1..257), vec_of(vec_of(key, 256..257), 1..4)),
             &Config::with_cases(64),
-            |runs: Vec<Vec<u64>>| {
-                let mut index = SortedRunIndex::new();
-                for keys in &runs {
-                    let mut keys = keys.clone();
+            |(len, mut runs): (usize, Vec<Vec<u64>>)| {
+                let mut index = SortedRunIndex::new(len);
+                for keys in &mut runs {
+                    keys.truncate(len);
                     keys.sort_unstable();
-                    index.push_run(&keys);
+                    index.push_run(keys);
                 }
-                for (run, keys) in index.runs().iter().zip(&runs) {
-                    prop_assert!(
-                        keys.iter().all(|&k| run.may_contain(bloom_hash(k))),
-                        "a held key was ruled out"
-                    );
+                let mut masks = Vec::new();
+                for (r, keys) in runs.iter().enumerate() {
+                    for &k in keys {
+                        index.filter_masks(k, &mut masks);
+                        prop_assert!(passes(&masks, r), "run {r} of {len} keys ruled out {k}");
+                    }
+                }
+                CaseResult::Pass
+            },
+        );
+    }
+
+    #[test]
+    fn sliced_masks_equal_per_run_filters() {
+        // One index grown to 130 runs of 1..=256 keys, compared on both
+        // sides of the 64-run block edges. A run passes a probe exactly
+        // when its own filter says so, false positives included: they
+        // decide what a point lookup views, hence its charges.
+        check(
+            "sliced_masks_equal_per_run_filters",
+            &(range_usize(1..257), any_u64()),
+            &Config::with_cases(16),
+            |(len, seed): (usize, u64)| {
+                let mut rng = Rng::seed_from_u64(seed);
+                let domain = 1 + rng.gen_range(0..4 * len as u64);
+                let mut keys: Vec<Vec<u64>> = (0..130)
+                    .map(|_| (0..len).map(|_| rng.gen_range(0..domain)).collect())
+                    .collect();
+                keys.iter_mut().for_each(|k| k.sort_unstable());
+                let filters: Vec<RunFilter> = keys.iter().map(|k| RunFilter::new(k)).collect();
+                // Two held keys per run, then keys the runs mostly lack.
+                let mut probes: Vec<u64> = keys.iter().flat_map(|k| [k[0], k[len - 1]]).collect();
+                probes.extend((0..128).map(|_| rng.next_u64()));
+                probes.extend(domain..domain + 64);
+                let (mut index, mut masks) = (SortedRunIndex::new(len), Vec::new());
+                for (n, run) in keys.iter().enumerate().map(|(r, k)| (r + 1, k)) {
+                    index.push_run(run);
+                    if ![1, 63, 64, 65, 130].contains(&n) {
+                        continue;
+                    }
+                    for &k in &probes {
+                        index.filter_masks(k, &mut masks);
+                        prop_assert!(masks.len() == n.div_ceil(64), "one mask per block");
+                        for (r, filter) in filters[..n].iter().enumerate() {
+                            prop_assert!(
+                                passes(&masks, r) == filter.may_contain(k),
+                                "run {r} of {n} x {len} keys disagrees on {k}"
+                            );
+                        }
+                        prop_assert!(
+                            (n..64 * masks.len()).all(|r| !passes(&masks, r)),
+                            "a run past the last of {n} passed {k}"
+                        );
+                    }
                 }
                 CaseResult::Pass
             },

@@ -22,7 +22,7 @@
 //! the layout is permuted.
 
 use crate::exec::ExecBuffers;
-use crate::index::{bloom_hash, SortedRunIndex};
+use crate::index::SortedRunIndex;
 use teraheap_core::Label;
 use teraheap_runtime::obs::EventKind;
 use teraheap_runtime::{Handle, Heap, OomError};
@@ -100,10 +100,13 @@ pub struct Table {
     rows: usize,
     staging: Vec<Vec<u64>>,
     index: SortedRunIndex,
+    /// A point probe's filter masks, one word per block of 64 runs
+    /// ([`SortedRunIndex`]), reused by every probe.
+    filter_masks: Vec<u64>,
     storage: StorageOrder,
-    /// The executor's match list, candidate list, chunk spans and
-    /// selection bitmap, reused by every query instead of allocating per
-    /// operation.
+    /// The executor's match list, candidate list, chunk spans, selection
+    /// bitmap and run starts, reused by every query instead of allocating
+    /// per operation.
     pub(crate) exec: ExecBuffers,
 }
 
@@ -151,7 +154,8 @@ impl Table {
             chunks: vec![Vec::new(); cfg.cols + 1],
             rows: 0,
             staging: vec![Vec::new(); cfg.cols],
-            index: SortedRunIndex::new(),
+            index: SortedRunIndex::new(cfg.chunk_rows),
+            filter_masks: Vec::new(),
             storage: StorageOrder {
                 epoch: None,
                 order: vec![Vec::new(); cfg.cols + 1],
@@ -355,8 +359,10 @@ impl Table {
     pub(crate) fn probe_runs(&mut self, heap: &mut Heap, lo: u64, hi: u64, hits: &mut Vec<usize>) {
         self.refresh_storage_order(heap);
         let cr = self.cfg.chunk_rows;
+        if lo == hi {
+            self.index.filter_masks(lo, &mut self.filter_masks);
+        }
         let (runs, roots) = (self.index.runs(), &self.chunks[self.cfg.cols]);
-        let key_hash = bloom_hash(lo);
         hits.clear();
         let mut probed = 0u32;
         for &k in self.order(self.cfg.cols) {
@@ -366,7 +372,7 @@ impl Table {
             }
             if lo == hi {
                 heap.charge_ops(1);
-                if !run.may_contain(key_hash) {
+                if self.filter_masks[k / 64] >> (k % 64) & 1 == 0 {
                     continue;
                 }
             }

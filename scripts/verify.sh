@@ -79,6 +79,9 @@ echo "ok"
 # table peeks a frozen index run to build a key-column chunk's selection
 # bitmap, and pays for the chunk's charged view all the same. Heap::peek_prims
 # is the one H1/H2 entry, and H2::peek_words is reached only through it.
+# The query index's run filters are bit-sliced, 64 runs a block, and a
+# point probe asks one mask per block; a per-run `bloom` field or a
+# per-run `may_contain(` outside tests is a second filter layout.
 # An H1 word's price has one owner, config::H1Price: outside its constructor
 # no runtime code reads the DRAM word cost, Memory mode's premium or
 # Panthera's NVM split (definitions, comments and tests aside).
@@ -89,7 +92,7 @@ echo "ok"
 # The panic ratchet counts the unwrap/expect/panic!/unreachable! lines of a
 # crate; it may fall, never rise. "Outside tests" is what scripts/loc.sh
 # keeps: no cfg(test) item, statement or oracle file, wherever it sits.
-echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane, one region-liveness rule, placement is a budget rule, one stop-world major, one run report, one H2 card walk, H2 owns its region metadata, one serialized off-heap path, one device path, uncharged peeks for run search only, one H1 word price, round memory through the spare pool, panic ratchet =="
+echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane, one region-liveness rule, placement is a budget rule, one stop-world major, one run report, one H2 card walk, H2 owns its region metadata, one serialized off-heap path, one device path, uncharged peeks for run search only, bit-sliced run filters, one H1 word price, round memory through the spare pool, panic ratchet =="
 if grep -rlE '^[[:space:]]*(pub[[:space:]]+)?enum[[:space:]]+[A-Za-z0-9_]*Op\b' crates/runtime/tests \
     | grep -v '^crates/runtime/tests/common/'; then
     echo "ERROR: an op enum outside crates/runtime/tests/common/; extend the shared language instead." >&2
@@ -170,6 +173,10 @@ if [[ -n "$stray_peeks" ]]; then
     echo "ERROR: an uncharged read outside Heap::peek_prims or the query table's run search; read through a charged view." >&2
     exit 1
 fi
+if scripts/loc.sh --lines crates/query/src | grep -E '(^|[^A-Za-z0-9_])bloom[[:space:]]*:|may_contain\('; then
+    echo "ERROR: a per-run Bloom filter in crates/query/src; probe the index's bit-sliced masks (SortedRunIndex::filter_masks)." >&2
+    exit 1
+fi
 stray_price=$(scripts/loc.sh --lines crates/runtime/src | awk '
     { text = $0; sub(/^[^:]*:[^:]*:/, "", text) }
     /^[^:]*\/config\.rs:/ && text ~ /^    pub\(crate\) fn new\(config: &HeapConfig/ { build = 1 }
@@ -221,7 +228,7 @@ if ! diff <(scripts/loc.sh --root scripts/loc_fixture) scripts/loc_fixture/expec
 fi
 loc=$(scripts/loc.sh)
 echo "$loc"
-declare -A pin=([bench]=2456 [core]=1684 [giraph]=1162 [kryo]=496 [obs]=891 [query]=1426
+declare -A pin=([bench]=2456 [core]=1684 [giraph]=1162 [kryo]=496 [obs]=891 [query]=1485
     [runtime]=4509 [server]=480 [spark]=1243 [storage]=2287 [util]=1574 [workloads]=257)
 while read -r crate lines; do
     [[ $crate == crate || $crate == total ]] && continue
@@ -302,9 +309,10 @@ mini_giraph/lib::workloads::tests::an_oom_report_  §13  one run report for Spar
 teraheap_query/charge_pin::                   §14  the read path's simulated charges, cold and hot (golden)
 teraheap_query/query_properties::             §14  the executor matches its naive oracle, the index plan is answer-bit-equal to the full scan (point lookups of held and absent keys included), answers are invariant across runtime knobs and across a permuted chunk/run visiting order
 teraheap_query/scan_order::                   §14  a cold table loaded through minor GCs lies in H2 out of directory order; a full-scan aggregate visiting it in storage order takes >= 90% of its faults sequentially (directory order: under 90%) and answers the same
-teraheap_query/lib::index::tests::bloom_filter_has_no_false_negatives  §14  every key a run holds passes its Bloom filter: 1-256 keys per run, duplicates, 0 and u64::MAX
+teraheap_query/lib::index::tests::bloom_filter_has_no_false_negatives  §14  every key a run holds passes its Bloom filter: one run length per case, 1-256 keys, duplicates, 0 and u64::MAX
+teraheap_query/lib::index::tests::sliced_masks_equal_per_run_filters   §14  the bit-sliced filter masks equal a per-run filter oracle for held and absent keys, false positives included, at 1, 63, 64, 65 and 130 runs of 1-256 keys
 teraheap_query/lib::index::tests::point_lookup_views_few_of_128_runs   §14  a point lookup of a present key views at most 3 of 128 runs on average (IndexProbe), where zone maps alone would view nearly all
-teraheap_query/lib::exec::tests::run_bitmaps_equal_value_scan_bitmaps  §14  a key-column chunk's selection bitmap built from its sorted run equals the value scan's, hot and cold, chunks of 10-256 rows with duplicate keys, for inverted, out-of-range, boundary, one-key and full-range predicates
+teraheap_query/lib::exec::tests::run_bitmaps_equal_value_scan_bitmaps  §14  a key-column chunk's selection bitmap built from its sorted run, from the up-front run-start pass, equals the value scan's, hot and cold, chunks of 10-256 rows with duplicate keys, for inverted, out-of-range, boundary, one-key and full-range predicates
 teraheap_query/endurance::                    §14  the retriever-style churn loop stays leak-free with the heap checker armed
 teraheap_query/gc_equivalence::               §14  with the query crate linked but idle the runtime golden reproduces bit-identically
 TABLE
