@@ -9,17 +9,17 @@
 //!   through [`Heap::view_prims`] (H2 chunks pay the real fault/arbitration
 //!   path) and build the chunk's selection bitmap: a key-column chunk's from
 //!   its frozen sorted run, read uncharged through [`Heap::peek_prims`]
-//!   (one bit per row id from the run's start up to `hi`; the chunk's view
-//!   is charged all the same), any other chunk's from its predicate lanes.
-//!   One branch-free pass before the chunk loop binary-searches every
-//!   run's start (its first key not below `lo`), overlapping their misses.
-//!   View the projected column only for chunks whose bitmap is non-empty,
-//!   gathering the set bits;
+//!   (one bit per row id of the run's matching keys, which one walk of the
+//!   table's key order finds for every run before the chunk loop; the
+//!   chunk's view is charged all the same), any other chunk's from its
+//!   predicate lanes. View the projected column only for chunks whose
+//!   bitmap is non-empty, gathering the set bits;
 //! * **index probe** — when the predicate is on the table's key column,
-//!   binary-search the frozen sorted runs that may hold a match
+//!   view the frozen sorted runs that may hold a match
 //!   ([`crate::table::Table::probe_index`]: zone maps prune by range, a
-//!   point predicate also by each run's Bloom filter) and fetch exactly the
-//!   matching rows, by `(storage rank of the projected chunk, row)`.
+//!   point predicate also by each run's Bloom filter), take each run's
+//!   matches from the same key-order walk, and fetch exactly the matching
+//!   rows, by `(storage rank of the projected chunk, row)`.
 //!
 //! Both plans then run the open chunk's DRAM staging through the same
 //! bitmap kernel and fold the same FNV answer checksum over the matches in
@@ -121,8 +121,6 @@ pub(crate) struct ExecBuffers {
     /// One chunk's selection bitmap: bit `i % 64` of word `i / 64` is row
     /// `i` of the chunk.
     bitmap: Vec<u64>,
-    /// A key-column scan's run starts, by chunk ([`run_starts`]).
-    starts: Vec<usize>,
 }
 
 /// The index plan packs a hit's fetch rank above its row id, so one
@@ -197,49 +195,25 @@ fn select(filter: &Predicate, vals: &[u64], bitmap: &mut Vec<u64>) -> bool {
     any != 0
 }
 
-/// Replaces `starts` with every sealed run's start for `filter`: the
-/// position of run `k`'s first key not below `filter.lo` ([`Table::peek_run`]),
-/// or 0 when its zone map rules it out. The binary searches are branch-free
-/// and uncharged, so consecutive runs' cache misses overlap.
-fn run_starts(table: &Table, heap: &Heap, filter: &Predicate, starts: &mut Vec<usize>) {
-    let cr = table.chunk_rows();
-    starts.clear();
-    starts.extend(table.index().runs().iter().enumerate().map(|(k, run)| {
-        if run.overlaps(filter.lo, filter.hi) {
-            table.peek_run(heap, k)[..cr].partition_point(|&key| key < filter.lo)
-        } else {
-            0
-        }
-    }));
-}
-
 /// [`select`] for sealed chunk `k` of the key column, from its frozen index
 /// run `[sorted keys | row ids]` ([`Table::peek_run`]) instead of its
-/// values: the run's zone map rules the chunk out, or the matching keys are
-/// one slice of the sorted half, from the run's `start` ([`run_starts`]),
-/// whose row ids are the bits. O(matches) instead of a pass over the chunk.
-fn select_run(
-    table: &Table,
-    heap: &Heap,
-    k: usize,
-    filter: &Predicate,
-    start: usize,
-    bitmap: &mut Vec<u64>,
-) -> bool {
+/// values: the matching keys are the run's span of the range last walked
+/// ([`Table::key_span`]), and their row ids are the bits. O(matches)
+/// instead of a pass over the chunk.
+fn select_run(table: &Table, heap: &Heap, k: usize, bitmap: &mut Vec<u64>) -> bool {
     bitmap.clear();
-    if !table.index().runs()[k].overlaps(filter.lo, filter.hi) {
+    let (start, n) = table.key_span(k);
+    if n == 0 {
         return false;
     }
     let cr = table.chunk_rows();
-    let (keys, rows) = table.peek_run(heap, k).split_at(cr);
     bitmap.resize(cr.div_ceil(64), 0);
-    let n = keys[start..].iter().take_while(|&&key| key <= filter.hi).count();
     let row0 = (k * cr) as u64;
-    for &row in &rows[start..start + n] {
+    for &row in &table.peek_run(heap, k)[cr + start..cr + start + n] {
         let i = (row - row0) as usize;
         bitmap[i / 64] |= 1 << (i % 64);
     }
-    n != 0
+    true
 }
 
 /// Appends `(row id, projected value)` for every set bit of `bitmap`,
@@ -261,7 +235,7 @@ fn gather(bitmap: &[u64], row0: usize, proj: &[u64], matched: &mut Vec<(usize, u
 pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool) -> QueryResult {
     let cr = table.chunk_rows();
     let (fcol, pcol) = (q.filter.col, q.project);
-    let ExecBuffers { mut matched, mut spans, mut hits, mut bitmap, mut starts } =
+    let ExecBuffers { mut matched, mut spans, mut hits, mut bitmap } =
         std::mem::take(&mut table.exec);
     matched.clear();
     spans.reset(table.sealed_chunks());
@@ -289,7 +263,7 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
         table.refresh_storage_order(heap);
         let by_run = fcol == table.key_col();
         if by_run {
-            run_starts(table, heap, &q.filter, &mut starts);
+            table.walk_keys(heap, q.filter.lo, q.filter.hi);
         }
         for &k in table.order(fcol) {
             scanned += cr as u64;
@@ -298,7 +272,7 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
             // is charged all the same. The projected chunk's read is charged
             // too, so whether it happens is part of the plan's cost: only
             // when the chunk has a match.
-            let run_any = by_run && select_run(table, heap, k, &q.filter, starts[k], &mut bitmap);
+            let run_any = by_run && select_run(table, heap, k, &mut bitmap);
             let any = table.view_col_chunk(heap, fcol, k, |vals| {
                 let any = if by_run { run_any } else { select(&q.filter, vals, &mut bitmap) };
                 if any && pcol == fcol {
@@ -351,7 +325,7 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
         agg,
         checksum: fnv.finish(),
     };
-    table.exec = ExecBuffers { matched, spans, hits, bitmap, starts };
+    table.exec = ExecBuffers { matched, spans, hits, bitmap };
     result
 }
 
@@ -408,10 +382,10 @@ mod tests {
 
     #[test]
     fn run_bitmaps_equal_value_scan_bitmaps() {
-        let (mut want, mut got, mut starts) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut want, mut got) = (Vec::new(), Vec::new());
         for placement in [TablePlacement::Hot, TablePlacement::Cold] {
             for chunk_rows in [10, 64, 100, 256] {
-                let (mut heap, table) = table(placement, chunk_rows, 1000);
+                let (mut heap, mut table) = table(placement, chunk_rows, 1000);
                 let cold = table.h2_resident_chunks(&heap) > 0;
                 assert_eq!(cold, placement == TablePlacement::Cold, "{placement:?}");
                 for k in 0..table.sealed_chunks() {
@@ -439,8 +413,8 @@ mod tests {
                         let scan = table.view_col_chunk(&mut heap, 0, k, |vals| {
                             select(&filter, vals, &mut want)
                         });
-                        run_starts(&table, &heap, &filter, &mut starts);
-                        let run = select_run(&table, &heap, k, &filter, starts[k], &mut got);
+                        table.walk_keys(&heap, lo, hi);
+                        let run = select_run(&table, &heap, k, &mut got);
                         assert_eq!(
                             selected(run, &got),
                             selected(scan, &want),

@@ -6,18 +6,22 @@
 //! allocated as part of the index's labeled object group, so runs live
 //! (and move to H2) with the column they index. Only the run's *skeleton*
 //! stays in DRAM: its zone map (min/max key, length) and a Bloom filter
-//! over its keys, built from the sorted keys at seal time. A probe
-//! binary-searches each candidate run's key half in place through
-//! `Heap::view_prims`, so H2-resident runs pay the real fault/arbitration
-//! path. Zone maps prune range predicates; keys shuffled across chunks give
-//! every run the whole key space, so a point predicate also asks each
-//! overlapping run's filter and views only the runs it cannot rule out.
+//! over its keys, built from the sorted keys at seal time. A probe views
+//! each candidate run through `Heap::view_prims`, so H2-resident runs pay
+//! the real fault/arbitration path, but searches none of them: one host-side
+//! `KeyOrder` per table (every run's keys in one sorted sequence) gives
+//! each run its slice of matching keys. Zone maps prune range predicates;
+//! keys shuffled across chunks give every run the whole key space, so a
+//! point predicate also asks each overlapping run's filter and views only
+//! the runs it cannot rule out.
 //!
 //! Runs share the table's chunk length, so the filters are stored
 //! *bit-sliced* in blocks of 64 runs, one run per bit of a word: a point
 //! probe ANDs the 7 words of its key's bits in a block into the mask of the
 //! block's runs that may hold the key.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use teraheap_util::rng::SplitMix64;
 
 /// Bloom filter bits per key of a run.
@@ -144,6 +148,96 @@ impl SortedRunIndex {
     /// each run of a full block).
     pub fn metadata_words(&self) -> usize {
         3 * self.runs.len() + self.slices.len()
+    }
+}
+
+/// The positions of every sealed run's keys (key `i` of run `k` at
+/// `k << shift | i`) by ascending `(key, position)`: a table's one
+/// host-side key order. Like the storage order it is catalog metadata, read
+/// from the frozen runs' key halves without a charge; unlike it, a stale
+/// one gives wrong answers, so the table resets it whenever it drops its
+/// storage.
+#[derive(Debug, Default)]
+pub(crate) struct KeyOrder {
+    /// Runs the order covers: `0..runs`.
+    runs: usize,
+    /// Bits of a position below its run: the run length's, rounded up to a
+    /// power of two, so a position splits without a division.
+    shift: u32,
+    /// The positions of those runs' keys, by ascending `(key, position)`.
+    pos: Vec<u32>,
+    /// `spans[k]`: run `k`'s keys in the last walked range, `(start, len)`.
+    spans: Vec<(u32, u32)>,
+}
+
+impl KeyOrder {
+    /// Rebuilds the order over runs `0..runs` of `run_len` keys, given each
+    /// run's sorted keys, unless it covers exactly those: one k-way merge of
+    /// the runs.
+    ///
+    /// # Panics
+    ///
+    /// If a position does not fit a `u32`.
+    pub(crate) fn cover<'h>(
+        &mut self,
+        run_len: usize,
+        runs: usize,
+        keys: impl Fn(usize) -> &'h [u64],
+    ) {
+        if runs == self.runs {
+            return;
+        }
+        self.shift = run_len.next_power_of_two().trailing_zeros();
+        assert!(runs << self.shift <= 1 << 32, "positions fit a u32");
+        let slices: Vec<&[u64]> = (0..runs).map(keys).collect();
+        let (shift, mask) = (self.shift, self.mask());
+        let key = |p: u32| slices[(p >> shift) as usize][(p & mask) as usize];
+        let mut heads: BinaryHeap<_> =
+            (0..runs).map(|k| (k << shift) as u32).map(|p| Reverse((key(p), p))).collect();
+        self.pos.clear();
+        self.pos.reserve_exact(runs * run_len);
+        while let Some(mut head) = heads.peek_mut() {
+            let Reverse((_, p)) = *head;
+            self.pos.push(p);
+            if (p & mask) as usize + 1 == run_len {
+                PeekMut::pop(head);
+            } else {
+                *head = Reverse((key(p + 1), p + 1));
+            }
+        }
+        self.runs = runs;
+    }
+
+    /// The key-index bits of a position.
+    fn mask(&self) -> u32 {
+        ((1u64 << self.shift) - 1) as u32
+    }
+
+    /// Sets every run's span of keys in `[lo, hi]` ([`KeyOrder::span`]):
+    /// one binary search over the order for the first key not below `lo`,
+    /// then a walk over the matches. A run's keys ascend and equal keys go
+    /// by position, so the walk meets each run's matches in ascending `i`:
+    /// one slice of its keys, starting at the first met.
+    pub(crate) fn walk<'h>(&mut self, lo: u64, hi: u64, keys: impl Fn(usize) -> &'h [u64]) {
+        self.spans.clear();
+        self.spans.resize(self.runs, (0, 0));
+        let (shift, mask) = (self.shift, self.mask());
+        let key = |p: u32| keys((p >> shift) as usize)[(p & mask) as usize];
+        let first = self.pos.partition_point(|&p| key(p) < lo);
+        for &p in self.pos[first..].iter().take_while(|&&p| key(p) <= hi) {
+            let span = &mut self.spans[(p >> shift) as usize];
+            if span.1 == 0 {
+                span.0 = p & mask;
+            }
+            span.1 += 1;
+        }
+    }
+
+    /// Run `k`'s keys in the last walked range: `(start, len)` in its
+    /// sorted half.
+    pub(crate) fn span(&self, k: usize) -> (usize, usize) {
+        let (start, len) = self.spans[k];
+        (start as usize, len as usize)
     }
 }
 

@@ -243,7 +243,6 @@ pub fn run_query_plane(cfg: &QueryPlaneConfig) -> Result<QueryReport, OomError> 
     assert!(cfg.tenants > 0 && cfg.sessions > 0 && cfg.total_ops > 0, "empty plane");
     assert!(cfg.sessions >= cfg.tenants, "more tenants than sessions");
     let contents = gen_rows(cfg.rows_per_table, cfg.seed);
-    let specs: Vec<OpSpec> = (0..cfg.total_ops).map(|i| op_for(cfg, &contents, i)).collect();
 
     let device = SharedDevice::for_server(cfg.device, cfg.tenants * cfg.h2.footprint_bytes());
     let mut tenants = Vec::with_capacity(cfg.tenants);
@@ -286,11 +285,11 @@ pub fn run_query_plane(cfg: &QueryPlaneConfig) -> Result<QueryReport, OomError> 
         .min()
     {
         sessions[s].next_op += cfg.sessions;
-        let spec = &specs[i];
+        let spec = op_for(cfg, &contents, i);
         let t = s % cfg.tenants;
         let tenant = &mut tenants[t];
         let clock_before = tenant.heap.clock().total_ns();
-        let res = serve(tenant, s as u32, spec);
+        let res = serve(tenant, s as u32, &spec);
         let clock_after = tenant.heap.clock().total_ns();
         // Closed-loop accounting: service starts when both the client has
         // issued (ready) and the tenant is free (its clock).

@@ -14,7 +14,9 @@
 //! until a chunk fills; sealing a chunk writes it through
 //! [`Heap::write_prims`] — paying the real allocation + store path — and
 //! incrementally freezes a sorted index run over the key column
-//! ([`crate::index::SortedRunIndex`]). A table is append-only. Reads are
+//! ([`crate::index::SortedRunIndex`]). The table also keeps every run's
+//! keys in one host-side key order, so a key range costs one binary search
+//! for all runs, not one per run. A table is append-only. Reads are
 //! charged borrowed views ([`Heap::view_prims`]): a chunk is looked at
 //! where it lives, never copied out first, and a reader that visits many
 //! chunks visits them in storage order ([`Table::storage_order`]), so an H2
@@ -22,7 +24,7 @@
 //! the layout is permuted.
 
 use crate::exec::ExecBuffers;
-use crate::index::SortedRunIndex;
+use crate::index::{KeyOrder, SortedRunIndex};
 use teraheap_core::Label;
 use teraheap_runtime::obs::EventKind;
 use teraheap_runtime::{Handle, Heap, OomError};
@@ -104,9 +106,10 @@ pub struct Table {
     /// ([`SortedRunIndex`]), reused by every probe.
     filter_masks: Vec<u64>,
     storage: StorageOrder,
-    /// The executor's match list, candidate list, chunk spans, selection
-    /// bitmap and run starts, reused by every query instead of allocating
-    /// per operation.
+    /// Every sealed run's keys in one order, for the runs' searches.
+    keys: KeyOrder,
+    /// The executor's match list, candidate list, chunk spans and selection
+    /// bitmap, reused by every query instead of allocating per operation.
     pub(crate) exec: ExecBuffers,
 }
 
@@ -161,6 +164,7 @@ impl Table {
                 order: vec![Vec::new(); cfg.cols + 1],
                 rank: vec![Vec::new(); cfg.cols + 1],
             },
+            keys: KeyOrder::default(),
             exec: ExecBuffers::default(),
         }
     }
@@ -328,10 +332,26 @@ impl Table {
 
     /// Sealed chunk `k`'s frozen index run, `[sorted keys | row ids]`, in
     /// place and uncharged: searching a run is host work (DESIGN §14), so
-    /// the full scan builds a key-column chunk's selection bitmap from it
-    /// while still paying for the chunk's charged view.
+    /// the full scan builds a key-column chunk's selection bitmap from its
+    /// row ids while still paying for the chunk's charged view.
     pub(crate) fn peek_run<'h>(&self, heap: &'h Heap, k: usize) -> &'h [u64] {
         heap.peek_prims(self.chunks[self.cfg.cols][k], 0, 2 * self.cfg.chunk_rows)
+    }
+
+    /// Finds every sealed run's keys in `[lo, hi]` ([`Table::key_span`])
+    /// through the key order, rebuilt first if a seal added a run since it
+    /// was built. Both read the runs' key halves uncharged.
+    pub(crate) fn walk_keys(&mut self, heap: &Heap, lo: u64, hi: u64) {
+        let (cr, runs) = (self.cfg.chunk_rows, &self.chunks[self.cfg.cols]);
+        let keys = |k: usize| heap.peek_prims(runs[k], 0, cr);
+        self.keys.cover(cr, runs.len(), keys);
+        self.keys.walk(lo, hi, keys);
+    }
+
+    /// Run `k`'s keys in the range last walked ([`Table::walk_keys`]):
+    /// `(start, len)` in its sorted half.
+    pub(crate) fn key_span(&self, k: usize) -> (usize, usize) {
+        self.keys.span(k)
     }
 
     /// Reads the single element `i` of sealed chunk `k` of `col`.
@@ -340,14 +360,15 @@ impl Table {
     }
 
     /// Probes the sorted-run index for key range `[lo, hi]` (inclusive):
-    /// binary search in every candidate frozen run, swept in storage order,
-    /// plus nothing else — the open chunk is the executor's job. A run is a
-    /// candidate when its zone map overlaps `[lo, hi]` and, for a point
-    /// predicate (`lo == hi`) only, its DRAM Bloom filter may hold the key;
-    /// each filter consulted costs one op. Replaces `hits` with the
+    /// every candidate frozen run, swept in storage order, takes its
+    /// matching keys from the key order, and nothing else is probed — the
+    /// open chunk is the executor's job. A run is a candidate when its zone
+    /// map overlaps `[lo, hi]` and, for a point predicate (`lo == hi`) only,
+    /// its DRAM Bloom filter may hold the key; each filter consulted costs
+    /// one op. Replaces `hits` with the
     /// candidate row ids ascending and emits an `IndexProbe` event counting
     /// the runs viewed. A viewed run pays for its whole key half (the search
-    /// is in place, but the charge is the plane's contract) and for exactly
+    /// is host work, but the charge is the plane's contract) and for exactly
     /// the matching slice of its id half.
     pub fn probe_index(&mut self, heap: &mut Heap, lo: u64, hi: u64, hits: &mut Vec<usize>) {
         self.probe_runs(heap, lo, hi, hits);
@@ -358,6 +379,7 @@ impl Table {
     /// them: run by run in storage order, each run's in key order.
     pub(crate) fn probe_runs(&mut self, heap: &mut Heap, lo: u64, hi: u64, hits: &mut Vec<usize>) {
         self.refresh_storage_order(heap);
+        self.walk_keys(heap, lo, hi);
         let cr = self.cfg.chunk_rows;
         if lo == hi {
             self.index.filter_masks(lo, &mut self.filter_masks);
@@ -377,9 +399,8 @@ impl Table {
                 }
             }
             probed += 1;
-            let keys = heap.view_prims(root, 0, cr);
-            let a = keys.partition_point(|&key| key < lo);
-            let n = keys[a..].iter().take_while(|&&key| key <= hi).count();
+            heap.view_prims(root, 0, cr);
+            let (a, n) = self.key_span(k);
             if n > 0 {
                 hits.extend(heap.view_prims(root, cr + a, n).iter().map(|&r| r as usize));
             }
@@ -400,6 +421,7 @@ impl Table {
             col.clear();
         }
         self.index.clear();
+        self.keys = KeyOrder::default();
         self.storage.epoch = None;
         self.rows = 0;
     }
@@ -449,4 +471,120 @@ fn seal(
         heap.h2_move(label);
     }
     Ok(h)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::{run_query, Predicate, Query};
+    use teraheap_runtime::HeapConfig;
+    use teraheap_util::prop_assert;
+    use teraheap_util::proptest_mini::{any_u64, check, range_usize, CaseResult, Config};
+
+    /// The per-run search the key order replaced, kept as its oracle: run
+    /// `k`'s first key not below `lo` and how many keys from there are at
+    /// most `hi`, `(0, 0)` when none are.
+    fn per_run_spans(table: &Table, heap: &Heap, lo: u64, hi: u64) -> Vec<(usize, usize)> {
+        let cr = table.chunk_rows();
+        let span = |k| {
+            let keys = &table.peek_run(heap, k)[..cr];
+            let a = keys.partition_point(|&key| key < lo);
+            let n = keys[a..].iter().take_while(|&&key| key <= hi).count();
+            if n == 0 {
+                (0, 0)
+            } else {
+                (a, n)
+            }
+        };
+        (0..table.sealed_chunks()).map(span).collect()
+    }
+
+    /// Every run's span of `[lo, hi]` through the key order.
+    fn key_order_spans(table: &mut Table, heap: &Heap, lo: u64, hi: u64) -> Vec<(usize, usize)> {
+        table.walk_keys(heap, lo, hi);
+        (0..table.sealed_chunks()).map(|k| table.key_span(k)).collect()
+    }
+
+    /// A hot table of `cols` columns, key column 0, on a heap that holds
+    /// 130 runs of 256 keys.
+    fn hot_table(cols: usize, chunk_rows: usize) -> (Heap, Table) {
+        let heap = Heap::new(HeapConfig::with_words(16 << 10, 256 << 10));
+        let placement = TablePlacement::Hot;
+        (heap, Table::new(TableConfig { table_id: 1, cols, chunk_rows, key_col: 0, placement }))
+    }
+
+    #[test]
+    fn key_order_spans_equal_per_run_search() {
+        // One run length per case, 1..=256 keys, over a domain narrow enough
+        // for duplicates within and across runs, with 0 and u64::MAX mixed
+        // in. The order is rebuilt as appends seal runs between probes, and
+        // compared at 1, 63, 64, 65 and 130 runs with part of a chunk staged.
+        check(
+            "key_order_spans_equal_per_run_search",
+            &(range_usize(1..257), any_u64()),
+            &Config::with_cases(12),
+            |(len, seed): (usize, u64)| {
+                let mut rng = Rng::seed_from_u64(seed);
+                let domain = 1 + rng.gen_range(0..2 * len as u64);
+                let key = |rng: &mut Rng| match rng.gen_range(0..16u64) {
+                    0 => 0,
+                    1 => u64::MAX,
+                    _ => rng.gen_range(0..domain),
+                };
+                let (mut heap, mut table) = hot_table(1, len);
+                for runs in [1, 63, 64, 65, 130] {
+                    while table.sealed_chunks() < runs {
+                        table.append_row(&mut heap, &[key(&mut rng)]).expect("fits");
+                    }
+                    for _ in 0..rng.gen_range(0..len as u64) {
+                        table.append_row(&mut heap, &[key(&mut rng)]).expect("fits");
+                    }
+                    let mut preds =
+                        vec![(0, u64::MAX), (u64::MAX, 0), (0, 0), (u64::MAX, u64::MAX)];
+                    for _ in 0..16 {
+                        let (a, b) = (key(&mut rng), key(&mut rng));
+                        preds.extend([(a, b), (a, a), (a.max(1), a.max(1) - 1)]);
+                    }
+                    for (lo, hi) in preds {
+                        let want = per_run_spans(&table, &heap, lo, hi);
+                        let got = key_order_spans(&mut table, &heap, lo, hi);
+                        prop_assert!(got == want, "{runs} runs of {len} keys, [{lo}, {hi}]");
+                    }
+                }
+                CaseResult::Pass
+            },
+        );
+    }
+
+    #[test]
+    fn a_refilled_table_answers_from_its_new_keys() {
+        // Column 1 copies the key, so filtering on it is the value scan: an
+        // answer that never reads the key order. A key order that outlived
+        // `drop_storage` would search the refill's runs by the first fill's
+        // keys.
+        let (mut heap, mut table) = hot_table(2, 64);
+        let mut rng = Rng::seed_from_u64(7);
+        for fill in 0..3u64 {
+            table.drop_storage(&mut heap);
+            let keys: Vec<u64> = (0..640).map(|_| 1000 * fill + rng.gen_range(0..1000)).collect();
+            for &key in &keys {
+                table.append_row(&mut heap, &[key, key]).expect("fits");
+            }
+            assert_eq!(table.sealed_chunks(), 10);
+            for _ in 0..32 {
+                let held = keys[rng.gen_range(0..640u64) as usize];
+                let lo = held.saturating_sub(rng.gen_range(0..100));
+                for (lo, hi) in [(held, held), (lo, lo + rng.gen_range(0..200))] {
+                    let index =
+                        Query { filter: Predicate { col: 0, lo, hi }, project: 1, agg: None };
+                    let scan = Query { filter: Predicate { col: 1, lo, hi }, ..index };
+                    assert_eq!(
+                        run_query(&mut heap, &mut table, &index, true).answer(),
+                        run_query(&mut heap, &mut table, &scan, false).answer(),
+                        "fill {fill}: [{lo}, {hi}]"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -80,6 +80,12 @@ pub struct MmapSim {
     /// and array scans).
     readahead_heads: [u64; 4],
     readahead_next: usize,
+    /// Device service of one page fault, computed once: `[random,
+    /// sequential]`; a sequential fault pays 1/READAHEAD_PAGES of the
+    /// per-command latency.
+    fault_ns: [u64; 2],
+    /// Device service of one page's write-back, computed once.
+    writeback_ns: u64,
     stats: IoStats,
     /// Armed fault plane, if any: spikes and transient errors hit the fault
     /// and write-back paths. `None` (the default) keeps every path
@@ -128,6 +134,7 @@ impl MmapSim {
         assert!(page_size.is_power_of_two(), "page size must be a power of two");
         let budget_pages = (resident_budget / page_size).max(1);
         let table_pages = if spec.byte_addressable { 0 } else { len.div_ceil(page_size) };
+        let fault_ns = spec.read_cost_ns(page_size);
         MmapSim {
             spec,
             len,
@@ -140,6 +147,8 @@ impl MmapSim {
             resident: 0,
             readahead_heads: [u64::MAX - 1; 4],
             readahead_next: 0,
+            fault_ns: [fault_ns, fault_ns - spec.read_lat_ns + spec.read_lat_ns / READAHEAD_PAGES],
+            writeback_ns: spec.write_cost_ns(page_size),
             stats: IoStats::default(),
             faults: None,
             lease,
@@ -434,13 +443,7 @@ impl MmapSim {
         if sequential {
             self.stats.record_seq_fault();
         }
-        let transfer_ns = self.spec.read_cost_ns(self.page_size) - self.spec.read_lat_ns;
-        let latency_ns = if sequential {
-            self.spec.read_lat_ns / READAHEAD_PAGES
-        } else {
-            self.spec.read_lat_ns
-        };
-        self.lease.serve(self.spiked(transfer_ns + latency_ns), 1, scope);
+        self.lease.serve(self.spiked(self.fault_ns[sequential as usize]), 1, scope);
         scope.emit(self.lease.clock(), EventKind::PageFault { sequential });
         if let Some(plane) = &self.faults {
             // Armed plane: the page-in may roll a transient read error,
@@ -457,7 +460,7 @@ impl MmapSim {
         self.stats.record_eviction();
         if dirty {
             self.stats.record_write(self.page_size as u64);
-            self.lease.serve(self.spiked(self.spec.write_cost_ns(self.page_size)), 1, scope);
+            self.lease.serve(self.spiked(self.writeback_ns), 1, scope);
             if let Some(plane) = &self.faults {
                 // Transient write error on the eviction write-back: the
                 // kernel keeps the page and retries until it lands, so only
@@ -583,6 +586,21 @@ mod tests {
         map.touch_read(4096, 8, Category::Mutator); // evicts dirty page 0
         assert_eq!(map.stats().write_bytes(), writes_before + 4096);
         assert!(clock.category_ns(Category::Mutator) > 0);
+    }
+
+    #[test]
+    fn fault_path_costs_are_the_page_size_costs() {
+        let specs = [DeviceSpec::dram(), DeviceSpec::nvme_ssd(), DeviceSpec::optane_nvm()];
+        for spec in specs {
+            for page_size in [4096, 2 << 20] {
+                let clock = Arc::new(SimClock::new());
+                let map = MmapSim::new(spec, 4 << 20, 4 << 20, page_size, clock);
+                let (read, lat) = (spec.read_cost_ns(page_size), spec.read_lat_ns);
+                let seq = read - lat + lat / READAHEAD_PAGES;
+                assert_eq!(map.fault_ns, [read, seq], "{spec:?} page {page_size}");
+                assert_eq!(map.writeback_ns, spec.write_cost_ns(page_size), "{spec:?}");
+            }
+        }
     }
 
     #[test]

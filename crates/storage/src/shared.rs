@@ -55,9 +55,10 @@
 
 use crate::clock::{Category, ChargeScope, SimClock};
 use crate::device::DeviceSpec;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 use teraheap_obs::EventKind;
-use teraheap_util::sync::Mutex;
 
 /// Identifies one tenant of a [`SharedDevice`] (registration order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -245,12 +246,14 @@ impl ArbiterState {
 /// One simulated H2 device shared by N tenant heaps.
 ///
 /// Cloning is cheap and shares the arbiter: the server keeps one handle,
-/// each attached mapping holds a [`DeviceLease`] into the same state.
+/// each attached mapping holds a [`DeviceLease`] into the same state. A
+/// simulation runs on one thread, so the state sits in a `RefCell`, not
+/// behind a lock, and a device and its leases never leave that thread.
 #[derive(Debug, Clone)]
 pub struct SharedDevice {
     spec: DeviceSpec,
     capacity_bytes: usize,
-    inner: Arc<Mutex<ArbiterState>>,
+    inner: Rc<RefCell<ArbiterState>>,
 }
 
 impl SharedDevice {
@@ -278,7 +281,7 @@ impl SharedDevice {
         SharedDevice {
             spec,
             capacity_bytes,
-            inner: Arc::new(Mutex::new(ArbiterState {
+            inner: Rc::new(RefCell::new(ArbiterState {
                 device_vtime_ns: 0,
                 calendar: Vec::new(),
                 prune_at: PRUNE_FLOOR,
@@ -302,7 +305,7 @@ impl SharedDevice {
         if quota_bytes == 0 {
             return Err(AttachError::ZeroQuota);
         }
-        let mut state = self.inner.lock();
+        let mut state = self.inner.borrow_mut();
         if state.tenants.iter().any(|t| Arc::ptr_eq(&t.clock, &clock)) {
             return Err(AttachError::DuplicateClock);
         }
@@ -336,7 +339,7 @@ impl SharedDevice {
         clock: &Arc<SimClock>,
         footprint_bytes: usize,
     ) -> Result<DeviceLease, AttachError> {
-        let mut state = self.inner.lock();
+        let mut state = self.inner.borrow_mut();
         let idx = state
             .tenants
             .iter()
@@ -354,7 +357,7 @@ impl SharedDevice {
         }
         t.attached = true;
         Ok(DeviceLease {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
             tenant: idx,
             clock: Arc::clone(clock),
             spec: self.spec,
@@ -373,13 +376,13 @@ impl SharedDevice {
 
     /// Number of registered tenants.
     pub fn tenants(&self) -> usize {
-        self.inner.lock().tenants.len()
+        self.inner.borrow().tenants.len()
     }
 
     /// The tenant registered with `clock`, if any.
     pub fn tenant_of(&self, clock: &Arc<SimClock>) -> Option<TenantId> {
         self.inner
-            .lock()
+            .borrow()
             .tenants
             .iter()
             .position(|t| Arc::ptr_eq(&t.clock, clock))
@@ -388,14 +391,14 @@ impl SharedDevice {
 
     /// Snapshot of the tenant's arbitration counters.
     pub fn tenant_io(&self, tenant: TenantId) -> Option<TenantIo> {
-        self.inner.lock().tenants.get(tenant.index()).map(|t| t.io)
+        self.inner.borrow().tenants.get(tenant.index()).map(|t| t.io)
     }
 
     /// The end of the latest booking on the device, in simulated ns. The
     /// device may still have idle gaps before it; the service total is
     /// the sum of the tenants' [`TenantIo::busy_ns`].
     pub fn device_vtime_ns(&self) -> u64 {
-        self.inner.lock().device_vtime_ns
+        self.inner.borrow().device_vtime_ns
     }
 }
 
@@ -403,7 +406,7 @@ impl SharedDevice {
 /// `SimDevice`: the one place where device service reaches a clock.
 #[derive(Debug)]
 pub struct DeviceLease {
-    inner: Arc<Mutex<ArbiterState>>,
+    inner: Rc<RefCell<ArbiterState>>,
     tenant: usize,
     clock: Arc<SimClock>,
     spec: DeviceSpec,
@@ -414,7 +417,7 @@ impl DeviceLease {
     /// `capacity_bytes` (a one-tenant [`SharedDevice::new`], attached).
     pub(crate) fn private(spec: DeviceSpec, capacity_bytes: usize, clock: Arc<SimClock>) -> Self {
         let device = SharedDevice::new(spec, capacity_bytes, Arc::clone(&clock));
-        device.inner.lock().tenants[0].attached = true;
+        device.inner.borrow_mut().tenants[0].attached = true;
         DeviceLease { inner: device.inner, tenant: 0, clock, spec }
     }
 
@@ -423,7 +426,7 @@ impl DeviceLease {
     /// the tenant before the service cost (0 whenever an idle gap at the
     /// arrival holds the request — always, for a sole tenant).
     pub fn submit(&self, arrival_ns: u64, service_ns: u64) -> u64 {
-        self.inner.lock().submit(self.tenant, arrival_ns, service_ns)
+        self.inner.borrow_mut().submit(self.tenant, arrival_ns, service_ns)
     }
 
     /// One device command of `service_ns`, accounted as `charges` charge
@@ -467,7 +470,7 @@ impl DeviceLease {
     /// Snapshot of the leased tenant's arbitration counters.
     #[cfg(test)]
     pub(crate) fn io(&self) -> TenantIo {
-        self.inner.lock().tenants[self.tenant].io
+        self.inner.borrow().tenants[self.tenant].io
     }
 }
 
@@ -477,7 +480,7 @@ impl Drop for DeviceLease {
     /// I/O counters, device virtual time — survives, so successive job
     /// rounds of one tenant contend like one long-lived tenant.
     fn drop(&mut self) {
-        self.inner.lock().tenants[self.tenant].attached = false;
+        self.inner.borrow_mut().tenants[self.tenant].attached = false;
     }
 }
 
@@ -580,7 +583,7 @@ mod reference {
             if production {
                 clocks[t].charge(Category::Io, at + wait + service);
             }
-            let state = device.inner.lock();
+            let state = device.inner.borrow();
             prop_assert!(
                 state.calendar.windows(2).all(|w| w[0].0 < w[0].1 && w[0].1 < w[1].0),
                 "request {i}: calendar not sorted, disjoint and merged: {:?}",

@@ -75,10 +75,14 @@ echo "ok"
 # DeviceLease submission: device service reaches a clock only through the
 # lease in storage/src/shared.rs, so a charge in device.rs or mmap.rs is a
 # second device path.
-# A read that charges nothing has one use outside the runtime: the query
-# table peeks a frozen index run to build a key-column chunk's selection
-# bitmap, and pays for the chunk's charged view all the same. Heap::peek_prims
-# is the one H1/H2 entry, and H2::peek_words is reached only through it.
+# A read that charges nothing has two uses outside the runtime, both in the
+# query table's run search: it peeks a frozen index run to build a key-column
+# chunk's selection bitmap, and pays for the chunk's charged view all the
+# same; and it peeks the runs' key halves for its key order, which gives
+# every run its matching keys. Heap::peek_prims is the one H1/H2 entry, and
+# H2::peek_words is reached only through it. The key order's one binary
+# search is the only `partition_point(` outside tests in crates/query/src: a
+# second is a per-run search back.
 # The query index's run filters are bit-sliced, 64 runs a block, and a
 # point probe asks one mask per block; a per-run `bloom` field or a
 # per-run `may_contain(` outside tests is a second filter layout.
@@ -92,7 +96,7 @@ echo "ok"
 # The panic ratchet counts the unwrap/expect/panic!/unreachable! lines of a
 # crate; it may fall, never rise. "Outside tests" is what scripts/loc.sh
 # keeps: no cfg(test) item, statement or oracle file, wherever it sits.
-echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane, one region-liveness rule, placement is a budget rule, one stop-world major, one run report, one H2 card walk, H2 owns its region metadata, one serialized off-heap path, one device path, uncharged peeks for run search only, bit-sliced run filters, one H1 word price, round memory through the spare pool, panic ratchet =="
+echo "== layout guards: one program language, bench-only env knob, one FNV, plane-blind collector, no crash plane, one region-liveness rule, placement is a budget rule, one stop-world major, one run report, one H2 card walk, H2 owns its region metadata, one serialized off-heap path, one device path, uncharged peeks for run search only, one key-order search, bit-sliced run filters, one H1 word price, round memory through the spare pool, panic ratchet =="
 if grep -rlE '^[[:space:]]*(pub[[:space:]]+)?enum[[:space:]]+[A-Za-z0-9_]*Op\b' crates/runtime/tests \
     | grep -v '^crates/runtime/tests/common/'; then
     echo "ERROR: an op enum outside crates/runtime/tests/common/; extend the shared language instead." >&2
@@ -173,6 +177,12 @@ if [[ -n "$stray_peeks" ]]; then
     echo "ERROR: an uncharged read outside Heap::peek_prims or the query table's run search; read through a charged view." >&2
     exit 1
 fi
+searches=$(scripts/loc.sh --lines crates/query/src | grep -F 'partition_point(' || true)
+if [[ $(grep -c . <<<"$searches") -ne 1 ]]; then
+    echo "$searches"
+    echo "ERROR: crates/query/src must search by key once, in the key order (KeyOrder::walk); a run's matches come from its walk." >&2
+    exit 1
+fi
 if scripts/loc.sh --lines crates/query/src | grep -E '(^|[^A-Za-z0-9_])bloom[[:space:]]*:|may_contain\('; then
     echo "ERROR: a per-run Bloom filter in crates/query/src; probe the index's bit-sliced masks (SortedRunIndex::filter_masks)." >&2
     exit 1
@@ -228,8 +238,8 @@ if ! diff <(scripts/loc.sh --root scripts/loc_fixture) scripts/loc_fixture/expec
 fi
 loc=$(scripts/loc.sh)
 echo "$loc"
-declare -A pin=([bench]=2456 [core]=1684 [giraph]=1162 [kryo]=496 [obs]=891 [query]=1485
-    [runtime]=4509 [server]=480 [spark]=1243 [storage]=2287 [util]=1574 [workloads]=257)
+declare -A pin=([bench]=2456 [core]=1684 [giraph]=1162 [kryo]=496 [obs]=891 [query]=1575
+    [runtime]=4509 [server]=480 [spark]=1243 [storage]=2293 [util]=1574 [workloads]=257)
 while read -r crate lines; do
     [[ $crate == crate || $crate == total ]] && continue
     if [[ -z ${pin[$crate]:-} ]]; then
@@ -269,6 +279,7 @@ suites=$(cat <<'TABLE'
 teraheap_util/lib::golden::                   §6   the golden helper: write/read round trip, moved-cell report, missing, unclaimed and duplicate arms
 teraheap_util/lib::rng::tests::sampling_      §6   every sampling helper's stream (f64 and integer ranges, gen_bool, bounded_u64 up to 2^63 + 1, shuffle): 100,000 draws each, digest-exact
 teraheap_storage/lib::mmap::reference::       §7   the page table + intrusive list is an exact LRU: random programs, and word-sized ones that mostly take the resident-hit early exit of `touch`, leave it and the recency-vector reference with the same statistics, ns and events, and the same recency order after every op
+teraheap_storage/lib::mmap::tests::fault_path_costs_  §7   the page-fault and write-back services computed once per mapping equal the device's read and write cost of one page, for every device and page size
 teraheap_storage/page_cache::                  §7   the dead-region sweep's discard: it forgets readahead heads inside the range, drops the most recent page, writes nothing back, and the re-fault costs what the first fault did; an armed zero-rate plane charges what no plane does
 teraheap_workloads/lib::reference::           §7   the power-law generator written straight into CSR gives the two-pass generator's edge list and counting-sort adjacency, at 2-3,000 vertices and 1-40 edges per vertex
 teraheap_runtime/lib::gc::units::reference::  §7   the mark bitmap scan is the live set in relocation order; its rank-indexed forwarding answers every probe like the direct-mapped reference table
@@ -312,7 +323,9 @@ teraheap_query/scan_order::                   §14  a cold table loaded through 
 teraheap_query/lib::index::tests::bloom_filter_has_no_false_negatives  §14  every key a run holds passes its Bloom filter: one run length per case, 1-256 keys, duplicates, 0 and u64::MAX
 teraheap_query/lib::index::tests::sliced_masks_equal_per_run_filters   §14  the bit-sliced filter masks equal a per-run filter oracle for held and absent keys, false positives included, at 1, 63, 64, 65 and 130 runs of 1-256 keys
 teraheap_query/lib::index::tests::point_lookup_views_few_of_128_runs   §14  a point lookup of a present key views at most 3 of 128 runs on average (IndexProbe), where zone maps alone would view nearly all
-teraheap_query/lib::exec::tests::run_bitmaps_equal_value_scan_bitmaps  §14  a key-column chunk's selection bitmap built from its sorted run, from the up-front run-start pass, equals the value scan's, hot and cold, chunks of 10-256 rows with duplicate keys, for inverted, out-of-range, boundary, one-key and full-range predicates
+teraheap_query/lib::exec::tests::run_bitmaps_equal_value_scan_bitmaps  §14  a key-column chunk's selection bitmap built from its sorted run, from the key order's spans, equals the value scan's, hot and cold, chunks of 10-256 rows with duplicate keys, for inverted, out-of-range, boundary, one-key and full-range predicates
+teraheap_query/lib::table::tests::key_order_spans_equal_per_run_search  §14  the key order gives every run the span of a per-run binary search oracle, at 1, 63, 64, 65 and 130 runs of 1-256 keys, duplicates within and across runs, 0 and u64::MAX, empty predicates, appends between probes
+teraheap_query/lib::table::tests::a_refilled_table_answers_from_its_new_keys  §14  after drop_storage and a refill to the same chunk count with other keys, the index plan answers what a value scan does
 teraheap_query/endurance::                    §14  the retriever-style churn loop stays leak-free with the heap checker armed
 teraheap_query/gc_equivalence::               §14  with the query crate linked but idle the runtime golden reproduces bit-identically
 TABLE
