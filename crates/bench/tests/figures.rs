@@ -122,7 +122,7 @@ const ALIASES: [(&str, &str, [&str; 2], &str); 7] = [
     ("fig10_regions", "workload", ["PR", "CDLP"], "1(b): one Giraph arm"),
     ("fig11_gc_overhead", "workload", ["PR", "CDLP"], "1(b): one Giraph arm"),
     ("fig9_hints", "config", ["NL", "L"], "1(c): the low threshold never bites"),
-    ("fig12_nvm", "panel", ["12a", "12b"], "one configuration: 12b re-runs 12a's TeraHeap"),
+    ("fig12_nvm", "panel", ["12a", "12b"], "one run: 12b shows 12a's TeraHeap report"),
 ];
 
 /// One CSV row: its key fields, its value (the rest of the line) and

@@ -246,7 +246,6 @@ impl std::error::Error for H2Error {}
 /// promotion buffers + device cost model.
 #[derive(Debug)]
 pub struct H2 {
-    config: H2Config,
     clock: Arc<SimClock>,
     data: Vec<u64>,
     mmap: MmapSim,
@@ -319,7 +318,6 @@ impl H2 {
             data: spare::zeroed(capacity_words),
             mmap,
             clock,
-            config,
             objects_promoted: 0,
             words_promoted: 0,
             faults,
@@ -327,19 +325,9 @@ impl H2 {
         }
     }
 
-    /// The configuration this heap was built with.
-    pub fn config(&self) -> &H2Config {
-        &self.config
-    }
-
     /// The device model backing the heap.
     pub fn device_spec(&self) -> &DeviceSpec {
         self.mmap.spec()
-    }
-
-    /// Total capacity in words.
-    pub fn capacity_words(&self) -> usize {
-        self.config.capacity_words()
     }
 
     /// The region manager (liveness, dependency lists, statistics).

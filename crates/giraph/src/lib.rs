@@ -1209,20 +1209,14 @@ mod tests {
                 ),
                 Setup::MemoryMode => (
                     HeapConfig {
-                        memory_mode: Some(MemoryMode {
-                            nvm: DeviceSpec::optane_nvm(),
-                            miss_percent: 40,
-                        }),
+                        memory_mode: Some(MemoryMode { miss_percent: 40 }),
                         ..HeapConfig::with_words(16 << 10, 96 << 10)
                     },
                     GiraphMode::InMemory,
                 ),
                 Setup::Panthera => (
                     HeapConfig {
-                        variant: GcVariant::Panthera {
-                            old_dram_words: 8 << 10,
-                            nvm: DeviceSpec::optane_nvm(),
-                        },
+                        variant: GcVariant::Panthera { old_dram_words: 8 << 10 },
                         ..HeapConfig::with_words(16 << 10, 96 << 10)
                     },
                     GiraphMode::InMemory,

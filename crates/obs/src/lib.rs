@@ -70,17 +70,6 @@ impl Category {
             Category::MajorGc => 4,
         }
     }
-
-    /// Short lowercase name used by exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            Category::Mutator => "mutator",
-            Category::SerDe => "serde",
-            Category::Io => "io",
-            Category::MinorGc => "minor_gc",
-            Category::MajorGc => "major_gc",
-        }
-    }
 }
 
 /// Whether the tracer records.
@@ -265,7 +254,6 @@ impl WorkUnitKind {
         }
     }
 }
-
 /// The typed event taxonomy. Every variant is a coarse operation — there are
 /// deliberately no per-word or per-page-hit events, so a full trace of a
 /// figure run stays in the tens of thousands of entries.

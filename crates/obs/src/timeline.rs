@@ -186,7 +186,7 @@ pub fn gc_cycles(events: &[Event]) -> Vec<GcCycle> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CardTableKind;
+    use crate::{CardTableKind, SpanKind, WorkUnitKind};
 
     fn e(seq: u64, t_ns: u64, kind: EventKind) -> Event {
         Event { seq, t_ns, kind }
@@ -206,10 +206,12 @@ mod tests {
             ),
             e(1, 9, EventKind::CardScan { table: CardTableKind::H1, cards: 2 }),
             e(2, 11, EventKind::PageFault { sequential: true }),
+            e(3, 12, EventKind::SpanBegin { kind: SpanKind::Shuffle }),
+            e(4, 13, EventKind::UnitEnd { lane: 1, kind: WorkUnitKind::BackwardFix, cost_ns: 7 }),
         ];
         let jsonl = to_jsonl(&events);
         let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 5);
         assert_eq!(
             lines[0],
             "{\"seq\":0,\"t_ns\":5,\"kind\":\"gc_begin\",\"gc\":\"minor\",\
@@ -220,6 +222,15 @@ mod tests {
             "{\"seq\":1,\"t_ns\":9,\"kind\":\"card_scan\",\"table\":\"h1\",\"cards\":2}"
         );
         assert_eq!(lines[2], "{\"seq\":2,\"t_ns\":11,\"kind\":\"page_fault\",\"sequential\":true}");
+        assert_eq!(
+            lines[3],
+            "{\"seq\":3,\"t_ns\":12,\"kind\":\"span_begin\",\"span\":\"shuffle\"}"
+        );
+        assert_eq!(
+            lines[4],
+            "{\"seq\":4,\"t_ns\":13,\"kind\":\"unit_end\",\"unit\":\"backward_fix\",\"lane\":1,\
+             \"cost_ns\":7}"
+        );
     }
 
     #[test]

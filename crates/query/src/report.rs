@@ -20,16 +20,6 @@ impl LatencyHistogram {
         self.samples.push(ns);
     }
 
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no sample was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// The `q`‰ quantile (q in 1..=1000) by nearest rank: index
     /// `ceil(len·q/1000) - 1` of the sorted population. 0 when empty.
     pub fn quantile_permille(&self, q: u64) -> u64 {

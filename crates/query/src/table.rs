@@ -187,11 +187,6 @@ impl Table {
         self.cfg.key_col
     }
 
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cfg.cols
-    }
-
     /// Total rows appended.
     pub fn rows(&self) -> usize {
         self.rows
@@ -210,11 +205,6 @@ impl Table {
     /// The open chunk's staged values of `col`.
     pub fn staging_col(&self, col: usize) -> &[u64] {
         &self.staging[col]
-    }
-
-    /// The index's run metadata.
-    pub fn index(&self) -> &SortedRunIndex {
-        &self.index
     }
 
     /// Stream `s`'s sealed chunk indices in storage order (ascending heap

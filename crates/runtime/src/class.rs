@@ -101,6 +101,7 @@ mod tests {
     #[test]
     fn user_classes_start_after_builtins() {
         let mut r = ClassRegistry::new();
+        assert_eq!((r.len(), r.is_empty()), (3, false), "three built-in classes");
         let c = r.register("Vertex", 2, 1);
         assert_eq!(c, ClassId(3));
         assert_eq!(r.get(c).ref_fields, 2);

@@ -25,16 +25,15 @@ pub enum GcVariant {
         region_words: usize,
     },
     /// Panthera-style hybrid-memory collector (Figure 12c): the old
-    /// generation is split between DRAM and NVM; the first `old_dram_words`
-    /// of the old generation are DRAM, the rest NVM. Major GC still scans
-    /// and compacts the *whole* old generation, paying NVM access costs for
-    /// the NVM-resident part. Large objects are pretenured directly into
-    /// the old generation.
+    /// generation is split between DRAM and NVM (Optane DC PMem,
+    /// [`DeviceSpec::optane_nvm`]); the first `old_dram_words` of the old
+    /// generation are DRAM, the rest NVM. Major GC still scans and compacts
+    /// the *whole* old generation, paying NVM access costs for the
+    /// NVM-resident part. Large objects are pretenured directly into the old
+    /// generation.
     Panthera {
         /// DRAM portion of the old generation, in words.
         old_dram_words: usize,
-        /// Device model for the NVM portion.
-        nvm: DeviceSpec,
     },
 }
 
@@ -81,9 +80,9 @@ impl GcVariant {
                 report_suffix: "+G1",
                 ..ps
             },
-            GcVariant::Panthera { old_dram_words, nvm } => VariantPolicy {
+            GcVariant::Panthera { old_dram_words } => VariantPolicy {
                 big_object_eden_divisor: 16,
-                panthera_nvm: Some((old_dram_words, nvm.read_lat_ns / 8)),
+                panthera_nvm: Some((old_dram_words, DeviceSpec::optane_nvm().read_lat_ns / 8)),
                 report_suffix: "+Panthera",
                 ..ps
             },
@@ -92,13 +91,11 @@ impl GcVariant {
 }
 
 /// NVM "Memory mode" model (the paper's Spark-MO baseline, Figure 12b):
-/// the entire heap lives in NVM with DRAM acting as a hardware-managed
-/// cache. Every heap word access pays an amortized NVM penalty determined
-/// by the modelled cache miss ratio.
+/// the entire heap lives in NVM (Optane DC PMem, [`DeviceSpec::optane_nvm`])
+/// with DRAM acting as a hardware-managed cache. Every heap word access pays
+/// an amortized NVM penalty determined by the modelled cache miss ratio.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryMode {
-    /// The NVM device backing the heap.
-    pub nvm: DeviceSpec,
     /// Modelled DRAM-cache miss percentage (0–100).
     pub miss_percent: u8,
 }
@@ -107,7 +104,7 @@ impl MemoryMode {
     /// Extra nanoseconds per heap word access implied by the miss ratio
     /// (NVM latency amortized over an 8-word cache line).
     pub fn extra_ns_per_word(&self) -> u64 {
-        (self.nvm.read_lat_ns * self.miss_percent as u64) / 100 / 8
+        (DeviceSpec::optane_nvm().read_lat_ns * self.miss_percent as u64) / 100 / 8
     }
 }
 
@@ -357,9 +354,8 @@ mod tests {
 
     #[test]
     fn memory_mode_penalty_scales_with_miss_rate() {
-        let nvm = DeviceSpec::optane_nvm();
-        let m30 = MemoryMode { nvm, miss_percent: 30 };
-        let m60 = MemoryMode { nvm, miss_percent: 60 };
+        let m30 = MemoryMode { miss_percent: 30 };
+        let m60 = MemoryMode { miss_percent: 60 };
         assert!(m30.extra_ns_per_word() > 0);
         assert_eq!(m60.extra_ns_per_word(), 2 * m30.extra_ns_per_word());
     }
@@ -387,13 +383,12 @@ mod tests {
             HeapConfig { variant: GcVariant::G1 { region_words: 0 }, ..base }.validate(),
             Err(ConfigError::ZeroG1Region)
         );
-        let variant =
-            GcVariant::Panthera { old_dram_words: 2 << 10, nvm: DeviceSpec::optane_nvm() };
+        let variant = GcVariant::Panthera { old_dram_words: 2 << 10 };
         assert_eq!(
             HeapConfig { variant, ..base }.validate(),
             Err(ConfigError::PantheraSplit { old_dram_words: 2 << 10, old_words: 1 << 10 })
         );
-        let memory_mode = Some(MemoryMode { nvm: DeviceSpec::optane_nvm(), miss_percent: 101 });
+        let memory_mode = Some(MemoryMode { miss_percent: 101 });
         assert_eq!(
             HeapConfig { memory_mode, ..base }.validate(),
             Err(ConfigError::MissPercent { miss_percent: 101 })
@@ -403,18 +398,14 @@ mod tests {
     #[test]
     fn validate_accepts_valid_configs() {
         let base = HeapConfig::small();
-        let nvm = DeviceSpec::optane_nvm();
         for config in [
             base,
             HeapConfig::with_words(10, 1),
             HeapConfig { gc_threads: 8, obs_level: Some(Level::Full), obs_events: 1 << 12, ..base },
             HeapConfig { variant: GcVariant::G1 { region_words: 1 << 10 }, ..base },
+            HeapConfig { variant: GcVariant::Panthera { old_dram_words: base.old_words }, ..base },
             HeapConfig {
-                variant: GcVariant::Panthera { old_dram_words: base.old_words, nvm },
-                ..base
-            },
-            HeapConfig {
-                memory_mode: Some(MemoryMode { nvm, miss_percent: 100 }),
+                memory_mode: Some(MemoryMode { miss_percent: 100 }),
                 heap_check: true,
                 ..base
             },

@@ -95,7 +95,7 @@ fn config(arm: Arm) -> HeapConfig {
     cfg.obs_level = Some(Level::Full);
     cfg.obs_events = 1 << 16;
     if arm.memory_mode {
-        cfg.memory_mode = Some(MemoryMode { nvm: DeviceSpec::optane_nvm(), miss_percent: 40 });
+        cfg.memory_mode = Some(MemoryMode { miss_percent: 40 });
     }
     cfg
 }
@@ -258,7 +258,7 @@ fn variants() -> [(GcVariant, bool); 4] {
     [
         (GcVariant::ParallelScavenge, false),
         (GcVariant::G1 { region_words: 512 }, false),
-        (GcVariant::Panthera { old_dram_words: 8 << 10, nvm: DeviceSpec::optane_nvm() }, false),
+        (GcVariant::Panthera { old_dram_words: 8 << 10 }, false),
         (GcVariant::ParallelScavenge, true),
     ]
 }

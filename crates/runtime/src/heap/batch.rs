@@ -167,16 +167,15 @@ impl Heap {
 #[cfg(test)]
 mod tests {
     use crate::{GcVariant, Heap, HeapConfig, MemoryMode};
-    use teraheap_storage::DeviceSpec;
 
     /// Reads, writes, a length load and a fill through a batch cost what the
     /// per-word accessors do, charge for charge, on an array straddling
     /// Panthera's NVM boundary and under Memory mode.
     #[test]
     fn batches_charge_what_the_per_word_accessors_charge() {
-        let (nvm, base) = (DeviceSpec::optane_nvm(), HeapConfig::with_words(16 << 10, 64 << 10));
-        let panthera = GcVariant::Panthera { old_dram_words: 512, nvm };
-        let memory_mode = Some(MemoryMode { nvm, miss_percent: 40 });
+        let base = HeapConfig::with_words(16 << 10, 64 << 10);
+        let panthera = GcVariant::Panthera { old_dram_words: 512 };
+        let memory_mode = Some(MemoryMode { miss_percent: 40 });
         for config in [HeapConfig { variant: panthera, ..base }, HeapConfig { memory_mode, ..base }]
         {
             let run = |batched: bool| {

@@ -141,7 +141,7 @@ fn h2_dax_views_match() {
 /// Panthera NVM.
 fn panthera_heap() -> Heap {
     let mut config = HeapConfig::with_words(16 << 10, 64 << 10);
-    config.variant = GcVariant::Panthera { old_dram_words: 1500, nvm: DeviceSpec::optane_nvm() };
+    config.variant = GcVariant::Panthera { old_dram_words: 1500 };
     Heap::new(traced(config))
 }
 

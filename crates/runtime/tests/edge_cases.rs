@@ -105,7 +105,7 @@ fn large_objects_allocate_directly_in_old_gen() {
 #[test]
 fn panthera_pretenures_moderately_large_objects() {
     let mut cfg = HeapConfig::with_words(16 << 10, 64 << 10);
-    cfg.variant = GcVariant::Panthera { old_dram_words: 8 << 10, nvm: DeviceSpec::optane_nvm() };
+    cfg.variant = GcVariant::Panthera { old_dram_words: 8 << 10 };
     let mut heap = Heap::new(cfg);
     // 1/16 of eden (= 819 words) is the Panthera pretenuring threshold.
     let a = heap.alloc_prim_array(1 << 10).unwrap();
@@ -128,7 +128,7 @@ fn memory_mode_charges_every_h1_access() {
         heap.clock().category_ns(Category::Mutator) - t0
     };
     let dram = charge(None);
-    let nvm = charge(Some(MemoryMode { nvm: DeviceSpec::optane_nvm(), miss_percent: 50 }));
+    let nvm = charge(Some(MemoryMode { miss_percent: 50 }));
     assert!(nvm > dram, "memory mode must slow mutator accesses: {nvm} !> {dram}");
 }
 

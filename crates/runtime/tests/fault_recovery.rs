@@ -19,7 +19,8 @@ mod common;
 
 use common::attach_workload_h2;
 use teraheap_core::Label;
-use teraheap_runtime::{Heap, HeapConfig};
+use teraheap_runtime::{Handle, Heap, HeapConfig};
+use teraheap_storage::obs::{EventKind, Level};
 use teraheap_storage::{DeviceSpec, FaultPlan};
 
 /// A heap with the checker armed at every GC boundary and TeraHeap enabled
@@ -115,4 +116,78 @@ fn chaos_smoke_nvm() {
 #[test]
 fn chaos_smoke_dax() {
     assert_eq!(chaos_smoke(DeviceSpec::dram(), 0x5EED_0003), 0, "a DAX site fired");
+}
+
+// ---------------------------------------------------------------------------
+// A promotion flush that runs out of write retries.
+// ---------------------------------------------------------------------------
+
+/// A group of four 1 Ki-word arrays (≈ 32 KiB, two promotion buffers) under
+/// `label`, hinted to move at the next major GC.
+fn hinted_group(heap: &mut Heap, label: u64) -> Handle {
+    let group = heap.alloc_ref_array(4).unwrap();
+    for a in 0..4 {
+        let array = heap.alloc_prim_array(1024).unwrap();
+        heap.write_prim(array, 0, label * 10 + a as u64);
+        heap.write_ref(group, a, array);
+        heap.release(array);
+    }
+    heap.h2_tag_root(group, Label::new(label));
+    heap.h2_move(Label::new(label));
+    group
+}
+
+/// DESIGN.md §10: a promotion flush whose write fails past its retry budget
+/// degrades H2 once, not for ENOSPC; its bytes go back to pending, so the
+/// cycle's closing flush carries every promoted byte again; later major GCs
+/// promote nothing; and the checker passes at every GC boundary.
+#[test]
+fn a_promotion_flush_out_of_retries_degrades_h2_once() {
+    let plan = FaultPlan { write_err_ppm: 1_000_000, max_retries: 1, ..FaultPlan::zero_rate(11) };
+    let cfg = HeapConfig {
+        heap_check: true,
+        obs_level: Some(Level::Full),
+        ..HeapConfig::with_words(4096, 16 << 10)
+    };
+    let mut heap = Heap::new(cfg);
+    // On DAX the mapping has no injection site: only the flush rolls.
+    attach_workload_h2(&mut heap, DeviceSpec::optane_nvm(), plan);
+    let first = hinted_group(&mut heap, 1);
+    heap.gc_major().unwrap();
+    let promoted = heap.h2().unwrap().words_promoted();
+    assert!(promoted > 4 * 1024, "the first group moved to H2");
+    assert!(heap.h2().unwrap().is_degraded());
+    let flushes = |heap: &Heap| -> Vec<u64> {
+        let events = heap.clock().tracer().events();
+        events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::H2PromoFlush { bytes } => Some(bytes),
+                _ => None,
+            })
+            .collect()
+    };
+    assert!(flushes(&heap).len() >= 2, "a full buffer flushed, then the closing flush");
+    assert_eq!(flushes(&heap).last(), Some(&(promoted * 8)), "the failed bytes are pending again");
+
+    let second = hinted_group(&mut heap, 2);
+    heap.gc_major().unwrap();
+    assert_eq!(heap.h2().unwrap().words_promoted(), promoted, "a degraded H2 takes no promotion");
+    let events = heap.clock().tracer().events();
+    let degraded: Vec<bool> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::H2Degraded { enospc } => Some(enospc),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(degraded, [false], "one degradation, by the write budget");
+    heap.heap_check().expect("checker passes after the failed flush");
+    for (group, label) in [(first, 1), (second, 2)] {
+        for a in 0..4 {
+            let array = heap.read_ref(group, a).expect("the group survived");
+            assert_eq!(heap.read_prim(array, 0), label * 10 + a as u64);
+            heap.release(array);
+        }
+    }
 }

@@ -143,9 +143,7 @@ impl Arm {
         let variant = match self.variant {
             Variant::Ps => GcVariant::ParallelScavenge,
             Variant::G1 => GcVariant::G1 { region_words: 128 },
-            Variant::Panthera => {
-                GcVariant::Panthera { old_dram_words: 1 << 10, nvm: DeviceSpec::optane_nvm() }
-            }
+            Variant::Panthera => GcVariant::Panthera { old_dram_words: 1 << 10 },
         };
         let config = HeapConfig {
             variant,
@@ -154,9 +152,7 @@ impl Arm {
             ..HeapConfig::with_words(24 << 10, 96 << 10)
         };
         config.validate().expect("golden arm config is valid");
-        let memory_mode = self
-            .memory_mode
-            .then_some(MemoryMode { nvm: DeviceSpec::optane_nvm(), miss_percent: 40 });
+        let memory_mode = self.memory_mode.then_some(MemoryMode { miss_percent: 40 });
         HeapConfig { memory_mode, ..config }
     }
 

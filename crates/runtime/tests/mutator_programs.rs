@@ -195,7 +195,7 @@ fn product_cell() -> impl Strategy<Value = (HeapConfig, DeviceSpec, FaultPlan)> 
             let variant = [
                 GcVariant::ParallelScavenge,
                 GcVariant::G1 { region_words: 128 },
-                GcVariant::Panthera { old_dram_words: 1 << 10, nvm: DeviceSpec::optane_nvm() },
+                GcVariant::Panthera { old_dram_words: 1 << 10 },
             ][variant];
             let config = HeapConfig { variant, gc_threads, heap_check: true, ..config() };
             config.validate().expect("HeapConfig::validate accepts every sampled cell");

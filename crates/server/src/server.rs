@@ -134,11 +134,6 @@ impl Server {
         Ok(Server { config, device, clocks, ids })
     }
 
-    /// The shared device (for inspection and figure harnesses).
-    pub fn device(&self) -> &SharedDevice {
-        &self.device
-    }
-
     /// Tenant `i`'s clock (e.g. to enable its flight recorder).
     pub fn clock(&self, i: usize) -> &Arc<SimClock> {
         &self.clocks[i]

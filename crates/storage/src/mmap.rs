@@ -732,6 +732,7 @@ mod tests {
         // Three whole pages plus 100 bytes: the tail lives on a fourth page.
         let len = 3 * 4096 + 100;
         let (mut map, _clock) = nvme_map(len, 1 << 20);
+        assert_eq!((map.len(), map.is_empty()), (len, false), "the mapping's length in bytes");
         map.touch_write(len - 8, 8, Category::Mutator);
         map.touch_run(3 * 4096, 96, false, Category::Mutator);
         assert_eq!(map.stats().page_faults(), 1, "one fault for the partial page");

@@ -364,16 +364,6 @@ impl SharedDevice {
         })
     }
 
-    /// The device's cost model.
-    pub fn spec(&self) -> DeviceSpec {
-        self.spec
-    }
-
-    /// Total capacity of the pool in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes
-    }
-
     /// Number of registered tenants.
     pub fn tenants(&self) -> usize {
         self.inner.borrow().tenants.len()

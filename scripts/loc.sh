@@ -7,6 +7,9 @@
 #   scripts/loc.sh --lines PATH..   every non-test line of the .rs files under
 #                                   each PATH (a file or a directory), as
 #                                   file:line:text
+#   scripts/loc.sh --masked PATH..  the same lines with comments blanked and
+#                                   the insides of literals as `_`, column
+#                                   for column (what scripts/census.sh parses)
 #
 # A line is a test line when it lies inside something a `#[cfg(test)]`
 # attribute removes from the build: an item, a module, a method, a
@@ -35,14 +38,14 @@ while (($#)); do
     case $1 in
         -h | --help) usage; exit 0 ;;
         --root) root=${2:?--root needs a directory}; shift 2 ;;
-        --lines) mode=lines; shift; paths=("$@"); break ;;
+        --lines | --masked) mode=${1#--}; shift; paths=("$@"); break ;;
         *) echo "loc.sh: unknown argument $1" >&2; usage >&2; exit 2 ;;
     esac
 done
 if [[ $mode == table ]]; then
     paths=("$root"/crates/*/src)
 fi
-((${#paths[@]})) || { echo "loc.sh: --lines needs a path" >&2; exit 2; }
+((${#paths[@]})) || { echo "loc.sh: --$mode needs a path" >&2; exit 2; }
 
 files=$(find "${paths[@]}" -name '*.rs' | sort)
 [[ -n $files ]] || { echo "loc.sh: no .rs files under ${paths[*]}" >&2; exit 2; }
@@ -62,7 +65,7 @@ END {
     for (f = 1; f <= nfiles; f++) {
         name = F[f]
         if (skipped(name)) continue
-        if (mode == "lines") printf "%s", OUT[name]
+        if (mode != "table") printf "%s", OUT[name]
         else print name, KEPT[name]
     }
 }
@@ -247,13 +250,13 @@ function process(name, nl,   i, s, pos, a, from, last, dir, base, m) {
     for (i = 1; i <= nl; i++) {
         if (T[i]) continue
         KEPT[name]++
-        if (mode == "lines") OUT[name] = OUT[name] name ":" i ":" L[i] "\n"
+        if (mode != "table") OUT[name] = OUT[name] name ":" i ":" (mode == "masked" ? M[i] : L[i]) "\n"
     }
 }
 ' $files
 }
 
-if [[ $mode == lines ]]; then
+if [[ $mode != table ]]; then
     strip
     exit
 fi

@@ -238,8 +238,8 @@ if ! diff <(scripts/loc.sh --root scripts/loc_fixture) scripts/loc_fixture/expec
 fi
 loc=$(scripts/loc.sh)
 echo "$loc"
-declare -A pin=([bench]=2456 [core]=1684 [giraph]=1162 [kryo]=496 [obs]=891 [query]=1575
-    [runtime]=4509 [server]=480 [spark]=1243 [storage]=2293 [util]=1574 [workloads]=257)
+declare -A pin=([bench]=2467 [core]=1672 [giraph]=1162 [kryo]=496 [obs]=879 [query]=1555
+    [runtime]=4506 [server]=475 [spark]=1243 [storage]=2283 [util]=1574 [workloads]=257)
 while read -r crate lines; do
     [[ $crate == crate || $crate == total ]] && continue
     if [[ -z ${pin[$crate]:-} ]]; then
@@ -409,7 +409,7 @@ echo "ok"
 # `extern "C"`), so nothing above builds it; compile it here so it cannot rot.
 # The A/B tool only needs to parse and answer --help (a run takes minutes);
 # so does the line counter, which the size stage above has just run.
-echo "== host tools: scripts/prof/sigprof.rs compiles, profile.sh, ab.sh and loc.sh parse =="
+echo "== host tools: scripts/prof/sigprof.rs compiles, profile.sh, ab.sh, loc.sh and census.sh parse =="
 prof=$(mktemp -d)
 rustc --edition 2021 -O -D warnings --crate-type cdylib -o "$prof/libsigprof.so" scripts/prof/sigprof.rs
 rm -rf "$prof"
@@ -418,6 +418,8 @@ bash -n scripts/ab.sh
 scripts/ab.sh --help >/dev/null
 bash -n scripts/loc.sh
 scripts/loc.sh --help >/dev/null
+bash -n scripts/census.sh
+scripts/census.sh --help >/dev/null
 echo "ok"
 
 echo "== lints: clippy -D warnings =="
@@ -493,6 +495,16 @@ if [[ "${VERIFY_SKIP_RESULTS:-0}" != "1" ]]; then
     echo "ok"
     echo "== checked results: every figure under TERAHEAP_HEAP_CHECK=1, same results =="
     TERAHEAP_HEAP_CHECK=1 regenerate_and_diff
+    echo "ok"
+
+    # The census: a hooked export of the tree runs `figures all`, the smoke
+    # and every test binary, and every config field that holds one value,
+    # function no committed run reaches and all-zero column must have an
+    # owner in scripts/census.txt (and every entry a finding; a `test` entry
+    # owns only what its test reaches), so what nothing exercises is deleted
+    # or named. The tree is never edited; the export lives in target/census.
+    echo "== census: every unexercised knob, function and column has an owner =="
+    scripts/census.sh
     echo "ok"
 fi
 

@@ -60,8 +60,7 @@ fn all_spark_workloads_agree_under_every_collector() {
         let mut g1 = ps;
         g1.heap.variant = GcVariant::G1 { region_words: 2 << 10 };
         let mut panthera = ps;
-        panthera.heap.variant =
-            GcVariant::Panthera { old_dram_words: 32 << 10, nvm: DeviceSpec::optane_nvm() };
+        panthera.heap.variant = GcVariant::Panthera { old_dram_words: 32 << 10 };
         let r_ps = run_workload(w, ps, scale);
         let r_g1 = run_workload(w, g1, scale);
         let r_p = run_workload(w, panthera, scale);
