@@ -222,7 +222,8 @@ fn bench_giraph(bench: &mut Bench) {
     use mini_giraph::{run_giraph, GiraphConfig, GiraphMode, GiraphWorkload};
     let mut group = bench.group("giraph");
     group.bench_function("superstep_wcc", |b| {
-        let mut config = GiraphConfig::small(GiraphMode::InMemory);
+        let (device, memory_limit_words) = (DeviceSpec::nvme_ssd(), usize::MAX);
+        let mut config = GiraphConfig::small(GiraphMode::OutOfCore { device, memory_limit_words });
         config.heap = HeapConfig::with_words(64 << 10, 512 << 10);
         b.iter(|| black_box(run_giraph(GiraphWorkload::Wcc, config, 4096, 6, 42).checksum));
     });

@@ -13,7 +13,7 @@ use crate::harness::{
     spark_sd, spark_th, FigureBar, Job, Rendered, SparkRow, WORDS_PER_GB,
 };
 use mini_spark::{run_workload, ExecMode, Workload};
-use teraheap_runtime::{GcVariant, HeapConfig, MemoryMode, RunReport};
+use teraheap_runtime::{GcVariant, HeapConfig, RunReport};
 use teraheap_storage::DeviceSpec;
 
 /// The bars of `workload` in `panel`: one bar group.
@@ -43,10 +43,9 @@ pub(super) fn arms() -> Vec<(FigureBar, Job<RunReport>)> {
     }
     let b = ("12b", "Spark-MO (Memory mode) vs TeraHeap");
     for row in spark_rows() {
-        // Spark-MO: heap big enough to cache everything, backed by NVM in
-        // Memory mode with DRAM acting as a cache.
+        // Spark-MO: a heap that caches everything, over NVM in Memory mode.
         let mut mo = spark_config(&row, heap_split(row.dataset_gb * 2), ExecMode::OnHeap);
-        mo.heap.memory_mode = Some(MemoryMode { miss_percent: 40 });
+        mo.heap.memory_mode = true;
         group(&mut arms, b, row.workload, [("MO", spark_job(&row, mo))]);
     }
     // Paper config: 64 GB heap; young 10 GB in DRAM; old = 6 GB DRAM +

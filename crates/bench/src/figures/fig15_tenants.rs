@@ -90,6 +90,7 @@ pub(super) fn render(out: &mut Rendered, runs: Vec<((&'static str, usize), Serve
             let queued: u64 = r.tenants.iter().map(|t| t.io.queued_ns).sum();
             let busy: u64 = r.tenants.iter().map(|t| t.io.busy_ns).sum();
             let oom: usize = r.tenants.iter().map(|t| t.oom_rounds).sum();
+            gate!(out, oom == 0, "{name} N={n}: {oom} tenant rounds ran out of memory");
             let (rate, jain) = (r.agg_rounds_per_sec, r.jain_fairness);
             say!(
                 out.text,
@@ -99,11 +100,10 @@ pub(super) fn render(out: &mut Rendered, runs: Vec<((&'static str, usize), Serve
                 ms(p99_max),
                 ms(queued),
             );
-            let (rounds, makespan_ns) = (r.total_rounds, r.makespan_ns);
-            let vtime_ns = r.device_vtime_ns;
+            let (rounds, makespan_ns, vtime_ns) = (r.total_rounds, r.makespan_ns, r.device_vtime_ns);
             out.csv.push(format!(
                 "{name},{n},{rounds},{rate:.3},{makespan_ns},{vtime_ns},{p99_mean},{p99_max},\
-                 {queued},{busy},{jain:.6},{oom}"
+                 {queued},{busy},{jain:.6}"
             ));
         }
         say!(out.text, "");

@@ -96,7 +96,7 @@ figures! {
          minor_gc_ns,major_gc_ns,total_ns";
     fig15_tenants: "Tenant scaling on one shared H2 device",
         "device,tenants,total_rounds,agg_rounds_per_sec,makespan_ns,device_vtime_ns,\
-         p99_mean_ns,p99_max_ns,queued_ns,busy_ns,jain_fairness,oom_rounds";
+         p99_mean_ns,p99_max_ns,queued_ns,busy_ns,jain_fairness";
     fig16_placement: "Adaptive placement vs Spark-SD and TeraHeap (LR, SVM, PR, CC), NVMe",
         bars("device,arm") + ",serializations,deserializations,h2_objects,checksum";
     fig17_query: "Query-serving latency (sessions x device x hot fraction)",

@@ -10,13 +10,13 @@
 //! immutable at load time / barrier time respectively, while vertex values
 //! are updated every superstep.
 //!
-//! Three memory configurations match the paper:
+//! Two memory configurations match the paper:
 //!
-//! * **in-memory** — everything stays on the heap;
 //! * **Giraph-OOC** — an out-of-core scheduler monitors heap pressure and
 //!   offloads least-recently-used partition edges and incoming message
 //!   stores to the storage device (serialized byte arrays), reloading them
-//!   on access;
+//!   on access; with a memory limit no run reaches, everything stays on
+//!   the heap;
 //! * **TeraHeap** — edges are tagged at load and moved at the end of the
 //!   input superstep; each superstep's messages are tagged at creation and
 //!   moved at the beginning of the next superstep (`h2_tag_root` /
@@ -34,10 +34,9 @@ use teraheap_storage::{Blob, DeviceSpec, SimDevice};
 /// Memory configuration for a Giraph run (Table 2 / Table 4).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GiraphMode {
-    /// Everything on the managed heap.
-    InMemory,
     /// Giraph-OOC: offload LRU edges/messages to the device when resident
-    /// data exceeds `memory_limit_words`.
+    /// data exceeds `memory_limit_words` (`usize::MAX`: never, so
+    /// everything stays on the managed heap and the device is never used).
     OutOfCore {
         /// Device for the off-heap store.
         device: DeviceSpec,
@@ -57,7 +56,6 @@ impl GiraphMode {
     /// Display name matching the paper.
     pub fn name(&self) -> &'static str {
         match self {
-            GiraphMode::InMemory => "Giraph",
             GiraphMode::OutOfCore { .. } => "Giraph-OOC",
             GiraphMode::TeraHeap { .. } => "TeraHeap",
         }
@@ -288,23 +286,10 @@ fn msg_label(superstep: u64) -> Label {
 }
 
 impl GiraphContext {
-    /// Builds the runtime on a private heap and loads `graph`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OomError`] if the graph does not fit.
-    pub fn load(
-        config: GiraphConfig,
-        graph: &teraheap_workloads::Adjacency,
-        initial_value: impl Fn(u64) -> u64,
-    ) -> Result<Self, OomError> {
-        Self::load_on(config.private_heap(), config, graph, initial_value)
-    }
-
     /// Builds the runtime on a heap the caller made and loads `graph` (the
     /// input superstep). In TeraHeap mode the caller has attached H2: a
     /// server tenant attaches to its partition of the shared device, whose
-    /// spec — not the mode's `device` field, which [`GiraphContext::load`]
+    /// spec — not the mode's `device` field, which only a private heap
     /// reads — decides the H2 I/O cost model.
     ///
     /// # Errors
@@ -333,7 +318,6 @@ impl GiraphContext {
             GiraphMode::OutOfCore { device: spec, .. } => {
                 device = Some(SimDevice::new(spec, 4 << 30, heap.clock().clone()));
             }
-            GiraphMode::InMemory => {}
         }
         let mut ctx = GiraphContext {
             heap,
@@ -385,7 +369,7 @@ impl GiraphContext {
                 let e = self.heap.alloc_prim_array(targets.len().max(1))?;
                 edge_words += 3 + targets.len().max(1);
                 if !teraheap {
-                    // OOC/in-memory builds load each partition in full.
+                    // OOC builds load each partition in full.
                     let mut e = self.heap.pin(e);
                     write_words(&mut self.heap, &mut e, 0, targets);
                 }
@@ -940,11 +924,19 @@ mod tests {
         powerlaw_graph(200, 4, 7).adjacency()
     }
 
+    /// Giraph-OOC under a limit no run reaches: everything stays on the heap.
+    fn unbounded() -> GiraphMode {
+        GiraphMode::OutOfCore { device: DeviceSpec::nvme_ssd(), memory_limit_words: usize::MAX }
+    }
+
+    /// `config` on its private heap, loaded with `graph()`.
+    fn load(config: GiraphConfig, initial_value: impl Fn(u64) -> u64) -> GiraphContext {
+        GiraphContext::load_on(config.private_heap(), config, &graph(), initial_value).unwrap()
+    }
+
     #[test]
     fn load_builds_partitions() {
-        let mut ctx =
-            GiraphContext::load(GiraphConfig::small(GiraphMode::InMemory), &graph(), |_| 0)
-                .unwrap();
+        let mut ctx = load(GiraphConfig::small(unbounded()), |_| 0);
         assert_eq!(ctx.partitions(), 4);
         let values = ctx.vertex_values(0);
         assert!(!values.is_empty());
@@ -953,9 +945,7 @@ mod tests {
 
     #[test]
     fn messages_flow_across_barrier() {
-        let mut ctx =
-            GiraphContext::load(GiraphConfig::small(GiraphMode::InMemory), &graph(), |_| 0)
-                .unwrap();
+        let mut ctx = load(GiraphConfig::small(unbounded()), |_| 0);
         // Both targets are vertices of partition 1 (id % 4 == 1).
         for (target, value) in [(5, 42), (9, 43)] {
             ctx.deliver_message(target, value, Combiner::Append, &[0, 2, 0, 0]).unwrap();
@@ -971,9 +961,7 @@ mod tests {
 
     #[test]
     fn vertex_updates_persist() {
-        let mut ctx =
-            GiraphContext::load(GiraphConfig::small(GiraphMode::InMemory), &graph(), |id| id)
-                .unwrap();
+        let mut ctx = load(GiraphConfig::small(unbounded()), |id| id);
         ctx.set_vertex_value(0, 0, 999);
         let values = ctx.vertex_values(0);
         assert_eq!(values[0], 999);
@@ -985,7 +973,7 @@ mod tests {
             device: DeviceSpec::nvme_ssd(),
             memory_limit_words: 64, // absurdly small: force offloading
         };
-        let mut ctx = GiraphContext::load(GiraphConfig::small(mode), &graph(), |_| 0).unwrap();
+        let mut ctx = load(GiraphConfig::small(mode), |_| 0);
         ctx.deliver_message(4, 2, Combiner::Append, &[1, 0, 0, 0]).unwrap();
         ctx.barrier().unwrap();
         assert!(ctx.offloads > 0, "scheduler must offload under pressure");
@@ -1042,7 +1030,7 @@ mod tests {
         // offload is that store; without one it is the partition's edges.
         for deliver in [true, false] {
             let config = GiraphConfig::small(mode(usize::MAX));
-            let mut ctx = GiraphContext::load(config, &graph(), |_| 0).unwrap();
+            let mut ctx = load(config, |_| 0);
             if deliver {
                 ctx.deliver_message(4, 2, Combiner::Append, &[1, 0, 0, 0]).unwrap();
                 ctx.barrier().unwrap();
@@ -1071,7 +1059,7 @@ mod tests {
             device: DeviceSpec::nvme_ssd(),
             memory_limit_words: usize::MAX,
         });
-        let mut ctx = GiraphContext::load(config, &graph(), |_| 0).unwrap();
+        let mut ctx = load(config, |_| 0);
         // Smaller than any partition's serialized edges.
         ctx.device = Some(SimDevice::new(DeviceSpec::nvme_ssd(), 64, ctx.heap.clock().clone()));
         ctx.config.mode =
@@ -1127,7 +1115,7 @@ mod tests {
         };
         let mut cfg = GiraphConfig::small(mode);
         cfg.heap = HeapConfig::with_words(4 << 10, 8 << 10);
-        let mut ctx = GiraphContext::load(cfg, &graph(), |_| 0).unwrap();
+        let mut ctx = load(cfg, |_| 0);
         for _ in 0..64 {
             ctx.deliver_message(4, 2, Combiner::Append, &[64, 0, 0, 0]).unwrap();
         }
@@ -1145,7 +1133,7 @@ mod tests {
     mod delivery_oracle {
         use super::*;
         use teraheap_runtime::obs::{Event, Level};
-        use teraheap_runtime::{GcVariant, MemoryMode, TenantIo};
+        use teraheap_runtime::{GcVariant, TenantIo};
         use teraheap_storage::{Breakdown, Category, IoStats};
         use teraheap_util::prop_assert_eq;
         use teraheap_util::proptest_mini::{any_u64, check, range_usize, CaseResult, Config};
@@ -1161,10 +1149,10 @@ mod tests {
             /// Optane H2 on a device shared with a tenant that ran first,
             /// so every DAX word meets the arbiter with bookings to dodge.
             DaxShared,
-            /// In-memory Giraph with the whole heap in NVM Memory mode:
+            /// Unbounded Giraph-OOC with the whole heap in NVM Memory mode:
             /// every H1 word pays the miss premium.
             MemoryMode,
-            /// In-memory Giraph under Panthera, whose NVM boundary lies
+            /// Unbounded Giraph-OOC under Panthera, whose NVM boundary lies
             /// inside the old generation: the pretenured edge arrays and
             /// message stores straddle it or lie past it.
             Panthera,
@@ -1208,18 +1196,15 @@ mod tests {
                     GiraphMode::TeraHeap { h2: h2(64), device: DeviceSpec::optane_nvm() },
                 ),
                 Setup::MemoryMode => (
-                    HeapConfig {
-                        memory_mode: Some(MemoryMode { miss_percent: 40 }),
-                        ..HeapConfig::with_words(16 << 10, 96 << 10)
-                    },
-                    GiraphMode::InMemory,
+                    HeapConfig { memory_mode: true, ..HeapConfig::with_words(16 << 10, 96 << 10) },
+                    unbounded(),
                 ),
                 Setup::Panthera => (
                     HeapConfig {
                         variant: GcVariant::Panthera { old_dram_words: 8 << 10 },
                         ..HeapConfig::with_words(16 << 10, 96 << 10)
                     },
-                    GiraphMode::InMemory,
+                    unbounded(),
                 ),
             };
             let mut cfg = GiraphConfig::small(mode);
@@ -1298,8 +1283,7 @@ mod tests {
             let io = match (&ctx.device, ctx.heap.h2()) {
                 // The blob tier's traffic is in the events and charges.
                 (Some(device), _) => [device.stored_bytes() as u64, 0, 0, 0, 0, 0, 0, 0],
-                (None, Some(h2)) => io(h2.mmap().stats()),
-                (None, None) => [0; 8],
+                (None, h2) => io(h2.expect("a setup without OOC attaches H2").mmap().stats()),
             };
             Observed {
                 breakdown: clock.breakdown(),

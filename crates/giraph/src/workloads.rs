@@ -3,8 +3,8 @@
 //! Components, Breadth-First Search and Single-Source Shortest Paths.
 //!
 //! Each runs as a vertex program over [`crate::GiraphContext`] supersteps;
-//! answers are checksummed so tests can prove the memory mode (in-memory /
-//! OOC / TeraHeap) never changes results.
+//! answers are checksummed so tests can prove the memory mode (OOC with or
+//! without a reachable limit, TeraHeap) never changes results.
 
 use crate::{GiraphConfig, GiraphContext, Inbox};
 use teraheap_runtime::{Heap, OomError, RunReport};
@@ -264,12 +264,17 @@ mod tests {
         GiraphMode::OutOfCore { device: DeviceSpec::nvme_ssd(), memory_limit_words: 4 << 10 }
     }
 
+    /// Giraph-OOC under a limit no run reaches: everything stays on the heap.
+    fn unbounded() -> GiraphMode {
+        GiraphMode::OutOfCore { device: DeviceSpec::nvme_ssd(), memory_limit_words: usize::MAX }
+    }
+
     #[test]
     fn all_workloads_agree_across_modes() {
         for w in GiraphWorkload::ALL {
             let ooc = run_giraph(w, GiraphConfig::small(ooc_mode()), 200, 4, 7);
             let th = run_giraph(w, GiraphConfig::small(th_mode()), 200, 4, 7);
-            let mem = run_giraph(w, GiraphConfig::small(GiraphMode::InMemory), 200, 4, 7);
+            let mem = run_giraph(w, GiraphConfig::small(unbounded()), 200, 4, 7);
             for r in [&ooc, &th, &mem] {
                 assert!(!r.oom, "{} OOM under {}", w.name(), r.mode);
             }
@@ -280,8 +285,7 @@ mod tests {
 
     #[test]
     fn bfs_reaches_the_reachable_set() {
-        let config =
-            GiraphConfig { max_supersteps: 12, ..GiraphConfig::small(GiraphMode::InMemory) };
+        let config = GiraphConfig { max_supersteps: 12, ..GiraphConfig::small(unbounded()) };
         let (ctx, checksum) =
             run_giraph_with_context(GiraphWorkload::Bfs, config, 200, 6, 3).expect("fits");
         // The power-law graph biases edges toward vertex 0's side, so a
@@ -293,7 +297,7 @@ mod tests {
     #[test]
     fn an_oom_report_keeps_its_context() {
         let heap = HeapConfig::with_words(1 << 10, 4 << 10);
-        let config = GiraphConfig { heap, ..GiraphConfig::small(GiraphMode::InMemory) };
+        let config = GiraphConfig { heap, ..GiraphConfig::small(unbounded()) };
         let r = run_giraph(GiraphWorkload::Pr, config, 2_000, 8, 5);
         assert!(r.oom, "a 5 Ki-word heap cannot hold a 2,000-vertex graph");
         let context = r.oom_context.expect("an OOM report carries its error's text");
@@ -303,8 +307,7 @@ mod tests {
 
     #[test]
     fn pr_ranks_sum_near_vertex_count() {
-        let r =
-            run_giraph(GiraphWorkload::Pr, GiraphConfig::small(GiraphMode::InMemory), 300, 5, 11);
+        let r = run_giraph(GiraphWorkload::Pr, GiraphConfig::small(unbounded()), 300, 5, 11);
         // PageRank with damping 0.85 over n vertices sums to ~n.
         assert!((r.checksum - 300.0).abs() < 90.0, "rank mass ≈ n, got {}", r.checksum);
     }

@@ -1,7 +1,8 @@
 //! Charge pin for mini-giraph: host-side work on the superstep loop, the
 //! message stores or the OOC blob path must not move a simulated number.
-//! One table-driven test runs the five workloads under in-memory, Giraph-OOC
-//! and TeraHeap (with and without the `h2_move` hint) at test scale and
+//! One table-driven test runs the five workloads in memory (Giraph-OOC under
+//! a limit no run reaches), under Giraph-OOC and under TeraHeap (with and
+//! without the `h2_move` hint) at test scale and
 //! compares per-category simulated ns, GC counts, supersteps, H2 promotions,
 //! OOC offloads/reloads, `SimClock::charge` call counts per category and the
 //! answer checksum against the rows of `tests/golden/charge_pin.txt`
@@ -38,7 +39,13 @@ const MODES: [Mode; 4] = [Mode::InMemory, Mode::Ooc, Mode::TeraHeap, Mode::TeraH
 /// the hint and (under pressure, mid-superstep) without it.
 fn config(mode: Mode) -> GiraphConfig {
     let (heap, giraph_mode) = match mode {
-        Mode::InMemory => (HeapConfig::with_words(16 << 10, 160 << 10), GiraphMode::InMemory),
+        Mode::InMemory => (
+            HeapConfig::with_words(16 << 10, 160 << 10),
+            GiraphMode::OutOfCore {
+                device: DeviceSpec::nvme_ssd(),
+                memory_limit_words: usize::MAX,
+            },
+        ),
         Mode::Ooc => (
             HeapConfig::with_words(16 << 10, 96 << 10),
             GiraphMode::OutOfCore { device: DeviceSpec::nvme_ssd(), memory_limit_words: 24 << 10 },

@@ -3,7 +3,7 @@
 
 use mini_giraph::{Combiner, GiraphConfig, GiraphContext, GiraphMode};
 use teraheap_core::H2Config;
-use teraheap_runtime::HeapConfig;
+use teraheap_runtime::{Heap, HeapConfig, SharedDevice};
 use teraheap_storage::DeviceSpec;
 use teraheap_workloads::powerlaw_graph;
 
@@ -11,13 +11,28 @@ fn graph() -> teraheap_workloads::Adjacency {
     powerlaw_graph(120, 4, 5).adjacency()
 }
 
+/// Giraph-OOC under a limit no run reaches: everything stays on the heap.
 fn mem_cfg() -> GiraphConfig {
-    GiraphConfig::small(GiraphMode::InMemory)
+    GiraphConfig::small(GiraphMode::OutOfCore {
+        device: DeviceSpec::nvme_ssd(),
+        memory_limit_words: usize::MAX,
+    })
+}
+
+/// `cfg` loaded with `graph()` on a fresh heap, attached in TeraHeap mode to
+/// a one-tenant device of the mode's spec.
+fn load(cfg: GiraphConfig) -> GiraphContext {
+    let mut heap = Heap::new(cfg.heap);
+    if let GiraphMode::TeraHeap { h2, device } = cfg.mode {
+        let dev = SharedDevice::new(device, h2.footprint_bytes(), heap.clock().clone());
+        heap.attach_h2(h2, &dev).unwrap();
+    }
+    GiraphContext::load_on(heap, cfg, &graph(), |_| 0).unwrap()
 }
 
 #[test]
 fn min_combiner_keeps_minimum() {
-    let mut ctx = GiraphContext::load(mem_cfg(), &graph(), |_| 0).unwrap();
+    let mut ctx = load(mem_cfg());
     for v in [9u64, 3, 7] {
         ctx.deliver_message(8, v, Combiner::MinU64, &[]).unwrap();
     }
@@ -30,7 +45,7 @@ fn min_combiner_keeps_minimum() {
 
 #[test]
 fn append_keeps_every_message() {
-    let mut ctx = GiraphContext::load(mem_cfg(), &graph(), |_| 0).unwrap();
+    let mut ctx = load(mem_cfg());
     for v in [9u64, 3, 9] {
         ctx.deliver_message(8, v, Combiner::Append, &[16; 4]).unwrap();
     }
@@ -42,7 +57,7 @@ fn append_keeps_every_message() {
 
 #[test]
 fn messages_vanish_after_consumption_barrier() {
-    let mut ctx = GiraphContext::load(mem_cfg(), &graph(), |_| 0).unwrap();
+    let mut ctx = load(mem_cfg());
     ctx.deliver_message(2, 1, Combiner::MinU64, &[]).unwrap();
     ctx.barrier().unwrap();
     assert_eq!(ctx.incoming_messages(2).unwrap().len(), 1);
@@ -57,7 +72,7 @@ fn ooc_offloaded_messages_reload_intact() {
         memory_limit_words: 32, // force offloading of everything
     });
     cfg.max_supersteps = 3;
-    let mut ctx = GiraphContext::load(cfg, &graph(), |_| 0).unwrap();
+    let mut ctx = load(cfg);
     for t in 0..20u64 {
         ctx.deliver_message(t, t * 100, Combiner::Append, &[64; 4]).unwrap();
     }
@@ -89,7 +104,7 @@ fn teraheap_moves_message_stores_with_superstep_labels() {
     };
     let mut cfg = GiraphConfig::small(mode);
     cfg.heap = HeapConfig::with_words(4 << 10, 12 << 10);
-    let mut ctx = GiraphContext::load(cfg, &graph(), |_| 0).unwrap();
+    let mut ctx = load(cfg);
     for ss in 0..3 {
         for t in 0..60u64 {
             ctx.deliver_message(t, ss, Combiner::Append, &[128; 4]).unwrap();

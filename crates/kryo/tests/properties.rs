@@ -98,8 +98,8 @@ fn random_graphs_round_trip() {
                     continue;
                 }
                 seen.insert(aa, ba);
-                prop_assert_eq!(heap.class_of(a), heap.class_of(b));
-                let class = heap.class_of(a);
+                let class = heap.pin(a).class();
+                prop_assert_eq!(class, heap.pin(b).class());
                 if class == teraheap_runtime::PRIM_ARRAY_CLASS {
                     prop_assert_eq!(heap.array_len(a), heap.array_len(b));
                     for i in 0..heap.array_len(a) {

@@ -15,11 +15,11 @@
 //!   predicate lanes. View the projected column only for chunks whose
 //!   bitmap is non-empty, gathering the set bits;
 //! * **index probe** — when the predicate is on the table's key column,
-//!   view the frozen sorted runs that may hold a match
-//!   ([`crate::table::Table::probe_index`]: zone maps prune by range, a
-//!   point predicate also by each run's Bloom filter), take each run's
-//!   matches from the same key-order walk, and fetch exactly the matching
-//!   rows, by `(storage rank of the projected chunk, row)`.
+//!   view the frozen sorted runs that may hold a match (`Table::probe_runs`:
+//!   zone maps prune by range, a point predicate also by each run's Bloom
+//!   filter), take each run's matches from the same key-order walk, and
+//!   fetch exactly the matching rows, by `(storage rank of the projected
+//!   chunk, row)`.
 //!
 //! Both plans then run the open chunk's DRAM staging through the same
 //! bitmap kernel and fold the same FNV answer checksum over the matches in

@@ -68,7 +68,7 @@ fn bloom_bits(h: u64, words: usize) -> impl Iterator<Item = usize> {
 /// The sorted-run index skeleton: run metadata in registration (chunk)
 /// order and the runs' bit-sliced filters. The runs' payloads are heap
 /// objects rooted in the table's chunk directory; probing lives on
-/// [`crate::table::Table::probe_index`] where both are in scope.
+/// `Table::probe_runs` where both are in scope.
 #[derive(Debug, Clone)]
 pub struct SortedRunIndex {
     /// Keys in every run.
@@ -391,7 +391,8 @@ mod tests {
         let mut hits = Vec::new();
         for _ in 0..lookups {
             let row = rng.gen_range(0..keys.len() as u64) as usize;
-            table.probe_index(&mut heap, keys[row], keys[row], &mut hits);
+            table.probe_runs(&mut heap, keys[row], keys[row], &mut hits);
+            hits.sort_unstable();
             assert_eq!(hits, [row], "a point lookup of a present key finds its row");
         }
         let viewed: Vec<u64> = clock

@@ -355,18 +355,12 @@ impl Table {
     /// open chunk is the executor's job. A run is a candidate when its zone
     /// map overlaps `[lo, hi]` and, for a point predicate (`lo == hi`) only,
     /// its DRAM Bloom filter may hold the key; each filter consulted costs
-    /// one op. Replaces `hits` with the
-    /// candidate row ids ascending and emits an `IndexProbe` event counting
-    /// the runs viewed. A viewed run pays for its whole key half (the search
-    /// is host work, but the charge is the plane's contract) and for exactly
-    /// the matching slice of its id half.
-    pub fn probe_index(&mut self, heap: &mut Heap, lo: u64, hi: u64, hits: &mut Vec<usize>) {
-        self.probe_runs(heap, lo, hi, hits);
-        hits.sort_unstable();
-    }
-
-    /// [`Table::probe_index`] with `hits` in the order the probe found
-    /// them: run by run in storage order, each run's in key order.
+    /// one op. Replaces `hits` with the candidate row ids in the order the
+    /// probe found them (run by run in storage order, each run's in key
+    /// order) and emits an `IndexProbe` event counting the runs viewed. A
+    /// viewed run pays for its whole key half (the search is host work, but
+    /// the charge is the plane's contract) and for exactly the matching
+    /// slice of its id half.
     pub(crate) fn probe_runs(&mut self, heap: &mut Heap, lo: u64, hi: u64, hits: &mut Vec<usize>) {
         self.refresh_storage_order(heap);
         self.walk_keys(heap, lo, hi);

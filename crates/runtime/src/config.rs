@@ -90,23 +90,11 @@ impl GcVariant {
     }
 }
 
-/// NVM "Memory mode" model (the paper's Spark-MO baseline, Figure 12b):
-/// the entire heap lives in NVM (Optane DC PMem, [`DeviceSpec::optane_nvm`])
-/// with DRAM acting as a hardware-managed cache. Every heap word access pays
-/// an amortized NVM penalty determined by the modelled cache miss ratio.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MemoryMode {
-    /// Modelled DRAM-cache miss percentage (0–100).
-    pub miss_percent: u8,
-}
-
-impl MemoryMode {
-    /// Extra nanoseconds per heap word access implied by the miss ratio
-    /// (NVM latency amortized over an 8-word cache line).
-    pub fn extra_ns_per_word(&self) -> u64 {
-        (DeviceSpec::optane_nvm().read_lat_ns * self.miss_percent as u64) / 100 / 8
-    }
-}
+/// The modelled DRAM-cache miss percentage of NVM Memory mode (the paper's
+/// Spark-MO baseline, Figure 12b; [`HeapConfig::memory_mode`]): every heap
+/// word access pays this share of an Optane DC PMem read
+/// ([`DeviceSpec::optane_nvm`]), amortized over an 8-word cache line.
+pub const MEMORY_MODE_MISS_PERCENT: u64 = 40;
 
 /// What the mutator pays to access an H1 word, in simulated ns: DRAM plus
 /// a premium, Memory mode's on every word and Panthera's on the words past
@@ -127,7 +115,8 @@ impl H1Price {
     pub(crate) fn new(config: &HeapConfig, policy: &VariantPolicy, old_base: u64) -> Self {
         let (nvm_base, nvm_ns) =
             policy.panthera_nvm.map_or((u64::MAX, 0), |(dram, ns)| (old_base + dram as u64, ns));
-        let mode_ns = config.memory_mode.map_or(0, |m| m.extra_ns_per_word());
+        let miss_percent = if config.memory_mode { MEMORY_MODE_MISS_PERCENT } else { 0 };
+        let mode_ns = DeviceSpec::optane_nvm().read_lat_ns * miss_percent / 100 / 8;
         H1Price { word_ns: config.cost.dram_word_ns + mode_ns, mode_ns, nvm_base, nvm_ns }
     }
 
@@ -196,8 +185,9 @@ pub struct HeapConfig {
     pub mutator_threads: usize,
     /// Collector personality.
     pub variant: GcVariant,
-    /// Optional NVM Memory-mode access model (Spark-MO).
-    pub memory_mode: Option<MemoryMode>,
+    /// NVM Memory mode (Spark-MO): the whole heap lives in NVM behind a
+    /// DRAM cache that misses [`MEMORY_MODE_MISS_PERCENT`] of the time.
+    pub memory_mode: bool,
     /// CPU cost model.
     pub cost: CostModel,
     /// Flight-recorder level override applied to the clock's tracer when the
@@ -229,7 +219,7 @@ impl HeapConfig {
             gc_threads: 1,
             mutator_threads: 8,
             variant: GcVariant::ParallelScavenge,
-            memory_mode: None,
+            memory_mode: false,
             cost: CostModel::default_model(),
             obs_level: None,
             obs_events: 0,
@@ -244,8 +234,8 @@ impl HeapConfig {
 
     /// Checks the structural invariants the heap relies on: a young
     /// generation big enough to carve non-empty survivor spaces out of, a
-    /// non-empty old generation, at least one thread per pool, sane variant
-    /// parameters and a miss ratio ≤ 100%.
+    /// non-empty old generation, at least one thread per pool and sane
+    /// variant parameters.
     ///
     /// # Errors
     ///
@@ -279,11 +269,6 @@ impl HeapConfig {
             }
             _ => {}
         }
-        if let Some(mm) = self.memory_mode {
-            if mm.miss_percent > 100 {
-                return Err(ConfigError::MissPercent { miss_percent: mm.miss_percent });
-            }
-        }
         Ok(())
     }
 }
@@ -301,8 +286,6 @@ pub enum ConfigError {
     ZeroG1Region,
     /// Panthera's DRAM share exceeds the old generation.
     PantheraSplit { old_dram_words: usize, old_words: usize },
-    /// A memory-mode miss ratio above 100%.
-    MissPercent { miss_percent: u8 },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -321,9 +304,6 @@ impl std::fmt::Display for ConfigError {
                 "Panthera DRAM share ({old_dram_words} words) exceeds the old \
                  generation ({old_words} words)"
             ),
-            ConfigError::MissPercent { miss_percent } => {
-                write!(f, "memory-mode miss ratio {miss_percent}% exceeds 100%")
-            }
         }
     }
 }
@@ -353,14 +333,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn memory_mode_penalty_scales_with_miss_rate() {
-        let m30 = MemoryMode { miss_percent: 30 };
-        let m60 = MemoryMode { miss_percent: 60 };
-        assert!(m30.extra_ns_per_word() > 0);
-        assert_eq!(m60.extra_ns_per_word(), 2 * m30.extra_ns_per_word());
-    }
-
-    #[test]
     fn validate_rejects_invalid_configs() {
         assert_eq!(
             HeapConfig::with_words(4, 1 << 10).validate(),
@@ -388,11 +360,6 @@ mod tests {
             HeapConfig { variant, ..base }.validate(),
             Err(ConfigError::PantheraSplit { old_dram_words: 2 << 10, old_words: 1 << 10 })
         );
-        let memory_mode = Some(MemoryMode { miss_percent: 101 });
-        assert_eq!(
-            HeapConfig { memory_mode, ..base }.validate(),
-            Err(ConfigError::MissPercent { miss_percent: 101 })
-        );
     }
 
     #[test]
@@ -404,11 +371,7 @@ mod tests {
             HeapConfig { gc_threads: 8, obs_level: Some(Level::Full), obs_events: 1 << 12, ..base },
             HeapConfig { variant: GcVariant::G1 { region_words: 1 << 10 }, ..base },
             HeapConfig { variant: GcVariant::Panthera { old_dram_words: base.old_words }, ..base },
-            HeapConfig {
-                memory_mode: Some(MemoryMode { miss_percent: 100 }),
-                heap_check: true,
-                ..base
-            },
+            HeapConfig { memory_mode: true, heap_check: true, ..base },
         ] {
             assert_eq!(config.validate(), Ok(()), "{config:?}");
         }

@@ -6,7 +6,7 @@
 
 use super::MajorCycle;
 use crate::class::ClassId;
-use crate::config::{GcVariant, HeapConfig, MemoryMode};
+use crate::config::{GcVariant, HeapConfig};
 use crate::heap::{Handle, Heap};
 use std::cell::{Cell, RefCell};
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -94,9 +94,7 @@ fn config(arm: Arm) -> HeapConfig {
     cfg.heap_check = arm.checked;
     cfg.obs_level = Some(Level::Full);
     cfg.obs_events = 1 << 16;
-    if arm.memory_mode {
-        cfg.memory_mode = Some(MemoryMode { miss_percent: 40 });
-    }
+    cfg.memory_mode = arm.memory_mode;
     cfg
 }
 

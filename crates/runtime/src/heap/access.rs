@@ -389,9 +389,4 @@ impl Heap {
         self.refresh(pin);
         self.load(pin.at.len_slot(), Category::Mutator) as usize
     }
-
-    /// The class id of the object behind `h`.
-    pub fn class_of(&self, h: Handle) -> ClassId {
-        self.object_class(self.root_of(h))
-    }
 }

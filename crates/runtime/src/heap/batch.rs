@@ -166,7 +166,7 @@ impl Heap {
 
 #[cfg(test)]
 mod tests {
-    use crate::{GcVariant, Heap, HeapConfig, MemoryMode};
+    use crate::{GcVariant, Heap, HeapConfig};
 
     /// Reads, writes, a length load and a fill through a batch cost what the
     /// per-word accessors do, charge for charge, on an array straddling
@@ -175,8 +175,8 @@ mod tests {
     fn batches_charge_what_the_per_word_accessors_charge() {
         let base = HeapConfig::with_words(16 << 10, 64 << 10);
         let panthera = GcVariant::Panthera { old_dram_words: 512 };
-        let memory_mode = Some(MemoryMode { miss_percent: 40 });
-        for config in [HeapConfig { variant: panthera, ..base }, HeapConfig { memory_mode, ..base }]
+        for config in
+            [HeapConfig { variant: panthera, ..base }, HeapConfig { memory_mode: true, ..base }]
         {
             let run = |batched: bool| {
                 let mut heap = Heap::new(config);

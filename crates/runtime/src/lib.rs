@@ -23,7 +23,7 @@
 //! * **baseline collectors** for the evaluation: a G1-style cost model with
 //!   humongous-object fragmentation, a Panthera-style DRAM/NVM split old
 //!   generation, and an NVM "Memory mode" access model — all selected via
-//!   [`config::GcVariant`] and [`config::MemoryMode`].
+//!   [`config::GcVariant`] and [`config::HeapConfig::memory_mode`].
 //!
 //! Mutator code (the mini-Spark/mini-Giraph frameworks) manipulates objects
 //! exclusively through [`heap::Heap`] with GC-safe [`heap::Handle`] roots,
@@ -57,7 +57,7 @@ pub mod stats;
 
 pub use check::{CheckError, CheckReport};
 pub use class::{ClassDesc, ClassId, ClassRegistry, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
-pub use config::{ConfigError, GcVariant, HeapConfig, MemoryMode, OomError, VariantPolicy};
+pub use config::{ConfigError, GcVariant, HeapConfig, OomError, VariantPolicy};
 pub use heap::{H1Prims, Handle, Heap, Pin, WordBatch};
 pub use report::RunReport;
 pub use stats::{GcStats, MajorPhases};

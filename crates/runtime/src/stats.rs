@@ -1,8 +1,8 @@
 //! Cumulative GC statistics and the major-GC phase breakdown (Figure 11b).
 //!
-//! Per-cycle GC history (Figure 7's timeline) is no longer kept here: the
-//! flight recorder in `teraheap-obs` records `GcBegin`/`GcEnd` events with
-//! the same payloads, and `teraheap_obs::timeline::gc_cycles` reconstructs
+//! Per-cycle GC history (Figure 7's timeline) lives in the flight recorder,
+//! not here: `teraheap-obs` records `GcBegin`/`GcEnd` events with the
+//! cycle's payloads, and `teraheap_obs::timeline::gc_cycles` reconstructs
 //! the per-cycle view from the trace.
 
 /// Cumulative time in each of the four PS major-GC phases (§4), which

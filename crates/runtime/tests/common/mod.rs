@@ -70,7 +70,7 @@ pub fn graph_checksum(heap: &mut Heap, roots: &[Handle]) -> u64 {
         }
         let n = order.len() as u64;
         order.insert(addr, n);
-        let class = heap.class_of(h);
+        let class = heap.pin(h).class();
         fnv.push(class.0 as u64);
         fnv.push(heap.is_in_h2(h) as u64);
         fnv.push(heap.h2_label_of(h));

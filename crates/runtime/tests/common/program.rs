@@ -581,7 +581,7 @@ impl Mutator {
         while let Some(s) = stack.pop() {
             let h = rep[s].expect("a reached slot has a handle");
             let slot = &self.slots[s];
-            assert_eq!(self.heap.class_of(h), slot.class, "slot {s}: class");
+            assert_eq!(self.heap.pin(h).class(), slot.class, "slot {s}: class");
             if slot.class == OBJ_ARRAY_CLASS || slot.class == PRIM_ARRAY_CLASS {
                 let len = slot.refs.len() + slot.prims.len();
                 assert_eq!(self.heap.array_len(h), len, "slot {s}: length");

@@ -2,7 +2,7 @@
 
 use teraheap_core::{H2Config, Label};
 use teraheap_runtime::obs::timeline::gc_cycles;
-use teraheap_runtime::{GcVariant, Heap, HeapConfig, MemoryMode};
+use teraheap_runtime::{GcVariant, Heap, HeapConfig};
 use teraheap_storage::{Category, DeviceSpec, SharedDevice};
 
 fn tiny_h2(region_words: usize, n_regions: usize) -> H2Config {
@@ -116,10 +116,8 @@ fn panthera_pretenures_moderately_large_objects() {
 #[test]
 fn memory_mode_charges_every_h1_access() {
     let base = HeapConfig::small();
-    let charge = |mm: Option<MemoryMode>| {
-        let mut cfg = base;
-        cfg.memory_mode = mm;
-        let mut heap = Heap::new(cfg);
+    let charge = |memory_mode: bool| {
+        let mut heap = Heap::new(HeapConfig { memory_mode, ..base });
         let arr = heap.alloc_prim_array(1 << 10).unwrap();
         let t0 = heap.clock().category_ns(Category::Mutator);
         for i in 0..1 << 10 {
@@ -127,8 +125,8 @@ fn memory_mode_charges_every_h1_access() {
         }
         heap.clock().category_ns(Category::Mutator) - t0
     };
-    let dram = charge(None);
-    let nvm = charge(Some(MemoryMode { miss_percent: 50 }));
+    let dram = charge(false);
+    let nvm = charge(true);
     assert!(nvm > dram, "memory mode must slow mutator accesses: {nvm} !> {dram}");
 }
 

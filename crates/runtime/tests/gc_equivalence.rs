@@ -18,7 +18,7 @@ use common::{
     DEFAULT_ARM,
 };
 use teraheap_core::H2Config;
-use teraheap_runtime::{GcVariant, Handle, Heap, HeapConfig, MemoryMode};
+use teraheap_runtime::{GcVariant, Handle, Heap, HeapConfig};
 use teraheap_storage::{Category, DeviceSpec, FaultPlan, SharedDevice};
 use teraheap_util::golden::Golden;
 
@@ -152,8 +152,7 @@ impl Arm {
             ..HeapConfig::with_words(24 << 10, 96 << 10)
         };
         config.validate().expect("golden arm config is valid");
-        let memory_mode = self.memory_mode.then_some(MemoryMode { miss_percent: 40 });
-        HeapConfig { memory_mode, ..config }
+        HeapConfig { memory_mode: self.memory_mode, ..config }
     }
 
     fn capture(&self, heap_check: bool) -> Snapshot {

@@ -10,7 +10,7 @@
 //!   *deserialized back onto the heap* on every access (the S/D + GC
 //!   pressure path TeraHeap eliminates);
 //! * **Spark-MO** — everything cached on-heap, with the heap itself over
-//!   NVM in Memory mode (configure via [`teraheap_runtime::MemoryMode`]);
+//!   NVM in Memory mode (set [`teraheap_runtime::HeapConfig::memory_mode`]);
 //! * **TeraHeap** — `persist()` issues `h2_tag_root(partition, rdd_id)` +
 //!   `h2_move(rdd_id)`; partitions migrate to H2 at the next major GC and
 //!   are accessed directly (load/store, page faults) with no S/D.

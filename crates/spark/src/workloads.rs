@@ -150,7 +150,7 @@ pub fn run_workload_traced(
 
 fn mode_label(config: &SparkConfig) -> String {
     let collector = config.heap.variant.policy().report_suffix;
-    let mm = if config.heap.memory_mode.is_some() { "+MemMode" } else { "" };
+    let mm = if config.heap.memory_mode { "+MemMode" } else { "" };
     format!("{}{}{}", config.mode.name(), collector, mm)
 }
 

@@ -147,14 +147,6 @@ impl SimClock {
             major_gc_ns: self.category_ns(Category::MajorGc),
         }
     }
-
-    /// Resets every category to zero and clears the flight recorder.
-    pub fn reset(&self) {
-        for n in &self.nanos {
-            n.store(0, Ordering::Relaxed);
-        }
-        self.tracer.clear();
-    }
 }
 
 /// RAII guard for a mutator-side span: holds the clock and emits
@@ -174,8 +166,8 @@ impl Drop for TraceSpan {
 
 /// A local charge accumulator for the bulk access plane.
 ///
-/// Hot loops that previously issued one `SimClock::charge` per word collect
-/// their costs here instead: `add`/`add_many` are plain local integer
+/// Hot loops collect their per-word costs here rather than issuing one
+/// `SimClock::charge` per word: `add`/`add_many` are plain local integer
 /// additions, and [`ChargeScope::flush`] lands the whole sum on the clock
 /// with a single atomic update (while advancing the tracer's charge counter
 /// by the number of calls the per-word loop would have made, so the
@@ -276,16 +268,6 @@ impl Breakdown {
     pub fn total_ns(&self) -> u64 {
         self.other_ns + self.sd_io_ns + self.minor_gc_ns + self.major_gc_ns
     }
-
-    /// Component-wise difference (`self - earlier`), saturating at zero.
-    pub fn since(&self, earlier: &Breakdown) -> Breakdown {
-        Breakdown {
-            other_ns: self.other_ns.saturating_sub(earlier.other_ns),
-            sd_io_ns: self.sd_io_ns.saturating_sub(earlier.sd_io_ns),
-            minor_gc_ns: self.minor_gc_ns.saturating_sub(earlier.minor_gc_ns),
-            major_gc_ns: self.major_gc_ns.saturating_sub(earlier.major_gc_ns),
-        }
-    }
 }
 
 impl std::fmt::Display for Breakdown {
@@ -334,31 +316,6 @@ mod tests {
         let b = clock.breakdown();
         assert_eq!(b.sd_io_ns, 7);
         assert_eq!(b.total_ns(), 7);
-    }
-
-    #[test]
-    fn reset_clears_all() {
-        let clock = SimClock::new();
-        for c in Category::ALL {
-            clock.charge(c, 1);
-        }
-        clock.emit(EventKind::Oom);
-        clock.reset();
-        assert_eq!(clock.total_ns(), 0);
-        assert!(clock.tracer().events().is_empty());
-    }
-
-    #[test]
-    fn breakdown_since_subtracts() {
-        let clock = SimClock::new();
-        clock.charge(Category::MinorGc, 100);
-        let early = clock.breakdown();
-        clock.charge(Category::MinorGc, 50);
-        clock.charge(Category::Mutator, 20);
-        let diff = clock.breakdown().since(&early);
-        assert_eq!(diff.minor_gc_ns, 50);
-        assert_eq!(diff.other_ns, 20);
-        assert_eq!(diff.major_gc_ns, 0);
     }
 
     #[test]

@@ -46,7 +46,7 @@ const MAX_BACKOFF_SHIFT: u32 = 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Master switch. `false` means the plane is entirely absent: no RNG,
-    /// no counters, bit-identical to the pre-fault code path.
+    /// no counters, bit-identical to a run with no plane at all.
     pub enabled: bool,
     /// PRNG seed for error rolls.
     pub seed: u64,

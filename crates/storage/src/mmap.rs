@@ -88,8 +88,8 @@ pub struct MmapSim {
     writeback_ns: u64,
     stats: IoStats,
     /// Armed fault plane, if any: spikes and transient errors hit the fault
-    /// and write-back paths. `None` (the default) keeps every path
-    /// bit-identical to the pre-fault code.
+    /// and write-back paths. `None` (the default) injects nothing: every
+    /// path charges only its device service.
     faults: Option<Arc<FaultPlane>>,
     /// The tenant's lease on its device: every device service (fault
     /// transfer, write-back, msync, DAX run) is served through it, so the

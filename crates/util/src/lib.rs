@@ -1,8 +1,8 @@
 //! Zero-dependency foundation crate for the TeraHeap reproduction.
 //!
 //! The workspace builds fully offline: no crates.io dependencies anywhere.
-//! Everything the repo previously pulled in externally is owned here, in
-//! six small modules:
+//! What a crate would otherwise take from a registry is owned here, in six
+//! small modules:
 //!
 //! * [`rng`] — deterministic seedable PRNG (SplitMix64 + xoshiro256++) with
 //!   range/shuffle/weighted-choice helpers; drives the dataset generators

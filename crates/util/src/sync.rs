@@ -1,11 +1,10 @@
 //! Poison-free lock shim over `std::sync`.
 //!
-//! The repo previously used `parking_lot` for one property: `lock()` returns
-//! a guard directly instead of a `Result` poisoned by a panicking holder.
-//! This thin wrapper keeps that call-site ergonomics on top of std. A
-//! poisoned std lock simply yields its inner guard — for this simulation the
-//! data is either test-local or rebuilt per run, so recovering the guard is
-//! always the right call.
+//! One property over `std::sync::Mutex`: `lock()` returns a guard directly
+//! instead of a `Result` poisoned by a panicking holder. A poisoned std
+//! lock simply yields its inner guard — for this simulation the data is
+//! either test-local or rebuilt per run, so recovering the guard is always
+//! the right call.
 
 /// A mutual-exclusion lock whose `lock()` never fails.
 #[derive(Debug, Default)]

@@ -77,7 +77,10 @@ fn giraph_modes_agree_and_teraheap_avoids_sd() {
     for w in GiraphWorkload::ALL {
         let base = GiraphConfig {
             heap: HeapConfig::with_words(16 << 10, 96 << 10),
-            mode: GiraphMode::InMemory,
+            mode: GiraphMode::OutOfCore {
+                device: DeviceSpec::nvme_ssd(),
+                memory_limit_words: usize::MAX,
+            },
             partitions: 4,
             max_supersteps: 5,
             use_move_hint: true,
@@ -98,6 +101,9 @@ fn giraph_modes_agree_and_teraheap_avoids_sd() {
         }
         assert_eq!(mem.checksum, ooc.checksum, "{} OOC answer differs", w.name());
         assert_eq!(mem.checksum, th.checksum, "{} TH answer differs", w.name());
+        // An OOC limit no run reaches is in-memory Giraph: no blob, no S/D.
+        let moved = (mem.offloads, mem.reloads, mem.breakdown.sd_io_ns);
+        assert_eq!(moved, (0, 0, 0), "{}: an unbounded OOC used its device", w.name());
         assert!(ooc.offloads > 0, "{}: tight OOC budget must offload", w.name());
         assert_eq!(th.breakdown.sd_io_ns, 0, "{}: TeraHeap performs no S/D", w.name());
     }
