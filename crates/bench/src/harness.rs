@@ -17,9 +17,9 @@ use teraheap_storage::DeviceSpec;
 /// Heap words standing in for one paper-GB.
 pub const WORDS_PER_GB: usize = 24 << 10;
 
-/// DRAM the paper reserves for the system outside the heap (DR2): 16 GB for
-/// Spark.
-pub const SPARK_DR2_GB: usize = 16;
+/// DR2, the paper's 16 GB of DRAM outside the heap: Spark's off-heap DRAM
+/// ([`spark_heap`]) and TeraHeap's H2 page cache ([`h2_for`]), Spark and Giraph.
+pub const DR2_GB: usize = 16;
 
 /// Per-workload Table 3 row: dataset GB, Figure 6's Spark-SD DRAM sweep and
 /// TeraHeap DRAM pair, plus iteration count and partitioning.
@@ -107,7 +107,7 @@ pub fn heap_split_words(words: usize) -> HeapConfig {
 
 /// H1 heap sized for `dram_gb` of DRAM with the paper's DR2 share removed.
 pub fn spark_heap(dram_gb: usize) -> HeapConfig {
-    heap_split(dram_gb.saturating_sub(SPARK_DR2_GB).max(4))
+    heap_split(dram_gb.saturating_sub(DR2_GB).max(4))
 }
 
 /// H2 sized to hold the workload's dataset several times over (lazy bulk
@@ -119,7 +119,7 @@ pub fn h2_for(dataset_gb: usize) -> H2Config {
     H2Config::builder()
         .region_words(region_words)
         .n_regions(capacity_words.div_ceil(region_words).max(16))
-        .resident_budget_bytes(16 * WORDS_PER_GB * 8) // DR2 page-cache share
+        .resident_budget_bytes(DR2_GB * WORDS_PER_GB * 8)
         .build()
         .expect("paper-default H2 layout is valid")
 }
@@ -495,7 +495,7 @@ mod tests {
         let small = spark_heap(32);
         let large = spark_heap(144);
         assert!(large.h1_words() > 3 * small.h1_words());
-        assert_eq!(small.h1_words(), (32 - SPARK_DR2_GB) * WORDS_PER_GB);
+        assert_eq!(small.h1_words(), (32 - DR2_GB) * WORDS_PER_GB);
         assert!(small.old_words >= 3 * small.young_words, "big-data split");
     }
 

@@ -1121,7 +1121,7 @@ mod tests {
         }
         ctx.barrier().unwrap();
         ctx.heap.gc_major().unwrap();
-        assert!(ctx.heap.stats().objects_promoted_h2 > 0, "edges/messages must move to H2");
+        assert!(ctx.heap.h2().unwrap().objects_promoted() > 0, "edges/messages must move to H2");
         // Edges remain directly accessible after the move.
         let e = ctx.partition_edges(0).unwrap();
         assert!(ctx.heap.is_in_h2(e));

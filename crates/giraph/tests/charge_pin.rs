@@ -104,7 +104,7 @@ fn capture(workload: GiraphWorkload, mode: Mode) -> Row {
     row[5] = stats.minor_count;
     row[6] = stats.major_count;
     row[7] = ctx.superstep();
-    row[8] = stats.objects_promoted_h2;
+    row[8] = ctx.heap.h2().map_or(0, |h2| h2.objects_promoted());
     row[9] = ctx.offloads;
     row[10] = ctx.reloads;
     row[16] = checksum.to_bits();

@@ -113,7 +113,7 @@ fn teraheap_moves_message_stores_with_superstep_labels() {
         let _ = ctx.incoming_messages(0).unwrap();
     }
     ctx.heap.gc_major().unwrap();
-    assert!(ctx.heap.stats().objects_promoted_h2 > 0, "superstep-labelled stores moved to H2");
+    assert!(ctx.heap.h2().unwrap().objects_promoted() > 0, "superstep-labelled stores moved to H2");
     // Consumed stores' regions become reclaimable.
     ctx.barrier().unwrap();
     ctx.barrier().unwrap();

@@ -547,7 +547,7 @@ mod tests {
         }
         let bytes = serialize(&mut h, p).unwrap();
         let q = deserialize(&mut h, &bytes).unwrap();
-        assert!(!h.same_object(p, q), "deserialization reallocates");
+        assert_ne!(h.handle_addr(p), h.handle_addr(q), "deserialization reallocates");
         for i in 0..3 {
             assert_eq!(h.read_prim(q, i), (i as u64 + 1) * 7);
         }
@@ -566,7 +566,7 @@ mod tests {
         let a2 = deserialize(&mut h, &bytes).unwrap();
         let s1 = h.read_ref(a2, 0).unwrap();
         let s2 = h.read_ref(a2, 1).unwrap();
-        assert!(h.same_object(s1, s2), "sharing preserved (identity map)");
+        assert_eq!(h.handle_addr(s1), h.handle_addr(s2), "sharing preserved (identity map)");
         assert_eq!(h.read_prim(s1, 0), 5);
     }
 
@@ -596,7 +596,7 @@ mod tests {
         assert!(h.read_ref(arr2, 1).is_none());
         let e0 = h.read_ref(arr2, 0).unwrap();
         let e2 = h.read_ref(arr2, 2).unwrap();
-        assert!(h.same_object(e0, e2));
+        assert_eq!(h.handle_addr(e0), h.handle_addr(e2));
         assert_eq!(h.read_prim(e0, 0), 9);
         assert_eq!(h.array_len(pa2), 4);
         assert_eq!(h.read_prim(pa2, 3), 103);
@@ -670,7 +670,7 @@ mod tests {
         let blob = offload(&mut device, &mut h, p, "test").unwrap();
         assert_eq!(h.live_roots(), roots, "offload released root");
         let p2 = reload(&device, &mut h, &blob).unwrap();
-        assert!(!h.same_object(p, p2), "a reload reallocates");
+        assert_ne!(h.handle_addr(p), h.handle_addr(p2), "a reload reallocates");
         let q2 = h.read_ref(p2, 0).unwrap();
         assert_eq!((h.read_prim(p2, 1), h.read_prim(q2, 0)), (11, 22));
         assert_eq!(h.read_prim(p, 1), 11, "the caller still owns root");
@@ -743,7 +743,7 @@ mod tests {
         let a2 = deserialize(&mut h, &bytes).unwrap();
         let b2 = h.read_ref(a2, 0).unwrap();
         let a3 = h.read_ref(b2, 0).unwrap();
-        assert!(h.same_object(a2, a3), "cycle closed correctly");
+        assert_eq!(h.handle_addr(a2), h.handle_addr(a3), "cycle closed correctly");
         assert_eq!(h.read_prim(b2, 0), 2);
     }
 

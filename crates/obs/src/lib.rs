@@ -523,7 +523,7 @@ impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let ring = self.ring.lock();
         f.debug_struct("Tracer")
-            .field("level", &self.level())
+            .field("enabled", &self.enabled())
             .field("seq", &ring.seq)
             .field("dropped", &ring.dropped)
             .finish()
@@ -543,15 +543,6 @@ impl Tracer {
                 dropped: 0,
                 counts: [0; CLASS_COUNT],
             }),
-        }
-    }
-
-    /// Current recording level.
-    pub fn level(&self) -> Level {
-        if self.enabled() {
-            Level::Full
-        } else {
-            Level::Off
         }
     }
 
@@ -575,11 +566,6 @@ impl Tracer {
             ring.events.pop_front();
             ring.dropped += 1;
         }
-    }
-
-    /// Ring capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.ring.lock().capacity
     }
 
     /// Records one event observed at simulated instant `t_ns`.
@@ -800,7 +786,7 @@ mod tests {
                     prop_assert_eq!(counted, emitted, "step {i}: per-class counts");
                     let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
                     prop_assert_eq!(seqs, (emitted - len..emitted).collect::<Vec<_>>(), "step {i}");
-                    prop_assert!(events.len() <= t.capacity(), "step {i}: over capacity");
+                    prop_assert!(events.len() <= t.ring.lock().capacity, "step {i}: over capacity");
                 }
                 CaseResult::Pass
             },
@@ -817,7 +803,7 @@ mod tests {
         assert!(t.events().is_empty());
         assert_eq!(t.emitted(), 0);
         assert_eq!(t.charge_counts(), [0; Category::COUNT]);
-        assert_eq!(t.capacity(), 8);
-        assert_eq!(t.level(), Level::Full);
+        assert_eq!(t.ring.lock().capacity, 8);
+        assert!(t.enabled());
     }
 }

@@ -37,7 +37,7 @@ impl ClassDesc {
 
 /// Registry of class descriptors, indexed by [`ClassId`].
 #[derive(Debug)]
-pub struct ClassRegistry {
+pub(crate) struct ClassRegistry {
     classes: Vec<ClassDesc>,
 }
 
@@ -74,17 +74,6 @@ impl ClassRegistry {
     pub fn len(&self) -> usize {
         self.classes.len()
     }
-
-    /// Whether only built-ins are registered (never true in practice).
-    pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
-    }
-}
-
-impl Default for ClassRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +90,7 @@ mod tests {
     #[test]
     fn user_classes_start_after_builtins() {
         let mut r = ClassRegistry::new();
-        assert_eq!((r.len(), r.is_empty()), (3, false), "three built-in classes");
+        assert_eq!(r.len(), 3, "three built-in classes");
         let c = r.register("Vertex", 2, 1);
         assert_eq!(c, ClassId(3));
         assert_eq!(r.get(c).ref_fields, 2);

@@ -718,7 +718,6 @@ pub(super) fn move_object(
         let mem = std::mem::take(&mut heap.mem);
         heap.attached_h2_mut().write_promoted(dest_addr, &mem[src_i..src_end], Category::MajorGc);
         heap.mem = mem;
-        heap.stats.objects_promoted_h2 += 1;
         return;
     }
     *h1_words += size as u64;

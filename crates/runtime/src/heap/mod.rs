@@ -238,11 +238,6 @@ impl Heap {
         self.roots.len()
     }
 
-    /// Whether two handles refer to the same object.
-    pub fn same_object(&self, a: Handle, b: Handle) -> bool {
-        self.root_of(a) == self.root_of(b)
-    }
-
     /// Whether the object behind `h` currently resides in H2.
     pub fn is_in_h2(&self, h: Handle) -> bool {
         self.root_of(h).is_h2()
@@ -360,7 +355,7 @@ mod tests {
         h.write_prim(b, 0, 99);
         h.write_ref(a, 0, b);
         let b2 = h.read_ref(a, 0).unwrap();
-        assert!(h.same_object(b, b2));
+        assert_eq!(h.handle_addr(b), h.handle_addr(b2));
         assert_eq!(h.read_prim(b2, 0), 99);
         h.write_ref_null(a, 0);
         assert!(h.read_ref(a, 0).is_none());

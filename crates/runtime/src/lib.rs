@@ -56,7 +56,7 @@ pub mod space;
 pub mod stats;
 
 pub use check::{CheckError, CheckReport};
-pub use class::{ClassDesc, ClassId, ClassRegistry, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
+pub use class::{ClassDesc, ClassId, OBJ_ARRAY_CLASS, PRIM_ARRAY_CLASS};
 pub use config::{ConfigError, GcVariant, HeapConfig, OomError, VariantPolicy};
 pub use heap::{H1Prims, Handle, Heap, Pin, WordBatch};
 pub use report::RunReport;

@@ -5,6 +5,7 @@
 
 use crate::config::OomError;
 use crate::heap::Heap;
+use teraheap_core::H2;
 use teraheap_storage::Breakdown;
 
 /// Outcome of one workload run.
@@ -57,7 +58,7 @@ impl RunReport {
             breakdown: heap.clock().breakdown(),
             minor_gcs: s.minor_count,
             major_gcs: s.major_count,
-            h2_objects: s.objects_promoted_h2,
+            h2_objects: heap.h2().map_or(0, H2::objects_promoted),
             offloads,
             reloads,
             checksum,

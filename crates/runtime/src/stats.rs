@@ -48,8 +48,6 @@ pub struct GcStats {
     pub h2_cards_scanned_minor: u64,
     /// Minor-GC time spent on H2 card scanning/updating (Figure 11a).
     pub h2_minor_scan_ns: u64,
-    /// Objects moved from H1 to H2 over the run.
-    pub objects_promoted_h2: u64,
     /// Total lane idle time at phase barriers (work-unit plane): across all
     /// GCs, the ns non-critical lanes spent waiting for the critical-path
     /// lane. 0 at `gc_threads = 1`.

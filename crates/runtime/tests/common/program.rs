@@ -369,7 +369,11 @@ impl Mutator {
             (None, None) => {}
             (Some(c), Some(t)) => match self.slots[t].root {
                 Some(r) => {
-                    assert!(self.heap.same_object(c, r.handle()), "load: slot {a} ref {f}");
+                    assert_eq!(
+                        self.heap.handle_addr(c),
+                        self.heap.handle_addr(r.handle()),
+                        "load: slot {a} ref {f}"
+                    );
                     self.heap.release(c);
                 }
                 None => {
@@ -569,8 +573,8 @@ impl Mutator {
 
     /// The oracle: walks the shadow graph from every held slot and checks
     /// each object it reaches — class, length, its prims (in one view), and
-    /// every ref, whose target must be the same object
-    /// (`Heap::same_object`) as the one the shadow names. Released objects
+    /// every ref, whose target must be at the address
+    /// (`Heap::handle_addr`) of the one the shadow names. Released objects
     /// the program can still reach are checked through handles loaded on
     /// the way. Panics on the first difference.
     pub fn check(&mut self) {
@@ -593,7 +597,11 @@ impl Mutator {
                     (None, None) => {}
                     (Some(c), Some(t)) => match rep[t] {
                         Some(r) => {
-                            assert!(self.heap.same_object(c, r), "slot {s}: ref {i} to slot {t}");
+                            assert_eq!(
+                                self.heap.handle_addr(c),
+                                self.heap.handle_addr(r),
+                                "slot {s}: ref {i} to slot {t}"
+                            );
                             self.heap.release(c);
                         }
                         None => {

@@ -190,7 +190,7 @@ fn h2_move_relocates_tagged_closure() {
     h.h2_move(label);
     h.gc_major().unwrap();
     assert!(h.is_in_h2(root), "tagged root moved to H2");
-    assert!(h.stats().objects_promoted_h2 >= 10, "closure moved too");
+    assert!(h.h2().unwrap().objects_promoted() >= 10, "closure moved too");
     // Direct access to H2 objects — no deserialization step.
     let arr2 = h.read_ref(root, 0).unwrap();
     assert!(h.is_in_h2(arr2));
@@ -462,7 +462,7 @@ fn pressure_moves_marked_objects_without_hint() {
     }
     let _ = h.gc_major();
     assert!(
-        h.stats().objects_promoted_h2 > 0,
+        h.h2().unwrap().objects_promoted() > 0,
         "high-threshold pressure moved tagged objects without h2_move"
     );
 }

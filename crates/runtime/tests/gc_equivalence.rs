@@ -75,7 +75,7 @@ fn capture_from(mut heap: Heap, keep: Vec<Handle>) -> Snapshot {
         ("h2_minor_scan_ns", stats.h2_minor_scan_ns),
         ("backward_refs_seen", stats.backward_refs_seen),
         ("forward_refs_fenced", stats.forward_refs_fenced),
-        ("objects_promoted_h2", stats.objects_promoted_h2),
+        ("objects_promoted_h2", heap.h2().unwrap().objects_promoted()),
         ("h2_page_faults", io.0),
         ("h2_read_bytes", io.1),
         ("h2_write_bytes", io.2),

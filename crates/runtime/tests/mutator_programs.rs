@@ -60,7 +60,7 @@ fn lanes_run(ops: &[Op], gc_threads: usize) -> LaneReport {
         events: m.heap.clock().tracer().events(),
         minor_count: stats.minor_count,
         major_count: stats.major_count,
-        objects_promoted_h2: stats.objects_promoted_h2,
+        objects_promoted_h2: m.heap.h2().unwrap().objects_promoted(),
         backward_refs_seen: stats.backward_refs_seen,
         forward_refs_fenced: stats.forward_refs_fenced,
         lane_stall_ns: stats.lane_stall_ns,

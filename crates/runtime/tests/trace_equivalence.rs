@@ -31,7 +31,7 @@ fn trace_is_deterministic_for_a_fixed_workload() {
     let (heap_a, events_a) = run_traced(Level::Full);
     let (heap_b, events_b) = run_traced(Level::Full);
     assert!(!events_a.is_empty(), "the workload must produce events");
-    assert!(heap_a.stats().objects_promoted_h2 > 0, "the workload must promote to H2");
+    assert!(heap_a.h2().unwrap().objects_promoted() > 0, "the workload must promote to H2");
     assert!(
         heap_a.h2().unwrap().mmap().stats().page_faults() > 0,
         "the workload must fault H2 pages"
@@ -60,6 +60,6 @@ fn tracing_level_never_perturbs_the_simulation() {
     assert_eq!(a.major_count, b.major_count);
     assert_eq!(a.minor_ns, b.minor_ns);
     assert_eq!(a.major_ns, b.major_ns);
-    assert_eq!(a.objects_promoted_h2, b.objects_promoted_h2);
+    assert_eq!(full.h2().unwrap().objects_promoted(), off.h2().unwrap().objects_promoted());
     assert_eq!(a.phases, b.phases, "phase breakdowns unchanged by tracing");
 }

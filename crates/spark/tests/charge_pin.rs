@@ -114,8 +114,8 @@ fn capture(workload: Workload, mode: Mode) -> Option<Row> {
     row[6] = stats.major_count;
     row[7] = ctx.bm.serializations();
     row[8] = ctx.bm.deserializations();
-    row[9] = stats.objects_promoted_h2;
     if let Some(h2) = ctx.heap.h2() {
+        row[9] = h2.objects_promoted();
         row[10] = h2.mmap().stats().page_faults();
         row[11] = h2.mmap().stats().evictions();
     }

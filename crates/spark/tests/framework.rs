@@ -41,7 +41,7 @@ fn unpersist_releases_h2_regions() {
         ctx.bm.put(&mut ctx.heap, BlockId { rdd, partition: p }, part).unwrap();
     }
     ctx.heap.gc_major().unwrap();
-    assert!(ctx.heap.stats().objects_promoted_h2 >= 4, "partitions moved to H2");
+    assert!(ctx.heap.h2().unwrap().objects_promoted() >= 4, "partitions moved to H2");
     let reclaimed_before = ctx.heap.h2().unwrap().regions().reclaimed_total();
     ctx.bm.unpersist(&mut ctx.heap, rdd);
     ctx.heap.gc_major().unwrap();

@@ -177,16 +177,6 @@ impl MmapSim {
         self.faults.as_ref()
     }
 
-    /// Length of the mapping in bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the mapping has zero length.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The page size used by the mapping.
     pub fn page_size(&self) -> usize {
         self.page_size
@@ -732,7 +722,7 @@ mod tests {
         // Three whole pages plus 100 bytes: the tail lives on a fourth page.
         let len = 3 * 4096 + 100;
         let (mut map, _clock) = nvme_map(len, 1 << 20);
-        assert_eq!((map.len(), map.is_empty()), (len, false), "the mapping's length in bytes");
+        assert_eq!(map.len, len, "the mapping's length in bytes");
         map.touch_write(len - 8, 8, Category::Mutator);
         map.touch_run(3 * 4096, 96, false, Category::Mutator);
         assert_eq!(map.stats().page_faults(), 1, "one fault for the partial page");

@@ -171,7 +171,7 @@ fn run_both(setup: Setup, program: Vec<Op>) -> CaseResult {
     let (mut map, map_clock) = build(setup);
     let (sim, ref_clock) = build(setup);
     let mut reference = Reference { sim, order: Vec::new() };
-    let (unit, end) = (map.page_size() / UNITS, map.len());
+    let (unit, end) = (map.page_size() / UNITS, map.len);
     let bytes_of = |start: usize, len: usize| {
         let offset = start * unit;
         (offset, (len * unit).min(end - offset))

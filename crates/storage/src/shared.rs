@@ -364,11 +364,6 @@ impl SharedDevice {
         })
     }
 
-    /// Number of registered tenants.
-    pub fn tenants(&self) -> usize {
-        self.inner.borrow().tenants.len()
-    }
-
     /// The tenant registered with `clock`, if any.
     pub fn tenant_of(&self, clock: &Arc<SimClock>) -> Option<TenantId> {
         self.inner
@@ -450,11 +445,6 @@ impl DeviceLease {
     /// The device's cost model.
     pub(crate) fn spec(&self) -> DeviceSpec {
         self.spec
-    }
-
-    /// The leased tenant.
-    pub fn tenant(&self) -> TenantId {
-        TenantId(self.tenant as u32)
     }
 
     /// Snapshot of the leased tenant's arbitration counters.
@@ -589,7 +579,11 @@ mod reference {
         }
         prop_assert_eq!(device.device_vtime_ns(), oracle.vtime_ns);
         for (t, lease) in leases.iter().enumerate() {
-            prop_assert_eq!(device.tenant_io(lease.tenant()), Some(oracle.io[t]), "tenant {t}");
+            prop_assert_eq!(
+                device.tenant_io(TenantId(lease.tenant as u32)),
+                Some(oracle.io[t]),
+                "tenant {t}"
+            );
         }
         CaseResult::Pass
     }
@@ -627,7 +621,7 @@ mod tests {
             assert_eq!(wait, 0, "sole tenant must never queue");
             c.charge(Category::Io, service);
         }
-        let io = dev.tenant_io(lease.tenant()).unwrap();
+        let io = dev.tenant_io(TenantId(lease.tenant as u32)).unwrap();
         assert_eq!(io.queued_ns, 0);
         assert_eq!(io.queued_ops, 0);
         assert_eq!(io.ops, 4);
@@ -687,7 +681,7 @@ mod tests {
             dev.add_tenant(clock(), 1),
             Err(AttachError::QuotaExceedsCapacity { requested: 1, available: 0 })
         );
-        assert_eq!(dev.tenants(), 3);
+        assert_eq!(dev.inner.borrow().tenants.len(), 3);
     }
 
     #[test]

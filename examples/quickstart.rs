@@ -39,7 +39,7 @@ fn main() {
     assert!(heap.is_in_h2(partition), "partition now lives in H2");
     println!(
         "moved {} objects ({} words) to H2 during one major GC",
-        heap.stats().objects_promoted_h2,
+        heap.h2().unwrap().objects_promoted(),
         heap.h2().unwrap().words_promoted()
     );
 

@@ -3,8 +3,9 @@
 #
 #   scripts/census.sh   export the working tree into target/census/src, hook
 #                       that copy, build it into target/census/target, run
-#                       `figures all` and `benchmark/run.sh --smoke` there,
-#                       then every test binary, reduce the recordings to
+#                       the committed runs there (`figures all` and
+#                       `benchmark/run.sh --smoke` and `--probes`), then
+#                       every test binary, reduce the recordings to
 #                       findings and check them against scripts/census.txt
 #                       (~2.5 min the first time, less when little changed)
 #
@@ -20,11 +21,11 @@
 #     `scripts/loc.sh --lines crates/*/src` keeps, trait-impl methods,
 #     `const fn`s and macro bodies aside.
 # The hooked `figures all` must still write the committed results/ byte for
-# byte, and the smoke must print scripts/smoke_fingerprints.txt. Each test
-# binary of the copy then runs with a recording of its own,
-# target/census/tests/<crate>/<target>.txt (grep one for `@@fn <subject>` to
-# find a test that reaches a function); the tests count for `test` owners
-# only, never as committed runs.
+# byte, the smoke must print scripts/smoke_fingerprints.txt and the probes
+# must exit 0. Each test binary of the copy then runs with a recording of its
+# own, target/census/tests/<crate>/<target>.txt (grep one for `@@fn
+# <subject>` to find a test that reaches a function); the tests count for
+# `test` owners only, never as committed runs, and the examples do not run.
 #
 # Findings, one `kind subject` each:
 #   knob <Type>.<field>    a config field (a struct's, or an enum variant's)
@@ -38,8 +39,9 @@
 #
 # scripts/census.txt owns them, one `kind subject owner` line each (`#`
 # comments). The subject may use `*` wildcards (a file, a struct prefix). The
-# owner is a ROADMAP item number (`15`, `5(b)`), `bench` (something
-# benchmark/ names), `test <crate>/<target>` (a test target that reaches it:
+# owner is a ROADMAP item number (`15`, `5(b)`), `bench` (benchmark/src
+# names a knob's type, or a function's `Type::name` or bare name),
+# `test <crate>/<target>` (a test target that reaches it:
 # `lib` or a crates/<crate>/tests/<target>.rs; `root/<target>` for tests/),
 # `debug` or `data` (a seed or an input size). A `test` entry owns only what
 # its target's recording shows: the functions it reaches and the fields it
@@ -220,6 +222,7 @@ run_copy() {
             echo "ERROR: the hooked copy's smoke fingerprints differ from scripts/smoke_fingerprints.txt." >&2
             exit 1
         fi
+        benchmark/run.sh --probes --seed 42 >/dev/null
     )
 }
 
@@ -335,13 +338,21 @@ test_source() {
 # Checks every finding against scripts/census.txt, every entry against the
 # findings and every `test` owner against its target's recording.
 judge() {
-    local list=scripts/census.txt bad=0 kind subject owner n=0 t golden r
+    local list=scripts/census.txt bad=0 kind subject owner n=0 t golden r name
     while read -r kind subject owner; do
         n=$((n + 1))
         [[ -z $kind || $kind == \#* ]] && continue
         case $kind in knob | fn | column) ;; *) echo "ERROR: $list:$n: unknown kind '$kind'." >&2; bad=1 ;; esac
         case $owner in
-            bench | debug | data) ;;
+            debug | data) ;;
+            bench)
+                # What benchmark/src must name: a knob's type, a function's
+                # `Type::name` (its type for a `*`) or bare name.
+                if [[ $kind == knob ]]; then name=${subject%%.*}; else name=${subject#*::}; name=${name%::\*}; fi
+                if ! grep -rqwF -- "$name" benchmark/src; then
+                    echo "ERROR: $list:$n: benchmark/src does not name $name." >&2
+                    bad=1
+                fi ;;
             test\ */*) t=${owner#test }
                 if [[ ! -f $tests/$t.txt ]]; then
                     echo "ERROR: $list:$n: no test target '$t'." >&2
