@@ -7,7 +7,7 @@
 //! is an integer, bool or a known `&'static str` name, so quoting only has
 //! to handle the free-form crash-dump context string.
 
-use crate::{Event, EventKind, GcCause, GcKind};
+use crate::{Event, EventKind, GcKind};
 
 /// Escapes `s` as a JSON string literal (quotes included).
 pub fn json_string(s: &str) -> String {
@@ -132,21 +132,18 @@ pub fn gc_only(events: &[Event]) -> Vec<Event> {
     events.iter().copied().filter(|e| e.kind.is_gc()).collect()
 }
 
-/// One reconstructed collection: a paired `GcBegin`/`GcEnd`.
-///
-/// This carries exactly the fields the runtime's old bespoke `GcEvent` log
-/// kept, so timeline consumers (fig7) can reproduce their output
-/// byte-identically from the flight recorder.
+/// One reconstructed collection, a paired `GcBegin`/`GcEnd`: its kind, its
+/// span and the old generation's occupancy around it. fig7's timeline reads
+/// all of it; the repo benchmark reads the kinds and durations, and takes
+/// the H2 growth from the `GcEnd` events themselves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcCycle {
     pub gc: GcKind,
-    pub cause: GcCause,
     pub start_ns: u64,
     pub duration_ns: u64,
     pub old_used_before: u64,
     pub old_used_after: u64,
     pub old_capacity: u64,
-    pub promoted_h2_words: u64,
 }
 
 /// Pairs `GcBegin`/`GcEnd` events into [`GcCycle`]s, ordered by completion
@@ -154,26 +151,24 @@ pub struct GcCycle {
 /// (e.g. a collection aborted by OOM) produce no cycle; an end without a
 /// begin (ring overflow ate it) is skipped.
 pub fn gc_cycles(events: &[Event]) -> Vec<GcCycle> {
-    let mut open: [Vec<(u64, GcCause, u64)>; 2] = [Vec::new(), Vec::new()];
+    let mut open: [Vec<(u64, u64)>; 2] = [Vec::new(), Vec::new()];
     let mut out = Vec::new();
     for e in events {
         match e.kind {
-            EventKind::GcBegin { gc, cause, old_used_words } => {
+            EventKind::GcBegin { gc, old_used_words, .. } => {
                 let slot = (gc == GcKind::Major) as usize;
-                open[slot].push((e.t_ns, cause, old_used_words));
+                open[slot].push((e.t_ns, old_used_words));
             }
-            EventKind::GcEnd { gc, old_used_words, old_capacity_words, promoted_h2_words } => {
+            EventKind::GcEnd { gc, old_used_words, old_capacity_words, .. } => {
                 let slot = (gc == GcKind::Major) as usize;
-                if let Some((start_ns, cause, before)) = open[slot].pop() {
+                if let Some((start_ns, before)) = open[slot].pop() {
                     out.push(GcCycle {
                         gc,
-                        cause,
                         start_ns,
                         duration_ns: e.t_ns.saturating_sub(start_ns),
                         old_used_before: before,
                         old_used_after: old_used_words,
                         old_capacity: old_capacity_words,
-                        promoted_h2_words,
                     });
                 }
             }
@@ -186,7 +181,7 @@ pub fn gc_cycles(events: &[Event]) -> Vec<GcCycle> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CardTableKind, SpanKind, WorkUnitKind};
+    use crate::{CardTableKind, GcCause, SpanKind, WorkUnitKind};
 
     fn e(seq: u64, t_ns: u64, kind: EventKind) -> Event {
         Event { seq, t_ns, kind }
@@ -297,8 +292,8 @@ mod tests {
         assert_eq!(cycles[0].old_used_before, 100);
         assert_eq!(cycles[0].old_used_after, 120);
         assert_eq!(cycles[1].gc, GcKind::Major);
-        assert_eq!(cycles[1].cause, GcCause::PromotionGuarantee);
-        assert_eq!(cycles[1].promoted_h2_words, 64);
+        assert_eq!(cycles[1].old_used_before, 900);
+        assert_eq!(cycles[1].old_used_after, 400);
     }
 
     #[test]

@@ -84,13 +84,9 @@ pub struct Query {
     pub agg: Option<Agg>,
 }
 
-/// The executor's result.
+/// The executor's result: the same for every plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryResult {
-    /// Rows the plan examined (full scan: every row; index probe: the
-    /// candidate set) — the one field the two plans legitimately disagree
-    /// on.
-    pub rows_scanned: u64,
     /// Rows matching the predicate.
     pub rows_matched: u64,
     /// The aggregate value (0 when `agg` is `None`).
@@ -98,13 +94,6 @@ pub struct QueryResult {
     /// FNV-1a over `(row id, projected value)` of every match, ascending
     /// row order — the plan-independent answer.
     pub checksum: u64,
-}
-
-impl QueryResult {
-    /// The plan-independent answer fields (everything but `rows_scanned`).
-    pub fn answer(&self) -> (u64, u64, u64) {
-        (self.rows_matched, self.agg, self.checksum)
-    }
 }
 
 /// The executor's per-op working set, owned by the [`Table`] so it is
@@ -239,11 +228,9 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
         std::mem::take(&mut table.exec);
     matched.clear();
     spans.reset(table.sealed_chunks());
-    let mut scanned = 0u64;
 
     if use_index && fcol == table.key_col() {
         table.probe_runs(heap, q.filter.lo, q.filter.hi, &mut hits);
-        scanned += hits.len() as u64;
         // Fetch by the projected chunk's storage rank, then by row: the rank
         // packed above the row id sorts on both at once.
         debug_assert!(table.rows() <= ROW_MASK, "row ids fit below the rank");
@@ -266,7 +253,6 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
             table.walk_keys(heap, q.filter.lo, q.filter.hi);
         }
         for &k in table.order(fcol) {
-            scanned += cr as u64;
             let start = matched.len();
             // A key-column chunk selects from its sorted run; its view below
             // is charged all the same. The projected chunk's read is charged
@@ -297,7 +283,6 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
     if select(&q.filter, table.staging_col(fcol), &mut bitmap) {
         gather(&bitmap, base, table.staging_col(pcol), &mut matched);
     }
-    scanned += srows as u64;
 
     let mut fnv = Fnv::new();
     let (mut sum, mut mn, mut mx) = (0u64, u64::MAX, 0u64);
@@ -319,12 +304,7 @@ pub fn run_query(heap: &mut Heap, table: &mut Table, q: &Query, use_index: bool)
         Some(Agg::Min) => mn,
         Some(Agg::Max) => mx,
     };
-    let result = QueryResult {
-        rows_scanned: scanned,
-        rows_matched: matched.len() as u64,
-        agg,
-        checksum: fnv.finish(),
-    };
+    let result = QueryResult { rows_matched: matched.len() as u64, agg, checksum: fnv.finish() };
     table.exec = ExecBuffers { matched, spans, hits, bitmap };
     result
 }

@@ -386,7 +386,7 @@ mod tests {
         let clock = heap.clock().clone();
         clock.tracer().set_capacity(1 << 16);
         clock.tracer().set_level(Level::Full);
-        clock.tracer().clear();
+        let built = clock.tracer().emitted();
         let lookups = 256;
         let mut hits = Vec::new();
         for _ in 0..lookups {
@@ -400,7 +400,7 @@ mod tests {
             .events()
             .iter()
             .filter_map(|e| match e.kind {
-                EventKind::IndexProbe { runs, .. } => Some(u64::from(runs)),
+                EventKind::IndexProbe { runs, .. } if e.seq >= built => Some(u64::from(runs)),
                 _ => None,
             })
             .collect();

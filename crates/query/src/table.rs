@@ -563,8 +563,8 @@ mod tests {
                         Query { filter: Predicate { col: 0, lo, hi }, project: 1, agg: None };
                     let scan = Query { filter: Predicate { col: 1, lo, hi }, ..index };
                     assert_eq!(
-                        run_query(&mut heap, &mut table, &index, true).answer(),
-                        run_query(&mut heap, &mut table, &scan, false).answer(),
+                        run_query(&mut heap, &mut table, &index, true),
+                        run_query(&mut heap, &mut table, &scan, false),
                         "fill {fill}: [{lo}, {hi}]"
                     );
                 }

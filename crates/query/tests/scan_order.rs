@@ -13,7 +13,8 @@
 use std::sync::Arc;
 use teraheap_core::H2Config;
 use teraheap_query::{
-    gen_rows, run_query, Agg, Fnv, Predicate, Query, Table, TableConfig, TablePlacement, COLS,
+    gen_rows, run_query, Agg, Fnv, Predicate, Query, QueryResult, Table, TableConfig,
+    TablePlacement, COLS,
 };
 use teraheap_runtime::{Heap, HeapConfig};
 use teraheap_storage::{DeviceSpec, SharedDevice, SimClock};
@@ -75,7 +76,7 @@ fn seq_share(heap: &Heap, before: (u64, u64)) -> f64 {
 
 /// `q`'s `(rows matched, sum, checksum)` with the chunks viewed in directory
 /// order: the filter chunk, then the projected chunk if a row matched.
-fn directory_order_answer(heap: &mut Heap, table: &Table, q: &Query) -> (u64, u64, u64) {
+fn directory_order_answer(heap: &mut Heap, table: &Table, q: &Query) -> QueryResult {
     let mut fnv = Fnv::new();
     let (mut count, mut sum) = (0u64, 0u64);
     for k in 0..table.sealed_chunks() {
@@ -94,7 +95,7 @@ fn directory_order_answer(heap: &mut Heap, table: &Table, q: &Query) -> (u64, u6
             }
         });
     }
-    (count, sum, fnv.finish())
+    QueryResult { rows_matched: count, agg: sum, checksum: fnv.finish() }
 }
 
 #[test]
@@ -123,7 +124,7 @@ fn cold_aggregate_faults_sequentially_in_storage_order() {
     let directory_share = seq_share(&twin_heap, before);
 
     assert!(res.rows_matched > 0, "the range matches rows");
-    assert_eq!(res.answer(), want, "storage order changed the answer");
+    assert_eq!(res, want, "storage order changed the answer");
     assert!(
         storage_share >= 0.9,
         "storage order took {:.1}% of its faults sequentially",

@@ -35,10 +35,6 @@ pub struct CheckReport {
     pub h1_objects: u64,
     /// Objects verified in H2 regions.
     pub h2_objects: u64,
-    /// Non-null reference slots verified.
-    pub refs_checked: u64,
-    /// Card-table entries verified against a covered reference.
-    pub cards_checked: u64,
 }
 
 /// The first violated invariant found by [`Heap::heap_check`].
@@ -109,7 +105,13 @@ impl Heap {
     ///
     /// Intended for quiescent points (GC boundaries, end of a workload);
     /// must not be called from inside a collection, where candidate bits
-    /// and marks are legitimately set.
+    /// and marks are legitimately set. It runs however the heap was built:
+    /// the *armed* sweeps (`maybe_heap_check`) fire only at collection
+    /// boundaries of a heap built with `HeapConfig::heap_check`, while an
+    /// endurance harness calls this at its own cadence (every K churn
+    /// rounds) without paying the O(heap) walk at every GC in between. It
+    /// charges nothing to simulated time: checking is instrumentation, not
+    /// workload.
     ///
     /// # Errors
     ///
@@ -123,30 +125,6 @@ impl Heap {
             });
         }
         self.heap_check_walk()
-    }
-
-    /// On-demand invariant sweep for long-running harnesses.
-    ///
-    /// The *armed* sweeps (`maybe_heap_check`) only fire at collection
-    /// boundaries, and only when checking was requested at heap
-    /// construction (`HeapConfig::heap_check` / `TERAHEAP_HEAP_CHECK=1`).
-    /// Endurance harnesses want a leak/corruption checkpoint at their own
-    /// cadence — e.g. every K churn rounds — regardless of how the heap
-    /// was built, and without paying the O(heap) walk at every GC in
-    /// between. This entry point runs the same full walk unconditionally,
-    /// counts the sweep in [`GcStats::heap_checks_on_demand`]
-    /// (so a harness can assert its checkpoints actually ran), and charges
-    /// nothing to simulated time: checking is instrumentation, not
-    /// workload.
-    ///
-    /// [`GcStats::heap_checks_on_demand`]: crate::GcStats::heap_checks_on_demand
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated invariant as a [`CheckError`].
-    pub fn heap_check_now(&mut self) -> Result<CheckReport, CheckError> {
-        self.stats.heap_checks_on_demand += 1;
-        self.heap_check()
     }
 
     fn heap_check_walk(&self) -> Result<CheckReport, CheckError> {
@@ -231,7 +209,6 @@ impl Heap {
                 if val == 0 {
                     continue;
                 }
-                report.refs_checked += 1;
                 let target = Addr::new(val);
                 if target.is_h2() {
                     if !h2set.contains(&val) {
@@ -242,15 +219,15 @@ impl Heap {
                 if !h1.contains(&val) {
                     return Err(CheckError::DanglingRef { from: a, slot: s, to: val });
                 }
-                if in_old && self.in_young(target) {
-                    report.cards_checked += 1;
-                    if !self.h1_cards.is_dirty(self.h1_cards.card_of(Addr::new(s))) {
-                        return Err(CheckError::CardInconsistent {
-                            slot: s,
-                            target: val,
-                            detail: "old→young reference on a clean H1 card",
-                        });
-                    }
+                if in_old
+                    && self.in_young(target)
+                    && !self.h1_cards.is_dirty(self.h1_cards.card_of(Addr::new(s)))
+                {
+                    return Err(CheckError::CardInconsistent {
+                        slot: s,
+                        target: val,
+                        detail: "old→young reference on a clean H1 card",
+                    });
                 }
             }
         }
@@ -267,7 +244,6 @@ impl Heap {
                     if val == 0 {
                         continue;
                     }
-                    report.refs_checked += 1;
                     let target = Addr::new(val);
                     if target.is_h2() {
                         if !h2set.contains(&val) {
@@ -279,7 +255,6 @@ impl Heap {
                         return Err(CheckError::DanglingRef { from: a, slot: s, to: val });
                     }
                     // Backward (H2→H1) reference: its card must be fenced.
-                    report.cards_checked += 1;
                     let state = h2.cards().state(h2.cards().card_of(slot));
                     if state == CardState::Clean {
                         return Err(CheckError::CardInconsistent {
@@ -487,19 +462,16 @@ mod on_demand_tests {
     }
 
     #[test]
-    fn on_demand_check_runs_unarmed_and_counts_sweeps() {
+    fn on_demand_check_runs_unarmed_and_charges_nothing() {
         // No `heap_check` arming at construction: the per-GC sweeps are
-        // off, but the on-demand entry still walks the heap.
+        // off, but a direct call still walks the heap.
         let mut heap = h2_heap();
         let arr = heap.alloc_prim_array(32).unwrap();
         heap.write_prim(arr, 0, 7);
         let ns_before = heap.clock().total_ns();
-        let report = heap.heap_check_now().expect("clean heap passes");
+        let report = heap.heap_check().expect("clean heap passes");
         assert!(report.h1_objects >= 1);
-        assert_eq!(heap.stats().heap_checks_on_demand, 1);
         assert_eq!(heap.clock().total_ns(), ns_before, "checking charges nothing");
-        heap.heap_check_now().expect("still clean");
-        assert_eq!(heap.stats().heap_checks_on_demand, 2);
     }
 
     #[test]
@@ -508,11 +480,11 @@ mod on_demand_tests {
         let arr = heap.alloc_prim_array(8).unwrap();
         // The cycle sizes the recycled bitmap and must hand it back all-zero.
         heap.gc_major().unwrap();
-        heap.heap_check_now().expect("bitmap clear after the cycle");
+        heap.heap_check().expect("bitmap clear after the cycle");
         let addr = heap.handle_addr(arr).raw();
         assert!(heap.gc_scratch.cycle.live.mark(addr));
         assert_eq!(
-            heap.heap_check_now(),
+            heap.heap_check(),
             Err(CheckError::StaleGcBits { addr, detail: "mark bitmap bit outside a cycle" })
         );
     }
@@ -528,17 +500,16 @@ mod on_demand_tests {
         assert!(heap.is_in_h2(payload), "payload moved to H2");
         let holder = heap.alloc(holder_class).unwrap();
         heap.write_ref(holder, 0, payload);
-        heap.heap_check_now().expect("intact H1->H2 ref passes");
+        heap.heap_check().expect("intact H1->H2 ref passes");
 
         // Plant the dangling ref: retarget the slot one word into the H2
         // object — a device-resident address that is not an object start.
         let bogus = heap.handle_addr(payload).add(1);
         let slot = heap.handle_addr(holder).add(object::HEADER_WORDS as u64);
         heap.set_word(slot, bogus.raw());
-        match heap.heap_check_now() {
+        match heap.heap_check() {
             Err(CheckError::DanglingRef { to, .. }) => assert_eq!(to, bogus.raw()),
             other => panic!("expected DanglingRef, got {other:?}"),
         }
-        assert_eq!(heap.stats().heap_checks_on_demand, 2);
     }
 }

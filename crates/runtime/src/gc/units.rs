@@ -524,9 +524,6 @@ pub(super) fn plan_chunk(
                 ),
             });
         }
-        if footprint > size {
-            heap.stats.g1_humongous_waste_words += (footprint - size) as u64;
-        }
         debug_assert_eq!(*dest, 0, "duplicate forwarding source");
         *dest = plan.new_top;
         plan.new_old_starts.push(plan.new_top);

@@ -127,9 +127,6 @@ impl Heap {
         let footprint = self.g1_footprint(words);
         // Reserve the rounded footprint but place the object at its start.
         let addr = self.old.alloc(footprint)?;
-        if footprint > words {
-            self.stats.g1_humongous_waste_words += (footprint - words) as u64;
-        }
         self.old_starts.push(addr.raw());
         Some(addr)
     }

@@ -52,15 +52,9 @@ pub struct GcStats {
     /// GCs, the ns non-critical lanes spent waiting for the critical-path
     /// lane. 0 at `gc_threads = 1`.
     pub lane_stall_ns: u64,
-    /// G1 only: words wasted by humongous-object region rounding.
-    pub g1_humongous_waste_words: u64,
     /// Always 0: nothing allocates straight into H2 any more. Kept because
     /// the repo benchmark reports it as `core.pretenured_words`.
     pub pretenured_words: u64,
-    /// On-demand full-heap invariant sweeps run via
-    /// `Heap::heap_check_now` (endurance harness checkpoints; the armed
-    /// per-GC sweeps are not counted here).
-    pub heap_checks_on_demand: u64,
 }
 
 impl GcStats {

@@ -501,9 +501,7 @@ fn g1_humongous_allocation_wastes_space() {
     cfg.variant = GcVariant::G1 { region_words: 2048 };
     let mut h = Heap::new(cfg);
     // 1200 words >= region/2 (1024): humongous, rounds to a whole region.
-    let hum = h.alloc_prim_array(1200).unwrap();
-    let _ = hum;
-    assert!(h.stats().g1_humongous_waste_words > 0);
+    h.alloc_prim_array(1200).unwrap();
     assert_eq!(h.old_used_words(), 2048, "footprint rounded to one region");
 }
 

@@ -34,8 +34,6 @@ pub struct TenantReport {
     pub round_ns: Vec<u64>,
     /// p99 round latency (max for small round counts).
     pub p99_round_ns: u64,
-    /// Mean round latency.
-    pub mean_round_ns: u64,
     /// Arbitration counters (queueing delay, busy time, ops).
     pub io: TenantIo,
     /// Times the tenant was passed over for admission: always 0, since the
@@ -175,7 +173,6 @@ impl Server {
                     oom_rounds: oom_rounds[i],
                     total_ns: self.clocks[i].total_ns(),
                     p99_round_ns: latency.p99_ns,
-                    mean_round_ns: latency.mean_ns,
                     round_ns: round_ns[i].clone(),
                     io: self.device.tenant_io(self.ids[i]).unwrap_or_default(),
                     deferrals: 0,

@@ -30,13 +30,13 @@ pub use teraheap_obs::Category;
 /// simulation. All times are simulated nanoseconds.
 ///
 /// **Single writer.** One clock is charged by one thread at a time: a
-/// simulation is sequential, and everything that fans simulations out over
-/// host threads (the bench driver's `run_parallel`, the server's tenants)
-/// gives each its own clock. Charging is therefore a relaxed load + store
-/// on the atomics, not a locked read-modify-write — two threads charging
-/// one clock concurrently would lose nanoseconds, so debug builds assert
-/// they never do. A clock may move between threads, and any thread may
-/// read it at any time.
+/// simulation is sequential, and what fans simulations out over host
+/// threads (the bench driver's `run_parallel`) gives each its own clock.
+/// The server runs all its tenants on one thread, each on its own clock.
+/// Charging is therefore a relaxed load + store on the atomics, not a
+/// locked read-modify-write — two threads charging one clock concurrently
+/// would lose nanoseconds, so debug builds assert they never do. A clock
+/// may move between threads, and any thread may read it at any time.
 #[derive(Debug, Default)]
 pub struct SimClock {
     nanos: [AtomicU64; Category::COUNT],

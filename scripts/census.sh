@@ -36,19 +36,24 @@
 #                          the crate's src/)
 #   column <file>:<name>   a results/*.csv or crates/*/tests/golden/*.txt
 #                          column whose every numeric cell is 0
+#   field <Type>.<name>    a `pub` field of a struct declared in the kept
+#                          lines of crates/*/src that no kept line of
+#                          crates/*/src or benchmark/src reads (a field of
+#                          the same name read elsewhere hides it)
 #
 # scripts/census.txt owns them, one `kind subject owner` line each (`#`
 # comments). The subject may use `*` wildcards (a file, a struct prefix). The
 # owner is a ROADMAP item number (`15`, `5(b)`), `bench` (benchmark/src
-# names a knob's type, or a function's `Type::name` or bare name),
-# `test <crate>/<target>` (a test target that reaches it:
-# `lib` or a crates/<crate>/tests/<target>.rs; `root/<target>` for tests/),
-# `debug` or `data` (a seed or an input size). A `test` entry owns only what
-# its target's recording shows: the functions it reaches and the fields it
-# sets to a value no committed run holds; for a column, the target's source
-# must name the golden file. The census fails on a finding no entry owns and
-# on an entry that owns no finding, so the list only shrinks: delete what a
-# finding names, or own it with a reason a reader can check.
+# names a knob's or a field's type, or a function's `Type::name` or bare
+# name), `test <crate>/<target>` (a test target that reaches it: `lib` or a
+# crates/<crate>/tests/<target>.rs; `root/<target>` for tests/), `debug` or
+# `data` (a seed or an input size). A `test` entry owns only what its
+# target's recording shows: the functions it reaches and the fields it sets
+# to a value no committed run holds; for a column, the target's source must
+# name the golden file, and for a field, `.<name>`. The census fails on a
+# finding no entry owns and on an entry that owns no finding, so the list
+# only shrinks: delete what a finding names, or own it with a reason a
+# reader can check.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 root=$PWD
@@ -301,6 +306,76 @@ knobs() {
         }' "${@:2}"
 }
 
+# Prints `field <Type>.<name>` for every `pub` field of a struct declared in
+# the kept lines of crates/*/src that no kept line of crates/*/src or
+# benchmark/src reads. A read is `.name` that is no method call and not on
+# the left of `=` or of a compound assignment, or `name` inside a
+# `Type { .. }` pattern (a `let` or `for` pattern on the type's line, or
+# one whose `}` is followed by `=` or `=>`).
+fields() {
+    scripts/loc.sh --masked crates/*/src benchmark/src | LC_ALL=C awk '
+        function reads(m,   t, name, rest, prev) {
+            prev = " "
+            while (match(m, /\.[A-Za-z_][A-Za-z0-9_]*/)) {
+                name = substr(m, RSTART + 1, RLENGTH - 1); rest = substr(m, RSTART + RLENGTH)
+                if (RSTART > 1) prev = substr(m, RSTART - 1, 1)
+                t = rest; sub(/^[ \t]+/, "", t)
+                if (prev != "." && t !~ /^(\(|::|=([^=>]|$)|([-+*\/%&|^]|<<|>>)=)/) dot[name] = 1
+                m = rest; prev = "x"
+            }
+        }
+        # The `Type { .. }` patterns of one file, its kept text in T.
+        function patterns(T,   s, at, ty, before, j, d, c, end, after, body, n, k, p) {
+            s = T; at = 0
+            while (match(s, /[A-Za-z_][A-Za-z0-9_]*[ \t\n]*\{/)) {
+                ty = substr(s, RSTART, RLENGTH); sub(/[ \t\n]*\{$/, "", ty)
+                before = substr(T, 1, at + RSTART - 1); sub(/^.*\n/, "", before)
+                j = at + RSTART + RLENGTH          # just past the `{` in T
+                s = substr(s, RSTART + RLENGTH); at = j - 1
+                if (!(ty in struct) || substr(before, length(before)) ~ /[A-Za-z0-9_]/ \
+                    || before ~ /^[ \t]*(pub[^ ]* +)?(unsafe +)?impl[ <]/) continue
+                for (d = 1; d && j <= length(T); j++) {
+                    c = substr(T, j, 1)
+                    if (c == "{") d++
+                    else if (c == "}") d--
+                }
+                end = j - 1
+                after = substr(T, j, 40); sub(/^[ \t\n)\]]*/, "", after)
+                if (before !~ /(^|[^A-Za-z0-9_])(let|for)[ \t(&\[]*([A-Za-z_][A-Za-z0-9_]*::)*$/ \
+                    && after !~ /^=([^=]|$)/) continue
+                body = substr(T, at + 1, end - at - 1)
+                n = split(body, p, ",")            # the commas of a nested pattern only add reads
+                for (k = 1; k <= n; k++) {
+                    sub(/^[ \t\n]*(ref[ \t\n]+)?(mut[ \t\n]+)?/, "", p[k])
+                    if (match(p[k], /^[A-Za-z_][A-Za-z0-9_]*/)) pat[ty "." substr(p[k], 1, RLENGTH)] = 1
+                }
+            }
+        }
+        {
+            i = index($0, ":"); file = substr($0, 1, i - 1); rest = substr($0, i + 1)
+            m = substr(rest, index(rest, ":") + 1)
+            if (file != cur) { cur = file; body = 0 }
+            text[file] = text[file] m "\n"
+            reads(m)
+            if (file !~ /^crates\//) next
+            if (body) {
+                if (depth == 1 && match(m, /^[ \t]*pub[ \t]+[a-z_][a-z0-9_]*[ \t]*:/)) {
+                    f = substr(m, 1, RLENGTH); sub(/^[ \t]*pub[ \t]+/, "", f); sub(/[ \t]*:$/, "", f)
+                    decl[++nd] = sname "." f; fname[nd] = f
+                }
+                depth += gsub(/\{/, "{", m) - gsub(/\}/, "}", m)
+                body = depth > 0
+            } else if (match(m, /(^|[^A-Za-z0-9_])struct[ \t]+[A-Za-z_][A-Za-z0-9_]*(<[^{]*>)?[ \t]*\{[ \t]*$/)) {
+                sname = substr(m, RSTART, RLENGTH); sub(/^.*struct[ \t]+/, "", sname); sub(/[<{ \t].*$/, "", sname)
+                struct[sname] = 1; body = 1; depth = 1
+            }
+        }
+        END {
+            for (f in text) patterns(text[f])
+            for (k = 1; k <= nd; k++) if (!(fname[k] in dot) && !(decl[k] in pat)) print "field", decl[k]
+        }'
+}
+
 # Prints every finding as `kind subject`.
 findings() {
     # functions: marked sites the recording never reached
@@ -322,6 +397,8 @@ findings() {
         !golden && FNR > 1 { n = split($0, V, ","); for (c = 1; c <= n; c++) cell(H[c], V[c]) }
         END { for (k in num) if (zero[k] == num[k]) { sub(/^crates\//, "", k); print "column", k } }
     ' results/*.csv crates/*/tests/golden/*.txt
+    # fields: no kept line reads them
+    fields
 }
 
 # The file or directory of test target $1's source.
@@ -342,13 +419,17 @@ judge() {
     while read -r kind subject owner; do
         n=$((n + 1))
         [[ -z $kind || $kind == \#* ]] && continue
-        case $kind in knob | fn | column) ;; *) echo "ERROR: $list:$n: unknown kind '$kind'." >&2; bad=1 ;; esac
+        case $kind in knob | fn | column | field) ;; *) echo "ERROR: $list:$n: unknown kind '$kind'." >&2; bad=1 ;; esac
         case $owner in
             debug | data) ;;
             bench)
-                # What benchmark/src must name: a knob's type, a function's
-                # `Type::name` (its type for a `*`) or bare name.
-                if [[ $kind == knob ]]; then name=${subject%%.*}; else name=${subject#*::}; name=${name%::\*}; fi
+                # What benchmark/src must name: a knob's or a field's type, a
+                # function's `Type::name` (its type for a `*`) or bare name.
+                if [[ $kind == knob || $kind == field ]]; then
+                    name=${subject%%.*}
+                else
+                    name=${subject#*::}; name=${name%::\*}
+                fi
                 if ! grep -rqwF -- "$name" benchmark/src; then
                     echo "ERROR: $list:$n: benchmark/src does not name $name." >&2
                     bad=1
@@ -363,6 +444,9 @@ judge() {
                         echo "ERROR: $list:$n: test $t does not name ${subject%%:*}." >&2
                         bad=1
                     fi
+                elif [[ $kind == field ]] && ! grep -rqE -- "\.${subject#*.}([^A-Za-z0-9_]|$)" "$(test_source "$t")"; then
+                    echo "ERROR: $list:$n: test $t does not name .${subject#*.}." >&2
+                    bad=1
                 fi ;;
             *) if ! [[ $owner =~ ^([0-9]+)(\([a-z]\))?$ ]] || ! grep -qE "^${BASH_REMATCH[1]}\. \*\*" ROADMAP.md; then
                    echo "ERROR: $list:$n: owner '$owner' is no ROADMAP item, bench, test <crate>/<target>, debug or data." >&2
@@ -389,7 +473,7 @@ judge() {
                 if (l ~ /^[ \t]*(#|$)/) continue
                 split(l, f, /[ \t]+/)
                 e++; ekind[e] = f[1]; esubj[e] = f[2]; eline[e] = ln
-                if (f[3] == "test" && f[1] != "column") etest[e] = f[4]
+                if (f[3] == "test" && f[1] != "column" && f[1] != "field") etest[e] = f[4]
                 re = f[2]; gsub(/[][\\.^$+?(){}|]/, "\\\\&", re); gsub(/\*/, ".*", re); ere[e] = "^" re "$"
             }
         }
@@ -411,8 +495,8 @@ judge() {
                 print "ERROR: " list ":" eline[i] ": `" ekind[i] " " esubj[i] "` owns no finding; delete the entry."
                 bad = 1
             }
-            printf "census: %d findings (%d knob, %d fn, %d column), %d owner entries\n", \
-                total, count["knob"], count["fn"], count["column"], e
+            printf "census: %d findings (%d knob, %d fn, %d column, %d field), %d owner entries\n", \
+                total, count["knob"], count["fn"], count["column"], count["field"], e
             exit bad
         }' >&2
 }

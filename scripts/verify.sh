@@ -239,8 +239,8 @@ if ! diff <(scripts/loc.sh --root scripts/loc_fixture) scripts/loc_fixture/expec
 fi
 loc=$(scripts/loc.sh)
 echo "$loc"
-declare -A pin=([bench]=2467 [core]=1672 [giraph]=1146 [kryo]=496 [obs]=865 [query]=1549
-    [runtime]=4463 [server]=475 [spark]=1243 [storage]=2245 [util]=1573 [workloads]=257)
+declare -A pin=([bench]=2467 [core]=1669 [giraph]=1146 [kryo]=496 [obs]=847 [query]=1529
+    [runtime]=4426 [server]=472 [spark]=1243 [storage]=2245 [util]=1573 [workloads]=257)
 while read -r crate lines; do
     [[ $crate == crate || $crate == total ]] && continue
     if [[ -z ${pin[$crate]:-} ]]; then
@@ -257,15 +257,15 @@ while read -r crate lines; do
 done <<<"$loc"
 # The census list only shrinks (scripts/census.sh fails on an entry that
 # owns nothing): its entry count is pinned like a crate's lines, so a new
-# unexercised knob, function or column cannot arrive with a new owner
-# unnoticed. A change that must add an owner re-pins it here and says why
+# unexercised knob, function or column, or an unread field, cannot arrive
+# with a new owner unnoticed. A change that must add an owner re-pins it here and says why
 # in CHANGES.md.
 census_entries=$(grep -cvE '^[[:space:]]*(#|$)' scripts/census.txt)
-if (( census_entries > 87 )); then
-    echo "ERROR: scripts/census.txt has $census_entries entries; the ratchet allows 87." >&2
+if (( census_entries > 89 )); then
+    echo "ERROR: scripts/census.txt has $census_entries entries; the ratchet allows 89." >&2
     exit 1
-elif (( census_entries < 87 )); then
-    echo "  scripts/census.txt fell below its pin ($census_entries < 87): lower the pin."
+elif (( census_entries < 89 )); then
+    echo "  scripts/census.txt fell below its pin ($census_entries < 89): lower the pin."
 fi
 echo "ok"
 
@@ -525,11 +525,11 @@ if [[ "${VERIFY_SKIP_RESULTS:-0}" != "1" ]]; then
 
     # The census: a hooked export of the tree runs `figures all`, the smoke
     # and every test binary, and every config field that holds one value,
-    # function no committed run reaches and all-zero column must have an
-    # owner in scripts/census.txt (and every entry a finding; a `test` entry
+    # function no committed run reaches, all-zero column and `pub` field no
+    # kept line reads must have an owner in scripts/census.txt (and every entry a finding; a `test` entry
     # owns only what its test reaches), so what nothing exercises is deleted
     # or named. The tree is never edited; the export lives in target/census.
-    echo "== census: every unexercised knob, function and column has an owner =="
+    echo "== census: every unexercised knob, function, column and field has an owner =="
     scripts/census.sh
     echo "ok"
 fi
